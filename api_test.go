@@ -106,17 +106,36 @@ func singleWinner(n, firstConfirmed int) ([][]float64, int) {
 	return rows, w
 }
 
-// TestContextAliasingRegression is the satellite regression test for the
-// documented aliasing rule: a second Context.Compute call invalidates
-// the first result's Indices (they alias reused storage), Clone detaches
-// them, and Engine.Run without ReuseIndices hands out caller-owned
+// TestEngineReuseIndicesAliasing is the regression test for the
+// documented aliasing rule: with Query.ReuseIndices a second Engine.Run
+// invalidates the first result's Indices (they alias reused storage) and
+// Clone detaches them; without it Engine.Run hands out caller-owned
 // indices that later queries cannot touch.
-func TestContextAliasingRegression(t *testing.T) {
+func TestEngineReuseIndicesAliasing(t *testing.T) {
 	allSky := skylineStaircase(6)
+	dsAll, err := skybench.NewDataset(allSky)
+	if err != nil {
+		t.Fatal(err)
+	}
+	eng := skybench.NewEngine(1)
+	defer eng.Close()
+	bg := context.Background()
+	// runOne answers q over a dataset whose single skyline point differs
+	// from overwrite, the index in the slot it will land on.
+	runOne := func(overwrite int, q skybench.Query) {
+		t.Helper()
+		oneSky, _ := singleWinner(4, overwrite)
+		dsOne, err := skybench.NewDataset(oneSky)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := eng.Run(bg, dsOne, q); err != nil {
+			t.Fatal(err)
+		}
+	}
 
-	ctx := skybench.NewContext()
-	defer ctx.Close()
-	first, err := ctx.Compute(allSky, skybench.Options{Threads: 1})
+	reuse := skybench.Query{ReuseIndices: true}
+	first, err := eng.Run(bg, dsAll, reuse)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -125,19 +144,14 @@ func TestContextAliasingRegression(t *testing.T) {
 	}
 	wantFirst := append([]int(nil), first.Indices...)
 	saved := first.Clone()
-	// The second dataset's single skyline point is chosen to differ from
-	// the slot it will overwrite.
-	oneSky, _ := singleWinner(4, wantFirst[0])
-	if _, err := ctx.Compute(oneSky, skybench.Options{Threads: 1}); err != nil {
-		t.Fatal(err)
-	}
+	runOne(wantFirst[0], reuse)
 	// The aliasing rule: first.Indices now reflects the second query's
 	// scratch — its first entry has been overwritten with the second
 	// skyline's sole index, proving invalidation.
 	if first.Indices[0] == wantFirst[0] {
-		t.Errorf("second Compute did not invalidate the first result's indices — "+
-			"either the aliasing contract changed (update the docs!) or this test is stale: got %v",
-			first.Indices[0])
+		t.Errorf("second Run did not invalidate the first ReuseIndices result — "+
+			"either the aliasing contract changed (update the docs!), the zero-copy "+
+			"path is copying, or this test is stale: got %v", first.Indices[0])
 	}
 	for i := range wantFirst {
 		if saved.Indices[i] != wantFirst[i] {
@@ -145,46 +159,17 @@ func TestContextAliasingRegression(t *testing.T) {
 		}
 	}
 
-	// Engine.Run without ReuseIndices: caller-owned, later queries must
-	// not touch it.
-	eng := skybench.NewEngine(1)
-	defer eng.Close()
-	dsAll, err := skybench.NewDataset(allSky)
-	if err != nil {
-		t.Fatal(err)
-	}
-	bg := context.Background()
+	// Without ReuseIndices: caller-owned, later queries must not touch it.
 	got, err := eng.Run(bg, dsAll, skybench.Query{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	want := append([]int(nil), got.Indices...)
-	oneSky2, _ := singleWinner(4, want[0])
-	dsOne, err := skybench.NewDataset(oneSky2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := eng.Run(bg, dsOne, skybench.Query{}); err != nil {
-		t.Fatal(err)
-	}
+	runOne(want[0], skybench.Query{})
 	for i := range want {
 		if got.Indices[i] != want[i] {
 			t.Fatalf("Engine.Run result without ReuseIndices was invalidated by a later query at %d: %v != %v",
 				i, got.Indices, want)
 		}
-	}
-
-	// Engine.Run with ReuseIndices aliases engine scratch, like the
-	// legacy Context.
-	reused, err := eng.Run(bg, dsAll, skybench.Query{ReuseIndices: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	reusedFirst := reused.Indices[0]
-	if _, err := eng.Run(bg, dsOne, skybench.Query{ReuseIndices: true}); err != nil {
-		t.Fatal(err)
-	}
-	if reused.Indices[0] == reusedFirst {
-		t.Error("ReuseIndices result survived a later query — the zero-copy path is copying")
 	}
 }

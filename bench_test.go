@@ -2,13 +2,15 @@
 // evaluation (Section VII) under testing.B. Each sub-benchmark is one
 // cell of the corresponding figure's series, named so that `go test
 // -bench` output can be read as the figure's rows. Workloads are scaled
-// down from the paper's (see DESIGN.md §5); cmd/experiments runs the
-// same sweeps at configurable scale with richer tables.
+// down from the paper's (see DESIGN.md §5). The grid is for orientation
+// across d, n, α, pivots and all twelve algorithms; performance claims
+// come from paired cmd/loadbench runs.
 package skybench_test
 
 import (
 	"context"
 	"fmt"
+	"runtime"
 	"sync"
 	"testing"
 
@@ -29,6 +31,19 @@ var benchDims = []int{4, 8, 12}
 var benchNs = []int{1000, 4000, 16000}
 var benchThreads = []int{1, 2, 4}
 
+// benchT is the thread count of every cell that does not sweep threads:
+// 4, capped at what the host can run in parallel (read per cell, so
+// `go test -cpu` is honored).
+func benchT() int { return min(4, runtime.GOMAXPROCS(0)) }
+
+// algThreads is benchT, or 1 for the sequential BSkyTree.
+func algThreads(alg skybench.Algorithm) int {
+	if alg == skybench.BSkyTree {
+		return 1
+	}
+	return benchT()
+}
+
 // dataCache avoids regenerating identical datasets across benchmarks.
 var dataCache sync.Map
 
@@ -42,21 +57,35 @@ func benchData(dist dataset.Distribution, n, d int) point.Matrix {
 	return m
 }
 
-func runAlg(b *testing.B, alg skybench.Algorithm, m point.Matrix, threads int, mut func(*skybench.Options)) {
+// runAlg times one cell: the Dataset and a warm Engine are built before
+// the timer starts, so an iteration is exactly one Engine.Run. Cells
+// asking for more threads than the host has are skipped, not
+// oversubscribed.
+func runAlg(b *testing.B, alg skybench.Algorithm, m point.Matrix, threads int, mut func(*skybench.Query)) {
 	b.Helper()
-	rows := m.Rows()
-	opt := skybench.Options{Algorithm: alg, Threads: threads}
-	if mut != nil {
-		mut(&opt)
+	if threads > runtime.GOMAXPROCS(0) {
+		b.Skipf("threads=%d exceeds GOMAXPROCS=%d", threads, runtime.GOMAXPROCS(0))
 	}
-	var last skybench.Result
+	ds, err := skybench.DatasetFromFlat(m.Flat(), m.N(), m.D())
+	if err != nil {
+		b.Fatal(err)
+	}
+	eng := skybench.NewEngine(threads)
+	defer eng.Close()
+	q := skybench.Query{Algorithm: alg, ReuseIndices: true}
+	if mut != nil {
+		mut(&q)
+	}
+	ctx := context.Background()
+	last, err := eng.Run(ctx, ds, q) // start the pool, size the scratch
+	if err != nil {
+		b.Fatal(err)
+	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		res, err := skybench.Compute(rows, opt)
-		if err != nil {
+		if last, err = eng.Run(ctx, ds, q); err != nil {
 			b.Fatal(err)
 		}
-		last = res
 	}
 	b.StopTimer()
 	b.ReportMetric(float64(last.Stats.DominanceTests), "DTs/op")
@@ -69,7 +98,7 @@ func BenchmarkFig4SkylineSizes(b *testing.B) {
 	for _, dist := range dataset.AllDistributions {
 		for _, d := range benchDims {
 			b.Run(fmt.Sprintf("dist=%s/d=%d", dist, d), func(b *testing.B) {
-				runAlg(b, skybench.Hybrid, benchData(dist, benchN, d), 4, nil)
+				runAlg(b, skybench.Hybrid, benchData(dist, benchN, d), benchT(), nil)
 			})
 		}
 	}
@@ -87,10 +116,7 @@ func BenchmarkFig5VaryDimensionality(b *testing.B) {
 	for _, dist := range dataset.AllDistributions {
 		for _, d := range benchDims {
 			for _, alg := range fig56Algos {
-				threads := 4
-				if alg == skybench.BSkyTree {
-					threads = 1
-				}
+				threads := algThreads(alg)
 				b.Run(fmt.Sprintf("dist=%s/d=%d/alg=%s", dist, d, alg), func(b *testing.B) {
 					runAlg(b, alg, benchData(dist, benchN, d), threads, nil)
 				})
@@ -105,10 +131,7 @@ func BenchmarkFig6VaryCardinality(b *testing.B) {
 	for _, dist := range dataset.AllDistributions {
 		for _, n := range benchNs {
 			for _, alg := range fig56Algos {
-				threads := 4
-				if alg == skybench.BSkyTree {
-					threads = 1
-				}
+				threads := algThreads(alg)
 				b.Run(fmt.Sprintf("dist=%s/n=%d/alg=%s", dist, n, alg), func(b *testing.B) {
 					runAlg(b, alg, benchData(dist, n, benchD), threads, nil)
 				})
@@ -122,7 +145,7 @@ func BenchmarkFig6VaryCardinality(b *testing.B) {
 func BenchmarkTable1RealDataSizes(b *testing.B) {
 	for _, r := range dataset.AllRealDatasets {
 		b.Run(fmt.Sprintf("dataset=%s", r), func(b *testing.B) {
-			runAlg(b, skybench.Hybrid, r.Load(0.05), 4, nil)
+			runAlg(b, skybench.Hybrid, r.Load(0.05), benchT(), nil)
 		})
 	}
 }
@@ -133,10 +156,7 @@ func BenchmarkTable2RealData(b *testing.B) {
 	for _, r := range dataset.AllRealDatasets {
 		m := r.Load(0.05)
 		for _, alg := range fig56Algos {
-			threads := 4
-			if alg == skybench.BSkyTree {
-				threads = 1
-			}
+			threads := algThreads(alg)
 			b.Run(fmt.Sprintf("dataset=%s/alg=%s", r, alg), func(b *testing.B) {
 				runAlg(b, alg, m, threads, nil)
 			})
@@ -150,7 +170,7 @@ func BenchmarkFig7AlphaQFlow(b *testing.B) {
 		m := benchData(dist, benchN, benchD)
 		for _, alpha := range []int{1 << 7, 1 << 10, 1 << 13, 1 << 16} {
 			b.Run(fmt.Sprintf("dist=%s/alpha=%d", dist, alpha), func(b *testing.B) {
-				runAlg(b, skybench.QFlow, m, 4, func(o *skybench.Options) { o.Alpha = alpha })
+				runAlg(b, skybench.QFlow, m, benchT(), func(q *skybench.Query) { q.Alpha = alpha })
 			})
 		}
 	}
@@ -162,7 +182,7 @@ func BenchmarkFig8AlphaHybrid(b *testing.B) {
 		m := benchData(dist, benchN, benchD)
 		for _, alpha := range []int{1 << 7, 1 << 10, 1 << 13, 1 << 16} {
 			b.Run(fmt.Sprintf("dist=%s/alpha=%d", dist, alpha), func(b *testing.B) {
-				runAlg(b, skybench.Hybrid, m, 4, func(o *skybench.Options) { o.Alpha = alpha })
+				runAlg(b, skybench.Hybrid, m, benchT(), func(q *skybench.Query) { q.Alpha = alpha })
 			})
 		}
 	}
@@ -180,10 +200,10 @@ func BenchmarkFig9PivotSelection(b *testing.B) {
 		for _, p := range pivots {
 			p := p
 			b.Run(fmt.Sprintf("alpha=%d/pivot=%s", alpha, p), func(b *testing.B) {
-				runAlg(b, skybench.Hybrid, m, 4, func(o *skybench.Options) {
-					o.Alpha = alpha
-					o.Pivot = p
-					o.Seed = 42
+				runAlg(b, skybench.Hybrid, m, benchT(), func(q *skybench.Query) {
+					q.Alpha = alpha
+					q.Pivot = p
+					q.Seed = 42
 				})
 			})
 		}
@@ -267,7 +287,7 @@ func BenchmarkAblationHybridComponents(b *testing.B) {
 	for _, v := range variants {
 		v := v
 		b.Run(v.name, func(b *testing.B) {
-			runAlg(b, skybench.Hybrid, m, 4, func(o *skybench.Options) { o.Ablation = v.ab })
+			runAlg(b, skybench.Hybrid, m, benchT(), func(q *skybench.Query) { q.Ablation = v.ab })
 		})
 	}
 }
@@ -283,103 +303,7 @@ func BenchmarkExtensionMulticore(b *testing.B) {
 	} {
 		alg := alg
 		b.Run(fmt.Sprintf("alg=%s", alg), func(b *testing.B) {
-			runAlg(b, alg, m, 4, nil)
+			runAlg(b, alg, m, benchT(), nil)
 		})
 	}
-}
-
-// defaultWorkload is the issue's acceptance workload: the paper's default
-// independent distribution at n=100k, d=8, 8 threads.
-const (
-	defaultN       = 100000
-	defaultD       = 8
-	defaultThreads = 8
-)
-
-// benchDefault times one hot-path algorithm on the acceptance workload
-// through a reused Context (the serving configuration): steady-state
-// zero-allocation runs on a persistent worker pool.
-func benchDefault(b *testing.B, alg skybench.Algorithm) {
-	m := benchData(dataset.Independent, defaultN, defaultD)
-	ctx := skybench.NewContext()
-	defer ctx.Close()
-	opt := skybench.Options{Algorithm: alg, Threads: defaultThreads}
-	var last skybench.Result
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		res, err := ctx.ComputeFlat(m.Flat(), m.N(), m.D(), opt)
-		if err != nil {
-			b.Fatal(err)
-		}
-		last = res
-	}
-	b.StopTimer()
-	b.ReportMetric(float64(last.Stats.DominanceTests), "DTs/op")
-	b.ReportMetric(float64(last.Stats.SkylineSize), "skypoints")
-}
-
-// BenchmarkHybridDefault is the acceptance benchmark of the
-// zero-allocation-hot-paths issue: Hybrid on independent n=100k, d=8,
-// t=8. Compare against the pre-PR tree (see BENCH_*.json).
-func BenchmarkHybridDefault(b *testing.B) { benchDefault(b, skybench.Hybrid) }
-
-// BenchmarkQFlowDefault is BenchmarkHybridDefault for Q-Flow.
-func BenchmarkQFlowDefault(b *testing.B) { benchDefault(b, skybench.QFlow) }
-
-// BenchmarkEngineSkyband measures the steady-state k-skyband serving
-// path (warm Engine, ReuseIndices) for the k values the golden suite
-// pins, with the zero-allocation guarantee enforced before timing —
-// the skyband counterpart of BenchmarkEngineRunReuse.
-func BenchmarkEngineSkyband(b *testing.B) {
-	m := benchData(dataset.Independent, defaultN, defaultD)
-	ds, err := skybench.DatasetFromFlat(m.Flat(), m.N(), m.D())
-	if err != nil {
-		b.Fatal(err)
-	}
-	for _, k := range []int{2, 4, 16} {
-		b.Run(fmt.Sprintf("k=%d", k), func(b *testing.B) {
-			eng := skybench.NewEngine(defaultThreads)
-			defer eng.Close()
-			ctx := context.Background()
-			q := skybench.Query{SkybandK: k, ReuseIndices: true}
-			var last skybench.Result
-			if last, err = eng.Run(ctx, ds, q); err != nil { // warm scratch
-				b.Fatal(err)
-			}
-			if allocs := testing.AllocsPerRun(3, func() {
-				if _, err := eng.Run(ctx, ds, q); err != nil {
-					b.Fatal(err)
-				}
-			}); allocs != 0 {
-				b.Fatalf("steady-state skyband Engine.Run allocates %.1f per call, want 0", allocs)
-			}
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if last, err = eng.Run(ctx, ds, q); err != nil {
-					b.Fatal(err)
-				}
-			}
-			b.StopTimer()
-			b.ReportMetric(float64(last.Stats.DominanceTests), "DTs/op")
-			b.ReportMetric(float64(last.Stats.SkylineSize), "bandpoints")
-		})
-	}
-}
-
-// BenchmarkDominanceKernel measures the raw dominance-test kernels the
-// whole suite is built on (the analogue of the paper's SIMD study).
-func BenchmarkDominanceKernel(b *testing.B) {
-	m := benchData(dataset.Independent, 2, 8)
-	p, q := m.Row(0), m.Row(1)
-	b.Run("generic", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			point.Dominates(p, q)
-		}
-	})
-	b.Run("unrolled", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			point.DominatesD(p, q, 8)
-		}
-	})
 }

@@ -1,15 +1,11 @@
 // Command datagen writes synthetic skyline workloads (and the real-data
 // stand-ins) to CSV files for use with cmd/skybench -input or external
-// tools. With -stream it instead emits a timestamped update trace (warm
-// inserts followed by an insert/delete mix of configurable churn) in the
-// format cmd/streambench -input replays, so benchmarks and tests share
-// byte-identical workloads.
+// tools.
 //
 // Usage:
 //
 //	datagen -dist anticorrelated -n 1000000 -d 12 -o anti_1m_12.csv
 //	datagen -real weather -scale 0.25 -o weather_quarter.csv
-//	datagen -stream -n 100000 -updates 100000 -churn 0.2 -d 8 -o trace.csv
 package main
 
 import (
@@ -19,46 +15,22 @@ import (
 
 	"skybench/internal/dataset"
 	"skybench/internal/point"
-	"skybench/internal/stream"
 )
 
 func main() {
 	var (
 		distName = flag.String("dist", "independent", "distribution: correlated|independent|anticorrelated")
-		n        = flag.Int("n", 100000, "cardinality (with -stream: warm-up inserts)")
+		n        = flag.Int("n", 100000, "cardinality")
 		d        = flag.Int("d", 8, "dimensionality")
 		seed     = flag.Int64("seed", 42, "generator seed")
 		realName = flag.String("real", "", "real-data stand-in instead: nba|house|weather")
 		scale    = flag.Float64("scale", 1, "scale factor for -real (0,1]")
 		levels   = flag.Int("quantize", 0, "quantize to this many value levels (0 = off)")
-		streamTr = flag.Bool("stream", false, "emit a timestamped update trace instead of a dataset")
-		updates  = flag.Int("updates", 100000, "with -stream: operations after warm-up")
-		churn    = flag.Float64("churn", 0.2, "with -stream: fraction of updates that delete a random live point")
 		out      = flag.String("o", "", "output CSV path (required)")
 	)
 	flag.Parse()
 	if *out == "" {
 		fatal(fmt.Errorf("-o output path is required"))
-	}
-
-	if *streamTr {
-		if *realName != "" {
-			fatal(fmt.Errorf("-stream and -real are mutually exclusive"))
-		}
-		if *churn < 0 || *churn > 1 {
-			fatal(fmt.Errorf("-churn must be in [0,1], got %v", *churn))
-		}
-		dist, err := dataset.ParseDistribution(*distName)
-		if err != nil {
-			fatal(err)
-		}
-		tr := stream.GenerateTrace(dist, *n, *updates, *d, *churn, *seed)
-		if err := stream.WriteTraceFile(*out, tr); err != nil {
-			fatal(err)
-		}
-		fmt.Printf("wrote trace: %d warm inserts + %d updates (churn %.2f), d=%d to %s\n",
-			tr.Warm, tr.Updates(), *churn, tr.D, *out)
-		return
 	}
 
 	var m point.Matrix

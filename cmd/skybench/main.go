@@ -157,7 +157,11 @@ func main() {
 	if prefs != nil {
 		fmt.Printf("preferences : %s\n", describePrefs(prefs))
 	}
-	fmt.Printf("%s : %d points (%.2f%%)\n", label, s.SkylineSize, 100*float64(s.SkylineSize)/float64(s.InputSize))
+	pct := 0.0
+	if s.InputSize > 0 { // an empty input has an empty skyline, not 0/0
+		pct = 100 * float64(s.SkylineSize) / float64(s.InputSize)
+	}
+	fmt.Printf("%s : %d points (%.2f%%)\n", label, s.SkylineSize, pct)
 	if storeServed {
 		fmt.Printf("shards      : %d (store-served)\n", *shards)
 	}

@@ -44,8 +44,7 @@ func NewDataset(rows [][]float64) (*Dataset, error) {
 
 // validateRows checks a non-empty row-of-slices input (consistent,
 // nonzero, supported dimensionality; finite values) and returns its
-// dimensionality. Shared by NewDataset and the legacy Context.Compute so
-// the two surfaces cannot drift.
+// dimensionality.
 func validateRows(rows [][]float64) (int, error) {
 	d := len(rows[0])
 	if d == 0 {
@@ -91,7 +90,6 @@ func DatasetFromFlat(vals []float64, n, d int) (*Dataset, error) {
 // finite values: NaN poisons dominance tests — every comparison against
 // it is false, so a NaN point is never dominated and never dominates —
 // and ±Inf breaks the L1-norm filters and the Max-preference negation).
-// Shared by DatasetFromFlat and the legacy Context.ComputeFlat.
 func validateFlat(vals []float64, n, d int) error {
 	if d <= 0 {
 		return fmt.Errorf("%w: points must have at least one dimension", ErrBadDataset)

@@ -57,6 +57,9 @@ func TestDatasetFromFlat(t *testing.T) {
 	if _, err := skybench.DatasetFromFlat(nil, 1, 0); err == nil {
 		t.Error("zero dimensionality accepted")
 	}
+	if ds, err := skybench.DatasetFromFlat(flat[:0], 0, 2); err != nil || ds.N() != 0 {
+		t.Errorf("empty input: ds=%v err=%v, want empty dataset", ds, err)
+	}
 }
 
 func TestDatasetRejectsNonFinite(t *testing.T) {
@@ -66,6 +69,7 @@ func TestDatasetRejectsNonFinite(t *testing.T) {
 	// skylines; both constructors must reject NaN and ±Inf.
 	for name, rows := range map[string][][]float64{
 		"nan":      {{1, 2}, {nan, 0}},
+		"nan-only": {{nan, 1}},
 		"plus-inf": {{1, inf}},
 		"neg-inf":  {{-inf, 0}, {1, 2}},
 	} {
@@ -81,9 +85,5 @@ func TestDatasetRejectsNonFinite(t *testing.T) {
 		if _, err := skybench.DatasetFromFlat(flat, 2, 2); err == nil {
 			t.Errorf("DatasetFromFlat accepted %s", name)
 		}
-	}
-	// The legacy surfaces funnel through the same validators.
-	if _, err := skybench.Compute([][]float64{{nan, 1}}, skybench.Options{}); err == nil {
-		t.Error("Compute accepted NaN")
 	}
 }

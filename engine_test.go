@@ -8,11 +8,14 @@ import (
 	"time"
 
 	"skybench"
+
+	"skybench/internal/point"
+	"skybench/internal/verify"
 )
 
-// TestEngineMatchesCompute cross-checks Engine.Run against the legacy
-// one-shot path for the hot-path algorithms and a baseline, reusing one
-// Engine across differently-shaped queries so the free-list sees
+// TestEngineMatchesCompute cross-checks Engine.Run against the
+// brute-force oracle for the hot-path algorithms and a baseline, reusing
+// one Engine across differently-shaped queries so the free-list sees
 // shrinking and growing workloads.
 func TestEngineMatchesCompute(t *testing.T) {
 	eng := skybench.NewEngine(4)
@@ -21,10 +24,7 @@ func TestEngineMatchesCompute(t *testing.T) {
 	for _, alg := range []skybench.Algorithm{skybench.Hybrid, skybench.QFlow, skybench.SFS} {
 		for _, n := range []int{1, 100, 5000} {
 			data := contextTestData(t, n, 6)
-			want, err := skybench.Compute(data, skybench.Options{Algorithm: alg, Threads: 4})
-			if err != nil {
-				t.Fatal(err)
-			}
+			want := verify.BruteForce(point.FromRows(data))
 			ds, err := skybench.NewDataset(data)
 			if err != nil {
 				t.Fatal(err)
@@ -33,17 +33,17 @@ func TestEngineMatchesCompute(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if !sameIndexSet(got.Indices, want.Indices) {
-				t.Fatalf("alg=%s n=%d: engine selects %d points, one-shot selects %d",
-					alg, n, len(got.Indices), len(want.Indices))
+			if !sameIndexSet(got.Indices, want) {
+				t.Fatalf("alg=%s n=%d: engine selects %d points, oracle selects %d",
+					alg, n, len(got.Indices), len(want))
 			}
 		}
 	}
 }
 
 // prefOracle computes the expected result of a preference query by doing
-// what callers had to do before the v2 API: negate maximized columns,
-// drop ignored ones, and run the legacy minimize-everything Compute.
+// what callers without Query.Prefs have to do: negate maximized columns,
+// drop ignored ones, and run a minimize-everything query.
 func prefOracle(t *testing.T, data [][]float64, prefs []skybench.Pref, alg skybench.Algorithm) []int {
 	t.Helper()
 	var rows [][]float64
@@ -59,7 +59,7 @@ func prefOracle(t *testing.T, data [][]float64, prefs []skybench.Pref, alg skybe
 		}
 		rows = append(rows, out)
 	}
-	res, err := skybench.Compute(rows, skybench.Options{Algorithm: alg, Threads: 2})
+	res, err := runRows(rows, skybench.Query{Algorithm: alg, Threads: 2})
 	if err != nil {
 		t.Fatalf("oracle %s: %v", alg, err)
 	}
@@ -69,7 +69,7 @@ func prefOracle(t *testing.T, data [][]float64, prefs []skybench.Pref, alg skybe
 // TestEnginePrefsOracle is the subspace/maximize cross-check: for every
 // algorithm and each of the paper's three distributions, Engine.Run with
 // Max/Ignore preferences must select exactly the points an oracle finds
-// by negating/projecting columns and running the legacy API.
+// by negating/projecting columns and minimizing every dimension.
 func TestEnginePrefsOracle(t *testing.T) {
 	prefs := []skybench.Pref{skybench.Min, skybench.Max, skybench.Ignore, skybench.Min, skybench.Max}
 	eng := skybench.NewEngine(2)
@@ -109,12 +109,12 @@ func TestEngineConcurrent(t *testing.T) {
 		t.Fatal(err)
 	}
 	prefs := []skybench.Pref{skybench.Min, skybench.Max, skybench.Min, skybench.Ignore, skybench.Min}
-	wantPlain, err := skybench.Compute(data, skybench.Options{})
+	eng := skybench.NewEngine(4)
+	defer eng.Close()
+	wantPlain, err := eng.Run(context.Background(), ds, skybench.Query{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	eng := skybench.NewEngine(4)
-	defer eng.Close()
 	wantPrefs, err := eng.Run(context.Background(), ds, skybench.Query{Prefs: prefs})
 	if err != nil {
 		t.Fatal(err)

@@ -5,10 +5,10 @@
 // under *some* preference — everything else is objectively worse than
 // an alternative on all counts.
 //
-// This example uses the v2 API: the rating column is maximized by
-// declaring skybench.Max in the query instead of negating it by hand,
-// and the same prepared Dataset then answers a second, different query
-// (a price/rating subspace skyline) without restaging.
+// The rating column is maximized by declaring skybench.Max in the
+// query instead of negating it by hand, and the same prepared Dataset
+// then answers a second, different query (a price/rating subspace
+// skyline) without restaging.
 //
 // Run with: go run ./examples/hotels
 package main

@@ -25,30 +25,23 @@ func main() {
 	}
 	names := []string{"p", "q", "r", "s", "t"}
 
-	idx, err := skybench.Skyline(points)
-	if err != nil {
-		log.Fatal(err)
-	}
-
-	fmt.Println("skyline (non-dominated) options:")
-	for _, i := range idx {
-		fmt.Printf("  %s = %v\n", names[i], points[i])
-	}
-
-	// The same computation through the serving API — prepare the dataset
-	// once, then answer as many queries as needed (Engine is safe for
-	// concurrent use and honors context deadlines):
+	// Prepare the dataset once, then answer as many queries as needed
+	// (Engine is safe for concurrent use and honors context deadlines).
+	// The zero Query runs Hybrid, minimizing every dimension.
 	ds, err := skybench.NewDataset(points)
 	if err != nil {
 		log.Fatal(err)
 	}
 	eng := skybench.NewEngine(2)
 	defer eng.Close()
-	res, err := eng.Run(context.Background(), ds, skybench.Query{
-		Algorithm: skybench.Hybrid,
-	})
+	res, err := eng.Run(context.Background(), ds, skybench.Query{})
 	if err != nil {
 		log.Fatal(err)
+	}
+
+	fmt.Println("skyline (non-dominated) options:")
+	for _, i := range res.Indices {
+		fmt.Printf("  %s = %v\n", names[i], points[i])
 	}
 	fmt.Printf("\n%d of %d points are in the skyline; %d dominance tests, %v\n",
 		res.Stats.SkylineSize, res.Stats.InputSize,

@@ -13,6 +13,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"math/rand"
@@ -28,8 +29,16 @@ func main() {
 	fmt.Println("attributes: latency(ms), cost(¢/call), error rate(%), load(%), jitter(ms)")
 	fmt.Println()
 
+	ds, err := skybench.NewDataset(pool)
+	if err != nil {
+		log.Fatal(err)
+	}
+	eng := skybench.NewEngine(0) // all CPUs
+	defer eng.Close()
+	ctx := context.Background()
+
 	for _, alg := range []skybench.Algorithm{skybench.Hybrid, skybench.QFlow, skybench.PSkyline, skybench.BNL} {
-		res, err := skybench.Compute(pool, skybench.Options{Algorithm: alg, Threads: 4})
+		res, err := eng.Run(ctx, ds, skybench.Query{Algorithm: alg})
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -38,7 +47,7 @@ func main() {
 	}
 
 	// Show a few skyline services.
-	res, err := skybench.Compute(pool, skybench.Options{})
+	res, err := eng.Run(ctx, ds, skybench.Query{})
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -553,10 +553,13 @@ func (p *Planner) calibrate(rows []CostRow) float64 {
 // the m skyline points; Q-Flow's block flow is closer to n·m. The
 // absolute coefficients are rough — they only need to order the arms
 // and price exploration, and measured history replaces them after
-// MinSamples runs. The sharded factors encode the BENCH shard rows:
-// fan-out + merge never pays off for Hybrid at this engine's shared
-// pool, and pays off for Q-Flow only when the skyline is dense (the
-// per-shard quadratic term dominates and splits P ways).
+// MinSamples runs. The sharded factors encode dominance-test counts
+// measured at n=100k, d=8 over 1 → 2 → 4 shards: fan-out + merge never
+// pays off for Hybrid at this engine's shared pool (independent 4.6M →
+// 7.4M → 7.9M, anticorrelated 45M → 66M → 60M), and pays off for Q-Flow
+// only when the skyline is dense — the per-shard quadratic term
+// dominates and splits P ways (anticorrelated 1847M → 1202M → 747M,
+// against correlated 1.4M → 2.6M → 3.1M).
 func (p *Planner) modelDTs(arm Arm) float64 {
 	n := float64(p.prof.N)
 	m := float64(p.prof.SkylineEst)

@@ -85,15 +85,6 @@ func (m Matrix) Gather(idx []int) Matrix {
 	return out
 }
 
-// Rows returns a [][]float64 view of the matrix (each row aliases storage).
-func (m Matrix) Rows() [][]float64 {
-	rows := make([][]float64, m.n)
-	for i := range rows {
-		rows[i] = m.Row(i)
-	}
-	return rows
-}
-
 // Finite reports whether v is an ordinary float64 — not NaN and not ±Inf.
 // NaN poisons every dominance comparison (all comparisons are false, so a
 // NaN point is simultaneously never dominated and never dominating) and

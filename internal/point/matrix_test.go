@@ -81,7 +81,7 @@ func TestGather(t *testing.T) {
 	m := FromRows([][]float64{{0, 0}, {1, 1}, {2, 2}})
 	g := m.Gather([]int{2, 0})
 	if g.N() != 2 || g.Row(0)[0] != 2 || g.Row(1)[0] != 0 {
-		t.Fatalf("Gather wrong: %v", g.Rows())
+		t.Fatalf("Gather wrong: %v", g.Flat())
 	}
 }
 

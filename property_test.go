@@ -29,7 +29,7 @@ func TestPropertyAllAlgorithmsAgree(t *testing.T) {
 		}
 		want := verify.BruteForce(point.FromRows(rows))
 		for _, alg := range skybench.Algorithms {
-			res, err := skybench.Compute(rows, skybench.Options{
+			res, err := runRows(rows, skybench.Query{
 				Algorithm: alg,
 				Threads:   1 + rng.Intn(4),
 				Alpha:     1 + rng.Intn(64),
@@ -60,7 +60,7 @@ func TestPropertySkylineIdempotent(t *testing.T) {
 		for i := range rows {
 			rows[i] = []float64{float64(rng.Intn(6)), float64(rng.Intn(6)), float64(rng.Intn(6))}
 		}
-		first, err := skybench.Compute(rows, skybench.Options{})
+		first, err := runRows(rows, skybench.Query{})
 		if err != nil {
 			return false
 		}
@@ -68,7 +68,7 @@ func TestPropertySkylineIdempotent(t *testing.T) {
 		for k, i := range first.Indices {
 			sub[k] = rows[i]
 		}
-		second, err := skybench.Compute(sub, skybench.Options{})
+		second, err := runRows(sub, skybench.Query{})
 		if err != nil {
 			return false
 		}
@@ -94,8 +94,8 @@ func TestPropertyPermutationInvariance(t *testing.T) {
 		for i, p := range perm {
 			shuffled[i] = rows[p]
 		}
-		a, err1 := skybench.Compute(rows, skybench.Options{})
-		b, err2 := skybench.Compute(shuffled, skybench.Options{})
+		a, err1 := runRows(rows, skybench.Query{})
+		b, err2 := runRows(shuffled, skybench.Query{})
 		if err1 != nil || err2 != nil {
 			return false
 		}
@@ -116,19 +116,19 @@ func TestPropertyMonotonicity(t *testing.T) {
 		for i := range rows {
 			rows[i] = []float64{1 + float64(rng.Intn(5)), 1 + float64(rng.Intn(5))}
 		}
-		base, err := skybench.Compute(rows, skybench.Options{})
+		base, err := runRows(rows, skybench.Query{})
 		if err != nil {
 			return false
 		}
 		// Append a point worse than everything: skyline unchanged.
 		worse := append(append([][]float64{}, rows...), []float64{100, 100})
-		withWorse, err := skybench.Compute(worse, skybench.Options{})
+		withWorse, err := runRows(worse, skybench.Query{})
 		if err != nil || len(withWorse.Indices) != len(base.Indices) {
 			return false
 		}
 		// Append a point better than everything: skyline collapses to it.
 		better := append(append([][]float64{}, rows...), []float64{0, 0})
-		withBetter, err := skybench.Compute(better, skybench.Options{})
+		withBetter, err := runRows(better, skybench.Query{})
 		if err != nil || len(withBetter.Indices) != 1 || withBetter.Indices[0] != n {
 			return false
 		}

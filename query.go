@@ -96,10 +96,9 @@ type Query struct {
 	// aliases Engine-internal storage that is recycled by a later query
 	// — from ANY goroutine — instead of being freshly allocated. It is
 	// only meaningful when the Engine's queries are serialized (a
-	// single-caller serving loop, like the legacy Context); on an Engine
-	// shared by concurrent callers a recycled context can clobber the
-	// aliased indices while they are being read. See the aliasing rule
-	// on Result.Indices.
+	// single-caller serving loop); on an Engine shared by concurrent
+	// callers a recycled context can clobber the aliased indices while
+	// they are being read. See the aliasing rule on Result.Indices.
 	ReuseIndices bool
 	// Trace asks for an EXPLAIN ANALYZE-style account of the run in
 	// Result.Trace (algorithm, per-phase wall clock, dominance tests,
@@ -117,19 +116,4 @@ type Query struct {
 	// affects which fresh results are computed or cached, and it has no
 	// effect on Engine.Run (the Engine has no cache to degrade to).
 	AllowStale bool
-}
-
-// legacyQuery maps the legacy Options shape onto a Query (the
-// compatibility wrappers funnel through this).
-func legacyQuery(opt Options) Query {
-	return Query{
-		Algorithm:   opt.Algorithm,
-		Threads:     opt.Threads,
-		Alpha:       opt.Alpha,
-		Beta:        opt.Beta,
-		Pivot:       opt.Pivot,
-		Seed:        opt.Seed,
-		Progressive: opt.Progressive,
-		Ablation:    opt.Ablation,
-	}
 }

@@ -15,13 +15,8 @@
 // PBSkyTree) and the classic sequential algorithms (BNL, SFS, SaLSa,
 // LESS).
 //
-// Quick start (one-shot):
-//
-//	res, err := skybench.Compute(data, skybench.Options{})
-//	if err != nil { ... }
-//	for _, i := range res.Indices { ... } // skyline rows of data
-//
-// Serving many queries, use the prepare-once query-many API:
+// Quick start — prepare a Dataset once, query it many times (the
+// compiled form is ExampleEngine_Run; ExampleStore shows the Store):
 //
 //	ds, _ := skybench.NewDataset(data)
 //	eng := skybench.NewEngine(0)
@@ -29,11 +24,11 @@
 //	res, err := eng.Run(ctx, ds, skybench.Query{
 //		Prefs: []skybench.Pref{skybench.Min, skybench.Max, skybench.Ignore},
 //	})
+//	for _, i := range res.Indices { ... } // skyline rows of data
 //
 // Engine is safe for concurrent use, honors context cancellation and
 // deadlines, and supports per-dimension preferences (maximize, ignore)
-// without caller-side column rewrites. Compute, Skyline, and Context are
-// retained as thin compatibility wrappers over the same machinery.
+// without caller-side column rewrites.
 //
 // Services hosting several datasets front the engine with a Store: named
 // Collections (immutable Datasets or live stream indexes via
@@ -50,7 +45,6 @@
 package skybench
 
 import (
-	"context"
 	"fmt"
 	"sort"
 	"time"
@@ -70,7 +64,7 @@ import (
 	"skybench/internal/stats"
 )
 
-// Algorithm selects which skyline algorithm Compute runs.
+// Algorithm selects which skyline algorithm a Query runs.
 type Algorithm int
 
 const (
@@ -213,33 +207,6 @@ func ParsePivot(s string) (PivotStrategy, error) {
 	return 0, fmt.Errorf("%w: unknown pivot strategy %q (known: %v)", ErrBadQuery, s, names)
 }
 
-// Options configures Compute. The zero value runs Hybrid with the
-// paper's defaults on all available CPUs.
-type Options struct {
-	// Algorithm selects the skyline algorithm (default Hybrid).
-	Algorithm Algorithm
-	// Threads is the worker count for parallel algorithms (≤ 0 selects
-	// GOMAXPROCS). Sequential algorithms ignore it.
-	Threads int
-	// Alpha overrides the α-block size of Hybrid and QFlow (≤ 0 keeps
-	// the paper's defaults: 2^10 for Hybrid, 2^13 for QFlow).
-	Alpha int
-	// Pivot selects Hybrid's pivot strategy (default PivotMedian).
-	Pivot PivotStrategy
-	// Beta overrides Hybrid's pre-filter queue size (≤ 0 keeps β = 8).
-	Beta int
-	// Seed drives the PivotRandom strategy deterministically.
-	Seed int64
-	// Progressive, when non-nil and the algorithm supports it (Hybrid,
-	// QFlow), receives batches of confirmed skyline indices as blocks
-	// complete. Batches are valid only for the duration of the callback;
-	// copy them to retain them.
-	Progressive func(confirmed []int)
-	// Ablation disables individual Hybrid design components for
-	// experimentation. Production users should leave it zero.
-	Ablation Ablation
-}
-
 // Ablation switches off individual components of the Hybrid algorithm so
 // their contribution can be measured (the ablation benchmarks in
 // DESIGN.md). Every combination still computes the exact skyline.
@@ -280,7 +247,7 @@ func (t *PhaseTimings) add(o PhaseTimings) {
 	t.Other += o.Other
 }
 
-// Stats reports measurements of one Compute run.
+// Stats reports measurements of one query run.
 type Stats struct {
 	// DominanceTests is the number of full point-vs-point dominance
 	// tests performed — the machine-independent cost metric.
@@ -316,14 +283,12 @@ type Result struct {
 	// the algorithm's natural output order.
 	//
 	// Aliasing rule (stated here once; every entry point refers to it):
-	// Indices is caller-owned — valid forever — for the one-shot
-	// functions (Compute, Skyline) and for Engine.Run by default. It
-	// aliases reusable internal storage — valid only until the producer
-	// serves its next query, from any goroutine — for
-	// Context.Compute/ComputeFlat and for Engine.Run when
-	// Query.ReuseIndices is set; the zero-copy path is therefore only
-	// for callers that serialize their queries. Clone detaches a result
-	// from that storage.
+	// Indices is caller-owned — valid forever — unless the query set
+	// Query.ReuseIndices. Then it aliases Engine-internal storage and is
+	// valid only until the Engine serves its next query, from any
+	// goroutine; the zero-copy path is therefore only for callers that
+	// serialize their queries. Clone detaches a result from that
+	// storage.
 	Indices []int
 	// Counts holds the exact dominator count of each returned point,
 	// parallel to Indices, for k-skyband queries (Query.SkybandK ≥ 2):
@@ -383,36 +348,6 @@ func (r Result) TopK(w int) []int {
 		out[i] = r.Indices[order[i]]
 	}
 	return out
-}
-
-// Compute runs the selected skyline algorithm over data, a slice of
-// points with equal dimensionality. It returns the indices of the
-// skyline points (caller-owned; see the aliasing rule on
-// Result.Indices). Smaller values are preferred on every dimension.
-//
-// Compute is the legacy one-shot entry point, retained as a thin wrapper
-// over the Engine/Dataset/Query API: it re-validates and re-stages the
-// input and spins up workers on every call. Services answering repeated
-// queries should hold an Engine and share Datasets across queries.
-func Compute(data [][]float64, opt Options) (Result, error) {
-	if len(data) == 0 {
-		return Result{}, nil
-	}
-	ds, err := NewDataset(data)
-	if err != nil {
-		return Result{}, err
-	}
-	eng := NewEngine(opt.Threads)
-	defer eng.Close()
-	return eng.Run(context.Background(), ds, legacyQuery(opt))
-}
-
-// Skyline is a convenience wrapper running Hybrid with defaults and
-// returning just the skyline indices (caller-owned). Legacy; see
-// Compute.
-func Skyline(data [][]float64) ([]int, error) {
-	res, err := Compute(data, Options{})
-	return res.Indices, err
 }
 
 // runBaseline executes the non-hot-path algorithms, which allocate per

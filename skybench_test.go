@@ -1,6 +1,7 @@
 package skybench_test
 
 import (
+	"context"
 	"testing"
 
 	"skybench"
@@ -21,6 +22,44 @@ func genRows(dist dataset.Distribution, n, d int, seed int64) [][]float64 {
 	return rows
 }
 
+// testEngine is the one Engine the one-shot tests share; its budget of
+// four threads covers every Query.Threads they ask for.
+var testEngine = skybench.NewEngine(4)
+
+// runRows answers q over rows on testEngine.
+func runRows(rows [][]float64, q skybench.Query) (skybench.Result, error) {
+	ds, err := skybench.NewDataset(rows)
+	if err != nil {
+		return skybench.Result{}, err
+	}
+	return testEngine.Run(context.Background(), ds, q)
+}
+
+func contextTestData(t testing.TB, n, d int) [][]float64 {
+	t.Helper()
+	data, err := skybench.GenerateDataset("independent", n, d, 42)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return data
+}
+
+func sameIndexSet(a, b []int) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	seen := make(map[int]bool, len(a))
+	for _, v := range a {
+		seen[v] = true
+	}
+	for _, v := range b {
+		if !seen[v] {
+			return false
+		}
+	}
+	return true
+}
+
 // Every algorithm exposed by the public API must agree with the oracle
 // on every distribution — the central cross-algorithm equivalence test.
 func TestAllAlgorithmsMatchOracle(t *testing.T) {
@@ -28,7 +67,7 @@ func TestAllAlgorithmsMatchOracle(t *testing.T) {
 		rows := genRows(dist, 600, 5, 99)
 		want := verify.BruteForce(point.FromRows(rows))
 		for _, alg := range skybench.Algorithms {
-			res, err := skybench.Compute(rows, skybench.Options{Algorithm: alg, Threads: 3})
+			res, err := runRows(rows, skybench.Query{Algorithm: alg, Threads: 3})
 			if err != nil {
 				t.Fatalf("%v on %v: %v", alg, dist, err)
 			}
@@ -40,42 +79,25 @@ func TestAllAlgorithmsMatchOracle(t *testing.T) {
 	}
 }
 
-func TestComputeEmpty(t *testing.T) {
-	res, err := skybench.Compute(nil, skybench.Options{})
-	if err != nil || len(res.Indices) != 0 {
-		t.Fatalf("empty: %v, %v", res.Indices, err)
-	}
-}
-
 func TestComputeValidation(t *testing.T) {
-	if _, err := skybench.Compute([][]float64{{1, 2}, {3}}, skybench.Options{}); err == nil {
+	if _, err := runRows([][]float64{{1, 2}, {3}}, skybench.Query{}); err == nil {
 		t.Error("ragged input accepted")
 	}
-	if _, err := skybench.Compute([][]float64{{}}, skybench.Options{}); err == nil {
+	if _, err := runRows([][]float64{{}}, skybench.Query{}); err == nil {
 		t.Error("zero-dimensional input accepted")
 	}
 	wide := make([]float64, 40)
-	if _, err := skybench.Compute([][]float64{wide}, skybench.Options{}); err == nil {
+	if _, err := runRows([][]float64{wide}, skybench.Query{}); err == nil {
 		t.Error("over-wide input accepted")
 	}
-	if _, err := skybench.Compute([][]float64{{1}}, skybench.Options{Algorithm: skybench.Algorithm(99)}); err == nil {
+	if _, err := runRows([][]float64{{1}}, skybench.Query{Algorithm: skybench.Algorithm(99)}); err == nil {
 		t.Error("unknown algorithm accepted")
-	}
-}
-
-func TestSkylineConvenience(t *testing.T) {
-	idx, err := skybench.Skyline([][]float64{{1, 2}, {2, 1}, {3, 3}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !verify.SameSkyline(idx, []int{0, 1}) {
-		t.Fatalf("Skyline = %v", idx)
 	}
 }
 
 func TestStatsExposed(t *testing.T) {
 	rows := genRows(dataset.Independent, 3000, 6, 5)
-	res, err := skybench.Compute(rows, skybench.Options{Algorithm: skybench.Hybrid, Threads: 2})
+	res, err := runRows(rows, skybench.Query{Algorithm: skybench.Hybrid, Threads: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -113,7 +135,7 @@ func TestPivotStrategies(t *testing.T) {
 		skybench.PivotMedian, skybench.PivotBalanced, skybench.PivotManhattan,
 		skybench.PivotVolume, skybench.PivotRandom,
 	} {
-		res, err := skybench.Compute(rows, skybench.Options{Pivot: p, Seed: 11})
+		res, err := runRows(rows, skybench.Query{Pivot: p, Seed: 11})
 		if err != nil || !verify.SameSkyline(res.Indices, want) {
 			t.Errorf("pivot %v: wrong result (%v)", p, err)
 		}
@@ -123,7 +145,7 @@ func TestPivotStrategies(t *testing.T) {
 func TestProgressiveViaAPI(t *testing.T) {
 	rows := genRows(dataset.Independent, 2000, 5, 3)
 	var streamed []int
-	res, err := skybench.Compute(rows, skybench.Options{
+	res, err := runRows(rows, skybench.Query{
 		Algorithm: skybench.QFlow,
 		Alpha:     128,
 		Progressive: func(confirmed []int) {
@@ -157,11 +179,11 @@ func TestDominatesExposed(t *testing.T) {
 func TestMaximizationViaNegation(t *testing.T) {
 	// The documented idiom: negate attributes to prefer larger values.
 	rows := [][]float64{{-10, -1}, {-1, -10}, {-5, -5}, {-1, -1}}
-	idx, err := skybench.Skyline(rows)
+	res, err := runRows(rows, skybench.Query{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !verify.SameSkyline(idx, []int{0, 1, 2}) {
-		t.Fatalf("maximization: %v", idx)
+	if !verify.SameSkyline(res.Indices, []int{0, 1, 2}) {
+		t.Fatalf("maximization: %v", res.Indices)
 	}
 }

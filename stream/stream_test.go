@@ -287,70 +287,103 @@ func TestWindowSlides(t *testing.T) {
 
 // TestSnapshotConcurrentReaders runs one writer against many snapshot
 // readers; under -race this is the data-race probe for the epoch/COW
-// publication path.
+// publication path — with the default configuration, with a tiny
+// rebuild threshold so Engine escalations fire while readers hold
+// snapshots (for the skyline and for a 3-skyband), and through a sliding
+// Window whose every Push past capacity is an eviction plus an insert.
 func TestSnapshotConcurrentReaders(t *testing.T) {
-	ix, err := New(4, Config{})
-	if err != nil {
-		t.Fatalf("New: %v", err)
-	}
-	defer ix.Close()
-
-	m := dataset.Generate(dataset.Independent, 3000, 4, 9)
-	var wg sync.WaitGroup
-	stop := make(chan struct{})
-	for r := 0; r < 4; r++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			var lastEpoch uint64
-			for {
-				select {
-				case <-stop:
-					return
-				default:
+	eng := skybench.NewEngine(0)
+	defer eng.Close()
+	for _, tc := range []struct {
+		name         string
+		cfg          Config
+		window       int // > 0: a Window of this capacity, insert-only
+		wantRebuilds bool
+	}{
+		{name: "default"},
+		{name: "escalating", cfg: Config{RecomputeThreshold: 0.05, Engine: eng}, wantRebuilds: true},
+		{name: "escalating-k3", cfg: Config{RecomputeThreshold: 0.05, Engine: eng, SkybandK: 3}, wantRebuilds: true},
+		{name: "window-500", cfg: Config{Engine: eng}, window: 500},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			var ix *SkylineIndex
+			var insert func(p []float64) (ID, error)
+			if tc.window > 0 {
+				win, err := NewWindow(tc.window, 4, tc.cfg)
+				if err != nil {
+					t.Fatalf("NewWindow: %v", err)
 				}
-				snap := ix.Snapshot()
-				if e := snap.Epoch(); e < lastEpoch {
-					t.Errorf("epoch went backwards: %d -> %d", lastEpoch, e)
-					return
-				} else {
-					lastEpoch = e
+				ix, insert = win.x, win.Push
+			} else {
+				var err error
+				if ix, err = New(4, tc.cfg); err != nil {
+					t.Fatalf("New: %v", err)
 				}
-				// Read every row: the race detector flags any writer
-				// mutation of published storage.
-				for i := 0; i < snap.Len(); i++ {
-					if snap.ID(i) == 0 {
-						t.Errorf("zero ID in snapshot")
-						return
-					}
-					_ = snap.Row(i)[0]
-				}
+				insert = ix.Insert
 			}
-		}()
-	}
-	rng := rand.New(rand.NewSource(10))
-	var live []ID
-	for i := 0; i < m.N(); i++ {
-		if len(live) > 50 && rng.Float64() < 0.45 {
-			j := rng.Intn(len(live))
-			ix.Delete(live[j])
-			live[j] = live[len(live)-1]
-			live = live[:len(live)-1]
-		}
-		id, err := ix.Insert(m.Row(i))
-		if err != nil {
-			t.Fatalf("insert: %v", err)
-		}
-		live = append(live, id)
-	}
-	close(stop)
-	wg.Wait()
+			defer ix.Close()
 
-	// A snapshot taken with no concurrent writer is cached: the same
-	// pointer must come back until the next membership change.
-	s1, s2 := ix.Snapshot(), ix.Snapshot()
-	if s1 != s2 {
-		t.Fatalf("idle snapshots not cached")
+			m := dataset.Generate(dataset.Independent, 3000, 4, 9)
+			var wg sync.WaitGroup
+			stop := make(chan struct{})
+			for r := 0; r < 4; r++ {
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					var lastEpoch uint64
+					for {
+						select {
+						case <-stop:
+							return
+						default:
+						}
+						snap := ix.Snapshot()
+						if e := snap.Epoch(); e < lastEpoch {
+							t.Errorf("epoch went backwards: %d -> %d", lastEpoch, e)
+							return
+						} else {
+							lastEpoch = e
+						}
+						// Read every row: the race detector flags any writer
+						// mutation of published storage.
+						for i := 0; i < snap.Len(); i++ {
+							if snap.ID(i) == 0 {
+								t.Errorf("zero ID in snapshot")
+								return
+							}
+							_ = snap.Row(i)[0]
+						}
+					}
+				}()
+			}
+			rng := rand.New(rand.NewSource(10))
+			var live []ID
+			for i := 0; i < m.N(); i++ {
+				if tc.window == 0 && len(live) > 50 && rng.Float64() < 0.45 {
+					j := rng.Intn(len(live))
+					ix.Delete(live[j])
+					live[j] = live[len(live)-1]
+					live = live[:len(live)-1]
+				}
+				id, err := insert(m.Row(i))
+				if err != nil {
+					t.Fatalf("insert: %v", err)
+				}
+				live = append(live, id)
+			}
+			close(stop)
+			wg.Wait()
+
+			if st := ix.Stats(); tc.wantRebuilds && st.Rebuilds == 0 {
+				t.Errorf("no escalation fired under the readers: %+v", st)
+			}
+			// A snapshot taken with no concurrent writer is cached: the same
+			// pointer must come back until the next membership change.
+			s1, s2 := ix.Snapshot(), ix.Snapshot()
+			if s1 != s2 {
+				t.Fatalf("idle snapshots not cached")
+			}
+		})
 	}
 }
 
