@@ -980,27 +980,19 @@ func (c *Collection) execute(ctx context.Context, snap *colSnapshot, q Query, fa
 		}
 	}
 
-	// Re-stage the candidate rows under the query's preferences — the
-	// merge recount must compare in the same transformed space the
-	// shards computed in.
-	d := snap.ds.d
+	// Gather the candidate rows under the query's preferences, through
+	// the same view the shards read their rows through — the merge
+	// recount must compare in the transformed space they computed in.
 	ops, err := q.opsInto(nil)
 	if err != nil {
 		return Result{}, err
 	}
-	de := d
-	staged := len(ops) > 0 && !point.IdentityOps(ops)
-	if staged {
-		de = point.EffectiveDims(ops)
-	}
-	raw := make([]float64, len(cand)*d)
+	var v point.View
+	v.Reset(snap.ds.vals, snap.ds.n, snap.ds.d, ops)
+	de := v.D()
+	buf := make([]float64, len(cand)*de)
 	for p, gi := range cand {
-		copy(raw[p*d:(p+1)*d], snap.ds.vals[gi*d:(gi+1)*d])
-	}
-	buf := raw
-	if staged {
-		buf = make([]float64, len(cand)*de)
-		point.StagePrefs(buf, raw, len(cand), d, ops)
+		v.CopyRow(buf[p*de:(p+1)*de], gi)
 	}
 
 	keep, counts, mergePath, err := c.mergeCandidates(ctx, buf, len(cand), de, k, &dts)

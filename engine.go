@@ -50,14 +50,15 @@ type Engine struct {
 }
 
 // engineCtx is the per-query scratch bundle an Engine hands out from
-// its free-list: one core computation context plus the staging buffer
-// for preference transforms and a cancellation flag.
+// its free-list: one core computation context plus the scratch of the
+// preference transform (the ops and the view built from them). Nothing
+// in it is sized to a dataset but the core context's working set.
 type engineCtx struct {
 	core     *core.Context
 	st       stats.Stats
-	buf      []float64 // preference-staged copy of the dataset
 	ops      []point.PrefOp
-	poisoned bool // query panicked on this context; do not recycle it
+	view     point.View // the dataset under the current query's preferences
+	poisoned bool       // query panicked on this context; do not recycle it
 }
 
 // NewEngine creates an Engine whose worker pool has the given number of
@@ -153,7 +154,7 @@ func (e *Engine) release(ec *engineCtx) {
 }
 
 // Run answers one query over ds. Result.Indices are positions in ds
-// (also under Max/Ignore preferences — staging preserves row order) and
+// (also under Max/Ignore preferences — the transform preserves row order) and
 // are caller-owned unless q.ReuseIndices is set. When ctx is canceled
 // or its deadline passes, Run returns an error wrapping both
 // ErrCanceled and ctx.Err() promptly — before starting any work if ctx
@@ -231,7 +232,7 @@ func (e *Engine) exec(ctx context.Context, ds *Dataset, q Query) (Result, error)
 }
 
 // execGuarded is the compute section of exec, with panic containment: a
-// panic anywhere in preference staging or the algorithms — including
+// panic anywhere in the preference transform or the algorithms — including
 // one rethrown as *par.WorkerPanic from a parallel-region worker — is
 // converted into an error wrapping ErrQueryPanic, carrying the panic
 // value and the panicking goroutine's stack. Only the offending query
@@ -246,9 +247,12 @@ func (e *Engine) execGuarded(ctx context.Context, ec *engineCtx, hot bool, ds *D
 		}
 	}()
 
-	// Stage the preference transform (at most once per query; all-Min
-	// queries serve straight from the Dataset's storage).
-	vals, d := ds.vals, ds.d
+	// Realise the preference transform. The hot paths never stage it:
+	// they read ds through a view that applies it row by row inside the
+	// one sweep they make over the input anyway (all-Min queries load
+	// the Dataset's own rows). Baselines allocate per run regardless and
+	// double as oracles for the hot paths, so they keep an explicitly
+	// staged copy that shares no code with the view.
 	var scratch []point.PrefOp
 	if hot {
 		scratch = ec.ops[:0]
@@ -260,22 +264,21 @@ func (e *Engine) execGuarded(ctx context.Context, ec *engineCtx, hot bool, ds *D
 	if hot && ops != nil {
 		ec.ops = ops // retain grown scratch capacity
 	}
-	if len(ops) > 0 && !point.IdentityOps(ops) {
-		de := point.EffectiveDims(ops)
-		if de == 0 {
-			return Result{}, fmt.Errorf("%w: query ignores every dimension", ErrBadQuery)
-		}
-		var dst []float64
-		if hot {
-			ec.buf = growFloats(ec.buf, ds.n*de)
-			dst = ec.buf
-		} else {
-			dst = make([]float64, ds.n*de)
-		}
-		point.StagePrefs(dst, ds.vals, ds.n, d, ops)
-		vals, d = dst, de
+	staged := !point.IdentityOps(ops)
+	if staged && point.EffectiveDims(ops) == 0 {
+		return Result{}, fmt.Errorf("%w: query ignores every dimension", ErrBadQuery)
 	}
-	m := point.FromFlat(vals, ds.n, d)
+	var m point.Matrix
+	if hot {
+		ec.view.Reset(ds.vals, ds.n, ds.d, ops)
+	} else if staged {
+		de := point.EffectiveDims(ops)
+		dst := make([]float64, ds.n*de)
+		point.StagePrefs(dst, ds.vals, ds.n, ds.d, ops)
+		m = point.FromFlat(dst, ds.n, de)
+	} else {
+		m = point.FromFlat(ds.vals, ds.n, ds.d)
+	}
 
 	threads := q.Threads
 	if threads <= 0 || threads > e.threads {
@@ -310,7 +313,7 @@ func (e *Engine) execGuarded(ctx context.Context, ec *engineCtx, hot bool, ds *D
 		return Result{}, err
 	}
 	if hot {
-		res, err = runOnContext(ec, m, q, threads, cancel)
+		res, err = runOnContext(ec, q, threads, cancel)
 	} else {
 		res, err = runBaseline(m, q, threads)
 	}
@@ -340,14 +343,14 @@ func (e *Engine) execGuarded(ctx context.Context, ec *engineCtx, hot bool, ds *D
 	return res, nil
 }
 
-// runOnContext executes a hot-path query on an acquired context, with
-// cancellation plumbed through.
-func runOnContext(ec *engineCtx, m point.Matrix, q Query, threads int, cancel *atomic.Bool) (Result, error) {
+// runOnContext executes a hot-path query over ec.view on an acquired
+// context, with cancellation plumbed through.
+func runOnContext(ec *engineCtx, q Query, threads int, cancel *atomic.Bool) (Result, error) {
 	switch q.Algorithm {
 	case Hybrid:
 		ec.st = stats.Stats{}
 		start := time.Now()
-		idx := ec.core.Hybrid(m, core.HybridOptions{
+		idx := ec.core.Hybrid(ec.view, core.HybridOptions{
 			Threads:       threads,
 			Alpha:         q.Alpha,
 			Pivot:         q.Pivot.internal(),
@@ -362,13 +365,13 @@ func runOnContext(ec *engineCtx, m point.Matrix, q Query, threads int, cancel *a
 			Progressive:   q.Progressive,
 			Cancel:        cancel,
 		})
-		res := assembleResult(idx, &ec.st, m.N(), time.Since(start))
+		res := assembleResult(idx, &ec.st, ec.view.N(), time.Since(start))
 		res.Counts = ec.core.Counts()
 		return res, nil
 	case QFlow:
 		ec.st = stats.Stats{}
 		start := time.Now()
-		idx := ec.core.QFlow(m, core.QFlowOptions{
+		idx := ec.core.QFlow(ec.view, core.QFlowOptions{
 			Threads:     threads,
 			Alpha:       q.Alpha,
 			SkybandK:    q.SkybandK,
@@ -376,7 +379,7 @@ func runOnContext(ec *engineCtx, m point.Matrix, q Query, threads int, cancel *a
 			Progressive: q.Progressive,
 			Cancel:      cancel,
 		})
-		res := assembleResult(idx, &ec.st, m.N(), time.Since(start))
+		res := assembleResult(idx, &ec.st, ec.view.N(), time.Since(start))
 		res.Counts = ec.core.Counts()
 		return res, nil
 	default:
@@ -384,7 +387,7 @@ func runOnContext(ec *engineCtx, m point.Matrix, q Query, threads int, cancel *a
 	}
 }
 
-// opsInto translates the query's preferences into staging ops, appending
+// opsInto translates the query's preferences into transform ops, appending
 // to a caller-provided scratch slice so a warm Engine can do it without
 // allocating. It returns nil when the query has no explicit preferences.
 // Length validation against the dataset happens in Run.
@@ -401,13 +404,4 @@ func (q *Query) opsInto(scratch []point.PrefOp) ([]point.PrefOp, error) {
 		ops = append(ops, op)
 	}
 	return ops, nil
-}
-
-// growFloats returns s resized to n, reallocating only when capacity is
-// short.
-func growFloats(s []float64, n int) []float64 {
-	if cap(s) < n {
-		return make([]float64, n)
-	}
-	return s[:n]
 }

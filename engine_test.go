@@ -3,12 +3,14 @@ package skybench_test
 import (
 	"context"
 	"errors"
+	"runtime"
 	"sync"
 	"testing"
 	"time"
 
 	"skybench"
 
+	"skybench/internal/dataset"
 	"skybench/internal/point"
 	"skybench/internal/verify"
 )
@@ -249,6 +251,8 @@ func TestEngineRunZeroAlloc(t *testing.T) {
 		{"hybrid", skybench.Query{ReuseIndices: true}},
 		{"qflow", skybench.Query{Algorithm: skybench.QFlow, ReuseIndices: true}},
 		{"hybrid-prefs", skybench.Query{Prefs: prefs, ReuseIndices: true}},
+		{"qflow-prefs", skybench.Query{Algorithm: skybench.QFlow, Prefs: prefs, ReuseIndices: true}},
+		{"hybrid-prefs-k3", skybench.Query{Prefs: prefs, SkybandK: 3, ReuseIndices: true}},
 	} {
 		if _, err := eng.Run(ctx, ds, tc.q); err != nil { // warm scratch
 			t.Fatal(err)
@@ -284,6 +288,42 @@ func TestEngineRunZeroAlloc(t *testing.T) {
 			t.Errorf("%s: trace disagrees with result: %+v vs %d tests, %d points",
 				tc.name, res.Trace, res.Stats.DominanceTests, len(res.Indices))
 		}
+	}
+}
+
+// TestEngineColdPrefsRunAllocBound guards the memory side of reading
+// preferences through a view: the first subspace query on a fresh Engine
+// — the run that sizes every scratch array — must allocate less than one
+// staged copy of the kept columns would take. What a Hybrid run may hold
+// that is sized to the input is the pre-filter's candidate list (a row
+// index and a norm per row, 16 bytes); a staged copy, a per-row norm
+// array or a per-row bitmap on top of it would break the bound.
+func TestEngineColdPrefsRunAllocBound(t *testing.T) {
+	const n, d, kept = 200000, 8, 4
+	m := dataset.Generate(dataset.Correlated, n, d, 5)
+	ds, err := skybench.DatasetFromFlat(m.Flat(), n, d)
+	if err != nil {
+		t.Fatal(err)
+	}
+	prefs := make([]skybench.Pref, d)
+	for j := kept; j < d; j++ {
+		prefs[j] = skybench.Ignore
+	}
+	eng := skybench.NewEngine(2)
+	defer eng.Close()
+
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	res, err := eng.Run(context.Background(), ds, skybench.Query{Prefs: prefs, ReuseIndices: true})
+	runtime.ReadMemStats(&after)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Stats.PrefilterPruned < n/2 {
+		t.Fatalf("pre-filter pruned %d of %d correlated rows; the bound assumes it prunes most", res.Stats.PrefilterPruned, n)
+	}
+	if got, limit := after.TotalAlloc-before.TotalAlloc, uint64(n*kept*8); got >= limit {
+		t.Errorf("cold subspace query allocated %d bytes, want < %d (one staged copy of the %d kept columns)", got, limit, kept)
 	}
 }
 

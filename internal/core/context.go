@@ -33,7 +33,7 @@ type Context struct {
 	st     stats.Stats // sink when the caller passes no Stats
 
 	// Working-set scratch, sized to the current input.
-	l1    []float64 // per-input-row L1 norms
+	l1    []float64 // per-input-row L1 norms (Q-Flow and the NoPrefilter ablation only)
 	seq   []int     // identity survivor list (NoPrefilter ablation)
 	work  []float64 // gathered working matrix (row-major)
 	wl1   []float64 // working-set L1 norms
@@ -58,9 +58,10 @@ type Context struct {
 
 	// Parallel-region parameters, set before each fan-out. Bodies are
 	// pre-bound once in NewContext so dispatching them allocates nothing.
-	curM    point.Matrix
+	curV    point.View // the input, read through the query's preferences
 	curWork point.Matrix
-	curSurv []int
+	curSurv []int     // rows to gather into curWork, in working-set order
+	curL1   []float64 // Hybrid: L1 norms parallel to curSurv
 	d       int
 	k       int // dominator budget: 1 = skyline, ≥ 2 = k-skyband
 	blockLo int
@@ -80,6 +81,7 @@ type Context struct {
 
 	l1Body     func(tid, lo, hi int)
 	gatherBody func(tid, lo, hi int)
+	qgathBody  func(tid, lo, hi int)
 	maskBody   func(tid, lo, hi int)
 	keyBody    func(tid, lo, hi int)
 	p1Body     func(tid, lo, hi int)
@@ -102,6 +104,7 @@ func NewContext() *Context {
 	c := &Context{pf: prefilter.NewRunner()}
 	c.l1Body = c.runL1
 	c.gatherBody = c.runGather
+	c.qgathBody = c.runQGather
 	c.maskBody = c.runMask
 	c.keyBody = c.runKey
 	c.p1Body = c.runPhase1
@@ -191,25 +194,42 @@ func grow[T any](s []T, n int) []T {
 
 // ---- pre-bound parallel bodies -------------------------------------------
 
+// runL1 fills l1 with the norm of every input row, loaded through the
+// view. Hybrid takes its norms inside the pre-filter's sweep instead and
+// comes here only under the NoPrefilter ablation.
 func (c *Context) runL1(_, lo, hi int) {
-	m := c.curM
+	v := &c.curV
+	var buf [point.MaxDims]float64
 	for i := lo; i < hi; i++ {
-		c.l1[i] = point.L1(m.Row(i))
+		c.l1[i] = point.L1(v.Load(i, buf[:]))
 	}
 }
 
-// runGather copies rows selected by curSurv from curM into curWork and
-// fills the working-set metadata — the single gather that replaces the
-// seed implementation's allocate-and-copy Gather calls.
+// runGather loads the rows selected by curSurv through the view into
+// curWork and fills the working-set metadata — the one copy a Hybrid run
+// makes of an input row, and only of the rows the pre-filter kept.
 func (c *Context) runGather(_, lo, hi int) {
-	src := c.curM.Flat()
+	v := &c.curV
 	dst := c.curWork.Flat()
 	d := c.d
-	l1 := c.l1
 	for i := lo; i < hi; i++ {
 		j := c.curSurv[i]
-		copy(dst[i*d:(i+1)*d], src[j*d:(j+1)*d])
-		c.wl1[i] = l1[j]
+		v.CopyRow(dst[i*d:(i+1)*d], j)
+		c.wl1[i] = c.curL1[i]
+		c.worig[i] = j
+	}
+}
+
+// runQGather is Q-Flow's gather: curSurv is the L1 sort order of the
+// whole input, so the norms come from the per-row array.
+func (c *Context) runQGather(_, lo, hi int) {
+	v := &c.curV
+	dst := c.curWork.Flat()
+	d := c.d
+	for i := lo; i < hi; i++ {
+		j := c.curSurv[i]
+		v.CopyRow(dst[i*d:(i+1)*d], j)
+		c.wl1[i] = c.l1[j]
 		c.worig[i] = j
 	}
 }

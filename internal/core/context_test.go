@@ -19,7 +19,7 @@ func TestContextHybridMatchesFresh(t *testing.T) {
 		for _, n := range []int{50, 1000, 3000} {
 			for _, d := range []int{2, 5, 8, 12} {
 				m := dataset.Generate(dist, n, d, int64(n+d))
-				got := c.Hybrid(m, HybridOptions{Threads: 4})
+				got := c.Hybrid(m.View(), HybridOptions{Threads: 4})
 				want := Hybrid(m, HybridOptions{Threads: 4})
 				if !verify.SameSkyline(got, want) {
 					t.Fatalf("%s n=%d d=%d: context result diverges from fresh run", dist, n, d)
@@ -40,7 +40,7 @@ func TestContextQFlowMatchesFresh(t *testing.T) {
 	for _, dist := range dataset.AllDistributions {
 		for _, n := range []int{50, 1000, 3000} {
 			m := dataset.Generate(dist, n, 6, int64(n))
-			got := c.QFlow(m, QFlowOptions{Threads: 4, Alpha: 256})
+			got := c.QFlow(m.View(), QFlowOptions{Threads: 4, Alpha: 256})
 			if !verify.IsSkyline(m, got) {
 				t.Fatalf("%s n=%d: context Q-Flow result is not the skyline", dist, n)
 			}
@@ -64,7 +64,7 @@ func TestContextThreadResize(t *testing.T) {
 	m := dataset.Generate(dataset.Anticorrelated, 2000, 7, 3)
 	want := Hybrid(m, HybridOptions{Threads: 1})
 	for _, threads := range []int{1, 4, 2, 8, 3} {
-		got := c.Hybrid(m, HybridOptions{Threads: threads})
+		got := c.Hybrid(m.View(), HybridOptions{Threads: threads})
 		if !verify.SameSkyline(got, want) {
 			t.Fatalf("threads=%d: result diverges after pool resize", threads)
 		}
@@ -80,14 +80,14 @@ func TestContextZeroAlloc(t *testing.T) {
 	defer c.Close()
 
 	opt := HybridOptions{Threads: 4}
-	c.Hybrid(m, opt) // warm scratch
-	if allocs := testing.AllocsPerRun(10, func() { c.Hybrid(m, opt) }); allocs != 0 {
+	c.Hybrid(m.View(), opt) // warm scratch
+	if allocs := testing.AllocsPerRun(10, func() { c.Hybrid(m.View(), opt) }); allocs != 0 {
 		t.Errorf("Context.Hybrid allocates %.1f per run, want 0", allocs)
 	}
 
 	qopt := QFlowOptions{Threads: 4}
-	c.QFlow(m, qopt) // warm scratch
-	if allocs := testing.AllocsPerRun(10, func() { c.QFlow(m, qopt) }); allocs != 0 {
+	c.QFlow(m.View(), qopt) // warm scratch
+	if allocs := testing.AllocsPerRun(10, func() { c.QFlow(m.View(), qopt) }); allocs != 0 {
 		t.Errorf("Context.QFlow allocates %.1f per run, want 0", allocs)
 	}
 }

@@ -64,10 +64,11 @@ type HybridOptions struct {
 func Hybrid(m point.Matrix, opt HybridOptions) []int {
 	c := NewContext()
 	defer c.Close()
-	return c.Hybrid(m, opt)
+	return c.Hybrid(m.View(), opt)
 }
 
-// Hybrid computes SKY(m) with the paper's full Hybrid algorithm and
+// Hybrid computes the skyline of the rows of v — the input as the
+// query's preferences see it — with the paper's full Hybrid algorithm and
 // returns original row indices in confirmation order. The result aliases
 // Context storage and is valid until the next call on c.
 //
@@ -77,12 +78,16 @@ func Hybrid(m point.Matrix, opt HybridOptions) []int {
 // global skyline indexed by the two-level M(S) structure, which lets
 // Phase I skip entire incomparable regions and Phase II decompose its
 // peer scan into three loops with different invariants.
-func (c *Context) Hybrid(m point.Matrix, opt HybridOptions) []int {
-	n := m.N()
+//
+// The input is read exactly once in full, by the pre-filter's first
+// pass, which applies the preference transform and takes the L1 norms on
+// the way; everything after it touches only the rows that pass kept.
+func (c *Context) Hybrid(v point.View, opt HybridOptions) []int {
+	n := v.N()
 	if n == 0 {
 		return nil
 	}
-	d := m.D()
+	d := v.D()
 	if d > point.MaxDims {
 		panic(fmt.Sprintf("core: Hybrid supports at most %d dimensions, got %d", point.MaxDims, d))
 	}
@@ -107,23 +112,25 @@ func (c *Context) Hybrid(m point.Matrix, opt HybridOptions) []int {
 	c.cancel = opt.Cancel
 	timer := stats.StartTimer(st)
 
-	// Initialization: L1 norms in parallel.
-	c.l1 = grow(c.l1, n)
-	c.curM = m
+	c.curV = v
 	c.d = d
-	c.forRanges(n, c.l1Body)
-	timer.Stop(stats.PhaseInit)
 
-	// Pre-filter: discard points dominated by the β-queues (VI-A1).
+	// Pre-filter: discard points dominated by the β-queues (VI-A1). Its
+	// first pass is also where the preferences are applied and the L1
+	// norms taken; only the ablation without it needs a sweep for them.
 	var surv []int
+	var survL1 []float64
 	if opt.NoPrefilter {
+		c.l1 = grow(c.l1, n)
+		c.forRanges(n, c.l1Body)
+		timer.Stop(stats.PhaseInit)
 		c.seq = grow(c.seq, n)
 		for i := range c.seq {
 			c.seq[i] = i
 		}
-		surv = c.seq
+		surv, survL1 = c.seq, c.l1
 	} else {
-		surv = c.pf.Filter(m, c.l1, opt.Beta, k, c.pool, c.tEff, c.dts)
+		surv, survL1 = c.pf.Filter(v, opt.Beta, k, c.pool, c.tEff, c.dts)
 	}
 	st.Cost.PrefilterPruned = n - len(surv)
 	timer.Stop(stats.PhasePrefilt)
@@ -141,7 +148,7 @@ func (c *Context) Hybrid(m point.Matrix, opt HybridOptions) []int {
 	c.keys = grow(c.keys, ns)
 	wk := point.FromFlat(c.work, ns, d)
 	c.curWork = wk
-	c.curSurv = surv
+	c.curSurv, c.curL1 = surv, survL1
 	c.forRanges(ns, c.gatherBody)
 
 	c.pivotV = grow(c.pivotV, d)

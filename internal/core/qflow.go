@@ -49,10 +49,11 @@ type QFlowOptions struct {
 func QFlow(m point.Matrix, opt QFlowOptions) []int {
 	c := NewContext()
 	defer c.Close()
-	return c.QFlow(m, opt)
+	return c.QFlow(m.View(), opt)
 }
 
-// QFlow computes SKY(m) with the Q-Flow algorithm (Algorithm 1) and
+// QFlow computes the skyline of the rows of v — the input as the query's
+// preferences see it — with the Q-Flow algorithm (Algorithm 1) and
 // returns original row indices in confirmation (L1) order. The result
 // aliases Context storage and is valid until the next call on c.
 //
@@ -62,8 +63,8 @@ func QFlow(m point.Matrix, opt QFlowOptions) []int {
 // each survivor to the surviving peers that precede it in the block;
 // after a final compression the survivors are appended to the global
 // skyline, which is therefore always exact to within one block.
-func (c *Context) QFlow(m point.Matrix, opt QFlowOptions) []int {
-	n := m.N()
+func (c *Context) QFlow(v point.View, opt QFlowOptions) []int {
+	n := v.N()
 	if n == 0 {
 		return nil
 	}
@@ -87,14 +88,16 @@ func (c *Context) QFlow(m point.Matrix, opt QFlowOptions) []int {
 	st.Threads = c.tEff
 	c.cancel = opt.Cancel
 	timer := stats.StartTimer(st)
-	d := m.D()
+	d := v.D()
 	c.d = d
 
 	// Initialization: L1 norms in parallel, then a parallel radix sort of
 	// the order-preserving L1 bit keys (replacing the seed's sequential
-	// sort.Slice), then one gather into the reusable working set.
+	// sort.Slice), then one gather into the reusable working set. Both
+	// sweeps read the input through the view, so the working set is the
+	// only copy of it.
 	c.l1 = grow(c.l1, n)
-	c.curM = m
+	c.curV = v
 	c.forRanges(n, c.l1Body)
 	c.keys = grow(c.keys, n)
 	c.forRanges(n, c.keyBody)
@@ -111,7 +114,7 @@ func (c *Context) QFlow(m point.Matrix, opt QFlowOptions) []int {
 	wk := point.FromFlat(c.work, n, d)
 	c.curWork = wk
 	c.curSurv = order
-	c.forRanges(n, c.gatherBody)
+	c.forRanges(n, c.qgathBody)
 	timer.Stop(stats.PhaseInit)
 
 	// Global skyline storage: contiguous rows + matching metadata,

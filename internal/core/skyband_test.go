@@ -30,7 +30,7 @@ func TestHybridSkybandMatchesOracle(t *testing.T) {
 				m := dataset.Generate(dist, n, d, 99)
 				for _, k := range []int{1, 2, 3, 4, 8, n, n + 5} {
 					for _, threads := range []int{1, 4} {
-						idx := c.Hybrid(m, HybridOptions{Threads: threads, Alpha: 64, SkybandK: k})
+						idx := c.Hybrid(m.View(), HybridOptions{Threads: threads, Alpha: 64, SkybandK: k})
 						counts := c.Counts()
 						if k <= 1 {
 							if counts != nil {
@@ -59,7 +59,7 @@ func TestQFlowSkybandMatchesOracle(t *testing.T) {
 				m := dataset.Generate(dist, n, d, 7)
 				for _, k := range []int{2, 3, 5, n + 1} {
 					for _, threads := range []int{1, 4} {
-						idx := c.QFlow(m, QFlowOptions{Threads: threads, Alpha: 128, SkybandK: k})
+						idx := c.QFlow(m.View(), QFlowOptions{Threads: threads, Alpha: 128, SkybandK: k})
 						counts := c.Counts()
 						if len(counts) != len(idx) {
 							t.Fatalf("counts length %d != indices length %d", len(counts), len(idx))
@@ -90,7 +90,7 @@ func TestHybridSkybandAblations(t *testing.T) {
 		abl.Threads = 2
 		abl.Alpha = 96
 		abl.SkybandK = 3
-		idx := c.Hybrid(m, abl)
+		idx := c.Hybrid(m.View(), abl)
 		checkBand(t, m, 3, idx, c.Counts(), fmt.Sprintf("ablation %+v", abl))
 	}
 }
@@ -103,8 +103,8 @@ func TestSkybandK1BitIdentical(t *testing.T) {
 	defer b.Close()
 	for _, dist := range dataset.AllDistributions {
 		m := dataset.Generate(dist, 3000, 8, 21)
-		plainH := append([]int(nil), a.Hybrid(m, HybridOptions{Threads: 2})...)
-		bandH := b.Hybrid(m, HybridOptions{Threads: 2, SkybandK: 1})
+		plainH := append([]int(nil), a.Hybrid(m.View(), HybridOptions{Threads: 2})...)
+		bandH := b.Hybrid(m.View(), HybridOptions{Threads: 2, SkybandK: 1})
 		if len(plainH) != len(bandH) {
 			t.Fatalf("%s hybrid: k=1 size %d != plain %d", dist, len(bandH), len(plainH))
 		}
@@ -113,8 +113,8 @@ func TestSkybandK1BitIdentical(t *testing.T) {
 				t.Fatalf("%s hybrid: k=1 order diverges at %d", dist, i)
 			}
 		}
-		plainQ := append([]int(nil), a.QFlow(m, QFlowOptions{Threads: 2})...)
-		bandQ := b.QFlow(m, QFlowOptions{Threads: 2, SkybandK: 0})
+		plainQ := append([]int(nil), a.QFlow(m.View(), QFlowOptions{Threads: 2})...)
+		bandQ := b.QFlow(m.View(), QFlowOptions{Threads: 2, SkybandK: 0})
 		if len(plainQ) != len(bandQ) {
 			t.Fatalf("%s qflow: k=0 size %d != plain %d", dist, len(bandQ), len(plainQ))
 		}

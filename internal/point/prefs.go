@@ -2,17 +2,20 @@ package point
 
 import "fmt"
 
-// Preference staging transform: the kernels in this package implement
-// one convention only — every dimension minimized — because a single
+// Preference transform: the kernels in this package implement one
+// convention only — every dimension minimized — because a single
 // convention is what keeps the dominance tests branch-free. Richer
 // queries (maximize a dimension, restrict the skyline to a subspace) are
-// expressed by rewriting the input once, during staging, so that the hot
-// path never learns preferences exist: maximized columns are negated
-// (min(-x) = max(x)) and ignored columns are dropped from the staged
-// copy entirely, shrinking every subsequent dominance test.
+// expressed by rewriting the input before a kernel sees it, so that the
+// kernels never learn preferences exist: maximized columns are negated
+// (min(-x) = max(x)) and ignored columns are dropped entirely, shrinking
+// every subsequent dominance test. The rewrite has two realizations that
+// produce the same values in the same order: a View (view.go) applies it
+// row by row at load time — what Hybrid and Q-Flow read through — and
+// StagePrefs writes a transformed copy, for callers that want a plain
+// matrix (the baselines, the stream index, the cluster merge).
 
-// PrefOp describes how the staging transform treats one source
-// dimension.
+// PrefOp describes how the transform treats one source dimension.
 type PrefOp int8
 
 const (

@@ -1,13 +1,127 @@
 package prefilter
 
 import (
+	"container/heap"
 	"testing"
 
 	"skybench/internal/dataset"
+	"skybench/internal/par"
 	"skybench/internal/point"
 	"skybench/internal/stats"
 	"skybench/internal/verify"
 )
+
+// maxHeap is a max-heap over point indices keyed by L1 norm, so the root
+// is the *largest*-norm point in the queue and cheap to replace.
+type maxHeap struct {
+	idx []int
+	l1  []float64
+}
+
+func (h *maxHeap) Len() int           { return len(h.idx) }
+func (h *maxHeap) Less(i, j int) bool { return h.l1[h.idx[i]] > h.l1[h.idx[j]] }
+func (h *maxHeap) Swap(i, j int)      { h.idx[i], h.idx[j] = h.idx[j], h.idx[i] }
+func (h *maxHeap) Push(x interface{}) { h.idx = append(h.idx, x.(int)) }
+func (h *maxHeap) Pop() interface{} {
+	old := h.idx
+	n := len(old)
+	x := old[n-1]
+	h.idx = old[:n-1]
+	return x
+}
+
+// Filter is the reference the Runner is tested against: the paper's
+// two-pass pre-filter written the plain way — a staged matrix, a per-row
+// L1 array, a per-row pruned bitmap, container/heap queues, every queue
+// point tested in pass 2. It removes easily-dominated points and returns
+// the surviving indices in their original order. l1 must hold the L1 norm
+// of every row. beta ≤ 0 selects DefaultBeta. dts, when non-nil,
+// accumulates dominance tests per thread.
+func Filter(m point.Matrix, l1 []float64, beta, threads int, dts *stats.DTCounters) []int {
+	n := m.N()
+	if n == 0 {
+		return nil
+	}
+	if beta <= 0 {
+		beta = DefaultBeta
+	}
+	if threads <= 0 {
+		threads = par.DefaultThreads()
+	}
+
+	pruned := make([]bool, n)
+	queues := make([][]int, threads)
+
+	// Pass 1: per-thread β-queues of smallest-L1 points; points that do
+	// not enter a queue are tested against that thread's queue.
+	par.ForRanges(threads, n, func(tid, lo, hi int) {
+		h := &maxHeap{l1: l1}
+		var localDTs uint64
+		for i := lo; i < hi; i++ {
+			if h.Len() < beta {
+				heap.Push(h, i)
+				continue
+			}
+			top := h.idx[0]
+			if l1[i] < l1[top] {
+				// i replaces the queue's largest point; the evicted point
+				// is still tested against the updated queue below via the
+				// second pass (it remains unpruned here).
+				h.idx[0] = i
+				heap.Fix(h, 0)
+				continue
+			}
+			p := m.Row(i)
+			for _, q := range h.idx {
+				localDTs++
+				if point.DominatesD(m.Row(q), p, m.D()) {
+					pruned[i] = true
+					break
+				}
+			}
+		}
+		queues[tid] = h.idx
+		if dts != nil {
+			dts.Inc(tid, localDTs)
+		}
+	})
+
+	// Pass 2: every surviving point is tested against all queues.
+	par.ForRanges(threads, n, func(tid, lo, hi int) {
+		var localDTs uint64
+		d := m.D()
+		for i := lo; i < hi; i++ {
+			if pruned[i] {
+				continue
+			}
+			p := m.Row(i)
+		scan:
+			for _, q := range queues {
+				for _, j := range q {
+					if j == i {
+						continue
+					}
+					localDTs++
+					if point.DominatesD(m.Row(j), p, d) {
+						pruned[i] = true
+						break scan
+					}
+				}
+			}
+		}
+		if dts != nil {
+			dts.Inc(tid, localDTs)
+		}
+	})
+
+	out := make([]int, 0, n)
+	for i := 0; i < n; i++ {
+		if !pruned[i] {
+			out = append(out, i)
+		}
+	}
+	return out
+}
 
 func l1s(m point.Matrix) []float64 {
 	out := make([]float64, m.N())

@@ -1,3 +1,12 @@
+// Package prefilter implements the two-pass parallel pre-filter of the
+// Hybrid algorithm (Section VI-A1 of the paper).
+//
+// Most datasets contain points dominated by a large share of the input;
+// the pre-filter removes them cheaply before the heavier initialization
+// work (pivot selection, sorting). Each thread maintains a priority queue
+// of the β points with smallest L1 norm it has seen; in a second pass the
+// points the queues could not prune are tested against the union of the
+// per-thread queues.
 package prefilter
 
 import (
@@ -6,36 +15,55 @@ import (
 	"skybench/internal/stats"
 )
 
+// DefaultBeta is the queue capacity β = 8 the paper configured
+// empirically (footnote 3; appreciable impact only on correlated data).
+const DefaultBeta = 8
+
 // Runner is a reusable, allocation-free implementation of the two-pass
-// pre-filter. All scratch (per-thread β-queues, the pruned bitmap, the
-// gathered queue matrix, the survivor list) persists across calls, and
-// both passes run on a caller-supplied persistent worker pool, so a
-// steady-state Filter call performs no allocations and no goroutine
-// spawns.
+// pre-filter. All scratch (per-thread β-queues, the candidate list, the
+// gathered queue matrix) persists across calls, and both passes run on a
+// caller-supplied persistent worker pool, so a steady-state Filter call
+// performs no allocations and no goroutine spawns.
 //
-// Beyond reuse, the Runner improves on the free function in two ways: the
-// union of the per-thread queues is gathered into a dense row-major
-// matrix sorted by L1 norm, so pass 2 scans a contiguous run with the
-// probe point's coordinates hoisted into registers (point.
-// DominatedInFlatRun) and stops at the first queue point whose L1 norm is
-// ≥ the probe's — by footnote 2 of the paper such a point can never
-// dominate the probe. The surviving set is identical to Filter's.
+// Pass 1 is the one sweep of a Hybrid run that touches every input row,
+// so everything that needs the whole input happens inside it, once per
+// row: the row is loaded through the preference view (point.View — the
+// transform is never staged), its L1 norm is taken, and it enters the
+// thread's β-queue or is tested against it. Rows the queue prunes leave
+// no trace; every other row is appended, with its norm, to the thread's
+// segment of a candidate list. There is no per-row norm array and no
+// per-row pruned bitmap: after pass 1 nothing is n-sized but the list's
+// capacity, and only the candidates' share of that is ever written.
+//
+// The queues keep dense copies of their rows and norms, so the union is
+// gathered from the queues themselves into a dense row-major matrix
+// sorted by L1 norm. Pass 2 fans out over the candidates alone, re-loads
+// each through the view, scans the contiguous queue run with the probe's
+// coordinates hoisted into registers (point.DominatedInFlatRun) and stops
+// at the first queue point whose L1 norm is ≥ the probe's — by footnote 2
+// of the paper such a point can never dominate the probe. Each thread
+// compacts its range of the list in place; joining the ranges yields the
+// survivors.
 type Runner struct {
-	pruned []bool
-	qheap  []int     // threads*beta flat queue storage (max-heaps by L1)
-	qdense []float64 // threads*beta*d dense copies of the queue rows
+	qdense []float64 // threads*beta*d queue rows, one max-heap by L1 per thread
+	qheapL []float64 // threads*beta L1 norms of the queue rows, in heap order
 	qcount []int
-	allq   []int     // union of the queues, sorted by L1
+	allq   []int     // heap slots of the queue union, sorted by L1
 	qrows  []float64 // gathered queue rows matching allq order
 	ql1    []float64 // queue L1 norms matching allq order
-	out    []int
+
+	// Candidate rows and their L1 norms, ascending by row. Each pass
+	// leaves one run per thread — segN[tid] entries from segLo[tid] —
+	// which join closes up.
+	cand  []int
+	cl1   []float64
+	segLo []int
+	segN  []int
 
 	// Parallel-region parameters, set by Filter before each fan-out.
-	m    point.Matrix
-	l1   []float64
+	v    point.View
 	beta int
 	k    int // dominator budget: prune only points with ≥ k dominators
-	nq   int
 	dts  *stats.DTCounters
 
 	pass1 func(tid, lo, hi int)
@@ -51,14 +79,17 @@ func NewRunner() *Runner {
 	return r
 }
 
-// Filter is the reusable-scratch equivalent of the package-level Filter:
-// same surviving set, same original order. The returned slice aliases the
-// Runner and is valid until the next call. threads is the effective
-// worker count for this run (≤ 0 or > pool size selects the pool size) —
-// with a pool shared across computation contexts the caller's thread
-// budget can be smaller than the pool. The passes run without a
-// cancellation flag on purpose: skipping one would leave stale queue
-// indices from a previous (possibly larger) dataset to be consumed below.
+// Filter removes easily-dominated rows of v and returns the surviving row
+// indices in their original order together with the survivors' L1 norms
+// (under the view's transform). Both slices alias the Runner and are
+// valid until the next call. beta ≤ 0 selects DefaultBeta. threads is the
+// effective worker count for this run (≤ 0 or > pool size selects the
+// pool size) — with a pool shared across computation contexts the
+// caller's thread budget can be smaller than the pool. dts, when non-nil,
+// accumulates dominance tests per thread. The passes run without a
+// cancellation flag on purpose: skipping one would leave the queue and
+// segment bookkeeping of a previous (possibly larger) run to be consumed
+// below.
 //
 // k is the dominator budget of the run (≤ 1 selects the skyline): for a
 // k-skyband computation the filter may only discard points that already
@@ -69,10 +100,10 @@ func NewRunner() *Runner {
 // algorithm's working set, which recounts every survivor's dominators
 // exactly — carrying partial counts out of the filter would double-count
 // them.
-func (r *Runner) Filter(m point.Matrix, l1 []float64, beta, k int, pool *par.Pool, threads int, dts *stats.DTCounters) []int {
-	n := m.N()
+func (r *Runner) Filter(v point.View, beta, k int, pool *par.Pool, threads int, dts *stats.DTCounters) ([]int, []float64) {
+	n := v.N()
 	if n == 0 {
-		return nil
+		return nil, nil
 	}
 	if beta <= 0 {
 		beta = DefaultBeta
@@ -84,51 +115,46 @@ func (r *Runner) Filter(m point.Matrix, l1 []float64, beta, k int, pool *par.Poo
 		threads = pool.Threads()
 	}
 
-	if cap(r.pruned) < n {
-		r.pruned = make([]bool, n)
-	}
-	r.pruned = r.pruned[:n]
-	if cap(r.qheap) < threads*beta {
-		r.qheap = make([]int, threads*beta)
-		r.allq = make([]int, threads*beta)
-	}
-	r.qheap = r.qheap[:threads*beta]
-	d := m.D()
-	if cap(r.qdense) < threads*beta*d {
-		r.qdense = make([]float64, threads*beta*d)
-	}
-	r.qdense = r.qdense[:threads*beta*d]
-	if cap(r.qcount) < threads {
-		r.qcount = make([]int, threads)
-	}
-	r.qcount = r.qcount[:threads]
-	for i := range r.qcount {
-		r.qcount[i] = 0
-	}
+	d := v.D()
+	r.qdense = grow(r.qdense, threads*beta*d)
+	r.qheapL = grow(r.qheapL, threads*beta)
+	r.allq = grow(r.allq, threads*beta)
+	r.qcount = grow(r.qcount, threads)
+	r.segLo = grow(r.segLo, threads)
+	r.segN = grow(r.segN, threads)
+	r.cand = grow(r.cand, n)
+	r.cl1 = grow(r.cl1, n)
+	// A fan-out over fewer rows than threads leaves the idle threads'
+	// entries untouched, so they are cleared before each pass.
+	clear(r.qcount)
+	clear(r.segN)
 
-	r.m, r.l1, r.beta, r.k, r.dts = m, l1, beta, k, dts
+	r.v, r.beta, r.k, r.dts = v, beta, k, dts
 
-	// Pass 1: per-thread β-queues; non-queue points tested against the
-	// local queue.
+	// Pass 1: load, norm, per-thread β-queue; rows that do not enter the
+	// queue are tested against it.
 	pool.ForRangesCancel(threads, n, nil, r.pass1)
+	nc := r.join()
 
 	// Gather the queue union, sort it by L1 ascending, materialize the
 	// rows contiguously. The union holds ≤ threads·β points, so an
 	// insertion sort is plenty.
-	nq := 0
+	hl := r.qheapL
 	allq := r.allq[:0]
 	for tid := 0; tid < threads; tid++ {
-		allq = append(allq, r.qheap[tid*beta:tid*beta+r.qcount[tid]]...)
+		for s := 0; s < r.qcount[tid]; s++ {
+			allq = append(allq, tid*beta+s)
+		}
 	}
-	nq = len(allq)
+	nq := len(allq)
 	for i := 1; i < nq; i++ {
-		v := allq[i]
+		s := allq[i]
 		j := i - 1
-		for j >= 0 && l1[allq[j]] > l1[v] {
+		for j >= 0 && hl[allq[j]] > hl[s] {
 			allq[j+1] = allq[j]
 			j--
 		}
-		allq[j+1] = v
+		allq[j+1] = s
 	}
 	// Prune the union to its own k-skyband (its skyline when k = 1): a
 	// probe with ≥ k dominators in the union always has ≥ k dominators in
@@ -138,17 +164,16 @@ func (r *Runner) Filter(m point.Matrix, l1 []float64, beta, k int, pool *par.Poo
 	// pass-2 scan. With t threads the union holds t·β points whose mutual
 	// redundancy grows with t. L1 order means dominators precede, so
 	// counting against the already-kept prefix is exact.
-	flat := m.Flat()
 	var unionDTs uint64
 	kept := 0
 	for i := 0; i < nq; i++ {
 		p := allq[i]
 		doms := 0
 		for j := 0; j < kept && doms < k; j++ {
-			if l1[allq[j]] == l1[p] {
+			if hl[allq[j]] == hl[p] {
 				continue
 			}
-			if point.DominatesFlatCounted(flat, allq[j]*d, p*d, d, &unionDTs) {
+			if point.DominatesFlatCounted(r.qdense, allq[j]*d, p*d, d, &unionDTs) {
 				doms++
 			}
 		}
@@ -162,132 +187,139 @@ func (r *Runner) Filter(m point.Matrix, l1 []float64, beta, k int, pool *par.Poo
 	if dts != nil {
 		dts.Inc(0, unionDTs)
 	}
-	// qrows and ql1 are sized independently: a context warmed on a
-	// high-d dataset can have qrows capacity to spare while a larger
-	// queue union still outgrows ql1.
-	if cap(r.qrows) < nq*d {
-		r.qrows = make([]float64, nq*d)
+	r.qrows, r.ql1 = grow(r.qrows, nq*d), grow(r.ql1, nq)
+	for i, s := range allq {
+		copy(r.qrows[i*d:(i+1)*d], r.qdense[s*d:(s+1)*d])
+		r.ql1[i] = hl[s]
 	}
-	if cap(r.ql1) < nq {
-		r.ql1 = make([]float64, nq)
-	}
-	r.qrows, r.ql1 = r.qrows[:nq*d], r.ql1[:nq]
-	for i, j := range allq {
-		copy(r.qrows[i*d:(i+1)*d], flat[j*d:(j+1)*d])
-		r.ql1[i] = l1[j]
-	}
-	r.nq = nq
 
-	// Pass 2: every surviving point against the queue union.
-	pool.ForRangesCancel(threads, n, nil, r.pass2)
-
-	if cap(r.out) < n {
-		r.out = make([]int, 0, n)
-	}
-	out := r.out[:0]
-	for i := 0; i < n; i++ {
-		if !r.pruned[i] {
-			out = append(out, i)
-		}
-	}
-	r.out = out
-	return out
+	// Pass 2: every candidate against the queue union.
+	clear(r.segN)
+	pool.ForRangesCancel(threads, nc, nil, r.pass2)
+	ns := r.join()
+	return r.cand[:ns], r.cl1[:ns]
 }
 
-// runPass1 maintains the thread's β-queue as a max-heap over point
-// indices (for the union gather) with a parallel dense row-major copy of
-// the queued rows, so the per-point queue test scans β·d contiguous,
-// L1-cache-resident floats through the flat run kernel instead of β
-// scattered matrix rows. Heap swaps move the dense rows along.
+// grow returns s resized to n, reallocating only when capacity is short.
+func grow[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
+	}
+	return s[:n]
+}
+
+// join closes the gaps between the per-thread runs the last pass left in
+// the candidate list and returns their total length. Static ranges make
+// thread order row order, so the joined list is ascending by row.
+func (r *Runner) join() int {
+	w := 0
+	for tid, n := range r.segN {
+		if lo := r.segLo[tid]; lo != w {
+			copy(r.cand[w:w+n], r.cand[lo:lo+n])
+			copy(r.cl1[w:w+n], r.cl1[lo:lo+n])
+		}
+		w += n
+	}
+	return w
+}
+
+// runPass1 maintains the thread's β-queue as a max-heap of L1 norms with
+// a parallel dense row-major copy of the queued rows, so the per-point
+// queue test scans β·d contiguous, L1-cache-resident floats through the
+// flat run kernel instead of β scattered source rows. Heap swaps move the
+// dense rows along.
 func (r *Runner) runPass1(tid, lo, hi int) {
-	m, l1, beta := r.m, r.l1, r.beta
-	d := m.D()
-	flat := m.Flat()
-	heap := r.qheap[tid*beta : (tid+1)*beta]
+	v, beta, k := &r.v, r.beta, r.k
+	d := v.D()
+	hl := r.qheapL[tid*beta : (tid+1)*beta]
 	dense := r.qdense[tid*beta*d : (tid+1)*beta*d]
-	cnt := 0
+	cand, cl1 := r.cand, r.cl1
+	var buf [point.MaxDims]float64
+	cnt, w := 0, lo
 	var localDTs uint64
 	for i := lo; i < hi; i++ {
-		r.pruned[i] = false
-		if cnt < beta {
+		q := v.Load(i, buf[:])
+		qL1 := point.L1(q)
+		switch {
+		case cnt < beta:
 			// Insert and sift up (max-heap by L1).
-			heap[cnt] = i
-			copy(dense[cnt*d:(cnt+1)*d], flat[i*d:(i+1)*d])
+			hl[cnt] = qL1
+			copy(dense[cnt*d:(cnt+1)*d], q)
 			c := cnt
 			cnt++
 			for c > 0 {
 				p := (c - 1) / 2
-				if l1[heap[p]] >= l1[heap[c]] {
+				if hl[p] >= hl[c] {
 					break
 				}
-				heapSwap(heap, dense, d, p, c)
+				heapSwap(hl, dense, d, p, c)
 				c = p
 			}
-			continue
-		}
-		top := heap[0]
-		if l1[i] < l1[top] {
+		case qL1 < hl[0]:
 			// i replaces the queue's largest point; the evicted point is
-			// re-tested in pass 2 (it remains unpruned here).
-			heap[0] = i
-			copy(dense[:d], flat[i*d:(i+1)*d])
-			siftDown(heap, dense, d, l1)
-			continue
-		}
-		q := flat[i*d : (i+1)*d : (i+1)*d]
-		if k := r.k; k == 1 {
-			if point.DominatedInFlatRun(dense, d, 0, cnt, q, l1[i], nil, nil, &localDTs) {
-				r.pruned[i] = true
+			// already on the candidate list and is re-tested in pass 2.
+			hl[0] = qL1
+			copy(dense[:d], q)
+			siftDown(hl, dense, d)
+		case k == 1:
+			if point.DominatedInFlatRun(dense, d, 0, cnt, q, qL1, nil, nil, &localDTs) {
+				continue
 			}
-		} else if point.CountDominatorsInFlatRun(dense, d, 0, cnt, q, l1[i], nil, nil, k, &localDTs) >= k {
-			r.pruned[i] = true
+		default:
+			if point.CountDominatorsInFlatRun(dense, d, 0, cnt, q, qL1, nil, nil, k, &localDTs) >= k {
+				continue
+			}
 		}
+		cand[w], cl1[w] = i, qL1
+		w++
 	}
 	r.qcount[tid] = cnt
+	r.segLo[tid], r.segN[tid] = lo, w-lo
 	if r.dts != nil {
 		r.dts.Inc(tid, localDTs)
 	}
 }
 
-func heapSwap(heap []int, dense []float64, d, a, b int) {
-	heap[a], heap[b] = heap[b], heap[a]
+func heapSwap(hl, dense []float64, d, a, b int) {
+	hl[a], hl[b] = hl[b], hl[a]
 	for k := 0; k < d; k++ {
 		dense[a*d+k], dense[b*d+k] = dense[b*d+k], dense[a*d+k]
 	}
 }
 
-func siftDown(heap []int, dense []float64, d int, l1 []float64) {
-	n := len(heap)
+func siftDown(hl, dense []float64, d int) {
+	n := len(hl)
 	c := 0
 	for {
 		l, rt := 2*c+1, 2*c+2
 		big := c
-		if l < n && l1[heap[l]] > l1[heap[big]] {
+		if l < n && hl[l] > hl[big] {
 			big = l
 		}
-		if rt < n && l1[heap[rt]] > l1[heap[big]] {
+		if rt < n && hl[rt] > hl[big] {
 			big = rt
 		}
 		if big == c {
 			return
 		}
-		heapSwap(heap, dense, d, c, big)
+		heapSwap(hl, dense, d, c, big)
 		c = big
 	}
 }
 
+// runPass2 tests the thread's range of the candidate list against the
+// queue union, compacting the survivors to the front of the range.
 func (r *Runner) runPass2(tid, lo, hi int) {
-	m := r.m
-	d := m.D()
-	flat := m.Flat()
-	nq := r.nq
-	ql1, qrows := r.ql1[:nq], r.qrows
+	v, k := &r.v, r.k
+	d := v.D()
+	ql1, qrows := r.ql1, r.qrows
+	nq := len(ql1)
+	cand, cl1 := r.cand, r.cl1
+	var buf [point.MaxDims]float64
+	w := lo
 	var localDTs uint64
-	for i := lo; i < hi; i++ {
-		if r.pruned[i] {
-			continue
-		}
-		myL1 := r.l1[i]
+	for j := lo; j < hi; j++ {
+		i, myL1 := cand[j], cl1[j]
 		// Only queue points with strictly smaller L1 can dominate; ql1 is
 		// ascending, so binary-search the cutoff and scan the prefix.
 		a, b := 0, nq
@@ -299,15 +331,18 @@ func (r *Runner) runPass2(tid, lo, hi int) {
 				b = mid
 			}
 		}
-		q := flat[i*d : (i+1)*d : (i+1)*d]
-		if k := r.k; k == 1 {
+		q := v.Load(i, buf[:])
+		if k == 1 {
 			if point.DominatedInFlatRun(qrows, d, 0, a, q, myL1, nil, nil, &localDTs) {
-				r.pruned[i] = true
+				continue
 			}
 		} else if point.CountDominatorsInFlatRun(qrows, d, 0, a, q, myL1, nil, nil, k, &localDTs) >= k {
-			r.pruned[i] = true
+			continue
 		}
+		cand[w], cl1[w] = i, myL1
+		w++
 	}
+	r.segLo[tid], r.segN[tid] = lo, w-lo
 	if r.dts != nil {
 		r.dts.Inc(tid, localDTs)
 	}

@@ -20,9 +20,9 @@ import (
 type Phase int
 
 const (
-	PhaseInit     Phase = iota // L1 computation + sorting
-	PhasePrefilt               // β-queue pre-filter (Hybrid)
-	PhasePivot                 // pivot selection + partitioning (Hybrid)
+	PhaseInit     Phase = iota // sorting (Q-Flow, and Hybrid without its pre-filter: L1 computation + sorting)
+	PhasePrefilt               // preference transform + L1 + β-queue pre-filter in one sweep (Hybrid)
+	PhasePivot                 // survivor gather + pivot selection + partitioning (Hybrid)
 	PhaseOne                   // Phase I: comparing to known skyline
 	PhaseTwo                   // Phase II: comparing to peers / merge
 	PhaseCompress              // α-block compression

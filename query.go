@@ -7,10 +7,10 @@ import (
 )
 
 // Pref states how a query treats one dimension. The dominance kernels
-// only ever minimize; an Engine realizes Max and Ignore by rewriting the
-// dataset once during staging (negating maximized columns, dropping
-// ignored ones), so callers never negate or project columns themselves
-// and the hot path stays preference-free.
+// only ever minimize; an Engine realizes Max and Ignore by rewriting
+// each row as it is loaded (negating maximized columns, dropping ignored
+// ones), so callers never negate or project columns themselves and the
+// kernels stay preference-free.
 type Pref int8
 
 const (
@@ -37,7 +37,7 @@ func (p Pref) String() string {
 	return fmt.Sprintf("pref(%d)", int(p))
 }
 
-// op is the single Pref → staging-transform mapping; everything that
+// op is the single Pref → transform-op mapping; everything that
 // realizes preferences goes through it so the two can never diverge.
 func (p Pref) op() (point.PrefOp, error) {
 	switch p {

@@ -226,10 +226,15 @@ type Ablation struct {
 // PhaseTimings breaks a run's wall-clock time into the phases reported
 // in the paper's Figures 7 and 8. The JSON shape (integer nanoseconds
 // per phase) is the one QueryTrace puts on the wire.
+//
+// Hybrid reads its input once, inside the pre-filter: the preference
+// transform and the L1 norms are part of Prefilter, and Init is the sort
+// alone (plus the L1 sweep under Ablation.NoPrefilter). Q-Flow has no
+// pre-filter; its Init is transform + L1 + sort + gather.
 type PhaseTimings struct {
-	Init      time.Duration `json:"init_ns"`      // L1 computation + sorting
-	Prefilter time.Duration `json:"prefilter_ns"` // β-queue pre-filter (Hybrid)
-	Pivot     time.Duration `json:"pivot_ns"`     // pivot selection + partitioning (Hybrid)
+	Init      time.Duration `json:"init_ns"`      // sorting (Q-Flow: L1 computation + sorting + gather)
+	Prefilter time.Duration `json:"prefilter_ns"` // preference transform + L1 + β-queue pre-filter, one sweep (Hybrid)
+	Pivot     time.Duration `json:"pivot_ns"`     // survivor gather + pivot selection + partitioning (Hybrid)
 	PhaseOne  time.Duration `json:"phase1_ns"`    // comparisons against the global skyline
 	PhaseTwo  time.Duration `json:"phase2_ns"`    // peer comparisons / merge
 	Compress  time.Duration `json:"compress_ns"`  // α-block compression
@@ -268,12 +273,15 @@ type Stats struct {
 	// across all α-blocks; for a completed run this equals SkylineSize.
 	Phase2Survivors int
 	// SortTime is the wall-clock time of the sort step (a subset of
-	// Timings.Init that the paper's decomposition folds away).
+	// Timings.Init — for Hybrid, all of it).
 	SortTime time.Duration
 	// Timings is the per-phase wall-clock breakdown (parallel
 	// algorithms only; sequential baselines report zero).
 	Timings PhaseTimings
-	// Elapsed is the total wall-clock time of the computation.
+	// Elapsed is the total wall-clock time of the computation. For
+	// Hybrid and QFlow that includes applying Query.Prefs, which happens
+	// as rows are loaded inside the algorithm; the baselines stage their
+	// preferences before the clock starts.
 	Elapsed time.Duration
 }
 
