@@ -1021,6 +1021,7 @@ func (c *Collection) execute(ctx context.Context, snap *colSnapshot, q Query, fa
 		res.Stats.Phase1Survivors += r.Stats.Phase1Survivors
 		res.Stats.Phase2Survivors += r.Stats.Phase2Survivors
 		res.Stats.SortTime += r.Stats.SortTime
+		res.Stats.BusyTime += r.Stats.BusyTime
 		res.Stats.Timings.add(r.Stats.Timings)
 	}
 	if traced {

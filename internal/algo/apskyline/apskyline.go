@@ -43,12 +43,14 @@ func SkylineDT(m point.Matrix, threads int) ([]int, uint64) {
 		threads = n
 	}
 	dts := stats.NewDTCounters(threads)
+	pool := par.NewPool(threads)
+	defer pool.Close()
 
 	// First hyperspherical angle of every point: the angle between the
 	// first coordinate axis and the remaining-coordinate norm. Points
 	// with angle 0 hug the first axis; π/2 the complementary subspace.
 	angles := make([]float64, n)
-	par.ForRanges(threads, n, func(_, lo, hi int) {
+	pool.ForRanges(n, func(_, lo, hi int) {
 		for i := lo; i < hi; i++ {
 			row := m.Row(i)
 			rest := 0.0
@@ -71,7 +73,7 @@ func SkylineDT(m point.Matrix, threads int) ([]int, uint64) {
 
 	// Local skylines per angular slice, in parallel.
 	locals := make([][]int, threads)
-	par.ForRanges(threads, n, func(tid, lo, hi int) {
+	pool.ForRanges(n, func(tid, lo, hi int) {
 		var local uint64
 		locals[tid] = windowScan(m, order[lo:hi], &local)
 		dts.Inc(tid, local)
@@ -81,7 +83,7 @@ func SkylineDT(m point.Matrix, threads int) ([]int, uint64) {
 	global := locals[0]
 	for k := 1; k < threads; k++ {
 		if len(locals[k]) > 0 {
-			global = pmerge(m, global, locals[k], threads, dts)
+			global = pmerge(m, global, locals[k], pool, dts)
 		}
 	}
 	return global, dts.Sum()
@@ -118,12 +120,12 @@ func windowScan(m point.Matrix, pts []int, dts *uint64) []int {
 
 // pmerge merges two internally dominance-free sets: each side keeps the
 // points not dominated by the other side.
-func pmerge(m point.Matrix, a, b []int, threads int, dts *stats.DTCounters) []int {
+func pmerge(m point.Matrix, a, b []int, pool *par.Pool, dts *stats.DTCounters) []int {
 	keepA := make([]bool, len(a))
 	keepB := make([]bool, len(b))
 	d := m.D()
 	total := len(a) + len(b)
-	par.ForRanges(threads, total, func(tid, lo, hi int) {
+	pool.ForRanges(total, func(tid, lo, hi int) {
 		var local uint64
 		for k := lo; k < hi; k++ {
 			if k < len(a) {

@@ -47,7 +47,8 @@ type computer struct {
 	m        point.Matrix
 	d        int
 	full     point.Mask
-	threads  int // 1 = sequential BSkyTree
+	threads  int       // 1 = sequential BSkyTree
+	pool     *par.Pool // the run's worker team (threads > 1 only)
 	floor    int
 	batchCap int
 	dts      *stats.DTCounters
@@ -97,6 +98,10 @@ func run(m point.Matrix, threads int, dts *stats.DTCounters) ([]int, uint64) {
 		batchCap: BatchFactor * threads,
 	}
 	c.dts = dts
+	if threads > 1 {
+		c.pool = par.NewPool(threads)
+		defer c.pool.Close()
+	}
 	pts := make([]int, n)
 	for i := range pts {
 		pts[i] = i
@@ -144,7 +149,11 @@ func (c *computer) build(pts []int) *node {
 		masks[k] = point.ComputeMask(c.m.Row(pts[k]), pv)
 	}
 	if c.threads > 1 && len(pts) >= 4096 {
-		par.For(c.threads, len(pts), computeOne)
+		c.pool.ForRanges(len(pts), func(_, lo, hi int) {
+			for k := lo; k < hi; k++ {
+				computeOne(k)
+			}
+		})
 	} else {
 		for k := range pts {
 			computeOne(k)
@@ -227,7 +236,7 @@ func (c *computer) processGroupsBatched(nd *node, order []point.Mask, groups map
 			}
 		}
 		keep := make([]bool, len(jobs))
-		par.ForRanges(c.threads, len(jobs), func(tid, lo, hi int) {
+		c.pool.ForRanges(len(jobs), func(tid, lo, hi int) {
 			var local uint64
 			for k := lo; k < hi; k++ {
 				keep[k] = !c.dominatedByTree(nd, jobs[k].pt, &local)

@@ -44,6 +44,8 @@ func SkylineDT(m point.Matrix, threads int) ([]int, uint64) {
 	}
 	sort.Slice(order, func(a, b int) bool { return l1[order[a]] < l1[order[b]] })
 
+	pool := par.NewPool(threads)
+	defer pool.Close()
 	var dts uint64
 	dominated := make([]bool, threads)
 	localDTs := make([]uint64, threads)
@@ -56,21 +58,23 @@ func SkylineDT(m point.Matrix, threads int) ([]int, uint64) {
 		}
 		batch := order[lo:hi]
 		// Parallel: each batch point against the confirmed skyline.
-		par.Run(len(batch), func(tid int) {
-			i := batch[tid]
-			dominated[tid] = false
-			var local uint64
-			for _, j := range sky {
-				if l1[j] == l1[i] {
-					continue
+		pool.ForRanges(len(batch), func(_, blo, bhi int) {
+			for k := blo; k < bhi; k++ {
+				i := batch[k]
+				dominated[k] = false
+				var local uint64
+				for _, j := range sky {
+					if l1[j] == l1[i] {
+						continue
+					}
+					local++
+					if point.DominatesFlat(flat, j*d, i*d, d) {
+						dominated[k] = true
+						break
+					}
 				}
-				local++
-				if point.DominatesFlat(flat, j*d, i*d, d) {
-					dominated[tid] = true
-					break
-				}
+				localDTs[k] = local
 			}
-			localDTs[tid] = local
 		})
 		// Sequential: resolve in-batch dominance and append survivors.
 		for k, i := range batch {

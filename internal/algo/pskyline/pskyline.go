@@ -37,11 +37,13 @@ func SkylineStats(m point.Matrix, threads int, st *stats.Stats) []int {
 		threads = par.DefaultThreads()
 	}
 	dts := stats.NewDTCounters(threads)
+	pool := par.NewPool(threads)
+	defer pool.Close()
 	start := time.Now()
 
 	// Map: local skyline per linear block, one per thread.
 	locals := make([][]int, threads)
-	par.ForRanges(threads, n, func(tid, lo, hi int) {
+	pool.ForRanges(n, func(tid, lo, hi int) {
 		var local uint64
 		locals[tid] = sskyline(m, lo, hi, &local)
 		dts.Inc(tid, local)
@@ -54,7 +56,7 @@ func SkylineStats(m point.Matrix, threads int, st *stats.Stats) []int {
 	global := locals[0]
 	for k := 1; k < threads; k++ {
 		if len(locals[k]) > 0 {
-			global = pmerge(m, global, locals[k], threads, dts)
+			global = pmerge(m, global, locals[k], pool, dts)
 		}
 	}
 	end := time.Now()
@@ -105,12 +107,12 @@ func sskyline(m point.Matrix, lo, hi int, dts *uint64) []int {
 // each internally dominance-free, testing against the full opposite side
 // is equivalent to testing against its survivors, so both directions run
 // in parallel without ordering.
-func pmerge(m point.Matrix, a, b []int, threads int, dts *stats.DTCounters) []int {
+func pmerge(m point.Matrix, a, b []int, pool *par.Pool, dts *stats.DTCounters) []int {
 	keepA := make([]bool, len(a))
 	keepB := make([]bool, len(b))
 	d := m.D()
 	total := len(a) + len(b)
-	par.ForRanges(threads, total, func(tid, lo, hi int) {
+	pool.ForRanges(total, func(tid, lo, hi int) {
 		var local uint64
 		for k := lo; k < hi; k++ {
 			if k < len(a) {

@@ -4,6 +4,7 @@ import (
 	"sync/atomic"
 
 	"skybench/internal/par"
+	"skybench/internal/pivot"
 	"skybench/internal/point"
 	"skybench/internal/prefilter"
 	"skybench/internal/stats"
@@ -47,7 +48,7 @@ type Context struct {
 	flags []uint32
 
 	pivotV []float64
-	pivotC []float64 // median-strategy scratch column
+	pivotC []float64 // median-strategy scratch: one column per worker
 
 	sky skylineStore // Hybrid global skyline + M(S)
 
@@ -82,6 +83,7 @@ type Context struct {
 	l1Body     func(tid, lo, hi int)
 	gatherBody func(tid, lo, hi int)
 	qgathBody  func(tid, lo, hi int)
+	medianBody func(tid, lo, hi int)
 	maskBody   func(tid, lo, hi int)
 	keyBody    func(tid, lo, hi int)
 	p1Body     func(tid, lo, hi int)
@@ -94,7 +96,7 @@ type Context struct {
 	qp2kBody   func(tid, lo, hi int)
 	histBody   func(tid, lo, hi int)
 	scatBody   func(tid, lo, hi int)
-	runBody    func(i int)
+	runBody    func(tid, lo, hi int)
 }
 
 // NewContext creates an empty Context. The worker pool is created lazily
@@ -105,6 +107,7 @@ func NewContext() *Context {
 	c.l1Body = c.runL1
 	c.gatherBody = c.runGather
 	c.qgathBody = c.runQGather
+	c.medianBody = c.runMedian
 	c.maskBody = c.runMask
 	c.keyBody = c.runKey
 	c.p1Body = c.runPhase1
@@ -117,7 +120,7 @@ func NewContext() *Context {
 	c.qp2kBody = c.runQPhase2K
 	c.histBody = c.runHist
 	c.scatBody = c.runScatter
-	c.runBody = c.runSortRun
+	c.runBody = c.runSortRuns
 	return c
 }
 
@@ -172,16 +175,24 @@ func (c *Context) ensure(threads int) {
 }
 
 // canceled reports whether the current run's cancellation flag is set.
-// The flag is polled at every α-block boundary and periodically inside
-// the parallel phase bodies, so a canceled run abandons its remaining
-// work within a bounded number of dominance tests.
+// The flag is polled at every α-block boundary and before every chunk a
+// phase worker claims, so a canceled run abandons its remaining work
+// within a bounded number of dominance tests.
 func (c *Context) canceled() bool { return c.cancel != nil && c.cancel.Load() }
 
-// forRanges fans body out over the pool with the run's effective thread
-// count and cancellation flag (canceled fan-outs are skipped wholesale at
-// the barrier).
+// forRanges fans body out over static ranges with the run's effective
+// thread count and cancellation flag (canceled fan-outs are skipped
+// wholesale at the barrier). Every sweep whose cost per row is even, and
+// everything that files output per thread, goes this way.
 func (c *Context) forRanges(n int, body func(tid, lo, hi int)) {
 	c.pool.ForRangesCancel(c.tEff, n, c.cancel, body)
+}
+
+// forChunks runs one dominance-test phase over an α-block in claimed
+// chunks of phaseChunk points and books the team's busy time, the
+// numerator of the trace's par_eff.
+func (c *Context) forChunks(st *stats.Stats, n int, body func(tid, lo, hi int)) {
+	st.Cost.Busy += c.pool.ForChunks(c.tEff, n, phaseChunk, c.cancel, body)
 }
 
 // grow returns s resized to n, reallocating only when capacity is short.
@@ -234,6 +245,13 @@ func (c *Context) runQGather(_, lo, hi int) {
 	}
 }
 
+// runMedian fills the pivot's coordinates lo..hi−1 with column medians,
+// in worker tid's slice of the scratch.
+func (c *Context) runMedian(tid, lo, hi int) {
+	n := len(c.pivotC) / c.tEff
+	pivot.MedianColumns(c.curWork, c.pivotV, c.pivotC[tid*n:tid*n:(tid+1)*n], lo, hi)
+}
+
 func (c *Context) runMask(_, lo, hi int) {
 	wk := c.curWork
 	d := c.d
@@ -251,11 +269,15 @@ func (c *Context) runKey(_, lo, hi int) {
 	}
 }
 
-// cancelStride is how many phase-body iterations run between cancellation
-// polls. Each iteration can cost up to |SKY| dominance tests, so the
-// stride bounds post-cancel work without putting an atomic load in front
-// of every point.
-const cancelStride = 64
+// phaseChunk is how many block points a worker claims at a time in the
+// dominance-test phases (forChunks). It is small against an α-block, so
+// Phase II's late, expensive points are spread over the team and a
+// pruned point's flag is set early enough to save its successors the
+// test; it is large against the cost of a claim, one atomic add.
+// Anywhere from 8 to 64 measures the same. It is also the cancellation
+// bound: the pool polls the flag before every claim, so the phase bodies
+// carry no poll of their own.
+const phaseChunk = 16
 
 func (c *Context) runPhase1(tid, blo, bhi int) {
 	var local uint64
@@ -263,11 +285,7 @@ func (c *Context) runPhase1(tid, blo, bhi int) {
 	d := c.d
 	lo := c.blockLo
 	f := c.blockF
-	cancel := c.cancel
 	for i := blo; i < bhi; i++ {
-		if cancel != nil && i%cancelStride == 0 && cancel.Load() {
-			break
-		}
 		off := (lo + i) * d
 		q := wf[off : off+d : off+d]
 		var dominated bool
@@ -289,11 +307,7 @@ func (c *Context) runPhase2(tid, blo, bhi int) {
 	d := c.d
 	lo := c.blockLo
 	f := c.blockF
-	cancel := c.cancel
 	for i := blo; i < bhi; i++ {
-		if cancel != nil && i%cancelStride == 0 && cancel.Load() {
-			break
-		}
 		var dominated bool
 		if c.noSplit {
 			dominated = comparedToPeersNaive(wf, c.wl1, lo, i, f, d, &local)
@@ -315,14 +329,10 @@ func (c *Context) runQPhase1(tid, blo, bhi int) {
 	f := c.blockF
 	skyData := c.qskyData
 	nSky := len(c.qskyL1)
-	cancel := c.cancel
 	// No equal-L1 filter here: an equal-L1 row can never pass the strict
 	// dominance test, and skipping the ties is not worth streaming the
 	// skyline's L1 array through cache alongside its rows.
 	for i := blo; i < bhi; i++ {
-		if cancel != nil && i%cancelStride == 0 && cancel.Load() {
-			break
-		}
 		off := (lo + i) * d
 		q := wf[off : off+d : off+d]
 		if point.DominatedInFlatRun(skyData, d, 0, nSky, q, 0, nil, nil, &local) {
@@ -355,11 +365,7 @@ func (c *Context) runPhase1K(tid, blo, bhi int) {
 	lo := c.blockLo
 	f := c.blockF
 	cnt := c.blockC
-	cancel := c.cancel
 	for i := blo; i < bhi; i++ {
-		if cancel != nil && i%cancelStride == 0 && cancel.Load() {
-			break
-		}
 		off := (lo + i) * d
 		q := wf[off : off+d : off+d]
 		var n int
@@ -393,11 +399,7 @@ func (c *Context) runPhase2K(tid, blo, bhi int) {
 	lo := c.blockLo
 	f := c.blockF
 	cnt := c.blockC
-	cancel := c.cancel
 	for i := blo; i < bhi; i++ {
-		if cancel != nil && i%cancelStride == 0 && cancel.Load() {
-			break
-		}
 		budget := k - int(cnt[i])
 		var n int
 		if c.noSplit {
@@ -427,11 +429,7 @@ func (c *Context) runQPhase1K(tid, blo, bhi int) {
 	cnt := c.blockC
 	skyData := c.qskyData
 	nSky := len(c.qskyL1)
-	cancel := c.cancel
 	for i := blo; i < bhi; i++ {
-		if cancel != nil && i%cancelStride == 0 && cancel.Load() {
-			break
-		}
 		off := (lo + i) * d
 		q := wf[off : off+d : off+d]
 		n := point.CountDominatorsInFlatRun(skyData, d, 0, nSky, q, 0, nil, nil, k, &local)
@@ -453,11 +451,7 @@ func (c *Context) runQPhase2K(tid, blo, bhi int) {
 	f := c.blockF
 	cnt := c.blockC
 	rows := c.curWork.Flat()[lo*c.d:]
-	cancel := c.cancel
 	for i := blo; i < bhi; i++ {
-		if cancel != nil && i%cancelStride == 0 && cancel.Load() {
-			break
-		}
 		off := i * d
 		q := rows[off : off+d : off+d]
 		budget := k - int(cnt[i])
@@ -478,15 +472,11 @@ func (c *Context) runQPhase2(tid, blo, bhi int) {
 	lo := c.blockLo
 	f := c.blockF
 	rows := c.curWork.Flat()[lo*c.d:]
-	cancel := c.cancel
 	// As in Phase I, the seed's equal-L1 peer skip is dropped: ties fail
 	// the strict dominance test anyway, so the skip only saves work that
 	// costs less than its extra array stream. DT counts are accordingly
 	// slightly higher than the seed's on tie-heavy inputs.
 	for i := blo; i < bhi; i++ {
-		if cancel != nil && i%cancelStride == 0 && cancel.Load() {
-			break
-		}
 		off := i * d
 		q := rows[off : off+d : off+d]
 		if point.DominatedInFlatRun(rows, d, 0, i, q, 0, nil, f, &local) {

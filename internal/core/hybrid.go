@@ -50,9 +50,9 @@ type HybridOptions struct {
 	// original indices of the skyline points that block confirmed.
 	Progressive func(confirmed []int)
 	// Cancel, when non-nil, is polled at every α-block boundary and
-	// periodically inside the parallel phase bodies; once it reads true
-	// the run abandons its remaining work and returns an unspecified
-	// partial result, which the caller must discard.
+	// before every chunk of points a phase worker claims; once it reads
+	// true the run abandons its remaining work and returns an
+	// unspecified partial result, which the caller must discard.
 	Cancel *atomic.Bool
 }
 
@@ -151,9 +151,17 @@ func (c *Context) Hybrid(v point.View, opt HybridOptions) []int {
 	c.curSurv, c.curL1 = surv, survL1
 	c.forRanges(ns, c.gatherBody)
 
+	// The default pivot is d independent column medians, fanned out over
+	// the team with a scratch column per worker; the other strategies are
+	// sequential scans.
 	c.pivotV = grow(c.pivotV, d)
-	c.pivotC = grow(c.pivotC, pivot.MedianScratchLen(ns))
-	c.pv = pivot.SelectInto(c.pivotV, c.pivotC, opt.Pivot, wk, c.wl1, opt.Seed)
+	c.pv = c.pivotV
+	if opt.Pivot == pivot.Median {
+		c.pivotC = grow(c.pivotC, c.tEff*pivot.MedianScratchLen(ns))
+		c.forRanges(d, c.medianBody)
+	} else {
+		pivot.SelectInto(c.pivotV, nil, opt.Pivot, wk, c.wl1, opt.Seed)
+	}
 	c.forRanges(ns, c.maskBody)
 	timer.Stop(stats.PhasePivot)
 
@@ -208,7 +216,7 @@ func (c *Context) Hybrid(v point.View, opt HybridOptions) []int {
 
 		// Phase I (parallel, Algorithm 3): test block points against the
 		// global skyline through M(S).
-		c.forRanges(block, p1)
+		c.forChunks(st, block, p1)
 		timer.Stop(stats.PhaseOne)
 
 		surv1 := compress(wk, c.wl1, c.worig, c.wmask, bcnt, lo, block, f)
@@ -217,7 +225,7 @@ func (c *Context) Hybrid(v point.View, opt HybridOptions) []int {
 
 		// Phase II (parallel, Algorithm 4): three-loop peer comparison.
 		c.blockF = f[:surv1]
-		c.forRanges(surv1, p2)
+		c.forChunks(st, surv1, p2)
 		timer.Stop(stats.PhaseTwo)
 
 		final := compress(wk, c.wl1, c.worig, c.wmask, bcnt, lo, surv1, f)

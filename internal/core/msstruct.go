@@ -4,33 +4,34 @@ import (
 	"skybench/internal/point"
 )
 
-// msEntry is one element of the M(S) vector: a level-1 partition mask and
-// the index of the first skyline point carrying it (Figure 3b). The final
-// entry is a sentinel whose start is |S|, so a partition's extent is
-// [entry.start, next.start).
-type msEntry struct {
-	mask  point.Mask
-	start int
-}
-
 // skylineStore holds the global, shared skyline and the M(S) structure
 // over it. Rows are contiguous (row-major in data) because blocks are
 // appended already compressed; partitions are contiguous because the
 // sort order groups masks and compression preserves order. The store is
 // embedded in a Context and reused across runs: reset keeps the
 // underlying capacity so steady-state runs allocate nothing.
+//
+// M(S) is a directory of level-1 partitions (Figure 3b), held as two
+// parallel columns: partition e carries mask msMask[e] and spans rows
+// [msStart[e], msStart[e+1]) — msStart ends with a sentinel |S|. All
+// three mask columns are packed lane vectors, because all three are read
+// the same way: a probe walks one looking for the masks that are subsets
+// of its own (point.PackedMasks).
 type skylineStore struct {
-	d      int
-	data   []float64    // len = n*d, row-major skyline points
-	mask1  []point.Mask // level-1 mask of every skyline point
-	mask2  []point.Mask // level-2 mask (Algorithm 2); pivots retain level-1
-	orig   []int        // original input indices
-	counts []int32      // dominator counts (k-skyband runs only; else empty)
-	ms     []msEntry    // M(S): partition directory + trailing sentinel
+	d       int
+	data    []float64         // len = n*d, row-major skyline points
+	mask1   point.PackedMasks // level-1 mask of every skyline point (read by the no-M(S) ablation)
+	mask2   point.PackedMasks // level-2 mask (Algorithm 2); pivots retain level-1
+	orig    []int             // original input indices
+	counts  []int32           // dominator counts (k-skyband runs only; else empty)
+	msMask  point.PackedMasks // M(S): one level-1 mask per partition
+	msStart []int             // M(S): first row of each partition + trailing sentinel
 }
 
 func newSkylineStore(d int) *skylineStore {
-	return &skylineStore{d: d}
+	s := &skylineStore{}
+	s.reset(d)
+	return s
 }
 
 // reset prepares the store for a fresh run of dimensionality d, keeping
@@ -38,11 +39,12 @@ func newSkylineStore(d int) *skylineStore {
 func (s *skylineStore) reset(d int) {
 	s.d = d
 	s.data = s.data[:0]
-	s.mask1 = s.mask1[:0]
-	s.mask2 = s.mask2[:0]
+	s.mask1.Reset(d)
+	s.mask2.Reset(d)
 	s.orig = s.orig[:0]
 	s.counts = s.counts[:0]
-	s.ms = s.ms[:0]
+	s.msMask.Reset(d)
+	s.msStart = s.msStart[:0]
 }
 
 // size returns |S|.
@@ -74,10 +76,9 @@ func (s *skylineStore) update(work point.Matrix, wl1 []float64, worig []int, wma
 	// Pop the sentinel; remember the current top partition, if any.
 	curMask := point.Mask(0)
 	curPivot := -1
-	if len(s.ms) > 0 {
-		s.ms = s.ms[:len(s.ms)-1] // pop sentinel
-		top := s.ms[len(s.ms)-1]
-		curMask, curPivot = top.mask, top.start
+	if np := s.msMask.Len(); np > 0 {
+		s.msStart = s.msStart[:np]
+		curMask, curPivot = s.msMask.At(np-1), s.msStart[np-1]
 	}
 	for i := 0; i < count; i++ {
 		j := len(s.orig) // index this point will take in S
@@ -87,7 +88,7 @@ func (s *skylineStore) update(work point.Matrix, wl1 []float64, worig []int, wma
 		if bcnt != nil {
 			s.counts = append(s.counts, bcnt[i])
 		}
-		s.mask1 = append(s.mask1, m1)
+		s.mask1.Append(m1)
 		if curPivot >= 0 && m1 == curMask {
 			// Same partition as the current top: assign level-2 mask
 			// relative to the partition's pivot.
@@ -95,37 +96,36 @@ func (s *skylineStore) update(work point.Matrix, wl1 []float64, worig []int, wma
 			if level2 {
 				m2 = point.ComputeMask(work.Row(lo+i), s.row(curPivot))
 			}
-			s.mask2 = append(s.mask2, m2)
+			s.mask2.Append(m2)
 		} else {
 			// First point of a new partition: it becomes the level-2
 			// pivot and retains its level-1 mask.
-			s.ms = append(s.ms, msEntry{mask: m1, start: j})
+			s.msMask.Append(m1)
+			s.msStart = append(s.msStart, j)
 			curMask, curPivot = m1, j
-			s.mask2 = append(s.mask2, m1)
+			s.mask2.Append(m1)
 		}
 	}
-	// Push the sentinel (the paper uses mask 2^d, any out-of-band value).
-	s.ms = append(s.ms, msEntry{mask: point.FullMask(s.d) + 1, start: len(s.orig)})
+	s.msStart = append(s.msStart, len(s.orig)) // push the sentinel
 }
 
 // dominatedHybrid implements Algorithm 3 (compareToSky): test q against
 // the skyline using both partition levels. qMask is q's level-1 mask.
 // Returns true iff some skyline point dominates q. dts accumulates the
 // dominance tests performed (mask computations against level-2 pivots
-// count as one DT each — they inspect all d dimensions). All point
-// accesses index the store's flat row-major data directly; the
-// no-level-2 partition scan is a contiguous run handed to the flat run
-// kernel.
+// count as one DT each — they inspect all d dimensions). The subset
+// filter runs twice, both times a word of packed masks at a time: over
+// the directory, where a partition whose mask is not a subset of qMask
+// is incomparable with q as a whole and costs nothing, and over the
+// level-2 masks of each partition that is left. All point accesses index
+// the store's flat row-major data directly.
 func (s *skylineStore) dominatedHybrid(q []float64, qMask point.Mask, level2 bool, dts *uint64) bool {
 	full := point.FullMask(s.d)
 	d := s.d
 	data := s.data
-	for e := 0; e+1 < len(s.ms); e++ {
-		pm := s.ms[e].mask
-		if !pm.Subset(qMask) {
-			continue // whole region incomparable with q — skip all DTs
-		}
-		lo, hi := s.ms[e].start, s.ms[e+1].start
+	np := s.msMask.Len()
+	for e := s.msMask.NextSubset(0, np, qMask); e < np; e = s.msMask.NextSubset(e+1, np, qMask) {
+		lo, hi := s.msStart[e], s.msStart[e+1]
 		if !level2 {
 			if point.DominatedInFlatRun(data, d, lo, hi, q, 0, nil, nil, dts) {
 				return true
@@ -144,9 +144,9 @@ func (s *skylineStore) dominatedHybrid(q []float64, qMask point.Mask, level2 boo
 			}
 			return true // the pivot dominates q
 		}
-		// Scan the rest of the partition with level-2 incomparability
-		// filtering fused into the masked run kernel.
-		if point.DominatedInFlatRunMasked(data, d, lo+1, hi, q, s.mask2, m2, dts) {
+		// Scan the rest of the partition behind the level-2 filter; the
+		// first dominator ends the probe (budget 1).
+		if point.CountDominatorsInFlatRunMasked(data, d, lo+1, hi, q, &s.mask2, m2, 1, dts) != 0 {
 			return true
 		}
 	}
@@ -156,7 +156,7 @@ func (s *skylineStore) dominatedHybrid(q []float64, qMask point.Mask, level2 boo
 // dominatedFlat is the no-M(S) ablation of Phase I: scan the skyline
 // linearly, filtering by level-1 masks only.
 func (s *skylineStore) dominatedFlat(q []float64, qMask point.Mask, dts *uint64) bool {
-	return point.DominatedInFlatRunMasked(s.data, s.d, 0, s.size(), q, s.mask1, qMask, dts)
+	return s.countDominatorsFlat(q, qMask, 1, dts) != 0
 }
 
 // countDominators is the k-skyband generalization of dominatedHybrid:
@@ -176,13 +176,10 @@ func (s *skylineStore) countDominators(q []float64, qMask point.Mask, level2 boo
 	full := point.FullMask(s.d)
 	d := s.d
 	data := s.data
+	np := s.msMask.Len()
 	c := 0
-	for e := 0; e+1 < len(s.ms); e++ {
-		pm := s.ms[e].mask
-		if !pm.Subset(qMask) {
-			continue // whole region incomparable with q — skip all DTs
-		}
-		lo, hi := s.ms[e].start, s.ms[e+1].start
+	for e := s.msMask.NextSubset(0, np, qMask); e < np; e = s.msMask.NextSubset(e+1, np, qMask) {
+		lo, hi := s.msStart[e], s.msStart[e+1]
 		if !level2 {
 			c += point.CountDominatorsInFlatRun(data, d, lo, hi, q, 0, nil, nil, budget-c, dts)
 			if c >= budget {
@@ -201,7 +198,7 @@ func (s *skylineStore) countDominators(q []float64, qMask point.Mask, level2 boo
 				return c
 			}
 		}
-		c += point.CountDominatorsInFlatRunMasked(data, d, lo+1, hi, q, s.mask2, m2, budget-c, dts)
+		c += point.CountDominatorsInFlatRunMasked(data, d, lo+1, hi, q, &s.mask2, m2, budget-c, dts)
 		if c >= budget {
 			return c
 		}
@@ -211,5 +208,5 @@ func (s *skylineStore) countDominators(q []float64, qMask point.Mask, level2 boo
 
 // countDominatorsFlat is the no-M(S) ablation of the counting Phase I.
 func (s *skylineStore) countDominatorsFlat(q []float64, qMask point.Mask, budget int, dts *uint64) int {
-	return point.CountDominatorsInFlatRunMasked(s.data, s.d, 0, s.size(), q, s.mask1, qMask, budget, dts)
+	return point.CountDominatorsInFlatRunMasked(s.data, s.d, 0, s.size(), q, &s.mask1, qMask, budget, dts)
 }

@@ -95,38 +95,39 @@ func TestStoreStructuralInvariants(t *testing.T) {
 			t.Fatalf("store size %d, want %d", s.size(), len(rows))
 		}
 		// Sentinel terminates M(S) and points one past the end.
-		if s.ms[len(s.ms)-1].start != s.size() {
-			t.Fatalf("sentinel start = %d, want %d", s.ms[len(s.ms)-1].start, s.size())
+		np := s.msMask.Len()
+		if len(s.msStart) != np+1 || s.msStart[np] != s.size() {
+			t.Fatalf("sentinel: %d starts for %d partitions, last %d, want %d", len(s.msStart), np, s.msStart[np], s.size())
 		}
 		// Entries have strictly increasing starts and strictly
 		// increasing compound keys (partitions arrive in sort order).
-		for e := 1; e < len(s.ms); e++ {
-			if s.ms[e].start <= s.ms[e-1].start {
-				t.Fatalf("entry %d start %d not increasing", e, s.ms[e].start)
+		for e := 1; e <= np; e++ {
+			if s.msStart[e] <= s.msStart[e-1] {
+				t.Fatalf("entry %d start %d not increasing", e, s.msStart[e])
 			}
 		}
-		for e := 1; e+1 < len(s.ms); e++ {
-			if s.ms[e].mask.CompoundKey(3) <= s.ms[e-1].mask.CompoundKey(3) {
-				t.Fatalf("entry %d mask %b out of order", e, s.ms[e].mask)
+		for e := 1; e < np; e++ {
+			if s.msMask.At(e).CompoundKey(3) <= s.msMask.At(e-1).CompoundKey(3) {
+				t.Fatalf("entry %d mask %b out of order", e, s.msMask.At(e))
 			}
 		}
 		// Every point's level-1 mask matches its partition's mask.
-		for e := 0; e+1 < len(s.ms); e++ {
-			for j := s.ms[e].start; j < s.ms[e+1].start; j++ {
-				if s.mask1[j] != s.ms[e].mask {
-					t.Fatalf("point %d mask1 %b ≠ partition %b", j, s.mask1[j], s.ms[e].mask)
+		for e := 0; e < np; e++ {
+			for j := s.msStart[e]; j < s.msStart[e+1]; j++ {
+				if s.mask1.At(j) != s.msMask.At(e) {
+					t.Fatalf("point %d mask1 %b ≠ partition %b", j, s.mask1.At(j), s.msMask.At(e))
 				}
 			}
 			// The partition pivot retains its level-1 mask in mask2.
-			lo := s.ms[e].start
-			if s.mask2[lo] != s.mask1[lo] {
+			lo := s.msStart[e]
+			if s.mask2.At(lo) != s.mask1.At(lo) {
 				t.Fatalf("partition pivot %d level-2 mask altered", lo)
 			}
 			// Members' level-2 masks are relative to the pivot.
-			for j := lo + 1; j < s.ms[e+1].start; j++ {
+			for j := lo + 1; j < s.msStart[e+1]; j++ {
 				want := point.ComputeMask(s.row(j), s.row(lo))
-				if s.mask2[j] != want {
-					t.Fatalf("point %d level-2 mask %b, want %b", j, s.mask2[j], want)
+				if s.mask2.At(j) != want {
+					t.Fatalf("point %d level-2 mask %b, want %b", j, s.mask2.At(j), want)
 				}
 			}
 		}
@@ -181,7 +182,83 @@ func TestDominatedHybridMatchesBruteScan(t *testing.T) {
 func TestStoreUpdateEmptyBlockIsNoop(t *testing.T) {
 	s := newSkylineStore(2)
 	s.update(point.NewMatrix(0, 2), nil, nil, nil, nil, 0, 0, true)
-	if s.size() != 0 || len(s.ms) != 0 {
+	if s.size() != 0 || s.msMask.Len() != 0 || len(s.msStart) != 0 {
 		t.Fatal("empty update must not create entries")
 	}
+}
+
+// The scalar references for Phase I: Algorithm 3 and its counting and
+// no-M(S) forms restated one row at a time — a subset branch per
+// directory entry and per row, the dominance test from the definition —
+// over the same store. TestHybridCountsPinned holds the word-at-a-time
+// product code to their answers and to their dominance-test counts.
+
+// refScan tests rows [lo, hi) against q in order, skipping row j when
+// masks is non-nil and masks[j] ⊄ qm, and stops at budget dominators.
+func (s *skylineStore) refScan(lo, hi int, q []float64, masks *point.PackedMasks, qm point.Mask, budget int, dts *uint64) int {
+	c := 0
+	for j := lo; j < hi && c < budget; j++ {
+		if masks != nil && !masks.At(j).Subset(qm) {
+			continue
+		}
+		*dts++
+		if point.Dominates(s.row(j), q) {
+			c++
+		}
+	}
+	return c
+}
+
+func (s *skylineStore) refDominatedHybrid(q []float64, qMask point.Mask, level2 bool, dts *uint64) bool {
+	for e := 0; e < s.msMask.Len(); e++ {
+		if !s.msMask.At(e).Subset(qMask) {
+			continue
+		}
+		lo, hi := s.msStart[e], s.msStart[e+1]
+		if !level2 {
+			if s.refScan(lo, hi, q, nil, 0, 1, dts) != 0 {
+				return true
+			}
+			continue
+		}
+		*dts++
+		m2 := point.ComputeMask(q, s.row(lo))
+		if m2 == point.FullMask(s.d) {
+			return !point.Equals(s.row(lo), q)
+		}
+		if s.refScan(lo+1, hi, q, &s.mask2, m2, 1, dts) != 0 {
+			return true
+		}
+	}
+	return false
+}
+
+func (s *skylineStore) refCountDominators(q []float64, qMask point.Mask, level2 bool, budget int, dts *uint64) int {
+	c := 0
+	for e := 0; e < s.msMask.Len() && c < budget; e++ {
+		if !s.msMask.At(e).Subset(qMask) {
+			continue
+		}
+		lo, hi := s.msStart[e], s.msStart[e+1]
+		if !level2 {
+			c += s.refScan(lo, hi, q, nil, 0, budget-c, dts)
+			continue
+		}
+		*dts++
+		m2 := point.ComputeMask(q, s.row(lo))
+		if m2 == point.FullMask(s.d) {
+			if point.Equals(s.row(lo), q) {
+				continue
+			}
+			if c++; c >= budget {
+				break
+			}
+		}
+		c += s.refScan(lo+1, hi, q, &s.mask2, m2, budget-c, dts)
+	}
+	return c
+}
+
+func (s *skylineStore) refCountDominatorsFlat(q []float64, qMask point.Mask, budget int, dts *uint64) int {
+	return s.refScan(0, s.size(), q, &s.mask1, qMask, budget, dts)
 }

@@ -1,0 +1,169 @@
+package core
+
+import (
+	"encoding/json"
+	"fmt"
+	"hash/fnv"
+	"os"
+	"testing"
+
+	"skybench/internal/dataset"
+	"skybench/internal/point"
+	"skybench/internal/stats"
+)
+
+// The pinned grid: every Phase I code path (M(S) with and without level
+// 2, the flat NoMS scan, boolean and counting) at every lane width of
+// the packed mask vectors (d ≤ 8, ≤ 16, > 16) and every unrolled kernel
+// width, on data that exercises few ties, many ties, and large skylines.
+var (
+	pinnedDims     = []int{3, 4, 6, 8, 12, 20}
+	pinnedKs       = []int{1, 3}
+	pinnedDists    = []string{"anticorrelated", "independent", "grid"}
+	pinnedVariants = []string{"default", "noms", "nolevel2"}
+	pinnedSeeds    = []int64{1, 2, 3}
+)
+
+const (
+	pinnedN     = 1500
+	pinnedAlpha = 128
+	pinnedFile  = "testdata/hybrid_counts_parent.json"
+)
+
+// pinnedData generates one input of the grid. "grid" is independent data
+// quantized to four levels per dimension: coincident rows, equal L1
+// norms and full level-2 masks all occur.
+func pinnedData(dist string, d int, seed int64) point.Matrix {
+	switch dist {
+	case "anticorrelated":
+		return dataset.Generate(dataset.Anticorrelated, pinnedN, d, seed)
+	case "independent":
+		return dataset.Generate(dataset.Independent, pinnedN, d, seed)
+	}
+	m := dataset.Generate(dataset.Independent, pinnedN, d, seed)
+	dataset.Quantize(m, 4)
+	return m
+}
+
+func pinnedOptions(k int, variant string) HybridOptions {
+	return HybridOptions{
+		Threads:  1,
+		Alpha:    pinnedAlpha,
+		SkybandK: k,
+		NoMS:     variant == "noms",
+		NoLevel2: variant == "nolevel2",
+	}
+}
+
+// pinnedRun is one single-threaded Hybrid run reduced to the three
+// figures the table pins: dominance tests, Phase I survivors, and an
+// FNV-1a hash of the result in confirmation order.
+func pinnedRun(c *Context, m point.Matrix, k int, variant string) [3]uint64 {
+	var st stats.Stats
+	opt := pinnedOptions(k, variant)
+	opt.Stats = &st
+	idx := c.Hybrid(m.View(), opt)
+	h := fnv.New64a()
+	var b [8]byte
+	for _, i := range idx {
+		for s := range b {
+			b[s] = byte(uint64(i) >> (8 * s))
+		}
+		h.Write(b[:])
+	}
+	return [3]uint64{st.DominanceTests, uint64(st.Cost.Phase1Survivors), h.Sum64()}
+}
+
+func pinnedKey(dist string, d, k int, variant string, seed int64) string {
+	return fmt.Sprintf("%s/d%d/k%d/%s/seed%d", dist, d, k, variant, seed)
+}
+
+func loadPinned(t *testing.T) map[string][3]uint64 {
+	t.Helper()
+	raw, err := os.ReadFile(pinnedFile)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var want map[string][3]uint64
+	if err := json.Unmarshal(raw, &want); err != nil {
+		t.Fatal(err)
+	}
+	return want
+}
+
+// TestHybridCountsPinned is the guard on "the saving is per visit, not
+// fewer tests". Over the whole grid it checks, probe by probe, that
+// Phase I's word-at-a-time filters select exactly the rows the scalar
+// per-row references (msstruct_test.go) select, in the same order — same
+// answer, same dominance-test advance — against the store a real run
+// built; and that a single-threaded run's dominance tests, Phase I
+// survivors and result order are the ones the parent of the packed-mask
+// change produced (testdata/hybrid_counts_parent.json, recorded there
+// with this file's pinnedRun).
+func TestHybridCountsPinned(t *testing.T) {
+	want := loadPinned(t)
+	c := NewContext()
+	defer c.Close()
+	checked := 0
+	for _, dist := range pinnedDists {
+		for _, d := range pinnedDims {
+			for _, seed := range pinnedSeeds {
+				m := pinnedData(dist, d, seed)
+				for _, k := range pinnedKs {
+					for _, variant := range pinnedVariants {
+						key := pinnedKey(dist, d, k, variant, seed)
+						w, ok := want[key]
+						if !ok {
+							t.Fatalf("%s: no pinned entry", key)
+						}
+						if got := pinnedRun(c, m, k, variant); got != w {
+							t.Errorf("%s: (DTs, Phase I survivors, order hash) = %v, parent recorded %v", key, got, w)
+						}
+						checked++
+						if seed == pinnedSeeds[0] {
+							checkProbes(t, key, c, m, k, variant != "nolevel2")
+						}
+					}
+				}
+			}
+		}
+	}
+	if checked != len(want) {
+		t.Errorf("checked %d configurations, table holds %d", checked, len(want))
+	}
+}
+
+// checkProbes probes the store the latest run on c left behind with
+// every input row, through the M(S) path and the flat path, boolean for
+// a skyline store and counting for a band store.
+func checkProbes(t *testing.T, key string, c *Context, m point.Matrix, k int, level2 bool) {
+	t.Helper()
+	s := &c.sky
+	for i := 0; i < m.N(); i++ {
+		q := m.Row(i)
+		qm := point.ComputeMask(q, c.pv)
+		var got, ref [2]int
+		var gotDTs, refDTs [2]uint64
+		if k == 1 {
+			got[0] = b2i(s.dominatedHybrid(q, qm, level2, &gotDTs[0]))
+			ref[0] = b2i(s.refDominatedHybrid(q, qm, level2, &refDTs[0]))
+			got[1] = b2i(s.dominatedFlat(q, qm, &gotDTs[1]))
+		} else {
+			got[0] = s.countDominators(q, qm, level2, k, &gotDTs[0])
+			ref[0] = s.refCountDominators(q, qm, level2, k, &refDTs[0])
+			got[1] = s.countDominatorsFlat(q, qm, k, &gotDTs[1])
+		}
+		ref[1] = s.refCountDominatorsFlat(q, qm, k, &refDTs[1])
+		if got != ref || gotDTs != refDTs {
+			t.Fatalf("%s probe %d: (M(S), flat) answers %v after %v tests, scalar reference %v after %v",
+				key, i, got, gotDTs, ref, refDTs)
+		}
+	}
+}
+
+func b2i(b bool) int {
+	if b {
+		return 1
+	}
+	return 0
+}

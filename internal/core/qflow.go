@@ -30,9 +30,9 @@ type QFlowOptions struct {
 	// the progressive reporting the global-skyline paradigm enables.
 	Progressive func(confirmed []int)
 	// Cancel, when non-nil, is polled at every α-block boundary and
-	// periodically inside the parallel phase bodies; once it reads true
-	// the run abandons its remaining work and returns an unspecified
-	// partial result, which the caller must discard.
+	// before every chunk of points a phase worker claims; once it reads
+	// true the run abandons its remaining work and returns an
+	// unspecified partial result, which the caller must discard.
 	Cancel *atomic.Bool
 	// SkybandK generalizes the computation to the k-skyband: the result
 	// is every point dominated by fewer than SkybandK others, with exact
@@ -159,7 +159,7 @@ func (c *Context) QFlow(v point.View, opt QFlowOptions) []int {
 		// Phase I (parallel): compare each block point to the global
 		// skyline in L1 order, aborting on the first dominator (skyline)
 		// or at the k-th one (skyband).
-		c.forRanges(block, p1)
+		c.forChunks(st, block, p1)
 		timer.Stop(stats.PhaseOne)
 
 		// Compression: shift survivors left, re-establishing contiguity.
@@ -171,7 +171,7 @@ func (c *Context) QFlow(v point.View, opt QFlowOptions) []int {
 		// survivors in the block. Flags are atomic so threads can skip
 		// peers already known to be dominated (sound by transitivity).
 		c.blockF = f[:surv]
-		c.forRanges(surv, p2)
+		c.forChunks(st, surv, p2)
 		timer.Stop(stats.PhaseTwo)
 
 		final := compress(wk, c.wl1, c.worig, nil, bcnt, lo, surv, f)

@@ -132,12 +132,18 @@ func (c *Context) sortRunsByL1(idx []int) {
 	}
 	c.runs = runs
 	c.rsrc = idx
-	c.pool.ForChunkedCancel(c.tEff, len(runs)/2, 0, c.cancel, c.runBody)
+	// Runs differ in length by orders of magnitude, so they are claimed,
+	// not dealt: eight chunks a worker evens them out, and no chunk is
+	// larger than 1024 runs.
+	nr := len(runs) / 2
+	chunk := min(max(nr/(8*c.tEff), 1), 1024)
+	c.pool.ForChunks(c.tEff, nr, chunk, c.cancel, c.runBody)
 }
 
-func (c *Context) runSortRun(i int) {
-	a, b := c.runs[2*i], c.runs[2*i+1]
-	sortIdxByFloat(c.rsrc[a:b], c.wl1)
+func (c *Context) runSortRuns(_, lo, hi int) {
+	for i := lo; i < hi; i++ {
+		sortIdxByFloat(c.rsrc[c.runs[2*i]:c.runs[2*i+1]], c.wl1)
+	}
 }
 
 // sortIdxByFloat sorts idx ascending by key[idx[i]]: iterative quicksort

@@ -28,9 +28,11 @@ func wantWorkerPanic(t *testing.T, val string, f func()) {
 }
 
 func TestForPropagatesWorkerPanic(t *testing.T) {
+	p := NewPool(4)
+	defer p.Close()
 	wantWorkerPanic(t, "boom-for", func() {
-		For(4, 1000, func(i int) {
-			if i == 617 {
+		p.ForChunks(4, 1000, chunkSize, nil, func(_, lo, hi int) {
+			if lo <= 617 && 617 < hi {
 				panic("boom-for")
 			}
 		})
@@ -38,20 +40,12 @@ func TestForPropagatesWorkerPanic(t *testing.T) {
 }
 
 func TestForRangesPropagatesWorkerPanic(t *testing.T) {
+	p := NewPool(4)
+	defer p.Close()
 	wantWorkerPanic(t, "boom-ranges", func() {
-		ForRanges(4, 100, func(tid, lo, hi int) {
+		p.ForRanges(100, func(tid, lo, hi int) {
 			if tid == 2 {
 				panic("boom-ranges")
-			}
-		})
-	})
-}
-
-func TestRunPropagatesWorkerPanic(t *testing.T) {
-	wantWorkerPanic(t, "boom-run", func() {
-		Run(3, func(tid int) {
-			if tid == 1 {
-				panic("boom-run")
 			}
 		})
 	})
@@ -62,8 +56,8 @@ func TestPoolSurvivesWorkerPanic(t *testing.T) {
 	defer p.Close()
 
 	wantWorkerPanic(t, "boom-pool-for", func() {
-		p.For(1000, func(i int) {
-			if i == 421 {
+		p.ForChunks(4, 1000, chunkSize, nil, func(_, lo, hi int) {
+			if lo <= 421 && 421 < hi {
 				panic("boom-pool-for")
 			}
 		})
@@ -80,7 +74,11 @@ func TestPoolSurvivesWorkerPanic(t *testing.T) {
 	// panic slot is cleared and the barrier is intact.
 	for rep := 0; rep < 3; rep++ {
 		var sum atomic.Int64
-		p.For(1000, func(i int) { sum.Add(int64(i)) })
+		p.ForChunks(4, 1000, chunkSize, nil, func(_, lo, hi int) {
+			for i := lo; i < hi; i++ {
+				sum.Add(int64(i))
+			}
+		})
 		if sum.Load() != 999*1000/2 {
 			t.Fatalf("rep %d: pool miscounted after panic: %d", rep, sum.Load())
 		}
@@ -114,7 +112,7 @@ func TestPoolDispatcherShareCaptured(t *testing.T) {
 func TestCancelStillWorksAfterPanic(t *testing.T) {
 	p := NewPool(4)
 	defer p.Close()
-	wantWorkerPanic(t, "x", func() { p.For(100, func(i int) { panic("x") }) })
+	wantWorkerPanic(t, "x", func() { p.ForChunks(4, 100, chunkSize, nil, func(_, _, _ int) { panic("x") }) })
 	var stop atomic.Bool
 	stop.Store(true)
 	ran := false

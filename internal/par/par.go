@@ -1,17 +1,38 @@
-// Package par is a minimal parallel runtime that mirrors the OpenMP
-// constructs used by the paper's C++ implementation: a chunked parallel
-// for over a fixed thread count, and a static partition of an index range.
+// Package par is the parallel runtime of this repository: Pool, a
+// persistent team of worker goroutines in the role of the OpenMP thread
+// team the paper's C++ implementation creates once and reuses for every
+// parallel region. There is one way to run a parallel loop — a region
+// dispatched on a Pool — and a region has one of two shapes:
 //
-// All algorithms in this repository take an explicit thread count t so the
-// paper's thread-scaling experiments (Figures 10–13) can sweep t
-// regardless of GOMAXPROCS.
+//   - Static ranges (ForRanges, ForRangesCancel; OpenMP schedule(static)):
+//     [0, n) is cut into one contiguous range per worker. Worker tid
+//     always gets the same rows, so whatever a body files per thread —
+//     radix histograms, the pre-filter's queues and candidate segments,
+//     a baseline's local skylines — comes out in row order and every run
+//     of the same input is the same run. The sweeps, the radix sort, the
+//     pre-filter and the baselines use it; their per-row cost is even, so
+//     equal ranges finish together.
+//
+//   - Claimed chunks (ForChunks; OpenMP schedule(dynamic, chunk)): workers
+//     take fixed-size chunks of [0, n) from a shared cursor, in ascending
+//     order, until none are left. The dominance-test phases of Hybrid and
+//     Q-Flow use it, because their per-point cost is anything but even: a
+//     point dominated by the first skyline row costs one test, a skyline
+//     point costs a pass over the skyline, and Phase II's cost grows with
+//     the point's position in its block — under equal ranges the worker
+//     holding the late points finishes last while the others idle. Which
+//     worker tests which point is then not repeatable; the phases do not
+//     care, since a point's fate does not depend on who decides it.
+//
+// All algorithms take an explicit thread count t, so the paper's
+// thread-scaling experiments (Figures 10–13) can sweep t regardless of
+// GOMAXPROCS.
 package par
 
 import (
 	"fmt"
 	"runtime"
 	"runtime/debug"
-	"sync"
 	"sync/atomic"
 )
 
@@ -50,148 +71,7 @@ func (s *panicSlot) capture() {
 	}
 }
 
-// rethrow re-raises the recorded panic, if any, on the caller's
-// goroutine. Call it after the region's barrier.
-func (s *panicSlot) rethrow() {
-	if wp := s.p.Load(); wp != nil {
-		panic(wp)
-	}
-}
-
 // tripped reports whether a panic has been recorded; workers poll it
 // between chunks so a poisoned region winds down instead of burning the
 // remaining work.
 func (s *panicSlot) tripped() bool { return s.p.Load() != nil }
-
-// normalize clamps a requested thread count to [1, n] for n work items
-// (never more workers than items, never fewer than one).
-func normalize(t, n int) int {
-	if t <= 0 {
-		t = DefaultThreads()
-	}
-	if n < t {
-		t = n
-	}
-	if t < 1 {
-		t = 1
-	}
-	return t
-}
-
-// For runs body(i) for every i in [0, n) using t goroutines with dynamic
-// chunked scheduling (analogous to OpenMP schedule(dynamic, chunk)).
-// Dynamic scheduling matters for skyline phases because per-point work is
-// highly skewed: a point dominated by the first skyline point costs one
-// dominance test while a skyline point costs |S| of them.
-func For(t, n int, body func(i int)) {
-	ForChunked(t, n, 0, body)
-}
-
-// ForChunked is For with an explicit chunk size (0 picks a heuristic).
-func ForChunked(t, n, chunk int, body func(i int)) {
-	if n <= 0 {
-		return
-	}
-	t = normalize(t, n)
-	if t == 1 {
-		for i := 0; i < n; i++ {
-			body(i)
-		}
-		return
-	}
-	if chunk <= 0 {
-		chunk = n / (t * 8)
-		if chunk < 1 {
-			chunk = 1
-		}
-		if chunk > 1024 {
-			chunk = 1024
-		}
-	}
-	var next int64
-	var pan panicSlot
-	var wg sync.WaitGroup
-	wg.Add(t)
-	for w := 0; w < t; w++ {
-		go func() {
-			defer wg.Done()
-			defer pan.capture()
-			for {
-				if pan.tripped() {
-					return
-				}
-				lo := int(atomic.AddInt64(&next, int64(chunk))) - chunk
-				if lo >= n {
-					return
-				}
-				hi := lo + chunk
-				if hi > n {
-					hi = n
-				}
-				for i := lo; i < hi; i++ {
-					body(i)
-				}
-			}
-		}()
-	}
-	wg.Wait()
-	pan.rethrow()
-}
-
-// ForRanges runs body(tid, lo, hi) over a static partition of [0, n) into
-// t nearly equal contiguous ranges (analogous to OpenMP schedule(static)).
-// It is used where each worker needs private state indexed by tid, e.g.
-// the pre-filter's per-thread priority queues and per-thread DT counters.
-func ForRanges(t, n int, body func(tid, lo, hi int)) {
-	if n <= 0 {
-		return
-	}
-	t = normalize(t, n)
-	if t == 1 {
-		body(0, 0, n)
-		return
-	}
-	var pan panicSlot
-	var wg sync.WaitGroup
-	wg.Add(t)
-	size := n / t
-	rem := n % t
-	lo := 0
-	for w := 0; w < t; w++ {
-		hi := lo + size
-		if w < rem {
-			hi++
-		}
-		go func(tid, lo, hi int) {
-			defer wg.Done()
-			defer pan.capture()
-			body(tid, lo, hi)
-		}(w, lo, hi)
-		lo = hi
-	}
-	wg.Wait()
-	pan.rethrow()
-}
-
-// Run launches t goroutines executing body(tid) and waits for all of them.
-func Run(t int, body func(tid int)) {
-	if t <= 0 {
-		t = DefaultThreads()
-	}
-	if t == 1 {
-		body(0)
-		return
-	}
-	var pan panicSlot
-	var wg sync.WaitGroup
-	wg.Add(t)
-	for w := 0; w < t; w++ {
-		go func(tid int) {
-			defer wg.Done()
-			defer pan.capture()
-			body(tid)
-		}(w)
-	}
-	wg.Wait()
-	pan.rethrow()
-}

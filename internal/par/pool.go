@@ -4,14 +4,20 @@ import (
 	"runtime"
 	"sync"
 	"sync/atomic"
+	"time"
 )
 
-// Pool is a persistent team of worker goroutines with a reusable barrier —
-// the analogue of OpenMP's thread team, which the paper's C++
-// implementation creates once and reuses for every parallel region.
-// Hybrid and Q-Flow issue one ForRanges fan-out per phase per α-block;
-// with the free functions each fan-out pays goroutine creation and
-// WaitGroup churn, while a Pool pays two channel operations per worker.
+// Pool is a persistent team of worker goroutines with a reusable barrier.
+// Hybrid and Q-Flow issue one region per phase per α-block; a Pool pays
+// two channel operations per worker for each, where spawning goroutines
+// per region would pay their creation and a WaitGroup.
+//
+// A region is either static — ForRanges/ForRangesCancel hand worker tid
+// the tid-th of t equal contiguous ranges, the shape for everything whose
+// per-thread output must come out in row order — or claimed: ForChunks
+// lets the workers take fixed-size chunks from a shared cursor, the shape
+// for the dominance-test phases, whose per-point cost is too skewed for
+// equal ranges to finish together (see the package comment).
 //
 // The calling goroutine participates as worker 0, so a Pool of t threads
 // owns t−1 goroutines and a single-threaded Pool runs everything inline.
@@ -37,14 +43,13 @@ type pool struct {
 	// Current parallel region, written by the dispatcher under mu before
 	// waking workers (the channel send orders these writes before the
 	// reads).
-	mode   int
-	bodyR  func(tid, lo, hi int)
-	bodyI  func(i int)
+	body   func(tid, lo, hi int)
 	n      int
-	tEff   int
-	chunk  int64
-	stop   *atomic.Bool // when non-nil and set, workers skip their share
-	cursor atomic.Int64
+	tEff   int          // static region: number of ranges
+	chunk  int          // claimed region: chunk size; 0 marks a static region
+	stop   *atomic.Bool // when non-nil and set, workers take no more work
+	cursor atomic.Int64 // claimed region: first index not yet claimed
+	busy   atomic.Int64 // claimed region: the workers' summed in-region ns
 
 	pan panicSlot // first worker panic of the current region
 
@@ -53,11 +58,6 @@ type pool struct {
 	quit  chan struct{}   // closed to release the workers
 	once  sync.Once
 }
-
-const (
-	modeRanges = iota
-	modeFor
-)
 
 // NewPool creates a pool of t workers (t ≤ 0 selects DefaultThreads).
 func NewPool(t int) *Pool {
@@ -96,26 +96,43 @@ func (p *pool) worker(tid int) {
 			return
 		case <-p.start[tid-1]:
 		}
-		switch p.mode {
-		case modeRanges:
-			if (p.stop == nil || !p.stop.Load()) && !p.pan.tripped() {
-				lo, hi := staticRange(tid, p.n, p.tEff)
-				p.guard(func() { p.bodyR(tid, lo, hi) })
-			}
-		case modeFor:
-			p.guard(p.runChunks)
-		}
+		p.share(tid)
 		p.done <- struct{}{}
 	}
 }
 
-// guard runs one worker's share of a region, recovering any panic into
-// the region's panic slot. The worker still reaches the barrier, so a
-// panicking body can never wedge the pool; the dispatcher rethrows the
-// panic on its own goroutine after the barrier completes.
-func (p *pool) guard(f func()) {
+// share runs worker tid's part of the current region, recovering any
+// panic into the region's panic slot. The worker still reaches the
+// barrier, so a panicking body can never wedge the pool; the dispatcher
+// rethrows the panic on its own goroutine after the barrier completes.
+func (p *pool) share(tid int) {
 	defer p.pan.capture()
-	f()
+	if p.chunk == 0 {
+		if !p.stopped() {
+			lo, hi := staticRange(tid, p.n, p.tEff)
+			p.body(tid, lo, hi)
+		}
+		return
+	}
+	// Claim chunks in ascending order until the cursor passes n. The two
+	// clock reads bracket everything the worker does in the region, so
+	// busy / (workers × region wall time) is the region's efficiency.
+	begin := time.Now()
+	n, chunk, body := p.n, p.chunk, p.body
+	for !p.stopped() {
+		lo := int(p.cursor.Add(int64(chunk))) - chunk
+		if lo >= n {
+			break
+		}
+		body(tid, lo, min(lo+chunk, n))
+	}
+	p.busy.Add(int64(time.Since(begin)))
+}
+
+// stopped reports that the region should take no more work: its stop
+// flag is raised, or a worker panicked.
+func (p *pool) stopped() bool {
+	return (p.stop != nil && p.stop.Load()) || p.pan.tripped()
 }
 
 // staticRange returns worker tid's contiguous share of [0, n) split into t
@@ -131,21 +148,43 @@ func staticRange(tid, n, t int) (lo, hi int) {
 	return lo, hi
 }
 
-// dispatch wakes t−1 workers, runs the caller's own share via self, and
-// waits on the barrier. t is the effective worker count for this region.
-func (p *pool) dispatch(t int, self func()) {
+// team clamps a requested worker count to the pool's size and to the
+// number of work items.
+func (p *pool) team(t, items int) int {
+	if t <= 0 || t > p.t {
+		t = p.t
+	}
+	return min(t, items)
+}
+
+// region runs one multi-threaded region: it publishes the region's
+// parameters, wakes t−1 workers, takes worker 0's share itself, waits on
+// the barrier, and rethrows a worker's panic on the caller's goroutine.
+// It returns the region's summed busy time (claimed regions only).
+func (p *pool) region(t, n, chunk int, stop *atomic.Bool, body func(tid, lo, hi int)) time.Duration {
+	p.mu.Lock()
+	p.body, p.n, p.tEff, p.chunk, p.stop = body, n, t, chunk, stop
+	p.cursor.Store(0)
+	p.busy.Store(0)
 	for w := 1; w < t; w++ {
 		p.start[w-1] <- struct{}{}
 	}
-	self()
+	p.share(0)
 	for w := 1; w < t; w++ {
 		<-p.done
 	}
+	busy := p.busy.Load()
+	p.body, p.stop = nil, nil
+	wp := p.pan.p.Swap(nil)
+	p.mu.Unlock()
+	if wp != nil {
+		panic(wp)
+	}
+	return time.Duration(busy)
 }
 
 // ForRanges runs body(tid, lo, hi) over a static partition of [0, n) into
-// min(t, n) contiguous ranges, reusing the pool's workers. It is the
-// persistent-team replacement for the free function ForRanges.
+// min(t, n) contiguous ranges on the pool's workers.
 func (p *pool) ForRanges(n int, body func(tid, lo, hi int)) {
 	p.ForRangesCancel(p.t, n, nil, body)
 }
@@ -155,123 +194,39 @@ func (p *pool) ForRanges(n int, body func(tid, lo, hi int)) {
 // fan-out is abandoned — workers that have not started their share skip
 // it entirely and the barrier completes immediately. This is how a
 // canceled skyline query stops paying for parallel regions it no longer
-// needs; bodies themselves are responsible for intra-range checkpoints.
+// needs; a range body that wants to stop sooner polls the flag itself.
 func (p *pool) ForRangesCancel(t, n int, stop *atomic.Bool, body func(tid, lo, hi int)) {
 	if n <= 0 {
 		return
 	}
-	if t <= 0 || t > p.t {
-		t = p.t
-	}
-	if t > n {
-		t = n
-	}
-	if t == 1 {
+	if t = p.team(t, n); t == 1 {
 		if stop == nil || !stop.Load() {
 			body(0, 0, n)
 		}
 		return
 	}
-	p.mu.Lock()
-	p.mode = modeRanges
-	p.bodyR = body
-	p.n = n
-	p.tEff = t
-	p.stop = stop
-	p.dispatch(t, func() {
-		if stop == nil || !stop.Load() {
-			lo, hi := staticRange(0, n, t)
-			p.guard(func() { body(0, lo, hi) })
-		}
-	})
-	p.bodyR = nil
-	p.stop = nil
-	wp := p.pan.p.Swap(nil)
-	p.mu.Unlock()
-	if wp != nil {
-		panic(wp)
-	}
+	p.region(t, n, 0, stop, body)
 }
 
-// For runs body(i) for every i in [0, n) with dynamic chunked scheduling
-// over the pool's workers (OpenMP schedule(dynamic)).
-func (p *pool) For(n int, body func(i int)) {
-	p.ForChunkedCancel(p.t, n, 0, nil, body)
-}
-
-// ForChunked is For with an explicit chunk size (0 picks a heuristic).
-func (p *pool) ForChunked(n, chunk int, body func(i int)) {
-	p.ForChunkedCancel(p.t, n, chunk, nil, body)
-}
-
-// ForChunkedCancel is ForChunked restricted to min(t, pool size) workers
-// with an optional cancellation flag, checked between chunks.
-func (p *pool) ForChunkedCancel(t, n, chunk int, stop *atomic.Bool, body func(i int)) {
+// ForChunks runs body(tid, lo, hi) over [0, n) cut into chunks of the
+// given size (the last one may be short), claimed in ascending order by
+// min(t, pool size) workers. stop, when non-nil, is polled before every
+// claim, so a raised flag ends the region within one chunk per worker —
+// bodies need no poll of their own — and a single worker walks the same
+// chunks inline, which keeps that bound at t = 1. It returns the time
+// the workers spent in the region, summed over workers: against workers
+// × the region's wall time it says how much of the team the region kept
+// busy.
+func (p *pool) ForChunks(t, n, chunk int, stop *atomic.Bool, body func(tid, lo, hi int)) time.Duration {
 	if n <= 0 {
-		return
+		return 0
 	}
-	if t <= 0 || t > p.t {
-		t = p.t
+	if t = p.team(t, (n+chunk-1)/chunk); t == 1 {
+		begin := time.Now()
+		for lo := 0; lo < n && (stop == nil || !stop.Load()); lo += chunk {
+			body(0, lo, min(lo+chunk, n))
+		}
+		return time.Since(begin)
 	}
-	if t > n {
-		t = n
-	}
-	if t == 1 {
-		for i := 0; i < n; i++ {
-			if stop != nil && stop.Load() {
-				return
-			}
-			body(i)
-		}
-		return
-	}
-	if chunk <= 0 {
-		chunk = n / (t * 8)
-		if chunk < 1 {
-			chunk = 1
-		}
-		if chunk > 1024 {
-			chunk = 1024
-		}
-	}
-	p.mu.Lock()
-	p.mode = modeFor
-	p.bodyI = body
-	p.n = n
-	p.chunk = int64(chunk)
-	p.stop = stop
-	p.cursor.Store(0)
-	p.dispatch(t, func() { p.guard(p.runChunks) })
-	p.bodyI = nil
-	p.stop = nil
-	wp := p.pan.p.Swap(nil)
-	p.mu.Unlock()
-	if wp != nil {
-		panic(wp)
-	}
-}
-
-// runChunks claims dynamic chunks until the shared cursor passes n, the
-// region's stop flag is raised, or another worker panicked.
-func (p *pool) runChunks() {
-	n, chunk, body, stop := p.n, p.chunk, p.bodyI, p.stop
-	for {
-		if stop != nil && stop.Load() {
-			return
-		}
-		if p.pan.tripped() {
-			return
-		}
-		lo := int(p.cursor.Add(chunk)) - int(chunk)
-		if lo >= n {
-			return
-		}
-		hi := lo + int(chunk)
-		if hi > n {
-			hi = n
-		}
-		for i := lo; i < hi; i++ {
-			body(i)
-		}
-	}
+	return p.region(t, n, chunk, stop, body)
 }

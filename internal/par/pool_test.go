@@ -3,6 +3,7 @@ package par
 import (
 	"sync/atomic"
 	"testing"
+	"time"
 )
 
 // TestPoolForRangesCoversRange checks that repeated fan-outs over one pool
@@ -30,18 +31,74 @@ func TestPoolForRangesCoversRange(t *testing.T) {
 	}
 }
 
-// TestPoolForCoversRange checks the dynamic scheduler the same way.
+// TestPoolForCoversRange checks the claimed shape on one reused pool,
+// with the team restricted below the pool's size: every index once, and
+// only the team's tids.
 func TestPoolForCoversRange(t *testing.T) {
-	for _, threads := range []int{1, 2, 4} {
-		p := NewPool(threads)
+	p := NewPool(4)
+	defer p.Close()
+	for _, team := range []int{1, 2, 3, 4} {
 		for _, n := range []int{0, 1, 13, 500} {
 			seen := make([]int32, n)
-			p.For(n, func(i int) { atomic.AddInt32(&seen[i], 1) })
+			p.ForChunks(team, n, 4, nil, func(tid, lo, hi int) {
+				if tid < 0 || tid >= team {
+					t.Errorf("team=%d: bad tid %d", team, tid)
+				}
+				for i := lo; i < hi; i++ {
+					atomic.AddInt32(&seen[i], 1)
+				}
+			})
 			for i, c := range seen {
 				if c != 1 {
-					t.Fatalf("threads=%d n=%d: index %d visited %d times", threads, n, i, c)
+					t.Fatalf("team=%d n=%d: index %d visited %d times", team, n, i, c)
 				}
 			}
+		}
+	}
+}
+
+// TestForChunksStopsWithinOneChunk raises the stop flag from inside the
+// first chunk to run: every worker may finish the chunk it holds, none
+// may claim another, so at most one chunk per worker runs — at t = 1
+// exactly one.
+func TestForChunksStopsWithinOneChunk(t *testing.T) {
+	for _, threads := range []int{1, 2, 4} {
+		p := NewPool(threads)
+		var stop atomic.Bool
+		var chunks atomic.Int32
+		p.ForChunks(threads, 100000, chunkSize, &stop, func(_, lo, hi int) {
+			chunks.Add(1)
+			stop.Store(true)
+		})
+		if c := int(chunks.Load()); c < 1 || c > threads {
+			t.Errorf("t=%d: %d chunks ran after the stop, want at most one per worker", threads, c)
+		}
+		// A flag raised before the region starts runs nothing at all.
+		chunks.Store(0)
+		p.ForChunks(threads, 100000, chunkSize, &stop, func(_, _, _ int) { chunks.Add(1) })
+		if chunks.Load() != 0 {
+			t.Errorf("t=%d: %d chunks ran in a region that started stopped", threads, chunks.Load())
+		}
+		p.Close()
+	}
+}
+
+// TestForChunksBusy checks the efficiency counter's arithmetic: busy
+// time is summed over workers, so it is positive and cannot exceed
+// workers × the region's wall time.
+func TestForChunksBusy(t *testing.T) {
+	for _, threads := range []int{1, 2, 4} {
+		p := NewPool(threads)
+		var sink atomic.Int64
+		begin := time.Now()
+		busy := p.ForChunks(threads, 4096, chunkSize, nil, func(_, lo, hi int) {
+			for i := lo; i < hi; i++ {
+				sink.Add(int64(i))
+			}
+		})
+		wall := time.Since(begin)
+		if busy <= 0 || busy > time.Duration(threads)*wall {
+			t.Errorf("t=%d: busy %v outside (0, %d × %v]", threads, busy, threads, wall)
 		}
 		p.Close()
 	}
@@ -89,6 +146,12 @@ func TestPoolAllocFree(t *testing.T) {
 	})
 	if allocs != 0 {
 		t.Errorf("pool dispatch allocates %.1f per region, want 0", allocs)
+	}
+	allocs = testing.AllocsPerRun(100, func() {
+		p.ForChunks(4, 100, chunkSize, nil, body)
+	})
+	if allocs != 0 {
+		t.Errorf("claimed-chunk dispatch allocates %.1f per region, want 0", allocs)
 	}
 }
 

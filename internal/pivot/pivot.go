@@ -90,9 +90,10 @@ func Select(s Strategy, m point.Matrix, l1 []float64, seed int64) []float64 {
 
 // SelectInto is Select writing the pivot into dst (length m.D()) so
 // reusable contexts avoid the per-run allocation. col is optional scratch
-// for the Median strategy; passing a slice with capacity ≥
-// MedianScratchLen(m.N()) makes Median allocation-free. The Random
-// strategy seeds a fresh generator and is therefore not allocation-free.
+// for the Median strategy (see MedianColumns); passing a slice with
+// capacity ≥ MedianScratchLen(m.N()) makes Median allocation-free. The
+// Random strategy seeds a fresh generator and is therefore not
+// allocation-free.
 func SelectInto(dst, col []float64, s Strategy, m point.Matrix, l1 []float64, seed int64) []float64 {
 	n := m.N()
 	if n == 0 {
@@ -101,7 +102,7 @@ func SelectInto(dst, col []float64, s Strategy, m point.Matrix, l1 []float64, se
 	v := dst
 	switch s {
 	case Median:
-		selectMedian(m, v, col)
+		MedianColumns(m, v, col, 0, m.D())
 	case Manhattan:
 		copy(v, m.Row(argminL1(l1)))
 	case Volume:
@@ -123,7 +124,6 @@ func argminL1(l1 []float64) int {
 			best = i
 		}
 	}
-	_ = best
 	return best
 }
 
@@ -144,32 +144,36 @@ func argmaxDominatedVolume(m point.Matrix) int {
 	return best
 }
 
-// MedianScratchLen returns the scratch capacity SelectInto's Median
-// strategy needs for an n-point input.
-func MedianScratchLen(n int) int {
-	step := 1
+// medianStep is the row stride of the median sample: 1 until the input
+// outgrows medianSampleCap.
+func medianStep(n int) int {
 	if n > medianSampleCap {
-		step = n / medianSampleCap
+		return n / medianSampleCap
 	}
-	return n/step + 1
+	return 1
 }
 
-// selectMedian fills v with per-dimension medians, sampling large inputs.
-// col is optional scratch (allocated here when too small). The median is
-// found with an O(n) quickselect rather than a full sort — pivot
-// selection is on the critical path of every Hybrid run.
-func selectMedian(m point.Matrix, v []float64, col []float64) {
+// MedianScratchLen returns the scratch capacity one MedianColumns call
+// needs for an n-point input.
+func MedianScratchLen(n int) int { return n/medianStep(n) + 1 }
+
+// MedianColumns fills v[lo:hi] with the medians of columns lo..hi−1 of m,
+// sampling large inputs — the Median strategy, one range of dimensions
+// at a time, so a caller with a worker team can give each worker a range
+// and a scratch column of its own: the columns are independent, and the
+// pivot is the same whoever computes which. col is optional scratch
+// (allocated here when its capacity is below MedianScratchLen(m.N())).
+// The median is found with an O(n) quickselect rather than a full sort —
+// pivot selection is on the critical path of every Hybrid run.
+func MedianColumns(m point.Matrix, v, col []float64, lo, hi int) {
 	n := m.N()
-	step := 1
-	if n > medianSampleCap {
-		step = n / medianSampleCap
-	}
-	if cap(col) < n/step+1 {
-		col = make([]float64, 0, n/step+1)
+	step := medianStep(n)
+	if need := MedianScratchLen(n); cap(col) < need {
+		col = make([]float64, 0, need)
 	}
 	d := m.D()
 	flat := m.Flat()
-	for j := 0; j < d; j++ {
+	for j := lo; j < hi; j++ {
 		col = col[:0]
 		for i := j; i < n*d; i += step * d {
 			col = append(col, flat[i])

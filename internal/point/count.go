@@ -10,8 +10,9 @@ import "sync/atomic"
 // stops as soon as the count reaches the caller's budget, because a
 // k-skyband algorithm only ever needs to know whether a point has
 // reached k dominators, never the exact excess. With budget 1 the
-// kernels degenerate to the boolean ones; the hot paths keep calling
-// the unrolled k=1 kernels directly so the skyline path is untouched.
+// kernels degenerate to the boolean ones. The unmasked boolean kernel
+// keeps its own bodies (DominatedInFlatRun); the masked scan has only
+// the counting form, which the skyline path runs at budget 1.
 
 // CountDominatorsInFlatRun counts the rows j ∈ [lo, hi) of the
 // row-major flat matrix rows (d columns per row) that strictly dominate
@@ -48,20 +49,7 @@ func cntRunGeneric(rows []float64, d, lo, hi int, q []float64, qL1 float64, l1 [
 			continue
 		}
 		n++
-		r := rows[off : off+d : off+d]
-		strict := false
-		dominates := true
-		for k, v := range r {
-			w := q[k]
-			if v > w {
-				dominates = false
-				break
-			}
-			if v < w {
-				strict = true
-			}
-		}
-		if dominates && strict {
+		if dominatesRow(rows[off:off+d:off+d], q) {
 			c++
 			if c >= budget {
 				break
@@ -86,7 +74,7 @@ func cntRun4(rows []float64, lo, hi int, q []float64, qL1 float64, l1 []float64,
 		}
 		n++
 		r := rows[off : off+4 : off+4]
-		if r[0] > q0 || r[1] > q1 || r[2] > q2 || r[3] > q3 {
+		if b2u(r[0] > q0)|b2u(r[1] > q1)|b2u(r[2] > q2)|b2u(r[3] > q3) != 0 {
 			continue
 		}
 		if r[0] < q0 || r[1] < q1 || r[2] < q2 || r[3] < q3 {
@@ -114,7 +102,7 @@ func cntRun6(rows []float64, lo, hi int, q []float64, qL1 float64, l1 []float64,
 		}
 		n++
 		r := rows[off : off+6 : off+6]
-		if r[0] > q0 || r[1] > q1 || r[2] > q2 || r[3] > q3 || r[4] > q4 || r[5] > q5 {
+		if b2u(r[0] > q0)|b2u(r[1] > q1)|b2u(r[2] > q2)|b2u(r[3] > q3)|b2u(r[4] > q4)|b2u(r[5] > q5) != 0 {
 			continue
 		}
 		if r[0] < q0 || r[1] < q1 || r[2] < q2 || r[3] < q3 || r[4] < q4 || r[5] < q5 {
@@ -142,8 +130,8 @@ func cntRun8(rows []float64, lo, hi int, q []float64, qL1 float64, l1 []float64,
 		}
 		n++
 		r := rows[off : off+8 : off+8]
-		if r[0] > q0 || r[1] > q1 || r[2] > q2 || r[3] > q3 ||
-			r[4] > q4 || r[5] > q5 || r[6] > q6 || r[7] > q7 {
+		if b2u(r[0] > q0)|b2u(r[1] > q1)|b2u(r[2] > q2)|b2u(r[3] > q3)|
+			b2u(r[4] > q4)|b2u(r[5] > q5)|b2u(r[6] > q6)|b2u(r[7] > q7) != 0 {
 			continue
 		}
 		if r[0] < q0 || r[1] < q1 || r[2] < q2 || r[3] < q3 ||
@@ -158,36 +146,121 @@ func cntRun8(rows []float64, lo, hi int, q []float64, qL1 float64, l1 []float64,
 	return c
 }
 
-// CountDominatorsInFlatRunMasked is CountDominatorsInFlatRun with the
-// partition-mask filter of DominatedInFlatRunMasked fused in: row j is
-// dominance-tested only when masks[j] ⊆ qm. It is the kernel behind the
-// skyband variant of the M(S) partition scans.
-func CountDominatorsInFlatRunMasked(rows []float64, d, lo, hi int, q []float64, masks []Mask, qm Mask, budget int, dts *uint64) int {
+// CountDominatorsInFlatRunMasked is CountDominatorsInFlatRun behind the
+// partition-mask filter of Section VI-A2: row j ∈ [lo, hi) is
+// dominance-tested only when masks[j] ⊆ qm, and the filter runs a word
+// of masks at a time (PackedMasks.subsets) with the candidate rows taken
+// in ascending order, so the count, the row the budget is reached on and
+// *dts are those of a row-by-row scan. It is the one kernel behind every
+// M(S) partition scan and the no-M(S) ablation, boolean (budget 1) and
+// counting alike; most rows fail the filter, and those cost no branch.
+func CountDominatorsInFlatRunMasked(rows []float64, d, lo, hi int, q []float64, masks *PackedMasks, qm Mask, budget int, dts *uint64) int {
+	switch d {
+	case 4:
+		return cntRunM4(rows, lo, hi, q, masks, qm, budget, dts)
+	case 6:
+		return cntRunM6(rows, lo, hi, q, masks, qm, budget, dts)
+	case 8:
+		return cntRunM8(rows, lo, hi, q, masks, qm, budget, dts)
+	default:
+		return cntRunMGeneric(rows, d, lo, hi, q, masks, qm, budget, dts)
+	}
+}
+
+func cntRunMGeneric(rows []float64, d, lo, hi int, q []float64, pm *PackedMasks, qm Mask, budget int, dts *uint64) int {
 	n := *dts
 	c := 0
-	off := lo * d
-	for j := lo; j < hi; j, off = j+1, off+d {
-		if masks[j]&qm != masks[j] {
-			continue
-		}
-		n++
-		r := rows[off : off+d : off+d]
-		strict := false
-		dominates := true
-		for k, v := range r {
-			w := q[k]
-			if v > w {
-				dominates = false
-				break
-			}
-			if v < w {
-				strict = true
+	probe, sp := pm.probe(qm), pm.span(lo, hi)
+scan:
+	for wi := sp.first; wi <= sp.last; wi++ {
+		for z := sp.clip(wi, pm.subsets(wi, probe)); z != 0; z &= z - 1 {
+			off := pm.row(wi, z) * d
+			n++
+			if dominatesRow(rows[off:off+d:off+d], q) {
+				c++
+				if c >= budget {
+					break scan
+				}
 			}
 		}
-		if dominates && strict {
-			c++
-			if c >= budget {
-				break
+	}
+	*dts = n
+	return c
+}
+
+func cntRunM4(rows []float64, lo, hi int, q []float64, pm *PackedMasks, qm Mask, budget int, dts *uint64) int {
+	q0, q1, q2, q3 := q[0], q[1], q[2], q[3]
+	n := *dts
+	c := 0
+	probe, sp := pm.probe(qm), pm.span(lo, hi)
+scan:
+	for wi := sp.first; wi <= sp.last; wi++ {
+		for z := sp.clip(wi, pm.subsets(wi, probe)); z != 0; z &= z - 1 {
+			off := pm.row(wi, z) * 4
+			n++
+			r := rows[off : off+4 : off+4]
+			if b2u(r[0] > q0)|b2u(r[1] > q1)|b2u(r[2] > q2)|b2u(r[3] > q3) != 0 {
+				continue
+			}
+			if r[0] < q0 || r[1] < q1 || r[2] < q2 || r[3] < q3 {
+				c++
+				if c >= budget {
+					break scan
+				}
+			}
+		}
+	}
+	*dts = n
+	return c
+}
+
+func cntRunM6(rows []float64, lo, hi int, q []float64, pm *PackedMasks, qm Mask, budget int, dts *uint64) int {
+	q0, q1, q2, q3, q4, q5 := q[0], q[1], q[2], q[3], q[4], q[5]
+	n := *dts
+	c := 0
+	probe, sp := pm.probe(qm), pm.span(lo, hi)
+scan:
+	for wi := sp.first; wi <= sp.last; wi++ {
+		for z := sp.clip(wi, pm.subsets(wi, probe)); z != 0; z &= z - 1 {
+			off := pm.row(wi, z) * 6
+			n++
+			r := rows[off : off+6 : off+6]
+			if b2u(r[0] > q0)|b2u(r[1] > q1)|b2u(r[2] > q2)|b2u(r[3] > q3)|b2u(r[4] > q4)|b2u(r[5] > q5) != 0 {
+				continue
+			}
+			if r[0] < q0 || r[1] < q1 || r[2] < q2 || r[3] < q3 || r[4] < q4 || r[5] < q5 {
+				c++
+				if c >= budget {
+					break scan
+				}
+			}
+		}
+	}
+	*dts = n
+	return c
+}
+
+func cntRunM8(rows []float64, lo, hi int, q []float64, pm *PackedMasks, qm Mask, budget int, dts *uint64) int {
+	q0, q1, q2, q3, q4, q5, q6, q7 := q[0], q[1], q[2], q[3], q[4], q[5], q[6], q[7]
+	n := *dts
+	c := 0
+	probe, sp := pm.probe(qm), pm.span(lo, hi)
+scan:
+	for wi := sp.first; wi <= sp.last; wi++ {
+		for z := sp.clip(wi, pm.subsets(wi, probe)); z != 0; z &= z - 1 {
+			off := pm.row(wi, z) * 8
+			n++
+			r := rows[off : off+8 : off+8]
+			if b2u(r[0] > q0)|b2u(r[1] > q1)|b2u(r[2] > q2)|b2u(r[3] > q3)|
+				b2u(r[4] > q4)|b2u(r[5] > q5)|b2u(r[6] > q6)|b2u(r[7] > q7) != 0 {
+				continue
+			}
+			if r[0] < q0 || r[1] < q1 || r[2] < q2 || r[3] < q3 ||
+				r[4] < q4 || r[5] < q5 || r[6] < q6 || r[7] < q7 {
+				c++
+				if c >= budget {
+					break scan
+				}
 			}
 		}
 	}
@@ -213,20 +286,7 @@ func AppendDominatorsInFlatRun(dst []int32, rows []float64, d, lo, hi int, q []f
 			continue
 		}
 		n++
-		r := rows[off : off+d : off+d]
-		strict := false
-		dominates := true
-		for k, v := range r {
-			w := q[k]
-			if v > w {
-				dominates = false
-				break
-			}
-			if v < w {
-				strict = true
-			}
-		}
-		if dominates && strict {
+		if dominatesRow(rows[off:off+d:off+d], q) {
 			dst = append(dst, int32(j))
 			need--
 		}

@@ -111,10 +111,11 @@ func TestCountDominatorsInFlatRunMasked(t *testing.T) {
 				masks[j] = ComputeMask(rows[j*d:(j+1)*d], pivot)
 			}
 			qm := ComputeMask(q, pivot)
+			pm := packMasks(d, masks)
 			budget := 1 + rng.Intn(4)
 
 			var dts uint64
-			got := CountDominatorsInFlatRunMasked(rows, d, 0, n, q, masks, qm, budget, &dts)
+			got := CountDominatorsInFlatRunMasked(rows, d, 0, n, q, pm, qm, budget, &dts)
 
 			// Oracle: mask filter, then dominance, capped.
 			want := 0
@@ -133,7 +134,7 @@ func TestCountDominatorsInFlatRunMasked(t *testing.T) {
 			// The mask filter must never drop a dominator: unfiltered count
 			// with an unbounded budget matches the brute-force total.
 			var dts2 uint64
-			unf := CountDominatorsInFlatRunMasked(rows, d, 0, n, q, masks, qm, n+1, &dts2)
+			unf := CountDominatorsInFlatRunMasked(rows, d, 0, n, q, pm, qm, n+1, &dts2)
 			brute := countOracle(rows, d, 0, n, q, 0, nil, nil, n+1)
 			if unf != brute {
 				t.Fatalf("d=%d mask filter dropped dominators: %d vs %d", d, unf, brute)

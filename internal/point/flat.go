@@ -84,6 +84,40 @@ func DominatedInFlatRun(rows []float64, d, lo, hi int, q []float64, qL1 float64,
 	}
 }
 
+// b2u is the bool → {0, 1} idiom the compiler lowers to a flag-set
+// instruction. The run kernels OR one "row is worse here" bit per
+// dimension and branch once on the result: on the incomparable rows that
+// make up most of every scan, a short-circuit chain exits at a
+// data-dependent dimension and mispredicts, which costs more than
+// finishing the d compares.
+func b2u(b bool) uint8 {
+	if b {
+		return 1
+	}
+	return 0
+}
+
+// dominatesRow is the run kernels' dominance test at the widths without
+// an unrolled body, in the same two halves: "worse anywhere" branch-free,
+// then "better somewhere" short-circuit, which only the few rows that
+// pass the first half reach.
+func dominatesRow(r, q []float64) bool {
+	q = q[:len(r)]
+	var worse uint8
+	for k, v := range r {
+		worse |= b2u(v > q[k])
+	}
+	if worse != 0 {
+		return false
+	}
+	for k, v := range r {
+		if v < q[k] {
+			return true
+		}
+	}
+	return false
+}
+
 // FirstDominatorInFlatRun returns the index j ∈ [lo, hi) of the first row
 // of the row-major flat matrix rows that strictly dominates the probe q,
 // or -1 when no row does. It is the bucket-assignment companion of
@@ -117,20 +151,7 @@ func firstDomGeneric(rows []float64, d, lo, hi int, q []float64, qL1 float64, l1
 			continue
 		}
 		n++
-		r := rows[off : off+d : off+d]
-		strict := false
-		dominates := true
-		for k, v := range r {
-			w := q[k]
-			if v > w {
-				dominates = false
-				break
-			}
-			if v < w {
-				strict = true
-			}
-		}
-		if dominates && strict {
+		if dominatesRow(rows[off:off+d:off+d], q) {
 			*dts = n
 			return j
 		}
@@ -149,7 +170,7 @@ func firstDom4(rows []float64, lo, hi int, q []float64, qL1 float64, l1 []float6
 		}
 		n++
 		r := rows[off : off+4 : off+4]
-		if r[0] > q0 || r[1] > q1 || r[2] > q2 || r[3] > q3 {
+		if b2u(r[0] > q0)|b2u(r[1] > q1)|b2u(r[2] > q2)|b2u(r[3] > q3) != 0 {
 			continue
 		}
 		if r[0] < q0 || r[1] < q1 || r[2] < q2 || r[3] < q3 {
@@ -171,7 +192,7 @@ func firstDom6(rows []float64, lo, hi int, q []float64, qL1 float64, l1 []float6
 		}
 		n++
 		r := rows[off : off+6 : off+6]
-		if r[0] > q0 || r[1] > q1 || r[2] > q2 || r[3] > q3 || r[4] > q4 || r[5] > q5 {
+		if b2u(r[0] > q0)|b2u(r[1] > q1)|b2u(r[2] > q2)|b2u(r[3] > q3)|b2u(r[4] > q4)|b2u(r[5] > q5) != 0 {
 			continue
 		}
 		if r[0] < q0 || r[1] < q1 || r[2] < q2 || r[3] < q3 || r[4] < q4 || r[5] < q5 {
@@ -193,8 +214,8 @@ func firstDom8(rows []float64, lo, hi int, q []float64, qL1 float64, l1 []float6
 		}
 		n++
 		r := rows[off : off+8 : off+8]
-		if r[0] > q0 || r[1] > q1 || r[2] > q2 || r[3] > q3 ||
-			r[4] > q4 || r[5] > q5 || r[6] > q6 || r[7] > q7 {
+		if b2u(r[0] > q0)|b2u(r[1] > q1)|b2u(r[2] > q2)|b2u(r[3] > q3)|
+			b2u(r[4] > q4)|b2u(r[5] > q5)|b2u(r[6] > q6)|b2u(r[7] > q7) != 0 {
 			continue
 		}
 		if r[0] < q0 || r[1] < q1 || r[2] < q2 || r[3] < q3 ||
@@ -218,20 +239,7 @@ func domRunGeneric(rows []float64, d, lo, hi int, q []float64, qL1 float64, l1 [
 			continue
 		}
 		n++
-		r := rows[off : off+d : off+d]
-		strict := false
-		dominates := true
-		for k, v := range r {
-			w := q[k]
-			if v > w {
-				dominates = false
-				break
-			}
-			if v < w {
-				strict = true
-			}
-		}
-		if dominates && strict {
+		if dominatesRow(rows[off:off+d:off+d], q) {
 			*dts = n
 			return true
 		}
@@ -253,7 +261,7 @@ func domRun4(rows []float64, lo, hi int, q []float64, qL1 float64, l1 []float64,
 		}
 		n++
 		r := rows[off : off+4 : off+4]
-		if r[0] > q0 || r[1] > q1 || r[2] > q2 || r[3] > q3 {
+		if b2u(r[0] > q0)|b2u(r[1] > q1)|b2u(r[2] > q2)|b2u(r[3] > q3) != 0 {
 			continue
 		}
 		if r[0] < q0 || r[1] < q1 || r[2] < q2 || r[3] < q3 {
@@ -278,7 +286,7 @@ func domRun6(rows []float64, lo, hi int, q []float64, qL1 float64, l1 []float64,
 		}
 		n++
 		r := rows[off : off+6 : off+6]
-		if r[0] > q0 || r[1] > q1 || r[2] > q2 || r[3] > q3 || r[4] > q4 || r[5] > q5 {
+		if b2u(r[0] > q0)|b2u(r[1] > q1)|b2u(r[2] > q2)|b2u(r[3] > q3)|b2u(r[4] > q4)|b2u(r[5] > q5) != 0 {
 			continue
 		}
 		if r[0] < q0 || r[1] < q1 || r[2] < q2 || r[3] < q3 || r[4] < q4 || r[5] < q5 {
@@ -303,8 +311,8 @@ func domRun8(rows []float64, lo, hi int, q []float64, qL1 float64, l1 []float64,
 		}
 		n++
 		r := rows[off : off+8 : off+8]
-		if r[0] > q0 || r[1] > q1 || r[2] > q2 || r[3] > q3 ||
-			r[4] > q4 || r[5] > q5 || r[6] > q6 || r[7] > q7 {
+		if b2u(r[0] > q0)|b2u(r[1] > q1)|b2u(r[2] > q2)|b2u(r[3] > q3)|
+			b2u(r[4] > q4)|b2u(r[5] > q5)|b2u(r[6] > q6)|b2u(r[7] > q7) != 0 {
 			continue
 		}
 		if r[0] < q0 || r[1] < q1 || r[2] < q2 || r[3] < q3 ||
@@ -331,8 +339,8 @@ func domRun10(rows []float64, lo, hi int, q []float64, qL1 float64, l1 []float64
 		}
 		n++
 		r := rows[off : off+10 : off+10]
-		if r[0] > q0 || r[1] > q1 || r[2] > q2 || r[3] > q3 || r[4] > q4 ||
-			r[5] > q5 || r[6] > q6 || r[7] > q7 || r[8] > q8 || r[9] > q9 {
+		if b2u(r[0] > q0)|b2u(r[1] > q1)|b2u(r[2] > q2)|b2u(r[3] > q3)|b2u(r[4] > q4)|
+			b2u(r[5] > q5)|b2u(r[6] > q6)|b2u(r[7] > q7)|b2u(r[8] > q8)|b2u(r[9] > q9) != 0 {
 			continue
 		}
 		if r[0] < q0 || r[1] < q1 || r[2] < q2 || r[3] < q3 || r[4] < q4 ||
@@ -359,8 +367,8 @@ func domRun12(rows []float64, lo, hi int, q []float64, qL1 float64, l1 []float64
 		}
 		n++
 		r := rows[off : off+12 : off+12]
-		if r[0] > q0 || r[1] > q1 || r[2] > q2 || r[3] > q3 || r[4] > q4 || r[5] > q5 ||
-			r[6] > q6 || r[7] > q7 || r[8] > q8 || r[9] > q9 || r[10] > q10 || r[11] > q11 {
+		if b2u(r[0] > q0)|b2u(r[1] > q1)|b2u(r[2] > q2)|b2u(r[3] > q3)|b2u(r[4] > q4)|b2u(r[5] > q5)|
+			b2u(r[6] > q6)|b2u(r[7] > q7)|b2u(r[8] > q8)|b2u(r[9] > q9)|b2u(r[10] > q10)|b2u(r[11] > q11) != 0 {
 			continue
 		}
 		if r[0] < q0 || r[1] < q1 || r[2] < q2 || r[3] < q3 || r[4] < q4 || r[5] < q5 ||
@@ -387,10 +395,10 @@ func domRun16(rows []float64, lo, hi int, q []float64, qL1 float64, l1 []float64
 		}
 		n++
 		r := rows[off : off+16 : off+16]
-		if r[0] > q0 || r[1] > q1 || r[2] > q2 || r[3] > q3 ||
-			r[4] > q4 || r[5] > q5 || r[6] > q6 || r[7] > q7 ||
-			r[8] > q8 || r[9] > q9 || r[10] > q10 || r[11] > q11 ||
-			r[12] > q12 || r[13] > q13 || r[14] > q14 || r[15] > q15 {
+		if b2u(r[0] > q0)|b2u(r[1] > q1)|b2u(r[2] > q2)|b2u(r[3] > q3)|
+			b2u(r[4] > q4)|b2u(r[5] > q5)|b2u(r[6] > q6)|b2u(r[7] > q7)|
+			b2u(r[8] > q8)|b2u(r[9] > q9)|b2u(r[10] > q10)|b2u(r[11] > q11)|
+			b2u(r[12] > q12)|b2u(r[13] > q13)|b2u(r[14] > q14)|b2u(r[15] > q15) != 0 {
 			continue
 		}
 		if r[0] < q0 || r[1] < q1 || r[2] < q2 || r[3] < q3 ||

@@ -2,7 +2,8 @@
 // tracing: the work measurements beyond the paper's per-phase timings
 // and dominance-test counts that an EXPLAIN ANALYZE-style trace (and
 // the adaptive planner's cost model) needs — prefilter effectiveness,
-// points surviving each phase, and time spent in the three-key sort.
+// points surviving each phase, time spent in the three-key sort, and
+// how busy the dominance-test phases kept the worker team.
 //
 // The counters are plain integer stores accumulated unconditionally by
 // the core algorithms into scratch that already exists (stats.Stats
@@ -33,6 +34,13 @@ type Cost struct {
 	// radix + per-run L1 sorts, Q-Flow's L1 radix sort), a subset of
 	// the init phase that the paper's phase decomposition folds away.
 	Sort time.Duration
+	// Busy is the time the worker team spent inside the dominance-test
+	// phases (Phase I and II of Hybrid and Q-Flow), summed over workers
+	// and α-blocks: each worker of each claimed-chunk region contributes
+	// the time between entering and leaving it. Against threads × the
+	// phases' wall time it is their parallel efficiency; what is missing
+	// is workers waiting at a region's barrier or not woken at all.
+	Busy time.Duration
 }
 
 // Add accumulates other into c.
@@ -41,6 +49,7 @@ func (c *Cost) Add(other Cost) {
 	c.Phase1Survivors += other.Phase1Survivors
 	c.Phase2Survivors += other.Phase2Survivors
 	c.Sort += other.Sort
+	c.Busy += other.Busy
 }
 
 // Scale divides all counters by k (completing an average over k runs).
@@ -52,4 +61,5 @@ func (c *Cost) Scale(k int) {
 	c.Phase1Survivors /= k
 	c.Phase2Survivors /= k
 	c.Sort /= time.Duration(k)
+	c.Busy /= time.Duration(k)
 }

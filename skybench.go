@@ -275,6 +275,11 @@ type Stats struct {
 	// SortTime is the wall-clock time of the sort step (a subset of
 	// Timings.Init — for Hybrid, all of it).
 	SortTime time.Duration
+	// BusyTime is the time the worker team spent inside Phase I and
+	// Phase II, summed over workers (Hybrid and QFlow only). Divided by
+	// Threads × (Timings.PhaseOne + Timings.PhaseTwo) it is the phases'
+	// parallel efficiency, the par_eff of a QueryTrace.
+	BusyTime time.Duration
 	// Timings is the per-phase wall-clock breakdown (parallel
 	// algorithms only; sequential baselines report zero).
 	Timings PhaseTimings
@@ -411,6 +416,7 @@ func assembleResult(idx []int, st *stats.Stats, n int, elapsed time.Duration) Re
 			Phase1Survivors: st.Cost.Phase1Survivors,
 			Phase2Survivors: st.Cost.Phase2Survivors,
 			SortTime:        st.Cost.Sort,
+			BusyTime:        st.Cost.Busy,
 			Elapsed:         elapsed,
 			Timings: PhaseTimings{
 				Init:      st.Phases[stats.PhaseInit],

@@ -58,6 +58,12 @@ type QueryTrace struct {
 	// Sort is the time spent in the sort step (Hybrid's three-key radix
 	// + per-run L1 sorts, Q-Flow's L1 radix), a subset of Phases.Init.
 	Sort time.Duration `json:"sort_ns,omitempty"`
+	// Busy is the time the worker team spent inside Phase I and II,
+	// summed over workers; Busy / (Threads × (Phases.PhaseOne +
+	// Phases.PhaseTwo)) is the phases' parallel efficiency, which String
+	// prints as par_eff: 1 means no worker ever waited at a phase
+	// barrier.
+	Busy time.Duration `json:"busy_ns,omitempty"`
 	// Elapsed is the total wall-clock time of the computation (for a
 	// sharded query: the whole fan-out, merge included).
 	Elapsed time.Duration `json:"elapsed_ns"`
@@ -183,6 +189,7 @@ func traceFromResult(algo Algorithm, k int, res *Result) *QueryTrace {
 		Phase1Survivors: s.Phase1Survivors,
 		Phase2Survivors: s.Phase2Survivors,
 		Sort:            s.SortTime,
+		Busy:            s.BusyTime,
 		Elapsed:         s.Elapsed,
 		Phases:          s.Timings,
 	}
@@ -231,6 +238,9 @@ func (t *QueryTrace) String() string {
 		p.Prefilter.Round(time.Microsecond), p.Pivot.Round(time.Microsecond),
 		p.PhaseOne.Round(time.Microsecond), p.PhaseTwo.Round(time.Microsecond),
 		p.Compress.Round(time.Microsecond), p.Other.Round(time.Microsecond))
+	if wall := time.Duration(t.Threads) * (p.PhaseOne + p.PhaseTwo); t.Busy > 0 && wall > 0 {
+		fmt.Fprintf(&b, " par_eff=%.2f", float64(t.Busy)/float64(wall))
+	}
 	if len(t.Workers) > 0 {
 		fmt.Fprintf(&b, "\nmerge=%s workers=%d", t.MergePath, len(t.Workers))
 		for _, w := range t.Workers {
