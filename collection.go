@@ -388,6 +388,54 @@ type QueryResult struct {
 	snap *colSnapshot // local collections: frozen snapshot rows resolve against
 	rows [][]float64  // remote results: per-result-point coordinates
 	rids []uint64     // remote results: per-result-point stream IDs (optional)
+
+	// memo holds the result's encoded wire payloads. It is a pointer so
+	// that every struct copy of a cached result (a traced hit, a planned
+	// hit, a stale fallback) shares the one holder the cache entry owns;
+	// nil on results the cache never stored.
+	memo *payloadMemo
+}
+
+// PayloadSlots is the number of encoded-payload slots a cached result
+// carries. The slots are opaque here; the serving layer assigns them
+// (serve: wire format × omitValues).
+const PayloadSlots = 4
+
+// payloadMemo is the holder behind QueryResult.Payload: one published
+// byte slice per slot. It has no capacity and no eviction of its own —
+// it is reachable only through the cached QueryResult, so the bytes live
+// and die with the cache entry.
+type payloadMemo struct {
+	slots [PayloadSlots]atomic.Pointer[[]byte]
+}
+
+// Payload returns the bytes published in slot, or nil when nothing has
+// been (including on every result the cache does not hold). The bytes
+// are shared by every caller that hits the same cached result: read-only,
+// never written after publication.
+func (r *QueryResult) Payload(slot int) []byte {
+	if r.memo == nil {
+		return nil
+	}
+	if p := r.memo.slots[slot].Load(); p != nil {
+		return *p
+	}
+	return nil
+}
+
+// PublishPayload memoises b — an encoding of this result's rows, which
+// are immutable, so it is valid for as long as the result is — in slot
+// and returns the slot's bytes: b, or what a concurrent caller published
+// first. The caller must not write to b afterwards. On a result the
+// cache does not hold nothing is kept and b comes straight back.
+func (r *QueryResult) PublishPayload(slot int, b []byte) []byte {
+	if r.memo == nil {
+		return b
+	}
+	if r.memo.slots[slot].CompareAndSwap(nil, &b) {
+		return b
+	}
+	return *r.memo.slots[slot].Load()
 }
 
 // Len returns the number of result points.
@@ -434,6 +482,14 @@ func (r *QueryResult) ID(p int) (id uint64, ok bool) {
 // unsharded collection (batches from concurrent shards would interleave
 // meaninglessly) and bypasses the cache.
 func (c *Collection) Run(ctx context.Context, q Query) (*QueryResult, error) {
+	r, _, err := c.runReport(ctx, q)
+	return r, err
+}
+
+// runReport is Run, also reporting whether this call's own cache lookup
+// hit. The flag travels beside the result, never on it: the cached
+// QueryResult is shared, and a hit must stay allocation-free.
+func (c *Collection) runReport(ctx context.Context, q Query) (*QueryResult, bool, error) {
 	c.inflight.Add(1)
 	defer c.inflight.Add(-1)
 	// Apply the collection's default deadline when the caller's context
@@ -445,27 +501,29 @@ func (c *Collection) Run(ctx context.Context, q Query) (*QueryResult, error) {
 			defer cancel()
 		}
 	}
-	r, err := c.run(ctx, q)
+	r, hit, err := c.run(ctx, q)
 	if err != nil {
-		return c.staleFallback(&q, err)
+		r, err = c.staleFallback(&q, err)
+		return r, false, err
 	}
-	return r, nil
+	return r, hit, nil
 }
 
-// run is Run without the deadline and graceful-degradation wrappers.
-func (c *Collection) run(ctx context.Context, q Query) (*QueryResult, error) {
+// run is runReport without the deadline and graceful-degradation
+// wrappers.
+func (c *Collection) run(ctx context.Context, q Query) (*QueryResult, bool, error) {
 	if err := ctx.Err(); err != nil {
-		return nil, canceledErr(err)
+		return nil, false, canceledErr(err)
 	}
 	if c.dropped.Load() {
-		return nil, fmt.Errorf("%w: collection %q", ErrClosed, c.name)
+		return nil, false, fmt.Errorf("%w: collection %q", ErrClosed, c.name)
 	}
 	if c.remote != nil {
 		return c.runRemote(ctx, q)
 	}
 	snap, err := c.snapshotCtx(ctx)
 	if err != nil {
-		return nil, err
+		return nil, false, err
 	}
 	// Resolve Auto before fingerprinting: the cache is keyed by the
 	// concrete plan, so Auto queries share entries with explicit runs of
@@ -502,12 +560,12 @@ func (c *Collection) run(ctx context.Context, q Query) (*QueryResult, error) {
 				cp.Plan = planTrace
 				r = &cp
 			}
-			return r, nil
+			return r, true, nil
 		}
 	}
 	res, err := c.execute(ctx, snap, q, fanout)
 	if err != nil {
-		return nil, err
+		return nil, false, err
 	}
 	c.costs.record(q.Algorithm, res.Stats.Elapsed, res.Stats.DominanceTests)
 	if planTrace != nil {
@@ -519,6 +577,9 @@ func (c *Collection) run(ctx context.Context, q Query) (*QueryResult, error) {
 	}
 	r := &QueryResult{Result: res, Epoch: snap.epoch, Plan: planTrace, snap: snap}
 	if cacheable {
+		// The holder goes on before any copy is taken, so what this first
+		// caller encodes is what later hits are answered with.
+		r.memo = new(payloadMemo)
 		// The cache shares its entries across callers, traced and
 		// untraced alike, so the stored copy never carries a trace or a
 		// planner decision: both describe the first caller's run, not a
@@ -532,7 +593,7 @@ func (c *Collection) run(ctx context.Context, q Query) (*QueryResult, error) {
 		}
 		c.store(fp, snap.epoch, cached)
 	}
-	return r, nil
+	return r, false, nil
 }
 
 // plannerSeed derives a deterministic per-collection seed for the
@@ -735,13 +796,17 @@ func (c *Collection) store(fp fingerprint, epoch uint64, r *QueryResult) {
 	c.stale[fp] = cacheEntry{epoch: epoch, r: r}
 }
 
-// CacheStats reports a collection's result-cache counters.
+// CacheStats reports a collection's result-cache counters. Like the
+// other stats types below it carries its own JSON tags: it is the wire
+// form too (serve.CollectionInfo embeds it), durations as integer
+// nanoseconds.
 type CacheStats struct {
 	// Hits counts queries served from the cache; Misses counts cache
 	// lookups that had to compute (stale epochs included).
-	Hits, Misses uint64
+	Hits   uint64 `json:"hits"`
+	Misses uint64 `json:"misses"`
 	// Entries is the current number of cached results.
-	Entries int
+	Entries int `json:"entries"`
 }
 
 // CacheStats returns the collection's cache counters.
@@ -797,24 +862,24 @@ type PlannerStats struct {
 	// Class is the profiled correlation class ("correlated",
 	// "independent", "anticorrelated"); MeanSpearman the mean pairwise
 	// Spearman rank correlation it derives from.
-	Class        string
-	MeanSpearman float64
+	Class        string  `json:"class"`
+	MeanSpearman float64 `json:"meanSpearman"`
 	// SkylineFrac and SkylineEst are the estimated skyline fraction and
 	// cardinality of the full set; SampleN the profiled sample size.
-	SkylineFrac float64
-	SkylineEst  int
-	SampleN     int
+	SkylineFrac float64 `json:"skylineFrac"`
+	SkylineEst  int     `json:"skylineEst"`
+	SampleN     int     `json:"sampleN"`
 	// Decisions tallies Auto decisions by chosen plan, sorted for
 	// stable rendering.
-	Decisions []PlannerDecision
+	Decisions []PlannerDecision `json:"decisions,omitempty"`
 }
 
 // PlannerDecision is one (plan, explore-mode) decision tally.
 type PlannerDecision struct {
-	Algorithm string
-	Shards    int
-	Explore   bool
-	Count     uint64
+	Algorithm string `json:"algorithm"`
+	Shards    int    `json:"shards"`
+	Explore   bool   `json:"explore,omitempty"`
+	Count     uint64 `json:"count"`
 }
 
 // DurabilityStats reports the persistence-layer counters of a durable
@@ -824,16 +889,16 @@ type PlannerDecision struct {
 type DurabilityStats struct {
 	// WALFsyncs counts fsync calls the WAL issued; WALFsyncTime is the
 	// total wall-clock time spent inside them.
-	WALFsyncs    uint64
-	WALFsyncTime time.Duration
+	WALFsyncs    uint64        `json:"walFsyncs"`
+	WALFsyncTime time.Duration `json:"walFsyncNs"`
 	// WALSegments is the current number of on-disk WAL segments.
-	WALSegments int
+	WALSegments int `json:"walSegments"`
 	// Checkpoints counts checkpoints taken; CheckpointTime is the total
 	// time spent writing them and LastCheckpoint the duration of the
 	// most recent one.
-	Checkpoints    uint64
-	CheckpointTime time.Duration
-	LastCheckpoint time.Duration
+	Checkpoints    uint64        `json:"checkpoints"`
+	CheckpointTime time.Duration `json:"checkpointNs"`
+	LastCheckpoint time.Duration `json:"lastCheckpointNs,omitempty"`
 }
 
 // durabilityProvider is the optional StreamSource facet a durable
@@ -1078,7 +1143,18 @@ func (c *Collection) mergeCandidates(ctx context.Context, buf []float64, nc, de,
 type Future struct {
 	done chan struct{}
 	res  *QueryResult
+	hit  bool
 	err  error
+}
+
+// CacheHit blocks until the query finishes and reports whether it was
+// answered by its own lookup in the collection's result cache — the
+// call that did the lookup says so, which two reads of the shared
+// CacheStats counters around a Submit cannot when requests overlap. A
+// stale fallback is not a hit.
+func (f *Future) CacheHit() bool {
+	<-f.done
+	return f.hit
 }
 
 // Done returns a channel closed when the query has finished.
@@ -1134,7 +1210,7 @@ func (c *Collection) Submit(ctx context.Context, q Query) *Future {
 			f.res, f.err = c.staleFallback(&q, err)
 			return
 		}
-		f.res, f.err = c.Run(ctx, q)
+		f.res, f.hit, f.err = c.runReport(ctx, q)
 	}()
 	return f
 }

@@ -20,23 +20,23 @@ const costWindow = 256
 // it is exposed through CollectionStats.Costs.
 type AlgorithmCost struct {
 	// Algorithm is the algorithm's CLI name.
-	Algorithm string
+	Algorithm string `json:"algorithm"`
 	// Count is the number of executed (non-cache-hit) runs recorded.
-	Count uint64
+	Count uint64 `json:"count"`
 	// MeanLatency is the mean wall-clock time over all recorded runs.
-	MeanLatency time.Duration
+	MeanLatency time.Duration `json:"meanLatencyNs"`
 	// P50Latency and P99Latency are nearest-rank percentile estimates
 	// over the last costWindow runs.
-	P50Latency time.Duration
-	P99Latency time.Duration
+	P50Latency time.Duration `json:"p50LatencyNs"`
+	P99Latency time.Duration `json:"p99LatencyNs"`
 	// MeanDominanceTests is the lifetime mean dominance-test count per
 	// run — the machine-independent cost signal, kept lifetime for
 	// `skyctl info`.
-	MeanDominanceTests float64
+	MeanDominanceTests float64 `json:"meanDominanceTests"`
 	// WindowedMeanDominanceTests is the mean dominance-test count over
 	// the same last-costWindow runs the latency percentiles cover, so
 	// all planner signals decay at the same rate.
-	WindowedMeanDominanceTests float64
+	WindowedMeanDominanceTests float64 `json:"windowedMeanDominanceTests"`
 }
 
 // costTracker accumulates per-algorithm execution costs for one

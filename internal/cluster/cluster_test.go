@@ -409,6 +409,11 @@ func TestDeadlineForwarding(t *testing.T) {
 			return
 		}
 		defer resp.Body.Close()
+		// Forward the response headers: Content-Type is how the client
+		// tells a result frame from JSON.
+		for k, vs := range resp.Header {
+			w.Header()[k] = vs
+		}
 		w.WriteHeader(resp.StatusCode)
 		buf := make([]byte, 32*1024)
 		for {

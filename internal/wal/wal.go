@@ -24,10 +24,8 @@
 package wal
 
 import (
-	"encoding/binary"
 	"errors"
 	"fmt"
-	"hash/crc32"
 	"io"
 	"os"
 	"path/filepath"
@@ -80,7 +78,6 @@ type Options struct {
 }
 
 const (
-	frameHeader        = 8 // uint32 length + uint32 crc
 	defaultSegmentSize = 4 << 20
 	defaultInterval    = 50 * time.Millisecond
 	segPrefix          = "wal-"
@@ -90,8 +87,6 @@ const (
 	// tail detection from allocating absurd buffers on garbage lengths.
 	MaxRecord = 64 << 20
 )
-
-var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 
 // Log is an append-only segmented record log. Append, Sync, and
 // TruncateBefore are safe for concurrent use.
@@ -273,15 +268,14 @@ func scanSegment(path string, first uint64, fn func(lsn uint64, payload []byte) 
 		return 0, 0, err
 	}
 	defer f.Close()
-	var hdr [frameHeader]byte
+	var hdr [HeaderSize]byte
 	var buf []byte
 	lsn := first
 	for {
 		if _, err := io.ReadFull(f, hdr[:]); err != nil {
 			return n, good, nil // clean EOF or torn header: stop at last intact frame
 		}
-		length := binary.LittleEndian.Uint32(hdr[0:4])
-		crc := binary.LittleEndian.Uint32(hdr[4:8])
+		length, crc := header(hdr[:])
 		if length > MaxRecord {
 			return n, good, nil // garbage length: treat as torn from here
 		}
@@ -292,7 +286,7 @@ func scanSegment(path string, first uint64, fn func(lsn uint64, payload []byte) 
 		if _, err := io.ReadFull(f, buf); err != nil {
 			return n, good, nil // torn payload
 		}
-		if crc32.Checksum(buf, castagnoli) != crc {
+		if checksum(buf) != crc {
 			return n, good, nil // torn or corrupt frame; caller judges
 		}
 		if fn != nil {
@@ -302,7 +296,7 @@ func scanSegment(path string, first uint64, fn func(lsn uint64, payload []byte) 
 		}
 		lsn++
 		n++
-		good += frameHeader + int64(length)
+		good += HeaderSize + int64(length)
 	}
 }
 
@@ -400,18 +394,14 @@ func (l *Log) AppendBatch(payloads [][]byte) (uint64, error) {
 		if len(p) > MaxRecord {
 			return 0, fmt.Errorf("wal: record of %d bytes exceeds MaxRecord", len(p))
 		}
-		total += frameHeader + len(p)
+		total += HeaderSize + len(p)
 	}
 	if cap(l.scratch) < total {
 		l.scratch = make([]byte, 0, total)
 	}
 	buf := l.scratch[:0]
 	for _, p := range payloads {
-		var hdr [frameHeader]byte
-		binary.LittleEndian.PutUint32(hdr[0:4], uint32(len(p)))
-		binary.LittleEndian.PutUint32(hdr[4:8], crc32.Checksum(p, castagnoli))
-		buf = append(buf, hdr[:]...)
-		buf = append(buf, p...)
+		buf = AppendFrame(buf, p)
 	}
 	l.scratch = buf[:0]
 

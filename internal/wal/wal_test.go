@@ -1,6 +1,7 @@
 package wal
 
 import (
+	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -193,7 +194,7 @@ func TestMidLogCorruptionIsAnError(t *testing.T) {
 	// Corrupt the FIRST segment's first record payload.
 	path := filepath.Join(dir, segName(segs[0]))
 	data, _ := os.ReadFile(path)
-	data[frameHeader] ^= 0xff
+	data[HeaderSize] ^= 0xff
 	os.WriteFile(path, data, 0o644)
 	_, err := Replay(dir, 0, nil)
 	if !errors.Is(err, ErrCorrupt) {
@@ -211,7 +212,7 @@ func TestGarbageLengthTreatedAsTear(t *testing.T) {
 	l.Close()
 	path := lastSegPath(t, dir)
 	f, _ := os.OpenFile(path, os.O_WRONLY|os.O_APPEND, 0o644)
-	var hdr [frameHeader]byte
+	var hdr [HeaderSize]byte
 	binary.LittleEndian.PutUint32(hdr[0:4], ^uint32(0)) // absurd length
 	f.Write(hdr[:])
 	f.Close()
@@ -276,5 +277,40 @@ func TestClosedLog(t *testing.T) {
 	}
 	if err := l.Close(); err != nil {
 		t.Fatalf("double close: %v", err)
+	}
+}
+
+// TestFrameHelpers: AppendFrame and NextFrame are inverses over a run of
+// frames, and NextFrame refuses a short header, a length past the end
+// and a flipped bit without reading past what it was given.
+func TestFrameHelpers(t *testing.T) {
+	payloads := [][]byte{[]byte("alpha"), nil, bytes.Repeat([]byte{7}, 300)}
+	var buf []byte
+	for _, p := range payloads {
+		buf = AppendFrame(buf, p)
+	}
+	rest := buf
+	for i, want := range payloads {
+		var got []byte
+		var err error
+		if got, rest, err = NextFrame(rest); err != nil || !bytes.Equal(got, want) {
+			t.Fatalf("frame %d: %q, %v", i, got, err)
+		}
+	}
+	if len(rest) != 0 {
+		t.Fatalf("%d bytes left after the last frame", len(rest))
+	}
+	flipped := bytes.Clone(buf)
+	flipped[HeaderSize] ^= 1
+	for name, b := range map[string][]byte{
+		"short header":     buf[:HeaderSize-1],
+		"length past end":  buf[:HeaderSize+2],
+		"flipped bit":      flipped,
+		"absurd length":    {0xff, 0xff, 0xff, 0xff, 0, 0, 0, 0},
+		"nothing to split": nil,
+	} {
+		if _, _, err := NextFrame(b); !errors.Is(err, ErrCorrupt) {
+			t.Errorf("%s: err = %v, want ErrCorrupt", name, err)
+		}
 	}
 }

@@ -46,27 +46,30 @@ type PlacementStats struct {
 	// Policy is the degraded-answer policy: "failfast" (any worker
 	// failure fails the query with ErrWorkerUnavailable) or "partial"
 	// (merge the surviving workers and flag the result Partial).
-	Policy string
+	Policy string `json:"policy"`
 	// Partials counts degraded answers served so far.
-	Partials uint64
+	Partials uint64 `json:"partials,omitempty"`
 	// Workers describes each worker in placement order.
-	Workers []WorkerPlacement
+	Workers []WorkerPlacement `json:"workers"`
 }
 
 // WorkerPlacement is one worker's slice of a cluster placement.
 type WorkerPlacement struct {
 	// Addr is the worker's base URL.
-	Addr string
+	Addr string `json:"addr"`
 	// Lo and Hi are the contiguous global row range [Lo, Hi) placed on
 	// the worker.
-	Lo, Hi int
+	Lo int `json:"lo"`
+	Hi int `json:"hi"`
 	// Healthy is the outcome of the most recent health probe (true
 	// until the first probe fails).
-	Healthy bool
+	Healthy bool `json:"healthy"`
 	// Queries counts query round trips sent to the worker, Failures
 	// the ones that produced no mergeable answer, and Retries the
 	// transport retries the client spent on the worker.
-	Queries, Failures, Retries uint64
+	Queries  uint64 `json:"queries"`
+	Failures uint64 `json:"failures,omitempty"`
+	Retries  uint64 `json:"retries,omitempty"`
 }
 
 // NewRemoteQueryResult assembles the QueryResult a RemoteBackend
@@ -112,9 +115,9 @@ func (c *Collection) ClusterBacked() bool { return c.remote != nil }
 // answers are never cached — the missing rows may be back on the next
 // query, and a cache must not pin a degraded answer for a healthy
 // cluster.
-func (c *Collection) runRemote(ctx context.Context, q Query) (*QueryResult, error) {
+func (c *Collection) runRemote(ctx context.Context, q Query) (*QueryResult, bool, error) {
 	if q.Progressive != nil {
-		return nil, fmt.Errorf("%w: progressive delivery needs a local collection", ErrBadQuery)
+		return nil, false, fmt.Errorf("%w: progressive delivery needs a local collection", ErrBadQuery)
 	}
 	fp, cacheable := fingerprint{}, false
 	if c.cacheCap > 0 {
@@ -125,16 +128,17 @@ func (c *Collection) runRemote(ctx context.Context, q Query) (*QueryResult, erro
 			if q.Trace {
 				r = r.withCacheHitTrace(&q)
 			}
-			return r, nil
+			return r, true, nil
 		}
 	}
 	start := time.Now()
 	r, err := c.remote.Run(ctx, q)
 	if err != nil {
-		return nil, err
+		return nil, false, err
 	}
 	c.costs.record(q.Algorithm, time.Since(start), r.Stats.DominanceTests)
 	if cacheable && !r.Partial {
+		r.memo = new(payloadMemo)
 		// Key the entry at the epoch the answer was actually computed at
 		// (the workers may have advanced past the epoch probed above).
 		cached := r
@@ -145,5 +149,5 @@ func (c *Collection) runRemote(ctx context.Context, q Query) (*QueryResult, erro
 		}
 		c.store(fp, r.Epoch, cached)
 	}
-	return r, nil
+	return r, false, nil
 }

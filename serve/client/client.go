@@ -136,11 +136,25 @@ func (e *APIError) Unwrap() error { return serve.SentinelForCode(e.Code) }
 // optional decoded response body. Calls marked idempotent retry
 // transient transport failures per the client's RetryPolicy.
 func (c *Client) do(ctx context.Context, method, path string, in, out any, idempotent bool) error {
+	body, _, err := c.roundTrip(ctx, method, path, "", in, idempotent)
+	if err != nil || out == nil {
+		return err
+	}
+	return json.Unmarshal(body, out)
+}
+
+// roundTrip sends one request (retrying as do documents) and returns the
+// whole body of a 2xx response with its Content-Type. The body is always
+// read to its end before the connection is given back — a body abandoned
+// short of its chunked terminator or Content-Length makes net/http close
+// the connection instead of keeping it alive — and closed once per
+// attempt.
+func (c *Client) roundTrip(ctx context.Context, method, path, accept string, in any, idempotent bool) ([]byte, string, error) {
 	var data []byte
 	if in != nil {
 		var err error
 		if data, err = json.Marshal(in); err != nil {
-			return err
+			return nil, "", err
 		}
 	}
 	attempts := 1
@@ -163,7 +177,7 @@ func (c *Client) do(ctx context.Context, method, path string, in, out any, idemp
 			select {
 			case <-ctx.Done():
 				t.Stop()
-				return lastErr
+				return nil, "", lastErr
 			case <-t.C:
 			}
 			if backoff *= 2; backoff > maxBackoff {
@@ -176,10 +190,13 @@ func (c *Client) do(ctx context.Context, method, path string, in, out any, idemp
 		}
 		req, err := http.NewRequestWithContext(ctx, method, c.base+path, body)
 		if err != nil {
-			return err
+			return nil, "", err
 		}
 		if in != nil {
 			req.Header.Set("Content-Type", "application/json")
+		}
+		if accept != "" {
+			req.Header.Set("Accept", accept)
 		}
 		setDeadlineHeader(req, ctx)
 		resp, err := c.hc.Do(req)
@@ -189,21 +206,37 @@ func (c *Client) do(ctx context.Context, method, path string, in, out any, idemp
 			// the remaining budget is gone anyway.
 			lastErr = err
 			if ctx.Err() != nil {
-				return err
+				return nil, "", err
 			}
 			continue
 		}
-		defer resp.Body.Close()
 		if resp.StatusCode/100 != 2 {
-			return decodeAPIError(resp)
+			err = decodeAPIError(resp)
+			resp.Body.Close()
+			return nil, "", err
 		}
-		if out == nil {
-			_, _ = io.Copy(io.Discard, resp.Body)
-			return nil
-		}
-		return json.NewDecoder(resp.Body).Decode(out)
+		out, err := readBody(resp)
+		resp.Body.Close()
+		return out, resp.Header.Get("Content-Type"), err
 	}
-	return lastErr
+	return nil, "", lastErr
+}
+
+// maxPresize caps the buffer reserved on a Content-Length's say-so; a
+// longer body still arrives whole, by growth.
+const maxPresize = 64 << 20
+
+// readBody reads a response body to EOF, into a buffer sized by
+// Content-Length when the server sent one.
+func readBody(resp *http.Response) ([]byte, error) {
+	var buf bytes.Buffer
+	if n := resp.ContentLength; n > 0 {
+		// bytes.MinRead spare, or ReadFrom grows the buffer once more just
+		// to see the EOF.
+		buf.Grow(int(min(n, maxPresize)) + bytes.MinRead)
+	}
+	_, err := buf.ReadFrom(resp.Body)
+	return buf.Bytes(), err
 }
 
 // setDeadlineHeader forwards the context deadline, when one is set, as
@@ -237,12 +270,25 @@ func (c *Client) Query(ctx context.Context, collection string, req *serve.QueryR
 	if req == nil {
 		req = &serve.QueryRequest{}
 	}
+	body, ctype, err := c.roundTrip(ctx, http.MethodPost, c.colPath(collection)+"/query", queryAccept, req, true)
+	if err != nil {
+		return nil, err
+	}
+	// Decode by what came back, not by what was asked for: a server from
+	// before the frame ignores Accept and answers JSON.
+	if serve.IsFrameType(ctype) {
+		return serve.DecodeQueryFrame(body)
+	}
 	var out serve.QueryResponse
-	if err := c.do(ctx, http.MethodPost, c.colPath(collection)+"/query", req, &out, true); err != nil {
+	if err := json.Unmarshal(body, &out); err != nil {
 		return nil, err
 	}
 	return &out, nil
 }
+
+// queryAccept is the Accept header of every Query: the binary result
+// frame when the server has it, JSON otherwise.
+const queryAccept = serve.FrameContentType + ", application/json"
 
 // Insert appends a batch of points to a stream-backed collection and
 // returns their assigned IDs.

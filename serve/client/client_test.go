@@ -6,7 +6,10 @@ import (
 	"errors"
 	"net/http"
 	"net/http/httptest"
+	"net/http/httptrace"
+	"reflect"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -56,7 +59,8 @@ func newRetryHarness(t *testing.T, failures int) (*Client, *flakyRT, *int) {
 		requests++
 		mu.Unlock()
 		_ = json.NewEncoder(w).Encode(&serve.QueryResponse{
-			Collection: "c", Count: 1, Indices: []int{0},
+			QueryHead: serve.QueryHead{Collection: "c", Count: 1},
+			QueryRows: serve.QueryRows{Indices: []int{0}},
 		})
 	}))
 	t.Cleanup(srv.Close)
@@ -198,5 +202,98 @@ func TestExpiredContextNotRetried(t *testing.T) {
 	}
 	if got := c.RetryCount(); got != 0 {
 		t.Fatalf("RetryCount = %d, want 0", got)
+	}
+}
+
+// countReuse runs 50 value-carrying queries on one client and reports
+// how many of them found their connection already open.
+func countReuse(t *testing.T, c *Client, check func(*serve.QueryResponse)) int {
+	t.Helper()
+	reused := 0
+	ctx := httptrace.WithClientTrace(context.Background(), &httptrace.ClientTrace{
+		GotConn: func(info httptrace.GotConnInfo) {
+			if info.Reused {
+				reused++
+			}
+		},
+	})
+	for i := 0; i < 50; i++ {
+		res, err := c.Query(ctx, "c", nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		check(res)
+	}
+	return reused
+}
+
+// TestOldServerKeepAlive: a server from before the result frame ignores
+// Accept and streams chunked JSON with no Content-Length. The client
+// must decode it by its Content-Type and read it to the chunked
+// terminator, or net/http throws the connection away: every query after
+// the first reuses the one connection.
+func TestOldServerKeepAlive(t *testing.T) {
+	want := &serve.QueryResponse{QueryHead: serve.QueryHead{Collection: "c", Epoch: 3, Count: 2000}}
+	for i := 0; i < want.Count; i++ {
+		want.Indices = append(want.Indices, i)
+		want.Values = append(want.Values, []float64{float64(i) / 7, 1 / float64(i+1), -float64(i)})
+	}
+	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if got := r.Header.Get("Accept"); got != queryAccept {
+			t.Errorf("Accept = %q, want %q", got, queryAccept)
+		}
+		w.Header().Set("Content-Type", "application/json")
+		_ = json.NewEncoder(w).Encode(want)
+	}))
+	defer srv.Close()
+	c := New(srv.URL)
+	defer c.Close()
+	reused := countReuse(t, c, func(res *serve.QueryResponse) {
+		if !reflect.DeepEqual(res, want) {
+			t.Fatalf("decoded %d rows of %q, want the stub's answer", len(res.Indices), res.Collection)
+		}
+	})
+	if reused < 49 {
+		t.Errorf("%d of 50 chunked-JSON queries reused their connection, want ≥ 49", reused)
+	}
+}
+
+// TestFrameKeepAlive: against a real server the same 50 queries come
+// back as frames with a Content-Length, on one connection.
+func TestFrameKeepAlive(t *testing.T) {
+	const n, d = 3000, 4
+	vals := make([]float64, n*d)
+	for i := range vals {
+		vals[i] = float64((i*7919)%1000) / 1000
+	}
+	ds, err := skybench.DatasetFromFlat(vals, n, d)
+	if err != nil {
+		t.Fatal(err)
+	}
+	st := skybench.NewStore(1)
+	if _, err := st.Attach("c", ds, skybench.CollectionOptions{}); err != nil {
+		t.Fatal(err)
+	}
+	s := serve.New(st, serve.Options{})
+	var frames atomic.Int64
+	hs := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		s.ServeHTTP(w, r)
+		if w.Header().Get("Content-Type") == serve.FrameContentType && w.Header().Get("Content-Length") != "" {
+			frames.Add(1)
+		}
+	}))
+	defer func() {
+		hs.Close()
+		s.Close()
+	}()
+	c := New(hs.URL)
+	defer c.Close()
+	reused := countReuse(t, c, func(res *serve.QueryResponse) {
+		if res.Count == 0 || len(res.Values) != res.Count || len(res.Values[0]) != d {
+			t.Fatalf("count %d with %d value rows", res.Count, len(res.Values))
+		}
+	})
+	if reused < 49 || frames.Load() != 50 {
+		t.Errorf("%d of 50 queries reused their connection over %d frames, want ≥ 49 over 50", reused, frames.Load())
 	}
 }

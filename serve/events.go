@@ -44,9 +44,8 @@ type Event struct {
 	// delta subscriptions: the connection lifetime).
 	LatencyNs int64 `json:"latencyNs"`
 	// CacheHit marks a query answered from the collection's result
-	// cache. Best-effort under concurrency: it is derived from the
-	// cache counters around the call, so two exactly-concurrent queries
-	// of the same shape can misattribute one hit.
+	// cache, as reported by the lookup that answered it
+	// (skybench.Future.CacheHit) — exact however requests overlap.
 	CacheHit bool `json:"cacheHit,omitempty"`
 	// Trace is the full execution trace of a slow query — attached only
 	// when the server runs with a slow-query threshold

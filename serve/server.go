@@ -21,6 +21,12 @@
 // through the single table in StatusForError, and serve/client maps the
 // code back so errors.Is works across the network.
 //
+// A query response is a small per-request head plus the result's rows;
+// the rows are encoded once per cached result and every later hit is
+// answered with those bytes (writeQueryResponse). A client that lists
+// application/x-skyband in Accept gets the rows as a flat binary frame
+// (frame.go) instead of JSON.
+//
 // Per-request deadlines arrive in the X-Skybench-Deadline-Ms header and
 // are mapped onto the query's context.Context, flowing through the same
 // cancellation checkpoints in-process callers use. Delta subscriptions
@@ -38,6 +44,7 @@ import (
 	"runtime"
 	"sort"
 	"strconv"
+	"strings"
 	"sync"
 	"time"
 
@@ -455,13 +462,13 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request, obs *observ
 	// Submit (rather than Run) routes the query through the Store's
 	// admission control, so MaxInflight/MaxQueue overload comes back as
 	// a synchronous 429 and the server cannot oversubscribe the engine.
-	hits0 := col.CacheStats().Hits
-	res, err := col.Submit(ctx, q).Result()
+	fut := col.Submit(ctx, q)
+	res, err := fut.Result()
 	if err != nil {
 		writeError(w, obs, err)
 		return
 	}
-	obs.cacheHit = col.CacheStats().Hits > hits0
+	obs.cacheHit = fut.CacheHit()
 	obs.trace = res.Trace
 	if res.Plan != nil {
 		// An "auto" query resolved to a concrete plan: count the decision
@@ -473,7 +480,9 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request, obs *observ
 	if !obs.cacheHit {
 		s.observeQueryCost(name, obs.algorithm, &res.Stats)
 	}
-	writeJSON(w, http.StatusOK, buildQueryResponse(name, res, &req))
+	if err := writeQueryResponse(w, acceptsFrame(r), name, res, &req); err != nil {
+		writeError(w, obs, err)
+	}
 }
 
 // observeQueryCost books one executed query's engine cost into the
@@ -501,62 +510,185 @@ func (s *Server) observeQueryCost(collection, algorithm string, st *skybench.Sta
 	}
 }
 
-// buildQueryResponse renders a QueryResult on the wire, applying the
-// request's Top cut (fewest dominators first) when asked.
-func buildQueryResponse(name string, res *skybench.QueryResult, req *QueryRequest) *QueryResponse {
-	n := res.Len()
-	pos := make([]int, n)
-	for i := range pos {
-		pos[i] = i
-	}
-	if req.Top > 0 && req.Top < n {
-		if res.Counts != nil {
-			sort.SliceStable(pos, func(a, b int) bool { return res.Counts[pos[a]] < res.Counts[pos[b]] })
+// acceptsFrame reports whether the request's Accept header lists the
+// binary result frame. Quality values are not weighed: the one client
+// that sends the type prefers it.
+func acceptsFrame(r *http.Request) bool {
+	for _, h := range r.Header.Values("Accept") {
+		for _, element := range strings.Split(h, ",") {
+			if IsFrameType(element) {
+				return true
+			}
 		}
-		pos = pos[:req.Top]
 	}
-	resp := &QueryResponse{
+	return false
+}
+
+// payloadSlot numbers the encodings of one result's rows that are worth
+// keeping: wire format × omitValues (skybench.PayloadSlots of them).
+func payloadSlot(frame, omitValues bool) int {
+	slot := 0
+	if frame {
+		slot = 2
+	}
+	if omitValues {
+		slot++
+	}
+	return slot
+}
+
+// writeQueryResponse answers a query: the per-request head, then the row
+// payload, with Content-Length, in two Writes. The payload of an uncut
+// answer is a pure function of the immutable result, so it is memoised
+// on the result (QueryResult.PublishPayload): a cache hit finds the bytes
+// an earlier request encoded and builds nothing but the head. A Top cut
+// is at most Top rows and depends on the request; it is encoded each
+// time. An error is returned only before anything has been written.
+func writeQueryResponse(w http.ResponseWriter, frame bool, name string, res *skybench.QueryResult, req *QueryRequest) error {
+	pos := topCut(res, req.Top)
+	head := QueryHead{
 		Collection: name,
 		Epoch:      res.Epoch,
 		Stale:      res.Stale,
 		Partial:    res.Partial,
-		Count:      len(pos),
-		Indices:    make([]int, len(pos)),
+		Count:      res.Len(),
 		Stats: QueryStats{
 			DominanceTests: res.Stats.DominanceTests,
 			InputSize:      res.Stats.InputSize,
 			Threads:        res.Stats.Threads,
 			ElapsedNs:      res.Stats.Elapsed.Nanoseconds(),
 		},
+		Planner: res.Plan,
 	}
-	for i, p := range pos {
-		resp.Indices[i] = res.Indices[p]
+	if pos != nil {
+		head.Count = len(pos)
 	}
-	if res.Counts != nil {
-		resp.Counts = make([]int32, len(pos))
-		for i, p := range pos {
-			resp.Counts[i] = res.Counts[p]
+	if req.Trace {
+		head.Trace = res.Trace
+	}
+	if frame {
+		d := 0
+		if !req.OmitValues && head.Count > 0 {
+			d = len(res.Row(0))
 		}
+		frame = frameFits(uint64(head.Count), uint64(d)) // an answer too large to frame goes out as JSON
 	}
-	if len(pos) > 0 {
-		if _, ok := res.ID(pos[0]); ok {
-			resp.IDs = make([]uint64, len(pos))
-			for i, p := range pos {
-				resp.IDs[i], _ = res.ID(p)
+
+	var payload []byte
+	var err error
+	if pos != nil {
+		payload, err = encodeRows(frame, buildRows(res, pos, req.OmitValues))
+	} else {
+		slot := payloadSlot(frame, req.OmitValues)
+		if payload = res.Payload(slot); payload == nil {
+			if payload, err = encodeRows(frame, buildRows(res, nil, req.OmitValues)); err == nil {
+				payload = res.PublishPayload(slot, payload)
 			}
 		}
 	}
-	if !req.OmitValues {
-		resp.Values = make([][]float64, len(pos))
+	if err != nil {
+		return err
+	}
+	hb, ctype, err := encodeHead(frame, &head)
+	if err != nil {
+		return err
+	}
+	h := w.Header()
+	h.Set("Content-Type", ctype)
+	h.Set("Content-Length", strconv.Itoa(len(hb)+len(payload)))
+	_, _ = w.Write(hb)
+	_, _ = w.Write(payload)
+	return nil
+}
+
+// encodeHead renders the per-request part of a response: a frame's head
+// section, or a JSON object left open for the rows to continue.
+func encodeHead(frame bool, head *QueryHead) ([]byte, string, error) {
+	if frame {
+		b, err := appendHeadFrame(nil, head)
+		return b, FrameContentType, err
+	}
+	js, err := json.Marshal(head)
+	if err != nil {
+		return nil, "", err
+	}
+	return js[:len(js)-1], "application/json", nil
+}
+
+// encodeRows renders a row payload: a frame's shape and array sections,
+// or the JSON members that continue the object encodeHead left open and
+// close it — head and rows are then, byte for byte, the QueryResponse
+// encoding/json would have produced in one piece.
+func encodeRows(frame bool, rows *QueryRows) ([]byte, error) {
+	if frame {
+		return appendRowsFrame(nil, rows)
+	}
+	js, err := json.Marshal(rows)
+	if err != nil {
+		return nil, err
+	}
+	js[0] = ',' // "indices" has no omitempty: the object is never empty
+	return append(js, '\n'), nil
+}
+
+// topCut returns the result positions a request's Top keeps — the Top
+// points with the fewest dominators, ties in result order — or nil when
+// Top cuts nothing.
+func topCut(res *skybench.QueryResult, top int) []int {
+	n := res.Len()
+	if top <= 0 || top >= n {
+		return nil
+	}
+	pos := make([]int, n)
+	for i := range pos {
+		pos[i] = i
+	}
+	if res.Counts != nil {
+		sort.SliceStable(pos, func(a, b int) bool { return res.Counts[pos[a]] < res.Counts[pos[b]] })
+	}
+	return pos[:top]
+}
+
+// buildRows gathers the row payload of a result: the positions in pos,
+// or every position in result order when pos is nil. The uncut arrays
+// alias the result's own (read-only here, as everywhere).
+func buildRows(res *skybench.QueryResult, pos []int, omitValues bool) *QueryRows {
+	n := res.Len()
+	rows := &QueryRows{Indices: res.Indices, Counts: res.Counts}
+	at := func(i int) int { return i }
+	if pos != nil {
+		n = len(pos)
+		at = func(i int) int { return pos[i] }
+		rows.Indices = make([]int, n)
 		for i, p := range pos {
-			resp.Values[i] = res.Row(p)
+			rows.Indices[i] = res.Indices[p]
+		}
+		if res.Counts != nil {
+			rows.Counts = make([]int32, n)
+			for i, p := range pos {
+				rows.Counts[i] = res.Counts[p]
+			}
 		}
 	}
-	if req.Trace {
-		resp.Trace = res.Trace
+	if rows.Indices == nil {
+		rows.Indices = []int{} // "indices": [], never null
 	}
-	resp.Planner = res.Plan
-	return resp
+	if n == 0 {
+		return rows
+	}
+	if _, ok := res.ID(at(0)); ok {
+		rows.IDs = make([]uint64, n)
+		for i := range rows.IDs {
+			rows.IDs[i], _ = res.ID(at(i))
+		}
+	}
+	if !omitValues {
+		rows.Values = make([][]float64, n)
+		for i := range rows.Values {
+			rows.Values[i] = res.Row(at(i))
+		}
+	}
+	return rows
 }
 
 // mutableIndex resolves the stream index serving name, distinguishing
@@ -737,62 +869,12 @@ func (s *Server) collectionInfo(name string) (CollectionInfo, error) {
 		Shards:       cs.Shards,
 		StreamBacked: cs.StreamBacked,
 		Inflight:     cs.Inflight,
-		Cache:        CacheInfo{Hits: cs.Cache.Hits, Misses: cs.Cache.Misses, Entries: cs.Cache.Entries},
+		Cache:        cs.Cache,
 		Subscribers:  s.subs.With(name).Value(),
-	}
-	for _, ac := range cs.Costs {
-		info.Costs = append(info.Costs, AlgorithmCostInfo{
-			Algorithm:                  ac.Algorithm,
-			Count:                      ac.Count,
-			MeanLatencyNs:              ac.MeanLatency.Nanoseconds(),
-			P50LatencyNs:               ac.P50Latency.Nanoseconds(),
-			P99LatencyNs:               ac.P99Latency.Nanoseconds(),
-			MeanDominanceTests:         ac.MeanDominanceTests,
-			WindowedMeanDominanceTests: ac.WindowedMeanDominanceTests,
-		})
-	}
-	if ps := cs.Planner; ps != nil {
-		pi := &PlannerInfo{
-			Class:        ps.Class,
-			MeanSpearman: ps.MeanSpearman,
-			SkylineFrac:  ps.SkylineFrac,
-			SkylineEst:   ps.SkylineEst,
-			SampleN:      ps.SampleN,
-		}
-		for _, d := range ps.Decisions {
-			pi.Decisions = append(pi.Decisions, PlannerDecisionInfo{
-				Algorithm: d.Algorithm,
-				Shards:    d.Shards,
-				Explore:   d.Explore,
-				Count:     d.Count,
-			})
-		}
-		info.Planner = pi
-	}
-	if pl := cs.Placement; pl != nil {
-		ci := &ClusterInfo{Policy: pl.Policy, Partials: pl.Partials}
-		for _, wp := range pl.Workers {
-			ci.Workers = append(ci.Workers, ClusterWorkerInfo{
-				Addr:     wp.Addr,
-				Lo:       wp.Lo,
-				Hi:       wp.Hi,
-				Healthy:  wp.Healthy,
-				Queries:  wp.Queries,
-				Failures: wp.Failures,
-				Retries:  wp.Retries,
-			})
-		}
-		info.Cluster = ci
-	}
-	if ds := cs.Durability; ds != nil {
-		info.Durability = &DurabilityInfo{
-			WALFsyncs:        ds.WALFsyncs,
-			WALFsyncNs:       ds.WALFsyncTime.Nanoseconds(),
-			WALSegments:      ds.WALSegments,
-			Checkpoints:      ds.Checkpoints,
-			CheckpointNs:     ds.CheckpointTime.Nanoseconds(),
-			LastCheckpointNs: ds.LastCheckpoint.Nanoseconds(),
-		}
+		Costs:        cs.Costs,
+		Planner:      cs.Planner,
+		Durability:   cs.Durability,
+		Cluster:      cs.Placement,
 	}
 	if ix := s.streamIndex(name); ix != nil {
 		info.Durable = ix.Durable()

@@ -1,8 +1,9 @@
 // Wire protocol: the JSON shapes skyserved speaks and the single
 // error-mapping table between the skybench sentinel errors and HTTP
 // status codes. serve/client shares these types, so the Go client and
-// the server can never disagree about a field name. DESIGN.md §12
-// documents the protocol.
+// the server can never disagree about a field name. frame.go is the
+// binary encoding of a query response's rows; DESIGN.md §12 documents
+// the protocol.
 package serve
 
 import (
@@ -73,8 +74,19 @@ type QueryStats struct {
 	ElapsedNs      int64  `json:"elapsedNs"`
 }
 
-// QueryResponse is the result of one query.
+// QueryResponse is the result of one query. On the wire it is two
+// parts (DESIGN.md §12): a small head that differs from request to
+// request, then the rows, which are immutable for their epoch and which
+// the server therefore encodes once per cached result. The JSON body is
+// one object, the head's keys followed by the rows'; the binary frame
+// (frame.go) carries the same two parts.
 type QueryResponse struct {
+	QueryHead
+	QueryRows
+}
+
+// QueryHead is the per-request part of a QueryResponse.
+type QueryHead struct {
 	Collection string `json:"collection"`
 	// Epoch is the membership epoch the result answers for; Stale marks
 	// a graceful-degradation answer from an earlier epoch.
@@ -86,17 +98,8 @@ type QueryResponse struct {
 	// local collections.
 	Partial bool `json:"partial,omitempty"`
 	// Count is the number of result points.
-	Count int `json:"count"`
-	// Indices are snapshot row positions (the stable handle for static
-	// collections); IDs are the stream IDs of the same points, present
-	// only for stream-backed collections. Counts are per-point dominator
-	// counts, present only for k-skyband queries; Values the per-point
-	// coordinates unless the request set omitValues.
-	Indices []int       `json:"indices"`
-	IDs     []uint64    `json:"ids,omitempty"`
-	Counts  []int32     `json:"counts,omitempty"`
-	Values  [][]float64 `json:"values,omitempty"`
-	Stats   QueryStats  `json:"stats"`
+	Count int        `json:"count"`
+	Stats QueryStats `json:"stats"`
 	// Trace is the execution trace, present only when the request set
 	// trace. skybench.QueryTrace marshals durations as integer
 	// nanoseconds, so the trace round-trips the wire exactly.
@@ -104,6 +107,19 @@ type QueryResponse struct {
 	// Planner is the adaptive planner's decision, present only for
 	// algorithm "auto" requests (traced or not).
 	Planner *skybench.PlannerTrace `json:"planner,omitempty"`
+}
+
+// QueryRows is the row payload of a QueryResponse, parallel arrays over
+// the result points. Indices are snapshot row positions (the stable
+// handle for static collections); IDs are the stream IDs of the same
+// points, present only for stream-backed collections. Counts are
+// per-point dominator counts, present only for k-skyband queries; Values
+// the per-point coordinates unless the request set omitValues.
+type QueryRows struct {
+	Indices []int       `json:"indices"`
+	IDs     []uint64    `json:"ids,omitempty"`
+	Counts  []int32     `json:"counts,omitempty"`
+	Values  [][]float64 `json:"values,omitempty"`
 }
 
 // InsertRequest is the body of POST /v1/collections/{name}/points: a
@@ -128,106 +144,32 @@ type DropResponse struct {
 	Dropped bool `json:"dropped"`
 }
 
-// CacheInfo mirrors skybench.CacheStats on the wire.
-type CacheInfo struct {
-	Hits    uint64 `json:"hits"`
-	Misses  uint64 `json:"misses"`
-	Entries int    `json:"entries"`
-}
-
-// AlgorithmCostInfo mirrors skybench.AlgorithmCost on the wire: one
-// collection's rolling execution-cost statistics for one algorithm.
-type AlgorithmCostInfo struct {
-	Algorithm          string  `json:"algorithm"`
-	Count              uint64  `json:"count"`
-	MeanLatencyNs      int64   `json:"meanLatencyNs"`
-	P50LatencyNs       int64   `json:"p50LatencyNs"`
-	P99LatencyNs       int64   `json:"p99LatencyNs"`
-	MeanDominanceTests float64 `json:"meanDominanceTests"`
-	// WindowedMeanDominanceTests is the mean dominance-test count over
-	// the same window the latency percentiles cover.
-	WindowedMeanDominanceTests float64 `json:"windowedMeanDominanceTests"`
-}
-
-// PlannerInfo mirrors skybench.PlannerStats on the wire: the adaptive
-// planner's data profile and decision tallies.
-type PlannerInfo struct {
-	Class        string                `json:"class"`
-	MeanSpearman float64               `json:"meanSpearman"`
-	SkylineFrac  float64               `json:"skylineFrac"`
-	SkylineEst   int                   `json:"skylineEst"`
-	SampleN      int                   `json:"sampleN"`
-	Decisions    []PlannerDecisionInfo `json:"decisions,omitempty"`
-}
-
-// PlannerDecisionInfo is one (plan, explore-mode) decision tally.
-type PlannerDecisionInfo struct {
-	Algorithm string `json:"algorithm"`
-	Shards    int    `json:"shards"`
-	Explore   bool   `json:"explore,omitempty"`
-	Count     uint64 `json:"count"`
-}
-
-// DurabilityInfo mirrors skybench.DurabilityStats on the wire.
-type DurabilityInfo struct {
-	WALFsyncs        uint64 `json:"walFsyncs"`
-	WALFsyncNs       int64  `json:"walFsyncNs"`
-	WALSegments      int    `json:"walSegments"`
-	Checkpoints      uint64 `json:"checkpoints"`
-	CheckpointNs     int64  `json:"checkpointNs"`
-	LastCheckpointNs int64  `json:"lastCheckpointNs,omitempty"`
-}
-
 // CollectionInfo describes one collection (GET /v1/collections and
-// GET /v1/collections/{name}).
+// GET /v1/collections/{name}). The stats blocks are the canonical
+// skybench types, which carry the wire's JSON tags themselves.
 type CollectionInfo struct {
-	Name         string    `json:"name"`
-	N            int       `json:"n"`
-	D            int       `json:"d"`
-	Epoch        uint64    `json:"epoch"`
-	Shards       int       `json:"shards"`
-	StreamBacked bool      `json:"streamBacked"`
-	Durable      bool      `json:"durable,omitempty"`
-	Inflight     int64     `json:"inflight"`
-	Cache        CacheInfo `json:"cache"`
-	Subscribers  int64     `json:"subscribers,omitempty"`
+	Name         string              `json:"name"`
+	N            int                 `json:"n"`
+	D            int                 `json:"d"`
+	Epoch        uint64              `json:"epoch"`
+	Shards       int                 `json:"shards"`
+	StreamBacked bool                `json:"streamBacked"`
+	Durable      bool                `json:"durable,omitempty"`
+	Inflight     int64               `json:"inflight"`
+	Cache        skybench.CacheStats `json:"cache"`
+	Subscribers  int64               `json:"subscribers,omitempty"`
 	// Costs are the collection's per-algorithm rolling cost statistics,
 	// one row per algorithm that has executed at least once.
-	Costs []AlgorithmCostInfo `json:"costs,omitempty"`
+	Costs []skybench.AlgorithmCost `json:"costs,omitempty"`
 	// Planner is the adaptive planner's profile and decision tallies,
 	// absent until the collection has been profiled.
-	Planner *PlannerInfo `json:"planner,omitempty"`
+	Planner *skybench.PlannerStats `json:"planner,omitempty"`
 	// Durability carries WAL and checkpoint counters for durable
 	// stream collections; absent otherwise.
-	Durability *DurabilityInfo `json:"durability,omitempty"`
+	Durability *skybench.DurabilityStats `json:"durability,omitempty"`
 	// Cluster carries the worker placement and fan-out counters of a
 	// cluster-backed collection; absent for local ones.
-	Cluster *ClusterInfo `json:"cluster,omitempty"`
-}
-
-// ClusterInfo mirrors skybench.PlacementStats on the wire: how a
-// cluster-backed collection's rows are placed across worker processes
-// and how the fan-out has fared.
-type ClusterInfo struct {
-	// Policy is the degraded-answer policy: "failfast" or "partial".
-	Policy string `json:"policy"`
-	// Partials counts degraded (partial) answers served so far.
-	Partials uint64 `json:"partials,omitempty"`
-	// Workers describes each worker in placement order.
-	Workers []ClusterWorkerInfo `json:"workers"`
-}
-
-// ClusterWorkerInfo is one worker's slice of a cluster placement.
-type ClusterWorkerInfo struct {
-	Addr    string `json:"addr"`
-	Lo      int    `json:"lo"`
-	Hi      int    `json:"hi"`
-	Healthy bool   `json:"healthy"`
-	Queries uint64 `json:"queries"`
-	// Failures counts fan-out calls that produced no mergeable answer;
-	// Retries the transport retries spent on the worker.
-	Failures uint64 `json:"failures,omitempty"`
-	Retries  uint64 `json:"retries,omitempty"`
+	Cluster *skybench.PlacementStats `json:"cluster,omitempty"`
 }
 
 // CollectionList is the body of GET /v1/collections, sorted by name.
