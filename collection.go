@@ -94,9 +94,162 @@ func (s *colSnapshot) partition(p int) {
 	}
 }
 
+// backing is where a collection's rows live and how a query over them
+// is answered: an immutable Dataset, a live StreamSource, or a
+// RemoteBackend. Everything above it — deadlines, admission, planning,
+// the epoch-keyed result cache, stale fallback, stats — is the
+// Collection's and is written once, against this interface.
+type backing interface {
+	// dims returns the dimensionality of the rows.
+	dims() int
+	// epoch returns the current membership epoch, without blocking.
+	epoch() uint64
+	// size returns the current number of rows.
+	size() (int, error)
+	// freeze pins the current membership: the snapshot a query is
+	// keyed, answered and cached against. For local rows the fast path
+	// (nothing changed since the last freeze) must not allocate.
+	freeze(ctx context.Context) (*colSnapshot, error)
+	// answer computes q over a frozen membership at the given fan-out.
+	// The result's Epoch is the epoch it was actually computed at.
+	answer(ctx context.Context, snap *colSnapshot, q Query, fanout int) (*QueryResult, error)
+	// close releases what the backing owns (CloseOnDrop).
+	close()
+	// describe fills the backing-specific facets of a stats snapshot.
+	describe(st *CollectionStats)
+}
+
+// local is the half the static and stream backings share: the frozen
+// rows are in this process, so a query over them is answered by the
+// Engine (execute).
+type local struct{ eng *Engine }
+
+func (l local) answer(ctx context.Context, snap *colSnapshot, q Query, fanout int) (*QueryResult, error) {
+	res, err := l.execute(ctx, snap, q, fanout)
+	if err != nil {
+		return nil, err
+	}
+	return &QueryResult{Result: res, Epoch: snap.epoch, snap: snap}, nil
+}
+
+// staticBacking is an immutable Dataset: one snapshot for life, epoch 0.
+type staticBacking struct {
+	local
+	snap *colSnapshot
+}
+
+func (b *staticBacking) dims() int                                    { return b.snap.ds.d }
+func (b *staticBacking) epoch() uint64                                { return 0 }
+func (b *staticBacking) size() (int, error)                           { return b.snap.ds.n, nil }
+func (b *staticBacking) freeze(context.Context) (*colSnapshot, error) { return b.snap, nil }
+func (b *staticBacking) close()                                       {}
+func (b *staticBacking) describe(*CollectionStats)                    {}
+
+// streamBacking is a live StreamSource, materialized at most once per
+// membership epoch.
+type streamBacking struct {
+	local
+	src    StreamSource
+	shards int
+
+	snapMu sync.Mutex                  // serializes materialization
+	snap   atomic.Pointer[colSnapshot] // current snapshot
+}
+
+func (b *streamBacking) dims() int     { return b.src.D() }
+func (b *streamBacking) epoch() uint64 { return b.src.LiveEpoch() }
+
+// size asks a source that can report its live count directly
+// (stream.SkylineIndex can) and materializes a snapshot otherwise.
+func (b *streamBacking) size() (int, error) {
+	if src, ok := b.src.(interface{ Len() int }); ok {
+		return src.Len(), nil
+	}
+	snap, err := b.freeze(context.Background())
+	if err != nil {
+		return 0, err
+	}
+	return snap.ds.n, nil
+}
+
+func (b *streamBacking) close() {
+	if cl, ok := b.src.(interface{ Close() }); ok {
+		cl.Close()
+	}
+}
+
+func (b *streamBacking) describe(st *CollectionStats) {
+	st.StreamBacked = true
+	if dp, ok := b.src.(durabilityProvider); ok {
+		if ds, ok := dp.DurabilityStats(); ok {
+			st.Durability = &ds
+		}
+	}
+}
+
+// snapRes carries a materialized snapshot across the goroutine boundary
+// in freeze.
+type snapRes struct {
+	s   *colSnapshot
+	err error
+}
+
+// freeze returns the source's current frozen membership, materializing
+// it only when its epoch advanced. Materializing blocks on the source's
+// write lock (a rebuilding stream can hold it for a while), so when ctx
+// can expire the wait happens on a side goroutine and the query abandons
+// it on time. The abandoned materialization still completes in the
+// background and is cached, so the next query finds it warm. The fast
+// paths — unchanged epoch, or an un-cancelable context — stay inline
+// and allocation-free.
+func (b *streamBacking) freeze(ctx context.Context) (*colSnapshot, error) {
+	if s := b.snap.Load(); s != nil && s.epoch == b.src.LiveEpoch() {
+		return s, nil
+	}
+	if ctx.Done() == nil {
+		return b.materialize()
+	}
+	ch := make(chan snapRes, 1)
+	go func() {
+		defer func() {
+			if r := recover(); r != nil {
+				ch <- snapRes{err: panicErr(r, debug.Stack())}
+			}
+		}()
+		s, err := b.materialize()
+		ch <- snapRes{s: s, err: err}
+	}()
+	select {
+	case r := <-ch:
+		return r.s, r.err
+	case <-ctx.Done():
+		return nil, canceledErr(ctx.Err())
+	}
+}
+
+// materialize takes a fresh snapshot of the source, unless a concurrent
+// caller already did for the current epoch.
+func (b *streamBacking) materialize() (*colSnapshot, error) {
+	b.snapMu.Lock()
+	defer b.snapMu.Unlock()
+	if s := b.snap.Load(); s != nil && s.epoch == b.src.LiveEpoch() {
+		return s, nil
+	}
+	vals, ids, epoch := b.src.LiveSnapshot()
+	ds, err := DatasetFromFlat(vals, len(ids), b.src.D())
+	if err != nil {
+		return nil, err
+	}
+	s := &colSnapshot{epoch: epoch, ds: ds, ids: ids}
+	s.partition(b.shards)
+	b.snap.Store(s)
+	return s, nil
+}
+
 // Collection is one named queryable point set inside a Store: an
-// immutable Dataset or a live StreamSource behind a single query
-// surface, optionally sharded, with epoch-keyed result caching.
+// immutable Dataset, a live StreamSource or a RemoteBackend behind a
+// single query surface, optionally sharded, with epoch-keyed result
+// caching.
 //
 // Run and Submit are safe for concurrent use by any number of
 // goroutines. Results are *QueryResult handles that may be shared by
@@ -104,24 +257,17 @@ func (s *colSnapshot) partition(p int) {
 // Indices or Counts; use Result.Clone for a mutable copy.
 type Collection struct {
 	name   string
-	eng    *Engine
 	shards int
+	back   backing
 
 	owner       *Store        // nil for collections outside a Store
 	timeout     time.Duration // default per-query deadline (0 = none)
-	closeOnDrop bool          // Drop/Close also closes the source
-
-	src    StreamSource  // nil for static collections
-	static *colSnapshot  // non-nil for static collections
-	remote RemoteBackend // non-nil for cluster-backed collections
-
-	snapMu sync.Mutex                  // serializes stream materialization
-	snap   atomic.Pointer[colSnapshot] // current stream snapshot
+	closeOnDrop bool          // Drop/Close also closes the backing
 
 	cmu      sync.Mutex
-	entries  map[fingerprint]cacheEntry
-	stale    map[fingerprint]cacheEntry // last result per fingerprint, any epoch
-	cacheCap int                        // ≤ 0 disables caching
+	entries  resultFIFO // results at the current epoch (one epoch at a time)
+	stale    resultFIFO // last result per fingerprint, any epoch
+	cacheCap int        // ≤ 0 disables caching
 	hits     atomic.Uint64
 	misses   atomic.Uint64
 
@@ -132,30 +278,16 @@ type Collection struct {
 
 	inflight atomic.Int64 // queries currently executing via Run/Submit
 
-	dropped atomic.Bool
-	srcOnce sync.Once
+	dropped   atomic.Bool
+	closeOnce sync.Once
 }
 
-// closeSource closes the backing StreamSource or RemoteBackend if the
-// collection owns it (CollectionOptions.CloseOnDrop) and it is
-// closeable. Idempotent.
+// closeSource closes the backing if the collection owns it
+// (CollectionOptions.CloseOnDrop). Idempotent.
 func (c *Collection) closeSource() {
-	if !c.closeOnDrop || (c.src == nil && c.remote == nil) {
-		return
+	if c.closeOnDrop {
+		c.closeOnce.Do(c.back.close)
 	}
-	c.srcOnce.Do(func() {
-		if cl, ok := c.src.(interface{ Close() }); ok {
-			cl.Close()
-		}
-		if cl, ok := c.remote.(interface{ Close() }); ok {
-			cl.Close()
-		}
-	})
-}
-
-type cacheEntry struct {
-	epoch uint64
-	r     *QueryResult
 }
 
 // Name returns the name the collection is attached under.
@@ -167,115 +299,22 @@ func (c *Collection) Shards() int { return c.shards }
 
 // StreamBacked reports whether the collection is backed by a live
 // StreamSource rather than an immutable Dataset.
-func (c *Collection) StreamBacked() bool { return c.src != nil }
+func (c *Collection) StreamBacked() bool {
+	_, ok := c.back.(*streamBacking)
+	return ok
+}
 
 // Epoch returns the collection's current membership epoch: always 0
 // for a static collection, the backing source's LiveEpoch for a
 // stream-backed one, the workers' last agreed epoch for a
 // cluster-backed one. Cached results are keyed by it.
-func (c *Collection) Epoch() uint64 {
-	if c.remote != nil {
-		return c.remote.Epoch()
-	}
-	if c.src == nil {
-		return 0
-	}
-	return c.src.LiveEpoch()
-}
+func (c *Collection) Epoch() uint64 { return c.back.epoch() }
 
-// N returns the current number of points (taking a fresh stream
-// snapshot if the backing mutated since the last query).
-func (c *Collection) N() (int, error) {
-	if c.remote != nil {
-		return c.remote.Len(), nil
-	}
-	snap, err := c.snapshot()
-	if err != nil {
-		return 0, err
-	}
-	return snap.ds.n, nil
-}
+// N returns the current number of points.
+func (c *Collection) N() (int, error) { return c.back.size() }
 
 // D returns the dimensionality of the collection's points.
-func (c *Collection) D() int {
-	if c.remote != nil {
-		return c.remote.D()
-	}
-	if c.src != nil {
-		return c.src.D()
-	}
-	return c.static.ds.d
-}
-
-// snapshot returns the collection's current frozen membership,
-// materializing the stream backing only when its epoch advanced. The
-// fast path (static, or stream with unchanged epoch) allocates nothing.
-func (c *Collection) snapshot() (*colSnapshot, error) {
-	if c.static != nil {
-		return c.static, nil
-	}
-	if s := c.snap.Load(); s != nil && s.epoch == c.src.LiveEpoch() {
-		return s, nil
-	}
-	c.snapMu.Lock()
-	defer c.snapMu.Unlock()
-	if s := c.snap.Load(); s != nil && s.epoch == c.src.LiveEpoch() {
-		return s, nil
-	}
-	vals, ids, epoch := c.src.LiveSnapshot()
-	n := len(ids)
-	ds, err := DatasetFromFlat(vals, n, c.src.D())
-	if err != nil {
-		return nil, err
-	}
-	s := &colSnapshot{epoch: epoch, ds: ds, ids: ids}
-	s.partition(c.shards)
-	c.snap.Store(s)
-	return s, nil
-}
-
-// snapRes carries a materialized snapshot across the goroutine boundary
-// in snapshotCtx.
-type snapRes struct {
-	s   *colSnapshot
-	err error
-}
-
-// snapshotCtx is snapshot with deadline awareness: materializing a
-// stream snapshot blocks on the source's write lock (a rebuilding
-// stream can hold it for a while), so when ctx can expire the wait
-// happens on a side goroutine and the query abandons it on time. The
-// abandoned materialization still completes in the background and is
-// cached, so the next query finds it warm. The fast paths — static
-// collection, unchanged epoch, or an un-cancelable context — stay
-// inline and allocation-free.
-func (c *Collection) snapshotCtx(ctx context.Context) (*colSnapshot, error) {
-	if c.static != nil {
-		return c.static, nil
-	}
-	if s := c.snap.Load(); s != nil && s.epoch == c.src.LiveEpoch() {
-		return s, nil
-	}
-	if ctx.Done() == nil {
-		return c.snapshot()
-	}
-	ch := make(chan snapRes, 1)
-	go func() {
-		defer func() {
-			if r := recover(); r != nil {
-				ch <- snapRes{err: panicErr(r, debug.Stack())}
-			}
-		}()
-		s, err := c.snapshot()
-		ch <- snapRes{s: s, err: err}
-	}()
-	select {
-	case r := <-ch:
-		return r.s, r.err
-	case <-ctx.Done():
-		return nil, canceledErr(ctx.Err())
-	}
-}
+func (c *Collection) D() int { return c.back.dims() }
 
 // fingerprint is the canonical cache key of a query: every field that
 // can change the result, canonicalized (k ≤ 1 → 1, all-Min preference
@@ -510,7 +549,8 @@ func (c *Collection) runReport(ctx context.Context, q Query) (*QueryResult, bool
 }
 
 // run is runReport without the deadline and graceful-degradation
-// wrappers.
+// wrappers: freeze the membership, resolve the plan, look the answer up,
+// and on a miss have the backing compute it and cache what came back.
 func (c *Collection) run(ctx context.Context, q Query) (*QueryResult, bool, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, false, canceledErr(err)
@@ -518,10 +558,7 @@ func (c *Collection) run(ctx context.Context, q Query) (*QueryResult, bool, erro
 	if c.dropped.Load() {
 		return nil, false, fmt.Errorf("%w: collection %q", ErrClosed, c.name)
 	}
-	if c.remote != nil {
-		return c.runRemote(ctx, q)
-	}
-	snap, err := c.snapshotCtx(ctx)
+	snap, err := c.back.freeze(ctx)
 	if err != nil {
 		return nil, false, err
 	}
@@ -529,17 +566,14 @@ func (c *Collection) run(ctx context.Context, q Query) (*QueryResult, bool, erro
 	// concrete plan, so Auto queries share entries with explicit runs of
 	// the same algorithm, and a later hit is attributed to the plan that
 	// computed it.
-	fanout := len(snap.parts)
-	if fanout < 1 {
-		fanout = 1
-	}
+	fanout := max(1, len(snap.parts))
 	var planTrace *PlannerTrace
 	if q.Algorithm == Auto {
 		fanout, planTrace = c.decide(snap, &q)
 	}
 	fp, cacheable := fingerprint{}, false
 	if c.cacheCap > 0 {
-		fp, cacheable = queryFingerprint(&q, snap.ds.d)
+		fp, cacheable = queryFingerprint(&q, c.back.dims())
 		if len(snap.parts) > 1 && fanout <= 1 {
 			// A planner-downshifted unsharded run returns the algorithm's
 			// natural order, not the sharded ascending order — key it
@@ -563,20 +597,25 @@ func (c *Collection) run(ctx context.Context, q Query) (*QueryResult, bool, erro
 			return r, true, nil
 		}
 	}
-	res, err := c.execute(ctx, snap, q, fanout)
+	start := time.Now()
+	r, err := c.back.answer(ctx, snap, q, fanout)
 	if err != nil {
 		return nil, false, err
 	}
-	c.costs.record(q.Algorithm, res.Stats.Elapsed, res.Stats.DominanceTests)
+	elapsed := time.Since(start)
+	c.costs.record(q.Algorithm, elapsed, r.Stats.DominanceTests)
 	if planTrace != nil {
-		c.observePlan(planTrace, res.Stats.Elapsed)
+		c.observePlan(planTrace, elapsed)
+		r.Plan = planTrace
 	}
-	if res.Trace != nil {
-		res.Trace.Epoch = snap.epoch
-		res.Trace.Planner = planTrace
+	if r.Trace != nil {
+		r.Trace.Epoch = r.Epoch
+		r.Trace.Planner = planTrace
 	}
-	r := &QueryResult{Result: res, Epoch: snap.epoch, Plan: planTrace, snap: snap}
-	if cacheable {
+	// A partial (degraded) answer is never cached — the missing rows may
+	// be back on the next query, and a cache must not pin a degraded
+	// answer for a healthy cluster.
+	if cacheable && !r.Partial {
 		// The holder goes on before any copy is taken, so what this first
 		// caller encodes is what later hits are answered with.
 		r.memo = new(payloadMemo)
@@ -585,13 +624,15 @@ func (c *Collection) run(ctx context.Context, q Query) (*QueryResult, bool, erro
 		// planner decision: both describe the first caller's run, not a
 		// later hit.
 		cached := r
-		if res.Trace != nil || planTrace != nil {
+		if r.Trace != nil || planTrace != nil {
 			cp := *r
 			cp.Result.Trace = nil
 			cp.Plan = nil
 			cached = &cp
 		}
-		c.store(fp, snap.epoch, cached)
+		// Keyed at the epoch the answer was actually computed at (remote
+		// workers may have advanced past the epoch frozen above).
+		c.store(fp, r.Epoch, cached)
 	}
 	return r, false, nil
 }
@@ -606,10 +647,10 @@ func plannerSeed(name string) int64 {
 }
 
 // plannerFor returns the collection's planner, creating it (profiling
-// the snapshot) on first use, and re-profiling when a stream-backed
-// collection's size drifted ~4× from the profiled one — skyline
-// cardinality extrapolates on n, so a profile taken at 1k rows misprices
-// the set at 100k.
+// the snapshot) on first use, and re-profiling when the collection's
+// size drifted ~4× from the profiled one (only a stream-backed
+// collection's can) — skyline cardinality extrapolates on n, so a
+// profile taken at 1k rows misprices the set at 100k.
 func (c *Collection) plannerFor(snap *colSnapshot) *planner.Planner {
 	c.planMu.Lock()
 	defer c.planMu.Unlock()
@@ -618,12 +659,10 @@ func (c *Collection) plannerFor(snap *colSnapshot) *planner.Planner {
 		c.plan = planner.New(prof, planner.Config{Seed: plannerSeed(c.name)})
 		return c.plan
 	}
-	if c.src != nil {
-		prof := c.plan.Profile()
-		n := snap.ds.n
-		if prof.N > 0 && (n >= prof.N*4 || n*4 <= prof.N) {
-			c.plan.SetProfile(planner.ProfileFlat(snap.ds.vals, snap.ds.n, snap.ds.d))
-		}
+	prof := c.plan.Profile()
+	n := snap.ds.n
+	if prof.N > 0 && (n >= prof.N*4 || n*4 <= prof.N) {
+		c.plan.SetProfile(planner.ProfileFlat(snap.ds.vals, snap.ds.n, snap.ds.d))
 	}
 	return c.plan
 }
@@ -632,8 +671,13 @@ func (c *Collection) plannerFor(snap *colSnapshot) *planner.Planner {
 // the concrete algorithm, the fan-out (possibly overriding the
 // configured shard count down to 1), and the α/β tuning — explicit
 // caller-set tuning fields always win. It returns the fan-out to
-// execute at and the decision trace.
+// execute at and the decision trace. A membership whose rows live
+// elsewhere (a remote backing) has nothing here to profile: the query
+// goes out as Auto and each worker plans its own shard.
 func (c *Collection) decide(snap *colSnapshot, q *Query) (int, *PlannerTrace) {
+	if snap.ds == nil {
+		return 1, nil
+	}
 	pl := c.plannerFor(snap)
 	maxShards := 1
 	// Progressive delivery needs an unsharded run, so the planner only
@@ -734,7 +778,7 @@ func (c *Collection) staleFallback(q *Query, err error) (*QueryResult, error) {
 		return nil, err
 	}
 	c.cmu.Lock()
-	e, ok := c.stale[fp]
+	e, ok := c.stale.m[fp]
 	c.cmu.Unlock()
 	if !ok {
 		return nil, err
@@ -749,11 +793,37 @@ func (c *Collection) staleFallback(q *Query, err error) (*QueryResult, error) {
 	return &r, nil
 }
 
+type cacheEntry struct {
+	epoch uint64
+	r     *QueryResult
+}
+
+// resultFIFO is a capacity-bounded map of cached results that evicts in
+// insertion order, so which shapes hit is a function of the query
+// sequence alone — never of map iteration order.
+type resultFIFO struct {
+	m     map[fingerprint]cacheEntry
+	order []fingerprint // keys of m, oldest first
+}
+
+// put stores e under fp, evicting the oldest entry when fp is new and
+// the map already holds capacity entries.
+func (f *resultFIFO) put(fp fingerprint, e cacheEntry, capacity int) {
+	if _, ok := f.m[fp]; !ok {
+		if len(f.order) >= capacity {
+			delete(f.m, f.order[0])
+			f.order = append(f.order[:0], f.order[1:]...)
+		}
+		f.order = append(f.order, fp)
+	}
+	f.m[fp] = e
+}
+
 // lookup serves a cache hit, or nil on miss/stale. The hit path is
 // allocation-free.
 func (c *Collection) lookup(fp fingerprint, epoch uint64) *QueryResult {
 	c.cmu.Lock()
-	e, ok := c.entries[fp]
+	e, ok := c.entries.m[fp]
 	c.cmu.Unlock()
 	if ok && e.epoch == epoch {
 		c.hits.Add(1)
@@ -767,33 +837,21 @@ func (c *Collection) lookup(fp fingerprint, epoch uint64) *QueryResult {
 // purged on every insert, not just at capacity: a stale entry can never
 // hit again (lookup requires the current epoch) yet pins its epoch's
 // whole materialized snapshot — for stream-backed collections that is a
-// full copy of the live set. If the cache is still full afterwards an
-// arbitrary current-epoch entry is evicted.
+// full copy of the live set. So entries only ever holds one epoch, and
+// its oldest entry speaks for all of them. If the cache is still full
+// afterwards the oldest entry is evicted.
 func (c *Collection) store(fp fingerprint, epoch uint64, r *QueryResult) {
 	c.cmu.Lock()
 	defer c.cmu.Unlock()
-	for k, e := range c.entries {
-		if e.epoch != epoch {
-			delete(c.entries, k)
-		}
+	if o := c.entries.order; len(o) > 0 && c.entries.m[o[0]].epoch != epoch {
+		clear(c.entries.m)
+		c.entries.order = o[:0]
 	}
-	if len(c.entries) >= c.cacheCap {
-		for k := range c.entries {
-			delete(c.entries, k)
-			break
-		}
-	}
-	c.entries[fp] = cacheEntry{epoch: epoch, r: r}
+	c.entries.put(fp, cacheEntry{epoch: epoch, r: r}, c.cacheCap)
 	// The stale side map keeps the latest result per query shape across
 	// epochs, feeding AllowStale degradation. It never pins more than
 	// cacheCap snapshots.
-	if _, ok := c.stale[fp]; !ok && len(c.stale) >= c.cacheCap {
-		for k := range c.stale {
-			delete(c.stale, k)
-			break
-		}
-	}
-	c.stale[fp] = cacheEntry{epoch: epoch, r: r}
+	c.stale.put(fp, cacheEntry{epoch: epoch, r: r}, c.cacheCap)
 }
 
 // CacheStats reports a collection's result-cache counters. Like the
@@ -812,7 +870,7 @@ type CacheStats struct {
 // CacheStats returns the collection's cache counters.
 func (c *Collection) CacheStats() CacheStats {
 	c.cmu.Lock()
-	n := len(c.entries)
+	n := len(c.entries.m)
 	c.cmu.Unlock()
 	return CacheStats{Hits: c.hits.Load(), Misses: c.misses.Load(), Entries: n}
 }
@@ -915,13 +973,12 @@ type durabilityProvider interface {
 // materializing it if the membership epoch advanced.
 func (c *Collection) Stats() (CollectionStats, error) {
 	st := CollectionStats{
-		Name:         c.name,
-		D:            c.D(),
-		Shards:       c.shards,
-		StreamBacked: c.src != nil,
-		Cache:        c.CacheStats(),
-		Inflight:     c.inflight.Load(),
-		Costs:        c.costs.stats(),
+		Name:     c.name,
+		D:        c.D(),
+		Shards:   c.shards,
+		Cache:    c.CacheStats(),
+		Inflight: c.inflight.Load(),
+		Costs:    c.costs.stats(),
 	}
 	c.planMu.Lock()
 	pl := c.plan
@@ -945,48 +1002,23 @@ func (c *Collection) Stats() (CollectionStats, error) {
 		}
 		st.Planner = ps
 	}
-	if dp, ok := c.src.(durabilityProvider); ok {
-		if ds, ok := dp.DurabilityStats(); ok {
-			st.Durability = &ds
-		}
-	}
-	if c.remote != nil {
-		pl := c.remote.Placement()
-		st.Placement = &pl
-	}
+	c.back.describe(&st)
 	if c.dropped.Load() {
 		return st, fmt.Errorf("%w: collection %q", ErrClosed, c.name)
 	}
-	if c.remote != nil {
-		st.N = c.remote.Len()
-		st.Epoch = c.remote.Epoch()
-		return st, nil
-	}
-	if c.src == nil {
-		st.N = c.static.ds.n
-		return st, nil
-	}
-	if src, ok := c.src.(interface{ Len() int }); ok {
-		st.Epoch = c.src.LiveEpoch()
-		st.N = src.Len()
-		return st, nil
-	}
-	snap, err := c.snapshot()
-	if err != nil {
-		return st, err
-	}
-	st.N = snap.ds.n
-	st.Epoch = snap.epoch
-	return st, nil
+	st.Epoch = c.back.epoch()
+	var err error
+	st.N, err = c.back.size()
+	return st, err
 }
 
 // execute computes a query over one frozen snapshot: directly for
 // unsharded collections (or when the planner downshifted fanout to 1),
-// fan-out + exact merge for sharded ones.
-func (c *Collection) execute(ctx context.Context, snap *colSnapshot, q Query, fanout int) (Result, error) {
+// fan-out + exact merge (shard.Merge) for sharded ones.
+func (l local) execute(ctx context.Context, snap *colSnapshot, q Query, fanout int) (Result, error) {
 	if len(snap.parts) <= 1 || fanout <= 1 {
 		q.ReuseIndices = false // results may outlive any engine context
-		return c.eng.exec(ctx, snap.ds, q)
+		return l.eng.exec(ctx, snap.ds, q)
 	}
 	if q.Progressive != nil {
 		return Result{}, fmt.Errorf("%w: progressive delivery needs an unsharded collection", ErrBadQuery)
@@ -1016,7 +1048,7 @@ func (c *Collection) execute(ctx context.Context, snap *colSnapshot, q Query, fa
 					errs[i] = panicErr(r, debug.Stack())
 				}
 			}()
-			results[i], errs[i] = c.eng.exec(ctx, snap.parts[i], q)
+			results[i], errs[i] = l.eng.exec(ctx, snap.parts[i], q)
 		}(i)
 	}
 	wg.Wait()
@@ -1026,28 +1058,10 @@ func (c *Collection) execute(ctx context.Context, snap *colSnapshot, q Query, fa
 		}
 	}
 
-	// Candidates: the union of per-shard results, as global row indices.
-	k := q.SkybandK
-	if k < 1 {
-		k = 1
-	}
-	total := 0
-	var dts uint64
-	for _, r := range results {
-		total += len(r.Indices)
-		dts += r.Stats.DominanceTests
-	}
-	cand := make([]int, 0, total)
-	for si, r := range results {
-		off := snap.offs[si]
-		for _, li := range r.Indices {
-			cand = append(cand, off+li)
-		}
-	}
-
-	// Gather the candidate rows under the query's preferences, through
-	// the same view the shards read their rows through — the merge
-	// recount must compare in the transformed space they computed in.
+	// Gather the candidate rows — the union of the per-shard bands —
+	// under the query's preferences, through the same view the shards
+	// read their rows through: the merge recount must compare in the
+	// transformed space they computed in.
 	ops, err := q.opsInto(nil)
 	if err != nil {
 		return Result{}, err
@@ -1055,27 +1069,36 @@ func (c *Collection) execute(ctx context.Context, snap *colSnapshot, q Query, fa
 	var v point.View
 	v.Reset(snap.ds.vals, snap.ds.n, snap.ds.d, ops)
 	de := v.D()
-	buf := make([]float64, len(cand)*de)
-	for p, gi := range cand {
-		v.CopyRow(buf[p*de:(p+1)*de], gi)
+	parts := make([]shard.Part, len(results))
+	nc := 0
+	var dts uint64
+	for i, r := range results {
+		parts[i] = shard.Part{Off: snap.offs[i], Idx: r.Indices}
+		nc += len(r.Indices)
+		dts += r.Stats.DominanceTests
 	}
-
-	keep, counts, mergePath, err := c.mergeCandidates(ctx, buf, len(cand), de, k, &dts)
+	buf := make([]float64, nc*de)
+	pos := 0
+	for _, p := range parts {
+		for _, li := range p.Idx {
+			v.CopyRow(buf[pos*de:(pos+1)*de], p.Off+li)
+			pos++
+		}
+	}
+	m, err := shard.Merge(ctx, parts, buf, de, q.SkybandK, l.eng.recount, &dts)
 	if err != nil {
+		if cerr := ctx.Err(); cerr != nil {
+			err = canceledErr(cerr)
+		}
 		return Result{}, err
 	}
-	idx := make([]int, len(keep))
-	for j, p := range keep {
-		idx[j] = cand[p]
-	}
-	shard.SortByIndex(idx, counts)
 
-	res := Result{Indices: idx, Counts: counts}
+	res := Result{Indices: m.Rows, Counts: m.Counts}
 	res.Stats = Stats{
 		DominanceTests: dts,
-		SkylineSize:    len(idx),
+		SkylineSize:    len(m.Rows),
 		InputSize:      snap.ds.n,
-		Threads:        c.eng.threads,
+		Threads:        l.eng.threads,
 		Elapsed:        time.Since(start),
 	}
 	// Aggregate the per-shard work counters and phase timings into the
@@ -1091,7 +1114,7 @@ func (c *Collection) execute(ctx context.Context, snap *colSnapshot, q Query, fa
 	}
 	if traced {
 		tr := traceFromResult(q.Algorithm, q.SkybandK, &res)
-		tr.MergePath = mergePath
+		tr.MergePath = m.Path
 		tr.Shards = make([]ShardTrace, len(results))
 		for i, r := range results {
 			tr.Shards[i] = ShardTrace{
@@ -1108,34 +1131,15 @@ func (c *Collection) execute(ctx context.Context, snap *colSnapshot, q Query, fa
 	return res, nil
 }
 
-// mergeCandidates computes the exact k-skyband of the nc staged
-// candidates (the union of per-shard bands), returning candidate
-// positions, exact counts (nil for k ≤ 1), and the merge-path label for
-// the trace, by whichever merge path fits the union size
-// (shard.MergeKernelMax). Both paths implement the same DESIGN.md §10
-// recount; shard.MergeBand is the reference the property tests pin.
-func (c *Collection) mergeCandidates(ctx context.Context, buf []float64, nc, de, k int, dts *uint64) ([]int, []int32, string, error) {
-	if nc <= shard.MergeKernelMax {
-		keep, counts, err := shard.MergeBand(ctx, buf, nc, de, k, dts)
-		if err != nil {
-			return nil, nil, "", canceledErr(err)
-		}
-		return keep, counts, shard.MergePathKernel, nil
-	}
-	ds, err := DatasetFromFlat(buf, nc, de)
+// recount is the shard.Recount every merge in this package hands
+// shard.Merge: one engine run over the candidate union.
+func (e *Engine) recount(ctx context.Context, vals []float64, n, d, k int) ([]int, []int32, uint64, error) {
+	ds, err := DatasetFromFlat(vals, n, d)
 	if err != nil {
-		return nil, nil, "", err
+		return nil, nil, 0, err
 	}
-	q := Query{}
-	if k > 1 {
-		q.SkybandK = k
-	}
-	res, err := c.eng.exec(ctx, ds, q)
-	if err != nil {
-		return nil, nil, "", err
-	}
-	*dts += res.Stats.DominanceTests
-	return res.Indices, res.Counts, shard.MergePathEngine, nil
+	res, err := e.exec(ctx, ds, Query{SkybandK: k})
+	return res.Indices, res.Counts, res.Stats.DominanceTests, err
 }
 
 // Future is the handle of one asynchronously submitted query. Wait (or

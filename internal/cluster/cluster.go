@@ -26,7 +26,7 @@ import (
 	"errors"
 	"fmt"
 	"net/http"
-	"sort"
+	"runtime/debug"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -104,9 +104,9 @@ type Config struct {
 	// ProbeInterval is the worker health-probe cadence (0 = 2s,
 	// negative = no probing; workers then stay reported healthy).
 	ProbeInterval time.Duration
-	// Engine, when set, merges unions larger than shard.MergeKernelMax
+	// Engine, when set, merges unions past shard.Merge's kernel cutoff
 	// through a full engine recompute instead of the quadratic flat
-	// recount — the same cutoff the in-process fan-out uses.
+	// recount, as the in-process fan-out does.
 	Engine *skybench.Engine
 	// HTTPClient, when set, is shared by every worker's wire client
 	// (tests inject httptest transports here). Default: one private
@@ -276,10 +276,11 @@ func (co *Coordinator) margin() time.Duration {
 
 // callOut is the outcome of one worker call.
 type callOut struct {
-	resp    *serve.QueryResponse
-	err     error
-	wire    time.Duration
-	retries uint64
+	resp     *serve.QueryResponse
+	err      error
+	panicked bool // err is a panic contained on the fan-out goroutine
+	wire     time.Duration
+	retries  uint64
 }
 
 // deadlineErr builds the triple-wrapped deadline error every deadline
@@ -342,193 +343,132 @@ func (co *Coordinator) Run(ctx context.Context, q skybench.Query) (*skybench.Que
 		wg.Add(1)
 		go func(i int, w *worker) {
 			defer wg.Done()
+			// A panic on this goroutine (a transport, the wire client)
+			// would take the whole coordinator process down; contain it
+			// on the worker's slot so it fails only this query.
+			defer func() {
+				if r := recover(); r != nil {
+					w.failures.Add(1)
+					outs[i] = callOut{panicked: true, err: fmt.Errorf("%w: worker %s: %v\n%s",
+						skybench.ErrQueryPanic, w.spec.Addr, r, debug.Stack())}
+				}
+			}()
 			outs[i] = co.callWorker(ctx, w, &wreq)
 		}(i, w)
 	}
 	wg.Wait()
 
-	if err := ctx.Err(); err != nil {
-		return nil, wrapCtxErr(err)
-	}
-
-	// Classify the failures. Caller errors (bad query) and merge-safety
-	// errors (epoch skew) are hard failures under every policy; a
-	// deadline or cancel is the caller's budget expiring, not a worker
-	// being away; only genuine worker unavailability is policy-shaped.
-	var badErr, skewErr, dlErr, cancelErr, workerErr error
-	failed := 0
+	// Keep the first failure of the gravest class. A contained panic is
+	// a bug in this process; caller errors (bad query) and merge-safety
+	// errors (epoch skew) are the query's own: all three are hard
+	// failures under every policy. A deadline or cancel is the caller's
+	// budget expiring, not a worker being away; only genuine worker
+	// unavailability is policy-shaped.
+	var fail error
+	class, failed := classNone, 0
 	for i, out := range outs {
 		if out.err == nil {
 			continue
 		}
 		failed++
-		err := out.err
-		addr := co.workers[i].spec.Addr
-		switch {
-		case errors.Is(err, skybench.ErrEpochSkew):
-			if skewErr == nil {
-				skewErr = err
-			}
-		case errors.Is(err, skybench.ErrBadQuery), errors.Is(err, skybench.ErrUnknownAlgorithm),
-			errors.Is(err, skybench.ErrBadDataset), errors.Is(err, skybench.ErrBadPoint):
-			if badErr == nil {
-				badErr = err
-			}
-		case errors.Is(err, skybench.ErrDeadlineExceeded), errors.Is(err, context.DeadlineExceeded):
-			if dlErr == nil {
-				dlErr = fmt.Errorf("%w: %w: %w: worker %s: %v", skybench.ErrCanceled,
-					skybench.ErrDeadlineExceeded, context.DeadlineExceeded, addr, err)
-			}
-		case errors.Is(err, skybench.ErrCanceled), errors.Is(err, context.Canceled):
-			if cancelErr == nil {
-				cancelErr = fmt.Errorf("%w: worker %s: %v", skybench.ErrCanceled, addr, err)
-			}
-		default:
-			if workerErr == nil {
-				workerErr = fmt.Errorf("%w: worker %s: %v", skybench.ErrWorkerUnavailable, addr, err)
-			}
+		if c, err := classify(out, co.workers[i].spec.Addr); c < class {
+			class, fail = c, err
 		}
 	}
 	switch {
-	case badErr != nil:
-		return nil, badErr
-	case skewErr != nil:
-		return nil, skewErr
-	case dlErr != nil:
-		return nil, dlErr
-	case cancelErr != nil:
-		return nil, cancelErr
+	case class == classPanic:
+		return nil, fail
+	case ctx.Err() != nil:
+		return nil, wrapCtxErr(ctx.Err())
+	case class < classWorker:
+		return nil, fail
 	}
 	partial := false
-	if workerErr != nil {
+	if class == classWorker {
 		if co.cfg.Policy == FailFast {
-			return nil, workerErr
+			return nil, fail
 		}
 		if failed == len(co.workers) {
-			return nil, fmt.Errorf("%w: all %d workers failed: %v", skybench.ErrWorkerUnavailable, len(co.workers), workerErr)
+			return nil, fmt.Errorf("%w: all %d workers failed: %v", skybench.ErrWorkerUnavailable, len(co.workers), fail)
 		}
 		partial = true
 	}
 
-	// Epoch agreement across the surviving responses: merging bands
-	// computed over different membership epochs would silently mix two
-	// point sets, so skew is a hard error under every policy
-	// (epoch-consistent stream shipping is the documented non-goal this
-	// fences off).
-	var epoch uint64
-	seen := false
+	// Candidates: the union of per-worker bands, one part per answering
+	// worker, with the shipped coordinates (and stream IDs when every
+	// worker has them) kept by candidate position. The answers must
+	// agree on the epoch: merging bands computed over different
+	// membership epochs would silently mix two point sets, so skew is a
+	// hard error under every policy (epoch-consistent stream shipping is
+	// the documented non-goal this fences off).
+	d := co.cfg.D
+	var parts []shard.Part
+	var candVals [][]float64
+	var candIDs []uint64
+	var epoch, dts uint64
+	input := 0
+	hasIDs := true
 	for i, out := range outs {
 		if out.resp == nil {
 			continue
 		}
-		if !seen {
-			epoch, seen = out.resp.Epoch, true
-			continue
-		}
-		if out.resp.Epoch != epoch {
+		if len(parts) == 0 {
+			epoch = out.resp.Epoch
+		} else if out.resp.Epoch != epoch {
 			return nil, fmt.Errorf("%w: worker %s answered at epoch %d, others at %d",
 				skybench.ErrEpochSkew, co.workers[i].spec.Addr, out.resp.Epoch, epoch)
 		}
-	}
-	co.epoch.Store(epoch)
-
-	// Candidates: the union of per-worker bands as global row indices,
-	// with the shipped coordinates (and stream IDs when every worker
-	// has them) kept parallel.
-	d := co.cfg.D
-	total, input := 0, 0
-	var dts uint64
-	hasIDs := true
-	for _, out := range outs {
-		if out.resp == nil {
-			continue
-		}
-		total += len(out.resp.Indices)
+		parts = append(parts, shard.Part{Off: co.workers[i].spec.Lo, Idx: out.resp.Indices})
+		candVals = append(candVals, out.resp.Values...)
+		candIDs = append(candIDs, out.resp.IDs...)
 		input += out.resp.Stats.InputSize
 		dts += out.resp.Stats.DominanceTests
 		if len(out.resp.IDs) != len(out.resp.Indices) {
 			hasIDs = false
 		}
 	}
-	candIdx := make([]int, 0, total)
-	candVals := make([][]float64, 0, total)
-	var candIDs []uint64
-	if hasIDs {
-		candIDs = make([]uint64, 0, total)
-	}
-	for i, out := range outs {
-		if out.resp == nil {
-			continue
-		}
-		off := co.workers[i].spec.Lo
-		for j, li := range out.resp.Indices {
-			candIdx = append(candIdx, off+li)
-			candVals = append(candVals, out.resp.Values[j])
-			if hasIDs {
-				candIDs = append(candIDs, out.resp.IDs[j])
-			}
-		}
-	}
+	co.epoch.Store(epoch)
 
-	// Re-stage the candidates under the query's preferences — the
-	// recount must compare in the same transformed space the workers
-	// computed in — then run the same exact merge as the in-process
-	// fan-out.
-	k := q.SkybandK
-	if k < 1 {
-		k = 1
+	// Stage the candidates under the query's preferences — the recount
+	// must compare in the same transformed space the workers computed
+	// in — then run the same exact merge as the in-process fan-out.
+	ops := make([]point.PrefOp, d) // zero value: PrefKeep
+	for i, p := range q.Prefs {
+		switch p {
+		case skybench.Max:
+			ops[i] = point.PrefNegate
+		case skybench.Ignore:
+			ops[i] = point.PrefDrop
+		}
 	}
-	nc := len(candIdx)
-	raw := make([]float64, nc*d)
+	de := point.EffectiveDims(ops)
+	buf := make([]float64, len(candVals)*de)
 	for p, vals := range candVals {
-		copy(raw[p*d:(p+1)*d], vals)
+		point.StagePrefs(buf[p*de:(p+1)*de], vals, 1, d, ops)
 	}
-	buf, de := raw, d
-	if len(q.Prefs) == d {
-		ops := make([]point.PrefOp, d)
-		identity := true
-		for i, p := range q.Prefs {
-			switch p {
-			case skybench.Max:
-				ops[i] = point.PrefNegate
-				identity = false
-			case skybench.Ignore:
-				ops[i] = point.PrefDrop
-				identity = false
-			default:
-				ops[i] = point.PrefKeep
-			}
-		}
-		if !identity {
-			de = point.EffectiveDims(ops)
-			buf = make([]float64, nc*de)
-			point.StagePrefs(buf, raw, nc, d, ops)
-		}
-	}
-	keep, counts, mergePath, err := co.merge(ctx, buf, nc, de, k, &dts)
+	m, err := shard.Merge(ctx, parts, buf, de, q.SkybandK, co.recount(), &dts)
 	if err != nil {
+		if cerr := ctx.Err(); cerr != nil {
+			err = wrapCtxErr(cerr)
+		}
 		return nil, err
 	}
-
-	idx := make([]int, len(keep))
-	rows := make([][]float64, len(keep))
+	rows := make([][]float64, len(m.Pos))
 	var ids []uint64
 	if hasIDs {
-		ids = make([]uint64, len(keep))
+		ids = make([]uint64, len(m.Pos))
 	}
-	for j, p := range keep {
-		idx[j] = candIdx[p]
+	for j, p := range m.Pos {
 		rows[j] = candVals[p]
 		if hasIDs {
 			ids[j] = candIDs[p]
 		}
 	}
-	sortResult(idx, counts, rows, ids)
 
-	res := skybench.Result{Indices: idx, Counts: counts}
+	res := skybench.Result{Indices: m.Rows, Counts: m.Counts}
 	res.Stats = skybench.Stats{
 		DominanceTests: dts,
-		SkylineSize:    len(idx),
+		SkylineSize:    len(m.Rows),
 		InputSize:      input,
 		Elapsed:        time.Since(start),
 	}
@@ -542,10 +482,10 @@ func (co *Coordinator) Run(ctx context.Context, q skybench.Query) (*skybench.Que
 			Epoch:          epoch,
 			Partial:        partial,
 			InputSize:      input,
-			Output:         len(idx),
+			Output:         len(m.Rows),
 			DominanceTests: dts,
 			Elapsed:        res.Stats.Elapsed,
-			MergePath:      mergePath,
+			MergePath:      m.Path,
 			Workers:        make([]skybench.WorkerTrace, len(co.workers)),
 		}
 		for i, w := range co.workers {
@@ -571,6 +511,37 @@ func (co *Coordinator) Run(ctx context.Context, q skybench.Query) (*skybench.Que
 		res.Trace = tr
 	}
 	return skybench.NewRemoteQueryResult(res, epoch, partial, rows, ids), nil
+}
+
+// Failure classes of one worker call, gravest first.
+const (
+	classPanic = iota
+	classBad
+	classSkew
+	classDeadline
+	classCancel
+	classWorker
+	classNone
+)
+
+// classify files a failed worker call under its class and words the
+// error the query would fail with.
+func classify(out callOut, addr string) (int, error) {
+	err := out.err
+	switch {
+	case out.panicked:
+		return classPanic, err
+	case errors.Is(err, skybench.ErrEpochSkew):
+		return classSkew, err
+	case errors.Is(err, skybench.ErrBadQuery), errors.Is(err, skybench.ErrUnknownAlgorithm),
+		errors.Is(err, skybench.ErrBadDataset), errors.Is(err, skybench.ErrBadPoint):
+		return classBad, err
+	case errors.Is(err, skybench.ErrDeadlineExceeded), errors.Is(err, context.DeadlineExceeded):
+		return classDeadline, deadlineErr("worker %s: %v", addr, err)
+	case errors.Is(err, skybench.ErrCanceled), errors.Is(err, context.Canceled):
+		return classCancel, fmt.Errorf("%w: worker %s: %v", skybench.ErrCanceled, addr, err)
+	}
+	return classWorker, fmt.Errorf("%w: worker %s: %v", skybench.ErrWorkerUnavailable, addr, err)
 }
 
 // callWorker issues one worker's slice of the fan-out: derive the
@@ -638,63 +609,20 @@ func validateResp(w *worker, resp *serve.QueryResponse, d int) error {
 	return nil
 }
 
-// merge recounts the candidate union into the exact global band: the
-// shared flat kernel for small unions, a full engine recompute for
-// large ones when an Engine was configured — the same cutoff and the
-// same DESIGN.md §10 recount as the in-process fan-out.
-func (co *Coordinator) merge(ctx context.Context, buf []float64, nc, de, k int, dts *uint64) ([]int, []int32, string, error) {
-	if nc <= shard.MergeKernelMax || co.cfg.Engine == nil {
-		keep, counts, err := shard.MergeBand(ctx, buf, nc, de, k, dts)
+// recount is the shard.Recount the merge spills to above the kernel
+// cutoff: one run of the configured Engine over the candidate union.
+// Without an Engine it is nil and the flat kernel merges every union.
+func (co *Coordinator) recount() shard.Recount {
+	eng := co.cfg.Engine
+	if eng == nil {
+		return nil
+	}
+	return func(ctx context.Context, vals []float64, n, d, k int) ([]int, []int32, uint64, error) {
+		ds, err := skybench.DatasetFromFlat(vals, n, d)
 		if err != nil {
-			return nil, nil, "", wrapCtxErr(err)
+			return nil, nil, 0, err
 		}
-		return keep, counts, shard.MergePathKernel, nil
-	}
-	ds, err := skybench.DatasetFromFlat(buf, nc, de)
-	if err != nil {
-		return nil, nil, "", err
-	}
-	var q skybench.Query
-	if k > 1 {
-		q.SkybandK = k
-	}
-	res, err := co.cfg.Engine.Run(ctx, ds, q)
-	if err != nil {
-		return nil, nil, "", err
-	}
-	*dts += res.Stats.DominanceTests
-	return res.Indices, res.Counts, shard.MergePathEngine, nil
-}
-
-// sortResult orders the merged result by ascending global row index,
-// keeping counts, rows, and ids parallel — the same deterministic
-// order shard.SortByIndex gives in-process sharded results.
-func sortResult(idx []int, counts []int32, rows [][]float64, ids []uint64) {
-	order := make([]int, len(idx))
-	for i := range order {
-		order[i] = i
-	}
-	sort.Slice(order, func(a, b int) bool { return idx[order[a]] < idx[order[b]] })
-	idx2 := make([]int, len(idx))
-	rows2 := make([][]float64, len(rows))
-	for p, o := range order {
-		idx2[p] = idx[o]
-		rows2[p] = rows[o]
-	}
-	copy(idx, idx2)
-	copy(rows, rows2)
-	if counts != nil {
-		cnt2 := make([]int32, len(counts))
-		for p, o := range order {
-			cnt2[p] = counts[o]
-		}
-		copy(counts, cnt2)
-	}
-	if ids != nil {
-		ids2 := make([]uint64, len(ids))
-		for p, o := range order {
-			ids2[p] = ids[o]
-		}
-		copy(ids, ids2)
+		res, err := eng.Run(ctx, ds, skybench.Query{SkybandK: k})
+		return res.Indices, res.Counts, res.Stats.DominanceTests, err
 	}
 }

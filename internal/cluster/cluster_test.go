@@ -7,7 +7,10 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"path/filepath"
+	"slices"
+	"sort"
 	"strconv"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -92,8 +95,36 @@ func canonical(r *skybench.QueryResult) ([]int, []int32) {
 	if r.Counts != nil {
 		counts = append([]int32(nil), r.Counts...)
 	}
-	shard.SortByIndex(idx, counts)
+	sort.Sort(byIndex{idx, counts})
 	return idx, counts
+}
+
+// byIndex sorts a result by ascending row index, counts (nil for a
+// skyline) parallel.
+type byIndex struct {
+	idx    []int
+	counts []int32
+}
+
+func (s byIndex) Len() int           { return len(s.idx) }
+func (s byIndex) Less(a, b int) bool { return s.idx[a] < s.idx[b] }
+func (s byIndex) Swap(a, b int) {
+	s.idx[a], s.idx[b] = s.idx[b], s.idx[a]
+	if s.counts != nil {
+		s.counts[a], s.counts[b] = s.counts[b], s.counts[a]
+	}
+}
+
+// merge drives the coordinator's merge the way Run does — shard.Merge
+// with the coordinator's recount — over one part holding every
+// candidate, for TestEngineMergePath.
+func (co *Coordinator) merge(ctx context.Context, buf []float64, nc, de, k int, dts *uint64) ([]int, []int32, string, error) {
+	all := make([]int, nc)
+	for i := range all {
+		all[i] = i
+	}
+	m, err := shard.Merge(ctx, []shard.Part{{Idx: all}}, buf, de, k, co.recount(), dts)
+	return m.Pos, m.Counts, m.Path, err
 }
 
 func sameResult(t *testing.T, got, want *skybench.QueryResult, label string) {
@@ -221,6 +252,69 @@ func TestClusterThroughStore(t *testing.T) {
 	for i := range after.Workers {
 		if after.Workers[i].Queries != before.Workers[i].Queries {
 			t.Fatalf("cache hit still queried worker %d", i)
+		}
+	}
+
+	// One merge behind three backings: the same queries through an
+	// unsharded, a Shards: 3 and a 3-worker collection return the same
+	// rows, counts, coordinates and IDs (an unsharded run reports the
+	// algorithm's order, so it is compared row by row).
+	ds, err := skybench.DatasetFromFlat(flat, n, d)
+	if err != nil {
+		t.Fatalf("DatasetFromFlat: %v", err)
+	}
+	single, err := st.Attach("single", ds, skybench.CollectionOptions{})
+	if err != nil {
+		t.Fatalf("Attach: %v", err)
+	}
+	sharded, err := st.Attach("sharded", ds, skybench.CollectionOptions{Shards: 3})
+	if err != nil {
+		t.Fatalf("Attach: %v", err)
+	}
+	remote, err := st.AttachRemote("c3", startCluster(t, flat, n, d, 3, FailFast), skybench.CollectionOptions{})
+	if err != nil {
+		t.Fatalf("AttachRemote: %v", err)
+	}
+	for _, q := range []skybench.Query{
+		{},
+		{SkybandK: 2, Prefs: []skybench.Pref{skybench.Max, skybench.Min, skybench.Ignore}},
+		{SkybandK: 4, Algorithm: skybench.QFlow},
+	} {
+		type row struct {
+			count int32
+			vals  string
+			id    uint64
+			hasID bool
+		}
+		var runs [3][]row
+		var idxs [3][]int
+		for c, col := range []*skybench.Collection{single, sharded, remote} {
+			r, err := col.Run(context.Background(), q)
+			if err != nil {
+				t.Fatalf("%+v on %s: %v", q, col.Name(), err)
+			}
+			order := make([]int, r.Len())
+			for p := range order {
+				order[p] = p
+			}
+			sort.Slice(order, func(a, b int) bool { return r.Indices[order[a]] < r.Indices[order[b]] })
+			if c > 0 && !sort.IntsAreSorted(order) {
+				t.Fatalf("%+v on %s: Indices not ascending", q, col.Name())
+			}
+			for _, p := range order {
+				rw := row{vals: fmt.Sprint(r.Row(p))}
+				if r.Counts != nil {
+					rw.count = r.Counts[p]
+				}
+				rw.id, rw.hasID = r.ID(p)
+				runs[c] = append(runs[c], rw)
+				idxs[c] = append(idxs[c], r.Indices[p])
+			}
+		}
+		for c := 1; c < 3; c++ {
+			if !slices.Equal(idxs[c], idxs[0]) || !slices.Equal(runs[c], runs[0]) {
+				t.Fatalf("%+v: collection %d answers\n%v %v\nunsharded answers\n%v %v", q, c, idxs[c], runs[c], idxs[0], runs[0])
+			}
 		}
 	}
 
@@ -375,6 +469,51 @@ func TestPolicies(t *testing.T) {
 			t.Fatalf("err = %v, want ErrWorkerUnavailable even under partial policy", err)
 		}
 	})
+}
+
+// panicOn is a transport that panics on requests to one host and
+// forwards the rest.
+type panicOn struct{ host string }
+
+func (p *panicOn) RoundTrip(req *http.Request) (*http.Response, error) {
+	if req.URL.Host == p.host {
+		panic("transport bug")
+	}
+	return http.DefaultTransport.RoundTrip(req)
+}
+
+// TestWorkerPanicContained: a panic on one worker's fan-out goroutine
+// fails that query with ErrQueryPanic — under both policies, a bug here
+// is not a worker being away — and leaves the process and the
+// coordinator serving.
+func TestWorkerPanicContained(t *testing.T) {
+	const n, d = 60, 2
+	flat := dataset.Generate(dataset.Independent, n, d, 3).Flat()
+	for _, policy := range []Policy{FailFast, Partial} {
+		var specs []WorkerSpec
+		for _, r := range shard.Split(n, 2) {
+			specs = append(specs, WorkerSpec{Addr: startWorker(t, flat[r.Lo*d:r.Hi*d], r.Len(), d), Lo: r.Lo, Hi: r.Hi})
+		}
+		tr := &panicOn{host: strings.TrimPrefix(specs[1].Addr, "http://")}
+		co, err := New(Config{Collection: "c", D: d, Workers: specs, Policy: policy,
+			ProbeInterval: -1, HTTPClient: &http.Client{Transport: tr}})
+		if err != nil {
+			t.Fatalf("New: %v", err)
+		}
+		t.Cleanup(co.Close)
+		if _, err := co.Run(context.Background(), skybench.Query{}); !errors.Is(err, skybench.ErrQueryPanic) {
+			t.Fatalf("%s: err = %v, want ErrQueryPanic", policy, err)
+		}
+		if f := co.Placement().Workers[1].Failures; f != 1 {
+			t.Fatalf("%s: panicking worker shows %d failures, want 1", policy, f)
+		}
+		tr.host = "" // the bug goes away: the same coordinator answers
+		got, err := co.Run(context.Background(), skybench.Query{})
+		if err != nil {
+			t.Fatalf("%s: Run after the panic: %v", policy, err)
+		}
+		sameResult(t, got, reference(t, flat, n, d, skybench.Query{}), policy.String())
+	}
 }
 
 // TestDeadlineForwarding pins the propagation fix: the budget a worker

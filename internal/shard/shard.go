@@ -36,21 +36,17 @@ import (
 	"skybench/internal/point"
 )
 
-// MergeKernelMax is the union size above which callers should recount
-// through a full engine run over the candidate union instead of
-// MergeBand's quadratic prefix scan — on low-correlation data the band
-// is a large fraction of the input and the engine's partition index
-// prunes the cross-candidate tests the flat scan cannot. Both merge
-// call sites (the Collection fan-out and the stream's shard-aware
-// rebuild) share this cutoff so the two paths cannot drift.
+// MergeKernelMax is the union size above which Merge recounts through
+// a full engine run over the candidate union instead of mergeBand's
+// quadratic prefix scan — on low-correlation data the band is a large
+// fraction of the input and the engine's partition index prunes the
+// cross-candidate tests the flat scan cannot.
 const MergeKernelMax = 1024
 
 // Merge-path labels recorded in query traces and metrics: which of the
-// two exact-merge implementations combined the per-shard bands. Both
-// call sites and the trace layer share these strings so the vocabulary
-// cannot drift.
+// two exact recounts combined the per-part bands.
 const (
-	// MergePathKernel is MergeBand's flat quadratic prefix recount
+	// MergePathKernel is mergeBand's flat quadratic prefix recount
 	// (unions of at most MergeKernelMax candidates).
 	MergePathKernel = "kernel"
 	// MergePathEngine is a full engine recompute over the candidate
@@ -93,48 +89,116 @@ func Split(n, p int) []Range {
 	return out
 }
 
-// SortByIndex orders a merged result by ascending global row index,
-// keeping counts (nil for skyline queries) parallel — the documented
-// deterministic order of sharded results. Both merge consumers — the
-// in-process Collection fan-out and the cluster coordinator — share it
-// so the ordering contract cannot drift between the two transports.
-func SortByIndex(idx []int, counts []int32) {
-	if counts == nil {
-		sort.Ints(idx)
-		return
-	}
-	order := make([]int, len(idx))
-	for i := range order {
-		order[i] = i
-	}
-	sort.Slice(order, func(a, b int) bool { return idx[order[a]] < idx[order[b]] })
-	idx2 := make([]int, len(idx))
-	cnt2 := make([]int32, len(counts))
-	for p, o := range order {
-		idx2[p] = idx[o]
-		cnt2[p] = counts[o]
-	}
-	copy(idx, idx2)
-	copy(counts, cnt2)
+// Part is one partition's band as the fan-out returned it: the global
+// row offset of the partition and the band's partition-local row
+// indices, in any order.
+type Part struct {
+	Off int
+	Idx []int
 }
 
-// MergeBand computes the exact k-skyband of the nc candidate points
-// (row-major flat values, d columns per row) — intended for candidates
-// that are the union of per-shard bands, where the package comment's
-// argument makes the result the exact global band with exact global
-// dominator counts.
+// Recount computes the exact k-skyband of n rows of d columns through
+// an engine: positions into the rows, dominator counts (nil for k ≤ 1),
+// and the dominance tests spent. The returned slices become Merge's.
+type Recount func(ctx context.Context, vals []float64, n, d, k int) (pos []int, counts []int32, dts uint64, err error)
+
+// Merged is the exact global band Merge assembled, in ascending global
+// row order.
+type Merged struct {
+	// Pos holds each survivor's position in the candidate order handed
+	// to Merge, for callers gathering their own payload (rows, IDs).
+	Pos []int
+	// Rows holds each survivor's global row index: its part's offset
+	// plus its local index.
+	Rows []int
+	// Counts holds each survivor's exact global dominator count; nil
+	// when k ≤ 1, where every survivor has zero.
+	Counts []int32
+	// Path is MergePathKernel or MergePathEngine.
+	Path string
+}
+
+// Merge is everything DESIGN.md §10 says after the fan-out: it combines
+// the per-part bands into the exact global k-skyband. vals holds the
+// candidate rows — parts in order, each part's Idx in order, d columns
+// per row — in the space the parts compared in (under the query's
+// preferences). Unions of at most MergeKernelMax candidates (and every
+// union when recount is nil) go through the flat recount kernel, larger
+// ones through recount. dts, when non-nil, is advanced by the dominance
+// tests performed. A kernel merge abandoned because ctx is done returns
+// ctx.Err() bare; recount's errors pass through.
+func Merge(ctx context.Context, parts []Part, vals []float64, d, k int, recount Recount, dts *uint64) (Merged, error) {
+	if k < 1 {
+		k = 1
+	}
+	nc := 0
+	for _, p := range parts {
+		nc += len(p.Idx)
+	}
+	rows := make([]int, 0, nc) // global row of every candidate position
+	for _, p := range parts {
+		for _, li := range p.Idx {
+			rows = append(rows, p.Off+li)
+		}
+	}
+	m := Merged{Path: MergePathKernel}
+	var err error
+	if nc <= MergeKernelMax || recount == nil {
+		m.Pos, m.Counts, err = mergeBand(ctx, vals, nc, d, k, dts)
+	} else {
+		var tests uint64
+		m.Path = MergePathEngine
+		m.Pos, m.Counts, tests, err = recount(ctx, vals, nc, d, k)
+		if dts != nil {
+			*dts += tests
+		}
+	}
+	if err != nil {
+		return Merged{}, err
+	}
+	sort.Sort(byRow{rows: rows, pos: m.Pos, counts: m.Counts})
+	m.Rows = make([]int, len(m.Pos))
+	for i, p := range m.Pos {
+		m.Rows[i] = rows[p]
+	}
+	return m, nil
+}
+
+// byRow sorts surviving candidate positions by the global row they
+// stand for, keeping counts (nil for skyline merges) parallel.
+type byRow struct {
+	rows   []int // by candidate position
+	pos    []int
+	counts []int32
+}
+
+func (s byRow) Len() int           { return len(s.pos) }
+func (s byRow) Less(a, b int) bool { return s.rows[s.pos[a]] < s.rows[s.pos[b]] }
+func (s byRow) Swap(a, b int) {
+	s.pos[a], s.pos[b] = s.pos[b], s.pos[a]
+	if s.counts != nil {
+		s.counts[a], s.counts[b] = s.counts[b], s.counts[a]
+	}
+}
+
+// mergeBand is Merge's flat recount kernel: the exact k-skyband of the
+// nc candidate points (row-major flat values, d columns per row) — for
+// candidates that are the union of per-shard bands, where the package
+// comment's argument makes the result the exact global band with exact
+// global dominator counts.
 //
 // It returns the positions (into the candidate ordering) of the
-// surviving points, ascending, plus each survivor's dominator count
-// when k ≥ 2 (nil when k ≤ 1, where every survivor has zero). When dts
-// is non-nil it is advanced by the dominance tests performed.
+// surviving points, in ascending L1 order — Merge owns the final order —
+// plus each survivor's dominator count when k ≥ 2 (nil when k ≤ 1, where
+// every survivor has zero). When dts is non-nil it is advanced by the
+// dominance tests performed.
 //
-// The recount is quadratic in nc, so MergeBand polls ctx between row
-// batches and abandons the merge with an error wrapping ctx.Err() once
-// the context is done — the merge is the only part of a sharded query
-// that runs after the engine's own cancellation checkpoints, and a
-// deadline that fires here must not go unnoticed.
-func MergeBand(ctx context.Context, vals []float64, nc, d, k int, dts *uint64) ([]int, []int32, error) {
+// The recount is quadratic in nc, so mergeBand polls ctx between row
+// batches and abandons the merge with ctx.Err() once the context is
+// done — the merge is the only part of a sharded query that runs after
+// the engine's own cancellation checkpoints, and a deadline that fires
+// here must not go unnoticed.
+func mergeBand(ctx context.Context, vals []float64, nc, d, k int, dts *uint64) ([]int, []int32, error) {
 	if nc == 0 {
 		return nil, nil, nil
 	}
@@ -162,17 +226,12 @@ func MergeBand(ctx context.Context, vals []float64, nc, d, k int, dts *uint64) (
 	}
 
 	var tests uint64
-	kept := make([]bool, nc)
-	var cnt []int32
-	if k > 1 {
-		cnt = make([]int32, nc)
-	}
+	var keep []int
+	var counts []int32
 	// Cancellation checkpoint cadence: every 32 probe rows costs one
 	// atomic-ish ctx.Err() per ~32·p dominance tests — noise next to the
 	// recount itself, prompt enough for deadline control.
 	const checkEvery = 32
-
-	nKept := 0
 	for p, i := range order {
 		if p%checkEvery == 0 {
 			if err := ctx.Err(); err != nil {
@@ -185,29 +244,14 @@ func MergeBand(ctx context.Context, vals []float64, nc, d, k int, dts *uint64) (
 		q := sVals[p*d : (p+1)*d : (p+1)*d]
 		c := point.CountDominatorsInFlatRun(sVals, d, 0, p, q, sL1[p], sL1, nil, k, &tests)
 		if c < k {
-			kept[i] = true
-			if cnt != nil {
-				cnt[i] = int32(c)
+			keep = append(keep, i)
+			if k > 1 {
+				counts = append(counts, int32(c))
 			}
-			nKept++
 		}
 	}
 	if dts != nil {
 		*dts += tests
-	}
-
-	keep := make([]int, 0, nKept)
-	var counts []int32
-	if k > 1 {
-		counts = make([]int32, 0, nKept)
-	}
-	for i := 0; i < nc; i++ {
-		if kept[i] {
-			keep = append(keep, i)
-			if counts != nil {
-				counts = append(counts, cnt[i])
-			}
-		}
 	}
 	return keep, counts, nil
 }

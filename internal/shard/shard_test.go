@@ -3,6 +3,7 @@ package shard
 import (
 	"context"
 	"errors"
+	"fmt"
 	"math/rand"
 	"slices"
 	"testing"
@@ -50,10 +51,66 @@ func TestSplit(t *testing.T) {
 	}
 }
 
+// checkMerge hands Merge the given parts of flat's rows — each part's
+// local order shuffled, the recount a brute force that answers in
+// descending position order — and requires the oracle's band back:
+// rows ascending, counts parallel, positions pointing at those rows,
+// through the expected path.
+func checkMerge(t *testing.T, label string, flat []float64, d, k int, parts []Part, wantIdx []int, wantCnt []int32, wantPath string) {
+	t.Helper()
+	rng := rand.New(rand.NewSource(int64(len(flat) + k)))
+	var cand []int
+	for i, p := range parts {
+		p.Idx = slices.Clone(p.Idx)
+		rng.Shuffle(len(p.Idx), func(a, b int) { p.Idx[a], p.Idx[b] = p.Idx[b], p.Idx[a] })
+		parts[i] = p
+		for _, li := range p.Idx {
+			cand = append(cand, p.Off+li)
+		}
+	}
+	buf := make([]float64, 0, len(cand)*d)
+	for _, gi := range cand {
+		buf = append(buf, flat[gi*d:(gi+1)*d]...)
+	}
+	recount := func(_ context.Context, vals []float64, n, d, k int) ([]int, []int32, uint64, error) {
+		pos, cnt := verify.BruteForceSkyband(point.FromFlat(vals, n, d), k)
+		slices.Reverse(pos)
+		slices.Reverse(cnt)
+		if k == 1 {
+			cnt = nil // the Recount contract, like the engine's
+		}
+		return pos, cnt, uint64(n), nil
+	}
+	var dts uint64
+	m, err := Merge(context.Background(), parts, buf, d, k, recount, &dts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if m.Path != wantPath {
+		t.Fatalf("%s: %d candidates merged through %q, want %q", label, len(cand), m.Path, wantPath)
+	}
+	if !slices.Equal(m.Rows, wantIdx) {
+		t.Fatalf("%s: merged rows %v, want %v", label, m.Rows, wantIdx)
+	}
+	if !slices.Equal(m.Counts, wantCnt) {
+		t.Fatalf("%s: merged counts %v, want %v", label, m.Counts, wantCnt)
+	}
+	for i, pos := range m.Pos {
+		if cand[pos] != m.Rows[i] {
+			t.Fatalf("%s: Pos[%d] = %d is row %d, Rows says %d", label, i, pos, cand[pos], m.Rows[i])
+		}
+	}
+	if len(m.Pos) != len(m.Rows) || (len(cand) > 1 && dts == 0) {
+		t.Fatalf("%s: %d positions for %d rows, %d dominance tests over %d candidates", label, len(m.Pos), len(m.Rows), dts, len(cand))
+	}
+}
+
 // TestMergeBandOracle is the soundness check of the shard merge: for
 // every distribution, dimensionality, k, and shard count, the k-skyband
 // of the union of per-shard k-skybands (with recounted dominators) must
-// equal the global brute-force k-skyband with exact counts.
+// equal the global brute-force k-skyband with exact counts — from the
+// kernel alone, and from Merge, whose two paths are driven by unions
+// one candidate either side of MergeKernelMax.
 func TestMergeBandOracle(t *testing.T) {
 	const n = 400
 	for _, dist := range dataset.AllDistributions {
@@ -62,45 +119,42 @@ func TestMergeBandOracle(t *testing.T) {
 			flat := m.Flat()
 			for _, k := range []int{1, 2, 4} {
 				wantIdx, wantCnt := verify.BruteForceSkyband(m, k)
+				if k == 1 {
+					wantCnt = nil
+				}
 				for _, p := range []int{1, 2, 3, 7} {
+					label := fmt.Sprintf("%s d=%d k=%d p=%d", dist, d, k, p)
 					ranges := Split(n, p)
-					// Union of per-shard brute-force bands, as global rows.
-					var cand []int
-					for _, r := range ranges {
+					// Per-shard brute-force bands.
+					parts := make([]Part, len(ranges))
+					for i, r := range ranges {
 						sub := point.FromFlat(flat[r.Lo*d:r.Hi*d], r.Len(), d)
 						idx, _ := verify.BruteForceSkyband(sub, k)
-						for _, li := range idx {
-							cand = append(cand, r.Lo+li)
+						parts[i] = Part{Off: r.Lo, Idx: idx}
+					}
+					checkMerge(t, label, flat, d, k, parts, wantIdx, wantCnt, MergePathKernel)
+				}
+				// Every row a candidate, so the union's size is chosen: the
+				// last one the kernel takes, and the first one it does not.
+				for _, nc := range []int{MergeKernelMax, MergeKernelMax + 1} {
+					all := dataset.Generate(dist, nc, d, 7)
+					wantIdx, wantCnt := verify.BruteForceSkyband(all, k)
+					path := MergePathKernel
+					if nc > MergeKernelMax {
+						path = MergePathEngine
+					}
+					if k == 1 {
+						wantCnt = nil
+					}
+					var parts []Part
+					for _, r := range Split(nc, 3) {
+						idx := make([]int, r.Len())
+						for i := range idx {
+							idx[i] = i
 						}
+						parts = append(parts, Part{Off: r.Lo, Idx: idx})
 					}
-					buf := make([]float64, len(cand)*d)
-					for pos, gi := range cand {
-						copy(buf[pos*d:(pos+1)*d], flat[gi*d:(gi+1)*d])
-					}
-					var dts uint64
-					keep, counts, err := MergeBand(context.Background(), buf, len(cand), d, k, &dts)
-					if err != nil {
-						t.Fatal(err)
-					}
-					got := make([]int, len(keep))
-					for j, pos := range keep {
-						got[j] = cand[pos]
-					}
-					// keep is ascending in candidate position and cand is
-					// ascending (shards in order, ascending within), so got
-					// is ascending like the oracle's output.
-					if !slices.Equal(got, wantIdx) {
-						t.Fatalf("%s d=%d k=%d p=%d: merged band %v, want %v", dist, d, k, p, got, wantIdx)
-					}
-					if k > 1 && !slices.Equal(counts, wantCnt) {
-						t.Fatalf("%s d=%d k=%d p=%d: merged counts %v, want %v", dist, d, k, p, counts, wantCnt)
-					}
-					if k == 1 && counts != nil {
-						t.Fatalf("%s d=%d k=%d p=%d: skyline merge returned counts", dist, d, k, p)
-					}
-					if len(cand) > 1 && dts == 0 {
-						t.Fatalf("%s d=%d k=%d p=%d: merge reported zero dominance tests over %d candidates", dist, d, k, p, len(cand))
-					}
+					checkMerge(t, fmt.Sprintf("%s d=%d k=%d union=%d", dist, d, k, nc), all.Flat(), d, k, parts, wantIdx, wantCnt, path)
 				}
 			}
 		}
@@ -109,12 +163,12 @@ func TestMergeBandOracle(t *testing.T) {
 
 // TestMergeBandDegenerate covers the edges the property loop skips.
 func TestMergeBandDegenerate(t *testing.T) {
-	if keep, counts, _ := MergeBand(context.Background(), nil, 0, 3, 2, nil); keep != nil || counts != nil {
+	if keep, counts, _ := mergeBand(context.Background(), nil, 0, 3, 2, nil); keep != nil || counts != nil {
 		t.Fatalf("empty merge = (%v, %v), want (nil, nil)", keep, counts)
 	}
 	// Identical points never dominate each other: all survive any k.
 	vals := []float64{1, 2, 1, 2, 1, 2}
-	keep, counts, err := MergeBand(context.Background(), vals, 3, 2, 2, nil)
+	keep, counts, err := mergeBand(context.Background(), vals, 3, 2, 2, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -127,7 +181,7 @@ func TestMergeBandDegenerate(t *testing.T) {
 		}
 	}
 	// k clamps up to 1.
-	keep, counts, err = MergeBand(context.Background(), vals, 3, 2, 0, nil)
+	keep, counts, err = mergeBand(context.Background(), vals, 3, 2, 0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -148,7 +202,7 @@ func TestMergeBandCancellation(t *testing.T) {
 	for i := range vals {
 		vals[i] = rng.Float64()
 	}
-	keep, counts, err := MergeBand(ctx, vals, n, d, 2, nil)
+	keep, counts, err := mergeBand(ctx, vals, n, d, 2, nil)
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}

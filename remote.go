@@ -3,15 +3,15 @@ package skybench
 import (
 	"context"
 	"fmt"
-	"time"
 )
 
-// RemoteBackend is the third kind of backing a Collection accepts,
-// next to an immutable Dataset and a live StreamSource: a point set
-// whose rows live in other processes and whose queries are answered by
-// fanning out over a transport and merging remotely computed bands.
-// The cluster coordinator (internal/cluster) is the implementation;
-// the interface lives here so the Store never imports the transport.
+// RemoteBackend is what Store.AttachRemote puts behind a Collection's
+// backing interface, next to an immutable Dataset and a live
+// StreamSource: a point set whose rows live in other processes and whose
+// queries are answered by fanning out over a transport and merging
+// remotely computed bands. The cluster coordinator (internal/cluster) is
+// the implementation; the interface lives here so the Store never
+// imports the transport.
 //
 // A backend's Run must uphold the Collection result contract: Indices
 // are global row indices in ascending order, Counts (k-skyband) are
@@ -98,7 +98,7 @@ func (s *Store) AttachRemote(name string, rb RemoteBackend, opts CollectionOptio
 	}
 	opts.Shards = 1 // fan-out shape belongs to the backend's placement
 	c := s.newCollection(name, opts)
-	c.remote = rb
+	c.back = remoteBacking{rb}
 	if err := s.add(name, c); err != nil {
 		return nil, err
 	}
@@ -107,47 +107,39 @@ func (s *Store) AttachRemote(name string, rb RemoteBackend, opts CollectionOptio
 
 // ClusterBacked reports whether the collection is backed by a
 // RemoteBackend (a cluster placement) rather than local rows.
-func (c *Collection) ClusterBacked() bool { return c.remote != nil }
+func (c *Collection) ClusterBacked() bool {
+	_, ok := c.back.(remoteBacking)
+	return ok
+}
 
-// runRemote answers a query through the collection's RemoteBackend,
-// wrapping it in the same epoch-keyed caching as local execution. The
-// backend owns fan-out, merge, and failure policy; partial (degraded)
-// answers are never cached — the missing rows may be back on the next
-// query, and a cache must not pin a degraded answer for a healthy
-// cluster.
-func (c *Collection) runRemote(ctx context.Context, q Query) (*QueryResult, bool, error) {
+// remoteBacking adapts a RemoteBackend to the backing interface. The
+// backend owns fan-out, merge, and failure policy; a frozen membership
+// is only its epoch — there are no local rows to pin, to shard or to
+// plan over.
+type remoteBacking struct{ rb RemoteBackend }
+
+func (b remoteBacking) dims() int          { return b.rb.D() }
+func (b remoteBacking) epoch() uint64      { return b.rb.Epoch() }
+func (b remoteBacking) size() (int, error) { return b.rb.Len(), nil }
+
+func (b remoteBacking) freeze(context.Context) (*colSnapshot, error) {
+	return &colSnapshot{epoch: b.rb.Epoch()}, nil
+}
+
+func (b remoteBacking) answer(ctx context.Context, _ *colSnapshot, q Query, _ int) (*QueryResult, error) {
 	if q.Progressive != nil {
-		return nil, false, fmt.Errorf("%w: progressive delivery needs a local collection", ErrBadQuery)
+		return nil, fmt.Errorf("%w: progressive delivery needs a local collection", ErrBadQuery)
 	}
-	fp, cacheable := fingerprint{}, false
-	if c.cacheCap > 0 {
-		fp, cacheable = queryFingerprint(&q, c.remote.D())
+	return b.rb.Run(ctx, q)
+}
+
+func (b remoteBacking) close() {
+	if cl, ok := b.rb.(interface{ Close() }); ok {
+		cl.Close()
 	}
-	if cacheable {
-		if r := c.lookup(fp, c.remote.Epoch()); r != nil {
-			if q.Trace {
-				r = r.withCacheHitTrace(&q)
-			}
-			return r, true, nil
-		}
-	}
-	start := time.Now()
-	r, err := c.remote.Run(ctx, q)
-	if err != nil {
-		return nil, false, err
-	}
-	c.costs.record(q.Algorithm, time.Since(start), r.Stats.DominanceTests)
-	if cacheable && !r.Partial {
-		r.memo = new(payloadMemo)
-		// Key the entry at the epoch the answer was actually computed at
-		// (the workers may have advanced past the epoch probed above).
-		cached := r
-		if r.Result.Trace != nil {
-			cp := *r
-			cp.Result.Trace = nil
-			cached = &cp
-		}
-		c.store(fp, r.Epoch, cached)
-	}
-	return r, false, nil
+}
+
+func (b remoteBacking) describe(st *CollectionStats) {
+	pl := b.rb.Placement()
+	st.Placement = &pl
 }

@@ -143,8 +143,9 @@ func (s *Store) Attach(name string, ds *Dataset, opts CollectionOptions) (*Colle
 		return nil, fmt.Errorf("%w: nil Dataset", ErrBadDataset)
 	}
 	c := s.newCollection(name, opts)
-	c.static = &colSnapshot{ds: ds}
-	c.static.partition(c.shards)
+	snap := &colSnapshot{ds: ds}
+	snap.partition(c.shards)
+	c.back = &staticBacking{local: local{s.eng}, snap: snap}
 	if err := s.add(name, c); err != nil {
 		return nil, err
 	}
@@ -153,7 +154,7 @@ func (s *Store) Attach(name string, ds *Dataset, opts CollectionOptions) (*Colle
 	// the first Algorithm: Auto query plans from it immediately.
 	// (Stream-backed collections profile lazily on first Auto query —
 	// their membership at attach time may be empty.)
-	c.plannerFor(c.static)
+	c.plannerFor(snap)
 	return c, nil
 }
 
@@ -167,7 +168,7 @@ func (s *Store) AttachStream(name string, src StreamSource, opts CollectionOptio
 		return nil, fmt.Errorf("%w: nil StreamSource", ErrBadDataset)
 	}
 	c := s.newCollection(name, opts)
-	c.src = src
+	c.back = &streamBacking{local: local{s.eng}, src: src, shards: c.shards}
 	if err := s.add(name, c); err != nil {
 		return nil, err
 	}
@@ -193,7 +194,6 @@ func (s *Store) newCollection(name string, opts CollectionOptions) *Collection {
 	}
 	c := &Collection{
 		name:        name,
-		eng:         s.eng,
 		shards:      shards,
 		owner:       s,
 		timeout:     timeout,
@@ -201,8 +201,8 @@ func (s *Store) newCollection(name string, opts CollectionOptions) *Collection {
 	}
 	if cacheCap > 0 {
 		c.cacheCap = cacheCap
-		c.entries = make(map[fingerprint]cacheEntry)
-		c.stale = make(map[fingerprint]cacheEntry)
+		c.entries.m = make(map[fingerprint]cacheEntry)
+		c.stale.m = make(map[fingerprint]cacheEntry)
 	}
 	// A sharded collection's first query fans out `shards` concurrent
 	// engine runs at once; pre-lease that many contexts so the burst

@@ -297,6 +297,51 @@ func TestStoreCacheHitZeroAlloc(t *testing.T) {
 	}
 }
 
+// TestStoreCacheEvictsInInsertionOrder: a full cache gives up its
+// oldest entry, so which shapes hit depends on the query sequence alone.
+// With capacity c and c+1 distinct shapes the last c all hit and the
+// first is a miss again — on every run, where evicting by map iteration
+// order made it a different shape each time.
+func TestStoreCacheEvictsInInsertionOrder(t *testing.T) {
+	ds, err := skybench.NewDataset(storeTestData(t, "independent", 300, 3, 5))
+	if err != nil {
+		t.Fatal(err)
+	}
+	st := skybench.NewStore(2)
+	defer st.Close()
+	const c = 4
+	ctx := context.Background()
+	hit := func(col *skybench.Collection, k int) bool {
+		f := col.Submit(ctx, skybench.Query{SkybandK: k})
+		if _, err := f.Result(); err != nil {
+			t.Fatal(err)
+		}
+		return f.CacheHit()
+	}
+	for run := 0; run < 20; run++ {
+		col, err := st.Attach(fmt.Sprint("fifo", run), ds, skybench.CollectionOptions{CacheCapacity: c})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for k := 1; k <= c+1; k++ {
+			if hit(col, k) {
+				t.Fatalf("run %d: first query of shape k=%d hit", run, k)
+			}
+		}
+		for k := 2; k <= c+1; k++ {
+			if !hit(col, k) {
+				t.Fatalf("run %d: shape k=%d, one of the last %d stored, was evicted", run, k, c)
+			}
+		}
+		if hit(col, 1) {
+			t.Fatalf("run %d: the oldest shape survived %d newer ones in a cache of %d", run, c, c)
+		}
+		if n := col.CacheStats().Entries; n != c {
+			t.Fatalf("run %d: %d entries, want %d", run, n, c)
+		}
+	}
+}
+
 // TestStoreStreamCacheInvalidation drives a stream-backed collection
 // through inserts and deletes and checks that every membership change
 // invalidates cached results, while unchanged epochs keep serving the

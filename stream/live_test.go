@@ -1,7 +1,6 @@
 package stream
 
 import (
-	"context"
 	"fmt"
 	"math/rand"
 	"testing"
@@ -110,88 +109,5 @@ func TestLiveSnapshotContents(t *testing.T) {
 	vals2, ids2, epoch2 := ix.LiveSnapshot()
 	if epoch2 != epoch || fmt.Sprint(ids2) != fmt.Sprint(ids) || fmt.Sprint(vals2) != fmt.Sprint(vals) {
 		t.Fatal("repeated LiveSnapshot at an unchanged epoch differs")
-	}
-}
-
-// TestShardedRebuildOracle forces escalated recomputes through the
-// shard-aware rebuild path (RebuildShards = 3) and checks the
-// maintained band stays exactly the brute-force band of the live set,
-// counts included.
-func TestShardedRebuildOracle(t *testing.T) {
-	for _, k := range []int{1, 3} {
-		ix, err := New(4, Config{
-			SkybandK:           k,
-			RecomputeThreshold: 0.05, // escalate eagerly
-			RebuildShards:      3,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		rng := rand.New(rand.NewSource(int64(77 + k)))
-		var live []ID
-		for i := 0; i < 600; i++ {
-			id, err := ix.Insert([]float64{rng.Float64(), rng.Float64(), rng.Float64(), rng.Float64()})
-			if err != nil {
-				t.Fatal(err)
-			}
-			live = append(live, id)
-		}
-		for i := 0; i < 400; i++ {
-			p := rng.Intn(len(live))
-			if !ix.Delete(live[p]) {
-				t.Fatal("delete failed")
-			}
-			live[p] = live[len(live)-1]
-			live = live[:len(live)-1]
-			if rng.Float64() < 0.5 {
-				id, err := ix.Insert([]float64{rng.Float64(), rng.Float64(), rng.Float64(), rng.Float64()})
-				if err != nil {
-					t.Fatal(err)
-				}
-				live = append(live, id)
-			}
-		}
-		if ix.Stats().Rebuilds == 0 {
-			t.Fatalf("k=%d: workload never escalated — the sharded rebuild path went unexercised", k)
-		}
-
-		// Oracle: a fresh engine run over the live set.
-		vals, ids, _ := ix.LiveSnapshot()
-		ds, err := skybench.DatasetFromFlat(vals, len(ids), 4)
-		if err != nil {
-			t.Fatal(err)
-		}
-		eng := skybench.NewEngine(2)
-		q := skybench.Query{}
-		if k > 1 {
-			q.SkybandK = k
-		}
-		res, err := eng.Run(context.Background(), ds, q)
-		if err != nil {
-			t.Fatal(err)
-		}
-		want := make(map[ID]int32, len(res.Indices))
-		for p, i := range res.Indices {
-			var c int32
-			if res.Counts != nil {
-				c = res.Counts[p]
-			}
-			want[ID(ids[i])] = c
-		}
-		snap := ix.Snapshot()
-		if snap.Len() != len(want) {
-			t.Fatalf("k=%d: maintained band has %d points, oracle %d", k, snap.Len(), len(want))
-		}
-		for i := 0; i < snap.Len(); i++ {
-			c, ok := want[snap.ID(i)]
-			if !ok {
-				t.Fatalf("k=%d: band point %d not in oracle band", k, snap.ID(i))
-			}
-			if int32(snap.Count(i)) != c {
-				t.Fatalf("k=%d: band point %d count %d, oracle %d", k, snap.ID(i), snap.Count(i), c)
-			}
-		}
-		eng.Close()
-		ix.Close()
 	}
 }

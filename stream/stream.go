@@ -46,7 +46,6 @@ import (
 	"skybench"
 	"skybench/internal/faults"
 	"skybench/internal/point"
-	"skybench/internal/shard"
 	istream "skybench/internal/stream"
 )
 
@@ -92,13 +91,6 @@ type Config struct {
 	// When nil the index lazily creates a private Engine on first
 	// escalation and closes it on Close.
 	Engine *skybench.Engine
-	// RebuildShards, when ≥ 2, makes escalated recomputes shard-aware:
-	// the staged live set is split into that many contiguous partitions,
-	// one Engine run is fanned out per partition, and the per-shard
-	// bands are merged exactly (the same fan-out/merge a sharded
-	// skybench.Collection performs; soundness in DESIGN.md §10). ≤ 1
-	// keeps the single full recompute.
-	RebuildShards int
 	// OnDelta, when non-nil, receives every skyline membership change:
 	// points that entered and points that left, after each mutating
 	// operation that changed the skyline (for InsertBatch, after each
@@ -130,8 +122,6 @@ type SkylineIndex struct {
 	epoch   atomic.Uint64
 	version atomic.Uint64 // live-set membership epoch (every insert/delete)
 	snap    atomic.Pointer[Snapshot]
-
-	rebuildShards int
 
 	mu      sync.Mutex
 	core    *istream.Index
@@ -180,15 +170,14 @@ func New(d int, cfg Config) (*SkylineIndex, error) {
 		k = 1
 	}
 	x := &SkylineIndex{
-		d:             d,
-		de:            d,
-		k:             k,
-		identity:      true,
-		loc:           make(map[ID]int32),
-		next:          1,
-		eng:           cfg.Engine,
-		onDelta:       cfg.OnDelta,
-		rebuildShards: cfg.RebuildShards,
+		d:        d,
+		de:       d,
+		k:        k,
+		identity: true,
+		loc:      make(map[ID]int32),
+		next:     1,
+		eng:      cfg.Engine,
+		onDelta:  cfg.OnDelta,
 	}
 	if len(cfg.Prefs) != 0 {
 		if len(cfg.Prefs) != d {
@@ -254,8 +243,7 @@ func prefOps(prefs []skybench.Pref) ([]point.PrefOp, error) {
 // engineRebuild is the escalation hook handed to the core: a full
 // skyline (or k-skyband) recompute over the staged live set, served by
 // the Engine's context free-list so repeated escalations reuse warm
-// scratch. With Config.RebuildShards ≥ 2 the recompute is shard-aware:
-// per-partition runs fan out concurrently and merge exactly.
+// scratch.
 //
 // A failed attempt is retried with backoff before falling back to the
 // core's sequential rebuild: escalation failures are predominantly
@@ -289,9 +277,6 @@ func (x *SkylineIndex) runRebuild(vals []float64, n int) ([]int, []int32, error)
 	if err := faults.Check(x.rebuildFaults, "stream.rebuild"); err != nil {
 		return nil, nil, err
 	}
-	if p := x.rebuildShards; p > 1 && n > 1 {
-		return x.shardedRebuild(vals, n, p)
-	}
 	ds, err := skybench.DatasetFromFlat(vals, n, x.de)
 	if err != nil {
 		return nil, nil, err
@@ -308,83 +293,6 @@ func (x *SkylineIndex) runRebuild(vals []float64, n int) ([]int, []int32, error)
 		return nil, nil, err
 	}
 	return res.Indices, res.Counts, nil
-}
-
-// shardedRebuild splits the staged live set into p contiguous
-// partitions, computes each partition's band through the Engine
-// concurrently (each run leasing its own context), and merges the
-// union exactly — the same merge a sharded Collection performs, on
-// already-staged values.
-func (x *SkylineIndex) shardedRebuild(vals []float64, n, p int) ([]int, []int32, error) {
-	ranges := shard.Split(n, p)
-	results := make([]skybench.Result, len(ranges))
-	errs := make([]error, len(ranges))
-	q := skybench.Query{}
-	if x.k > 1 {
-		q.SkybandK = x.k
-	}
-	var wg sync.WaitGroup
-	for i, r := range ranges {
-		wg.Add(1)
-		go func(i int, r shard.Range) {
-			defer wg.Done()
-			ds, err := skybench.DatasetFromFlat(vals[r.Lo*x.de:r.Hi*x.de:r.Hi*x.de], r.Len(), x.de)
-			if err != nil {
-				errs[i] = err
-				return
-			}
-			results[i], errs[i] = x.eng.Run(context.Background(), ds, q)
-		}(i, r)
-	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return nil, nil, err
-		}
-	}
-	var cand []int
-	for i, r := range ranges {
-		for _, li := range results[i].Indices {
-			cand = append(cand, r.Lo+li)
-		}
-	}
-	buf := make([]float64, len(cand)*x.de)
-	for pos, gi := range cand {
-		copy(buf[pos*x.de:(pos+1)*x.de], vals[gi*x.de:(gi+1)*x.de])
-	}
-	// Small unions merge through the flat prefix-scan kernel; large ones
-	// (high-skyline-fraction data) recount through one engine run over
-	// the union, whose partition index prunes the cross-candidate tests
-	// the quadratic scan cannot. Same recount either way (DESIGN.md §10),
-	// same cutoff as the Collection merge.
-	var keep []int
-	var counts []int32
-	if len(cand) <= shard.MergeKernelMax {
-		var err error
-		keep, counts, err = shard.MergeBand(context.Background(), buf, len(cand), x.de, x.k, nil)
-		if err != nil {
-			return nil, nil, err // unreachable with Background, kept for symmetry
-		}
-	} else {
-		ds, err := skybench.DatasetFromFlat(buf, len(cand), x.de)
-		if err != nil {
-			return nil, nil, err
-		}
-		mq := skybench.Query{}
-		if x.k > 1 {
-			mq.SkybandK = x.k
-		}
-		res, err := x.eng.Run(context.Background(), ds, mq)
-		if err != nil {
-			return nil, nil, err
-		}
-		keep, counts = res.Indices, res.Counts
-	}
-	idx := make([]int, len(keep))
-	for j, pos := range keep {
-		idx[j] = cand[pos]
-	}
-	return idx, counts, nil
 }
 
 // D returns the dimensionality of the indexed points.
