@@ -1,0 +1,259 @@
+package skybench
+
+import (
+	"errors"
+	"sync/atomic"
+
+	"skybench/internal/point"
+)
+
+// fingerprint is the canonical cache key of a query: every field that
+// can change the result, canonicalized (k ≤ 1 → 1, all-Min preference
+// vectors → empty) so equivalent queries share an entry. Threads,
+// ReuseIndices, Trace, and Progressive never enter the key — the first
+// three don't change the result (Trace only changes how it is
+// delivered), and progressive queries bypass the cache because their
+// callbacks must fire on every Run.
+type fingerprint struct {
+	algo   Algorithm
+	k      int
+	alpha  int
+	beta   int
+	pivot  PivotStrategy
+	seed   int64
+	abl    Ablation
+	nprefs int8
+	// fan is the fan-out when it differs from the collection's default
+	// (zero otherwise): the planner may downshift an Auto query to an
+	// unsharded run, whose result order (the algorithm's natural order,
+	// not ascending row order) must never be served to a query that ran
+	// at the default fan-out.
+	fan   int
+	prefs [point.MaxDims]int8
+}
+
+// queryFingerprint canonicalizes q into a cache key for a d-dimensional
+// collection, reporting false for queries that must not be cached:
+// progressive delivery, and invalid shapes the execution path rejects —
+// a wrong-length preference vector in particular must not be cacheable,
+// or its all-Min spelling would collapse into the valid empty-prefs key
+// and serve a cached success where a cold Run errors.
+func queryFingerprint(q *Query, d int) (fingerprint, bool) {
+	var fp fingerprint
+	if q.Progressive != nil || q.SkybandK < 0 || len(q.Prefs) > point.MaxDims {
+		return fp, false
+	}
+	// Auto never reaches the cache unresolved — run() rewrites the query
+	// to the planned concrete algorithm before fingerprinting, so cached
+	// entries are shared with explicit runs of the same plan. Seeing
+	// Auto here (the stale-fallback path) means there is no resolved
+	// plan to key on.
+	if q.Algorithm == Auto {
+		return fp, false
+	}
+	if len(q.Prefs) != 0 && len(q.Prefs) != d {
+		return fp, false
+	}
+	fp.algo = q.Algorithm
+	fp.k = q.SkybandK
+	if fp.k < 1 {
+		fp.k = 1
+	}
+	if q.Alpha > 0 {
+		fp.alpha = q.Alpha
+	}
+	if q.Beta > 0 {
+		fp.beta = q.Beta
+	}
+	fp.pivot = q.Pivot
+	fp.seed = q.Seed
+	fp.abl = q.Ablation
+	for i, p := range q.Prefs {
+		fp.prefs[i] = int8(p)
+		if p != Min {
+			fp.nprefs = int8(len(q.Prefs))
+		}
+	}
+	if fp.nprefs == 0 {
+		// All-Min (or empty) preference vectors are the same query;
+		// clear the scratch so the two spellings share one key.
+		fp.prefs = [point.MaxDims]int8{}
+	}
+	return fp, true
+}
+
+// PayloadSlots is the number of encoded-payload slots a cached result
+// carries. The slots are opaque here; the serving layer assigns them
+// (serve: wire format × omitValues).
+const PayloadSlots = 4
+
+// payloadMemo is the holder behind QueryResult.Payload: one published
+// byte slice per slot. It has no capacity and no eviction of its own —
+// it is reachable only through the cached QueryResult, so the bytes live
+// and die with the cache entry.
+type payloadMemo struct {
+	slots [PayloadSlots]atomic.Pointer[[]byte]
+}
+
+// Payload returns the bytes published in slot, or nil when nothing has
+// been (including on every result the cache does not hold). The bytes
+// are shared by every caller that hits the same cached result: read-only,
+// never written after publication.
+func (r *QueryResult) Payload(slot int) []byte {
+	if r.memo == nil {
+		return nil
+	}
+	if p := r.memo.slots[slot].Load(); p != nil {
+		return *p
+	}
+	return nil
+}
+
+// PublishPayload memoises b — an encoding of this result's rows, which
+// are immutable, so it is valid for as long as the result is — in slot
+// and returns the slot's bytes: b, or what a concurrent caller published
+// first. The caller must not write to b afterwards. On a result the
+// cache does not hold nothing is kept and b comes straight back.
+func (r *QueryResult) PublishPayload(slot int, b []byte) []byte {
+	if r.memo == nil {
+		return b
+	}
+	if r.memo.slots[slot].CompareAndSwap(nil, &b) {
+		return b
+	}
+	return *r.memo.slots[slot].Load()
+}
+
+// withCacheHitTrace wraps a shared cached result in a shallow copy
+// carrying a minimal cache-hit trace: the identity of the answer
+// (algorithm, epoch, sizes) without work counters — the work happened
+// on the query that populated the cache. The shared entry itself is
+// never touched, so untraced hits stay allocation-free.
+func (r *QueryResult) withCacheHitTrace(q *Query) *QueryResult {
+	cp := *r
+	cp.Result.Trace = &QueryTrace{
+		Algorithm: q.Algorithm.String(),
+		SkybandK:  q.SkybandK,
+		CacheHit:  true,
+		Stale:     r.Stale,
+		Epoch:     r.Epoch,
+		InputSize: r.Stats.InputSize,
+		Output:    len(r.Indices),
+	}
+	return &cp
+}
+
+// staleFallback is graceful degradation: when a query that opted in
+// with AllowStale fails because the Store is overloaded or its deadline
+// passed (a mid-rebuild stream holding its lock past the deadline looks
+// identical from here), serve the last cached result for the same query
+// shape — possibly from an earlier epoch — marked Stale. Hard failures
+// (bad query, closed collection, panic) never degrade.
+func (c *Collection) staleFallback(q *Query, err error) (*QueryResult, error) {
+	if !q.AllowStale || c.cacheCap <= 0 {
+		return nil, err
+	}
+	if !errors.Is(err, ErrOverloaded) && !errors.Is(err, ErrDeadlineExceeded) {
+		return nil, err
+	}
+	fp, ok := queryFingerprint(q, c.D())
+	if !ok {
+		return nil, err
+	}
+	c.cmu.Lock()
+	e, ok := c.stale.m[fp]
+	c.cmu.Unlock()
+	if !ok {
+		return nil, err
+	}
+	// Shallow copy so the Stale mark never taints the shared cached
+	// entry (which may still be current and served fresh by lookup).
+	r := *e.r
+	r.Stale = true
+	if q.Trace {
+		return r.withCacheHitTrace(q), nil
+	}
+	return &r, nil
+}
+
+type cacheEntry struct {
+	epoch uint64
+	r     *QueryResult
+}
+
+// resultFIFO is a capacity-bounded map of cached results that evicts in
+// insertion order, so which shapes hit is a function of the query
+// sequence alone — never of map iteration order.
+type resultFIFO struct {
+	m     map[fingerprint]cacheEntry
+	order []fingerprint // keys of m, oldest first
+}
+
+// put stores e under fp, evicting the oldest entry when fp is new and
+// the map already holds capacity entries.
+func (f *resultFIFO) put(fp fingerprint, e cacheEntry, capacity int) {
+	if _, ok := f.m[fp]; !ok {
+		if len(f.order) >= capacity {
+			delete(f.m, f.order[0])
+			f.order = append(f.order[:0], f.order[1:]...)
+		}
+		f.order = append(f.order, fp)
+	}
+	f.m[fp] = e
+}
+
+// lookup serves a cache hit, or nil on miss/stale. The hit path is
+// allocation-free.
+func (c *Collection) lookup(fp fingerprint, epoch uint64) *QueryResult {
+	c.cmu.Lock()
+	e, ok := c.entries.m[fp]
+	c.cmu.Unlock()
+	if ok && e.epoch == epoch {
+		c.hits.Add(1)
+		return e.r
+	}
+	c.misses.Add(1)
+	return nil
+}
+
+// store inserts a freshly computed result. Entries at other epochs are
+// purged on every insert, not just at capacity: a stale entry can never
+// hit again (lookup requires the current epoch) yet pins its epoch's
+// whole materialized snapshot — for stream-backed collections that is a
+// full copy of the live set. So entries only ever holds one epoch, and
+// its oldest entry speaks for all of them. If the cache is still full
+// afterwards the oldest entry is evicted.
+func (c *Collection) store(fp fingerprint, epoch uint64, r *QueryResult) {
+	c.cmu.Lock()
+	defer c.cmu.Unlock()
+	if o := c.entries.order; len(o) > 0 && c.entries.m[o[0]].epoch != epoch {
+		clear(c.entries.m)
+		c.entries.order = o[:0]
+	}
+	c.entries.put(fp, cacheEntry{epoch: epoch, r: r}, c.cacheCap)
+	// The stale side map keeps the latest result per query shape across
+	// epochs, feeding AllowStale degradation. It never pins more than
+	// cacheCap snapshots.
+	c.stale.put(fp, cacheEntry{epoch: epoch, r: r}, c.cacheCap)
+}
+
+// CacheStats reports a collection's result-cache counters. Like the
+// other stats types below it carries its own JSON tags: it is the wire
+// form too (serve.CollectionInfo embeds it), durations as integer
+// nanoseconds.
+type CacheStats struct {
+	// Hits counts queries served from the cache; Misses counts cache
+	// lookups that had to compute (stale epochs included).
+	Hits   uint64 `json:"hits"`
+	Misses uint64 `json:"misses"`
+	// Entries is the current number of cached results.
+	Entries int `json:"entries"`
+}
+
+// CacheStats returns the collection's cache counters.
+func (c *Collection) CacheStats() CacheStats {
+	c.cmu.Lock()
+	n := len(c.entries.m)
+	c.cmu.Unlock()
+	return CacheStats{Hits: c.hits.Load(), Misses: c.misses.Load(), Entries: n}
+}

@@ -2,9 +2,7 @@ package skybench
 
 import (
 	"context"
-	"errors"
 	"fmt"
-	"hash/fnv"
 	"runtime/debug"
 	"sync"
 	"sync/atomic"
@@ -316,81 +314,6 @@ func (c *Collection) N() (int, error) { return c.back.size() }
 // D returns the dimensionality of the collection's points.
 func (c *Collection) D() int { return c.back.dims() }
 
-// fingerprint is the canonical cache key of a query: every field that
-// can change the result, canonicalized (k ≤ 1 → 1, all-Min preference
-// vectors → empty) so equivalent queries share an entry. Threads,
-// ReuseIndices, Trace, and Progressive never enter the key — the first
-// three don't change the result (Trace only changes how it is
-// delivered), and progressive queries bypass the cache because their
-// callbacks must fire on every Run.
-type fingerprint struct {
-	algo   Algorithm
-	k      int
-	alpha  int
-	beta   int
-	pivot  PivotStrategy
-	seed   int64
-	abl    Ablation
-	nprefs int8
-	// fan is the fan-out when it differs from the collection's default
-	// (zero otherwise): the planner may downshift an Auto query to an
-	// unsharded run, whose result order (the algorithm's natural order,
-	// not ascending row order) must never be served to a query that ran
-	// at the default fan-out.
-	fan   int
-	prefs [point.MaxDims]int8
-}
-
-// queryFingerprint canonicalizes q into a cache key for a d-dimensional
-// collection, reporting false for queries that must not be cached:
-// progressive delivery, and invalid shapes the execution path rejects —
-// a wrong-length preference vector in particular must not be cacheable,
-// or its all-Min spelling would collapse into the valid empty-prefs key
-// and serve a cached success where a cold Run errors.
-func queryFingerprint(q *Query, d int) (fingerprint, bool) {
-	var fp fingerprint
-	if q.Progressive != nil || q.SkybandK < 0 || len(q.Prefs) > point.MaxDims {
-		return fp, false
-	}
-	// Auto never reaches the cache unresolved — run() rewrites the query
-	// to the planned concrete algorithm before fingerprinting, so cached
-	// entries are shared with explicit runs of the same plan. Seeing
-	// Auto here (the stale-fallback path) means there is no resolved
-	// plan to key on.
-	if q.Algorithm == Auto {
-		return fp, false
-	}
-	if len(q.Prefs) != 0 && len(q.Prefs) != d {
-		return fp, false
-	}
-	fp.algo = q.Algorithm
-	fp.k = q.SkybandK
-	if fp.k < 1 {
-		fp.k = 1
-	}
-	if q.Alpha > 0 {
-		fp.alpha = q.Alpha
-	}
-	if q.Beta > 0 {
-		fp.beta = q.Beta
-	}
-	fp.pivot = q.Pivot
-	fp.seed = q.Seed
-	fp.abl = q.Ablation
-	for i, p := range q.Prefs {
-		fp.prefs[i] = int8(p)
-		if p != Min {
-			fp.nprefs = int8(len(q.Prefs))
-		}
-	}
-	if fp.nprefs == 0 {
-		// All-Min (or empty) preference vectors are the same query;
-		// clear the scratch so the two spellings share one key.
-		fp.prefs = [point.MaxDims]int8{}
-	}
-	return fp, true
-}
-
 // QueryResult is the outcome of a Collection query: the Result plus the
 // membership epoch it answers for and accessors resolving result
 // positions back to rows and stream IDs.
@@ -433,48 +356,6 @@ type QueryResult struct {
 	// hit, a stale fallback) shares the one holder the cache entry owns;
 	// nil on results the cache never stored.
 	memo *payloadMemo
-}
-
-// PayloadSlots is the number of encoded-payload slots a cached result
-// carries. The slots are opaque here; the serving layer assigns them
-// (serve: wire format × omitValues).
-const PayloadSlots = 4
-
-// payloadMemo is the holder behind QueryResult.Payload: one published
-// byte slice per slot. It has no capacity and no eviction of its own —
-// it is reachable only through the cached QueryResult, so the bytes live
-// and die with the cache entry.
-type payloadMemo struct {
-	slots [PayloadSlots]atomic.Pointer[[]byte]
-}
-
-// Payload returns the bytes published in slot, or nil when nothing has
-// been (including on every result the cache does not hold). The bytes
-// are shared by every caller that hits the same cached result: read-only,
-// never written after publication.
-func (r *QueryResult) Payload(slot int) []byte {
-	if r.memo == nil {
-		return nil
-	}
-	if p := r.memo.slots[slot].Load(); p != nil {
-		return *p
-	}
-	return nil
-}
-
-// PublishPayload memoises b — an encoding of this result's rows, which
-// are immutable, so it is valid for as long as the result is — in slot
-// and returns the slot's bytes: b, or what a concurrent caller published
-// first. The caller must not write to b afterwards. On a result the
-// cache does not hold nothing is kept and b comes straight back.
-func (r *QueryResult) PublishPayload(slot int, b []byte) []byte {
-	if r.memo == nil {
-		return b
-	}
-	if r.memo.slots[slot].CompareAndSwap(nil, &b) {
-		return b
-	}
-	return *r.memo.slots[slot].Load()
 }
 
 // Len returns the number of result points.
@@ -637,381 +518,6 @@ func (c *Collection) run(ctx context.Context, q Query) (*QueryResult, bool, erro
 	return r, false, nil
 }
 
-// plannerSeed derives a deterministic per-collection seed for the
-// planner's ε-greedy coin, so planning decisions replay identically for
-// a given collection name and query order.
-func plannerSeed(name string) int64 {
-	h := fnv.New64a()
-	h.Write([]byte(name))
-	return int64(h.Sum64())
-}
-
-// plannerFor returns the collection's planner, creating it (profiling
-// the snapshot) on first use, and re-profiling when the collection's
-// size drifted ~4× from the profiled one (only a stream-backed
-// collection's can) — skyline cardinality extrapolates on n, so a
-// profile taken at 1k rows misprices the set at 100k.
-func (c *Collection) plannerFor(snap *colSnapshot) *planner.Planner {
-	c.planMu.Lock()
-	defer c.planMu.Unlock()
-	if c.plan == nil {
-		prof := planner.ProfileFlat(snap.ds.vals, snap.ds.n, snap.ds.d)
-		c.plan = planner.New(prof, planner.Config{Seed: plannerSeed(c.name)})
-		return c.plan
-	}
-	prof := c.plan.Profile()
-	n := snap.ds.n
-	if prof.N > 0 && (n >= prof.N*4 || n*4 <= prof.N) {
-		c.plan.SetProfile(planner.ProfileFlat(snap.ds.vals, snap.ds.n, snap.ds.d))
-	}
-	return c.plan
-}
-
-// decide resolves an Algorithm: Auto query in place: the planner picks
-// the concrete algorithm, the fan-out (possibly overriding the
-// configured shard count down to 1), and the α/β tuning — explicit
-// caller-set tuning fields always win. It returns the fan-out to
-// execute at and the decision trace. A membership whose rows live
-// elsewhere (a remote backing) has nothing here to profile: the query
-// goes out as Auto and each worker plans its own shard.
-func (c *Collection) decide(snap *colSnapshot, q *Query) (int, *PlannerTrace) {
-	if snap.ds == nil {
-		return 1, nil
-	}
-	pl := c.plannerFor(snap)
-	maxShards := 1
-	// Progressive delivery needs an unsharded run, so the planner only
-	// chooses between unsharded arms for it.
-	if len(snap.parts) > 1 && q.Progressive == nil {
-		maxShards = len(snap.parts)
-	}
-	dec := pl.Decide(c.costs.plannerRows(), maxShards)
-	q.Algorithm = Hybrid
-	if dec.Algorithm == planner.AlgoQFlow {
-		q.Algorithm = QFlow
-	}
-	if q.Alpha <= 0 {
-		q.Alpha = dec.Alpha
-	}
-	if q.Beta <= 0 && !q.Ablation.NoPrefilter {
-		if dec.NoPrefilter {
-			q.Ablation.NoPrefilter = true
-		} else if dec.Beta > 0 {
-			q.Beta = dec.Beta
-		}
-	}
-	prof := pl.Profile()
-	pt := &PlannerTrace{
-		Class:       prof.Class,
-		MeanRho:     prof.MeanRho,
-		SkylineFrac: prof.SkylineFrac,
-		SkylineEst:  prof.SkylineEst,
-		SampleN:     prof.SampleN,
-		Algorithm:   q.Algorithm.String(),
-		Shards:      dec.Shards,
-		Alpha:       q.Alpha,
-		Beta:        q.Beta,
-		NoPrefilter: q.Ablation.NoPrefilter,
-		Explore:     dec.Explore,
-		Reason:      dec.Reason,
-	}
-	if len(dec.Candidates) > 0 {
-		pt.Candidates = make([]PlannerCandidate, len(dec.Candidates))
-		for i, cand := range dec.Candidates {
-			pt.Candidates[i] = PlannerCandidate{
-				Algorithm: cand.Algorithm,
-				Shards:    cand.Shards,
-				Predicted: cand.Predicted,
-				Source:    cand.Source,
-				Samples:   cand.Samples,
-			}
-		}
-	}
-	return dec.Shards, pt
-}
-
-// observePlan books one executed Auto run's measured latency into the
-// planner's arm history.
-func (c *Collection) observePlan(pt *PlannerTrace, elapsed time.Duration) {
-	c.planMu.Lock()
-	pl := c.plan
-	c.planMu.Unlock()
-	if pl != nil {
-		pl.Observe(pt.Algorithm, pt.Shards, elapsed)
-	}
-}
-
-// withCacheHitTrace wraps a shared cached result in a shallow copy
-// carrying a minimal cache-hit trace: the identity of the answer
-// (algorithm, epoch, sizes) without work counters — the work happened
-// on the query that populated the cache. The shared entry itself is
-// never touched, so untraced hits stay allocation-free.
-func (r *QueryResult) withCacheHitTrace(q *Query) *QueryResult {
-	cp := *r
-	cp.Result.Trace = &QueryTrace{
-		Algorithm: q.Algorithm.String(),
-		SkybandK:  q.SkybandK,
-		CacheHit:  true,
-		Stale:     r.Stale,
-		Epoch:     r.Epoch,
-		InputSize: r.Stats.InputSize,
-		Output:    len(r.Indices),
-	}
-	return &cp
-}
-
-// staleFallback is graceful degradation: when a query that opted in
-// with AllowStale fails because the Store is overloaded or its deadline
-// passed (a mid-rebuild stream holding its lock past the deadline looks
-// identical from here), serve the last cached result for the same query
-// shape — possibly from an earlier epoch — marked Stale. Hard failures
-// (bad query, closed collection, panic) never degrade.
-func (c *Collection) staleFallback(q *Query, err error) (*QueryResult, error) {
-	if !q.AllowStale || c.cacheCap <= 0 {
-		return nil, err
-	}
-	if !errors.Is(err, ErrOverloaded) && !errors.Is(err, ErrDeadlineExceeded) {
-		return nil, err
-	}
-	fp, ok := queryFingerprint(q, c.D())
-	if !ok {
-		return nil, err
-	}
-	c.cmu.Lock()
-	e, ok := c.stale.m[fp]
-	c.cmu.Unlock()
-	if !ok {
-		return nil, err
-	}
-	// Shallow copy so the Stale mark never taints the shared cached
-	// entry (which may still be current and served fresh by lookup).
-	r := *e.r
-	r.Stale = true
-	if q.Trace {
-		return r.withCacheHitTrace(q), nil
-	}
-	return &r, nil
-}
-
-type cacheEntry struct {
-	epoch uint64
-	r     *QueryResult
-}
-
-// resultFIFO is a capacity-bounded map of cached results that evicts in
-// insertion order, so which shapes hit is a function of the query
-// sequence alone — never of map iteration order.
-type resultFIFO struct {
-	m     map[fingerprint]cacheEntry
-	order []fingerprint // keys of m, oldest first
-}
-
-// put stores e under fp, evicting the oldest entry when fp is new and
-// the map already holds capacity entries.
-func (f *resultFIFO) put(fp fingerprint, e cacheEntry, capacity int) {
-	if _, ok := f.m[fp]; !ok {
-		if len(f.order) >= capacity {
-			delete(f.m, f.order[0])
-			f.order = append(f.order[:0], f.order[1:]...)
-		}
-		f.order = append(f.order, fp)
-	}
-	f.m[fp] = e
-}
-
-// lookup serves a cache hit, or nil on miss/stale. The hit path is
-// allocation-free.
-func (c *Collection) lookup(fp fingerprint, epoch uint64) *QueryResult {
-	c.cmu.Lock()
-	e, ok := c.entries.m[fp]
-	c.cmu.Unlock()
-	if ok && e.epoch == epoch {
-		c.hits.Add(1)
-		return e.r
-	}
-	c.misses.Add(1)
-	return nil
-}
-
-// store inserts a freshly computed result. Entries at other epochs are
-// purged on every insert, not just at capacity: a stale entry can never
-// hit again (lookup requires the current epoch) yet pins its epoch's
-// whole materialized snapshot — for stream-backed collections that is a
-// full copy of the live set. So entries only ever holds one epoch, and
-// its oldest entry speaks for all of them. If the cache is still full
-// afterwards the oldest entry is evicted.
-func (c *Collection) store(fp fingerprint, epoch uint64, r *QueryResult) {
-	c.cmu.Lock()
-	defer c.cmu.Unlock()
-	if o := c.entries.order; len(o) > 0 && c.entries.m[o[0]].epoch != epoch {
-		clear(c.entries.m)
-		c.entries.order = o[:0]
-	}
-	c.entries.put(fp, cacheEntry{epoch: epoch, r: r}, c.cacheCap)
-	// The stale side map keeps the latest result per query shape across
-	// epochs, feeding AllowStale degradation. It never pins more than
-	// cacheCap snapshots.
-	c.stale.put(fp, cacheEntry{epoch: epoch, r: r}, c.cacheCap)
-}
-
-// CacheStats reports a collection's result-cache counters. Like the
-// other stats types below it carries its own JSON tags: it is the wire
-// form too (serve.CollectionInfo embeds it), durations as integer
-// nanoseconds.
-type CacheStats struct {
-	// Hits counts queries served from the cache; Misses counts cache
-	// lookups that had to compute (stale epochs included).
-	Hits   uint64 `json:"hits"`
-	Misses uint64 `json:"misses"`
-	// Entries is the current number of cached results.
-	Entries int `json:"entries"`
-}
-
-// CacheStats returns the collection's cache counters.
-func (c *Collection) CacheStats() CacheStats {
-	c.cmu.Lock()
-	n := len(c.entries.m)
-	c.cmu.Unlock()
-	return CacheStats{Hits: c.hits.Load(), Misses: c.misses.Load(), Entries: n}
-}
-
-// CollectionStats is a one-call snapshot of a collection's serving
-// state — everything an info endpoint or metrics scrape needs, gathered
-// together instead of poking N, D, Epoch, CacheStats, and the admission
-// counters individually and racing mutations in between.
-type CollectionStats struct {
-	// Name is the name the collection is attached under.
-	Name string
-	// N is the current number of points; D their dimensionality.
-	N, D int
-	// Epoch is the membership epoch (always 0 for static collections).
-	Epoch uint64
-	// Shards is the partition count queries fan out over (1 = unsharded).
-	Shards int
-	// StreamBacked reports a live StreamSource backing.
-	StreamBacked bool
-	// Cache holds the result-cache counters.
-	Cache CacheStats
-	// Inflight is the number of queries executing on the collection
-	// right now (Run and admitted Submits).
-	Inflight int64
-	// Costs holds the collection's rolling per-algorithm execution
-	// costs (count, mean/p50/p99 latency, mean dominance tests) — the
-	// planner's input. Sorted by algorithm name; nil before the first
-	// executed query.
-	Costs []AlgorithmCost
-	// Planner holds the adaptive planner's data profile and decision
-	// tallies; nil until the first Algorithm: Auto query (or, for static
-	// collections, after the eager profile at Attach).
-	Planner *PlannerStats
-	// Durability holds WAL and checkpoint statistics for collections
-	// whose backing source persists itself (a durable
-	// stream.SkylineIndex); nil otherwise.
-	Durability *DurabilityStats
-	// Placement describes the worker placement, health, and fan-out
-	// counters of a cluster-backed collection; nil for local ones.
-	Placement *PlacementStats
-}
-
-// PlannerStats is the observable state of a collection's adaptive
-// planner: the attach-time data profile and how its decisions have
-// distributed so far.
-type PlannerStats struct {
-	// Class is the profiled correlation class ("correlated",
-	// "independent", "anticorrelated"); MeanSpearman the mean pairwise
-	// Spearman rank correlation it derives from.
-	Class        string  `json:"class"`
-	MeanSpearman float64 `json:"meanSpearman"`
-	// SkylineFrac and SkylineEst are the estimated skyline fraction and
-	// cardinality of the full set; SampleN the profiled sample size.
-	SkylineFrac float64 `json:"skylineFrac"`
-	SkylineEst  int     `json:"skylineEst"`
-	SampleN     int     `json:"sampleN"`
-	// Decisions tallies Auto decisions by chosen plan, sorted for
-	// stable rendering.
-	Decisions []PlannerDecision `json:"decisions,omitempty"`
-}
-
-// PlannerDecision is one (plan, explore-mode) decision tally.
-type PlannerDecision struct {
-	Algorithm string `json:"algorithm"`
-	Shards    int    `json:"shards"`
-	Explore   bool   `json:"explore,omitempty"`
-	Count     uint64 `json:"count"`
-}
-
-// DurabilityStats reports the persistence-layer counters of a durable
-// collection backing: WAL fsync work, on-disk segment footprint, and
-// checkpoint cost. stream.SkylineIndex implements the provider side;
-// anything else backing a Collection can too.
-type DurabilityStats struct {
-	// WALFsyncs counts fsync calls the WAL issued; WALFsyncTime is the
-	// total wall-clock time spent inside them.
-	WALFsyncs    uint64        `json:"walFsyncs"`
-	WALFsyncTime time.Duration `json:"walFsyncNs"`
-	// WALSegments is the current number of on-disk WAL segments.
-	WALSegments int `json:"walSegments"`
-	// Checkpoints counts checkpoints taken; CheckpointTime is the total
-	// time spent writing them and LastCheckpoint the duration of the
-	// most recent one.
-	Checkpoints    uint64        `json:"checkpoints"`
-	CheckpointTime time.Duration `json:"checkpointNs"`
-	LastCheckpoint time.Duration `json:"lastCheckpointNs,omitempty"`
-}
-
-// durabilityProvider is the optional StreamSource facet a durable
-// backing implements to surface persistence counters (ok reports
-// whether durability is configured at all).
-type durabilityProvider interface {
-	DurabilityStats() (DurabilityStats, bool)
-}
-
-// Stats returns a consistent snapshot of the collection's serving
-// state. For a stream-backed collection whose source can report its
-// live count directly (stream.SkylineIndex can) nothing is
-// materialized; otherwise N comes from the current frozen snapshot,
-// materializing it if the membership epoch advanced.
-func (c *Collection) Stats() (CollectionStats, error) {
-	st := CollectionStats{
-		Name:     c.name,
-		D:        c.D(),
-		Shards:   c.shards,
-		Cache:    c.CacheStats(),
-		Inflight: c.inflight.Load(),
-		Costs:    c.costs.stats(),
-	}
-	c.planMu.Lock()
-	pl := c.plan
-	c.planMu.Unlock()
-	if pl != nil {
-		prof := pl.Profile()
-		ps := &PlannerStats{
-			Class:        prof.Class,
-			MeanSpearman: prof.MeanRho,
-			SkylineFrac:  prof.SkylineFrac,
-			SkylineEst:   prof.SkylineEst,
-			SampleN:      prof.SampleN,
-		}
-		for _, dc := range pl.DecisionCounts() {
-			ps.Decisions = append(ps.Decisions, PlannerDecision{
-				Algorithm: dc.Algorithm,
-				Shards:    dc.Shards,
-				Explore:   dc.Explore,
-				Count:     dc.Count,
-			})
-		}
-		st.Planner = ps
-	}
-	c.back.describe(&st)
-	if c.dropped.Load() {
-		return st, fmt.Errorf("%w: collection %q", ErrClosed, c.name)
-	}
-	st.Epoch = c.back.epoch()
-	var err error
-	st.N, err = c.back.size()
-	return st, err
-}
-
 // execute computes a query over one frozen snapshot: directly for
 // unsharded collections (or when the planner downshifted fanout to 1),
 // fan-out + exact merge (shard.Merge) for sharded ones.
@@ -1140,96 +646,4 @@ func (e *Engine) recount(ctx context.Context, vals []float64, n, d, k int) ([]in
 	}
 	res, err := e.exec(ctx, ds, Query{SkybandK: k})
 	return res.Indices, res.Counts, res.Stats.DominanceTests, err
-}
-
-// Future is the handle of one asynchronously submitted query. Wait (or
-// Done + Result) delivers the outcome exactly as Run would have.
-type Future struct {
-	done chan struct{}
-	res  *QueryResult
-	hit  bool
-	err  error
-}
-
-// CacheHit blocks until the query finishes and reports whether it was
-// answered by its own lookup in the collection's result cache — the
-// call that did the lookup says so, which two reads of the shared
-// CacheStats counters around a Submit cannot when requests overlap. A
-// stale fallback is not a hit.
-func (f *Future) CacheHit() bool {
-	<-f.done
-	return f.hit
-}
-
-// Done returns a channel closed when the query has finished.
-func (f *Future) Done() <-chan struct{} { return f.done }
-
-// Result blocks until the query finishes and returns its outcome.
-func (f *Future) Result() (*QueryResult, error) {
-	<-f.done
-	return f.res, f.err
-}
-
-// Wait blocks until the query finishes or ctx is done, whichever comes
-// first. A ctx abort abandons only the wait — the submitted query keeps
-// running under its own context and the Future stays usable.
-func (f *Future) Wait(ctx context.Context) (*QueryResult, error) {
-	select {
-	case <-f.done:
-		return f.res, f.err
-	case <-ctx.Done():
-		return nil, canceledErr(ctx.Err())
-	}
-}
-
-// Submit starts the query on its own goroutine and returns a Future for
-// it — the async form of Run, sharing the same cache and shard fan-out.
-// The query runs under ctx: cancel it to abandon the computation.
-//
-// Submissions pass through the Store's admission control
-// (StoreOptions.MaxInflight/MaxQueue): beyond the queue bound the
-// Future fails immediately with ErrOverloaded, and after Store.Close it
-// fails immediately with ErrClosed — both decided synchronously on the
-// submitting goroutine, never by a panic. Failed admission still honors
-// Query.AllowStale.
-func (c *Collection) Submit(ctx context.Context, q Query) *Future {
-	f := &Future{done: make(chan struct{})}
-	adm, err := c.owner.beginAdmit()
-	if err != nil {
-		f.res, f.err = c.staleFallback(&q, err)
-		close(f.done)
-		return f
-	}
-	go func() {
-		defer close(f.done)
-		// A panic anywhere below must resolve this Future, not crash the
-		// process or wedge Wait; it poisons only this query.
-		defer func() {
-			if r := recover(); r != nil {
-				f.res, f.err = nil, panicErr(r, debug.Stack())
-			}
-			adm.release()
-		}()
-		if err := adm.wait(ctx); err != nil {
-			f.res, f.err = c.staleFallback(&q, err)
-			return
-		}
-		f.res, f.hit, f.err = c.runReport(ctx, q)
-	}()
-	return f
-}
-
-// SubmitBatch submits every query concurrently and returns their
-// Futures in order — the batch form of Submit for callers answering
-// one request with several queries (multiple k cuts, several subspace
-// preferences, …). The engine's context free-list and shared worker
-// pool keep the fan-out from oversubscribing the machine; the Store's
-// admission bounds apply per query, so an oversized batch partially
-// admits and the overflow fails fast with ErrOverloaded.
-func (c *Collection) SubmitBatch(ctx context.Context, qs []Query) []*Future {
-	fs := make([]*Future, len(qs))
-	for i, q := range qs {
-		fs[i] = c.Submit(ctx, q)
-	}
-	return fs
 }

@@ -1,0 +1,143 @@
+package skybench
+
+import (
+	"fmt"
+	"time"
+)
+
+// CollectionStats is a one-call snapshot of a collection's serving
+// state — everything an info endpoint or metrics scrape needs, gathered
+// together instead of poking N, D, Epoch, CacheStats, and the admission
+// counters individually and racing mutations in between.
+type CollectionStats struct {
+	// Name is the name the collection is attached under.
+	Name string
+	// N is the current number of points; D their dimensionality.
+	N, D int
+	// Epoch is the membership epoch (always 0 for static collections).
+	Epoch uint64
+	// Shards is the partition count queries fan out over (1 = unsharded).
+	Shards int
+	// StreamBacked reports a live StreamSource backing.
+	StreamBacked bool
+	// Cache holds the result-cache counters.
+	Cache CacheStats
+	// Inflight is the number of queries executing on the collection
+	// right now (Run and admitted Submits).
+	Inflight int64
+	// Costs holds the collection's rolling per-algorithm execution
+	// costs (count, mean/p50/p99 latency, mean dominance tests) — the
+	// planner's input. Sorted by algorithm name; nil before the first
+	// executed query.
+	Costs []AlgorithmCost
+	// Planner holds the adaptive planner's data profile and decision
+	// tallies; nil until the first Algorithm: Auto query (or, for static
+	// collections, after the eager profile at Attach).
+	Planner *PlannerStats
+	// Durability holds WAL and checkpoint statistics for collections
+	// whose backing source persists itself (a durable
+	// stream.SkylineIndex); nil otherwise.
+	Durability *DurabilityStats
+	// Placement describes the worker placement, health, and fan-out
+	// counters of a cluster-backed collection; nil for local ones.
+	Placement *PlacementStats
+}
+
+// PlannerStats is the observable state of a collection's adaptive
+// planner: the attach-time data profile and how its decisions have
+// distributed so far.
+type PlannerStats struct {
+	// Class is the profiled correlation class ("correlated",
+	// "independent", "anticorrelated"); MeanSpearman the mean pairwise
+	// Spearman rank correlation it derives from.
+	Class        string  `json:"class"`
+	MeanSpearman float64 `json:"meanSpearman"`
+	// SkylineFrac and SkylineEst are the estimated skyline fraction and
+	// cardinality of the full set; SampleN the profiled sample size.
+	SkylineFrac float64 `json:"skylineFrac"`
+	SkylineEst  int     `json:"skylineEst"`
+	SampleN     int     `json:"sampleN"`
+	// Decisions tallies Auto decisions by chosen plan, sorted for
+	// stable rendering.
+	Decisions []PlannerDecision `json:"decisions,omitempty"`
+}
+
+// PlannerDecision is one (plan, explore-mode) decision tally.
+type PlannerDecision struct {
+	Algorithm string `json:"algorithm"`
+	Shards    int    `json:"shards"`
+	Explore   bool   `json:"explore,omitempty"`
+	Count     uint64 `json:"count"`
+}
+
+// DurabilityStats reports the persistence-layer counters of a durable
+// collection backing: WAL fsync work, on-disk segment footprint, and
+// checkpoint cost. stream.SkylineIndex implements the provider side;
+// anything else backing a Collection can too.
+type DurabilityStats struct {
+	// WALFsyncs counts fsync calls the WAL issued; WALFsyncTime is the
+	// total wall-clock time spent inside them.
+	WALFsyncs    uint64        `json:"walFsyncs"`
+	WALFsyncTime time.Duration `json:"walFsyncNs"`
+	// WALSegments is the current number of on-disk WAL segments.
+	WALSegments int `json:"walSegments"`
+	// Checkpoints counts checkpoints taken; CheckpointTime is the total
+	// time spent writing them and LastCheckpoint the duration of the
+	// most recent one.
+	Checkpoints    uint64        `json:"checkpoints"`
+	CheckpointTime time.Duration `json:"checkpointNs"`
+	LastCheckpoint time.Duration `json:"lastCheckpointNs,omitempty"`
+}
+
+// durabilityProvider is the optional StreamSource facet a durable
+// backing implements to surface persistence counters (ok reports
+// whether durability is configured at all).
+type durabilityProvider interface {
+	DurabilityStats() (DurabilityStats, bool)
+}
+
+// Stats returns a consistent snapshot of the collection's serving
+// state. For a stream-backed collection whose source can report its
+// live count directly (stream.SkylineIndex can) nothing is
+// materialized; otherwise N comes from the current frozen snapshot,
+// materializing it if the membership epoch advanced.
+func (c *Collection) Stats() (CollectionStats, error) {
+	st := CollectionStats{
+		Name:     c.name,
+		D:        c.D(),
+		Shards:   c.shards,
+		Cache:    c.CacheStats(),
+		Inflight: c.inflight.Load(),
+		Costs:    c.costs.stats(),
+	}
+	c.planMu.Lock()
+	pl := c.plan
+	c.planMu.Unlock()
+	if pl != nil {
+		prof := pl.Profile()
+		ps := &PlannerStats{
+			Class:        prof.Class,
+			MeanSpearman: prof.MeanRho,
+			SkylineFrac:  prof.SkylineFrac,
+			SkylineEst:   prof.SkylineEst,
+			SampleN:      prof.SampleN,
+		}
+		for _, dc := range pl.DecisionCounts() {
+			ps.Decisions = append(ps.Decisions, PlannerDecision{
+				Algorithm: dc.Algorithm,
+				Shards:    dc.Shards,
+				Explore:   dc.Explore,
+				Count:     dc.Count,
+			})
+		}
+		st.Planner = ps
+	}
+	c.back.describe(&st)
+	if c.dropped.Load() {
+		return st, fmt.Errorf("%w: collection %q", ErrClosed, c.name)
+	}
+	st.Epoch = c.back.epoch()
+	var err error
+	st.N, err = c.back.size()
+	return st, err
+}
