@@ -170,8 +170,12 @@ func (b *streamBacking) size() (int, error) {
 	return snap.ds.n, nil
 }
 
-func (b *streamBacking) close() {
-	if cl, ok := b.src.(interface{ Close() }); ok {
+func (b *streamBacking) close() { closeIfCloser(b.src) }
+
+// closeIfCloser closes a StreamSource or RemoteBackend that has a Close
+// method; neither interface asks for one.
+func closeIfCloser(v any) {
+	if cl, ok := v.(interface{ Close() }); ok {
 		cl.Close()
 	}
 }

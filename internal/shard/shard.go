@@ -31,6 +31,8 @@ package shard
 
 import (
 	"context"
+	"math/bits"
+	"slices"
 	"sort"
 
 	"skybench/internal/point"
@@ -99,7 +101,7 @@ type Part struct {
 
 // Recount computes the exact k-skyband of n rows of d columns through
 // an engine: positions into the rows, dominator counts (nil for k ≤ 1),
-// and the dominance tests spent. The returned slices become Merge's.
+// and the dominance tests spent.
 type Recount func(ctx context.Context, vals []float64, n, d, k int) (pos []int, counts []int32, dts uint64, err error)
 
 // Merged is the exact global band Merge assembled, in ascending global
@@ -156,29 +158,32 @@ func Merge(ctx context.Context, parts []Part, vals []float64, d, k int, recount 
 	if err != nil {
 		return Merged{}, err
 	}
-	sort.Sort(byRow{rows: rows, pos: m.Pos, counts: m.Counts})
-	m.Rows = make([]int, len(m.Pos))
-	for i, p := range m.Pos {
-		m.Rows[i] = rows[p]
+	// Ascending global row is the documented order of a merged result;
+	// neither recount produces it (the kernel answers in L1 order, an
+	// engine in its own). Sort one word per survivor — its row above its
+	// place in the recount's answer — so the sort compares integers
+	// inline instead of moving three slices in step through an
+	// interface. (rows × survivors stays far below 2^64: the survivors'
+	// values are in memory.)
+	pos, counts := m.Pos, m.Counts
+	shift := bits.Len(uint(len(pos)))
+	keys := make([]uint64, len(pos))
+	for i, p := range pos {
+		keys[i] = uint64(rows[p])<<shift | uint64(i)
+	}
+	slices.Sort(keys)
+	m.Pos, m.Rows = make([]int, len(pos)), make([]int, len(pos))
+	if counts != nil {
+		m.Counts = make([]int32, len(pos))
+	}
+	for j, key := range keys {
+		i := int(key & (1<<shift - 1))
+		m.Pos[j], m.Rows[j] = pos[i], int(key>>shift)
+		if counts != nil {
+			m.Counts[j] = counts[i]
+		}
 	}
 	return m, nil
-}
-
-// byRow sorts surviving candidate positions by the global row they
-// stand for, keeping counts (nil for skyline merges) parallel.
-type byRow struct {
-	rows   []int // by candidate position
-	pos    []int
-	counts []int32
-}
-
-func (s byRow) Len() int           { return len(s.pos) }
-func (s byRow) Less(a, b int) bool { return s.rows[s.pos[a]] < s.rows[s.pos[b]] }
-func (s byRow) Swap(a, b int) {
-	s.pos[a], s.pos[b] = s.pos[b], s.pos[a]
-	if s.counts != nil {
-		s.counts[a], s.counts[b] = s.counts[b], s.counts[a]
-	}
 }
 
 // mergeBand is Merge's flat recount kernel: the exact k-skyband of the

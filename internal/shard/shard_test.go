@@ -108,9 +108,9 @@ func checkMerge(t *testing.T, label string, flat []float64, d, k int, parts []Pa
 // TestMergeBandOracle is the soundness check of the shard merge: for
 // every distribution, dimensionality, k, and shard count, the k-skyband
 // of the union of per-shard k-skybands (with recounted dominators) must
-// equal the global brute-force k-skyband with exact counts — from the
-// kernel alone, and from Merge, whose two paths are driven by unions
-// one candidate either side of MergeKernelMax.
+// equal the global brute-force k-skyband with exact counts — through
+// Merge, whose two paths are driven by unions one candidate either side
+// of MergeKernelMax.
 func TestMergeBandOracle(t *testing.T) {
 	const n = 400
 	for _, dist := range dataset.AllDistributions {

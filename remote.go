@@ -133,11 +133,7 @@ func (b remoteBacking) answer(ctx context.Context, _ *colSnapshot, q Query, _ in
 	return b.rb.Run(ctx, q)
 }
 
-func (b remoteBacking) close() {
-	if cl, ok := b.rb.(interface{ Close() }); ok {
-		cl.Close()
-	}
-}
+func (b remoteBacking) close() { closeIfCloser(b.rb) }
 
 func (b remoteBacking) describe(st *CollectionStats) {
 	pl := b.rb.Placement()
