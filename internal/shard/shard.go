@@ -231,8 +231,11 @@ func mergeBand(ctx context.Context, vals []float64, nc, d, k int, dts *uint64) (
 	}
 
 	var tests uint64
-	var keep []int
+	keep := make([]int, 0, nc)
 	var counts []int32
+	if k > 1 {
+		counts = make([]int32, 0, nc)
+	}
 	// Cancellation checkpoint cadence: every 32 probe rows costs one
 	// atomic-ish ctx.Err() per ~32·p dominance tests — noise next to the
 	// recount itself, prompt enough for deadline control.
@@ -250,7 +253,7 @@ func mergeBand(ctx context.Context, vals []float64, nc, d, k int, dts *uint64) (
 		c := point.CountDominatorsInFlatRun(sVals, d, 0, p, q, sL1[p], sL1, nil, k, &tests)
 		if c < k {
 			keep = append(keep, i)
-			if k > 1 {
+			if counts != nil {
 				counts = append(counts, int32(c))
 			}
 		}
