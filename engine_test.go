@@ -23,7 +23,7 @@ func TestEngineMatchesCompute(t *testing.T) {
 	eng := skybench.NewEngine(4)
 	defer eng.Close()
 	ctx := context.Background()
-	for _, alg := range []skybench.Algorithm{skybench.Hybrid, skybench.QFlow, skybench.SFS} {
+	for _, alg := range []skybench.Algorithm{skybench.Hybrid, skybench.QFlow, skybench.BSkyTree} {
 		for _, n := range []int{1, 100, 5000} {
 			data := contextTestData(t, n, 6)
 			want := verify.BruteForce(point.FromRows(data))

@@ -37,7 +37,7 @@ func main() {
 	defer eng.Close()
 	ctx := context.Background()
 
-	for _, alg := range []skybench.Algorithm{skybench.Hybrid, skybench.QFlow, skybench.PSkyline, skybench.BNL} {
+	for _, alg := range []skybench.Algorithm{skybench.Hybrid, skybench.QFlow, skybench.PSkyline, skybench.BSkyTree} {
 		res, err := eng.Run(ctx, ds, skybench.Query{Algorithm: alg})
 		if err != nil {
 			log.Fatal(err)

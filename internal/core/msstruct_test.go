@@ -36,11 +36,12 @@ func buildStore(t *testing.T, rows [][]float64, pivot []float64, blockSize int, 
 			}
 		}
 	}
-	sorted := m.Gather(idx)
+	sorted := point.NewMatrix(n, d)
 	sl1 := make([]float64, n)
 	smask := make([]point.Mask, n)
 	sorig := make([]int, n)
 	for i, j := range idx {
+		copy(sorted.Row(i), m.Row(j))
 		sl1[i] = l1[j]
 		smask[i] = masks[j]
 		sorig[i] = j

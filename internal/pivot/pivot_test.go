@@ -10,7 +10,9 @@ import (
 
 func l1s(m point.Matrix) []float64 {
 	out := make([]float64, m.N())
-	m.L1All(out)
+	for i := range out {
+		out[i] = point.L1(m.Row(i))
+	}
 	return out
 }
 

@@ -47,17 +47,6 @@ func Dominates(p, q []float64) bool {
 	return strict
 }
 
-// WeakDominates reports p ⪯ q: p is no worse than q on every dimension
-// (Definition 1, "potential dominance").
-func WeakDominates(p, q []float64) bool {
-	for i, v := range p {
-		if v > q[i] {
-			return false
-		}
-	}
-	return true
-}
-
 // Equals reports p ≡ q (coincident points).
 func Equals(p, q []float64) bool {
 	for i, v := range p {
@@ -69,8 +58,8 @@ func Equals(p, q []float64) bool {
 }
 
 // Compare performs one pass over both points and classifies the pair.
-// It is used where both directions matter (e.g. BNL windows) so that a
-// single scan replaces two Dominates calls.
+// It is used where both directions matter (PSkyline's window scan) so
+// that a single scan replaces two Dominates calls.
 func Compare(p, q []float64) Relation {
 	pBetter, qBetter := false, false
 	for i, v := range p {

@@ -25,15 +25,6 @@ func TestDominatesBasics(t *testing.T) {
 	}
 }
 
-func TestWeakDominates(t *testing.T) {
-	if !WeakDominates([]float64{1, 1}, []float64{1, 1}) {
-		t.Error("coincident points should weakly dominate each other")
-	}
-	if WeakDominates([]float64{1, 3}, []float64{2, 2}) {
-		t.Error("incomparable points should not weakly dominate")
-	}
-}
-
 func TestEquals(t *testing.T) {
 	if !Equals([]float64{1, 2}, []float64{1, 2}) {
 		t.Error("identical points should be Equal")

@@ -22,35 +22,9 @@ func DominatesFlat2(p []float64, pOff int, q []float64, qOff, d int) bool {
 	return DominatesD(p[pOff:pOff+d:pOff+d], q[qOff:qOff+d:qOff+d], d)
 }
 
-// WeakDominatesFlat reports vals[pOff:] ⪯ vals[qOff:] over d dimensions.
-func WeakDominatesFlat(vals []float64, pOff, qOff, d int) bool {
-	return WeakDominates(vals[pOff:pOff+d:pOff+d], vals[qOff:qOff+d:qOff+d])
-}
-
-// WeakDominatesFlat2 is WeakDominatesFlat across two flat storages.
-func WeakDominatesFlat2(p []float64, pOff int, q []float64, qOff, d int) bool {
-	return WeakDominates(p[pOff:pOff+d:pOff+d], q[qOff:qOff+d:qOff+d])
-}
-
-// CompareFlat classifies two rows of the same flat storage in one pass.
-func CompareFlat(vals []float64, pOff, qOff, d int) Relation {
-	return Compare(vals[pOff:pOff+d:pOff+d], vals[qOff:qOff+d:qOff+d])
-}
-
-// CompareFlat2 is CompareFlat across two flat storages.
-func CompareFlat2(p []float64, pOff int, q []float64, qOff, d int) Relation {
-	return Compare(p[pOff:pOff+d:pOff+d], q[qOff:qOff+d:qOff+d])
-}
-
 // EqualsFlat2 reports coincidence of p[pOff:pOff+d] and q[qOff:qOff+d].
 func EqualsFlat2(p []float64, pOff int, q []float64, qOff, d int) bool {
 	return Equals(p[pOff:pOff+d:pOff+d], q[qOff:qOff+d:qOff+d])
-}
-
-// ComputeMaskFlat assigns row pOff of the flat storage to a partition
-// relative to pivot v: bit i = (vals[pOff+i] < v[i] ? 0 : 1).
-func ComputeMaskFlat(vals []float64, pOff int, v []float64) Mask {
-	return ComputeMask(vals[pOff:pOff+len(v):pOff+len(v)], v)
 }
 
 // DominatedInFlatRun reports whether any row j ∈ [lo, hi) of the row-major

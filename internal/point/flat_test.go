@@ -52,12 +52,6 @@ func TestFlatKernelsMatchGeneric(t *testing.T) {
 			if got, want := DominatesFlat2(pv, pi*d, qv, qi*d, d), Dominates(p, q); got != want {
 				t.Fatalf("d=%d DominatesFlat2=%v want %v (p=%v q=%v)", d, got, want, p, q)
 			}
-			if got, want := WeakDominatesFlat2(pv, pi*d, qv, qi*d, d), WeakDominates(p, q); got != want {
-				t.Fatalf("d=%d WeakDominatesFlat2=%v want %v", d, got, want)
-			}
-			if got, want := CompareFlat2(pv, pi*d, qv, qi*d, d), Compare(p, q); got != want {
-				t.Fatalf("d=%d CompareFlat2=%v want %v", d, got, want)
-			}
 			if got, want := EqualsFlat2(pv, pi*d, qv, qi*d, d), Equals(p, q); got != want {
 				t.Fatalf("d=%d EqualsFlat2=%v want %v", d, got, want)
 			}
@@ -69,24 +63,10 @@ func TestFlatKernelsMatchGeneric(t *testing.T) {
 			if got, want := DominatesFlat(both, 0, d, d), Dominates(p, q); got != want {
 				t.Fatalf("d=%d DominatesFlat=%v want %v", d, got, want)
 			}
-			if got, want := WeakDominatesFlat(both, 0, d, d), WeakDominates(p, q); got != want {
-				t.Fatalf("d=%d WeakDominatesFlat=%v want %v", d, got, want)
-			}
-			if got, want := CompareFlat(both, 0, d, d), Compare(p, q); got != want {
-				t.Fatalf("d=%d CompareFlat=%v want %v", d, got, want)
-			}
 
 			// Unrolled DominatesD must agree with the generic loop too.
 			if got, want := DominatesD(p, q, d), Dominates(p, q); got != want {
 				t.Fatalf("d=%d DominatesD=%v want %v", d, got, want)
-			}
-
-			piv := make([]float64, d)
-			for i := range piv {
-				piv[i] = float64(rng.Intn(5)) / 4
-			}
-			if got, want := ComputeMaskFlat(pv, pi*d, piv), ComputeMask(p, piv); got != want {
-				t.Fatalf("d=%d ComputeMaskFlat=%v want %v", d, got, want)
 			}
 		}
 	}

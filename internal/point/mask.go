@@ -63,9 +63,3 @@ func FullMask(d int) Mask { return Mask(1<<uint(d)) - 1 }
 func (m Mask) CompoundKey(d int) uint64 {
 	return uint64(m.Level())<<uint(d) | uint64(m)
 }
-
-// MaskFromKey recovers the mask from a compound key: m = K & (2^d − 1).
-func MaskFromKey(k uint64, d int) Mask { return Mask(k) & FullMask(d) }
-
-// LevelFromKey recovers the level from a compound key: |m| = K >> d.
-func LevelFromKey(k uint64, d int) int { return int(k >> uint(d)) }

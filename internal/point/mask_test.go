@@ -55,11 +55,11 @@ func TestCompoundKeyRoundTrip(t *testing.T) {
 		for trial := 0; trial < 100; trial++ {
 			m := Mask(rand.Uint32()) & FullMask(d)
 			k := m.CompoundKey(d)
-			if MaskFromKey(k, d) != m {
-				t.Fatalf("d=%d mask=%b: MaskFromKey(%d) = %b", d, m, k, MaskFromKey(k, d))
+			if got := Mask(k) & FullMask(d); got != m {
+				t.Fatalf("d=%d mask=%b: low d bits of key %d = %b", d, m, k, got)
 			}
-			if LevelFromKey(k, d) != m.Level() {
-				t.Fatalf("d=%d mask=%b: LevelFromKey = %d, want %d", d, m, LevelFromKey(k, d), m.Level())
+			if got := int(k >> uint(d)); got != m.Level() {
+				t.Fatalf("d=%d mask=%b: key >> d = %d, want level %d", d, m, got, m.Level())
 			}
 		}
 	}

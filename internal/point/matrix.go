@@ -68,23 +68,6 @@ func (m Matrix) Row(i int) []float64 {
 // Flat returns the underlying row-major storage (aliased, not copied).
 func (m Matrix) Flat() []float64 { return m.vals }
 
-// Clone returns a deep copy of the matrix.
-func (m Matrix) Clone() Matrix {
-	c := NewMatrix(m.n, m.d)
-	copy(c.vals, m.vals)
-	return c
-}
-
-// Gather returns a new matrix containing the rows of m selected by idx, in
-// order. Used to materialize pre-filter survivors and sorted layouts.
-func (m Matrix) Gather(idx []int) Matrix {
-	out := NewMatrix(len(idx), m.d)
-	for i, j := range idx {
-		copy(out.Row(i), m.Row(j))
-	}
-	return out
-}
-
 // Finite reports whether v is an ordinary float64 — not NaN and not ±Inf.
 // NaN poisons every dominance comparison (all comparisons are false, so a
 // NaN point is simultaneously never dominated and never dominating) and
@@ -103,29 +86,6 @@ func L1(p []float64) float64 {
 	return s
 }
 
-// MinCoord returns the smallest coordinate of p. SaLSa sorts by this key
-// to enable early termination.
-func MinCoord(p []float64) float64 {
-	mn := math.Inf(1)
-	for _, v := range p {
-		if v < mn {
-			mn = v
-		}
-	}
-	return mn
-}
-
-// MaxCoord returns the largest coordinate of p.
-func MaxCoord(p []float64) float64 {
-	mx := math.Inf(-1)
-	for _, v := range p {
-		if v > mx {
-			mx = v
-		}
-	}
-	return mx
-}
-
 // Volume returns Πᵢ p[i], the hyper-volume pivot criterion ([2] in the
 // paper's pivot study).
 func Volume(p []float64) float64 {
@@ -134,15 +94,4 @@ func Volume(p []float64) float64 {
 		v *= x
 	}
 	return v
-}
-
-// L1All computes the L1 norm of every row into out (which must have length
-// m.N()).
-func (m Matrix) L1All(out []float64) {
-	if len(out) != m.n {
-		panic("point: L1All output length mismatch")
-	}
-	for i := 0; i < m.n; i++ {
-		out[i] = L1(m.Row(i))
-	}
 }

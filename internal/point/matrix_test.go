@@ -1,9 +1,6 @@
 package point
 
-import (
-	"math"
-	"testing"
-)
+import "testing"
 
 func TestNewMatrixShape(t *testing.T) {
 	m := NewMatrix(3, 4)
@@ -68,63 +65,12 @@ func TestFromFlatWrongLenPanics(t *testing.T) {
 	FromFlat([]float64{1, 2, 3}, 2, 2)
 }
 
-func TestCloneIsDeep(t *testing.T) {
-	m := FromRows([][]float64{{1, 2}})
-	c := m.Clone()
-	c.Row(0)[0] = 99
-	if m.Row(0)[0] != 1 {
-		t.Fatal("Clone shares storage with original")
-	}
-}
-
-func TestGather(t *testing.T) {
-	m := FromRows([][]float64{{0, 0}, {1, 1}, {2, 2}})
-	g := m.Gather([]int{2, 0})
-	if g.N() != 2 || g.Row(0)[0] != 2 || g.Row(1)[0] != 0 {
-		t.Fatalf("Gather wrong: %v", g.Flat())
-	}
-}
-
 func TestNorms(t *testing.T) {
 	p := []float64{3, 1, 2}
 	if got := L1(p); got != 6 {
 		t.Errorf("L1 = %v, want 6", got)
 	}
-	if got := MinCoord(p); got != 1 {
-		t.Errorf("MinCoord = %v, want 1", got)
-	}
-	if got := MaxCoord(p); got != 3 {
-		t.Errorf("MaxCoord = %v, want 3", got)
-	}
 	if got := Volume(p); got != 6 {
 		t.Errorf("Volume = %v, want 6", got)
 	}
-}
-
-func TestMinCoordEmpty(t *testing.T) {
-	if !math.IsInf(MinCoord(nil), 1) {
-		t.Error("MinCoord(nil) should be +Inf")
-	}
-	if !math.IsInf(MaxCoord(nil), -1) {
-		t.Error("MaxCoord(nil) should be -Inf")
-	}
-}
-
-func TestL1All(t *testing.T) {
-	m := FromRows([][]float64{{1, 2}, {3, 4}})
-	out := make([]float64, 2)
-	m.L1All(out)
-	if out[0] != 3 || out[1] != 7 {
-		t.Fatalf("L1All = %v, want [3 7]", out)
-	}
-}
-
-func TestL1AllLengthMismatchPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic")
-		}
-	}()
-	m := NewMatrix(2, 2)
-	m.L1All(make([]float64, 1))
 }

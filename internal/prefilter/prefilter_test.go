@@ -128,7 +128,9 @@ func Filter(m point.Matrix, l1 []float64, beta, threads int, dts *stats.DTCounte
 
 func l1s(m point.Matrix) []float64 {
 	out := make([]float64, m.N())
-	m.L1All(out)
+	for i := range out {
+		out[i] = point.L1(m.Row(i))
+	}
 	return out
 }
 

@@ -251,8 +251,11 @@ func TestErrorMappingOverWire(t *testing.T) {
 	_, err = c.Query(ctx, "frozen", &serve.QueryRequest{Prefs: []string{"sideways", "min"}})
 	check("bad pref", err, http.StatusBadRequest, skybench.ErrBadQuery)
 
-	_, err = c.Query(ctx, "frozen", &serve.QueryRequest{Algorithm: "no-such"})
-	check("bad algorithm", err, http.StatusBadRequest, skybench.ErrUnknownAlgorithm)
+	// "bnl" was a name once: a removed baseline is as unknown as a typo.
+	for _, alg := range []string{"no-such", "bnl"} {
+		_, err = c.Query(ctx, "frozen", &serve.QueryRequest{Algorithm: alg})
+		check("bad algorithm "+alg, err, http.StatusBadRequest, skybench.ErrUnknownAlgorithm)
+	}
 
 	_, err = c.Insert(ctx, "frozen", [][]float64{{1, 2}})
 	check("insert into static", err, http.StatusBadRequest, skybench.ErrBadQuery)

@@ -192,7 +192,7 @@ func TestEngineSkybandErrors(t *testing.T) {
 		!strings.Contains(err.Error(), "negative SkybandK") {
 		t.Fatalf("negative SkybandK: got %v", err)
 	}
-	for _, alg := range []skybench.Algorithm{skybench.BNL, skybench.BSkyTree, skybench.PSkyline} {
+	for _, alg := range []skybench.Algorithm{skybench.PBSkyTree, skybench.BSkyTree, skybench.PSkyline} {
 		_, err := eng.Run(ctx, ds, skybench.Query{Algorithm: alg, SkybandK: 2})
 		if err == nil || !strings.Contains(err.Error(), "does not support k-skyband") {
 			t.Fatalf("%s with SkybandK=2: got %v", alg, err)

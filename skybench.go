@@ -12,8 +12,7 @@
 // block-parallel flow of control and the full Hybrid algorithm with its
 // two-level partition index over a shared global skyline — together with
 // every baseline of the paper's evaluation (PSkyline, BSkyTree,
-// PBSkyTree) and the classic sequential algorithms (BNL, SFS, SaLSa,
-// LESS).
+// PBSkyTree).
 //
 // Quick start — prepare a Dataset once, query it many times (the
 // compiled form is ExampleEngine_Run; ExampleStore shows the Store):
@@ -49,15 +48,8 @@ import (
 	"sort"
 	"time"
 
-	"skybench/internal/algo/apskyline"
-	"skybench/internal/algo/bnl"
 	"skybench/internal/algo/bskytree"
-	"skybench/internal/algo/dnc"
-	"skybench/internal/algo/less"
-	"skybench/internal/algo/psfs"
 	"skybench/internal/algo/pskyline"
-	"skybench/internal/algo/salsa"
-	"skybench/internal/algo/sfs"
 	"skybench/internal/dataset"
 	"skybench/internal/pivot"
 	"skybench/internal/point"
@@ -81,23 +73,6 @@ const (
 	BSkyTree
 	// PBSkyTree is the paper's parallelization of BSkyTree (Appendix A).
 	PBSkyTree
-	// BNL is Börzsönyi et al.'s block-nested-loops baseline; sequential.
-	BNL
-	// SFS is the sort-filter skyline of Chomicki et al.; sequential.
-	SFS
-	// SaLSa is Bartolini et al.'s sort-and-limit algorithm; sequential.
-	SaLSa
-	// LESS is Godfrey et al.'s linear elimination sort; sequential.
-	LESS
-	// DnC is Börzsönyi et al.'s original divide-and-conquer algorithm;
-	// sequential.
-	DnC
-	// PSFS is Im & Park's parallel SFS, the naive baseline the paper
-	// calls "a weaker version of our Q-Flow".
-	PSFS
-	// APSkyline is Liknes et al.'s angle-based multicore
-	// divide-and-conquer (equi-depth first-angle variant).
-	APSkyline
 	// Auto delegates the algorithm choice (and shard fan-out and α/β
 	// tuning) to the collection's adaptive planner, which combines an
 	// attach-time data profile with the rolling per-algorithm cost
@@ -110,9 +85,7 @@ const (
 
 var algoNames = map[Algorithm]string{
 	Hybrid: "hybrid", QFlow: "qflow", PSkyline: "pskyline",
-	BSkyTree: "bskytree", PBSkyTree: "pbskytree",
-	BNL: "bnl", SFS: "sfs", SaLSa: "salsa", LESS: "less", DnC: "dnc",
-	PSFS: "psfs", APSkyline: "apskyline", Auto: "auto",
+	BSkyTree: "bskytree", PBSkyTree: "pbskytree", Auto: "auto",
 }
 
 // String returns the algorithm's CLI name.
@@ -147,8 +120,7 @@ func AlgorithmNames() []string {
 
 // Algorithms lists every available algorithm, parallel ones first.
 var Algorithms = []Algorithm{
-	Hybrid, QFlow, PSkyline, PBSkyTree, PSFS, APSkyline,
-	BSkyTree, BNL, SFS, SaLSa, LESS, DnC,
+	Hybrid, QFlow, PSkyline, PBSkyTree, BSkyTree,
 }
 
 // PivotStrategy selects how Hybrid picks its level-1 partitioning pivot
@@ -381,20 +353,6 @@ func runBaseline(m point.Matrix, q Query, threads int) (Result, error) {
 		var dts uint64
 		idx, dts = bskytree.ParallelSkylineDT(m, threads, nil)
 		st.DominanceTests = dts
-	case BNL:
-		idx, st.DominanceTests = bnl.SkylineDT(m)
-	case SFS:
-		idx, st.DominanceTests = sfs.SkylineDT(m)
-	case SaLSa:
-		idx, st.DominanceTests, _ = salsa.SkylineDT(m)
-	case LESS:
-		idx, st.DominanceTests = less.SkylineDT(m, q.Beta)
-	case DnC:
-		idx, st.DominanceTests = dnc.SkylineDT(m)
-	case PSFS:
-		idx, st.DominanceTests = psfs.SkylineDT(m, threads)
-	case APSkyline:
-		idx, st.DominanceTests = apskyline.SkylineDT(m, threads)
 	default:
 		return Result{}, fmt.Errorf("%w: %d", ErrUnknownAlgorithm, int(q.Algorithm))
 	}

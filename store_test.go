@@ -728,7 +728,7 @@ func TestStoreLegacyEquivalence(t *testing.T) {
 		t.Fatal(err)
 	}
 	ctx := context.Background()
-	for _, q := range []skybench.Query{{}, {SkybandK: 3}, {Algorithm: skybench.BNL}} {
+	for _, q := range []skybench.Query{{}, {SkybandK: 3}, {Algorithm: skybench.BSkyTree}} {
 		want, err := eng.Run(ctx, ds, q)
 		if err != nil {
 			t.Fatal(err)
