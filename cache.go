@@ -15,21 +15,50 @@ import (
 // delivered), and progressive queries bypass the cache because their
 // callbacks must fire on every Run.
 type fingerprint struct {
-	algo   Algorithm
-	k      int
-	alpha  int
-	beta   int
-	pivot  PivotStrategy
-	seed   int64
-	abl    Ablation
-	nprefs int8
+	algo  Algorithm
+	k     int
+	alpha int
+	beta  int
+	pivot PivotStrategy
+	seed  int64
+	abl   Ablation
 	// fan is the fan-out when it differs from the collection's default
 	// (zero otherwise): the planner may downshift an Auto query to an
 	// unsharded run, whose result order (the algorithm's natural order,
 	// not ascending row order) must never be served to a query that ran
 	// at the default fan-out.
 	fan   int
-	prefs [point.MaxDims]int8
+	prefs canonPrefs
+}
+
+// canonPrefs is a preference vector in canonical, comparable form: all
+// spellings of the same preferences are equal. n is the vector's length,
+// or zero when every dimension is minimized — an empty vector and an
+// all-Min one are the same preferences.
+type canonPrefs struct {
+	n int8
+	p [point.MaxDims]int8
+}
+
+// canonicalPrefs canonicalizes prefs for d-dimensional rows, reporting
+// false for a vector of the wrong length, which is no preference at all:
+// its all-Min spelling must not collapse into the valid empty one.
+// Entries are not validated — an invalid value equals no valid vector.
+func canonicalPrefs(prefs []Pref, d int) (canonPrefs, bool) {
+	var c canonPrefs
+	if len(prefs) != 0 && len(prefs) != d || len(prefs) > point.MaxDims {
+		return c, false
+	}
+	for i, p := range prefs {
+		c.p[i] = int8(p)
+		if p != Min {
+			c.n = int8(len(prefs))
+		}
+	}
+	if c.n == 0 {
+		c.p = [point.MaxDims]int8{}
+	}
+	return c, true
 }
 
 // queryFingerprint canonicalizes q into a cache key for a d-dimensional
@@ -40,7 +69,7 @@ type fingerprint struct {
 // and serve a cached success where a cold Run errors.
 func queryFingerprint(q *Query, d int) (fingerprint, bool) {
 	var fp fingerprint
-	if q.Progressive != nil || q.SkybandK < 0 || len(q.Prefs) > point.MaxDims {
+	if q.Progressive != nil || q.SkybandK < 0 {
 		return fp, false
 	}
 	// Auto never reaches the cache unresolved — run() rewrites the query
@@ -51,9 +80,11 @@ func queryFingerprint(q *Query, d int) (fingerprint, bool) {
 	if q.Algorithm == Auto {
 		return fp, false
 	}
-	if len(q.Prefs) != 0 && len(q.Prefs) != d {
+	prefs, ok := canonicalPrefs(q.Prefs, d)
+	if !ok {
 		return fp, false
 	}
+	fp.prefs = prefs
 	fp.algo = q.Algorithm
 	fp.k = q.SkybandK
 	if fp.k < 1 {
@@ -68,17 +99,6 @@ func queryFingerprint(q *Query, d int) (fingerprint, bool) {
 	fp.pivot = q.Pivot
 	fp.seed = q.Seed
 	fp.abl = q.Ablation
-	for i, p := range q.Prefs {
-		fp.prefs[i] = int8(p)
-		if p != Min {
-			fp.nprefs = int8(len(q.Prefs))
-		}
-	}
-	if fp.nprefs == 0 {
-		// All-Min (or empty) preference vectors are the same query;
-		// clear the scratch so the two spellings share one key.
-		fp.prefs = [point.MaxDims]int8{}
-	}
 	return fp, true
 }
 
@@ -218,11 +238,20 @@ func (c *Collection) lookup(fp fingerprint, epoch uint64) *QueryResult {
 
 // store inserts a freshly computed result. Entries at other epochs are
 // purged on every insert, not just at capacity: a stale entry can never
-// hit again (lookup requires the current epoch) yet pins its epoch's
-// whole materialized snapshot — for stream-backed collections that is a
-// full copy of the live set. So entries only ever holds one epoch, and
-// its oldest entry speaks for all of them. If the cache is still full
-// afterwards the oldest entry is evicted.
+// hit again (lookup requires the current epoch) yet pins what it
+// resolves its rows against — a full copy of the live set for an engine
+// run over a stream-backed collection, the band's rows for an answer
+// read from the source's maintained band or shipped back by remote
+// workers. So entries only ever holds one epoch, and its oldest entry
+// speaks for all of them. If the cache is still full afterwards the
+// oldest entry is evicted.
+//
+// The key is the live epoch for band answers too, although the band
+// itself survives most mutations (a stream.SkylineIndex has a second,
+// band-membership epoch that moves on about one mutation in five): an
+// answer's Indices and Stats.InputSize are live-row positions and the
+// live count, functions of the live membership, so an entry kept across
+// a non-band insert or delete would serve stale ones.
 func (c *Collection) store(fp fingerprint, epoch uint64, r *QueryResult) {
 	c.cmu.Lock()
 	defer c.cmu.Unlock()
@@ -233,7 +262,7 @@ func (c *Collection) store(fp fingerprint, epoch uint64, r *QueryResult) {
 	c.entries.put(fp, cacheEntry{epoch: epoch, r: r}, c.cacheCap)
 	// The stale side map keeps the latest result per query shape across
 	// epochs, feeding AllowStale degradation. It never pins more than
-	// cacheCap snapshots.
+	// cacheCap results' rows.
 	c.stale.put(fp, cacheEntry{epoch: epoch, r: r}, c.cacheCap)
 }
 

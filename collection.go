@@ -64,13 +64,61 @@ type StreamSource interface {
 	LiveSnapshot() (vals []float64, ids []uint64, epoch uint64)
 }
 
+// BandSource is the optional capability of a StreamSource that already
+// maintains the k-skyband of its own live set under fixed preferences —
+// stream.SkylineIndex does. A Collection over such a source answers the
+// queries the maintained band is exactly the answer to (see LiveBand)
+// by reading it, instead of materializing the live set and recomputing
+// the same rows; every other query, and every source without the
+// capability, goes through LiveSnapshot as before.
+type BandSource interface {
+	StreamSource
+	// LiveBand returns the maintained band at the source's current live
+	// epoch. Everything in it must be read under one acquisition of the
+	// source's lock, so the band and the epoch it is labelled with
+	// cannot disagree. The returned slices are caller-owned.
+	LiveBand() LiveBand
+}
+
+// LiveBand is the band a BandSource maintains, as of one live epoch:
+// every live point dominated by fewer than K others under Prefs. A
+// point's dominators are counted over the whole live set, and every
+// dominator of a band row is itself a band row (DESIGN.md §9, the
+// closure lemma), so Counts are the global dominator counts and the
+// rows with Counts[i] < k′ are exactly the k′-skyband for any k′ ≤ K.
+type LiveBand struct {
+	// Prefs and K are the preferences (empty = minimize everything, as
+	// Query.Prefs) and band parameter (≥ 1; 1 = skyline) the source
+	// maintains its band under. Both are fixed for the life of the
+	// source.
+	Prefs []Pref
+	K     int
+	// Live is the number of live points and Epoch the LiveEpoch value
+	// the whole reading is exact for.
+	Live  int
+	Epoch uint64
+	// Pos, IDs, Vals and Counts describe the band rows, in ascending
+	// Pos order. Pos[i] is the row's position in LiveSnapshot's row
+	// order at Epoch (so 0 ≤ Pos[i] < Live); IDs[i] its stable ID; row
+	// i of the row-major Vals its D original (un-staged) coordinates;
+	// Counts[i] its exact dominator count (< K). Counts may be nil when
+	// K is 1, every skyline point being undominated.
+	Pos    []int
+	IDs    []uint64
+	Vals   []float64
+	Counts []int32
+}
+
 // colSnapshot freezes one membership epoch of a collection: the rows as
 // an immutable Dataset, the per-shard partitions aliasing it, and (for
 // stream-backed collections) the stable ID of each row. Static
-// collections have exactly one snapshot for their whole life.
+// collections have exactly one snapshot for their whole life. A
+// snapshot whose rows are not in this process — a remote backing's, or
+// a stream backing's before anything needed them — pins the epoch alone
+// (ds is nil).
 type colSnapshot struct {
 	epoch uint64
-	ds    *Dataset
+	ds    *Dataset // nil: the epoch alone is pinned
 	ids   []uint64 // stream-backed only; nil for static collections
 	parts []*Dataset
 	offs  []int // global row offset of each part
@@ -104,12 +152,24 @@ type backing interface {
 	epoch() uint64
 	// size returns the current number of rows.
 	size() (int, error)
-	// freeze pins the current membership: the snapshot a query is
-	// keyed, answered and cached against. For local rows the fast path
-	// (nothing changed since the last freeze) must not allocate.
+	// freeze pins the current membership: the snapshot a query is keyed
+	// and looked up against. Only a static backing's carries rows; the
+	// others pin the epoch. For local backings the fast path (nothing
+	// changed since the last freeze) must not allocate.
 	freeze(ctx context.Context) (*colSnapshot, error)
-	// answer computes q over a frozen membership at the given fan-out.
-	// The result's Epoch is the epoch it was actually computed at.
+	// rows returns the frozen membership with its rows in this process,
+	// for the planner to profile and the engine to run over — snap
+	// itself when it has them, a materialization of the source's current
+	// membership (whose epoch may be later than snap's) for a stream, and
+	// snap still without rows for a remote backing, which has none here.
+	rows(ctx context.Context, snap *colSnapshot) (*colSnapshot, error)
+	// maintains reports whether q asks for exactly what the backing
+	// already holds, so answer will read it rather than compute it. Such
+	// an answer is no engine run: it is not planned and not booked as one.
+	maintains(q Query) bool
+	// answer computes q over a frozen membership at the given fan-out
+	// (0 = the collection's own: every part). The result's Epoch is the
+	// epoch it was actually computed at.
 	answer(ctx context.Context, snap *colSnapshot, q Query, fanout int) (*QueryResult, error)
 	// close releases what the backing owns (CloseOnDrop).
 	close()
@@ -140,18 +200,44 @@ func (b *staticBacking) dims() int                                    { return b
 func (b *staticBacking) epoch() uint64                                { return 0 }
 func (b *staticBacking) size() (int, error)                           { return b.snap.ds.n, nil }
 func (b *staticBacking) freeze(context.Context) (*colSnapshot, error) { return b.snap, nil }
+func (b *staticBacking) maintains(Query) bool                         { return false }
 func (b *staticBacking) close()                                       {}
 func (b *staticBacking) describe(*CollectionStats)                    {}
 
-// streamBacking is a live StreamSource, materialized at most once per
-// membership epoch.
+func (b *staticBacking) rows(_ context.Context, snap *colSnapshot) (*colSnapshot, error) {
+	return snap, nil
+}
+
+// streamBacking is a live StreamSource. A frozen membership is only its
+// epoch; the live set is materialized — at most once per membership
+// epoch — when a query needs the rows: to run the engine over them, or
+// for the planner to profile. A query the source's maintained band is
+// exactly the answer to (maintains) needs neither and copies nothing
+// but the band.
 type streamBacking struct {
 	local
 	src    StreamSource
 	shards int
 
+	// band is src's BandSource facet (nil without one) and bandPrefs,
+	// bandK the fixed shape of the band it maintains, read once at attach.
+	band      BandSource
+	bandPrefs canonPrefs
+	bandK     int
+
 	snapMu sync.Mutex                  // serializes materialization
-	snap   atomic.Pointer[colSnapshot] // current snapshot
+	snap   atomic.Pointer[colSnapshot] // latest frozen membership, with rows once materialized
+}
+
+func newStreamBacking(eng *Engine, src StreamSource, shards int) *streamBacking {
+	b := &streamBacking{local: local{eng}, src: src, shards: shards}
+	if bs, ok := src.(BandSource); ok {
+		lb := bs.LiveBand()
+		if prefs, ok := canonicalPrefs(lb.Prefs, src.D()); ok && lb.K >= 1 {
+			b.band, b.bandPrefs, b.bandK = bs, prefs, lb.K
+		}
+	}
+	return b
 }
 
 func (b *streamBacking) dims() int     { return b.src.D() }
@@ -163,7 +249,7 @@ func (b *streamBacking) size() (int, error) {
 	if src, ok := b.src.(interface{ Len() int }); ok {
 		return src.Len(), nil
 	}
-	snap, err := b.freeze(context.Background())
+	snap, err := b.materialized(context.Background())
 	if err != nil {
 		return 0, err
 	}
@@ -189,44 +275,154 @@ func (b *streamBacking) describe(st *CollectionStats) {
 	}
 }
 
-// snapRes carries a materialized snapshot across the goroutine boundary
-// in freeze.
-type snapRes struct {
-	s   *colSnapshot
+// freeze pins the source's current live epoch and nothing else, as the
+// remote backing's does: no rows are read until something needs them.
+// The same snapshot is handed out for as long as the epoch stands (with
+// the rows, once a query materialized them), so the unchanged-epoch
+// path does not allocate.
+func (b *streamBacking) freeze(context.Context) (*colSnapshot, error) {
+	// Loaded before the epoch is read: a materialization that lands in
+	// between fails the swap below instead of being overwritten.
+	old := b.snap.Load()
+	epoch := b.src.LiveEpoch()
+	if old != nil && old.epoch == epoch {
+		return old, nil
+	}
+	s := &colSnapshot{epoch: epoch}
+	b.snap.CompareAndSwap(old, s)
+	return s, nil
+}
+
+func (b *streamBacking) rows(ctx context.Context, snap *colSnapshot) (*colSnapshot, error) {
+	if snap.ds != nil {
+		return snap, nil
+	}
+	return b.materialized(ctx)
+}
+
+// maintains reports whether q is answered by the band the source
+// maintains: the source's own preferences (after canonicalization, so
+// empty ≡ all-Min), a band width max(SkybandK, 1) within the source's,
+// one of the algorithms that computes that band (or Auto), delivered
+// whole and with every design component on. Invalid shapes never match:
+// they fall through to the engine, which rejects them with its typed
+// errors.
+func (b *streamBacking) maintains(q Query) bool {
+	if b.band == nil || q.Progressive != nil || q.Ablation != (Ablation{}) {
+		return false
+	}
+	if q.Algorithm != Hybrid && q.Algorithm != QFlow && q.Algorithm != Auto {
+		return false
+	}
+	if q.SkybandK < 0 || q.SkybandK > b.bandK {
+		return false
+	}
+	prefs, ok := canonicalPrefs(q.Prefs, b.src.D())
+	return ok && prefs == b.bandPrefs
+}
+
+// answer reads the maintained band for a query it answers and otherwise
+// materializes the live set and runs the engine over it.
+func (b *streamBacking) answer(ctx context.Context, snap *colSnapshot, q Query, fanout int) (*QueryResult, error) {
+	if b.maintains(q) {
+		return b.bandAnswer(ctx, &q)
+	}
+	snap, err := b.rows(ctx, snap)
+	if err != nil {
+		return nil, err
+	}
+	return b.local.answer(ctx, snap, q, fanout)
+}
+
+// bandAnswer answers q — which maintains accepted — as the maintained
+// band's rows with fewer than max(q.SkybandK, 1) dominators. It is the
+// answer materialize-and-run would give at the band's live epoch, as a
+// set of (index, ID, row, count): Indices are positions in
+// LiveSnapshot's row order, ascending, and the maintained counts are the
+// global ones (the closure lemma, DESIGN.md §9). It takes the remote
+// result shape — rows and IDs travel with the result, no frozen
+// snapshot is pinned — and did no dominance tests.
+func (b *streamBacking) bandAnswer(ctx context.Context, q *Query) (*QueryResult, error) {
+	start := time.Now()
+	lb, err := awaitSource(ctx, func() (LiveBand, error) { return b.band.LiveBand(), nil })
+	if err != nil {
+		return nil, err
+	}
+	d := b.src.D()
+	if len(lb.IDs) != len(lb.Pos) || len(lb.Vals) != len(lb.Pos)*d ||
+		(lb.Counts == nil && lb.K > 1) || (lb.Counts != nil && len(lb.Counts) != len(lb.Pos)) {
+		return nil, fmt.Errorf("%w: BandSource returned a band of inconsistent lengths", ErrBadDataset)
+	}
+	k := max(q.SkybandK, 1)
+	rows := make([][]float64, 0, len(lb.Pos))
+	for i := range lb.Pos {
+		if lb.Counts != nil && int(lb.Counts[i]) >= k {
+			continue
+		}
+		// The band's slices are ours: survivors compact in place.
+		n := len(rows)
+		lb.Pos[n], lb.IDs[n] = lb.Pos[i], lb.IDs[i]
+		if k > 1 {
+			lb.Counts[n] = lb.Counts[i]
+		}
+		rows = append(rows, lb.Vals[i*d:(i+1)*d:(i+1)*d])
+	}
+	res := Result{Indices: lb.Pos[:len(rows)]}
+	if k > 1 {
+		res.Counts = lb.Counts[:len(rows)]
+	}
+	res.Stats = Stats{SkylineSize: len(rows), InputSize: lb.Live, Elapsed: time.Since(start)}
+	if q.Trace {
+		res.Trace = traceFromResult(q.Algorithm, q.SkybandK, &res)
+		res.Trace.Band = true
+	}
+	return &QueryResult{Result: res, Epoch: lb.Epoch, rows: rows, rids: lb.IDs[:len(rows)]}, nil
+}
+
+// sourceRead carries a source read across the goroutine boundary in
+// awaitSource.
+type sourceRead[T any] struct {
+	v   T
 	err error
 }
 
-// freeze returns the source's current frozen membership, materializing
-// it only when its epoch advanced. Materializing blocks on the source's
-// write lock (a rebuilding stream can hold it for a while), so when ctx
-// can expire the wait happens on a side goroutine and the query abandons
-// it on time. The abandoned materialization still completes in the
-// background and is cached, so the next query finds it warm. The fast
-// paths — unchanged epoch, or an un-cancelable context — stay inline
-// and allocation-free.
-func (b *streamBacking) freeze(ctx context.Context) (*colSnapshot, error) {
-	if s := b.snap.Load(); s != nil && s.epoch == b.src.LiveEpoch() {
-		return s, nil
-	}
+// awaitSource runs read, which blocks on the source's write lock (a
+// rebuilding stream can hold it for a while). When ctx can expire the
+// wait happens on a side goroutine and the query abandons it on time;
+// the abandoned read still completes in the background. With an
+// un-cancelable context it stays inline and allocation-free.
+func awaitSource[T any](ctx context.Context, read func() (T, error)) (T, error) {
 	if ctx.Done() == nil {
-		return b.materialize()
+		return read()
 	}
-	ch := make(chan snapRes, 1)
+	ch := make(chan sourceRead[T], 1)
 	go func() {
 		defer func() {
 			if r := recover(); r != nil {
-				ch <- snapRes{err: panicErr(r, debug.Stack())}
+				ch <- sourceRead[T]{err: panicErr(r, debug.Stack())}
 			}
 		}()
-		s, err := b.materialize()
-		ch <- snapRes{s: s, err: err}
+		v, err := read()
+		ch <- sourceRead[T]{v: v, err: err}
 	}()
 	select {
 	case r := <-ch:
-		return r.s, r.err
+		return r.v, r.err
 	case <-ctx.Done():
-		return nil, canceledErr(ctx.Err())
+		var zero T
+		return zero, canceledErr(ctx.Err())
 	}
+}
+
+// materialized returns the source's current membership with its rows,
+// copying them out only when its epoch advanced past the last copy (an
+// abandoned materialization is still cached, so the next query finds it
+// warm).
+func (b *streamBacking) materialized(ctx context.Context) (*colSnapshot, error) {
+	if s := b.snap.Load(); s != nil && s.ds != nil && s.epoch == b.src.LiveEpoch() {
+		return s, nil
+	}
+	return awaitSource(ctx, b.materialize)
 }
 
 // materialize takes a fresh snapshot of the source, unless a concurrent
@@ -234,7 +430,7 @@ func (b *streamBacking) freeze(ctx context.Context) (*colSnapshot, error) {
 func (b *streamBacking) materialize() (*colSnapshot, error) {
 	b.snapMu.Lock()
 	defer b.snapMu.Unlock()
-	if s := b.snap.Load(); s != nil && s.epoch == b.src.LiveEpoch() {
+	if s := b.snap.Load(); s != nil && s.ds != nil && s.epoch == b.src.LiveEpoch() {
 		return s, nil
 	}
 	vals, ids, epoch := b.src.LiveSnapshot()
@@ -274,6 +470,8 @@ type Collection struct {
 	misses   atomic.Uint64
 
 	costs costTracker // rolling per-algorithm execution costs
+
+	bandAnswers atomic.Uint64 // misses answered from the source's maintained band
 
 	planMu sync.Mutex       // guards plan creation and re-profiling
 	plan   *planner.Planner // adaptive planner; nil until first needed
@@ -322,6 +520,14 @@ func (c *Collection) D() int { return c.back.dims() }
 // membership epoch it answers for and accessors resolving result
 // positions back to rows and stream IDs.
 //
+// Indices are row positions in the membership at Epoch. For a
+// stream-backed collection that is StreamSource.LiveSnapshot's row order
+// at that epoch, and it is the same whether the engine ran over the
+// materialized live set or the answer was read from the band the source
+// maintains (BandSource): the two are indistinguishable as sets of
+// (index, ID, row, count). A band answer's Indices are ascending, its
+// Stats report the live count as InputSize and zero DominanceTests.
+//
 // Aliasing rule: a QueryResult may be shared by the collection's cache
 // across any number of callers — it is immutable. Read Indices, Counts,
 // and Stats freely from any goroutine; never write to them. Clone (on
@@ -348,12 +554,15 @@ type QueryResult struct {
 	// query (also mirrored into Trace.Planner when the query was
 	// traced); nil for queries that named their algorithm. It is set on
 	// cache hits too — the decision was made even though the answer was
-	// already known.
+	// already known. It is also nil for an Auto query answered from the
+	// band its stream source maintains (BandSource): there was no
+	// algorithm to choose, so the planner was not asked and learns
+	// nothing from the answer.
 	Plan *PlannerTrace
 
-	snap *colSnapshot // local collections: frozen snapshot rows resolve against
-	rows [][]float64  // remote results: per-result-point coordinates
-	rids []uint64     // remote results: per-result-point stream IDs (optional)
+	snap *colSnapshot // engine results: frozen snapshot rows resolve against
+	rows [][]float64  // remote and band results: per-result-point coordinates
+	rids []uint64     // remote and band results: per-result-point stream IDs (optional)
 
 	// memo holds the result's encoded wire payloads. It is a pointer so
 	// that every struct copy of a cached result (a traced hit, a planned
@@ -367,9 +576,10 @@ func (r *QueryResult) Len() int { return len(r.Indices) }
 
 // Row returns the coordinates of the p-th result point (original,
 // un-staged values, whatever the query's preferences). The slice
-// aliases the result's frozen snapshot — or, for cluster-backed
-// collections, the coordinates shipped back with the worker responses:
-// read-only, valid forever either way.
+// aliases the result's frozen snapshot — or the coordinates that came
+// with the answer: shipped back with the worker responses of a
+// cluster-backed collection, copied out with the band of a BandSource.
+// Read-only, valid forever in every case.
 func (r *QueryResult) Row(p int) []float64 {
 	if r.snap == nil {
 		return r.rows[p]
@@ -378,9 +588,10 @@ func (r *QueryResult) Row(p int) []float64 {
 }
 
 // ID returns the stable stream ID of the p-th result point of a
-// stream-backed collection (it matches stream.ID). For static
-// collections there are no IDs and ok is false — Indices themselves
-// are the stable handle there.
+// stream-backed collection (it matches stream.ID), whether the answer
+// was computed over the materialized live set or read from the source's
+// maintained band. For static collections there are no IDs and ok is
+// false — Indices themselves are the stable handle there.
 func (r *QueryResult) ID(p int) (id uint64, ok bool) {
 	if r.snap == nil {
 		if r.rids == nil {
@@ -435,7 +646,9 @@ func (c *Collection) runReport(ctx context.Context, q Query) (*QueryResult, bool
 
 // run is runReport without the deadline and graceful-degradation
 // wrappers: freeze the membership, resolve the plan, look the answer up,
-// and on a miss have the backing compute it and cache what came back.
+// and on a miss have the backing compute it — or read it, when it
+// already maintains it — and cache what came back. There is one tail for
+// every miss, whatever produced the answer.
 func (c *Collection) run(ctx context.Context, q Query) (*QueryResult, bool, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, false, canceledErr(err)
@@ -450,16 +663,22 @@ func (c *Collection) run(ctx context.Context, q Query) (*QueryResult, bool, erro
 	// Resolve Auto before fingerprinting: the cache is keyed by the
 	// concrete plan, so Auto queries share entries with explicit runs of
 	// the same algorithm, and a later hit is attributed to the plan that
-	// computed it.
-	fanout := max(1, len(snap.parts))
+	// computed it. An answer the backing maintains has nothing to plan:
+	// Auto resolves to the default algorithm with no decision, sharing
+	// the explicit query's entry.
+	fanout := 0
 	var planTrace *PlannerTrace
 	if q.Algorithm == Auto {
-		fanout, planTrace = c.decide(snap, &q)
+		if c.back.maintains(q) {
+			q.Algorithm = Hybrid
+		} else if snap, fanout, planTrace, err = c.decide(ctx, snap, &q); err != nil {
+			return nil, false, err
+		}
 	}
 	fp, cacheable := fingerprint{}, false
 	if c.cacheCap > 0 {
 		fp, cacheable = queryFingerprint(&q, c.back.dims())
-		if len(snap.parts) > 1 && fanout <= 1 {
+		if len(snap.parts) > 1 && fanout == 1 {
 			// A planner-downshifted unsharded run returns the algorithm's
 			// natural order, not the sharded ascending order — key it
 			// separately (see fingerprint.fan).
@@ -488,7 +707,14 @@ func (c *Collection) run(ctx context.Context, q Query) (*QueryResult, bool, erro
 		return nil, false, err
 	}
 	elapsed := time.Since(start)
-	c.costs.record(q.Algorithm, elapsed, r.Stats.DominanceTests)
+	if c.back.maintains(q) {
+		// Reading the band is no run of q.Algorithm: booked as one, its
+		// fraction of a millisecond would misprice that arm for every
+		// later Auto decision on the collection.
+		c.bandAnswers.Add(1)
+	} else {
+		c.costs.record(q.Algorithm, elapsed, r.Stats.DominanceTests)
+	}
 	if planTrace != nil {
 		c.observePlan(planTrace, elapsed)
 		r.Plan = planTrace
@@ -516,7 +742,8 @@ func (c *Collection) run(ctx context.Context, q Query) (*QueryResult, bool, erro
 			cached = &cp
 		}
 		// Keyed at the epoch the answer was actually computed at (remote
-		// workers may have advanced past the epoch frozen above).
+		// workers and a stream source may have advanced past the epoch
+		// frozen above).
 		c.store(fp, r.Epoch, cached)
 	}
 	return r, false, nil
@@ -526,7 +753,7 @@ func (c *Collection) run(ctx context.Context, q Query) (*QueryResult, bool, erro
 // unsharded collections (or when the planner downshifted fanout to 1),
 // fan-out + exact merge (shard.Merge) for sharded ones.
 func (l local) execute(ctx context.Context, snap *colSnapshot, q Query, fanout int) (Result, error) {
-	if len(snap.parts) <= 1 || fanout <= 1 {
+	if len(snap.parts) <= 1 || fanout == 1 {
 		q.ReuseIndices = false // results may outlive any engine context
 		return l.eng.exec(ctx, snap.ds, q)
 	}

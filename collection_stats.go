@@ -30,6 +30,11 @@ type CollectionStats struct {
 	// planner's input. Sorted by algorithm name; nil before the first
 	// executed query.
 	Costs []AlgorithmCost
+	// BandAnswers counts the queries answered, over the collection's
+	// life, by reading the band its stream source maintains (BandSource)
+	// instead of running an engine over the live set. They are cache
+	// misses, but not executed queries: none of them is in Costs.
+	BandAnswers uint64
 	// Planner holds the adaptive planner's data profile and decision
 	// tallies; nil until the first Algorithm: Auto query (or, for static
 	// collections, after the eager profile at Attach).
@@ -103,12 +108,13 @@ type durabilityProvider interface {
 // materializing it if the membership epoch advanced.
 func (c *Collection) Stats() (CollectionStats, error) {
 	st := CollectionStats{
-		Name:     c.name,
-		D:        c.D(),
-		Shards:   c.shards,
-		Cache:    c.CacheStats(),
-		Inflight: c.inflight.Load(),
-		Costs:    c.costs.stats(),
+		Name:        c.name,
+		D:           c.D(),
+		Shards:      c.shards,
+		Cache:       c.CacheStats(),
+		Inflight:    c.inflight.Load(),
+		Costs:       c.costs.stats(),
+		BandAnswers: c.bandAnswers.Load(),
 	}
 	c.planMu.Lock()
 	pl := c.plan

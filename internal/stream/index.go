@@ -198,6 +198,25 @@ func (ix *Index) AppendLiveSlots(dst []int32) []int32 {
 	return dst
 }
 
+// AppendBandRanks appends every band slot, in ascending slot order, to
+// slots and — parallel to it — the slot's rank among the live slots to
+// ranks: the row position AppendLiveSlots' enumeration gives it. One
+// pass over the slot statuses; no values are read.
+func (ix *Index) AppendBandRanks(slots []int32, ranks []int) ([]int32, []int) {
+	rank := 0
+	for slot, owner := range ix.owner {
+		if owner == ownerFree {
+			continue
+		}
+		if owner == ownerSkyline {
+			slots = append(slots, int32(slot))
+			ranks = append(ranks, rank)
+		}
+		rank++
+	}
+	return slots, ranks
+}
+
 // Row returns the staged values of a live slot (aliasing the arena).
 func (ix *Index) Row(slot int32) []float64 {
 	return ix.vals[int(slot)*ix.d : (int(slot)+1)*ix.d : (int(slot)+1)*ix.d]

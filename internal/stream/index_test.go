@@ -103,6 +103,18 @@ func runRandomOps(t *testing.T, dist dataset.Distribution, d, nOps int, churn fl
 					t.Fatalf("op %d (%s d=%d k=%d): slot %d count %d, oracle %d", op, dist, d, ix.K(), s, c, wantCnt[s])
 				}
 			}
+			// The band in live-row positions: ascending slots, each at its
+			// index in the live-slot enumeration.
+			slots, ranks := ix.AppendBandRanks(nil, nil)
+			liveSlots := ix.AppendLiveSlots(nil)
+			if !slices.Equal(slots, want) {
+				t.Fatalf("op %d: AppendBandRanks slots %v, oracle %v", op, slots, want)
+			}
+			for i, s := range slots {
+				if liveSlots[ranks[i]] != s {
+					t.Fatalf("op %d: band slot %d ranked %d, live slot there is %d", op, s, ranks[i], liveSlots[ranks[i]])
+				}
+			}
 			var fromEvents []int32
 			for s := range inSky {
 				fromEvents = append(fromEvents, s)

@@ -1,6 +1,7 @@
 package skybench
 
 import (
+	"context"
 	"hash/fnv"
 	"time"
 
@@ -40,13 +41,19 @@ func (c *Collection) plannerFor(snap *colSnapshot) *planner.Planner {
 // decide resolves an Algorithm: Auto query in place: the planner picks
 // the concrete algorithm, the fan-out (possibly overriding the
 // configured shard count down to 1), and the α/β tuning — explicit
-// caller-set tuning fields always win. It returns the fan-out to
+// caller-set tuning fields always win. The planner profiles and
+// partitions rows, so a stream backing materializes them here; decide
+// returns that snapshot for the answer to run over, with the fan-out to
 // execute at and the decision trace. A membership whose rows live
 // elsewhere (a remote backing) has nothing here to profile: the query
 // goes out as Auto and each worker plans its own shard.
-func (c *Collection) decide(snap *colSnapshot, q *Query) (int, *PlannerTrace) {
+func (c *Collection) decide(ctx context.Context, snap *colSnapshot, q *Query) (*colSnapshot, int, *PlannerTrace, error) {
+	snap, err := c.back.rows(ctx, snap)
+	if err != nil {
+		return nil, 0, nil, err
+	}
 	if snap.ds == nil {
-		return 1, nil
+		return snap, 1, nil, nil
 	}
 	pl := c.plannerFor(snap)
 	maxShards := 1
@@ -97,7 +104,7 @@ func (c *Collection) decide(snap *colSnapshot, q *Query) (int, *PlannerTrace) {
 			}
 		}
 	}
-	return dec.Shards, pt
+	return snap, dec.Shards, pt, nil
 }
 
 // observePlan books one executed Auto run's measured latency into the

@@ -126,6 +126,12 @@ func (b remoteBacking) freeze(context.Context) (*colSnapshot, error) {
 	return &colSnapshot{epoch: b.rb.Epoch()}, nil
 }
 
+func (b remoteBacking) rows(_ context.Context, snap *colSnapshot) (*colSnapshot, error) {
+	return snap, nil
+}
+
+func (b remoteBacking) maintains(Query) bool { return false }
+
 func (b remoteBacking) answer(ctx context.Context, _ *colSnapshot, q Query, _ int) (*QueryResult, error) {
 	if q.Progressive != nil {
 		return nil, fmt.Errorf("%w: progressive delivery needs a local collection", ErrBadQuery)

@@ -98,8 +98,13 @@ func TestCollectionInfoShape(t *testing.T) {
 	if _, err := c.Insert(ctx, "ticks", [][]float64{{1, 9}, {9, 1}, {5, 5}, {2, 2}}); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := c.Query(ctx, "ticks", nil); err != nil {
-		t.Fatal(err)
+	// The default query is answered from the index's maintained band and
+	// books no cost row ("bandAnswers"); a max preference the index does
+	// not maintain is materialized and run, which keeps "costs" covered.
+	for _, req := range []*serve.QueryRequest{nil, {Prefs: []string{"min", "max"}}} {
+		if _, err := c.Query(ctx, "ticks", req); err != nil {
+			t.Fatal(err)
+		}
 	}
 
 	fake := &fakeRemote{n: 4, d: 2, epoch: 9}

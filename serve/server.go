@@ -111,6 +111,7 @@ type Server struct {
 	cacheHits   *metrics.GaugeVec     // {collection} — sampled at scrape
 	cacheMisses *metrics.GaugeVec
 	cacheSize   *metrics.GaugeVec
+	bandAnswers *metrics.GaugeVec
 	inflight    *metrics.GaugeVec
 	points      *metrics.GaugeVec
 	epoch       *metrics.GaugeVec
@@ -174,6 +175,7 @@ func New(st *skybench.Store, opts Options) *Server {
 	s.cacheHits = r.NewGaugeVec("skyserved_cache_hits", "Result-cache hits (lifetime, sampled at scrape).", "collection")
 	s.cacheMisses = r.NewGaugeVec("skyserved_cache_misses", "Result-cache misses (lifetime, sampled at scrape).", "collection")
 	s.cacheSize = r.NewGaugeVec("skyserved_cache_entries", "Cached results at scrape time.", "collection")
+	s.bandAnswers = r.NewGaugeVec("skyserved_band_answers", "Queries answered from the stream index's maintained band, no engine run (lifetime, sampled at scrape).", "collection")
 	s.inflight = r.NewGaugeVec("skyserved_collection_inflight", "Queries executing at scrape time.", "collection")
 	s.points = r.NewGaugeVec("skyserved_collection_points", "Live points at scrape time.", "collection")
 	s.epoch = r.NewGaugeVec("skyserved_collection_epoch", "Membership epoch at scrape time.", "collection")
@@ -872,6 +874,7 @@ func (s *Server) collectionInfo(name string) (CollectionInfo, error) {
 		Cache:        cs.Cache,
 		Subscribers:  s.subs.With(name).Value(),
 		Costs:        cs.Costs,
+		BandAnswers:  cs.BandAnswers,
 		Planner:      cs.Planner,
 		Durability:   cs.Durability,
 		Cluster:      cs.Placement,
@@ -918,6 +921,7 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		s.cacheHits.With(name).Set(int64(cs.Cache.Hits))
 		s.cacheMisses.With(name).Set(int64(cs.Cache.Misses))
 		s.cacheSize.With(name).Set(int64(cs.Cache.Entries))
+		s.bandAnswers.With(name).Set(int64(cs.BandAnswers))
 		s.inflight.With(name).Set(cs.Inflight)
 		s.points.With(name).Set(int64(cs.N))
 		s.epoch.With(name).Set(int64(cs.Epoch))

@@ -161,6 +161,10 @@ type CollectionInfo struct {
 	// Costs are the collection's per-algorithm rolling cost statistics,
 	// one row per algorithm that has executed at least once.
 	Costs []skybench.AlgorithmCost `json:"costs,omitempty"`
+	// BandAnswers counts the queries a stream collection answered by
+	// reading the band its index maintains instead of running an engine
+	// (skybench.CollectionStats.BandAnswers); they book no Costs row.
+	BandAnswers uint64 `json:"bandAnswers,omitempty"`
 	// Planner is the adaptive planner's profile and decision tallies,
 	// absent until the collection has been profiled.
 	Planner *skybench.PlannerStats `json:"planner,omitempty"`

@@ -159,16 +159,20 @@ func (s *Store) Attach(name string, ds *Dataset, opts CollectionOptions) (*Colle
 }
 
 // AttachStream registers a live source (typically a
-// *stream.SkylineIndex) as a named collection. Queries run over the
-// source's full live point set, materialized at most once per
-// membership epoch; cached results invalidate automatically when the
-// epoch advances.
+// *stream.SkylineIndex) as a named collection. Queries answer for the
+// source's full live point set at its current membership epoch, and
+// cached results invalidate automatically when the epoch advances. A
+// query the source already maintains the answer to (a BandSource, and a
+// query with its preferences, a band width within its own, Hybrid, QFlow
+// or Auto, no ablation, no progressive delivery) is read from it; for
+// every other query the live set is materialized — at most once per
+// membership epoch, and only then — and the engine runs over it.
 func (s *Store) AttachStream(name string, src StreamSource, opts CollectionOptions) (*Collection, error) {
 	if src == nil {
 		return nil, fmt.Errorf("%w: nil StreamSource", ErrBadDataset)
 	}
 	c := s.newCollection(name, opts)
-	c.back = &streamBacking{local: local{s.eng}, src: src, shards: c.shards}
+	c.back = newStreamBacking(s.eng, src, c.shards)
 	if err := s.add(name, c); err != nil {
 		return nil, err
 	}

@@ -680,6 +680,10 @@ func TestStoreConcurrent(t *testing.T) {
 		}
 	}()
 
+	// On the stream collection the default and QFlow shapes are read from
+	// the index's maintained band; k = 2 (wider than the index's) and the
+	// Max/Ignore preferences are materialized and run. Keep both kinds in
+	// the mix: the two paths must interleave with the writer.
 	queries := []skybench.Query{{}, {SkybandK: 2}, {Algorithm: skybench.QFlow},
 		{Prefs: []skybench.Pref{skybench.Min, skybench.Max, skybench.Min, skybench.Ignore}}}
 	for g := 0; g < 4; g++ {

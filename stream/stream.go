@@ -679,7 +679,7 @@ func (x *SkylineIndex) LiveEpoch() uint64 { return x.version.Load() }
 func (x *SkylineIndex) LiveSnapshot() (vals []float64, ids []uint64, epoch uint64) {
 	x.mu.Lock()
 	defer x.mu.Unlock()
-	slots := x.core.AppendLiveSlots(nil)
+	slots := x.core.AppendLiveSlots(make([]int32, 0, x.core.Len()))
 	vals = make([]float64, len(slots)*x.d)
 	ids = make([]uint64, len(slots))
 	for i, slot := range slots {
@@ -689,9 +689,57 @@ func (x *SkylineIndex) LiveSnapshot() (vals []float64, ids []uint64, epoch uint6
 	return vals, ids, x.version.Load()
 }
 
+// LiveBand reads the maintained band out with the live-set facts a
+// Store collection needs to serve it as a query answer: per band row its
+// position in LiveSnapshot's row order, ID, original coordinates and
+// (k-skyband indexes) exact dominator count, rows in ascending position,
+// plus the live count and the LiveEpoch they are all exact for — under
+// one acquisition of the index lock, so none of them can disagree. It
+// costs one pass over the slot statuses and a copy of the band; the
+// live set itself is not copied. This implements skybench.BandSource.
+func (x *SkylineIndex) LiveBand() skybench.LiveBand {
+	x.mu.Lock()
+	defer x.mu.Unlock()
+	n := x.core.SkylineSize()
+	slots, pos := x.core.AppendBandRanks(make([]int32, 0, n), make([]int, 0, n))
+	ids, vals, counts := copyBand[uint64](x, slots)
+	return skybench.LiveBand{
+		Prefs:  x.Prefs(),
+		K:      x.k,
+		Live:   x.core.Len(),
+		Epoch:  x.version.Load(),
+		Pos:    pos,
+		IDs:    ids,
+		Vals:   vals,
+		Counts: counts,
+	}
+}
+
+// copyBand is the one walk over band rows, shared by Snapshot and
+// LiveBand: the ID, original coordinates and (k-skyband indexes only)
+// exact dominator count of each slot, in the order given. The index
+// lock must be held.
+func copyBand[T ~uint64](x *SkylineIndex, slots []int32) (ids []T, vals []float64, counts []int32) {
+	ids = make([]T, len(slots))
+	vals = make([]float64, len(slots)*x.d)
+	if x.k > 1 {
+		counts = make([]int32, len(slots))
+	}
+	for i, slot := range slots {
+		ids[i] = T(x.ids[slot])
+		copy(vals[i*x.d:(i+1)*x.d], x.origRow(slot))
+		if counts != nil {
+			counts[i] = x.core.DominatorCount(slot)
+		}
+	}
+	return ids, vals, counts
+}
+
 // SkylineIndex satisfies skybench.StreamSource, the live-backing
-// contract of Store collections.
-var _ skybench.StreamSource = (*SkylineIndex)(nil)
+// contract of Store collections, and skybench.BandSource, through which
+// a collection answers the queries the index already holds the answer
+// to without materializing the live set.
+var _ skybench.BandSource = (*SkylineIndex)(nil)
 
 // Snapshot is an immutable copy of the skyline (or k-skyband) at one
 // epoch. It is safe to read from any goroutine, forever; it just stops
@@ -719,23 +767,8 @@ func (x *SkylineIndex) Snapshot() *Snapshot {
 	if s := x.snap.Load(); s != nil && s.epoch == ep {
 		return s
 	}
-	sky := x.core.Skyline()
-	s := &Snapshot{
-		epoch: ep,
-		d:     x.d,
-		ids:   make([]ID, len(sky)),
-		vals:  make([]float64, len(sky)*x.d),
-	}
-	if x.k > 1 {
-		s.counts = make([]int32, len(sky))
-	}
-	for i, slot := range sky {
-		s.ids[i] = x.ids[slot]
-		copy(s.vals[i*x.d:(i+1)*x.d], x.origRow(slot))
-		if s.counts != nil {
-			s.counts[i] = x.core.DominatorCount(slot)
-		}
-	}
+	s := &Snapshot{epoch: ep, d: x.d}
+	s.ids, s.vals, s.counts = copyBand[ID](x, x.core.Skyline())
 	x.snap.Store(s)
 	return s
 }

@@ -28,6 +28,12 @@ type QueryTrace struct {
 	// identity of the answer (algorithm, epoch, sizes) but no phase
 	// timings or work counters — the work happened on an earlier query.
 	CacheHit bool `json:"cache_hit,omitempty"`
+	// Band reports that a stream-backed Collection read the answer from
+	// the band its source maintains (BandSource) instead of computing
+	// it: no engine ran, so Algorithm names what the query asked for and
+	// the work counters, Threads and Phases are zero. Elapsed is the
+	// reading; InputSize is the live count.
+	Band bool `json:"band,omitempty"`
 	// Stale reports that the answer was a stale-fallback (AllowStale)
 	// served after fresh computation failed.
 	Stale bool `json:"stale,omitempty"`
@@ -209,6 +215,9 @@ func (t *QueryTrace) String() string {
 	if t.CacheHit {
 		b.WriteString(" cache=hit")
 	}
+	if t.Band {
+		b.WriteString(" band=maintained")
+	}
 	if t.Stale {
 		b.WriteString(" stale=true")
 	}
@@ -226,8 +235,8 @@ func (t *QueryTrace) String() string {
 		}
 	}
 	fmt.Fprintf(&b, "\ninput=%d output=%d elapsed=%v", t.InputSize, t.Output, t.Elapsed.Round(time.Microsecond))
-	if t.CacheHit {
-		return b.String()
+	if t.CacheHit || t.Band {
+		return b.String() // no engine ran for this call: nothing below to report
 	}
 	fmt.Fprintf(&b, " threads=%d", t.Threads)
 	fmt.Fprintf(&b, "\ndominance_tests=%d prefilter_pruned=%d phase1_survivors=%d phase2_survivors=%d",
