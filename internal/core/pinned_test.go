@@ -13,14 +13,15 @@ import (
 )
 
 // The pinned grid: every Phase I code path (M(S) with and without level
-// 2, the flat NoMS scan, boolean and counting) at every lane width of
-// the packed mask vectors (d ≤ 8, ≤ 16, > 16) and every unrolled kernel
-// width, on data that exercises few ties, many ties, and large skylines.
+// 2, the flat NoMS scan, Q-Flow's unpartitioned scan, boolean and
+// counting) at every lane width of the packed mask vectors (d ≤ 8, ≤ 16,
+// > 16) and every unrolled kernel width, on data that exercises few
+// ties, many ties, and large skylines.
 var (
 	pinnedDims     = []int{3, 4, 6, 8, 12, 20}
 	pinnedKs       = []int{1, 3}
 	pinnedDists    = []string{"anticorrelated", "independent", "grid"}
-	pinnedVariants = []string{"default", "noms", "nolevel2"}
+	pinnedVariants = []string{"default", "noms", "nolevel2", "qflow"}
 	pinnedSeeds    = []int64{1, 2, 3}
 )
 
@@ -55,14 +56,20 @@ func pinnedOptions(k int, variant string) HybridOptions {
 	}
 }
 
-// pinnedRun is one single-threaded Hybrid run reduced to the three
-// figures the table pins: dominance tests, Phase I survivors, and an
-// FNV-1a hash of the result in confirmation order.
+// pinnedRun is one single-threaded Hybrid (or, for the "qflow" variant,
+// Q-Flow) run reduced to the three figures the table pins: dominance
+// tests, Phase I survivors, and an FNV-1a hash of the result in
+// confirmation order.
 func pinnedRun(c *Context, m point.Matrix, k int, variant string) [3]uint64 {
 	var st stats.Stats
-	opt := pinnedOptions(k, variant)
-	opt.Stats = &st
-	idx := c.Hybrid(m.View(), opt)
+	var idx []int
+	if variant == "qflow" {
+		idx = c.QFlow(m.View(), QFlowOptions{Threads: 1, Alpha: pinnedAlpha, SkybandK: k, Stats: &st})
+	} else {
+		opt := pinnedOptions(k, variant)
+		opt.Stats = &st
+		idx = c.Hybrid(m.View(), opt)
+	}
 	h := fnv.New64a()
 	var b [8]byte
 	for _, i := range idx {
@@ -99,7 +106,9 @@ func loadPinned(t *testing.T) map[string][3]uint64 {
 // built; and that a single-threaded run's dominance tests, Phase I
 // survivors and result order are the ones the parent of the packed-mask
 // change produced (testdata/hybrid_counts_parent.json, recorded there
-// with this file's pinnedRun).
+// with this file's pinnedRun). The "qflow" rows were recorded at the
+// parent of the change that ran Q-Flow through Hybrid's driver, where
+// Q-Flow kept its own skyline storage, so they skip the probe check.
 func TestHybridCountsPinned(t *testing.T) {
 	want := loadPinned(t)
 	c := NewContext()
@@ -120,7 +129,7 @@ func TestHybridCountsPinned(t *testing.T) {
 							t.Errorf("%s: (DTs, Phase I survivors, order hash) = %v, parent recorded %v", key, got, w)
 						}
 						checked++
-						if seed == pinnedSeeds[0] {
+						if seed == pinnedSeeds[0] && variant != "qflow" {
 							checkProbes(t, key, c, m, k, variant != "nolevel2")
 						}
 					}
