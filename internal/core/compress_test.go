@@ -40,11 +40,11 @@ func TestCompressAllSurviveAndAllPruned(t *testing.T) {
 	wl1 := []float64{1, 2, 3}
 	worig := []int{0, 1, 2}
 	none := []uint32{0, 0, 0}
-	if n := compress(work, wl1, worig, nil, nil, 0, 3, none); n != 3 {
+	if n := compress(work, wl1, worig, make([]point.Mask, 3), nil, 0, 3, none); n != 3 {
 		t.Fatalf("all-survive: %d", n)
 	}
 	all := []uint32{1, 1, 1}
-	if n := compress(work, wl1, worig, nil, nil, 0, 3, all); n != 0 {
+	if n := compress(work, wl1, worig, make([]point.Mask, 3), nil, 0, 3, all); n != 0 {
 		t.Fatalf("all-pruned: %d", n)
 	}
 }
@@ -55,7 +55,7 @@ func TestCompressWithOffset(t *testing.T) {
 	wl1 := []float64{9, 8, 1, 2, 3}
 	worig := []int{0, 1, 2, 3, 4}
 	flags := []uint32{1, 0, 0} // block rows 2..4; drop block-local 0
-	n := compress(work, wl1, worig, nil, nil, 2, 3, flags)
+	n := compress(work, wl1, worig, make([]point.Mask, 5), nil, 2, 3, flags)
 	if n != 2 {
 		t.Fatalf("survivors = %d", n)
 	}
@@ -85,7 +85,7 @@ func TestCompressPreservesOrder(t *testing.T) {
 				flags[i] = 1
 			}
 		}
-		surv := compress(work, wl1, worig, nil, nil, 0, n, flags)
+		surv := compress(work, wl1, worig, make([]point.Mask, n), nil, 0, n, flags)
 		for i := 1; i < surv; i++ {
 			if worig[i] <= worig[i-1] {
 				t.Fatalf("order violated at %d: %v", i, worig[:surv])

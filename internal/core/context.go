@@ -10,14 +10,15 @@ import (
 	"skybench/internal/stats"
 )
 
-// Context holds everything Hybrid and Q-Flow need across runs: a
-// persistent worker pool, per-thread dominance-test counters, and every
-// scratch array the algorithms previously reallocated per call (L1 norms,
-// masks, sort keys and permutations, block flags, the gathered working
-// matrix, the global-skyline storage, radix-sort histograms, and the
-// pre-filter's queues). After a warm-up call with a given workload shape,
-// repeated Hybrid/QFlow calls perform zero steady-state allocations —
-// the property a server answering millions of skyline queries needs.
+// Context holds everything the α-block driver behind Hybrid and Q-Flow
+// needs across runs: a persistent worker pool, per-thread dominance-test
+// counters, and every scratch array the algorithms previously reallocated
+// per call (L1 norms, masks, sort keys and permutations, block flags, the
+// gathered working matrix, the global-skyline storage, radix-sort
+// histograms, and the pre-filter's queues). After a warm-up call with a
+// given workload shape, repeated Hybrid/QFlow calls perform zero
+// steady-state allocations — the property a server answering millions of
+// skyline queries needs.
 //
 // A Context is not safe for concurrent use; create one per worker.
 // Results returned by Hybrid/QFlow alias Context storage and are valid
@@ -34,13 +35,12 @@ type Context struct {
 	st     stats.Stats // sink when the caller passes no Stats
 
 	// Working-set scratch, sized to the current input.
-	l1    []float64 // per-input-row L1 norms (Q-Flow and the NoPrefilter ablation only)
-	seq   []int     // identity survivor list (NoPrefilter ablation)
+	l1    []float64 // per-input-row L1 norms (runs without the pre-filter only)
 	work  []float64 // gathered working matrix (row-major)
 	wl1   []float64 // working-set L1 norms
 	worig []int     // working-set original indices
 	wmask []point.Mask
-	keys  []uint64 // compound sort keys (Hybrid) / L1 bit keys (Q-Flow)
+	keys  []uint64 // radix sort keys: compound (level, mask), or L1 bits on an unpartitioned run
 	idx   []int    // sort permutation
 	idxT  []int    // radix ping-pong buffer
 	hist  []int    // per-thread radix histograms
@@ -50,25 +50,21 @@ type Context struct {
 	pivotV []float64
 	pivotC []float64 // median-strategy scratch: one column per worker
 
-	sky skylineStore // Hybrid global skyline + M(S)
-
-	qskyData []float64 // Q-Flow global skyline rows
-	qskyL1   []float64
-	qskyOrig []int
-	qskyCnt  []int32 // Q-Flow dominator counts (k-skyband runs only)
+	sky skylineStore // global skyline + M(S)
 
 	// Parallel-region parameters, set before each fan-out. Bodies are
 	// pre-bound once in NewContext so dispatching them allocates nothing.
 	curV    point.View // the input, read through the query's preferences
 	curWork point.Matrix
 	curSurv []int     // rows to gather into curWork, in working-set order
-	curL1   []float64 // Hybrid: L1 norms parallel to curSurv
+	curL1   []float64 // L1 norms parallel to curSurv; nil reads l1 per input row
 	d       int
 	k       int // dominator budget: 1 = skyline, ≥ 2 = k-skyband
 	blockLo int
 	blockF  []uint32
-	blockC  []int32 // per-block dominator counts (k ≥ 2 only)
-	bcnt    []int32 // backing storage for blockC, α-sized
+	blockL1 []float64 // wl1 from blockLo on; nil on an unpartitioned run (see comparedToPeers)
+	blockC  []int32   // per-block dominator counts (k ≥ 2 only)
+	bcnt    []int32   // backing storage for blockC, α-sized
 	level2  bool
 	noMS    bool
 	noSplit bool
@@ -82,18 +78,12 @@ type Context struct {
 
 	l1Body     func(tid, lo, hi int)
 	gatherBody func(tid, lo, hi int)
-	qgathBody  func(tid, lo, hi int)
 	medianBody func(tid, lo, hi int)
 	maskBody   func(tid, lo, hi int)
-	keyBody    func(tid, lo, hi int)
 	p1Body     func(tid, lo, hi int)
 	p2Body     func(tid, lo, hi int)
 	p1kBody    func(tid, lo, hi int)
 	p2kBody    func(tid, lo, hi int)
-	qp1Body    func(tid, lo, hi int)
-	qp2Body    func(tid, lo, hi int)
-	qp1kBody   func(tid, lo, hi int)
-	qp2kBody   func(tid, lo, hi int)
 	histBody   func(tid, lo, hi int)
 	scatBody   func(tid, lo, hi int)
 	runBody    func(tid, lo, hi int)
@@ -106,18 +96,12 @@ func NewContext() *Context {
 	c := &Context{pf: prefilter.NewRunner()}
 	c.l1Body = c.runL1
 	c.gatherBody = c.runGather
-	c.qgathBody = c.runQGather
 	c.medianBody = c.runMedian
 	c.maskBody = c.runMask
-	c.keyBody = c.runKey
 	c.p1Body = c.runPhase1
 	c.p2Body = c.runPhase2
 	c.p1kBody = c.runPhase1K
 	c.p2kBody = c.runPhase2K
-	c.qp1Body = c.runQPhase1
-	c.qp2Body = c.runQPhase2
-	c.qp1kBody = c.runQPhase1K
-	c.qp2kBody = c.runQPhase2K
 	c.histBody = c.runHist
 	c.scatBody = c.runScatter
 	c.runBody = c.runSortRuns
@@ -206,19 +190,24 @@ func grow[T any](s []T, n int) []T {
 // ---- pre-bound parallel bodies -------------------------------------------
 
 // runL1 fills l1 with the norm of every input row, loaded through the
-// view. Hybrid takes its norms inside the pre-filter's sweep instead and
-// comes here only under the NoPrefilter ablation.
+// view, and keys with its order-preserving bit transform — the sort key
+// of an unpartitioned run. Hybrid takes its norms inside the
+// pre-filter's sweep instead and comes here only under the NoPrefilter
+// ablation, whose keys the mask sweep later overwrites.
 func (c *Context) runL1(_, lo, hi int) {
 	v := &c.curV
 	var buf [point.MaxDims]float64
 	for i := lo; i < hi; i++ {
 		c.l1[i] = point.L1(v.Load(i, buf[:]))
+		c.keys[i] = floatKey(c.l1[i])
 	}
 }
 
 // runGather loads the rows selected by curSurv through the view into
-// curWork and fills the working-set metadata — the one copy a Hybrid run
-// makes of an input row, and only of the rows the pre-filter kept.
+// curWork and fills the working-set metadata — the one copy a run makes
+// of an input row, and only of the rows the pre-filter kept. Masks start
+// at 0, the one region of an unpartitioned run; a partitioned run's mask
+// sweep overwrites them.
 func (c *Context) runGather(_, lo, hi int) {
 	v := &c.curV
 	dst := c.curWork.Flat()
@@ -226,22 +215,13 @@ func (c *Context) runGather(_, lo, hi int) {
 	for i := lo; i < hi; i++ {
 		j := c.curSurv[i]
 		v.CopyRow(dst[i*d:(i+1)*d], j)
-		c.wl1[i] = c.curL1[i]
+		if c.curL1 != nil {
+			c.wl1[i] = c.curL1[i]
+		} else {
+			c.wl1[i] = c.l1[j]
+		}
 		c.worig[i] = j
-	}
-}
-
-// runQGather is Q-Flow's gather: curSurv is the L1 sort order of the
-// whole input, so the norms come from the per-row array.
-func (c *Context) runQGather(_, lo, hi int) {
-	v := &c.curV
-	dst := c.curWork.Flat()
-	d := c.d
-	for i := lo; i < hi; i++ {
-		j := c.curSurv[i]
-		v.CopyRow(dst[i*d:(i+1)*d], j)
-		c.wl1[i] = c.l1[j]
-		c.worig[i] = j
+		c.wmask[i] = 0
 	}
 }
 
@@ -258,14 +238,6 @@ func (c *Context) runMask(_, lo, hi int) {
 	for i := lo; i < hi; i++ {
 		c.wmask[i] = point.ComputeMask(wk.Row(i), c.pv)
 		c.keys[i] = c.wmask[i].CompoundKey(d)
-	}
-}
-
-// runKey fills keys with the order-preserving bit transform of the L1
-// norms (Q-Flow sorts by L1 alone).
-func (c *Context) runKey(_, lo, hi int) {
-	for i := lo; i < hi; i++ {
-		c.keys[i] = floatKey(c.l1[i])
 	}
 }
 
@@ -312,31 +284,10 @@ func (c *Context) runPhase2(tid, blo, bhi int) {
 		if c.noSplit {
 			dominated = comparedToPeersNaive(wf, c.wl1, lo, i, f, d, &local)
 		} else {
-			dominated = comparedToPeers(wf, c.wl1, c.wmask, lo, i, f, d, &local)
+			dominated = comparedToPeers(wf, c.wl1, c.blockL1, c.wmask, lo, i, f, d, &local)
 		}
 		if dominated {
 			storeFlag(&f[i])
-		}
-	}
-	c.dts.Inc(tid, local)
-}
-
-func (c *Context) runQPhase1(tid, blo, bhi int) {
-	var local uint64
-	wf := c.curWork.Flat()
-	d := c.d
-	lo := c.blockLo
-	f := c.blockF
-	skyData := c.qskyData
-	nSky := len(c.qskyL1)
-	// No equal-L1 filter here: an equal-L1 row can never pass the strict
-	// dominance test, and skipping the ties is not worth streaming the
-	// skyline's L1 array through cache alongside its rows.
-	for i := blo; i < bhi; i++ {
-		off := (lo + i) * d
-		q := wf[off : off+d : off+d]
-		if point.DominatedInFlatRun(skyData, d, 0, nSky, q, 0, nil, nil, &local) {
-			f[i] = 1
 		}
 	}
 	c.dts.Inc(tid, local)
@@ -405,82 +356,13 @@ func (c *Context) runPhase2K(tid, blo, bhi int) {
 		if c.noSplit {
 			n = countPeersNaive(wf, c.wl1, lo, i, f, d, budget, &local)
 		} else {
-			n = countPeers(wf, c.wl1, c.wmask, lo, i, f, d, budget, &local)
+			n = countPeers(wf, c.wl1, c.blockL1, c.wmask, lo, i, f, d, budget, &local)
 		}
 		if n >= budget {
 			cnt[i] = int32(k)
 			storeFlag(&f[i])
 		} else {
 			cnt[i] += int32(n)
-		}
-	}
-	c.dts.Inc(tid, local)
-}
-
-// runQPhase1K is Q-Flow's counting Phase I: block points accumulate
-// dominators against the global band, capped at k.
-func (c *Context) runQPhase1K(tid, blo, bhi int) {
-	var local uint64
-	wf := c.curWork.Flat()
-	d := c.d
-	k := c.k
-	lo := c.blockLo
-	f := c.blockF
-	cnt := c.blockC
-	skyData := c.qskyData
-	nSky := len(c.qskyL1)
-	for i := blo; i < bhi; i++ {
-		off := (lo + i) * d
-		q := wf[off : off+d : off+d]
-		n := point.CountDominatorsInFlatRun(skyData, d, 0, nSky, q, 0, nil, nil, k, &local)
-		cnt[i] = int32(n)
-		if n >= k {
-			f[i] = 1
-		}
-	}
-	c.dts.Inc(tid, local)
-}
-
-// runQPhase2K is Q-Flow's counting Phase II; see runPhase2K for why the
-// peer-flag race cannot disturb a survivor's exact count.
-func (c *Context) runQPhase2K(tid, blo, bhi int) {
-	var local uint64
-	d := c.d
-	k := c.k
-	lo := c.blockLo
-	f := c.blockF
-	cnt := c.blockC
-	rows := c.curWork.Flat()[lo*c.d:]
-	for i := blo; i < bhi; i++ {
-		off := i * d
-		q := rows[off : off+d : off+d]
-		budget := k - int(cnt[i])
-		n := point.CountDominatorsInFlatRun(rows, d, 0, i, q, 0, nil, f, budget, &local)
-		if n >= budget {
-			cnt[i] = int32(k)
-			storeFlag(&f[i])
-		} else {
-			cnt[i] += int32(n)
-		}
-	}
-	c.dts.Inc(tid, local)
-}
-
-func (c *Context) runQPhase2(tid, blo, bhi int) {
-	var local uint64
-	d := c.d
-	lo := c.blockLo
-	f := c.blockF
-	rows := c.curWork.Flat()[lo*c.d:]
-	// As in Phase I, the seed's equal-L1 peer skip is dropped: ties fail
-	// the strict dominance test anyway, so the skip only saves work that
-	// costs less than its extra array stream. DT counts are accordingly
-	// slightly higher than the seed's on tie-heavy inputs.
-	for i := blo; i < bhi; i++ {
-		off := i * d
-		q := rows[off : off+d : off+d]
-		if point.DominatedInFlatRun(rows, d, 0, i, q, 0, nil, f, &local) {
-			storeFlag(&f[i])
 		}
 	}
 	c.dts.Inc(tid, local)

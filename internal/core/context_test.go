@@ -176,12 +176,7 @@ func TestApplyPerm(t *testing.T) {
 			wantMask[i] = wmask[j]
 		}
 
-		maskArg := wmask
-		if trial%3 == 0 {
-			maskArg = nil
-			wantMask = wmask
-		}
-		applyPerm(perm, flat, d, wl1, maskArg, worig)
+		applyPerm(perm, flat, d, wl1, wmask, worig)
 		for i := 0; i < n*d; i++ {
 			if flat[i] != wantFlat[i] {
 				t.Fatalf("trial %d: row data mismatch at %d", trial, i)

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"testing"
 
 	"skybench/internal/dataset"
@@ -225,11 +226,22 @@ func TestHybridThreadInvariance(t *testing.T) {
 	}
 }
 
+// TestHybridTooManyDimsPanics checks that both algorithms refuse rows
+// wider than point.MaxDims with the driver's explicit panic.
 func TestHybridTooManyDimsPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic for d > MaxDims")
-		}
-	}()
-	Hybrid(point.NewMatrix(4, 32), HybridOptions{})
+	want := fmt.Sprintf("core: Hybrid and Q-Flow support at most %d dimensions, got %d", point.MaxDims, point.MaxDims+1)
+	m := point.NewMatrix(4, point.MaxDims+1)
+	for name, run := range map[string]func(){
+		"hybrid": func() { Hybrid(m, HybridOptions{}) },
+		"qflow":  func() { QFlow(m, QFlowOptions{}) },
+	} {
+		func() {
+			defer func() {
+				if got := recover(); got != want {
+					t.Errorf("%s: panic %v, want %q", name, got, want)
+				}
+			}()
+			run()
+		}()
+	}
 }

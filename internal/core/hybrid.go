@@ -83,13 +83,24 @@ func Hybrid(m point.Matrix, opt HybridOptions) []int {
 // pass, which applies the preference transform and takes the L1 norms on
 // the way; everything after it touches only the rows that pass kept.
 func (c *Context) Hybrid(v point.View, opt HybridOptions) []int {
+	return c.run(v, opt, true)
+}
+
+// run is the one α-block driver behind Hybrid and QFlow. With partition
+// set it is Hybrid. Without it there is no pre-filter, no pivot and no
+// three-key sort: every row is keyed by its L1 norm alone and gathered
+// once in that order, every mask is 0, so M(S) is a single partition
+// that Phase I scans linearly, and Phase II's loops 1–2 are empty — which
+// is Q-Flow (DESIGN.md §2). Level 2 is off too: with it on, the store
+// would re-partition the one partition around its first row.
+func (c *Context) run(v point.View, opt HybridOptions, partition bool) []int {
 	n := v.N()
 	if n == 0 {
 		return nil
 	}
 	d := v.D()
 	if d > point.MaxDims {
-		panic(fmt.Sprintf("core: Hybrid supports at most %d dimensions, got %d", point.MaxDims, d))
+		panic(fmt.Sprintf("core: Hybrid and Q-Flow support at most %d dimensions, got %d", point.MaxDims, d))
 	}
 	alpha := opt.Alpha
 	if alpha <= 0 {
@@ -115,74 +126,85 @@ func (c *Context) Hybrid(v point.View, opt HybridOptions) []int {
 	c.curV = v
 	c.d = d
 
-	// Pre-filter: discard points dominated by the β-queues (VI-A1). Its
-	// first pass is also where the preferences are applied and the L1
-	// norms taken; only the ablation without it needs a sweep for them.
+	// Choose the rows to gather, in working-set order. Hybrid's come
+	// from the pre-filter (VI-A1), whose first pass is also where the
+	// preferences are applied and the L1 norms taken, parallel to surv.
+	// A run without it takes them in a sweep of its own, with their
+	// order-preserving bit keys, and survL1 = nil reads them per input
+	// row. An unpartitioned run then sorts by those keys — a stable
+	// radix sort, so ties keep input order. The NoPrefilter ablation
+	// keeps input order: a sort on zero key bits is the identity.
 	var surv []int
 	var survL1 []float64
-	if opt.NoPrefilter {
-		c.l1 = grow(c.l1, n)
-		c.forRanges(n, c.l1Body)
-		timer.Stop(stats.PhaseInit)
-		c.seq = grow(c.seq, n)
-		for i := range c.seq {
-			c.seq[i] = i
-		}
-		surv, survL1 = c.seq, c.l1
-	} else {
+	if partition && !opt.NoPrefilter {
 		surv, survL1 = c.pf.Filter(v, opt.Beta, k, c.pool, c.tEff, c.dts)
+		timer.Stop(stats.PhasePrefilt)
+	} else {
+		c.l1, c.keys = grow(c.l1, n), grow(c.keys, n)
+		c.forRanges(n, c.l1Body)
+		keyBits := 64
+		if partition {
+			keyBits = 0
+		}
+		sortStart := time.Now()
+		surv = c.radixSortIdx(n, keyBits)
+		st.Cost.Sort += time.Since(sortStart)
+		timer.Stop(stats.PhaseInit)
 	}
 	st.Cost.PrefilterPruned = n - len(surv)
-	timer.Stop(stats.PhasePrefilt)
 	if c.canceled() {
 		return nil
 	}
 
-	// Materialize survivors into the reusable working set, select the
-	// pivot, partition (VI-A2).
+	// Materialize the chosen rows into the reusable working set.
 	ns := len(surv)
 	c.work = grow(c.work, ns*d)
 	c.wl1 = grow(c.wl1, ns)
 	c.worig = grow(c.worig, ns)
 	c.wmask = grow(c.wmask, ns)
-	c.keys = grow(c.keys, ns)
 	wk := point.FromFlat(c.work, ns, d)
 	c.curWork = wk
 	c.curSurv, c.curL1 = surv, survL1
 	c.forRanges(ns, c.gatherBody)
 
-	// The default pivot is d independent column medians, fanned out over
-	// the team with a scratch column per worker; the other strategies are
-	// sequential scans.
-	c.pivotV = grow(c.pivotV, d)
-	c.pv = c.pivotV
-	if opt.Pivot == pivot.Median {
-		c.pivotC = grow(c.pivotC, c.tEff*pivot.MedianScratchLen(ns))
-		c.forRanges(d, c.medianBody)
-	} else {
-		pivot.SelectInto(c.pivotV, nil, opt.Pivot, wk, c.wl1, opt.Seed)
+	// Phase II's partition-local peer scan skips equal-L1 peers only on
+	// a partitioned run (see comparedToPeers).
+	var peerL1 []float64
+	if partition {
+		peerL1 = c.wl1
+		// Select the pivot and partition (VI-A2). The default pivot is d
+		// independent column medians, fanned out over the team with a
+		// scratch column per worker; the other strategies are sequential
+		// scans.
+		c.keys = grow(c.keys, ns)
+		c.pivotV = grow(c.pivotV, d)
+		c.pv = c.pivotV
+		if opt.Pivot == pivot.Median {
+			c.pivotC = grow(c.pivotC, c.tEff*pivot.MedianScratchLen(ns))
+			c.forRanges(d, c.medianBody)
+		} else {
+			pivot.SelectInto(c.pivotV, nil, opt.Pivot, wk, c.wl1, opt.Seed)
+		}
+		c.forRanges(ns, c.maskBody)
+		timer.Stop(stats.PhasePivot)
+		// Three-key sort (VI-A3): parallel radix on the compound
+		// (level, mask) key, per-run L1 sorts, then one in-place
+		// permutation apply over the working set. The sort's share of
+		// the init phase is measured separately for the trace/cost model.
+		sortStart := time.Now()
+		idx := c.radixSortIdx(ns, d+bits.Len(uint(d)))
+		if c.canceled() {
+			return nil
+		}
+		c.sortRunsByL1(idx)
+		applyPerm(idx, c.work, d, c.wl1, c.wmask, c.worig)
+		st.Cost.Sort += time.Since(sortStart)
 	}
-	c.forRanges(ns, c.maskBody)
-	timer.Stop(stats.PhasePivot)
-
-	// Three-key sort (VI-A3): parallel radix on the compound
-	// (level, mask) key, per-run L1 sorts, then one in-place permutation
-	// apply over the working set. The sort's share of the init phase is
-	// measured separately for the trace/cost model.
-	sortStart := time.Now()
-	keyBits := d + bits.Len(uint(d))
-	idx := c.radixSortIdx(ns, keyBits)
-	if c.canceled() {
-		return nil
-	}
-	c.sortRunsByL1(idx)
-	applyPerm(idx, c.work, d, c.wl1, c.wmask, c.worig)
-	st.Cost.Sort += time.Since(sortStart)
 	timer.Stop(stats.PhaseInit)
 
 	c.sky.reset(d)
 	c.flags = grow(c.flags, alpha)
-	c.level2 = !opt.NoLevel2
+	c.level2 = partition && !opt.NoLevel2
 	c.noMS = opt.NoMS
 	c.noSplit = opt.NoPhase2Split
 	p1, p2 := c.p1Body, c.p2Body
@@ -210,6 +232,7 @@ func (c *Context) Hybrid(v point.View, opt HybridOptions) []int {
 		}
 		c.blockLo = lo
 		c.blockF = f
+		c.blockL1 = peerL1[min(lo, len(peerL1)):] // nil stays nil
 		if bcnt != nil {
 			c.blockC = bcnt[:block]
 		}
@@ -224,6 +247,8 @@ func (c *Context) Hybrid(v point.View, opt HybridOptions) []int {
 		timer.Stop(stats.PhaseCompress)
 
 		// Phase II (parallel, Algorithm 4): three-loop peer comparison.
+		// Flags are atomic so threads can skip peers already known to be
+		// dominated (sound by transitivity).
 		c.blockF = f[:surv1]
 		c.forChunks(st, surv1, p2)
 		timer.Stop(stats.PhaseTwo)
@@ -249,6 +274,34 @@ func (c *Context) Hybrid(v point.View, opt HybridOptions) []int {
 	return c.sky.orig
 }
 
+// compress shifts the unflagged rows of the block starting at row lo with
+// the given length to the front of the block, moving the parallel
+// metadata arrays (l1, orig, mask and — when non-nil — the
+// block-relative dominator counts) along with the point data. It returns
+// the number of survivors. This is the synchronization-point compression
+// of Section V-D: it removes branches and restores the contiguous layout
+// Phase II and the skyline append depend on.
+func compress(work point.Matrix, wl1 []float64, worig []int, wmask []point.Mask, bcnt []int32, lo, length int, flags []uint32) int {
+	w := 0
+	for i := 0; i < length; i++ {
+		if flags[i] != 0 {
+			continue
+		}
+		if w != i {
+			copy(work.Row(lo+w), work.Row(lo+i))
+			wl1[lo+w] = wl1[lo+i]
+			worig[lo+w] = worig[lo+i]
+			wmask[lo+w] = wmask[lo+i]
+			if bcnt != nil {
+				bcnt[w] = bcnt[i]
+			}
+			flags[w] = 0
+		}
+		w++
+	}
+	return w
+}
+
 // countPeersNaive is the counting form of comparedToPeersNaive: every
 // unpruned preceding peer contributes to the dominator count, capped at
 // budget.
@@ -267,7 +320,7 @@ func countPeersNaive(wf []float64, wl1 []float64, lo, me int, f []uint32, dim, b
 // test, because a pruned peer has ≥ k dominators and therefore cannot
 // be a band point, and only band points contribute to a band member's
 // exact count (DESIGN.md §9).
-func countPeers(wf []float64, wl1 []float64, wmask []point.Mask, lo, me int, f []uint32, dim, budget int, dts *uint64) int {
+func countPeers(wf, wl1, peerL1 []float64, wmask []point.Mask, lo, me int, f []uint32, dim, budget int, dts *uint64) int {
 	qOff := (lo + me) * dim
 	q := wf[qOff : qOff+dim : qOff+dim]
 	myMask := wmask[lo+me]
@@ -298,7 +351,7 @@ func countPeers(wf []float64, wl1 []float64, wmask []point.Mask, lo, me int, f [
 	}
 	// Loop 3: same partition — a contiguous counting run.
 	if i < me {
-		c += point.CountDominatorsInFlatRun(wf[lo*dim:], dim, i, me, q, myL1, wl1[lo:], f, budget-c, dts)
+		c += point.CountDominatorsInFlatRun(wf[lo*dim:], dim, i, me, q, myL1, peerL1, f, budget-c, dts)
 	}
 	return c
 }
@@ -322,8 +375,9 @@ func comparedToPeersNaive(wf []float64, wl1 []float64, lo, me int, f []uint32, d
 // covers peers in me's own partition — a contiguous run handed to the
 // flat run kernel with full dominance tests. Pruned peers are skipped via
 // their atomic flags (sound by transitivity: a pruned peer's dominator
-// also precedes me).
-func comparedToPeers(wf []float64, wl1 []float64, wmask []point.Mask, lo, me int, f []uint32, dim int, dts *uint64) bool {
+// also precedes me). peerL1 is the block's slice of wl1 for loop 3's
+// equal-L1 skip, or nil to test every peer.
+func comparedToPeers(wf, wl1, peerL1 []float64, wmask []point.Mask, lo, me int, f []uint32, dim int, dts *uint64) bool {
 	qOff := (lo + me) * dim
 	q := wf[qOff : qOff+dim : qOff+dim]
 	myMask := wmask[lo+me]
@@ -348,12 +402,16 @@ func comparedToPeers(wf []float64, wl1 []float64, wmask []point.Mask, lo, me int
 	// Loop 2: same level, different mask — incomparable, skip outright.
 	for ; i < me && wmask[lo+i] != myMask; i++ {
 	}
-	// Loop 3: same partition — a contiguous run of full DTs. The equal-L1
-	// filter stays on here: unlike Q-Flow's global scans, ties cluster
-	// inside a partition (coincident points share a mask), and the block's
-	// L1 slice is already cache-resident.
+	// Loop 3: same partition — a contiguous run of full DTs. A
+	// partitioned run skips equal-L1 peers: ties cluster inside a
+	// partition (coincident points share a mask), and the block's L1
+	// slice is already cache-resident. An unpartitioned run passes nil,
+	// because its one partition is the whole block: there the skip saves
+	// less than streaming the L1 slice costs, it would lower Q-Flow's
+	// test count on tie-heavy data, and a dominator whose computed L1
+	// ties its victim's (rounding) would be skipped and the victim kept.
 	if i < me {
-		return point.DominatedInFlatRun(wf[lo*dim:], dim, i, me, q, myL1, wl1[lo:], f, dts)
+		return point.DominatedInFlatRun(wf[lo*dim:], dim, i, me, q, myL1, peerL1, f, dts)
 	}
 	return false
 }

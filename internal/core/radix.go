@@ -12,9 +12,10 @@ import (
 // out. Here the compound (level, mask) key is sorted with a parallel
 // stable LSD radix sort (per-thread histograms, static ranges, exclusive
 // scatter slots), and the L1 order inside each equal-key run is restored
-// with per-run quicksort/insertion sorts fanned out over the pool. The
-// same radix machinery sorts Q-Flow's input by the order-preserving bit
-// transform of the L1 norm, making both inits O(n).
+// with per-run quicksort/insertion sorts fanned out over the pool. An
+// unpartitioned (Q-Flow) run keys every row by the order-preserving bit
+// transform of its L1 norm instead and needs no per-run sort, since the
+// stable radix pass alone yields L1 order with ties in input order.
 
 // radixW is the digit width per LSD pass. 11 bits keeps the per-thread
 // histograms (threads × 2048 ints) small enough that the sequential
@@ -214,7 +215,7 @@ func sortIdxByFloat(idx []int, key []float64) {
 
 // applyPerm rearranges the working set in place so that row i becomes the
 // old row perm[i], moving the matrix rows and the parallel metadata
-// arrays (L1, mask when non-nil, original index) together by following
+// arrays (L1, mask, original index) together by following
 // permutation cycles. perm is consumed (entries are overwritten with
 // negative visit markers). This replaces the seed implementation's second
 // Gather — no allocation and no second matrix buffer.
@@ -228,10 +229,7 @@ func applyPerm(perm []int, flat []float64, d int, wl1 []float64, wmask []point.M
 		copy(tmp[:d], flat[s*d:(s+1)*d])
 		tl1 := wl1[s]
 		to := worig[s]
-		var tm point.Mask
-		if wmask != nil {
-			tm = wmask[s]
-		}
+		tm := wmask[s]
 		j := s
 		for {
 			k = perm[j]
@@ -240,17 +238,13 @@ func applyPerm(perm []int, flat []float64, d int, wl1 []float64, wmask []point.M
 				copy(flat[j*d:(j+1)*d], tmp[:d])
 				wl1[j] = tl1
 				worig[j] = to
-				if wmask != nil {
-					wmask[j] = tm
-				}
+				wmask[j] = tm
 				break
 			}
 			copy(flat[j*d:(j+1)*d], flat[k*d:(k+1)*d])
 			wl1[j] = wl1[k]
 			worig[j] = worig[k]
-			if wmask != nil {
-				wmask[j] = wmask[k]
-			}
+			wmask[j] = wmask[k]
 			j = k
 		}
 	}

@@ -20,7 +20,7 @@ import (
 type Phase int
 
 const (
-	PhaseInit     Phase = iota // sorting (Q-Flow, and Hybrid without its pre-filter: L1 computation + sorting)
+	PhaseInit     Phase = iota // sorting; without the pre-filter also the L1 sweep; Q-Flow: L1 + sort + gather
 	PhasePrefilt               // preference transform + L1 + β-queue pre-filter in one sweep (Hybrid)
 	PhasePivot                 // survivor gather + pivot selection + partitioning (Hybrid)
 	PhaseOne                   // Phase I: comparing to known skyline

@@ -408,8 +408,3 @@ func GenerateDataset(dist string, n, d int, seed int64) ([][]float64, error) {
 	}
 	return rows, nil
 }
-
-// Dominates reports whether point p dominates point q under the
-// minimization convention (Definition 2 of the paper). Exposed for
-// downstream code that needs to reason about individual pairs.
-func Dominates(p, q []float64) bool { return point.Dominates(p, q) }

@@ -170,12 +170,6 @@ func TestGenerateDataset(t *testing.T) {
 	}
 }
 
-func TestDominatesExposed(t *testing.T) {
-	if !skybench.Dominates([]float64{1, 1}, []float64{2, 2}) {
-		t.Error("Dominates broken")
-	}
-}
-
 func TestMaximizationViaNegation(t *testing.T) {
 	// The documented idiom: negate attributes to prefer larger values.
 	rows := [][]float64{{-10, -1}, {-1, -10}, {-5, -5}, {-1, -1}}

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"skybench"
+	"skybench/internal/point"
 )
 
 // bruteSkylineSize computes the skyline size by the O(n²) definition —
@@ -14,7 +15,7 @@ func bruteSkylineSize(data [][]float64) int {
 	for i, p := range data {
 		dominated := false
 		for j, q := range data {
-			if i != j && skybench.Dominates(q, p) {
+			if i != j && point.Dominates(q, p) {
 				dominated = true
 				break
 			}
@@ -79,6 +80,14 @@ func TestQueryTraceOracle(t *testing.T) {
 			if tr.PrefilterPruned < 0 || tr.PrefilterPruned > len(data)-want {
 				t.Errorf("%s/%s: prefilter pruned %d of %d with %d skyline points",
 					dist, alg, tr.PrefilterPruned, len(data), want)
+			}
+			// Q-Flow has no pre-filter and no pivot: its whole init —
+			// L1 norms, sort and gather — is booked to Init.
+			if alg == skybench.QFlow {
+				if ph := tr.Phases; ph.Prefilter != 0 || ph.Pivot != 0 || ph.Init <= 0 || tr.PrefilterPruned != 0 {
+					t.Errorf("%s/%s: init %v, prefilter %v, pivot %v, pruned %d; want init > 0 and the rest 0",
+						dist, alg, ph.Init, ph.Prefilter, ph.Pivot, tr.PrefilterPruned)
+				}
 			}
 			if tr.Elapsed <= 0 {
 				t.Errorf("%s/%s: non-positive elapsed %v", dist, alg, tr.Elapsed)
