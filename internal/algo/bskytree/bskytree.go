@@ -261,7 +261,7 @@ func (c *computer) processGroupsBatched(nd *node, order []point.Mask, groups map
 				}
 				for _, q := range surv[g-gi] {
 					local++
-					if point.DominatesD(c.m.Row(q), p, c.d) {
+					if point.Dominates(c.m.Row(q), p) {
 						dominated = true
 						break cleanup
 					}
@@ -337,7 +337,7 @@ func (c *computer) buildSmall(pts []int) *node {
 		dominated := false
 		for _, j := range sky {
 			local++
-			if point.DominatesD(c.m.Row(j), p, c.d) {
+			if point.Dominates(c.m.Row(j), p) {
 				dominated = true
 				break
 			}
@@ -406,9 +406,9 @@ func (c *computer) selectBalancedPivot(pts []int) int {
 	for _, p := range pts[1:] {
 		local += 2
 		switch {
-		case point.DominatesD(c.m.Row(p), c.m.Row(cand), d):
+		case point.Dominates(c.m.Row(p), c.m.Row(cand)):
 			cand, candRange = p, rangeOf(p)
-		case point.DominatesD(c.m.Row(cand), c.m.Row(p), d):
+		case point.Dominates(c.m.Row(cand), c.m.Row(p)):
 		default:
 			if r := rangeOf(p); r < candRange {
 				cand, candRange = p, r
@@ -421,7 +421,7 @@ func (c *computer) selectBalancedPivot(pts []int) int {
 		changed = false
 		for _, p := range pts {
 			local++
-			if point.DominatesD(c.m.Row(p), c.m.Row(cand), d) {
+			if point.Dominates(c.m.Row(p), c.m.Row(cand)) {
 				cand = p
 				changed = true
 			}

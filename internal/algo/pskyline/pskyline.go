@@ -110,7 +110,6 @@ func sskyline(m point.Matrix, lo, hi int, dts *uint64) []int {
 func pmerge(m point.Matrix, a, b []int, pool *par.Pool, dts *stats.DTCounters) []int {
 	keepA := make([]bool, len(a))
 	keepB := make([]bool, len(b))
-	d := m.D()
 	total := len(a) + len(b)
 	pool.ForRanges(total, func(tid, lo, hi int) {
 		var local uint64
@@ -120,7 +119,7 @@ func pmerge(m point.Matrix, a, b []int, pool *par.Pool, dts *stats.DTCounters) [
 				keepA[k] = true
 				for _, j := range b {
 					local++
-					if point.DominatesD(m.Row(j), p, d) {
+					if point.Dominates(m.Row(j), p) {
 						keepA[k] = false
 						break
 					}
@@ -130,7 +129,7 @@ func pmerge(m point.Matrix, a, b []int, pool *par.Pool, dts *stats.DTCounters) [
 				keepB[k-len(a)] = true
 				for _, j := range a {
 					local++
-					if point.DominatesD(m.Row(j), p, d) {
+					if point.Dominates(m.Row(j), p) {
 						keepB[k-len(a)] = false
 						break
 					}

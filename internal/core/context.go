@@ -62,8 +62,8 @@ type Context struct {
 	k       int // dominator budget: 1 = skyline, ≥ 2 = k-skyband
 	blockLo int
 	blockF  []uint32
-	blockL1 []float64 // wl1 from blockLo on; nil on an unpartitioned run (see comparedToPeers)
-	blockC  []int32   // per-block dominator counts (k ≥ 2 only)
+	blockL1 []float64 // wl1 from blockLo on; nil on an unpartitioned run (see countPeers)
+	blockC  []int32   // per-block dominator counts (k ≥ 2 only; nil on a skyline run)
 	bcnt    []int32   // backing storage for blockC, α-sized
 	level2  bool
 	noMS    bool
@@ -82,8 +82,6 @@ type Context struct {
 	maskBody   func(tid, lo, hi int)
 	p1Body     func(tid, lo, hi int)
 	p2Body     func(tid, lo, hi int)
-	p1kBody    func(tid, lo, hi int)
-	p2kBody    func(tid, lo, hi int)
 	histBody   func(tid, lo, hi int)
 	scatBody   func(tid, lo, hi int)
 	runBody    func(tid, lo, hi int)
@@ -100,8 +98,6 @@ func NewContext() *Context {
 	c.maskBody = c.runMask
 	c.p1Body = c.runPhase1
 	c.p2Body = c.runPhase2
-	c.p1kBody = c.runPhase1K
-	c.p2kBody = c.runPhase2K
 	c.histBody = c.runHist
 	c.scatBody = c.runScatter
 	c.runBody = c.runSortRuns
@@ -251,48 +247,6 @@ func (c *Context) runMask(_, lo, hi int) {
 // carry no poll of their own.
 const phaseChunk = 16
 
-func (c *Context) runPhase1(tid, blo, bhi int) {
-	var local uint64
-	wf := c.curWork.Flat()
-	d := c.d
-	lo := c.blockLo
-	f := c.blockF
-	for i := blo; i < bhi; i++ {
-		off := (lo + i) * d
-		q := wf[off : off+d : off+d]
-		var dominated bool
-		if c.noMS {
-			dominated = c.sky.dominatedFlat(q, c.wmask[lo+i], &local)
-		} else {
-			dominated = c.sky.dominatedHybrid(q, c.wmask[lo+i], c.level2, &local)
-		}
-		if dominated {
-			f[i] = 1
-		}
-	}
-	c.dts.Inc(tid, local)
-}
-
-func (c *Context) runPhase2(tid, blo, bhi int) {
-	var local uint64
-	wf := c.curWork.Flat()
-	d := c.d
-	lo := c.blockLo
-	f := c.blockF
-	for i := blo; i < bhi; i++ {
-		var dominated bool
-		if c.noSplit {
-			dominated = comparedToPeersNaive(wf, c.wl1, lo, i, f, d, &local)
-		} else {
-			dominated = comparedToPeers(wf, c.wl1, c.blockL1, c.wmask, lo, i, f, d, &local)
-		}
-		if dominated {
-			storeFlag(&f[i])
-		}
-	}
-	c.dts.Inc(tid, local)
-}
-
 // Counts returns the per-point dominator counts of the latest Hybrid or
 // QFlow run, parallel to its returned indices, or nil for a skyline run
 // (SkybandK ≤ 1), where every returned point trivially has zero
@@ -300,19 +254,20 @@ func (c *Context) runPhase2(tid, blo, bhi int) {
 // next call on c.
 func (c *Context) Counts() []int32 { return c.lastCounts }
 
-// runPhase1K is the k-skyband Phase I: instead of flagging a block point
-// on its first dominator in the global band, it counts the point's band
-// dominators up to the budget k and eliminates only points that reach
-// it. Band membership is decidable against band points alone: a point
-// with ≥ k dominators overall always has ≥ k dominators inside the band
-// (every dominator of a band point is itself a band point, by
-// transitivity — see DESIGN.md §9), so the count each survivor carries
-// out of Phase I is its exact dominator count so far.
-func (c *Context) runPhase1K(tid, blo, bhi int) {
+// runPhase1 is Phase I (Algorithm 3, compareToSky) at the run's
+// dominator budget k: each block point counts its dominators in the
+// global band up to k and is eliminated only when it reaches k — at
+// k = 1, on its first dominator in the skyline. Band membership is
+// decidable against band points alone: a point with ≥ k dominators
+// overall always has ≥ k dominators inside the band (every dominator of a
+// band point is itself a band point, by transitivity — see DESIGN.md §9),
+// so the count each survivor carries out of Phase I is its exact
+// dominator count so far. The count is recorded only on a k-skyband run
+// (blockC non-nil).
+func (c *Context) runPhase1(tid, blo, bhi int) {
 	var local uint64
 	wf := c.curWork.Flat()
-	d := c.d
-	k := c.k
+	d, k := c.d, c.k
 	lo := c.blockLo
 	f := c.blockF
 	cnt := c.blockC
@@ -325,7 +280,9 @@ func (c *Context) runPhase1K(tid, blo, bhi int) {
 		} else {
 			n = c.sky.countDominators(q, c.wmask[lo+i], c.level2, k, &local)
 		}
-		cnt[i] = int32(n)
+		if cnt != nil {
+			cnt[i] = int32(n)
+		}
 		if n >= k {
 			f[i] = 1
 		}
@@ -333,7 +290,7 @@ func (c *Context) runPhase1K(tid, blo, bhi int) {
 	c.dts.Inc(tid, local)
 }
 
-// runPhase2K is the k-skyband Phase II: each survivor adds the dominator
+// runPhase2 is Phase II (Algorithm 4): each survivor adds the dominator
 // count it accrues against preceding block peers to its Phase I count,
 // and is eliminated only when the total reaches k. Flagged peers are
 // skipped: a peer is only ever flagged once its own measured count
@@ -342,16 +299,18 @@ func (c *Context) runPhase1K(tid, blo, bhi int) {
 // survivor's exact count, and the flag race is benign (counting a
 // concurrently-flagged peer only inflates the count of a point that
 // point p's dominators already doom).
-func (c *Context) runPhase2K(tid, blo, bhi int) {
+func (c *Context) runPhase2(tid, blo, bhi int) {
 	var local uint64
 	wf := c.curWork.Flat()
-	d := c.d
-	k := c.k
+	d, k := c.d, c.k
 	lo := c.blockLo
 	f := c.blockF
 	cnt := c.blockC
 	for i := blo; i < bhi; i++ {
-		budget := k - int(cnt[i])
+		budget := k
+		if cnt != nil {
+			budget -= int(cnt[i])
+		}
 		var n int
 		if c.noSplit {
 			n = countPeersNaive(wf, c.wl1, lo, i, f, d, budget, &local)
@@ -359,9 +318,11 @@ func (c *Context) runPhase2K(tid, blo, bhi int) {
 			n = countPeers(wf, c.wl1, c.blockL1, c.wmask, lo, i, f, d, budget, &local)
 		}
 		if n >= budget {
-			cnt[i] = int32(k)
+			if cnt != nil {
+				cnt[i] = int32(k)
+			}
 			storeFlag(&f[i])
-		} else {
+		} else if cnt != nil {
 			cnt[i] += int32(n)
 		}
 	}

@@ -168,7 +168,7 @@ func (c *Context) run(v point.View, opt HybridOptions, partition bool) []int {
 	c.forRanges(ns, c.gatherBody)
 
 	// Phase II's partition-local peer scan skips equal-L1 peers only on
-	// a partitioned run (see comparedToPeers).
+	// a partitioned run (see countPeers).
 	var peerL1 []float64
 	if partition {
 		peerL1 = c.wl1
@@ -207,13 +207,14 @@ func (c *Context) run(v point.View, opt HybridOptions, partition bool) []int {
 	c.level2 = partition && !opt.NoLevel2
 	c.noMS = opt.NoMS
 	c.noSplit = opt.NoPhase2Split
-	p1, p2 := c.p1Body, c.p2Body
+	// A skyline run keeps no counts: blockC stays nil, and compress and
+	// update move none.
 	var bcnt []int32
 	if k > 1 {
 		c.bcnt = grow(c.bcnt, alpha)
 		bcnt = c.bcnt
-		p1, p2 = c.p1kBody, c.p2kBody
 	}
+	c.blockC = nil
 
 	for lo := 0; lo < ns; lo += alpha {
 		// Cancellation checkpoint: one poll per α-block keeps the
@@ -239,7 +240,7 @@ func (c *Context) run(v point.View, opt HybridOptions, partition bool) []int {
 
 		// Phase I (parallel, Algorithm 3): test block points against the
 		// global skyline through M(S).
-		c.forChunks(st, block, p1)
+		c.forChunks(st, block, c.p1Body)
 		timer.Stop(stats.PhaseOne)
 
 		surv1 := compress(wk, c.wl1, c.worig, c.wmask, bcnt, lo, block, f)
@@ -250,7 +251,7 @@ func (c *Context) run(v point.View, opt HybridOptions, partition bool) []int {
 		// Flags are atomic so threads can skip peers already known to be
 		// dominated (sound by transitivity).
 		c.blockF = f[:surv1]
-		c.forChunks(st, surv1, p2)
+		c.forChunks(st, surv1, c.p2Body)
 		timer.Stop(stats.PhaseTwo)
 
 		final := compress(wk, c.wl1, c.worig, c.wmask, bcnt, lo, surv1, f)
@@ -302,9 +303,10 @@ func compress(work point.Matrix, wl1 []float64, worig []int, wmask []point.Mask,
 	return w
 }
 
-// countPeersNaive is the counting form of comparedToPeersNaive: every
-// unpruned preceding peer contributes to the dominator count, capped at
-// budget.
+// countPeersNaive is the no-decomposition ablation of Phase II: every
+// unpruned preceding peer gets a full dominance test (through the flat
+// run kernel, which applies the same flag and L1 skips) and contributes
+// to the dominator count, capped at budget.
 func countPeersNaive(wf []float64, wl1 []float64, lo, me int, f []uint32, dim, budget int, dts *uint64) int {
 	rows := wf[lo*dim:]
 	off := me * dim
@@ -312,14 +314,18 @@ func countPeersNaive(wf []float64, wl1 []float64, lo, me int, f []uint32, dim, b
 	return point.CountDominatorsInFlatRun(rows, dim, 0, me, q, wl1[lo+me], wl1[lo:], f, budget, dts)
 }
 
-// countPeers is the counting form of comparedToPeers: the same
-// three-loop decomposition of Algorithm 4, accumulating the probe's
-// dominator count among preceding surviving peers instead of aborting
-// on the first hit, and stopping once the count reaches budget. Pruned
-// peers are skipped — sound for counting, not just for the boolean
-// test, because a pruned peer has ≥ k dominators and therefore cannot
-// be a band point, and only band points contribute to a band member's
-// exact count (DESIGN.md §9).
+// countPeers implements Algorithm 4 (compareToPeers): count block point
+// me's dominators among the surviving peers that precede it, in three
+// loops, stopping once the count reaches budget (at k = 1, on the first
+// dominator). Loop 1 covers peers in strictly lower levels, where the
+// mask subset test filters region-wise incomparability. Loop 2 skips
+// peers of the same level but a different mask — necessarily
+// incomparable. Loop 3 covers peers in me's own partition — a contiguous
+// run handed to the flat run kernel with full dominance tests. Pruned
+// peers are skipped via their atomic flags: a pruned peer has ≥ k
+// dominators, so it is not a band point, and only band points contribute
+// to a band member's exact count (DESIGN.md §9). peerL1 is the block's
+// slice of wl1 for loop 3's equal-L1 skip, or nil to test every peer.
 func countPeers(wf, wl1, peerL1 []float64, wmask []point.Mask, lo, me int, f []uint32, dim, budget int, dts *uint64) int {
 	qOff := (lo + me) * dim
 	q := wf[qOff : qOff+dim : qOff+dim]
@@ -349,69 +355,16 @@ func countPeers(wf, wl1, peerL1 []float64, wmask []point.Mask, lo, me int, f []u
 	// Loop 2: same level, different mask — incomparable, skip outright.
 	for ; i < me && wmask[lo+i] != myMask; i++ {
 	}
-	// Loop 3: same partition — a contiguous counting run.
+	// Loop 3: same partition — a contiguous counting run. A partitioned
+	// run skips equal-L1 peers: ties cluster inside a partition
+	// (coincident points share a mask), and the block's L1 slice is
+	// already cache-resident. An unpartitioned run passes nil, because its
+	// one partition is the whole block: there the skip saves less than
+	// streaming the L1 slice costs, it would lower Q-Flow's test count on
+	// tie-heavy data, and a dominator whose computed L1 ties its victim's
+	// (rounding) would be skipped and the victim kept.
 	if i < me {
 		c += point.CountDominatorsInFlatRun(wf[lo*dim:], dim, i, me, q, myL1, peerL1, f, budget-c, dts)
 	}
 	return c
-}
-
-// comparedToPeersNaive is the no-decomposition ablation of Phase II:
-// every unpruned preceding peer is tested with a full dominance test
-// (through the flat run kernel, which applies the same flag and L1
-// skips).
-func comparedToPeersNaive(wf []float64, wl1 []float64, lo, me int, f []uint32, dim int, dts *uint64) bool {
-	rows := wf[lo*dim:]
-	off := me * dim
-	q := rows[off : off+dim : off+dim]
-	return point.DominatedInFlatRun(rows, dim, 0, me, q, wl1[lo+me], wl1[lo:], f, dts)
-}
-
-// comparedToPeers implements Algorithm 4 (compareToPeers): test block
-// point me against the surviving peers that precede it, in three loops.
-// Loop 1 covers peers in strictly lower levels, where the mask subset
-// test filters region-wise incomparability. Loop 2 skips peers of the
-// same level but a different mask — necessarily incomparable. Loop 3
-// covers peers in me's own partition — a contiguous run handed to the
-// flat run kernel with full dominance tests. Pruned peers are skipped via
-// their atomic flags (sound by transitivity: a pruned peer's dominator
-// also precedes me). peerL1 is the block's slice of wl1 for loop 3's
-// equal-L1 skip, or nil to test every peer.
-func comparedToPeers(wf, wl1, peerL1 []float64, wmask []point.Mask, lo, me int, f []uint32, dim int, dts *uint64) bool {
-	qOff := (lo + me) * dim
-	q := wf[qOff : qOff+dim : qOff+dim]
-	myMask := wmask[lo+me]
-	myLevel := myMask.Level()
-	myL1 := wl1[lo+me]
-	i := 0
-	// Loop 1: lower levels — cheap filter, then DT.
-	for ; i < me && wmask[lo+i].Level() < myLevel; i++ {
-		if atomic.LoadUint32(&f[i]) != 0 {
-			continue
-		}
-		if !wmask[lo+i].Subset(myMask) {
-			continue
-		}
-		if wl1[lo+i] == myL1 {
-			continue
-		}
-		if point.DominatesFlatCounted(wf, (lo+i)*dim, qOff, dim, dts) {
-			return true
-		}
-	}
-	// Loop 2: same level, different mask — incomparable, skip outright.
-	for ; i < me && wmask[lo+i] != myMask; i++ {
-	}
-	// Loop 3: same partition — a contiguous run of full DTs. A
-	// partitioned run skips equal-L1 peers: ties cluster inside a
-	// partition (coincident points share a mask), and the block's L1
-	// slice is already cache-resident. An unpartitioned run passes nil,
-	// because its one partition is the whole block: there the skip saves
-	// less than streaming the L1 slice costs, it would lower Q-Flow's
-	// test count on tie-heavy data, and a dominator whose computed L1
-	// ties its victim's (rounding) would be skipped and the victim kept.
-	if i < me {
-		return point.DominatedInFlatRun(wf[lo*dim:], dim, i, me, q, myL1, peerL1, f, dts)
-	}
-	return false
 }

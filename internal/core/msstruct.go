@@ -109,69 +109,29 @@ func (s *skylineStore) update(work point.Matrix, wl1 []float64, worig []int, wma
 	s.msStart = append(s.msStart, len(s.orig)) // push the sentinel
 }
 
-// dominatedHybrid implements Algorithm 3 (compareToSky): test q against
-// the skyline using both partition levels. qMask is q's level-1 mask.
-// Returns true iff some skyline point dominates q. dts accumulates the
-// dominance tests performed (mask computations against level-2 pivots
-// count as one DT each — they inspect all d dimensions). The subset
-// filter runs twice, both times a word of packed masks at a time: over
-// the directory, where a partition whose mask is not a subset of qMask
-// is incomparable with q as a whole and costs nothing, and over the
-// level-2 masks of each partition that is left. All point accesses index
-// the store's flat row-major data directly.
-func (s *skylineStore) dominatedHybrid(q []float64, qMask point.Mask, level2 bool, dts *uint64) bool {
-	full := point.FullMask(s.d)
-	d := s.d
-	data := s.data
-	np := s.msMask.Len()
-	for e := s.msMask.NextSubset(0, np, qMask); e < np; e = s.msMask.NextSubset(e+1, np, qMask) {
-		lo, hi := s.msStart[e], s.msStart[e+1]
-		if !level2 {
-			if point.DominatedInFlatRun(data, d, lo, hi, q, 0, nil, nil, dts) {
-				return true
-			}
-			continue
-		}
-		// Compare q to the partition's level-2 pivot, producing q's
-		// level-2 mask m′ (one full-width comparison).
-		*dts++
-		m2 := point.ComputeMask(q, data[lo*d:(lo+1)*d:(lo+1)*d])
-		if m2 == full {
-			if point.EqualsFlat2(data, lo*d, q, 0, d) {
-				// q coincides with a skyline point: nothing can dominate
-				// it (a dominator would dominate the pivot too).
-				return false
-			}
-			return true // the pivot dominates q
-		}
-		// Scan the rest of the partition behind the level-2 filter; the
-		// first dominator ends the probe (budget 1).
-		if point.CountDominatorsInFlatRunMasked(data, d, lo+1, hi, q, &s.mask2, m2, 1, dts) != 0 {
-			return true
-		}
-	}
-	return false
-}
-
-// dominatedFlat is the no-M(S) ablation of Phase I: scan the skyline
-// linearly, filtering by level-1 masks only.
-func (s *skylineStore) dominatedFlat(q []float64, qMask point.Mask, dts *uint64) bool {
-	return s.countDominatorsFlat(q, qMask, 1, dts) != 0
-}
-
-// countDominators is the k-skyband generalization of dominatedHybrid:
-// it accumulates the number of stored band points that dominate q, in
+// countDominators implements Algorithm 3 (compareToSky) at a dominator
+// budget: it counts the stored points that dominate q, in
 // partition-directory order, stopping as soon as the count reaches
-// budget (a probe with ≥ budget dominators is discarded, so the excess
-// is never needed). Two skyline-path shortcuts change shape here. A
-// full level-2 mask against a segment pivot contributes one dominator
-// and the segment scan continues, instead of ending the probe. And a
-// probe coinciding with a segment pivot only skips that segment — the
-// pivot has the segment's smallest L1 norm, so no other member can
-// dominate it (or the coincident probe) — rather than proving the probe
-// undominated outright: a band pivot, unlike a skyline pivot, may
-// itself be dominated by points in subset-mask segments, which this
-// loop visits on its own.
+// budget (a probe with ≥ budget dominators is discarded, so the excess is
+// never needed; the skyline path runs at budget 1). qMask is q's level-1
+// mask. dts accumulates the dominance tests performed (mask computations
+// against level-2 pivots count as one DT each — they inspect all d
+// dimensions). The subset filter runs twice, both times a word of packed
+// masks at a time: over the directory, where a partition whose mask is
+// not a subset of qMask is incomparable with q as a whole and costs
+// nothing, and over the level-2 masks of each partition that is left.
+// All point accesses index the store's flat row-major data directly.
+//
+// A full level-2 mask against a segment pivot contributes one dominator
+// — or, when q coincides with the pivot, none: the pivot has the
+// segment's smallest L1 norm, so no other member can dominate it or the
+// coincident probe. No later segment adds to the count either: q's
+// level-1 mask is then the segment's, and the directory is in
+// (level, mask) order, so every segment whose mask is a proper subset of
+// it — the only ones that could hold a dominator of a band pivot — came
+// before, and no later one passes the subset filter. On a skyline store
+// this is Algorithm 3's early "undominated" return, reached after the
+// same tests.
 func (s *skylineStore) countDominators(q []float64, qMask point.Mask, level2 bool, budget int, dts *uint64) int {
 	full := point.FullMask(s.d)
 	d := s.d
@@ -187,17 +147,20 @@ func (s *skylineStore) countDominators(q []float64, qMask point.Mask, level2 boo
 			}
 			continue
 		}
+		// Compare q to the partition's level-2 pivot, producing q's
+		// level-2 mask m′ (one full-width comparison).
 		*dts++
 		m2 := point.ComputeMask(q, data[lo*d:(lo+1)*d:(lo+1)*d])
 		if m2 == full {
 			if point.EqualsFlat2(data, lo*d, q, 0, d) {
-				continue // coincides with the pivot: segment contributes 0
+				continue // coincides with the pivot: the segment contributes 0
 			}
 			c++ // the pivot dominates q
 			if c >= budget {
 				return c
 			}
 		}
+		// Scan the rest of the partition behind the level-2 filter.
 		c += point.CountDominatorsInFlatRunMasked(data, d, lo+1, hi, q, &s.mask2, m2, budget-c, dts)
 		if c >= budget {
 			return c
@@ -206,7 +169,8 @@ func (s *skylineStore) countDominators(q []float64, qMask point.Mask, level2 boo
 	return c
 }
 
-// countDominatorsFlat is the no-M(S) ablation of the counting Phase I.
+// countDominatorsFlat is the no-M(S) ablation of Phase I: scan the
+// store linearly, filtering by level-1 masks only.
 func (s *skylineStore) countDominatorsFlat(q []float64, qMask point.Mask, budget int, dts *uint64) int {
 	return point.CountDominatorsInFlatRunMasked(s.data, s.d, 0, s.size(), q, &s.mask1, qMask, budget, dts)
 }

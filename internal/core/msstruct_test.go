@@ -135,8 +135,9 @@ func TestStoreStructuralInvariants(t *testing.T) {
 	}
 }
 
-// dominatedHybrid must agree with a brute-force scan of the stored
-// skyline for arbitrary query points, with and without level-2.
+// countDominators at budget 1 must agree with a brute-force scan of the
+// stored skyline for arbitrary query points, with and without level-2,
+// and so must the no-M(S) scan.
 func TestDominatedHybridMatchesBruteScan(t *testing.T) {
 	rng := rand.New(rand.NewSource(8))
 	pivot := []float64{3, 3, 3, 3}
@@ -167,13 +168,13 @@ func TestDominatedHybridMatchesBruteScan(t *testing.T) {
 					}
 				}
 				var dts uint64
-				got := s.dominatedHybrid(q, point.ComputeMask(q, pivot), level2, &dts)
+				got := s.countDominators(q, point.ComputeMask(q, pivot), level2, 1, &dts) != 0
 				if got != want {
-					t.Fatalf("level2=%v: dominatedHybrid(%v) = %v, want %v", level2, q, got, want)
+					t.Fatalf("level2=%v: countDominators(%v, budget 1) dominated = %v, want %v", level2, q, got, want)
 				}
-				gotFlat := s.dominatedFlat(q, point.ComputeMask(q, pivot), &dts)
+				gotFlat := s.countDominatorsFlat(q, point.ComputeMask(q, pivot), 1, &dts) != 0
 				if gotFlat != want {
-					t.Fatalf("dominatedFlat(%v) = %v, want %v", q, gotFlat, want)
+					t.Fatalf("countDominatorsFlat(%v, budget 1) dominated = %v, want %v", q, gotFlat, want)
 				}
 			}
 		}

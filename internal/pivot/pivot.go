@@ -234,9 +234,8 @@ func quickselect(col []float64, k int) float64 {
 func selectRandomSkyline(m point.Matrix, seed int64) int {
 	rng := rand.New(rand.NewSource(seed))
 	cand := rng.Intn(m.N())
-	d := m.D()
 	for i := 0; i < m.N(); i++ {
-		if point.DominatesD(m.Row(i), m.Row(cand), d) {
+		if point.Dominates(m.Row(i), m.Row(cand)) {
 			cand = i
 		}
 	}
@@ -288,9 +287,9 @@ func selectBalanced(m point.Matrix) int {
 	candRange := rangeOf(0)
 	for i := 1; i < n; i++ {
 		switch {
-		case point.DominatesD(m.Row(i), m.Row(cand), d):
+		case point.Dominates(m.Row(i), m.Row(cand)):
 			cand, candRange = i, rangeOf(i)
-		case point.DominatesD(m.Row(cand), m.Row(i), d):
+		case point.Dominates(m.Row(cand), m.Row(i)):
 			// i cannot be the pivot
 		default:
 			if r := rangeOf(i); r < candRange {
@@ -302,7 +301,7 @@ func selectBalanced(m point.Matrix) int {
 	for changed := true; changed; {
 		changed = false
 		for i := 0; i < n; i++ {
-			if point.DominatesD(m.Row(i), m.Row(cand), d) {
+			if point.Dominates(m.Row(i), m.Row(cand)) {
 				cand, candRange = i, rangeOf(i)
 				changed = true
 			}

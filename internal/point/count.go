@@ -2,23 +2,20 @@ package point
 
 import "sync/atomic"
 
-// Counting dominance kernels: the k-skyband companions of the boolean
-// run kernels in flat.go. Where DominatedInFlatRun answers "is the probe
-// dominated at all" and aborts on the first dominator, these kernels
-// answer "by how many rows is the probe dominated, up to a budget":
-// CountDominatorsInFlatRun accumulates the probe's dominator count and
-// stops as soon as the count reaches the caller's budget, because a
-// k-skyband algorithm only ever needs to know whether a point has
-// reached k dominators, never the exact excess. With budget 1 the
-// kernels degenerate to the boolean ones. The unmasked boolean kernel
-// keeps its own bodies (DominatedInFlatRun); the masked scan has only
-// the counting form, which the skyline path runs at budget 1.
+// Counting dominance kernels: the one family of run kernels behind every
+// skyline and k-skyband scan. Each answers "by how many rows is the probe
+// dominated, up to a budget": it accumulates the probe's dominator count
+// and stops as soon as the count reaches the caller's budget, because a
+// k-skyband algorithm only ever needs to know whether a point has reached
+// k dominators, never the exact excess. The skyline is the 1-skyband, so
+// "is the probe dominated at all" is the same call at budget 1, which
+// stops on the first dominator.
 
 // CountDominatorsInFlatRun counts the rows j ∈ [lo, hi) of the
 // row-major flat matrix rows (d columns per row) that strictly dominate
 // the probe q (length d), stopping early once the count reaches budget
 // (which must be ≥ 1); the return value is min(true count, budget).
-// The optional per-row filters match DominatedInFlatRun exactly: when
+// Two optional per-row filters are applied before a dominance test: when
 // l1 is non-nil, rows with l1[j] == qL1 are skipped (equal L1 norms
 // preclude dominance, footnote 2 of the paper); when skip is non-nil,
 // rows with a nonzero skip[j] are passed over, read with atomic loads so
@@ -152,8 +149,8 @@ func cntRun8(rows []float64, lo, hi int, q []float64, qL1 float64, l1 []float64,
 // of masks at a time (PackedMasks.subsets) with the candidate rows taken
 // in ascending order, so the count, the row the budget is reached on and
 // *dts are those of a row-by-row scan. It is the one kernel behind every
-// M(S) partition scan and the no-M(S) ablation, boolean (budget 1) and
-// counting alike; most rows fail the filter, and those cost no branch.
+// M(S) partition scan and the no-M(S) ablation, skyline (budget 1) and
+// k-skyband alike; most rows fail the filter, and those cost no branch.
 func CountDominatorsInFlatRunMasked(rows []float64, d, lo, hi int, q []float64, masks *PackedMasks, qm Mask, budget int, dts *uint64) int {
 	switch d {
 	case 4:

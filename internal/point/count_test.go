@@ -80,17 +80,67 @@ func TestCountDominatorsInFlatRun(t *testing.T) {
 	}
 }
 
-func TestCountDominatorsBudgetOneMatchesBoolean(t *testing.T) {
-	rng := rand.New(rand.NewSource(13))
-	for _, d := range []int{2, 4, 6, 8, 10} {
-		for trial := 0; trial < 300; trial++ {
-			n := 1 + rng.Intn(16)
-			rows, q := randRun(rng, n, d)
-			var a, b uint64
-			got := CountDominatorsInFlatRun(rows, d, 0, n, q, 0, nil, nil, 1, &a)
-			want := DominatedInFlatRun(rows, d, 0, n, q, 0, nil, nil, &b)
-			if (got == 1) != want {
-				t.Fatalf("d=%d budget-1 count=%d, boolean=%v", d, got, want)
+// TestCountDominatorsInFlatRunFilters holds the run kernel to a
+// reference scan — count and dominance-test advance — for every
+// d ∈ [2,16] (the unrolled widths and the generic body on both sides of
+// them), at budget 1, the skyline's "is the probe dominated", and at
+// budget 3, over [lo, hi) windows, with and without the equal-L1 and
+// skip-flag filters, on probes that sometimes coincide with a row.
+func TestCountDominatorsInFlatRunFilters(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	for d := 2; d <= 16; d++ {
+		for trial := 0; trial < 200; trial++ {
+			n := 1 + rng.Intn(20)
+			rows := make([]float64, n*d)
+			l1 := make([]float64, n)
+			skip := make([]uint32, n)
+			for j := 0; j < n; j++ {
+				for k := 0; k < d; k++ {
+					rows[j*d+k] = float64(rng.Intn(4)) / 4
+					l1[j] += rows[j*d+k]
+				}
+				if rng.Intn(3) == 0 {
+					skip[j] = 1
+				}
+			}
+			q := make([]float64, d)
+			for k := range q {
+				q[k] = float64(rng.Intn(5)) / 4
+			}
+			if trial%5 == 0 { // sometimes copy a row so coincidence occurs
+				copy(q, rows[rng.Intn(n)*d:][:d])
+			}
+			qL1 := L1(q)
+			lo := rng.Intn(n)
+			hi := lo + rng.Intn(n-lo+1)
+
+			for variant := 0; variant < 4; variant++ {
+				var useL1 []float64
+				var useSkip []uint32
+				if variant&1 != 0 {
+					useL1 = l1
+				}
+				if variant&2 != 0 {
+					useSkip = skip
+				}
+				for _, budget := range []int{1, 3} {
+					want, wantDTs := 0, uint64(0)
+					for j := lo; j < hi && want < budget; j++ {
+						if (useSkip != nil && useSkip[j] != 0) || (useL1 != nil && useL1[j] == qL1) {
+							continue
+						}
+						wantDTs++
+						if Dominates(rows[j*d:(j+1)*d], q) {
+							want++
+						}
+					}
+					var dts uint64
+					got := CountDominatorsInFlatRun(rows, d, lo, hi, q, qL1, useL1, useSkip, budget, &dts)
+					if got != want || dts != wantDTs {
+						t.Fatalf("d=%d variant=%d budget=%d run=[%d,%d): got (%d,%d) want (%d,%d)",
+							d, variant, budget, lo, hi, got, dts, want, wantDTs)
+					}
+				}
 			}
 		}
 	}

@@ -67,22 +67,6 @@ func TestCompareMatchesDominates(t *testing.T) {
 	}
 }
 
-func TestDominatesDMatchesGeneric(t *testing.T) {
-	rng := rand.New(rand.NewSource(7))
-	for _, d := range []int{2, 3, 4, 5, 6, 7, 8, 12, 16} {
-		for i := 0; i < 1000; i++ {
-			p, q := make([]float64, d), make([]float64, d)
-			for j := 0; j < d; j++ {
-				p[j] = float64(rng.Intn(3))
-				q[j] = float64(rng.Intn(3))
-			}
-			if DominatesD(p, q, d) != Dominates(p, q) {
-				t.Fatalf("d=%d: DominatesD(%v,%v) != Dominates", d, p, q)
-			}
-		}
-	}
-}
-
 // Property: dominance is irreflexive, antisymmetric, and transitive.
 func TestDominancePartialOrderProperties(t *testing.T) {
 	type triple struct{ A, B, C [5]uint8 }
@@ -129,21 +113,5 @@ func TestDominanceImpliesSmallerL1(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 5000}); err != nil {
 		t.Fatal(err)
-	}
-}
-
-func BenchmarkDominatesGeneric(b *testing.B) {
-	p := []float64{1, 2, 3, 4, 5, 6, 7, 8}
-	q := []float64{2, 3, 4, 5, 6, 7, 8, 9}
-	for i := 0; i < b.N; i++ {
-		Dominates(p, q)
-	}
-}
-
-func BenchmarkDominatesUnrolled8(b *testing.B) {
-	p := []float64{1, 2, 3, 4, 5, 6, 7, 8}
-	q := []float64{2, 3, 4, 5, 6, 7, 8, 9}
-	for i := 0; i < b.N; i++ {
-		DominatesD(p, q, 8)
 	}
 }

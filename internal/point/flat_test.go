@@ -63,76 +63,6 @@ func TestFlatKernelsMatchGeneric(t *testing.T) {
 			if got, want := DominatesFlat(both, 0, d, d), Dominates(p, q); got != want {
 				t.Fatalf("d=%d DominatesFlat=%v want %v", d, got, want)
 			}
-
-			// Unrolled DominatesD must agree with the generic loop too.
-			if got, want := DominatesD(p, q, d), Dominates(p, q); got != want {
-				t.Fatalf("d=%d DominatesD=%v want %v", d, got, want)
-			}
-		}
-	}
-}
-
-// TestDominatedInFlatRun cross-checks the run kernels (including the
-// specialized dimensionalities) against a reference scan for every
-// d ∈ [2,16], with and without the L1 and skip filters.
-func TestDominatedInFlatRun(t *testing.T) {
-	rng := rand.New(rand.NewSource(11))
-	for d := 2; d <= 16; d++ {
-		for trial := 0; trial < 200; trial++ {
-			n := 1 + rng.Intn(20)
-			rows := make([]float64, n*d)
-			l1 := make([]float64, n)
-			skip := make([]uint32, n)
-			for j := 0; j < n; j++ {
-				s := 0.0
-				for k := 0; k < d; k++ {
-					v := float64(rng.Intn(4)) / 4
-					rows[j*d+k] = v
-					s += v
-				}
-				l1[j] = s
-				if rng.Intn(3) == 0 {
-					skip[j] = 1
-				}
-			}
-			q, _ := randPair(rng, d)
-			if trial%5 == 0 { // sometimes copy a row so coincidence occurs
-				copy(q, rows[rng.Intn(n)*d:][:d])
-			}
-			qL1 := L1(q)
-			lo := rng.Intn(n)
-			hi := lo + rng.Intn(n-lo+1)
-
-			for variant := 0; variant < 4; variant++ {
-				var useL1 []float64
-				var useSkip []uint32
-				if variant&1 != 0 {
-					useL1 = l1
-				}
-				if variant&2 != 0 {
-					useSkip = skip
-				}
-				want := false
-				wantDTs := uint64(0)
-				for j := lo; j < hi && !want; j++ {
-					if useSkip != nil && useSkip[j] != 0 {
-						continue
-					}
-					if useL1 != nil && useL1[j] == qL1 {
-						continue
-					}
-					wantDTs++
-					if Dominates(rows[j*d:(j+1)*d], q) {
-						want = true
-					}
-				}
-				var dts uint64
-				got := DominatedInFlatRun(rows, d, lo, hi, q, qL1, useL1, useSkip, &dts)
-				if got != want || dts != wantDTs {
-					t.Fatalf("d=%d variant=%d run=[%d,%d): got (%v,%d) want (%v,%d)",
-						d, variant, lo, hi, got, dts, want, wantDTs)
-				}
-			}
 		}
 	}
 }

@@ -77,7 +77,7 @@ func Filter(m point.Matrix, l1 []float64, beta, threads int, dts *stats.DTCounte
 			p := m.Row(i)
 			for _, q := range h.idx {
 				localDTs++
-				if point.DominatesD(m.Row(q), p, m.D()) {
+				if point.Dominates(m.Row(q), p) {
 					pruned[i] = true
 					break
 				}
@@ -92,7 +92,6 @@ func Filter(m point.Matrix, l1 []float64, beta, threads int, dts *stats.DTCounte
 	// Pass 2: every surviving point is tested against all queues.
 	pool.ForRanges(n, func(tid, lo, hi int) {
 		var localDTs uint64
-		d := m.D()
 		for i := lo; i < hi; i++ {
 			if pruned[i] {
 				continue
@@ -105,7 +104,7 @@ func Filter(m point.Matrix, l1 []float64, beta, threads int, dts *stats.DTCounte
 						continue
 					}
 					localDTs++
-					if point.DominatesD(m.Row(j), p, d) {
+					if point.Dominates(m.Row(j), p) {
 						pruned[i] = true
 						break scan
 					}

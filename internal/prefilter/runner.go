@@ -39,11 +39,11 @@ const DefaultBeta = 8
 // gathered from the queues themselves into a dense row-major matrix
 // sorted by L1 norm. Pass 2 fans out over the candidates alone, re-loads
 // each through the view, scans the contiguous queue run with the probe's
-// coordinates hoisted into registers (point.DominatedInFlatRun) and stops
-// at the first queue point whose L1 norm is ≥ the probe's — by footnote 2
-// of the paper such a point can never dominate the probe. Each thread
-// compacts its range of the list in place; joining the ranges yields the
-// survivors.
+// coordinates hoisted into registers (point.CountDominatorsInFlatRun at
+// budget k) and stops at the first queue point whose L1 norm is ≥ the
+// probe's — by footnote 2 of the paper such a point can never dominate
+// the probe. Each thread compacts its range of the list in place;
+// joining the ranges yields the survivors.
 type Runner struct {
 	qdense []float64 // threads*beta*d queue rows, one max-heap by L1 per thread
 	qheapL []float64 // threads*beta L1 norms of the queue rows, in heap order
@@ -261,10 +261,6 @@ func (r *Runner) runPass1(tid, lo, hi int) {
 			hl[0] = qL1
 			copy(dense[:d], q)
 			siftDown(hl, dense, d)
-		case k == 1:
-			if point.DominatedInFlatRun(dense, d, 0, cnt, q, qL1, nil, nil, &localDTs) {
-				continue
-			}
 		default:
 			if point.CountDominatorsInFlatRun(dense, d, 0, cnt, q, qL1, nil, nil, k, &localDTs) >= k {
 				continue
@@ -332,11 +328,7 @@ func (r *Runner) runPass2(tid, lo, hi int) {
 			}
 		}
 		q := v.Load(i, buf[:])
-		if k == 1 {
-			if point.DominatedInFlatRun(qrows, d, 0, a, q, myL1, nil, nil, &localDTs) {
-				continue
-			}
-		} else if point.CountDominatorsInFlatRun(qrows, d, 0, a, q, myL1, nil, nil, k, &localDTs) >= k {
+		if point.CountDominatorsInFlatRun(qrows, d, 0, a, q, myL1, nil, nil, k, &localDTs) >= k {
 			continue
 		}
 		cand[w], cl1[w] = i, myL1

@@ -19,8 +19,9 @@ import (
 // an operator can look — the trace carries band (as a "band" key on the
 // wire, round-tripping both encodings exactly), the info body counts it
 // under bandAnswers with no costs row, and skyserved_band_answers reads
-// the same in a lint-clean exposition. A shape the index does not
-// maintain is computed, traced without the marker, and booked.
+// the same in a lint-clean exposition. Band answers stay out of the
+// per-algorithm histograms, as cache hits do. A shape the index does
+// not maintain is computed, traced without the marker, and booked.
 func TestBandAnswerServed(t *testing.T) {
 	_, c := newTestServer(t, skybench.StoreOptions{Threads: 2}, serve.Options{})
 	ctx := context.Background()
@@ -68,6 +69,17 @@ func TestBandAnswerServed(t *testing.T) {
 		t.Fatalf("JSON trace %+v", viaJSON.Trace)
 	}
 
+	// Neither band answer was observed as an engine run.
+	text, err := c.Metrics(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, family := range []string{"skyserved_query_dominance_tests_count", "skyserved_query_algorithm_seconds_count"} {
+		if strings.Contains(text, family+`{collection="ticks"`) {
+			t.Errorf("band answers booked into %s", family)
+		}
+	}
+
 	// A computed answer: no marker, and a costs row.
 	res, err = c.Query(ctx, "ticks", &serve.QueryRequest{Prefs: []string{"max", "min"}, Trace: true})
 	if err != nil {
@@ -87,12 +99,15 @@ func TestBandAnswerServed(t *testing.T) {
 	if info.BandAnswers != 2 || len(info.Costs) != 1 || info.Costs[0].Count != 1 {
 		t.Errorf("info: bandAnswers %d costs %+v, want 2 band answers and one booked run", info.BandAnswers, info.Costs)
 	}
-	text, err := c.Metrics(ctx)
+	text, err = c.Metrics(ctx)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !strings.Contains(text, `skyserved_band_answers{collection="ticks"} 2`) {
 		t.Errorf("metrics missing skyserved_band_answers{collection=\"ticks\"} 2")
+	}
+	if !strings.Contains(text, `skyserved_query_dominance_tests_count{collection="ticks",algorithm="hybrid"} 1`) {
+		t.Errorf("the computed answer is not the one run booked into skyserved_query_dominance_tests")
 	}
 	if err := metrics.Lint(strings.NewReader(text)); err != nil {
 		t.Errorf("exposition fails lint: %v", err)

@@ -479,7 +479,10 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request, obs *observ
 		s.planDecisions.With(name, res.Plan.Algorithm, strconv.FormatBool(res.Plan.Explore)).Inc()
 		obs.algorithm = res.Plan.Algorithm
 	}
-	if !obs.cacheHit {
+	// A band answer ran on no thread and made no dominance test; every
+	// engine run reports ≥ 1 thread, and a remote backend's merge, which
+	// may report none, counts its tests.
+	if band := res.Stats.Threads == 0 && res.Stats.DominanceTests == 0; !obs.cacheHit && !band {
 		s.observeQueryCost(name, obs.algorithm, &res.Stats)
 	}
 	if err := writeQueryResponse(w, acceptsFrame(r), name, res, &req); err != nil {
@@ -488,9 +491,10 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request, obs *observ
 }
 
 // observeQueryCost books one executed query's engine cost into the
-// per-phase and per-algorithm histogram families. Cache hits are not
-// observed — they did no engine work, and their stats describe the
-// original execution, not this request.
+// per-phase and per-algorithm histogram families. Cache hits and band
+// answers are not observed — they did no engine work, and a cache hit's
+// stats describe the original execution, not this request;
+// skyserved_band_answers counts band answers instead.
 func (s *Server) observeQueryCost(collection, algorithm string, st *skybench.Stats) {
 	s.algoDur.With(collection, algorithm).Observe(st.Elapsed.Seconds())
 	s.algoDTs.With(collection, algorithm).Observe(float64(st.DominanceTests))
