@@ -247,8 +247,8 @@ func TestBandAnswerExactTrace(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				if cs.Costs != nil || cs.Planner != nil || cs.BandAnswers == 0 {
-					t.Fatalf("band answers were booked as engine runs: costs %+v planner %+v bandAnswers %d", cs.Costs, cs.Planner, cs.BandAnswers)
+				if cs.Costs != nil || cs.BandAnswers == 0 {
+					t.Fatalf("band answers were booked as engine runs: costs %+v bandAnswers %d", cs.Costs, cs.BandAnswers)
 				}
 			})
 		}
@@ -329,8 +329,8 @@ func TestBandRouting(t *testing.T) {
 				t.Fatal(err)
 			}
 			// "auto" shares the explicit hybrid k = 2 entry: four band reads.
-			if cs.Costs != nil || cs.Planner != nil || cs.BandAnswers != 4 || cs.Cache.Hits != 1 {
-				t.Fatalf("after matching shapes: costs %+v planner %+v bandAnswers %d hits %d", cs.Costs, cs.Planner, cs.BandAnswers, cs.Cache.Hits)
+			if cs.Costs != nil || cs.BandAnswers != 4 || cs.Cache.Hits != 1 {
+				t.Fatalf("after matching shapes: costs %+v bandAnswers %d hits %d", cs.Costs, cs.BandAnswers, cs.Cache.Hits)
 			}
 
 			var batches int

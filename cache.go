@@ -23,8 +23,8 @@ type fingerprint struct {
 	seed  int64
 	abl   Ablation
 	// fan is the fan-out when it differs from the collection's default
-	// (zero otherwise): the planner may downshift an Auto query to an
-	// unsharded run, whose result order (the algorithm's natural order,
+	// (zero otherwise): an Auto query runs a sharded collection
+	// unsharded, and that result order (the algorithm's natural order,
 	// not ascending row order) must never be served to a query that ran
 	// at the default fan-out.
 	fan   int
@@ -70,14 +70,6 @@ func canonicalPrefs(prefs []Pref, d int) (canonPrefs, bool) {
 func queryFingerprint(q *Query, d int) (fingerprint, bool) {
 	var fp fingerprint
 	if q.Progressive != nil || q.SkybandK < 0 {
-		return fp, false
-	}
-	// Auto never reaches the cache unresolved — run() rewrites the query
-	// to the planned concrete algorithm before fingerprinting, so cached
-	// entries are shared with explicit runs of the same plan. Seeing
-	// Auto here (the stale-fallback path) means there is no resolved
-	// plan to key on.
-	if q.Algorithm == Auto {
 		return fp, false
 	}
 	prefs, ok := canonicalPrefs(q.Prefs, d)
@@ -145,12 +137,14 @@ func (r *QueryResult) PublishPayload(slot int, b []byte) []byte {
 }
 
 // withCacheHitTrace wraps a shared cached result in a shallow copy
-// carrying a minimal cache-hit trace: the identity of the answer
-// (algorithm, epoch, sizes) without work counters — the work happened
-// on the query that populated the cache. The shared entry itself is
-// never touched, so untraced hits stay allocation-free.
-func (r *QueryResult) withCacheHitTrace(q *Query) *QueryResult {
+// carrying plan (see Collection.resolve) and a minimal cache-hit trace:
+// the identity of the answer (algorithm, epoch, sizes) without work
+// counters — the work happened on the query that populated the cache.
+// The shared entry itself is never touched, so untraced hits stay
+// allocation-free.
+func (r *QueryResult) withCacheHitTrace(q *Query, plan *PlannerTrace) *QueryResult {
 	cp := *r
+	cp.Plan = plan
 	cp.Result.Trace = &QueryTrace{
 		Algorithm: q.Algorithm.String(),
 		SkybandK:  q.SkybandK,
@@ -159,6 +153,7 @@ func (r *QueryResult) withCacheHitTrace(q *Query) *QueryResult {
 		Epoch:     r.Epoch,
 		InputSize: r.Stats.InputSize,
 		Output:    len(r.Indices),
+		Planner:   plan,
 	}
 	return &cp
 }
@@ -167,16 +162,17 @@ func (r *QueryResult) withCacheHitTrace(q *Query) *QueryResult {
 // with AllowStale fails because the Store is overloaded or its deadline
 // passed (a mid-rebuild stream holding its lock past the deadline looks
 // identical from here), serve the last cached result for the same query
-// shape — possibly from an earlier epoch — marked Stale. Hard failures
-// (bad query, closed collection, panic) never degrade.
-func (c *Collection) staleFallback(q *Query, err error) (*QueryResult, error) {
-	if !q.AllowStale || c.cacheCap <= 0 {
+// shape — possibly from an earlier epoch — marked Stale. q and plan are
+// as resolve left them, so an Auto query finds the entry its run stored.
+// Hard failures (bad query, closed collection, panic) never degrade.
+func (c *Collection) staleFallback(q *Query, plan *PlannerTrace, err error) (*QueryResult, error) {
+	if !q.AllowStale {
 		return nil, err
 	}
 	if !errors.Is(err, ErrOverloaded) && !errors.Is(err, ErrDeadlineExceeded) {
 		return nil, err
 	}
-	fp, ok := queryFingerprint(q, c.D())
+	fp, ok := c.key(q, plan)
 	if !ok {
 		return nil, err
 	}
@@ -191,8 +187,9 @@ func (c *Collection) staleFallback(q *Query, err error) (*QueryResult, error) {
 	r := *e.r
 	r.Stale = true
 	if q.Trace {
-		return r.withCacheHitTrace(q), nil
+		return r.withCacheHitTrace(q, plan), nil
 	}
+	r.Plan = plan
 	return &r, nil
 }
 

@@ -104,7 +104,7 @@ func main() {
 	var res skybench.Result
 	var plan *skybench.PlannerTrace
 	var cacheStats skybench.CacheStats
-	// Auto needs the Store's planner — a bare engine rejects it.
+	// Auto is a Store collection's spelling — a bare engine rejects it.
 	storeServed := *shards > 1 || *useCache || alg == skybench.Auto
 	if storeServed {
 		// Store-served path: one named collection, sharded fan-out with
@@ -150,8 +150,7 @@ func main() {
 	}
 	fmt.Printf("algorithm   : %s\n", alg)
 	if plan != nil {
-		fmt.Printf("plan        : %s shards=%d alpha=%d beta=%d no_prefilter=%v explore=%v (class=%s sky_est=%d)\n",
-			plan.Algorithm, plan.Shards, plan.Alpha, plan.Beta, plan.NoPrefilter, plan.Explore, plan.Class, plan.SkylineEst)
+		fmt.Printf("plan        : %s shards=%d\n", plan.Algorithm, plan.Shards)
 	}
 	fmt.Printf("input       : %d points × %d dims\n", s.InputSize, m.D())
 	if prefs != nil {

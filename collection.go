@@ -8,7 +8,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"skybench/internal/planner"
 	"skybench/internal/point"
 	"skybench/internal/shard"
 )
@@ -142,8 +141,8 @@ func (s *colSnapshot) partition(p int) {
 
 // backing is where a collection's rows live and how a query over them
 // is answered: an immutable Dataset, a live StreamSource, or a
-// RemoteBackend. Everything above it — deadlines, admission, planning,
-// the epoch-keyed result cache, stale fallback, stats — is the
+// RemoteBackend. Everything above it — deadlines, admission, resolving
+// Auto, the epoch-keyed result cache, stale fallback, stats — is the
 // Collection's and is written once, against this interface.
 type backing interface {
 	// dims returns the dimensionality of the rows.
@@ -157,19 +156,14 @@ type backing interface {
 	// others pin the epoch. For local backings the fast path (nothing
 	// changed since the last freeze) must not allocate.
 	freeze(ctx context.Context) (*colSnapshot, error)
-	// rows returns the frozen membership with its rows in this process,
-	// for the planner to profile and the engine to run over — snap
-	// itself when it has them, a materialization of the source's current
-	// membership (whose epoch may be later than snap's) for a stream, and
-	// snap still without rows for a remote backing, which has none here.
-	rows(ctx context.Context, snap *colSnapshot) (*colSnapshot, error)
 	// maintains reports whether q asks for exactly what the backing
 	// already holds, so answer will read it rather than compute it. Such
-	// an answer is no engine run: it is not planned and not booked as one.
+	// an answer is no engine run and is not booked as one.
 	maintains(q Query) bool
 	// answer computes q over a frozen membership at the given fan-out
-	// (0 = the collection's own: every part). The result's Epoch is the
-	// epoch it was actually computed at.
+	// (0 = the collection's own: every part; a remote backing's placement
+	// is its own and ignores it). The result's Epoch is the epoch it was
+	// actually computed at.
 	answer(ctx context.Context, snap *colSnapshot, q Query, fanout int) (*QueryResult, error)
 	// close releases what the backing owns (CloseOnDrop).
 	close()
@@ -204,16 +198,11 @@ func (b *staticBacking) maintains(Query) bool                         { return f
 func (b *staticBacking) close()                                       {}
 func (b *staticBacking) describe(*CollectionStats)                    {}
 
-func (b *staticBacking) rows(_ context.Context, snap *colSnapshot) (*colSnapshot, error) {
-	return snap, nil
-}
-
 // streamBacking is a live StreamSource. A frozen membership is only its
 // epoch; the live set is materialized — at most once per membership
-// epoch — when a query needs the rows: to run the engine over them, or
-// for the planner to profile. A query the source's maintained band is
-// exactly the answer to (maintains) needs neither and copies nothing
-// but the band.
+// epoch — when a query needs the rows to run the engine over. A query
+// the source's maintained band is exactly the answer to (maintains)
+// does not, and copies nothing but the band.
 type streamBacking struct {
 	local
 	src    StreamSource
@@ -293,13 +282,6 @@ func (b *streamBacking) freeze(context.Context) (*colSnapshot, error) {
 	return s, nil
 }
 
-func (b *streamBacking) rows(ctx context.Context, snap *colSnapshot) (*colSnapshot, error) {
-	if snap.ds != nil {
-		return snap, nil
-	}
-	return b.materialized(ctx)
-}
-
 // maintains reports whether q is answered by the band the source
 // maintains: the source's own preferences (after canonicalization, so
 // empty ≡ all-Min), a band width max(SkybandK, 1) within the source's,
@@ -327,9 +309,11 @@ func (b *streamBacking) answer(ctx context.Context, snap *colSnapshot, q Query, 
 	if b.maintains(q) {
 		return b.bandAnswer(ctx, &q)
 	}
-	snap, err := b.rows(ctx, snap)
-	if err != nil {
-		return nil, err
+	if snap.ds == nil {
+		var err error
+		if snap, err = b.materialized(ctx); err != nil {
+			return nil, err
+		}
 	}
 	return b.local.answer(ctx, snap, q, fanout)
 }
@@ -473,9 +457,6 @@ type Collection struct {
 
 	bandAnswers atomic.Uint64 // misses answered from the source's maintained band
 
-	planMu sync.Mutex       // guards plan creation and re-profiling
-	plan   *planner.Planner // adaptive planner; nil until first needed
-
 	inflight atomic.Int64 // queries currently executing via Run/Submit
 
 	dropped   atomic.Bool
@@ -550,14 +531,12 @@ type QueryResult struct {
 	// Always false for local collections and under the fail-fast
 	// policy, where a worker failure is an error instead.
 	Partial bool
-	// Plan is the adaptive planner's decision for an Algorithm: Auto
-	// query (also mirrored into Trace.Planner when the query was
+	// Plan records what an Algorithm: Auto query ran as — Hybrid at
+	// fan-out 1 — (also mirrored into Trace.Planner when the query was
 	// traced); nil for queries that named their algorithm. It is set on
-	// cache hits too — the decision was made even though the answer was
-	// already known. It is also nil for an Auto query answered from the
-	// band its stream source maintains (BandSource): there was no
-	// algorithm to choose, so the planner was not asked and learns
-	// nothing from the answer.
+	// cache hits and stale fallbacks too. It is also nil for an Auto
+	// query answered from the band its stream source maintains
+	// (BandSource): that answer runs no algorithm at all.
 	Plan *PlannerTrace
 
 	snap *colSnapshot // engine results: frozen snapshot rows resolve against
@@ -565,7 +544,7 @@ type QueryResult struct {
 	rids []uint64     // remote and band results: per-result-point stream IDs (optional)
 
 	// memo holds the result's encoded wire payloads. It is a pointer so
-	// that every struct copy of a cached result (a traced hit, a planned
+	// that every struct copy of a cached result (a traced hit, an Auto
 	// hit, a stale fallback) shares the one holder the cache entry owns;
 	// nil on results the cache never stored.
 	memo *payloadMemo
@@ -636,20 +615,55 @@ func (c *Collection) runReport(ctx context.Context, q Query) (*QueryResult, bool
 			defer cancel()
 		}
 	}
-	r, hit, err := c.run(ctx, q)
+	plan := c.resolve(&q)
+	r, hit, err := c.run(ctx, q, plan)
 	if err != nil {
-		r, err = c.staleFallback(&q, err)
+		r, err = c.staleFallback(&q, plan, err)
 		return r, false, err
 	}
 	return r, hit, nil
 }
 
+// resolve rewrites an Algorithm: Auto query in place to what Auto is:
+// Hybrid at the paper's defaults (tuning the caller set stays), run
+// unsharded (DESIGN.md §14). It returns the record reported as
+// QueryResult.Plan: nil for a query that named its algorithm, and for an
+// answer the backing maintains, which runs nothing and is the explicit
+// Hybrid query's answer. Resolving once, before the cache is consulted,
+// keys the lookup, the store and the stale fallback alike.
+func (c *Collection) resolve(q *Query) *PlannerTrace {
+	if q.Algorithm != Auto {
+		return nil
+	}
+	q.Algorithm = Hybrid
+	if c.back.maintains(*q) {
+		return nil
+	}
+	return &PlannerTrace{Algorithm: Hybrid.String(), Shards: 1}
+}
+
+// key is the cache key of q run as plan says (see resolve), reporting
+// false when q must not be cached. An unsharded run of a sharded
+// collection returns the algorithm's natural order, not the ascending
+// order of the collection's own fan-out, so it is keyed apart
+// (fingerprint.fan).
+func (c *Collection) key(q *Query, plan *PlannerTrace) (fingerprint, bool) {
+	if c.cacheCap <= 0 {
+		return fingerprint{}, false
+	}
+	fp, ok := queryFingerprint(q, c.back.dims())
+	if plan != nil && c.shards > 1 {
+		fp.fan = plan.Shards
+	}
+	return fp, ok
+}
+
 // run is runReport without the deadline and graceful-degradation
-// wrappers: freeze the membership, resolve the plan, look the answer up,
-// and on a miss have the backing compute it — or read it, when it
-// already maintains it — and cache what came back. There is one tail for
-// every miss, whatever produced the answer.
-func (c *Collection) run(ctx context.Context, q Query) (*QueryResult, bool, error) {
+// wrappers: freeze the membership, look the answer up, and on a miss
+// have the backing compute it — or read it, when it already maintains
+// it — and cache what came back. There is one tail for every miss,
+// whatever produced the answer.
+func (c *Collection) run(ctx context.Context, q Query, plan *PlannerTrace) (*QueryResult, bool, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, false, canceledErr(err)
 	}
@@ -660,68 +674,40 @@ func (c *Collection) run(ctx context.Context, q Query) (*QueryResult, bool, erro
 	if err != nil {
 		return nil, false, err
 	}
-	// Resolve Auto before fingerprinting: the cache is keyed by the
-	// concrete plan, so Auto queries share entries with explicit runs of
-	// the same algorithm, and a later hit is attributed to the plan that
-	// computed it. An answer the backing maintains has nothing to plan:
-	// Auto resolves to the default algorithm with no decision, sharing
-	// the explicit query's entry.
-	fanout := 0
-	var planTrace *PlannerTrace
-	if q.Algorithm == Auto {
-		if c.back.maintains(q) {
-			q.Algorithm = Hybrid
-		} else if snap, fanout, planTrace, err = c.decide(ctx, snap, &q); err != nil {
-			return nil, false, err
-		}
-	}
-	fp, cacheable := fingerprint{}, false
-	if c.cacheCap > 0 {
-		fp, cacheable = queryFingerprint(&q, c.back.dims())
-		if len(snap.parts) > 1 && fanout == 1 {
-			// A planner-downshifted unsharded run returns the algorithm's
-			// natural order, not the sharded ascending order — key it
-			// separately (see fingerprint.fan).
-			fp.fan = 1
-		}
-	}
+	fp, cacheable := c.key(&q, plan)
 	if cacheable {
 		if r := c.lookup(fp, snap.epoch); r != nil {
 			if q.Trace {
-				r = r.withCacheHitTrace(&q)
-				if planTrace != nil {
-					r.Plan = planTrace
-					r.Result.Trace.Planner = planTrace
-				}
-			} else if planTrace != nil {
+				r = r.withCacheHitTrace(&q, plan)
+			} else if plan != nil {
 				cp := *r
-				cp.Plan = planTrace
+				cp.Plan = plan
 				r = &cp
 			}
 			return r, true, nil
 		}
+	}
+	fanout := 0
+	if plan != nil {
+		fanout = plan.Shards
 	}
 	start := time.Now()
 	r, err := c.back.answer(ctx, snap, q, fanout)
 	if err != nil {
 		return nil, false, err
 	}
-	elapsed := time.Since(start)
 	if c.back.maintains(q) {
 		// Reading the band is no run of q.Algorithm: booked as one, its
-		// fraction of a millisecond would misprice that arm for every
-		// later Auto decision on the collection.
+		// fraction of a millisecond would misprice that algorithm's cost
+		// row.
 		c.bandAnswers.Add(1)
 	} else {
-		c.costs.record(q.Algorithm, elapsed, r.Stats.DominanceTests)
+		c.costs.record(q.Algorithm, time.Since(start), r.Stats.DominanceTests)
 	}
-	if planTrace != nil {
-		c.observePlan(planTrace, elapsed)
-		r.Plan = planTrace
-	}
+	r.Plan = plan
 	if r.Trace != nil {
 		r.Trace.Epoch = r.Epoch
-		r.Trace.Planner = planTrace
+		r.Trace.Planner = plan
 	}
 	// A partial (degraded) answer is never cached — the missing rows may
 	// be back on the next query, and a cache must not pin a degraded
@@ -731,11 +717,11 @@ func (c *Collection) run(ctx context.Context, q Query) (*QueryResult, bool, erro
 		// caller encodes is what later hits are answered with.
 		r.memo = new(payloadMemo)
 		// The cache shares its entries across callers, traced and
-		// untraced alike, so the stored copy never carries a trace or a
-		// planner decision: both describe the first caller's run, not a
-		// later hit.
+		// untraced, Auto and explicit alike, so the stored copy never
+		// carries a trace or a Plan: both describe the first caller's
+		// query, not a later hit's.
 		cached := r
-		if r.Trace != nil || planTrace != nil {
+		if r.Trace != nil || plan != nil {
 			cp := *r
 			cp.Result.Trace = nil
 			cp.Plan = nil
@@ -750,7 +736,7 @@ func (c *Collection) run(ctx context.Context, q Query) (*QueryResult, bool, erro
 }
 
 // execute computes a query over one frozen snapshot: directly for
-// unsharded collections (or when the planner downshifted fanout to 1),
+// unsharded collections (or at fanout 1: an Auto query),
 // fan-out + exact merge (shard.Merge) for sharded ones.
 func (l local) execute(ctx context.Context, snap *colSnapshot, q Query, fanout int) (Result, error) {
 	if len(snap.parts) <= 1 || fanout == 1 {

@@ -26,19 +26,14 @@ type CollectionStats struct {
 	// right now (Run and admitted Submits).
 	Inflight int64
 	// Costs holds the collection's rolling per-algorithm execution
-	// costs (count, mean/p50/p99 latency, mean dominance tests) — the
-	// planner's input. Sorted by algorithm name; nil before the first
-	// executed query.
+	// costs (count, mean/p50/p99 latency, mean dominance tests). Sorted
+	// by algorithm name; nil before the first executed query.
 	Costs []AlgorithmCost
 	// BandAnswers counts the queries answered, over the collection's
 	// life, by reading the band its stream source maintains (BandSource)
 	// instead of running an engine over the live set. They are cache
 	// misses, but not executed queries: none of them is in Costs.
 	BandAnswers uint64
-	// Planner holds the adaptive planner's data profile and decision
-	// tallies; nil until the first Algorithm: Auto query (or, for static
-	// collections, after the eager profile at Attach).
-	Planner *PlannerStats
 	// Durability holds WAL and checkpoint statistics for collections
 	// whose backing source persists itself (a durable
 	// stream.SkylineIndex); nil otherwise.
@@ -46,33 +41,6 @@ type CollectionStats struct {
 	// Placement describes the worker placement, health, and fan-out
 	// counters of a cluster-backed collection; nil for local ones.
 	Placement *PlacementStats
-}
-
-// PlannerStats is the observable state of a collection's adaptive
-// planner: the attach-time data profile and how its decisions have
-// distributed so far.
-type PlannerStats struct {
-	// Class is the profiled correlation class ("correlated",
-	// "independent", "anticorrelated"); MeanSpearman the mean pairwise
-	// Spearman rank correlation it derives from.
-	Class        string  `json:"class"`
-	MeanSpearman float64 `json:"meanSpearman"`
-	// SkylineFrac and SkylineEst are the estimated skyline fraction and
-	// cardinality of the full set; SampleN the profiled sample size.
-	SkylineFrac float64 `json:"skylineFrac"`
-	SkylineEst  int     `json:"skylineEst"`
-	SampleN     int     `json:"sampleN"`
-	// Decisions tallies Auto decisions by chosen plan, sorted for
-	// stable rendering.
-	Decisions []PlannerDecision `json:"decisions,omitempty"`
-}
-
-// PlannerDecision is one (plan, explore-mode) decision tally.
-type PlannerDecision struct {
-	Algorithm string `json:"algorithm"`
-	Shards    int    `json:"shards"`
-	Explore   bool   `json:"explore,omitempty"`
-	Count     uint64 `json:"count"`
 }
 
 // DurabilityStats reports the persistence-layer counters of a durable
@@ -115,28 +83,6 @@ func (c *Collection) Stats() (CollectionStats, error) {
 		Inflight:    c.inflight.Load(),
 		Costs:       c.costs.stats(),
 		BandAnswers: c.bandAnswers.Load(),
-	}
-	c.planMu.Lock()
-	pl := c.plan
-	c.planMu.Unlock()
-	if pl != nil {
-		prof := pl.Profile()
-		ps := &PlannerStats{
-			Class:        prof.Class,
-			MeanSpearman: prof.MeanRho,
-			SkylineFrac:  prof.SkylineFrac,
-			SkylineEst:   prof.SkylineEst,
-			SampleN:      prof.SampleN,
-		}
-		for _, dc := range pl.DecisionCounts() {
-			ps.Decisions = append(ps.Decisions, PlannerDecision{
-				Algorithm: dc.Algorithm,
-				Shards:    dc.Shards,
-				Explore:   dc.Explore,
-				Count:     dc.Count,
-			})
-		}
-		st.Planner = ps
 	}
 	c.back.describe(&st)
 	if c.dropped.Load() {

@@ -4,8 +4,6 @@ import (
 	"sort"
 	"sync"
 	"time"
-
-	"skybench/internal/planner"
 )
 
 // costWindow is the number of recent latency samples each (collection,
@@ -15,9 +13,8 @@ const costWindow = 256
 
 // AlgorithmCost is one collection's rolling cost statistics for one
 // algorithm: how often it ran, how long it took, and how much work it
-// did. This is the per-collection execution history the adaptive
-// planner (ROADMAP item 3) consumes to pick an algorithm per query;
-// it is exposed through CollectionStats.Costs.
+// did. It is exposed through CollectionStats.Costs, which `skyctl info`
+// prints.
 type AlgorithmCost struct {
 	// Algorithm is the algorithm's CLI name.
 	Algorithm string `json:"algorithm"`
@@ -30,13 +27,8 @@ type AlgorithmCost struct {
 	P50Latency time.Duration `json:"p50LatencyNs"`
 	P99Latency time.Duration `json:"p99LatencyNs"`
 	// MeanDominanceTests is the lifetime mean dominance-test count per
-	// run — the machine-independent cost signal, kept lifetime for
-	// `skyctl info`.
+	// run — the machine-independent cost signal.
 	MeanDominanceTests float64 `json:"meanDominanceTests"`
-	// WindowedMeanDominanceTests is the mean dominance-test count over
-	// the same last-costWindow runs the latency percentiles cover, so
-	// all planner signals decay at the same rate.
-	WindowedMeanDominanceTests float64 `json:"windowedMeanDominanceTests"`
 }
 
 // costTracker accumulates per-algorithm execution costs for one
@@ -52,10 +44,9 @@ type algoCost struct {
 	count    uint64
 	totalNs  int64
 	totalDTs uint64
-	window   [costWindow]int64  // latency ring, nanoseconds
-	dwin     [costWindow]uint64 // dominance-test ring, same positions
-	wn       int                // filled length
-	wi       int                // next write position
+	window   [costWindow]int64 // latency ring, nanoseconds
+	wn       int               // filled length
+	wi       int               // next write position
 }
 
 // record books one executed run.
@@ -73,7 +64,6 @@ func (t *costTracker) record(a Algorithm, elapsed time.Duration, dts uint64) {
 	c.totalNs += int64(elapsed)
 	c.totalDTs += dts
 	c.window[c.wi] = int64(elapsed)
-	c.dwin[c.wi] = dts
 	c.wi = (c.wi + 1) % costWindow
 	if c.wn < costWindow {
 		c.wn++
@@ -104,11 +94,6 @@ func (t *costTracker) stats() []AlgorithmCost {
 		if c.wn > 0 {
 			row.P50Latency = time.Duration(s[percentileIndex(c.wn, 50)])
 			row.P99Latency = time.Duration(s[percentileIndex(c.wn, 99)])
-			var dsum uint64
-			for _, d := range c.dwin[:c.wn] {
-				dsum += d
-			}
-			row.WindowedMeanDominanceTests = float64(dsum) / float64(c.wn)
 		}
 		out = append(out, row)
 	}
@@ -130,24 +115,4 @@ func percentileIndex(n, p int) int {
 		idx = n - 1
 	}
 	return idx
-}
-
-// plannerRows snapshots the tracker in the planner's input shape:
-// windowed signals only (p50 latency, windowed mean dominance tests),
-// both decaying at the same costWindow rate.
-func (t *costTracker) plannerRows() []planner.CostRow {
-	rows := t.stats()
-	if len(rows) == 0 {
-		return nil
-	}
-	out := make([]planner.CostRow, len(rows))
-	for i, r := range rows {
-		out[i] = planner.CostRow{
-			Algorithm: r.Algorithm,
-			Count:     r.Count,
-			P50:       r.P50Latency,
-			MeanDTs:   r.WindowedMeanDominanceTests,
-		}
-	}
-	return out
 }

@@ -58,41 +58,31 @@ func TestCostPercentileNearestRank(t *testing.T) {
 	}
 }
 
-// TestCostWindowedDominanceTests checks that the dominance-test signal
-// decays at the same costWindow rate as the latency percentiles, while
-// the lifetime mean keeps the full history.
-func TestCostWindowedDominanceTests(t *testing.T) {
+// TestCostWindowRollsOver: the latency percentiles cover only the last
+// costWindow runs, while the count and the means keep the whole history.
+func TestCostWindowRollsOver(t *testing.T) {
 	var tr costTracker
-	// costWindow runs at 1000 DTs each, then costWindow more at 0: the
-	// window now holds only the second half.
 	for i := 0; i < costWindow; i++ {
 		tr.record(QFlow, time.Millisecond, 1000)
 	}
 	for i := 0; i < costWindow; i++ {
-		tr.record(QFlow, time.Millisecond, 0)
+		tr.record(QFlow, 3*time.Millisecond, 0)
 	}
 	rows := tr.stats()
 	if len(rows) != 1 {
 		t.Fatalf("%d rows, want 1", len(rows))
 	}
 	row := rows[0]
-	if row.WindowedMeanDominanceTests != 0 {
-		t.Errorf("windowed mean = %v after the window rolled over, want 0", row.WindowedMeanDominanceTests)
+	if row.P50Latency != 3*time.Millisecond || row.P99Latency != 3*time.Millisecond {
+		t.Errorf("p50/p99 = %v/%v after the window rolled over, want 3ms", row.P50Latency, row.P99Latency)
+	}
+	if row.MeanLatency != 2*time.Millisecond {
+		t.Errorf("lifetime mean latency = %v, want 2ms", row.MeanLatency)
 	}
 	if row.MeanDominanceTests != 500 {
 		t.Errorf("lifetime mean = %v, want 500", row.MeanDominanceTests)
 	}
 	if row.Count != uint64(2*costWindow) {
 		t.Errorf("lifetime count = %d, want %d", row.Count, 2*costWindow)
-	}
-
-	// A partially filled window averages exactly what was recorded.
-	var tr2 costTracker
-	for i := 0; i < 10; i++ {
-		tr2.record(Hybrid, time.Millisecond, uint64(i))
-	}
-	rows2 := tr2.stats()
-	if got, want := rows2[0].WindowedMeanDominanceTests, 4.5; got != want {
-		t.Errorf("partial-window mean = %v, want %v", got, want)
 	}
 }

@@ -189,12 +189,11 @@ func (e *Engine) exec(ctx context.Context, ds *Dataset, q Query) (Result, error)
 		return Result{}, fmt.Errorf("%w: %d preferences for %d dimensions", ErrBadQuery, len(q.Prefs), ds.d)
 	}
 
-	// Auto is a Store-level meta-algorithm: the collection's planner
-	// resolves it to a concrete algorithm before the engine ever sees
-	// the query. A bare Engine has no profile or cost history to plan
-	// from, so reaching here with Auto is a caller error.
+	// Auto is a Store-level spelling: a collection resolves it to Hybrid
+	// at fan-out 1 before the engine ever sees the query, so reaching
+	// here with Auto is a caller error.
 	if q.Algorithm == Auto {
-		return Result{}, fmt.Errorf("%w: Algorithm %s requires a Store collection (the planner lives there); pick a concrete algorithm for Engine.Run", ErrBadQuery, Auto)
+		return Result{}, fmt.Errorf("%w: Algorithm %s is a Store collection's spelling of unsharded %s; name the algorithm for Engine.Run", ErrBadQuery, Auto, Hybrid)
 	}
 	// Only the Hybrid/Q-Flow hot paths use the pool-backed contexts;
 	// baselines spawn their own short-lived goroutines and allocate per

@@ -59,7 +59,8 @@ func (c *Collection) Submit(ctx context.Context, q Query) *Future {
 	f := &Future{done: make(chan struct{})}
 	adm, err := c.owner.beginAdmit()
 	if err != nil {
-		f.res, f.err = c.staleFallback(&q, err)
+		plan := c.resolve(&q)
+		f.res, f.err = c.staleFallback(&q, plan, err)
 		close(f.done)
 		return f
 	}
@@ -74,25 +75,11 @@ func (c *Collection) Submit(ctx context.Context, q Query) *Future {
 			adm.release()
 		}()
 		if err := adm.wait(ctx); err != nil {
-			f.res, f.err = c.staleFallback(&q, err)
+			plan := c.resolve(&q)
+			f.res, f.err = c.staleFallback(&q, plan, err)
 			return
 		}
 		f.res, f.hit, f.err = c.runReport(ctx, q)
 	}()
 	return f
-}
-
-// SubmitBatch submits every query concurrently and returns their
-// Futures in order — the batch form of Submit for callers answering
-// one request with several queries (multiple k cuts, several subspace
-// preferences, …). The engine's context free-list and shared worker
-// pool keep the fan-out from oversubscribing the machine; the Store's
-// admission bounds apply per query, so an oversized batch partially
-// admits and the overflow fails fast with ErrOverloaded.
-func (c *Collection) SubmitBatch(ctx context.Context, qs []Query) []*Future {
-	fs := make([]*Future, len(qs))
-	for i, q := range qs {
-		fs[i] = c.Submit(ctx, q)
-	}
-	return fs
 }

@@ -1,9 +1,9 @@
 // Package trace defines the engine-level cost counters behind query
 // tracing: the work measurements beyond the paper's per-phase timings
-// and dominance-test counts that an EXPLAIN ANALYZE-style trace (and
-// the adaptive planner's cost model) needs — prefilter effectiveness,
-// points surviving each phase, time spent in the three-key sort, and
-// how busy the dominance-test phases kept the worker team.
+// and dominance-test counts that an EXPLAIN ANALYZE-style trace needs —
+// prefilter effectiveness, points surviving each phase, time spent in
+// the three-key sort, and how busy the dominance-test phases kept the
+// worker team.
 //
 // The counters are plain integer stores accumulated unconditionally by
 // the core algorithms into scratch that already exists (stats.Stats

@@ -128,54 +128,74 @@ func TestStoreDeadline(t *testing.T) {
 // TestStoreStaleFallback: with AllowStale, a query that misses its
 // deadline serves the last cached result for its shape — marked Stale,
 // from the older epoch — instead of the error; without AllowStale the
-// error stands. The shared cache entry itself must never be tainted.
+// error stands. The shared cache entry itself must never be tainted. An
+// Auto query on a sharded collection degrades too: the fallback keys it
+// as its run stored it, as Hybrid at fan-out 1.
 func TestStoreStaleFallback(t *testing.T) {
-	st := skybench.NewStoreWithOptions(skybench.StoreOptions{Threads: 2, DefaultTimeout: 25 * time.Millisecond})
-	defer st.Close()
-	src := newGateSource(storeTestData(t, "anticorrelated", 300, 3, 6))
-	col, err := st.AttachStream("live", src, skybench.CollectionOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	ctx := context.Background()
+	for _, tc := range []struct {
+		name   string
+		shards int
+		algo   skybench.Algorithm
+	}{
+		{"hybrid", 1, skybench.Hybrid},
+		{"auto sharded", 2, skybench.Auto},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			st := skybench.NewStoreWithOptions(skybench.StoreOptions{Threads: 2, DefaultTimeout: 25 * time.Millisecond})
+			defer st.Close()
+			src := newGateSource(storeTestData(t, "anticorrelated", 300, 3, 6))
+			col, err := st.AttachStream("live", src, skybench.CollectionOptions{Shards: tc.shards})
+			if err != nil {
+				t.Fatal(err)
+			}
+			ctx := context.Background()
+			q := skybench.Query{SkybandK: 2, Algorithm: tc.algo}
 
-	// Warm the cache at epoch 1.
-	fresh, err := col.Run(ctx, skybench.Query{SkybandK: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if fresh.Stale {
-		t.Fatal("fresh result marked stale")
-	}
+			// Warm the cache at epoch 1.
+			fresh, err := col.Run(ctx, q)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if fresh.Stale {
+				t.Fatal("fresh result marked stale")
+			}
 
-	// Epoch advances and materialization stalls: fresh is impossible.
-	src.epoch.Store(2)
-	src.block.Store(true)
-	defer close(src.gate)
+			// Epoch advances and materialization stalls: fresh is impossible.
+			src.epoch.Store(2)
+			src.block.Store(true)
+			defer close(src.gate)
 
-	if _, err := col.Run(ctx, skybench.Query{SkybandK: 2}); !errors.Is(err, skybench.ErrDeadlineExceeded) {
-		t.Fatalf("without AllowStale = %v, want ErrDeadlineExceeded", err)
-	}
-	res, err := col.Run(ctx, skybench.Query{SkybandK: 2, AllowStale: true})
-	if err != nil {
-		t.Fatalf("AllowStale degradation failed: %v", err)
-	}
-	if !res.Stale {
-		t.Fatal("degraded result not marked Stale")
-	}
-	if res.Epoch != fresh.Epoch {
-		t.Fatalf("stale result from epoch %d, want cached epoch %d", res.Epoch, fresh.Epoch)
-	}
-	if !slices.Equal(res.Indices, fresh.Indices) {
-		t.Fatal("stale result differs from the cached one")
-	}
-	if fresh.Stale {
-		t.Fatal("degradation tainted the shared cache entry")
-	}
-	// A different query shape has no cached result: the error stands
-	// even with AllowStale.
-	if _, err := col.Run(ctx, skybench.Query{SkybandK: 3, AllowStale: true}); !errors.Is(err, skybench.ErrDeadlineExceeded) {
-		t.Fatalf("AllowStale with cold shape = %v, want ErrDeadlineExceeded", err)
+			if _, err := col.Run(ctx, q); !errors.Is(err, skybench.ErrDeadlineExceeded) {
+				t.Fatalf("without AllowStale = %v, want ErrDeadlineExceeded", err)
+			}
+			stale := q
+			stale.AllowStale = true
+			res, err := col.Run(ctx, stale)
+			if err != nil {
+				t.Fatalf("AllowStale degradation failed: %v", err)
+			}
+			if !res.Stale {
+				t.Fatal("degraded result not marked Stale")
+			}
+			if res.Epoch != fresh.Epoch {
+				t.Fatalf("stale result from epoch %d, want cached epoch %d", res.Epoch, fresh.Epoch)
+			}
+			if !slices.Equal(res.Indices, fresh.Indices) || !slices.Equal(res.Counts, fresh.Counts) {
+				t.Fatal("stale result differs from the cached one")
+			}
+			if (res.Plan == nil) != (fresh.Plan == nil) {
+				t.Fatalf("stale plan %+v, fresh plan %+v", res.Plan, fresh.Plan)
+			}
+			if fresh.Stale {
+				t.Fatal("degradation tainted the shared cache entry")
+			}
+			// A different query shape has no cached result: the error stands
+			// even with AllowStale.
+			stale.SkybandK = 3
+			if _, err := col.Run(ctx, stale); !errors.Is(err, skybench.ErrDeadlineExceeded) {
+				t.Fatalf("AllowStale with cold shape = %v, want ErrDeadlineExceeded", err)
+			}
+		})
 	}
 }
 

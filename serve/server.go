@@ -123,9 +123,6 @@ type Server struct {
 	algoDur  *metrics.HistogramVec // {collection, algorithm}
 	algoDTs  *metrics.HistogramVec // {collection, algorithm}
 
-	// Adaptive planner decisions, counted per algorithm "auto" query.
-	planDecisions *metrics.CounterVec // {collection, algorithm, explore}
-
 	// Durability gauges, sampled at scrape from CollectionStats.
 	walFsyncs   *metrics.GaugeVec // {collection}
 	walFsyncNs  *metrics.GaugeVec
@@ -184,7 +181,6 @@ func New(st *skybench.Store, opts Options) *Server {
 	s.phaseDur = r.NewHistogramVec("skyserved_query_phase_seconds", "Engine time per execution phase, executed queries only.", nil, "collection", "phase")
 	s.algoDur = r.NewHistogramVec("skyserved_query_algorithm_seconds", "Engine service time by algorithm, executed queries only.", nil, "collection", "algorithm")
 	s.algoDTs = r.NewHistogramVec("skyserved_query_dominance_tests", "Dominance tests per executed query, by algorithm.", dtBuckets, "collection", "algorithm")
-	s.planDecisions = r.NewCounterVec("skyserved_planner_decisions_total", "Adaptive planner decisions for algorithm auto queries, by chosen algorithm and explore flag.", "collection", "algorithm", "explore")
 	s.walFsyncs = r.NewGaugeVec("skyserved_wal_fsyncs", "WAL fsyncs (lifetime, sampled at scrape).", "collection")
 	s.walFsyncNs = r.NewGaugeVec("skyserved_wal_fsync_nanoseconds", "Total time in WAL fsyncs (lifetime, sampled at scrape).", "collection")
 	s.walSegments = r.NewGaugeVec("skyserved_wal_segments", "Live WAL segment files at scrape time.", "collection")
@@ -473,10 +469,8 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request, obs *observ
 	obs.cacheHit = fut.CacheHit()
 	obs.trace = res.Trace
 	if res.Plan != nil {
-		// An "auto" query resolved to a concrete plan: count the decision
-		// and attribute the engine cost (and the event-log record) to the
-		// algorithm that actually ran, not the "auto" placeholder.
-		s.planDecisions.With(name, res.Plan.Algorithm, strconv.FormatBool(res.Plan.Explore)).Inc()
+		// An "auto" query ran as a concrete algorithm: attribute the
+		// engine cost (and the event-log record) to it, not to "auto".
 		obs.algorithm = res.Plan.Algorithm
 	}
 	// A band answer ran on no thread and made no dominance test; every
@@ -879,7 +873,6 @@ func (s *Server) collectionInfo(name string) (CollectionInfo, error) {
 		Subscribers:  s.subs.With(name).Value(),
 		Costs:        cs.Costs,
 		BandAnswers:  cs.BandAnswers,
-		Planner:      cs.Planner,
 		Durability:   cs.Durability,
 		Cluster:      cs.Placement,
 	}

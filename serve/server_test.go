@@ -825,10 +825,10 @@ func (s *safeBuffer) String() string {
 // srvURL digs the base URL back out of a client for the raw-HTTP cases.
 func srvURL(c *client.Client) string { return c.BaseURL() }
 
-// TestAutoQueryWire: an Algorithm "auto" query over the wire must carry
-// the planner's decision in the response, tally it in the
-// per-decision metric family, and surface the collection's profile and
-// decision counts through info.
+// TestAutoQueryWire: an Algorithm "auto" query over the wire reports
+// what it ran as — {hybrid, 1}, in the response and in its trace — and
+// its cost is booked under hybrid, never "auto", with no planner family
+// in the exposition.
 func TestAutoQueryWire(t *testing.T) {
 	srv, c := newTestServer(t, skybench.StoreOptions{Threads: 2}, serve.Options{})
 	path := genCSV(t, 800, 4, 17)
@@ -841,50 +841,33 @@ func TestAutoQueryWire(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Planner == nil {
-		t.Fatal("auto query response carries no planner decision")
+	want := skybench.PlannerTrace{Algorithm: "hybrid", Shards: 1}
+	if res.Planner == nil || *res.Planner != want {
+		t.Fatalf("auto response planner %+v, want %+v", res.Planner, want)
 	}
-	if res.Planner.Algorithm != "hybrid" && res.Planner.Algorithm != "qflow" {
-		t.Errorf("planner chose %q, want a hot-path algorithm", res.Planner.Algorithm)
-	}
-	if res.Trace == nil || res.Trace.Planner == nil {
-		t.Fatal("traced auto query carries no trace.planner")
-	}
-	if !reflect.DeepEqual(res.Trace.Planner, res.Planner) {
-		t.Errorf("trace.planner and response planner diverge:\n%+v\n%+v", res.Trace.Planner, res.Planner)
+	if res.Trace == nil || !reflect.DeepEqual(res.Trace.Planner, res.Planner) {
+		t.Errorf("trace.planner and response planner diverge: %+v", res.Trace)
 	}
 
 	text, err := c.Metrics(ctx)
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := fmt.Sprintf(`skyserved_planner_decisions_total{collection="hotels",algorithm=%q`, res.Planner.Algorithm)
-	if !strings.Contains(text, want) {
-		t.Errorf("exposition lacks %s", want)
+	if !strings.Contains(text, `skyserved_query_algorithm_seconds_count{collection="hotels",algorithm="hybrid"} 1`) {
+		t.Error("exposition books no hybrid run for the auto query")
 	}
-	// Cost attribution must follow the resolved algorithm, never "auto".
-	if strings.Contains(text, `algorithm="auto"`) {
-		t.Error(`exposition attributes cost to algorithm="auto"`)
+	if strings.Contains(text, `algorithm="auto"`) || strings.Contains(text, "planner") {
+		t.Error(`exposition attributes cost to algorithm="auto" or has a planner family`)
 	}
 	if err := metrics.Lint(strings.NewReader(text)); err != nil {
-		t.Errorf("exposition with planner family does not lint: %v", err)
+		t.Errorf("exposition does not lint: %v", err)
 	}
 
 	info, err := c.Info(ctx, "hotels")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if info.Planner == nil {
-		t.Fatal("collection info carries no planner section after an auto query")
-	}
-	if info.Planner.Class == "" || info.Planner.SampleN == 0 {
-		t.Errorf("planner info missing profile: %+v", info.Planner)
-	}
-	var total uint64
-	for _, d := range info.Planner.Decisions {
-		total += d.Count
-	}
-	if total != 1 {
-		t.Errorf("planner decision counts sum to %d, want 1", total)
+	if len(info.Costs) != 1 || info.Costs[0].Algorithm != "hybrid" || info.Costs[0].Count != 1 {
+		t.Errorf("info costs %+v, want one hybrid run", info.Costs)
 	}
 }

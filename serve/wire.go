@@ -104,8 +104,9 @@ type QueryHead struct {
 	// trace. skybench.QueryTrace marshals durations as integer
 	// nanoseconds, so the trace round-trips the wire exactly.
 	Trace *skybench.QueryTrace `json:"trace,omitempty"`
-	// Planner is the adaptive planner's decision, present only for
-	// algorithm "auto" requests (traced or not).
+	// Planner records what an algorithm "auto" request ran as
+	// (skybench.QueryResult.Plan), present only for those requests,
+	// traced or not.
 	Planner *skybench.PlannerTrace `json:"planner,omitempty"`
 }
 
@@ -165,9 +166,6 @@ type CollectionInfo struct {
 	// reading the band its index maintains instead of running an engine
 	// (skybench.CollectionStats.BandAnswers); they book no Costs row.
 	BandAnswers uint64 `json:"bandAnswers,omitempty"`
-	// Planner is the adaptive planner's profile and decision tallies,
-	// absent until the collection has been profiled.
-	Planner *skybench.PlannerStats `json:"planner,omitempty"`
 	// Durability carries WAL and checkpoint counters for durable
 	// stream collections; absent otherwise.
 	Durability *skybench.DurabilityStats `json:"durability,omitempty"`

@@ -73,13 +73,14 @@ const (
 	BSkyTree
 	// PBSkyTree is the paper's parallelization of BSkyTree (Appendix A).
 	PBSkyTree
-	// Auto delegates the algorithm choice (and shard fan-out and α/β
-	// tuning) to the collection's adaptive planner, which combines an
-	// attach-time data profile with the rolling per-algorithm cost
-	// history. Auto is only valid on Store collections — a plain
-	// Engine.Run has no profile or history to plan from and rejects it
-	// with ErrBadQuery. It is deliberately absent from Algorithms: it is
-	// a meta-algorithm, not an extra comparison point.
+	// Auto leaves the choice to the collection, which runs the paper's
+	// recommendation: Hybrid at its defaults (tuning the query sets
+	// stays), unsharded whatever CollectionOptions.Shards says — measured
+	// to be within noise of the best fixed choice on every shape
+	// (DESIGN.md §14). QueryResult.Plan records it. Auto is only valid on
+	// Store collections; a plain Engine.Run rejects it with ErrBadQuery.
+	// It is deliberately absent from Algorithms: it is a spelling, not an
+	// extra comparison point.
 	Auto
 )
 

@@ -56,7 +56,7 @@ type StoreOptions struct {
 	// the caller keeps ownership of (Store.Close does not close it).
 	Engine *Engine
 	// MaxInflight bounds how many submitted queries may execute
-	// concurrently (Submit/SubmitBatch; synchronous Run is the caller's
+	// concurrently (Submit; synchronous Run is the caller's
 	// own concurrency and is not throttled). ≤ 0 means unlimited.
 	MaxInflight int
 	// MaxQueue bounds how many submitted queries may wait for an
@@ -149,12 +149,6 @@ func (s *Store) Attach(name string, ds *Dataset, opts CollectionOptions) (*Colle
 	if err := s.add(name, c); err != nil {
 		return nil, err
 	}
-	// Profile eagerly: a static collection's membership never changes,
-	// so the planner's data profile is paid for once at attach time and
-	// the first Algorithm: Auto query plans from it immediately.
-	// (Stream-backed collections profile lazily on first Auto query —
-	// their membership at attach time may be empty.)
-	c.plannerFor(snap)
 	return c, nil
 }
 

@@ -550,8 +550,8 @@ func TestStoreErrors(t *testing.T) {
 }
 
 // TestCollectionSubmit covers the async surface: futures deliver what
-// Run would, batches fan out, and Wait detaches on a dead context
-// without killing the query.
+// Run would, several in flight at once, and Wait detaches on a dead
+// context without killing the query.
 func TestCollectionSubmit(t *testing.T) {
 	rows := storeTestData(t, "anticorrelated", 2000, 4, 9)
 	ds, err := skybench.NewDataset(rows)
@@ -579,8 +579,11 @@ func TestCollectionSubmit(t *testing.T) {
 		t.Error("future did not serve the cached handle Run produced")
 	}
 
-	qs := []skybench.Query{{}, {SkybandK: 2}, {Algorithm: skybench.QFlow}}
-	for i, f := range col.SubmitBatch(ctx, qs) {
+	var fs []*skybench.Future
+	for _, q := range []skybench.Query{{}, {SkybandK: 2}, {Algorithm: skybench.QFlow}} {
+		fs = append(fs, col.Submit(ctx, q))
+	}
+	for i, f := range fs {
 		res, err := f.Wait(ctx)
 		if err != nil {
 			t.Fatalf("batch query %d: %v", i, err)

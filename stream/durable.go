@@ -550,10 +550,20 @@ func readCheckpoint(path string) (*checkpoint, error) {
 	if err != nil {
 		return nil, err
 	}
+	return decodeCheckpoint(filepath.Base(path), data)
+}
+
+// decodeCheckpoint parses the bytes of the checkpoint file called name,
+// failing with ErrCorruptWAL on anything malformed. Every count in the
+// file is checked against the bytes left before anything is allocated
+// for it, by division, so no value a CRC-valid file holds can overflow
+// the check.
+func decodeCheckpoint(name string, data []byte) (*checkpoint, error) {
 	corrupt := func(what string) (*checkpoint, error) {
-		return nil, fmt.Errorf("%w: checkpoint %s: %s", skybench.ErrCorruptWAL, filepath.Base(path), what)
+		return nil, fmt.Errorf("%w: checkpoint %s: %s", skybench.ErrCorruptWAL, name, what)
 	}
-	if len(data) < 52 {
+	// Header (48 bytes), live count (8) and CRC (4).
+	if len(data) < 60 {
 		return corrupt("truncated")
 	}
 	le := binary.LittleEndian
@@ -579,7 +589,7 @@ func readCheckpoint(path string) (*checkpoint, error) {
 	n := int(le.Uint64(body[off:]))
 	off += 8
 	rowBytes := 8 + ck.d*8
-	if n < 0 || len(body)-off < n*rowBytes {
+	if n < 0 || n > (len(body)-off)/rowBytes {
 		return corrupt("live set overruns file")
 	}
 	ck.ids = make([]uint64, n)
@@ -597,7 +607,7 @@ func readCheckpoint(path string) (*checkpoint, error) {
 	}
 	m := int(le.Uint64(body[off:]))
 	off += 8
-	if m < 0 || len(body)-off != m*12 {
+	if rest := len(body) - off; m < 0 || rest%12 != 0 || m != rest/12 {
 		return corrupt("band section size mismatch")
 	}
 	ck.bandIDs = make([]uint64, m)

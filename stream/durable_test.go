@@ -628,7 +628,7 @@ func TestRebuildRetries(t *testing.T) {
 					t.Fatal(err)
 				}
 			}
-			x.Rebuild()
+			x.rebuild()
 			if got := in.Hits("stream.rebuild"); got == 0 {
 				t.Fatal("rebuild fault site never hit")
 			}

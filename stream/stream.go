@@ -481,9 +481,9 @@ func (x *SkylineIndex) deleteSlotLocked(id ID, slot int32) {
 	x.finishOp()
 }
 
-// Rebuild forces one full recompute and internal rebalance, as
-// escalation would. Rarely needed; exposed for benchmarks and tests.
-func (x *SkylineIndex) Rebuild() {
+// rebuild forces one full recompute and internal rebalance, as
+// escalation would; the tests drive it.
+func (x *SkylineIndex) rebuild() {
 	x.mu.Lock()
 	defer x.mu.Unlock()
 	if x.closed {

@@ -470,7 +470,7 @@ func TestForcedRebuildKeepsState(t *testing.T) {
 	}
 	before := slices.Clone(ix.Snapshot().IDs())
 	slices.Sort(before)
-	ix.Rebuild()
+	ix.rebuild()
 	after := slices.Clone(ix.Snapshot().IDs())
 	slices.Sort(after)
 	if !slices.Equal(before, after) {

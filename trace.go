@@ -88,48 +88,23 @@ type QueryTrace struct {
 	// may itself have fanned out locally. Only cluster-backed
 	// collections set it.
 	Workers []WorkerTrace `json:"workers,omitempty"`
-	// Planner records the adaptive planner's decision for an
-	// Algorithm: Auto query — profile inputs, candidate scores, and the
-	// chosen plan. Nil for queries that named their algorithm.
+	// Planner records what an Algorithm: Auto query ran as (the same
+	// record as QueryResult.Plan). Nil for queries that named their
+	// algorithm.
 	Planner *PlannerTrace `json:"planner,omitempty"`
 }
 
-// PlannerTrace is the planner's account of one Auto decision: what it
-// knew (the data profile), what it considered (the scored candidates),
-// and what it chose (algorithm, fan-out, tuning, explore/exploit).
+// PlannerTrace records what an Algorithm: Auto query ran as. Auto is a
+// fixed resolution, not a choice: Hybrid at the paper's defaults (any
+// tuning the query set stays), run unsharded (DESIGN.md §14).
 type PlannerTrace struct {
-	// Class, MeanRho, SkylineFrac, SkylineEst and SampleN are the
-	// attach-time data-profile inputs (see planner.Profile).
-	Class       string  `json:"class"`
-	MeanRho     float64 `json:"mean_spearman"`
-	SkylineFrac float64 `json:"skyline_frac"`
-	SkylineEst  int     `json:"skyline_est"`
-	SampleN     int     `json:"sample_n"`
-	// Algorithm, Shards, Alpha, Beta and NoPrefilter are the chosen
-	// plan as it was written into the executed query.
-	Algorithm   string `json:"algorithm"`
-	Shards      int    `json:"shards"`
-	Alpha       int    `json:"alpha,omitempty"`
-	Beta        int    `json:"beta,omitempty"`
-	NoPrefilter bool   `json:"no_prefilter,omitempty"`
-	// Explore marks an ε-greedy exploration of an under-sampled arm;
-	// Reason says why the plan won in either mode.
-	Explore bool   `json:"explore,omitempty"`
-	Reason  string `json:"reason"`
-	// Candidates are every arm the planner scored.
-	Candidates []PlannerCandidate `json:"candidates,omitempty"`
-}
-
-// PlannerCandidate is one scored (algorithm, fan-out) arm.
-type PlannerCandidate struct {
+	// Algorithm is the CLI name of the algorithm that ran: "hybrid".
 	Algorithm string `json:"algorithm"`
-	Shards    int    `json:"shards"`
-	// Predicted is the arm's predicted latency: its own windowed p50
-	// when Source is "history", the profile-driven cost model's price
-	// when Source is "model".
-	Predicted time.Duration `json:"predicted_ns"`
-	Source    string        `json:"source"`
-	Samples   int           `json:"samples"`
+	// Shards is the fan-out it ran at: 1, whatever the collection's
+	// CollectionOptions.Shards.
+	Shards int `json:"shards"`
+	// Explore is always false: nothing is chosen by trial.
+	Explore bool `json:"explore,omitempty"`
 }
 
 // ShardTrace is the per-shard slice of a sharded query's trace.
@@ -225,14 +200,7 @@ func (t *QueryTrace) String() string {
 		b.WriteString(" partial=true")
 	}
 	if p := t.Planner; p != nil {
-		fmt.Fprintf(&b, "\nplanner: class=%s rho=%.3f sky_frac=%.3f sky_est=%d sample=%d",
-			p.Class, p.MeanRho, p.SkylineFrac, p.SkylineEst, p.SampleN)
-		fmt.Fprintf(&b, "\nplanner: chose %s shards=%d alpha=%d beta=%d no_prefilter=%v explore=%v (%s)",
-			p.Algorithm, p.Shards, p.Alpha, p.Beta, p.NoPrefilter, p.Explore, p.Reason)
-		for _, c := range p.Candidates {
-			fmt.Fprintf(&b, "\n  candidate %s/%d: predicted=%v source=%s samples=%d",
-				c.Algorithm, c.Shards, c.Predicted.Round(time.Microsecond), c.Source, c.Samples)
-		}
+		fmt.Fprintf(&b, "\nauto: ran %s shards=%d", p.Algorithm, p.Shards)
 	}
 	fmt.Fprintf(&b, "\ninput=%d output=%d elapsed=%v", t.InputSize, t.Output, t.Elapsed.Round(time.Microsecond))
 	if t.CacheHit || t.Band {
@@ -275,7 +243,7 @@ func (t *QueryTrace) String() string {
 }
 
 // Clone returns a deep copy of the trace (detaching the Shards and
-// Workers slices and the planner decision).
+// Workers slices and the Auto record).
 func (t *QueryTrace) Clone() *QueryTrace {
 	if t == nil {
 		return nil
@@ -289,9 +257,6 @@ func (t *QueryTrace) Clone() *QueryTrace {
 	}
 	if t.Planner != nil {
 		p := *t.Planner
-		if p.Candidates != nil {
-			p.Candidates = append([]PlannerCandidate(nil), p.Candidates...)
-		}
 		c.Planner = &p
 	}
 	return &c
