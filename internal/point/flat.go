@@ -69,10 +69,11 @@ func dominatesRow(r, q []float64) bool {
 // can be filed under that skyline point's exclusive-dominance bucket.
 //
 // l1, when non-nil, holds the L1 norm of every row and prunes rows with
-// l1[j] >= qL1 before the dominance test: a dominator is componentwise no
-// worse and strictly better somewhere, so its L1 norm is strictly smaller
-// (footnote 2 of the paper). *dts is advanced by the number of dominance
-// tests actually performed.
+// l1[j] > qL1 before the dominance test: a dominator is componentwise no
+// worse, and rounded addition is monotone, so its computed norm is no
+// larger (footnote 2 of the paper; strictly smaller only in exact
+// arithmetic). *dts is advanced by the number of dominance tests
+// actually performed.
 func FirstDominatorInFlatRun(rows []float64, d, lo, hi int, q []float64, qL1 float64, l1 []float64, dts *uint64) int {
 	switch d {
 	case 4:
@@ -90,7 +91,7 @@ func firstDomGeneric(rows []float64, d, lo, hi int, q []float64, qL1 float64, l1
 	n := *dts
 	off := lo * d
 	for j := lo; j < hi; j, off = j+1, off+d {
-		if l1 != nil && l1[j] >= qL1 {
+		if l1 != nil && l1[j] > qL1 {
 			continue
 		}
 		n++
@@ -108,7 +109,7 @@ func firstDom4(rows []float64, lo, hi int, q []float64, qL1 float64, l1 []float6
 	n := *dts
 	off := lo * 4
 	for j := lo; j < hi; j, off = j+1, off+4 {
-		if l1 != nil && l1[j] >= qL1 {
+		if l1 != nil && l1[j] > qL1 {
 			continue
 		}
 		n++
@@ -130,7 +131,7 @@ func firstDom6(rows []float64, lo, hi int, q []float64, qL1 float64, l1 []float6
 	n := *dts
 	off := lo * 6
 	for j := lo; j < hi; j, off = j+1, off+6 {
-		if l1 != nil && l1[j] >= qL1 {
+		if l1 != nil && l1[j] > qL1 {
 			continue
 		}
 		n++
@@ -152,7 +153,7 @@ func firstDom8(rows []float64, lo, hi int, q []float64, qL1 float64, l1 []float6
 	n := *dts
 	off := lo * 8
 	for j := lo; j < hi; j, off = j+1, off+8 {
-		if l1 != nil && l1[j] >= qL1 {
+		if l1 != nil && l1[j] > qL1 {
 			continue
 		}
 		n++

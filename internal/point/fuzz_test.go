@@ -105,18 +105,13 @@ func FuzzFirstDominatorInFlatRun(f *testing.F) {
 		}
 		qL1 := L1(q)
 
-		// The oracle mirrors the kernel's contract, not the mathematical
-		// claim behind it: rows with l1[j] >= qL1 are skipped unexamined.
-		// (In exact arithmetic a dominator always has a strictly smaller
-		// L1 norm; under float absorption — 1e300 + 0.5 == 1e300 — the
-		// computed norms can tie, which is why huge-magnitude data is a
-		// documented precondition violation of the L1-ordered pipeline
-		// rather than a kernel bug. See DESIGN.md §9.)
+		// The oracle is the unfiltered scan: the kernel skips only rows
+		// with l1[j] > qL1, and rounded addition is monotone, so a
+		// dominator's computed norm never exceeds the probe's — even under
+		// absorption (1e300 + 0.5 == 1e300), where the norms tie. A NaN
+		// norm compares false and is never skipped. See DESIGN.md §9.
 		want := -1
 		for j := 0; j < n; j++ {
-			if l1[j] >= qL1 {
-				continue
-			}
 			if dominatesOracle(rows[j*d:(j+1)*d], q) {
 				want = j
 				break

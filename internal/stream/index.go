@@ -36,7 +36,9 @@
 package stream
 
 import (
+	"cmp"
 	"slices"
+	"sort"
 
 	"skybench/internal/point"
 )
@@ -301,12 +303,12 @@ func (ix *Index) classify(slot int32) bool {
 	}
 
 	// Fewer than k band dominators: q enters the band. Its arrival adds
-	// one dominator to every band member it dominates (a dominated row
-	// needs a strictly larger L1 norm, so most rows are pruned by one
+	// one dominator to every band member it dominates (a dominated row's
+	// computed L1 norm is no smaller, so most rows are pruned by one
 	// comparison); members reaching k dominators are demoted.
 	ix.demoted = ix.demoted[:0]
 	for p := 0; p < ns; p++ {
-		if ix.skyL1[p] <= qL1 {
+		if ix.skyL1[p] < qL1 {
 			continue
 		}
 		ix.stats.DominanceTests++
@@ -364,19 +366,7 @@ func (ix *Index) registerDemoted(s, newOwner int32) {
 		ix.registerOne(s, newOwner)
 		return
 	}
-	q := ix.Row(s)
-	qL1 := ix.l1[s]
-	ix.doms = point.AppendDominatorsInFlatRun(ix.doms[:0], ix.skyVals, ix.d, 0, len(ix.skySlots), q, qL1, ix.skyL1, ix.k, &ix.stats.DominanceTests)
-	if len(ix.doms) < ix.k {
-		// The L1 prefilter can hide a dominator whose computed norm tied
-		// the probe's by float absorption; rescan without it. The counts
-		// themselves are maintained by exact dominance tests, so the
-		// unfiltered scan always finds the k dominators the count names.
-		ix.doms = point.AppendDominatorsInFlatRun(ix.doms[:0], ix.skyVals, ix.d, 0, len(ix.skySlots), q, qL1, nil, ix.k, &ix.stats.DominanceTests)
-		if len(ix.doms) < ix.k {
-			panic("stream: demoted point has fewer dominators than its maintained count")
-		}
-	}
+	ix.doms = point.AppendDominatorsInFlatRun(ix.doms[:0], ix.skyVals, ix.d, 0, len(ix.skySlots), ix.Row(s), ix.l1[s], ix.skyL1, ix.k, &ix.stats.DominanceTests)
 	ix.registerAll(s, ix.doms)
 }
 
@@ -425,7 +415,7 @@ func (ix *Index) Delete(slot int32) bool {
 		d := ix.d
 		sL1 := ix.l1[slot]
 		for p := 0; p < len(ix.skySlots); p++ {
-			if ix.skyL1[p] <= sL1 {
+			if ix.skyL1[p] < sL1 {
 				continue
 			}
 			ix.stats.DominanceTests++
@@ -441,19 +431,11 @@ func (ix *Index) Delete(slot int32) bool {
 	ix.buckets[slot] = members[:0]
 	ix.freeSlot(slot)
 
-	// Re-resolve orphans in ascending L1 order: an orphan promoted into
-	// the band is then visible to the scans of later orphans (which have
-	// the larger norms and may be dominated by it), keeping every
-	// count and registration exact.
-	slices.SortFunc(ix.detached, func(a, b int32) int {
-		switch la, lb := ix.l1[a], ix.l1[b]; {
-		case la < lb:
-			return -1
-		case la > lb:
-			return 1
-		}
-		return 0
-	})
+	// Re-resolve orphans in ascending key order: an orphan promoted into
+	// the band is then visible to the scans of later orphans (which may
+	// be dominated by it, never dominate it), keeping every count and
+	// registration exact.
+	slices.SortFunc(ix.detached, ix.byKey)
 	for _, m := range ix.detached {
 		ix.resolveOrphan(m, slot)
 	}
@@ -492,10 +474,7 @@ func (ix *Index) resolveOrphan(m, gone int32) {
 	}
 	// Scan the band for a dominator of m not already registered (entry j
 	// still holds the freed gone slot, which can never match a band
-	// member, so the helper's full-list duplicate check is exact here —
-	// and it retries unfiltered when float absorption hides a dominator
-	// behind a tied L1 norm, so a point with a k-th band dominator is
-	// never promoted by mistake).
+	// member, so the helper's full-list duplicate check is exact here).
 	if s := ix.findUnregisteredDominator(m); s >= 0 {
 		// Replacement found: m keeps k registered dominators and stays
 		// out of band.
@@ -515,6 +494,18 @@ func (ix *Index) resolveOrphan(m, gone int32) {
 	ix.appendSkyline(m)
 	ix.emitEnter(m)
 	ix.stats.Resurrections++
+}
+
+// byKey orders slots by computed L1 norm, ties broken by comparing the
+// coordinates lexicographically. That is a linear extension of
+// dominance: a dominator's computed norm is no larger (rounded addition
+// is monotone), and on a tie it is smaller at the first coordinate
+// where the two rows differ.
+func (ix *Index) byKey(a, b int32) int {
+	if c := cmp.Compare(ix.l1[a], ix.l1[b]); c != 0 {
+		return c
+	}
+	return slices.Compare(ix.Row(a), ix.Row(b))
 }
 
 // shouldRebuild reports whether pending units of re-resolution work, on
@@ -550,8 +541,8 @@ func (ix *Index) rebuild() {
 
 	// Record the pre-rebuild membership so the net change can be
 	// emitted, and gather the live set densely, sorted by L1 ascending:
-	// the in-order classification below depends on the order (nothing
-	// is ever demoted when dominators are always inserted first), and
+	// the in-order classification below is cheap in that order (almost
+	// nothing is demoted when dominators are inserted first), and
 	// it leaves the rebuilt band matrix sorted so future insert scans
 	// meet likely dominators first.
 	if cap(ix.wasSky) < len(ix.owner) {
@@ -565,15 +556,7 @@ func (ix *Index) rebuild() {
 			ix.gatherIdx = append(ix.gatherIdx, int32(s))
 		}
 	}
-	slices.SortFunc(ix.gatherIdx, func(a, b int32) int {
-		switch la, lb := ix.l1[a], ix.l1[b]; {
-		case la < lb:
-			return -1
-		case la > lb:
-			return 1
-		}
-		return 0
-	})
+	slices.SortFunc(ix.gatherIdx, func(a, b int32) int { return cmp.Compare(ix.l1[a], ix.l1[b]) })
 
 	// Reset placement. Buckets are emptied in place so their capacity
 	// survives for the refill; registrations are overwritten when each
@@ -601,10 +584,11 @@ func (ix *Index) rebuild() {
 
 	ix.rebuildMu = true
 	if sky == nil {
-		// Built-in sequential path: classify in ascending L1 order. No
-		// point can dominate an earlier one, so nothing is ever demoted —
-		// each point either joins the band for good, with its exact
-		// dominator count, or is registered under its first k dominators.
+		// Built-in sequential path: classify in ascending L1 order. Only
+		// an equal-norm point can dominate an earlier one, so demotions
+		// are rare — almost every point either joins the band for good,
+		// with its exact dominator count, or is registered under its
+		// first k dominators.
 		for _, s := range ix.gatherIdx {
 			ix.classify(s)
 		}
@@ -612,8 +596,8 @@ func (ix *Index) rebuild() {
 		// Hook path: mark membership and counts, append the band rows
 		// (already in ascending L1 order thanks to the sorted gather),
 		// then register every out-of-band point under the first k
-		// dominators in the sorted band prefix with strictly smaller
-		// norms.
+		// dominators in the sorted band prefix with norms no larger than
+		// its own (a tie can hide a dominator, never a larger norm).
 		inSky := make([]bool, n)
 		for pos, i := range sky {
 			inSky[i] = true
@@ -633,7 +617,7 @@ func (ix *Index) rebuild() {
 				continue
 			}
 			qL1 := ix.l1[s]
-			hi, _ := slices.BinarySearch(ix.skyL1, qL1)
+			hi := sort.Search(len(ix.skyL1), func(p int) bool { return ix.skyL1[p] > qL1 })
 			if k == 1 {
 				j := point.FirstDominatorInFlatRun(ix.skyVals, d, 0, hi, ix.Row(s), qL1, nil, &ix.stats.DominanceTests)
 				if j < 0 {
@@ -806,37 +790,31 @@ func (ix *Index) repointReg(slot, oldOwner, newOwner int32) {
 
 // findUnregisteredDominator scans the band for a dominator of slot that
 // is not currently among slot's registration entries, returning its
-// slot or -1. The L1-prefiltered scan is retried unfiltered before
-// giving up, for the same float-absorption reason as registerDemoted.
+// slot or -1.
 func (ix *Index) findUnregisteredDominator(slot int32) int32 {
-	for _, filtered := range []bool{true, false} {
-		d := ix.d
-		k := ix.k
-		base := int(slot) * k
-		qOff := int(slot) * d
-		qL1 := ix.l1[slot]
-		for p := 0; p < len(ix.skySlots); p++ {
-			if filtered && ix.skyL1[p] >= qL1 {
-				continue
+	d := ix.d
+	k := ix.k
+	base := int(slot) * k
+	qOff := int(slot) * d
+	qL1 := ix.l1[slot]
+	for p := 0; p < len(ix.skySlots); p++ {
+		if ix.skyL1[p] > qL1 {
+			continue
+		}
+		ix.stats.DominanceTests++
+		if !point.DominatesFlat2(ix.skyVals, p*d, ix.vals, qOff, d) {
+			continue
+		}
+		s := ix.skySlots[p]
+		already := false
+		for i := 0; i < k; i++ {
+			if ix.regO[base+i] == s {
+				already = true
+				break
 			}
-			if !filtered && ix.skyL1[p] < qL1 {
-				continue // pass 1 already tested this row
-			}
-			ix.stats.DominanceTests++
-			if !point.DominatesFlat2(ix.skyVals, p*d, ix.vals, qOff, d) {
-				continue
-			}
-			s := ix.skySlots[p]
-			already := false
-			for i := 0; i < k; i++ {
-				if ix.regO[base+i] == s {
-					already = true
-					break
-				}
-			}
-			if !already {
-				return s
-			}
+		}
+		if !already {
+			return s
 		}
 	}
 	return -1

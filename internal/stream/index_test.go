@@ -304,6 +304,42 @@ func TestIndexKGENn(t *testing.T) {
 	}
 }
 
+// TestIndexEqualNormTie: one ulp more in one coordinate of a row near 1
+// leaves the computed L1 norm unchanged, so a dominator and the row it
+// dominates carry equal norms. Either insertion order must still leave
+// the dominated row out of the skyline, and counted once in the
+// 2-skyband.
+func TestIndexEqualNormTie(t *testing.T) {
+	const d = 8
+	q := make([]float64, d)
+	for i := range q {
+		q[i] = 0.9
+	}
+	p := slices.Clone(q)
+	p[0] = math.Nextafter(0.9, 1)
+	if point.L1(p) != point.L1(q) {
+		t.Fatalf("norms %v and %v no longer tie; the case tests nothing", point.L1(p), point.L1(q))
+	}
+	for _, k := range []int{1, 2} {
+		for _, order := range [][][]float64{{q, p}, {p, q}} {
+			ix := New(d, Options{K: k})
+			for _, r := range order {
+				ix.Insert(r)
+			}
+			ix.Validate()
+			want, cnt := bruteBand(ix, ix.AppendLiveSlots(nil), k)
+			if got := sortedSkyline(ix); !slices.Equal(got, want) {
+				t.Fatalf("k=%d, p first=%v: band %v, oracle %v", k, order[0][0] != 0.9, got, want)
+			}
+			for _, s := range want {
+				if c := ix.DominatorCount(s); c != cnt[s] {
+					t.Fatalf("k=%d, p first=%v: slot %d count %d, oracle %d", k, order[0][0] != 0.9, s, c, cnt[s])
+				}
+			}
+		}
+	}
+}
+
 func TestIndexEmptyAndSingle(t *testing.T) {
 	ix := New(3, Options{})
 	if ix.Len() != 0 || ix.SkylineSize() != 0 {
