@@ -264,30 +264,3 @@ scan:
 	*dts = n
 	return c
 }
-
-// AppendDominatorsInFlatRun appends to dst the indices j ∈ [lo, hi) of
-// up to budget rows that strictly dominate the probe q, in scan order,
-// and returns the extended slice. It is the collecting companion of
-// FirstDominatorInFlatRun for incremental k-skyband maintenance, where
-// a dominated point must be filed under every dominator the structure
-// tracks, not just the first. l1, when non-nil, holds the L1 norm of
-// every row and prunes rows with l1[j] > qL1 before the dominance test
-// (a dominator's computed L1 norm is no larger, footnote 2 of the paper).
-// *dts is advanced by the number of dominance tests performed.
-func AppendDominatorsInFlatRun(dst []int32, rows []float64, d, lo, hi int, q []float64, qL1 float64, l1 []float64, budget int, dts *uint64) []int32 {
-	n := *dts
-	need := budget - len(dst)
-	off := lo * d
-	for j := lo; j < hi && need > 0; j, off = j+1, off+d {
-		if l1 != nil && l1[j] > qL1 {
-			continue
-		}
-		n++
-		if dominatesRow(rows[off:off+d:off+d], q) {
-			dst = append(dst, int32(j))
-			need--
-		}
-	}
-	*dts = n
-	return dst
-}

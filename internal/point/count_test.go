@@ -192,45 +192,3 @@ func TestCountDominatorsInFlatRunMasked(t *testing.T) {
 		}
 	}
 }
-
-func TestAppendDominatorsInFlatRun(t *testing.T) {
-	rng := rand.New(rand.NewSource(19))
-	for _, d := range []int{1, 2, 4, 6, 8} {
-		for trial := 0; trial < 300; trial++ {
-			n := 1 + rng.Intn(24)
-			rows, q := randRun(rng, n, d)
-			qL1 := L1(q)
-			l1 := make([]float64, n)
-			for j := 0; j < n; j++ {
-				l1[j] = L1(rows[j*d : (j+1)*d])
-			}
-			budget := 1 + rng.Intn(4)
-
-			var dts uint64
-			got := AppendDominatorsInFlatRun(nil, rows, d, 0, n, q, qL1, l1, budget, &dts)
-
-			var want []int32
-			for j := 0; j < n && len(want) < budget; j++ {
-				if Dominates(rows[j*d:(j+1)*d], q) {
-					want = append(want, int32(j))
-				}
-			}
-			if len(got) != len(want) {
-				t.Fatalf("d=%d budget=%d: got %v want %v", d, budget, got, want)
-			}
-			for i := range got {
-				if got[i] != want[i] {
-					t.Fatalf("d=%d budget=%d: got %v want %v", d, budget, got, want)
-				}
-			}
-
-			// Budget 1 agrees with FirstDominatorInFlatRun.
-			var a, b uint64
-			one := AppendDominatorsInFlatRun(nil, rows, d, 0, n, q, qL1, l1, 1, &a)
-			first := FirstDominatorInFlatRun(rows, d, 0, n, q, qL1, l1, &b)
-			if (len(one) == 0) != (first < 0) || (first >= 0 && one[0] != int32(first)) {
-				t.Fatalf("d=%d: Append budget-1 %v disagrees with FirstDominator %d", d, one, first)
-			}
-		}
-	}
-}

@@ -2,6 +2,7 @@ package point
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 )
 
@@ -67,61 +68,116 @@ func TestFlatKernelsMatchGeneric(t *testing.T) {
 	}
 }
 
-// TestFirstDominatorInFlatRun cross-checks the index-returning dominator
-// scan (generic and specialized) against a per-row brute force, with and
-// without the L1 pruning filter.
-func TestFirstDominatorInFlatRun(t *testing.T) {
+// maskColumn packs the partition masks of n rows against pivot (every
+// mask 0 for a nil pivot) beside their L1 norms, as the stream index
+// keeps its band, and returns the probe's mask and norm with them.
+func maskColumn(rows []float64, d, n int, q, pivot []float64) (pm *PackedMasks, l1 []float64, qm Mask, qL1 float64) {
+	pm = packMasks(d, nil)
+	l1 = make([]float64, n)
+	for j := 0; j < n; j++ {
+		r := rows[j*d : (j+1)*d]
+		l1[j] = L1(r)
+		if pivot != nil {
+			pm.Append(ComputeMask(r, pivot))
+		} else {
+			pm.Append(0)
+		}
+	}
+	if pivot != nil {
+		qm = ComputeMask(q, pivot)
+	}
+	return pm, l1, qm, L1(q)
+}
+
+// bruteDominators is the unfiltered reference scan: the first budget
+// rows of [lo, hi) that dominate q, and the rows it tested to find them.
+func bruteDominators(rows []float64, d, lo, hi int, q []float64, budget int) (pos []int32, tested uint64) {
+	for j := lo; j < hi && len(pos) < budget; j++ {
+		tested++
+		if Dominates(rows[j*d:(j+1)*d], q) {
+			pos = append(pos, int32(j))
+		}
+	}
+	return pos, tested
+}
+
+// TestAppendDominatorsMasked holds the stream's probe kernel, unrolled
+// and generic, to the unfiltered scan on a coarse grid (frequent ties,
+// equal norms and coincident rows): the same positions in the same
+// order over any [lo, hi), at budget 1 (the first dominator) and above,
+// against an arbitrary pivot or none, with no more dominance tests; with
+// no filter to pass over a row, exactly as many. Entries already in dst
+// stay and do not count against the budget.
+func TestAppendDominatorsMasked(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
-	for _, d := range []int{2, 3, 4, 5, 6, 7, 8, 9, 12} {
+	for _, d := range []int{1, 2, 3, 4, 5, 6, 7, 8, 9, 12} {
 		for trial := 0; trial < 300; trial++ {
 			n := 1 + rng.Intn(24)
-			rows := make([]float64, n*d)
-			l1 := make([]float64, n)
-			for j := 0; j < n; j++ {
-				for k := 0; k < d; k++ {
-					v := float64(rng.Intn(5)) / 4 // coarse grid → frequent ties
-					rows[j*d+k] = v
-					l1[j] += v
-				}
+			rows, q := randRun(rng, n, d)
+			if trial%5 == 0 {
+				copy(q, rows[rng.Intn(n)*d:][:d])
 			}
-			q := make([]float64, d)
-			qL1 := 0.0
-			for k := range q {
-				q[k] = float64(rng.Intn(5)) / 4
-				qL1 += q[k]
+			var pivot []float64
+			if trial%4 != 0 {
+				_, pivot = randRun(rng, 0, d)
 			}
-
-			want := -1
-			for j := 0; j < n; j++ {
-				if Dominates(rows[j*d:(j+1)*d], q) {
-					want = j
-					break
-				}
-			}
-			var dts uint64
-			if got := FirstDominatorInFlatRun(rows, d, 0, n, q, qL1, nil, &dts); got != want {
-				t.Fatalf("d=%d no-filter: got %d want %d (q=%v)", d, got, want, q)
-			}
-			if got := FirstDominatorInFlatRun(rows, d, 0, n, q, qL1, l1, &dts); got != want {
-				t.Fatalf("d=%d l1-filter: got %d want %d (q=%v rows=%v)", d, got, want, q, rows)
-			}
-			// Sub-range scan: restricting [lo, hi) must find the first
-			// dominator inside the range only.
+			pm, l1, qm, qL1 := maskColumn(rows, d, n, q, pivot)
 			lo := rng.Intn(n)
 			hi := lo + rng.Intn(n-lo+1)
-			want = -1
-			for j := lo; j < hi; j++ {
-				if Dominates(rows[j*d:(j+1)*d], q) {
-					want = j
-					break
-				}
+			if trial%3 == 0 {
+				lo, hi = 0, n
 			}
-			if got := FirstDominatorInFlatRun(rows, d, lo, hi, q, qL1, l1, &dts); got != want {
-				t.Fatalf("d=%d range [%d,%d): got %d want %d", d, lo, hi, got, want)
+			for _, budget := range []int{1, 1 + rng.Intn(4)} {
+				want, tested := bruteDominators(rows, d, lo, hi, q, budget)
+				var dts uint64
+				got := AppendDominatorsMasked([]int32{-1}, rows, d, lo, hi, q, qL1, l1, pm, qm, budget, &dts)
+				if !slices.Equal(got, append([]int32{-1}, want...)) || dts > tested {
+					t.Fatalf("d=%d [%d,%d) budget=%d pivot=%v: got %v after %d tests, want %v after %d (q=%v rows=%v)",
+						d, lo, hi, budget, pivot, got[1:], dts, want, tested, q, rows)
+				}
+				if pivot == nil {
+					// No mask filter, and every norm passes: the kernel is the
+					// plain scan, test for test.
+					dts = 0
+					got = AppendDominatorsMasked(nil, rows, d, lo, hi, q, 0, make([]float64, n), pm, 0, budget, &dts)
+					if !slices.Equal(got, want) || dts != tested {
+						t.Fatalf("d=%d [%d,%d) budget=%d unfiltered: got %v after %d tests, want %v after %d", d, lo, hi, budget, got, dts, want, tested)
+					}
+				}
 			}
 		}
 	}
-	if FirstDominatorInFlatRun(nil, 8, 0, 0, make([]float64, 8), 0, nil, new(uint64)) != -1 {
-		t.Fatalf("empty run must report no dominator")
+	if got := AppendDominatorsMasked(nil, nil, 8, 0, 0, make([]float64, 8), 0, nil, packMasks(8, nil), 0, 1, new(uint64)); len(got) != 0 {
+		t.Fatalf("empty run reported dominators %v", got)
+	}
+}
+
+// TestAppendDominatedMasked holds the stream's demotion kernel to the
+// unfiltered scan for every row the probe dominates, on the same grid.
+func TestAppendDominatedMasked(t *testing.T) {
+	rng := rand.New(rand.NewSource(13))
+	for _, d := range []int{1, 2, 3, 4, 6, 8, 9, 12} {
+		for trial := 0; trial < 300; trial++ {
+			n := 1 + rng.Intn(24)
+			rows, q := randRun(rng, n, d)
+			var pivot []float64
+			if trial%4 != 0 {
+				_, pivot = randRun(rng, 0, d)
+			}
+			pm, l1, qm, qL1 := maskColumn(rows, d, n, q, pivot)
+			lo := rng.Intn(n)
+			hi := lo + rng.Intn(n-lo+1)
+			var want []int32
+			for j := lo; j < hi; j++ {
+				if Dominates(q, rows[j*d:(j+1)*d]) {
+					want = append(want, int32(j))
+				}
+			}
+			var dts uint64
+			got := AppendDominatedMasked(nil, rows, d, lo, hi, q, qL1, l1, pm, qm, &dts)
+			if !slices.Equal(got, want) || dts > uint64(hi-lo) {
+				t.Fatalf("d=%d [%d,%d) pivot=%v: got %v after %d tests, want %v (q=%v rows=%v)", d, lo, hi, pivot, got, dts, want, q, rows)
+			}
+		}
 	}
 }

@@ -2,6 +2,7 @@ package point
 
 import (
 	"math"
+	"slices"
 	"testing"
 )
 
@@ -12,7 +13,8 @@ import (
 // every width, unrolled or generic — against a scalar brute-force oracle
 // written from the dominance definition alone. Budget 1 of
 // FuzzCountDominatorsInFlatRun is the skyline's "is the probe dominated"
-// contract. CI runs each target briefly with -fuzz as a smoke step;
+// contract, and budget 1 of FuzzAppendDominatorsMasked the stream's
+// "by whom". CI runs each target briefly with -fuzz as a smoke step;
 // longer local campaigns just need
 // `go test -fuzz=FuzzCount ./internal/point`.
 
@@ -91,35 +93,61 @@ func FuzzDominatesFlat(f *testing.F) {
 	})
 }
 
-func FuzzFirstDominatorInFlatRun(f *testing.F) {
-	f.Add([]byte{4, 9, 9, 9, 9, 1, 1, 1, 1, 2, 2, 2, 2})
+// FuzzAppendDominatorsMasked holds the stream's two band kernels to the
+// unmasked brute-force scans: the first budget dominators of the probe
+// in the same positions and order, and every row the probe dominates,
+// each with no more dominance tests than the scan. The pivot is read
+// from the input's last d bytes — the mask filter must be exact for any
+// constant point, infinite coordinates included.
+func FuzzAppendDominatorsMasked(f *testing.F) {
+	f.Add([]byte{0, 4, 9, 9, 9, 9, 1, 1, 1, 1, 2, 2, 2, 2})
+	f.Add([]byte{2, 8, 3, 3, 3, 3, 3, 3, 3, 3, 4, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 0, 0, 9, 9, 9, 9, 9, 9, 9, 9})
 	f.Fuzz(func(t *testing.T, data []byte) {
-		rows, q, d := fuzzMatrix(data)
+		if len(data) < 1 {
+			return
+		}
+		budget := int(data[0]%8) + 1
+		rows, q, d := fuzzMatrix(data[1:])
 		if d == 0 {
 			return
 		}
 		n := len(rows) / d
-		l1 := make([]float64, n)
-		for j := 0; j < n; j++ {
-			l1[j] = L1(rows[j*d : (j+1)*d])
+		pivot := make([]float64, d)
+		for i := range pivot {
+			pivot[i] = fuzzVal(data[len(data)-1-i])
 		}
-		qL1 := L1(q)
+		pm := packMasks(d, nil)
+		l1 := make([]float64, n)
+		for j := range l1 {
+			r := rows[j*d : (j+1)*d]
+			l1[j] = L1(r)
+			pm.Append(ComputeMask(r, pivot))
+		}
+		qL1, qm := L1(q), ComputeMask(q, pivot)
 
-		// The oracle is the unfiltered scan: the kernel skips only rows
-		// with l1[j] > qL1, and rounded addition is monotone, so a
-		// dominator's computed norm never exceeds the probe's — even under
-		// absorption (1e300 + 0.5 == 1e300), where the norms tie. A NaN
-		// norm compares false and is never skipped. See DESIGN.md §9.
-		want := -1
-		for j := 0; j < n; j++ {
+		var want []int32
+		var tested uint64
+		for j := 0; j < n && len(want) < budget; j++ {
+			tested++
 			if dominatesOracle(rows[j*d:(j+1)*d], q) {
-				want = j
-				break
+				want = append(want, int32(j))
 			}
 		}
 		var dts uint64
-		if got := FirstDominatorInFlatRun(rows, d, 0, n, q, qL1, l1, &dts); got != want {
-			t.Fatalf("d=%d n=%d: FirstDominator=%d oracle=%d (q=%v rows=%v l1=%v)", d, n, got, want, q, rows, l1)
+		if got := AppendDominatorsMasked(nil, rows, d, 0, n, q, qL1, l1, pm, qm, budget, &dts); !slices.Equal(got, want) || dts > tested {
+			t.Fatalf("d=%d n=%d budget=%d: dominators %v after %d tests, oracle %v after %d (q=%v pivot=%v rows=%v)",
+				d, n, budget, got, dts, want, tested, q, pivot, rows)
+		}
+
+		var under []int32
+		for j := 0; j < n; j++ {
+			if dominatesOracle(q, rows[j*d:(j+1)*d]) {
+				under = append(under, int32(j))
+			}
+		}
+		dts = 0
+		if got := AppendDominatedMasked(nil, rows, d, 0, n, q, qL1, l1, pm, qm, &dts); !slices.Equal(got, under) || dts > uint64(n) {
+			t.Fatalf("d=%d n=%d: dominated %v after %d tests, oracle %v (q=%v pivot=%v rows=%v)", d, n, got, dts, under, q, pivot, rows)
 		}
 	})
 }

@@ -17,8 +17,9 @@ import (
 //   - masked: CountDominatorsInFlatRunMasked at budget 1 (cntRunM4/6/8)
 //     against cntRunMGeneric, with every mask passing the filter so the
 //     body, not the filter, is what is priced;
-//   - first: FirstDominatorInFlatRun (firstDom4/6/8) against
-//     firstDomGeneric.
+//   - first: AppendDominatorsMasked at budget 1 (domM4/6/8), the stream
+//     index's probe, against domMGeneric, with every mask and every
+//     norm passing its filter.
 //
 // Rows lie on the surface Σ = d/2, as an anticorrelated skyline does, and
 // every probe is drawn from the same surface and kept only if no row
@@ -52,6 +53,7 @@ func BenchmarkKernels(b *testing.B) {
 			}
 		}
 		pm := packMasks(d, make([]Mask, n)) // mask 0 ⊆ every probe mask
+		l1 := make([]float64, n)            // norm 0 ≤ every probe norm
 
 		kernels := []struct {
 			name string
@@ -88,10 +90,10 @@ func BenchmarkKernels(b *testing.B) {
 				return cntRunMGeneric(rows, d, 0, n, q, pm, 0, 1, dts)
 			}},
 			{"first/unrolled", func(q []float64, dts *uint64) int {
-				return FirstDominatorInFlatRun(rows, d, 0, n, q, 0, nil, dts) + 1
+				return len(AppendDominatorsMasked(nil, rows, d, 0, n, q, 0, l1, pm, 0, 1, dts))
 			}},
 			{"first/generic", func(q []float64, dts *uint64) int {
-				return firstDomGeneric(rows, d, 0, n, q, 0, nil, dts) + 1
+				return len(domMGeneric(nil, rows, d, 0, n, q, 0, l1, pm, 0, 1, dts))
 			}},
 		}
 		for _, k := range kernels {

@@ -8,7 +8,8 @@ import "math/bits"
 // Phase I probe passes: is the row's mask a subset of the probe's
 // (Section VI-A2)? Asked row by row that is a data-dependent branch
 // most rows fail; asked of a word it is six ALU operations for 8, 4 or
-// 2 rows and a branch only per surviving row.
+// 2 rows and a branch only per surviving row. The stream index also
+// asks the converse, superset, question of its band.
 //
 // The zero value is not usable: call Reset first. Reset keeps the word
 // slice's capacity, so a store that is refilled every run allocates only
@@ -52,6 +53,23 @@ func (p *PackedMasks) Append(m Mask) {
 func (p *PackedMasks) At(j int) Mask {
 	sub := uint(j) & (1<<p.idx - 1)
 	return Mask(p.w[j>>p.idx] >> (sub << p.lane) & (1<<(uint(1)<<p.lane) - 1))
+}
+
+// Set overwrites row j's mask with m.
+func (p *PackedMasks) Set(j int, m Mask) {
+	sh := (uint(j) & (1<<p.idx - 1)) << p.lane
+	w := &p.w[j>>p.idx]
+	*w = *w&^((1<<(uint(1)<<p.lane)-1)<<sh) | uint64(m)<<sh
+}
+
+// Truncate keeps rows [0, n). Append ORs into the last word, so the
+// lanes it drops are cleared, not just left behind.
+func (p *PackedMasks) Truncate(n int) {
+	p.w = p.w[:(n+1<<p.idx-1)>>p.idx]
+	if sub := uint(n) & (1<<p.idx - 1); sub != 0 {
+		p.w[len(p.w)-1] &= 1<<(sub<<p.lane) - 1
+	}
+	p.n = n
 }
 
 // The shift counts below are masked with 63, which changes no value (idx
@@ -101,6 +119,15 @@ func (s laneSpan) clip(wi int, z uint64) uint64 {
 // which is why dominance-test counts do not move.
 func (p *PackedMasks) subsets(wi int, probe uint64) uint64 {
 	x := p.w[wi] &^ probe
+	return ^((x&p.low + p.low) | x | p.low)
+}
+
+// supersets is subsets with the roles swapped, for the rows a probe
+// could dominate: the top bit of a lane is set iff that lane's mask is
+// a superset of the probe's. x keeps, per lane, the probe's bits the
+// row lacks; the zero-lane test is subsets' and as exact.
+func (p *PackedMasks) supersets(wi int, probe uint64) uint64 {
+	x := probe &^ p.w[wi]
 	return ^((x&p.low + p.low) | x | p.low)
 }
 

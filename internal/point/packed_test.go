@@ -3,6 +3,7 @@ package point
 import (
 	"encoding/binary"
 	"math/rand"
+	"slices"
 	"testing"
 )
 
@@ -98,6 +99,118 @@ func TestPackedMasksRoundTrip(t *testing.T) {
 		for j, m := range masks {
 			if got := pm.At(j); got != m {
 				t.Fatalf("d=%d row %d: At=%b want %b", d, j, got, m)
+			}
+		}
+	}
+}
+
+// TestPackedMasksSwapRemove drives a column the way the stream index
+// drives its band's: appends interleaved with swap-removes (Set of the
+// last row's mask into the hole, then Truncate) and the occasional
+// truncation to a shorter prefix, at every lane width. Every row must
+// read back, and so must a row appended into a word whose dropped lanes
+// held set bits.
+func TestPackedMasksSwapRemove(t *testing.T) {
+	rng := rand.New(rand.NewSource(37))
+	var pm PackedMasks
+	for d := 1; d <= MaxDims; d++ {
+		pm.Reset(d)
+		var ref []Mask
+		for op := 0; op < 400; op++ {
+			switch r := rng.Intn(10); {
+			case len(ref) == 0 || r < 5:
+				m := Mask(rng.Uint32()) & FullMask(d)
+				if rng.Intn(3) == 0 {
+					m = FullMask(d)
+				}
+				pm.Append(m)
+				ref = append(ref, m)
+			case r < 9:
+				p, last := rng.Intn(len(ref)), len(ref)-1
+				pm.Set(p, pm.At(last))
+				pm.Truncate(last)
+				ref[p] = ref[last]
+				ref = ref[:last]
+			default:
+				n := rng.Intn(len(ref) + 1)
+				pm.Truncate(n)
+				ref = ref[:n]
+			}
+			if pm.Len() != len(ref) {
+				t.Fatalf("d=%d op %d: Len=%d want %d", d, op, pm.Len(), len(ref))
+			}
+			for j, m := range ref {
+				if got := pm.At(j); got != m {
+					t.Fatalf("d=%d op %d row %d: At=%b want %b", d, op, j, got, m)
+				}
+			}
+		}
+	}
+}
+
+// supersetRows lists the rows of [lo, hi) the superset filter passes
+// for probe mask qm, in the order a kernel visits them.
+func supersetRows(pm *PackedMasks, lo, hi int, qm Mask) []int {
+	var rows []int
+	probe, sp := pm.probe(qm), pm.span(lo, hi)
+	for wi := sp.first; wi <= sp.last; wi++ {
+		for z := sp.clip(wi, pm.supersets(wi, probe)); z != 0; z &= z - 1 {
+			rows = append(rows, pm.row(wi, z))
+		}
+	}
+	return rows
+}
+
+// TestSupersetFilterExact tables the superset filter at every lane
+// width, at the edges the carry trick has to get right: empty and full
+// masks, a lane whose only bit is its top one, and a row lacking just
+// one of the probe's bits. Each case's row sits at every lane of a word
+// between neighbours with the complementary mask, so a carry into or
+// out of a lane would show as a wrong candidate.
+func TestSupersetFilterExact(t *testing.T) {
+	cases := []struct {
+		d          int
+		row, probe Mask
+		want       bool
+	}{
+		{8, 0, 0, true},
+		{8, 0xff, 0, true},
+		{8, 0, 0x80, false},
+		{8, 0x80, 0x80, true},
+		{8, 0x7f, 0x80, false},
+		{8, 0xff, 0xff, true},
+		{8, 0xfe, 0xff, false},
+		{5, 0b10101, 0b00101, true},
+		{5, 0b10001, 0b00101, false},
+		{16, 0x8000, 0x8000, true},
+		{16, 0x7fff, 0x8000, false},
+		{16, 0xffff, 0x0001, true},
+		{12, 0x0ff0, 0x0ff1, false},
+		{31, FullMask(31), 1 << 30, true},
+		{31, 1<<30 - 1, 1 << 30, false},
+		{31, 0, 0, true},
+		{31, 0, 1, false},
+	}
+	for _, c := range cases {
+		if got := c.probe.Subset(c.row); got != c.want {
+			t.Fatalf("table row %+v: the definition says %v", c, got)
+		}
+		other := FullMask(c.d) &^ c.row
+		const n = 9 // more rows than the widest word holds lanes
+		for at := 0; at < n; at++ {
+			masks := make([]Mask, n)
+			for j := range masks {
+				masks[j] = other
+			}
+			masks[at] = c.row
+			var want []int
+			for j, m := range masks {
+				if c.probe.Subset(m) {
+					want = append(want, j)
+				}
+			}
+			if got := supersetRows(packMasks(c.d, masks), 0, n, c.probe); !slices.Equal(got, want) {
+				t.Fatalf("d=%d row %b at %d, probe %b: candidates %v want %v", c.d, c.row, at, c.probe, got, want)
 			}
 		}
 	}

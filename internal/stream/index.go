@@ -16,9 +16,11 @@
 // owners disappears — losing an unregistered dominator still leaves k
 // registered ones, so membership cannot have changed.
 //
-// An insert probes the dense band matrix with the flat kernels of
-// internal/point — a probe with k dominators is registered under the
-// first k the scan finds; otherwise it enters the band with its exact
+// An insert probes the dense band matrix with the masked kernels of
+// internal/point, which pass over every row whose partition mask
+// against the band's median pivot (Section VI-A2 of the paper) or whose
+// L1 norm rules dominance out — a probe with k dominators is registered
+// under the first k the scan finds; otherwise it enters the band with its exact
 // count and increments the count of every band member it dominates,
 // demoting those that reach k (their buckets transfer to the new point,
 // which transitively dominates everything they did). Deleting a
@@ -40,6 +42,7 @@ import (
 	"slices"
 	"sort"
 
+	"skybench/internal/pivot"
 	"skybench/internal/point"
 )
 
@@ -129,22 +132,30 @@ type Index struct {
 	live    int
 
 	// Dense band mirror: row p of skyVals is the staged point of slot
-	// skySlots[p], with skyL1 its norm. Keeping the band contiguous is
-	// what lets the probe scans run the flat kernels at full speed.
+	// skySlots[p], with skyL1 its norm and skyMask's row p its partition
+	// mask against pivot. Keeping the band contiguous is what lets the
+	// probe scans run the flat kernels at full speed; the masks let them
+	// pass over most rows without a dominance test. pivot is re-chosen,
+	// and every mask recomputed, whenever the band has doubled since
+	// pivotAt rows; it stays nil (every mask 0, the filter passing every
+	// row) while the band is empty and for d > point.MaxDims.
 	skySlots []int32
 	skyVals  []float64
 	skyL1    []float64
+	skyMask  point.PackedMasks
+	pivot    []float64
+	pivotAt  int
 
 	dirty     int
 	rebuildMu bool // guards against emitting events inside a rebuild
 
 	stats Stats
 
-	// Reusable scratch: demoted band positions and slots during an
-	// insert, detached bucket members during a delete, collected
-	// dominator positions during classification, and the dense gather
-	// and pre-rebuild membership used by rebuilds.
-	demoted   []int
+	// Reusable scratch: dominated band positions (the demotees, during
+	// an insert) and demoted slots, detached bucket members during a
+	// delete, collected dominator positions during classification, and
+	// the dense gather and pre-rebuild membership used by rebuilds.
+	demoted   []int32
 	demotedS  []int32
 	detached  []int32
 	doms      []int32
@@ -165,7 +176,9 @@ func New(d int, opt Options) *Index {
 	if k < 1 {
 		k = 1
 	}
-	return &Index{d: d, k: k, opt: opt}
+	ix := &Index{d: d, k: k, opt: opt}
+	ix.skyMask.Reset(min(d, point.MaxDims))
+	return ix
 }
 
 // D returns the staged dimensionality.
@@ -280,44 +293,24 @@ func (ix *Index) Insert(p []float64) (slot int32, entered bool) {
 // exact dominator count, demoting any band members whose count its
 // arrival pushes to k. Fires membership events outside rebuilds.
 func (ix *Index) classify(slot int32) bool {
-	d := ix.d
 	k := ix.k
-	q := ix.Row(slot)
-	qL1 := ix.l1[slot]
-	ns := len(ix.skySlots)
-
-	if k == 1 {
-		// Skyline fast path: the unrolled first-dominator kernel.
-		if j := point.FirstDominatorInFlatRun(ix.skyVals, d, 0, ns, q, qL1, ix.skyL1, &ix.stats.DominanceTests); j >= 0 {
-			ix.registerOne(slot, ix.skySlots[j])
-			return false
-		}
-		ix.cnt[slot] = 0
-	} else {
-		ix.doms = point.AppendDominatorsInFlatRun(ix.doms[:0], ix.skyVals, d, 0, ns, q, qL1, ix.skyL1, k, &ix.stats.DominanceTests)
-		if len(ix.doms) >= k {
-			ix.registerAll(slot, ix.doms)
-			return false
-		}
-		ix.cnt[slot] = int32(len(ix.doms))
+	doms := ix.dominators(slot, len(ix.skySlots))
+	if len(doms) == k {
+		ix.registerAll(slot, doms)
+		return false
 	}
+	ix.cnt[slot] = int32(len(doms))
 
 	// Fewer than k band dominators: q enters the band. Its arrival adds
-	// one dominator to every band member it dominates (a dominated row's
-	// computed L1 norm is no smaller, so most rows are pruned by one
-	// comparison); members reaching k dominators are demoted.
-	ix.demoted = ix.demoted[:0]
-	for p := 0; p < ns; p++ {
-		if ix.skyL1[p] < qL1 {
-			continue
-		}
-		ix.stats.DominanceTests++
-		if point.DominatesFlat2(ix.vals, int(slot)*d, ix.skyVals, p*d, d) {
-			s := ix.skySlots[p]
-			ix.cnt[s]++
-			if int(ix.cnt[s]) >= k {
-				ix.demoted = append(ix.demoted, p)
-			}
+	// one dominator to every band member it dominates; members reaching
+	// k dominators are demoted.
+	dominated := ix.dominated(slot)
+	ix.demoted = dominated[:0]
+	for _, p := range dominated {
+		s := ix.skySlots[p]
+		ix.cnt[s]++
+		if int(ix.cnt[s]) >= k {
+			ix.demoted = append(ix.demoted, p)
 		}
 	}
 	// Demotion phase 1, in descending band position so the swap-removes
@@ -325,7 +318,7 @@ func (ix *Index) classify(slot int32) bool {
 	// demotee out of the band, then make q scannable.
 	ix.demotedS = ix.demotedS[:0]
 	for i := len(ix.demoted) - 1; i >= 0; i-- {
-		p := ix.demoted[i]
+		p := int(ix.demoted[i])
 		s := ix.skySlots[p]
 		ix.emitLeave(s)
 		ix.removeSkyline(p)
@@ -366,8 +359,7 @@ func (ix *Index) registerDemoted(s, newOwner int32) {
 		ix.registerOne(s, newOwner)
 		return
 	}
-	ix.doms = point.AppendDominatorsInFlatRun(ix.doms[:0], ix.skyVals, ix.d, 0, len(ix.skySlots), ix.Row(s), ix.l1[s], ix.skyL1, ix.k, &ix.stats.DominanceTests)
-	ix.registerAll(s, ix.doms)
+	ix.registerAll(s, ix.dominators(s, len(ix.skySlots)))
 }
 
 // Delete removes a live slot from the index, re-resolving (or escalating
@@ -412,16 +404,8 @@ func (ix *Index) Delete(slot int32) bool {
 	// registered owners are all still band members, so its band
 	// dominator count is still ≥ k.
 	if k > 1 {
-		d := ix.d
-		sL1 := ix.l1[slot]
-		for p := 0; p < len(ix.skySlots); p++ {
-			if ix.skyL1[p] < sL1 {
-				continue
-			}
-			ix.stats.DominanceTests++
-			if point.DominatesFlat2(ix.vals, int(slot)*d, ix.skyVals, p*d, d) {
-				ix.cnt[ix.skySlots[p]]--
-			}
+		for _, p := range ix.dominated(slot) {
+			ix.cnt[ix.skySlots[p]]--
 		}
 	}
 
@@ -564,6 +548,8 @@ func (ix *Index) rebuild() {
 	ix.skySlots = ix.skySlots[:0]
 	ix.skyVals = ix.skyVals[:0]
 	ix.skyL1 = ix.skyL1[:0]
+	ix.skyMask.Truncate(0)
+	ix.pivotAt = 0
 	for _, s := range ix.gatherIdx {
 		ix.buckets[s] = ix.buckets[s][:0]
 	}
@@ -612,30 +598,21 @@ func (ix *Index) rebuild() {
 				ix.appendSkyline(s)
 			}
 		}
+		ix.repivot()
 		for i, s := range ix.gatherIdx {
 			if inSky[i] {
 				continue
 			}
 			qL1 := ix.l1[s]
 			hi := sort.Search(len(ix.skyL1), func(p int) bool { return ix.skyL1[p] > qL1 })
-			if k == 1 {
-				j := point.FirstDominatorInFlatRun(ix.skyVals, d, 0, hi, ix.Row(s), qL1, nil, &ix.stats.DominanceTests)
-				if j < 0 {
-					// The hook disagreed with the maintained band (it
-					// should not); fall back to a full classify so the
-					// structure stays correct regardless.
-					ix.classify(s)
-					continue
-				}
-				ix.registerOne(s, ix.skySlots[j])
-				continue
+			if doms := ix.dominators(s, hi); len(doms) == k {
+				ix.registerAll(s, doms)
+			} else {
+				// The hook disagreed with the maintained band (it should
+				// not); fall back to a full classify so the structure
+				// stays correct regardless.
+				ix.classify(s)
 			}
-			ix.doms = point.AppendDominatorsInFlatRun(ix.doms[:0], ix.skyVals, d, 0, hi, ix.Row(s), qL1, nil, k, &ix.stats.DominanceTests)
-			if len(ix.doms) < k {
-				ix.classify(s) // hook disagreement; same fallback as k = 1
-				continue
-			}
-			ix.registerAll(s, ix.doms)
 		}
 	}
 	ix.rebuildMu = false
@@ -662,8 +639,8 @@ func (ix *Index) RebuildFraction() float64 { return ix.opt.RebuildFraction }
 // Validate checks the structural invariants — every live point either a
 // band member with a dominator count below k, or registered under k
 // distinct dominating band members with consistent bucket positions,
-// and the dense mirror in sync — and panics on violation. Test support;
-// O(n·k·d).
+// and the dense mirror and its masks in sync — and panics on violation.
+// Test support; O(n·k·d).
 func (ix *Index) Validate() {
 	k := ix.k
 	live := 0
@@ -680,6 +657,9 @@ func (ix *Index) Validate() {
 			}
 			if !slices.Equal(ix.skyVals[p*ix.d:(p+1)*ix.d], ix.Row(slot)) {
 				panic("stream: band mirror out of sync")
+			}
+			if ix.skyMask.At(p) != ix.maskOf(ix.Row(slot)) {
+				panic("stream: band mask out of sync")
 			}
 			if int(ix.cnt[slot]) >= k {
 				panic("stream: band member with count >= k")
@@ -712,6 +692,9 @@ func (ix *Index) Validate() {
 	}
 	if live != ix.live {
 		panic("stream: live count out of sync")
+	}
+	if ix.skyMask.Len() != len(ix.skySlots) {
+		panic("stream: band mask column out of sync")
 	}
 }
 
@@ -788,36 +771,64 @@ func (ix *Index) repointReg(slot, oldOwner, newOwner int32) {
 	ix.buckets[target] = append(ix.buckets[target], slot)
 }
 
-// findUnregisteredDominator scans the band for a dominator of slot that
-// is not currently among slot's registration entries, returning its
-// slot or -1.
+// findUnregisteredDominator returns the first band dominator of slot,
+// in band order, that is not among slot's registration entries, or -1.
+// At most k−1 of those entries name band members (every caller holds
+// one pointing at a slot that has left the band), so when an
+// unregistered dominator exists it is among the first k.
 func (ix *Index) findUnregisteredDominator(slot int32) int32 {
-	d := ix.d
-	k := ix.k
-	base := int(slot) * k
-	qOff := int(slot) * d
-	qL1 := ix.l1[slot]
-	for p := 0; p < len(ix.skySlots); p++ {
-		if ix.skyL1[p] > qL1 {
-			continue
-		}
-		ix.stats.DominanceTests++
-		if !point.DominatesFlat2(ix.skyVals, p*d, ix.vals, qOff, d) {
-			continue
-		}
-		s := ix.skySlots[p]
-		already := false
-		for i := 0; i < k; i++ {
-			if ix.regO[base+i] == s {
-				already = true
-				break
-			}
-		}
-		if !already {
+	regs := ix.regO[int(slot)*ix.k : (int(slot)+1)*ix.k]
+	for _, p := range ix.dominators(slot, len(ix.skySlots)) {
+		if s := ix.skySlots[p]; !slices.Contains(regs, s) {
 			return s
 		}
 	}
 	return -1
+}
+
+// dominators returns the band positions in [0, hi) of the first k rows
+// that dominate slot's row, in ascending order, in the reused doms
+// scratch.
+func (ix *Index) dominators(slot int32, hi int) []int32 {
+	q := ix.Row(slot)
+	ix.doms = point.AppendDominatorsMasked(ix.doms[:0], ix.skyVals, ix.d, 0, hi, q, ix.l1[slot], ix.skyL1, &ix.skyMask, ix.maskOf(q), ix.k, &ix.stats.DominanceTests)
+	return ix.doms
+}
+
+// dominated returns the band positions of every row slot's row
+// dominates, in ascending order, in the reused demoted scratch.
+func (ix *Index) dominated(slot int32) []int32 {
+	q := ix.Row(slot)
+	ix.demoted = point.AppendDominatedMasked(ix.demoted[:0], ix.skyVals, ix.d, 0, len(ix.skySlots), q, ix.l1[slot], ix.skyL1, &ix.skyMask, ix.maskOf(q), &ix.stats.DominanceTests)
+	return ix.demoted
+}
+
+// maskOf returns q's partition mask against the band's pivot, 0 when
+// there is none.
+func (ix *Index) maskOf(q []float64) point.Mask {
+	if ix.pivot == nil {
+		return 0
+	}
+	return point.ComputeMask(q, ix.pivot)
+}
+
+// repivot makes the per-dimension median of the band the pivot and
+// recomputes every band row's mask. Any constant pivot keeps the mask
+// filter exact; the median is the one that splits the band evenly.
+func (ix *Index) repivot() {
+	n, d := len(ix.skySlots), ix.d
+	ix.pivotAt = n
+	if n == 0 || d > point.MaxDims {
+		return
+	}
+	if ix.pivot == nil {
+		ix.pivot = make([]float64, d)
+	}
+	pivot.MedianColumns(point.FromFlat(ix.skyVals, n, d), ix.pivot, nil, 0, d)
+	ix.skyMask.Reset(d)
+	for p := 0; p < n; p++ {
+		ix.skyMask.Append(point.ComputeMask(ix.skyVals[p*d:(p+1)*d], ix.pivot))
+	}
 }
 
 // removeRegEntry unlinks slot's i-th registration from its owner's
@@ -857,6 +868,10 @@ func (ix *Index) appendSkyline(slot int32) {
 	ix.skySlots = append(ix.skySlots, slot)
 	ix.skyVals = append(ix.skyVals, ix.Row(slot)...)
 	ix.skyL1 = append(ix.skyL1, ix.l1[slot])
+	ix.skyMask.Append(ix.maskOf(ix.Row(slot)))
+	if len(ix.skySlots) >= 2*ix.pivotAt {
+		ix.repivot()
+	}
 }
 
 // removeSkyline swap-removes dense band position p.
@@ -868,11 +883,13 @@ func (ix *Index) removeSkyline(p int) {
 		ix.skySlots[p] = moved
 		copy(ix.skyVals[p*d:(p+1)*d], ix.skyVals[last*d:(last+1)*d])
 		ix.skyL1[p] = ix.skyL1[last]
+		ix.skyMask.Set(p, ix.skyMask.At(last))
 		ix.pos[moved] = int32(p)
 	}
 	ix.skySlots = ix.skySlots[:last]
 	ix.skyVals = ix.skyVals[:last*d]
 	ix.skyL1 = ix.skyL1[:last]
+	ix.skyMask.Truncate(last)
 }
 
 func (ix *Index) freeSlot(slot int32) {

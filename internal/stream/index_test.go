@@ -340,6 +340,44 @@ func TestIndexEqualNormTie(t *testing.T) {
 	}
 }
 
+// TestIndexWideRows: past point.MaxDims there is no pivot, every mask is
+// 0 and the filter passes every row — the band must still be exact.
+func TestIndexWideRows(t *testing.T) {
+	const d = point.MaxDims + 9
+	rng := rand.New(rand.NewSource(47))
+	for _, k := range []int{1, 2} {
+		ix := New(d, Options{K: k, RebuildFraction: 0.2})
+		var live []int32
+		row := make([]float64, d)
+		for op := 0; op < 300; op++ {
+			if len(live) > 0 && rng.Intn(3) == 0 {
+				i := rng.Intn(len(live))
+				ix.Delete(live[i])
+				live = slices.Delete(live, i, i+1)
+				continue
+			}
+			for i := range row {
+				row[i] = float64(rng.Intn(3))
+			}
+			s, _ := ix.Insert(row)
+			live = append(live, s)
+		}
+		ix.Validate()
+		want, cnt := bruteBand(ix, live, k)
+		if got := sortedSkyline(ix); !slices.Equal(got, want) {
+			t.Fatalf("k=%d: band %v, oracle %v", k, got, want)
+		}
+		for _, s := range want {
+			if c := ix.DominatorCount(s); c != cnt[s] {
+				t.Fatalf("k=%d: slot %d count %d, oracle %d", k, s, c, cnt[s])
+			}
+		}
+		if ix.Stats().Rebuilds == 0 {
+			t.Fatalf("k=%d: no rebuild fired", k)
+		}
+	}
+}
+
 func TestIndexEmptyAndSingle(t *testing.T) {
 	ix := New(3, Options{})
 	if ix.Len() != 0 || ix.SkylineSize() != 0 {
