@@ -4,10 +4,11 @@ package point
 // matrix storage directly instead of materializing per-row slice headers,
 // all on one pairwise test, dominatesRow. The loop-level "run" kernels
 // that test one probe against a contiguous run of rows are the counting
-// family in count.go plus the stream index's two masked scans here. The paper's C++
-// implementation gets its constant factors from AVX kernels over
-// contiguous blocks (Section IV); these kernels are the Go analogue and
-// are what the hot paths of Hybrid and Q-Flow call.
+// family in count.go plus the stream index's two masked scans here. The
+// paper's C++ implementation gets its constant factors from AVX kernels
+// over contiguous blocks (Section IV); these kernels are the Go analogue
+// and are what the hot paths of Hybrid, Q-Flow and the stream index
+// call.
 
 // DominatesFlat reports strict dominance between two rows of the same flat
 // row-major storage: vals[pOff:pOff+d] ≺ vals[qOff:qOff+d].

@@ -20,10 +20,10 @@
 // internal/point, which pass over every row whose partition mask
 // against the band's median pivot (Section VI-A2 of the paper) or whose
 // L1 norm rules dominance out — a probe with k dominators is registered
-// under the first k the scan finds; otherwise it enters the band with its exact
-// count and increments the count of every band member it dominates,
-// demoting those that reach k (their buckets transfer to the new point,
-// which transitively dominates everything they did). Deleting a
+// under the first k the scan finds; otherwise it enters the band with
+// its exact count and increments the count of every band member it
+// dominates, demoting those that reach k (their buckets transfer to the
+// new point, which transitively dominates everything they did). Deleting a
 // registered point is O(k); deleting a band member decrements the count
 // of every band member it dominated, then re-resolves only its own
 // bucket: each orphan either finds a replacement dominator not already
