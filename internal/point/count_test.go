@@ -2,6 +2,7 @@ package point
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 )
 
@@ -188,6 +189,41 @@ func TestCountDominatorsInFlatRunMasked(t *testing.T) {
 			brute := countOracle(rows, d, 0, n, q, 0, nil, nil, n+1)
 			if unf != brute {
 				t.Fatalf("d=%d mask filter dropped dominators: %d vs %d", d, unf, brute)
+			}
+		}
+	}
+}
+
+// TestAppendDominatorsInFlatRun holds the collecting kernel at budgets
+// 1-4 to the brute force: the first budget dominators in ascending row
+// order, unchanged by the mask filter of an arbitrary pivot, and at
+// budget 1 the head of any larger budget's answer.
+func TestAppendDominatorsInFlatRun(t *testing.T) {
+	rng := rand.New(rand.NewSource(19))
+	for _, d := range []int{1, 2, 4, 6, 8} {
+		for trial := 0; trial < 300; trial++ {
+			n := 1 + rng.Intn(24)
+			rows, q := randRun(rng, n, d)
+			_, pivot := randRun(rng, 0, d)
+			budget := 1 + rng.Intn(4)
+
+			var want []int32
+			for j := 0; j < n && len(want) < budget; j++ {
+				if Dominates(rows[j*d:(j+1)*d], q) {
+					want = append(want, int32(j))
+				}
+			}
+			for _, pv := range [][]float64{nil, pivot} {
+				pm, l1, qm, qL1 := maskColumn(rows, d, n, q, pv)
+				var dts uint64
+				got := AppendDominatorsMasked(nil, rows, d, 0, n, q, qL1, l1, pm, qm, budget, &dts)
+				if !slices.Equal(got, want) {
+					t.Fatalf("d=%d budget=%d pivot=%v: got %v want %v", d, budget, pv, got, want)
+				}
+				one := AppendDominatorsMasked(nil, rows, d, 0, n, q, qL1, l1, pm, qm, 1, &dts)
+				if !slices.Equal(one, want[:min(1, len(want))]) {
+					t.Fatalf("d=%d pivot=%v: budget 1 gave %v, budget %d gave %v", d, pv, one, budget, got)
+				}
 			}
 		}
 	}

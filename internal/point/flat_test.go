@@ -152,6 +152,75 @@ func TestAppendDominatorsMasked(t *testing.T) {
 	}
 }
 
+// firstDominator is the first-dominator scan the stream's insert probe
+// makes: the collecting kernel at budget 1, -1 when [lo, hi) holds no
+// dominator.
+func firstDominator(rows []float64, d, lo, hi int, q []float64, qL1 float64, l1 []float64, pm *PackedMasks, qm Mask, dts *uint64) int {
+	if got := AppendDominatorsMasked(nil, rows, d, lo, hi, q, qL1, l1, pm, qm, 1, dts); len(got) > 0 {
+		return int(got[0])
+	}
+	return -1
+}
+
+// TestFirstDominatorInFlatRun cross-checks the first-dominator scan
+// (generic and unrolled) against a per-row brute force: with no filter,
+// with the L1 pre-check alone, and with the L1 pre-check and the mask
+// filter of an arbitrary pivot.
+func TestFirstDominatorInFlatRun(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	for _, d := range []int{2, 3, 4, 5, 6, 7, 8, 9, 12} {
+		for trial := 0; trial < 300; trial++ {
+			n := 1 + rng.Intn(24)
+			rows := make([]float64, n*d)
+			for i := range rows {
+				rows[i] = float64(rng.Intn(5)) / 4 // coarse grid → frequent ties
+			}
+			q := make([]float64, d)
+			for k := range q {
+				q[k] = float64(rng.Intn(5)) / 4
+			}
+			pm, l1, qm, qL1 := maskColumn(rows, d, n, q, nil)
+			_, pivot := randRun(rng, 0, d)
+			pmP, _, qmP, _ := maskColumn(rows, d, n, q, pivot)
+
+			want := -1
+			for j := 0; j < n; j++ {
+				if Dominates(rows[j*d:(j+1)*d], q) {
+					want = j
+					break
+				}
+			}
+			var dts uint64
+			if got := firstDominator(rows, d, 0, n, q, 0, make([]float64, n), pm, 0, &dts); got != want {
+				t.Fatalf("d=%d no-filter: got %d want %d (q=%v)", d, got, want, q)
+			}
+			if got := firstDominator(rows, d, 0, n, q, qL1, l1, pm, qm, &dts); got != want {
+				t.Fatalf("d=%d l1-filter: got %d want %d (q=%v rows=%v)", d, got, want, q, rows)
+			}
+			if got := firstDominator(rows, d, 0, n, q, qL1, l1, pmP, qmP, &dts); got != want {
+				t.Fatalf("d=%d mask-filter pivot=%v: got %d want %d (q=%v rows=%v)", d, pivot, got, want, q, rows)
+			}
+			// Sub-range scan: restricting [lo, hi) must find the first
+			// dominator inside the range only.
+			lo := rng.Intn(n)
+			hi := lo + rng.Intn(n-lo+1)
+			want = -1
+			for j := lo; j < hi; j++ {
+				if Dominates(rows[j*d:(j+1)*d], q) {
+					want = j
+					break
+				}
+			}
+			if got := firstDominator(rows, d, lo, hi, q, qL1, l1, pmP, qmP, &dts); got != want {
+				t.Fatalf("d=%d range [%d,%d): got %d want %d", d, lo, hi, got, want)
+			}
+		}
+	}
+	if firstDominator(nil, 8, 0, 0, make([]float64, 8), 0, nil, packMasks(8, nil), 0, new(uint64)) != -1 {
+		t.Fatalf("empty run must report no dominator")
+	}
+}
+
 // TestAppendDominatedMasked holds the stream's demotion kernel to the
 // unfiltered scan for every row the probe dominates, on the same grid.
 func TestAppendDominatedMasked(t *testing.T) {
