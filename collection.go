@@ -821,13 +821,14 @@ func (l local) execute(ctx context.Context, snap *colSnapshot, q Query, fanout i
 		DominanceTests: dts,
 		SkylineSize:    len(m.Rows),
 		InputSize:      snap.ds.n,
-		Threads:        l.eng.threads,
 		Elapsed:        time.Since(start),
 	}
 	// Aggregate the per-shard work counters and phase timings into the
 	// collection-level stats (phase durations sum across shards, so they
-	// read as total work, not wall clock).
+	// read as total work, not wall clock). Each shard ran on the team it
+	// leased; Threads reports the largest.
 	for _, r := range results {
+		res.Stats.Threads = max(res.Stats.Threads, r.Stats.Threads)
 		res.Stats.PrefilterPruned += r.Stats.PrefilterPruned
 		res.Stats.Phase1Survivors += r.Stats.Phase1Survivors
 		res.Stats.Phase2Survivors += r.Stats.Phase2Survivors
@@ -846,6 +847,8 @@ func (l local) execute(ctx context.Context, snap *colSnapshot, q Query, fanout i
 				Output:          len(r.Indices),
 				DominanceTests:  r.Stats.DominanceTests,
 				PrefilterPruned: r.Stats.PrefilterPruned,
+				Threads:         r.Stats.Threads,
+				PhaseWall:       r.Stats.Timings.PhaseOne + r.Stats.Timings.PhaseTwo,
 				Elapsed:         r.Stats.Elapsed,
 			}
 		}

@@ -26,8 +26,14 @@ var engineFaults *faults.Injector
 // safe for concurrent use by any number of goroutines — it keeps a
 // free-list of computation contexts (each holding the scratch state of
 // one in-flight query) over a single shared worker pool, so concurrent
-// queries reuse warm scratch instead of allocating, and the machine
-// runs one thread team rather than one per caller.
+// queries reuse warm scratch instead of allocating, and the machine runs
+// one pool of threads rather than one per caller.
+//
+// Every Hybrid or Q-Flow run leases its own team from that pool: a share
+// of max(1, T / hot runs in flight) threads of the Engine's T, capped by
+// Query.Threads and by the workers other runs do not hold. A run alone
+// gets the whole pool; concurrent runs — a sharded query's shard runs,
+// other callers' queries — compute side by side on disjoint workers.
 //
 // Run honors context cancellation and deadlines: the Hybrid and Q-Flow
 // hot paths poll a cancellation flag at every α-block boundary and
@@ -42,6 +48,7 @@ var engineFaults *faults.Injector
 // context.Background()).
 type Engine struct {
 	threads int
+	hot     atomic.Int64 // Hybrid and Q-Flow runs in flight
 
 	mu     sync.Mutex
 	pool   *par.Pool
@@ -55,6 +62,8 @@ type Engine struct {
 // in it is sized to a dataset but the core context's working set.
 type engineCtx struct {
 	core     *core.Context
+	pool     *par.Pool // the Engine's pool, which runs lease their teams from
+	team     *par.Team // the current run's team
 	st       stats.Stats
 	ops      []point.PrefOp
 	view     point.View // the dataset under the current query's preferences
@@ -63,8 +72,9 @@ type engineCtx struct {
 
 // NewEngine creates an Engine whose worker pool has the given number of
 // threads (≤ 0 selects all usable CPUs). Per-query thread counts are
-// capped at this budget. Close releases the pool; an Engine dropped
-// without Close is cleaned up by the garbage collector.
+// capped at this budget, and runs in flight together split it. Close
+// releases the pool; an Engine dropped without Close is cleaned up by the
+// garbage collector.
 func NewEngine(threads int) *Engine {
 	if threads <= 0 {
 		threads = par.DefaultThreads()
@@ -109,7 +119,7 @@ func (e *Engine) acquire() (*engineCtx, error) {
 	if e.pool == nil {
 		e.pool = par.NewPool(e.threads)
 	}
-	return &engineCtx{core: core.NewContextShared(e.pool)}, nil
+	return &engineCtx{core: core.NewContext(), pool: e.pool}, nil
 }
 
 // Prewarm pre-creates n computation contexts on the free-list so a
@@ -205,18 +215,30 @@ func (e *Engine) exec(ctx context.Context, ds *Dataset, q Query) (Result, error)
 	if q.SkybandK > 1 && !hot {
 		return Result{}, fmt.Errorf("%w: algorithm %s does not support k-skyband queries (SkybandK=%d); use %s or %s", ErrBadQuery, q.Algorithm, q.SkybandK, Hybrid, QFlow)
 	}
+	threads := q.Threads
+	if threads <= 0 || threads > e.threads {
+		threads = e.threads
+	}
 	var ec *engineCtx
 	if hot {
 		var err error
 		if ec, err = e.acquire(); err != nil {
 			return Result{}, err
 		}
+		// The run's share of the pool: alone it gets all of it, beside
+		// other hot runs an equal split (the lease grants fewer when the
+		// others hold more).
+		inFlight := int(e.hot.Add(1))
+		ec.team = ec.pool.Lease(min(threads, max(1, e.threads/inFlight)))
 		defer func() {
+			ec.team.Release()
+			ec.team = nil
+			e.hot.Add(-1)
 			// A context whose query panicked is discarded, not recycled:
 			// the panic may have left its scratch state (bucket arrays,
-			// partial heaps, the shared pool's region bookkeeping) torn,
-			// and a poisoned context handed to the next query would turn
-			// one contained failure into silent corruption.
+			// partial heaps) torn, and a poisoned context handed to the
+			// next query would turn one contained failure into silent
+			// corruption.
 			if ec.poisoned {
 				ec.core.Close()
 				return
@@ -227,7 +249,7 @@ func (e *Engine) exec(ctx context.Context, ds *Dataset, q Query) (Result, error)
 		return Result{}, err
 	}
 
-	return e.execGuarded(ctx, ec, hot, ds, q)
+	return e.execGuarded(ctx, ec, hot, ds, q, threads)
 }
 
 // execGuarded is the compute section of exec, with panic containment: a
@@ -236,7 +258,7 @@ func (e *Engine) exec(ctx context.Context, ds *Dataset, q Query) (Result, error)
 // converted into an error wrapping ErrQueryPanic, carrying the panic
 // value and the panicking goroutine's stack. Only the offending query
 // fails; the Engine and its pool stay serviceable.
-func (e *Engine) execGuarded(ctx context.Context, ec *engineCtx, hot bool, ds *Dataset, q Query) (res Result, err error) {
+func (e *Engine) execGuarded(ctx context.Context, ec *engineCtx, hot bool, ds *Dataset, q Query, threads int) (res Result, err error) {
 	defer func() {
 		if r := recover(); r != nil {
 			if ec != nil {
@@ -279,11 +301,6 @@ func (e *Engine) execGuarded(ctx context.Context, ec *engineCtx, hot bool, ds *D
 		m = point.FromFlat(ds.vals, ds.n, ds.d)
 	}
 
-	threads := q.Threads
-	if threads <= 0 || threads > e.threads {
-		threads = e.threads
-	}
-
 	// Bridge ctx onto the hot paths' polling flag. The watcher goroutine
 	// and its flag exist only when ctx can actually be canceled, so
 	// context.Background() keeps the allocation-free steady state. The
@@ -312,7 +329,7 @@ func (e *Engine) execGuarded(ctx context.Context, ec *engineCtx, hot bool, ds *D
 		return Result{}, err
 	}
 	if hot {
-		res, err = runOnContext(ec, q, threads, cancel)
+		res, err = runOnContext(ec, q, cancel)
 	} else {
 		res, err = runBaseline(m, q, threads)
 	}
@@ -343,14 +360,14 @@ func (e *Engine) execGuarded(ctx context.Context, ec *engineCtx, hot bool, ds *D
 }
 
 // runOnContext executes a hot-path query over ec.view on an acquired
-// context, with cancellation plumbed through.
-func runOnContext(ec *engineCtx, q Query, threads int, cancel *atomic.Bool) (Result, error) {
+// context and its leased team, with cancellation plumbed through.
+func runOnContext(ec *engineCtx, q Query, cancel *atomic.Bool) (Result, error) {
 	switch q.Algorithm {
 	case Hybrid:
 		ec.st = stats.Stats{}
 		start := time.Now()
 		idx := ec.core.Hybrid(ec.view, core.HybridOptions{
-			Threads:       threads,
+			Team:          ec.team,
 			Alpha:         q.Alpha,
 			Pivot:         q.Pivot.internal(),
 			Beta:          q.Beta,
@@ -371,7 +388,7 @@ func runOnContext(ec *engineCtx, q Query, threads int, cancel *atomic.Bool) (Res
 		ec.st = stats.Stats{}
 		start := time.Now()
 		idx := ec.core.QFlow(ec.view, core.QFlowOptions{
-			Threads:     threads,
+			Team:        ec.team,
 			Alpha:       q.Alpha,
 			SkybandK:    q.SkybandK,
 			Stats:       &ec.st,

@@ -161,6 +161,61 @@ func TestEngineConcurrent(t *testing.T) {
 	}
 }
 
+// TestEngineSplitsPool holds run A open in its Progressive callback while
+// run B starts on the same Engine of four threads: A, alone when it
+// started, leased all four; B, one of two hot runs in flight, leases half.
+// Both answer what a solo run answers, and a later solo run has the whole
+// pool again.
+func TestEngineSplitsPool(t *testing.T) {
+	data := contextTestData(t, 20000, 5)
+	ds, err := skybench.NewDataset(data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	eng := skybench.NewEngine(4)
+	defer eng.Close()
+	ctx := context.Background()
+	solo, err := eng.Run(ctx, ds, skybench.Query{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if solo.Stats.Threads != 4 {
+		t.Fatalf("solo run leased %d threads, want 4", solo.Stats.Threads)
+	}
+
+	var b skybench.Result
+	var bErr error
+	started := false
+	a, err := eng.Run(ctx, ds, skybench.Query{Progressive: func([]int) {
+		if !started {
+			started = true
+			b, bErr = eng.Run(ctx, ds, skybench.Query{})
+		}
+	}})
+	if err != nil || bErr != nil {
+		t.Fatalf("run A: %v; run B: %v", err, bErr)
+	}
+	if !started {
+		t.Fatal("run A never called Progressive")
+	}
+	if a.Stats.Threads != 4 || b.Stats.Threads != 2 {
+		t.Errorf("run A leased %d threads and run B %d, want 4 and 2", a.Stats.Threads, b.Stats.Threads)
+	}
+	for name, r := range map[string]skybench.Result{"A": a, "B": b} {
+		if !sameIndexSet(r.Indices, solo.Indices) {
+			t.Errorf("run %s selects %d points, the solo run %d", name, len(r.Indices), len(solo.Indices))
+		}
+	}
+
+	again, err := eng.Run(ctx, ds, skybench.Query{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if again.Stats.Threads != 4 {
+		t.Errorf("solo run after the split leased %d threads, want 4", again.Stats.Threads)
+	}
+}
+
 // TestEngineCanceledBeforeStart is the issue's acceptance bound: an
 // already-dead context must come back with ctx.Err() in under 50ms on
 // the n=100k d=8 workload, i.e. without touching the data at all.

@@ -48,7 +48,7 @@ type computer struct {
 	d        int
 	full     point.Mask
 	threads  int       // 1 = sequential BSkyTree
-	pool     *par.Pool // the run's worker team (threads > 1 only)
+	team     *par.Team // the run's worker team (threads > 1 only)
 	floor    int
 	batchCap int
 	dts      *stats.DTCounters
@@ -99,8 +99,9 @@ func run(m point.Matrix, threads int, dts *stats.DTCounters) ([]int, uint64) {
 	}
 	c.dts = dts
 	if threads > 1 {
-		c.pool = par.NewPool(threads)
-		defer c.pool.Close()
+		pool := par.NewPool(threads)
+		defer pool.Close()
+		c.team = pool.Lease(threads)
 	}
 	pts := make([]int, n)
 	for i := range pts {
@@ -149,7 +150,7 @@ func (c *computer) build(pts []int) *node {
 		masks[k] = point.ComputeMask(c.m.Row(pts[k]), pv)
 	}
 	if c.threads > 1 && len(pts) >= 4096 {
-		c.pool.ForRanges(len(pts), func(_, lo, hi int) {
+		c.team.ForRanges(len(pts), func(_, lo, hi int) {
 			for k := lo; k < hi; k++ {
 				computeOne(k)
 			}
@@ -236,7 +237,7 @@ func (c *computer) processGroupsBatched(nd *node, order []point.Mask, groups map
 			}
 		}
 		keep := make([]bool, len(jobs))
-		c.pool.ForRanges(len(jobs), func(tid, lo, hi int) {
+		c.team.ForRanges(len(jobs), func(tid, lo, hi int) {
 			var local uint64
 			for k := lo; k < hi; k++ {
 				keep[k] = !c.dominatedByTree(nd, jobs[k].pt, &local)

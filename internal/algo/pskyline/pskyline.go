@@ -39,11 +39,12 @@ func SkylineStats(m point.Matrix, threads int, st *stats.Stats) []int {
 	dts := stats.NewDTCounters(threads)
 	pool := par.NewPool(threads)
 	defer pool.Close()
+	team := pool.Lease(threads)
 	start := time.Now()
 
 	// Map: local skyline per linear block, one per thread.
 	locals := make([][]int, threads)
-	pool.ForRanges(n, func(tid, lo, hi int) {
+	team.ForRanges(n, func(tid, lo, hi int) {
 		var local uint64
 		locals[tid] = sskyline(m, lo, hi, &local)
 		dts.Inc(tid, local)
@@ -56,7 +57,7 @@ func SkylineStats(m point.Matrix, threads int, st *stats.Stats) []int {
 	global := locals[0]
 	for k := 1; k < threads; k++ {
 		if len(locals[k]) > 0 {
-			global = pmerge(m, global, locals[k], pool, dts)
+			global = pmerge(m, global, locals[k], team, dts)
 		}
 	}
 	end := time.Now()
@@ -107,11 +108,11 @@ func sskyline(m point.Matrix, lo, hi int, dts *uint64) []int {
 // each internally dominance-free, testing against the full opposite side
 // is equivalent to testing against its survivors, so both directions run
 // in parallel without ordering.
-func pmerge(m point.Matrix, a, b []int, pool *par.Pool, dts *stats.DTCounters) []int {
+func pmerge(m point.Matrix, a, b []int, team *par.Team, dts *stats.DTCounters) []int {
 	keepA := make([]bool, len(a))
 	keepB := make([]bool, len(b))
 	total := len(a) + len(b)
-	pool.ForRanges(total, func(tid, lo, hi int) {
+	team.ForRanges(total, func(tid, lo, hi int) {
 		var local uint64
 		for k := lo; k < hi; k++ {
 			if k < len(a) {

@@ -11,24 +11,28 @@ import (
 )
 
 // Context holds everything the α-block driver behind Hybrid and Q-Flow
-// needs across runs: a persistent worker pool, per-thread dominance-test
-// counters, and every scratch array the algorithms previously reallocated
-// per call (L1 norms, masks, sort keys and permutations, block flags, the
-// gathered working matrix, the global-skyline storage, radix-sort
-// histograms, and the pre-filter's queues). After a warm-up call with a
-// given workload shape, repeated Hybrid/QFlow calls perform zero
-// steady-state allocations — the property a server answering millions of
-// skyline queries needs.
+// needs across runs: per-thread dominance-test counters and every scratch
+// array the algorithms previously reallocated per call (L1 norms, masks,
+// sort keys and permutations, block flags, the gathered working matrix,
+// the global-skyline storage, radix-sort histograms, and the pre-filter's
+// queues). After a warm-up call with a given workload shape, repeated
+// Hybrid/QFlow calls perform zero steady-state allocations — the property
+// a server answering millions of skyline queries needs.
+//
+// A run's parallel regions dispatch on the worker team its options name
+// (HybridOptions.Team) — an Engine leases one per run from its shared
+// pool — or, without one, on a pool the Context owns, created on first
+// need.
 //
 // A Context is not safe for concurrent use; create one per worker.
 // Results returned by Hybrid/QFlow alias Context storage and are valid
-// until the next call on the same Context. Close releases the worker
-// pool (contexts are also cleaned up by the garbage collector if
-// forgotten).
+// until the next call on the same Context. Close releases the owned pool
+// (contexts are also cleaned up by the garbage collector if forgotten).
 type Context struct {
-	pool   *par.Pool
-	shared bool // pool is caller-owned: never resized or closed here
-	tEff   int  // effective thread count of the current run
+	pool   *par.Pool // owned pool, for runs that bring no team
+	own    *par.Team // the whole of pool, leased for the pool's life
+	team   *par.Team // the current run's team
+	tEff   int       // the current run's thread count: its team's size at the start
 	cancel *atomic.Bool
 	dts    *stats.DTCounters
 	pf     *prefilter.Runner
@@ -87,9 +91,9 @@ type Context struct {
 	runBody    func(tid, lo, hi int)
 }
 
-// NewContext creates an empty Context. The worker pool is created lazily
-// on the first run (sized to that run's thread count) and resized only
-// when the requested thread count changes.
+// NewContext creates an empty Context. A run without a team of its own
+// creates the Context's pool (sized to that run's thread count), which is
+// resized only when the requested thread count changes.
 func NewContext() *Context {
 	c := &Context{pf: prefilter.NewRunner()}
 	c.l1Body = c.runL1
@@ -104,52 +108,34 @@ func NewContext() *Context {
 	return c
 }
 
-// NewContextShared creates a Context whose parallel regions run on the
-// caller's pool, which may concurrently serve other Contexts (Pool
-// dispatches serialize internally). The Context does not own the pool:
-// Close leaves it open, and requested thread counts are capped at the
-// pool's size. This is what lets an Engine keep a free-list of Contexts
-// over one worker pool instead of one pool per concurrent query.
-func NewContextShared(p *par.Pool) *Context {
-	c := NewContext()
-	c.pool = p
-	c.shared = true
-	return c
-}
-
-// Close releases the Context's worker pool unless the pool is shared
-// (NewContextShared), in which case the owner closes it. The Context must
-// not be used afterwards.
+// Close releases the Context's own pool, if it made one. The Context
+// must not be used afterwards.
 func (c *Context) Close() {
-	if c.pool != nil && !c.shared {
+	if c.pool != nil {
 		c.pool.Close()
 	}
-	c.pool = nil
+	c.pool, c.own, c.team = nil, nil, nil
 }
 
-// ensure (re)creates the pool and counters for the requested thread
-// count and records the effective thread count of the run (a shared pool
-// is never resized, so the request is capped at its size).
-func (c *Context) ensure(threads int) {
-	if threads <= 0 {
-		if c.shared {
-			threads = c.pool.Threads()
-		} else {
+// ensure picks the run's team — the caller's, or the whole of the
+// Context's own pool, (re)created for the requested thread count — and
+// sizes the counters to it.
+func (c *Context) ensure(team *par.Team, threads int) {
+	if team == nil {
+		if threads <= 0 {
 			threads = par.DefaultThreads()
 		}
+		if c.pool == nil || c.pool.Threads() != threads {
+			c.Close()
+			c.pool = par.NewPool(threads)
+			c.own = c.pool.Lease(threads)
+		}
+		team = c.own
 	}
-	if c.pool == nil {
-		c.pool = par.NewPool(threads)
-	} else if !c.shared && c.pool.Threads() != threads {
-		c.pool.Close()
-		c.pool = par.NewPool(threads)
-	}
-	if pt := c.pool.Threads(); threads > pt {
-		threads = pt
-	}
-	c.tEff = threads
-	if c.dts == nil || c.dts.Threads() < threads {
-		c.dts = stats.NewDTCounters(threads)
+	c.team = team
+	c.tEff = team.Threads()
+	if c.dts == nil || c.dts.Threads() < c.tEff {
+		c.dts = stats.NewDTCounters(c.tEff)
 	}
 	c.dts.Reset()
 }
@@ -165,14 +151,14 @@ func (c *Context) canceled() bool { return c.cancel != nil && c.cancel.Load() }
 // wholesale at the barrier). Every sweep whose cost per row is even, and
 // everything that files output per thread, goes this way.
 func (c *Context) forRanges(n int, body func(tid, lo, hi int)) {
-	c.pool.ForRangesCancel(c.tEff, n, c.cancel, body)
+	c.team.ForRangesCancel(c.tEff, n, c.cancel, body)
 }
 
 // forChunks runs one dominance-test phase over an α-block in claimed
 // chunks of phaseChunk points and books the team's busy time, the
 // numerator of the trace's par_eff.
 func (c *Context) forChunks(st *stats.Stats, n int, body func(tid, lo, hi int)) {
-	st.Cost.Busy += c.pool.ForChunks(c.tEff, n, phaseChunk, c.cancel, body)
+	st.Cost.Busy += c.team.ForChunks(c.tEff, n, phaseChunk, c.cancel, body)
 }
 
 // grow returns s resized to n, reallocating only when capacity is short.
@@ -243,7 +229,7 @@ func (c *Context) runMask(_, lo, hi int) {
 // pruned point's flag is set early enough to save its successors the
 // test; it is large against the cost of a claim, one atomic add.
 // Anywhere from 8 to 64 measures the same. It is also the cancellation
-// bound: the pool polls the flag before every claim, so the phase bodies
+// bound: the team polls the flag before every claim, so the phase bodies
 // carry no poll of their own.
 const phaseChunk = 16
 

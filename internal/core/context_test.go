@@ -97,7 +97,7 @@ func TestContextZeroAlloc(t *testing.T) {
 func TestRadixSortIdx(t *testing.T) {
 	c := NewContext()
 	defer c.Close()
-	c.ensure(4)
+	c.ensure(nil, 4)
 	rng := rand.New(rand.NewSource(13))
 	for _, n := range []int{1, 2, 17, 1000, 10000} {
 		for _, keyBits := range []int{4, 13, 21, 64} {

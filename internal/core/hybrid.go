@@ -6,6 +6,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"skybench/internal/par"
 	"skybench/internal/pivot"
 	"skybench/internal/point"
 	"skybench/internal/stats"
@@ -20,6 +21,10 @@ const DefaultAlphaHybrid = 1 << 10
 type HybridOptions struct {
 	// Threads is the number of worker goroutines (≤ 0 means GOMAXPROCS).
 	Threads int
+	// Team, when non-nil, is the leased worker team the run dispatches its
+	// parallel regions on; its size is the run's thread count and Threads
+	// is ignored. Nil runs on the Context's own pool.
+	Team *par.Team
 	// Alpha is the block size α (≤ 0 selects DefaultAlphaHybrid).
 	Alpha int
 	// Pivot selects the level-1 pivot strategy (default Median).
@@ -118,7 +123,7 @@ func (c *Context) run(v point.View, opt HybridOptions, partition bool) []int {
 		st = &c.st
 	}
 	st.InputSize = n
-	c.ensure(opt.Threads)
+	c.ensure(opt.Team, opt.Threads)
 	st.Threads = c.tEff
 	c.cancel = opt.Cancel
 	timer := stats.StartTimer(st)
@@ -137,7 +142,7 @@ func (c *Context) run(v point.View, opt HybridOptions, partition bool) []int {
 	var surv []int
 	var survL1 []float64
 	if partition && !opt.NoPrefilter {
-		surv, survL1 = c.pf.Filter(v, opt.Beta, k, c.pool, c.tEff, c.dts)
+		surv, survL1 = c.pf.Filter(v, opt.Beta, k, c.team, c.dts)
 		timer.Stop(stats.PhasePrefilt)
 	} else {
 		c.l1, c.keys = grow(c.l1, n), grow(c.keys, n)
@@ -262,7 +267,12 @@ func (c *Context) run(v point.View, opt HybridOptions, partition bool) []int {
 		firstNew := c.sky.size()
 		c.sky.update(wk, c.wl1, c.worig, c.wmask, bcnt, lo, final, c.level2)
 		if opt.Progressive != nil && final > 0 {
+			// The callback is caller code of unknown length: the team's
+			// workers serve other runs meanwhile. Only claimed-chunk phases
+			// follow, and those run on whatever size Reclaim regrows to.
+			c.team.Yield()
 			opt.Progressive(c.sky.orig[firstNew:])
+			c.team.Reclaim()
 		}
 		timer.Stop(stats.PhaseOther)
 	}

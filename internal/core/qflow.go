@@ -9,6 +9,7 @@ package core
 import (
 	"sync/atomic"
 
+	"skybench/internal/par"
 	"skybench/internal/point"
 	"skybench/internal/stats"
 )
@@ -22,6 +23,9 @@ const DefaultAlphaQFlow = 1 << 13
 type QFlowOptions struct {
 	// Threads is the number of worker goroutines (≤ 0 means GOMAXPROCS).
 	Threads int
+	// Team, when non-nil, is the leased worker team the run dispatches on
+	// (see HybridOptions.Team).
+	Team *par.Team
 	// Alpha is the block size α (≤ 0 selects DefaultAlphaQFlow).
 	Alpha int
 	// Stats, when non-nil, receives phase timings and DT counts.
@@ -73,6 +77,7 @@ func (c *Context) QFlow(v point.View, opt QFlowOptions) []int {
 	}
 	return c.run(v, HybridOptions{
 		Threads:     opt.Threads,
+		Team:        opt.Team,
 		Alpha:       alpha,
 		SkybandK:    opt.SkybandK,
 		Stats:       opt.Stats,

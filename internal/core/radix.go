@@ -12,7 +12,7 @@ import (
 // out. Here the compound (level, mask) key is sorted with a parallel
 // stable LSD radix sort (per-thread histograms, static ranges, exclusive
 // scatter slots), and the L1 order inside each equal-key run is restored
-// with per-run quicksort/insertion sorts fanned out over the pool. An
+// with per-run quicksort/insertion sorts fanned out over the team. An
 // unpartitioned (Q-Flow) run keys every row by the order-preserving bit
 // transform of its L1 norm instead and needs no per-run sort, since the
 // stable radix pass alone yields L1 order with ties in input order.
@@ -138,7 +138,7 @@ func (c *Context) sortRunsByL1(idx []int) {
 	// larger than 1024 runs.
 	nr := len(runs) / 2
 	chunk := min(max(nr/(8*c.tEff), 1), 1024)
-	c.pool.ForChunks(c.tEff, nr, chunk, c.cancel, c.runBody)
+	c.team.ForChunks(c.tEff, nr, chunk, c.cancel, c.runBody)
 }
 
 func (c *Context) runSortRuns(_, lo, hi int) {

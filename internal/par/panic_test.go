@@ -28,8 +28,7 @@ func wantWorkerPanic(t *testing.T, val string, f func()) {
 }
 
 func TestForPropagatesWorkerPanic(t *testing.T) {
-	p := NewPool(4)
-	defer p.Close()
+	p := newTeam(t, 4)
 	wantWorkerPanic(t, "boom-for", func() {
 		p.ForChunks(4, 1000, chunkSize, nil, func(_, lo, hi int) {
 			if lo <= 617 && 617 < hi {
@@ -40,8 +39,7 @@ func TestForPropagatesWorkerPanic(t *testing.T) {
 }
 
 func TestForRangesPropagatesWorkerPanic(t *testing.T) {
-	p := NewPool(4)
-	defer p.Close()
+	p := newTeam(t, 4)
 	wantWorkerPanic(t, "boom-ranges", func() {
 		p.ForRanges(100, func(tid, lo, hi int) {
 			if tid == 2 {
@@ -52,8 +50,7 @@ func TestForRangesPropagatesWorkerPanic(t *testing.T) {
 }
 
 func TestPoolSurvivesWorkerPanic(t *testing.T) {
-	p := NewPool(4)
-	defer p.Close()
+	p := newTeam(t, 4)
 
 	wantWorkerPanic(t, "boom-pool-for", func() {
 		p.ForChunks(4, 1000, chunkSize, nil, func(_, lo, hi int) {
@@ -93,8 +90,7 @@ func TestPoolSurvivesWorkerPanic(t *testing.T) {
 func TestPoolDispatcherShareCaptured(t *testing.T) {
 	// Worker 0 is the dispatching goroutine itself; its panic must take
 	// the same contained path so region state is reset under mu.
-	p := NewPool(2)
-	defer p.Close()
+	p := newTeam(t, 2)
 	wantWorkerPanic(t, "boom-self", func() {
 		p.ForRanges(2, func(tid, lo, hi int) {
 			if tid == 0 {
@@ -110,8 +106,7 @@ func TestPoolDispatcherShareCaptured(t *testing.T) {
 }
 
 func TestCancelStillWorksAfterPanic(t *testing.T) {
-	p := NewPool(4)
-	defer p.Close()
+	p := newTeam(t, 4)
 	wantWorkerPanic(t, "x", func() { p.ForChunks(4, 100, chunkSize, nil, func(_, _, _ int) { panic("x") }) })
 	var stop atomic.Bool
 	stop.Store(true)

@@ -1,8 +1,12 @@
 // Package par is the parallel runtime of this repository: Pool, a
-// persistent team of worker goroutines in the role of the OpenMP thread
-// team the paper's C++ implementation creates once and reuses for every
-// parallel region. There is one way to run a parallel loop — a region
-// dispatched on a Pool — and a region has one of two shapes:
+// persistent set of worker goroutines, and Team, the slice of it one
+// computation leases — in the role of the OpenMP thread team the paper's
+// C++ implementation creates once and reuses for every parallel region.
+// The paper runs one computation on one team; a server runs many at once,
+// so each leases its own team from the shared pool and the teams run
+// their regions side by side on disjoint workers. There is one way to run
+// a parallel loop — a region dispatched on a Team — and a region has one
+// of two shapes:
 //
 //   - Static ranges (ForRanges, ForRangesCancel; OpenMP schedule(static)):
 //     [0, n) is cut into one contiguous range per worker. Worker tid
@@ -26,7 +30,7 @@
 //
 // All algorithms take an explicit thread count t, so the paper's
 // thread-scaling experiments (Figures 10–13) can sweep t regardless of
-// GOMAXPROCS.
+// GOMAXPROCS. A run's answer never depends on its team's size.
 package par
 
 import (

@@ -9,9 +9,17 @@ import (
 // it (15, 16, 17) on purpose.
 const chunkSize = 16
 
+// newTeam leases the whole of a fresh pool of the given size, closed when
+// the test ends.
+func newTeam(t testing.TB, threads int) *Team {
+	p := NewPool(threads)
+	t.Cleanup(p.Close)
+	return p.Lease(threads)
+}
+
 func TestForCoversAllIndices(t *testing.T) {
 	for _, threads := range []int{1, 2, 4} {
-		p := NewPool(threads)
+		p := newTeam(t, threads)
 		for _, n := range []int{0, 1, 15, 16, 17, 1000} {
 			seen := make([]int32, n)
 			p.ForChunks(threads, n, chunkSize, nil, func(_, lo, hi int) {
@@ -25,15 +33,13 @@ func TestForCoversAllIndices(t *testing.T) {
 				}
 			}
 		}
-		p.Close()
 	}
 }
 
 // TestForChunkedExplicitChunk checks the chunk geometry: every claim
 // starts on a chunk boundary and is full-size except the last.
 func TestForChunkedExplicitChunk(t *testing.T) {
-	p := NewPool(4)
-	defer p.Close()
+	p := newTeam(t, 4)
 	const n, chunk = 1000, 3
 	var sum, calls atomic.Int64
 	p.ForChunks(4, n, chunk, nil, func(_, lo, hi int) {
@@ -51,8 +57,7 @@ func TestForChunkedExplicitChunk(t *testing.T) {
 }
 
 func TestForZeroAndNegativeN(t *testing.T) {
-	p := NewPool(4)
-	defer p.Close()
+	p := newTeam(t, 4)
 	called := false
 	body := func(_, _, _ int) { called = true }
 	p.ForChunks(4, 0, chunkSize, nil, body)
@@ -68,7 +73,7 @@ func TestForZeroAndNegativeN(t *testing.T) {
 // tid's range is the tid-th in row order, and the ranges tile [0, n).
 func TestForRangesPartition(t *testing.T) {
 	for _, threads := range []int{1, 3, 8} {
-		p := NewPool(threads)
+		p := newTeam(t, threads)
 		for _, n := range []int{1, 10, 97} {
 			los := make([]int, threads)
 			his := make([]int, threads)
@@ -85,14 +90,12 @@ func TestForRangesPartition(t *testing.T) {
 				t.Fatalf("t=%d n=%d: ranges end at %d", threads, n, next)
 			}
 		}
-		p.Close()
 	}
 }
 
 func TestForRangesTidsDistinct(t *testing.T) {
 	n, threads := 100, 4
-	p := NewPool(threads)
-	defer p.Close()
+	p := newTeam(t, threads)
 	seen := make([]int32, threads)
 	p.ForRanges(n, func(tid, lo, hi int) { atomic.AddInt32(&seen[tid], 1) })
 	for tid, c := range seen {
@@ -103,8 +106,7 @@ func TestForRangesTidsDistinct(t *testing.T) {
 }
 
 func TestForRangesMoreThreadsThanWork(t *testing.T) {
-	p := NewPool(16)
-	defer p.Close()
+	p := newTeam(t, 16)
 	var count int32
 	p.ForRanges(3, func(tid, lo, hi int) { atomic.AddInt32(&count, int32(hi-lo)) })
 	if count != 3 {
@@ -113,13 +115,12 @@ func TestForRangesMoreThreadsThanWork(t *testing.T) {
 }
 
 func TestTeamClamps(t *testing.T) {
-	p := NewPool(8)
-	defer p.Close()
+	p := newTeam(t, 8)
 	for _, tc := range []struct{ t, items, want int }{
 		{0, 100, 8}, {-1, 100, 8}, {3, 100, 3}, {12, 100, 8}, {8, 3, 3}, {2, 1, 1},
 	} {
-		if got := p.team(tc.t, tc.items); got != tc.want {
-			t.Errorf("team(%d, %d) = %d, want %d", tc.t, tc.items, got, tc.want)
+		if got := p.clamp(tc.t, tc.items); got != tc.want {
+			t.Errorf("clamp(%d, %d) = %d, want %d", tc.t, tc.items, got, tc.want)
 		}
 	}
 }

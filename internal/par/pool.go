@@ -7,27 +7,20 @@ import (
 	"time"
 )
 
-// Pool is a persistent team of worker goroutines with a reusable barrier.
-// Hybrid and Q-Flow issue one region per phase per α-block; a Pool pays
-// two channel operations per worker for each, where spawning goroutines
-// per region would pay their creation and a WaitGroup.
+// Pool is a persistent set of parked worker goroutines that it leases out
+// as Teams. Hybrid and Q-Flow issue one region per phase per α-block; a
+// team pays two channel operations per worker for each, where spawning
+// goroutines per region would pay their creation and a WaitGroup.
 //
-// A region is either static — ForRanges/ForRangesCancel hand worker tid
-// the tid-th of t equal contiguous ranges, the shape for everything whose
-// per-thread output must come out in row order — or claimed: ForChunks
-// lets the workers take fixed-size chunks from a shared cursor, the shape
-// for the dominance-test phases, whose per-point cost is too skewed for
-// equal ranges to finish together (see the package comment).
-//
-// The calling goroutine participates as worker 0, so a Pool of t threads
-// owns t−1 goroutines and a single-threaded Pool runs everything inline.
-// Dispatch methods are safe for concurrent use: concurrent parallel
-// regions serialize on an internal mutex, so one Pool can be shared by
-// many computation contexts (the Engine serving concurrent skyline
-// queries relies on this). A dispatch method must not be called from
-// inside a body running on the same Pool. Close releases the workers; a
-// finalizer releases them anyway if a Pool is garbage-collected while
-// still open, so an un-Closed Pool does not leak goroutines permanently.
+// A Pool of t threads owns t−1 goroutines: the goroutine that leases a
+// team is always its worker 0. Lease never blocks — it hands out at most
+// the workers no other team holds, and a team of one runs everything
+// inline — so concurrent computations (the Engine serving concurrent
+// skyline queries) run their regions at the same time on disjoint
+// workers instead of taking turns on the pool. Lease, Release and Close
+// are safe for concurrent use. Close releases the workers; a finalizer
+// releases them anyway if a Pool is garbage-collected while still open,
+// so an un-Closed Pool does not leak goroutines permanently.
 type Pool struct {
 	*pool
 }
@@ -37,12 +30,117 @@ type Pool struct {
 // the workers only reference the inner struct, so the wrapper can become
 // unreachable while they are parked.
 type pool struct {
-	t  int
-	mu sync.Mutex // serializes multi-threaded dispatches
+	t int
 
-	// Current parallel region, written by the dispatcher under mu before
-	// waking workers (the channel send orders these writes before the
-	// reads).
+	mu     sync.Mutex // guards free, spare and closed; held by Lease and Release only
+	free   []int      // parked workers no team holds
+	spare  []*Team    // released teams, reused so a lease allocates nothing
+	closed bool
+
+	start []chan wake   // one per worker goroutine, wakes it for a region
+	quit  chan struct{} // closed to release the workers
+	once  sync.Once
+}
+
+// wake hands a worker its team's region and its tid in that team.
+type wake struct {
+	team *Team
+	tid  int
+}
+
+// NewPool creates a pool of t threads (t ≤ 0 selects DefaultThreads).
+func NewPool(t int) *Pool {
+	if t <= 0 {
+		t = DefaultThreads()
+	}
+	p := &pool{
+		t:     t,
+		free:  make([]int, t-1),
+		start: make([]chan wake, t-1),
+		quit:  make(chan struct{}),
+	}
+	for w := range p.start {
+		p.free[w] = w
+		p.start[w] = make(chan wake)
+		go p.worker(w)
+	}
+	wrapper := &Pool{pool: p}
+	runtime.AddCleanup(wrapper, func(inner *pool) { inner.close() }, p)
+	return wrapper
+}
+
+// Threads returns the pool's thread count: the largest team it can lease.
+func (p *pool) Threads() int { return p.t }
+
+// Close releases the worker goroutines. Teams still out may be Released
+// afterwards, harmlessly, but must run no more regions; a Lease after
+// Close returns a team of one.
+func (p *pool) Close() { p.close() }
+
+func (p *pool) close() {
+	p.mu.Lock()
+	p.closed = true
+	p.mu.Unlock()
+	p.once.Do(func() { close(p.quit) })
+}
+
+func (p *pool) worker(w int) {
+	for {
+		select {
+		case <-p.quit:
+			return
+		case wk := <-p.start[w]:
+			wk.team.share(wk.tid)
+			wk.team.done <- struct{}{}
+		}
+	}
+}
+
+// Lease hands the caller a team of min(t, 1 + free workers) threads (t ≤ 0
+// or above the pool's size asks for the whole pool), the caller being its
+// worker 0. It never waits for workers another team holds. The team is
+// the caller's until Release.
+func (p *Pool) Lease(t int) *Team {
+	if t <= 0 || t > p.t {
+		t = p.t
+	}
+	p.mu.Lock()
+	var tm *Team
+	if n := len(p.spare); n > 0 {
+		tm = p.spare[n-1]
+		p.spare = p.spare[:n-1]
+	} else {
+		tm = &Team{p: p.pool, workers: make([]int, 0, p.t-1), done: make(chan struct{}, p.t-1)}
+	}
+	tm.size = t
+	tm.take()
+	p.mu.Unlock()
+	tm.owner = p
+	return tm
+}
+
+// Team is a leased slice of a Pool: the leasing goroutine as worker 0 plus
+// the parked workers it was granted. Each team has its own region slot,
+// cursor, barrier and panic slot, so teams leased from one pool run
+// regions at the same time.
+//
+// A region is either static — ForRanges/ForRangesCancel hand worker tid
+// the tid-th of t equal contiguous ranges, the shape for everything whose
+// per-thread output must come out in row order — or claimed: ForChunks
+// lets the workers take fixed-size chunks from a shared cursor, the shape
+// for the dominance-test phases, whose per-point cost is too skewed for
+// equal ranges to finish together (see the package comment).
+//
+// A Team belongs to the goroutine that leased it: only that goroutine
+// dispatches its regions, and never from inside a body running on it.
+type Team struct {
+	p       *pool
+	owner   *Pool // keeps the Pool reachable, and its workers alive, while leased
+	size    int   // threads asked for at Lease, the most Reclaim takes back
+	workers []int // tid w+1 runs on pool worker workers[w]
+
+	// Current parallel region, written by the dispatcher before waking
+	// workers (the channel send orders these writes before the reads).
 	body   func(tid, lo, hi int)
 	n      int
 	tEff   int          // static region: number of ranges
@@ -52,65 +150,76 @@ type pool struct {
 	busy   atomic.Int64 // claimed region: the workers' summed in-region ns
 
 	pan panicSlot // first worker panic of the current region
-
-	start []chan struct{} // one per worker goroutine, wakes it for a region
-	done  chan struct{}   // workers report region completion
-	quit  chan struct{}   // closed to release the workers
-	once  sync.Once
+	// done is where workers report region completion, buffered for every
+	// worker a team of this pool can hold so none blocks on the report.
+	done chan struct{}
 }
 
-// NewPool creates a pool of t workers (t ≤ 0 selects DefaultThreads).
-func NewPool(t int) *Pool {
-	if t <= 0 {
-		t = DefaultThreads()
+// take grants the team up to size−1 free workers (none once the pool is
+// closed). p.mu must be held.
+func (tm *Team) take() {
+	p := tm.p
+	if p.closed {
+		return
 	}
-	p := &pool{
-		t:     t,
-		start: make([]chan struct{}, t-1),
-		done:  make(chan struct{}, t-1),
-		quit:  make(chan struct{}),
-	}
-	for w := range p.start {
-		p.start[w] = make(chan struct{})
-		go p.worker(w + 1)
-	}
-	wrapper := &Pool{pool: p}
-	runtime.AddCleanup(wrapper, func(inner *pool) { inner.close() }, p)
-	return wrapper
+	k := min(tm.size-1-len(tm.workers), len(p.free))
+	tm.workers = append(tm.workers, p.free[len(p.free)-k:]...)
+	p.free = p.free[:len(p.free)-k]
 }
 
-// Threads returns the pool's worker count.
-func (p *pool) Threads() int { return p.t }
-
-// Close releases the worker goroutines. The pool must not be used after.
-func (p *pool) Close() { p.close() }
-
-func (p *pool) close() {
-	p.once.Do(func() { close(p.quit) })
+// give returns the team's workers to the pool. p.mu must be held.
+func (tm *Team) give() {
+	if p := tm.p; !p.closed {
+		p.free = append(p.free, tm.workers...)
+	}
+	tm.workers = tm.workers[:0]
 }
 
-func (p *pool) worker(tid int) {
-	for {
-		select {
-		case <-p.quit:
-			return
-		case <-p.start[tid-1]:
-		}
-		p.share(tid)
-		p.done <- struct{}{}
+// Threads returns the team's current size: 1 + the workers it holds.
+func (tm *Team) Threads() int { return 1 + len(tm.workers) }
+
+// Release returns the team's workers to the pool. The team must not be
+// used afterwards; a second Release is a no-op.
+func (tm *Team) Release() {
+	if tm.owner == nil {
+		return
 	}
+	p := tm.p
+	p.mu.Lock()
+	tm.give()
+	tm.owner = nil
+	p.spare = append(p.spare, tm)
+	p.mu.Unlock()
+}
+
+// Yield returns the team's workers to the pool while its caller is busy
+// elsewhere — a run paused in caller code leaves them to concurrent runs
+// — and leaves a team of one that runs its regions inline. Reclaim takes
+// workers back.
+func (tm *Team) Yield() {
+	tm.p.mu.Lock()
+	tm.give()
+	tm.p.mu.Unlock()
+}
+
+// Reclaim regrows a yielded team toward the size it was leased at, with
+// whatever workers are free; like Lease it never waits.
+func (tm *Team) Reclaim() {
+	tm.p.mu.Lock()
+	tm.take()
+	tm.p.mu.Unlock()
 }
 
 // share runs worker tid's part of the current region, recovering any
 // panic into the region's panic slot. The worker still reaches the
-// barrier, so a panicking body can never wedge the pool; the dispatcher
+// barrier, so a panicking body can never wedge the team; the dispatcher
 // rethrows the panic on its own goroutine after the barrier completes.
-func (p *pool) share(tid int) {
-	defer p.pan.capture()
-	if p.chunk == 0 {
-		if !p.stopped() {
-			lo, hi := staticRange(tid, p.n, p.tEff)
-			p.body(tid, lo, hi)
+func (tm *Team) share(tid int) {
+	defer tm.pan.capture()
+	if tm.chunk == 0 {
+		if !tm.stopped() {
+			lo, hi := staticRange(tid, tm.n, tm.tEff)
+			tm.body(tid, lo, hi)
 		}
 		return
 	}
@@ -118,21 +227,21 @@ func (p *pool) share(tid int) {
 	// clock reads bracket everything the worker does in the region, so
 	// busy / (workers × region wall time) is the region's efficiency.
 	begin := time.Now()
-	n, chunk, body := p.n, p.chunk, p.body
-	for !p.stopped() {
-		lo := int(p.cursor.Add(int64(chunk))) - chunk
+	n, chunk, body := tm.n, tm.chunk, tm.body
+	for !tm.stopped() {
+		lo := int(tm.cursor.Add(int64(chunk))) - chunk
 		if lo >= n {
 			break
 		}
 		body(tid, lo, min(lo+chunk, n))
 	}
-	p.busy.Add(int64(time.Since(begin)))
+	tm.busy.Add(int64(time.Since(begin)))
 }
 
 // stopped reports that the region should take no more work: its stop
 // flag is raised, or a worker panicked.
-func (p *pool) stopped() bool {
-	return (p.stop != nil && p.stop.Load()) || p.pan.tripped()
+func (tm *Team) stopped() bool {
+	return (tm.stop != nil && tm.stop.Load()) || tm.pan.tripped()
 }
 
 // staticRange returns worker tid's contiguous share of [0, n) split into t
@@ -148,11 +257,11 @@ func staticRange(tid, n, t int) (lo, hi int) {
 	return lo, hi
 }
 
-// team clamps a requested worker count to the pool's size and to the
+// clamp clamps a requested worker count to the team's size and to the
 // number of work items.
-func (p *pool) team(t, items int) int {
-	if t <= 0 || t > p.t {
-		t = p.t
+func (tm *Team) clamp(t, items int) int {
+	if size := tm.Threads(); t <= 0 || t > size {
+		t = size
 	}
 	return min(t, items)
 }
@@ -161,72 +270,70 @@ func (p *pool) team(t, items int) int {
 // parameters, wakes t−1 workers, takes worker 0's share itself, waits on
 // the barrier, and rethrows a worker's panic on the caller's goroutine.
 // It returns the region's summed busy time (claimed regions only).
-func (p *pool) region(t, n, chunk int, stop *atomic.Bool, body func(tid, lo, hi int)) time.Duration {
-	p.mu.Lock()
-	p.body, p.n, p.tEff, p.chunk, p.stop = body, n, t, chunk, stop
-	p.cursor.Store(0)
-	p.busy.Store(0)
-	for w := 1; w < t; w++ {
-		p.start[w-1] <- struct{}{}
+func (tm *Team) region(t, n, chunk int, stop *atomic.Bool, body func(tid, lo, hi int)) time.Duration {
+	tm.body, tm.n, tm.tEff, tm.chunk, tm.stop = body, n, t, chunk, stop
+	tm.cursor.Store(0)
+	tm.busy.Store(0)
+	for tid := 1; tid < t; tid++ {
+		tm.p.start[tm.workers[tid-1]] <- wake{tm, tid}
 	}
-	p.share(0)
-	for w := 1; w < t; w++ {
-		<-p.done
+	tm.share(0)
+	for tid := 1; tid < t; tid++ {
+		<-tm.done
 	}
-	busy := p.busy.Load()
-	p.body, p.stop = nil, nil
-	wp := p.pan.p.Swap(nil)
-	p.mu.Unlock()
-	if wp != nil {
+	busy := tm.busy.Load()
+	tm.body, tm.stop = nil, nil
+	if wp := tm.pan.p.Swap(nil); wp != nil {
 		panic(wp)
 	}
 	return time.Duration(busy)
 }
 
 // ForRanges runs body(tid, lo, hi) over a static partition of [0, n) into
-// min(t, n) contiguous ranges on the pool's workers.
-func (p *pool) ForRanges(n int, body func(tid, lo, hi int)) {
-	p.ForRangesCancel(p.t, n, nil, body)
+// min(team size, n) contiguous ranges on the team's workers.
+func (tm *Team) ForRanges(n int, body func(tid, lo, hi int)) {
+	tm.ForRangesCancel(0, n, nil, body)
 }
 
-// ForRangesCancel is ForRanges restricted to min(t, pool size) workers,
-// with an optional cancellation flag: when stop is non-nil and set, the
-// fan-out is abandoned — workers that have not started their share skip
-// it entirely and the barrier completes immediately. This is how a
-// canceled skyline query stops paying for parallel regions it no longer
-// needs; a range body that wants to stop sooner polls the flag itself.
-func (p *pool) ForRangesCancel(t, n int, stop *atomic.Bool, body func(tid, lo, hi int)) {
+// ForRangesCancel is ForRanges restricted to min(t, team size) workers
+// (t ≤ 0 selects the whole team), with an optional cancellation flag:
+// when stop is non-nil and set, the fan-out is abandoned — workers that
+// have not started their share skip it entirely and the barrier completes
+// immediately. This is how a canceled skyline query stops paying for
+// parallel regions it no longer needs; a range body that wants to stop
+// sooner polls the flag itself.
+func (tm *Team) ForRangesCancel(t, n int, stop *atomic.Bool, body func(tid, lo, hi int)) {
 	if n <= 0 {
 		return
 	}
-	if t = p.team(t, n); t == 1 {
+	if t = tm.clamp(t, n); t == 1 {
 		if stop == nil || !stop.Load() {
 			body(0, 0, n)
 		}
 		return
 	}
-	p.region(t, n, 0, stop, body)
+	tm.region(t, n, 0, stop, body)
 }
 
 // ForChunks runs body(tid, lo, hi) over [0, n) cut into chunks of the
 // given size (the last one may be short), claimed in ascending order by
-// min(t, pool size) workers. stop, when non-nil, is polled before every
+// min(t, team size) workers. stop, when non-nil, is polled before every
 // claim, so a raised flag ends the region within one chunk per worker —
 // bodies need no poll of their own — and a single worker walks the same
 // chunks inline, which keeps that bound at t = 1. It returns the time
 // the workers spent in the region, summed over workers: against workers
 // × the region's wall time it says how much of the team the region kept
 // busy.
-func (p *pool) ForChunks(t, n, chunk int, stop *atomic.Bool, body func(tid, lo, hi int)) time.Duration {
+func (tm *Team) ForChunks(t, n, chunk int, stop *atomic.Bool, body func(tid, lo, hi int)) time.Duration {
 	if n <= 0 {
 		return 0
 	}
-	if t = p.team(t, (n+chunk-1)/chunk); t == 1 {
+	if t = tm.clamp(t, (n+chunk-1)/chunk); t == 1 {
 		begin := time.Now()
 		for lo := 0; lo < n && (stop == nil || !stop.Load()); lo += chunk {
 			body(0, lo, min(lo+chunk, n))
 		}
 		return time.Since(begin)
 	}
-	return p.region(t, n, chunk, stop, body)
+	return tm.region(t, n, chunk, stop, body)
 }

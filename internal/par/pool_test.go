@@ -10,7 +10,7 @@ import (
 // partition the index space exactly (every index once, correct tids).
 func TestPoolForRangesCoversRange(t *testing.T) {
 	for _, threads := range []int{1, 2, 3, 8} {
-		p := NewPool(threads)
+		p := newTeam(t, threads)
 		for _, n := range []int{0, 1, 2, 7, 100, 1000} {
 			seen := make([]int32, n)
 			p.ForRanges(n, func(tid, lo, hi int) {
@@ -27,7 +27,6 @@ func TestPoolForRangesCoversRange(t *testing.T) {
 				}
 			}
 		}
-		p.Close()
 	}
 }
 
@@ -35,8 +34,7 @@ func TestPoolForRangesCoversRange(t *testing.T) {
 // with the team restricted below the pool's size: every index once, and
 // only the team's tids.
 func TestPoolForCoversRange(t *testing.T) {
-	p := NewPool(4)
-	defer p.Close()
+	p := newTeam(t, 4)
 	for _, team := range []int{1, 2, 3, 4} {
 		for _, n := range []int{0, 1, 13, 500} {
 			seen := make([]int32, n)
@@ -63,7 +61,7 @@ func TestPoolForCoversRange(t *testing.T) {
 // exactly one.
 func TestForChunksStopsWithinOneChunk(t *testing.T) {
 	for _, threads := range []int{1, 2, 4} {
-		p := NewPool(threads)
+		p := newTeam(t, threads)
 		var stop atomic.Bool
 		var chunks atomic.Int32
 		p.ForChunks(threads, 100000, chunkSize, &stop, func(_, lo, hi int) {
@@ -79,7 +77,6 @@ func TestForChunksStopsWithinOneChunk(t *testing.T) {
 		if chunks.Load() != 0 {
 			t.Errorf("t=%d: %d chunks ran in a region that started stopped", threads, chunks.Load())
 		}
-		p.Close()
 	}
 }
 
@@ -88,7 +85,7 @@ func TestForChunksStopsWithinOneChunk(t *testing.T) {
 // workers × the region's wall time.
 func TestForChunksBusy(t *testing.T) {
 	for _, threads := range []int{1, 2, 4} {
-		p := NewPool(threads)
+		p := newTeam(t, threads)
 		var sink atomic.Int64
 		begin := time.Now()
 		busy := p.ForChunks(threads, 4096, chunkSize, nil, func(_, lo, hi int) {
@@ -100,7 +97,6 @@ func TestForChunksBusy(t *testing.T) {
 		if busy <= 0 || busy > time.Duration(threads)*wall {
 			t.Errorf("t=%d: busy %v outside (0, %d × %v]", threads, busy, threads, wall)
 		}
-		p.Close()
 	}
 }
 
@@ -109,8 +105,7 @@ func TestForChunksBusy(t *testing.T) {
 // each round. Run with -race this also proves the barrier establishes
 // happens-before between regions.
 func TestPoolReuse(t *testing.T) {
-	p := NewPool(4)
-	defer p.Close()
+	p := newTeam(t, 4)
 	const n = 257
 	data := make([]int, n)
 	for round := 0; round < 500; round++ {
@@ -132,26 +127,30 @@ func TestPoolReuse(t *testing.T) {
 	}
 }
 
-// TestPoolAllocFree asserts the steady-state dispatch path performs no
-// allocations when the body closure is pre-bound (as the core Context
-// does).
+// TestPoolAllocFree asserts the steady-state path of a run — lease a team,
+// dispatch a region, release — performs no allocations when the body
+// closure is pre-bound (as the core Context does).
 func TestPoolAllocFree(t *testing.T) {
 	p := NewPool(4)
 	defer p.Close()
 	var sink atomic.Int64
 	body := func(tid, lo, hi int) { sink.Add(int64(hi - lo)) }
-	p.ForRanges(100, body) // warm up
+	p.Lease(4).Release() // warm up: the pool's first team
 	allocs := testing.AllocsPerRun(100, func() {
-		p.ForRanges(100, body)
+		tm := p.Lease(4)
+		tm.ForRanges(100, body)
+		tm.Release()
 	})
 	if allocs != 0 {
-		t.Errorf("pool dispatch allocates %.1f per region, want 0", allocs)
+		t.Errorf("lease + static region + release allocates %.1f per run, want 0", allocs)
 	}
 	allocs = testing.AllocsPerRun(100, func() {
-		p.ForChunks(4, 100, chunkSize, nil, body)
+		tm := p.Lease(4)
+		tm.ForChunks(4, 100, chunkSize, nil, body)
+		tm.Release()
 	})
 	if allocs != 0 {
-		t.Errorf("claimed-chunk dispatch allocates %.1f per region, want 0", allocs)
+		t.Errorf("lease + claimed region + release allocates %.1f per run, want 0", allocs)
 	}
 }
 

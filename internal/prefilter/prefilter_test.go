@@ -51,13 +51,14 @@ func Filter(m point.Matrix, l1 []float64, beta, threads int, dts *stats.DTCounte
 
 	pool := par.NewPool(threads)
 	defer pool.Close()
+	team := pool.Lease(threads)
 
 	pruned := make([]bool, n)
 	queues := make([][]int, threads)
 
 	// Pass 1: per-thread β-queues of smallest-L1 points; points that do
 	// not enter a queue are tested against that thread's queue.
-	pool.ForRanges(n, func(tid, lo, hi int) {
+	team.ForRanges(n, func(tid, lo, hi int) {
 		h := &maxHeap{l1: l1}
 		var localDTs uint64
 		for i := lo; i < hi; i++ {
@@ -90,7 +91,7 @@ func Filter(m point.Matrix, l1 []float64, beta, threads int, dts *stats.DTCounte
 	})
 
 	// Pass 2: every surviving point is tested against all queues.
-	pool.ForRanges(n, func(tid, lo, hi int) {
+	team.ForRanges(n, func(tid, lo, hi int) {
 		var localDTs uint64
 		for i := lo; i < hi; i++ {
 			if pruned[i] {

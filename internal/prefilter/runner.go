@@ -22,8 +22,9 @@ const DefaultBeta = 8
 // Runner is a reusable, allocation-free implementation of the two-pass
 // pre-filter. All scratch (per-thread β-queues, the candidate list, the
 // gathered queue matrix) persists across calls, and both passes run on a
-// caller-supplied persistent worker pool, so a steady-state Filter call
-// performs no allocations and no goroutine spawns.
+// caller-supplied worker team leased from a persistent pool, so a
+// steady-state Filter call performs no allocations and no goroutine
+// spawns.
 //
 // Pass 1 is the one sweep of a Hybrid run that touches every input row,
 // so everything that needs the whole input happens inside it, once per
@@ -82,11 +83,10 @@ func NewRunner() *Runner {
 // Filter removes easily-dominated rows of v and returns the surviving row
 // indices in their original order together with the survivors' L1 norms
 // (under the view's transform). Both slices alias the Runner and are
-// valid until the next call. beta ≤ 0 selects DefaultBeta. threads is the
-// effective worker count for this run (≤ 0 or > pool size selects the
-// pool size) — with a pool shared across computation contexts the
-// caller's thread budget can be smaller than the pool. dts, when non-nil,
-// accumulates dominance tests per thread. The passes run without a
+// valid until the next call. beta ≤ 0 selects DefaultBeta. Both passes
+// run on the whole of team, whose size is the filter's thread count (one
+// β-queue per thread). dts, when non-nil, accumulates dominance tests per
+// thread. The passes run without a
 // cancellation flag on purpose: skipping one would leave the queue and
 // segment bookkeeping of a previous (possibly larger) run to be consumed
 // below.
@@ -100,7 +100,7 @@ func NewRunner() *Runner {
 // algorithm's working set, which recounts every survivor's dominators
 // exactly — carrying partial counts out of the filter would double-count
 // them.
-func (r *Runner) Filter(v point.View, beta, k int, pool *par.Pool, threads int, dts *stats.DTCounters) ([]int, []float64) {
+func (r *Runner) Filter(v point.View, beta, k int, team *par.Team, dts *stats.DTCounters) ([]int, []float64) {
 	n := v.N()
 	if n == 0 {
 		return nil, nil
@@ -111,9 +111,7 @@ func (r *Runner) Filter(v point.View, beta, k int, pool *par.Pool, threads int, 
 	if k < 1 {
 		k = 1
 	}
-	if threads <= 0 || threads > pool.Threads() {
-		threads = pool.Threads()
-	}
+	threads := team.Threads()
 
 	d := v.D()
 	r.qdense = grow(r.qdense, threads*beta*d)
@@ -133,7 +131,7 @@ func (r *Runner) Filter(v point.View, beta, k int, pool *par.Pool, threads int, 
 
 	// Pass 1: load, norm, per-thread β-queue; rows that do not enter the
 	// queue are tested against it.
-	pool.ForRangesCancel(threads, n, nil, r.pass1)
+	team.ForRangesCancel(threads, n, nil, r.pass1)
 	nc := r.join()
 
 	// Gather the queue union, sort it by L1 ascending, materialize the
@@ -195,7 +193,7 @@ func (r *Runner) Filter(v point.View, beta, k int, pool *par.Pool, threads int, 
 
 	// Pass 2: every candidate against the queue union.
 	clear(r.segN)
-	pool.ForRangesCancel(threads, nc, nil, r.pass2)
+	team.ForRangesCancel(threads, nc, nil, r.pass2)
 	ns := r.join()
 	return r.cand[:ns], r.cl1[:ns]
 }

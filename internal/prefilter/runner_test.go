@@ -47,6 +47,7 @@ func TestRunnerMatchesFilter(t *testing.T) {
 	r := NewRunner()
 	for _, threads := range []int{1, 3, 8} {
 		pool := par.NewPool(threads)
+		team := pool.Lease(threads)
 		for _, dist := range dataset.AllDistributions {
 			for _, n := range []int{1, 17, 1000, 5000} {
 				for _, ops := range [][]point.PrefOp{nil, subspaceOps(6)} {
@@ -55,7 +56,7 @@ func TestRunnerMatchesFilter(t *testing.T) {
 					want := Filter(sm, l1s(sm), 0, threads, nil)
 					var v point.View
 					v.Reset(m.Flat(), n, 6, ops)
-					got, gotL1 := r.Filter(v, 0, 1, pool, 0, nil)
+					got, gotL1 := r.Filter(v, 0, 1, team, nil)
 					if len(got) != len(want) || len(gotL1) != len(want) {
 						t.Fatalf("%s n=%d t=%d ops=%v: runner kept %d (%d norms), filter kept %d",
 							dist, n, threads, ops, len(got), len(gotL1), len(want))
@@ -83,14 +84,15 @@ func TestRunnerZeroAlloc(t *testing.T) {
 	m := dataset.Generate(dataset.Independent, 4000, 8, 5)
 	pool := par.NewPool(4)
 	defer pool.Close()
+	team := pool.Lease(4)
 	dts := stats.NewDTCounters(4)
 	r := NewRunner()
 	for _, ops := range [][]point.PrefOp{nil, subspaceOps(8)} {
 		var v point.View
 		v.Reset(m.Flat(), m.N(), m.D(), ops)
-		r.Filter(v, 0, 1, pool, 0, dts) // warm scratch
+		r.Filter(v, 0, 1, team, dts) // warm scratch
 		allocs := testing.AllocsPerRun(20, func() {
-			r.Filter(v, 0, 1, pool, 0, dts)
+			r.Filter(v, 0, 1, team, dts)
 		})
 		if allocs != 0 {
 			t.Errorf("ops=%v: Runner.Filter allocates %.1f per call, want 0", ops, allocs)
@@ -104,7 +106,7 @@ func TestRunnerNeverPrunesSkyline(t *testing.T) {
 	m := dataset.Generate(dataset.Anticorrelated, 800, 5, 31)
 	pool := par.NewPool(3)
 	defer pool.Close()
-	surv, _ := NewRunner().Filter(m.View(), 4, 1, pool, 0, nil)
+	surv, _ := NewRunner().Filter(m.View(), 4, 1, pool.Lease(3), nil)
 	kept := make(map[int]bool, len(surv))
 	for _, i := range surv {
 		kept[i] = true
@@ -137,6 +139,7 @@ func BenchmarkRunnerFilter(b *testing.B) {
 	threads := par.DefaultThreads()
 	pool := par.NewPool(threads)
 	defer pool.Close()
+	team := pool.Lease(threads)
 	for _, bc := range []struct {
 		name string
 		ops  []point.PrefOp
@@ -148,11 +151,11 @@ func BenchmarkRunnerFilter(b *testing.B) {
 			var v point.View
 			v.Reset(m.Flat(), n, d, bc.ops)
 			r := NewRunner()
-			r.Filter(v, 0, 1, pool, 0, nil) // warm scratch
+			r.Filter(v, 0, 1, team, nil) // warm scratch
 			b.SetBytes(n * d * 8)
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				r.Filter(v, 0, 1, pool, 0, nil)
+				r.Filter(v, 0, 1, team, nil)
 			}
 		})
 	}

@@ -72,7 +72,9 @@ type Query struct {
 	// error. Negative values are invalid.
 	SkybandK int
 	// Threads caps the worker count for this query (≤ 0 uses the
-	// Engine's thread budget; values above it are clamped to it).
+	// Engine's thread budget; values above it are clamped to it). It is
+	// a cap, not a grant: while other runs are in flight the run leases
+	// its share of the Engine's pool, which may be fewer threads.
 	Threads int
 	// Alpha overrides the α-block size of Hybrid and QFlow (≤ 0 keeps
 	// the paper's defaults: 2^10 for Hybrid, 2^13 for QFlow).

@@ -234,7 +234,9 @@ type Stats struct {
 	SkylineSize int
 	// InputSize is the number of input points.
 	InputSize int
-	// Threads is the effective worker count.
+	// Threads is the effective worker count: for Hybrid and Q-Flow, the
+	// size of the team the run leased from the Engine's pool; for a
+	// sharded Collection query, the largest any shard leased.
 	Threads int
 	// PrefilterPruned is the number of input points discarded by the
 	// β-queue prefilter before the main algorithm ran (Hybrid only).
@@ -250,8 +252,9 @@ type Stats struct {
 	SortTime time.Duration
 	// BusyTime is the time the worker team spent inside Phase I and
 	// Phase II, summed over workers (Hybrid and QFlow only). Divided by
-	// Threads × (Timings.PhaseOne + Timings.PhaseTwo) it is the phases'
-	// parallel efficiency, the par_eff of a QueryTrace.
+	// Threads × (Timings.PhaseOne + Timings.PhaseTwo) it is one run's
+	// parallel efficiency, the par_eff of a QueryTrace (QueryTrace.ParEff
+	// weighs a sharded query's shards by their own teams).
 	BusyTime time.Duration
 	// Timings is the per-phase wall-clock breakdown (parallel
 	// algorithms only; sequential baselines report zero).

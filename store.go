@@ -13,7 +13,8 @@ import (
 // number of named Collections — each an immutable Dataset or a live
 // stream source, optionally sharded — over a single shared Engine (one
 // worker pool, one context free-list) so concurrent queries across
-// every collection share warm scratch and one thread team.
+// every collection share warm scratch and one pool of threads, from
+// which each run leases its own team.
 //
 //	st := skybench.NewStore(0)
 //	defer st.Close()

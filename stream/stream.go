@@ -87,7 +87,8 @@ type Config struct {
 	// disables escalation entirely.
 	RecomputeThreshold float64
 	// Engine, when non-nil, serves escalated recomputes (sharing its
-	// context free-list and worker pool with any other load it carries).
+	// context free-list and worker pool with any other load it carries;
+	// a recompute leases its share of the pool like any other run).
 	// When nil the index lazily creates a private Engine on first
 	// escalation and closes it on Close.
 	Engine *skybench.Engine

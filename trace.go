@@ -48,7 +48,8 @@ type QueryTrace struct {
 	// computation and the number returned.
 	InputSize int `json:"input_size"`
 	Output    int `json:"output"`
-	// Threads is the effective worker count of the run.
+	// Threads is the size of the worker team the run leased; for a
+	// sharded query, the largest any shard leased (Shards has each).
 	Threads int `json:"threads,omitempty"`
 	// DominanceTests counts full point-vs-point dominance tests — the
 	// machine-independent work metric (paper Section IV-A).
@@ -65,10 +66,8 @@ type QueryTrace struct {
 	// + per-run L1 sorts, Q-Flow's L1 radix), a subset of Phases.Init.
 	Sort time.Duration `json:"sort_ns,omitempty"`
 	// Busy is the time the worker team spent inside Phase I and II,
-	// summed over workers; Busy / (Threads × (Phases.PhaseOne +
-	// Phases.PhaseTwo)) is the phases' parallel efficiency, which String
-	// prints as par_eff: 1 means no worker ever waited at a phase
-	// barrier.
+	// summed over workers (and over shards); ParEff divides it by the
+	// team time those phases held.
 	Busy time.Duration `json:"busy_ns,omitempty"`
 	// Elapsed is the total wall-clock time of the computation (for a
 	// sharded query: the whole fan-out, merge included).
@@ -119,6 +118,11 @@ type ShardTrace struct {
 	DominanceTests uint64 `json:"dominance_tests"`
 	// PrefilterPruned is the shard run's prefilter prune count.
 	PrefilterPruned int `json:"prefilter_pruned,omitempty"`
+	// Threads is the size of the worker team the shard run leased, and
+	// PhaseWall the wall-clock time of its Phase I and II: Threads ×
+	// PhaseWall is the shard's term of the composite ParEff.
+	Threads   int           `json:"threads,omitempty"`
+	PhaseWall time.Duration `json:"phase_wall_ns,omitempty"`
 	// Elapsed is the shard run's wall-clock time.
 	Elapsed time.Duration `json:"elapsed_ns"`
 }
@@ -176,6 +180,26 @@ func traceFromResult(algo Algorithm, k int, res *Result) *QueryTrace {
 	}
 }
 
+// ParEff is the parallel efficiency of the dominance-test phases: Busy
+// over the team time they held — Threads × (Phases.PhaseOne +
+// Phases.PhaseTwo) for one run, the sum of each shard's Threads ×
+// PhaseWall for a sharded one, whose shards ran on teams of their own. 1
+// means no worker ever waited at a phase barrier; 0 means there is
+// nothing to divide.
+func (t *QueryTrace) ParEff() float64 {
+	held := time.Duration(t.Threads) * (t.Phases.PhaseOne + t.Phases.PhaseTwo)
+	if len(t.Shards) > 0 {
+		held = 0
+		for _, s := range t.Shards {
+			held += time.Duration(s.Threads) * s.PhaseWall
+		}
+	}
+	if t.Busy <= 0 || held <= 0 {
+		return 0
+	}
+	return float64(t.Busy) / float64(held)
+}
+
 // String renders the trace as a compact multi-line EXPLAIN ANALYZE-style
 // report (the same rendering skyctl query -trace prints).
 func (t *QueryTrace) String() string {
@@ -215,8 +239,8 @@ func (t *QueryTrace) String() string {
 		p.Prefilter.Round(time.Microsecond), p.Pivot.Round(time.Microsecond),
 		p.PhaseOne.Round(time.Microsecond), p.PhaseTwo.Round(time.Microsecond),
 		p.Compress.Round(time.Microsecond), p.Other.Round(time.Microsecond))
-	if wall := time.Duration(t.Threads) * (p.PhaseOne + p.PhaseTwo); t.Busy > 0 && wall > 0 {
-		fmt.Fprintf(&b, " par_eff=%.2f", float64(t.Busy)/float64(wall))
+	if eff := t.ParEff(); eff > 0 {
+		fmt.Fprintf(&b, " par_eff=%.2f", eff)
 	}
 	if len(t.Workers) > 0 {
 		fmt.Fprintf(&b, "\nmerge=%s workers=%d", t.MergePath, len(t.Workers))
@@ -234,8 +258,8 @@ func (t *QueryTrace) String() string {
 	} else if t.MergePath != "" {
 		fmt.Fprintf(&b, "\nmerge=%s shards=%d", t.MergePath, len(t.Shards))
 		for _, s := range t.Shards {
-			fmt.Fprintf(&b, "\n  shard %d: input=%d output=%d dts=%d pruned=%d elapsed=%v",
-				s.Shard, s.InputSize, s.Output, s.DominanceTests, s.PrefilterPruned,
+			fmt.Fprintf(&b, "\n  shard %d: input=%d output=%d dts=%d pruned=%d threads=%d elapsed=%v",
+				s.Shard, s.InputSize, s.Output, s.DominanceTests, s.PrefilterPruned, s.Threads,
 				s.Elapsed.Round(time.Microsecond))
 		}
 	}

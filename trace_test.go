@@ -141,6 +141,10 @@ func TestQueryTraceSharded(t *testing.T) {
 		if sh.Shard != i {
 			t.Errorf("shard %d recorded as %d", i, sh.Shard)
 		}
+		// Each shard leased its own team from the Store's four threads.
+		if sh.Threads < 1 || sh.Threads > 4 {
+			t.Errorf("shard %d ran on %d threads, want 1..4", i, sh.Threads)
+		}
 		if sh.InputSize <= 0 || sh.Output <= 0 || sh.DominanceTests == 0 {
 			t.Errorf("shard %d trace is degenerate: %+v", i, sh)
 		}
@@ -157,5 +161,13 @@ func TestQueryTraceSharded(t *testing.T) {
 	}
 	if tr.MergePath != "kernel" && tr.MergePath != "engine" {
 		t.Errorf("merge path %q, want kernel or engine", tr.MergePath)
+	}
+	// par_eff weighs each shard's busy time by its own team, so it stays
+	// an efficiency whatever teams the shards leased.
+	if eff := tr.ParEff(); eff <= 0 || eff > 1 {
+		t.Errorf("sharded par_eff = %v, want in (0, 1]", eff)
+	}
+	if tr.Threads < 1 || tr.Threads > 4 {
+		t.Errorf("composite trace reports %d threads, want 1..4", tr.Threads)
 	}
 }
