@@ -749,9 +749,16 @@ func (l local) execute(ctx context.Context, snap *colSnapshot, q Query, fanout i
 	start := time.Now()
 
 	// Fan out one engine run per shard; each leases its own computation
-	// context from the engine's free-list. Shard runs never build their
-	// own traces — the composite trace below is assembled from their
+	// context from the engine's free-list and its own team from the
+	// engine's pool, capped at an even split of the pool over the shards:
+	// the first shard to lease would otherwise find the pool idle and take
+	// all of it from its siblings. Shard runs never build their own
+	// traces — the composite trace below is assembled from their
 	// always-on stats.
+	share := max(1, l.eng.threads/len(snap.parts))
+	if q.Threads <= 0 || q.Threads > share {
+		q.Threads = share
+	}
 	q.ReuseIndices = false
 	traced := q.Trace
 	q.Trace = false

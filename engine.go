@@ -30,10 +30,12 @@ var engineFaults *faults.Injector
 // one pool of threads rather than one per caller.
 //
 // Every Hybrid or Q-Flow run leases its own team from that pool: a share
-// of max(1, T / hot runs in flight) threads of the Engine's T, capped by
+// of max(1, T / runs in flight) threads of the Engine's T, capped by
 // Query.Threads and by the workers other runs do not hold. A run alone
 // gets the whole pool; concurrent runs — a sharded query's shard runs,
-// other callers' queries — compute side by side on disjoint workers.
+// other callers' queries — compute side by side on disjoint workers, and
+// at every α-block boundary each run moves its team toward its share as
+// it stands then, so a run that started small grows once others finish.
 //
 // Run honors context cancellation and deadlines: the Hybrid and Q-Flow
 // hot paths poll a cancellation flag at every α-block boundary and
@@ -48,7 +50,6 @@ var engineFaults *faults.Injector
 // context.Background()).
 type Engine struct {
 	threads int
-	hot     atomic.Int64 // Hybrid and Q-Flow runs in flight
 
 	mu     sync.Mutex
 	pool   *par.Pool
@@ -91,9 +92,6 @@ func (e *Engine) Close() {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	e.closed = true
-	for _, ec := range e.free {
-		ec.core.Close()
-	}
 	e.free = nil
 	if e.pool != nil {
 		e.pool.Close()
@@ -156,11 +154,9 @@ func (e *Engine) checkOpen() error {
 func (e *Engine) release(ec *engineCtx) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	if e.closed {
-		ec.core.Close()
-		return
+	if !e.closed {
+		e.free = append(e.free, ec)
 	}
-	e.free = append(e.free, ec)
 }
 
 // Run answers one query over ds. Result.Indices are positions in ds
@@ -226,24 +222,20 @@ func (e *Engine) exec(ctx context.Context, ds *Dataset, q Query) (Result, error)
 			return Result{}, err
 		}
 		// The run's share of the pool: alone it gets all of it, beside
-		// other hot runs an equal split (the lease grants fewer when the
+		// other runs an equal split (the lease grants fewer when the
 		// others hold more).
-		inFlight := int(e.hot.Add(1))
-		ec.team = ec.pool.Lease(min(threads, max(1, e.threads/inFlight)))
+		ec.team = ec.pool.Lease(threads)
 		defer func() {
 			ec.team.Release()
 			ec.team = nil
-			e.hot.Add(-1)
 			// A context whose query panicked is discarded, not recycled:
 			// the panic may have left its scratch state (bucket arrays,
 			// partial heaps) torn, and a poisoned context handed to the
 			// next query would turn one contained failure into silent
 			// corruption.
-			if ec.poisoned {
-				ec.core.Close()
-				return
+			if !ec.poisoned {
+				e.release(ec)
 			}
-			e.release(ec)
 		}()
 	} else if err := e.checkOpen(); err != nil {
 		return Result{}, err

@@ -163,7 +163,7 @@ func TestEngineConcurrent(t *testing.T) {
 
 // TestEngineSplitsPool holds run A open in its Progressive callback while
 // run B starts on the same Engine of four threads: A, alone when it
-// started, leased all four; B, one of two hot runs in flight, leases half.
+// started, leased all four; B, one of two runs in flight, leases half.
 // Both answer what a solo run answers, and a later solo run has the whole
 // pool again.
 func TestEngineSplitsPool(t *testing.T) {
@@ -213,6 +213,45 @@ func TestEngineSplitsPool(t *testing.T) {
 	}
 	if again.Stats.Threads != 4 {
 		t.Errorf("solo run after the split leased %d threads, want 4", again.Stats.Threads)
+	}
+}
+
+// TestShardsSplitPool runs a two-shard query on a Store of four threads:
+// each shard run leases half the pool — not the first shard all four and
+// its sibling what is left — and the answer is the unsharded one.
+func TestShardsSplitPool(t *testing.T) {
+	data := contextTestData(t, 20000, 5)
+	ds, err := skybench.NewDataset(data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	st := skybench.NewStore(4)
+	defer st.Close()
+	ctx := context.Background()
+	whole, err := st.Engine().Run(ctx, ds, skybench.Query{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	col, err := st.Attach("split", ds, skybench.CollectionOptions{Shards: 2, CacheCapacity: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for round := 0; round < 3; round++ {
+		res, err := col.Run(ctx, skybench.Query{Trace: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(res.Trace.Shards) != 2 {
+			t.Fatalf("round %d: trace has %d shard entries, want 2", round, len(res.Trace.Shards))
+		}
+		for _, sh := range res.Trace.Shards {
+			if sh.Threads != 2 {
+				t.Errorf("round %d: shard %d ran on %d threads, want 2 of 4", round, sh.Shard, sh.Threads)
+			}
+		}
+		if !sameIndexSet(res.Indices, whole.Indices) {
+			t.Fatalf("round %d: sharded run selects %d points, unsharded %d", round, len(res.Indices), len(whole.Indices))
+		}
 	}
 }
 

@@ -20,19 +20,15 @@ import (
 // a server answering millions of skyline queries needs.
 //
 // A run's parallel regions dispatch on the worker team its options name
-// (HybridOptions.Team) — an Engine leases one per run from its shared
-// pool — or, without one, on a pool the Context owns, created on first
-// need.
+// (HybridOptions.Team); an Engine leases one per run from its shared
+// pool. The Context owns no threads of its own.
 //
 // A Context is not safe for concurrent use; create one per worker.
 // Results returned by Hybrid/QFlow alias Context storage and are valid
-// until the next call on the same Context. Close releases the owned pool
-// (contexts are also cleaned up by the garbage collector if forgotten).
+// until the next call on the same Context.
 type Context struct {
-	pool   *par.Pool // owned pool, for runs that bring no team
-	own    *par.Team // the whole of pool, leased for the pool's life
 	team   *par.Team // the current run's team
-	tEff   int       // the current run's thread count: its team's size at the start
+	tEff   int       // the team's size, read at the start and at every α-block boundary
 	cancel *atomic.Bool
 	dts    *stats.DTCounters
 	pf     *prefilter.Runner
@@ -91,9 +87,7 @@ type Context struct {
 	runBody    func(tid, lo, hi int)
 }
 
-// NewContext creates an empty Context. A run without a team of its own
-// creates the Context's pool (sized to that run's thread count), which is
-// resized only when the requested thread count changes.
+// NewContext creates an empty Context.
 func NewContext() *Context {
 	c := &Context{pf: prefilter.NewRunner()}
 	c.l1Body = c.runL1
@@ -108,36 +102,25 @@ func NewContext() *Context {
 	return c
 }
 
-// Close releases the Context's own pool, if it made one. The Context
-// must not be used afterwards.
-func (c *Context) Close() {
-	if c.pool != nil {
-		c.pool.Close()
-	}
-	c.pool, c.own, c.team = nil, nil, nil
-}
-
-// ensure picks the run's team — the caller's, or the whole of the
-// Context's own pool, (re)created for the requested thread count — and
-// sizes the counters to it.
-func (c *Context) ensure(team *par.Team, threads int) {
-	if team == nil {
-		if threads <= 0 {
-			threads = par.DefaultThreads()
-		}
-		if c.pool == nil || c.pool.Threads() != threads {
-			c.Close()
-			c.pool = par.NewPool(threads)
-			c.own = c.pool.Lease(threads)
-		}
-		team = c.own
-	}
+// ensure takes the run's team and sizes the counters to the most threads
+// it can ever hold.
+func (c *Context) ensure(team *par.Team) {
 	c.team = team
 	c.tEff = team.Threads()
-	if c.dts == nil || c.dts.Threads() < c.tEff {
-		c.dts = stats.NewDTCounters(c.tEff)
+	if c.dts == nil || c.dts.Threads() < team.Limit() {
+		c.dts = stats.NewDTCounters(team.Limit())
 	}
 	c.dts.Reset()
+}
+
+// rebalance moves the run's team toward its share of the pool — other
+// runs may have leased or released teams since the last α-block — and
+// runs the block's phases on the size that leaves. st.Threads keeps the
+// largest size the run held.
+func (c *Context) rebalance(st *stats.Stats) {
+	c.team.Rebalance()
+	c.tEff = c.team.Threads()
+	st.Threads = max(st.Threads, c.tEff)
 }
 
 // canceled reports whether the current run's cancellation flag is set.

@@ -5,22 +5,46 @@ import (
 	"testing"
 
 	"skybench/internal/dataset"
+	"skybench/internal/par"
 	"skybench/internal/point"
+	"skybench/internal/stats"
 	"skybench/internal/verify"
 )
+
+// lease returns the whole of a fresh pool of the given size as one team,
+// released with its pool when the test ends.
+func lease(tb testing.TB, threads int) *par.Team {
+	p := par.NewPool(threads)
+	tm := p.Lease(threads)
+	tb.Cleanup(func() {
+		tm.Release()
+		p.Close()
+	})
+	return tm
+}
+
+// leaseSizes leases one team of every size from 1 to max, indexed by
+// size, for tests that sweep the thread count.
+func leaseSizes(tb testing.TB, max int) []*par.Team {
+	teams := make([]*par.Team, max+1)
+	for t := 1; t <= max; t++ {
+		teams[t] = lease(tb, t)
+	}
+	return teams
+}
 
 // TestContextHybridMatchesFresh runs one Context across many workloads
 // and checks every result against a fresh throwaway run — scratch reuse
 // must never leak state between runs.
 func TestContextHybridMatchesFresh(t *testing.T) {
 	c := NewContext()
-	defer c.Close()
+	tm := lease(t, 4)
 	for _, dist := range dataset.AllDistributions {
 		for _, n := range []int{50, 1000, 3000} {
 			for _, d := range []int{2, 5, 8, 12} {
 				m := dataset.Generate(dist, n, d, int64(n+d))
-				got := c.Hybrid(m.View(), HybridOptions{Threads: 4})
-				want := Hybrid(m, HybridOptions{Threads: 4})
+				got := c.Hybrid(m.View(), HybridOptions{Team: tm})
+				want := Hybrid(m, HybridOptions{Team: tm})
 				if !verify.SameSkyline(got, want) {
 					t.Fatalf("%s n=%d d=%d: context result diverges from fresh run", dist, n, d)
 				}
@@ -36,11 +60,11 @@ func TestContextHybridMatchesFresh(t *testing.T) {
 // the L1 output-order contract.
 func TestContextQFlowMatchesFresh(t *testing.T) {
 	c := NewContext()
-	defer c.Close()
+	tm := lease(t, 4)
 	for _, dist := range dataset.AllDistributions {
 		for _, n := range []int{50, 1000, 3000} {
 			m := dataset.Generate(dist, n, 6, int64(n))
-			got := c.QFlow(m.View(), QFlowOptions{Threads: 4, Alpha: 256})
+			got := c.QFlow(m.View(), QFlowOptions{Team: tm, Alpha: 256})
 			if !verify.IsSkyline(m, got) {
 				t.Fatalf("%s n=%d: context Q-Flow result is not the skyline", dist, n)
 			}
@@ -56,19 +80,70 @@ func TestContextQFlowMatchesFresh(t *testing.T) {
 	}
 }
 
-// TestContextThreadResize checks that a Context survives thread-count
-// changes between runs (the pool is rebuilt transparently).
+// TestContextThreadResize checks that a Context survives team-size
+// changes between runs (its per-thread counters follow the team).
 func TestContextThreadResize(t *testing.T) {
 	c := NewContext()
-	defer c.Close()
 	m := dataset.Generate(dataset.Anticorrelated, 2000, 7, 3)
-	want := Hybrid(m, HybridOptions{Threads: 1})
+	want := Hybrid(m, HybridOptions{Team: lease(t, 1)})
 	for _, threads := range []int{1, 4, 2, 8, 3} {
-		got := c.Hybrid(m.View(), HybridOptions{Threads: threads})
+		got := c.Hybrid(m.View(), HybridOptions{Team: lease(t, threads)})
 		if !verify.SameSkyline(got, want) {
-			t.Fatalf("threads=%d: result diverges after pool resize", threads)
+			t.Fatalf("threads=%d: result diverges after a team-size change", threads)
 		}
 	}
+}
+
+// TestRunFollowsRebalancedTeam runs Hybrid on a team leased while
+// another held the whole pool, so it starts with one thread. The holder
+// releases the pool from the run's first Progressive callback; the next
+// α-block's rebalance grows the team to the whole pool and the remaining
+// phases dispatch on it. A run that shares the pool with a team leased
+// in its callback shrinks to its half instead. Both answers are exact.
+func TestRunFollowsRebalancedTeam(t *testing.T) {
+	m := dataset.Generate(dataset.Anticorrelated, 6000, 5, 21)
+	want := verify.BruteForce(m)
+	p := par.NewPool(4)
+	defer p.Close()
+
+	holder := p.Lease(0)
+	tm := p.Lease(0)
+	if tm.Threads() != 1 {
+		t.Fatalf("lease beside a whole-pool team has %d threads, want 1", tm.Threads())
+	}
+	c := NewContext()
+	var st stats.Stats
+	got := c.Hybrid(m.View(), HybridOptions{Team: tm, Alpha: 256, Stats: &st, Progressive: func([]int) {
+		if holder != nil {
+			holder.Release()
+			holder = nil
+		}
+	}})
+	if !verify.SameSkyline(got, want) {
+		t.Fatal("grown run: wrong skyline")
+	}
+	if c.tEff != 4 || st.Threads != 4 {
+		t.Fatalf("grown run ended on %d threads (largest %d), want 4 and 4", c.tEff, st.Threads)
+	}
+
+	var other *par.Team
+	st = stats.Stats{}
+	got = c.Hybrid(m.View(), HybridOptions{Team: tm, Alpha: 256, Stats: &st, Progressive: func([]int) {
+		if other == nil {
+			other = p.Lease(0)
+		}
+	}})
+	if !verify.SameSkyline(got, want) {
+		t.Fatal("shrunk run: wrong skyline")
+	}
+	if c.tEff != 2 || st.Threads != 4 {
+		t.Fatalf("shrunk run ended on %d threads (largest %d), want 2 and 4", c.tEff, st.Threads)
+	}
+	if other.Threads() != 2 {
+		t.Fatalf("team leased in the callback has %d threads, want its share 2", other.Threads())
+	}
+	other.Release()
+	tm.Release()
 }
 
 // TestContextZeroAlloc is the steady-state guard of the issue: after a
@@ -77,15 +152,15 @@ func TestContextThreadResize(t *testing.T) {
 func TestContextZeroAlloc(t *testing.T) {
 	m := dataset.Generate(dataset.Independent, 20000, 8, 42)
 	c := NewContext()
-	defer c.Close()
+	tm := lease(t, 4)
 
-	opt := HybridOptions{Threads: 4}
+	opt := HybridOptions{Team: tm}
 	c.Hybrid(m.View(), opt) // warm scratch
 	if allocs := testing.AllocsPerRun(10, func() { c.Hybrid(m.View(), opt) }); allocs != 0 {
 		t.Errorf("Context.Hybrid allocates %.1f per run, want 0", allocs)
 	}
 
-	qopt := QFlowOptions{Threads: 4}
+	qopt := QFlowOptions{Team: tm}
 	c.QFlow(m.View(), qopt) // warm scratch
 	if allocs := testing.AllocsPerRun(10, func() { c.QFlow(m.View(), qopt) }); allocs != 0 {
 		t.Errorf("Context.QFlow allocates %.1f per run, want 0", allocs)
@@ -96,8 +171,7 @@ func TestContextZeroAlloc(t *testing.T) {
 // expected stable order on random keys.
 func TestRadixSortIdx(t *testing.T) {
 	c := NewContext()
-	defer c.Close()
-	c.ensure(nil, 4)
+	c.ensure(lease(t, 4))
 	rng := rand.New(rand.NewSource(13))
 	for _, n := range []int{1, 2, 17, 1000, 10000} {
 		for _, keyBits := range []int{4, 13, 21, 64} {

@@ -12,11 +12,12 @@ import (
 )
 
 func TestQFlowMatchesOracle(t *testing.T) {
+	teams := leaseSizes(t, 4)
 	for _, dist := range dataset.AllDistributions {
 		for _, threads := range []int{1, 2, 4} {
 			for _, n := range []int{1, 2, 100, 700} {
 				m := dataset.Generate(dist, n, 5, int64(n+threads))
-				got := QFlow(m, QFlowOptions{Threads: threads, Alpha: 64})
+				got := QFlow(m, QFlowOptions{Team: teams[threads], Alpha: 64})
 				if !verify.SameSkyline(got, verify.BruteForce(m)) {
 					t.Fatalf("QFlow %v t=%d n=%d: wrong skyline", dist, threads, n)
 				}
@@ -26,11 +27,12 @@ func TestQFlowMatchesOracle(t *testing.T) {
 }
 
 func TestHybridMatchesOracle(t *testing.T) {
+	teams := leaseSizes(t, 4)
 	for _, dist := range dataset.AllDistributions {
 		for _, threads := range []int{1, 2, 4} {
 			for _, n := range []int{1, 2, 100, 700} {
 				m := dataset.Generate(dist, n, 5, int64(2*n+threads))
-				got := Hybrid(m, HybridOptions{Threads: threads, Alpha: 64})
+				got := Hybrid(m, HybridOptions{Team: teams[threads], Alpha: 64})
 				if !verify.SameSkyline(got, verify.BruteForce(m)) {
 					t.Fatalf("Hybrid %v t=%d n=%d: wrong skyline", dist, threads, n)
 				}
@@ -43,7 +45,7 @@ func TestHybridAlphaSweep(t *testing.T) {
 	m := dataset.Generate(dataset.Anticorrelated, 1500, 6, 3)
 	want := verify.BruteForce(m)
 	for _, alpha := range []int{1, 2, 7, 64, 1024, 4096} {
-		got := Hybrid(m, HybridOptions{Threads: 2, Alpha: alpha})
+		got := Hybrid(m, HybridOptions{Team: lease(t, 2), Alpha: alpha})
 		if !verify.SameSkyline(got, want) {
 			t.Fatalf("alpha=%d: wrong skyline", alpha)
 		}
@@ -54,7 +56,7 @@ func TestQFlowAlphaSweep(t *testing.T) {
 	m := dataset.Generate(dataset.Independent, 1500, 6, 4)
 	want := verify.BruteForce(m)
 	for _, alpha := range []int{1, 3, 128, 1 << 13} {
-		got := QFlow(m, QFlowOptions{Threads: 3, Alpha: alpha})
+		got := QFlow(m, QFlowOptions{Team: lease(t, 3), Alpha: alpha})
 		if !verify.SameSkyline(got, want) {
 			t.Fatalf("alpha=%d: wrong skyline", alpha)
 		}
@@ -65,7 +67,7 @@ func TestHybridAllPivotStrategies(t *testing.T) {
 	m := dataset.Generate(dataset.Independent, 1000, 5, 8)
 	want := verify.BruteForce(m)
 	for _, s := range pivot.AllStrategies {
-		got := Hybrid(m, HybridOptions{Threads: 2, Pivot: s, Seed: 42})
+		got := Hybrid(m, HybridOptions{Team: lease(t, 2), Pivot: s, Seed: 42})
 		if !verify.SameSkyline(got, want) {
 			t.Fatalf("pivot=%v: wrong skyline", s)
 		}
@@ -82,8 +84,9 @@ func TestHybridAblations(t *testing.T) {
 		{NoPhase2Split: true},
 		{NoPrefilter: true, NoMS: true, NoLevel2: true, NoPhase2Split: true},
 	}
+	tm := lease(t, 2)
 	for i, opt := range cases {
-		opt.Threads = 2
+		opt.Team = tm
 		opt.Alpha = 128
 		if !verify.SameSkyline(Hybrid(m, opt), want) {
 			t.Fatalf("ablation case %d (%+v): wrong skyline", i, opt)
@@ -104,10 +107,11 @@ func TestDuplicateHeavyInputs(t *testing.T) {
 	m := dataset.Generate(dataset.Independent, 900, 4, 6)
 	dataset.Quantize(m, 4)
 	want := verify.BruteForce(m)
-	if !verify.SameSkyline(QFlow(m, QFlowOptions{Threads: 2, Alpha: 64}), want) {
+	tm := lease(t, 2)
+	if !verify.SameSkyline(QFlow(m, QFlowOptions{Team: tm, Alpha: 64}), want) {
 		t.Fatal("QFlow wrong on quantized data")
 	}
-	if !verify.SameSkyline(Hybrid(m, HybridOptions{Threads: 2, Alpha: 64}), want) {
+	if !verify.SameSkyline(Hybrid(m, HybridOptions{Team: tm, Alpha: 64}), want) {
 		t.Fatal("Hybrid wrong on quantized data")
 	}
 }
@@ -118,10 +122,11 @@ func TestAllCoincidentPoints(t *testing.T) {
 		rows[i] = []float64{3, 1, 4}
 	}
 	m := point.FromRows(rows)
-	if got := Hybrid(m, HybridOptions{Alpha: 8}); len(got) != 50 {
+	tm := lease(t, 2)
+	if got := Hybrid(m, HybridOptions{Team: tm, Alpha: 8}); len(got) != 50 {
 		t.Fatalf("coincident input: kept %d of 50", len(got))
 	}
-	if got := QFlow(m, QFlowOptions{Alpha: 8}); len(got) != 50 {
+	if got := QFlow(m, QFlowOptions{Team: tm, Alpha: 8}); len(got) != 50 {
 		t.Fatalf("QFlow coincident input: kept %d of 50", len(got))
 	}
 }
@@ -129,8 +134,9 @@ func TestAllCoincidentPoints(t *testing.T) {
 func TestStatsPopulated(t *testing.T) {
 	m := dataset.Generate(dataset.Independent, 2000, 6, 7)
 	var qs, hs stats.Stats
-	QFlow(m, QFlowOptions{Threads: 2, Stats: &qs})
-	Hybrid(m, HybridOptions{Threads: 2, Stats: &hs})
+	tm := lease(t, 2)
+	QFlow(m, QFlowOptions{Team: tm, Stats: &qs})
+	Hybrid(m, HybridOptions{Team: tm, Stats: &hs})
 	if qs.DominanceTests == 0 || hs.DominanceTests == 0 {
 		t.Error("DTs not recorded")
 	}
@@ -150,8 +156,9 @@ func TestStatsPopulated(t *testing.T) {
 func TestHybridDoesFewerDTsThanQFlow(t *testing.T) {
 	m := dataset.Generate(dataset.Anticorrelated, 4000, 8, 11)
 	var qs, hs stats.Stats
-	QFlow(m, QFlowOptions{Threads: 1, Stats: &qs})
-	Hybrid(m, HybridOptions{Threads: 1, Stats: &hs})
+	tm := lease(t, 1)
+	QFlow(m, QFlowOptions{Team: tm, Stats: &qs})
+	Hybrid(m, HybridOptions{Team: tm, Stats: &hs})
 	if hs.DominanceTests >= qs.DominanceTests {
 		t.Errorf("Hybrid DTs (%d) not below Q-Flow DTs (%d)", hs.DominanceTests, qs.DominanceTests)
 	}
@@ -161,9 +168,10 @@ func TestHybridDoesFewerDTsThanQFlow(t *testing.T) {
 // must not *reduce* dominance tests.
 func TestAblationsIncreaseDTs(t *testing.T) {
 	m := dataset.Generate(dataset.Anticorrelated, 3000, 8, 13)
+	tm := lease(t, 1)
 	run := func(opt HybridOptions) uint64 {
 		var st stats.Stats
-		opt.Threads = 1
+		opt.Team = tm
 		opt.Stats = &st
 		Hybrid(m, opt)
 		return st.DominanceTests
@@ -183,8 +191,8 @@ func TestProgressiveReporting(t *testing.T) {
 	m := dataset.Generate(dataset.Independent, 2000, 5, 9)
 	var batches [][]int
 	got := Hybrid(m, HybridOptions{
-		Threads: 2,
-		Alpha:   128,
+		Team:  lease(t, 2),
+		Alpha: 128,
 		Progressive: func(confirmed []int) {
 			cp := append([]int(nil), confirmed...)
 			batches = append(batches, cp)
@@ -204,7 +212,7 @@ func TestProgressiveReporting(t *testing.T) {
 
 func TestQFlowProgressiveOrderIsL1Sorted(t *testing.T) {
 	m := dataset.Generate(dataset.Anticorrelated, 1000, 4, 14)
-	got := QFlow(m, QFlowOptions{Threads: 2, Alpha: 64})
+	got := QFlow(m, QFlowOptions{Team: lease(t, 2), Alpha: 64})
 	last := -1.0
 	for _, i := range got {
 		l1 := point.L1(m.Row(i))
@@ -217,9 +225,9 @@ func TestQFlowProgressiveOrderIsL1Sorted(t *testing.T) {
 
 func TestHybridThreadInvariance(t *testing.T) {
 	m := dataset.Generate(dataset.Anticorrelated, 2500, 7, 15)
-	want := Hybrid(m, HybridOptions{Threads: 1})
+	want := Hybrid(m, HybridOptions{Team: lease(t, 1)})
 	for _, threads := range []int{2, 3, 8} {
-		got := Hybrid(m, HybridOptions{Threads: threads})
+		got := Hybrid(m, HybridOptions{Team: lease(t, threads)})
 		if !verify.SameSkyline(got, want) {
 			t.Fatalf("t=%d disagrees with t=1", threads)
 		}

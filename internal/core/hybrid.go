@@ -16,14 +16,15 @@ import (
 // α = 2^10 optimal (Section VII-C1, Figure 8).
 const DefaultAlphaHybrid = 1 << 10
 
-// HybridOptions configures a Hybrid run. The zero value selects
-// GOMAXPROCS threads, the paper's default α, β, and the Median pivot.
+// HybridOptions configures a Hybrid run. Team is required; the zero value
+// of every other field selects the paper's default α, β, and the Median
+// pivot.
 type HybridOptions struct {
-	// Threads is the number of worker goroutines (≤ 0 means GOMAXPROCS).
-	Threads int
-	// Team, when non-nil, is the leased worker team the run dispatches its
-	// parallel regions on; its size is the run's thread count and Threads
-	// is ignored. Nil runs on the Context's own pool.
+	// Team is the leased worker team the run dispatches its parallel
+	// regions on. Its size at the start is the run's thread count; at
+	// every α-block boundary the run rebalances it toward its share of
+	// the pool (par.Team.Rebalance), so concurrent runs on one pool
+	// converge to an even split.
 	Team *par.Team
 	// Alpha is the block size α (≤ 0 selects DefaultAlphaHybrid).
 	Alpha int
@@ -67,9 +68,7 @@ type HybridOptions struct {
 // queries should hold a Context and call its Hybrid method, which reuses
 // all scratch state.
 func Hybrid(m point.Matrix, opt HybridOptions) []int {
-	c := NewContext()
-	defer c.Close()
-	return c.Hybrid(m.View(), opt)
+	return NewContext().Hybrid(m.View(), opt)
 }
 
 // Hybrid computes the skyline of the rows of v — the input as the
@@ -123,7 +122,7 @@ func (c *Context) run(v point.View, opt HybridOptions, partition bool) []int {
 		st = &c.st
 	}
 	st.InputSize = n
-	c.ensure(opt.Team, opt.Threads)
+	c.ensure(opt.Team)
 	st.Threads = c.tEff
 	c.cancel = opt.Cancel
 	timer := stats.StartTimer(st)
@@ -227,6 +226,7 @@ func (c *Context) run(v point.View, opt HybridOptions, partition bool) []int {
 		if c.canceled() {
 			return nil
 		}
+		c.rebalance(st)
 		hi := lo + alpha
 		if hi > ns {
 			hi = ns
@@ -268,11 +268,10 @@ func (c *Context) run(v point.View, opt HybridOptions, partition bool) []int {
 		c.sky.update(wk, c.wl1, c.worig, c.wmask, bcnt, lo, final, c.level2)
 		if opt.Progressive != nil && final > 0 {
 			// The callback is caller code of unknown length: the team's
-			// workers serve other runs meanwhile. Only claimed-chunk phases
-			// follow, and those run on whatever size Reclaim regrows to.
+			// workers serve other runs meanwhile, and the next block's
+			// rebalance takes back the run's share.
 			c.team.Yield()
 			opt.Progressive(c.sky.orig[firstNew:])
-			c.team.Reclaim()
 		}
 		timer.Stop(stats.PhaseOther)
 	}

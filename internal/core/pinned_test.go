@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"skybench/internal/dataset"
+	"skybench/internal/par"
 	"skybench/internal/point"
 	"skybench/internal/stats"
 )
@@ -46,9 +47,9 @@ func pinnedData(dist string, d int, seed int64) point.Matrix {
 	return m
 }
 
-func pinnedOptions(k int, variant string) HybridOptions {
+func pinnedOptions(tm *par.Team, k int, variant string) HybridOptions {
 	return HybridOptions{
-		Threads:  1,
+		Team:     tm,
 		Alpha:    pinnedAlpha,
 		SkybandK: k,
 		NoMS:     variant == "noms",
@@ -56,17 +57,17 @@ func pinnedOptions(k int, variant string) HybridOptions {
 	}
 }
 
-// pinnedRun is one single-threaded Hybrid (or, for the "qflow" variant,
-// Q-Flow) run reduced to the three figures the table pins: dominance
+// pinnedRun is one Hybrid (or, for the "qflow" variant, Q-Flow) run on a
+// single-thread team, reduced to the three figures the table pins: dominance
 // tests, Phase I survivors, and an FNV-1a hash of the result in
 // confirmation order.
-func pinnedRun(c *Context, m point.Matrix, k int, variant string) [3]uint64 {
+func pinnedRun(c *Context, tm *par.Team, m point.Matrix, k int, variant string) [3]uint64 {
 	var st stats.Stats
 	var idx []int
 	if variant == "qflow" {
-		idx = c.QFlow(m.View(), QFlowOptions{Threads: 1, Alpha: pinnedAlpha, SkybandK: k, Stats: &st})
+		idx = c.QFlow(m.View(), QFlowOptions{Team: tm, Alpha: pinnedAlpha, SkybandK: k, Stats: &st})
 	} else {
-		opt := pinnedOptions(k, variant)
+		opt := pinnedOptions(tm, k, variant)
 		opt.Stats = &st
 		idx = c.Hybrid(m.View(), opt)
 	}
@@ -112,7 +113,7 @@ func loadPinned(t *testing.T) map[string][3]uint64 {
 func TestHybridCountsPinned(t *testing.T) {
 	want := loadPinned(t)
 	c := NewContext()
-	defer c.Close()
+	tm := lease(t, 1)
 	checked := 0
 	for _, dist := range pinnedDists {
 		for _, d := range pinnedDims {
@@ -125,7 +126,7 @@ func TestHybridCountsPinned(t *testing.T) {
 						if !ok {
 							t.Fatalf("%s: no pinned entry", key)
 						}
-						if got := pinnedRun(c, m, k, variant); got != w {
+						if got := pinnedRun(c, tm, m, k, variant); got != w {
 							t.Errorf("%s: (DTs, Phase I survivors, order hash) = %v, parent recorded %v", key, got, w)
 						}
 						checked++

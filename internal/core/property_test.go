@@ -27,12 +27,13 @@ func randomGridMatrix(rng *rand.Rand) point.Matrix {
 // Property: Hybrid computes exactly SKY(P) for arbitrary small inputs,
 // arbitrary α, and arbitrary thread counts.
 func TestHybridPropertyOracle(t *testing.T) {
+	teams := leaseSizes(t, 5)
 	f := func(seed int64, alphaRaw uint8, threadsRaw uint8) bool {
 		rng := rand.New(rand.NewSource(seed))
 		m := randomGridMatrix(rng)
 		alpha := 1 + int(alphaRaw)%97
 		threads := 1 + int(threadsRaw)%5
-		got := Hybrid(m, HybridOptions{Threads: threads, Alpha: alpha})
+		got := Hybrid(m, HybridOptions{Team: teams[threads], Alpha: alpha})
 		return verify.IsSkyline(m, got)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 120}); err != nil {
@@ -42,12 +43,13 @@ func TestHybridPropertyOracle(t *testing.T) {
 
 // Property: Q-Flow computes exactly SKY(P) under the same fuzzing.
 func TestQFlowPropertyOracle(t *testing.T) {
+	teams := leaseSizes(t, 5)
 	f := func(seed int64, alphaRaw uint8, threadsRaw uint8) bool {
 		rng := rand.New(rand.NewSource(seed))
 		m := randomGridMatrix(rng)
 		alpha := 1 + int(alphaRaw)%97
 		threads := 1 + int(threadsRaw)%5
-		got := QFlow(m, QFlowOptions{Threads: threads, Alpha: alpha})
+		got := QFlow(m, QFlowOptions{Team: teams[threads], Alpha: alpha})
 		return verify.IsSkyline(m, got)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 120}); err != nil {
@@ -89,11 +91,12 @@ func TestSortOrderTopologicalProperty(t *testing.T) {
 // never repeated, relative to the naive nested loop... modulo the
 // bounded α-block overlap, which stays within the same bound for n > 1).
 func TestHybridDTUpperBoundProperty(t *testing.T) {
+	tm := lease(t, 2)
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
 		m := randomGridMatrix(rng)
 		var st stats.Stats
-		Hybrid(m, HybridOptions{Threads: 2, Alpha: 16, Stats: &st})
+		Hybrid(m, HybridOptions{Team: tm, Alpha: 16, Stats: &st})
 		n := uint64(m.N())
 		if n <= 1 {
 			return st.DominanceTests == 0

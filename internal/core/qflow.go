@@ -18,13 +18,11 @@ import (
 // α = 2^13 optimal across all three distributions (Section VII-C1).
 const DefaultAlphaQFlow = 1 << 13
 
-// QFlowOptions configures a Q-Flow run. The zero value selects
-// GOMAXPROCS threads and the paper's default α.
+// QFlowOptions configures a Q-Flow run. Team is required; the zero value
+// of every other field selects the paper's default.
 type QFlowOptions struct {
-	// Threads is the number of worker goroutines (≤ 0 means GOMAXPROCS).
-	Threads int
-	// Team, when non-nil, is the leased worker team the run dispatches on
-	// (see HybridOptions.Team).
+	// Team is the leased worker team the run dispatches on (see
+	// HybridOptions.Team).
 	Team *par.Team
 	// Alpha is the block size α (≤ 0 selects DefaultAlphaQFlow).
 	Alpha int
@@ -52,9 +50,7 @@ type QFlowOptions struct {
 // throwaway Context; services answering repeated queries should hold a
 // Context and call its QFlow method, which reuses all scratch state.
 func QFlow(m point.Matrix, opt QFlowOptions) []int {
-	c := NewContext()
-	defer c.Close()
-	return c.QFlow(m.View(), opt)
+	return NewContext().QFlow(m.View(), opt)
 }
 
 // QFlow computes the skyline of the rows of v — the input as the query's
@@ -76,7 +72,6 @@ func (c *Context) QFlow(v point.View, opt QFlowOptions) []int {
 		alpha = DefaultAlphaQFlow
 	}
 	return c.run(v, HybridOptions{
-		Threads:     opt.Threads,
 		Team:        opt.Team,
 		Alpha:       alpha,
 		SkybandK:    opt.SkybandK,

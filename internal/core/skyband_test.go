@@ -23,14 +23,14 @@ func checkBand(t *testing.T, m point.Matrix, k int, idx []int, counts []int32, l
 
 func TestHybridSkybandMatchesOracle(t *testing.T) {
 	c := NewContext()
-	defer c.Close()
+	teams := leaseSizes(t, 4)
 	for _, dist := range dataset.AllDistributions {
 		for _, d := range []int{2, 4, 7, 8} {
 			for _, n := range []int{1, 17, 400, 1500} {
 				m := dataset.Generate(dist, n, d, 99)
 				for _, k := range []int{1, 2, 3, 4, 8, n, n + 5} {
 					for _, threads := range []int{1, 4} {
-						idx := c.Hybrid(m.View(), HybridOptions{Threads: threads, Alpha: 64, SkybandK: k})
+						idx := c.Hybrid(m.View(), HybridOptions{Team: teams[threads], Alpha: 64, SkybandK: k})
 						counts := c.Counts()
 						if k <= 1 {
 							if counts != nil {
@@ -52,14 +52,14 @@ func TestHybridSkybandMatchesOracle(t *testing.T) {
 
 func TestQFlowSkybandMatchesOracle(t *testing.T) {
 	c := NewContext()
-	defer c.Close()
+	teams := leaseSizes(t, 4)
 	for _, dist := range dataset.AllDistributions {
 		for _, d := range []int{2, 5, 8} {
 			for _, n := range []int{1, 17, 400, 1500} {
 				m := dataset.Generate(dist, n, d, 7)
 				for _, k := range []int{2, 3, 5, n + 1} {
 					for _, threads := range []int{1, 4} {
-						idx := c.QFlow(m.View(), QFlowOptions{Threads: threads, Alpha: 128, SkybandK: k})
+						idx := c.QFlow(m.View(), QFlowOptions{Team: teams[threads], Alpha: 128, SkybandK: k})
 						counts := c.Counts()
 						if len(counts) != len(idx) {
 							t.Fatalf("counts length %d != indices length %d", len(counts), len(idx))
@@ -77,7 +77,7 @@ func TestQFlowSkybandMatchesOracle(t *testing.T) {
 // path: each combination must still produce the exact k-skyband.
 func TestHybridSkybandAblations(t *testing.T) {
 	c := NewContext()
-	defer c.Close()
+	tm := lease(t, 2)
 	m := dataset.Generate(dataset.Anticorrelated, 600, 6, 3)
 	for _, abl := range []HybridOptions{
 		{NoPrefilter: true},
@@ -87,7 +87,7 @@ func TestHybridSkybandAblations(t *testing.T) {
 		{NoPrefilter: true, NoMS: true, NoPhase2Split: true},
 		{Pivot: pivot.Manhattan},
 	} {
-		abl.Threads = 2
+		abl.Team = tm
 		abl.Alpha = 96
 		abl.SkybandK = 3
 		idx := c.Hybrid(m.View(), abl)
@@ -99,12 +99,11 @@ func TestHybridSkybandAblations(t *testing.T) {
 // untouched skyline path: same indices in the same order as a plain run.
 func TestSkybandK1BitIdentical(t *testing.T) {
 	a, b := NewContext(), NewContext()
-	defer a.Close()
-	defer b.Close()
+	tm := lease(t, 2)
 	for _, dist := range dataset.AllDistributions {
 		m := dataset.Generate(dist, 3000, 8, 21)
-		plainH := append([]int(nil), a.Hybrid(m.View(), HybridOptions{Threads: 2})...)
-		bandH := b.Hybrid(m.View(), HybridOptions{Threads: 2, SkybandK: 1})
+		plainH := append([]int(nil), a.Hybrid(m.View(), HybridOptions{Team: tm})...)
+		bandH := b.Hybrid(m.View(), HybridOptions{Team: tm, SkybandK: 1})
 		if len(plainH) != len(bandH) {
 			t.Fatalf("%s hybrid: k=1 size %d != plain %d", dist, len(bandH), len(plainH))
 		}
@@ -113,8 +112,8 @@ func TestSkybandK1BitIdentical(t *testing.T) {
 				t.Fatalf("%s hybrid: k=1 order diverges at %d", dist, i)
 			}
 		}
-		plainQ := append([]int(nil), a.QFlow(m.View(), QFlowOptions{Threads: 2})...)
-		bandQ := b.QFlow(m.View(), QFlowOptions{Threads: 2, SkybandK: 0})
+		plainQ := append([]int(nil), a.QFlow(m.View(), QFlowOptions{Team: tm})...)
+		bandQ := b.QFlow(m.View(), QFlowOptions{Team: tm, SkybandK: 0})
 		if len(plainQ) != len(bandQ) {
 			t.Fatalf("%s qflow: k=0 size %d != plain %d", dist, len(bandQ), len(plainQ))
 		}

@@ -3,8 +3,9 @@
 // computation leases — in the role of the OpenMP thread team the paper's
 // C++ implementation creates once and reuses for every parallel region.
 // The paper runs one computation on one team; a server runs many at once,
-// so each leases its own team from the shared pool and the teams run
-// their regions side by side on disjoint workers. There is one way to run
+// so each leases its own team from the shared pool — an even split over
+// the teams out, rebalanced between regions as teams come and go — and
+// the teams run their regions side by side on disjoint workers. There is one way to run
 // a parallel loop — a region dispatched on a Team — and a region has one
 // of two shapes:
 //

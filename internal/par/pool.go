@@ -13,14 +13,17 @@ import (
 // goroutines per region would pay their creation and a WaitGroup.
 //
 // A Pool of t threads owns t−1 goroutines: the goroutine that leases a
-// team is always its worker 0. Lease never blocks — it hands out at most
-// the workers no other team holds, and a team of one runs everything
-// inline — so concurrent computations (the Engine serving concurrent
-// skyline queries) run their regions at the same time on disjoint
-// workers instead of taking turns on the pool. Lease, Release and Close
-// are safe for concurrent use. Close releases the workers; a finalizer
-// releases them anyway if a Pool is garbage-collected while still open,
-// so an un-Closed Pool does not leak goroutines permanently.
+// team is always its worker 0. The pool splits itself evenly over the
+// teams out — a team's share is max(1, t / teams out) — so concurrent
+// computations (the Engine serving concurrent skyline queries) run their
+// regions at the same time on disjoint workers instead of taking turns.
+// Lease never blocks: it hands out at most the workers no other team
+// holds, and a team of one runs everything inline. A team leased while
+// others held more than their share catches up through Rebalance once
+// they hand workers back. Lease, Release and Close are safe for
+// concurrent use. Close releases the workers; a finalizer releases them
+// anyway if a Pool is garbage-collected while still open, so an
+// un-Closed Pool does not leak goroutines permanently.
 type Pool struct {
 	*pool
 }
@@ -32,9 +35,10 @@ type Pool struct {
 type pool struct {
 	t int
 
-	mu     sync.Mutex // guards free, spare and closed; held by Lease and Release only
-	free   []int      // parked workers no team holds
-	spare  []*Team    // released teams, reused so a lease allocates nothing
+	mu     sync.Mutex   // guards free, spare and closed, and orders writes to out
+	free   []int        // parked workers no team holds
+	spare  []*Team      // released teams, reused so a lease allocates nothing
+	out    atomic.Int32 // teams leased and not yet released
 	closed bool
 
 	start []chan wake   // one per worker goroutine, wakes it for a region
@@ -96,10 +100,11 @@ func (p *pool) worker(w int) {
 	}
 }
 
-// Lease hands the caller a team of min(t, 1 + free workers) threads (t ≤ 0
-// or above the pool's size asks for the whole pool), the caller being its
-// worker 0. It never waits for workers another team holds. The team is
-// the caller's until Release.
+// Lease hands the caller a team of min(t, share, 1 + free workers)
+// threads, the caller being its worker 0, where share is
+// max(1, pool threads / teams out) counting this one; t ≤ 0 or above the
+// pool's size asks for the whole pool. It never waits for workers another
+// team holds. The team is the caller's until Release.
 func (p *Pool) Lease(t int) *Team {
 	if t <= 0 || t > p.t {
 		t = p.t
@@ -112,10 +117,11 @@ func (p *Pool) Lease(t int) *Team {
 	} else {
 		tm = &Team{p: p.pool, workers: make([]int, 0, p.t-1), done: make(chan struct{}, p.t-1)}
 	}
-	tm.size = t
-	tm.take()
-	p.mu.Unlock()
+	p.out.Add(1)
+	tm.limit = t
 	tm.owner = p
+	tm.resize(tm.fair())
+	p.mu.Unlock()
 	return tm
 }
 
@@ -136,7 +142,7 @@ func (p *Pool) Lease(t int) *Team {
 type Team struct {
 	p       *pool
 	owner   *Pool // keeps the Pool reachable, and its workers alive, while leased
-	size    int   // threads asked for at Lease, the most Reclaim takes back
+	limit   int   // threads asked for at Lease: the most the team ever holds
 	workers []int // tid w+1 runs on pool worker workers[w]
 
 	// Current parallel region, written by the dispatcher before waking
@@ -155,58 +161,76 @@ type Team struct {
 	done chan struct{}
 }
 
-// take grants the team up to size−1 free workers (none once the pool is
-// closed). p.mu must be held.
-func (tm *Team) take() {
+// fair is the size the team should have now: its Lease limit, or its
+// even split of the pool over the teams out if that is smaller.
+func (tm *Team) fair() int {
+	return min(tm.limit, max(1, tm.p.t/int(tm.p.out.Load())))
+}
+
+// resize grows the team toward t threads with free workers (none once
+// the pool is closed), or shrinks it to t by handing its last workers
+// back. p.mu must be held.
+func (tm *Team) resize(t int) {
 	p := tm.p
+	k := t - tm.Threads()
+	if k < 0 {
+		keep := len(tm.workers) + k
+		if !p.closed {
+			p.free = append(p.free, tm.workers[keep:]...)
+		}
+		tm.workers = tm.workers[:keep]
+		return
+	}
 	if p.closed {
 		return
 	}
-	k := min(tm.size-1-len(tm.workers), len(p.free))
+	k = min(k, len(p.free))
 	tm.workers = append(tm.workers, p.free[len(p.free)-k:]...)
 	p.free = p.free[:len(p.free)-k]
-}
-
-// give returns the team's workers to the pool. p.mu must be held.
-func (tm *Team) give() {
-	if p := tm.p; !p.closed {
-		p.free = append(p.free, tm.workers...)
-	}
-	tm.workers = tm.workers[:0]
 }
 
 // Threads returns the team's current size: 1 + the workers it holds.
 func (tm *Team) Threads() int { return 1 + len(tm.workers) }
 
-// Release returns the team's workers to the pool. The team must not be
-// used afterwards; a second Release is a no-op.
+// Limit returns the most threads the team can ever hold: what its Lease
+// asked for, clamped to the pool.
+func (tm *Team) Limit() int { return tm.limit }
+
+// Release returns the team's workers to the pool and the team itself for
+// reuse: the next Lease may hand this *Team to another goroutine, so the
+// caller must not touch it afterwards — not even to Release it again.
 func (tm *Team) Release() {
-	if tm.owner == nil {
-		return
-	}
 	p := tm.p
 	p.mu.Lock()
-	tm.give()
+	tm.resize(1)
 	tm.owner = nil
+	p.out.Add(-1)
 	p.spare = append(p.spare, tm)
 	p.mu.Unlock()
 }
 
 // Yield returns the team's workers to the pool while its caller is busy
 // elsewhere — a run paused in caller code leaves them to concurrent runs
-// — and leaves a team of one that runs its regions inline. Reclaim takes
-// workers back.
+// — and leaves a team of one that runs its regions inline. Rebalance
+// takes workers back.
 func (tm *Team) Yield() {
 	tm.p.mu.Lock()
-	tm.give()
+	tm.resize(1)
 	tm.p.mu.Unlock()
 }
 
-// Reclaim regrows a yielded team toward the size it was leased at, with
-// whatever workers are free; like Lease it never waits.
-func (tm *Team) Reclaim() {
+// Rebalance resizes the team toward its share of the pool as it stands
+// now — teams leased or released since its Lease move the even split —
+// by handing surplus workers back or taking free ones; like Lease it
+// never waits. The owner calls it between regions; a team already at its
+// share returns without taking the pool's lock.
+func (tm *Team) Rebalance() {
+	t := tm.fair()
+	if t == tm.Threads() {
+		return
+	}
 	tm.p.mu.Lock()
-	tm.take()
+	tm.resize(t)
 	tm.p.mu.Unlock()
 }
 

@@ -139,8 +139,8 @@ func TestTeamPanicStaysOnItsTeam(t *testing.T) {
 }
 
 // TestPoolCloseWithTeamsOut closes a pool while teams are leased: Close
-// returns, a later Release is harmless (twice, even), and a Lease on the
-// closed pool is a team of one that runs inline.
+// returns, a later Release is harmless, and a Lease on the closed pool is
+// a team of one that runs inline.
 func TestPoolCloseWithTeamsOut(t *testing.T) {
 	p := NewPool(4)
 	a, b := p.Lease(2), p.Lease(2)
@@ -156,7 +156,6 @@ func TestPoolCloseWithTeamsOut(t *testing.T) {
 	}
 	a.Release()
 	b.Release()
-	b.Release()
 	tm := p.Lease(4)
 	if tm.Threads() != 1 {
 		t.Fatalf("lease on a closed pool has %d threads, want 1", tm.Threads())
@@ -171,8 +170,8 @@ func TestPoolCloseWithTeamsOut(t *testing.T) {
 
 // TestLeaseNeverWaits exhausts a pool's workers: the next Lease returns a
 // team of one at once, and once a team is released its workers lease
-// again. Yield and Reclaim hand a team's workers back and forth the same
-// way.
+// again. Yield and Rebalance hand a team's workers back and forth the same
+// way, and a team never grows past what its Lease asked for.
 func TestLeaseNeverWaits(t *testing.T) {
 	p := NewPool(4)
 	defer p.Close()
@@ -180,39 +179,86 @@ func TestLeaseNeverWaits(t *testing.T) {
 	if all.Threads() != 4 {
 		t.Fatalf("Lease(0) took %d threads, want the pool's 4", all.Threads())
 	}
-	got := make(chan int, 1)
-	go func() {
-		tm := p.Lease(3)
-		got <- tm.Threads()
-		tm.Release()
-	}()
+	got := make(chan *Team, 1)
+	go func() { got <- p.Lease(3) }()
+	var late *Team
 	select {
-	case n := <-got:
-		if n != 1 {
-			t.Fatalf("lease on an exhausted pool has %d threads, want 1", n)
+	case late = <-got:
+		if late.Threads() != 1 {
+			t.Fatalf("lease on an exhausted pool has %d threads, want 1", late.Threads())
 		}
 	case <-time.After(10 * time.Second):
 		t.Fatal("Lease waited for workers another team holds")
 	}
 
+	// The late team asked for 3: once the workers are free it grows to 3,
+	// not to the 4 the pool has.
+	all.Release()
+	late.Yield()
+	late.Rebalance()
+	if late.Threads() != 3 {
+		t.Fatalf("rebalance on an idle pool grew a Lease(3) team to %d threads, want 3", late.Threads())
+	}
+	late.Release()
+
+	all = p.Lease(0)
 	all.Yield()
 	if all.Threads() != 1 {
 		t.Fatalf("yielded team has %d threads, want 1", all.Threads())
 	}
 	other := p.Lease(3)
-	if other.Threads() != 3 {
-		t.Fatalf("lease beside a yielded team has %d threads, want 3", other.Threads())
+	if other.Threads() != 2 {
+		t.Fatalf("lease beside a yielded team has %d threads, want its share 2", other.Threads())
 	}
-	all.Reclaim()
+	all.Rebalance()
 	if all.Threads() != 2 {
-		t.Fatalf("reclaim with one free worker left %d threads, want 2", all.Threads())
+		t.Fatalf("rebalance beside one other team left %d threads, want its share 2", all.Threads())
 	}
 	other.Release()
-	all.Reclaim()
+	all.Rebalance()
 	if all.Threads() != 4 {
-		t.Fatalf("reclaim on an idle pool left %d threads, want 4", all.Threads())
+		t.Fatalf("rebalance on an idle pool left %d threads, want 4", all.Threads())
 	}
 	all.Release()
+}
+
+// TestTeamRebalance checks the even split: a team that leased the whole
+// pool alone gives back down to its share when others lease, the late
+// teams grow into what it gave back, and the last team out regrows to the
+// whole pool. Every team keeps covering its regions exactly once.
+func TestTeamRebalance(t *testing.T) {
+	p := NewPool(6)
+	defer p.Close()
+	first := p.Lease(0)
+	second, third := p.Lease(0), p.Lease(0)
+	if first.Threads() != 6 || second.Threads() != 1 || third.Threads() != 1 {
+		t.Fatalf("leases on a taken pool: %d, %d, %d threads, want 6, 1, 1",
+			first.Threads(), second.Threads(), third.Threads())
+	}
+	check := func(tm *Team, want int) {
+		t.Helper()
+		tm.Rebalance()
+		if tm.Threads() != want {
+			t.Fatalf("rebalanced team has %d threads, want %d", tm.Threads(), want)
+		}
+		var n atomic.Int64
+		tm.ForChunks(0, 1000, chunkSize, nil, func(tid, lo, hi int) {
+			if tid >= tm.Threads() {
+				t.Errorf("tid %d outside a team of %d", tid, tm.Threads())
+			}
+			n.Add(int64(hi - lo))
+		})
+		if n.Load() != 1000 {
+			t.Fatalf("team of %d covered %d of 1000", tm.Threads(), n.Load())
+		}
+	}
+	check(first, 2)
+	check(second, 2)
+	check(third, 2)
+	first.Release()
+	second.Release()
+	check(third, 6)
+	third.Release()
 }
 
 // BenchmarkRegionWake prices one empty static region (ns/op is ns per

@@ -73,8 +73,9 @@ type Query struct {
 	SkybandK int
 	// Threads caps the worker count for this query (≤ 0 uses the
 	// Engine's thread budget; values above it are clamped to it). It is
-	// a cap, not a grant: while other runs are in flight the run leases
-	// its share of the Engine's pool, which may be fewer threads.
+	// a cap, not a grant: while other runs are in flight the run holds
+	// its share of the Engine's pool, which may be fewer threads, and a
+	// sharded query caps each shard at the budget split over the shards.
 	Threads int
 	// Alpha overrides the α-block size of Hybrid and QFlow (≤ 0 keeps
 	// the paper's defaults: 2^10 for Hybrid, 2^13 for QFlow).

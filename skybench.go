@@ -235,8 +235,9 @@ type Stats struct {
 	// InputSize is the number of input points.
 	InputSize int
 	// Threads is the effective worker count: for Hybrid and Q-Flow, the
-	// size of the team the run leased from the Engine's pool; for a
-	// sharded Collection query, the largest any shard leased.
+	// largest team the run held from the Engine's pool (it leases its
+	// share and rebalances toward it at every α-block boundary); for a
+	// sharded Collection query, the largest any shard held.
 	Threads int
 	// PrefilterPruned is the number of input points discarded by the
 	// β-queue prefilter before the main algorithm ran (Hybrid only).

@@ -48,8 +48,10 @@ type QueryTrace struct {
 	// computation and the number returned.
 	InputSize int `json:"input_size"`
 	Output    int `json:"output"`
-	// Threads is the size of the worker team the run leased; for a
-	// sharded query, the largest any shard leased (Shards has each).
+	// Threads is the largest worker team the run held (a team is
+	// rebalanced toward its share of the pool at every α-block
+	// boundary); for a sharded query, the largest any shard held
+	// (Shards has each).
 	Threads int `json:"threads,omitempty"`
 	// DominanceTests counts full point-vs-point dominance tests — the
 	// machine-independent work metric (paper Section IV-A).
@@ -118,7 +120,7 @@ type ShardTrace struct {
 	DominanceTests uint64 `json:"dominance_tests"`
 	// PrefilterPruned is the shard run's prefilter prune count.
 	PrefilterPruned int `json:"prefilter_pruned,omitempty"`
-	// Threads is the size of the worker team the shard run leased, and
+	// Threads is the largest worker team the shard run held, and
 	// PhaseWall the wall-clock time of its Phase I and II: Threads ×
 	// PhaseWall is the shard's term of the composite ParEff.
 	Threads   int           `json:"threads,omitempty"`
@@ -185,7 +187,9 @@ func traceFromResult(algo Algorithm, k int, res *Result) *QueryTrace {
 // Phases.PhaseTwo) for one run, the sum of each shard's Threads ×
 // PhaseWall for a sharded one, whose shards ran on teams of their own. 1
 // means no worker ever waited at a phase barrier; 0 means there is
-// nothing to divide.
+// nothing to divide. For a run whose team was rebalanced to a smaller
+// size mid-run, Threads overstates the team time held, so ParEff is a
+// lower bound.
 func (t *QueryTrace) ParEff() float64 {
 	held := time.Duration(t.Threads) * (t.Phases.PhaseOne + t.Phases.PhaseTwo)
 	if len(t.Shards) > 0 {
