@@ -118,8 +118,7 @@ func TestBandAnswerExactTrace(t *testing.T) {
 			t.Run(fmt.Sprintf("%s/k=%d", name, k), func(t *testing.T) {
 				eng := skybench.NewEngine(2)
 				defer eng.Close()
-				// A low threshold makes the trace escalate to full rebuilds.
-				ix, err := stream.New(d, stream.Config{Prefs: prefs, SkybandK: k, Engine: eng, RecomputeThreshold: 0.05})
+				ix, err := stream.New(d, stream.Config{Prefs: prefs, SkybandK: k, Engine: eng})
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -225,8 +224,39 @@ func TestBandAnswerExactTrace(t *testing.T) {
 					}
 				}
 
+				// k copies of a row dominating the live set leave every other
+				// row registered under each copy, so deleting one orphans more
+				// than half the live set: the trace escalates to a full rebuild.
+				escalate := func(step int) {
+					p := make([]float64, d)
+					for j := range p {
+						p[j] = -1
+						if prefs != nil && prefs[j] == skybench.Max {
+							p[j] = 2
+						}
+					}
+					for i := 0; i < k; i++ {
+						id, err := ix.Insert(p)
+						if err != nil {
+							t.Fatal(err)
+						}
+						live = append(live, id)
+						check(step)
+					}
+					for i := 0; i < k; i++ {
+						if !ix.Delete(live[len(live)-1]) {
+							t.Fatal("delete of a dominating copy failed")
+						}
+						live = live[:len(live)-1]
+						check(step)
+					}
+				}
+
 				check(-1)
 				for step := 0; step < steps; step++ {
+					if step == steps/2 {
+						escalate(step)
+					}
 					switch r := rng.Intn(10); {
 					case r < 5:
 						insert()

@@ -13,9 +13,11 @@ var fuzzGrid = [8]float64{0, 0.1, 0.2, 0.3, 0.5, 0.7, 0.9, 1}
 
 // FuzzIndexOps decodes bytes into a trace of index operations and holds
 // the index to the brute-force band after every one. The first byte
-// picks k ∈ {1, 2} (bit 0), d ∈ [2, 8] (bits 1–6) and a rebuild
-// threshold low enough to fire often (bit 7). Then each operation is
-// one byte, its low two bits the kind, followed by its arguments:
+// picks k ∈ {1, 2} (bit 0), d ∈ [2, 8] (bits 1–5), bulk mode (bit 6)
+// and a rebuild threshold low enough to fire often (bit 7). In bulk
+// mode an insert only allocates its row, and one Load pass re-places
+// the live set before every check. Then each operation is one byte, its
+// low two bits the kind, followed by its arguments:
 //
 //	0: insert a fresh row, d bytes on fuzzGrid;
 //	1: delete live row op>>2;
@@ -31,12 +33,18 @@ func FuzzIndexOps(f *testing.F) {
 	f.Add(slices.Concat([]byte{6 << 1}, nines, []byte{3, 1}))
 	f.Add(slices.Concat([]byte{6<<1 | 1}, nines, []byte{3, 1, 1, 3, 0}))
 	f.Add(slices.Concat([]byte{0x80 | 2<<1 | 1}, []byte{0, 1, 2, 0, 2, 1, 3, 2, 0, 0, 3, 1, 5, 4}))
+	// The same pair in bulk mode, the neighbour in a lower slot than the
+	// row of 0.9s (a duplicate of it, once the original is deleted): a
+	// pass ordered by norm alone would place the neighbour first.
+	f.Add(slices.Concat([]byte{0x40 | 6<<1}, nines, []byte{3, 1, 2, 1}))
+	f.Add(slices.Concat([]byte{0x40 | 6<<1 | 1}, nines, []byte{3, 1, 2, 1}))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) == 0 {
 			return
 		}
 		k := 1 + int(data[0]&1)
-		d := 2 + int(data[0]>>1&63)%7
+		d := 2 + int(data[0]>>1&31)%7
+		bulk := data[0]&0x40 != 0
 		opt := Options{K: k}
 		if data[0]&0x80 != 0 {
 			opt.RebuildFraction = 0.05
@@ -80,8 +88,13 @@ func FuzzIndexOps(f *testing.F) {
 				row[c] = math.Nextafter(row[c], math.Inf(int(b&1)*2-1))
 			}
 			if op&3 != 1 {
-				s, _ := ix.Insert(row)
-				live = append(live, s)
+				live = append(live, ix.Alloc(row))
+				if !bulk {
+					ix.Place(live[len(live)-1])
+				}
+			}
+			if bulk {
+				ix.Load()
 			}
 			ix.Validate()
 			want, cnt := bruteBand(ix, live, k)

@@ -30,32 +30,36 @@
 // registered, or — having exactly k−1 band dominators left — is
 // promoted into the band with that exact count.
 //
-// Re-resolution work is accrued in a dirty counter; when it exceeds a
-// configurable fraction of the live set, the index escalates to a full
-// recompute (through a pluggable hook — the public package supplies an
-// Engine-backed k-skyband query) that also rebalances every bucket and
-// re-sorts the band by L1 norm, restoring short scan prefixes.
+// Re-resolution work is accrued in a dirty counter; when it exceeds half
+// the live set, the index escalates to a rebuild. A rebuild, like a bulk
+// Load, is one placement pass over the live set in (L1, coordinates)
+// order, a linear extension of dominance: each row is placed with one
+// probe of the band built so far and nothing is ever demoted. A rebuild
+// may take band membership from a pluggable hook (the public package
+// supplies an Engine-backed k-skyband query); either way it rebalances
+// every bucket and leaves the band sorted, restoring short scan prefixes.
 package stream
 
 import (
 	"cmp"
 	"slices"
-	"sort"
 
 	"skybench/internal/pivot"
 	"skybench/internal/point"
 )
 
-// ownerSkyline, ownerBucketed and ownerFree are the slot status values:
-// in the band, registered under band dominators, or not allocated.
+// ownerSkyline, ownerBucketed, ownerFree and ownerUnplaced are the slot
+// status values: in the band, registered under band dominators, not
+// allocated, or allocated but not yet placed.
 const (
 	ownerSkyline  int32 = -1
 	ownerFree     int32 = -2
 	ownerBucketed int32 = -3
+	ownerUnplaced int32 = -4
 )
 
-// rebuildMinEngine is the live size below which escalation uses the
-// built-in L1 re-insertion instead of the external hook: firing up a
+// rebuildMinEngine is the live size below which a rebuild places every
+// row by its own probe instead of asking the external hook: firing up a
 // full parallel engine for a few hundred points costs more than the
 // sequential scan it replaces.
 const rebuildMinEngine = 256
@@ -77,8 +81,10 @@ type Options struct {
 	// when K = 1, where every skyline point has zero dominators). It is
 	// invoked on escalation for live sets of at least rebuildMinEngine
 	// points; the results may alias storage the hook reuses, as the
-	// Index consumes them before returning. A nil index slice falls back
-	// to the built-in sequential rebuild.
+	// Index consumes them before returning. Its band rows are placed
+	// with its counts, unprobed; every other row is probed, so a nil
+	// index slice (a failed run) or an omitted band row still leaves the
+	// exact band.
 	Rebuild func(vals []float64, n int) ([]int, []int32)
 	// OnEnter and OnLeave, when non-nil, observe band membership
 	// changes: OnEnter(slot) fires when a live slot enters the band,
@@ -146,15 +152,16 @@ type Index struct {
 	pivot    []float64
 	pivotAt  int
 
-	dirty     int
-	rebuildMu bool // guards against emitting events inside a rebuild
+	dirty   int
+	placing bool // suppresses membership events inside the placement pass
 
 	stats Stats
 
 	// Reusable scratch: dominated band positions (the demotees, during
 	// an insert) and demoted slots, detached bucket members during a
-	// delete, collected dominator positions during classification, and
-	// the dense gather and pre-rebuild membership used by rebuilds.
+	// delete, collected dominator positions during classification, the
+	// sorted slots and dense values of the placement pass, and the
+	// pre-rebuild membership.
 	demoted   []int32
 	demotedS  []int32
 	detached  []int32
@@ -248,7 +255,7 @@ func (ix *Index) DominatorCount(slot int32) int32 { return ix.cnt[slot] }
 // Alloc copies the staged point p into a fresh slot and returns it. The
 // point is live but not yet placed: callers must follow with Place
 // (split so the public wrapper can record per-slot metadata before
-// membership callbacks fire).
+// membership callbacks fire), or allocate more rows and Load them all.
 func (ix *Index) Alloc(p []float64) int32 {
 	if len(p) != ix.d {
 		panic("stream: point dimensionality mismatch")
@@ -272,6 +279,7 @@ func (ix *Index) Alloc(p []float64) int32 {
 		ix.buckets = append(ix.buckets, nil)
 	}
 	ix.l1[slot] = point.L1(p)
+	ix.owner[slot] = ownerUnplaced
 	ix.live++
 	return slot
 }
@@ -294,7 +302,7 @@ func (ix *Index) Insert(p []float64) (slot int32, entered bool) {
 // arrival pushes to k. Fires membership events outside rebuilds.
 func (ix *Index) classify(slot int32) bool {
 	k := ix.k
-	doms := ix.dominators(slot, len(ix.skySlots))
+	doms := ix.dominators(slot)
 	if len(doms) == k {
 		ix.registerAll(slot, doms)
 		return false
@@ -359,7 +367,7 @@ func (ix *Index) registerDemoted(s, newOwner int32) {
 		ix.registerOne(s, newOwner)
 		return
 	}
-	ix.registerAll(s, ix.dominators(s, len(ix.skySlots)))
+	ix.registerAll(s, ix.dominators(s))
 }
 
 // Delete removes a live slot from the index, re-resolving (or escalating
@@ -510,116 +518,28 @@ func (ix *Index) maybeRebuild(pending int) {
 // Rebuild forces a full recompute and rebucketing, as escalation does.
 func (ix *Index) Rebuild() { ix.rebuild() }
 
-// rebuild recomputes the band of the live set from scratch — through
-// the external hook when one is configured and the set is large enough,
-// otherwise by re-inserting every live point in ascending L1 order — and
-// rebuilds every bucket and registration. Events fire only for the net
-// membership change, computed by diffing against the pre-rebuild state
-// (empty for a clean rebuild; the resurrected orphans for an escalated
-// delete).
+// Load places every live slot from scratch in one placement pass with
+// no membership source, firing no membership events and counting no
+// rebuild: the bulk entry for rows allocated unplaced into an index that
+// nothing observes yet, such as a checkpoint being recovered.
+func (ix *Index) Load() { ix.place(nil) }
+
+// rebuild re-places the live set through the placement pass, with the
+// external hook as membership source, then emits the net membership
+// change against the pre-rebuild state: none for a clean rebuild, the
+// resurrected orphans for an escalated delete.
 func (ix *Index) rebuild() {
 	ix.stats.Rebuilds++
 	ix.dirty = 0
-	d := ix.d
-	k := ix.k
-
-	// Record the pre-rebuild membership so the net change can be
-	// emitted, and gather the live set densely, sorted by L1 ascending:
-	// the in-order classification below is cheap in that order (almost
-	// nothing is demoted when dominators are inserted first), and
-	// it leaves the rebuilt band matrix sorted so future insert scans
-	// meet likely dominators first.
-	if cap(ix.wasSky) < len(ix.owner) {
-		ix.wasSky = make([]bool, len(ix.owner))
+	ix.wasSky = ix.wasSky[:0]
+	for _, o := range ix.owner {
+		ix.wasSky = append(ix.wasSky, o == ownerSkyline)
 	}
-	ix.wasSky = ix.wasSky[:len(ix.owner)]
-	ix.gatherIdx = ix.gatherIdx[:0]
-	for s := range ix.owner {
-		ix.wasSky[s] = ix.owner[s] == ownerSkyline
-		if ix.owner[s] != ownerFree {
-			ix.gatherIdx = append(ix.gatherIdx, int32(s))
-		}
-	}
-	slices.SortFunc(ix.gatherIdx, func(a, b int32) int { return cmp.Compare(ix.l1[a], ix.l1[b]) })
+	ix.place(ix.opt.Rebuild)
 
-	// Reset placement. Buckets are emptied in place so their capacity
-	// survives for the refill; registrations are overwritten when each
-	// point is re-placed.
-	ix.skySlots = ix.skySlots[:0]
-	ix.skyVals = ix.skyVals[:0]
-	ix.skyL1 = ix.skyL1[:0]
-	ix.skyMask.Truncate(0)
-	ix.pivotAt = 0
-	for _, s := range ix.gatherIdx {
-		ix.buckets[s] = ix.buckets[s][:0]
-	}
-
-	n := len(ix.gatherIdx)
-	var sky []int
-	var skyCnt []int32
-	if ix.opt.Rebuild != nil && n >= rebuildMinEngine {
-		if cap(ix.gatherVal) < n*d {
-			ix.gatherVal = make([]float64, n*d)
-		}
-		ix.gatherVal = ix.gatherVal[:n*d]
-		for i, s := range ix.gatherIdx {
-			copy(ix.gatherVal[i*d:(i+1)*d], ix.Row(s))
-		}
-		sky, skyCnt = ix.opt.Rebuild(ix.gatherVal, n)
-	}
-
-	ix.rebuildMu = true
-	if sky == nil {
-		// Built-in sequential path: classify in ascending L1 order. Only
-		// an equal-norm point can dominate an earlier one, so demotions
-		// are rare — almost every point either joins the band for good,
-		// with its exact dominator count, or is registered under its
-		// first k dominators.
-		for _, s := range ix.gatherIdx {
-			ix.classify(s)
-		}
-	} else {
-		// Hook path: mark membership and counts, append the band rows
-		// (already in ascending L1 order thanks to the sorted gather),
-		// then register every out-of-band point under the first k
-		// dominators in the sorted band prefix with norms no larger than
-		// its own (a tie can hide a dominator, never a larger norm).
-		inSky := make([]bool, n)
-		for pos, i := range sky {
-			inSky[i] = true
-			if skyCnt != nil {
-				ix.cnt[ix.gatherIdx[i]] = skyCnt[pos]
-			} else {
-				ix.cnt[ix.gatherIdx[i]] = 0
-			}
-		}
-		for i, s := range ix.gatherIdx {
-			if inSky[i] {
-				ix.appendSkyline(s)
-			}
-		}
-		ix.repivot()
-		for i, s := range ix.gatherIdx {
-			if inSky[i] {
-				continue
-			}
-			qL1 := ix.l1[s]
-			hi := sort.Search(len(ix.skyL1), func(p int) bool { return ix.skyL1[p] > qL1 })
-			if doms := ix.dominators(s, hi); len(doms) == k {
-				ix.registerAll(s, doms)
-			} else {
-				// The hook disagreed with the maintained band (it should
-				// not); fall back to a full classify so the structure
-				// stays correct regardless.
-				ix.classify(s)
-			}
-		}
-	}
-	ix.rebuildMu = false
-
-	// Emit the net membership change. Net entries are resurrections that
-	// took the escalated path instead of per-point re-resolution; count
-	// them the same so the stat is path-independent.
+	// Net entries are resurrections that took the escalated path instead
+	// of per-point re-resolution; count them the same so the stat is
+	// path-independent.
 	for _, s := range ix.gatherIdx {
 		now := ix.owner[s] == ownerSkyline
 		if now != ix.wasSky[s] {
@@ -633,8 +553,61 @@ func (ix *Index) rebuild() {
 	}
 }
 
-// RebuildFraction returns the effective escalation threshold.
-func (ix *Index) RebuildFraction() float64 { return ix.opt.RebuildFraction }
+// place is the one placement pass. It sorts every live slot by byKey, a
+// linear extension of dominance, and files each into a band rebuilt
+// from empty. A row the membership source reports is appended with the
+// source's count, unprobed. Any other row probes the band built so far
+// once: it is registered under the k dominators found, or appended with
+// the fewer it found. Every dominator of a row sorts before it, so each
+// count is exact and no placed row is ever revisited. The source is
+// asked only at rebuildMinEngine live rows or more. Membership events
+// are suppressed; the band ends sorted, so later scans meet likely
+// dominators first.
+func (ix *Index) place(source func(vals []float64, n int) ([]int, []int32)) {
+	d, k := ix.d, ix.k
+	ix.gatherIdx = ix.AppendLiveSlots(ix.gatherIdx[:0])
+	slices.SortFunc(ix.gatherIdx, ix.byKey)
+	ix.skySlots = ix.skySlots[:0]
+	ix.skyVals = ix.skyVals[:0]
+	ix.skyL1 = ix.skyL1[:0]
+	ix.skyMask.Truncate(0)
+	ix.pivotAt = 0
+	for _, s := range ix.gatherIdx {
+		ix.buckets[s] = ix.buckets[s][:0]
+		ix.owner[s] = ownerUnplaced
+	}
+
+	// Source members are marked in owner ahead of their append.
+	if n := len(ix.gatherIdx); source != nil && n >= rebuildMinEngine {
+		ix.gatherVal = slices.Grow(ix.gatherVal[:0], n*d)
+		for _, s := range ix.gatherIdx {
+			ix.gatherVal = append(ix.gatherVal, ix.Row(s)...)
+		}
+		sky, cnt := source(ix.gatherVal, n)
+		for pos, i := range sky {
+			s := ix.gatherIdx[i]
+			ix.owner[s] = ownerSkyline
+			ix.cnt[s] = 0
+			if cnt != nil {
+				ix.cnt[s] = cnt[pos]
+			}
+		}
+	}
+
+	ix.placing = true
+	for _, s := range ix.gatherIdx {
+		if ix.owner[s] != ownerSkyline {
+			doms := ix.dominators(s)
+			if len(doms) == k {
+				ix.registerAll(s, doms)
+				continue
+			}
+			ix.cnt[s] = int32(len(doms))
+		}
+		ix.appendSkyline(s)
+	}
+	ix.placing = false
+}
 
 // Validate checks the structural invariants — every live point either a
 // band member with a dominator count below k, or registered under k
@@ -699,13 +672,13 @@ func (ix *Index) Validate() {
 }
 
 func (ix *Index) emitEnter(slot int32) {
-	if ix.opt.OnEnter != nil && !ix.rebuildMu {
+	if ix.opt.OnEnter != nil && !ix.placing {
 		ix.opt.OnEnter(slot)
 	}
 }
 
 func (ix *Index) emitLeave(slot int32) {
-	if ix.opt.OnLeave != nil && !ix.rebuildMu {
+	if ix.opt.OnLeave != nil && !ix.placing {
 		ix.opt.OnLeave(slot)
 	}
 }
@@ -778,7 +751,7 @@ func (ix *Index) repointReg(slot, oldOwner, newOwner int32) {
 // unregistered dominator exists it is among the first k.
 func (ix *Index) findUnregisteredDominator(slot int32) int32 {
 	regs := ix.regO[int(slot)*ix.k : (int(slot)+1)*ix.k]
-	for _, p := range ix.dominators(slot, len(ix.skySlots)) {
+	for _, p := range ix.dominators(slot) {
 		if s := ix.skySlots[p]; !slices.Contains(regs, s) {
 			return s
 		}
@@ -786,12 +759,11 @@ func (ix *Index) findUnregisteredDominator(slot int32) int32 {
 	return -1
 }
 
-// dominators returns the band positions in [0, hi) of the first k rows
-// that dominate slot's row, in ascending order, in the reused doms
-// scratch.
-func (ix *Index) dominators(slot int32, hi int) []int32 {
+// dominators returns the band positions of the first k rows that
+// dominate slot's row, in ascending order, in the reused doms scratch.
+func (ix *Index) dominators(slot int32) []int32 {
 	q := ix.Row(slot)
-	ix.doms = point.AppendDominatorsMasked(ix.doms[:0], ix.skyVals, ix.d, 0, hi, q, ix.l1[slot], ix.skyL1, &ix.skyMask, ix.maskOf(q), ix.k, &ix.stats.DominanceTests)
+	ix.doms = point.AppendDominatorsMasked(ix.doms[:0], ix.skyVals, ix.d, 0, len(ix.skySlots), q, ix.l1[slot], ix.skyL1, &ix.skyMask, ix.maskOf(q), ix.k, &ix.stats.DominanceTests)
 	return ix.doms
 }
 

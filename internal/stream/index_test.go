@@ -157,32 +157,48 @@ func TestIndexNoRebuilds(t *testing.T) {
 
 // TestIndexRebuildHook drives the escalation path through an external
 // hook (a brute-force stand-in for the Engine) and checks both that it
-// is consulted and that membership is preserved across rebuilds.
+// is consulted and that membership is preserved across rebuilds — also
+// when the hook leaves a band row out or fails outright, whose rows the
+// placement pass then probes itself.
 func TestIndexRebuildHook(t *testing.T) {
 	const d = 4
-	calls := 0
-	opt := Options{
-		RebuildFraction: 0.05,
-		Rebuild: func(vals []float64, n int) ([]int, []int32) {
-			calls++
-			var sky []int
-			for i := 0; i < n; i++ {
-				dominated := false
-				for j := 0; j < n && !dominated; j++ {
-					dominated = j != i && point.DominatesFlat(vals, j*d, i*d, d)
-				}
-				if !dominated {
-					sky = append(sky, i)
-				}
+	skyline := func(vals []float64, n int) []int {
+		var sky []int
+		for i := 0; i < n; i++ {
+			dominated := false
+			for j := 0; j < n && !dominated; j++ {
+				dominated = j != i && point.DominatesFlat(vals, j*d, i*d, d)
 			}
-			return sky, nil
-		},
+			if !dominated {
+				sky = append(sky, i)
+			}
+		}
+		return sky
 	}
-	// Enough points that rebuilds exceed rebuildMinEngine and actually
-	// reach the hook.
-	runRandomOps(t, dataset.Independent, d, 900, 0.25, 0, opt, 13)
-	if calls == 0 {
-		t.Fatalf("rebuild hook never invoked")
+	for name, hook := range map[string]func(vals []float64, n int) []int{
+		"exact": skyline,
+		"omits-one": func(vals []float64, n int) []int {
+			sky := skyline(vals, n)
+			return slices.Delete(sky, len(sky)/2, len(sky)/2+1)
+		},
+		"nil": func([]float64, int) []int { return nil },
+	} {
+		t.Run(name, func(t *testing.T) {
+			calls := 0
+			opt := Options{
+				RebuildFraction: 0.05,
+				Rebuild: func(vals []float64, n int) ([]int, []int32) {
+					calls++
+					return hook(vals, n), nil
+				},
+			}
+			// Enough points that rebuilds exceed rebuildMinEngine and
+			// actually reach the hook.
+			runRandomOps(t, dataset.Independent, d, 900, 0.25, 0, opt, 13)
+			if calls == 0 {
+				t.Fatalf("rebuild hook never invoked")
+			}
+		})
 	}
 }
 

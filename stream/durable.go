@@ -710,12 +710,14 @@ func Recover(dir string, cfg Config) (*SkylineIndex, error) {
 		if ck.d != meta.D || ck.k != meta.K {
 			return fail(fmt.Errorf("%w: checkpoint shape (d=%d, k=%d) disagrees with meta (d=%d, k=%d)", skybench.ErrCorruptWAL, ck.d, ck.k, meta.D, meta.K))
 		}
+		// Every row is allocated unplaced, then one pass places them all:
+		// no Engine run, no membership events, no rebuild.
 		for i, id := range ck.ids {
-			x.insertRecovered(ID(id), ck.vals[i*ck.d:(i+1)*ck.d])
+			x.allocSlot(ID(id), ck.vals[i*ck.d:(i+1)*ck.d])
 		}
-		if uint64(x.next) < ck.nextID {
-			x.next = ID(ck.nextID)
-		}
+		x.core.Load()
+		x.inserts += uint64(len(ck.ids))
+		x.next = max(x.next, ID(ck.nextID))
 		if err := x.verifyBand(ck); err != nil {
 			return fail(err)
 		}
@@ -767,7 +769,7 @@ func (x *SkylineIndex) applyRecord(lsn uint64, payload []byte) error {
 		if _, ok := x.loc[id]; ok {
 			return fmt.Errorf("%w: record %d re-inserts live ID %d", skybench.ErrCorruptWAL, lsn, id)
 		}
-		x.insertRecovered(id, vals)
+		x.insertLocked(id, vals)
 	case recDelete:
 		slot, ok := x.loc[id]
 		if !ok {

@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"math"
 	"math/rand"
 	"os"
 	"os/exec"
@@ -17,6 +18,8 @@ import (
 
 	"skybench"
 	"skybench/internal/faults"
+	"skybench/internal/point"
+	"skybench/internal/verify"
 )
 
 // durWorkload replays a deterministic op script against any consumer:
@@ -597,43 +600,97 @@ func TestWALFaultRejectsMutation(t *testing.T) {
 	}
 }
 
-// TestRebuildRetries: a transient escalation failure is retried with
-// backoff and the rebuild still lands; a persistent one falls back to
-// the core's sequential rebuild — either way the band stays correct.
-func TestRebuildRetries(t *testing.T) {
+// TestRebuildFallback: escalation makes one attempt. A fault on the
+// hook's first call is not retried — the site is hit once — and the
+// placement pass probes every row itself, leaving the exact band.
+func TestRebuildFallback(t *testing.T) {
 	eng := skybench.NewEngine(2)
 	defer eng.Close()
-	for _, tc := range []struct {
-		name  string
-		count int
-	}{
-		{"transient", 1}, // first attempt fails, retry succeeds
-		{"persistent", 100},
-	} {
-		t.Run(tc.name, func(t *testing.T) {
-			x, err := New(2, Config{})
+	x, err := New(2, Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer x.Close()
+	// The escalation hook only engages above the core's minimum live
+	// size (256); stay comfortably over it.
+	w := newDurWorkload(5, 2, 0.1)
+	for i := 0; i < 400; i++ {
+		if err := w.apply(t, x); err != nil {
+			t.Fatal(err)
+		}
+	}
+	in := faults.New(3)
+	in.Arm(faults.Plan{Site: "stream.rebuild", Count: 1})
+	x.rebuildFaults = in
+	before := x.Stats().Rebuilds
+	x.rebuild()
+	if got := in.Hits("stream.rebuild"); got != 1 {
+		t.Fatalf("rebuild fault site hit %d times, want 1: one attempt, no retry", got)
+	}
+	if got := x.Stats().Rebuilds; got != before+1 {
+		t.Fatalf("Rebuilds %d after one forced rebuild, want %d", got, before+1)
+	}
+	ids, rows := w.state()
+	oracleCheck(t, eng, x, nil, ids, rows)
+}
+
+// TestRecoverTies: a checkpoint full of ties — exact duplicates, and
+// rows one ulp apart whose computed norms can tie, among them a row of
+// 0.9s and its neighbour, which do — recovers through the load pass to
+// the brute-force band and counts. The live set is above the size at
+// which a rebuild would ask the Engine; the load asks nothing, and books
+// no rebuild and no resurrection.
+func TestRecoverTies(t *testing.T) {
+	grid := [...]float64{0, 0.1, 0.2, 0.3, 0.5, 0.7, 0.9, 1}
+	const d, n = 8, 400
+	for _, k := range []int{1, 3} {
+		t.Run(fmt.Sprintf("k=%d", k), func(t *testing.T) {
+			nines := []float64{0.9, 0.9, 0.9, 0.9, 0.9, 0.9, 0.9, 0.9}
+			up := slices.Clone(nines)
+			up[0] = math.Nextafter(0.9, 1)
+			rows := [][]float64{up, nines}
+			rng := rand.New(rand.NewSource(int64(k)))
+			for len(rows) < n {
+				p := slices.Clone(rows[rng.Intn(len(rows))])
+				switch rng.Intn(3) {
+				case 0: // an exact duplicate
+				case 1: // a neighbour one ulp up or down
+					c := rng.Intn(d)
+					p[c] = math.Nextafter(p[c], float64(rng.Intn(2)*2-1))
+				default:
+					for j := range p {
+						p[j] = grid[rng.Intn(len(grid))]
+					}
+				}
+				rows = append(rows, p)
+			}
+			dir := t.TempDir()
+			x, err := New(d, Config{SkybandK: k, Durable: &Durability{Dir: dir, CheckpointEvery: -1}})
 			if err != nil {
 				t.Fatal(err)
 			}
-			defer x.Close()
-			in := faults.New(3)
-			in.Arm(faults.Plan{Site: "stream.rebuild", Count: tc.count})
-			x.rebuildFaults = in
+			if _, err := x.InsertBatch(rows); err != nil {
+				t.Fatal(err)
+			}
+			x.Close()
 
-			// The escalation hook only engages above the core's minimum
-			// live size (256); stay comfortably over it.
-			w := newDurWorkload(5, 2, 0.1)
-			for i := 0; i < 400; i++ {
-				if err := w.apply(t, x); err != nil {
-					t.Fatal(err)
-				}
+			r, err := Recover(dir, Config{})
+			if err != nil {
+				t.Fatalf("Recover: %v", err)
 			}
-			x.rebuild()
-			if got := in.Hits("stream.rebuild"); got == 0 {
-				t.Fatal("rebuild fault site never hit")
+			defer r.Close()
+			vals, _, _ := r.LiveSnapshot()
+			band := r.LiveBand()
+			wantIdx, wantCnt := verify.BruteForceSkyband(point.FromFlat(vals, r.Len(), d), k)
+			if k == 1 {
+				wantCnt = nil // a skyline band carries no counts
 			}
-			ids, rows := w.state()
-			oracleCheck(t, eng, x, nil, ids, rows)
+			if !verify.SameBand(band.Pos, band.Counts, wantIdx, wantCnt) {
+				t.Fatalf("recovered band of %d rows differs from the brute force's %d", len(band.Pos), len(wantIdx))
+			}
+			if st := r.Stats(); st.Rebuilds != 0 || st.Resurrections != 0 || st.Inserts != n {
+				t.Fatalf("checkpoint load booked %+v, want no rebuild or resurrection and %d inserts", st, n)
+			}
 		})
 	}
 }

@@ -36,12 +36,9 @@ package stream
 
 import (
 	"context"
-	"errors"
 	"fmt"
-	"math"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"skybench"
 	"skybench/internal/faults"
@@ -79,13 +76,6 @@ type Config struct {
 	// O(SkybandK), so very large values are better served by whole-set
 	// queries. Negative values are invalid.
 	SkybandK int
-	// RecomputeThreshold tunes escalation: when the work accrued by
-	// bucket re-resolutions (plus the next delete's pending bucket)
-	// exceeds this fraction of the live point count, the index escalates
-	// to one full Engine recompute that also rebalances its internal
-	// structure. Zero selects the default (0.5); a negative value
-	// disables escalation entirely.
-	RecomputeThreshold float64
 	// Engine, when non-nil, serves escalated recomputes (sharing its
 	// context free-list and worker pool with any other load it carries;
 	// a recompute leases its share of the pool like any other run).
@@ -197,14 +187,9 @@ func New(d int, cfg Config) (*SkylineIndex, error) {
 			x.stage = make([]float64, de)
 		}
 	}
-	threshold := cfg.RecomputeThreshold
-	if threshold < 0 {
-		threshold = math.Inf(1)
-	}
 	x.core = istream.New(x.de, istream.Options{
-		K:               k,
-		RebuildFraction: threshold,
-		Rebuild:         x.engineRebuild,
+		K:       k,
+		Rebuild: x.engineRebuild,
 		OnEnter: func(slot int32) {
 			x.entered = append(x.entered, Point{ID: x.ids[slot], Values: x.origRow(slot)})
 		},
@@ -244,43 +229,21 @@ func prefOps(prefs []skybench.Pref) ([]point.PrefOp, error) {
 // engineRebuild is the escalation hook handed to the core: a full
 // skyline (or k-skyband) recompute over the staged live set, served by
 // the Engine's context free-list so repeated escalations reuse warm
-// scratch.
-//
-// A failed attempt is retried with backoff before falling back to the
-// core's sequential rebuild: escalation failures are predominantly
-// transient (an injected fault, a worker panic that poisoned one
-// engine context), and the sequential fallback over a large live set
-// is far more expensive than a 1–4 ms pause. Permanent failures —
-// closed engine, structurally invalid inputs — skip the retries.
+// scratch. It makes one attempt: an engine panic would repeat on the
+// same rows and a closed engine or invalid input stays so, so on any
+// error it returns nil and the core's placement pass probes every row
+// itself.
 func (x *SkylineIndex) engineRebuild(vals []float64, n int) ([]int, []int32) {
 	if x.eng == nil {
 		x.eng = skybench.NewEngine(0)
 		x.ownEng = true
 	}
-	const attempts = 3
-	for attempt := 0; ; attempt++ {
-		idx, counts, err := x.runRebuild(vals, n)
-		if err == nil {
-			return idx, counts
-		}
-		if attempt == attempts-1 ||
-			errors.Is(err, skybench.ErrClosed) ||
-			errors.Is(err, skybench.ErrBadQuery) ||
-			errors.Is(err, skybench.ErrBadDataset) {
-			return nil, nil // fall back to the core's sequential rebuild
-		}
-		time.Sleep(time.Millisecond << attempt)
-	}
-}
-
-// runRebuild is one escalated recompute attempt.
-func (x *SkylineIndex) runRebuild(vals []float64, n int) ([]int, []int32, error) {
-	if err := faults.Check(x.rebuildFaults, "stream.rebuild"); err != nil {
-		return nil, nil, err
+	if faults.Check(x.rebuildFaults, "stream.rebuild") != nil {
+		return nil, nil
 	}
 	ds, err := skybench.DatasetFromFlat(vals, n, x.de)
 	if err != nil {
-		return nil, nil, err
+		return nil, nil
 	}
 	q := skybench.Query{ReuseIndices: true}
 	if x.k > 1 {
@@ -291,9 +254,9 @@ func (x *SkylineIndex) runRebuild(vals []float64, n int) ([]int, []int32, error)
 	// lock serializes escalations.
 	res, err := x.eng.Run(context.Background(), ds, q)
 	if err != nil {
-		return nil, nil, err
+		return nil, nil
 	}
-	return res.Indices, res.Counts, nil
+	return res.Indices, res.Counts
 }
 
 // D returns the dimensionality of the indexed points.
@@ -331,7 +294,7 @@ func (x *SkylineIndex) Insert(p []float64) (ID, error) {
 			return 0, err
 		}
 	}
-	id := x.insertLocked(p)
+	id := x.insertLocked(x.next, p)
 	if x.dur != nil {
 		x.durApplied(1)
 	}
@@ -361,7 +324,7 @@ func (x *SkylineIndex) InsertBatch(rows [][]float64) ([]ID, error) {
 	}
 	ids := make([]ID, len(rows))
 	for i, p := range rows {
-		ids[i] = x.insertLocked(p)
+		ids[i] = x.insertLocked(x.next, p)
 	}
 	if x.dur != nil && len(rows) > 0 {
 		x.durApplied(len(rows))
@@ -369,38 +332,31 @@ func (x *SkylineIndex) InsertBatch(rows [][]float64) ([]ID, error) {
 	return ids, nil
 }
 
-func (x *SkylineIndex) insertLocked(p []float64) ID {
+// insertLocked inserts p under id: x.next for a live insert, the
+// recorded ID for a replayed one. Recovery replays before the durable
+// state is attached, so nothing is re-logged.
+func (x *SkylineIndex) insertLocked(id ID, p []float64) ID {
 	x.entered, x.left = x.entered[:0], x.left[:0]
-	staged := p
-	if !x.identity {
-		point.StagePrefs(x.stage, p, 1, x.d, x.ops)
-		staged = x.stage
-	}
 	// Alloc and Place are split so the slot's ID and original values are
 	// on record before membership callbacks fire.
-	slot := x.core.Alloc(staged)
-	id := x.noteSlot(slot, p)
-	x.core.Place(slot)
+	x.core.Place(x.allocSlot(id, p))
 	x.inserts++
 	x.version.Add(1)
 	x.finishOp()
 	return id
 }
 
-// noteSlot records the wrapper-side metadata of a freshly allocated
-// slot: its ID and, under non-identity preferences, the original
-// (un-staged) coordinates snapshots and callbacks hand out.
-func (x *SkylineIndex) noteSlot(slot int32, p []float64) ID {
-	id := x.next
-	x.next++
-	x.noteSlotID(slot, id, p)
-	return id
-}
-
-// noteSlotID is noteSlot with the ID chosen by the caller — recovery
-// replays the IDs the original run assigned instead of minting new
-// ones.
-func (x *SkylineIndex) noteSlotID(slot int32, id ID, p []float64) {
+// allocSlot stages p into a fresh, unplaced core slot, records the
+// wrapper-side metadata for it — its ID and, under non-identity
+// preferences, the original (un-staged) coordinates snapshots and
+// callbacks hand out — and returns the slot.
+func (x *SkylineIndex) allocSlot(id ID, p []float64) int32 {
+	staged := p
+	if !x.identity {
+		point.StagePrefs(x.stage, p, 1, x.d, x.ops)
+		staged = x.stage
+	}
+	slot := x.core.Alloc(staged)
 	if n := int(slot) + 1; n > len(x.ids) {
 		x.ids = append(x.ids, make([]ID, n-len(x.ids))...)
 		if !x.identity {
@@ -412,28 +368,8 @@ func (x *SkylineIndex) noteSlotID(slot int32, id ID, p []float64) {
 	if !x.identity {
 		copy(x.orig[int(slot)*x.d:], p)
 	}
-}
-
-// insertRecovered re-inserts a point under its original ID during
-// recovery (checkpoint rows and replayed WAL inserts). The caller owns
-// the index exclusively and the durable state is not yet attached, so
-// nothing is re-logged.
-func (x *SkylineIndex) insertRecovered(id ID, p []float64) {
-	x.entered, x.left = x.entered[:0], x.left[:0]
-	staged := p
-	if !x.identity {
-		point.StagePrefs(x.stage, p, 1, x.d, x.ops)
-		staged = x.stage
-	}
-	slot := x.core.Alloc(staged)
-	x.noteSlotID(slot, id, p)
-	x.core.Place(slot)
-	if x.next <= id {
-		x.next = id + 1
-	}
-	x.inserts++
-	x.version.Add(1)
-	x.finishOp()
+	x.next = max(x.next, id+1)
+	return slot
 }
 
 // origRow returns the original-space coordinates of a live slot.
@@ -446,7 +382,8 @@ func (x *SkylineIndex) origRow(slot int32) []float64 {
 
 // Delete removes the point with the given ID, reporting whether it was
 // present. Deleting a skyline point may re-admit points it dominated
-// (and may escalate to a full recompute; see Config.RecomputeThreshold).
+// (and may escalate to a full recompute, once re-resolution work since
+// the last one exceeds half the live set).
 // On a durable index a delete whose log append fails is rejected —
 // false with the point still live; Err reports why.
 func (x *SkylineIndex) Delete(id ID) bool {
@@ -608,12 +545,15 @@ type Stats struct {
 	// Epoch counts skyline membership changes (the snapshot version).
 	Epoch uint64
 	// Inserts and Deletes count successful mutations; Entered and Left
-	// count the membership changes they caused.
+	// count the membership changes they caused. After Recover, Inserts
+	// includes the checkpoint's rows, while Entered and Left count only
+	// the replayed WAL tail and later mutations: a checkpoint is loaded
+	// in one pass that emits no membership changes.
 	Inserts, Deletes, Entered, Left uint64
 	// Resurrections counts points re-admitted to the skyline by the
 	// deletion of their bucket owner; Rebuilds counts full-recompute
-	// escalations; DominanceTests is the machine-independent work
-	// metric, as in skybench.Stats.
+	// escalations (a checkpoint load counts as neither); DominanceTests
+	// is the machine-independent work metric, as in skybench.Stats.
 	Resurrections, Rebuilds, DominanceTests uint64
 }
 

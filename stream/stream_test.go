@@ -99,7 +99,7 @@ func runEngineOracleOps(t *testing.T, eng *skybench.Engine, d, k int, prefs []sk
 	m := dataset.Generate(dist, nOps, d, int64(d)*17+int64(k)*101+int64(dist))
 	rng := rand.New(rand.NewSource(int64(d) + int64(k)*7 + 31))
 
-	ix, err := New(d, Config{Prefs: prefs, SkybandK: k, Engine: eng, RecomputeThreshold: 0.3})
+	ix, err := New(d, Config{Prefs: prefs, SkybandK: k, Engine: eng})
 	if err != nil {
 		t.Fatalf("New: %v", err)
 	}
@@ -127,12 +127,48 @@ func runEngineOracleOps(t *testing.T, eng *skybench.Engine, d, k int, prefs []sk
 			liveIDs = append(liveIDs, id)
 			liveRows = append(liveRows, row)
 		}
+		if op == nOps/2 {
+			escalate(t, ix, prefs)
+		}
 		if op%40 == 39 || op == nOps-1 {
 			oracleCheck(t, eng, ix, prefs, liveIDs, liveRows)
 		}
 	}
 	if ix.Len() != len(liveIDs) {
 		t.Fatalf("Len %d, want %d", ix.Len(), len(liveIDs))
+	}
+}
+
+// escalate forces a full rebuild. It inserts BandK copies of a row that
+// dominates every live row (all of them in [0, 1] under prefs), which
+// leaves every other row registered under each copy; deleting the first
+// copy then orphans more than half the live set. The copies are gone
+// when it returns.
+func escalate(t *testing.T, ix *SkylineIndex, prefs []skybench.Pref) {
+	t.Helper()
+	before := ix.Stats().Rebuilds
+	p := make([]float64, ix.D())
+	for j := range p {
+		p[j] = -1
+		if prefs != nil && prefs[j] == skybench.Max {
+			p[j] = 2
+		}
+	}
+	ids := make([]ID, ix.BandK())
+	for i := range ids {
+		id, err := ix.Insert(p)
+		if err != nil {
+			t.Fatalf("insert: %v", err)
+		}
+		ids[i] = id
+	}
+	for _, id := range ids {
+		if !ix.Delete(id) {
+			t.Fatalf("delete of dominating copy %d failed", id)
+		}
+	}
+	if ix.Stats().Rebuilds == before {
+		t.Fatalf("deleting a row that dominates the live set did not escalate (live %d)", ix.Len())
 	}
 }
 
@@ -170,7 +206,6 @@ func TestSkybandIndexMatchesEngineOracle(t *testing.T) {
 func TestDeltaEventsReconstructMembership(t *testing.T) {
 	shadow := make(map[ID][]float64)
 	ix, err := New(4, Config{
-		RecomputeThreshold: 0.1, // force escalations through the event path too
 		OnDelta: func(entered, left []Point) {
 			for _, p := range left {
 				if _, ok := shadow[p.ID]; !ok {
@@ -208,6 +243,9 @@ func TestDeltaEventsReconstructMembership(t *testing.T) {
 			}
 			live = append(live, id)
 			next++
+		}
+		if op == 250 {
+			escalate(t, ix, nil) // its resurrections reach the shadow as events too
 		}
 		snap := ix.Snapshot()
 		if snap.Len() != len(shadow) {
@@ -287,22 +325,22 @@ func TestWindowSlides(t *testing.T) {
 
 // TestSnapshotConcurrentReaders runs one writer against many snapshot
 // readers; under -race this is the data-race probe for the epoch/COW
-// publication path — with the default configuration, with a tiny
-// rebuild threshold so Engine escalations fire while readers hold
-// snapshots (for the skyline and for a 3-skyband), and through a sliding
-// Window whose every Push past capacity is an eviction plus an insert.
+// publication path — with the default configuration, with an Engine
+// escalation forced while readers hold snapshots (for the skyline and
+// for a 3-skyband), and through a sliding Window whose every Push past
+// capacity is an eviction plus an insert.
 func TestSnapshotConcurrentReaders(t *testing.T) {
 	eng := skybench.NewEngine(0)
 	defer eng.Close()
 	for _, tc := range []struct {
-		name         string
-		cfg          Config
-		window       int // > 0: a Window of this capacity, insert-only
-		wantRebuilds bool
+		name     string
+		cfg      Config
+		window   int // > 0: a Window of this capacity, insert-only
+		escalate bool
 	}{
 		{name: "default"},
-		{name: "escalating", cfg: Config{RecomputeThreshold: 0.05, Engine: eng}, wantRebuilds: true},
-		{name: "escalating-k3", cfg: Config{RecomputeThreshold: 0.05, Engine: eng, SkybandK: 3}, wantRebuilds: true},
+		{name: "escalating", cfg: Config{Engine: eng}, escalate: true},
+		{name: "escalating-k3", cfg: Config{Engine: eng, SkybandK: 3}, escalate: true},
 		{name: "window-500", cfg: Config{Engine: eng}, window: 500},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
@@ -370,13 +408,13 @@ func TestSnapshotConcurrentReaders(t *testing.T) {
 					t.Fatalf("insert: %v", err)
 				}
 				live = append(live, id)
+				if tc.escalate && i == m.N()/2 {
+					escalate(t, ix, nil)
+				}
 			}
 			close(stop)
 			wg.Wait()
 
-			if st := ix.Stats(); tc.wantRebuilds && st.Rebuilds == 0 {
-				t.Errorf("no escalation fired under the readers: %+v", st)
-			}
 			// A snapshot taken with no concurrent writer is cached: the same
 			// pointer must come back until the next membership change.
 			s1, s2 := ix.Snapshot(), ix.Snapshot()
