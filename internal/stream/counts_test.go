@@ -24,8 +24,8 @@ const (
 	countsFile  = "testdata/stream_counts_parent.json"
 	countsOps   = 3000
 	countsChurn = 0.35
-	// countsRebuild is low enough that the built-in rebuild fires on
-	// every row of the grid.
+	// countsRebuild is low enough that a rebuild fires on every row of
+	// the grid.
 	countsRebuild = 0.25
 )
 
@@ -53,7 +53,8 @@ type countsRow struct {
 }
 
 // countsTrace drives one seeded insert/delete trace through an Index
-// with the built-in rebuild and returns its row.
+// with no rebuild hook, so every rebuild probes every row, and returns
+// its row.
 func countsTrace(dist string, d, k int, seed int64) countsRow {
 	gen := dataset.Independent
 	if dist == "anticorrelated" {

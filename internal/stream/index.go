@@ -152,8 +152,7 @@ type Index struct {
 	pivot    []float64
 	pivotAt  int
 
-	dirty   int
-	placing bool // suppresses membership events inside the placement pass
+	dirty int
 
 	stats Stats
 
@@ -299,7 +298,7 @@ func (ix *Index) Insert(p []float64) (slot int32, entered bool) {
 // classify files slot into the structure: registered under the first k
 // band dominators the scan finds, or entered into the band with its
 // exact dominator count, demoting any band members whose count its
-// arrival pushes to k. Fires membership events outside rebuilds.
+// arrival pushes to k. Fires membership events.
 func (ix *Index) classify(slot int32) bool {
 	k := ix.k
 	doms := ix.dominators(slot)
@@ -560,8 +559,8 @@ func (ix *Index) rebuild() {
 // once: it is registered under the k dominators found, or appended with
 // the fewer it found. Every dominator of a row sorts before it, so each
 // count is exact and no placed row is ever revisited. The source is
-// asked only at rebuildMinEngine live rows or more. Membership events
-// are suppressed; the band ends sorted, so later scans meet likely
+// asked only at rebuildMinEngine live rows or more. The pass fires no
+// membership events; the band ends sorted, so later scans meet likely
 // dominators first.
 func (ix *Index) place(source func(vals []float64, n int) ([]int, []int32)) {
 	d, k := ix.d, ix.k
@@ -594,7 +593,6 @@ func (ix *Index) place(source func(vals []float64, n int) ([]int, []int32)) {
 		}
 	}
 
-	ix.placing = true
 	for _, s := range ix.gatherIdx {
 		if ix.owner[s] != ownerSkyline {
 			doms := ix.dominators(s)
@@ -606,7 +604,6 @@ func (ix *Index) place(source func(vals []float64, n int) ([]int, []int32)) {
 		}
 		ix.appendSkyline(s)
 	}
-	ix.placing = false
 }
 
 // Validate checks the structural invariants — every live point either a
@@ -672,13 +669,13 @@ func (ix *Index) Validate() {
 }
 
 func (ix *Index) emitEnter(slot int32) {
-	if ix.opt.OnEnter != nil && !ix.placing {
+	if ix.opt.OnEnter != nil {
 		ix.opt.OnEnter(slot)
 	}
 }
 
 func (ix *Index) emitLeave(slot int32) {
-	if ix.opt.OnLeave != nil && !ix.placing {
+	if ix.opt.OnLeave != nil {
 		ix.opt.OnLeave(slot)
 	}
 }
