@@ -2,9 +2,15 @@ package wal
 
 import (
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"hash/crc32"
 )
+
+// ErrCorrupt reports a WAL whose damage exceeds a torn final frame: a
+// bad CRC or impossible length in the middle of the record sequence.
+// The public surfaces wrap it into skybench.ErrCorruptWAL.
+var ErrCorrupt = errors.New("wal: corrupt record")
 
 // HeaderSize is the length of the header in front of every framed
 // payload:

@@ -1,3 +1,5 @@
+//go:build linux || darwin || freebsd
+
 package wal
 
 import (
@@ -280,37 +282,328 @@ func TestClosedLog(t *testing.T) {
 	}
 }
 
-// TestFrameHelpers: AppendFrame and NextFrame are inverses over a run of
-// frames, and NextFrame refuses a short header, a length past the end
-// and a flipped bit without reading past what it was given.
-func TestFrameHelpers(t *testing.T) {
-	payloads := [][]byte{[]byte("alpha"), nil, bytes.Repeat([]byte{7}, 300)}
-	var buf []byte
+// abandon drops l the way a killed process does: the window is
+// unmapped and the file closed, with no truncation and no sync.
+func abandon(t *testing.T, l *Log) {
+	t.Helper()
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	if err := l.unmap(); err != nil {
+		t.Fatal(err)
+	}
+	l.f.Close()
+	l.closed = true
+}
+
+// framesOf is the byte image of payloads as the log frames them.
+func framesOf(payloads [][]byte) []byte {
+	var b []byte
 	for _, p := range payloads {
-		buf = AppendFrame(buf, p)
+		b = AppendFrame(b, p)
 	}
-	rest := buf
-	for i, want := range payloads {
-		var got []byte
-		var err error
-		if got, rest, err = NextFrame(rest); err != nil || !bytes.Equal(got, want) {
-			t.Fatalf("frame %d: %q, %v", i, got, err)
+	return b
+}
+
+// TestMappedTailRecovered: a log abandoned without Close leaves its
+// active segment ending in the zeroed reservation. Every acknowledged
+// record replays, Open cuts the zeros off, and the next Append gets the
+// next LSN. The run slides the window and maps one batch larger than it.
+func TestMappedTailRecovered(t *testing.T) {
+	dir := t.TempDir()
+	l, err := Open(dir, Options{SegmentBytes: 64 << 20})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var want [][]byte
+	for i := 0; i < 6000; i++ {
+		p := fmt.Appendf(nil, "single-%05d-%0180d", i, i)
+		if lsn, err := l.Append(p); err != nil || lsn != uint64(len(want)) {
+			t.Fatalf("append %d: lsn=%d err=%v", i, lsn, err)
+		}
+		want = append(want, p)
+		if i == 3000 {
+			batch := make([][]byte, 8)
+			for j := range batch {
+				batch[j] = bytes.Repeat([]byte{byte('a' + j)}, 200<<10)
+			}
+			if first, err := l.AppendBatch(batch); err != nil || first != uint64(len(want)) {
+				t.Fatalf("big batch: first=%d err=%v", first, err)
+			}
+			want = append(want, batch...)
 		}
 	}
-	if len(rest) != 0 {
-		t.Fatalf("%d bytes left after the last frame", len(rest))
+	frames := int64(len(framesOf(want)))
+	path := lastSegPath(t, dir)
+	if fi, err := os.Stat(path); err != nil || fi.Size() <= frames {
+		t.Fatalf("segment of %v bytes for %d bytes of frames: no reservation after them (%v)", fi.Size(), frames, err)
 	}
-	flipped := bytes.Clone(buf)
-	flipped[HeaderSize] ^= 1
-	for name, b := range map[string][]byte{
-		"short header":     buf[:HeaderSize-1],
-		"length past end":  buf[:HeaderSize+2],
-		"flipped bit":      flipped,
-		"absurd length":    {0xff, 0xff, 0xff, 0xff, 0, 0, 0, 0},
-		"nothing to split": nil,
-	} {
-		if _, _, err := NextFrame(b); !errors.Is(err, ErrCorrupt) {
-			t.Errorf("%s: err = %v, want ErrCorrupt", name, err)
+	abandon(t, l)
+
+	recs, next := collect(t, dir, 0)
+	if len(recs) != len(want) || next != uint64(len(want)) {
+		t.Fatalf("replayed %d records, next=%d, want %d", len(recs), next, len(want))
+	}
+	for i := range want {
+		if !bytes.Equal(recs[i], want[i]) {
+			t.Fatalf("record %d differs", i)
 		}
 	}
+	l, err = Open(dir, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if fi, err := os.Stat(path); err != nil || fi.Size() != frames {
+		t.Fatalf("reopened segment is %v bytes, want its %d bytes of frames (%v)", fi.Size(), frames, err)
+	}
+	if lsn, err := l.Append([]byte("after")); err != nil || lsn != uint64(len(want)) {
+		t.Fatalf("append after reopen: lsn=%d err=%v, want %d", lsn, err, len(want))
+	}
+	if err := l.Close(); err != nil {
+		t.Fatal(err)
+	}
+	recs, _ = collect(t, dir, 0)
+	if len(recs) != len(want)+1 || string(recs[len(want)]) != "after" {
+		t.Fatalf("after reopen: %d records", len(recs))
+	}
+}
+
+// TestCleanCloseFormatUnchanged: after rotations, a reopen and Close,
+// every segment is exactly the concatenation of its frames — no
+// reservation survives a clean shutdown.
+func TestCleanCloseFormatUnchanged(t *testing.T) {
+	dir := t.TempDir()
+	var want [][]byte
+	for _, n := range []int{40, 25} {
+		l, err := Open(dir, Options{SegmentBytes: 384})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i < n; i++ {
+			p := bytes.Repeat([]byte{byte(len(want))}, len(want)%50+1)
+			if _, err := l.Append(p); err != nil {
+				t.Fatal(err)
+			}
+			want = append(want, p)
+		}
+		if err := l.Close(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	segs, err := listSegments(dir)
+	if err != nil || len(segs) < 3 {
+		t.Fatalf("want several segments, got %v (%v)", segs, err)
+	}
+	for i, first := range segs {
+		end := uint64(len(want))
+		if i+1 < len(segs) {
+			end = segs[i+1]
+		}
+		data, err := os.ReadFile(filepath.Join(dir, segName(first)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(data, framesOf(want[first:end])) {
+			t.Fatalf("segment %s: %d bytes, want the %d bytes of records %d..%d", segName(first), len(data), len(framesOf(want[first:end])), first, end)
+		}
+	}
+}
+
+// TestEmptyPayloadRejected: a zero-length header ends a segment's
+// frames, so an empty record must never be written.
+func TestEmptyPayloadRejected(t *testing.T) {
+	dir := t.TempDir()
+	l, err := Open(dir, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := l.Append(nil); err == nil {
+		t.Fatal("Append(nil) succeeded")
+	}
+	if _, err := l.AppendBatch([][]byte{[]byte("a"), {}}); err == nil {
+		t.Fatal("a batch holding an empty record succeeded")
+	}
+	if n := l.NextLSN(); n != 0 {
+		t.Fatalf("rejected appends advanced NextLSN to %d", n)
+	}
+	if lsn, err := l.Append([]byte("a")); err != nil || lsn != 0 {
+		t.Fatalf("append after rejections: lsn=%d err=%v", lsn, err)
+	}
+	l.Close()
+	if recs, _ := collect(t, dir, 0); len(recs) != 1 {
+		t.Fatalf("got %d records, want 1", len(recs))
+	}
+}
+
+// TestDirSyncs: under SyncAlways and SyncInterval every new segment's
+// directory entry is fsynced (Open's first segment and each rotation);
+// under SyncOS none is. SyncDir fsyncs it under every policy, and every
+// directory sync is counted in Fsyncs too.
+func TestDirSyncs(t *testing.T) {
+	for _, tc := range []struct {
+		name      string
+		sync      SyncPolicy
+		perCreate uint64
+	}{{"os", SyncOS, 0}, {"always", SyncAlways, 1}, {"interval", SyncInterval, 1}} {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := t.TempDir()
+			opts := Options{SegmentBytes: 32, Sync: tc.sync, Interval: time.Hour}
+			l, err := Open(dir, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := l.Stats().DirSyncs; got != tc.perCreate {
+				t.Fatalf("after Open: %d directory syncs, want %d", got, tc.perCreate)
+			}
+			for i := 0; i < 5; i++ {
+				if _, err := l.Append([]byte("a record of thirty bytes.....")); err != nil {
+					t.Fatal(err)
+				}
+			}
+			st := l.Stats()
+			if st.Segments != 5 || st.DirSyncs != 5*tc.perCreate {
+				t.Fatalf("%d segments, %d directory syncs, want 5 and %d", st.Segments, st.DirSyncs, 5*tc.perCreate)
+			}
+			if err := l.SyncDir(); err != nil {
+				t.Fatal(err)
+			}
+			if st2 := l.Stats(); st2.DirSyncs != st.DirSyncs+1 || st2.Fsyncs != st.Fsyncs+1 {
+				t.Fatalf("SyncDir: directory syncs %d -> %d, fsyncs %d -> %d", st.DirSyncs, st2.DirSyncs, st.Fsyncs, st2.Fsyncs)
+			}
+			l.Close()
+			// Reopening creates no segment and syncs no directory.
+			l, err = Open(dir, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := l.Stats().DirSyncs; got != 0 {
+				t.Fatalf("reopen: %d directory syncs, want 0", got)
+			}
+			l.Close()
+		})
+	}
+}
+
+// TestSyncFailurePoisons: after a failed sync the kernel may have
+// dropped what it could not write, so the log refuses further appends
+// and Err reports why — whether the append's own sync or the interval
+// loop's failed.
+func TestSyncFailurePoisons(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		sync SyncPolicy
+	}{{"always", SyncAlways}, {"interval", SyncInterval}} {
+		t.Run(tc.name, func(t *testing.T) {
+			in := faults.New(1)
+			in.Arm(faults.Plan{Site: "wal.sync"})
+			l, err := Open(t.TempDir(), Options{Sync: tc.sync, Interval: time.Millisecond, Faults: in})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer l.Close()
+			_, err = l.Append([]byte("one"))
+			if tc.sync == SyncAlways && !errors.Is(err, faults.ErrInjected) {
+				t.Fatalf("append under a sync fault: %v, want ErrInjected", err)
+			}
+			for deadline := time.Now().Add(10 * time.Second); l.Err() == nil; time.Sleep(time.Millisecond) {
+				if time.Now().After(deadline) {
+					t.Fatal("the failed sync never poisoned the log")
+				}
+			}
+			if !errors.Is(l.Err(), faults.ErrInjected) {
+				t.Fatalf("Err = %v, want ErrInjected", l.Err())
+			}
+			if _, err := l.Append([]byte("two")); !errors.Is(err, faults.ErrInjected) {
+				t.Fatalf("append on a poisoned log: %v", err)
+			}
+		})
+	}
+}
+
+// FuzzOpenSegment feeds arbitrary bytes to Open and Replay as the final
+// segment, and as a non-final segment ahead of a valid one. Either both
+// fail with ErrCorrupt, or the log replays exactly the intact-frame
+// prefix and the next Append lands after it. Nothing may panic.
+func FuzzOpenSegment(f *testing.F) {
+	valid := framesOf([][]byte{[]byte("alpha"), []byte("beta"), bytes.Repeat([]byte{9}, 40)})
+	f.Add([]byte{}, true)
+	f.Add(valid, true)
+	f.Add(valid, false)
+	f.Add(append(bytes.Clone(valid), make([]byte, 64)...), true)
+	f.Add(append(bytes.Clone(valid), make([]byte, 64)...), false)
+	f.Add(append(bytes.Clone(valid), 0xff, 0xff, 0xff, 0xff, 1, 2, 3, 4), true)
+	f.Add(valid[:len(valid)-3], true)
+	f.Fuzz(func(t *testing.T, data []byte, final bool) {
+		// The model: whole frames up to a zero length, a short or
+		// oversized header, a short payload or a bad checksum.
+		var prefix [][]byte
+		good := 0
+		for rest := data; len(rest) >= HeaderSize; {
+			length, _ := header(rest)
+			if length == 0 || length > MaxRecord {
+				break
+			}
+			p, r, err := NextFrame(rest)
+			if err != nil {
+				break
+			}
+			prefix = append(prefix, p)
+			good += len(rest) - len(r)
+			rest = r
+		}
+		clean := good == len(data)
+		if len(data) == 0 {
+			final = true // the next segment would share its name
+		}
+
+		dir := t.TempDir()
+		if err := os.WriteFile(filepath.Join(dir, segName(0)), data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		want := prefix
+		if !final {
+			tail := [][]byte{[]byte("next-segment")}
+			tailFirst := max(uint64(len(prefix)), 1)
+			if err := os.WriteFile(filepath.Join(dir, segName(tailFirst)), framesOf(tail), 0o644); err != nil {
+				t.Fatal(err)
+			}
+			want = append(append([][]byte(nil), prefix...), tail...)
+		}
+
+		var got [][]byte
+		next, rerr := Replay(dir, 0, func(_ uint64, p []byte) error {
+			got = append(got, bytes.Clone(p))
+			return nil
+		})
+		l, oerr := Open(dir, Options{})
+		if !final && !clean {
+			if !errors.Is(rerr, ErrCorrupt) || !errors.Is(oerr, ErrCorrupt) {
+				t.Fatalf("torn non-final segment: Replay %v, Open %v, want ErrCorrupt", rerr, oerr)
+			}
+			return
+		}
+		if rerr != nil || oerr != nil {
+			t.Fatalf("Replay %v, Open %v", rerr, oerr)
+		}
+		if next != uint64(len(want)) || len(got) != len(want) {
+			t.Fatalf("replayed %d records, next=%d, want %d", len(got), next, len(want))
+		}
+		for i := range want {
+			if !bytes.Equal(got[i], want[i]) {
+				t.Fatalf("record %d differs", i)
+			}
+		}
+		if lsn, err := l.Append([]byte("appended")); err != nil || lsn != uint64(len(want)) {
+			t.Fatalf("append: lsn=%d err=%v, want %d", lsn, err, len(want))
+		}
+		if err := l.Close(); err != nil {
+			t.Fatal(err)
+		}
+		got = got[:0]
+		if _, err := Replay(dir, 0, func(_ uint64, p []byte) error {
+			got = append(got, bytes.Clone(p))
+			return nil
+		}); err != nil || len(got) != len(want)+1 || string(got[len(want)]) != "appended" {
+			t.Fatalf("after append: %d records, %v", len(got), err)
+		}
+	})
 }

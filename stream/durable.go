@@ -51,9 +51,9 @@ import (
 type Fsync int
 
 const (
-	// FsyncOS (the default) issues buffered writes and lets the kernel
-	// flush: acknowledged mutations survive a process crash but not a
-	// power failure. This is the policy that keeps durable throughput
+	// FsyncOS (the default) makes stores into a shared mapping and lets
+	// the kernel flush: acknowledged mutations survive a process crash
+	// but not a power failure. This is the policy that keeps durable throughput
 	// within a small factor of in-memory throughput.
 	FsyncOS Fsync = iota
 	// FsyncAlways fsyncs every append (once per InsertBatch — group
@@ -217,6 +217,11 @@ func (x *SkylineIndex) initDurable(dcfg Durability) error {
 		log.Close()
 		return err
 	}
+	// Recover finds the directory's state through meta.json alone.
+	if err := log.SyncDir(); err != nil {
+		log.Close()
+		return err
+	}
 	x.dur = &durableState{dir: dcfg.Dir, log: log, every: dcfg.cadence()}
 	return nil
 }
@@ -293,9 +298,9 @@ func decodeRec(payload []byte, d int) (op byte, id ID, vals []float64, err error
 // --- mutation-side WAL hooks --------------------------------------------
 
 // durInsert appends the insert record for the ID the next insert will
-// assign, before the in-memory apply. A failed append was rolled back
-// by the WAL (the mutation is rejected, the index unharmed) unless the
-// log reports a sticky failure.
+// assign, before the in-memory apply. A failed append stored nothing
+// (the mutation is rejected, the index unharmed); after a failed sync
+// the log reports a sticky failure.
 func (x *SkylineIndex) durInsert(id ID, p []float64) error {
 	dur := x.dur
 	dur.buf = appendInsertRec(dur.buf[:0], id, p)
@@ -356,9 +361,9 @@ func (x *SkylineIndex) durApplied(n int) {
 
 // Err reports the index's durability health: nil for in-memory
 // indexes and healthy durable ones. Non-nil when the WAL is poisoned
-// (a failed append could not be rolled back — every further mutation
-// will be rejected) or when the most recent durable operation failed
-// (cleared by the next success).
+// (a sync failed, so acknowledged mutations may not be on disk — every
+// further mutation will be rejected) or when the most recent durable
+// operation failed (cleared by the next success).
 func (x *SkylineIndex) Err() error {
 	x.mu.Lock()
 	defer x.mu.Unlock()
@@ -502,6 +507,11 @@ func (x *SkylineIndex) checkpointLocked() error {
 	}
 	if err := os.Rename(tmp, path); err != nil {
 		os.Remove(tmp)
+		return err
+	}
+	// Nothing the checkpoint supersedes may be unlinked before its
+	// rename is durable.
+	if err := dur.log.SyncDir(); err != nil {
 		return err
 	}
 

@@ -290,7 +290,8 @@ func TestRecoverRejects(t *testing.T) {
 
 // segFrames parses one WAL segment file and returns every frame
 // boundary offset, ascending, starting with 0 (parsing mirrors the
-// wal frame format: u32 length, u32 CRC, payload).
+// wal frame format: u32 length, u32 CRC, payload; a zero length starts
+// the zeroed reservation after the last frame).
 func segFrames(t *testing.T, path string) []int64 {
 	t.Helper()
 	data, err := os.ReadFile(path)
@@ -300,7 +301,7 @@ func segFrames(t *testing.T, path string) []int64 {
 	offs := []int64{0}
 	for off := 0; off+8 <= len(data); {
 		n := int(binary.LittleEndian.Uint32(data[off:]))
-		if off+8+n > len(data) {
+		if n == 0 || off+8+n > len(data) {
 			break
 		}
 		off += 8 + n
@@ -760,23 +761,16 @@ func TestKillAndRecover(t *testing.T) {
 	if err := cmd.Start(); err != nil {
 		t.Fatal(err)
 	}
-	// Let the child stream until real WAL state exists, then kill it
-	// mid-flight — no warning, no flush. Checkpoints keep truncating the
-	// log, so total segment size stays bounded; a modest floor plus a
-	// short grace period reliably lands the kill mid-stream (often
+	// Let the child stream until real WAL state exists — its first
+	// checkpoint, 512 records in — then kill it mid-flight: no warning,
+	// no flush. Segment sizes say nothing here, since the log reserves
+	// zeroed blocks ahead of its frames; a short grace period after the
+	// checkpoint reliably lands the kill mid-stream (often
 	// mid-checkpoint).
 	deadline := time.Now().Add(20 * time.Second)
 	for {
-		if entries, err := os.ReadDir(dir); err == nil {
-			var total int64
-			for _, e := range entries {
-				if info, err := e.Info(); err == nil && strings.HasSuffix(e.Name(), ".seg") {
-					total += info.Size()
-				}
-			}
-			if total > 8<<10 {
-				break
-			}
+		if cks, err := listCkpts(dir); err == nil && len(cks) > 0 {
+			break
 		}
 		if time.Now().After(deadline) {
 			cmd.Process.Kill()
