@@ -53,8 +53,8 @@ type Fsync int
 const (
 	// FsyncOS (the default) makes stores into a shared mapping and lets
 	// the kernel flush: acknowledged mutations survive a process crash
-	// but not a power failure. This is the policy that keeps durable throughput
-	// within a small factor of in-memory throughput.
+	// but not a power failure. This is the policy that keeps durable
+	// throughput within a small factor of in-memory throughput.
 	FsyncOS Fsync = iota
 	// FsyncAlways fsyncs every append (once per InsertBatch — group
 	// commit): acknowledged mutations survive power failure, at the cost
