@@ -8,7 +8,11 @@ import (
 	"errors"
 	"fmt"
 	"os"
+	"os/exec"
 	"path/filepath"
+	"regexp"
+	"strconv"
+	"syscall"
 	"testing"
 	"time"
 
@@ -365,6 +369,68 @@ func TestMappedTailRecovered(t *testing.T) {
 	if len(recs) != len(want)+1 || string(recs[len(want)]) != "after" {
 		t.Fatalf("after reopen: %d records", len(recs))
 	}
+}
+
+// TestReservationFailureIsAnError: when the disk cannot take the next
+// window, Append fails and stores nothing — the log never maps blocks it
+// has not reserved, so no store can fault — and the records before it
+// stay intact. RLIMIT_FSIZE stands in for a full disk, in a child
+// process so the limit binds no other test.
+func TestReservationFailureIsAnError(t *testing.T) {
+	if dir := os.Getenv("WAL_FSIZE_CHILD_DIR"); dir != "" {
+		fillUnderLimit(t, dir)
+		return
+	}
+	dir := t.TempDir()
+	cmd := exec.Command(os.Args[0], "-test.run=^TestReservationFailureIsAnError$", "-test.timeout=60s")
+	cmd.Env = append(os.Environ(), "WAL_FSIZE_CHILD_DIR="+dir)
+	out, err := cmd.CombinedOutput()
+	if err != nil {
+		t.Fatalf("child: %v\n%s", err, out)
+	}
+	m := regexp.MustCompile(`acked=(\d+)`).FindSubmatch(out)
+	if m == nil {
+		t.Fatalf("child reported nothing:\n%s", out)
+	}
+	acked, _ := strconv.Atoi(string(m[1]))
+	recs, next := collect(t, dir, 0)
+	if acked == 0 || len(recs) != acked || next != uint64(acked) {
+		t.Fatalf("child acknowledged %d records; %d replay, next=%d", acked, len(recs), next)
+	}
+}
+
+// fillUnderLimit appends until the reservation of a second window runs
+// into a 1.5 MiB file size limit, then closes the log cleanly.
+func fillUnderLimit(t *testing.T, dir string) {
+	const limit = 3 << 19
+	if err := syscall.Setrlimit(syscall.RLIMIT_FSIZE, &syscall.Rlimit{Cur: limit, Max: limit}); err != nil {
+		t.Fatal(err)
+	}
+	l, err := Open(dir, Options{SegmentBytes: 64 << 20})
+	if err != nil {
+		t.Fatal(err)
+	}
+	p := bytes.Repeat([]byte{7}, 200)
+	acked := uint64(0)
+	for ; ; acked++ {
+		lsn, err := l.Append(p)
+		if err != nil {
+			if !errors.Is(err, syscall.EFBIG) {
+				t.Fatalf("append %d: %v, want the reservation's EFBIG", acked, err)
+			}
+			break
+		}
+		if lsn != acked {
+			t.Fatalf("lsn %d, want %d", lsn, acked)
+		}
+	}
+	if _, err := l.Append(p); !errors.Is(err, syscall.EFBIG) || l.NextLSN() != acked || l.Err() != nil {
+		t.Fatalf("retry: %v, NextLSN %d (want %d), Err %v", err, l.NextLSN(), acked, l.Err())
+	}
+	if err := l.Close(); err != nil {
+		t.Fatal(err)
+	}
+	fmt.Printf("acked=%d\n", acked)
 }
 
 // TestCleanCloseFormatUnchanged: after rotations, a reopen and Close,

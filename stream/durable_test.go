@@ -238,6 +238,31 @@ func TestRecoverWithoutClose(t *testing.T) {
 
 // TestNewRefusesExistingState: New must never append a second life to
 // a directory holding durable state.
+// TestCheckpointSyncsDir: the meta file's rename and every checkpoint's
+// are made durable with a directory fsync, under the default FsyncOS
+// too, before anything they supersede is unlinked.
+func TestCheckpointSyncsDir(t *testing.T) {
+	x, err := New(2, Config{Durable: &Durability{Dir: t.TempDir(), CheckpointEvery: -1}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer x.Close()
+	if got := x.dur.log.Stats().DirSyncs; got != 1 {
+		t.Fatalf("after New: %d directory syncs, want 1 (meta.json)", got)
+	}
+	for i := uint64(2); i <= 3; i++ {
+		if _, err := x.Insert([]float64{float64(i), 1}); err != nil {
+			t.Fatal(err)
+		}
+		if err := x.Checkpoint(); err != nil {
+			t.Fatal(err)
+		}
+		if got := x.dur.log.Stats().DirSyncs; got != i {
+			t.Fatalf("after checkpoint %d: %d directory syncs, want %d", i-1, got, i)
+		}
+	}
+}
+
 func TestNewRefusesExistingState(t *testing.T) {
 	dir := t.TempDir()
 	x, err := New(2, Config{Durable: &Durability{Dir: dir}})
