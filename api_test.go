@@ -2,7 +2,15 @@ package skybench_test
 
 import (
 	"context"
+	"fmt"
+	"go/ast"
+	"go/parser"
+	"go/token"
+	"io/fs"
+	"os"
+	"path/filepath"
 	"sort"
+	"strings"
 	"testing"
 
 	"skybench"
@@ -172,4 +180,130 @@ func TestEngineReuseIndicesAliasing(t *testing.T) {
 				i, got.Indices, want)
 		}
 	}
+}
+
+// surfacePackages are the public packages whose exported identifiers
+// testdata/exported.txt pins, as directories relative to the module root.
+var surfacePackages = []string{".", "stream", "serve", "serve/client"}
+
+// exportedSurface lists one package directory's exported identifiers,
+// one per line, sorted: top-level funcs, types, consts and vars, the
+// exported methods of exported types, and the exported fields of
+// exported structs. Test files are not part of the surface.
+func exportedSurface(t *testing.T, dir string) []string {
+	t.Helper()
+	fset := token.NewFileSet()
+	pkgs, err := parser.ParseDir(fset, dir, func(fi fs.FileInfo) bool {
+		return !strings.HasSuffix(fi.Name(), "_test.go")
+	}, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var names []string
+	for _, pkg := range pkgs {
+		for _, f := range pkg.Files {
+			for _, decl := range f.Decls {
+				switch decl := decl.(type) {
+				case *ast.FuncDecl:
+					if !decl.Name.IsExported() {
+						continue
+					}
+					if decl.Recv == nil {
+						names = append(names, "func "+decl.Name.Name)
+						continue
+					}
+					recv := decl.Recv.List[0].Type
+					if star, ok := recv.(*ast.StarExpr); ok {
+						recv = star.X
+					}
+					if id, ok := recv.(*ast.Ident); ok && id.IsExported() {
+						names = append(names, "method "+id.Name+"."+decl.Name.Name)
+					}
+				case *ast.GenDecl:
+					for _, spec := range decl.Specs {
+						switch spec := spec.(type) {
+						case *ast.TypeSpec:
+							if !spec.Name.IsExported() {
+								continue
+							}
+							names = append(names, "type "+spec.Name.Name)
+							st, ok := spec.Type.(*ast.StructType)
+							if !ok {
+								continue
+							}
+							for _, field := range st.Fields.List {
+								for _, id := range field.Names {
+									if id.IsExported() {
+										names = append(names, "field "+spec.Name.Name+"."+id.Name)
+									}
+								}
+							}
+						case *ast.ValueSpec:
+							for _, id := range spec.Names {
+								if id.IsExported() {
+									names = append(names, decl.Tok.String()+" "+id.Name)
+								}
+							}
+						}
+					}
+				}
+			}
+		}
+	}
+	sort.Strings(names)
+	return names
+}
+
+// TestExportedSurface pins the exported identifiers of the public
+// packages to testdata/exported.txt, so that a new public name shows up
+// as a one-line diff. Regenerate it with
+//
+//	go test -run TestExportedSurface -update .
+func TestExportedSurface(t *testing.T) {
+	var b strings.Builder
+	for _, dir := range surfacePackages {
+		names := exportedSurface(t, dir)
+		fmt.Fprintf(&b, "# %s: %d\n", dir, len(names))
+		for _, name := range names {
+			b.WriteString(name + "\n")
+		}
+	}
+	path := filepath.Join("testdata", "exported.txt")
+	if *updateGolden {
+		if err := os.WriteFile(path, []byte(b.String()), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return
+	}
+	want, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatalf("%v (run with -update to create it)", err)
+	}
+	if got := b.String(); got != string(want) {
+		t.Errorf("exported surface differs from %s (run with -update to accept):\n%s", path, lineDiff(string(want), got))
+	}
+}
+
+// lineDiff lists the lines only in want (-) and only in got (+).
+func lineDiff(want, got string) string {
+	in := func(s string) map[string]bool {
+		m := map[string]bool{}
+		for _, l := range strings.Split(s, "\n") {
+			m[l] = true
+		}
+		return m
+	}
+	w, g := in(want), in(got)
+	var b strings.Builder
+	for _, l := range strings.Split(want, "\n") {
+		if !g[l] {
+			b.WriteString("-" + l + "\n")
+		}
+	}
+	for _, l := range strings.Split(got, "\n") {
+		if !w[l] {
+			b.WriteString("+" + l + "\n")
+		}
+	}
+	return b.String()
 }

@@ -94,17 +94,17 @@ func queryFingerprint(q *Query, d int) (fingerprint, bool) {
 	return fp, true
 }
 
-// PayloadSlots is the number of encoded-payload slots a cached result
+// payloadSlots is the number of encoded-payload slots a cached result
 // carries. The slots are opaque here; the serving layer assigns them
 // (serve: wire format × omitValues).
-const PayloadSlots = 4
+const payloadSlots = 4
 
 // payloadMemo is the holder behind QueryResult.Payload: one published
 // byte slice per slot. It has no capacity and no eviction of its own —
 // it is reachable only through the cached QueryResult, so the bytes live
 // and die with the cache entry.
 type payloadMemo struct {
-	slots [PayloadSlots]atomic.Pointer[[]byte]
+	slots [payloadSlots]atomic.Pointer[[]byte]
 }
 
 // Payload returns the bytes published in slot, or nil when nothing has

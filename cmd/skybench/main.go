@@ -8,7 +8,10 @@
 //	skybench -n 100000 -d 6 -max 2,5 -dims 0,2,3,5   # maximize & project
 //	skybench -n 1000000 -d 10 -timeout 500ms         # deadline-bounded
 //	skybench -n 100000 -d 8 -k 4 -top 10             # 4-skyband, 10 best
-//	skybench -n 1000000 -d 8 -shards 4 -cache        # sharded store serving
+//
+// It runs Engine.Run only. Sharding, caching and -algo auto belong to a
+// Store collection: serve the file with skyserved -static and query it
+// with skyctl.
 package main
 
 import (
@@ -28,7 +31,7 @@ import (
 
 func main() {
 	var (
-		algoName  = flag.String("algo", "hybrid", "algorithm: "+strings.Join(skybench.AlgorithmNames(), "|"))
+		algoName  = flag.String("algo", "hybrid", "algorithm: "+algorithmList())
 		distName  = flag.String("dist", "independent", "synthetic distribution: correlated|independent|anticorrelated")
 		n         = flag.Int("n", 100000, "synthetic cardinality")
 		d         = flag.Int("d", 8, "synthetic dimensionality")
@@ -41,8 +44,6 @@ func main() {
 		dimsList  = flag.String("dims", "", "comma-separated dimension indices to keep (subspace skyline; others are ignored)")
 		kband     = flag.Int("k", 1, "k-skyband parameter: report points with fewer than k dominators (1 = skyline; k >= 2 needs hybrid or qflow)")
 		topW      = flag.Int("top", 0, "print the w band members with fewest dominators (requires -k >= 2)")
-		shards    = flag.Int("shards", 1, "serve through a Store collection split into this many partitions (fan out + exact merge; 1 = direct engine)")
-		useCache  = flag.Bool("cache", false, "serve through a Store collection with result caching, run the query twice, and report hit/miss stats")
 		timeout   = flag.Duration("timeout", 0, "cancel the query after this duration (0 = no deadline)")
 		printSky  = flag.Bool("print", false, "print skyline points")
 		check     = flag.Bool("check", false, "verify the result against a brute-force oracle (O(n²); small inputs only)")
@@ -52,6 +53,9 @@ func main() {
 	alg, err := skybench.ParseAlgorithm(*algoName)
 	if err != nil {
 		fatal(err)
+	}
+	if alg == skybench.Auto {
+		fatal(fmt.Errorf("-algo auto is a Store collection's spelling, not an engine algorithm: serve the data with skyserved -static and run skyctl query -algo auto (engine algorithms: %s)", algorithmList()))
 	}
 	if *topW > 0 && *kband < 2 {
 		fatal(fmt.Errorf("-top ranks band members by dominator count and needs -k >= 2 (got -k %d)", *kband))
@@ -101,46 +105,11 @@ func main() {
 		SkybandK:  *kband,
 	}
 
-	var res skybench.Result
-	var plan *skybench.PlannerTrace
-	var cacheStats skybench.CacheStats
-	// Auto is a Store collection's spelling — a bare engine rejects it.
-	storeServed := *shards > 1 || *useCache || alg == skybench.Auto
-	if storeServed {
-		// Store-served path: one named collection, sharded fan-out with
-		// exact merge, optional result caching.
-		st := skybench.NewStore(*threads)
-		defer st.Close()
-		cacheCap := -1
-		if *useCache {
-			cacheCap = 0 // default capacity
-		}
-		col, err := st.Attach("cli", ds, skybench.CollectionOptions{
-			Shards:        *shards,
-			CacheCapacity: cacheCap,
-		})
-		if err != nil {
-			fatal(err)
-		}
-		qr, err := col.Run(ctx, q)
-		if err != nil {
-			fatal(err)
-		}
-		if *useCache {
-			// Second identical run: an unchanged collection must hit.
-			if qr, err = col.Run(ctx, q); err != nil {
-				fatal(err)
-			}
-			cacheStats = col.CacheStats()
-		}
-		res = qr.Result
-		plan = qr.Plan
-	} else {
-		eng := skybench.NewEngine(*threads)
-		defer eng.Close()
-		if res, err = eng.Run(ctx, ds, q); err != nil {
-			fatal(err)
-		}
+	eng := skybench.NewEngine(*threads)
+	defer eng.Close()
+	res, err := eng.Run(ctx, ds, q)
+	if err != nil {
+		fatal(err)
 	}
 
 	s := res.Stats
@@ -149,9 +118,6 @@ func main() {
 		label = fmt.Sprintf("%d-skyband  ", *kband)
 	}
 	fmt.Printf("algorithm   : %s\n", alg)
-	if plan != nil {
-		fmt.Printf("plan        : %s shards=%d\n", plan.Algorithm, plan.Shards)
-	}
 	fmt.Printf("input       : %d points × %d dims\n", s.InputSize, m.D())
 	if prefs != nil {
 		fmt.Printf("preferences : %s\n", describePrefs(prefs))
@@ -161,13 +127,6 @@ func main() {
 		pct = 100 * float64(s.SkylineSize) / float64(s.InputSize)
 	}
 	fmt.Printf("%s : %d points (%.2f%%)\n", label, s.SkylineSize, pct)
-	if storeServed {
-		fmt.Printf("shards      : %d (store-served)\n", *shards)
-	}
-	if *useCache {
-		fmt.Printf("cache       : hits=%d misses=%d entries=%d\n",
-			cacheStats.Hits, cacheStats.Misses, cacheStats.Entries)
-	}
 	fmt.Printf("elapsed     : %v\n", s.Elapsed)
 	fmt.Printf("dom. tests  : %d\n", s.DominanceTests)
 	tm := s.Timings
@@ -299,6 +258,15 @@ func transformed(m point.Matrix, prefs []skybench.Pref) point.Matrix {
 	dst := make([]float64, m.N()*de)
 	point.StagePrefs(dst, m.Flat(), m.N(), m.D(), ops)
 	return point.FromFlat(dst, m.N(), de)
+}
+
+// algorithmList names the engine's algorithms for -algo.
+func algorithmList() string {
+	names := make([]string, len(skybench.Algorithms))
+	for i, a := range skybench.Algorithms {
+		names[i] = a.String()
+	}
+	return strings.Join(names, "|")
 }
 
 func fatal(err error) {

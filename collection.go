@@ -12,9 +12,9 @@ import (
 	"skybench/internal/shard"
 )
 
-// DefaultCacheCapacity is the per-collection result-cache size used
+// defaultCacheCapacity is the per-collection result-cache size used
 // when CollectionOptions.CacheCapacity is zero.
-const DefaultCacheCapacity = 64
+const defaultCacheCapacity = 64
 
 // CollectionOptions configures a collection at Attach time.
 type CollectionOptions struct {
@@ -27,7 +27,7 @@ type CollectionOptions struct {
 	// row count are clamped so every shard is non-empty.
 	Shards int
 	// CacheCapacity bounds the collection's result cache: 0 selects
-	// DefaultCacheCapacity, negative disables caching entirely.
+	// defaultCacheCapacity, negative disables caching entirely.
 	CacheCapacity int
 	// DefaultTimeout overrides the Store's StoreOptions.DefaultTimeout
 	// for this collection: 0 inherits the Store's, negative disables the
@@ -471,32 +471,6 @@ func (c *Collection) closeSource() {
 	}
 }
 
-// Name returns the name the collection is attached under.
-func (c *Collection) Name() string { return c.name }
-
-// Shards returns the partition count queries fan out over (1 =
-// unsharded).
-func (c *Collection) Shards() int { return c.shards }
-
-// StreamBacked reports whether the collection is backed by a live
-// StreamSource rather than an immutable Dataset.
-func (c *Collection) StreamBacked() bool {
-	_, ok := c.back.(*streamBacking)
-	return ok
-}
-
-// Epoch returns the collection's current membership epoch: always 0
-// for a static collection, the backing source's LiveEpoch for a
-// stream-backed one, the workers' last agreed epoch for a
-// cluster-backed one. Cached results are keyed by it.
-func (c *Collection) Epoch() uint64 { return c.back.epoch() }
-
-// N returns the current number of points.
-func (c *Collection) N() (int, error) { return c.back.size() }
-
-// D returns the dimensionality of the collection's points.
-func (c *Collection) D() int { return c.back.dims() }
-
 // QueryResult is the outcome of a Collection query: the Result plus the
 // membership epoch it answers for and accessors resolving result
 // positions back to rows and stream IDs.
@@ -563,7 +537,7 @@ func (r *QueryResult) Row(p int) []float64 {
 	if r.snap == nil {
 		return r.rows[p]
 	}
-	return r.snap.ds.Row(r.Indices[p])
+	return r.snap.ds.row(r.Indices[p])
 }
 
 // ID returns the stable stream ID of the p-th result point of a
@@ -837,10 +811,10 @@ func (l local) execute(ctx context.Context, snap *colSnapshot, q Query, fanout i
 	for _, r := range results {
 		res.Stats.Threads = max(res.Stats.Threads, r.Stats.Threads)
 		res.Stats.PrefilterPruned += r.Stats.PrefilterPruned
-		res.Stats.Phase1Survivors += r.Stats.Phase1Survivors
-		res.Stats.Phase2Survivors += r.Stats.Phase2Survivors
+		res.Stats.phase1Survivors += r.Stats.phase1Survivors
+		res.Stats.phase2Survivors += r.Stats.phase2Survivors
 		res.Stats.SortTime += r.Stats.SortTime
-		res.Stats.BusyTime += r.Stats.BusyTime
+		res.Stats.busyTime += r.Stats.busyTime
 		res.Stats.Timings.add(r.Stats.Timings)
 	}
 	if traced {

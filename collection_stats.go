@@ -77,7 +77,7 @@ type durabilityProvider interface {
 func (c *Collection) Stats() (CollectionStats, error) {
 	st := CollectionStats{
 		Name:        c.name,
-		D:           c.D(),
+		D:           c.back.dims(),
 		Shards:      c.shards,
 		Cache:       c.CacheStats(),
 		Inflight:    c.inflight.Load(),

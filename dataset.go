@@ -108,20 +108,10 @@ func validateFlat(vals []float64, n, d int) error {
 	return nil
 }
 
-// N returns the number of points.
-func (ds *Dataset) N() int { return ds.n }
-
-// D returns the dimensionality.
-func (ds *Dataset) D() int { return ds.d }
-
-// Row returns point i as a slice aliasing the Dataset's storage.
-//
-// Aliasing rule (mirroring the one stated on Result.Indices): the slice
-// is a view, not a copy. Reading it is valid for the life of the Dataset
-// and safe from any goroutine; writing to it is never allowed — it would
-// break the immutability every concurrent query depends on. Callers that
-// need a mutable row must copy it.
-func (ds *Dataset) Row(i int) []float64 {
+// row returns point i as a slice aliasing the Dataset's storage: a view
+// that is valid for the life of the Dataset and must never be written,
+// since every concurrent query reads the same storage.
+func (ds *Dataset) row(i int) []float64 {
 	return ds.vals[i*ds.d : (i+1)*ds.d : (i+1)*ds.d]
 }
 

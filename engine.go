@@ -83,9 +83,6 @@ func NewEngine(threads int) *Engine {
 	return &Engine{threads: threads}
 }
 
-// Threads returns the Engine's thread budget.
-func (e *Engine) Threads() int { return e.threads }
-
 // Close releases the Engine's worker pool. The Engine must not be used
 // afterwards; in-flight queries must have completed.
 func (e *Engine) Close() {
@@ -120,12 +117,12 @@ func (e *Engine) acquire() (*engineCtx, error) {
 	return &engineCtx{core: core.NewContext(), pool: e.pool}, nil
 }
 
-// Prewarm pre-creates n computation contexts on the free-list so a
+// prewarm pre-creates n computation contexts on the free-list so a
 // burst of concurrent queries — a sharded Collection fanning out P
 // shard runs at once — leases warm scratch instead of allocating
 // contexts under load. It is never required; the free-list grows on
 // demand anyway.
-func (e *Engine) Prewarm(n int) {
+func (e *Engine) prewarm(n int) {
 	warm := make([]*engineCtx, 0, n)
 	for i := 0; i < n; i++ {
 		ec, err := e.acquire()

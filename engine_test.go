@@ -78,10 +78,7 @@ func TestEnginePrefsOracle(t *testing.T) {
 	defer eng.Close()
 	ctx := context.Background()
 	for _, dist := range []string{"correlated", "independent", "anticorrelated"} {
-		data, err := skybench.GenerateDataset(dist, 1200, len(prefs), 7)
-		if err != nil {
-			t.Fatal(err)
-		}
+		data := storeTestData(t, dist, 1200, len(prefs), 7)
 		ds, err := skybench.NewDataset(data)
 		if err != nil {
 			t.Fatal(err)

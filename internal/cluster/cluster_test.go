@@ -224,11 +224,9 @@ func TestClusterThroughStore(t *testing.T) {
 	if err != nil {
 		t.Fatalf("AttachRemote: %v", err)
 	}
-	if !col.ClusterBacked() {
-		t.Fatal("ClusterBacked = false")
-	}
-	if cn, err := col.N(); err != nil || cn != n || col.D() != d {
-		t.Fatalf("N,D = %d,%d (%v) want %d,%d", cn, col.D(), err, n, d)
+	cs, err := col.Stats()
+	if err != nil || cs.Placement == nil || cs.N != n || cs.D != d {
+		t.Fatalf("Stats = %+v (%v), want a placement and N,D = %d,%d", cs, err, n, d)
 	}
 	q := skybench.Query{SkybandK: 2}
 	got, err := col.Run(context.Background(), q)
@@ -289,9 +287,10 @@ func TestClusterThroughStore(t *testing.T) {
 		var runs [3][]row
 		var idxs [3][]int
 		for c, col := range []*skybench.Collection{single, sharded, remote} {
+			name := []string{"single", "sharded", "remote"}[c]
 			r, err := col.Run(context.Background(), q)
 			if err != nil {
-				t.Fatalf("%+v on %s: %v", q, col.Name(), err)
+				t.Fatalf("%+v on %s: %v", q, name, err)
 			}
 			order := make([]int, r.Len())
 			for p := range order {
@@ -299,7 +298,7 @@ func TestClusterThroughStore(t *testing.T) {
 			}
 			sort.Slice(order, func(a, b int) bool { return r.Indices[order[a]] < r.Indices[order[b]] })
 			if c > 0 && !sort.IntsAreSorted(order) {
-				t.Fatalf("%+v on %s: Indices not ascending", q, col.Name())
+				t.Fatalf("%+v on %s: Indices not ascending", q, name)
 			}
 			for _, p := range order {
 				rw := row{vals: fmt.Sprint(r.Row(p))}

@@ -110,6 +110,10 @@ func (c *Context) run(v point.View, opt HybridOptions, partition bool) []int {
 	if alpha <= 0 {
 		alpha = DefaultAlphaHybrid
 	}
+	// A block larger than the input is one block of exactly the input
+	// (the run has at most n rows to block), so the clamp is exact; it
+	// bounds the per-block scratch an oversized α would allocate.
+	alpha = min(alpha, n)
 	k := opt.SkybandK
 	if k < 1 {
 		k = 1

@@ -108,6 +108,10 @@ func (r *Runner) Filter(v point.View, beta, k int, team *par.Team, dts *stats.DT
 	if beta <= 0 {
 		beta = DefaultBeta
 	}
+	// A queue larger than the rows its thread scans (at most n) never
+	// fills, so the clamp is exact; it bounds the threads·β·d queue
+	// storage an oversized β would allocate.
+	beta = min(beta, n)
 	if k < 1 {
 		k = 1
 	}

@@ -105,13 +105,6 @@ func (s *Store) AttachRemote(name string, rb RemoteBackend, opts CollectionOptio
 	return c, nil
 }
 
-// ClusterBacked reports whether the collection is backed by a
-// RemoteBackend (a cluster placement) rather than local rows.
-func (c *Collection) ClusterBacked() bool {
-	_, ok := c.back.(remoteBacking)
-	return ok
-}
-
 // remoteBacking adapts a RemoteBackend to the backing interface. The
 // backend owns fan-out, merge, and failure policy; a frozen membership
 // is only its epoch — there are no local rows to pin, to shard or to

@@ -3,6 +3,9 @@ package skybench_test
 import (
 	"context"
 	"errors"
+	"maps"
+	"os"
+	"os/exec"
 	"slices"
 	"sync"
 	"sync/atomic"
@@ -293,7 +296,7 @@ func TestSubmitCloseRace(t *testing.T) {
 	eng := skybench.NewEngine(2)
 	defer eng.Close()
 	for iter := 0; iter < 25; iter++ {
-		st := skybench.NewStoreWithOptions(skybench.StoreOptions{Engine: eng, MaxInflight: 2, MaxQueue: 2})
+		st := skybench.NewStoreOnEngine(skybench.StoreOptions{MaxInflight: 2, MaxQueue: 2}, eng)
 		ds, _ := skybench.NewDataset(rows)
 		col, err := st.Attach("c", ds, skybench.CollectionOptions{})
 		if err != nil {
@@ -347,5 +350,52 @@ func TestRunCanceledContext(t *testing.T) {
 	}
 	if _, err := col.Submit(ctx, skybench.Query{}).Result(); !errors.Is(err, skybench.ErrCanceled) {
 		t.Fatalf("pre-canceled Submit = %v, want ErrCanceled", err)
+	}
+}
+
+// TestOversizedAlphaBeta: α and β arrive from the wire unchecked, and
+// each sizes an allocation — α the per-block scratch, β the
+// pre-filter's threads·β·d queue storage. An oversized value must return
+// exactly the default-tuned answer (same rows, same dominator counts),
+// not ask the runtime for terabytes, which is a fatal error no recover
+// contains. The queries run in a child process, so that a regression
+// fails this test instead of killing the test binary.
+func TestOversizedAlphaBeta(t *testing.T) {
+	if os.Getenv("SKYBENCH_OVERSIZED_CHILD") != "" {
+		runOversizedAlphaBeta(t)
+		return
+	}
+	cmd := exec.Command(os.Args[0], "-test.run=^TestOversizedAlphaBeta$", "-test.timeout=60s")
+	cmd.Env = append(os.Environ(), "SKYBENCH_OVERSIZED_CHILD=1")
+	if out, err := cmd.CombinedOutput(); err != nil {
+		t.Fatalf("child: %v\n%s", err, out[:min(len(out), 2000)])
+	}
+}
+
+func runOversizedAlphaBeta(t *testing.T) {
+	ds, err := skybench.NewDataset(storeTestData(t, "anticorrelated", 3000, 3, 5))
+	if err != nil {
+		t.Fatal(err)
+	}
+	eng := skybench.NewEngine(2)
+	defer eng.Close()
+	ctx := context.Background()
+	for _, alg := range []skybench.Algorithm{skybench.Hybrid, skybench.QFlow} {
+		for _, threads := range []int{1, 2} {
+			base := skybench.Query{Algorithm: alg, Threads: threads, SkybandK: 2}
+			want, err := eng.Run(ctx, ds, base)
+			if err != nil {
+				t.Fatal(err)
+			}
+			huge := base
+			huge.Alpha, huge.Beta = 1<<40, 1<<40
+			got, err := eng.Run(ctx, ds, huge)
+			if err != nil {
+				t.Fatalf("%v T=%d: %v", alg, threads, err)
+			}
+			if !maps.Equal(bandMap(got.Indices, got.Counts), bandMap(want.Indices, want.Counts)) {
+				t.Errorf("%v T=%d: oversized α/β answered %d rows, the defaults %d", alg, threads, len(got.Indices), len(want.Indices))
+			}
+		}
 	}
 }

@@ -55,7 +55,7 @@ func TestBandAnswerServed(t *testing.T) {
 	if err := c.Delete(ctx, "ticks", ids[4]); err != nil {
 		t.Fatal(err)
 	}
-	resp, err := http.Post(c.BaseURL()+"/v1/collections/ticks/query", "application/json", strings.NewReader(`{"skybandK":2,"trace":true}`))
+	resp, err := http.Post(srvURL(c)+"/v1/collections/ticks/query", "application/json", strings.NewReader(`{"skybandK":2,"trace":true}`))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -53,10 +53,9 @@ type RetryPolicy struct {
 	// values ≤ 1 disable retrying.
 	MaxAttempts int
 	// Backoff is the sleep before the first retry, doubling on each
-	// subsequent one. 0 selects 10ms.
+	// subsequent one (a doubled sleep is capped at 500ms). 0 selects
+	// 10ms.
 	Backoff time.Duration
-	// MaxBackoff caps the doubling. 0 selects 500ms.
-	MaxBackoff time.Duration
 }
 
 // SetRetryPolicy configures automatic retries. Configure before sharing
@@ -83,9 +82,6 @@ func New(baseURL string) *Client {
 func NewWithHTTPClient(baseURL string, hc *http.Client) *Client {
 	return &Client{base: strings.TrimRight(baseURL, "/"), hc: hc}
 }
-
-// BaseURL returns the server base URL the client was created with.
-func (c *Client) BaseURL() string { return c.base }
 
 // Close releases the client's idle keep-alive connections. Call it when
 // done with the client — especially before the server shuts down: a
@@ -165,10 +161,7 @@ func (c *Client) roundTrip(ctx context.Context, method, path, accept string, in 
 	if backoff <= 0 {
 		backoff = 10 * time.Millisecond
 	}
-	maxBackoff := c.retry.MaxBackoff
-	if maxBackoff <= 0 {
-		maxBackoff = 500 * time.Millisecond
-	}
+	const maxBackoff = 500 * time.Millisecond
 	var lastErr error
 	for attempt := 0; attempt < attempts; attempt++ {
 		if attempt > 0 {

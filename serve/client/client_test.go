@@ -168,7 +168,7 @@ func TestRetryBackoffHonorsContext(t *testing.T) {
 	c, _, _ := newRetryHarness(t, 10)
 	// A backoff far beyond the deadline: the sleep must be cut short by
 	// the context, not served in full.
-	c.SetRetryPolicy(RetryPolicy{MaxAttempts: 5, Backoff: time.Hour, MaxBackoff: time.Hour})
+	c.SetRetryPolicy(RetryPolicy{MaxAttempts: 5, Backoff: time.Hour})
 	ctx, cancel := context.WithTimeout(context.Background(), 50*time.Millisecond)
 	defer cancel()
 	start := time.Now()

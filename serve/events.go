@@ -15,13 +15,13 @@ import (
 	"skybench"
 )
 
-// Event is one served request in the NDJSON event log (skyserved
+// event is one served request in the NDJSON event log (skyserved
 // -log-events): exactly one JSON object per line, in completion order.
 // This is the input format a workload-replay harness consumes: TS and
 // LatencyNs reconstruct the arrival process, Collection + Endpoint +
 // Fingerprint identify the request class, and Status/Code/CacheHit give
 // the per-class outcome rates to compare against.
-type Event struct {
+type event struct {
 	// TS is the request completion time, RFC 3339 with nanoseconds.
 	TS string `json:"ts"`
 	// Collection is the target collection ("" for store-wide endpoints
@@ -30,7 +30,7 @@ type Event struct {
 	// Endpoint is the request class: "query", "insert", "delete",
 	// "deltas", "attach", "drop", "info", "list".
 	Endpoint string `json:"endpoint"`
-	// Fingerprint is the stable query fingerprint (QueryFingerprint);
+	// Fingerprint is the stable query fingerprint (queryFingerprint);
 	// query events only.
 	Fingerprint string `json:"fingerprint,omitempty"`
 	// Algorithm is the algorithm the query resolved to (after
@@ -53,11 +53,11 @@ type Event struct {
 	Trace *skybench.QueryTrace `json:"trace,omitempty"`
 }
 
-// EventLog serializes Events as NDJSON onto one writer, buffered.
+// EventLog serializes events as NDJSON onto one writer, buffered.
 // Safe for concurrent use; a nil *EventLog discards everything, so
 // callers never branch. The buffer means a line is not on disk until
-// Flush (or Close) — the server flushes during graceful drain so a
-// SIGTERM never truncates the log mid-line.
+// Close — skyserved closes it after its graceful drain, so a SIGTERM never
+// truncates the log mid-line.
 type EventLog struct {
 	mu  sync.Mutex
 	w   *bufio.Writer
@@ -76,10 +76,10 @@ func NewEventLog(w io.Writer) *EventLog {
 	return l
 }
 
-// Log appends one event (filling TS if unset). Encoding errors are
+// log appends one event (filling TS if unset). Encoding errors are
 // dropped: the event log is observability, never worth failing a
 // request over.
-func (l *EventLog) Log(ev Event) {
+func (l *EventLog) log(ev event) {
 	if l == nil {
 		return
 	}
@@ -91,9 +91,9 @@ func (l *EventLog) Log(ev Event) {
 	_ = l.enc.Encode(&ev)
 }
 
-// Flush writes any buffered events through to the underlying writer.
+// flush writes any buffered events through to the underlying writer.
 // Nil-safe.
-func (l *EventLog) Flush() error {
+func (l *EventLog) flush() error {
 	if l == nil {
 		return nil
 	}
@@ -109,7 +109,7 @@ func (l *EventLog) Close() error {
 	if l == nil {
 		return nil
 	}
-	err := l.Flush()
+	err := l.flush()
 	if l.c != nil {
 		if cerr := l.c.Close(); err == nil {
 			err = cerr

@@ -116,7 +116,7 @@ func TestCollectionInfoShape(t *testing.T) {
 	}
 
 	for _, name := range []string{"hotels", "ticks", "fleet"} {
-		resp, err := http.Get(c.BaseURL() + "/v1/collections/" + name)
+		resp, err := http.Get(srvURL(c) + "/v1/collections/" + name)
 		if err != nil {
 			t.Fatal(err)
 		}

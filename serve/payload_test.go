@@ -143,7 +143,7 @@ func TestFrameEqualsJSONEqualsInProcess(t *testing.T) {
 
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			ctype, fb := postQuery(t, c.BaseURL(), tc.collection, &tc.req, serve.FrameContentType)
+			ctype, fb := postQuery(t, srvURL(c), tc.collection, &tc.req, serve.FrameContentType)
 			if ctype != serve.FrameContentType {
 				t.Fatalf("asked for a frame, got Content-Type %q", ctype)
 			}
@@ -151,7 +151,7 @@ func TestFrameEqualsJSONEqualsInProcess(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			ctype, jb := postQuery(t, c.BaseURL(), tc.collection, &tc.req, "")
+			ctype, jb := postQuery(t, srvURL(c), tc.collection, &tc.req, "")
 			if ctype != "application/json" {
 				t.Fatalf("plain request got Content-Type %q", ctype)
 			}

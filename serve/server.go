@@ -18,7 +18,7 @@
 //
 // Errors carry the same taxonomy the Go API has: every response maps a
 // skybench sentinel error onto a status code and a stable wire code
-// through the single table in StatusForError, and serve/client maps the
+// through the single table in statusForError, and serve/client maps the
 // code back so errors.Is works across the network.
 //
 // A query response is a small per-request head plus the result's rows;
@@ -54,9 +54,9 @@ import (
 	"skybench/stream"
 )
 
-// DefaultDeltaQueue is the per-subscriber event queue bound used when
+// defaultDeltaQueue is the per-subscriber event queue bound used when
 // Options.DeltaQueue is zero.
-const DefaultDeltaQueue = 256
+const defaultDeltaQueue = 256
 
 // dtBuckets is the bucket layout for the per-query dominance-test
 // histogram: decade steps spanning a trivial query to a full quadratic
@@ -68,7 +68,7 @@ type Options struct {
 	// DeltaQueue bounds each delta subscriber's event queue: a
 	// subscriber whose queue overflows is disconnected (the backpressure
 	// rule — a slow consumer never blocks the index or its peers).
-	// 0 selects DefaultDeltaQueue.
+	// 0 selects defaultDeltaQueue.
 	DeltaQueue int
 	// Events, when non-nil, receives one NDJSON event per served
 	// request (the SABRE-style log cmd/loadbench replays).
@@ -154,7 +154,7 @@ type Server struct {
 // from here on: Close closes it.
 func New(st *skybench.Store, opts Options) *Server {
 	if opts.DeltaQueue <= 0 {
-		opts.DeltaQueue = DefaultDeltaQueue
+		opts.DeltaQueue = defaultDeltaQueue
 	}
 	s := &Server{
 		st:      st,
@@ -263,12 +263,12 @@ func (s *Server) AttachStaticFile(name, path string, opts skybench.CollectionOpt
 	return s.st.Attach(name, ds, opts)
 }
 
-// AttachStreamIndex attaches a live SkylineIndex as a mutable
-// collection: the server routes point inserts/deletes and delta
-// subscriptions for name to it. own transfers ownership (the index is
-// closed when the collection is dropped or the Store closes).
-func (s *Server) AttachStreamIndex(name string, ix *stream.SkylineIndex, own bool, opts skybench.CollectionOptions) (*skybench.Collection, error) {
-	opts.CloseOnDrop = own
+// attachStreamIndex attaches a live SkylineIndex as a mutable
+// collection the server owns: it routes point inserts/deletes and delta
+// subscriptions for name to it, and the index is closed when the
+// collection is dropped or the Store closes.
+func (s *Server) attachStreamIndex(name string, ix *stream.SkylineIndex, opts skybench.CollectionOptions) (*skybench.Collection, error) {
+	opts.CloseOnDrop = true
 	col, err := s.st.AttachStream(name, ix, opts)
 	if err != nil {
 		return nil, err
@@ -306,7 +306,7 @@ func (s *Server) AttachDurable(name, dir string, create bool, d int, cfg stream.
 	if err != nil {
 		return nil, err
 	}
-	col, err := s.AttachStreamIndex(name, ix, true, opts)
+	col, err := s.attachStreamIndex(name, ix, opts)
 	if err != nil {
 		ix.Close()
 		return nil, err
@@ -314,8 +314,8 @@ func (s *Server) AttachDurable(name, dir string, create bool, d int, cfg stream.
 	return col, nil
 }
 
-// Drop detaches the named collection and forgets its stream routing.
-func (s *Server) Drop(name string) error {
+// drop detaches the named collection and forgets its stream routing.
+func (s *Server) drop(name string) error {
 	if err := s.st.Drop(name); err != nil {
 		return err
 	}
@@ -360,7 +360,7 @@ func (s *Server) instrument(endpoint string, fn func(http.ResponseWriter, *http.
 			s.errs.With(obs.collection, obs.code).Inc()
 		}
 		s.lat.With(obs.collection, endpoint).Observe(elapsed.Seconds())
-		ev := Event{
+		ev := event{
 			Collection:  obs.collection,
 			Endpoint:    endpoint,
 			Fingerprint: obs.fingerprint,
@@ -376,7 +376,7 @@ func (s *Server) instrument(endpoint string, fn func(http.ResponseWriter, *http.
 		if s.opts.SlowQuery > 0 && elapsed >= s.opts.SlowQuery {
 			ev.Trace = obs.trace
 		}
-		s.opts.Events.Log(ev)
+		s.opts.Events.log(ev)
 	}
 }
 
@@ -390,7 +390,7 @@ func writeJSON(w http.ResponseWriter, status int, v any) {
 // writeError maps err through the error table and writes the error
 // body, recording status and code on the observation.
 func writeError(w http.ResponseWriter, obs *observation, err error) {
-	status, code := StatusForError(err)
+	status, code := statusForError(err)
 	obs.status, obs.code = status, code
 	writeJSON(w, status, ErrorBody{Error: ErrorInfo{Code: code, Message: err.Error()}})
 }
@@ -438,7 +438,7 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request, obs *observ
 		writeError(w, obs, err)
 		return
 	}
-	obs.fingerprint = QueryFingerprint(&req)
+	obs.fingerprint = queryFingerprint(&req)
 	q, err := toQuery(&req)
 	if err != nil {
 		writeError(w, obs, err)
@@ -525,7 +525,8 @@ func acceptsFrame(r *http.Request) bool {
 }
 
 // payloadSlot numbers the encodings of one result's rows that are worth
-// keeping: wire format × omitValues (skybench.PayloadSlots of them).
+// keeping: wire format × omitValues, the four slots a cached QueryResult
+// carries.
 func payloadSlot(frame, omitValues bool) int {
 	slot := 0
 	if frame {
@@ -754,7 +755,7 @@ func (s *Server) handleDeletePoint(w http.ResponseWriter, r *http.Request, obs *
 		writeError(w, obs, fmt.Errorf("%w: %d in collection %q", ErrUnknownPoint, id, name))
 		return
 	}
-	writeJSON(w, http.StatusOK, DeleteResponse{Deleted: true})
+	writeJSON(w, http.StatusOK, deleteResponse{Deleted: true})
 }
 
 func (s *Server) handleAttach(w http.ResponseWriter, r *http.Request, obs *observation) {
@@ -820,7 +821,7 @@ func (s *Server) attachStreamSpec(name string, spec *StreamSpec, opts skybench.C
 		if err != nil {
 			return err
 		}
-		if _, err := s.AttachStreamIndex(name, ix, true, opts); err != nil {
+		if _, err := s.attachStreamIndex(name, ix, opts); err != nil {
 			ix.Close()
 			return err
 		}
@@ -844,11 +845,11 @@ func (s *Server) attachStreamSpec(name string, spec *StreamSpec, opts skybench.C
 
 func (s *Server) handleDrop(w http.ResponseWriter, r *http.Request, obs *observation) {
 	name := r.PathValue("name")
-	if err := s.Drop(name); err != nil {
+	if err := s.drop(name); err != nil {
 		writeError(w, obs, err)
 		return
 	}
-	writeJSON(w, http.StatusOK, DropResponse{Dropped: true})
+	writeJSON(w, http.StatusOK, dropResponse{Dropped: true})
 }
 
 // collectionInfo builds the wire description of one collection.

@@ -6,6 +6,7 @@ package serve_test
 
 import (
 	"context"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"math/rand"
@@ -15,6 +16,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -39,7 +41,20 @@ func newTestServer(t *testing.T, storeOpts skybench.StoreOptions, opts serve.Opt
 		hs.Close()
 		srv.Close()
 	})
-	return srv, client.New(hs.URL)
+	c := client.New(hs.URL)
+	testURLs.Store(c, hs.URL)
+	t.Cleanup(func() { testURLs.Delete(c) })
+	return srv, c
+}
+
+// testURLs maps each newTestServer client to its server's base URL.
+var testURLs sync.Map
+
+// srvURL is the base URL of the server a newTestServer client talks to,
+// for the raw-HTTP cases.
+func srvURL(c *client.Client) string {
+	u, _ := testURLs.Load(c)
+	return u.(string)
 }
 
 // genCSV writes n pseudo-random d-dimensional rows as a headerless CSV
@@ -822,9 +837,6 @@ func (s *safeBuffer) String() string {
 	return s.b.String()
 }
 
-// srvURL digs the base URL back out of a client for the raw-HTTP cases.
-func srvURL(c *client.Client) string { return c.BaseURL() }
-
 // TestAutoQueryWire: an Algorithm "auto" query over the wire reports
 // what it ran as — {hybrid, 1}, in the response and in its trace — and
 // its cost is booked under hybrid, never "auto", with no planner family
@@ -869,5 +881,55 @@ func TestAutoQueryWire(t *testing.T) {
 	}
 	if len(info.Costs) != 1 || info.Costs[0].Algorithm != "hybrid" || info.Costs[0].Count != 1 {
 		t.Errorf("info costs %+v, want one hybrid run", info.Costs)
+	}
+}
+
+// TestOversizedAlphaBetaRequest: α and β come from the request body and
+// size allocations inside the engine; an oversized value is answered
+// like the default tuning, never with a fatal out-of-memory that takes
+// the whole server down.
+func TestOversizedAlphaBetaRequest(t *testing.T) {
+	srv, c := newTestServer(t, skybench.StoreOptions{Threads: 2}, serve.Options{})
+	if _, err := srv.AttachStaticFile("hotels", genCSV(t, 300, 3, 9), skybench.CollectionOptions{}); err != nil {
+		t.Fatal(err)
+	}
+	// band renders rows and their counts (a k-skyband's) in row order:
+	// the algorithm's order depends on the tuning.
+	band := func(r *serve.QueryResponse) string {
+		rows := make([]string, len(r.Indices))
+		for p, i := range r.Indices {
+			rows[p] = fmt.Sprint(i)
+			if r.Counts != nil {
+				rows[p] += fmt.Sprintf(":%d", r.Counts[p])
+			}
+		}
+		slices.Sort(rows)
+		return strings.Join(rows, " ")
+	}
+	for _, tc := range []struct {
+		body string
+		k    int
+	}{
+		{`{"alpha":1000000000000}`, 0},
+		{`{"beta":1000000000000,"skybandK":2}`, 2},
+		{`{"alpha":1099511627776,"beta":4611686018427387904,"skybandK":2}`, 2},
+	} {
+		want, err := c.Query(context.Background(), "hotels", &serve.QueryRequest{SkybandK: tc.k})
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp, err := http.Post(srvURL(c)+"/v1/collections/hotels/query", "application/json", strings.NewReader(tc.body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var got serve.QueryResponse
+		err = json.NewDecoder(resp.Body).Decode(&got)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusOK || err != nil {
+			t.Fatalf("%s: status %d, decode %v", tc.body, resp.StatusCode, err)
+		}
+		if band(&got) != band(want) {
+			t.Errorf("%s: answered %s, the default tuning %s", tc.body, band(&got), band(want))
+		}
 	}
 }

@@ -135,13 +135,13 @@ type InsertResponse struct {
 	IDs []uint64 `json:"ids"`
 }
 
-// DeleteResponse acknowledges DELETE .../points/{id}.
-type DeleteResponse struct {
+// deleteResponse acknowledges DELETE .../points/{id}.
+type deleteResponse struct {
 	Deleted bool `json:"deleted"`
 }
 
-// DropResponse acknowledges DELETE /v1/collections/{name}.
-type DropResponse struct {
+// dropResponse acknowledges DELETE /v1/collections/{name}.
+type dropResponse struct {
 	Dropped bool `json:"dropped"`
 }
 
@@ -263,7 +263,7 @@ type DeltaEvent struct {
 
 // ErrorInfo is the error body every non-2xx response carries. Code is
 // the stable machine-readable class (the wire form of the skybench
-// sentinel errors — see StatusForError); Message the human diagnostic.
+// sentinel errors — see statusForError); Message the human diagnostic.
 type ErrorInfo struct {
 	Code    string `json:"code"`
 	Message string `json:"message"`
@@ -307,11 +307,11 @@ var errorTable = []struct {
 	{skybench.ErrCanceled, statusCanceled, "canceled"},
 }
 
-// StatusForError maps an error from the serving surfaces onto its HTTP
+// statusForError maps an error from the serving surfaces onto its HTTP
 // status code and stable wire code, through the one table both
 // directions share. Errors outside the typed taxonomy map to 500 /
 // "internal".
-func StatusForError(err error) (status int, code string) {
+func statusForError(err error) (status int, code string) {
 	for _, row := range errorTable {
 		if errors.Is(err, row.sentinel) {
 			return row.status, row.code
@@ -401,12 +401,12 @@ func toQuery(req *QueryRequest) (skybench.Query, error) {
 	return q, nil
 }
 
-// QueryFingerprint is the stable short fingerprint of a wire query's
+// queryFingerprint is the stable short fingerprint of a wire query's
 // result-determining fields: the per-request event log records it so a
 // replay harness (ROADMAP item 5's cmd/loadbench) can group identical
 // queries, and it deliberately ignores delivery options (omitValues,
 // allowStale, trace) that don't change what is computed.
-func QueryFingerprint(req *QueryRequest) string {
+func queryFingerprint(req *QueryRequest) string {
 	h := fnv.New64a()
 	fmt.Fprintf(h, "%s|%s|%d|%d|%d|%d|%s|%d",
 		strings.ToLower(req.Algorithm), strings.ToLower(strings.Join(req.Prefs, ",")),

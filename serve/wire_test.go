@@ -36,9 +36,9 @@ func TestErrorTable(t *testing.T) {
 	for _, c := range cases {
 		t.Run(c.code, func(t *testing.T) {
 			for _, err := range []error{c.err, fmt.Errorf("wrapped: %w", c.err)} {
-				status, code := StatusForError(err)
+				status, code := statusForError(err)
 				if status != c.status || code != c.code {
-					t.Errorf("StatusForError(%v) = (%d, %q), want (%d, %q)", err, status, code, c.status, c.code)
+					t.Errorf("statusForError(%v) = (%d, %q), want (%d, %q)", err, status, code, c.status, c.code)
 				}
 			}
 			sentinel := SentinelForCode(c.code)
@@ -51,10 +51,10 @@ func TestErrorTable(t *testing.T) {
 	// A deadline error wraps ErrCanceled too — the table must still say
 	// 504, not 499 (row order).
 	both := fmt.Errorf("op: %w", skybench.ErrDeadlineExceeded)
-	if status, code := StatusForError(both); status != http.StatusGatewayTimeout || code != "deadline_exceeded" {
+	if status, code := statusForError(both); status != http.StatusGatewayTimeout || code != "deadline_exceeded" {
 		t.Errorf("deadline error mapped to (%d, %q), want (504, deadline_exceeded)", status, code)
 	}
-	if status, code := StatusForError(errors.New("novel")); status != http.StatusInternalServerError || code != "internal" {
+	if status, code := statusForError(errors.New("novel")); status != http.StatusInternalServerError || code != "internal" {
 		t.Errorf("untyped error mapped to (%d, %q), want (500, internal)", status, code)
 	}
 	if SentinelForCode("internal") != nil || SentinelForCode("nope") != nil {
@@ -68,14 +68,14 @@ func TestErrorTable(t *testing.T) {
 func TestQueryFingerprint(t *testing.T) {
 	a := &QueryRequest{Algorithm: "hybrid", Prefs: []string{"min", "max"}, SkybandK: 2}
 	b := &QueryRequest{Algorithm: "HYBRID", Prefs: []string{"min", "max"}, SkybandK: 2, OmitValues: true, AllowStale: true}
-	if QueryFingerprint(a) != QueryFingerprint(b) {
+	if queryFingerprint(a) != queryFingerprint(b) {
 		t.Error("fingerprints differ on delivery options / case only")
 	}
 	c := &QueryRequest{Algorithm: "hybrid", Prefs: []string{"min", "max"}, SkybandK: 3}
-	if QueryFingerprint(a) == QueryFingerprint(c) {
+	if queryFingerprint(a) == queryFingerprint(c) {
 		t.Error("fingerprints collide across different SkybandK")
 	}
-	if got := QueryFingerprint(&QueryRequest{}); len(got) != 16 {
+	if got := queryFingerprint(&QueryRequest{}); len(got) != 16 {
 		t.Errorf("fingerprint %q, want 16 hex chars", got)
 	}
 }
@@ -104,7 +104,7 @@ func TestToQuery(t *testing.T) {
 	} {
 		if _, err := toQuery(bad); err == nil {
 			t.Errorf("toQuery(%+v) accepted", bad)
-		} else if status, _ := StatusForError(err); status != http.StatusBadRequest {
+		} else if status, _ := statusForError(err); status != http.StatusBadRequest {
 			t.Errorf("toQuery(%+v) error %v maps to %d, want 400", bad, err, status)
 		}
 	}

@@ -50,7 +50,6 @@ import (
 
 	"skybench/internal/algo/bskytree"
 	"skybench/internal/algo/pskyline"
-	"skybench/internal/dataset"
 	"skybench/internal/pivot"
 	"skybench/internal/point"
 	"skybench/internal/stats"
@@ -104,13 +103,12 @@ func ParseAlgorithm(s string) (Algorithm, error) {
 			return a, nil
 		}
 	}
-	return 0, fmt.Errorf("%w: %q (known: %v)", ErrUnknownAlgorithm, s, AlgorithmNames())
+	return 0, fmt.Errorf("%w: %q (known: %v)", ErrUnknownAlgorithm, s, algorithmNames())
 }
 
-// AlgorithmNames returns the CLI names of every available algorithm in
-// sorted order — the round-trip companion of ParseAlgorithm, for flag
-// usage strings and validation messages.
-func AlgorithmNames() []string {
+// algorithmNames returns the name of every algorithm ParseAlgorithm
+// accepts, sorted, for its error message.
+func algorithmNames() []string {
 	names := make([]string, 0, len(algoNames))
 	for _, name := range algoNames {
 		names = append(names, name)
@@ -242,21 +240,17 @@ type Stats struct {
 	// PrefilterPruned is the number of input points discarded by the
 	// β-queue prefilter before the main algorithm ran (Hybrid only).
 	PrefilterPruned int
-	// Phase1Survivors is the total number of block points surviving
-	// Phase I across all α-blocks (Hybrid and QFlow only).
-	Phase1Survivors int
-	// Phase2Survivors is the total number of points surviving Phase II
-	// across all α-blocks; for a completed run this equals SkylineSize.
-	Phase2Survivors int
+	// phase1Survivors and phase2Survivors are the points surviving
+	// Phase I and Phase II over all α-blocks (Hybrid and QFlow only),
+	// carried to QueryTrace.
+	phase1Survivors, phase2Survivors int
 	// SortTime is the wall-clock time of the sort step (a subset of
 	// Timings.Init — for Hybrid, all of it).
 	SortTime time.Duration
-	// BusyTime is the time the worker team spent inside Phase I and
-	// Phase II, summed over workers (Hybrid and QFlow only). Divided by
-	// Threads × (Timings.PhaseOne + Timings.PhaseTwo) it is one run's
-	// parallel efficiency, the par_eff of a QueryTrace (QueryTrace.ParEff
-	// weighs a sharded query's shards by their own teams).
-	BusyTime time.Duration
+	// busyTime is the time the worker team spent inside Phase I and
+	// Phase II, summed over workers (Hybrid and QFlow only), carried to
+	// QueryTrace.Busy.
+	busyTime time.Duration
 	// Timings is the per-phase wall-clock breakdown (parallel
 	// algorithms only; sequential baselines report zero).
 	Timings PhaseTimings
@@ -305,7 +299,7 @@ func (r Result) Clone() Result {
 	if r.Counts != nil {
 		r.Counts = append([]int32(nil), r.Counts...)
 	}
-	r.Trace = r.Trace.Clone()
+	r.Trace = r.Trace.clone()
 	return r
 }
 
@@ -376,10 +370,10 @@ func assembleResult(idx []int, st *stats.Stats, n int, elapsed time.Duration) Re
 			InputSize:       n,
 			Threads:         st.Threads,
 			PrefilterPruned: st.Cost.PrefilterPruned,
-			Phase1Survivors: st.Cost.Phase1Survivors,
-			Phase2Survivors: st.Cost.Phase2Survivors,
+			phase1Survivors: st.Cost.Phase1Survivors,
+			phase2Survivors: st.Cost.Phase2Survivors,
 			SortTime:        st.Cost.Sort,
-			BusyTime:        st.Cost.Busy,
+			busyTime:        st.Cost.Busy,
 			Elapsed:         elapsed,
 			Timings: PhaseTimings{
 				Init:      st.Phases[stats.PhaseInit],
@@ -392,24 +386,4 @@ func assembleResult(idx []int, st *stats.Stats, n int, elapsed time.Duration) Re
 			},
 		},
 	}
-}
-
-// GenerateDataset produces one of the paper's synthetic workloads:
-// dist is "correlated", "independent", or "anticorrelated"; the result
-// is n points of d dimensions in [0,1), deterministic in seed. It exists
-// so examples and downstream users can exercise realistic workloads
-// without reimplementing the Börzsönyi generator.
-func GenerateDataset(dist string, n, d int, seed int64) ([][]float64, error) {
-	dd, err := dataset.ParseDistribution(dist)
-	if err != nil {
-		return nil, err
-	}
-	m := dataset.Generate(dd, n, d, seed)
-	rows := make([][]float64, m.N())
-	for i := range rows {
-		row := make([]float64, d)
-		copy(row, m.Row(i))
-		rows[i] = row
-	}
-	return rows, nil
 }

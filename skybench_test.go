@@ -37,11 +37,7 @@ func runRows(rows [][]float64, q skybench.Query) (skybench.Result, error) {
 
 func contextTestData(t testing.TB, n, d int) [][]float64 {
 	t.Helper()
-	data, err := skybench.GenerateDataset("independent", n, d, 42)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return data
+	return genRows(dataset.Independent, n, d, 42)
 }
 
 func sameIndexSet(a, b []int) bool {
@@ -157,16 +153,6 @@ func TestProgressiveViaAPI(t *testing.T) {
 	}
 	if !verify.SameSkyline(streamed, res.Indices) {
 		t.Fatal("progressive stream disagrees with final result")
-	}
-}
-
-func TestGenerateDataset(t *testing.T) {
-	rows, err := skybench.GenerateDataset("anticorrelated", 100, 4, 1)
-	if err != nil || len(rows) != 100 || len(rows[0]) != 4 {
-		t.Fatalf("GenerateDataset: %v, %d rows", err, len(rows))
-	}
-	if _, err := skybench.GenerateDataset("bogus", 10, 2, 1); err == nil {
-		t.Error("bogus distribution accepted")
 	}
 }
 

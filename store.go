@@ -51,11 +51,8 @@ type Store struct {
 // bound, no default deadline.
 type StoreOptions struct {
 	// Threads is the shared Engine's thread budget (≤ 0 selects all
-	// usable CPUs). Ignored when Engine is set.
+	// usable CPUs).
 	Threads int
-	// Engine, when non-nil, serves the Store through an existing Engine
-	// the caller keeps ownership of (Store.Close does not close it).
-	Engine *Engine
 	// MaxInflight bounds how many submitted queries may execute
 	// concurrently (Submit; synchronous Run is the caller's
 	// own concurrency and is not throttled). ≤ 0 means unlimited.
@@ -84,20 +81,25 @@ func NewStore(threads int) *Store {
 // (shared with whatever other load it carries). The caller keeps
 // ownership: Store.Close does not close it.
 func NewStoreWithEngine(eng *Engine) *Store {
-	return NewStoreWithOptions(StoreOptions{Engine: eng})
+	return newStore(StoreOptions{}, eng)
 }
 
 // NewStoreWithOptions creates a Store with explicit admission and
 // deadline policies.
 func NewStoreWithOptions(opts StoreOptions) *Store {
+	return newStore(opts, nil)
+}
+
+// newStore serves through eng, or through an Engine of its own with
+// opts.Threads when eng is nil.
+func newStore(opts StoreOptions, eng *Engine) *Store {
 	s := &Store{
 		cols:       make(map[string]*Collection),
 		closedCh:   make(chan struct{}),
 		defTimeout: opts.DefaultTimeout,
+		eng:        eng,
 	}
-	if opts.Engine != nil {
-		s.eng = opts.Engine
-	} else {
+	if eng == nil {
 		s.eng = NewEngine(opts.Threads)
 		s.ownEng = true
 	}
@@ -182,7 +184,7 @@ func (s *Store) newCollection(name string, opts CollectionOptions) *Collection {
 	}
 	cacheCap := opts.CacheCapacity
 	if cacheCap == 0 {
-		cacheCap = DefaultCacheCapacity
+		cacheCap = defaultCacheCapacity
 	}
 	timeout := opts.DefaultTimeout
 	if timeout == 0 {
@@ -207,7 +209,7 @@ func (s *Store) newCollection(name string, opts CollectionOptions) *Collection {
 	// engine runs at once; pre-lease that many contexts so the burst
 	// hits warm scratch instead of allocating under load.
 	if shards > 1 {
-		s.eng.Prewarm(shards)
+		s.eng.prewarm(shards)
 	}
 	return c
 }

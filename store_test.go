@@ -10,18 +10,18 @@ import (
 	"testing"
 
 	"skybench"
+	"skybench/internal/dataset"
 	"skybench/stream"
 )
 
-// storeTestData builds a deterministic synthetic dataset through the
-// public generator.
+// storeTestData builds a deterministic synthetic dataset.
 func storeTestData(t testing.TB, dist string, n, d int, seed int64) [][]float64 {
 	t.Helper()
-	rows, err := skybench.GenerateDataset(dist, n, d, seed)
+	dd, err := dataset.ParseDistribution(dist)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return rows
+	return genRows(dd, n, d, seed)
 }
 
 // bandMap keys a band result by row index for order-insensitive
@@ -449,12 +449,17 @@ func TestStoreStreamCacheInvalidation(t *testing.T) {
 	check(r4)
 
 	// Result positions resolve to stable stream IDs.
+	liveVals, liveIDs, _ := ix.LiveSnapshot()
+	live := make(map[uint64][]float64, len(liveIDs))
+	for i, id := range liveIDs {
+		live[id] = liveVals[i*ix.D() : (i+1)*ix.D()]
+	}
 	for p := 0; p < r4.Len(); p++ {
 		id, ok := r4.ID(p)
 		if !ok {
 			t.Fatal("stream-backed result has no IDs")
 		}
-		vals, ok := ix.Values(stream.ID(id))
+		vals, ok := live[id]
 		if !ok {
 			t.Fatalf("result ID %d is not live", id)
 		}

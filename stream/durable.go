@@ -6,10 +6,10 @@
 // un-acknowledged mutation, never acknowledge a lost one).
 // InsertBatch appends its records as one group commit — under
 // FsyncAlways a batch of N inserts costs a single fsync. Periodically
-// (Durability.CheckpointEvery applied records, or Checkpoint on
-// demand) the index serializes its full live set, band membership, and
-// epoch counters into a checkpoint file, then drops the WAL segments
-// the checkpoint supersedes, bounding both recovery time and disk use.
+// (Durability.CheckpointEvery applied records, and on Close) the index
+// serializes its full live set, band membership, and epoch counters
+// into a checkpoint file, then drops the WAL segments the checkpoint
+// supersedes, bounding both recovery time and disk use.
 //
 // Recover(dir, cfg) restores: it validates the directory's meta file
 // against cfg, loads the newest checkpoint (verifying its whole-file
@@ -60,7 +60,7 @@ const (
 	// commit): acknowledged mutations survive power failure, at the cost
 	// of one disk flush per operation.
 	FsyncAlways
-	// FsyncInterval fsyncs from a background loop every SyncInterval:
+	// FsyncInterval fsyncs from a background loop every 50 ms:
 	// bounded loss under power failure, near-FsyncOS throughput.
 	FsyncInterval
 )
@@ -72,15 +72,14 @@ type Durability struct {
 	Dir string
 	// Fsync selects the WAL fsync policy.
 	Fsync Fsync
-	// SyncInterval is the FsyncInterval period (default 50ms).
-	SyncInterval time.Duration
-	// SegmentBytes is the WAL segment rotation size (default 4 MiB).
-	SegmentBytes int64
 	// CheckpointEvery checkpoints after that many applied records
-	// (default 8192; negative disables automatic checkpoints — Close and
-	// explicit Checkpoint calls still write them).
+	// (default 8192; negative disables automatic checkpoints — Close
+	// still writes one).
 	CheckpointEvery int
 
+	// segmentBytes overrides the WAL segment rotation size (default
+	// 4 MiB) in package-internal tests that need many segments.
+	segmentBytes int64
 	// faults arms the WAL's injection sites in package-internal tests.
 	faults *faults.Injector
 }
@@ -119,7 +118,7 @@ type durableState struct {
 }
 
 func (dcfg *Durability) walOptions() wal.Options {
-	opts := wal.Options{SegmentBytes: dcfg.SegmentBytes, Interval: dcfg.SyncInterval, Faults: dcfg.faults}
+	opts := wal.Options{SegmentBytes: dcfg.segmentBytes, Faults: dcfg.faults}
 	switch dcfg.Fsync {
 	case FsyncAlways:
 		opts.Sync = wal.SyncAlways
@@ -434,22 +433,6 @@ type checkpoint struct {
 	bandCnt   []uint32  // dominator counts, parallel to bandIDs
 }
 
-// Checkpoint forces one checkpoint now: the full live set and band
-// membership are serialized (atomically: temp file + rename), then the
-// WAL segments it supersedes are dropped. A no-op for in-memory
-// indexes.
-func (x *SkylineIndex) Checkpoint() error {
-	x.mu.Lock()
-	defer x.mu.Unlock()
-	if x.closed {
-		return fmt.Errorf("%w: stream.SkylineIndex", skybench.ErrClosed)
-	}
-	if x.dur == nil {
-		return nil
-	}
-	return x.checkpointLocked()
-}
-
 func (x *SkylineIndex) checkpointLocked() error {
 	dur := x.dur
 	start := time.Now()
@@ -686,11 +669,11 @@ func Recover(dir string, cfg Config) (*SkylineIndex, error) {
 		}
 	}
 
-	// Build the in-memory index with delta delivery suppressed: replayed
-	// history is not live traffic, and a subscriber must not observe it.
+	// Build the in-memory index without the WAL; it is attached once
+	// replay is done. No delta subscriber can register before Recover
+	// returns, so replayed history is never delivered as live traffic.
 	cfgBuild := cfg
 	cfgBuild.Durable = nil
-	cfgBuild.OnDelta = nil
 	x, err := New(meta.D, cfgBuild)
 	if err != nil {
 		return nil, err
@@ -726,7 +709,6 @@ func Recover(dir string, cfg Config) (*SkylineIndex, error) {
 			x.allocSlot(ID(id), ck.vals[i*ck.d:(i+1)*ck.d])
 		}
 		x.core.Load()
-		x.inserts += uint64(len(ck.ids))
 		x.next = max(x.next, ID(ck.nextID))
 		if err := x.verifyBand(ck); err != nil {
 			return fail(err)
@@ -743,7 +725,6 @@ func Recover(dir string, cfg Config) (*SkylineIndex, error) {
 	}
 
 	x.dur = &durableState{dir: dir, log: log, every: dcfg.cadence()}
-	x.onDelta = cfg.OnDelta
 	return x, nil
 }
 
@@ -818,23 +799,4 @@ func (x *SkylineIndex) verifyBand(ck *checkpoint) error {
 		}
 	}
 	return nil
-}
-
-// AttachRecovered recovers the durable index in dir and attaches it to
-// the Store under name — the one-call path a restarting service uses
-// to bring its stream collections back. The Store takes ownership of
-// the recovered index (CloseOnDrop is forced on), so dropping the
-// collection or closing the Store checkpoints and closes the WAL.
-func AttachRecovered(st *skybench.Store, name, dir string, cfg Config, opts skybench.CollectionOptions) (*skybench.Collection, *SkylineIndex, error) {
-	x, err := Recover(dir, cfg)
-	if err != nil {
-		return nil, nil, err
-	}
-	opts.CloseOnDrop = true
-	col, err := st.AttachStream(name, x, opts)
-	if err != nil {
-		x.Close()
-		return nil, nil, err
-	}
-	return col, x, nil
 }

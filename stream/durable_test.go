@@ -37,6 +37,22 @@ type durWorkload struct {
 	next ID
 }
 
+// checkpointNow forces one checkpoint now: the full live set and band
+// membership are serialized (atomically: temp file + rename), then the
+// WAL segments it supersedes are dropped. A no-op for in-memory
+// indexes.
+func (x *SkylineIndex) checkpointNow() error {
+	x.mu.Lock()
+	defer x.mu.Unlock()
+	if x.closed {
+		return fmt.Errorf("%w: stream.SkylineIndex", skybench.ErrClosed)
+	}
+	if x.dur == nil {
+		return nil
+	}
+	return x.checkpointLocked()
+}
+
 func newDurWorkload(seed int64, d int, delP float64) *durWorkload {
 	return &durWorkload{
 		rng:  rand.New(rand.NewSource(seed)),
@@ -132,8 +148,8 @@ func checkRecovered(t *testing.T, eng *skybench.Engine, x *SkylineIndex, prefs [
 		}
 	}
 	if len(ids) == 0 {
-		if x.SkylineSize() != 0 {
-			t.Fatalf("empty live set but SkylineSize %d", x.SkylineSize())
+		if skylineSize(x) != 0 {
+			t.Fatalf("empty live set but SkylineSize %d", skylineSize(x))
 		}
 		return
 	}
@@ -160,7 +176,7 @@ func TestDurableRoundTrip(t *testing.T) {
 			cfg := Config{
 				Prefs:    tc.prefs,
 				SkybandK: tc.k,
-				Durable:  &Durability{Dir: dir, SegmentBytes: 1 << 10, CheckpointEvery: 23},
+				Durable:  &Durability{Dir: dir, segmentBytes: 1 << 10, CheckpointEvery: 23},
 			}
 			x, err := New(3, cfg)
 			if err != nil {
@@ -216,7 +232,7 @@ func TestRecoverWithoutClose(t *testing.T) {
 	eng := skybench.NewEngine(2)
 	defer eng.Close()
 	dir := t.TempDir()
-	x, err := New(2, Config{Durable: &Durability{Dir: dir, SegmentBytes: 512, CheckpointEvery: -1}})
+	x, err := New(2, Config{Durable: &Durability{Dir: dir, segmentBytes: 512, CheckpointEvery: -1}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -254,7 +270,7 @@ func TestCheckpointSyncsDir(t *testing.T) {
 		if _, err := x.Insert([]float64{float64(i), 1}); err != nil {
 			t.Fatal(err)
 		}
-		if err := x.Checkpoint(); err != nil {
+		if err := x.checkpointNow(); err != nil {
 			t.Fatal(err)
 		}
 		if got := x.dur.log.Stats().DirSyncs; got != i {
@@ -308,8 +324,8 @@ func TestRecoverRejects(t *testing.T) {
 		t.Fatalf("Recover with zero cfg: %v", err)
 	}
 	defer r.Close()
-	if r.BandK() != 2 || r.D() != 2 {
-		t.Fatalf("recovered shape k=%d d=%d, want k=2 d=2", r.BandK(), r.D())
+	if r.k != 2 || r.D() != 2 {
+		t.Fatalf("recovered shape k=%d d=%d, want k=2 d=2", r.k, r.D())
 	}
 }
 
@@ -419,7 +435,7 @@ func TestRecoverEveryCutPoint(t *testing.T) {
 			x, err := New(3, Config{
 				Prefs:    tc.prefs,
 				SkybandK: tc.k,
-				Durable:  &Durability{Dir: dir, SegmentBytes: tc.segBytes, CheckpointEvery: tc.ckEvery},
+				Durable:  &Durability{Dir: dir, segmentBytes: tc.segBytes, CheckpointEvery: tc.ckEvery},
 			})
 			if err != nil {
 				t.Fatal(err)
@@ -483,7 +499,7 @@ func TestRecoverEveryCutPoint(t *testing.T) {
 // loudly with ErrCorruptWAL, never silently skip records.
 func TestRecoverCorruptMidLog(t *testing.T) {
 	dir := t.TempDir()
-	x, err := New(2, Config{Durable: &Durability{Dir: dir, SegmentBytes: 128, CheckpointEvery: -1}})
+	x, err := New(2, Config{Durable: &Durability{Dir: dir, segmentBytes: 128, CheckpointEvery: -1}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -539,7 +555,7 @@ func TestRecoverCorruptCheckpoint(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if err := x.Checkpoint(); err != nil {
+	if err := x.checkpointNow(); err != nil {
 		t.Fatal(err)
 	}
 	x.dur.log.Close()
@@ -623,6 +639,51 @@ func TestWALFaultRejectsMutation(t *testing.T) {
 	}
 	if got := in.Hits("wal.append"); got < 3 {
 		t.Fatalf("append site hit %d times, want ≥ 3", got)
+	}
+}
+
+// TestWindowFailedEvictionKeepsRing: a full window's Push evicts first;
+// when the durable eviction is rejected the point stays live in the
+// index, so it must stay in the ring too — Push is an error, the window
+// still agrees with its index, and the next Push evicts that same
+// oldest point. A closed window refuses the same way.
+func TestWindowFailedEvictionKeepsRing(t *testing.T) {
+	in := faults.New(1)
+	in.Arm(faults.Plan{Site: "wal.append", After: 2, Count: 1})
+	w, err := NewWindow(2, 2, Config{Durable: &Durability{Dir: t.TempDir(), faults: in}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer w.Close()
+	first, err := w.Push([]float64{1, 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := w.Push([]float64{2, 1}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := w.Push([]float64{0, 0}); !errors.Is(err, faults.ErrInjected) {
+		t.Fatalf("push under a failed eviction = %v, want ErrInjected", err)
+	}
+	if w.Len() != w.x.Len() || w.Len() != 2 || !w.x.Contains(first) {
+		t.Fatalf("after the failed push: window %d, index %d, oldest live %v", w.Len(), w.x.Len(), w.x.Contains(first))
+	}
+	if oldest := w.ring[w.head]; oldest != first {
+		t.Fatalf("oldest %d, want %d", oldest, first)
+	}
+	if _, err := w.Push([]float64{0, 0}); err != nil {
+		t.Fatal(err)
+	}
+	if w.x.Contains(first) || w.Len() != w.x.Len() || w.Len() != 2 {
+		t.Fatalf("next push: oldest still live %v, window %d, index %d", w.x.Contains(first), w.Len(), w.x.Len())
+	}
+
+	w.Close()
+	if _, err := w.Push([]float64{3, 3}); !errors.Is(err, skybench.ErrClosed) {
+		t.Fatalf("push after Close = %v, want ErrClosed", err)
+	}
+	if w.Len() != 2 {
+		t.Fatalf("push after Close changed the window: Len %d", w.Len())
 	}
 }
 
@@ -725,16 +786,16 @@ func TestRecoverTies(t *testing.T) {
 			if !verify.SameBand(band.Pos, band.Counts, wantIdx, wantCnt) {
 				t.Fatalf("recovered band of %d rows differs from the brute force's %d", len(band.Pos), len(wantIdx))
 			}
-			if st := r.Stats(); st.Rebuilds != 0 || st.Resurrections != 0 || st.Inserts != n {
-				t.Fatalf("checkpoint load booked %+v, want no rebuild or resurrection and %d inserts", st, n)
+			if st := r.Stats(); st.Rebuilds != 0 || st.Resurrections != 0 || r.Len() != n {
+				t.Fatalf("checkpoint load booked %+v with %d live, want no rebuild or resurrection and %d live", st, r.Len(), n)
 			}
 		})
 	}
 }
 
-// TestAttachRecovered: the Store round-trip — attach a recovered index,
-// query it, drop it, and the drop must close the WAL (ownership was
-// transferred).
+// TestAttachRecovered: the Store round-trip a restarting service makes
+// — recover an index, attach it with CloseOnDrop, query it, drop it, and
+// the drop must close the WAL (ownership was transferred).
 func TestAttachRecovered(t *testing.T) {
 	dir := t.TempDir()
 	x, err := New(2, Config{Durable: &Durability{Dir: dir}})
@@ -751,16 +812,20 @@ func TestAttachRecovered(t *testing.T) {
 
 	st := skybench.NewStore(2)
 	defer st.Close()
-	col, r, err := AttachRecovered(st, "hotels", dir, Config{}, skybench.CollectionOptions{})
+	r, err := Recover(dir, Config{})
 	if err != nil {
-		t.Fatalf("AttachRecovered: %v", err)
+		t.Fatalf("Recover: %v", err)
+	}
+	col, err := st.AttachStream("hotels", r, skybench.CollectionOptions{CloseOnDrop: true})
+	if err != nil {
+		t.Fatalf("AttachStream: %v", err)
 	}
 	res, err := col.Run(context.Background(), skybench.Query{})
 	if err != nil {
 		t.Fatalf("query over recovered collection: %v", err)
 	}
-	if res.Len() == 0 || res.Len() != r.SkylineSize() {
-		t.Fatalf("recovered collection served %d band points, index has %d", res.Len(), r.SkylineSize())
+	if res.Len() == 0 || res.Len() != skylineSize(r) {
+		t.Fatalf("recovered collection served %d band points, index has %d", res.Len(), skylineSize(r))
 	}
 	if err := st.Drop("hotels"); err != nil {
 		t.Fatal(err)
@@ -827,7 +892,7 @@ func TestKillAndRecover(t *testing.T) {
 	eng := skybench.NewEngine(2)
 	defer eng.Close()
 	checkRecovered(t, eng, r, nil, w)
-	t.Logf("recovered %d surviving ops, %d live points, band %d", prefix, r.Len(), r.SkylineSize())
+	t.Logf("recovered %d surviving ops, %d live points, band %d", prefix, r.Len(), skylineSize(r))
 }
 
 const (
@@ -844,7 +909,7 @@ func TestCrashChild(t *testing.T) {
 	if dir == "" {
 		t.Skip("not a crash child")
 	}
-	x, err := New(crashDims, Config{Durable: &Durability{Dir: dir, SegmentBytes: 32 << 10, CheckpointEvery: 512}})
+	x, err := New(crashDims, Config{Durable: &Durability{Dir: dir, segmentBytes: 32 << 10, CheckpointEvery: 512}})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -28,7 +28,7 @@ func FuzzReadCheckpoint(f *testing.F) {
 			f.Fatal(err)
 		}
 	}
-	if err := x.Checkpoint(); err != nil {
+	if err := x.checkpointNow(); err != nil {
 		f.Fatal(err)
 	}
 	x.Close()

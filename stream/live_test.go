@@ -27,7 +27,7 @@ func TestLiveEpochAdvances(t *testing.T) {
 	if e1 == 0 {
 		t.Fatal("insert did not advance LiveEpoch")
 	}
-	bandEpoch := ix.Snapshot().Epoch()
+	bandEpoch := ix.Snapshot().epoch
 
 	// A dominated insert changes the live set but not the band.
 	id, err := ix.Insert([]float64{0.9, 0.9})
@@ -37,7 +37,7 @@ func TestLiveEpochAdvances(t *testing.T) {
 	if ix.LiveEpoch() <= e1 {
 		t.Fatal("dominated insert did not advance LiveEpoch")
 	}
-	if got := ix.Snapshot().Epoch(); got != bandEpoch {
+	if got := ix.Snapshot().epoch; got != bandEpoch {
 		t.Fatalf("dominated insert advanced the band epoch %d -> %d", bandEpoch, got)
 	}
 	e2 := ix.LiveEpoch()

@@ -116,8 +116,8 @@ func TestSkybandConfigValidation(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if ix.BandK() != 1 {
-			t.Fatalf("SkybandK=%d: BandK()=%d, want 1", k, ix.BandK())
+		if ix.k != 1 {
+			t.Fatalf("SkybandK=%d: BandK()=%d, want 1", k, ix.k)
 		}
 		ix.Close()
 	}
@@ -126,8 +126,8 @@ func TestSkybandConfigValidation(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer ix.Close()
-	if ix.BandK() != 3 {
-		t.Fatalf("BandK()=%d, want 3", ix.BandK())
+	if ix.k != 3 {
+		t.Fatalf("BandK()=%d, want 3", ix.k)
 	}
 	// Under (Max, Min): {9,0} dominates both others; {9,1} additionally
 	// dominates {8,2} (higher on the maximized dim, lower on the
@@ -136,7 +136,7 @@ func TestSkybandConfigValidation(t *testing.T) {
 	b, _ := ix.Insert([]float64{9, 1})
 	dom, _ := ix.Insert([]float64{9, 0})
 	for _, id := range []ID{a, b, dom} {
-		if !ix.InSkyline(id) {
+		if !inSkyline(ix, id) {
 			t.Fatalf("id %d should be in the band at k=3", id)
 		}
 	}

@@ -25,7 +25,7 @@
 // Windowed streams use NewWindow(capacity, ...), whose Push evicts
 // oldest-first once the window is full. Per-dimension preferences
 // (skybench.Min, Max, Ignore) are honored exactly as in Query.Prefs, and
-// Config.OnDelta subscribes to skyline membership changes.
+// SkylineIndex.OnDelta subscribes to skyline membership changes.
 //
 // Concurrency: mutating methods serialize on an internal lock (one
 // writer at a time makes that lock uncontended); any number of
@@ -37,6 +37,7 @@ package stream
 import (
 	"context"
 	"fmt"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -82,16 +83,6 @@ type Config struct {
 	// When nil the index lazily creates a private Engine on first
 	// escalation and closes it on Close.
 	Engine *skybench.Engine
-	// OnDelta, when non-nil, receives every skyline membership change:
-	// points that entered and points that left, after each mutating
-	// operation that changed the skyline (for InsertBatch, after each
-	// individual insert). It is called on the mutating goroutine with
-	// the index lock held: it must not call back into the index, and the
-	// slices (and their Values) are reused — copy what must outlive the
-	// callback. It is fixed for the life of the index; subscribers that
-	// come and go (network delta streams) should use the cancelable
-	// SkylineIndex.OnDelta registration instead.
-	OnDelta func(entered, left []Point)
 	// Durable, when non-nil, makes the index crash-safe: every mutation
 	// is written ahead to a segmented WAL in Durable.Dir, periodically
 	// compacted into checkpoints, and stream.Recover restores the index
@@ -124,11 +115,8 @@ type SkylineIndex struct {
 	eng     *skybench.Engine
 	ownEng  bool
 	closed  bool
-	onDelta func(entered, left []Point)
 	entered []Point
 	left    []Point
-	inserts uint64
-	deletes uint64
 	nEnter  uint64
 	nLeave  uint64
 
@@ -168,7 +156,6 @@ func New(d int, cfg Config) (*SkylineIndex, error) {
 		loc:      make(map[ID]int32),
 		next:     1,
 		eng:      cfg.Engine,
-		onDelta:  cfg.OnDelta,
 	}
 	if len(cfg.Prefs) != 0 {
 		if len(cfg.Prefs) != d {
@@ -262,19 +249,6 @@ func (x *SkylineIndex) engineRebuild(vals []float64, n int) ([]int, []int32) {
 // D returns the dimensionality of the indexed points.
 func (x *SkylineIndex) D() int { return x.d }
 
-// BandK returns the band parameter the index maintains (1 = skyline).
-func (x *SkylineIndex) BandK() int { return x.k }
-
-// Prefs returns a copy of the per-dimension preferences the index was
-// built with (nil when every dimension is minimized), in the same form
-// as Config.Prefs and skybench.Query.Prefs.
-func (x *SkylineIndex) Prefs() []skybench.Pref {
-	if len(x.prefs) == 0 {
-		return nil
-	}
-	return append([]skybench.Pref(nil), x.prefs...)
-}
-
 // Insert adds a point (copying p) and returns its ID. The point must
 // have exactly D finite values. On a durable index the insert is
 // logged before it is applied; a failed log append rejects the insert
@@ -340,7 +314,6 @@ func (x *SkylineIndex) insertLocked(id ID, p []float64) ID {
 	// Alloc and Place are split so the slot's ID and original values are
 	// on record before membership callbacks fire.
 	x.core.Place(x.allocSlot(id, p))
-	x.inserts++
 	x.version.Add(1)
 	x.finishOp()
 	return id
@@ -414,7 +387,6 @@ func (x *SkylineIndex) deleteSlotLocked(id ID, slot int32) {
 	x.entered, x.left = x.entered[:0], x.left[:0]
 	x.core.Delete(slot)
 	delete(x.loc, id)
-	x.deletes++
 	x.version.Add(1)
 	x.finishOp()
 }
@@ -442,26 +414,24 @@ func (x *SkylineIndex) finishOp() {
 	x.nEnter += uint64(len(x.entered))
 	x.nLeave += uint64(len(x.left))
 	x.epoch.Add(1)
-	if x.onDelta != nil {
-		x.onDelta(x.entered, x.left)
-	}
 	for _, s := range x.subs {
 		s.fn(x.entered, x.left)
 	}
 }
 
 // OnDelta registers fn to receive every skyline (or k-skyband)
-// membership change from now on, under the same contract as
-// Config.OnDelta: fn runs on the mutating goroutine with the index lock
-// held, must not call back into the index, and the slices (and their
-// Values) are reused — copy what must outlive the call. Unlike
-// Config.OnDelta the registration is cancelable: calling the returned
-// function removes it, after which fn is never called again. cancel is
-// idempotent and safe to call concurrently with mutations (it takes the
-// index lock, so it never races a delivery in flight) — the lifecycle a
-// network delta subscriber needs so a disconnected client does not leak
-// its callback. Any number of registrations may coexist, alongside
-// Config.OnDelta; they fire in registration order.
+// membership change from now on: the points that entered and the points
+// that left, after each mutating operation that changed the band (for
+// InsertBatch, after each individual insert). fn runs on the mutating
+// goroutine with the index lock held, must not call back into the
+// index, and the slices (and their Values) are reused — copy what must
+// outlive the call. The registration is cancelable: calling the
+// returned function removes it, after which fn is never called again.
+// cancel is idempotent and safe to call concurrently with mutations (it
+// takes the index lock, so it never races a delivery in flight) — the
+// lifecycle a network delta subscriber needs so a disconnected client
+// does not leak its callback. Any number of registrations may coexist;
+// they fire in registration order.
 func (x *SkylineIndex) OnDelta(fn func(entered, left []Point)) (cancel func()) {
 	x.mu.Lock()
 	defer x.mu.Unlock()
@@ -501,13 +471,6 @@ func (x *SkylineIndex) Len() int {
 	return x.core.Len()
 }
 
-// SkylineSize returns the current skyline cardinality.
-func (x *SkylineIndex) SkylineSize() int {
-	x.mu.Lock()
-	defer x.mu.Unlock()
-	return x.core.SkylineSize()
-}
-
 // Contains reports whether the ID is live in the index.
 func (x *SkylineIndex) Contains(id ID) bool {
 	x.mu.Lock()
@@ -516,40 +479,13 @@ func (x *SkylineIndex) Contains(id ID) bool {
 	return ok
 }
 
-// InSkyline reports whether the ID is live and currently a member of
-// the maintained set — the skyline, or the k-skyband when
-// Config.SkybandK ≥ 2.
-func (x *SkylineIndex) InSkyline(id ID) bool {
-	x.mu.Lock()
-	defer x.mu.Unlock()
-	slot, ok := x.loc[id]
-	return ok && x.core.InSkyline(slot)
-}
-
-// Values returns a copy of the point's original coordinates, or false if
-// the ID is not live.
-func (x *SkylineIndex) Values(id ID) ([]float64, bool) {
-	x.mu.Lock()
-	defer x.mu.Unlock()
-	slot, ok := x.loc[id]
-	if !ok {
-		return nil, false
-	}
-	return append([]float64(nil), x.origRow(slot)...), true
-}
-
 // Stats reports the index's lifetime counters.
 type Stats struct {
-	// Live and SkylineSize describe the current state.
-	Live, SkylineSize int
-	// Epoch counts skyline membership changes (the snapshot version).
-	Epoch uint64
-	// Inserts and Deletes count successful mutations; Entered and Left
-	// count the membership changes they caused. After Recover, Inserts
-	// includes the checkpoint's rows, while Entered and Left count only
-	// the replayed WAL tail and later mutations: a checkpoint is loaded
-	// in one pass that emits no membership changes.
-	Inserts, Deletes, Entered, Left uint64
+	// Entered and Left count the membership changes mutations caused.
+	// After Recover they count only the replayed WAL tail and later
+	// mutations: a checkpoint is loaded in one pass that emits no
+	// membership changes.
+	Entered, Left uint64
 	// Resurrections counts points re-admitted to the skyline by the
 	// deletion of their bucket owner; Rebuilds counts full-recompute
 	// escalations (a checkpoint load counts as neither); DominanceTests
@@ -563,11 +499,6 @@ func (x *SkylineIndex) Stats() Stats {
 	defer x.mu.Unlock()
 	cs := x.core.Stats()
 	return Stats{
-		Live:           x.core.Len(),
-		SkylineSize:    x.core.SkylineSize(),
-		Epoch:          x.epoch.Load(),
-		Inserts:        x.inserts,
-		Deletes:        x.deletes,
 		Entered:        x.nEnter,
 		Left:           x.nLeave,
 		Resurrections:  cs.Resurrections,
@@ -645,7 +576,7 @@ func (x *SkylineIndex) LiveBand() skybench.LiveBand {
 	slots, pos := x.core.AppendBandRanks(make([]int32, 0, n), make([]int, 0, n))
 	ids, vals, counts := copyBand[uint64](x, slots)
 	return skybench.LiveBand{
-		Prefs:  x.Prefs(),
+		Prefs:  slices.Clone(x.prefs),
 		K:      x.k,
 		Live:   x.core.Len(),
 		Epoch:  x.version.Load(),
@@ -716,9 +647,6 @@ func (x *SkylineIndex) Snapshot() *Snapshot {
 
 // Len returns the number of skyline points in the snapshot.
 func (s *Snapshot) Len() int { return len(s.ids) }
-
-// Epoch returns the membership version the snapshot was taken at.
-func (s *Snapshot) Epoch() uint64 { return s.epoch }
 
 // ID returns the i-th skyline point's ID.
 func (s *Snapshot) ID(i int) ID { return s.ids[i] }

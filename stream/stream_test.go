@@ -24,7 +24,7 @@ func oracleCheck(t *testing.T, eng *skybench.Engine, ix *SkylineIndex, prefs []s
 		t.Fatalf("oracle dataset: %v", err)
 	}
 	q := skybench.Query{Prefs: prefs}
-	if k := ix.BandK(); k > 1 {
+	if k := ix.k; k > 1 {
 		q.SkybandK = k
 	}
 	res, err := eng.Run(context.Background(), ds, q)
@@ -41,7 +41,7 @@ func oracleCheck(t *testing.T, eng *skybench.Engine, ix *SkylineIndex, prefs []s
 	}
 	slices.Sort(want)
 
-	if ix.BandK() > 1 && len(res.Indices) > 0 && res.Counts == nil {
+	if ix.k > 1 && len(res.Indices) > 0 && res.Counts == nil {
 		t.Fatalf("skyband oracle query returned nil Counts")
 	}
 	snap := ix.Snapshot()
@@ -50,7 +50,7 @@ func oracleCheck(t *testing.T, eng *skybench.Engine, ix *SkylineIndex, prefs []s
 	if !slices.Equal(got, want) {
 		t.Fatalf("band IDs %v, oracle %v (live %d)", got, want, len(liveIDs))
 	}
-	if got := ix.SkylineSize(); got != len(want) {
+	if got := skylineSize(ix); got != len(want) {
 		t.Fatalf("SkylineSize %d, oracle %d", got, len(want))
 	}
 	if res.Counts != nil {
@@ -60,6 +60,22 @@ func oracleCheck(t *testing.T, eng *skybench.Engine, ix *SkylineIndex, prefs []s
 			}
 		}
 	}
+}
+
+// skylineSize is the band size the index's core keeps.
+func skylineSize(x *SkylineIndex) int {
+	x.mu.Lock()
+	defer x.mu.Unlock()
+	return x.core.SkylineSize()
+}
+
+// inSkyline reports whether id is live and currently in the maintained
+// band (the skyline, or the k-skyband).
+func inSkyline(x *SkylineIndex, id ID) bool {
+	x.mu.Lock()
+	defer x.mu.Unlock()
+	slot, ok := x.loc[id]
+	return ok && x.core.InSkyline(slot)
 }
 
 // TestSkylineIndexMatchesEngineOracle is the cross-surface property
@@ -154,7 +170,7 @@ func escalate(t *testing.T, ix *SkylineIndex, prefs []skybench.Pref) {
 			p[j] = 2
 		}
 	}
-	ids := make([]ID, ix.BandK())
+	ids := make([]ID, ix.k)
 	for i := range ids {
 		id, err := ix.Insert(p)
 		if err != nil {
@@ -205,25 +221,24 @@ func TestSkybandIndexMatchesEngineOracle(t *testing.T) {
 // shadow set and checks it always equals the snapshot.
 func TestDeltaEventsReconstructMembership(t *testing.T) {
 	shadow := make(map[ID][]float64)
-	ix, err := New(4, Config{
-		OnDelta: func(entered, left []Point) {
-			for _, p := range left {
-				if _, ok := shadow[p.ID]; !ok {
-					t.Fatalf("left event for id %d not in shadow", p.ID)
-				}
-				delete(shadow, p.ID)
-			}
-			for _, p := range entered {
-				if _, ok := shadow[p.ID]; ok {
-					t.Fatalf("enter event for id %d already in shadow", p.ID)
-				}
-				shadow[p.ID] = append([]float64(nil), p.Values...)
-			}
-		},
-	})
+	ix, err := New(4, Config{})
 	if err != nil {
 		t.Fatalf("New: %v", err)
 	}
+	ix.OnDelta(func(entered, left []Point) {
+		for _, p := range left {
+			if _, ok := shadow[p.ID]; !ok {
+				t.Fatalf("left event for id %d not in shadow", p.ID)
+			}
+			delete(shadow, p.ID)
+		}
+		for _, p := range entered {
+			if _, ok := shadow[p.ID]; ok {
+				t.Fatalf("enter event for id %d already in shadow", p.ID)
+			}
+			shadow[p.ID] = append([]float64(nil), p.Values...)
+		}
+	})
 	defer ix.Close()
 
 	m := dataset.Generate(dataset.Anticorrelated, 500, 4, 77)
@@ -292,8 +307,8 @@ func TestWindowSlides(t *testing.T) {
 		if win.Len() != wantLen {
 			t.Fatalf("push %d: Len %d, want %d", i, win.Len(), wantLen)
 		}
-		if oldest, ok := win.Oldest(); !ok || oldest != ids[max(0, i+1-w)] {
-			t.Fatalf("push %d: Oldest %d, want %d", i, oldest, ids[max(0, i+1-w)])
+		if oldest := win.ring[win.head]; oldest != ids[max(0, i+1-w)] {
+			t.Fatalf("push %d: oldest %d, want %d", i, oldest, ids[max(0, i+1-w)])
 		}
 		if i%25 == 24 || i == total-1 {
 			lo := max(0, i+1-w)
@@ -317,9 +332,6 @@ func TestWindowSlides(t *testing.T) {
 				t.Fatalf("push %d: window skyline %v, oracle %v", i, got, want)
 			}
 		}
-	}
-	if win.Cap() != w {
-		t.Fatalf("Cap %d", win.Cap())
 	}
 }
 
@@ -376,7 +388,7 @@ func TestSnapshotConcurrentReaders(t *testing.T) {
 						default:
 						}
 						snap := ix.Snapshot()
-						if e := snap.Epoch(); e < lastEpoch {
+						if e := snap.epoch; e < lastEpoch {
 							t.Errorf("epoch went backwards: %d -> %d", lastEpoch, e)
 							return
 						} else {
@@ -469,11 +481,11 @@ func TestValidationAndLifecycle(t *testing.T) {
 	if err != nil {
 		t.Fatalf("batch: %v", err)
 	}
-	if len(ids) != 3 || !ix.Contains(ids[2]) || !ix.InSkyline(ids[0]) || ix.InSkyline(ids[2]) {
+	if len(ids) != 3 || !ix.Contains(ids[2]) || !inSkyline(ix, ids[0]) || inSkyline(ix, ids[2]) {
 		t.Fatalf("batch state wrong: %v", ids)
 	}
-	if v, ok := ix.Values(ids[1]); !ok || !slices.Equal(v, []float64{2, 1}) {
-		t.Fatalf("Values: %v %v", v, ok)
+	if v := ix.origRow(ix.loc[ids[1]]); !slices.Equal(v, []float64{2, 1}) {
+		t.Fatalf("stored values: %v", v)
 	}
 	if ix.Delete(ID(9999)) {
 		t.Fatal("delete of unknown ID succeeded")

@@ -7,16 +7,16 @@ import (
 	"testing"
 )
 
-// TestOnDeltaDelivery: registered subscribers see the same deltas as
-// Config.OnDelta, in registration order, and a canceled one sees
-// nothing afterwards.
+// TestOnDeltaDelivery: every registered subscriber sees the same deltas,
+// in registration order, and a canceled one sees nothing afterwards.
 func TestOnDeltaDelivery(t *testing.T) {
-	var cfgEvents, subEvents int
-	x, err := New(2, Config{OnDelta: func(entered, left []Point) { cfgEvents++ }})
+	var keptEvents, subEvents int
+	x, err := New(2, Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer x.Close()
+	x.OnDelta(func(entered, left []Point) { keptEvents++ })
 
 	var order []string
 	c1 := x.OnDelta(func(entered, left []Point) {
@@ -28,8 +28,8 @@ func TestOnDeltaDelivery(t *testing.T) {
 	if _, err := x.Insert([]float64{1, 2}); err != nil {
 		t.Fatal(err)
 	}
-	if cfgEvents != 1 || subEvents != 1 {
-		t.Fatalf("after insert: cfg=%d sub=%d, want 1/1", cfgEvents, subEvents)
+	if keptEvents != 1 || subEvents != 1 {
+		t.Fatalf("after insert: kept=%d sub=%d, want 1/1", keptEvents, subEvents)
 	}
 	if len(order) != 2 || order[0] != "first" || order[1] != "second" {
 		t.Fatalf("delivery order = %v, want [first second]", order)
@@ -43,8 +43,8 @@ func TestOnDeltaDelivery(t *testing.T) {
 	if subEvents != 1 {
 		t.Fatal("canceled subscriber still delivered to")
 	}
-	if cfgEvents != 2 || len(order) != 3 {
-		t.Fatalf("remaining subscribers starved: cfg=%d order=%v", cfgEvents, order)
+	if keptEvents != 2 || len(order) != 3 {
+		t.Fatalf("remaining subscribers starved: kept=%d order=%v", keptEvents, order)
 	}
 	c2()
 }

@@ -39,13 +39,22 @@ func NewWindow(capacity, d int, cfg Config) (*Window, error) {
 
 // Push inserts a point, evicting the oldest one first when the window is
 // full, and returns the new point's ID. The point is validated before
-// anything is evicted, so an invalid point leaves the window unchanged.
+// anything is evicted, so an invalid point leaves the window unchanged,
+// and so does a failed eviction (the index's Err, or ErrClosed).
 func (w *Window) Push(p []float64) (ID, error) {
 	if err := w.x.validatePoint(p); err != nil {
 		return 0, err
 	}
 	if w.count == len(w.ring) {
-		w.x.Delete(w.ring[w.head])
+		if !w.x.Delete(w.ring[w.head]) {
+			// The index kept the point (a failed eviction append on a
+			// durable window, or a closed index): keep it in the ring
+			// too, or it would never be evicted.
+			if err := w.x.Err(); err != nil {
+				return 0, err
+			}
+			return 0, fmt.Errorf("%w: stream.Window", skybench.ErrClosed)
+		}
 		w.head = (w.head + 1) % len(w.ring)
 		w.count--
 	}
@@ -58,30 +67,12 @@ func (w *Window) Push(p []float64) (ID, error) {
 	return id, nil
 }
 
-// Oldest returns the ID next in line for eviction, or false when the
-// window is empty.
-func (w *Window) Oldest() (ID, bool) {
-	if w.count == 0 {
-		return 0, false
-	}
-	return w.ring[w.head], true
-}
-
 // Len returns the number of points currently in the window.
 func (w *Window) Len() int { return w.count }
-
-// Cap returns the window capacity.
-func (w *Window) Cap() int { return len(w.ring) }
-
-// SkylineSize returns the current skyline cardinality of the window.
-func (w *Window) SkylineSize() int { return w.x.SkylineSize() }
 
 // Snapshot returns the window's current skyline; see
 // SkylineIndex.Snapshot.
 func (w *Window) Snapshot() *Snapshot { return w.x.Snapshot() }
-
-// Stats returns the underlying index's counters.
-func (w *Window) Stats() Stats { return w.x.Stats() }
 
 // Close releases the underlying index's resources.
 func (w *Window) Close() { w.x.Close() }

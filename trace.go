@@ -68,7 +68,7 @@ type QueryTrace struct {
 	// + per-run L1 sorts, Q-Flow's L1 radix), a subset of Phases.Init.
 	Sort time.Duration `json:"sort_ns,omitempty"`
 	// Busy is the time the worker team spent inside Phase I and II,
-	// summed over workers (and over shards); ParEff divides it by the
+	// summed over workers (and over shards); its par_eff divides it by the
 	// team time those phases held.
 	Busy time.Duration `json:"busy_ns,omitempty"`
 	// Elapsed is the total wall-clock time of the computation (for a
@@ -122,7 +122,7 @@ type ShardTrace struct {
 	PrefilterPruned int `json:"prefilter_pruned,omitempty"`
 	// Threads is the largest worker team the shard run held, and
 	// PhaseWall the wall-clock time of its Phase I and II: Threads ×
-	// PhaseWall is the shard's term of the composite ParEff.
+	// PhaseWall is the shard's term of the composite par_eff.
 	Threads   int           `json:"threads,omitempty"`
 	PhaseWall time.Duration `json:"phase_wall_ns,omitempty"`
 	// Elapsed is the shard run's wall-clock time.
@@ -173,24 +173,24 @@ func traceFromResult(algo Algorithm, k int, res *Result) *QueryTrace {
 		Threads:         s.Threads,
 		DominanceTests:  s.DominanceTests,
 		PrefilterPruned: s.PrefilterPruned,
-		Phase1Survivors: s.Phase1Survivors,
-		Phase2Survivors: s.Phase2Survivors,
+		Phase1Survivors: s.phase1Survivors,
+		Phase2Survivors: s.phase2Survivors,
 		Sort:            s.SortTime,
-		Busy:            s.BusyTime,
+		Busy:            s.busyTime,
 		Elapsed:         s.Elapsed,
 		Phases:          s.Timings,
 	}
 }
 
-// ParEff is the parallel efficiency of the dominance-test phases: Busy
+// parEff is the parallel efficiency of the dominance-test phases: Busy
 // over the team time they held — Threads × (Phases.PhaseOne +
 // Phases.PhaseTwo) for one run, the sum of each shard's Threads ×
 // PhaseWall for a sharded one, whose shards ran on teams of their own. 1
 // means no worker ever waited at a phase barrier; 0 means there is
 // nothing to divide. For a run whose team was rebalanced to a smaller
-// size mid-run, Threads overstates the team time held, so ParEff is a
+// size mid-run, Threads overstates the team time held, so parEff is a
 // lower bound.
-func (t *QueryTrace) ParEff() float64 {
+func (t *QueryTrace) parEff() float64 {
 	held := time.Duration(t.Threads) * (t.Phases.PhaseOne + t.Phases.PhaseTwo)
 	if len(t.Shards) > 0 {
 		held = 0
@@ -243,7 +243,7 @@ func (t *QueryTrace) String() string {
 		p.Prefilter.Round(time.Microsecond), p.Pivot.Round(time.Microsecond),
 		p.PhaseOne.Round(time.Microsecond), p.PhaseTwo.Round(time.Microsecond),
 		p.Compress.Round(time.Microsecond), p.Other.Round(time.Microsecond))
-	if eff := t.ParEff(); eff > 0 {
+	if eff := t.parEff(); eff > 0 {
 		fmt.Fprintf(&b, " par_eff=%.2f", eff)
 	}
 	if len(t.Workers) > 0 {
@@ -270,9 +270,9 @@ func (t *QueryTrace) String() string {
 	return b.String()
 }
 
-// Clone returns a deep copy of the trace (detaching the Shards and
+// clone returns a deep copy of the trace (detaching the Shards and
 // Workers slices and the Auto record).
-func (t *QueryTrace) Clone() *QueryTrace {
+func (t *QueryTrace) clone() *QueryTrace {
 	if t == nil {
 		return nil
 	}

@@ -34,10 +34,7 @@ func bruteSkylineSize(data [][]float64) int {
 // phase-2 survivors = output).
 func TestQueryTraceOracle(t *testing.T) {
 	for _, dist := range []string{"independent", "anticorrelated"} {
-		data, err := skybench.GenerateDataset(dist, 1500, 4, 7)
-		if err != nil {
-			t.Fatal(err)
-		}
+		data := storeTestData(t, dist, 1500, 4, 7)
 		want := bruteSkylineSize(data)
 		ds, err := skybench.NewDataset(data)
 		if err != nil {
@@ -107,10 +104,7 @@ func TestQueryTraceOracle(t *testing.T) {
 // collection run: one ShardTrace per shard, shard inputs partitioning
 // the dataset, a recorded merge path, and the same brute-force output.
 func TestQueryTraceSharded(t *testing.T) {
-	data, err := skybench.GenerateDataset("anticorrelated", 3000, 3, 11)
-	if err != nil {
-		t.Fatal(err)
-	}
+	data := storeTestData(t, "anticorrelated", 3000, 3, 11)
 	want := bruteSkylineSize(data)
 	ds, err := skybench.NewDataset(data)
 	if err != nil {
