@@ -14,17 +14,18 @@ func TestCompressBasics(t *testing.T) {
 	wl1 := []float64{0, 2, 4, 6, 8}
 	worig := []int{10, 11, 12, 13, 14}
 	wmask := []point.Mask{0, 1, 2, 3, 0}
+	wcode := []uint64{20, 21, 22, 23, 24}
 	flags := []uint32{0, 1, 0, 1, 0} // drop rows 1 and 3
 
-	n := compress(work, wl1, worig, wmask, nil, 0, 5, flags)
+	n := compress(work, wl1, worig, wmask, wcode, nil, 0, 5, flags)
 	if n != 3 {
 		t.Fatalf("survivors = %d, want 3", n)
 	}
 	wantOrig := []int{10, 12, 14}
 	wantMask := []point.Mask{0, 2, 0}
 	for i := 0; i < n; i++ {
-		if worig[i] != wantOrig[i] || wmask[i] != wantMask[i] {
-			t.Fatalf("pos %d: orig=%d mask=%d", i, worig[i], wmask[i])
+		if worig[i] != wantOrig[i] || wmask[i] != wantMask[i] || wcode[i] != uint64(wantOrig[i]+10) {
+			t.Fatalf("pos %d: orig=%d mask=%d code=%d", i, worig[i], wmask[i], wcode[i])
 		}
 		if work.Row(i)[0] != float64(wantOrig[i]-10) {
 			t.Fatalf("pos %d: row=%v", i, work.Row(i))
@@ -40,11 +41,11 @@ func TestCompressAllSurviveAndAllPruned(t *testing.T) {
 	wl1 := []float64{1, 2, 3}
 	worig := []int{0, 1, 2}
 	none := []uint32{0, 0, 0}
-	if n := compress(work, wl1, worig, make([]point.Mask, 3), nil, 0, 3, none); n != 3 {
+	if n := compress(work, wl1, worig, make([]point.Mask, 3), make([]uint64, 3), nil, 0, 3, none); n != 3 {
 		t.Fatalf("all-survive: %d", n)
 	}
 	all := []uint32{1, 1, 1}
-	if n := compress(work, wl1, worig, make([]point.Mask, 3), nil, 0, 3, all); n != 0 {
+	if n := compress(work, wl1, worig, make([]point.Mask, 3), make([]uint64, 3), nil, 0, 3, all); n != 0 {
 		t.Fatalf("all-pruned: %d", n)
 	}
 }
@@ -55,7 +56,7 @@ func TestCompressWithOffset(t *testing.T) {
 	wl1 := []float64{9, 8, 1, 2, 3}
 	worig := []int{0, 1, 2, 3, 4}
 	flags := []uint32{1, 0, 0} // block rows 2..4; drop block-local 0
-	n := compress(work, wl1, worig, make([]point.Mask, 5), nil, 2, 3, flags)
+	n := compress(work, wl1, worig, make([]point.Mask, 5), make([]uint64, 5), nil, 2, 3, flags)
 	if n != 2 {
 		t.Fatalf("survivors = %d", n)
 	}
@@ -85,7 +86,7 @@ func TestCompressPreservesOrder(t *testing.T) {
 				flags[i] = 1
 			}
 		}
-		surv := compress(work, wl1, worig, make([]point.Mask, n), nil, 0, n, flags)
+		surv := compress(work, wl1, worig, make([]point.Mask, n), make([]uint64, n), nil, 0, n, flags)
 		for i := 1; i < surv; i++ {
 			if worig[i] <= worig[i-1] {
 				t.Fatalf("order violated at %d: %v", i, worig[:surv])

@@ -13,11 +13,12 @@ import (
 // Context holds everything the α-block driver behind Hybrid and Q-Flow
 // needs across runs: per-thread dominance-test counters and every scratch
 // array the algorithms previously reallocated per call (L1 norms, masks,
-// sort keys and permutations, block flags, the gathered working matrix,
-// the global-skyline storage, radix-sort histograms, and the pre-filter's
-// queues). After a warm-up call with a given workload shape, repeated
-// Hybrid/QFlow calls perform zero steady-state allocations — the property
-// a server answering millions of skyline queries needs.
+// code words, sort keys and permutations, block flags, the gathered
+// working matrix, the global-skyline storage, radix-sort histograms, and
+// the pre-filter's queues). After a warm-up call with a given workload
+// shape, repeated Hybrid/QFlow calls perform zero steady-state
+// allocations — the property a server answering millions of skyline
+// queries needs.
 //
 // A run's parallel regions dispatch on the worker team its options name
 // (HybridOptions.Team); an Engine leases one per run from its shared
@@ -40,12 +41,17 @@ type Context struct {
 	wl1   []float64 // working-set L1 norms
 	worig []int     // working-set original indices
 	wmask []point.Mask
+	wcode []uint64 // working-set code words (quant)
 	keys  []uint64 // radix sort keys: compound (level, mask), or L1 bits on an unpartitioned run
 	idx   []int    // sort permutation
 	idxT  []int    // radix ping-pong buffer
 	hist  []int    // per-thread radix histograms
 	runs  []int    // equal-key run boundaries (pairs)
 	flags []uint32
+
+	quant point.Quantizer // the run's code-word map, fitted to the working set
+	cmin  []float64       // per-worker column minima of the working set (d per worker), for quant
+	cmax  []float64       // per-worker column maxima
 
 	pivotV []float64
 	pivotC []float64 // median-strategy scratch: one column per worker
@@ -78,6 +84,7 @@ type Context struct {
 
 	l1Body     func(tid, lo, hi int)
 	gatherBody func(tid, lo, hi int)
+	codeBody   func(tid, lo, hi int)
 	medianBody func(tid, lo, hi int)
 	maskBody   func(tid, lo, hi int)
 	p1Body     func(tid, lo, hi int)
@@ -92,6 +99,7 @@ func NewContext() *Context {
 	c := &Context{pf: prefilter.NewRunner()}
 	c.l1Body = c.runL1
 	c.gatherBody = c.runGather
+	c.codeBody = c.runCode
 	c.medianBody = c.runMedian
 	c.maskBody = c.runMask
 	c.p1Body = c.runPhase1
@@ -172,14 +180,27 @@ func (c *Context) runL1(_, lo, hi int) {
 // curWork and fills the working-set metadata — the one copy a run makes
 // of an input row, and only of the rows the pre-filter kept. Masks start
 // at 0, the one region of an unpartitioned run; a partitioned run's mask
-// sweep overwrites them.
-func (c *Context) runGather(_, lo, hi int) {
+// sweep overwrites them. Worker tid also takes the column minima and
+// maxima of its rows, the partials the run's quantizer is fitted to.
+func (c *Context) runGather(tid, lo, hi int) {
 	v := &c.curV
 	dst := c.curWork.Flat()
 	d := c.d
+	mn, mx := c.cmin[tid*d:(tid+1)*d], c.cmax[tid*d:(tid+1)*d]
 	for i := lo; i < hi; i++ {
 		j := c.curSurv[i]
-		v.CopyRow(dst[i*d:(i+1)*d], j)
+		row := dst[i*d : (i+1)*d]
+		v.CopyRow(row, j)
+		// Branches, not min and max: they are almost never taken, and
+		// min and max would store to the partials on every value.
+		for k, x := range row {
+			if x < mn[k] {
+				mn[k] = x
+			}
+			if x > mx[k] {
+				mx[k] = x
+			}
+		}
 		if c.curL1 != nil {
 			c.wl1[i] = c.curL1[i]
 		} else {
@@ -190,6 +211,15 @@ func (c *Context) runGather(_, lo, hi int) {
 	}
 }
 
+// runCode fills an unpartitioned run's code words from the run's
+// quantizer; a partitioned run's mask sweep does it instead.
+func (c *Context) runCode(_, lo, hi int) {
+	wk := c.curWork
+	for i := lo; i < hi; i++ {
+		c.wcode[i] = c.quant.Code(wk.Row(i))
+	}
+}
+
 // runMedian fills the pivot's coordinates lo..hi−1 with column medians,
 // in worker tid's slice of the scratch.
 func (c *Context) runMedian(tid, lo, hi int) {
@@ -197,12 +227,17 @@ func (c *Context) runMedian(tid, lo, hi int) {
 	pivot.MedianColumns(c.curWork, c.pivotV, c.pivotC[tid*n:tid*n:(tid+1)*n], lo, hi)
 }
 
+// runMask fills a partitioned run's masks and compound sort keys, and
+// its code words in the same sweep (runCode's work, while the row is in
+// cache).
 func (c *Context) runMask(_, lo, hi int) {
 	wk := c.curWork
 	d := c.d
 	for i := lo; i < hi; i++ {
-		c.wmask[i] = point.ComputeMask(wk.Row(i), c.pv)
+		row := wk.Row(i)
+		c.wmask[i] = point.ComputeMask(row, c.pv)
 		c.keys[i] = c.wmask[i].CompoundKey(d)
+		c.wcode[i] = c.quant.Code(row)
 	}
 }
 
@@ -245,9 +280,9 @@ func (c *Context) runPhase1(tid, blo, bhi int) {
 		q := wf[off : off+d : off+d]
 		var n int
 		if c.noMS {
-			n = c.sky.countDominatorsFlat(q, c.wmask[lo+i], k, &local)
+			n = c.sky.countDominatorsFlat(q, c.wcode[lo+i], c.wmask[lo+i], k, &local)
 		} else {
-			n = c.sky.countDominators(q, c.wmask[lo+i], c.level2, k, &local)
+			n = c.sky.countDominators(q, c.wcode[lo+i], c.wmask[lo+i], c.level2, k, &local)
 		}
 		if cnt != nil {
 			cnt[i] = int32(n)
@@ -282,9 +317,9 @@ func (c *Context) runPhase2(tid, blo, bhi int) {
 		}
 		var n int
 		if c.noSplit {
-			n = countPeersNaive(wf, c.wl1, lo, i, f, d, budget, &local)
+			n = countPeersNaive(wf, c.wl1, c.wcode, lo, i, f, d, budget, &local)
 		} else {
-			n = countPeers(wf, c.wl1, c.blockL1, c.wmask, lo, i, f, d, budget, &local)
+			n = countPeers(wf, c.wl1, c.blockL1, c.wmask, c.wcode, lo, i, f, d, budget, &local)
 		}
 		if n >= budget {
 			if cnt != nil {

@@ -229,6 +229,7 @@ func TestApplyPerm(t *testing.T) {
 		wl1 := make([]float64, n)
 		worig := make([]int, n)
 		wmask := make([]point.Mask, n)
+		wcode := make([]uint64, n)
 		for i := 0; i < n; i++ {
 			for k := 0; k < d; k++ {
 				flat[i*d+k] = rng.Float64()
@@ -236,6 +237,7 @@ func TestApplyPerm(t *testing.T) {
 			wl1[i] = rng.Float64()
 			worig[i] = rng.Int()
 			wmask[i] = point.Mask(rng.Intn(256))
+			wcode[i] = rng.Uint64()
 		}
 		perm := rng.Perm(n)
 
@@ -243,21 +245,23 @@ func TestApplyPerm(t *testing.T) {
 		wantL1 := make([]float64, n)
 		wantOrig := make([]int, n)
 		wantMask := make([]point.Mask, n)
+		wantCode := make([]uint64, n)
 		for i, j := range perm {
 			copy(wantFlat[i*d:(i+1)*d], flat[j*d:(j+1)*d])
 			wantL1[i] = wl1[j]
 			wantOrig[i] = worig[j]
 			wantMask[i] = wmask[j]
+			wantCode[i] = wcode[j]
 		}
 
-		applyPerm(perm, flat, d, wl1, wmask, worig)
+		applyPerm(perm, flat, d, wl1, wmask, worig, wcode)
 		for i := 0; i < n*d; i++ {
 			if flat[i] != wantFlat[i] {
 				t.Fatalf("trial %d: row data mismatch at %d", trial, i)
 			}
 		}
 		for i := 0; i < n; i++ {
-			if wl1[i] != wantL1[i] || worig[i] != wantOrig[i] || wmask[i] != wantMask[i] {
+			if wl1[i] != wantL1[i] || worig[i] != wantOrig[i] || wmask[i] != wantMask[i] || wcode[i] != wantCode[i] {
 				t.Fatalf("trial %d: metadata mismatch at %d", trial, i)
 			}
 		}

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"math"
 	"math/bits"
 	"sync/atomic"
 	"time"
@@ -170,10 +171,27 @@ func (c *Context) run(v point.View, opt HybridOptions, partition bool) []int {
 	c.wl1 = grow(c.wl1, ns)
 	c.worig = grow(c.worig, ns)
 	c.wmask = grow(c.wmask, ns)
+	c.wcode = grow(c.wcode, ns)
 	wk := point.FromFlat(c.work, ns, d)
 	c.curWork = wk
 	c.curSurv, c.curL1 = surv, survL1
+	c.cmin, c.cmax = grow(c.cmin, c.tEff*d), grow(c.cmax, c.tEff*d)
+	for i := range c.cmin {
+		c.cmin[i], c.cmax[i] = math.Inf(1), math.Inf(-1)
+	}
 	c.forRanges(ns, c.gatherBody)
+	// Fit the run's quantizer to the working set's column ranges, reduced
+	// from the gather workers' partials (DESIGN.md §2, code words). The
+	// mask sweep of a partitioned run codes the rows; an unpartitioned
+	// run has a sweep of its own.
+	for i := d; i < len(c.cmin); i++ {
+		c.cmin[i%d] = min(c.cmin[i%d], c.cmin[i])
+		c.cmax[i%d] = max(c.cmax[i%d], c.cmax[i])
+	}
+	c.quant.Reset(d, c.cmin, c.cmax)
+	if !partition {
+		c.forRanges(ns, c.codeBody)
+	}
 
 	// Phase II's partition-local peer scan skips equal-L1 peers only on
 	// a partitioned run (see countPeers).
@@ -205,7 +223,7 @@ func (c *Context) run(v point.View, opt HybridOptions, partition bool) []int {
 			return nil
 		}
 		c.sortRunsByL1(idx)
-		applyPerm(idx, c.work, d, c.wl1, c.wmask, c.worig)
+		applyPerm(idx, c.work, d, c.wl1, c.wmask, c.worig, c.wcode)
 		st.Cost.Sort += time.Since(sortStart)
 	}
 	timer.Stop(stats.PhaseInit)
@@ -252,7 +270,7 @@ func (c *Context) run(v point.View, opt HybridOptions, partition bool) []int {
 		c.forChunks(st, block, c.p1Body)
 		timer.Stop(stats.PhaseOne)
 
-		surv1 := compress(wk, c.wl1, c.worig, c.wmask, bcnt, lo, block, f)
+		surv1 := compress(wk, c.wl1, c.worig, c.wmask, c.wcode, bcnt, lo, block, f)
 		st.Cost.Phase1Survivors += surv1
 		timer.Stop(stats.PhaseCompress)
 
@@ -263,13 +281,13 @@ func (c *Context) run(v point.View, opt HybridOptions, partition bool) []int {
 		c.forChunks(st, surv1, c.p2Body)
 		timer.Stop(stats.PhaseTwo)
 
-		final := compress(wk, c.wl1, c.worig, c.wmask, bcnt, lo, surv1, f)
+		final := compress(wk, c.wl1, c.worig, c.wmask, c.wcode, bcnt, lo, surv1, f)
 		st.Cost.Phase2Survivors += final
 		timer.Stop(stats.PhaseCompress)
 
 		// Update S and M(S) (Algorithm 2) — sequential O(α) work.
 		firstNew := c.sky.size()
-		c.sky.update(wk, c.wl1, c.worig, c.wmask, bcnt, lo, final, c.level2)
+		c.sky.update(wk, c.wl1, c.worig, c.wmask, c.wcode, bcnt, lo, final, c.level2)
 		if opt.Progressive != nil && final > 0 {
 			// The callback is caller code of unknown length: the team's
 			// workers serve other runs meanwhile, and the next block's
@@ -290,12 +308,12 @@ func (c *Context) run(v point.View, opt HybridOptions, partition bool) []int {
 
 // compress shifts the unflagged rows of the block starting at row lo with
 // the given length to the front of the block, moving the parallel
-// metadata arrays (l1, orig, mask and — when non-nil — the
+// metadata arrays (l1, orig, mask, code and — when non-nil — the
 // block-relative dominator counts) along with the point data. It returns
 // the number of survivors. This is the synchronization-point compression
 // of Section V-D: it removes branches and restores the contiguous layout
 // Phase II and the skyline append depend on.
-func compress(work point.Matrix, wl1 []float64, worig []int, wmask []point.Mask, bcnt []int32, lo, length int, flags []uint32) int {
+func compress(work point.Matrix, wl1 []float64, worig []int, wmask []point.Mask, wcode []uint64, bcnt []int32, lo, length int, flags []uint32) int {
 	w := 0
 	for i := 0; i < length; i++ {
 		if flags[i] != 0 {
@@ -306,6 +324,7 @@ func compress(work point.Matrix, wl1 []float64, worig []int, wmask []point.Mask,
 			wl1[lo+w] = wl1[lo+i]
 			worig[lo+w] = worig[lo+i]
 			wmask[lo+w] = wmask[lo+i]
+			wcode[lo+w] = wcode[lo+i]
 			if bcnt != nil {
 				bcnt[w] = bcnt[i]
 			}
@@ -318,13 +337,13 @@ func compress(work point.Matrix, wl1 []float64, worig []int, wmask []point.Mask,
 
 // countPeersNaive is the no-decomposition ablation of Phase II: every
 // unpruned preceding peer gets a full dominance test (through the flat
-// run kernel, which applies the same flag and L1 skips) and contributes
-// to the dominator count, capped at budget.
-func countPeersNaive(wf []float64, wl1 []float64, lo, me int, f []uint32, dim, budget int, dts *uint64) int {
+// run kernel, which applies the same flag and L1 skips and code-word
+// pre-test) and contributes to the dominator count, capped at budget.
+func countPeersNaive(wf []float64, wl1 []float64, wcode []uint64, lo, me int, f []uint32, dim, budget int, dts *uint64) int {
 	rows := wf[lo*dim:]
 	off := me * dim
 	q := rows[off : off+dim : off+dim]
-	return point.CountDominatorsInFlatRun(rows, dim, 0, me, q, wl1[lo+me], wl1[lo:], f, budget, dts)
+	return point.CountDominatorsInFlatRunCoded(rows, dim, 0, me, q, wl1[lo+me], wl1[lo:], f, wcode[lo:], wcode[lo+me], budget, dts)
 }
 
 // countPeers implements Algorithm 4 (compareToPeers): count block point
@@ -339,9 +358,11 @@ func countPeersNaive(wf []float64, wl1 []float64, lo, me int, f []uint32, dim, b
 // dominators, so it is not a band point, and only band points contribute
 // to a band member's exact count (DESIGN.md §9). peerL1 is the block's
 // slice of wl1 for loop 3's equal-L1 skip, or nil to test every peer.
-func countPeers(wf, wl1, peerL1 []float64, wmask []point.Mask, lo, me int, f []uint32, dim, budget int, dts *uint64) int {
+// Loops 1 and 3 ask the code-word pre-test before every float test.
+func countPeers(wf, wl1, peerL1 []float64, wmask []point.Mask, wcode []uint64, lo, me int, f []uint32, dim, budget int, dts *uint64) int {
 	qOff := (lo + me) * dim
 	q := wf[qOff : qOff+dim : qOff+dim]
+	qc := wcode[lo+me]
 	myMask := wmask[lo+me]
 	myLevel := myMask.Level()
 	myL1 := wl1[lo+me]
@@ -358,7 +379,7 @@ func countPeers(wf, wl1, peerL1 []float64, wmask []point.Mask, lo, me int, f []u
 		if wl1[lo+i] == myL1 {
 			continue
 		}
-		if point.DominatesFlatCounted(wf, (lo+i)*dim, qOff, dim, dts) {
+		if point.DominatesFlatCounted(wf, (lo+i)*dim, qOff, dim, wcode[lo+i], qc, dts) {
 			c++
 			if c >= budget {
 				return c
@@ -377,7 +398,7 @@ func countPeers(wf, wl1, peerL1 []float64, wmask []point.Mask, lo, me int, f []u
 	// tie-heavy data, and a dominator whose computed L1 ties its victim's
 	// (rounding) would be skipped and the victim kept.
 	if i < me {
-		c += point.CountDominatorsInFlatRun(wf[lo*dim:], dim, i, me, q, myL1, peerL1, f, budget-c, dts)
+		c += point.CountDominatorsInFlatRunCoded(wf[lo*dim:], dim, i, me, q, myL1, peerL1, f, wcode[lo:], qc, budget-c, dts)
 	}
 	return c
 }

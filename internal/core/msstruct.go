@@ -23,6 +23,7 @@ type skylineStore struct {
 	mask1   point.PackedMasks // level-1 mask of every skyline point (read by the no-M(S) ablation)
 	mask2   point.PackedMasks // level-2 mask (Algorithm 2); pivots retain level-1
 	orig    []int             // original input indices
+	code    []uint64          // code word of every skyline point (point.Quantizer, fixed for the run)
 	counts  []int32           // dominator counts (k-skyband runs only; else empty)
 	msMask  point.PackedMasks // M(S): one level-1 mask per partition
 	msStart []int             // M(S): first row of each partition + trailing sentinel
@@ -42,6 +43,7 @@ func (s *skylineStore) reset(d int) {
 	s.mask1.Reset(d)
 	s.mask2.Reset(d)
 	s.orig = s.orig[:0]
+	s.code = s.code[:0]
 	s.counts = s.counts[:0]
 	s.msMask.Reset(d)
 	s.msStart = s.msStart[:0]
@@ -68,8 +70,9 @@ func (s *skylineStore) row(j int) []float64 {
 // bcnt, when non-nil, holds the block-relative dominator counts of the
 // appended points (k-skyband runs); they are recorded alongside so the
 // caller can surface per-point counts. Skyline runs pass nil and the
-// counts column stays empty.
-func (s *skylineStore) update(work point.Matrix, wl1 []float64, worig []int, wmask []point.Mask, bcnt []int32, lo, count int, level2 bool) {
+// counts column stays empty. wcode is the working set's code words,
+// appended to the store's alongside the rows.
+func (s *skylineStore) update(work point.Matrix, wl1 []float64, worig []int, wmask []point.Mask, wcode []uint64, bcnt []int32, lo, count int, level2 bool) {
 	if count == 0 {
 		return
 	}
@@ -85,6 +88,7 @@ func (s *skylineStore) update(work point.Matrix, wl1 []float64, worig []int, wma
 		m1 := wmask[lo+i]
 		s.data = append(s.data, work.Row(lo+i)...)
 		s.orig = append(s.orig, worig[lo+i])
+		s.code = append(s.code, wcode[lo+i])
 		if bcnt != nil {
 			s.counts = append(s.counts, bcnt[i])
 		}
@@ -114,7 +118,8 @@ func (s *skylineStore) update(work point.Matrix, wl1 []float64, worig []int, wma
 // partition-directory order, stopping as soon as the count reaches
 // budget (a probe with ≥ budget dominators is discarded, so the excess is
 // never needed; the skyline path runs at budget 1). qMask is q's level-1
-// mask. dts accumulates the dominance tests performed (mask computations
+// mask and qc its code word, which every run kernel asks before a float
+// test (point.CountDominatorsInFlatRunCoded). dts accumulates the dominance tests performed (mask computations
 // against level-2 pivots count as one DT each — they inspect all d
 // dimensions). The subset filter runs twice, both times a word of packed
 // masks at a time: over the directory, where a partition whose mask is
@@ -132,7 +137,7 @@ func (s *skylineStore) update(work point.Matrix, wl1 []float64, worig []int, wma
 // before, and no later one passes the subset filter. On a skyline store
 // this is Algorithm 3's early "undominated" return, reached after the
 // same tests.
-func (s *skylineStore) countDominators(q []float64, qMask point.Mask, level2 bool, budget int, dts *uint64) int {
+func (s *skylineStore) countDominators(q []float64, qc uint64, qMask point.Mask, level2 bool, budget int, dts *uint64) int {
 	full := point.FullMask(s.d)
 	d := s.d
 	data := s.data
@@ -141,7 +146,7 @@ func (s *skylineStore) countDominators(q []float64, qMask point.Mask, level2 boo
 	for e := s.msMask.NextSubset(0, np, qMask); e < np; e = s.msMask.NextSubset(e+1, np, qMask) {
 		lo, hi := s.msStart[e], s.msStart[e+1]
 		if !level2 {
-			c += point.CountDominatorsInFlatRun(data, d, lo, hi, q, 0, nil, nil, budget-c, dts)
+			c += point.CountDominatorsInFlatRunCoded(data, d, lo, hi, q, 0, nil, nil, s.code, qc, budget-c, dts)
 			if c >= budget {
 				return c
 			}
@@ -161,7 +166,7 @@ func (s *skylineStore) countDominators(q []float64, qMask point.Mask, level2 boo
 			}
 		}
 		// Scan the rest of the partition behind the level-2 filter.
-		c += point.CountDominatorsInFlatRunMasked(data, d, lo+1, hi, q, &s.mask2, m2, budget-c, dts)
+		c += point.CountDominatorsInFlatRunMasked(data, d, lo+1, hi, q, &s.mask2, m2, s.code, qc, budget-c, dts)
 		if c >= budget {
 			return c
 		}
@@ -171,6 +176,6 @@ func (s *skylineStore) countDominators(q []float64, qMask point.Mask, level2 boo
 
 // countDominatorsFlat is the no-M(S) ablation of Phase I: scan the
 // store linearly, filtering by level-1 masks only.
-func (s *skylineStore) countDominatorsFlat(q []float64, qMask point.Mask, budget int, dts *uint64) int {
-	return point.CountDominatorsInFlatRunMasked(s.data, s.d, 0, s.size(), q, &s.mask1, qMask, budget, dts)
+func (s *skylineStore) countDominatorsFlat(q []float64, qc uint64, qMask point.Mask, budget int, dts *uint64) int {
+	return point.CountDominatorsInFlatRunMasked(s.data, s.d, 0, s.size(), q, &s.mask1, qMask, s.code, qc, budget, dts)
 }

@@ -2,6 +2,7 @@ package core
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 
 	"skybench/internal/point"
@@ -9,12 +10,22 @@ import (
 
 // buildStore feeds rows into a skylineStore the way Hybrid does: sorted
 // by (level, mask, L1) relative to pivot, appended in one batch per
-// block. Rows must already be mutually non-dominating.
-func buildStore(t *testing.T, rows [][]float64, pivot []float64, blockSize int, level2 bool) *skylineStore {
+// block, each with its code word from a quantizer fitted to the rows,
+// which it returns for coding probes. Rows must already be mutually
+// non-dominating.
+func buildStore(t *testing.T, rows [][]float64, pivot []float64, blockSize int, level2 bool) (*skylineStore, *point.Quantizer) {
 	t.Helper()
 	d := len(pivot)
 	m := point.FromRows(rows)
 	n := m.N()
+	lo, hi := slices.Clone(m.Row(0)), slices.Clone(m.Row(0))
+	for i := 1; i < n; i++ {
+		for j, v := range m.Row(i) {
+			lo[j], hi[j] = min(lo[j], v), max(hi[j], v)
+		}
+	}
+	z := new(point.Quantizer)
+	z.Reset(d, lo, hi)
 	masks := make([]point.Mask, n)
 	keys := make([]uint64, n)
 	l1 := make([]float64, n)
@@ -40,11 +51,13 @@ func buildStore(t *testing.T, rows [][]float64, pivot []float64, blockSize int, 
 	sl1 := make([]float64, n)
 	smask := make([]point.Mask, n)
 	sorig := make([]int, n)
+	scode := make([]uint64, n)
 	for i, j := range idx {
 		copy(sorted.Row(i), m.Row(j))
 		sl1[i] = l1[j]
 		smask[i] = masks[j]
 		sorig[i] = j
+		scode[i] = z.Code(m.Row(j))
 	}
 	s := newSkylineStore(d)
 	for lo := 0; lo < n; lo += blockSize {
@@ -52,9 +65,9 @@ func buildStore(t *testing.T, rows [][]float64, pivot []float64, blockSize int, 
 		if hi > n {
 			hi = n
 		}
-		s.update(sorted, sl1, sorig, smask, nil, lo, hi-lo, level2)
+		s.update(sorted, sl1, sorig, smask, scode, nil, lo, hi-lo, level2)
 	}
-	return s
+	return s, z
 }
 
 // mutuallyNonDominating filters a random set down to its skyline so it
@@ -90,7 +103,7 @@ func TestStoreStructuralInvariants(t *testing.T) {
 		if len(rows) == 0 {
 			continue
 		}
-		s := buildStore(t, rows, pivot, 7, true)
+		s, _ := buildStore(t, rows, pivot, 7, true)
 
 		if s.size() != len(rows) {
 			t.Fatalf("store size %d, want %d", s.size(), len(rows))
@@ -154,7 +167,7 @@ func TestDominatedHybridMatchesBruteScan(t *testing.T) {
 			continue
 		}
 		for _, level2 := range []bool{true, false} {
-			s := buildStore(t, rows, pivot, 9, level2)
+			s, z := buildStore(t, rows, pivot, 9, level2)
 			for probe := 0; probe < 200; probe++ {
 				q := []float64{
 					float64(rng.Intn(7)), float64(rng.Intn(7)),
@@ -168,11 +181,12 @@ func TestDominatedHybridMatchesBruteScan(t *testing.T) {
 					}
 				}
 				var dts uint64
-				got := s.countDominators(q, point.ComputeMask(q, pivot), level2, 1, &dts) != 0
+				qc := z.Code(q)
+				got := s.countDominators(q, qc, point.ComputeMask(q, pivot), level2, 1, &dts) != 0
 				if got != want {
 					t.Fatalf("level2=%v: countDominators(%v, budget 1) dominated = %v, want %v", level2, q, got, want)
 				}
-				gotFlat := s.countDominatorsFlat(q, point.ComputeMask(q, pivot), 1, &dts) != 0
+				gotFlat := s.countDominatorsFlat(q, qc, point.ComputeMask(q, pivot), 1, &dts) != 0
 				if gotFlat != want {
 					t.Fatalf("countDominatorsFlat(%v, budget 1) dominated = %v, want %v", q, gotFlat, want)
 				}
@@ -183,7 +197,7 @@ func TestDominatedHybridMatchesBruteScan(t *testing.T) {
 
 func TestStoreUpdateEmptyBlockIsNoop(t *testing.T) {
 	s := newSkylineStore(2)
-	s.update(point.NewMatrix(0, 2), nil, nil, nil, nil, 0, 0, true)
+	s.update(point.NewMatrix(0, 2), nil, nil, nil, nil, nil, 0, 0, true)
 	if s.size() != 0 || s.msMask.Len() != 0 || len(s.msStart) != 0 {
 		t.Fatal("empty update must not create entries")
 	}

@@ -144,19 +144,20 @@ func TestHybridCountsPinned(t *testing.T) {
 }
 
 // checkProbes probes the store the latest run on c left behind with
-// every input row, through the M(S) path and the flat path at the run's
-// budget k, against the boolean scalar reference for a skyline store and
-// the counting one for a band store.
+// every input row, coded by the run's quantizer, through the M(S) path
+// and the flat path at the run's budget k, against the boolean scalar
+// reference for a skyline store and the counting one for a band store.
 func checkProbes(t *testing.T, key string, c *Context, m point.Matrix, k int, level2 bool) {
 	t.Helper()
 	s := &c.sky
 	for i := 0; i < m.N(); i++ {
 		q := m.Row(i)
 		qm := point.ComputeMask(q, c.pv)
+		qc := c.quant.Code(q)
 		var got, ref [2]int
 		var gotDTs, refDTs [2]uint64
-		got[0] = s.countDominators(q, qm, level2, k, &gotDTs[0])
-		got[1] = s.countDominatorsFlat(q, qm, k, &gotDTs[1])
+		got[0] = s.countDominators(q, qc, qm, level2, k, &gotDTs[0])
+		got[1] = s.countDominatorsFlat(q, qc, qm, k, &gotDTs[1])
 		if k == 1 {
 			ref[0] = b2i(s.refDominatedHybrid(q, qm, level2, &refDTs[0]))
 		} else {

@@ -10,11 +10,16 @@ import (
 	"skybench/internal/verify"
 )
 
+// gridDims are randomGridMatrix's dimensionalities: 1–6, and one width
+// of each code-word lane layout the small ones miss — 3-bit codes
+// (d = 9, 16) and 1-bit codes (d = 17, 31).
+var gridDims = []int{1, 2, 3, 4, 5, 6, 9, 16, 17, 31}
+
 // randomGridMatrix builds a small matrix over a coarse integer grid so
 // that ties, duplicates, and dense dominance chains all occur.
 func randomGridMatrix(rng *rand.Rand) point.Matrix {
 	n := 1 + rng.Intn(120)
-	d := 1 + rng.Intn(6)
+	d := gridDims[rng.Intn(len(gridDims))]
 	m := point.NewMatrix(n, d)
 	for i := 0; i < n; i++ {
 		for j := 0; j < d; j++ {

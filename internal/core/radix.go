@@ -215,11 +215,11 @@ func sortIdxByFloat(idx []int, key []float64) {
 
 // applyPerm rearranges the working set in place so that row i becomes the
 // old row perm[i], moving the matrix rows and the parallel metadata
-// arrays (L1, mask, original index) together by following
+// arrays (L1, mask, original index, code word) together by following
 // permutation cycles. perm is consumed (entries are overwritten with
 // negative visit markers). This replaces the seed implementation's second
 // Gather — no allocation and no second matrix buffer.
-func applyPerm(perm []int, flat []float64, d int, wl1 []float64, wmask []point.Mask, worig []int) {
+func applyPerm(perm []int, flat []float64, d int, wl1 []float64, wmask []point.Mask, worig []int, wcode []uint64) {
 	var tmp [point.MaxDims + 1]float64
 	for s := range perm {
 		k := perm[s]
@@ -230,6 +230,7 @@ func applyPerm(perm []int, flat []float64, d int, wl1 []float64, wmask []point.M
 		tl1 := wl1[s]
 		to := worig[s]
 		tm := wmask[s]
+		tc := wcode[s]
 		j := s
 		for {
 			k = perm[j]
@@ -239,12 +240,14 @@ func applyPerm(perm []int, flat []float64, d int, wl1 []float64, wmask []point.M
 				wl1[j] = tl1
 				worig[j] = to
 				wmask[j] = tm
+				wcode[j] = tc
 				break
 			}
 			copy(flat[j*d:(j+1)*d], flat[k*d:(k+1)*d])
 			wl1[j] = wl1[k]
 			worig[j] = worig[k]
 			wmask[j] = wmask[k]
+			wcode[j] = wcode[k]
 			j = k
 		}
 	}

@@ -20,7 +20,9 @@ import "sync/atomic"
 // preclude dominance, footnote 2 of the paper); when skip is non-nil,
 // rows with a nonzero skip[j] are passed over, read with atomic loads so
 // concurrent phase workers may set flags mid-scan. *dts is advanced by
-// the number of dominance tests actually performed.
+// the number of dominance tests performed. It is the kernel of callers
+// that hold no code words (the pre-filter, the shard merge); the
+// Engine's phases call CountDominatorsInFlatRunCoded.
 func CountDominatorsInFlatRun(rows []float64, d, lo, hi int, q []float64, qL1 float64, l1 []float64, skip []uint32, budget int, dts *uint64) int {
 	switch d {
 	case 4:
@@ -30,11 +32,23 @@ func CountDominatorsInFlatRun(rows []float64, d, lo, hi int, q []float64, qL1 fl
 	case 8:
 		return cntRun8(rows, lo, hi, q, qL1, l1, skip, budget, dts)
 	default:
-		return cntRunGeneric(rows, d, lo, hi, q, qL1, l1, skip, budget, dts)
+		return cntRunGeneric(rows, d, lo, hi, q, qL1, l1, skip, nil, 0, budget, dts)
 	}
 }
 
-func cntRunGeneric(rows []float64, d, lo, hi int, q []float64, qL1 float64, l1 []float64, skip []uint32, budget int, dts *uint64) int {
+// CountDominatorsInFlatRunCoded is CountDominatorsInFlatRun behind the
+// code-word pre-test (code.go): codes holds the rows' code words and qc
+// the probe's, both from one Quantizer, and a tested row whose code word
+// is larger than qc in some lane is rejected without its float test. It
+// is still counted as a dominance test, so the count and *dts are those
+// of the uncoded scan.
+func CountDominatorsInFlatRunCoded(rows []float64, d, lo, hi int, q []float64, qL1 float64, l1 []float64, skip []uint32, codes []uint64, qc uint64, budget int, dts *uint64) int {
+	return cntRunGeneric(rows, d, lo, hi, q, qL1, l1, skip, codes, qc, budget, dts)
+}
+
+func cntRunGeneric(rows []float64, d, lo, hi int, q []float64, qL1 float64, l1 []float64, skip []uint32, codes []uint64, qc uint64, budget int, dts *uint64) int {
+	h := codeGuards[d]
+	qg := qc | h
 	n := *dts
 	c := 0
 	off := lo * d
@@ -46,6 +60,9 @@ func cntRunGeneric(rows []float64, d, lo, hi int, q []float64, qL1 float64, l1 [
 			continue
 		}
 		n++
+		if codes != nil && !codeLE(codes[j], qg, h) {
+			continue
+		}
 		if dominatesRow(rows[off:off+d:off+d], q) {
 			c++
 			if c >= budget {
@@ -151,109 +168,24 @@ func cntRun8(rows []float64, lo, hi int, q []float64, qL1 float64, l1 []float64,
 // *dts are those of a row-by-row scan. It is the one kernel behind every
 // M(S) partition scan and the no-M(S) ablation, skyline (budget 1) and
 // k-skyband alike; most rows fail the filter, and those cost no branch.
-func CountDominatorsInFlatRunMasked(rows []float64, d, lo, hi int, q []float64, masks *PackedMasks, qm Mask, budget int, dts *uint64) int {
-	switch d {
-	case 4:
-		return cntRunM4(rows, lo, hi, q, masks, qm, budget, dts)
-	case 6:
-		return cntRunM6(rows, lo, hi, q, masks, qm, budget, dts)
-	case 8:
-		return cntRunM8(rows, lo, hi, q, masks, qm, budget, dts)
-	default:
-		return cntRunMGeneric(rows, d, lo, hi, q, masks, qm, budget, dts)
-	}
-}
-
-func cntRunMGeneric(rows []float64, d, lo, hi int, q []float64, pm *PackedMasks, qm Mask, budget int, dts *uint64) int {
+// codes and qc are CountDominatorsInFlatRun's code-word pre-test, asked
+// of a row that passed the mask filter and was counted as a test.
+func CountDominatorsInFlatRunMasked(rows []float64, d, lo, hi int, q []float64, pm *PackedMasks, qm Mask, codes []uint64, qc uint64, budget int, dts *uint64) int {
+	h := codeGuards[d]
+	qg := qc | h
 	n := *dts
 	c := 0
 	probe, sp := pm.probe(qm), pm.span(lo, hi)
 scan:
 	for wi := sp.first; wi <= sp.last; wi++ {
 		for z := sp.clip(wi, pm.subsets(wi, probe)); z != 0; z &= z - 1 {
-			off := pm.row(wi, z) * d
+			j := pm.row(wi, z)
 			n++
+			if codes != nil && !codeLE(codes[j], qg, h) {
+				continue
+			}
+			off := j * d
 			if dominatesRow(rows[off:off+d:off+d], q) {
-				c++
-				if c >= budget {
-					break scan
-				}
-			}
-		}
-	}
-	*dts = n
-	return c
-}
-
-func cntRunM4(rows []float64, lo, hi int, q []float64, pm *PackedMasks, qm Mask, budget int, dts *uint64) int {
-	q0, q1, q2, q3 := q[0], q[1], q[2], q[3]
-	n := *dts
-	c := 0
-	probe, sp := pm.probe(qm), pm.span(lo, hi)
-scan:
-	for wi := sp.first; wi <= sp.last; wi++ {
-		for z := sp.clip(wi, pm.subsets(wi, probe)); z != 0; z &= z - 1 {
-			off := pm.row(wi, z) * 4
-			n++
-			r := rows[off : off+4 : off+4]
-			if b2u(r[0] > q0)|b2u(r[1] > q1)|b2u(r[2] > q2)|b2u(r[3] > q3) != 0 {
-				continue
-			}
-			if r[0] < q0 || r[1] < q1 || r[2] < q2 || r[3] < q3 {
-				c++
-				if c >= budget {
-					break scan
-				}
-			}
-		}
-	}
-	*dts = n
-	return c
-}
-
-func cntRunM6(rows []float64, lo, hi int, q []float64, pm *PackedMasks, qm Mask, budget int, dts *uint64) int {
-	q0, q1, q2, q3, q4, q5 := q[0], q[1], q[2], q[3], q[4], q[5]
-	n := *dts
-	c := 0
-	probe, sp := pm.probe(qm), pm.span(lo, hi)
-scan:
-	for wi := sp.first; wi <= sp.last; wi++ {
-		for z := sp.clip(wi, pm.subsets(wi, probe)); z != 0; z &= z - 1 {
-			off := pm.row(wi, z) * 6
-			n++
-			r := rows[off : off+6 : off+6]
-			if b2u(r[0] > q0)|b2u(r[1] > q1)|b2u(r[2] > q2)|b2u(r[3] > q3)|b2u(r[4] > q4)|b2u(r[5] > q5) != 0 {
-				continue
-			}
-			if r[0] < q0 || r[1] < q1 || r[2] < q2 || r[3] < q3 || r[4] < q4 || r[5] < q5 {
-				c++
-				if c >= budget {
-					break scan
-				}
-			}
-		}
-	}
-	*dts = n
-	return c
-}
-
-func cntRunM8(rows []float64, lo, hi int, q []float64, pm *PackedMasks, qm Mask, budget int, dts *uint64) int {
-	q0, q1, q2, q3, q4, q5, q6, q7 := q[0], q[1], q[2], q[3], q[4], q[5], q[6], q[7]
-	n := *dts
-	c := 0
-	probe, sp := pm.probe(qm), pm.span(lo, hi)
-scan:
-	for wi := sp.first; wi <= sp.last; wi++ {
-		for z := sp.clip(wi, pm.subsets(wi, probe)); z != 0; z &= z - 1 {
-			off := pm.row(wi, z) * 8
-			n++
-			r := rows[off : off+8 : off+8]
-			if b2u(r[0] > q0)|b2u(r[1] > q1)|b2u(r[2] > q2)|b2u(r[3] > q3)|
-				b2u(r[4] > q4)|b2u(r[5] > q5)|b2u(r[6] > q6)|b2u(r[7] > q7) != 0 {
-				continue
-			}
-			if r[0] < q0 || r[1] < q1 || r[2] < q2 || r[3] < q3 ||
-				r[4] < q4 || r[5] < q5 || r[6] < q6 || r[7] < q7 {
 				c++
 				if c >= budget {
 					break scan

@@ -28,6 +28,15 @@ func countOracle(rows []float64, d, lo, hi int, q []float64, qL1 float64, l1 []f
 	return c
 }
 
+// countRun is the run kernel the caller would reach: the coded entry
+// when there are code words, the uncoded one otherwise.
+func countRun(rows []float64, d, lo, hi int, q []float64, qL1 float64, l1 []float64, skip []uint32, codes []uint64, qc uint64, budget int, dts *uint64) int {
+	if codes != nil {
+		return CountDominatorsInFlatRunCoded(rows, d, lo, hi, q, qL1, l1, skip, codes, qc, budget, dts)
+	}
+	return CountDominatorsInFlatRun(rows, d, lo, hi, q, qL1, l1, skip, budget, dts)
+}
+
 // randRun builds a small flat matrix on a coarse grid (frequent ties and
 // dominance) plus a probe drawn the same way.
 func randRun(rng *rand.Rand, n, d int) (rows []float64, q []float64) {
@@ -68,11 +77,17 @@ func TestCountDominatorsInFlatRun(t *testing.T) {
 				}
 			}
 
+			var codes []uint64
+			var qc uint64
+			if rng.Intn(2) == 0 {
+				codes, qc = codeColumn(rows, d, q)
+			}
+
 			var dts uint64
-			got := CountDominatorsInFlatRun(rows, d, lo, hi, q, qL1, l1, skip, budget, &dts)
+			got := countRun(rows, d, lo, hi, q, qL1, l1, skip, codes, qc, budget, &dts)
 			want := countOracle(rows, d, lo, hi, q, qL1, l1, skip, budget)
 			if got != want {
-				t.Fatalf("d=%d n=%d [%d,%d) budget=%d: got %d want %d", d, n, lo, hi, budget, got, want)
+				t.Fatalf("d=%d n=%d [%d,%d) budget=%d coded=%v: got %d want %d", d, n, lo, hi, budget, codes != nil, got, want)
 			}
 			if want < budget && dts == 0 && want > 0 {
 				t.Fatalf("dominators found without dominance tests")
@@ -86,7 +101,8 @@ func TestCountDominatorsInFlatRun(t *testing.T) {
 // d ∈ [2,16] (the unrolled widths and the generic body on both sides of
 // them), at budget 1, the skyline's "is the probe dominated", and at
 // budget 3, over [lo, hi) windows, with and without the equal-L1 and
-// skip-flag filters, on probes that sometimes coincide with a row.
+// skip-flag filters and the code-word pre-test, on probes that
+// sometimes coincide with a row.
 func TestCountDominatorsInFlatRunFilters(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	for d := 2; d <= 16; d++ {
@@ -114,15 +130,20 @@ func TestCountDominatorsInFlatRunFilters(t *testing.T) {
 			qL1 := L1(q)
 			lo := rng.Intn(n)
 			hi := lo + rng.Intn(n-lo+1)
+			codes, qc := codeColumn(rows, d, q)
 
-			for variant := 0; variant < 4; variant++ {
+			for variant := 0; variant < 8; variant++ {
 				var useL1 []float64
 				var useSkip []uint32
+				var useCodes []uint64
 				if variant&1 != 0 {
 					useL1 = l1
 				}
 				if variant&2 != 0 {
 					useSkip = skip
+				}
+				if variant&4 != 0 {
+					useCodes = codes
 				}
 				for _, budget := range []int{1, 3} {
 					want, wantDTs := 0, uint64(0)
@@ -136,7 +157,7 @@ func TestCountDominatorsInFlatRunFilters(t *testing.T) {
 						}
 					}
 					var dts uint64
-					got := CountDominatorsInFlatRun(rows, d, lo, hi, q, qL1, useL1, useSkip, budget, &dts)
+					got := countRun(rows, d, lo, hi, q, qL1, useL1, useSkip, useCodes, qc, budget, &dts)
 					if got != want || dts != wantDTs {
 						t.Fatalf("d=%d variant=%d budget=%d run=[%d,%d): got (%d,%d) want (%d,%d)",
 							d, variant, budget, lo, hi, got, dts, want, wantDTs)
@@ -164,9 +185,10 @@ func TestCountDominatorsInFlatRunMasked(t *testing.T) {
 			qm := ComputeMask(q, pivot)
 			pm := packMasks(d, masks)
 			budget := 1 + rng.Intn(4)
+			codes, qc := codeColumn(rows, d, q)
 
 			var dts uint64
-			got := CountDominatorsInFlatRunMasked(rows, d, 0, n, q, pm, qm, budget, &dts)
+			got := CountDominatorsInFlatRunMasked(rows, d, 0, n, q, pm, qm, codes, qc, budget, &dts)
 
 			// Oracle: mask filter, then dominance, capped.
 			want := 0
@@ -185,7 +207,7 @@ func TestCountDominatorsInFlatRunMasked(t *testing.T) {
 			// The mask filter must never drop a dominator: unfiltered count
 			// with an unbounded budget matches the brute-force total.
 			var dts2 uint64
-			unf := CountDominatorsInFlatRunMasked(rows, d, 0, n, q, pm, qm, n+1, &dts2)
+			unf := CountDominatorsInFlatRunMasked(rows, d, 0, n, q, pm, qm, nil, 0, n+1, &dts2)
 			brute := countOracle(rows, d, 0, n, q, 0, nil, nil, n+1)
 			if unf != brute {
 				t.Fatalf("d=%d mask filter dropped dominators: %d vs %d", d, unf, brute)

@@ -40,11 +40,12 @@ func b2u(b bool) uint8 {
 	return 0
 }
 
-// dominatesRow is the pairwise dominance test r ≺ q behind DominatesFlat
-// and the run kernels' widths without an unrolled body, in the unrolled
-// bodies' two halves: "worse anywhere" branch-free, then "better
-// somewhere" short-circuit, which only the few rows that pass the first
-// half reach.
+// dominatesRow is the pairwise dominance test r ≺ q behind DominatesFlat,
+// every coded run kernel (behind the code-word pre-test) and the
+// uncoded widths without an unrolled body, in the unrolled bodies' two
+// halves: "worse anywhere" branch-free, then "better somewhere"
+// short-circuit, which only the few rows that pass the first half
+// reach.
 func dominatesRow(r, q []float64) bool {
 	q = q[:len(r)]
 	var worse uint8

@@ -178,3 +178,106 @@ func FuzzCountDominatorsInFlatRun(f *testing.F) {
 		}
 	})
 }
+
+// codeVals is FuzzCodeWord's value palette: the values where a float
+// quantizer could lose monotonicity — signed zeros, subnormals,
+// magnitudes that absorb one another's low bits, the extremes of the
+// finite range, infinities — beside an ordinary grid.
+var codeVals = [16]float64{
+	0, math.Copysign(0, -1), math.SmallestNonzeroFloat64, 2 * math.SmallestNonzeroFloat64,
+	0x1p-1022, 0.9, 1, 0.5,
+	1e16, 1e16 + 2, 1e300, math.MaxFloat64,
+	0.25, 0.75, math.Inf(1), 0.125,
+}
+
+// fuzzCodeVal maps one byte onto the palette: the low four bits pick a
+// value, bit 4 moves it one ulp up and bit 5 negates it.
+func fuzzCodeVal(b byte) float64 {
+	v := codeVals[b&15]
+	if b&0x10 != 0 {
+		v = math.Nextafter(v, math.Inf(1))
+	}
+	if b&0x20 != 0 {
+		v = -v
+	}
+	return v
+}
+
+// FuzzCodeWord holds the code-word pre-test to its two promises on
+// arbitrary rows at every d from 1 to 31. First, the quantizer fitted to
+// the rows is lane-wise monotone for every pair of rows and the probe:
+// a ≤ b in a coordinate gives a code no larger in that lane, so a
+// dominator always passes the pre-test. Second, the coded counting
+// kernels, unmasked and masked (pivot from the input's last d bytes), at
+// budgets 1–8, return the count and the dominance tests of the same
+// scans without codes.
+func FuzzCodeWord(f *testing.F) {
+	f.Add([]byte{7, 0, 5, 5, 5, 5, 5, 5, 5, 5, 5, 5, 5, 5, 5, 5, 5, 0x15, 0, 0, 0, 0, 0, 0, 0, 0})
+	f.Add([]byte{1, 3, 8, 9, 9, 8, 1, 0x21, 2, 0x22, 11, 0x2b, 14, 0x2e})
+	f.Add([]byte{30, 1, 6, 12, 13, 0x10, 0x20, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if len(data) < 3 {
+			return
+		}
+		in := data
+		d := int(data[0])%MaxDims + 1
+		budget := int(data[1]%8) + 1
+		data = data[2:]
+		if len(data) < d {
+			return
+		}
+		q := make([]float64, d)
+		for j := range q {
+			q[j] = fuzzCodeVal(data[j])
+		}
+		data = data[d:]
+		n := min(len(data)/d, 64)
+		rows := make([]float64, n*d)
+		for i := range rows {
+			rows[i] = fuzzCodeVal(data[i])
+		}
+		codes, qc := codeColumn(rows, d, q)
+
+		all := append(slices.Clone(rows), q...)
+		words := append(slices.Clone(codes), qc)
+		for a := 0; a <= n; a++ {
+			for b := 0; b <= n; b++ {
+				for j := 0; j < d; j++ {
+					if all[a*d+j] <= all[b*d+j] && lane(words[a], d, j) > lane(words[b], d, j) {
+						t.Fatalf("d=%d: %g ≤ %g codes as %d > %d", d, all[a*d+j], all[b*d+j], lane(words[a], d, j), lane(words[b], d, j))
+					}
+				}
+			}
+		}
+
+		oracle := 0
+		for j := 0; j < n && oracle < budget; j++ {
+			if dominatesOracle(rows[j*d:(j+1)*d], q) {
+				oracle++
+			}
+		}
+		var plainDTs, codedDTs uint64
+		want := CountDominatorsInFlatRun(rows, d, 0, n, q, 0, nil, nil, budget, &plainDTs)
+		if want != oracle {
+			t.Fatalf("d=%d n=%d budget=%d: uncoded run %d, oracle %d", d, n, budget, want, oracle)
+		}
+		if got := CountDominatorsInFlatRunCoded(rows, d, 0, n, q, 0, nil, nil, codes, qc, budget, &codedDTs); got != want || codedDTs != plainDTs {
+			t.Fatalf("d=%d n=%d budget=%d: coded run %d after %d tests, uncoded %d after %d (q=%v rows=%v)", d, n, budget, got, codedDTs, want, plainDTs, q, rows)
+		}
+
+		pivot := make([]float64, d)
+		for j := range pivot {
+			pivot[j] = fuzzCodeVal(in[len(in)-1-j])
+		}
+		masks := make([]Mask, n)
+		for j := range masks {
+			masks[j] = ComputeMask(rows[j*d:(j+1)*d], pivot)
+		}
+		pm, qm := packMasks(d, masks), ComputeMask(q, pivot)
+		plainDTs, codedDTs = 0, 0
+		want = CountDominatorsInFlatRunMasked(rows, d, 0, n, q, pm, qm, nil, 0, budget, &plainDTs)
+		if got := CountDominatorsInFlatRunMasked(rows, d, 0, n, q, pm, qm, codes, qc, budget, &codedDTs); got != want || codedDTs != plainDTs {
+			t.Fatalf("d=%d n=%d budget=%d: coded masked run %d after %d tests, uncoded %d after %d (q=%v pivot=%v rows=%v)", d, n, budget, got, codedDTs, want, plainDTs, q, pivot, rows)
+		}
+	})
+}

@@ -7,16 +7,19 @@ import (
 )
 
 // BenchmarkKernels is the standing price of every unrolled body the
-// package keeps, each beside its generic form, at the widths that have
-// one (d ∈ {4, 6, 8}):
+// package keeps, each beside its generic form, and of the code-word
+// pre-test (code.go) in front of the generic body, at the widths that
+// have an unrolled body (d ∈ {4, 6, 8}):
 //
 //   - pairwise: dominatesRow (behind DominatesFlat and the generic run
 //     bodies) against the short-circuit reference Dominates;
-//   - run: CountDominatorsInFlatRun at budget 1 (cntRun4/6/8) against
-//     cntRunGeneric;
-//   - masked: CountDominatorsInFlatRunMasked at budget 1 (cntRunM4/6/8)
-//     against cntRunMGeneric, with every mask passing the filter so the
-//     body, not the filter, is what is priced;
+//   - run: CountDominatorsInFlatRun at budget 1 — the pre-filter's
+//     call, without codes — unrolled (cntRun4/6/8) against
+//     cntRunGeneric, and CountDominatorsInFlatRunCoded, the Engine's
+//     call, which runs the generic body behind the pre-test;
+//   - masked: CountDominatorsInFlatRunMasked at budget 1 with and
+//     without codes, with every mask passing the filter so the body,
+//     not the filter, is what is priced;
 //   - first: AppendDominatorsMasked at budget 1 (domM4/6/8), the stream
 //     index's probe, against domMGeneric, with every mask and every
 //     norm passing its filter.
@@ -24,7 +27,8 @@ import (
 // Rows lie on the surface Σ = d/2, as an anticorrelated skyline does, and
 // every probe is drawn from the same surface and kept only if no row
 // dominates it, so every scan runs to its end and ns/row is the mean
-// cost of one row tested.
+// cost of one row tested. The code words come from a quantizer fitted
+// to the rows, as a run fits its own to the working set.
 func BenchmarkKernels(b *testing.B) {
 	const n, probes = 1024, 32
 	for _, d := range []int{4, 6, 8} {
@@ -48,12 +52,17 @@ func BenchmarkKernels(b *testing.B) {
 			q := make([]float64, d)
 			surface(q)
 			var dts uint64
-			if cntRunGeneric(rows, d, 0, n, q, 0, nil, nil, 1, &dts) == 0 {
+			if cntRunGeneric(rows, d, 0, n, q, 0, nil, nil, nil, 0, 1, &dts) == 0 {
 				qs = append(qs, q...)
 			}
 		}
 		pm := packMasks(d, make([]Mask, n)) // mask 0 ⊆ every probe mask
 		l1 := make([]float64, n)            // norm 0 ≤ every probe norm
+		z := fitQuantizer(rows, d, nil)
+		codes := make([]uint64, n)
+		for j := range codes {
+			codes[j] = z.Code(rows[j*d : (j+1)*d])
+		}
 
 		kernels := []struct {
 			name string
@@ -81,13 +90,16 @@ func BenchmarkKernels(b *testing.B) {
 				return CountDominatorsInFlatRun(rows, d, 0, n, q, 0, nil, nil, 1, dts)
 			}},
 			{"run/generic", func(q []float64, dts *uint64) int {
-				return cntRunGeneric(rows, d, 0, n, q, 0, nil, nil, 1, dts)
+				return cntRunGeneric(rows, d, 0, n, q, 0, nil, nil, nil, 0, 1, dts)
 			}},
-			{"masked/unrolled", func(q []float64, dts *uint64) int {
-				return CountDominatorsInFlatRunMasked(rows, d, 0, n, q, pm, 0, 1, dts)
+			{"run/coded", func(q []float64, dts *uint64) int {
+				return CountDominatorsInFlatRunCoded(rows, d, 0, n, q, 0, nil, nil, codes, z.Code(q), 1, dts)
 			}},
 			{"masked/generic", func(q []float64, dts *uint64) int {
-				return cntRunMGeneric(rows, d, 0, n, q, pm, 0, 1, dts)
+				return CountDominatorsInFlatRunMasked(rows, d, 0, n, q, pm, 0, nil, 0, 1, dts)
+			}},
+			{"masked/coded", func(q []float64, dts *uint64) int {
+				return CountDominatorsInFlatRunMasked(rows, d, 0, n, q, pm, 0, codes, z.Code(q), 1, dts)
 			}},
 			{"first/unrolled", func(q []float64, dts *uint64) int {
 				return len(AppendDominatorsMasked(nil, rows, d, 0, n, q, 0, l1, pm, 0, 1, dts))

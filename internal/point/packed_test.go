@@ -266,6 +266,7 @@ func FuzzSubsetFilterPacked(f *testing.F) {
 				rows[i] = 2
 			}
 		}
+		codes, qc := codeColumn(rows, d, q)
 
 		var want []int
 		for j := lo; j < hi; j++ {
@@ -294,10 +295,15 @@ func FuzzSubsetFilterPacked(f *testing.F) {
 		for budget := 1; budget <= total+1; budget++ {
 			wantDTs, gotDTs := uint64(5), uint64(5)
 			wantC := countMaskedScalar(rows, d, lo, hi, q, masks, qm, budget, &wantDTs)
-			gotC := CountDominatorsInFlatRunMasked(rows, d, lo, hi, q, pm, qm, budget, &gotDTs)
+			gotC := CountDominatorsInFlatRunMasked(rows, d, lo, hi, q, pm, qm, nil, 0, budget, &gotDTs)
 			if gotC != wantC || gotDTs != wantDTs {
 				t.Fatalf("d=%d [%d,%d) qm=%b budget=%d: got (%d, %d dts) want (%d, %d dts)",
 					d, lo, hi, qm, budget, gotC, gotDTs-5, wantC, wantDTs-5)
+			}
+			codedDTs := uint64(5)
+			if c := CountDominatorsInFlatRunMasked(rows, d, lo, hi, q, pm, qm, codes, qc, budget, &codedDTs); c != wantC || codedDTs != wantDTs {
+				t.Fatalf("d=%d [%d,%d) qm=%b budget=%d coded: got (%d, %d dts) want (%d, %d dts)",
+					d, lo, hi, qm, budget, c, codedDTs-5, wantC, wantDTs-5)
 			}
 		}
 	})
@@ -367,7 +373,7 @@ func BenchmarkMaskedScan(b *testing.B) {
 		var dts uint64
 		for i := 0; i < b.N; i++ {
 			for p := 0; p < probes; p++ {
-				if CountDominatorsInFlatRunMasked(rows, d, 0, n, qs[p*d:(p+1)*d], pm, qm, 1, &dts) != 0 {
+				if CountDominatorsInFlatRunMasked(rows, d, 0, n, qs[p*d:(p+1)*d], pm, qm, nil, 0, 1, &dts) != 0 {
 					b.Fatal("probe dominated")
 				}
 			}

@@ -175,7 +175,7 @@ func (r *Runner) Filter(v point.View, beta, k int, team *par.Team, dts *stats.DT
 			if hl[allq[j]] == hl[p] {
 				continue
 			}
-			if point.DominatesFlatCounted(r.qdense, allq[j]*d, p*d, d, &unionDTs) {
+			if point.DominatesFlatCounted(r.qdense, allq[j]*d, p*d, d, 0, 0, &unionDTs) {
 				doms++
 			}
 		}

@@ -23,17 +23,21 @@
 //     L1 order inside dom(c), hence < k of them — all k are band
 //     members, all in U, and the recount reaches k and discards c.
 //
-// DESIGN.md §10 states the argument in full. Like every L1-pruned path
-// in this repository, the merge inherits the numeric precondition of
-// DESIGN.md §9: "p dominates q ⟹ L1(p) < L1(q)" must hold, which exact
-// arithmetic guarantees and float absorption can break.
+// DESIGN.md §10 states the argument in full. mergeBand does not lean on
+// the numeric precondition of DESIGN.md §9 ("p dominates q ⟹
+// L1(p) < L1(q)", which exact arithmetic guarantees and float
+// absorption can break): it orders the candidates by computed L1 norm
+// with ties broken lexicographically, a linear extension of dominance
+// under rounding too, and skips no row for its norm. The recount above
+// MergeKernelMax is a full engine run and inherits whatever the engine
+// assumes.
 package shard
 
 import (
+	"cmp"
 	"context"
 	"math/bits"
 	"slices"
-	"sort"
 
 	"skybench/internal/point"
 )
@@ -211,9 +215,11 @@ func mergeBand(ctx context.Context, vals []float64, nc, d, k int, dts *uint64) (
 		k = 1
 	}
 
-	// Sort candidates by ascending L1 so only strictly earlier rows can
-	// dominate a probe (equal norms preclude strict dominance — the
-	// kernels' l1 filter skips them).
+	// Sort candidates by computed L1 norm, ties broken by comparing the
+	// coordinates lexicographically — a linear extension of dominance
+	// (DESIGN.md §9), so every dominator of a probe is an earlier row.
+	// Two computed norms can tie while one row dominates the other, so
+	// no row is skipped for its norm: the recount passes no l1 filter.
 	l1 := make([]float64, nc)
 	for i := 0; i < nc; i++ {
 		l1[i] = point.L1(vals[i*d : (i+1)*d])
@@ -222,12 +228,15 @@ func mergeBand(ctx context.Context, vals []float64, nc, d, k int, dts *uint64) (
 	for i := range order {
 		order[i] = i
 	}
-	sort.SliceStable(order, func(a, b int) bool { return l1[order[a]] < l1[order[b]] })
+	slices.SortStableFunc(order, func(a, b int) int {
+		if c := cmp.Compare(l1[a], l1[b]); c != 0 {
+			return c
+		}
+		return slices.Compare(vals[a*d:(a+1)*d], vals[b*d:(b+1)*d])
+	})
 	sVals := make([]float64, nc*d)
-	sL1 := make([]float64, nc)
 	for p, i := range order {
 		copy(sVals[p*d:(p+1)*d], vals[i*d:(i+1)*d])
-		sL1[p] = l1[i]
 	}
 
 	var tests uint64
@@ -250,7 +259,7 @@ func mergeBand(ctx context.Context, vals []float64, nc, d, k int, dts *uint64) (
 			}
 		}
 		q := sVals[p*d : (p+1)*d : (p+1)*d]
-		c := point.CountDominatorsInFlatRun(sVals, d, 0, p, q, sL1[p], sL1, nil, k, &tests)
+		c := point.CountDominatorsInFlatRun(sVals, d, 0, p, q, 0, nil, nil, k, &tests)
 		if c < k {
 			keep = append(keep, i)
 			if counts != nil {

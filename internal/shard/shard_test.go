@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 	"math/rand"
 	"slices"
 	"testing"
@@ -187,6 +188,44 @@ func TestMergeBandDegenerate(t *testing.T) {
 	}
 	if len(keep) != 3 || counts != nil {
 		t.Fatalf("k=0 merge = (%v, %v), want all three, nil counts", keep, counts)
+	}
+}
+
+// TestMergeBandEqualNormDominator: a dominator whose computed L1 norm
+// ties its victim's is still counted. q exceeds p by one ulp in one
+// coordinate, so p ≺ q, and both norms round to 7.200000000000001; the
+// recount must drop q at k = 1 and count p against it at k = 2, in
+// either input order.
+func TestMergeBandEqualNormDominator(t *testing.T) {
+	const d = 8
+	p := make([]float64, d)
+	for j := range p {
+		p[j] = 0.9
+	}
+	q := slices.Clone(p)
+	q[0] = math.Nextafter(0.9, 1)
+	if point.L1(p) != point.L1(q) || !point.Dominates(p, q) {
+		t.Fatalf("setup: L1 %v and %v, p ≺ q %v; want equal norms and dominance", point.L1(p), point.L1(q), point.Dominates(p, q))
+	}
+	for _, pFirst := range []bool{true, false} {
+		vals, pos := append(slices.Clone(p), q...), [2]int{0, 1}
+		if !pFirst {
+			vals, pos = append(slices.Clone(q), p...), [2]int{1, 0}
+		}
+		keep, _, err := mergeBand(context.Background(), vals, 2, d, 1, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !slices.Equal(keep, []int{pos[0]}) {
+			t.Errorf("p first %v, k = 1: kept %v, want only p at %d", pFirst, keep, pos[0])
+		}
+		keep, counts, err := mergeBand(context.Background(), vals, 2, d, 2, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !slices.Equal(keep, pos[:]) || !slices.Equal(counts, []int32{0, 1}) {
+			t.Errorf("p first %v, k = 2: kept %v with counts %v, want %v with [0 1]", pFirst, keep, counts, pos)
+		}
 	}
 }
 
