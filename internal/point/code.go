@@ -42,6 +42,16 @@ func codeWidth(d int) uint { return 64 >> bits.Len(uint(d-1)) }
 // the probe's in any lane, given qg = qc | h and the guard bits h.
 func codeLE(r, qg, h uint64) bool { return (qg-r)&h == h }
 
+// codeGuardsFor returns H for d dimensions when there are codes, and 0
+// when codes is nil, so that a kernel asked for no pre-test accepts any
+// d, past MaxDims included.
+func codeGuardsFor(codes []uint64, d int) uint64 {
+	if codes == nil {
+		return 0
+	}
+	return codeGuards[d]
+}
+
 // Quantizer is one run's monotone map from rows to code words. Per
 // dimension j it holds lo_j, the smallest value of the run's rows, and
 // scale_j = 2^c / (max_j − lo_j), and codes v as

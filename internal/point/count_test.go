@@ -238,11 +238,11 @@ func TestAppendDominatorsInFlatRun(t *testing.T) {
 			for _, pv := range [][]float64{nil, pivot} {
 				pm, l1, qm, qL1 := maskColumn(rows, d, n, q, pv)
 				var dts uint64
-				got := AppendDominatorsMasked(nil, rows, d, 0, n, q, qL1, l1, pm, qm, budget, &dts)
+				got := AppendDominatorsMasked(nil, rows, d, 0, n, q, qL1, l1, pm, qm, nil, 0, budget, &dts)
 				if !slices.Equal(got, want) {
 					t.Fatalf("d=%d budget=%d pivot=%v: got %v want %v", d, budget, pv, got, want)
 				}
-				one := AppendDominatorsMasked(nil, rows, d, 0, n, q, qL1, l1, pm, qm, 1, &dts)
+				one := AppendDominatorsMasked(nil, rows, d, 0, n, q, qL1, l1, pm, qm, nil, 0, 1, &dts)
 				if !slices.Equal(one, want[:min(1, len(want))]) {
 					t.Fatalf("d=%d pivot=%v: budget 1 gave %v, budget %d gave %v", d, pv, one, budget, got)
 				}

@@ -4,7 +4,8 @@ package point
 // matrix storage directly instead of materializing per-row slice headers,
 // all on one pairwise test, dominatesRow. The loop-level "run" kernels
 // that test one probe against a contiguous run of rows are the counting
-// family in count.go plus the stream index's two masked scans here. The
+// family in count.go plus the stream index's two masked scans here, one
+// generic body each behind the code-word pre-test (code.go). The
 // paper's C++ implementation gets its constant factors from AVX kernels
 // over contiguous blocks (Section IV); these kernels are the Go analogue
 // and are what the hot paths of Hybrid, Q-Flow and the stream index
@@ -41,11 +42,11 @@ func b2u(b bool) uint8 {
 }
 
 // dominatesRow is the pairwise dominance test r ≺ q behind DominatesFlat,
-// every coded run kernel (behind the code-word pre-test) and the
-// uncoded widths without an unrolled body, in the unrolled bodies' two
-// halves: "worse anywhere" branch-free, then "better somewhere"
-// short-circuit, which only the few rows that pass the first half
-// reach.
+// the stream's two scans, every coded run kernel (behind the code-word
+// pre-test) and the uncoded counting widths without an unrolled body,
+// in the unrolled bodies' two halves: "worse anywhere" branch-free,
+// then "better somewhere" short-circuit, which only the few rows that
+// pass the first half reach.
 func dominatesRow(r, q []float64) bool {
 	q = q[:len(r)]
 	var worse uint8
@@ -76,21 +77,12 @@ func dominatesRow(r, q []float64) bool {
 // componentwise no worse and rounded addition is monotone, so its
 // computed norm is no larger. Neither filter drops a dominator, so the
 // positions are those of an unfiltered scan; *dts is advanced by the
-// dominance tests actually performed.
-func AppendDominatorsMasked(dst []int32, rows []float64, d, lo, hi int, q []float64, qL1 float64, l1 []float64, masks *PackedMasks, qm Mask, budget int, dts *uint64) []int32 {
-	switch d {
-	case 4:
-		return domM4(dst, rows, lo, hi, q, qL1, l1, masks, qm, budget, dts)
-	case 6:
-		return domM6(dst, rows, lo, hi, q, qL1, l1, masks, qm, budget, dts)
-	case 8:
-		return domM8(dst, rows, lo, hi, q, qL1, l1, masks, qm, budget, dts)
-	default:
-		return domMGeneric(dst, rows, d, lo, hi, q, qL1, l1, masks, qm, budget, dts)
-	}
-}
-
-func domMGeneric(dst []int32, rows []float64, d, lo, hi int, q []float64, qL1 float64, l1 []float64, pm *PackedMasks, qm Mask, budget int, dts *uint64) []int32 {
+// dominance tests actually performed. codes and qc are the code-word
+// pre-test of CountDominatorsInFlatRunCoded, asked of a row after it is
+// counted as a test; nil codes asks none.
+func AppendDominatorsMasked(dst []int32, rows []float64, d, lo, hi int, q []float64, qL1 float64, l1 []float64, pm *PackedMasks, qm Mask, codes []uint64, qc uint64, budget int, dts *uint64) []int32 {
+	h := codeGuardsFor(codes, d)
+	qg := qc | h
 	n := *dts
 	end := len(dst) + budget
 	probe, sp := pm.probe(qm), pm.span(lo, hi)
@@ -102,97 +94,11 @@ scan:
 				continue
 			}
 			n++
+			if codes != nil && !codeLE(codes[j], qg, h) {
+				continue
+			}
 			off := j * d
 			if dominatesRow(rows[off:off+d:off+d], q) {
-				if dst = append(dst, int32(j)); len(dst) == end {
-					break scan
-				}
-			}
-		}
-	}
-	*dts = n
-	return dst
-}
-
-func domM4(dst []int32, rows []float64, lo, hi int, q []float64, qL1 float64, l1 []float64, pm *PackedMasks, qm Mask, budget int, dts *uint64) []int32 {
-	q0, q1, q2, q3 := q[0], q[1], q[2], q[3]
-	n := *dts
-	end := len(dst) + budget
-	probe, sp := pm.probe(qm), pm.span(lo, hi)
-scan:
-	for wi := sp.first; wi <= sp.last; wi++ {
-		for z := sp.clip(wi, pm.subsets(wi, probe)); z != 0; z &= z - 1 {
-			j := pm.row(wi, z)
-			if l1[j] > qL1 {
-				continue
-			}
-			n++
-			off := j * 4
-			r := rows[off : off+4 : off+4]
-			if b2u(r[0] > q0)|b2u(r[1] > q1)|b2u(r[2] > q2)|b2u(r[3] > q3) != 0 {
-				continue
-			}
-			if r[0] < q0 || r[1] < q1 || r[2] < q2 || r[3] < q3 {
-				if dst = append(dst, int32(j)); len(dst) == end {
-					break scan
-				}
-			}
-		}
-	}
-	*dts = n
-	return dst
-}
-
-func domM6(dst []int32, rows []float64, lo, hi int, q []float64, qL1 float64, l1 []float64, pm *PackedMasks, qm Mask, budget int, dts *uint64) []int32 {
-	q0, q1, q2, q3, q4, q5 := q[0], q[1], q[2], q[3], q[4], q[5]
-	n := *dts
-	end := len(dst) + budget
-	probe, sp := pm.probe(qm), pm.span(lo, hi)
-scan:
-	for wi := sp.first; wi <= sp.last; wi++ {
-		for z := sp.clip(wi, pm.subsets(wi, probe)); z != 0; z &= z - 1 {
-			j := pm.row(wi, z)
-			if l1[j] > qL1 {
-				continue
-			}
-			n++
-			off := j * 6
-			r := rows[off : off+6 : off+6]
-			if b2u(r[0] > q0)|b2u(r[1] > q1)|b2u(r[2] > q2)|b2u(r[3] > q3)|b2u(r[4] > q4)|b2u(r[5] > q5) != 0 {
-				continue
-			}
-			if r[0] < q0 || r[1] < q1 || r[2] < q2 || r[3] < q3 || r[4] < q4 || r[5] < q5 {
-				if dst = append(dst, int32(j)); len(dst) == end {
-					break scan
-				}
-			}
-		}
-	}
-	*dts = n
-	return dst
-}
-
-func domM8(dst []int32, rows []float64, lo, hi int, q []float64, qL1 float64, l1 []float64, pm *PackedMasks, qm Mask, budget int, dts *uint64) []int32 {
-	q0, q1, q2, q3, q4, q5, q6, q7 := q[0], q[1], q[2], q[3], q[4], q[5], q[6], q[7]
-	n := *dts
-	end := len(dst) + budget
-	probe, sp := pm.probe(qm), pm.span(lo, hi)
-scan:
-	for wi := sp.first; wi <= sp.last; wi++ {
-		for z := sp.clip(wi, pm.subsets(wi, probe)); z != 0; z &= z - 1 {
-			j := pm.row(wi, z)
-			if l1[j] > qL1 {
-				continue
-			}
-			n++
-			off := j * 8
-			r := rows[off : off+8 : off+8]
-			if b2u(r[0] > q0)|b2u(r[1] > q1)|b2u(r[2] > q2)|b2u(r[3] > q3)|
-				b2u(r[4] > q4)|b2u(r[5] > q5)|b2u(r[6] > q6)|b2u(r[7] > q7) != 0 {
-				continue
-			}
-			if r[0] < q0 || r[1] < q1 || r[2] < q2 || r[3] < q3 ||
-				r[4] < q4 || r[5] < q5 || r[6] < q6 || r[7] < q7 {
 				if dst = append(dst, int32(j)); len(dst) == end {
 					break scan
 				}
@@ -207,9 +113,11 @@ scan:
 // every row the probe q strictly dominates, in ascending order: the
 // rows whose dominator count a point entering or leaving the band
 // changes. Its filters are AppendDominatorsMasked's with the roles
-// swapped — masks[j] ⊇ qm (PackedMasks.supersets) and l1[j] ≥ qL1 — and
-// equally exact.
-func AppendDominatedMasked(dst []int32, rows []float64, d, lo, hi int, q []float64, qL1 float64, l1 []float64, pm *PackedMasks, qm Mask, dts *uint64) []int32 {
+// swapped — masks[j] ⊇ qm (PackedMasks.supersets), l1[j] ≥ qL1 and the
+// probe's code word no larger than the row's in any lane — and equally
+// exact.
+func AppendDominatedMasked(dst []int32, rows []float64, d, lo, hi int, q []float64, qL1 float64, l1 []float64, pm *PackedMasks, qm Mask, codes []uint64, qc uint64, dts *uint64) []int32 {
+	h := codeGuardsFor(codes, d)
 	n := *dts
 	probe, sp := pm.probe(qm), pm.span(lo, hi)
 	for wi := sp.first; wi <= sp.last; wi++ {
@@ -219,6 +127,9 @@ func AppendDominatedMasked(dst []int32, rows []float64, d, lo, hi int, q []float
 				continue
 			}
 			n++
+			if codes != nil && !codeLE(qc, codes[j]|h, h) {
+				continue
+			}
 			off := j * d
 			if dominatesRow(q, rows[off:off+d:off+d]) {
 				dst = append(dst, int32(j))

@@ -101,13 +101,28 @@ func bruteDominators(rows []float64, d, lo, hi int, q []float64, budget int) (po
 	return pos, tested
 }
 
-// TestAppendDominatorsMasked holds the stream's probe kernel, unrolled
-// and generic, to the unfiltered scan on a coarse grid (frequent ties,
-// equal norms and coincident rows): the same positions in the same
-// order over any [lo, hi), at budget 1 (the first dominator) and above,
-// against an arbitrary pivot or none, with no more dominance tests; with
-// no filter to pass over a row, exactly as many. Entries already in dst
-// stay and do not count against the budget.
+// prefixCodes codes every row and q with a quantizer fitted to the
+// first m rows only, so that later rows and the probe may fall outside
+// the fitted range and clamp, as the stream's band rows do between
+// refits.
+func prefixCodes(rows []float64, d, m int, q []float64) ([]uint64, uint64) {
+	z := fitQuantizer(rows[:m*d], d, q)
+	codes := make([]uint64, len(rows)/d)
+	for j := range codes {
+		codes[j] = z.Code(rows[j*d : (j+1)*d])
+	}
+	return codes, z.Code(q)
+}
+
+// TestAppendDominatorsMasked holds the stream's probe kernel to the
+// unfiltered scan on a coarse grid (frequent ties, equal norms and
+// coincident rows): the same positions in the same order over any
+// [lo, hi), at budget 1 (the first dominator) and above, against an
+// arbitrary pivot or none, with no more dominance tests; with no filter
+// to pass over a row, exactly as many. Behind code words fitted to a
+// prefix of the rows it returns the same positions after the same
+// tests. Entries already in dst stay and do not count against the
+// budget.
 func TestAppendDominatorsMasked(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	for _, d := range []int{1, 2, 3, 4, 5, 6, 7, 8, 9, 12} {
@@ -130,16 +145,21 @@ func TestAppendDominatorsMasked(t *testing.T) {
 			for _, budget := range []int{1, 1 + rng.Intn(4)} {
 				want, tested := bruteDominators(rows, d, lo, hi, q, budget)
 				var dts uint64
-				got := AppendDominatorsMasked([]int32{-1}, rows, d, lo, hi, q, qL1, l1, pm, qm, budget, &dts)
+				got := AppendDominatorsMasked([]int32{-1}, rows, d, lo, hi, q, qL1, l1, pm, qm, nil, 0, budget, &dts)
 				if !slices.Equal(got, append([]int32{-1}, want...)) || dts > tested {
 					t.Fatalf("d=%d [%d,%d) budget=%d pivot=%v: got %v after %d tests, want %v after %d (q=%v rows=%v)",
 						d, lo, hi, budget, pivot, got[1:], dts, want, tested, q, rows)
+				}
+				codes, qc := prefixCodes(rows, d, rng.Intn(n+1), q)
+				var codedDTs uint64
+				if coded := AppendDominatorsMasked(nil, rows, d, lo, hi, q, qL1, l1, pm, qm, codes, qc, budget, &codedDTs); !slices.Equal(coded, got[1:]) || codedDTs != dts {
+					t.Fatalf("d=%d [%d,%d) budget=%d pivot=%v: coded %v after %d tests, uncoded %v after %d", d, lo, hi, budget, pivot, coded, codedDTs, got[1:], dts)
 				}
 				if pivot == nil {
 					// No mask filter, and every norm passes: the kernel is the
 					// plain scan, test for test.
 					dts = 0
-					got = AppendDominatorsMasked(nil, rows, d, lo, hi, q, 0, make([]float64, n), pm, 0, budget, &dts)
+					got = AppendDominatorsMasked(nil, rows, d, lo, hi, q, 0, make([]float64, n), pm, 0, nil, 0, budget, &dts)
 					if !slices.Equal(got, want) || dts != tested {
 						t.Fatalf("d=%d [%d,%d) budget=%d unfiltered: got %v after %d tests, want %v after %d", d, lo, hi, budget, got, dts, want, tested)
 					}
@@ -147,7 +167,7 @@ func TestAppendDominatorsMasked(t *testing.T) {
 			}
 		}
 	}
-	if got := AppendDominatorsMasked(nil, nil, 8, 0, 0, make([]float64, 8), 0, nil, packMasks(8, nil), 0, 1, new(uint64)); len(got) != 0 {
+	if got := AppendDominatorsMasked(nil, nil, 8, 0, 0, make([]float64, 8), 0, nil, packMasks(8, nil), 0, nil, 0, 1, new(uint64)); len(got) != 0 {
 		t.Fatalf("empty run reported dominators %v", got)
 	}
 }
@@ -156,16 +176,16 @@ func TestAppendDominatorsMasked(t *testing.T) {
 // makes: the collecting kernel at budget 1, -1 when [lo, hi) holds no
 // dominator.
 func firstDominator(rows []float64, d, lo, hi int, q []float64, qL1 float64, l1 []float64, pm *PackedMasks, qm Mask, dts *uint64) int {
-	if got := AppendDominatorsMasked(nil, rows, d, lo, hi, q, qL1, l1, pm, qm, 1, dts); len(got) > 0 {
+	if got := AppendDominatorsMasked(nil, rows, d, lo, hi, q, qL1, l1, pm, qm, nil, 0, 1, dts); len(got) > 0 {
 		return int(got[0])
 	}
 	return -1
 }
 
 // TestFirstDominatorInFlatRun cross-checks the first-dominator scan
-// (generic and unrolled) against a per-row brute force: with no filter,
-// with the L1 pre-check alone, and with the L1 pre-check and the mask
-// filter of an arbitrary pivot.
+// against a per-row brute force: with no filter, with the L1 pre-check
+// alone, and with the L1 pre-check and the mask filter of an arbitrary
+// pivot.
 func TestFirstDominatorInFlatRun(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	for _, d := range []int{2, 3, 4, 5, 6, 7, 8, 9, 12} {
@@ -222,7 +242,8 @@ func TestFirstDominatorInFlatRun(t *testing.T) {
 }
 
 // TestAppendDominatedMasked holds the stream's demotion kernel to the
-// unfiltered scan for every row the probe dominates, on the same grid.
+// unfiltered scan for every row the probe dominates, on the same grid,
+// coded as uncoded.
 func TestAppendDominatedMasked(t *testing.T) {
 	rng := rand.New(rand.NewSource(13))
 	for _, d := range []int{1, 2, 3, 4, 6, 8, 9, 12} {
@@ -243,9 +264,14 @@ func TestAppendDominatedMasked(t *testing.T) {
 				}
 			}
 			var dts uint64
-			got := AppendDominatedMasked(nil, rows, d, lo, hi, q, qL1, l1, pm, qm, &dts)
+			got := AppendDominatedMasked(nil, rows, d, lo, hi, q, qL1, l1, pm, qm, nil, 0, &dts)
 			if !slices.Equal(got, want) || dts > uint64(hi-lo) {
 				t.Fatalf("d=%d [%d,%d) pivot=%v: got %v after %d tests, want %v (q=%v rows=%v)", d, lo, hi, pivot, got, dts, want, q, rows)
+			}
+			codes, qc := prefixCodes(rows, d, rng.Intn(n+1), q)
+			var codedDTs uint64
+			if coded := AppendDominatedMasked(nil, rows, d, lo, hi, q, qL1, l1, pm, qm, codes, qc, &codedDTs); !slices.Equal(coded, got) || codedDTs != dts {
+				t.Fatalf("d=%d [%d,%d) pivot=%v: coded %v after %d tests, uncoded %v after %d", d, lo, hi, pivot, coded, codedDTs, got, dts)
 			}
 		}
 	}

@@ -10,11 +10,11 @@ import (
 // arbitrary byte string into a small flat matrix plus probe (coarse
 // value grid so ties and dominance are frequent, with occasional ±Inf
 // and extreme magnitudes) and cross-checks the optimized kernel — at
-// every width, unrolled or generic — against a scalar brute-force oracle
-// written from the dominance definition alone. Budget 1 of
-// FuzzCountDominatorsInFlatRun is the skyline's "is the probe dominated"
-// contract, and budget 1 of FuzzAppendDominatorsMasked the stream's
-// "by whom". CI runs each target briefly with -fuzz as a smoke step;
+// every width, unrolled or generic, coded or not — against a scalar
+// brute-force oracle written from the dominance definition alone.
+// Budget 1 of FuzzCountDominatorsInFlatRun is the skyline's "is the
+// probe dominated" contract, and budget 1 of FuzzAppendDominatorsMasked
+// the stream's "by whom". CI runs each target briefly with -fuzz as a smoke step;
 // longer local campaigns just need
 // `go test -fuzz=FuzzCount ./internal/point`.
 
@@ -98,10 +98,15 @@ func FuzzDominatesFlat(f *testing.F) {
 // in the same positions and order, and every row the probe dominates,
 // each with no more dominance tests than the scan. The pivot is read
 // from the input's last d bytes — the mask filter must be exact for any
-// constant point, infinite coordinates included.
+// constant point, infinite coordinates included. Both kernels run again
+// behind code words from a quantizer fitted to a prefix of the rows the
+// first byte picks, so that later rows and the probe may fall outside
+// its range and clamp, as the stream's do between refits; they must
+// return the same positions after the same tests.
 func FuzzAppendDominatorsMasked(f *testing.F) {
 	f.Add([]byte{0, 4, 9, 9, 9, 9, 1, 1, 1, 1, 2, 2, 2, 2})
 	f.Add([]byte{2, 8, 3, 3, 3, 3, 3, 3, 3, 3, 4, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 0, 0, 9, 9, 9, 9, 9, 9, 9, 9})
+	f.Add([]byte{8, 3, 4, 4, 4, 2, 2, 2, 6, 6, 6, 0, 9, 1, 14, 15, 12})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) < 1 {
 			return
@@ -124,6 +129,7 @@ func FuzzAppendDominatorsMasked(f *testing.F) {
 			pm.Append(ComputeMask(r, pivot))
 		}
 		qL1, qm := L1(q), ComputeMask(q, pivot)
+		codes, qc := prefixCodes(rows, d, int(data[0]>>3)%(n+1), q)
 
 		var want []int32
 		var tested uint64
@@ -133,10 +139,14 @@ func FuzzAppendDominatorsMasked(f *testing.F) {
 				want = append(want, int32(j))
 			}
 		}
-		var dts uint64
-		if got := AppendDominatorsMasked(nil, rows, d, 0, n, q, qL1, l1, pm, qm, budget, &dts); !slices.Equal(got, want) || dts > tested {
+		var dts, codedDTs uint64
+		if got := AppendDominatorsMasked(nil, rows, d, 0, n, q, qL1, l1, pm, qm, nil, 0, budget, &dts); !slices.Equal(got, want) || dts > tested {
 			t.Fatalf("d=%d n=%d budget=%d: dominators %v after %d tests, oracle %v after %d (q=%v pivot=%v rows=%v)",
 				d, n, budget, got, dts, want, tested, q, pivot, rows)
+		}
+		if got := AppendDominatorsMasked(nil, rows, d, 0, n, q, qL1, l1, pm, qm, codes, qc, budget, &codedDTs); !slices.Equal(got, want) || codedDTs != dts {
+			t.Fatalf("d=%d n=%d budget=%d: coded dominators %v after %d tests, uncoded %v after %d (q=%v rows=%v)",
+				d, n, budget, got, codedDTs, want, dts, q, rows)
 		}
 
 		var under []int32
@@ -145,9 +155,12 @@ func FuzzAppendDominatorsMasked(f *testing.F) {
 				under = append(under, int32(j))
 			}
 		}
-		dts = 0
-		if got := AppendDominatedMasked(nil, rows, d, 0, n, q, qL1, l1, pm, qm, &dts); !slices.Equal(got, under) || dts > uint64(n) {
+		dts, codedDTs = 0, 0
+		if got := AppendDominatedMasked(nil, rows, d, 0, n, q, qL1, l1, pm, qm, nil, 0, &dts); !slices.Equal(got, under) || dts > uint64(n) {
 			t.Fatalf("d=%d n=%d: dominated %v after %d tests, oracle %v (q=%v pivot=%v rows=%v)", d, n, got, dts, under, q, pivot, rows)
+		}
+		if got := AppendDominatedMasked(nil, rows, d, 0, n, q, qL1, l1, pm, qm, codes, qc, &codedDTs); !slices.Equal(got, under) || codedDTs != dts {
+			t.Fatalf("d=%d n=%d: coded dominated %v after %d tests, uncoded %v after %d (q=%v rows=%v)", d, n, got, codedDTs, under, dts, q, rows)
 		}
 	})
 }

@@ -7,9 +7,9 @@ import (
 )
 
 // BenchmarkKernels is the standing price of every unrolled body the
-// package keeps, each beside its generic form, and of the code-word
-// pre-test (code.go) in front of the generic body, at the widths that
-// have an unrolled body (d ∈ {4, 6, 8}):
+// package keeps, beside its generic form, and of the code-word pre-test
+// (code.go) in front of each generic body, at the widths that have an
+// unrolled body (d ∈ {4, 6, 8}):
 //
 //   - pairwise: dominatesRow (behind DominatesFlat and the generic run
 //     bodies) against the short-circuit reference Dominates;
@@ -20,15 +20,17 @@ import (
 //   - masked: CountDominatorsInFlatRunMasked at budget 1 with and
 //     without codes, with every mask passing the filter so the body,
 //     not the filter, is what is priced;
-//   - first: AppendDominatorsMasked at budget 1 (domM4/6/8), the stream
-//     index's probe, against domMGeneric, with every mask and every
-//     norm passing its filter.
+//   - first: AppendDominatorsMasked at budget 1, the stream index's
+//     probe, and dominated: AppendDominatedMasked, its demotion scan,
+//     each with and without codes, with every mask and every norm
+//     passing its filter.
 //
 // Rows lie on the surface Σ = d/2, as an anticorrelated skyline does, and
 // every probe is drawn from the same surface and kept only if no row
-// dominates it, so every scan runs to its end and ns/row is the mean
-// cost of one row tested. The code words come from a quantizer fitted
-// to the rows, as a run fits its own to the working set.
+// dominates it and it dominates no row, so every scan runs to its end
+// and ns/row is the mean cost of one row tested. The code words come
+// from a quantizer fitted to the rows, as a run fits its own to the
+// working set and the stream index its to the band.
 func BenchmarkKernels(b *testing.B) {
 	const n, probes = 1024, 32
 	for _, d := range []int{4, 6, 8} {
@@ -52,12 +54,12 @@ func BenchmarkKernels(b *testing.B) {
 			q := make([]float64, d)
 			surface(q)
 			var dts uint64
-			if cntRunGeneric(rows, d, 0, n, q, 0, nil, nil, nil, 0, 1, &dts) == 0 {
+			if cntRunGeneric(rows, d, 0, n, q, 0, nil, nil, nil, 0, 1, &dts) == 0 && dominatedBrute(rows, d, q) == 0 {
 				qs = append(qs, q...)
 			}
 		}
-		pm := packMasks(d, make([]Mask, n)) // mask 0 ⊆ every probe mask
-		l1 := make([]float64, n)            // norm 0 ≤ every probe norm
+		pm := packMasks(d, make([]Mask, n)) // masks 0 against probe mask 0: subset and superset
+		l1 := make([]float64, n)            // norms 0 against probe norm 0: neither larger nor smaller
 		z := fitQuantizer(rows, d, nil)
 		codes := make([]uint64, n)
 		for j := range codes {
@@ -101,11 +103,17 @@ func BenchmarkKernels(b *testing.B) {
 			{"masked/coded", func(q []float64, dts *uint64) int {
 				return CountDominatorsInFlatRunMasked(rows, d, 0, n, q, pm, 0, codes, z.Code(q), 1, dts)
 			}},
-			{"first/unrolled", func(q []float64, dts *uint64) int {
-				return len(AppendDominatorsMasked(nil, rows, d, 0, n, q, 0, l1, pm, 0, 1, dts))
-			}},
 			{"first/generic", func(q []float64, dts *uint64) int {
-				return len(domMGeneric(nil, rows, d, 0, n, q, 0, l1, pm, 0, 1, dts))
+				return len(AppendDominatorsMasked(nil, rows, d, 0, n, q, 0, l1, pm, 0, nil, 0, 1, dts))
+			}},
+			{"first/coded", func(q []float64, dts *uint64) int {
+				return len(AppendDominatorsMasked(nil, rows, d, 0, n, q, 0, l1, pm, 0, codes, z.Code(q), 1, dts))
+			}},
+			{"dominated/generic", func(q []float64, dts *uint64) int {
+				return len(AppendDominatedMasked(nil, rows, d, 0, n, q, 0, l1, pm, 0, nil, 0, dts))
+			}},
+			{"dominated/coded", func(q []float64, dts *uint64) int {
+				return len(AppendDominatedMasked(nil, rows, d, 0, n, q, 0, l1, pm, 0, codes, z.Code(q), dts))
 			}},
 		}
 		for _, k := range kernels {
@@ -114,7 +122,7 @@ func BenchmarkKernels(b *testing.B) {
 				for i := 0; i < b.N; i++ {
 					for p := 0; p < probes; p++ {
 						if k.scan(qs[p*d:(p+1)*d], &dts) != 0 {
-							b.Fatal("probe dominated")
+							b.Fatal("probe dominated or dominating")
 						}
 					}
 				}
@@ -122,4 +130,16 @@ func BenchmarkKernels(b *testing.B) {
 			})
 		}
 	}
+}
+
+// dominatedBrute counts the rows of the row-major matrix rows that q
+// strictly dominates.
+func dominatedBrute(rows []float64, d int, q []float64) int {
+	c := 0
+	for off := 0; off < len(rows); off += d {
+		if Dominates(q, rows[off:off+d]) {
+			c++
+		}
+	}
+	return c
 }

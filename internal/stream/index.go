@@ -19,16 +19,19 @@
 // An insert probes the dense band matrix with the masked kernels of
 // internal/point, which pass over every row whose partition mask
 // against the band's median pivot (Section VI-A2 of the paper) or whose
-// L1 norm rules dominance out — a probe with k dominators is registered
-// under the first k the scan finds; otherwise it enters the band with
-// its exact count and increments the count of every band member it
-// dominates, demoting those that reach k (their buckets transfer to the
-// new point, which transitively dominates everything they did). Deleting a
-// registered point is O(k); deleting a band member decrements the count
-// of every band member it dominated, then re-resolves only its own
-// bucket: each orphan either finds a replacement dominator not already
-// registered, or — having exactly k−1 band dominators left — is
-// promoted into the band with that exact count.
+// L1 norm rules dominance out, and reject most of the rows they test on
+// one code word per row (point.Quantizer, refitted to the band whenever
+// the pivot is re-chosen) before any float compare. A probe with k
+// dominators is registered under the first k the scan finds; otherwise
+// it enters the band with its exact count and increments the count of
+// every band member it dominates, demoting those that reach k (their
+// buckets transfer to the new point, which transitively dominates
+// everything they did). Deleting a registered point is O(k); deleting a
+// band member decrements the count of every band member it dominated,
+// then re-resolves only its own bucket: each orphan either finds a
+// replacement dominator not already registered, or — having exactly
+// k−1 band dominators left — is promoted into the band with that exact
+// count.
 //
 // Re-resolution work is accrued in a dirty counter; when it exceeds half
 // the live set, the index escalates to a rebuild. A rebuild, like a bulk
@@ -36,7 +39,8 @@
 // order, a linear extension of dominance: each row is placed with one
 // probe of the band built so far and nothing is ever demoted. A rebuild
 // may take band membership from a pluggable hook (the public package
-// supplies an Engine-backed k-skyband query); either way it rebalances
+// supplies an Engine-backed k-skyband query), probing a reported row
+// whose computed norm ties its predecessor's; either way it rebalances
 // every bucket and leaves the band sorted, restoring short scan prefixes.
 package stream
 
@@ -82,9 +86,10 @@ type Options struct {
 	// invoked on escalation for live sets of at least rebuildMinEngine
 	// points; the results may alias storage the hook reuses, as the
 	// Index consumes them before returning. Its band rows are placed
-	// with its counts, unprobed; every other row is probed, so a nil
-	// index slice (a failed run) or an omitted band row still leaves the
-	// exact band.
+	// with its counts, unprobed, unless a row's computed norm ties its
+	// predecessor's in the pass's order; every other row is probed, so a
+	// nil index slice (a failed run), an omitted band row or a dominated
+	// row on a norm tie still leaves the exact band.
 	Rebuild func(vals []float64, n int) ([]int, []int32)
 	// OnEnter and OnLeave, when non-nil, observe band membership
 	// changes: OnEnter(slot) fires when a live slot enters the band,
@@ -138,18 +143,23 @@ type Index struct {
 	live    int
 
 	// Dense band mirror: row p of skyVals is the staged point of slot
-	// skySlots[p], with skyL1 its norm and skyMask's row p its partition
-	// mask against pivot. Keeping the band contiguous is what lets the
-	// probe scans run the flat kernels at full speed; the masks let them
-	// pass over most rows without a dominance test. pivot is re-chosen,
-	// and every mask recomputed, whenever the band has doubled since
-	// pivotAt rows; it stays nil (every mask 0, the filter passing every
-	// row) while the band is empty and for d > point.MaxDims.
+	// skySlots[p], with skyL1 its norm, skyMask's row p its partition
+	// mask against pivot and skyCode[p] its code word under quant.
+	// Keeping the band contiguous is what lets the probe scans run the
+	// flat kernels at full speed; the masks let them pass over most rows
+	// without a dominance test, and the code words decide most of the
+	// tests left on one integer word. pivot is re-chosen, quant refitted
+	// to the band's column ranges, and every mask and code recomputed,
+	// whenever the band has doubled since pivotAt rows. pivot stays nil
+	// (every mask and code 0; the filter passes every row and the scans
+	// get no codes) while the band is empty and for d > point.MaxDims.
 	skySlots []int32
 	skyVals  []float64
 	skyL1    []float64
 	skyMask  point.PackedMasks
+	skyCode  []uint64
 	pivot    []float64
+	quant    point.Quantizer
 	pivotAt  int
 
 	dirty int
@@ -558,10 +568,15 @@ func (ix *Index) rebuild() {
 // source's count, unprobed. Any other row probes the band built so far
 // once: it is registered under the k dominators found, or appended with
 // the fewer it found. Every dominator of a row sorts before it, so each
-// count is exact and no placed row is ever revisited. The source is
-// asked only at rebuildMinEngine live rows or more. The pass fires no
-// membership events; the band ends sorted, so later scans meet likely
-// dominators first.
+// count is exact and no placed row is ever revisited. A reported row
+// whose computed norm ties its predecessor's is probed all the same: a
+// dominator with an equal computed norm sorts just before its victim,
+// in the same tie run, and a source that skips equal-norm rows (the
+// Engine does) can miss it; a row whose norm differs from its
+// predecessor's has only strictly smaller-norm dominators, which no
+// such source skips. The source is asked only at rebuildMinEngine live
+// rows or more. The pass fires no membership events; the band ends
+// sorted, so later scans meet likely dominators first.
 func (ix *Index) place(source func(vals []float64, n int) ([]int, []int32)) {
 	d, k := ix.d, ix.k
 	ix.gatherIdx = ix.AppendLiveSlots(ix.gatherIdx[:0])
@@ -570,6 +585,7 @@ func (ix *Index) place(source func(vals []float64, n int) ([]int, []int32)) {
 	ix.skyVals = ix.skyVals[:0]
 	ix.skyL1 = ix.skyL1[:0]
 	ix.skyMask.Truncate(0)
+	ix.skyCode = ix.skyCode[:0]
 	ix.pivotAt = 0
 	for _, s := range ix.gatherIdx {
 		ix.buckets[s] = ix.buckets[s][:0]
@@ -593,8 +609,8 @@ func (ix *Index) place(source func(vals []float64, n int) ([]int, []int32)) {
 		}
 	}
 
-	for _, s := range ix.gatherIdx {
-		if ix.owner[s] != ownerSkyline {
+	for i, s := range ix.gatherIdx {
+		if ix.owner[s] != ownerSkyline || i > 0 && ix.l1[s] == ix.l1[ix.gatherIdx[i-1]] {
 			doms := ix.dominators(s)
 			if len(doms) == k {
 				ix.registerAll(s, doms)
@@ -609,11 +625,14 @@ func (ix *Index) place(source func(vals []float64, n int) ([]int, []int32)) {
 // Validate checks the structural invariants — every live point either a
 // band member with a dominator count below k, or registered under k
 // distinct dominating band members with consistent bucket positions,
-// and the dense mirror and its masks in sync — and panics on violation.
-// Test support; O(n·k·d).
+// and the dense mirror, its masks and its code words in sync — and
+// panics on violation. Test support; O(n·k·d).
 func (ix *Index) Validate() {
 	k := ix.k
 	live := 0
+	if len(ix.skyCode) != len(ix.skySlots) {
+		panic("stream: band code column out of sync")
+	}
 	for s := range ix.owner {
 		slot := int32(s)
 		switch o := ix.owner[s]; {
@@ -630,6 +649,9 @@ func (ix *Index) Validate() {
 			}
 			if ix.skyMask.At(p) != ix.maskOf(ix.Row(slot)) {
 				panic("stream: band mask out of sync")
+			}
+			if ix.skyCode[p] != ix.codeOf(ix.Row(slot)) {
+				panic("stream: band code out of sync")
 			}
 			if int(ix.cnt[slot]) >= k {
 				panic("stream: band member with count >= k")
@@ -760,7 +782,7 @@ func (ix *Index) findUnregisteredDominator(slot int32) int32 {
 // dominate slot's row, in ascending order, in the reused doms scratch.
 func (ix *Index) dominators(slot int32) []int32 {
 	q := ix.Row(slot)
-	ix.doms = point.AppendDominatorsMasked(ix.doms[:0], ix.skyVals, ix.d, 0, len(ix.skySlots), q, ix.l1[slot], ix.skyL1, &ix.skyMask, ix.maskOf(q), ix.k, &ix.stats.DominanceTests)
+	ix.doms = point.AppendDominatorsMasked(ix.doms[:0], ix.skyVals, ix.d, 0, len(ix.skySlots), q, ix.l1[slot], ix.skyL1, &ix.skyMask, ix.maskOf(q), ix.codes(), ix.codeOf(q), ix.k, &ix.stats.DominanceTests)
 	return ix.doms
 }
 
@@ -768,7 +790,7 @@ func (ix *Index) dominators(slot int32) []int32 {
 // dominates, in ascending order, in the reused demoted scratch.
 func (ix *Index) dominated(slot int32) []int32 {
 	q := ix.Row(slot)
-	ix.demoted = point.AppendDominatedMasked(ix.demoted[:0], ix.skyVals, ix.d, 0, len(ix.skySlots), q, ix.l1[slot], ix.skyL1, &ix.skyMask, ix.maskOf(q), &ix.stats.DominanceTests)
+	ix.demoted = point.AppendDominatedMasked(ix.demoted[:0], ix.skyVals, ix.d, 0, len(ix.skySlots), q, ix.l1[slot], ix.skyL1, &ix.skyMask, ix.maskOf(q), ix.codes(), ix.codeOf(q), &ix.stats.DominanceTests)
 	return ix.demoted
 }
 
@@ -781,9 +803,31 @@ func (ix *Index) maskOf(q []float64) point.Mask {
 	return point.ComputeMask(q, ix.pivot)
 }
 
-// repivot makes the per-dimension median of the band the pivot and
-// recomputes every band row's mask. Any constant pivot keeps the mask
-// filter exact; the median is the one that splits the band evenly.
+// codes returns the band's code column for the kernels, nil (no
+// pre-test) while there is no pivot and so no quantizer.
+func (ix *Index) codes() []uint64 {
+	if ix.pivot == nil {
+		return nil
+	}
+	return ix.skyCode
+}
+
+// codeOf returns q's code word under the band's quantizer, 0 while
+// there is no pivot. A row outside the fitted ranges is clamped: the
+// map stays monotone, so the pre-test stays exact.
+func (ix *Index) codeOf(q []float64) uint64 {
+	if ix.pivot == nil {
+		return 0
+	}
+	return ix.quant.Code(q)
+}
+
+// repivot makes the per-dimension median of the band the pivot, refits
+// the quantizer to the band's column ranges, and recomputes every band
+// row's mask and code word. Any constant pivot keeps the mask filter
+// exact, and any fixed quantizer the pre-test; the median is the pivot
+// that splits the band evenly, and the band's own ranges give the
+// codes their full resolution until the next refit.
 func (ix *Index) repivot() {
 	n, d := len(ix.skySlots), ix.d
 	ix.pivotAt = n
@@ -794,9 +838,19 @@ func (ix *Index) repivot() {
 		ix.pivot = make([]float64, d)
 	}
 	pivot.MedianColumns(point.FromFlat(ix.skyVals, n, d), ix.pivot, nil, 0, d)
+	lo, hi := slices.Clone(ix.skyVals[:d]), slices.Clone(ix.skyVals[:d])
+	for off := d; off < n*d; off += d {
+		for j, v := range ix.skyVals[off : off+d] {
+			lo[j], hi[j] = min(lo[j], v), max(hi[j], v)
+		}
+	}
+	ix.quant.Reset(d, lo, hi)
 	ix.skyMask.Reset(d)
-	for p := 0; p < n; p++ {
-		ix.skyMask.Append(point.ComputeMask(ix.skyVals[p*d:(p+1)*d], ix.pivot))
+	ix.skyCode = ix.skyCode[:0]
+	for off := 0; off < n*d; off += d {
+		row := ix.skyVals[off : off+d]
+		ix.skyMask.Append(point.ComputeMask(row, ix.pivot))
+		ix.skyCode = append(ix.skyCode, ix.quant.Code(row))
 	}
 }
 
@@ -838,6 +892,7 @@ func (ix *Index) appendSkyline(slot int32) {
 	ix.skyVals = append(ix.skyVals, ix.Row(slot)...)
 	ix.skyL1 = append(ix.skyL1, ix.l1[slot])
 	ix.skyMask.Append(ix.maskOf(ix.Row(slot)))
+	ix.skyCode = append(ix.skyCode, ix.codeOf(ix.Row(slot)))
 	if len(ix.skySlots) >= 2*ix.pivotAt {
 		ix.repivot()
 	}
@@ -853,12 +908,14 @@ func (ix *Index) removeSkyline(p int) {
 		copy(ix.skyVals[p*d:(p+1)*d], ix.skyVals[last*d:(last+1)*d])
 		ix.skyL1[p] = ix.skyL1[last]
 		ix.skyMask.Set(p, ix.skyMask.At(last))
+		ix.skyCode[p] = ix.skyCode[last]
 		ix.pos[moved] = int32(p)
 	}
 	ix.skySlots = ix.skySlots[:last]
 	ix.skyVals = ix.skyVals[:last*d]
 	ix.skyL1 = ix.skyL1[:last]
 	ix.skyMask.Truncate(last)
+	ix.skyCode = ix.skyCode[:last]
 }
 
 func (ix *Index) freeSlot(slot int32) {

@@ -132,7 +132,7 @@ func runRandomOps(t *testing.T, dist dataset.Distribution, d, nOps int, churn fl
 
 func TestIndexMatchesBruteForce(t *testing.T) {
 	for _, dist := range dataset.AllDistributions {
-		for _, d := range []int{1, 2, 4, 7, 8} {
+		for _, d := range []int{1, 2, 4, 7, 8, 16, 31} {
 			runRandomOps(t, dist, d, 400, 0.35, 0, Options{}, int64(100*d)+int64(dist))
 		}
 	}
@@ -236,7 +236,7 @@ func TestIndexRebuildPreservesMembership(t *testing.T) {
 // AND exact dominator counts against the n² oracle.
 func TestIndexSkybandMatchesBruteForce(t *testing.T) {
 	for _, dist := range dataset.AllDistributions {
-		for _, d := range []int{1, 2, 4, 7} {
+		for _, d := range []int{1, 2, 4, 7, 16, 31} {
 			for _, k := range []int{2, 3, 5} {
 				runRandomOps(t, dist, d, 350, 0.35, 0, Options{K: k}, int64(1000*d+10*k)+int64(dist))
 			}
@@ -351,6 +351,81 @@ func TestIndexEqualNormTie(t *testing.T) {
 				if c := ix.DominatorCount(s); c != cnt[s] {
 					t.Fatalf("k=%d, p first=%v: slot %d count %d, oracle %d", k, order[0][0] != 0.9, s, c, cnt[s])
 				}
+			}
+		}
+	}
+}
+
+// TestIndexCodesClamp inserts, after the band's last refit, rows the
+// band's quantizer was not fitted to: a column moved far below its
+// fitted minimum or far above its maximum, to +0 or −0 below the
+// minimum, and off the value of a column that was constant when the
+// quantizer was fitted. Each is coded clamped by the old map, and the
+// band, its counts and the code column must stay exact through the
+// inserts and through deleting them again. The base rows lie on a
+// surface, so the band holds all 200 of them and cannot double again.
+func TestIndexCodesClamp(t *testing.T) {
+	for _, d := range []int{3, 8, 16} {
+		for _, k := range []int{1, 2} {
+			rng := rand.New(rand.NewSource(int64(59 + 10*d + k)))
+			ix := New(d, Options{K: k, RebuildFraction: math.Inf(1)})
+			var base, live []int32
+			check := func(what string) {
+				t.Helper()
+				ix.Validate()
+				want, cnt := bruteBand(ix, live, k)
+				if got := sortedSkyline(ix); !slices.Equal(got, want) {
+					t.Fatalf("d=%d k=%d %s: band %v, oracle %v", d, k, what, got, want)
+				}
+				for _, s := range want {
+					if c := ix.DominatorCount(s); c != cnt[s] {
+						t.Fatalf("d=%d k=%d %s: slot %d count %d, oracle %d", d, k, what, s, c, cnt[s])
+					}
+				}
+			}
+			row := make([]float64, d)
+			for i := 0; i < 200; i++ {
+				sum := 0.0
+				for j := range row[:d-1] {
+					row[j] = rng.Float64()
+					sum += row[j]
+				}
+				for j := range row[:d-1] {
+					row[j] *= float64(d-1) / 2 / sum
+				}
+				row[d-1] = 0.5 // constant when the quantizer is fitted
+				s, _ := ix.Insert(row)
+				base = append(base, s)
+			}
+			live = slices.Clone(base)
+			check("base")
+			fitted := ix.pivotAt
+
+			var extremes []int32
+			insert := func(what string, j int, v float64) {
+				copy(row, ix.Row(base[rng.Intn(len(base))]))
+				row[j] = v
+				s, _ := ix.Insert(row)
+				extremes = append(extremes, s)
+				live = append(live, s)
+				check(what)
+			}
+			for i := 0; i < 6; i++ {
+				j := rng.Intn(d - 1)
+				insert("far below", j, -1e6)
+				insert("far above", j, 1e6)
+				insert("+0", j, 0)
+				insert("-0", j, math.Copysign(0, -1))
+				insert("constant column below", d-1, 0.25)
+				insert("constant column above", d-1, 0.75)
+			}
+			for i := len(extremes) - 1; i >= 0; i-- {
+				ix.Delete(extremes[i])
+				live = slices.DeleteFunc(live, func(s int32) bool { return s == extremes[i] })
+				check("delete")
+			}
+			if ix.pivotAt != fitted {
+				t.Fatalf("d=%d k=%d: the band was refitted at %d rows; no row was coded clamped", d, k, ix.pivotAt)
 			}
 		}
 	}

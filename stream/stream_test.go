@@ -11,6 +11,8 @@ import (
 
 	"skybench"
 	"skybench/internal/dataset"
+	"skybench/internal/point"
+	"skybench/internal/verify"
 )
 
 // oracleCheck recomputes the skyline — or the k-skyband, when the index
@@ -528,6 +530,71 @@ func TestForcedRebuildKeepsState(t *testing.T) {
 	}
 	if ix.Stats().Rebuilds == 0 {
 		t.Fatalf("rebuild not counted")
+	}
+}
+
+// TestRebuildHookEqualNormTie holds a rebuild through the Engine hook
+// to the brute-force band on rows whose computed norms tie with the
+// rows they dominate: 300 rows of d = 8 on the surface Σ = 7.2, each
+// with a twin one ulp larger in one coordinate whose computed norm is
+// the same. The Engine skips equal-norm rows, so it reports both rows
+// of a pair in its band; the placement pass must probe a reported row
+// that ties its predecessor's norm instead of trusting it.
+func TestRebuildHookEqualNormTie(t *testing.T) {
+	const d, pairs = 8, 300
+	rng := rand.New(rand.NewSource(53))
+	var rows [][]float64
+	for len(rows) < 2*pairs {
+		r := make([]float64, d)
+		sum := 0.0
+		for j := range r {
+			r[j] = 0.1 + rng.Float64()
+			sum += r[j]
+		}
+		for j := range r {
+			r[j] *= 7.2 / sum
+		}
+		twin := slices.Clone(r)
+		j := rng.Intn(d)
+		twin[j] = math.Nextafter(twin[j], math.Inf(1))
+		if point.L1(twin) == point.L1(r) {
+			rows = append(rows, r, twin)
+		}
+	}
+	for _, k := range []int{1, 2} {
+		ix, err := New(d, Config{SkybandK: k})
+		if err != nil {
+			t.Fatalf("New: %v", err)
+		}
+		row := make(map[ID]int, len(rows))
+		for i, r := range rows {
+			id, err := ix.Insert(r)
+			if err != nil {
+				t.Fatalf("insert: %v", err)
+			}
+			row[id] = i
+		}
+		band, counts := verify.BruteForceSkyband(point.FromRows(rows), k)
+		want := make(map[int]int, len(band))
+		for i, idx := range band {
+			want[idx] = int(counts[i])
+		}
+		for _, stage := range []string{"maintained", "rebuilt"} {
+			if stage == "rebuilt" {
+				ix.rebuild()
+			}
+			snap := ix.Snapshot()
+			if snap.Len() != len(band) {
+				t.Errorf("k=%d %s: band of %d rows, oracle %d", k, stage, snap.Len(), len(band))
+			}
+			for i := 0; i < snap.Len(); i++ {
+				idx := row[snap.ID(i)]
+				if c, ok := want[idx]; !ok || c != snap.Count(i) {
+					t.Fatalf("k=%d %s: row %d in the band with count %d, oracle in=%v count %d", k, stage, idx, snap.Count(i), ok, c)
+				}
+			}
+		}
+		ix.Close()
 	}
 }
 
