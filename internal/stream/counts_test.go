@@ -89,7 +89,7 @@ func countsTrace(dist string, d, k int, seed int64) countsRow {
 	st := ix.Stats()
 	row.DTs, row.Resurrections, row.Rebuilds = st.DominanceTests, st.Resurrections, st.Rebuilds
 	h := fnv.New64a()
-	slots, _ := ix.AppendBandRanks(nil, nil)
+	slots, _ := ix.BandRanks()
 	var b [8]byte
 	for _, s := range slots {
 		v := uint64(uint32(s))<<32 | uint64(uint32(ix.DominatorCount(s)))

@@ -217,6 +217,19 @@ func (ix *Index) Stats() Stats { return ix.stats }
 // is unspecified.
 func (ix *Index) Skyline() []int32 { return ix.skySlots }
 
+// SkylineRows returns the band's staged rows, row p that of slot
+// Skyline()[p]: the dense band mirror itself, valid only until the next
+// mutation.
+func (ix *Index) SkylineRows() []float64 { return ix.skyVals }
+
+// BandRow returns a band member's staged values from the dense band
+// mirror (aliasing it): what Row returns, read from the band's
+// contiguous rows instead of the slot arena.
+func (ix *Index) BandRow(slot int32) []float64 {
+	p := int(ix.pos[slot]) * ix.d
+	return ix.skyVals[p : p+ix.d : p+ix.d]
+}
+
 // AppendLiveSlots appends every live slot (band member or bucketed) to
 // dst in ascending slot order — the deterministic enumeration behind
 // live-set materialization — and returns the extended slice.
@@ -229,23 +242,32 @@ func (ix *Index) AppendLiveSlots(dst []int32) []int32 {
 	return dst
 }
 
-// AppendBandRanks appends every band slot, in ascending slot order, to
-// slots and — parallel to it — the slot's rank among the live slots to
-// ranks: the row position AppendLiveSlots' enumeration gives it. One
-// pass over the slot statuses; no values are read.
-func (ix *Index) AppendBandRanks(slots []int32, ranks []int) ([]int32, []int) {
-	rank := 0
+// BandRanks returns every band slot, in ascending slot order, and —
+// parallel to it — the slot's rank among the live slots: the row
+// position AppendLiveSlots' enumeration gives it. One pass over the
+// slot statuses; no values are read. The pass has no branch on a
+// slot's status: every slot is written at the next free position,
+// which only a band slot advances, and one spare element takes the
+// writes after the last member. Band members are a small, scattered
+// share of the slots, so a branch would mispredict about once each.
+func (ix *Index) BandRanks() ([]int32, []int) {
+	n := len(ix.skySlots)
+	slots, ranks := make([]int32, n+1), make([]int, n+1)
+	j, rank := 0, 0
 	for slot, owner := range ix.owner {
-		if owner == ownerFree {
-			continue
-		}
-		if owner == ownerSkyline {
-			slots = append(slots, int32(slot))
-			ranks = append(ranks, rank)
-		}
-		rank++
+		slots[j], ranks[j] = int32(slot), rank
+		j += b2i(owner == ownerSkyline)
+		rank += b2i(owner != ownerFree)
 	}
-	return slots, ranks
+	return slots[:j], ranks[:j]
+}
+
+// b2i is 1 for true and 0 for false, compiled without a branch.
+func b2i(b bool) int {
+	if b {
+		return 1
+	}
+	return 0
 }
 
 // Row returns the staged values of a live slot (aliasing the arena).

@@ -105,10 +105,10 @@ func runRandomOps(t *testing.T, dist dataset.Distribution, d, nOps int, churn fl
 			}
 			// The band in live-row positions: ascending slots, each at its
 			// index in the live-slot enumeration.
-			slots, ranks := ix.AppendBandRanks(nil, nil)
+			slots, ranks := ix.BandRanks()
 			liveSlots := ix.AppendLiveSlots(nil)
 			if !slices.Equal(slots, want) {
-				t.Fatalf("op %d: AppendBandRanks slots %v, oracle %v", op, slots, want)
+				t.Fatalf("op %d: BandRanks slots %v, oracle %v", op, slots, want)
 			}
 			for i, s := range slots {
 				if liveSlots[ranks[i]] != s {

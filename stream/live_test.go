@@ -117,51 +117,61 @@ func TestLiveSnapshotContents(t *testing.T) {
 // preferences and k), addressed by their positions in LiveSnapshot's row
 // order, in ascending position, labelled with the live epoch and count.
 func TestLiveBandContents(t *testing.T) {
-	prefs := []skybench.Pref{skybench.Min, skybench.Max, skybench.Ignore}
-	ix, err := New(3, Config{Prefs: prefs, SkybandK: 3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer ix.Close()
-	rng := rand.New(rand.NewSource(9))
-	var ids []ID
-	for i := 0; i < 300; i++ {
-		id, err := ix.Insert([]float64{rng.Float64(), rng.Float64(), rng.Float64()})
-		if err != nil {
-			t.Fatal(err)
-		}
-		ids = append(ids, id)
-	}
-	for _, id := range ids[:120:120] { // leave free slots below live ones
-		if rng.Intn(2) == 0 && !ix.Delete(id) {
-			t.Fatalf("delete of %d failed", id)
-		}
-	}
+	// With preferences the rows are gathered from the original
+	// coordinates; without, from the core's band mirror.
+	for _, prefs := range [][]skybench.Pref{{skybench.Min, skybench.Max, skybench.Ignore}, nil} {
+		t.Run(fmt.Sprint(prefs), func(t *testing.T) {
+			ix, err := New(3, Config{Prefs: prefs, SkybandK: 3})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer ix.Close()
+			rng := rand.New(rand.NewSource(9))
+			var ids []ID
+			for i := 0; i < 300; i++ {
+				id, err := ix.Insert([]float64{rng.Float64(), rng.Float64(), rng.Float64()})
+				if err != nil {
+					t.Fatal(err)
+				}
+				ids = append(ids, id)
+			}
+			for _, id := range ids[:120:120] { // leave free slots below live ones
+				if rng.Intn(2) == 0 && !ix.Delete(id) {
+					t.Fatalf("delete of %d failed", id)
+				}
+			}
 
-	lb := ix.LiveBand()
-	vals, live, epoch := ix.LiveSnapshot()
-	snap := ix.Snapshot()
-	if lb.K != 3 || fmt.Sprint(lb.Prefs) != fmt.Sprint(prefs) || lb.Live != len(live) || lb.Epoch != epoch || lb.Epoch != ix.LiveEpoch() {
-		t.Fatalf("LiveBand header: k %d prefs %v live %d epoch %d; want 3 %v %d %d", lb.K, lb.Prefs, lb.Live, lb.Epoch, prefs, len(live), epoch)
-	}
-	if len(lb.Pos) != snap.Len() || len(lb.IDs) != snap.Len() || len(lb.Counts) != snap.Len() || len(lb.Vals) != 3*snap.Len() {
-		t.Fatalf("LiveBand has %d/%d/%d/%d entries, Snapshot %d rows", len(lb.Pos), len(lb.IDs), len(lb.Counts), len(lb.Vals), snap.Len())
-	}
-	counts := make(map[ID]int, snap.Len())
-	for i := 0; i < snap.Len(); i++ {
-		counts[snap.ID(i)] = snap.Count(i)
-	}
-	for i, p := range lb.Pos {
-		if i > 0 && p <= lb.Pos[i-1] {
-			t.Fatalf("positions not ascending at %d: %v", i, lb.Pos[i-1:i+1])
-		}
-		if live[p] != lb.IDs[i] || fmt.Sprint(vals[p*3:(p+1)*3]) != fmt.Sprint(lb.Vals[i*3:(i+1)*3]) {
-			t.Fatalf("band row %d: id %d values %v, LiveSnapshot row %d is id %d values %v",
-				i, lb.IDs[i], lb.Vals[i*3:(i+1)*3], p, live[p], vals[p*3:(p+1)*3])
-		}
-		if c, ok := counts[ID(lb.IDs[i])]; !ok || c != int(lb.Counts[i]) {
-			t.Fatalf("band row %d (id %d): count %d, Snapshot (%d, %v)", i, lb.IDs[i], lb.Counts[i], c, ok)
-		}
+			lb := ix.LiveBand()
+			vals, live, epoch := ix.LiveSnapshot()
+			snap := ix.Snapshot()
+			if lb.K != 3 || fmt.Sprint(lb.Prefs) != fmt.Sprint(prefs) || lb.Live != len(live) || lb.Epoch != epoch || lb.Epoch != ix.LiveEpoch() {
+				t.Fatalf("LiveBand header: k %d prefs %v live %d epoch %d; want 3 %v %d %d", lb.K, lb.Prefs, lb.Live, lb.Epoch, prefs, len(live), epoch)
+			}
+			if len(lb.Pos) != snap.Len() || len(lb.IDs) != snap.Len() || len(lb.Counts) != snap.Len() || len(lb.Vals) != 3*snap.Len() {
+				t.Fatalf("LiveBand has %d/%d/%d/%d entries, Snapshot %d rows", len(lb.Pos), len(lb.IDs), len(lb.Counts), len(lb.Vals), snap.Len())
+			}
+			counts := make(map[ID]int, snap.Len())
+			rows := make(map[ID]string, snap.Len())
+			for i := 0; i < snap.Len(); i++ {
+				counts[snap.ID(i)] = snap.Count(i)
+				rows[snap.ID(i)] = fmt.Sprint(snap.Row(i))
+			}
+			for i, p := range lb.Pos {
+				if i > 0 && p <= lb.Pos[i-1] {
+					t.Fatalf("positions not ascending at %d: %v", i, lb.Pos[i-1:i+1])
+				}
+				if live[p] != lb.IDs[i] || fmt.Sprint(vals[p*3:(p+1)*3]) != fmt.Sprint(lb.Vals[i*3:(i+1)*3]) {
+					t.Fatalf("band row %d: id %d values %v, LiveSnapshot row %d is id %d values %v",
+						i, lb.IDs[i], lb.Vals[i*3:(i+1)*3], p, live[p], vals[p*3:(p+1)*3])
+				}
+				if c, ok := counts[ID(lb.IDs[i])]; !ok || c != int(lb.Counts[i]) {
+					t.Fatalf("band row %d (id %d): count %d, Snapshot (%d, %v)", i, lb.IDs[i], lb.Counts[i], c, ok)
+				}
+				if r := rows[ID(lb.IDs[i])]; r != fmt.Sprint(vals[p*3:(p+1)*3]) {
+					t.Fatalf("band row %d (id %d): Snapshot values %s, LiveSnapshot %v", i, lb.IDs[i], r, vals[p*3:(p+1)*3])
+				}
+			}
+		})
 	}
 
 	// A skyline index carries no counts; an empty one an empty band.

@@ -572,8 +572,7 @@ func (x *SkylineIndex) LiveSnapshot() (vals []float64, ids []uint64, epoch uint6
 func (x *SkylineIndex) LiveBand() skybench.LiveBand {
 	x.mu.Lock()
 	defer x.mu.Unlock()
-	n := x.core.SkylineSize()
-	slots, pos := x.core.AppendBandRanks(make([]int32, 0, n), make([]int, 0, n))
+	slots, pos := x.core.BandRanks()
 	ids, vals, counts := copyBand[uint64](x, slots)
 	return skybench.LiveBand{
 		Prefs:  slices.Clone(x.prefs),
@@ -589,19 +588,36 @@ func (x *SkylineIndex) LiveBand() skybench.LiveBand {
 
 // copyBand is the one walk over band rows, shared by Snapshot and
 // LiveBand: the ID, original coordinates and (k-skyband indexes only)
-// exact dominator count of each slot, in the order given. The index
-// lock must be held.
+// exact dominator count of each slot, in the order given; nil slots
+// means the band in the core's mirror order, Skyline(). Without
+// preferences the original coordinates are the staged ones, so they are
+// read from the core's dense band mirror rather than gathered from the
+// slot arena, and in mirror order they are the mirror, copied whole.
+// The index lock must be held.
 func copyBand[T ~uint64](x *SkylineIndex, slots []int32) (ids []T, vals []float64, counts []int32) {
+	whole := slots == nil && x.identity
+	if slots == nil {
+		slots = x.core.Skyline()
+	}
 	ids = make([]T, len(slots))
-	vals = make([]float64, len(slots)*x.d)
 	if x.k > 1 {
 		counts = make([]int32, len(slots))
 	}
 	for i, slot := range slots {
 		ids[i] = T(x.ids[slot])
-		copy(vals[i*x.d:(i+1)*x.d], x.origRow(slot))
 		if counts != nil {
 			counts[i] = x.core.DominatorCount(slot)
+		}
+	}
+	if whole {
+		return ids, slices.Clone(x.core.SkylineRows()), counts
+	}
+	vals = make([]float64, len(slots)*x.d)
+	for i, slot := range slots {
+		if x.identity {
+			copy(vals[i*x.d:(i+1)*x.d], x.core.BandRow(slot))
+		} else {
+			copy(vals[i*x.d:(i+1)*x.d], x.origRow(slot))
 		}
 	}
 	return ids, vals, counts
@@ -640,7 +656,7 @@ func (x *SkylineIndex) Snapshot() *Snapshot {
 		return s
 	}
 	s := &Snapshot{epoch: ep, d: x.d}
-	s.ids, s.vals, s.counts = copyBand[ID](x, x.core.Skyline())
+	s.ids, s.vals, s.counts = copyBand[ID](x, nil)
 	x.snap.Store(s)
 	return s
 }
