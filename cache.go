@@ -183,9 +183,11 @@ func (c *Collection) staleFallback(q *Query, plan *PlannerTrace, err error) (*Qu
 		return nil, err
 	}
 	// Shallow copy so the Stale mark never taints the shared cached
-	// entry (which may still be current and served fresh by lookup).
+	// entry (which may still be current and served fresh by lookup). A
+	// stale answer is not a hit.
 	r := *e.r
 	r.Stale = true
+	r.CacheHit = false
 	if q.Trace {
 		return r.withCacheHitTrace(q, plan), nil
 	}

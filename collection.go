@@ -433,16 +433,16 @@ func (b *streamBacking) materialize() (*colSnapshot, error) {
 // single query surface, optionally sharded, with epoch-keyed result
 // caching.
 //
-// Run and Submit are safe for concurrent use by any number of
-// goroutines. Results are *QueryResult handles that may be shared by
-// the cache across callers: they are immutable — never write to their
-// Indices or Counts; use Result.Clone for a mutable copy.
+// Run is safe for concurrent use by any number of goroutines. Results
+// are *QueryResult handles that may be shared by the cache across
+// callers: they are immutable — never write to their Indices or Counts;
+// use Result.Clone for a mutable copy.
 type Collection struct {
 	name   string
 	shards int
 	back   backing
 
-	owner       *Store        // nil for collections outside a Store
+	owner       *Store        // admits every Run
 	timeout     time.Duration // default per-query deadline (0 = none)
 	closeOnDrop bool          // Drop/Close also closes the backing
 
@@ -457,7 +457,7 @@ type Collection struct {
 
 	bandAnswers atomic.Uint64 // misses answered from the source's maintained band
 
-	inflight atomic.Int64 // queries currently executing via Run/Submit
+	inflight atomic.Int64 // admitted queries currently executing
 
 	dropped   atomic.Bool
 	closeOnce sync.Once
@@ -499,6 +499,12 @@ type QueryResult struct {
 	// an earlier epoch — because computing fresh failed with overload or
 	// a missed deadline.
 	Stale bool
+	// CacheHit marks a result this call's own lookup found in the
+	// collection's result cache: nothing was computed or read for it. It
+	// is the call's own report, exact however requests overlap, as two
+	// reads of the shared CacheStats counters around a call are not. A
+	// stale fallback is not a hit.
+	CacheHit bool
 	// Partial marks a degraded cluster answer: one or more workers
 	// failed and the collection's partial policy merged the surviving
 	// ones, so the rows placed on the failed workers are missing.
@@ -560,26 +566,30 @@ func (r *QueryResult) ID(p int) (id uint64, ok bool) {
 
 // Run answers one query over the collection's current membership.
 // Identical queries against an unchanged collection are served from the
-// epoch-keyed cache without recomputing (and without allocating); a
-// membership change invalidates automatically because the stale epoch
-// no longer matches. See the immutability rule on QueryResult.
+// epoch-keyed cache without recomputing (and, untraced, without
+// allocating); a membership change invalidates automatically because the
+// stale epoch no longer matches. See the immutability rule on
+// QueryResult.
 //
 // For sharded collections the query fans out per shard over the
 // Engine and the per-shard results are merged exactly; Result.Indices
 // come back in ascending row order. Progressive delivery needs an
 // unsharded collection (batches from concurrent shards would interleave
 // meaninglessly) and bypasses the cache.
-func (c *Collection) Run(ctx context.Context, q Query) (*QueryResult, error) {
-	r, _, err := c.runReport(ctx, q)
-	return r, err
-}
-
-// runReport is Run, also reporting whether this call's own cache lookup
-// hit. The flag travels beside the result, never on it: the cached
-// QueryResult is shared, and a hit must stay allocation-free.
-func (c *Collection) runReport(ctx context.Context, q Query) (*QueryResult, bool, error) {
-	c.inflight.Add(1)
-	defer c.inflight.Add(-1)
+//
+// Every Run passes the Store's admission control
+// (StoreOptions.MaxInflight/MaxQueue) under the query's deadline — the
+// caller's, or the collection's DefaultTimeout when the context carries
+// none. Beyond the queue bound it fails at once with ErrOverloaded, and
+// after Store.Close with ErrClosed; Query.AllowStale degrades an
+// overloaded or late query to the cached answer. A panic anywhere below
+// fails the query with ErrQueryPanic instead of crashing the process.
+func (c *Collection) Run(ctx context.Context, q Query) (res *QueryResult, err error) {
+	defer func() {
+		if r := recover(); r != nil {
+			res, err = nil, panicErr(r, debug.Stack())
+		}
+	}()
 	// Apply the collection's default deadline when the caller's context
 	// carries none; an explicit caller deadline always wins.
 	if c.timeout > 0 {
@@ -590,12 +600,16 @@ func (c *Collection) runReport(ctx context.Context, q Query) (*QueryResult, bool
 		}
 	}
 	plan := c.resolve(&q)
-	r, hit, err := c.run(ctx, q, plan)
-	if err != nil {
-		r, err = c.staleFallback(&q, plan, err)
-		return r, false, err
+	if err := c.owner.admit(ctx); err != nil {
+		return c.staleFallback(&q, plan, err)
 	}
-	return r, hit, nil
+	defer c.owner.release()
+	c.inflight.Add(1)
+	defer c.inflight.Add(-1)
+	if res, err = c.run(ctx, q, plan); err != nil {
+		return c.staleFallback(&q, plan, err)
+	}
+	return res, nil
 }
 
 // resolve rewrites an Algorithm: Auto query in place to what Auto is:
@@ -632,21 +646,21 @@ func (c *Collection) key(q *Query, plan *PlannerTrace) (fingerprint, bool) {
 	return fp, ok
 }
 
-// run is runReport without the deadline and graceful-degradation
+// run is Run without the deadline, admission and graceful-degradation
 // wrappers: freeze the membership, look the answer up, and on a miss
 // have the backing compute it — or read it, when it already maintains
 // it — and cache what came back. There is one tail for every miss,
 // whatever produced the answer.
-func (c *Collection) run(ctx context.Context, q Query, plan *PlannerTrace) (*QueryResult, bool, error) {
+func (c *Collection) run(ctx context.Context, q Query, plan *PlannerTrace) (*QueryResult, error) {
 	if err := ctx.Err(); err != nil {
-		return nil, false, canceledErr(err)
+		return nil, canceledErr(err)
 	}
 	if c.dropped.Load() {
-		return nil, false, fmt.Errorf("%w: collection %q", ErrClosed, c.name)
+		return nil, fmt.Errorf("%w: collection %q", ErrClosed, c.name)
 	}
 	snap, err := c.back.freeze(ctx)
 	if err != nil {
-		return nil, false, err
+		return nil, err
 	}
 	fp, cacheable := c.key(&q, plan)
 	if cacheable {
@@ -658,7 +672,7 @@ func (c *Collection) run(ctx context.Context, q Query, plan *PlannerTrace) (*Que
 				cp.Plan = plan
 				r = &cp
 			}
-			return r, true, nil
+			return r, nil
 		}
 	}
 	fanout := 0
@@ -668,7 +682,7 @@ func (c *Collection) run(ctx context.Context, q Query, plan *PlannerTrace) (*Que
 	start := time.Now()
 	r, err := c.back.answer(ctx, snap, q, fanout)
 	if err != nil {
-		return nil, false, err
+		return nil, err
 	}
 	if c.back.maintains(q) {
 		// Reading the band is no run of q.Algorithm: booked as one, its
@@ -693,20 +707,18 @@ func (c *Collection) run(ctx context.Context, q Query, plan *PlannerTrace) (*Que
 		// The cache shares its entries across callers, traced and
 		// untraced, Auto and explicit alike, so the stored copy never
 		// carries a trace or a Plan: both describe the first caller's
-		// query, not a later hit's.
-		cached := r
-		if r.Trace != nil || plan != nil {
-			cp := *r
-			cp.Result.Trace = nil
-			cp.Plan = nil
-			cached = &cp
-		}
+		// query, not a later hit's. It is marked as the hit every later
+		// lookup returns, so an untraced hit hands it out as it is.
+		cached := *r
+		cached.Result.Trace = nil
+		cached.Plan = nil
+		cached.CacheHit = true
 		// Keyed at the epoch the answer was actually computed at (remote
 		// workers and a stream source may have advanced past the epoch
 		// frozen above).
-		c.store(fp, r.Epoch, cached)
+		c.store(fp, r.Epoch, &cached)
 	}
-	return r, false, nil
+	return r, nil
 }
 
 // execute computes a query over one frozen snapshot: directly for

@@ -22,8 +22,8 @@ type CollectionStats struct {
 	StreamBacked bool
 	// Cache holds the result-cache counters.
 	Cache CacheStats
-	// Inflight is the number of queries executing on the collection
-	// right now (Run and admitted Submits).
+	// Inflight is the number of admitted queries executing on the
+	// collection right now.
 	Inflight int64
 	// Costs holds the collection's rolling per-algorithm execution
 	// costs (count, mean/p50/p99 latency, mean dominance tests). Sorted

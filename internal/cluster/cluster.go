@@ -27,6 +27,7 @@ import (
 	"fmt"
 	"net/http"
 	"runtime/debug"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -579,9 +580,16 @@ func (co *Coordinator) callWorker(ctx context.Context, w *worker, req *serve.Que
 	return out
 }
 
+// errMalformed marks a worker response whose shape no correct worker
+// sends. The call fails as that worker's; classify files it under
+// ErrWorkerUnavailable.
+var errMalformed = errors.New("malformed worker response")
+
 // validateResp guards the merge against a worker whose answer cannot
 // be combined soundly: a row count that drifted from the placement, a
-// stale (cross-epoch) degraded answer, or a malformed response shape.
+// stale (cross-epoch) degraded answer, or a malformed response shape —
+// including a row listed twice, which the merge would keep twice (equal
+// rows do not dominate each other).
 func validateResp(w *worker, resp *serve.QueryResponse, d int) error {
 	want := w.spec.Hi - w.spec.Lo
 	if resp.Stats.InputSize != want {
@@ -592,10 +600,10 @@ func validateResp(w *worker, resp *serve.QueryResponse, d int) error {
 		return fmt.Errorf("%w: worker %s served a stale answer into a fan-out", skybench.ErrEpochSkew, w.spec.Addr)
 	}
 	if len(resp.Values) != len(resp.Indices) {
-		return fmt.Errorf("worker %s returned %d value rows for %d indices", w.spec.Addr, len(resp.Values), len(resp.Indices))
+		return fmt.Errorf("%w: worker %s returned %d value rows for %d indices", errMalformed, w.spec.Addr, len(resp.Values), len(resp.Indices))
 	}
 	if resp.Counts != nil && len(resp.Counts) != len(resp.Indices) {
-		return fmt.Errorf("worker %s returned %d counts for %d indices", w.spec.Addr, len(resp.Counts), len(resp.Indices))
+		return fmt.Errorf("%w: worker %s returned %d counts for %d indices", errMalformed, w.spec.Addr, len(resp.Counts), len(resp.Indices))
 	}
 	for j, li := range resp.Indices {
 		if li < 0 || li >= want {
@@ -603,7 +611,13 @@ func validateResp(w *worker, resp *serve.QueryResponse, d int) error {
 				skybench.ErrEpochSkew, w.spec.Addr, li, want)
 		}
 		if len(resp.Values[j]) != d {
-			return fmt.Errorf("worker %s returned a %d-dimensional row, want %d", w.spec.Addr, len(resp.Values[j]), d)
+			return fmt.Errorf("%w: worker %s returned a %d-dimensional row, want %d", errMalformed, w.spec.Addr, len(resp.Values[j]), d)
+		}
+	}
+	sorted := slices.Sorted(slices.Values(resp.Indices))
+	for j := 1; j < len(sorted); j++ {
+		if sorted[j] == sorted[j-1] {
+			return fmt.Errorf("%w: worker %s returned row %d twice", errMalformed, w.spec.Addr, sorted[j])
 		}
 	}
 	return nil

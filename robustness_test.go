@@ -3,9 +3,11 @@ package skybench_test
 import (
 	"context"
 	"errors"
+	"fmt"
 	"maps"
 	"os"
 	"os/exec"
+	"runtime"
 	"slices"
 	"sync"
 	"sync/atomic"
@@ -202,10 +204,60 @@ func TestStoreStaleFallback(t *testing.T) {
 	}
 }
 
+// waitUntil polls cond until it holds, failing the test after 10 s.
+func waitUntil(t *testing.T, what string, cond func() bool) {
+	t.Helper()
+	deadline := time.Now().Add(10 * time.Second)
+	for !cond() {
+		if time.Now().After(deadline) {
+			t.Fatalf("timed out waiting until %s", what)
+		}
+		time.Sleep(time.Millisecond)
+	}
+}
+
+// runWithin is col.Run that fails the test, instead of hanging it, when
+// the call has not returned after d.
+func runWithin(t *testing.T, d time.Duration, col *skybench.Collection, ctx context.Context, q skybench.Query) (*skybench.QueryResult, error) {
+	t.Helper()
+	type outcome struct {
+		res *skybench.QueryResult
+		err error
+	}
+	ch := make(chan outcome, 1)
+	go func() {
+		res, err := col.Run(ctx, q)
+		ch <- outcome{res, err}
+	}()
+	select {
+	case o := <-ch:
+		return o.res, o.err
+	case <-time.After(d):
+		t.Fatalf("Run still blocked after %v", d)
+		return nil, nil
+	}
+}
+
+// parkRuns starts n Runs of q on their own goroutines and returns the
+// channel their errors arrive on (a stale answer counts as an error).
+func parkRuns(col *skybench.Collection, ctx context.Context, q skybench.Query, n int) <-chan error {
+	errs := make(chan error, n)
+	for range n {
+		go func() {
+			res, err := col.Run(ctx, q)
+			if err == nil && res.Stale {
+				err = errors.New("stale answer")
+			}
+			errs <- err
+		}()
+	}
+	return errs
+}
+
 // TestStoreOverload: admission control under MaxInflight/MaxQueue —
-// beyond the queue bound submissions fail fast with ErrOverloaded,
-// decided synchronously; AllowStale degrades an overloaded submission
-// to the cached result; and draining the inflight slot re-admits.
+// beyond the queue bound a Run fails at once with ErrOverloaded;
+// AllowStale degrades an overloaded Run to the cached result; and
+// draining the inflight slot re-admits.
 func TestStoreOverload(t *testing.T) {
 	st := skybench.NewStoreWithOptions(skybench.StoreOptions{Threads: 2, MaxInflight: 1, MaxQueue: 1})
 	defer st.Close()
@@ -224,44 +276,95 @@ func TestStoreOverload(t *testing.T) {
 	src.epoch.Store(2)
 	src.block.Store(true)
 
-	// Inflight slot taken (the submission stalls inside the source);
-	// queue slot taken; the third submission must fail immediately.
-	f1 := col.Submit(ctx, skybench.Query{})
-	f2 := col.Submit(ctx, skybench.Query{})
-	f3 := col.Submit(ctx, skybench.Query{})
-	select {
-	case <-f3.Done():
-	default:
-		t.Fatal("over-bound submission did not fail synchronously")
-	}
-	if _, err := f3.Result(); !errors.Is(err, skybench.ErrOverloaded) {
-		t.Fatalf("over-bound submission = %v, want ErrOverloaded", err)
+	// Inflight slot taken (the query stalls inside the source); queue
+	// slot taken; a third Run must fail without blocking.
+	parked := parkRuns(col, ctx, skybench.Query{}, 2)
+	waitUntil(t, "one Run holds the slot and one queues", func() bool {
+		return st.Inflight() == 1 && st.QueueDepth() == 1
+	})
+	if _, err := runWithin(t, 5*time.Second, col, ctx, skybench.Query{}); !errors.Is(err, skybench.ErrOverloaded) {
+		t.Fatalf("over-bound Run = %v, want ErrOverloaded", err)
 	}
 	// Overload + AllowStale degrades to the cached result immediately.
-	f4 := col.Submit(ctx, skybench.Query{AllowStale: true})
-	res, err := f4.Result()
-	if err != nil || !res.Stale || res.Epoch != fresh.Epoch {
+	res, err := runWithin(t, 5*time.Second, col, ctx, skybench.Query{AllowStale: true})
+	if err != nil || !res.Stale || res.CacheHit || res.Epoch != fresh.Epoch {
 		t.Fatalf("overloaded AllowStale = (%+v, %v), want stale epoch-%d result", res, err, fresh.Epoch)
 	}
 
-	// Unblock: the stalled and queued submissions complete fresh.
+	// Unblock: the stalled and queued Runs complete fresh.
 	src.block.Store(false)
 	close(src.gate)
-	for i, f := range []*skybench.Future{f1, f2} {
-		if res, err := f.Result(); err != nil || res.Stale {
-			t.Fatalf("submission %d after drain: res=%+v err=%v", i+1, res, err)
+	for i := range 2 {
+		if err := <-parked; err != nil {
+			t.Fatalf("parked Run %d after drain: %v", i+1, err)
 		}
 	}
 	// Capacity is back.
-	if _, err := col.Submit(ctx, skybench.Query{}).Result(); err != nil {
-		t.Fatalf("post-drain submission: %v", err)
+	if _, err := col.Run(ctx, skybench.Query{}); err != nil {
+		t.Fatalf("post-drain Run: %v", err)
 	}
 }
 
-// TestSubmitAfterClose: submissions against a closed Store resolve
-// deterministically with ErrClosed — synchronously, and never by
-// panicking on a closed channel.
-func TestSubmitAfterClose(t *testing.T) {
+// TestQueuedRunHonoursDefaultTimeout: the Store's DefaultTimeout bounds
+// a Run's wait for admission, not just its execution. One Run holds the
+// only slot on a stalled source under its own 3 s deadline; a Run with
+// no deadline of its own queued behind it fails at the 100 ms default,
+// or with AllowStale degrades to the cached answer at that point.
+func TestQueuedRunHonoursDefaultTimeout(t *testing.T) {
+	st := skybench.NewStoreWithOptions(skybench.StoreOptions{Threads: 2, MaxInflight: 1, MaxQueue: 1,
+		DefaultTimeout: 100 * time.Millisecond})
+	defer st.Close()
+	src := newGateSource(storeTestData(t, "independent", 300, 3, 8))
+	gated, err := st.AttachStream("gated", src, skybench.CollectionOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ds, _ := skybench.NewDataset(storeTestData(t, "correlated", 200, 3, 9))
+	fast, err := st.Attach("fast", ds, skybench.CollectionOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	bg := context.Background()
+	cached, err := fast.Run(bg, skybench.Query{})
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	src.block.Store(true)
+	holdCtx, cancel := context.WithTimeout(bg, 3*time.Second)
+	defer cancel()
+	held := make(chan error, 1)
+	go func() {
+		_, err := gated.Run(holdCtx, skybench.Query{})
+		held <- err
+	}()
+	defer func() {
+		close(src.gate)
+		<-held
+	}()
+	waitUntil(t, "the holder takes the slot", func() bool { return st.Inflight() == 1 })
+
+	start := time.Now()
+	if _, err := runWithin(t, 5*time.Second, fast, bg, skybench.Query{}); !errors.Is(err, skybench.ErrDeadlineExceeded) {
+		t.Fatalf("queued Run = %v, want ErrDeadlineExceeded", err)
+	}
+	if e := time.Since(start); e > time.Second {
+		t.Fatalf("queued Run gave up after %v, want about the 100ms default", e)
+	}
+
+	res, err := runWithin(t, 5*time.Second, fast, bg, skybench.Query{AllowStale: true})
+	if err != nil {
+		t.Fatalf("queued AllowStale Run = %v, want the cached answer", err)
+	}
+	if !res.Stale || res.CacheHit || !slices.Equal(res.Indices, cached.Indices) {
+		t.Fatalf("queued AllowStale Run: Stale %v, CacheHit %v, %d rows; want the %d cached rows, stale, no hit",
+			res.Stale, res.CacheHit, res.Len(), cached.Len())
+	}
+}
+
+// TestRunAfterClose: Runs against a closed Store fail with ErrClosed at
+// once, never by panicking on a closed channel.
+func TestRunAfterClose(t *testing.T) {
 	st := skybench.NewStoreWithOptions(skybench.StoreOptions{Threads: 1, MaxInflight: 2})
 	ds, _ := skybench.NewDataset(storeTestData(t, "correlated", 100, 3, 3))
 	col, err := st.Attach("c", ds, skybench.CollectionOptions{})
@@ -270,28 +373,22 @@ func TestSubmitAfterClose(t *testing.T) {
 	}
 	st.Close()
 
-	f := col.Submit(context.Background(), skybench.Query{})
-	select {
-	case <-f.Done():
-	default:
-		t.Fatal("post-Close submission did not resolve synchronously")
-	}
-	if _, err := f.Result(); !errors.Is(err, skybench.ErrClosed) {
-		t.Fatalf("post-Close submission = %v, want ErrClosed", err)
-	}
-	if _, err := col.Run(context.Background(), skybench.Query{}); !errors.Is(err, skybench.ErrClosed) {
+	if _, err := runWithin(t, 5*time.Second, col, context.Background(), skybench.Query{}); !errors.Is(err, skybench.ErrClosed) {
 		t.Fatalf("post-Close Run = %v, want ErrClosed", err)
+	}
+	if _, err := col.Run(context.Background(), skybench.Query{AllowStale: true}); !errors.Is(err, skybench.ErrClosed) {
+		t.Fatalf("post-Close AllowStale Run = %v, want ErrClosed", err)
 	}
 }
 
-// TestSubmitCloseRace: many goroutines hammer Submit while the Store
-// closes concurrently. Every Future must resolve — success or ErrClosed
-// (or context cancellation from the admission wait), never a panic and
+// TestRunCloseRace: many goroutines hammer Run while the Store closes
+// concurrently. Every Run must return — success or ErrClosed (or
+// overload, or cancellation from the admission wait), never a panic and
 // never a hang. The Store serves through a caller-owned Engine, so the
 // race covers admission and collection shutdown, the paths Close
 // actually contends on, without violating the engine's own close
 // contract for in-flight queries.
-func TestSubmitCloseRace(t *testing.T) {
+func TestRunCloseRace(t *testing.T) {
 	rows := storeTestData(t, "independent", 200, 3, 4)
 	eng := skybench.NewEngine(2)
 	defer eng.Close()
@@ -310,18 +407,17 @@ func TestSubmitCloseRace(t *testing.T) {
 				defer wg.Done()
 				<-start
 				for i := 0; i < 4; i++ {
-					f := col.Submit(context.Background(), skybench.Query{})
-					res, err := f.Result()
+					res, err := col.Run(context.Background(), skybench.Query{})
 					switch {
 					case err == nil:
 						if res == nil || res.Len() == 0 {
-							t.Error("successful submission with empty result")
+							t.Error("successful Run with empty result")
 							return
 						}
 					case errors.Is(err, skybench.ErrClosed) || errors.Is(err, skybench.ErrOverloaded) || errors.Is(err, skybench.ErrCanceled):
 						// Legitimate shutdown/admission outcomes.
 					default:
-						t.Errorf("submission racing Close = %v", err)
+						t.Errorf("Run racing Close = %v", err)
 						return
 					}
 				}
@@ -334,23 +430,112 @@ func TestSubmitCloseRace(t *testing.T) {
 }
 
 // TestRunCanceledContext: a pre-canceled context fails immediately
-// with the cancel family, not a deadline error and not a hang.
+// with the cancel family, not a deadline error and not a hang — with
+// admission unbounded and bounded alike.
 func TestRunCanceledContext(t *testing.T) {
-	st := skybench.NewStore(1)
-	defer st.Close()
-	ds, _ := skybench.NewDataset(storeTestData(t, "independent", 100, 3, 2))
-	col, err := st.Attach("c", ds, skybench.CollectionOptions{})
+	for _, opts := range []skybench.StoreOptions{
+		{Threads: 1},
+		{Threads: 1, MaxInflight: 1, MaxQueue: 1},
+	} {
+		st := skybench.NewStoreWithOptions(opts)
+		defer st.Close()
+		ds, _ := skybench.NewDataset(storeTestData(t, "independent", 100, 3, 2))
+		col, err := st.Attach("c", ds, skybench.CollectionOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		ctx, cancel := context.WithCancel(context.Background())
+		cancel()
+		if _, err := col.Run(ctx, skybench.Query{}); !errors.Is(err, skybench.ErrCanceled) {
+			t.Fatalf("MaxInflight %d: pre-canceled Run = %v, want ErrCanceled", opts.MaxInflight, err)
+		}
+	}
+}
+
+// panicSource panics inside LiveSnapshot while armed.
+type panicSource struct {
+	d     int
+	armed atomic.Bool
+}
+
+func (s *panicSource) D() int            { return s.d }
+func (s *panicSource) LiveEpoch() uint64 { return 1 }
+func (s *panicSource) LiveSnapshot() ([]float64, []uint64, uint64) {
+	if s.armed.Load() {
+		panic("injected materialization fault")
+	}
+	return []float64{1, 2}, []uint64{1}, 1
+}
+
+// TestRunLeavesNoGoroutines: admitted, queued, overloaded, canceled and
+// panicking Runs leave nothing running once the Store is closed — the
+// goroutine count returns to where it was before the Store existed.
+func TestRunLeavesNoGoroutines(t *testing.T) {
+	baseline := runtime.NumGoroutine()
+	st := skybench.NewStoreWithOptions(skybench.StoreOptions{Threads: 2, MaxInflight: 1, MaxQueue: 1})
+	src := newGateSource(storeTestData(t, "independent", 200, 3, 8))
+	gated, err := st.AttachStream("gated", src, skybench.CollectionOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	ctx, cancel := context.WithCancel(context.Background())
+	ds, _ := skybench.NewDataset(storeTestData(t, "independent", 500, 3, 9))
+	plain, err := st.Attach("plain", ds, skybench.CollectionOptions{Shards: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	bg := context.Background()
+
+	// Admitted.
+	if _, err := plain.Run(bg, skybench.Query{SkybandK: 2}); err != nil {
+		t.Fatal(err)
+	}
+	// Panicking: with an un-cancelable context the panic reaches Run's
+	// own recover, with a cancelable one the side read's.
+	pctx, pcancel := context.WithTimeout(bg, time.Minute)
+	defer pcancel()
+	for i, ctx := range []context.Context{bg, pctx} {
+		src := &panicSource{d: 2}
+		src.armed.Store(true)
+		col, err := st.AttachStream(fmt.Sprint("panic", i), src, skybench.CollectionOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := col.Run(ctx, skybench.Query{}); !errors.Is(err, skybench.ErrQueryPanic) {
+			t.Fatalf("panicking Run = %v, want ErrQueryPanic", err)
+		}
+	}
+	// Canceled.
+	cctx, cancel := context.WithCancel(bg)
 	cancel()
-	if _, err := col.Run(ctx, skybench.Query{}); !errors.Is(err, skybench.ErrCanceled) {
-		t.Fatalf("pre-canceled Run = %v, want ErrCanceled", err)
+	if _, err := plain.Run(cctx, skybench.Query{}); !errors.Is(err, skybench.ErrCanceled) {
+		t.Fatalf("canceled Run = %v, want ErrCanceled", err)
 	}
-	if _, err := col.Submit(ctx, skybench.Query{}).Result(); !errors.Is(err, skybench.ErrCanceled) {
-		t.Fatalf("pre-canceled Submit = %v, want ErrCanceled", err)
+	// Queued behind a stalled holder: one times out, one is admitted once
+	// the holder drains; a third is overloaded.
+	src.block.Store(true)
+	holder := parkRuns(gated, bg, skybench.Query{}, 1)
+	waitUntil(t, "the holder takes the slot", func() bool { return st.Inflight() == 1 })
+	qctx, qcancel := context.WithTimeout(bg, 20*time.Millisecond)
+	defer qcancel()
+	if _, err := plain.Run(qctx, skybench.Query{}); !errors.Is(err, skybench.ErrDeadlineExceeded) {
+		t.Fatalf("queued Run past its deadline = %v, want ErrDeadlineExceeded", err)
 	}
+	queued := parkRuns(plain, bg, skybench.Query{}, 1)
+	waitUntil(t, "a Run queues", func() bool { return st.QueueDepth() == 1 })
+	if _, err := plain.Run(bg, skybench.Query{}); !errors.Is(err, skybench.ErrOverloaded) {
+		t.Fatalf("over-bound Run = %v, want ErrOverloaded", err)
+	}
+	close(src.gate)
+	for _, ch := range []<-chan error{holder, queued} {
+		if err := <-ch; err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	st.Close()
+	waitUntil(t, fmt.Sprintf("the goroutine count is back at %d", baseline), func() bool {
+		return runtime.NumGoroutine() <= baseline
+	})
 }
 
 // TestOversizedAlphaBeta: α and β arrive from the wire unchecked, and

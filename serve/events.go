@@ -45,7 +45,7 @@ type event struct {
 	LatencyNs int64 `json:"latencyNs"`
 	// CacheHit marks a query answered from the collection's result
 	// cache, as reported by the lookup that answered it
-	// (skybench.Future.CacheHit) — exact however requests overlap.
+	// (skybench.QueryResult.CacheHit) — exact however requests overlap.
 	CacheHit bool `json:"cacheHit,omitempty"`
 	// Trace is the full execution trace of a slow query — attached only
 	// when the server runs with a slow-query threshold

@@ -176,8 +176,8 @@ func New(st *skybench.Store, opts Options) *Server {
 	s.inflight = r.NewGaugeVec("skyserved_collection_inflight", "Queries executing at scrape time.", "collection")
 	s.points = r.NewGaugeVec("skyserved_collection_points", "Live points at scrape time.", "collection")
 	s.epoch = r.NewGaugeVec("skyserved_collection_epoch", "Membership epoch at scrape time.", "collection")
-	s.storeInfl = r.NewGaugeVec("skyserved_store_inflight", "Submitted queries holding an admission slot.")
-	s.storeQueue = r.NewGaugeVec("skyserved_store_queue_depth", "Submitted queries waiting for an admission slot.")
+	s.storeInfl = r.NewGaugeVec("skyserved_store_inflight", "Queries holding an admission slot.")
+	s.storeQueue = r.NewGaugeVec("skyserved_store_queue_depth", "Queries waiting for an admission slot.")
 	s.phaseDur = r.NewHistogramVec("skyserved_query_phase_seconds", "Engine time per execution phase, executed queries only.", nil, "collection", "phase")
 	s.algoDur = r.NewHistogramVec("skyserved_query_algorithm_seconds", "Engine service time by algorithm, executed queries only.", nil, "collection", "algorithm")
 	s.algoDTs = r.NewHistogramVec("skyserved_query_dominance_tests", "Dominance tests per executed query, by algorithm.", dtBuckets, "collection", "algorithm")
@@ -457,16 +457,15 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request, obs *observ
 	if s.opts.SlowQuery > 0 {
 		q.Trace = true
 	}
-	// Submit (rather than Run) routes the query through the Store's
-	// admission control, so MaxInflight/MaxQueue overload comes back as
-	// a synchronous 429 and the server cannot oversubscribe the engine.
-	fut := col.Submit(ctx, q)
-	res, err := fut.Result()
+	// Run passes the Store's admission control, so MaxInflight/MaxQueue
+	// overload comes back as an immediate 429 and the server cannot
+	// oversubscribe the engine; a panic comes back as ErrQueryPanic.
+	res, err := col.Run(ctx, q)
 	if err != nil {
 		writeError(w, obs, err)
 		return
 	}
-	obs.cacheHit = fut.CacheHit()
+	obs.cacheHit = res.CacheHit
 	obs.trace = res.Trace
 	if res.Plan != nil {
 		// An "auto" query ran as a concrete algorithm: attribute the

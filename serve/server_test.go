@@ -410,7 +410,7 @@ func TestOverloadOverWire(t *testing.T) {
 }
 
 // panicSource panics during its next materialization when armed — the
-// query-execution panic the Submit path must contain and report as
+// query-execution panic Collection.Run must contain and report as
 // ErrQueryPanic rather than crash the server.
 type panicSource struct {
 	d     int

@@ -31,7 +31,7 @@ type Store struct {
 
 	// Admission control (StoreOptions.MaxInflight/MaxQueue). tokens is a
 	// counting semaphore that is never closed — shutdown is signaled by
-	// closedCh instead, so a Submit racing Close can never hit a
+	// closedCh instead, so a Run racing Close can never hit a
 	// send-on-closed-channel panic; it deterministically observes
 	// ErrClosed.
 	tokens     chan struct{}
@@ -39,7 +39,6 @@ type Store struct {
 	defTimeout time.Duration
 	waiters    atomic.Int64
 	closedCh   chan struct{}
-	closeOnce  sync.Once
 
 	mu     sync.RWMutex
 	cols   map[string]*Collection
@@ -53,21 +52,21 @@ type StoreOptions struct {
 	// Threads is the shared Engine's thread budget (≤ 0 selects all
 	// usable CPUs).
 	Threads int
-	// MaxInflight bounds how many submitted queries may execute
-	// concurrently (Submit; synchronous Run is the caller's
-	// own concurrency and is not throttled). ≤ 0 means unlimited.
+	// MaxInflight bounds how many Collection.Run calls, across every
+	// collection of the Store, may execute concurrently. ≤ 0 means
+	// unlimited.
 	MaxInflight int
-	// MaxQueue bounds how many submitted queries may wait for an
-	// inflight slot once MaxInflight are running; a submission beyond
-	// the bound fails fast with ErrOverloaded instead of queuing without
-	// limit. ≤ 0 rejects as soon as MaxInflight are running. Meaningless
-	// unless MaxInflight > 0.
+	// MaxQueue bounds how many Run calls may wait for an inflight slot
+	// once MaxInflight are running; a call beyond the bound fails at
+	// once with ErrOverloaded instead of queuing without limit. A queued
+	// call waits no longer than its query's deadline. ≤ 0 rejects as
+	// soon as MaxInflight are running. Meaningless unless MaxInflight > 0.
 	MaxQueue int
 	// DefaultTimeout, when > 0, is the per-query deadline applied to
-	// every Run/Submit whose context does not already carry one.
-	// Exceeding it fails the query with an error wrapping both
-	// ErrCanceled and ErrDeadlineExceeded. Collections can override it
-	// via CollectionOptions.DefaultTimeout.
+	// every Run whose context does not already carry one; it bounds the
+	// wait for admission too. Exceeding it fails the query with an error
+	// wrapping both ErrCanceled and ErrDeadlineExceeded. Collections can
+	// override it via CollectionOptions.DefaultTimeout.
 	DefaultTimeout time.Duration
 }
 
@@ -115,10 +114,10 @@ func newStore(opts StoreOptions, eng *Engine) *Store {
 // Engine returns the Store's shared Engine.
 func (s *Store) Engine() *Engine { return s.eng }
 
-// Inflight returns the number of submitted queries currently holding an
-// admission slot. Always 0 when admission is unbounded (MaxInflight ≤
-// 0) — synchronous Run calls are the caller's own concurrency and are
-// counted per collection instead (CollectionStats.Inflight).
+// Inflight returns the number of queries currently holding an admission
+// slot. Always 0 when admission is unbounded (MaxInflight ≤ 0);
+// CollectionStats.Inflight counts executing queries per collection
+// either way.
 func (s *Store) Inflight() int {
 	if s.tokens == nil {
 		return 0
@@ -126,7 +125,7 @@ func (s *Store) Inflight() int {
 	return len(s.tokens)
 }
 
-// QueueDepth returns the number of submitted queries waiting for an
+// QueueDepth returns the number of queries waiting for an
 // admission slot (bounded by StoreOptions.MaxQueue). Always 0 when
 // admission is unbounded.
 func (s *Store) QueueDepth() int {
@@ -280,8 +279,8 @@ func (s *Store) Drop(name string) error {
 
 // Close drops every collection and, when the Store owns its Engine
 // (NewStore), closes it. In-flight queries must have completed, as for
-// Engine.Close; queries submitted after (or racing) Close fail with
-// ErrClosed — never a panic.
+// Engine.Close; queries run after (or racing) Close, and queries queued
+// for admission when it comes, fail with ErrClosed — never a panic.
 func (s *Store) Close() {
 	s.mu.Lock()
 	if s.closed {
@@ -289,7 +288,7 @@ func (s *Store) Close() {
 		return
 	}
 	s.closed = true
-	s.closeOnce.Do(func() { close(s.closedCh) })
+	close(s.closedCh)
 	var owned []*Collection
 	for name, c := range s.cols {
 		c.dropped.Store(true)
@@ -305,68 +304,44 @@ func (s *Store) Close() {
 	}
 }
 
-// admission is one submitted query's reservation in the Store's bounded
-// queue: either it already holds an inflight token, or it is a counted
-// waiter entitled to block for one.
-type admission struct {
-	s      *Store
-	held   bool // an inflight token is held
-	queued bool // registered as a waiter (counted against MaxQueue)
-}
-
-// beginAdmit is the synchronous half of admission, run on the
-// submitter's goroutine so its failures are deterministic: a Store
-// already closed fails with ErrClosed, a full queue with ErrOverloaded —
-// before any goroutine is spawned. A nil Store (engine-only Collection)
-// and an unbounded Store admit trivially.
-func (s *Store) beginAdmit() (admission, error) {
-	if s == nil {
-		return admission{}, nil
-	}
-	s.mu.RLock()
-	closed := s.closed
-	s.mu.RUnlock()
-	if closed {
-		return admission{}, fmt.Errorf("%w: Store", ErrClosed)
+// admit takes one of the Store's inflight slots for a query (a no-op
+// when admission is unbounded). With every slot taken the query queues
+// for one while fewer than MaxQueue others wait — until a slot frees,
+// the Store closes, or ctx is done — and beyond the bound it fails at
+// once with ErrOverloaded. A closed Store fails with ErrClosed. After a
+// nil error the caller must release.
+func (s *Store) admit(ctx context.Context) error {
+	select {
+	case <-s.closedCh:
+		return fmt.Errorf("%w: Store", ErrClosed)
+	default:
 	}
 	if s.tokens == nil {
-		return admission{}, nil
+		return nil
 	}
 	select {
 	case s.tokens <- struct{}{}:
-		return admission{s: s, held: true}, nil
+		return nil
 	default:
 	}
 	if int(s.waiters.Add(1)) > s.maxQueue {
 		s.waiters.Add(-1)
-		return admission{}, fmt.Errorf("%w: %d queries running and %d queued", ErrOverloaded, cap(s.tokens), s.maxQueue)
+		return fmt.Errorf("%w: %d queries running and %d queued", ErrOverloaded, cap(s.tokens), s.maxQueue)
 	}
-	return admission{s: s, queued: true}, nil
-}
-
-// wait blocks until the admission holds an inflight token, the Store
-// closes, or ctx is done. On success the caller must call release.
-func (a *admission) wait(ctx context.Context) error {
-	if a.s == nil || a.held {
-		return nil
-	}
-	defer a.s.waiters.Add(-1)
-	a.queued = false
+	defer s.waiters.Add(-1)
 	select {
-	case a.s.tokens <- struct{}{}:
-		a.held = true
+	case s.tokens <- struct{}{}:
 		return nil
-	case <-a.s.closedCh:
+	case <-s.closedCh:
 		return fmt.Errorf("%w: Store", ErrClosed)
 	case <-ctx.Done():
 		return canceledErr(ctx.Err())
 	}
 }
 
-// release returns the inflight token.
-func (a *admission) release() {
-	if a.held {
-		a.held = false
-		<-a.s.tokens
+// release returns the slot admit took.
+func (s *Store) release() {
+	if s.tokens != nil {
+		<-s.tokens
 	}
 }

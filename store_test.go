@@ -8,6 +8,7 @@ import (
 	"slices"
 	"sync"
 	"testing"
+	"unsafe"
 
 	"skybench"
 	"skybench/internal/dataset"
@@ -36,6 +37,12 @@ func bandMap(idx []int, counts []int32) map[int]int32 {
 		}
 	}
 	return m
+}
+
+// sharesStorage reports whether two result slices are one backing array
+// seen twice — how a cache hit proves it recomputed nothing.
+func sharesStorage[T any](a, b []T) bool {
+	return len(a) == len(b) && unsafe.SliceData(a) == unsafe.SliceData(b)
 }
 
 // TestStoreShardedMatchesUnsharded is the acceptance property: for
@@ -196,8 +203,8 @@ func TestStoreShardedGolden(t *testing.T) {
 
 // TestStoreCacheHitZeroAlloc is the acceptance bound on the cache: a
 // repeated identical untraced query on an unchanged collection must be
-// a hit that performs zero shard work — same immutable result handle,
-// no allocations at all. This also pins the tracing design's overhead
+// a hit that performs zero shard work — marked CacheHit, the one shared
+// handle on every hit, the miss's rows, no allocations at all. This also pins the tracing design's overhead
 // contract: with Query.Trace off (the default here), the cost counters
 // and cache-hit path stay allocation-free.
 func TestStoreCacheHitZeroAlloc(t *testing.T) {
@@ -231,8 +238,14 @@ func TestStoreCacheHitZeroAlloc(t *testing.T) {
 	if allocs != 0 {
 		t.Errorf("cache hit allocates %.1f per call, want 0", allocs)
 	}
-	if got != first {
-		t.Error("cache hit returned a different result handle — shard work was redone")
+	if first.CacheHit || !got.CacheHit {
+		t.Errorf("CacheHit: miss %v, hit %v", first.CacheHit, got.CacheHit)
+	}
+	if again, _ := col.Run(ctx, q); again != got {
+		t.Error("two cache hits returned different handles")
+	}
+	if !sharesStorage(got.Indices, first.Indices) || !sharesStorage(got.Counts, first.Counts) {
+		t.Error("cache hit does not share the miss's rows — shard work was redone")
 	}
 	stats := col.CacheStats()
 	if stats.Hits <= base.Hits {
@@ -258,7 +271,7 @@ func TestStoreCacheHitZeroAlloc(t *testing.T) {
 	if tr1.Trace == nil || !tr1.Trace.CacheHit {
 		t.Fatalf("traced repeat: trace = %+v, want a cache-hit trace", tr1.Trace)
 	}
-	if tr1 == first {
+	if tr1 == got || !tr1.CacheHit {
 		t.Error("traced cache hit returned the shared cached handle — its trace would leak to untraced callers")
 	}
 	if hs := col.CacheStats(); hs.Misses != base.Misses {
@@ -268,7 +281,7 @@ func TestStoreCacheHitZeroAlloc(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if after != first || after.Trace != nil {
+	if after != got || after.Trace != nil {
 		t.Error("untraced query after a traced hit no longer gets the clean cached handle")
 	}
 
@@ -284,7 +297,7 @@ func TestStoreCacheHitZeroAlloc(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if r0 != r1 {
+	if r0.CacheHit || !r1.CacheHit || !sharesStorage(r0.Indices, r1.Indices) {
 		t.Error("canonically equivalent queries did not share a cache entry")
 	}
 
@@ -312,11 +325,11 @@ func TestStoreCacheEvictsInInsertionOrder(t *testing.T) {
 	const c = 4
 	ctx := context.Background()
 	hit := func(col *skybench.Collection, k int) bool {
-		f := col.Submit(ctx, skybench.Query{SkybandK: k})
-		if _, err := f.Result(); err != nil {
+		res, err := col.Run(ctx, skybench.Query{SkybandK: k})
+		if err != nil {
 			t.Fatal(err)
 		}
-		return f.CacheHit()
+		return res.CacheHit
 	}
 	for run := 0; run < 20; run++ {
 		col, err := st.Attach(fmt.Sprint("fifo", run), ds, skybench.CollectionOptions{CacheCapacity: c})
@@ -412,7 +425,7 @@ func TestStoreStreamCacheInvalidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if r2 != r1 {
+	if !r2.CacheHit || !sharesStorage(r2.Indices, r1.Indices) {
 		t.Error("unchanged stream collection recomputed instead of hitting the cache")
 	}
 
@@ -426,7 +439,7 @@ func TestStoreStreamCacheInvalidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if r3 == r1 {
+	if r3.CacheHit {
 		t.Error("insert did not invalidate the cached result")
 	}
 	if r3.Epoch == r1.Epoch {
@@ -443,7 +456,7 @@ func TestStoreStreamCacheInvalidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if r4 == r3 {
+	if r4.CacheHit {
 		t.Error("deletes did not invalidate the cached result")
 	}
 	check(r4)
@@ -554,10 +567,10 @@ func TestStoreErrors(t *testing.T) {
 	}
 }
 
-// TestCollectionSubmit covers the async surface: futures deliver what
-// Run would, several in flight at once, and Wait detaches on a dead
-// context without killing the query.
-func TestCollectionSubmit(t *testing.T) {
+// TestCollectionConcurrentRun: a repeat is the cached answer, and
+// several queries in flight at once on one sharded collection each get
+// theirs.
+func TestCollectionConcurrentRun(t *testing.T) {
 	rows := storeTestData(t, "anticorrelated", 2000, 4, 9)
 	ds, err := skybench.NewDataset(rows)
 	if err != nil {
@@ -575,38 +588,33 @@ func TestCollectionSubmit(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	f := col.Submit(ctx, skybench.Query{})
-	got, err := f.Result()
+	got, err := col.Run(ctx, skybench.Query{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got != want {
-		t.Error("future did not serve the cached handle Run produced")
+	if !got.CacheHit || !sharesStorage(got.Indices, want.Indices) {
+		t.Error("repeat did not serve the cached answer the first Run produced")
 	}
 
-	var fs []*skybench.Future
-	for _, q := range []skybench.Query{{}, {SkybandK: 2}, {Algorithm: skybench.QFlow}} {
-		fs = append(fs, col.Submit(ctx, q))
+	queries := []skybench.Query{{}, {SkybandK: 2}, {Algorithm: skybench.QFlow}}
+	results := make([]*skybench.QueryResult, len(queries))
+	errs := make([]error, len(queries))
+	var wg sync.WaitGroup
+	for i, q := range queries {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			results[i], errs[i] = col.Run(ctx, q)
+		}()
 	}
-	for i, f := range fs {
-		res, err := f.Wait(ctx)
-		if err != nil {
-			t.Fatalf("batch query %d: %v", i, err)
+	wg.Wait()
+	for i := range queries {
+		if errs[i] != nil {
+			t.Fatalf("concurrent query %d: %v", i, errs[i])
 		}
-		if res.Len() == 0 {
-			t.Fatalf("batch query %d: empty result", i)
+		if results[i].Len() == 0 {
+			t.Fatalf("concurrent query %d: empty result", i)
 		}
-	}
-
-	// Wait with a dead context abandons the wait, not the future.
-	slow := col.Submit(ctx, skybench.Query{SkybandK: 4})
-	deadCtx, cancel := context.WithCancel(ctx)
-	cancel()
-	if _, err := slow.Wait(deadCtx); !errors.Is(err, skybench.ErrCanceled) {
-		t.Errorf("Wait on dead context: err = %v, want ErrCanceled", err)
-	}
-	if res, err := slow.Result(); err != nil || res == nil {
-		t.Errorf("future died with its waiter: (%v, %v)", res, err)
 	}
 }
 
