@@ -12,20 +12,21 @@ import (
 	"skybench"
 	"skybench/internal/cluster"
 	"skybench/serve"
+	"skybench/serve/client"
 	"skybench/stream"
 )
 
 // autoPlan is what every Auto answer that ran an algorithm reports.
-var autoPlan = skybench.PlannerTrace{Algorithm: "hybrid", Shards: 1}
+var autoPlan = skybench.PlannerTrace{Algorithm: "hybrid"}
 
 // TestAutoIsHybridUnsharded is Auto's oracle property: on every kind of
-// backing, an Auto answer is exactly explicit Hybrid's at fan-out 1 —
-// the same indices in the same order, the same counts — for k ∈ {1, 3}.
-// On a collection that is not sharded that is the explicit Hybrid query
-// on the same collection; on a sharded one it is Engine.Run over the same
-// rows. Every Auto answer reports {hybrid, 1} in Plan, except one read
-// from a stream's maintained band, which ran nothing and reports none.
-// Caching is off, so every answer compared was computed.
+// backing, an Auto answer is exactly explicit Hybrid's — the same
+// indices in the same order, the same counts — for k ∈ {1, 3}: the
+// explicit Hybrid query on the same collection, and on a static one
+// Engine.Run over the same rows too. Every Auto answer reports hybrid in
+// Plan, except one read from a stream's maintained band, which ran
+// nothing and reports none. Caching is off, so every answer compared was
+// computed.
 func TestAutoIsHybridUnsharded(t *testing.T) {
 	const n, d = 1200, 4
 	ctx := context.Background()
@@ -36,15 +37,9 @@ func TestAutoIsHybridUnsharded(t *testing.T) {
 	}
 	st := skybench.NewStore(2)
 	defer st.Close()
-	uncached := func(shards int) skybench.CollectionOptions {
-		return skybench.CollectionOptions{Shards: shards, CacheCapacity: -1}
-	}
+	uncached := skybench.CollectionOptions{CacheCapacity: -1}
 
-	flat, err := st.Attach("flat", ds, uncached(1))
-	if err != nil {
-		t.Fatal(err)
-	}
-	sharded, err := st.Attach("sharded", ds, uncached(2))
+	flat, err := st.Attach("flat", ds, uncached)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -58,14 +53,14 @@ func TestAutoIsHybridUnsharded(t *testing.T) {
 	if _, err := ix.InsertBatch(rows); err != nil {
 		t.Fatal(err)
 	}
-	live, err := st.AttachStream("live", ix, uncached(1))
+	live, err := st.AttachStream("live", ix, uncached)
 	if err != nil {
 		t.Fatal(err)
 	}
 
 	// Two workers, each a Store behind the wire over half the rows.
 	var specs []cluster.WorkerSpec
-	var workers []*skybench.Store
+	var workerURLs []string
 	for _, r := range [][2]int{{0, n / 2}, {n / 2, n}} {
 		wds, err := skybench.NewDataset(rows[r[0]:r[1]])
 		if err != nil {
@@ -79,7 +74,7 @@ func TestAutoIsHybridUnsharded(t *testing.T) {
 		hs := httptest.NewServer(srv)
 		defer srv.Close()
 		defer hs.Close()
-		workers = append(workers, wst)
+		workerURLs = append(workerURLs, hs.URL)
 		specs = append(specs, cluster.WorkerSpec{Addr: hs.URL, Lo: r[0], Hi: r[1]})
 	}
 	co, err := cluster.New(cluster.Config{Collection: "c", D: d, Workers: specs, ProbeInterval: -1})
@@ -111,11 +106,11 @@ func TestAutoIsHybridUnsharded(t *testing.T) {
 		name  string
 		col   *skybench.Collection
 		prefs []skybench.Pref
-		want  func(skybench.Query) skybench.Result // explicit Hybrid at fan-out 1
+		want  func(skybench.Query) skybench.Result // explicit Hybrid
 		band  bool
 	}{
 		{"static", flat, nil, onCollection(flat), false},
-		{"static Shards 2", sharded, nil, onEngine, false},
+		{"static on the engine", flat, nil, onEngine, false},
 		{"stream band", live, bandPrefs, onCollection(live), true},
 		{"stream fall-through", live, nil, onCollection(live), false},
 		{"cluster", remote, nil, onCollection(remote), false},
@@ -147,17 +142,16 @@ func TestAutoIsHybridUnsharded(t *testing.T) {
 	}
 
 	// The workers were asked for hybrid, never for auto.
-	for i, wst := range workers {
-		c, err := wst.Collection("c")
+	for i, url := range workerURLs {
+		cli := client.New(url)
+		text, err := cli.Metrics(ctx)
+		cli.Close()
 		if err != nil {
 			t.Fatal(err)
 		}
-		cs, err := c.Stats()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(cs.Costs) != 1 || cs.Costs[0].Algorithm != "hybrid" {
-			t.Errorf("worker %d booked %+v, want hybrid runs only", i, cs.Costs)
+		if !strings.Contains(text, `skyserved_query_algorithm_seconds_count{collection="c",algorithm="hybrid"}`) ||
+			strings.Contains(text, `algorithm="auto"`) {
+			t.Errorf("worker %d did not book hybrid runs only", i)
 		}
 	}
 }
@@ -182,12 +176,10 @@ func TestEngineRejectsAuto(t *testing.T) {
 	}
 }
 
-// TestAutoCacheSharesResolvedPlan: on an unsharded collection an Auto
-// query and the explicit Hybrid query share one cache entry (the key is
-// taken after Auto is resolved), and an Auto hit — traced or not — still
-// reports its Plan while an explicit hit reports none. On a sharded
-// collection they never share: Auto's unsharded order is keyed apart
-// from the collection's ascending fan-out order.
+// TestAutoCacheSharesResolvedPlan: an Auto query and the explicit Hybrid
+// query share one cache entry (the key is taken after Auto is resolved),
+// and an Auto hit — traced or not — still reports its Plan while an
+// explicit hit reports none.
 func TestAutoCacheSharesResolvedPlan(t *testing.T) {
 	rows := storeTestData(t, "correlated", 2000, 4, 13)
 	ds, err := skybench.NewDataset(rows)
@@ -228,18 +220,5 @@ func TestAutoCacheSharesResolvedPlan(t *testing.T) {
 	}
 	if tr := traced.Trace; tr == nil || !tr.CacheHit || tr.Planner == nil || *tr.Planner != autoPlan || traced.Plan == nil {
 		t.Errorf("traced auto hit: trace %+v plan %+v", tr, traced.Plan)
-	}
-
-	sharded, err := st.Attach("auto-sharded", ds, skybench.CollectionOptions{Shards: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	unsharded := run(sharded, auto)
-	fanned := run(sharded, skybench.Query{})
-	if cs := sharded.CacheStats(); cs.Hits != 0 || cs.Entries != 2 {
-		t.Fatalf("sharded cache %+v, want two entries and no hit", cs)
-	}
-	if !slices.Equal(unsharded.Indices, first.Indices) || !slices.IsSorted(fanned.Indices) {
-		t.Error("sharded collection: auto is not the unsharded order, or the fan-out is not ascending")
 	}
 }

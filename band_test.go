@@ -285,8 +285,8 @@ func TestBandAnswerExactTrace(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				if cs.Costs != nil || cs.BandAnswers == 0 {
-					t.Fatalf("band answers were booked as engine runs: costs %+v bandAnswers %d", cs.Costs, cs.BandAnswers)
+				if cs.BandAnswers == 0 || cs.BandAnswers != cs.Cache.Misses {
+					t.Fatalf("an engine answered: %d misses, %d band answers", cs.Cache.Misses, cs.BandAnswers)
 				}
 			})
 		}
@@ -318,10 +318,11 @@ func bandFixture(t *testing.T, opts skybench.CollectionOptions) (*skybench.Store
 
 // TestBandRouting pins which queries are read from the maintained band
 // and which are materialized and run: with a source that counts
-// LiveSnapshot calls, every matching shape reads none — and books no
-// cost row, makes no planner decision, and says so in its trace — and
+// LiveSnapshot calls, every matching shape reads none — and runs no
+// engine, makes no planner decision, and says so in its trace — and
 // every non-matching shape reads exactly one per epoch and still
-// returns the engine's answer.
+// returns the engine's answer. The deprecated Shards option changes
+// nothing.
 func TestBandRouting(t *testing.T) {
 	ctx := context.Background()
 	for _, shards := range []int{1, 2} {
@@ -367,8 +368,8 @@ func TestBandRouting(t *testing.T) {
 				t.Fatal(err)
 			}
 			// "auto" shares the explicit hybrid k = 2 entry: four band reads.
-			if cs.Costs != nil || cs.BandAnswers != 4 || cs.Cache.Hits != 1 {
-				t.Fatalf("after matching shapes: costs %+v bandAnswers %d hits %d", cs.Costs, cs.BandAnswers, cs.Cache.Hits)
+			if cs.Cache.Misses != 4 || cs.BandAnswers != 4 || cs.Cache.Hits != 1 {
+				t.Fatalf("after matching shapes: misses %d bandAnswers %d hits %d", cs.Cache.Misses, cs.BandAnswers, cs.Cache.Hits)
 			}
 
 			var batches int
@@ -381,12 +382,7 @@ func TestBandRouting(t *testing.T) {
 				{"k′ > k", skybench.Query{Prefs: prefs, SkybandK: 3}},
 				{"baseline algorithm", skybench.Query{Prefs: prefs, Algorithm: skybench.BSkyTree}},
 				{"ablation", skybench.Query{Prefs: prefs, Ablation: skybench.Ablation{NoPrefilter: true}}},
-			}
-			if shards == 1 { // progressive delivery needs an unsharded collection
-				nonMatching = append(nonMatching, struct {
-					name string
-					q    skybench.Query
-				}{"progressive", skybench.Query{Prefs: prefs, Progressive: func(b []int) { batches++ }}})
+				{"progressive", skybench.Query{Prefs: prefs, Progressive: func(b []int) { batches++ }}},
 			}
 			for _, tc := range nonMatching {
 				if _, err := src.Insert([]float64{0.5, 0.5, 0.5}); err != nil { // a new epoch
@@ -407,22 +403,22 @@ func TestBandRouting(t *testing.T) {
 					t.Errorf("%s: %d LiveSnapshot calls in one epoch, want 1", tc.name, n)
 				}
 			}
-			if shards == 1 && batches == 0 {
+			if batches == 0 {
 				t.Error("progressive query delivered no batch")
 			}
 			cs, err = col.Stats()
 			if err != nil {
 				t.Fatal(err)
 			}
-			if cs.BandAnswers != 4 || len(cs.Costs) == 0 {
-				t.Fatalf("after non-matching shapes: bandAnswers %d costs %+v", cs.BandAnswers, cs.Costs)
+			if cs.BandAnswers != 4 || cs.Cache.Misses == cs.BandAnswers {
+				t.Fatalf("after non-matching shapes: bandAnswers %d misses %d", cs.BandAnswers, cs.Cache.Misses)
 			}
 		})
 	}
 }
 
 // TestBandSourceOptional: a source without the capability behaves as it
-// always did — one materialization per epoch, a booked engine run, no
+// always did — one materialization per epoch, one engine run, no
 // band answers — and returns the same rows as one with it.
 func TestBandSourceOptional(t *testing.T) {
 	ctx := context.Background()
@@ -455,8 +451,8 @@ func TestBandSourceOptional(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if plain.snapshots.Load() != 1 || cs.BandAnswers != 0 || len(cs.Costs) != 1 {
-		t.Fatalf("plain source: %d materializations, bandAnswers %d, costs %+v", plain.snapshots.Load(), cs.BandAnswers, cs.Costs)
+	if plain.snapshots.Load() != 1 || cs.BandAnswers != 0 || cs.Cache.Misses != 1 {
+		t.Fatalf("plain source: %d materializations, bandAnswers %d, misses %d", plain.snapshots.Load(), cs.BandAnswers, cs.Cache.Misses)
 	}
 }
 

@@ -22,12 +22,6 @@ type fingerprint struct {
 	pivot PivotStrategy
 	seed  int64
 	abl   Ablation
-	// fan is the fan-out when it differs from the collection's default
-	// (zero otherwise): an Auto query runs a sharded collection
-	// unsharded, and that result order (the algorithm's natural order,
-	// not ascending row order) must never be served to a query that ran
-	// at the default fan-out.
-	fan   int
 	prefs canonPrefs
 }
 
@@ -172,7 +166,7 @@ func (c *Collection) staleFallback(q *Query, plan *PlannerTrace, err error) (*Qu
 	if !errors.Is(err, ErrOverloaded) && !errors.Is(err, ErrDeadlineExceeded) {
 		return nil, err
 	}
-	fp, ok := c.key(q, plan)
+	fp, ok := c.key(q)
 	if !ok {
 		return nil, err
 	}

@@ -123,7 +123,7 @@ func cmdList(c *client.Client) error {
 	if err != nil {
 		return err
 	}
-	fmt.Printf("%-20s %10s %4s %8s %7s %7s\n", "NAME", "N", "D", "EPOCH", "SHARDS", "KIND")
+	fmt.Printf("%-20s %10s %4s %8s %7s\n", "NAME", "N", "D", "EPOCH", "KIND")
 	for _, in := range infos {
 		kind := "static"
 		switch {
@@ -135,7 +135,7 @@ func cmdList(c *client.Client) error {
 				kind = "durable"
 			}
 		}
-		fmt.Printf("%-20s %10d %4d %8d %7d %7s\n", in.Name, in.N, in.D, in.Epoch, in.Shards, kind)
+		fmt.Printf("%-20s %10d %4d %8d %7s\n", in.Name, in.N, in.D, in.Epoch, kind)
 	}
 	return nil
 }
@@ -325,12 +325,11 @@ func cmdAttach(c *client.Client, args []string) error {
 	k := fs.Int("k", 0, "k-skyband parameter maintained by the stream index")
 	prefs := fs.String("prefs", "", "comma-separated preferences for the stream index")
 	fsync := fs.String("fsync", "", "durable fsync policy: os, always, interval")
-	shards := fs.Int("shards", 0, "query-time shard count")
 	cache := fs.Int("cache", 0, "result-cache capacity")
 	if err := fs.Parse(rest); err != nil {
 		return err
 	}
-	req := &serve.AttachRequest{Shards: *shards, CacheCapacity: *cache}
+	req := &serve.AttachRequest{CacheCapacity: *cache}
 	switch {
 	case *file != "" && *dir == "":
 		req.Static = &serve.StaticSpec{Path: *file}
@@ -460,7 +459,6 @@ func cmdClusterAttach(c *client.Client, args []string) error {
 	policy := fs.String("policy", "", "degraded-answer policy: failfast (default) or partial")
 	margin := fs.Duration("margin", 0, "deadline margin reserved for the merge and return trip")
 	retries := fs.Int("retries", 0, "transport retries per worker call (0 = default)")
-	workerShards := fs.Int("worker-shards", 0, "in-process shard count on each worker")
 	cache := fs.Int("cache", 0, "coordinator result-cache capacity")
 	if err := fs.Parse(rest); err != nil {
 		return err
@@ -471,12 +469,11 @@ func cmdClusterAttach(c *client.Client, args []string) error {
 	req := &serve.AttachRequest{
 		CacheCapacity: *cache,
 		Cluster: &serve.ClusterSpec{
-			Path:         *file,
-			Workers:      strings.Split(*workers, ","),
-			Policy:       *policy,
-			MarginMs:     margin.Milliseconds(),
-			Retries:      *retries,
-			WorkerShards: *workerShards,
+			Path:     *file,
+			Workers:  strings.Split(*workers, ","),
+			Policy:   *policy,
+			MarginMs: margin.Milliseconds(),
+			Retries:  *retries,
 		},
 	}
 	info, err := c.Attach(context.Background(), name, req)

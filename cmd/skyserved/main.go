@@ -4,7 +4,7 @@
 // from flags.
 //
 //	skyserved -addr :8080 \
-//	  -static hotels=testdata/hotels.csv,shards=2 \
+//	  -static hotels=testdata/hotels.csv \
 //	  -stream ticks=/var/lib/skybench/ticks,d=3 \
 //	  -max-inflight 8 -max-queue 64 -default-timeout 2s \
 //	  -log-events events.ndjson -slow-query 100ms -pprof
@@ -69,9 +69,9 @@ func main() {
 		streams     multiFlag
 		clusters    multiFlag
 	)
-	flag.Var(&statics, "static", "attach a static collection: name=file.csv[,shards=N,cache=N] (repeatable)")
-	flag.Var(&streams, "stream", "attach a durable stream collection: name=dir[,d=N,k=N,fsync=os|always|interval,checkpoint=N,shards=N,cache=N] (repeatable; recovers existing state, creates fresh with d=)")
-	flag.Var(&clusters, "cluster", "coordinator mode: shard a CSV across worker skyserveds and serve the merged collection: name=file.csv@http://w1|http://w2[,policy=failfast|partial,margin=5ms,retries=N,worker-shards=N,cache=N] (repeatable)")
+	flag.Var(&statics, "static", "attach a static collection: name=file.csv[,cache=N] (repeatable)")
+	flag.Var(&streams, "stream", "attach a durable stream collection: name=dir[,d=N,k=N,fsync=os|always|interval,checkpoint=N,cache=N] (repeatable; recovers existing state, creates fresh with d=)")
+	flag.Var(&clusters, "cluster", "coordinator mode: shard a CSV across worker skyserveds and serve the merged collection: name=file.csv@http://w1|http://w2[,policy=failfast|partial,margin=5ms,retries=N,cache=N] (repeatable)")
 	flag.Parse()
 
 	st := skybench.NewStoreWithOptions(skybench.StoreOptions{
@@ -168,7 +168,7 @@ func main() {
 }
 
 // attachStatic parses and attaches one -static spec:
-// name=file.csv[,shards=N,cache=N].
+// name=file.csv[,cache=N].
 func attachStatic(srv *serve.Server, spec string) error {
 	name, rest, ok := strings.Cut(spec, "=")
 	if !ok || name == "" {
@@ -183,8 +183,6 @@ func attachStatic(srv *serve.Server, spec string) error {
 			return err
 		}
 		switch k {
-		case "shards":
-			opts.Shards, err = strconv.Atoi(v)
 		case "cache":
 			opts.CacheCapacity, err = strconv.Atoi(v)
 		default:
@@ -199,7 +197,7 @@ func attachStatic(srv *serve.Server, spec string) error {
 }
 
 // attachStream parses and attaches one -stream spec:
-// name=dir[,d=N,k=N,fsync=...,checkpoint=N,shards=N,cache=N].
+// name=dir[,d=N,k=N,fsync=...,checkpoint=N,cache=N].
 // Existing durable state in dir is recovered; otherwise a fresh index
 // is created (requiring d).
 func attachStream(srv *serve.Server, spec string) error {
@@ -239,8 +237,6 @@ func attachStream(srv *serve.Server, spec string) error {
 			}
 		case "checkpoint":
 			durOpts.CheckpointEvery, err = strconv.Atoi(v)
-		case "shards":
-			colOpts.Shards, err = strconv.Atoi(v)
 		case "cache":
 			colOpts.CacheCapacity, err = strconv.Atoi(v)
 		default:
@@ -262,7 +258,7 @@ func attachStream(srv *serve.Server, spec string) error {
 }
 
 // attachCluster parses and attaches one -cluster spec:
-// name=file.csv@http://w1|http://w2[,policy=...,margin=...,retries=N,worker-shards=N,cache=N].
+// name=file.csv@http://w1|http://w2[,policy=...,margin=...,retries=N,cache=N].
 // Workers are |-separated so the comma can keep separating options.
 func attachCluster(srv *serve.Server, spec string) error {
 	name, rest, ok := strings.Cut(spec, "=")
@@ -290,8 +286,6 @@ func attachCluster(srv *serve.Server, spec string) error {
 			cs.MarginMs = dur.Milliseconds()
 		case "retries":
 			cs.Retries, err = strconv.Atoi(v)
-		case "worker-shards":
-			cs.WorkerShards, err = strconv.Atoi(v)
 		case "cache":
 			opts.CacheCapacity, err = strconv.Atoi(v)
 		default:
@@ -319,10 +313,9 @@ func attachClusterSpec(srv *serve.Server, name string, spec *serve.ClusterSpec, 
 	ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
 	defer cancel()
 	specs, n, d, err := cluster.Distribute(ctx, spec.Path, cluster.DistributeOptions{
-		Collection:   name,
-		Workers:      spec.Workers,
-		WorkerShards: spec.WorkerShards,
-		Replace:      true,
+		Collection: name,
+		Workers:    spec.Workers,
+		Replace:    true,
 	})
 	if err != nil {
 		return fmt.Errorf("distributing %s: %w", spec.Path, err)

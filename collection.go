@@ -7,9 +7,6 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
-
-	"skybench/internal/point"
-	"skybench/internal/shard"
 )
 
 // defaultCacheCapacity is the per-collection result-cache size used
@@ -18,13 +15,12 @@ const defaultCacheCapacity = 64
 
 // CollectionOptions configures a collection at Attach time.
 type CollectionOptions struct {
-	// Shards splits the collection into that many contiguous partitions
-	// (≤ 1 keeps it unsharded). Queries fan out one Engine run per
-	// shard, concurrently, and the per-shard results are merged into
-	// the exact global result — identical, as a set, to the unsharded
-	// answer, with exact dominator counts for k-skyband queries (the
-	// soundness argument is in DESIGN.md §10). Shards larger than the
-	// row count are clamped so every shard is non-empty.
+	// Shards is ignored: a local collection answers every engine query
+	// with one Engine run over its rows, which splits its α-blocks over
+	// the Engine's pool.
+	//
+	// Deprecated: in-process sharding is gone (DESIGN.md §10). Only a
+	// cluster-backed collection fans out, over its worker placement.
 	Shards int
 	// CacheCapacity bounds the collection's result cache: 0 selects
 	// defaultCacheCapacity, negative disables caching entirely.
@@ -109,34 +105,15 @@ type LiveBand struct {
 }
 
 // colSnapshot freezes one membership epoch of a collection: the rows as
-// an immutable Dataset, the per-shard partitions aliasing it, and (for
-// stream-backed collections) the stable ID of each row. Static
-// collections have exactly one snapshot for their whole life. A
-// snapshot whose rows are not in this process — a remote backing's, or
-// a stream backing's before anything needed them — pins the epoch alone
-// (ds is nil).
+// an immutable Dataset and (for stream-backed collections) the stable ID
+// of each row. Static collections have exactly one snapshot for their
+// whole life. A snapshot whose rows are not in this process — a remote
+// backing's, or a stream backing's before anything needed them — pins
+// the epoch alone (ds is nil).
 type colSnapshot struct {
 	epoch uint64
 	ds    *Dataset // nil: the epoch alone is pinned
 	ids   []uint64 // stream-backed only; nil for static collections
-	parts []*Dataset
-	offs  []int // global row offset of each part
-}
-
-// partition splits the snapshot into p contiguous shard datasets
-// aliasing the snapshot's storage (no copying).
-func (s *colSnapshot) partition(p int) {
-	ranges := shard.Split(s.ds.n, p)
-	if len(ranges) <= 1 {
-		return
-	}
-	s.parts = make([]*Dataset, len(ranges))
-	s.offs = make([]int, len(ranges))
-	d := s.ds.d
-	for i, r := range ranges {
-		s.parts[i] = &Dataset{vals: s.ds.vals[r.Lo*d : r.Hi*d : r.Hi*d], n: r.Len(), d: d}
-		s.offs[i] = r.Lo
-	}
 }
 
 // backing is where a collection's rows live and how a query over them
@@ -160,11 +137,9 @@ type backing interface {
 	// already holds, so answer will read it rather than compute it. Such
 	// an answer is no engine run and is not booked as one.
 	maintains(q Query) bool
-	// answer computes q over a frozen membership at the given fan-out
-	// (0 = the collection's own: every part; a remote backing's placement
-	// is its own and ignores it). The result's Epoch is the epoch it was
-	// actually computed at.
-	answer(ctx context.Context, snap *colSnapshot, q Query, fanout int) (*QueryResult, error)
+	// answer computes q over a frozen membership. The result's Epoch is
+	// the epoch it was actually computed at.
+	answer(ctx context.Context, snap *colSnapshot, q Query) (*QueryResult, error)
 	// close releases what the backing owns (CloseOnDrop).
 	close()
 	// describe fills the backing-specific facets of a stats snapshot.
@@ -172,12 +147,12 @@ type backing interface {
 }
 
 // local is the half the static and stream backings share: the frozen
-// rows are in this process, so a query over them is answered by the
-// Engine (execute).
+// rows are in this process, so a query over them is one Engine run.
 type local struct{ eng *Engine }
 
-func (l local) answer(ctx context.Context, snap *colSnapshot, q Query, fanout int) (*QueryResult, error) {
-	res, err := l.execute(ctx, snap, q, fanout)
+func (l local) answer(ctx context.Context, snap *colSnapshot, q Query) (*QueryResult, error) {
+	q.ReuseIndices = false // results may outlive any engine context
+	res, err := l.eng.exec(ctx, snap.ds, q)
 	if err != nil {
 		return nil, err
 	}
@@ -205,8 +180,7 @@ func (b *staticBacking) describe(*CollectionStats)                    {}
 // does not, and copies nothing but the band.
 type streamBacking struct {
 	local
-	src    StreamSource
-	shards int
+	src StreamSource
 
 	// band is src's BandSource facet (nil without one) and bandPrefs,
 	// bandK the fixed shape of the band it maintains, read once at attach.
@@ -218,8 +192,8 @@ type streamBacking struct {
 	snap   atomic.Pointer[colSnapshot] // latest frozen membership, with rows once materialized
 }
 
-func newStreamBacking(eng *Engine, src StreamSource, shards int) *streamBacking {
-	b := &streamBacking{local: local{eng}, src: src, shards: shards}
+func newStreamBacking(eng *Engine, src StreamSource) *streamBacking {
+	b := &streamBacking{local: local{eng}, src: src}
 	if bs, ok := src.(BandSource); ok {
 		lb := bs.LiveBand()
 		if prefs, ok := canonicalPrefs(lb.Prefs, src.D()); ok && lb.K >= 1 {
@@ -305,7 +279,7 @@ func (b *streamBacking) maintains(q Query) bool {
 
 // answer reads the maintained band for a query it answers and otherwise
 // materializes the live set and runs the engine over it.
-func (b *streamBacking) answer(ctx context.Context, snap *colSnapshot, q Query, fanout int) (*QueryResult, error) {
+func (b *streamBacking) answer(ctx context.Context, snap *colSnapshot, q Query) (*QueryResult, error) {
 	if b.maintains(q) {
 		return b.bandAnswer(ctx, &q)
 	}
@@ -315,7 +289,7 @@ func (b *streamBacking) answer(ctx context.Context, snap *colSnapshot, q Query, 
 			return nil, err
 		}
 	}
-	return b.local.answer(ctx, snap, q, fanout)
+	return b.local.answer(ctx, snap, q)
 }
 
 // bandAnswer answers q — which maintains accepted — as the maintained
@@ -423,24 +397,21 @@ func (b *streamBacking) materialize() (*colSnapshot, error) {
 		return nil, err
 	}
 	s := &colSnapshot{epoch: epoch, ds: ds, ids: ids}
-	s.partition(b.shards)
 	b.snap.Store(s)
 	return s, nil
 }
 
 // Collection is one named queryable point set inside a Store: an
 // immutable Dataset, a live StreamSource or a RemoteBackend behind a
-// single query surface, optionally sharded, with epoch-keyed result
-// caching.
+// single query surface, with epoch-keyed result caching.
 //
 // Run is safe for concurrent use by any number of goroutines. Results
 // are *QueryResult handles that may be shared by the cache across
 // callers: they are immutable — never write to their Indices or Counts;
 // use Result.Clone for a mutable copy.
 type Collection struct {
-	name   string
-	shards int
-	back   backing
+	name string
+	back backing
 
 	owner       *Store        // admits every Run
 	timeout     time.Duration // default per-query deadline (0 = none)
@@ -452,8 +423,6 @@ type Collection struct {
 	cacheCap int        // ≤ 0 disables caching
 	hits     atomic.Uint64
 	misses   atomic.Uint64
-
-	costs costTracker // rolling per-algorithm execution costs
 
 	bandAnswers atomic.Uint64 // misses answered from the source's maintained band
 
@@ -511,10 +480,10 @@ type QueryResult struct {
 	// Always false for local collections and under the fail-fast
 	// policy, where a worker failure is an error instead.
 	Partial bool
-	// Plan records what an Algorithm: Auto query ran as — Hybrid at
-	// fan-out 1 — (also mirrored into Trace.Planner when the query was
-	// traced); nil for queries that named their algorithm. It is set on
-	// cache hits and stale fallbacks too. It is also nil for an Auto
+	// Plan records what an Algorithm: Auto query ran as — Hybrid — (also
+	// mirrored into Trace.Planner when the query was traced); nil for
+	// queries that named their algorithm. It is set on cache hits and
+	// stale fallbacks too. It is also nil for an Auto
 	// query answered from the band its stream source maintains
 	// (BandSource): that answer runs no algorithm at all.
 	Plan *PlannerTrace
@@ -571,11 +540,12 @@ func (r *QueryResult) ID(p int) (id uint64, ok bool) {
 // stale epoch no longer matches. See the immutability rule on
 // QueryResult.
 //
-// For sharded collections the query fans out per shard over the
-// Engine and the per-shard results are merged exactly; Result.Indices
-// come back in ascending row order. Progressive delivery needs an
-// unsharded collection (batches from concurrent shards would interleave
-// meaninglessly) and bypasses the cache.
+// A static or stream collection answers an engine query with one Engine
+// run over its frozen rows: Result.Indices, Counts and their order are
+// exactly Engine.Run's over those rows. A cluster-backed collection fans
+// out over its workers and merges (Store.AttachRemote); its Indices
+// come back in ascending row order. Progressive delivery needs a local
+// collection and bypasses the cache.
 //
 // Every Run passes the Store's admission control
 // (StoreOptions.MaxInflight/MaxQueue) under the query's deadline — the
@@ -613,12 +583,13 @@ func (c *Collection) Run(ctx context.Context, q Query) (res *QueryResult, err er
 }
 
 // resolve rewrites an Algorithm: Auto query in place to what Auto is:
-// Hybrid at the paper's defaults (tuning the caller set stays), run
-// unsharded (DESIGN.md §14). It returns the record reported as
-// QueryResult.Plan: nil for a query that named its algorithm, and for an
-// answer the backing maintains, which runs nothing and is the explicit
-// Hybrid query's answer. Resolving once, before the cache is consulted,
-// keys the lookup, the store and the stale fallback alike.
+// Hybrid at the paper's defaults (tuning the caller set stays; DESIGN.md
+// §14). It returns the record reported as QueryResult.Plan: nil for a
+// query that named its algorithm, and for an answer the backing
+// maintains, which runs nothing and is the explicit Hybrid query's
+// answer. Resolving once, before the cache is consulted, keys the
+// lookup, the store and the stale fallback alike, so Auto and Hybrid
+// share one cache entry.
 func (c *Collection) resolve(q *Query) *PlannerTrace {
 	if q.Algorithm != Auto {
 		return nil
@@ -627,23 +598,15 @@ func (c *Collection) resolve(q *Query) *PlannerTrace {
 	if c.back.maintains(*q) {
 		return nil
 	}
-	return &PlannerTrace{Algorithm: Hybrid.String(), Shards: 1}
+	return &PlannerTrace{Algorithm: Hybrid.String()}
 }
 
-// key is the cache key of q run as plan says (see resolve), reporting
-// false when q must not be cached. An unsharded run of a sharded
-// collection returns the algorithm's natural order, not the ascending
-// order of the collection's own fan-out, so it is keyed apart
-// (fingerprint.fan).
-func (c *Collection) key(q *Query, plan *PlannerTrace) (fingerprint, bool) {
+// key is the cache key of q, reporting false when q must not be cached.
+func (c *Collection) key(q *Query) (fingerprint, bool) {
 	if c.cacheCap <= 0 {
 		return fingerprint{}, false
 	}
-	fp, ok := queryFingerprint(q, c.back.dims())
-	if plan != nil && c.shards > 1 {
-		fp.fan = plan.Shards
-	}
-	return fp, ok
+	return queryFingerprint(q, c.back.dims())
 }
 
 // run is Run without the deadline, admission and graceful-degradation
@@ -662,7 +625,7 @@ func (c *Collection) run(ctx context.Context, q Query, plan *PlannerTrace) (*Que
 	if err != nil {
 		return nil, err
 	}
-	fp, cacheable := c.key(&q, plan)
+	fp, cacheable := c.key(&q)
 	if cacheable {
 		if r := c.lookup(fp, snap.epoch); r != nil {
 			if q.Trace {
@@ -675,22 +638,12 @@ func (c *Collection) run(ctx context.Context, q Query, plan *PlannerTrace) (*Que
 			return r, nil
 		}
 	}
-	fanout := 0
-	if plan != nil {
-		fanout = plan.Shards
-	}
-	start := time.Now()
-	r, err := c.back.answer(ctx, snap, q, fanout)
+	r, err := c.back.answer(ctx, snap, q)
 	if err != nil {
 		return nil, err
 	}
 	if c.back.maintains(q) {
-		// Reading the band is no run of q.Algorithm: booked as one, its
-		// fraction of a millisecond would misprice that algorithm's cost
-		// row.
 		c.bandAnswers.Add(1)
-	} else {
-		c.costs.record(q.Algorithm, time.Since(start), r.Stats.DominanceTests)
 	}
 	r.Plan = plan
 	if r.Trace != nil {
@@ -719,144 +672,4 @@ func (c *Collection) run(ctx context.Context, q Query, plan *PlannerTrace) (*Que
 		c.store(fp, r.Epoch, &cached)
 	}
 	return r, nil
-}
-
-// execute computes a query over one frozen snapshot: directly for
-// unsharded collections (or at fanout 1: an Auto query),
-// fan-out + exact merge (shard.Merge) for sharded ones.
-func (l local) execute(ctx context.Context, snap *colSnapshot, q Query, fanout int) (Result, error) {
-	if len(snap.parts) <= 1 || fanout == 1 {
-		q.ReuseIndices = false // results may outlive any engine context
-		return l.eng.exec(ctx, snap.ds, q)
-	}
-	if q.Progressive != nil {
-		return Result{}, fmt.Errorf("%w: progressive delivery needs an unsharded collection", ErrBadQuery)
-	}
-	start := time.Now()
-
-	// Fan out one engine run per shard; each leases its own computation
-	// context from the engine's free-list and its own team from the
-	// engine's pool, capped at an even split of the pool over the shards:
-	// the first shard to lease would otherwise find the pool idle and take
-	// all of it from its siblings. Shard runs never build their own
-	// traces — the composite trace below is assembled from their
-	// always-on stats.
-	share := max(1, l.eng.threads/len(snap.parts))
-	if q.Threads <= 0 || q.Threads > share {
-		q.Threads = share
-	}
-	q.ReuseIndices = false
-	traced := q.Trace
-	q.Trace = false
-	results := make([]Result, len(snap.parts))
-	errs := make([]error, len(snap.parts))
-	var wg sync.WaitGroup
-	for i := range snap.parts {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			// exec contains panics from inside the engine; this recover
-			// is the belt over anything outside it, so a poisoned shard
-			// can only ever fail its own query — never leak a panic onto
-			// an unsupervised goroutine and crash the process.
-			defer func() {
-				if r := recover(); r != nil {
-					errs[i] = panicErr(r, debug.Stack())
-				}
-			}()
-			results[i], errs[i] = l.eng.exec(ctx, snap.parts[i], q)
-		}(i)
-	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return Result{}, err
-		}
-	}
-
-	// Gather the candidate rows — the union of the per-shard bands —
-	// under the query's preferences, through the same view the shards
-	// read their rows through: the merge recount must compare in the
-	// transformed space they computed in.
-	ops, err := q.opsInto(nil)
-	if err != nil {
-		return Result{}, err
-	}
-	var v point.View
-	v.Reset(snap.ds.vals, snap.ds.n, snap.ds.d, ops)
-	de := v.D()
-	parts := make([]shard.Part, len(results))
-	nc := 0
-	var dts uint64
-	for i, r := range results {
-		parts[i] = shard.Part{Off: snap.offs[i], Idx: r.Indices}
-		nc += len(r.Indices)
-		dts += r.Stats.DominanceTests
-	}
-	buf := make([]float64, nc*de)
-	pos := 0
-	for _, p := range parts {
-		for _, li := range p.Idx {
-			v.CopyRow(buf[pos*de:(pos+1)*de], p.Off+li)
-			pos++
-		}
-	}
-	m, err := shard.Merge(ctx, parts, buf, de, q.SkybandK, l.eng.recount, &dts)
-	if err != nil {
-		if cerr := ctx.Err(); cerr != nil {
-			err = canceledErr(cerr)
-		}
-		return Result{}, err
-	}
-
-	res := Result{Indices: m.Rows, Counts: m.Counts}
-	res.Stats = Stats{
-		DominanceTests: dts,
-		SkylineSize:    len(m.Rows),
-		InputSize:      snap.ds.n,
-		Elapsed:        time.Since(start),
-	}
-	// Aggregate the per-shard work counters and phase timings into the
-	// collection-level stats (phase durations sum across shards, so they
-	// read as total work, not wall clock). Each shard ran on the team it
-	// leased; Threads reports the largest.
-	for _, r := range results {
-		res.Stats.Threads = max(res.Stats.Threads, r.Stats.Threads)
-		res.Stats.PrefilterPruned += r.Stats.PrefilterPruned
-		res.Stats.phase1Survivors += r.Stats.phase1Survivors
-		res.Stats.phase2Survivors += r.Stats.phase2Survivors
-		res.Stats.SortTime += r.Stats.SortTime
-		res.Stats.busyTime += r.Stats.busyTime
-		res.Stats.Timings.add(r.Stats.Timings)
-	}
-	if traced {
-		tr := traceFromResult(q.Algorithm, q.SkybandK, &res)
-		tr.MergePath = m.Path
-		tr.Shards = make([]ShardTrace, len(results))
-		for i, r := range results {
-			tr.Shards[i] = ShardTrace{
-				Shard:           i,
-				InputSize:       r.Stats.InputSize,
-				Output:          len(r.Indices),
-				DominanceTests:  r.Stats.DominanceTests,
-				PrefilterPruned: r.Stats.PrefilterPruned,
-				Threads:         r.Stats.Threads,
-				PhaseWall:       r.Stats.Timings.PhaseOne + r.Stats.Timings.PhaseTwo,
-				Elapsed:         r.Stats.Elapsed,
-			}
-		}
-		res.Trace = tr
-	}
-	return res, nil
-}
-
-// recount is the shard.Recount every merge in this package hands
-// shard.Merge: one engine run over the candidate union.
-func (e *Engine) recount(ctx context.Context, vals []float64, n, d, k int) ([]int, []int32, uint64, error) {
-	ds, err := DatasetFromFlat(vals, n, d)
-	if err != nil {
-		return nil, nil, 0, err
-	}
-	res, err := e.exec(ctx, ds, Query{SkybandK: k})
-	return res.Indices, res.Counts, res.Stats.DominanceTests, err
 }

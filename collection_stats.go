@@ -16,8 +16,6 @@ type CollectionStats struct {
 	N, D int
 	// Epoch is the membership epoch (always 0 for static collections).
 	Epoch uint64
-	// Shards is the partition count queries fan out over (1 = unsharded).
-	Shards int
 	// StreamBacked reports a live StreamSource backing.
 	StreamBacked bool
 	// Cache holds the result-cache counters.
@@ -25,14 +23,10 @@ type CollectionStats struct {
 	// Inflight is the number of admitted queries executing on the
 	// collection right now.
 	Inflight int64
-	// Costs holds the collection's rolling per-algorithm execution
-	// costs (count, mean/p50/p99 latency, mean dominance tests). Sorted
-	// by algorithm name; nil before the first executed query.
-	Costs []AlgorithmCost
 	// BandAnswers counts the queries answered, over the collection's
 	// life, by reading the band its stream source maintains (BandSource)
 	// instead of running an engine over the live set. They are cache
-	// misses, but not executed queries: none of them is in Costs.
+	// misses, but not executed queries.
 	BandAnswers uint64
 	// Durability holds WAL and checkpoint statistics for collections
 	// whose backing source persists itself (a durable
@@ -78,10 +72,8 @@ func (c *Collection) Stats() (CollectionStats, error) {
 	st := CollectionStats{
 		Name:        c.name,
 		D:           c.back.dims(),
-		Shards:      c.shards,
 		Cache:       c.CacheStats(),
 		Inflight:    c.inflight.Load(),
-		Costs:       c.costs.stats(),
 		BandAnswers: c.bandAnswers.Load(),
 	}
 	c.back.describe(&st)

@@ -32,8 +32,8 @@ var engineFaults *faults.Injector
 // Every Hybrid or Q-Flow run leases its own team from that pool: a share
 // of max(1, T / runs in flight) threads of the Engine's T, capped by
 // Query.Threads and by the workers other runs do not hold. A run alone
-// gets the whole pool; concurrent runs — a sharded query's shard runs,
-// other callers' queries — compute side by side on disjoint workers, and
+// gets the whole pool; concurrent runs — other callers' queries —
+// compute side by side on disjoint workers, and
 // at every α-block boundary each run moves its team toward its share as
 // it stands then, so a run that started small grows once others finish.
 //
@@ -117,25 +117,6 @@ func (e *Engine) acquire() (*engineCtx, error) {
 	return &engineCtx{core: core.NewContext(), pool: e.pool}, nil
 }
 
-// prewarm pre-creates n computation contexts on the free-list so a
-// burst of concurrent queries — a sharded Collection fanning out P
-// shard runs at once — leases warm scratch instead of allocating
-// contexts under load. It is never required; the free-list grows on
-// demand anyway.
-func (e *Engine) prewarm(n int) {
-	warm := make([]*engineCtx, 0, n)
-	for i := 0; i < n; i++ {
-		ec, err := e.acquire()
-		if err != nil {
-			break
-		}
-		warm = append(warm, ec)
-	}
-	for _, ec := range warm {
-		e.release(ec)
-	}
-}
-
 // checkOpen reports an error once the Engine has been closed (the
 // pool-less baseline path does not go through acquire).
 func (e *Engine) checkOpen() error {
@@ -164,18 +145,18 @@ func (e *Engine) release(ec *engineCtx) {
 // is already dead, and from the hot paths' cancellation checkpoints
 // otherwise. All other errors wrap the typed sentinels in errors.go.
 //
-// Run is the single-partition primitive of the serving stack: it
-// executes exactly what one shard of a Store collection executes, and
-// is equivalent to querying a single-shard anonymous Collection with
-// result caching disabled. Services hosting several datasets, sharding
-// large ones, or wanting cross-query caching should front the Engine
-// with a Store.
+// Run is the one computation of the serving stack: a static or stream
+// Store collection answers an engine query with exactly this run over
+// its frozen rows, so Run is equivalent to querying an anonymous
+// Collection with result caching disabled. Services hosting several
+// datasets or wanting cross-query caching should front the Engine with
+// a Store.
 func (e *Engine) Run(ctx context.Context, ds *Dataset, q Query) (Result, error) {
 	return e.exec(ctx, ds, q)
 }
 
-// exec is the execution core behind Engine.Run and behind every shard
-// run a Collection fans out.
+// exec is the execution core behind Engine.Run and every engine query a
+// local Collection answers.
 func (e *Engine) exec(ctx context.Context, ds *Dataset, q Query) (Result, error) {
 	if err := ctx.Err(); err != nil {
 		return Result{}, canceledErr(err)
@@ -193,10 +174,10 @@ func (e *Engine) exec(ctx context.Context, ds *Dataset, q Query) (Result, error)
 	}
 
 	// Auto is a Store-level spelling: a collection resolves it to Hybrid
-	// at fan-out 1 before the engine ever sees the query, so reaching
-	// here with Auto is a caller error.
+	// before the engine ever sees the query, so reaching here with Auto
+	// is a caller error.
 	if q.Algorithm == Auto {
-		return Result{}, fmt.Errorf("%w: Algorithm %s is a Store collection's spelling of unsharded %s; name the algorithm for Engine.Run", ErrBadQuery, Auto, Hybrid)
+		return Result{}, fmt.Errorf("%w: Algorithm %s is a Store collection's spelling of %s; name the algorithm for Engine.Run", ErrBadQuery, Auto, Hybrid)
 	}
 	// Only the Hybrid/Q-Flow hot paths use the pool-backed contexts;
 	// baselines spawn their own short-lived goroutines and allocate per

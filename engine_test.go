@@ -213,45 +213,6 @@ func TestEngineSplitsPool(t *testing.T) {
 	}
 }
 
-// TestShardsSplitPool runs a two-shard query on a Store of four threads:
-// each shard run leases half the pool — not the first shard all four and
-// its sibling what is left — and the answer is the unsharded one.
-func TestShardsSplitPool(t *testing.T) {
-	data := contextTestData(t, 20000, 5)
-	ds, err := skybench.NewDataset(data)
-	if err != nil {
-		t.Fatal(err)
-	}
-	st := skybench.NewStore(4)
-	defer st.Close()
-	ctx := context.Background()
-	whole, err := st.Engine().Run(ctx, ds, skybench.Query{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	col, err := st.Attach("split", ds, skybench.CollectionOptions{Shards: 2, CacheCapacity: -1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for round := 0; round < 3; round++ {
-		res, err := col.Run(ctx, skybench.Query{Trace: true})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(res.Trace.Shards) != 2 {
-			t.Fatalf("round %d: trace has %d shard entries, want 2", round, len(res.Trace.Shards))
-		}
-		for _, sh := range res.Trace.Shards {
-			if sh.Threads != 2 {
-				t.Errorf("round %d: shard %d ran on %d threads, want 2 of 4", round, sh.Shard, sh.Threads)
-			}
-		}
-		if !sameIndexSet(res.Indices, whole.Indices) {
-			t.Fatalf("round %d: sharded run selects %d points, unsharded %d", round, len(res.Indices), len(whole.Indices))
-		}
-	}
-}
-
 // TestEngineCanceledBeforeStart is the issue's acceptance bound: an
 // already-dead context must come back with ctx.Err() in under 50ms on
 // the n=100k d=8 workload, i.e. without touching the data at all.
@@ -460,36 +421,6 @@ func TestEngineErrors(t *testing.T) {
 	eng.Close()
 	if _, err := eng.Run(ctx, ds, skybench.Query{}); !errors.Is(err, skybench.ErrClosed) {
 		t.Errorf("Run after Close: err = %v, want ErrClosed", err)
-	}
-}
-
-// TestEnginePrewarm checks that pre-leased contexts serve queries (the
-// sharded-attach path pre-warms one per shard) and that Prewarm after
-// Close is a harmless no-op.
-func TestEnginePrewarm(t *testing.T) {
-	data := contextTestData(t, 2000, 4)
-	ds, err := skybench.NewDataset(data)
-	if err != nil {
-		t.Fatal(err)
-	}
-	eng := skybench.NewEngine(2)
-	eng.Prewarm(3)
-	ctx := context.Background()
-	var wg sync.WaitGroup
-	for g := 0; g < 3; g++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			if _, err := eng.Run(ctx, ds, skybench.Query{}); err != nil {
-				t.Error(err)
-			}
-		}()
-	}
-	wg.Wait()
-	eng.Close()
-	eng.Prewarm(2) // must not panic or resurrect the pool
-	if _, err := eng.Run(ctx, ds, skybench.Query{}); !errors.Is(err, skybench.ErrClosed) {
-		t.Errorf("Run after Close+Prewarm: err = %v, want ErrClosed", err)
 	}
 }
 

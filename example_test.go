@@ -63,8 +63,8 @@ func ExampleEngine_Run() {
 	// with y maximized: r
 }
 
-// A Store fronts the Engine for services: named collections, sharded
-// fan-out with an exact merge, and an epoch-keyed result cache.
+// A Store fronts the Engine for services: named collections and an
+// epoch-keyed result cache.
 func ExampleStore() {
 	ds, err := skybench.NewDataset(figure1a)
 	if err != nil {
@@ -72,7 +72,7 @@ func ExampleStore() {
 	}
 	st := skybench.NewStore(2)
 	defer st.Close()
-	routes, err := st.Attach("routes", ds, skybench.CollectionOptions{Shards: 2})
+	routes, err := st.Attach("routes", ds, skybench.CollectionOptions{})
 	if err != nil {
 		log.Fatal(err)
 	}

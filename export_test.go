@@ -6,9 +6,6 @@ import "skybench/internal/faults"
 // hook for the robustness tests in package skybench_test.
 func SetEngineFaults(in *faults.Injector) { engineFaults = in }
 
-// Prewarm is prewarm, for TestEnginePrewarm.
-func (e *Engine) Prewarm(n int) { e.prewarm(n) }
-
 // AlgorithmNames is algorithmNames, for TestAlgorithmNamesSorted.
 var AlgorithmNames = algorithmNames
 

@@ -8,8 +8,8 @@
 // count-identical to single-node runs, including cross-shard skyband
 // counts.
 //
-// The merge is sound across the wire for the same reason it is sound
-// across goroutines: each worker's band over-approximates its shard's
+// The merge is sound across the wire because each worker's band
+// over-approximates its shard's
 // contribution to the global band, and the recount over the union is
 // exact (DESIGN.md §15 restates the argument for the wire transport).
 // What the wire adds is partial failure, and the package's stance is
@@ -107,7 +107,7 @@ type Config struct {
 	ProbeInterval time.Duration
 	// Engine, when set, merges unions past shard.Merge's kernel cutoff
 	// through a full engine recompute instead of the quadratic flat
-	// recount, as the in-process fan-out does.
+	// recount.
 	Engine *skybench.Engine
 	// HTTPClient, when set, is shared by every worker's wire client
 	// (tests inject httptest transports here). Default: one private
@@ -432,7 +432,7 @@ func (co *Coordinator) Run(ctx context.Context, q skybench.Query) (*skybench.Que
 
 	// Stage the candidates under the query's preferences — the recount
 	// must compare in the same transformed space the workers computed
-	// in — then run the same exact merge as the in-process fan-out.
+	// in — then run the exact merge (DESIGN.md §10).
 	ops := make([]point.PrefOp, d) // zero value: PrefKeep
 	for i, p := range q.Prefs {
 		switch p {

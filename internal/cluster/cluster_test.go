@@ -31,7 +31,7 @@ func startWorker(t *testing.T, flat []float64, n, d int) string {
 		t.Fatalf("DatasetFromFlat: %v", err)
 	}
 	st := skybench.NewStore(2)
-	if _, err := st.Attach("c", ds, skybench.CollectionOptions{Shards: 2}); err != nil {
+	if _, err := st.Attach("c", ds, skybench.CollectionOptions{}); err != nil {
 		t.Fatalf("Attach: %v", err)
 	}
 	srv := serve.New(st, serve.Options{})
@@ -253,19 +253,14 @@ func TestClusterThroughStore(t *testing.T) {
 		}
 	}
 
-	// One merge behind three backings: the same queries through an
-	// unsharded, a Shards: 3 and a 3-worker collection return the same
-	// rows, counts, coordinates and IDs (an unsharded run reports the
+	// The same queries through a local and a 3-worker collection return
+	// the same rows, counts, coordinates and IDs (a local run reports the
 	// algorithm's order, so it is compared row by row).
 	ds, err := skybench.DatasetFromFlat(flat, n, d)
 	if err != nil {
 		t.Fatalf("DatasetFromFlat: %v", err)
 	}
 	single, err := st.Attach("single", ds, skybench.CollectionOptions{})
-	if err != nil {
-		t.Fatalf("Attach: %v", err)
-	}
-	sharded, err := st.Attach("sharded", ds, skybench.CollectionOptions{Shards: 3})
 	if err != nil {
 		t.Fatalf("Attach: %v", err)
 	}
@@ -284,10 +279,10 @@ func TestClusterThroughStore(t *testing.T) {
 			id    uint64
 			hasID bool
 		}
-		var runs [3][]row
-		var idxs [3][]int
-		for c, col := range []*skybench.Collection{single, sharded, remote} {
-			name := []string{"single", "sharded", "remote"}[c]
+		var runs [2][]row
+		var idxs [2][]int
+		for c, col := range []*skybench.Collection{single, remote} {
+			name := []string{"single", "remote"}[c]
 			r, err := col.Run(context.Background(), q)
 			if err != nil {
 				t.Fatalf("%+v on %s: %v", q, name, err)
@@ -310,10 +305,8 @@ func TestClusterThroughStore(t *testing.T) {
 				idxs[c] = append(idxs[c], r.Indices[p])
 			}
 		}
-		for c := 1; c < 3; c++ {
-			if !slices.Equal(idxs[c], idxs[0]) || !slices.Equal(runs[c], runs[0]) {
-				t.Fatalf("%+v: collection %d answers\n%v %v\nunsharded answers\n%v %v", q, c, idxs[c], runs[c], idxs[0], runs[0])
-			}
+		if !slices.Equal(idxs[1], idxs[0]) || !slices.Equal(runs[1], runs[0]) {
+			t.Fatalf("%+v: the cluster answers\n%v %v\nthe local collection answers\n%v %v", q, idxs[1], runs[1], idxs[0], runs[0])
 		}
 	}
 

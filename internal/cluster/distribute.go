@@ -26,9 +26,6 @@ type DistributeOptions struct {
 	// be reachable from every worker process — the static-attach
 	// transport is a shared filesystem, same as single-node `-static`.
 	ScratchDir string
-	// WorkerShards is the in-process shard count each worker uses for
-	// its slice (0 = the worker store's default).
-	WorkerShards int
 	// Replace drops an existing collection of the same name on a worker
 	// before re-attaching, instead of failing on the duplicate.
 	Replace bool
@@ -91,10 +88,7 @@ func Distribute(ctx context.Context, path string, opts DistributeOptions) ([]Wor
 func attachShard(ctx context.Context, addr string, opts DistributeOptions, shardPath string) error {
 	cli := client.New(addr)
 	defer cli.Close()
-	req := &serve.AttachRequest{
-		Static: &serve.StaticSpec{Path: shardPath},
-		Shards: opts.WorkerShards,
-	}
+	req := &serve.AttachRequest{Static: &serve.StaticSpec{Path: shardPath}}
 	_, err := cli.Attach(ctx, opts.Collection, req)
 	if err != nil && opts.Replace && errors.Is(err, skybench.ErrDuplicateCollection) {
 		if err = cli.Drop(ctx, opts.Collection); err != nil {

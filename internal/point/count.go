@@ -15,33 +15,33 @@ import "sync/atomic"
 // row-major flat matrix rows (d columns per row) that strictly dominate
 // the probe q (length d), stopping early once the count reaches budget
 // (which must be ≥ 1); the return value is min(true count, budget).
-// Two optional per-row filters are applied before a dominance test: when
-// l1 is non-nil, rows with l1[j] == qL1 are skipped (equal L1 norms
-// preclude dominance, footnote 2 of the paper); when skip is non-nil,
-// rows with a nonzero skip[j] are passed over, read with atomic loads so
-// concurrent phase workers may set flags mid-scan. *dts is advanced by
-// the number of dominance tests performed. It is the kernel of callers
-// that hold no code words (the pre-filter, the shard merge); the
+// Every row in the window is tested, and *dts is advanced by the number
+// of dominance tests performed. It is the kernel of callers that hold no
+// code words and filter no rows (the pre-filter, the shard merge); the
 // Engine's phases call CountDominatorsInFlatRunCoded.
-func CountDominatorsInFlatRun(rows []float64, d, lo, hi int, q []float64, qL1 float64, l1 []float64, skip []uint32, budget int, dts *uint64) int {
+func CountDominatorsInFlatRun(rows []float64, d, lo, hi int, q []float64, budget int, dts *uint64) int {
 	switch d {
 	case 4:
-		return cntRun4(rows, lo, hi, q, qL1, l1, skip, budget, dts)
+		return cntRun4(rows, lo, hi, q, budget, dts)
 	case 6:
-		return cntRun6(rows, lo, hi, q, qL1, l1, skip, budget, dts)
+		return cntRun6(rows, lo, hi, q, budget, dts)
 	case 8:
-		return cntRun8(rows, lo, hi, q, qL1, l1, skip, budget, dts)
+		return cntRun8(rows, lo, hi, q, budget, dts)
 	default:
-		return cntRunGeneric(rows, d, lo, hi, q, qL1, l1, skip, nil, 0, budget, dts)
+		return cntRunGeneric(rows, d, lo, hi, q, 0, nil, nil, nil, 0, budget, dts)
 	}
 }
 
-// CountDominatorsInFlatRunCoded is CountDominatorsInFlatRun behind the
-// code-word pre-test (code.go): codes holds the rows' code words and qc
-// the probe's, both from one Quantizer, and a tested row whose code word
-// is larger than qc in some lane is rejected without its float test. It
-// is still counted as a dominance test, so the count and *dts are those
-// of the uncoded scan.
+// CountDominatorsInFlatRunCoded is CountDominatorsInFlatRun behind two
+// optional per-row filters and the code-word pre-test (code.go). When l1
+// is non-nil, rows with l1[j] == qL1 are skipped (equal L1 norms
+// preclude dominance, footnote 2 of the paper); when skip is non-nil,
+// rows with a nonzero skip[j] are passed over, read with atomic loads so
+// concurrent phase workers may set flags mid-scan. codes holds the rows'
+// code words and qc the probe's, both from one Quantizer, and a tested
+// row whose code word is larger than qc in some lane is rejected without
+// its float test. It is still counted as a dominance test, so the count
+// and *dts are those of the uncoded scan.
 func CountDominatorsInFlatRunCoded(rows []float64, d, lo, hi int, q []float64, qL1 float64, l1 []float64, skip []uint32, codes []uint64, qc uint64, budget int, dts *uint64) int {
 	return cntRunGeneric(rows, d, lo, hi, q, qL1, l1, skip, codes, qc, budget, dts)
 }
@@ -74,18 +74,12 @@ func cntRunGeneric(rows []float64, d, lo, hi int, q []float64, qL1 float64, l1 [
 	return c
 }
 
-func cntRun4(rows []float64, lo, hi int, q []float64, qL1 float64, l1 []float64, skip []uint32, budget int, dts *uint64) int {
+func cntRun4(rows []float64, lo, hi int, q []float64, budget int, dts *uint64) int {
 	q0, q1, q2, q3 := q[0], q[1], q[2], q[3]
 	n := *dts
 	c := 0
 	off := lo * 4
 	for j := lo; j < hi; j, off = j+1, off+4 {
-		if skip != nil && atomic.LoadUint32(&skip[j]) != 0 {
-			continue
-		}
-		if l1 != nil && l1[j] == qL1 {
-			continue
-		}
 		n++
 		r := rows[off : off+4 : off+4]
 		if b2u(r[0] > q0)|b2u(r[1] > q1)|b2u(r[2] > q2)|b2u(r[3] > q3) != 0 {
@@ -102,18 +96,12 @@ func cntRun4(rows []float64, lo, hi int, q []float64, qL1 float64, l1 []float64,
 	return c
 }
 
-func cntRun6(rows []float64, lo, hi int, q []float64, qL1 float64, l1 []float64, skip []uint32, budget int, dts *uint64) int {
+func cntRun6(rows []float64, lo, hi int, q []float64, budget int, dts *uint64) int {
 	q0, q1, q2, q3, q4, q5 := q[0], q[1], q[2], q[3], q[4], q[5]
 	n := *dts
 	c := 0
 	off := lo * 6
 	for j := lo; j < hi; j, off = j+1, off+6 {
-		if skip != nil && atomic.LoadUint32(&skip[j]) != 0 {
-			continue
-		}
-		if l1 != nil && l1[j] == qL1 {
-			continue
-		}
 		n++
 		r := rows[off : off+6 : off+6]
 		if b2u(r[0] > q0)|b2u(r[1] > q1)|b2u(r[2] > q2)|b2u(r[3] > q3)|b2u(r[4] > q4)|b2u(r[5] > q5) != 0 {
@@ -130,18 +118,12 @@ func cntRun6(rows []float64, lo, hi int, q []float64, qL1 float64, l1 []float64,
 	return c
 }
 
-func cntRun8(rows []float64, lo, hi int, q []float64, qL1 float64, l1 []float64, skip []uint32, budget int, dts *uint64) int {
+func cntRun8(rows []float64, lo, hi int, q []float64, budget int, dts *uint64) int {
 	q0, q1, q2, q3, q4, q5, q6, q7 := q[0], q[1], q[2], q[3], q[4], q[5], q[6], q[7]
 	n := *dts
 	c := 0
 	off := lo * 8
 	for j := lo; j < hi; j, off = j+1, off+8 {
-		if skip != nil && atomic.LoadUint32(&skip[j]) != 0 {
-			continue
-		}
-		if l1 != nil && l1[j] == qL1 {
-			continue
-		}
 		n++
 		r := rows[off : off+8 : off+8]
 		if b2u(r[0] > q0)|b2u(r[1] > q1)|b2u(r[2] > q2)|b2u(r[3] > q3)|

@@ -28,13 +28,13 @@ func countOracle(rows []float64, d, lo, hi int, q []float64, qL1 float64, l1 []f
 	return c
 }
 
-// countRun is the run kernel the caller would reach: the coded entry
-// when there are code words, the uncoded one otherwise.
+// countRun is the run kernel the caller would reach: the uncoded entry
+// when there are no filters and no code words, the coded one otherwise.
 func countRun(rows []float64, d, lo, hi int, q []float64, qL1 float64, l1 []float64, skip []uint32, codes []uint64, qc uint64, budget int, dts *uint64) int {
-	if codes != nil {
-		return CountDominatorsInFlatRunCoded(rows, d, lo, hi, q, qL1, l1, skip, codes, qc, budget, dts)
+	if l1 == nil && skip == nil && codes == nil {
+		return CountDominatorsInFlatRun(rows, d, lo, hi, q, budget, dts)
 	}
-	return CountDominatorsInFlatRun(rows, d, lo, hi, q, qL1, l1, skip, budget, dts)
+	return CountDominatorsInFlatRunCoded(rows, d, lo, hi, q, qL1, l1, skip, codes, qc, budget, dts)
 }
 
 // randRun builds a small flat matrix on a coarse grid (frequent ties and

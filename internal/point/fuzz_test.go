@@ -186,7 +186,7 @@ func FuzzCountDominatorsInFlatRun(f *testing.F) {
 			}
 		}
 		var dts uint64
-		if got := CountDominatorsInFlatRun(rows, d, 0, n, q, 0, nil, nil, budget, &dts); got != want {
+		if got := CountDominatorsInFlatRun(rows, d, 0, n, q, budget, &dts); got != want {
 			t.Fatalf("d=%d n=%d budget=%d: count=%d oracle=%d (q=%v rows=%v)", d, n, budget, got, want, q, rows)
 		}
 	})
@@ -270,7 +270,7 @@ func FuzzCodeWord(f *testing.F) {
 			}
 		}
 		var plainDTs, codedDTs uint64
-		want := CountDominatorsInFlatRun(rows, d, 0, n, q, 0, nil, nil, budget, &plainDTs)
+		want := CountDominatorsInFlatRun(rows, d, 0, n, q, budget, &plainDTs)
 		if want != oracle {
 			t.Fatalf("d=%d n=%d budget=%d: uncoded run %d, oracle %d", d, n, budget, want, oracle)
 		}

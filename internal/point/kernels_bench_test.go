@@ -89,7 +89,7 @@ func BenchmarkKernels(b *testing.B) {
 				return c
 			}},
 			{"run/unrolled", func(q []float64, dts *uint64) int {
-				return CountDominatorsInFlatRun(rows, d, 0, n, q, 0, nil, nil, 1, dts)
+				return CountDominatorsInFlatRun(rows, d, 0, n, q, 1, dts)
 			}},
 			{"run/generic", func(q []float64, dts *uint64) int {
 				return cntRunGeneric(rows, d, 0, n, q, 0, nil, nil, nil, 0, 1, dts)

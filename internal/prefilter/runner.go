@@ -264,7 +264,7 @@ func (r *Runner) runPass1(tid, lo, hi int) {
 			copy(dense[:d], q)
 			siftDown(hl, dense, d)
 		default:
-			if point.CountDominatorsInFlatRun(dense, d, 0, cnt, q, qL1, nil, nil, k, &localDTs) >= k {
+			if point.CountDominatorsInFlatRun(dense, d, 0, cnt, q, k, &localDTs) >= k {
 				continue
 			}
 		}
@@ -330,7 +330,7 @@ func (r *Runner) runPass2(tid, lo, hi int) {
 			}
 		}
 		q := v.Load(i, buf[:])
-		if point.CountDominatorsInFlatRun(qrows, d, 0, a, q, myL1, nil, nil, k, &localDTs) >= k {
+		if point.CountDominatorsInFlatRun(qrows, d, 0, a, q, k, &localDTs) >= k {
 			continue
 		}
 		cand[w], cl1[w] = i, myL1

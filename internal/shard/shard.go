@@ -259,7 +259,7 @@ func mergeBand(ctx context.Context, vals []float64, nc, d, k int, dts *uint64) (
 			}
 		}
 		q := sVals[p*d : (p+1)*d : (p+1)*d]
-		c := point.CountDominatorsInFlatRun(sVals, d, 0, p, q, 0, nil, nil, k, &tests)
+		c := point.CountDominatorsInFlatRun(sVals, d, 0, p, q, k, &tests)
 		if c < k {
 			keep = append(keep, i)
 			if counts != nil {

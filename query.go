@@ -74,8 +74,7 @@ type Query struct {
 	// Threads caps the worker count for this query (≤ 0 uses the
 	// Engine's thread budget; values above it are clamped to it). It is
 	// a cap, not a grant: while other runs are in flight the run holds
-	// its share of the Engine's pool, which may be fewer threads, and a
-	// sharded query caps each shard at the budget split over the shards.
+	// its share of the Engine's pool, which may be fewer threads.
 	Threads int
 	// Alpha overrides the α-block size of Hybrid and QFlow (≤ 0 keeps
 	// the paper's defaults: 2^10 for Hybrid, 2^13 for QFlow).
@@ -90,7 +89,10 @@ type Query struct {
 	// QFlow), receives batches of confirmed skyline indices as blocks
 	// complete. It is called on the querying goroutine. The batch slice
 	// aliases internal storage that a later query recycles — it is valid
-	// only for the duration of the callback; copy it to retain it.
+	// only for the duration of the callback; copy it to retain it. A
+	// static or stream Collection delivers it from its one engine run and
+	// bypasses its cache; a cluster-backed one rejects it with
+	// ErrBadQuery.
 	Progressive func(confirmed []int)
 	// Ablation disables individual Hybrid design components for
 	// experimentation. Production users should leave it zero.

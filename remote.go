@@ -96,7 +96,6 @@ func (s *Store) AttachRemote(name string, rb RemoteBackend, opts CollectionOptio
 	if rb == nil {
 		return nil, fmt.Errorf("%w: nil RemoteBackend", ErrBadDataset)
 	}
-	opts.Shards = 1 // fan-out shape belongs to the backend's placement
 	c := s.newCollection(name, opts)
 	c.back = remoteBacking{rb}
 	if err := s.add(name, c); err != nil {
@@ -107,8 +106,7 @@ func (s *Store) AttachRemote(name string, rb RemoteBackend, opts CollectionOptio
 
 // remoteBacking adapts a RemoteBackend to the backing interface. The
 // backend owns fan-out, merge, and failure policy; a frozen membership
-// is only its epoch — there are no local rows to pin, to shard or to
-// plan over.
+// is only its epoch — there are no local rows to pin.
 type remoteBacking struct{ rb RemoteBackend }
 
 func (b remoteBacking) dims() int          { return b.rb.D() }
@@ -125,7 +123,7 @@ func (b remoteBacking) rows(_ context.Context, snap *colSnapshot) (*colSnapshot,
 
 func (b remoteBacking) maintains(Query) bool { return false }
 
-func (b remoteBacking) answer(ctx context.Context, _ *colSnapshot, q Query, _ int) (*QueryResult, error) {
+func (b remoteBacking) answer(ctx context.Context, _ *colSnapshot, q Query) (*QueryResult, error) {
 	if q.Progressive != nil {
 		return nil, fmt.Errorf("%w: progressive delivery needs a local collection", ErrBadQuery)
 	}

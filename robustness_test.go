@@ -134,8 +134,9 @@ func TestStoreDeadline(t *testing.T) {
 // deadline serves the last cached result for its shape — marked Stale,
 // from the older epoch — instead of the error; without AllowStale the
 // error stands. The shared cache entry itself must never be tainted. An
-// Auto query on a sharded collection degrades too: the fallback keys it
-// as its run stored it, as Hybrid at fan-out 1.
+// Auto query degrades too: the fallback keys it as its run stored it, as
+// Hybrid — on a collection attached with the deprecated Shards, which
+// changes nothing.
 func TestStoreStaleFallback(t *testing.T) {
 	for _, tc := range []struct {
 		name   string
@@ -479,7 +480,7 @@ func TestRunLeavesNoGoroutines(t *testing.T) {
 		t.Fatal(err)
 	}
 	ds, _ := skybench.NewDataset(storeTestData(t, "independent", 500, 3, 9))
-	plain, err := st.Attach("plain", ds, skybench.CollectionOptions{Shards: 2})
+	plain, err := st.Attach("plain", ds, skybench.CollectionOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -18,7 +18,7 @@ import (
 // from the band its index maintains, and the server says so everywhere
 // an operator can look — the trace carries band (as a "band" key on the
 // wire, round-tripping both encodings exactly), the info body counts it
-// under bandAnswers with no costs row, and skyserved_band_answers reads
+// under bandAnswers, and skyserved_band_answers reads
 // the same in a lint-clean exposition. Band answers stay out of the
 // per-algorithm histograms, as cache hits do. A shape the index does
 // not maintain is computed, traced without the marker, and booked.
@@ -80,7 +80,7 @@ func TestBandAnswerServed(t *testing.T) {
 		}
 	}
 
-	// A computed answer: no marker, and a costs row.
+	// A computed answer: no marker, and one booked run.
 	res, err = c.Query(ctx, "ticks", &serve.QueryRequest{Prefs: []string{"max", "min"}, Trace: true})
 	if err != nil {
 		t.Fatal(err)
@@ -96,8 +96,8 @@ func TestBandAnswerServed(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if info.BandAnswers != 2 || len(info.Costs) != 1 || info.Costs[0].Count != 1 {
-		t.Errorf("info: bandAnswers %d costs %+v, want 2 band answers and one booked run", info.BandAnswers, info.Costs)
+	if info.BandAnswers != 2 {
+		t.Errorf("info: bandAnswers %d, want 2", info.BandAnswers)
 	}
 	text, err = c.Metrics(ctx)
 	if err != nil {

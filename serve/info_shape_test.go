@@ -74,14 +74,14 @@ func jsonShape(t *testing.T, data []byte) string {
 }
 
 // TestCollectionInfoShape: GET /v1/collections/{name} for a
-// static-sharded, a durable-stream and a cluster collection has the
+// static, a durable-stream and a cluster collection has the
 // keys, key order and value kinds it had before CollectionInfo embedded
 // the canonical skybench stats types.
 func TestCollectionInfoShape(t *testing.T) {
 	srv, c := newTestServer(t, skybench.StoreOptions{Threads: 2}, serve.Options{})
 	ctx := context.Background()
 
-	if _, err := srv.AttachStaticFile("hotels", genCSV(t, 500, 3, 1), skybench.CollectionOptions{Shards: 2}); err != nil {
+	if _, err := srv.AttachStaticFile("hotels", genCSV(t, 500, 3, 1), skybench.CollectionOptions{}); err != nil {
 		t.Fatal(err)
 	}
 	for _, req := range []*serve.QueryRequest{{}, {}, {SkybandK: 2}, {Algorithm: "auto"}, {Algorithm: "qflow"}} {
@@ -98,9 +98,9 @@ func TestCollectionInfoShape(t *testing.T) {
 	if _, err := c.Insert(ctx, "ticks", [][]float64{{1, 9}, {9, 1}, {5, 5}, {2, 2}}); err != nil {
 		t.Fatal(err)
 	}
-	// The default query is answered from the index's maintained band and
-	// books no cost row ("bandAnswers"); a max preference the index does
-	// not maintain is materialized and run, which keeps "costs" covered.
+	// The default query is answered from the index's maintained band
+	// ("bandAnswers"); a max preference the index does not maintain is
+	// materialized and run.
 	for _, req := range []*serve.QueryRequest{nil, {Prefs: []string{"min", "max"}}} {
 		if _, err := c.Query(ctx, "ticks", req); err != nil {
 			t.Fatal(err)

@@ -85,7 +85,7 @@ func TestFrameEqualsJSONEqualsInProcess(t *testing.T) {
 	ctx := context.Background()
 	st := srv.Store()
 
-	if _, err := srv.AttachStaticFile("static", genCSV(t, 800, 4, 11), skybench.CollectionOptions{Shards: 2}); err != nil {
+	if _, err := srv.AttachStaticFile("static", genCSV(t, 800, 4, 11), skybench.CollectionOptions{}); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := c.Attach(ctx, "stream", &serve.AttachRequest{Stream: &serve.StreamSpec{D: 3}}); err != nil {
@@ -268,7 +268,7 @@ func TestHitServesMemoisedPayload(t *testing.T) {
 	if _, err := srv.AttachStaticFile("small", genCSV(t, 40, 2, 3), skybench.CollectionOptions{}); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := srv.AttachStaticFile("large", genCSV(t, 6000, 6, 4), skybench.CollectionOptions{Shards: 2}); err != nil {
+	if _, err := srv.AttachStaticFile("large", genCSV(t, 6000, 6, 4), skybench.CollectionOptions{}); err != nil {
 		t.Fatal(err)
 	}
 	for _, accept := range []string{serve.FrameContentType, ""} {

@@ -632,8 +632,8 @@ func encodeRows(frame bool, rows *QueryRows) ([]byte, error) {
 }
 
 // topCut returns the result positions a request's Top keeps — the Top
-// points with the fewest dominators, ties in result order — or nil when
-// Top cuts nothing.
+// points with the fewest dominators, ties by ascending row index, as
+// Result.TopK ranks them — or nil when Top cuts nothing.
 func topCut(res *skybench.QueryResult, top int) []int {
 	n := res.Len()
 	if top <= 0 || top >= n {
@@ -643,9 +643,12 @@ func topCut(res *skybench.QueryResult, top int) []int {
 	for i := range pos {
 		pos[i] = i
 	}
-	if res.Counts != nil {
-		sort.SliceStable(pos, func(a, b int) bool { return res.Counts[pos[a]] < res.Counts[pos[b]] })
-	}
+	sort.Slice(pos, func(a, b int) bool {
+		if res.Counts != nil && res.Counts[pos[a]] != res.Counts[pos[b]] {
+			return res.Counts[pos[a]] < res.Counts[pos[b]]
+		}
+		return res.Indices[pos[a]] < res.Indices[pos[b]]
+	})
 	return pos[:top]
 }
 
@@ -775,7 +778,6 @@ func (s *Server) handleAttach(w http.ResponseWriter, r *http.Request, obs *obser
 		return
 	}
 	opts := skybench.CollectionOptions{
-		Shards:         req.Shards,
 		CacheCapacity:  req.CacheCapacity,
 		DefaultTimeout: time.Duration(req.DefaultTimeoutMs) * time.Millisecond,
 	}
@@ -866,12 +868,10 @@ func (s *Server) collectionInfo(name string) (CollectionInfo, error) {
 		N:            cs.N,
 		D:            cs.D,
 		Epoch:        cs.Epoch,
-		Shards:       cs.Shards,
 		StreamBacked: cs.StreamBacked,
 		Inflight:     cs.Inflight,
 		Cache:        cs.Cache,
 		Subscribers:  s.subs.With(name).Value(),
-		Costs:        cs.Costs,
 		BandAnswers:  cs.BandAnswers,
 		Durability:   cs.Durability,
 		Cluster:      cs.Placement,

@@ -41,8 +41,9 @@ type QueryRequest struct {
 	// skybench.Query.SkybandK.
 	SkybandK int `json:"skybandK,omitempty"`
 	// Top, when > 0, returns only the Top result points with the fewest
-	// dominators (ties broken by result order) — the wire form of
-	// Result.TopK. The response comes back in ascending-count order.
+	// dominators (ties broken by ascending row index) — the wire form of
+	// Result.TopK. A cut response comes back in that order; a Top at or
+	// past the result size cuts nothing and keeps the result's order.
 	Top int `json:"top,omitempty"`
 	// Alpha, Beta, Pivot, and Seed override the algorithm's tuning
 	// parameters, as the corresponding skybench.Query fields.
@@ -153,18 +154,15 @@ type CollectionInfo struct {
 	N            int                 `json:"n"`
 	D            int                 `json:"d"`
 	Epoch        uint64              `json:"epoch"`
-	Shards       int                 `json:"shards"`
 	StreamBacked bool                `json:"streamBacked"`
 	Durable      bool                `json:"durable,omitempty"`
 	Inflight     int64               `json:"inflight"`
 	Cache        skybench.CacheStats `json:"cache"`
 	Subscribers  int64               `json:"subscribers,omitempty"`
-	// Costs are the collection's per-algorithm rolling cost statistics,
-	// one row per algorithm that has executed at least once.
-	Costs []skybench.AlgorithmCost `json:"costs,omitempty"`
 	// BandAnswers counts the queries a stream collection answered by
 	// reading the band its index maintains instead of running an engine
-	// (skybench.CollectionStats.BandAnswers); they book no Costs row.
+	// (skybench.CollectionStats.BandAnswers); the query histograms book
+	// none of them.
 	BandAnswers uint64 `json:"bandAnswers,omitempty"`
 	// Durability carries WAL and checkpoint counters for durable
 	// stream collections; absent otherwise.
@@ -226,9 +224,6 @@ type ClusterSpec struct {
 	MarginMs int64 `json:"marginMs,omitempty"`
 	// Retries bounds transport retries per worker call (default 2).
 	Retries int `json:"retries,omitempty"`
-	// WorkerShards is the worker-local Shards option for the shipped
-	// collections (0 = unsharded workers).
-	WorkerShards int `json:"workerShards,omitempty"`
 }
 
 // AttachRequest is the body of PUT /v1/collections/{name}: exactly one
@@ -237,9 +232,8 @@ type AttachRequest struct {
 	Static  *StaticSpec  `json:"static,omitempty"`
 	Stream  *StreamSpec  `json:"stream,omitempty"`
 	Cluster *ClusterSpec `json:"cluster,omitempty"`
-	// Shards, CacheCapacity, and DefaultTimeoutMs map onto
+	// CacheCapacity and DefaultTimeoutMs map onto
 	// skybench.CollectionOptions.
-	Shards           int   `json:"shards,omitempty"`
 	CacheCapacity    int   `json:"cacheCapacity,omitempty"`
 	DefaultTimeoutMs int64 `json:"defaultTimeoutMs,omitempty"`
 }

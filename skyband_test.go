@@ -3,6 +3,7 @@ package skybench_test
 import (
 	"context"
 	"fmt"
+	"slices"
 	"strings"
 	"testing"
 
@@ -236,15 +237,59 @@ func TestResultTopK(t *testing.T) {
 			t.Fatalf("TopK(%d) = %v, want %v", tc.w, got, tc.want)
 		}
 	}
-	// Skyline result: no counts, first-w passthrough, caller-owned.
-	sky := skybench.Result{Indices: []int{4, 5, 6}}
+	// Skyline result: no counts, the w smallest indices, caller-owned.
+	sky := skybench.Result{Indices: []int{6, 4, 5}}
 	got := sky.TopK(2)
 	if fmt.Sprint(got) != fmt.Sprint([]int{4, 5}) {
 		t.Fatalf("skyline TopK = %v", got)
 	}
 	got[0] = 99
-	if sky.Indices[0] != 4 {
+	if sky.Indices[1] != 4 {
 		t.Fatalf("TopK aliases Result.Indices")
+	}
+}
+
+// TestTopKTiesByRowIndex: a top-w cut breaks count ties by ascending row
+// index, so Hybrid and Q-Flow, which return the same band in different
+// orders, give the same TopK. Each cut is held to the (count, index)
+// ranking of the band.
+func TestTopKTiesByRowIndex(t *testing.T) {
+	ds, err := skybench.NewDataset(storeTestData(t, "independent", 5000, 4, 1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	eng := skybench.NewEngine(2)
+	defer eng.Close()
+	var res [2]skybench.Result
+	for i, algo := range []skybench.Algorithm{skybench.Hybrid, skybench.QFlow} {
+		if res[i], err = eng.Run(context.Background(), ds, skybench.Query{Algorithm: algo, SkybandK: 3}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	type ranked struct {
+		idx int
+		cnt int32
+	}
+	rank := make([]ranked, len(res[0].Indices))
+	for p, i := range res[0].Indices {
+		rank[p] = ranked{i, res[0].Counts[p]}
+	}
+	slices.SortFunc(rank, func(a, b ranked) int {
+		if a.cnt != b.cnt {
+			return int(a.cnt - b.cnt)
+		}
+		return a.idx - b.idx
+	})
+	for _, w := range []int{10, 50} {
+		want := make([]int, w)
+		for i := range want {
+			want[i] = rank[i].idx
+		}
+		for i, r := range res {
+			if got := r.TopK(w); !slices.Equal(got, want) {
+				t.Fatalf("algorithm %d: TopK(%d) = %v, want %v", i, w, got, want)
+			}
+		}
 	}
 }
 

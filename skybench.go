@@ -30,13 +30,13 @@
 // without caller-side column rewrites.
 //
 // Services hosting several datasets front the engine with a Store: named
-// Collections (immutable Datasets or live stream indexes via
-// AttachStream), optional sharded fan-out with exact merge, epoch-keyed
-// result caching, and async futures:
+// Collections (immutable Datasets, live stream indexes via AttachStream,
+// or worker clusters via AttachRemote, which fan out and merge exactly),
+// epoch-keyed result caching, admission control and default deadlines:
 //
 //	st := skybench.NewStore(0)
 //	defer st.Close()
-//	hotels, _ := st.Attach("hotels", ds, skybench.CollectionOptions{Shards: 4})
+//	hotels, _ := st.Attach("hotels", ds, skybench.CollectionOptions{})
 //	res, err := hotels.Run(ctx, skybench.Query{SkybandK: 2})
 //
 // All API errors wrap the typed sentinels in errors.go (ErrBadQuery,
@@ -74,9 +74,8 @@ const (
 	PBSkyTree
 	// Auto leaves the choice to the collection, which runs the paper's
 	// recommendation: Hybrid at its defaults (tuning the query sets
-	// stays), unsharded whatever CollectionOptions.Shards says — measured
-	// to be within noise of the best fixed choice on every shape
-	// (DESIGN.md §14). QueryResult.Plan records it. Auto is only valid on
+	// stays) — measured to be within noise of the best fixed choice on
+	// every shape (DESIGN.md §14). QueryResult.Plan records it. Auto is only valid on
 	// Store collections; a plain Engine.Run rejects it with ErrBadQuery.
 	// It is deliberately absent from Algorithms: it is a spelling, not an
 	// extra comparison point.
@@ -305,31 +304,30 @@ func (r Result) Clone() Result {
 
 // TopK returns the indices of the w result points with the fewest
 // dominators — the top-k dominance cut of a skyband result, the ranking
-// behind paginated "best, then next-best" serving. Ties keep the
-// result's own order (the ranking is stable), and w larger than the
-// band returns every member. For a skyline result (nil Counts) every
-// point has zero dominators, so TopK is simply the first w indices. The
-// returned slice is freshly allocated and caller-owned.
+// behind paginated "best, then next-best" serving — ordered by count,
+// ties by ascending row index, so the cut is the same whichever
+// algorithm produced the band. w larger than the band returns every
+// member. For a skyline result (nil Counts) every point has zero
+// dominators, so TopK is the w smallest indices. The returned slice is
+// freshly allocated and caller-owned.
 func (r Result) TopK(w int) []int {
-	if w > len(r.Indices) {
-		w = len(r.Indices)
-	}
+	w = min(w, len(r.Indices))
 	if w <= 0 {
 		return nil
 	}
-	if r.Counts == nil {
-		return append([]int(nil), r.Indices[:w]...)
+	pos := make([]int, len(r.Indices))
+	for i := range pos {
+		pos[i] = i
 	}
-	order := make([]int, len(r.Indices))
-	for i := range order {
-		order[i] = i
-	}
-	sort.SliceStable(order, func(a, b int) bool {
-		return r.Counts[order[a]] < r.Counts[order[b]]
+	sort.Slice(pos, func(a, b int) bool {
+		if r.Counts != nil && r.Counts[pos[a]] != r.Counts[pos[b]] {
+			return r.Counts[pos[a]] < r.Counts[pos[b]]
+		}
+		return r.Indices[pos[a]] < r.Indices[pos[b]]
 	})
 	out := make([]int, w)
-	for i := 0; i < w; i++ {
-		out[i] = r.Indices[order[i]]
+	for i, p := range pos[:w] {
+		out[i] = r.Indices[p]
 	}
 	return out
 }

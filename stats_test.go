@@ -10,7 +10,7 @@ import (
 )
 
 // TestCollectionStatsStatic: Stats on a static collection reports shape,
-// sharding, cache counters, and a zero epoch, in one coherent struct.
+// cache counters, and a zero epoch, in one coherent struct.
 func TestCollectionStatsStatic(t *testing.T) {
 	st := skybench.NewStore(2)
 	defer st.Close()
@@ -19,7 +19,7 @@ func TestCollectionStatsStatic(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	col, err := st.Attach("hotels", ds, skybench.CollectionOptions{Shards: 2})
+	col, err := st.Attach("hotels", ds, skybench.CollectionOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -28,7 +28,7 @@ func TestCollectionStatsStatic(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if s.Name != "hotels" || s.N != 300 || s.D != 3 || s.Shards != 2 || s.StreamBacked || s.Epoch != 0 {
+	if s.Name != "hotels" || s.N != 300 || s.D != 3 || s.StreamBacked || s.Epoch != 0 {
 		t.Fatalf("static stats = %+v", s)
 	}
 	if s.Inflight != 0 {

@@ -10,15 +10,15 @@ import (
 )
 
 // Store is the multi-collection serving facade: one handle hosting any
-// number of named Collections — each an immutable Dataset or a live
-// stream source, optionally sharded — over a single shared Engine (one
+// number of named Collections — each an immutable Dataset, a live
+// stream source or a remote cluster — over a single shared Engine (one
 // worker pool, one context free-list) so concurrent queries across
 // every collection share warm scratch and one pool of threads, from
 // which each run leases its own team.
 //
 //	st := skybench.NewStore(0)
 //	defer st.Close()
-//	hotels, _ := st.Attach("hotels", ds, skybench.CollectionOptions{Shards: 4})
+//	hotels, _ := st.Attach("hotels", ds, skybench.CollectionOptions{})
 //	res, err := hotels.Run(ctx, skybench.Query{SkybandK: 2})
 //
 // A Store is safe for concurrent use: attach, drop, and query from any
@@ -138,16 +138,14 @@ func (s *Store) QueueDepth() int {
 
 // Attach registers ds as a named collection and returns its handle.
 // The Dataset is adopted as-is (immutable, shareable); opts selects
-// sharding and caching. Attaching a name twice fails with
+// caching and the default deadline. Attaching a name twice fails with
 // ErrDuplicateCollection.
 func (s *Store) Attach(name string, ds *Dataset, opts CollectionOptions) (*Collection, error) {
 	if ds == nil {
 		return nil, fmt.Errorf("%w: nil Dataset", ErrBadDataset)
 	}
 	c := s.newCollection(name, opts)
-	snap := &colSnapshot{ds: ds}
-	snap.partition(c.shards)
-	c.back = &staticBacking{local: local{s.eng}, snap: snap}
+	c.back = &staticBacking{local: local{s.eng}, snap: &colSnapshot{ds: ds}}
 	if err := s.add(name, c); err != nil {
 		return nil, err
 	}
@@ -168,7 +166,7 @@ func (s *Store) AttachStream(name string, src StreamSource, opts CollectionOptio
 		return nil, fmt.Errorf("%w: nil StreamSource", ErrBadDataset)
 	}
 	c := s.newCollection(name, opts)
-	c.back = newStreamBacking(s.eng, src, c.shards)
+	c.back = newStreamBacking(s.eng, src)
 	if err := s.add(name, c); err != nil {
 		return nil, err
 	}
@@ -177,10 +175,6 @@ func (s *Store) AttachStream(name string, src StreamSource, opts CollectionOptio
 
 // newCollection builds a collection shell with normalized options.
 func (s *Store) newCollection(name string, opts CollectionOptions) *Collection {
-	shards := opts.Shards
-	if shards < 1 {
-		shards = 1
-	}
 	cacheCap := opts.CacheCapacity
 	if cacheCap == 0 {
 		cacheCap = defaultCacheCapacity
@@ -194,7 +188,6 @@ func (s *Store) newCollection(name string, opts CollectionOptions) *Collection {
 	}
 	c := &Collection{
 		name:        name,
-		shards:      shards,
 		owner:       s,
 		timeout:     timeout,
 		closeOnDrop: opts.CloseOnDrop,
@@ -203,12 +196,6 @@ func (s *Store) newCollection(name string, opts CollectionOptions) *Collection {
 		c.cacheCap = cacheCap
 		c.entries.m = make(map[fingerprint]cacheEntry)
 		c.stale.m = make(map[fingerprint]cacheEntry)
-	}
-	// A sharded collection's first query fans out `shards` concurrent
-	// engine runs at once; pre-lease that many contexts so the burst
-	// hits warm scratch instead of allocating under load.
-	if shards > 1 {
-		s.eng.prewarm(shards)
 	}
 	return c
 }

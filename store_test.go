@@ -45,10 +45,12 @@ func sharesStorage[T any](a, b []T) bool {
 	return len(a) == len(b) && unsafe.SliceData(a) == unsafe.SliceData(b)
 }
 
-// TestStoreShardedMatchesUnsharded is the acceptance property: for
-// every distribution × preference vector × k × shard count, the sharded
-// collection's result must be set-identical to the unsharded Engine
-// answer, with identical dominator counts for skybands.
+// TestStoreShardedMatchesUnsharded: a collection attached with the
+// deprecated Shards option answers every query exactly as Engine.Run
+// does over its rows — the same indices in the same order, the same
+// counts — for every distribution × preference vector × k × shard
+// count. Progressive delivery works on it, and an Auto query right after
+// the explicit Hybrid one is a cache hit on the same entry.
 func TestStoreShardedMatchesUnsharded(t *testing.T) {
 	const n, d = 2500, 5
 	st := skybench.NewStore(4)
@@ -68,10 +70,6 @@ func TestStoreShardedMatchesUnsharded(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		ref, err := st.Attach(dist+"-ref", ds, skybench.CollectionOptions{})
-		if err != nil {
-			t.Fatal(err)
-		}
 		for _, shards := range []int{2, 4, 7} {
 			col, err := st.Attach(fmt.Sprintf("%s-%d", dist, shards), ds,
 				skybench.CollectionOptions{Shards: shards})
@@ -81,7 +79,7 @@ func TestStoreShardedMatchesUnsharded(t *testing.T) {
 			for name, prefs := range prefsCases {
 				for _, k := range []int{1, 2, 4} {
 					q := skybench.Query{Prefs: prefs, SkybandK: k}
-					want, err := ref.Run(ctx, q)
+					want, err := st.Engine().Run(ctx, ds, q)
 					if err != nil {
 						t.Fatal(err)
 					}
@@ -89,78 +87,35 @@ func TestStoreShardedMatchesUnsharded(t *testing.T) {
 					if err != nil {
 						t.Fatalf("%s/%s shards=%d k=%d: %v", dist, name, shards, k, err)
 					}
-					wm, gm := bandMap(want.Indices, want.Counts), bandMap(got.Indices, got.Counts)
-					if len(wm) != len(gm) {
-						t.Fatalf("%s/%s shards=%d k=%d: %d points sharded, %d unsharded",
-							dist, name, shards, k, len(gm), len(wm))
-					}
-					for i, c := range wm {
-						if gc, ok := gm[i]; !ok || gc != c {
-							t.Fatalf("%s/%s shards=%d k=%d: row %d count %d vs unsharded %d (present=%v)",
-								dist, name, shards, k, i, gm[i], c, ok)
-						}
-					}
-					if !slices.IsSorted(got.Indices) {
-						t.Fatalf("%s/%s shards=%d k=%d: sharded indices not ascending", dist, name, shards, k)
+					if !slices.Equal(got.Indices, want.Indices) || !slices.Equal(got.Counts, want.Counts) {
+						t.Fatalf("%s/%s shards=%d k=%d: the collection answered %d rows %v…, Engine.Run %d rows %v…",
+							dist, name, shards, k, got.Len(), got.Indices[:min(5, got.Len())], len(want.Indices), want.Indices[:min(5, len(want.Indices))])
 					}
 					if got.Stats.InputSize != n {
 						t.Fatalf("%s/%s shards=%d k=%d: InputSize %d, want %d", dist, name, shards, k, got.Stats.InputSize, n)
 					}
+					q.Algorithm = skybench.Auto
+					if auto, err := col.Run(ctx, q); err != nil || !auto.CacheHit || !sharesStorage(auto.Indices, got.Indices) {
+						t.Fatalf("%s/%s shards=%d k=%d: Auto after Hybrid is no hit on its entry (%v)", dist, name, shards, k, err)
+					}
 				}
 			}
-		}
-	}
-}
-
-// TestStoreShardedLargeUnion forces the merge's engine path (union
-// larger than the kernel cutoff): anticorrelated data whose skyline is
-// a large fraction of the input. Sharded results must still match.
-func TestStoreShardedLargeUnion(t *testing.T) {
-	const n, d = 8000, 7
-	rows := storeTestData(t, "anticorrelated", n, d, 13)
-	ds, err := skybench.NewDataset(rows)
-	if err != nil {
-		t.Fatal(err)
-	}
-	st := skybench.NewStore(4)
-	defer st.Close()
-	ref, err := st.Attach("ref", ds, skybench.CollectionOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	col, err := st.Attach("sharded", ds, skybench.CollectionOptions{Shards: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	ctx := context.Background()
-	for _, k := range []int{1, 2} {
-		q := skybench.Query{SkybandK: k}
-		want, err := ref.Run(ctx, q)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if want.Len() <= 1024 {
-			t.Fatalf("k=%d: band has %d points — workload too small to exercise the engine merge", k, want.Len())
-		}
-		got, err := col.Run(ctx, q)
-		if err != nil {
-			t.Fatal(err)
-		}
-		wm, gm := bandMap(want.Indices, want.Counts), bandMap(got.Indices, got.Counts)
-		if len(wm) != len(gm) {
-			t.Fatalf("k=%d: %d points sharded, %d unsharded", k, len(gm), len(wm))
-		}
-		for i, c := range wm {
-			if gm[i] != c {
-				t.Fatalf("k=%d: row %d count %d, unsharded %d", k, i, gm[i], c)
+			var streamed []int
+			prog, err := col.Run(ctx, skybench.Query{SkybandK: 2, Progressive: func(b []int) { streamed = append(streamed, b...) }})
+			if err != nil {
+				t.Fatalf("%s shards=%d: progressive: %v", dist, shards, err)
+			}
+			if !slices.Equal(sortedInts(streamed), sortedInts(prog.Indices)) {
+				t.Fatalf("%s shards=%d: progressive batches deliver %d rows, the result has %d", dist, shards, len(streamed), prog.Len())
 			}
 		}
 	}
 }
 
-// TestStoreShardedGolden pins sharded results to the committed golden
-// files: P=4 skylines and k-skybands must reproduce the brute-force
-// oracle's membership and counts index-for-index.
+// TestStoreShardedGolden pins collection results to the committed golden
+// files: skylines and k-skybands of a collection attached with the
+// deprecated Shards: 4 must reproduce the brute-force oracle's
+// membership and counts index-for-index.
 func TestStoreShardedGolden(t *testing.T) {
 	st := skybench.NewStore(2)
 	defer st.Close()
@@ -180,7 +135,7 @@ func TestStoreShardedGolden(t *testing.T) {
 			t.Fatal(err)
 		}
 		if got := sortedInts(res.Indices); !slices.Equal(got, g.Skyline) {
-			t.Fatalf("%s: sharded skyline %v, golden %v", c.name, got, g.Skyline)
+			t.Fatalf("%s: skyline %v, golden %v", c.name, got, g.Skyline)
 		}
 		for _, k := range goldenKs {
 			want := g.Skyband[fmt.Sprint(k)]
@@ -190,7 +145,7 @@ func TestStoreShardedGolden(t *testing.T) {
 			}
 			gm, wm := bandMap(res.Indices, res.Counts), bandMap(want.Indices, want.Counts)
 			if len(gm) != len(wm) {
-				t.Fatalf("%s k=%d: sharded band size %d, golden %d", c.name, k, len(gm), len(wm))
+				t.Fatalf("%s k=%d: band size %d, golden %d", c.name, k, len(gm), len(wm))
 			}
 			for i, cnt := range wm {
 				if gm[i] != cnt {
@@ -203,7 +158,7 @@ func TestStoreShardedGolden(t *testing.T) {
 
 // TestStoreCacheHitZeroAlloc is the acceptance bound on the cache: a
 // repeated identical untraced query on an unchanged collection must be
-// a hit that performs zero shard work — marked CacheHit, the one shared
+// a hit that performs no engine work — marked CacheHit, the one shared
 // handle on every hit, the miss's rows, no allocations at all. This also pins the tracing design's overhead
 // contract: with Query.Trace off (the default here), the cost counters
 // and cache-hit path stay allocation-free.
@@ -215,7 +170,7 @@ func TestStoreCacheHitZeroAlloc(t *testing.T) {
 	}
 	st := skybench.NewStore(4)
 	defer st.Close()
-	col, err := st.Attach("hot", ds, skybench.CollectionOptions{Shards: 4})
+	col, err := st.Attach("hot", ds, skybench.CollectionOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -245,7 +200,7 @@ func TestStoreCacheHitZeroAlloc(t *testing.T) {
 		t.Error("two cache hits returned different handles")
 	}
 	if !sharesStorage(got.Indices, first.Indices) || !sharesStorage(got.Counts, first.Counts) {
-		t.Error("cache hit does not share the miss's rows — shard work was redone")
+		t.Error("cache hit does not share the miss's rows — engine work was redone")
 	}
 	stats := col.CacheStats()
 	if stats.Hits <= base.Hits {
@@ -378,7 +333,7 @@ func TestStoreStreamCacheInvalidation(t *testing.T) {
 
 	st := skybench.NewStore(2)
 	defer st.Close()
-	col, err := st.AttachStream("live", ix, skybench.CollectionOptions{Shards: 2})
+	col, err := st.AttachStream("live", ix, skybench.CollectionOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -514,7 +469,7 @@ func TestStoreErrors(t *testing.T) {
 	if _, err := st.AttachStream("a", nil, skybench.CollectionOptions{}); !errors.Is(err, skybench.ErrBadDataset) {
 		t.Errorf("nil source: err = %v, want ErrBadDataset", err)
 	}
-	col, err := st.Attach("a", ds, skybench.CollectionOptions{Shards: 2})
+	col, err := st.Attach("a", ds, skybench.CollectionOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -534,12 +489,7 @@ func TestStoreErrors(t *testing.T) {
 		t.Errorf("Names() = %v, want [a]", names)
 	}
 
-	// Progressive delivery is incompatible with sharded fan-out.
-	prog := skybench.Query{Progressive: func([]int) {}}
-	if _, err := col.Run(ctx, prog); !errors.Is(err, skybench.ErrBadQuery) {
-		t.Errorf("progressive sharded query: err = %v, want ErrBadQuery", err)
-	}
-	// Bad queries surface the engine's typed errors through the shards.
+	// Bad queries surface the engine's typed errors.
 	if _, err := col.Run(ctx, skybench.Query{SkybandK: -3}); !errors.Is(err, skybench.ErrBadQuery) {
 		t.Errorf("negative k: err = %v, want ErrBadQuery", err)
 	}
@@ -568,8 +518,7 @@ func TestStoreErrors(t *testing.T) {
 }
 
 // TestCollectionConcurrentRun: a repeat is the cached answer, and
-// several queries in flight at once on one sharded collection each get
-// theirs.
+// several queries in flight at once on one collection each get theirs.
 func TestCollectionConcurrentRun(t *testing.T) {
 	rows := storeTestData(t, "anticorrelated", 2000, 4, 9)
 	ds, err := skybench.NewDataset(rows)
@@ -578,7 +527,7 @@ func TestCollectionConcurrentRun(t *testing.T) {
 	}
 	st := skybench.NewStore(2)
 	defer st.Close()
-	col, err := st.Attach("async", ds, skybench.CollectionOptions{Shards: 3})
+	col, err := st.Attach("async", ds, skybench.CollectionOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -619,10 +568,10 @@ func TestCollectionConcurrentRun(t *testing.T) {
 }
 
 // TestStoreConcurrent is the race-detector workload named in CI: many
-// goroutines querying a Store hosting a sharded static collection and a
+// goroutines querying a Store hosting a static collection and a
 // stream-backed collection, while a writer mutates the stream — cache
-// hits, invalidations, snapshot materialization, and shard fan-out all
-// interleaving.
+// hits, invalidations, snapshot materialization, and concurrent engine
+// runs all interleaving.
 func TestStoreConcurrent(t *testing.T) {
 	rows := storeTestData(t, "independent", 4000, 4, 21)
 	ds, err := skybench.NewDataset(rows)
@@ -647,11 +596,11 @@ func TestStoreConcurrent(t *testing.T) {
 
 	st := skybench.NewStore(4)
 	defer st.Close()
-	static, err := st.Attach("static", ds, skybench.CollectionOptions{Shards: 4})
+	static, err := st.Attach("static", ds, skybench.CollectionOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	streamed, err := st.AttachStream("live", ix, skybench.CollectionOptions{Shards: 2})
+	streamed, err := st.AttachStream("live", ix, skybench.CollectionOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -732,7 +681,7 @@ func TestStoreConcurrent(t *testing.T) {
 }
 
 // TestStoreLegacyEquivalence pins the layering contract: Engine.Run and
-// an unsharded, cache-disabled collection answer identically.
+// a cache-disabled collection answer identically.
 func TestStoreLegacyEquivalence(t *testing.T) {
 	rows := storeTestData(t, "correlated", 1500, 4, 17)
 	ds, err := skybench.NewDataset(rows)

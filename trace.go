@@ -10,7 +10,7 @@ import (
 // which algorithm ran, where its wall-clock time went, how much work
 // (dominance tests, prune hits, per-phase survivors) it did, and — for
 // Collection queries — whether the answer came from the epoch-keyed
-// cache and how a sharded fan-out was merged.
+// cache and how a cluster fan-out was merged.
 //
 // A trace is only materialized when Query.Trace is set; untraced
 // queries pay nothing beyond the engine's always-on counters, so the
@@ -50,8 +50,7 @@ type QueryTrace struct {
 	Output    int `json:"output"`
 	// Threads is the largest worker team the run held (a team is
 	// rebalanced toward its share of the pool at every α-block
-	// boundary); for a sharded query, the largest any shard held
-	// (Shards has each).
+	// boundary).
 	Threads int `json:"threads,omitempty"`
 	// DominanceTests counts full point-vs-point dominance tests — the
 	// machine-independent work metric (paper Section IV-A).
@@ -68,25 +67,26 @@ type QueryTrace struct {
 	// + per-run L1 sorts, Q-Flow's L1 radix), a subset of Phases.Init.
 	Sort time.Duration `json:"sort_ns,omitempty"`
 	// Busy is the time the worker team spent inside Phase I and II,
-	// summed over workers (and over shards); its par_eff divides it by the
-	// team time those phases held.
+	// summed over workers; its par_eff divides it by the team time those
+	// phases held.
 	Busy time.Duration `json:"busy_ns,omitempty"`
 	// Elapsed is the total wall-clock time of the computation (for a
-	// sharded query: the whole fan-out, merge included).
+	// cluster query: the whole fan-out, merge included).
 	Elapsed time.Duration `json:"elapsed_ns"`
-	// Phases is the per-phase wall-clock breakdown (summed across
-	// shards for a sharded query).
+	// Phases is the per-phase wall-clock breakdown.
 	Phases PhaseTimings `json:"phases"`
-	// MergePath records how a sharded Collection merged its per-shard
-	// bands: shard.MergePathKernel ("kernel", flat recount kernel) or
-	// shard.MergePathEngine ("engine", full engine recompute over the
-	// candidate union). Empty for unsharded queries.
+	// MergePath records how a cluster-backed Collection merged its
+	// per-worker bands: shard.MergePathKernel ("kernel", flat recount
+	// kernel) or shard.MergePathEngine ("engine", full engine recompute
+	// over the candidate union). Empty for local queries.
 	MergePath string `json:"merge_path,omitempty"`
-	// Shards breaks a sharded fan-out down per shard.
+	// Shards is always empty.
+	//
+	// Deprecated: no local collection fans out any more; a cluster
+	// fan-out is broken down in Workers.
 	Shards []ShardTrace `json:"shards,omitempty"`
-	// Workers breaks a cluster fan-out down per worker process — one
-	// level above Shards: each worker owns a contiguous row range and
-	// may itself have fanned out locally. Only cluster-backed
+	// Workers breaks a cluster fan-out down per worker process: each
+	// worker owns a contiguous row range. Only cluster-backed
 	// collections set it.
 	Workers []WorkerTrace `json:"workers,omitempty"`
 	// Planner records what an Algorithm: Auto query ran as (the same
@@ -97,18 +97,17 @@ type QueryTrace struct {
 
 // PlannerTrace records what an Algorithm: Auto query ran as. Auto is a
 // fixed resolution, not a choice: Hybrid at the paper's defaults (any
-// tuning the query set stays), run unsharded (DESIGN.md §14).
+// tuning the query set stays; DESIGN.md §14).
 type PlannerTrace struct {
 	// Algorithm is the CLI name of the algorithm that ran: "hybrid".
 	Algorithm string `json:"algorithm"`
-	// Shards is the fan-out it ran at: 1, whatever the collection's
-	// CollectionOptions.Shards.
-	Shards int `json:"shards"`
 	// Explore is always false: nothing is chosen by trial.
 	Explore bool `json:"explore,omitempty"`
 }
 
 // ShardTrace is the per-shard slice of a sharded query's trace.
+//
+// Deprecated: QueryTrace.Shards is always empty.
 type ShardTrace struct {
 	// Shard is the shard's ordinal in the collection's partition.
 	Shard int `json:"shard"`
@@ -183,21 +182,13 @@ func traceFromResult(algo Algorithm, k int, res *Result) *QueryTrace {
 }
 
 // parEff is the parallel efficiency of the dominance-test phases: Busy
-// over the team time they held — Threads × (Phases.PhaseOne +
-// Phases.PhaseTwo) for one run, the sum of each shard's Threads ×
-// PhaseWall for a sharded one, whose shards ran on teams of their own. 1
-// means no worker ever waited at a phase barrier; 0 means there is
-// nothing to divide. For a run whose team was rebalanced to a smaller
-// size mid-run, Threads overstates the team time held, so parEff is a
-// lower bound.
+// over the team time they held, Threads × (Phases.PhaseOne +
+// Phases.PhaseTwo). 1 means no worker ever waited at a phase barrier; 0
+// means there is nothing to divide. For a run whose team was rebalanced
+// to a smaller size mid-run, Threads overstates the team time held, so
+// parEff is a lower bound.
 func (t *QueryTrace) parEff() float64 {
 	held := time.Duration(t.Threads) * (t.Phases.PhaseOne + t.Phases.PhaseTwo)
-	if len(t.Shards) > 0 {
-		held = 0
-		for _, s := range t.Shards {
-			held += time.Duration(s.Threads) * s.PhaseWall
-		}
-	}
 	if t.Busy <= 0 || held <= 0 {
 		return 0
 	}
@@ -228,7 +219,7 @@ func (t *QueryTrace) String() string {
 		b.WriteString(" partial=true")
 	}
 	if p := t.Planner; p != nil {
-		fmt.Fprintf(&b, "\nauto: ran %s shards=%d", p.Algorithm, p.Shards)
+		fmt.Fprintf(&b, "\nauto: ran %s", p.Algorithm)
 	}
 	fmt.Fprintf(&b, "\ninput=%d output=%d elapsed=%v", t.InputSize, t.Output, t.Elapsed.Round(time.Microsecond))
 	if t.CacheHit || t.Band {
@@ -259,27 +250,17 @@ func (t *QueryTrace) String() string {
 				fmt.Fprintf(&b, " FAILED(%s)", w.Err)
 			}
 		}
-	} else if t.MergePath != "" {
-		fmt.Fprintf(&b, "\nmerge=%s shards=%d", t.MergePath, len(t.Shards))
-		for _, s := range t.Shards {
-			fmt.Fprintf(&b, "\n  shard %d: input=%d output=%d dts=%d pruned=%d threads=%d elapsed=%v",
-				s.Shard, s.InputSize, s.Output, s.DominanceTests, s.PrefilterPruned, s.Threads,
-				s.Elapsed.Round(time.Microsecond))
-		}
 	}
 	return b.String()
 }
 
-// clone returns a deep copy of the trace (detaching the Shards and
-// Workers slices and the Auto record).
+// clone returns a deep copy of the trace (detaching the Workers slice
+// and the Auto record).
 func (t *QueryTrace) clone() *QueryTrace {
 	if t == nil {
 		return nil
 	}
 	c := *t
-	if t.Shards != nil {
-		c.Shards = append([]ShardTrace(nil), t.Shards...)
-	}
 	if t.Workers != nil {
 		c.Workers = append([]WorkerTrace(nil), t.Workers...)
 	}

@@ -100,9 +100,10 @@ func TestQueryTraceOracle(t *testing.T) {
 	}
 }
 
-// TestQueryTraceSharded checks the composite trace of a sharded
-// collection run: one ShardTrace per shard, shard inputs partitioning
-// the dataset, a recorded merge path, and the same brute-force output.
+// TestQueryTraceSharded checks the trace of a collection attached with
+// the deprecated Shards option: it is one engine run's — no shard
+// entries, no merge path, the whole pool of a run alone — with the
+// brute-force output.
 func TestQueryTraceSharded(t *testing.T) {
 	data := storeTestData(t, "anticorrelated", 3000, 3, 11)
 	want := bruteSkylineSize(data)
@@ -122,47 +123,18 @@ func TestQueryTraceSharded(t *testing.T) {
 	}
 	tr := res.Trace
 	if tr == nil {
-		t.Fatal("no trace on a traced sharded run")
+		t.Fatal("no trace on a traced run")
 	}
 	if tr.Output != want || res.Len() != want {
 		t.Errorf("output %d (result %d), brute force %d", tr.Output, res.Len(), want)
 	}
-	if len(tr.Shards) != 3 {
-		t.Fatalf("trace has %d shard entries, want 3", len(tr.Shards))
+	if len(tr.Shards) != 0 || tr.MergePath != "" {
+		t.Errorf("trace has %d shard entries and merge path %q, want one run", len(tr.Shards), tr.MergePath)
 	}
-	inputs, shardDTs := 0, uint64(0)
-	for i, sh := range tr.Shards {
-		if sh.Shard != i {
-			t.Errorf("shard %d recorded as %d", i, sh.Shard)
-		}
-		// Each shard leased its own team from the Store's four threads,
-		// capped at their even split over three shards.
-		if sh.Threads != 1 {
-			t.Errorf("shard %d ran on %d threads, want 4/3 = 1", i, sh.Threads)
-		}
-		if sh.InputSize <= 0 || sh.Output <= 0 || sh.DominanceTests == 0 {
-			t.Errorf("shard %d trace is degenerate: %+v", i, sh)
-		}
-		inputs += sh.InputSize
-		shardDTs += sh.DominanceTests
+	if tr.Threads != 4 || tr.DominanceTests != res.Stats.DominanceTests {
+		t.Errorf("trace reports %d threads and %d tests, want 4 and %d", tr.Threads, tr.DominanceTests, res.Stats.DominanceTests)
 	}
-	if inputs != len(data) {
-		t.Errorf("shard inputs sum to %d, want %d", inputs, len(data))
-	}
-	// The collection-level count includes the merge recount on top of
-	// the per-shard work.
-	if tr.DominanceTests < shardDTs {
-		t.Errorf("total dominance tests %d < per-shard sum %d", tr.DominanceTests, shardDTs)
-	}
-	if tr.MergePath != "kernel" && tr.MergePath != "engine" {
-		t.Errorf("merge path %q, want kernel or engine", tr.MergePath)
-	}
-	// par_eff weighs each shard's busy time by its own team, so it stays
-	// an efficiency whatever teams the shards leased.
 	if eff := tr.ParEff(); eff <= 0 || eff > 1 {
-		t.Errorf("sharded par_eff = %v, want in (0, 1]", eff)
-	}
-	if tr.Threads < 1 || tr.Threads > 4 {
-		t.Errorf("composite trace reports %d threads, want 1..4", tr.Threads)
+		t.Errorf("par_eff = %v, want in (0, 1]", eff)
 	}
 }
