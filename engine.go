@@ -347,6 +347,7 @@ func runOnContext(ec *engineCtx, q Query, cancel *atomic.Bool) (Result, error) {
 			NoMS:          q.Ablation.NoMS,
 			NoLevel2:      q.Ablation.NoLevel2,
 			NoPhase2Split: q.Ablation.NoPhase2Split,
+			NoCodes:       q.Ablation.NoCodes,
 			Stats:         &ec.st,
 			Progressive:   q.Progressive,
 			Cancel:        cancel,

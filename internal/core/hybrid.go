@@ -45,6 +45,11 @@ type HybridOptions struct {
 	// NoPhase2Split disables the three-loop decomposition of Phase II:
 	// every preceding peer gets a full dominance test (ablation).
 	NoPhase2Split bool
+	// NoCodes fits the run's quantizer to a zero range, so every code
+	// word is 0: the pre-test passes every row and M(S) skips no
+	// partition on its minimum code. That is the paper's Hybrid, test
+	// for test (ablation).
+	NoCodes bool
 	// SkybandK generalizes the computation to the k-skyband: the result
 	// is every point dominated by fewer than SkybandK others, with exact
 	// per-point dominator counts available from Context.Counts. Values
@@ -188,7 +193,11 @@ func (c *Context) run(v point.View, opt HybridOptions, partition bool) []int {
 		c.cmin[i%d] = min(c.cmin[i%d], c.cmin[i])
 		c.cmax[i%d] = max(c.cmax[i%d], c.cmax[i])
 	}
-	c.quant.Reset(d, c.cmin, c.cmax)
+	if opt.NoCodes {
+		c.quant.Reset(d, c.cmin, c.cmin)
+	} else {
+		c.quant.Reset(d, c.cmin, c.cmax)
+	}
 	if !partition {
 		c.forRanges(ns, c.codeBody)
 	}

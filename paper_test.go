@@ -32,6 +32,12 @@ import (
 // paperAlphas are the d and α sweeps of Figures 4–8.
 const paperN = 8000
 
+// paperArm is the paper's Hybrid: no code words, so every dominance
+// test the paper's algorithm makes is made and counted. The tests below
+// that assert Hybrid's counts run it; the shipped arm skips some of
+// those tests (TestPaperAblationMap prices the skip).
+var paperArm = skybench.Ablation{NoCodes: true}
+
 var (
 	paperDims   = []int{4, 8, 12}
 	paperAlphas = []int{1 << 7, 1 << 10, 1 << 13, 1 << 16}
@@ -176,7 +182,7 @@ func TestPaperFig5Fig6Table2WorkOrder(t *testing.T) {
 		loads = append(loads, workload{r.String(), r.Load(0.05), false})
 	}
 	for _, w := range loads {
-		h := p.dts(w.m, skybench.Query{Algorithm: skybench.Hybrid})
+		h := p.dts(w.m, skybench.Query{Algorithm: skybench.Hybrid, Ablation: paperArm})
 		q := p.dts(w.m, skybench.Query{Algorithm: skybench.QFlow})
 		ps := p.dts(w.m, skybench.Query{Algorithm: skybench.PSkyline})
 		p.row(w.name, w.m.N(), w.m.D(), h, q, ps)
@@ -191,16 +197,17 @@ func TestPaperFig5Fig6Table2WorkOrder(t *testing.T) {
 	}
 }
 
-// alphaSweep tabulates alg's dominance tests at each of paperAlphas, per
-// distribution, and hands each distribution's series to check.
-func alphaSweep(t *testing.T, alg skybench.Algorithm, check func(dist dataset.Distribution, dts []uint64)) {
-	p := newPaperBench(t, fmt.Sprintf("%s DTs n=8000 d=8", alg), "α=2^7", "2^10", "2^13", "2^16")
+// alphaSweep tabulates the dominance tests of q at each of paperAlphas,
+// per distribution, and hands each distribution's series to check.
+func alphaSweep(t *testing.T, q skybench.Query, check func(dist dataset.Distribution, dts []uint64)) {
+	p := newPaperBench(t, fmt.Sprintf("%s DTs n=8000 d=8", q.Algorithm), "α=2^7", "2^10", "2^13", "2^16")
 	for _, dist := range dataset.AllDistributions {
 		m := benchData(dist, paperN, benchD)
 		cells := []any{dist}
 		var dts []uint64
 		for _, alpha := range paperAlphas {
-			v := p.dts(m, skybench.Query{Algorithm: alg, Alpha: alpha})
+			q.Alpha = alpha
+			v := p.dts(m, q)
 			dts = append(dts, v)
 			cells = append(cells, v)
 		}
@@ -217,7 +224,7 @@ func alphaSweep(t *testing.T, alg skybench.Algorithm, check func(dist dataset.Di
 // therefore a parallel effect (barriers against redundant peer tests)
 // and not one a T = 1 count can confirm or refute.
 func TestPaperFig7QFlowAlpha(t *testing.T) {
-	alphaSweep(t, skybench.QFlow, func(dist dataset.Distribution, dts []uint64) {
+	alphaSweep(t, skybench.Query{Algorithm: skybench.QFlow}, func(dist dataset.Distribution, dts []uint64) {
 		for _, v := range dts[1:] {
 			if v != dts[0] {
 				t.Errorf("%s: Q-Flow's T = 1 work depends on α: %v", dist, dts)
@@ -234,7 +241,7 @@ func TestPaperFig7QFlowAlpha(t *testing.T) {
 // (TestPaperAblationMap: without level 2, α changes nothing). That is why
 // Hybrid's default is 2^10 and not Q-Flow's 2^13.
 func TestPaperFig8HybridAlpha(t *testing.T) {
-	alphaSweep(t, skybench.Hybrid, func(dist dataset.Distribution, dts []uint64) {
+	alphaSweep(t, skybench.Query{Algorithm: skybench.Hybrid, Ablation: paperArm}, func(dist dataset.Distribution, dts []uint64) {
 		for i := 1; i < len(dts); i++ {
 			if dts[i] < dts[i-1] {
 				t.Errorf("%s: Hybrid's work falls as α grows: %v", dist, dts)
@@ -263,7 +270,7 @@ func TestPaperFig9PivotMedian(t *testing.T) {
 		cells := []any{dist}
 		var median uint64
 		for _, pv := range pivots {
-			dts := p.dts(m, skybench.Query{Pivot: pv, Seed: 42})
+			dts := p.dts(m, skybench.Query{Pivot: pv, Seed: 42, Ablation: paperArm})
 			cells = append(cells, dts)
 			if pv == skybench.PivotMedian {
 				median = dts
@@ -316,12 +323,15 @@ func TestPaperAblationMap(t *testing.T) {
 	p := newPaperBench(t, "Hybrid DTs n=8000 d=8", "full", "NoMS", "NoLevel2", "one block", "NoPhase2Split", "NoPrefilter", "pruned")
 	for _, dist := range dataset.AllDistributions {
 		m := benchData(dist, paperN, benchD)
-		ab := func(a skybench.Ablation) uint64 { return p.dts(m, skybench.Query{Ablation: a}) }
-		st := p.stats(m, skybench.Query{})
+		ab := func(a skybench.Ablation) uint64 {
+			a.NoCodes = true
+			return p.dts(m, skybench.Query{Ablation: a})
+		}
+		st := p.stats(m, skybench.Query{Ablation: paperArm})
 		full, pruned := st.DominanceTests, st.PrefilterPruned
 		noMS := ab(skybench.Ablation{NoMS: true})
 		noLevel2 := ab(skybench.Ablation{NoLevel2: true})
-		oneBlock := p.dts(m, skybench.Query{Alpha: paperN})
+		oneBlock := p.dts(m, skybench.Query{Alpha: paperN, Ablation: paperArm})
 		noSplit := ab(skybench.Ablation{NoPhase2Split: true})
 		noPrefilter := ab(skybench.Ablation{NoPrefilter: true})
 		p.row(dist, full, noMS, noLevel2, oneBlock, noSplit, noPrefilter, pruned)

@@ -191,6 +191,11 @@ type Ablation struct {
 	// NoPhase2Split disables Phase II's three-loop decomposition;
 	// every preceding block peer gets a full dominance test.
 	NoPhase2Split bool
+	// NoCodes runs the paper's Hybrid: every code word is 0, so the
+	// code-word pre-test passes every row and M(S) skips no partition
+	// on its minimum code. Its dominance tests are the ones the paper
+	// counts; the default arm skips some of them (DESIGN.md §4).
+	NoCodes bool
 }
 
 // PhaseTimings breaks a run's wall-clock time into the phases reported
@@ -209,17 +214,6 @@ type PhaseTimings struct {
 	PhaseTwo  time.Duration `json:"phase2_ns"`    // peer comparisons / merge
 	Compress  time.Duration `json:"compress_ns"`  // α-block compression
 	Other     time.Duration `json:"other_ns"`     // structure updates and bookkeeping
-}
-
-// add accumulates o into t (summing per-shard breakdowns).
-func (t *PhaseTimings) add(o PhaseTimings) {
-	t.Init += o.Init
-	t.Prefilter += o.Prefilter
-	t.Pivot += o.Pivot
-	t.PhaseOne += o.PhaseOne
-	t.PhaseTwo += o.PhaseTwo
-	t.Compress += o.Compress
-	t.Other += o.Other
 }
 
 // Stats reports measurements of one query run.
