@@ -1,0 +1,86 @@
+package core
+
+import (
+	"slices"
+	"testing"
+
+	"skybench/internal/point"
+	"skybench/internal/stats"
+	"skybench/internal/verify"
+)
+
+// armRun is one Hybrid run reduced to what FuzzHybridArms compares: the
+// result in confirmation order, its dominator counts (nil on a skyline
+// run) and the dominance tests, detached from the Context.
+type armRun struct {
+	idx    []int
+	counts []int32
+	dts    uint64
+}
+
+func runArm(c *Context, opt HybridOptions, m point.Matrix) armRun {
+	var st stats.Stats
+	opt.Stats = &st
+	idx := c.Hybrid(m.View(), opt)
+	return armRun{slices.Clone(idx), slices.Clone(c.Counts()), st.DominanceTests}
+}
+
+// FuzzHybridArms holds the shipped arm, which skips M(S) partitions on
+// their minimum code word, to the paper's arm (HybridOptions.NoCodes),
+// and both to internal/verify's brute force. The rows are small integers
+// (0–7), so every L1 norm is an exact sum and Hybrid's equal-norm skips
+// are sound; the oracle then is exact. The first byte picks d (1–31,
+// every code-word lane width), the second α (1–16, so Phase I has a
+// store to skip in), the rest are coordinates, one a byte. At k ∈ {1, 3}
+// and T ∈ {1, 2}, both arms return the oracle's band, the same indices in
+// the same order and the same counts; at T = 1, where the count is
+// repeatable, the shipped arm makes no more tests than the paper's.
+func FuzzHybridArms(f *testing.F) {
+	f.Add([]byte{2, 3, 0, 7, 1, 6, 2, 5, 3, 4, 4, 3, 5, 2, 6, 1, 7, 0, 3, 3, 2, 2})
+	f.Add([]byte{3, 1, 0, 7, 7, 7, 0, 7, 7, 7, 0, 1, 1, 1, 1, 1, 1, 4, 4, 4, 2, 5, 3, 6, 1, 4})
+	f.Add([]byte{7, 4, 1, 2, 3, 4, 5, 6, 7, 8, 7, 6, 5, 4, 3, 2, 0, 0, 0, 0, 7, 7, 7, 7, 3, 1, 4, 1, 5, 9, 2, 6})
+	f.Add([]byte{19, 2, 5, 1, 4, 2, 8, 3, 7, 0, 6, 1, 2, 3, 4, 5, 6, 7, 0, 1, 2, 3, 4, 5, 6, 7, 0, 1, 2, 3, 4, 5, 6, 7, 7, 6, 5, 4, 3, 2, 1})
+	teams := leaseSizes(f, 2)
+	c := NewContext()
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if len(data) < 3 {
+			return
+		}
+		d := int(data[0])%point.MaxDims + 1
+		alpha := int(data[1])%16 + 1
+		data = data[2:]
+		n := min(len(data)/d, 256)
+		if n == 0 {
+			return
+		}
+		m := point.NewMatrix(n, d)
+		for i := range m.Flat() {
+			m.Flat()[i] = float64(data[i] % 8)
+		}
+		for _, k := range []int{1, 3} {
+			wantIdx, wantCnt := verify.BruteForceSkyband(m, k)
+			for _, threads := range []int{1, 2} {
+				opt := HybridOptions{Team: teams[threads], Alpha: alpha, SkybandK: k}
+				shipped := runArm(c, opt, m)
+				opt.NoCodes = true
+				paper := runArm(c, opt, m)
+				if !slices.Equal(shipped.idx, paper.idx) || !slices.Equal(shipped.counts, paper.counts) {
+					t.Fatalf("d=%d n=%d α=%d k=%d T=%d: shipped arm %v %v, paper's arm %v %v",
+						d, n, alpha, k, threads, shipped.idx, shipped.counts, paper.idx, paper.counts)
+				}
+				exact := verify.SameSkyline(shipped.idx, wantIdx)
+				if k > 1 {
+					exact = verify.SameBand(shipped.idx, shipped.counts, wantIdx, wantCnt)
+				}
+				if !exact {
+					t.Fatalf("d=%d n=%d α=%d k=%d T=%d: Hybrid %v %v, brute force %v %v",
+						d, n, alpha, k, threads, shipped.idx, shipped.counts, wantIdx, wantCnt)
+				}
+				if threads == 1 && shipped.dts > paper.dts {
+					t.Fatalf("d=%d n=%d α=%d k=%d: the shipped arm makes %d tests, the paper's %d",
+						d, n, alpha, k, shipped.dts, paper.dts)
+				}
+			}
+		}
+	})
+}

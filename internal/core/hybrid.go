@@ -237,7 +237,7 @@ func (c *Context) run(v point.View, opt HybridOptions, partition bool) []int {
 	}
 	timer.Stop(stats.PhaseInit)
 
-	c.sky.reset(d)
+	c.sky.reset(d, partition)
 	c.flags = grow(c.flags, alpha)
 	c.level2 = partition && !opt.NoLevel2
 	c.noMS = opt.NoMS

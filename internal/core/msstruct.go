@@ -11,12 +11,13 @@ import (
 // embedded in a Context and reused across runs: reset keeps the
 // underlying capacity so steady-state runs allocate nothing.
 //
-// M(S) is a directory of level-1 partitions (Figure 3b), held as two
-// parallel columns: partition e carries mask msMask[e] and spans rows
-// [msStart[e], msStart[e+1]) — msStart ends with a sentinel |S|. All
-// three mask columns are packed lane vectors, because all three are read
-// the same way: a probe walks one looking for the masks that are subsets
-// of its own (point.PackedMasks).
+// M(S) is a directory of level-1 partitions (Figure 3b), held as three
+// parallel columns: partition e carries mask msMask[e], spans rows
+// [msStart[e], msStart[e+1]) — msStart ends with a sentinel |S| — and
+// has msCode[e], the lane-wise minimum of its members' code words
+// (point.CodeMin). All three mask columns are packed lane vectors,
+// because all three are read the same way: a probe walks one looking for
+// the masks that are subsets of its own (point.PackedMasks).
 type skylineStore struct {
 	d       int
 	data    []float64         // len = n*d, row-major skyline points
@@ -27,18 +28,24 @@ type skylineStore struct {
 	counts  []int32           // dominator counts (k-skyband runs only; else empty)
 	msMask  point.PackedMasks // M(S): one level-1 mask per partition
 	msStart []int             // M(S): first row of each partition + trailing sentinel
+	msCode  []uint64          // M(S): lane-wise minimum code word of each partition
+	skip    bool              // countDominators skips partitions on msCode (partitioned runs)
 }
 
 func newSkylineStore(d int) *skylineStore {
 	s := &skylineStore{}
-	s.reset(d)
+	s.reset(d, true)
 	return s
 }
 
 // reset prepares the store for a fresh run of dimensionality d, keeping
-// the capacity accumulated by previous runs.
-func (s *skylineStore) reset(d int) {
+// the capacity accumulated by previous runs. skip is set on a
+// partitioned run. Q-Flow's one partition holds every skyline row, and
+// its minimum code passes nearly every probe, so Q-Flow asks none and
+// counts the tests the paper's Q-Flow makes.
+func (s *skylineStore) reset(d int, skip bool) {
 	s.d = d
+	s.skip = skip
 	s.data = s.data[:0]
 	s.mask1.Reset(d)
 	s.mask2.Reset(d)
@@ -47,6 +54,7 @@ func (s *skylineStore) reset(d int) {
 	s.counts = s.counts[:0]
 	s.msMask.Reset(d)
 	s.msStart = s.msStart[:0]
+	s.msCode = s.msCode[:0]
 }
 
 // size returns |S|.
@@ -62,7 +70,8 @@ func (s *skylineStore) row(j int) []float64 {
 // currently last in M(S) are re-partitioned at level 2 around that
 // partition's pivot (its first point, the one with smallest L1); each new
 // partition's first point becomes its level-2 pivot and retains its
-// level-1 mask.
+// level-1 mask. A new partition's minimum code starts at its pivot's
+// code word, and every later member folds its own in.
 //
 // When level2 is false (ablation), points keep their level-1 masks and no
 // re-partitioning happens, but the partition directory is still extended.
@@ -101,11 +110,14 @@ func (s *skylineStore) update(work point.Matrix, wl1 []float64, worig []int, wma
 				m2 = point.ComputeMask(work.Row(lo+i), s.row(curPivot))
 			}
 			s.mask2.Append(m2)
+			top := len(s.msCode) - 1
+			s.msCode[top] = point.CodeMin(s.msCode[top], wcode[lo+i], s.d)
 		} else {
 			// First point of a new partition: it becomes the level-2
 			// pivot and retains its level-1 mask.
 			s.msMask.Append(m1)
 			s.msStart = append(s.msStart, j)
+			s.msCode = append(s.msCode, wcode[lo+i])
 			curMask, curPivot = m1, j
 			s.mask2.Append(m1)
 		}
@@ -119,13 +131,23 @@ func (s *skylineStore) update(work point.Matrix, wl1 []float64, worig []int, wma
 // budget (a probe with ≥ budget dominators is discarded, so the excess is
 // never needed; the skyline path runs at budget 1). qMask is q's level-1
 // mask and qc its code word, which every run kernel asks before a float
-// test (point.CountDominatorsInFlatRunCoded). dts accumulates the dominance tests performed (mask computations
-// against level-2 pivots count as one DT each — they inspect all d
-// dimensions). The subset filter runs twice, both times a word of packed
-// masks at a time: over the directory, where a partition whose mask is
-// not a subset of qMask is incomparable with q as a whole and costs
-// nothing, and over the level-2 masks of each partition that is left.
-// All point accesses index the store's flat row-major data directly.
+// test (point.CountDominatorsInFlatRunCoded). The subset filter runs
+// twice, both times a word of packed masks at a time: over the
+// directory, where a partition whose mask is not a subset of qMask is
+// incomparable with q as a whole and costs nothing, and over the level-2
+// masks of each partition that is left. Between the two, on a
+// partitioned run, a partition whose minimum code word fails the
+// pre-test against qc is skipped whole: each member's code is at least
+// that minimum in every lane, so each member fails the pre-test too, and
+// the pre-test never rejects a dominator (DESIGN.md §2). All point
+// accesses index the store's flat row-major data directly.
+//
+// dts accumulates the dominance tests performed: every row a scan
+// tests, and each level-2 pivot's mask computation, which inspects all
+// d dimensions. A partition skipped on its minimum code books no test.
+// That is where the default arm makes fewer tests than the paper's
+// Hybrid (HybridOptions.NoCodes), whose codes are all 0 and whose
+// minima pass every probe.
 //
 // A full level-2 mask against a segment pivot contributes one dominator
 // — or, when q coincides with the pivot, none: the pivot has the
@@ -136,7 +158,7 @@ func (s *skylineStore) update(work point.Matrix, wl1 []float64, worig []int, wma
 // it — the only ones that could hold a dominator of a band pivot — came
 // before, and no later one passes the subset filter. On a skyline store
 // this is Algorithm 3's early "undominated" return, reached after the
-// same tests.
+// same tests on the NoCodes arm.
 func (s *skylineStore) countDominators(q []float64, qc uint64, qMask point.Mask, level2 bool, budget int, dts *uint64) int {
 	full := point.FullMask(s.d)
 	d := s.d
@@ -144,6 +166,9 @@ func (s *skylineStore) countDominators(q []float64, qc uint64, qMask point.Mask,
 	np := s.msMask.Len()
 	c := 0
 	for e := s.msMask.NextSubset(0, np, qMask); e < np; e = s.msMask.NextSubset(e+1, np, qMask) {
+		if s.skip && !point.CodeLE(s.msCode[e], qc, d) {
+			continue
+		}
 		lo, hi := s.msStart[e], s.msStart[e+1]
 		if !level2 {
 			c += point.CountDominatorsInFlatRunCoded(data, d, lo, hi, q, 0, nil, nil, s.code, qc, budget-c, dts)

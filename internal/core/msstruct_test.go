@@ -1,6 +1,7 @@
 package core
 
 import (
+	"math/bits"
 	"math/rand"
 	"slices"
 	"testing"
@@ -144,6 +145,10 @@ func TestStoreStructuralInvariants(t *testing.T) {
 					t.Fatalf("point %d level-2 mask %b, want %b", j, s.mask2.At(j), want)
 				}
 			}
+			// The directory's code is its members' lane-wise minimum.
+			if got, want := codeLanes(s.msCode[e], s.d), s.refMinCode(lo, s.msStart[e+1]); !slices.Equal(got, want) {
+				t.Fatalf("partition %d minimum code lanes %v, members' minimum %v", e, got, want)
+			}
 		}
 	}
 }
@@ -206,8 +211,50 @@ func TestStoreUpdateEmptyBlockIsNoop(t *testing.T) {
 // The scalar references for Phase I: Algorithm 3 and its counting and
 // no-M(S) forms restated one row at a time — a subset branch per
 // directory entry and per row, the dominance test from the definition —
-// over the same store. TestHybridCountsPinned holds the word-at-a-time
-// product code to their answers and to their dominance-test counts.
+// over the same store, and on a partitioned run the directory's code
+// skip, from the members' code words lane by lane.
+// TestHybridCountsPinned holds the word-at-a-time product code to their
+// answers and to their dominance-test counts.
+
+// codeLanes splits a d-dimensional code word into its d lanes (the
+// layout of point.Quantizer: d rounded up to a power of two lanes of
+// equal width, the top bit of each a guard that a code word leaves 0).
+func codeLanes(word uint64, d int) []uint64 {
+	w := uint(64 >> bits.Len(uint(d-1)))
+	lanes := make([]uint64, d)
+	for j := range lanes {
+		lanes[j] = word >> (uint(j) * w) & (1<<(w-1) - 1)
+	}
+	return lanes
+}
+
+// refMinCode is the lane-wise minimum of the code words of rows
+// [lo, hi), lane by lane.
+func (s *skylineStore) refMinCode(lo, hi int) []uint64 {
+	m := codeLanes(s.code[lo], s.d)
+	for j := lo + 1; j < hi; j++ {
+		for l, v := range codeLanes(s.code[j], s.d) {
+			m[l] = min(m[l], v)
+		}
+	}
+	return m
+}
+
+// refCodeSkip reports that the directory skips partition [lo, hi) for
+// a probe coded qc: on a partitioned run, some lane of qc is below every
+// member's code in that lane, so no member can dominate the probe.
+func (s *skylineStore) refCodeSkip(lo, hi int, qc uint64) bool {
+	if !s.skip {
+		return false
+	}
+	q := codeLanes(qc, s.d)
+	for l, v := range s.refMinCode(lo, hi) {
+		if v > q[l] {
+			return true
+		}
+	}
+	return false
+}
 
 // refScan tests rows [lo, hi) against q in order, skipping row j when
 // masks is non-nil and masks[j] ⊄ qm, and stops at budget dominators.
@@ -225,12 +272,15 @@ func (s *skylineStore) refScan(lo, hi int, q []float64, masks *point.PackedMasks
 	return c
 }
 
-func (s *skylineStore) refDominatedHybrid(q []float64, qMask point.Mask, level2 bool, dts *uint64) bool {
+func (s *skylineStore) refDominatedHybrid(q []float64, qc uint64, qMask point.Mask, level2 bool, dts *uint64) bool {
 	for e := 0; e < s.msMask.Len(); e++ {
 		if !s.msMask.At(e).Subset(qMask) {
 			continue
 		}
 		lo, hi := s.msStart[e], s.msStart[e+1]
+		if s.refCodeSkip(lo, hi, qc) {
+			continue
+		}
 		if !level2 {
 			if s.refScan(lo, hi, q, nil, 0, 1, dts) != 0 {
 				return true
@@ -249,13 +299,16 @@ func (s *skylineStore) refDominatedHybrid(q []float64, qMask point.Mask, level2 
 	return false
 }
 
-func (s *skylineStore) refCountDominators(q []float64, qMask point.Mask, level2 bool, budget int, dts *uint64) int {
+func (s *skylineStore) refCountDominators(q []float64, qc uint64, qMask point.Mask, level2 bool, budget int, dts *uint64) int {
 	c := 0
 	for e := 0; e < s.msMask.Len() && c < budget; e++ {
 		if !s.msMask.At(e).Subset(qMask) {
 			continue
 		}
 		lo, hi := s.msStart[e], s.msStart[e+1]
+		if s.refCodeSkip(lo, hi, qc) {
+			continue
+		}
 		if !level2 {
 			c += s.refScan(lo, hi, q, nil, 0, budget-c, dts)
 			continue

@@ -163,9 +163,9 @@ func checkProbes(t *testing.T, key string, c *Context, m point.Matrix, k int, le
 		got[0] = s.countDominators(q, qc, qm, level2, k, &gotDTs[0])
 		got[1] = s.countDominatorsFlat(q, qc, qm, k, &gotDTs[1])
 		if k == 1 {
-			ref[0] = b2i(s.refDominatedHybrid(q, qm, level2, &refDTs[0]))
+			ref[0] = b2i(s.refDominatedHybrid(q, qc, qm, level2, &refDTs[0]))
 		} else {
-			ref[0] = s.refCountDominators(q, qm, level2, k, &refDTs[0])
+			ref[0] = s.refCountDominators(q, qc, qm, level2, k, &refDTs[0])
 		}
 		ref[1] = s.refCountDominatorsFlat(q, qm, k, &refDTs[1])
 		if got != ref || gotDTs != refDTs {

@@ -42,6 +42,28 @@ func codeWidth(d int) uint { return 64 >> bits.Len(uint(d-1)) }
 // the probe's in any lane, given qg = qc | h and the guard bits h.
 func codeLE(r, qg, h uint64) bool { return (qg-r)&h == h }
 
+// CodeLE is the pre-test on d-dimensional code words: it reports that
+// r is no larger than qc in any lane, which every row that dominates the
+// probe coded qc satisfies.
+func CodeLE(r, qc uint64, d int) bool {
+	h := codeGuards[d]
+	return codeLE(r, qc|h, h)
+}
+
+// CodeMin returns the lane-wise minimum of two d-dimensional code words.
+// The pre-test's subtraction leaves the guard bit of exactly the lanes
+// where a ≥ b; spread down over the lane's code bits, it selects b
+// there and a elsewhere. A code word no larger than a probe's in every
+// lane makes every minimum it is folded into pass the pre-test too, so
+// a group of rows whose minimum fails it holds no dominator of the
+// probe.
+func CodeMin(a, b uint64, d int) uint64 {
+	h := codeGuards[d]
+	ge := ((a | h) - b) & h
+	sel := ge - ge>>(codeWidth(d)-1)
+	return b&sel | a&^sel
+}
+
 // codeGuardsFor returns H for d dimensions when there are codes, and 0
 // when codes is nil, so that a kernel asked for no pre-test accepts any
 // d, past MaxDims included.

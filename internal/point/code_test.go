@@ -78,9 +78,9 @@ func TestCodeLayout(t *testing.T) {
 	}
 }
 
-// TestCodePretestLanes holds the three-operation pre-test to the
-// lane-by-lane comparison it stands for, on random codes including
-// each lane's extremes, at every d.
+// TestCodePretestLanes holds the three-operation pre-test, and CodeMin,
+// to the lane-by-lane comparison and minimum they stand for, on random
+// codes including each lane's extremes, at every d.
 func TestCodePretestLanes(t *testing.T) {
 	rng := rand.New(rand.NewSource(41))
 	for d := 1; d <= MaxDims; d++ {
@@ -121,6 +121,16 @@ func TestCodePretestLanes(t *testing.T) {
 			}
 			if got := codeLE(pack(r), pack(q)|h, h); got != want {
 				t.Fatalf("d=%d r=%v q=%v: pre-test %v, lanes say %v", d, r, q, got, want)
+			}
+			if got := CodeLE(pack(r), pack(q), d); got != want {
+				t.Fatalf("d=%d r=%v q=%v: CodeLE %v, lanes say %v", d, r, q, got, want)
+			}
+			lo := make([]uint64, d)
+			for j := range lo {
+				lo[j] = min(r[j], q[j])
+			}
+			if got := CodeMin(pack(r), pack(q), d); got != pack(lo) {
+				t.Fatalf("d=%d r=%v q=%v: CodeMin %x, lane minima %v", d, r, q, got, lo)
 			}
 		}
 	}

@@ -223,7 +223,9 @@ func fuzzCodeVal(b byte) float64 {
 // dominator always passes the pre-test. Second, the coded counting
 // kernels, unmasked and masked (pivot from the input's last d bytes), at
 // budgets 1–8, return the count and the dominance tests of the same
-// scans without codes.
+// scans without codes. Third, CodeMin folded over the code column is its
+// minimum lane by lane, and it passes the pre-test whenever some row
+// does: a group whose minimum fails it holds no dominator.
 func FuzzCodeWord(f *testing.F) {
 	f.Add([]byte{7, 0, 5, 5, 5, 5, 5, 5, 5, 5, 5, 5, 5, 5, 5, 5, 5, 0x15, 0, 0, 0, 0, 0, 0, 0, 0})
 	f.Add([]byte{1, 3, 8, 9, 9, 8, 1, 0x21, 2, 0x22, 11, 0x2b, 14, 0x2e})
@@ -260,6 +262,32 @@ func FuzzCodeWord(f *testing.F) {
 						t.Fatalf("d=%d: %g ≤ %g codes as %d > %d", d, all[a*d+j], all[b*d+j], lane(words[a], d, j), lane(words[b], d, j))
 					}
 				}
+			}
+		}
+
+		if n > 0 {
+			lo := codes[0]
+			for _, c := range codes[1:] {
+				lo = CodeMin(lo, c, d)
+			}
+			for j := 0; j < d; j++ {
+				want := lane(codes[0], d, j)
+				for _, c := range codes[1:] {
+					want = min(want, lane(c, d, j))
+				}
+				if got := lane(lo, d, j); got != want {
+					t.Fatalf("d=%d lane %d: CodeMin fold %d, lane minimum %d (codes=%x)", d, j, got, want, codes)
+				}
+			}
+			if lo&codeGuards[d] != 0 {
+				t.Fatalf("d=%d: CodeMin fold %x sets a guard bit", d, lo)
+			}
+			anyPass := false
+			for _, c := range codes {
+				anyPass = anyPass || CodeLE(c, qc, d)
+			}
+			if anyPass && !CodeLE(lo, qc, d) {
+				t.Fatalf("d=%d: a row passes the pre-test against %x, the column minimum %x does not", d, qc, lo)
 			}
 		}
 

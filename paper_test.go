@@ -319,8 +319,14 @@ func TestPaperTable3PBSkyTreeWork(t *testing.T) {
 //     not what the filter is for: its tests run against a cache-resident
 //     queue and spare the pruned rows the gather, sort and partitioning.
 //     A count cannot price that; loadbench's batch_corr does.
+//
+// Every column but the last runs the paper's arm (NoCodes). The last,
+// "shipped", is the default arm: it skips an M(S) partition whose
+// minimum code word rules out every member, so it does no more tests
+// than the paper's Hybrid, and fewer wherever Phase I reads M(S) at all
+// (independent and anticorrelated data).
 func TestPaperAblationMap(t *testing.T) {
-	p := newPaperBench(t, "Hybrid DTs n=8000 d=8", "full", "NoMS", "NoLevel2", "one block", "NoPhase2Split", "NoPrefilter", "pruned")
+	p := newPaperBench(t, "Hybrid DTs n=8000 d=8", "full", "NoMS", "NoLevel2", "one block", "NoPhase2Split", "NoPrefilter", "pruned", "shipped")
 	for _, dist := range dataset.AllDistributions {
 		m := benchData(dist, paperN, benchD)
 		ab := func(a skybench.Ablation) uint64 {
@@ -334,7 +340,11 @@ func TestPaperAblationMap(t *testing.T) {
 		oneBlock := p.dts(m, skybench.Query{Alpha: paperN, Ablation: paperArm})
 		noSplit := ab(skybench.Ablation{NoPhase2Split: true})
 		noPrefilter := ab(skybench.Ablation{NoPrefilter: true})
-		p.row(dist, full, noMS, noLevel2, oneBlock, noSplit, noPrefilter, pruned)
+		shipped := p.dts(m, skybench.Query{})
+		p.row(dist, full, noMS, noLevel2, oneBlock, noSplit, noPrefilter, pruned, shipped)
+		if shipped > full || dist != dataset.Correlated && shipped == full {
+			t.Errorf("%s: the shipped arm does %d tests, the paper's Hybrid %d: want no more, and fewer off correlated data", dist, shipped, full)
+		}
 		if noSplit <= full {
 			t.Errorf("%s: NoPhase2Split does %d tests, the full algorithm %d: the split saves nothing", dist, noSplit, full)
 		}
