@@ -193,11 +193,12 @@ func (c *Context) run(v point.View, opt HybridOptions, partition bool) []int {
 		c.cmin[i%d] = min(c.cmin[i%d], c.cmin[i])
 		c.cmax[i%d] = max(c.cmax[i%d], c.cmax[i])
 	}
+	// The paper's arm fits a zero range: every code word is 0.
+	hi := c.cmax
 	if opt.NoCodes {
-		c.quant.Reset(d, c.cmin, c.cmin)
-	} else {
-		c.quant.Reset(d, c.cmin, c.cmax)
+		hi = c.cmin
 	}
+	c.quant.Reset(d, c.cmin, hi)
 	if !partition {
 		c.forRanges(ns, c.codeBody)
 	}

@@ -34,8 +34,10 @@ func CountDominatorsInFlatRun(rows []float64, d, lo, hi int, q []float64, budget
 
 // CountDominatorsInFlatRunCoded is CountDominatorsInFlatRun behind two
 // optional per-row filters and the code-word pre-test (code.go). When l1
-// is non-nil, rows with l1[j] == qL1 are skipped (equal L1 norms
-// preclude dominance, footnote 2 of the paper); when skip is non-nil,
+// is non-nil, rows with l1[j] == qL1 are skipped: the paper's footnote 2
+// assumes equal L1 norms preclude dominance, which holds for exact sums
+// but not for every computed one (DESIGN.md §9, "Numeric precondition";
+// ROADMAP item 1). When skip is non-nil,
 // rows with a nonzero skip[j] are passed over, read with atomic loads so
 // concurrent phase workers may set flags mid-scan. codes holds the rows'
 // code words and qc the probe's, both from one Quantizer, and a tested

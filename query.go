@@ -108,7 +108,8 @@ type Query struct {
 	// Trace asks for an EXPLAIN ANALYZE-style account of the run in
 	// Result.Trace (algorithm, per-phase wall clock, dominance tests,
 	// prune hits, per-phase survivors; for Collection queries also
-	// cache/epoch status, per-shard breakdown, and merge path). Like
+	// cache/epoch status, and for a cluster query the per-worker
+	// breakdown and the merge path). Like
 	// the delivery options below it never affects which result is
 	// computed or how Collections cache it; untraced queries pay
 	// nothing — the trace object is only allocated when Trace is set.
