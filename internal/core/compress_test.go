@@ -1,7 +1,9 @@
 package core
 
 import (
+	"cmp"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"skybench/internal/point"
@@ -92,5 +94,86 @@ func TestCompressPreservesOrder(t *testing.T) {
 				t.Fatalf("order violated at %d: %v", i, worig[:surv])
 			}
 		}
+	}
+}
+
+// walkStarts is the row-by-row walk partitionStarts replaces: Phase II's
+// loop 1 advanced while a peer's level was below me's, loop 2 while its
+// mask differed from me's. It returns where each walk stopped.
+func walkStarts(masks []point.Mask, me int) (levelAt, partAt int) {
+	i := 0
+	for ; i < me && masks[i].Level() < masks[me].Level(); i++ {
+	}
+	levelAt = i
+	for ; i < me && masks[i] != masks[me]; i++ {
+	}
+	return levelAt, i
+}
+
+// checkStarts holds partitionStarts to walkStarts on every row of masks.
+func checkStarts(t *testing.T, label string, masks []point.Mask) {
+	t.Helper()
+	levelAt, partAt := make([]int32, len(masks)), make([]int32, len(masks))
+	partitionStarts(masks, levelAt, partAt)
+	for me := range masks {
+		wl, wp := walkStarts(masks, me)
+		if int(levelAt[me]) != wl || int(partAt[me]) != wp {
+			t.Fatalf("%s: row %d (mask %b): columns (%d, %d), walk (%d, %d); masks %b",
+				label, me, masks[me], levelAt[me], partAt[me], wl, wp, masks)
+		}
+	}
+}
+
+// sortedMasks returns masks in the three-key sort's (level, mask) order.
+func sortedMasks(d int, masks []point.Mask) []point.Mask {
+	slices.SortStableFunc(masks, func(a, b point.Mask) int {
+		return cmp.Compare(a.CompoundKey(d), b.CompoundKey(d))
+	})
+	return masks
+}
+
+// TestPartitionStarts holds the per-block level and partition starts to
+// the walk Phase II's loops 1–2 made before them, on the blocks where the
+// two could part: Q-Flow's all-zero masks, a single partition, one row
+// per partition, levels missing from the block, and blocks whose Phase I
+// compress removed rows — a partition's leading rows among them.
+func TestPartitionStarts(t *testing.T) {
+	const d = 4
+	checkStarts(t, "empty", nil)
+	checkStarts(t, "qflow", make([]point.Mask, 9))
+	checkStarts(t, "one partition", []point.Mask{0b0110, 0b0110, 0b0110, 0b0110})
+	var distinct []point.Mask
+	for m := point.Mask(0); m <= point.FullMask(d); m++ {
+		distinct = append(distinct, m)
+	}
+	checkStarts(t, "one row per partition", sortedMasks(d, distinct))
+	checkStarts(t, "missing levels", sortedMasks(d, []point.Mask{0, 0, 0b0101, 0b0101, 0b0011, 0b1111, 0b1111}))
+
+	// Phase I's compress keeps the survivors' order: dropping the first
+	// rows of partition 0b0011 leaves it starting where 0b0101's did.
+	masks := []point.Mask{0, 0b0001, 0b0011, 0b0011, 0b0011, 0b0101, 0b0111}
+	flags := []uint32{0, 0, 1, 1, 0, 0, 0}
+	n := len(masks)
+	surv := compress(point.NewMatrix(n, 1), make([]float64, n), make([]int, n), masks, make([]uint64, n), nil, 0, n, flags)
+	if want := []point.Mask{0, 0b0001, 0b0011, 0b0101, 0b0111}; !slices.Equal(masks[:surv], want) {
+		t.Fatalf("compressed masks %b, want %b", masks[:surv], want)
+	}
+	checkStarts(t, "leading rows pruned", masks[:surv])
+
+	rng := rand.New(rand.NewSource(45))
+	for trial := 0; trial < 300; trial++ {
+		dim := 1 + rng.Intn(6)
+		n := rng.Intn(64)
+		masks := make([]point.Mask, n)
+		flags := make([]uint32, n)
+		// Few distinct masks, so partitions hold several rows.
+		palette := 1 + rng.Intn(1<<dim)
+		for i := range masks {
+			masks[i] = point.Mask(rng.Intn(palette))
+			flags[i] = uint32(rng.Intn(3) / 2)
+		}
+		sortedMasks(dim, masks)
+		surv := compress(point.NewMatrix(n, 1), make([]float64, n), make([]int, n), masks, make([]uint64, n), nil, 0, n, flags)
+		checkStarts(t, "random", masks[:surv])
 	}
 }

@@ -69,6 +69,8 @@ type Context struct {
 	blockLo int
 	blockF  []uint32
 	blockL1 []float64 // wl1 from blockLo on; nil on an unpartitioned run (see countPeers)
+	levelAt []int32   // per Phase I survivor: block row where its level starts (partitionStarts)
+	partAt  []int32   // per Phase I survivor: block row where its (level, mask) partition starts
 	blockC  []int32   // per-block dominator counts (k ≥ 2 only; nil on a skyline run)
 	bcnt    []int32   // backing storage for blockC, α-sized
 	level2  bool
@@ -319,7 +321,7 @@ func (c *Context) runPhase2(tid, blo, bhi int) {
 		if c.noSplit {
 			n = countPeersNaive(wf, c.wl1, c.wcode, lo, i, f, d, budget, &local)
 		} else {
-			n = countPeers(wf, c.wl1, c.blockL1, c.wmask, c.wcode, lo, i, f, d, budget, &local)
+			n = countPeers(wf, c.wl1, c.blockL1, c.wmask, c.wcode, lo, i, int(c.levelAt[i]), int(c.partAt[i]), f, d, budget, &local)
 		}
 		if n >= budget {
 			if cnt != nil {

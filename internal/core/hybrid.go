@@ -240,6 +240,7 @@ func (c *Context) run(v point.View, opt HybridOptions, partition bool) []int {
 
 	c.sky.reset(d, partition)
 	c.flags = grow(c.flags, alpha)
+	c.levelAt, c.partAt = grow(c.levelAt, alpha), grow(c.partAt, alpha)
 	c.level2 = partition && !opt.NoLevel2
 	c.noMS = opt.NoMS
 	c.noSplit = opt.NoPhase2Split
@@ -282,6 +283,7 @@ func (c *Context) run(v point.View, opt HybridOptions, partition bool) []int {
 
 		surv1 := compress(wk, c.wl1, c.worig, c.wmask, c.wcode, bcnt, lo, block, f)
 		st.Cost.Phase1Survivors += surv1
+		partitionStarts(c.wmask[lo:lo+surv1], c.levelAt, c.partAt)
 		timer.Stop(stats.PhaseCompress)
 
 		// Phase II (parallel, Algorithm 4): three-loop peer comparison.
@@ -345,6 +347,25 @@ func compress(work point.Matrix, wl1 []float64, worig []int, wmask []point.Mask,
 	return w
 }
 
+// partitionStarts fills, for each row i of a block's masks — in (level,
+// mask) order, as the three-key sort leaves a block and compress keeps
+// it — levelAt[i] with the first row of i's level and partAt[i] with the
+// first row of its (level, mask) partition, both block-relative. Phase
+// II's loops read them instead of walking to them (countPeers). On an
+// unpartitioned run every mask is 0, so both columns are all 0.
+func partitionStarts(masks []point.Mask, levelAt, partAt []int32) {
+	ls, ps := 0, 0
+	for i := range masks {
+		if i > 0 && masks[i] != masks[i-1] {
+			ps = i
+			if masks[i].Level() != masks[i-1].Level() {
+				ls = i
+			}
+		}
+		levelAt[i], partAt[i] = int32(ls), int32(ps)
+	}
+}
+
 // countPeersNaive is the no-decomposition ablation of Phase II: every
 // unpruned preceding peer gets a full dominance test (through the flat
 // run kernel, which applies the same flag and L1 skips and code-word
@@ -359,27 +380,29 @@ func countPeersNaive(wf []float64, wl1 []float64, wcode []uint64, lo, me int, f 
 // countPeers implements Algorithm 4 (compareToPeers): count block point
 // me's dominators among the surviving peers that precede it, in three
 // loops, stopping once the count reaches budget (at k = 1, on the first
-// dominator). Loop 1 covers peers in strictly lower levels, where the
-// mask subset test filters region-wise incomparability. Loop 2 skips
-// peers of the same level but a different mask — necessarily
-// incomparable. Loop 3 covers peers in me's own partition — a contiguous
-// run handed to the flat run kernel with full dominance tests. Pruned
-// peers are skipped via their atomic flags: a pruned peer has ≥ k
-// dominators, so it is not a band point, and only band points contribute
-// to a band member's exact count (DESIGN.md §9). peerL1 is the block's
-// slice of wl1 for loop 3's equal-L1 skip, or nil to test every peer.
-// Loops 1 and 3 ask the code-word pre-test before every float test.
-func countPeers(wf, wl1, peerL1 []float64, wmask []point.Mask, wcode []uint64, lo, me int, f []uint32, dim, budget int, dts *uint64) int {
+// dominator). The block is in (level, mask, L1) order, and levelAt and
+// partAt are where me's level and me's partition start
+// (partitionStarts), so no loop searches for its own end.
+// Loop 1 covers the peers [0, levelAt) in strictly lower levels, where
+// the mask subset test filters region-wise incomparability. Loop 2,
+// [levelAt, partAt), holds peers of the same level but a different mask —
+// necessarily incomparable — so it is a jump to partAt. Loop 3 covers
+// peers [partAt, me) in me's own partition — a contiguous run handed to
+// the flat run kernel with full dominance tests. Pruned peers are skipped
+// via their atomic flags: a pruned peer has ≥ k dominators, so it is not
+// a band point, and only band points contribute to a band member's exact
+// count (DESIGN.md §9). peerL1 is the block's slice of wl1 for loop 3's
+// equal-L1 skip, or nil to test every peer. Loops 1 and 3 ask the
+// code-word pre-test before every float test.
+func countPeers(wf, wl1, peerL1 []float64, wmask []point.Mask, wcode []uint64, lo, me, levelAt, partAt int, f []uint32, dim, budget int, dts *uint64) int {
 	qOff := (lo + me) * dim
 	q := wf[qOff : qOff+dim : qOff+dim]
 	qc := wcode[lo+me]
 	myMask := wmask[lo+me]
-	myLevel := myMask.Level()
 	myL1 := wl1[lo+me]
 	c := 0
-	i := 0
 	// Loop 1: lower levels — cheap filter, then DT.
-	for ; i < me && wmask[lo+i].Level() < myLevel; i++ {
+	for i := 0; i < levelAt; i++ {
 		if atomic.LoadUint32(&f[i]) != 0 {
 			continue
 		}
@@ -396,9 +419,9 @@ func countPeers(wf, wl1, peerL1 []float64, wmask []point.Mask, wcode []uint64, l
 			}
 		}
 	}
-	// Loop 2: same level, different mask — incomparable, skip outright.
-	for ; i < me && wmask[lo+i] != myMask; i++ {
-	}
+	// Loop 2: same level, different mask — incomparable, skipped by
+	// starting loop 3 at partAt.
+	//
 	// Loop 3: same partition — a contiguous counting run. A partitioned
 	// run skips equal-L1 peers: ties cluster inside a partition
 	// (coincident points share a mask), and the block's L1 slice is
@@ -407,8 +430,8 @@ func countPeers(wf, wl1, peerL1 []float64, wmask []point.Mask, wcode []uint64, l
 	// streaming the L1 slice costs, it would lower Q-Flow's test count on
 	// tie-heavy data, and a dominator whose computed L1 ties its victim's
 	// (rounding) would be skipped and the victim kept.
-	if i < me {
-		c += point.CountDominatorsInFlatRunCoded(wf[lo*dim:], dim, i, me, q, myL1, peerL1, f, wcode[lo:], qc, budget-c, dts)
+	if partAt < me {
+		c += point.CountDominatorsInFlatRunCoded(wf[lo*dim:], dim, partAt, me, q, myL1, peerL1, f, wcode[lo:], qc, budget-c, dts)
 	}
 	return c
 }

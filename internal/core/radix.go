@@ -117,8 +117,11 @@ func (c *Context) runScatter(tid, lo, hi int) {
 // sortRunsByL1 restores ascending L1 order inside each run of equal
 // compound keys (the third key of the three-key sort), in parallel over
 // the runs. Correctness of Phase II depends on this order: within a
-// partition a dominator always has a strictly smaller L1 norm, so
-// ascending L1 guarantees dominators precede their victims.
+// partition a dominator's computed L1 norm is never larger than its
+// victim's (the weak form, DESIGN.md §9, "Numeric precondition"), so
+// ascending L1 puts every dominator with a strictly smaller norm before
+// its victim. A dominator whose computed norm ties its victim's may sit
+// on either side; ordering ties on the coordinates is ROADMAP item 1.
 func (c *Context) sortRunsByL1(idx []int) {
 	keys := c.keys
 	runs := c.runs[:0]

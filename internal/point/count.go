@@ -44,8 +44,51 @@ func CountDominatorsInFlatRun(rows []float64, d, lo, hi int, q []float64, budget
 // row whose code word is larger than qc in some lane is rejected without
 // its float test. It is still counted as a dominance test, so the count
 // and *dts are those of the uncoded scan.
+//
+// The loop body follows from the arguments. With all three of l1, skip
+// and codes present — Phase II's partition run on a Hybrid run (loop 3)
+// and its no-split ablation — it is cntRunFiltered, which tests no nil
+// slice per row. Every other caller — Q-Flow's Phase II (no l1), Phase
+// I's partition scan with level 2 off (no l1, no skip: Q-Flow and the
+// NoLevel2 ablation) and the uncoded CountDominatorsInFlatRun at widths
+// with no unrolled body — gets cntRunGeneric. Both ask the same tests
+// in the same order.
 func CountDominatorsInFlatRunCoded(rows []float64, d, lo, hi int, q []float64, qL1 float64, l1 []float64, skip []uint32, codes []uint64, qc uint64, budget int, dts *uint64) int {
+	if l1 != nil && skip != nil && codes != nil {
+		return cntRunFiltered(rows, d, lo, hi, q, qL1, l1, skip, codes, qc, budget, dts)
+	}
 	return cntRunGeneric(rows, d, lo, hi, q, qL1, l1, skip, codes, qc, budget, dts)
+}
+
+// cntRunFiltered is cntRunGeneric with every filter present: a row is
+// passed over when its flag is set or its L1 norm equals qL1, and a
+// tested row is rejected on its code word before its float test.
+func cntRunFiltered(rows []float64, d, lo, hi int, q []float64, qL1 float64, l1 []float64, skip []uint32, codes []uint64, qc uint64, budget int, dts *uint64) int {
+	h := codeGuards[d]
+	qg := qc | h
+	n := *dts
+	c := 0
+	// One length for the three columns lets the compiler drop the
+	// per-row bounds checks after the first.
+	l1, skip, codes = l1[:hi], skip[:hi], codes[:hi]
+	off := lo * d
+	for j := lo; j < hi; j, off = j+1, off+d {
+		if atomic.LoadUint32(&skip[j]) != 0 || l1[j] == qL1 {
+			continue
+		}
+		n++
+		if !codeLE(codes[j], qg, h) {
+			continue
+		}
+		if dominatesRow(rows[off:off+d:off+d], q) {
+			c++
+			if c >= budget {
+				break
+			}
+		}
+	}
+	*dts = n
+	return c
 }
 
 func cntRunGeneric(rows []float64, d, lo, hi int, q []float64, qL1 float64, l1 []float64, skip []uint32, codes []uint64, qc uint64, budget int, dts *uint64) int {

@@ -37,6 +37,54 @@ func countRun(rows []float64, d, lo, hi int, q []float64, qL1 float64, l1 []floa
 	return CountDominatorsInFlatRunCoded(rows, d, lo, hi, q, qL1, l1, skip, codes, qc, budget, dts)
 }
 
+// cntBody is the signature of the coded run kernel's loop bodies.
+type cntBody func(rows []float64, d, lo, hi int, q []float64, qL1 float64, l1 []float64, skip []uint32, codes []uint64, qc uint64, budget int, dts *uint64) int
+
+// splitScan is one scan of [lo, hi) by body, split at row mid ∈ [lo, hi]
+// with the flags in late set between the two calls, as a concurrent phase
+// worker sets a flag while the scan is at mid. It returns the count and
+// the dominance tests the scan booked.
+func splitScan(body cntBody, rows []float64, d, lo, mid, hi int, q []float64, qL1 float64, l1 []float64, skip, late []uint32, codes []uint64, qc uint64, budget int) (int, uint64) {
+	flags := slices.Clone(skip)
+	var dts uint64
+	c := body(rows, d, lo, mid, q, qL1, l1, flags, codes, qc, budget, &dts)
+	for j := range late {
+		flags[j] |= late[j]
+	}
+	if c < budget {
+		c += body(rows, d, mid, hi, q, qL1, l1, flags, codes, qc, budget-c, &dts)
+	}
+	return c, dts
+}
+
+// budgetRow is the row on which a split scan by body reaches its budget —
+// the last row of the shortest window [lo, h) whose scan does — or -1
+// when the scan of [lo, hi) never does.
+func budgetRow(body cntBody, rows []float64, d, lo, mid, hi int, q []float64, qL1 float64, l1 []float64, skip, late []uint32, codes []uint64, qc uint64, budget int) int {
+	for h := lo + 1; h <= hi; h++ {
+		if c, _ := splitScan(body, rows, d, lo, min(mid, h), h, q, qL1, l1, skip, late, codes, qc, budget); c >= budget {
+			return h - 1
+		}
+	}
+	return -1
+}
+
+// checkFilteredBody holds cntRunFiltered, the body the coded kernel runs
+// when every filter is present, to cntRunGeneric on one split scan: the
+// count, the row the budget is reached on and the dominance tests must
+// all agree.
+func checkFilteredBody(t *testing.T, rows []float64, d, lo, mid, hi int, q []float64, qL1 float64, l1 []float64, skip, late []uint32, codes []uint64, qc uint64, budget int) {
+	t.Helper()
+	gc, gd := splitScan(cntRunGeneric, rows, d, lo, mid, hi, q, qL1, l1, skip, late, codes, qc, budget)
+	fc, fd := splitScan(cntRunFiltered, rows, d, lo, mid, hi, q, qL1, l1, skip, late, codes, qc, budget)
+	gr := budgetRow(cntRunGeneric, rows, d, lo, mid, hi, q, qL1, l1, skip, late, codes, qc, budget)
+	fr := budgetRow(cntRunFiltered, rows, d, lo, mid, hi, q, qL1, l1, skip, late, codes, qc, budget)
+	if gc != fc || gd != fd || gr != fr {
+		t.Fatalf("d=%d [%d,%d|%d) budget=%d: filtered body (count %d, budget row %d, %d tests), generic (%d, %d, %d); q=%v rows=%v skip=%v late=%v",
+			d, lo, mid, hi, budget, fc, fr, fd, gc, gr, gd, q, rows, skip, late)
+	}
+}
+
 // randRun builds a small flat matrix on a coarse grid (frequent ties and
 // dominance) plus a probe drawn the same way.
 func randRun(rng *rand.Rand, n, d int) (rows []float64, q []float64) {
@@ -102,7 +150,8 @@ func TestCountDominatorsInFlatRun(t *testing.T) {
 // them), at budget 1, the skyline's "is the probe dominated", and at
 // budget 3, over [lo, hi) windows, with and without the equal-L1 and
 // skip-flag filters and the code-word pre-test, on probes that
-// sometimes coincide with a row.
+// sometimes coincide with a row. With all three present it also holds
+// the filter-complete body to the generic one, with flags set mid-scan.
 func TestCountDominatorsInFlatRunFilters(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	for d := 2; d <= 16; d++ {
@@ -163,6 +212,15 @@ func TestCountDominatorsInFlatRunFilters(t *testing.T) {
 							d, variant, budget, lo, hi, got, dts, want, wantDTs)
 					}
 				}
+			}
+			// Every filter present, with more flags set mid-scan.
+			late := make([]uint32, n)
+			for j := range late {
+				late[j] = uint32(rng.Intn(4) / 3)
+			}
+			mid := lo + rng.Intn(hi-lo+1)
+			for _, budget := range []int{1, 2, 3} {
+				checkFilteredBody(t, rows, d, lo, mid, hi, q, qL1, l1, skip, late, codes, qc, budget)
 			}
 		}
 	}

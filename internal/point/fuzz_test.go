@@ -165,9 +165,17 @@ func FuzzAppendDominatorsMasked(f *testing.F) {
 	})
 }
 
+// FuzzCountDominatorsInFlatRun holds the uncoded run kernel to the
+// oracle at budgets 1–8, and the coded kernel's filter-complete body
+// (flags, equal-L1 skip and code words, Phase II's partition run) to its
+// generic body: the same count, budget row and dominance tests, with
+// flags set before and during the scan.
 func FuzzCountDominatorsInFlatRun(f *testing.F) {
 	f.Add([]byte{2, 4, 9, 9, 1, 1, 2, 2, 0, 3})
 	f.Add([]byte{6, 3, 3, 3, 3, 3, 3, 3, 0, 0, 0, 0, 0, 0, 1, 1, 1, 1, 1, 1})
+	f.Add([]byte{0x1a, 2, 4, 9, 9, 0x11, 1, 2, 0x22, 0, 3, 0x31, 1, 1})
+	f.Add([]byte{0, 0, 3, 3})    // d = 1, a row whose norm ties the probe's
+	f.Add([]byte{0, 0, 1, 4, 0}) // d = 1, a row the code pre-test rejects, then a dominator
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) < 1 {
 			return
@@ -189,6 +197,23 @@ func FuzzCountDominatorsInFlatRun(f *testing.F) {
 		if got := CountDominatorsInFlatRun(rows, d, 0, n, q, budget, &dts); got != want {
 			t.Fatalf("d=%d n=%d budget=%d: count=%d oracle=%d (q=%v rows=%v)", d, n, budget, got, want, q, rows)
 		}
+
+		// The filter-complete body against the generic one. fuzzVal reads
+		// a byte's low nibble, so each row's first byte has bits to spare:
+		// bit 4 flags the row, bit 5 flags it mid-scan, at a row drawn
+		// from the budget byte's high bits. The norms are the rows' own,
+		// so equal-L1 ties are as frequent as the value grid makes them.
+		rowBytes := data[2+d:]
+		l1 := make([]float64, n)
+		skip, late := make([]uint32, n), make([]uint32, n)
+		for j := 0; j < n; j++ {
+			l1[j] = L1(rows[j*d : (j+1)*d])
+			skip[j] = uint32(rowBytes[j*d] >> 4 & 1)
+			late[j] = uint32(rowBytes[j*d] >> 5 & 1)
+		}
+		codes, qc := codeColumn(rows, d, q)
+		mid := int(data[0]>>3) % (n + 1)
+		checkFilteredBody(t, rows, d, 0, mid, n, q, L1(q), l1, skip, late, codes, qc, budget)
 	})
 }
 

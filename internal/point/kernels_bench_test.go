@@ -17,6 +17,10 @@ import (
 //     call, without codes — unrolled (cntRun4/6/8) against
 //     cntRunGeneric, and CountDominatorsInFlatRunCoded, the Engine's
 //     call, which runs the generic body behind the pre-test;
+//   - run/filtered: CountDominatorsInFlatRunCoded with flags, norms and
+//     codes all present — Phase II's partition run, which takes the
+//     filter-complete body — against cntRunGeneric on the same
+//     arguments, with no flag set and no norm tied;
 //   - masked: CountDominatorsInFlatRunMasked at budget 1 with and
 //     without codes, with every mask passing the filter so the body,
 //     not the filter, is what is priced;
@@ -60,6 +64,7 @@ func BenchmarkKernels(b *testing.B) {
 		}
 		pm := packMasks(d, make([]Mask, n)) // masks 0 against probe mask 0: subset and superset
 		l1 := make([]float64, n)            // norms 0 against probe norm 0: neither larger nor smaller
+		flags := make([]uint32, n)          // no row flagged
 		z := fitQuantizer(rows, d, nil)
 		codes := make([]uint64, n)
 		for j := range codes {
@@ -96,6 +101,12 @@ func BenchmarkKernels(b *testing.B) {
 			}},
 			{"run/coded", func(q []float64, dts *uint64) int {
 				return CountDominatorsInFlatRunCoded(rows, d, 0, n, q, 0, nil, nil, codes, z.Code(q), 1, dts)
+			}},
+			{"run/filtered", func(q []float64, dts *uint64) int {
+				return CountDominatorsInFlatRunCoded(rows, d, 0, n, q, 1, l1, flags, codes, z.Code(q), 1, dts)
+			}},
+			{"run/filtered-generic", func(q []float64, dts *uint64) int {
+				return cntRunGeneric(rows, d, 0, n, q, 1, l1, flags, codes, z.Code(q), 1, dts)
 			}},
 			{"masked/generic", func(q []float64, dts *uint64) int {
 				return CountDominatorsInFlatRunMasked(rows, d, 0, n, q, pm, 0, nil, 0, 1, dts)
