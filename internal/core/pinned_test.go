@@ -2,9 +2,13 @@ package core
 
 import (
 	"encoding/json"
+	"flag"
 	"fmt"
 	"hash/fnv"
+	"maps"
 	"os"
+	"slices"
+	"strings"
 	"testing"
 
 	"skybench/internal/dataset"
@@ -28,6 +32,14 @@ var (
 	pinnedVariants = []string{"default", "nocodes", "noms", "nolevel2", "qflow"}
 	pinnedSeeds    = []int64{1, 2, 3}
 )
+
+// -update rewrites the pinned table from the code as it stands:
+//
+//	go test ./internal/core -run TestHybridCountsPinned -update
+//
+// A diff in the table is a reviewed change: every moved row is explained
+// where the change is described.
+var update = flag.Bool("update", false, "rewrite "+pinnedFile)
 
 const (
 	pinnedN     = 1500
@@ -109,13 +121,14 @@ func loadPinned(t *testing.T) map[string][3]uint64 {
 // per-row references (msstruct_test.go) select, in the same order — same
 // answer, same dominance-test advance — against the store a real run
 // built; and that a single-threaded run's dominance tests, Phase I
-// survivors and result order are the ones the parent of the packed-mask
-// change produced (testdata/hybrid_counts_parent.json, recorded there
-// with this file's pinnedRun). The "qflow" rows were recorded at the
-// parent of the change that ran Q-Flow through Hybrid's driver, where
-// Q-Flow kept its own skyline storage, so they skip the probe check.
+// survivors and result order are the ones the table pins
+// (testdata/hybrid_counts_parent.json, recorded with this file's
+// pinnedRun; -update re-records it). A Q-Flow run
+// leaves no pivot to mask the probes with, so the "qflow" rows skip the
+// probe check.
 func TestHybridCountsPinned(t *testing.T) {
 	want := loadPinned(t)
+	got := make(map[string][3]uint64, len(want))
 	c := NewContext()
 	tm := lease(t, 1)
 	checked := 0
@@ -126,12 +139,16 @@ func TestHybridCountsPinned(t *testing.T) {
 				for _, k := range pinnedKs {
 					for _, variant := range pinnedVariants {
 						key := pinnedKey(dist, d, k, variant, seed)
+						got[key] = pinnedRun(c, tm, m, k, variant)
+						if *update {
+							continue
+						}
 						w, ok := want[key]
 						if !ok {
 							t.Fatalf("%s: no pinned entry", key)
 						}
-						if got := pinnedRun(c, tm, m, k, variant); got != w {
-							t.Errorf("%s: (DTs, Phase I survivors, order hash) = %v, parent recorded %v", key, got, w)
+						if got[key] != w {
+							t.Errorf("%s: (DTs, Phase I survivors, order hash) = %v, parent recorded %v", key, got[key], w)
 						}
 						checked++
 						if seed == pinnedSeeds[0] && variant != "qflow" {
@@ -142,8 +159,32 @@ func TestHybridCountsPinned(t *testing.T) {
 			}
 		}
 	}
+	if *update {
+		writePinned(t, got)
+		return
+	}
 	if checked != len(want) {
 		t.Errorf("checked %d configurations, table holds %d", checked, len(want))
+	}
+}
+
+// writePinned writes the table one row a line, keys sorted.
+func writePinned(t *testing.T, rows map[string][3]uint64) {
+	t.Helper()
+	var b strings.Builder
+	b.WriteString("{\n")
+	keys := slices.Sorted(maps.Keys(rows))
+	for i, key := range keys {
+		r := rows[key]
+		fmt.Fprintf(&b, " %q: [%d, %d, %d]", key, r[0], r[1], r[2])
+		if i < len(keys)-1 {
+			b.WriteByte(',')
+		}
+		b.WriteByte('\n')
+	}
+	b.WriteString("}\n")
+	if err := os.WriteFile(pinnedFile, []byte(b.String()), 0o644); err != nil {
+		t.Fatal(err)
 	}
 }
 
