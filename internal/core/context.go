@@ -36,7 +36,6 @@ type Context struct {
 	st     stats.Stats // sink when the caller passes no Stats
 
 	// Working-set scratch, sized to the current input.
-	l1    []float64 // per-input-row L1 norms (runs without the pre-filter only)
 	work  []float64 // gathered working matrix (row-major)
 	wl1   []float64 // working-set L1 norms
 	worig []int     // working-set original indices
@@ -62,17 +61,16 @@ type Context struct {
 	// pre-bound once in NewContext so dispatching them allocates nothing.
 	curV    point.View // the input, read through the query's preferences
 	curWork point.Matrix
-	curSurv []int     // rows to gather into curWork, in working-set order
-	curL1   []float64 // L1 norms parallel to curSurv; nil reads l1 per input row
+	curSurv []int     // rows to gather into curWork, in working-set order; nil gathers every row
+	curL1   []float64 // L1 norms parallel to curSurv; nil takes them in the gather
 	d       int
 	k       int // dominator budget: 1 = skyline, ≥ 2 = k-skyband
 	blockLo int
 	blockF  []uint32
-	blockL1 []float64 // wl1 from blockLo on; nil on an unpartitioned run (see countPeers)
-	levelAt []int32   // per Phase I survivor: block row where its level starts (partitionStarts)
-	partAt  []int32   // per Phase I survivor: block row where its (level, mask) partition starts
-	blockC  []int32   // per-block dominator counts (k ≥ 2 only; nil on a skyline run)
-	bcnt    []int32   // backing storage for blockC, α-sized
+	levelAt []int32 // per Phase I survivor: block row where its level starts (partitionStarts)
+	partAt  []int32 // per Phase I survivor: block row where its (level, mask) partition starts
+	blockC  []int32 // per-block dominator counts (k ≥ 2 only; nil on a skyline run)
+	bcnt    []int32 // backing storage for blockC, α-sized
 	level2  bool
 	noMS    bool
 	noSplit bool
@@ -84,7 +82,6 @@ type Context struct {
 	rshift     uint
 	rt         int
 
-	l1Body     func(tid, lo, hi int)
 	gatherBody func(tid, lo, hi int)
 	codeBody   func(tid, lo, hi int)
 	medianBody func(tid, lo, hi int)
@@ -99,7 +96,6 @@ type Context struct {
 // NewContext creates an empty Context.
 func NewContext() *Context {
 	c := &Context{pf: prefilter.NewRunner()}
-	c.l1Body = c.runL1
 	c.gatherBody = c.runGather
 	c.codeBody = c.runCode
 	c.medianBody = c.runMedian
@@ -164,33 +160,24 @@ func grow[T any](s []T, n int) []T {
 
 // ---- pre-bound parallel bodies -------------------------------------------
 
-// runL1 fills l1 with the norm of every input row, loaded through the
-// view, and keys with its order-preserving bit transform — the sort key
-// of an unpartitioned run. Hybrid takes its norms inside the
-// pre-filter's sweep instead and comes here only under the NoPrefilter
-// ablation, whose keys the mask sweep later overwrites.
-func (c *Context) runL1(_, lo, hi int) {
-	v := &c.curV
-	var buf [point.MaxDims]float64
-	for i := lo; i < hi; i++ {
-		c.l1[i] = point.L1(v.Load(i, buf[:]))
-		c.keys[i] = floatKey(c.l1[i])
-	}
-}
-
-// runGather loads the rows selected by curSurv through the view into
-// curWork and fills the working-set metadata — the one copy a run makes
-// of an input row, and only of the rows the pre-filter kept. Masks start
-// at 0, the one region of an unpartitioned run; a partitioned run's mask
-// sweep overwrites them. Worker tid also takes the column minima and
-// maxima of its rows, the partials the run's quantizer is fitted to.
+// runGather loads the rows selected by curSurv (every row when it is
+// nil) through the view into curWork and fills the working-set metadata
+// — the one copy a run makes of an input row, and only of the rows the
+// pre-filter kept. A run without the pre-filter takes the L1 norms here,
+// from the gathered row. Masks start at 0, the one region of an
+// unpartitioned run; a partitioned run's mask sweep overwrites them.
+// Worker tid also takes the column minima and maxima of its rows, the
+// partials the run's quantizer is fitted to.
 func (c *Context) runGather(tid, lo, hi int) {
 	v := &c.curV
 	dst := c.curWork.Flat()
 	d := c.d
 	mn, mx := c.cmin[tid*d:(tid+1)*d], c.cmax[tid*d:(tid+1)*d]
 	for i := lo; i < hi; i++ {
-		j := c.curSurv[i]
+		j := i
+		if c.curSurv != nil {
+			j = c.curSurv[i]
+		}
 		row := dst[i*d : (i+1)*d]
 		v.CopyRow(row, j)
 		// Branches, not min and max: they are almost never taken, and
@@ -206,7 +193,7 @@ func (c *Context) runGather(tid, lo, hi int) {
 		if c.curL1 != nil {
 			c.wl1[i] = c.curL1[i]
 		} else {
-			c.wl1[i] = c.l1[j]
+			c.wl1[i] = point.L1(row)
 		}
 		c.worig[i] = j
 		c.wmask[i] = 0
@@ -214,11 +201,13 @@ func (c *Context) runGather(tid, lo, hi int) {
 }
 
 // runCode fills an unpartitioned run's code words from the run's
-// quantizer; a partitioned run's mask sweep does it instead.
+// quantizer and its sort keys, the order-preserving bits of each L1
+// norm; a partitioned run's mask sweep does both instead.
 func (c *Context) runCode(_, lo, hi int) {
 	wk := c.curWork
 	for i := lo; i < hi; i++ {
 		c.wcode[i] = c.quant.Code(wk.Row(i))
+		c.keys[i] = point.OrderBits(c.wl1[i])
 	}
 }
 
@@ -319,9 +308,9 @@ func (c *Context) runPhase2(tid, blo, bhi int) {
 		}
 		var n int
 		if c.noSplit {
-			n = countPeersNaive(wf, c.wl1, c.wcode, lo, i, f, d, budget, &local)
+			n = countPeersNaive(wf, c.wcode, lo, i, f, d, budget, &local)
 		} else {
-			n = countPeers(wf, c.wl1, c.blockL1, c.wmask, c.wcode, lo, i, int(c.levelAt[i]), int(c.partAt[i]), f, d, budget, &local)
+			n = countPeers(wf, c.wmask, c.wcode, lo, i, int(c.levelAt[i]), int(c.partAt[i]), f, d, budget, &local)
 		}
 		if n >= budget {
 			if cnt != nil {

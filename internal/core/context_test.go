@@ -1,7 +1,9 @@
 package core
 
 import (
+	"cmp"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"skybench/internal/dataset"
@@ -207,17 +209,6 @@ func TestRadixSortIdx(t *testing.T) {
 	}
 }
 
-// TestFloatKeyMonotone checks the order-preserving float transform on
-// representative values including negatives and zeros.
-func TestFloatKeyMonotone(t *testing.T) {
-	vals := []float64{-1e300, -5, -1, -0.25, 0, 0.25, 1, 5, 1e300}
-	for i := 1; i < len(vals); i++ {
-		if floatKey(vals[i-1]) >= floatKey(vals[i]) {
-			t.Fatalf("floatKey not monotone between %g and %g", vals[i-1], vals[i])
-		}
-	}
-}
-
 // TestApplyPerm checks the in-place cycle-following permutation apply
 // against a reference gather on random permutations.
 func TestApplyPerm(t *testing.T) {
@@ -297,6 +288,52 @@ func TestSortIdxByFloat(t *testing.T) {
 				}
 				seen[v] = true
 				if i > 0 && key[idx[i-1]] > key[v] {
+					t.Fatalf("n=%d pat=%d: out of order at %d", n, pi, i)
+				}
+			}
+		}
+	}
+}
+
+// TestSortIdxByOrder runs the run sort on TestSortIdxByFloat's norm
+// patterns over rows on a coarse grid, so norms tie often: the result
+// must be a permutation in (L1, coordinates) order.
+func TestSortIdxByOrder(t *testing.T) {
+	rng := rand.New(rand.NewSource(19))
+	patterns := []func(i, n int) float64{
+		func(i, n int) float64 { return float64(i) },
+		func(i, n int) float64 { return float64(n - i) },
+		func(i, n int) float64 { return 1.0 },
+		func(i, n int) float64 { return rng.Float64() },
+		func(i, n int) float64 { return float64(i % 7) },
+	}
+	const d = 3
+	for _, n := range []int{0, 1, 2, 15, 16, 17, 100, 5000} {
+		for pi, pat := range patterns {
+			l1 := make([]float64, n)
+			rows := make([]float64, n*d)
+			for i := range l1 {
+				l1[i] = pat(i, n)
+				for k := 0; k < d; k++ {
+					rows[i*d+k] = float64(rng.Intn(3))
+				}
+			}
+			idx := make([]int, n)
+			for i := range idx {
+				idx[i] = i
+			}
+			sortIdxByOrder(idx, l1, rows, d)
+			seen := make([]bool, n)
+			for i, v := range idx {
+				if seen[v] {
+					t.Fatalf("n=%d pat=%d: duplicate index", n, pi)
+				}
+				seen[v] = true
+				if i == 0 {
+					continue
+				}
+				u := idx[i-1]
+				if cmp.Or(cmp.Compare(l1[u], l1[v]), slices.Compare(rows[u*d:(u+1)*d], rows[v*d:(v+1)*d])) > 0 {
 					t.Fatalf("n=%d pat=%d: out of order at %d", n, pi, i)
 				}
 			}

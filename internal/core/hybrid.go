@@ -98,11 +98,13 @@ func (c *Context) Hybrid(v point.View, opt HybridOptions) []int {
 
 // run is the one α-block driver behind Hybrid and QFlow. With partition
 // set it is Hybrid. Without it there is no pre-filter, no pivot and no
-// three-key sort: every row is keyed by its L1 norm alone and gathered
-// once in that order, every mask is 0, so M(S) is a single partition
-// that Phase I scans linearly, and Phase II's loops 1–2 are empty — which
-// is Q-Flow (DESIGN.md §2). Level 2 is off too: with it on, the store
-// would re-partition the one partition around its first row.
+// three-key sort: every row is gathered and keyed by its L1 norm alone,
+// every mask is 0, so M(S) is a single partition that Phase I scans
+// linearly, and Phase II's loops 1–2 are empty — which is Q-Flow
+// (DESIGN.md §2). Level 2 is off too: with it on, the store would
+// re-partition the one partition around its first row. Both sort the
+// same way: a radix pass on the key, then each run of equal keys in
+// (L1, coordinates) order (sortRuns).
 func (c *Context) run(v point.View, opt HybridOptions, partition bool) []int {
 	n := v.N()
 	if n == 0 {
@@ -140,38 +142,24 @@ func (c *Context) run(v point.View, opt HybridOptions, partition bool) []int {
 	c.curV = v
 	c.d = d
 
-	// Choose the rows to gather, in working-set order. Hybrid's come
-	// from the pre-filter (VI-A1), whose first pass is also where the
-	// preferences are applied and the L1 norms taken, parallel to surv.
-	// A run without it takes them in a sweep of its own, with their
-	// order-preserving bit keys, and survL1 = nil reads them per input
-	// row. An unpartitioned run then sorts by those keys — a stable
-	// radix sort, so ties keep input order. The NoPrefilter ablation
-	// keeps input order: a sort on zero key bits is the identity.
+	// Choose the rows to gather. Hybrid's come from the pre-filter
+	// (VI-A1), whose first pass is also where the preferences are applied
+	// and the L1 norms taken, parallel to surv. A run without it gathers
+	// every row (surv = nil) and takes the norms in the gather.
 	var surv []int
 	var survL1 []float64
+	ns := n
 	if partition && !opt.NoPrefilter {
 		surv, survL1 = c.pf.Filter(v, opt.Beta, k, c.team, c.dts)
+		ns = len(surv)
 		timer.Stop(stats.PhasePrefilt)
-	} else {
-		c.l1, c.keys = grow(c.l1, n), grow(c.keys, n)
-		c.forRanges(n, c.l1Body)
-		keyBits := 64
-		if partition {
-			keyBits = 0
-		}
-		sortStart := time.Now()
-		surv = c.radixSortIdx(n, keyBits)
-		st.Cost.Sort += time.Since(sortStart)
-		timer.Stop(stats.PhaseInit)
 	}
-	st.Cost.PrefilterPruned = n - len(surv)
+	st.Cost.PrefilterPruned = n - ns
 	if c.canceled() {
 		return nil
 	}
 
 	// Materialize the chosen rows into the reusable working set.
-	ns := len(surv)
 	c.work = grow(c.work, ns*d)
 	c.wl1 = grow(c.wl1, ns)
 	c.worig = grow(c.worig, ns)
@@ -187,8 +175,8 @@ func (c *Context) run(v point.View, opt HybridOptions, partition bool) []int {
 	c.forRanges(ns, c.gatherBody)
 	// Fit the run's quantizer to the working set's column ranges, reduced
 	// from the gather workers' partials (DESIGN.md §2, code words). The
-	// mask sweep of a partitioned run codes the rows; an unpartitioned
-	// run has a sweep of its own.
+	// mask sweep of a partitioned run codes and keys the rows; an
+	// unpartitioned run has a sweep of its own.
 	for i := d; i < len(c.cmin); i++ {
 		c.cmin[i%d] = min(c.cmin[i%d], c.cmin[i])
 		c.cmax[i%d] = max(c.cmax[i%d], c.cmax[i])
@@ -199,20 +187,14 @@ func (c *Context) run(v point.View, opt HybridOptions, partition bool) []int {
 		hi = c.cmin
 	}
 	c.quant.Reset(d, c.cmin, hi)
-	if !partition {
-		c.forRanges(ns, c.codeBody)
-	}
 
-	// Phase II's partition-local peer scan skips equal-L1 peers only on
-	// a partitioned run (see countPeers).
-	var peerL1 []float64
+	c.keys = grow(c.keys, ns)
+	keyBits := 64
 	if partition {
-		peerL1 = c.wl1
 		// Select the pivot and partition (VI-A2). The default pivot is d
 		// independent column medians, fanned out over the team with a
 		// scratch column per worker; the other strategies are sequential
 		// scans.
-		c.keys = grow(c.keys, ns)
 		c.pivotV = grow(c.pivotV, d)
 		c.pv = c.pivotV
 		if opt.Pivot == pivot.Median {
@@ -223,19 +205,23 @@ func (c *Context) run(v point.View, opt HybridOptions, partition bool) []int {
 		}
 		c.forRanges(ns, c.maskBody)
 		timer.Stop(stats.PhasePivot)
-		// Three-key sort (VI-A3): parallel radix on the compound
-		// (level, mask) key, per-run L1 sorts, then one in-place
-		// permutation apply over the working set. The sort's share of
-		// the init phase is measured separately for the trace/cost model.
-		sortStart := time.Now()
-		idx := c.radixSortIdx(ns, d+bits.Len(uint(d)))
-		if c.canceled() {
-			return nil
-		}
-		c.sortRunsByL1(idx)
-		applyPerm(idx, c.work, d, c.wl1, c.wmask, c.worig, c.wcode)
-		st.Cost.Sort += time.Since(sortStart)
+		keyBits = d + bits.Len(uint(d))
+	} else {
+		c.forRanges(ns, c.codeBody)
 	}
+	// The sort (VI-A3 on a partitioned run): parallel radix on the key —
+	// compound (level, mask), or the L1 bits — then each run of equal
+	// keys in (L1, coordinates) order, then one in-place permutation
+	// apply over the working set. The sort's share of the init phase is
+	// measured separately for the trace/cost model.
+	sortStart := time.Now()
+	idx := c.radixSortIdx(ns, keyBits)
+	if c.canceled() {
+		return nil
+	}
+	c.sortRuns(idx)
+	applyPerm(idx, c.work, d, c.wl1, c.wmask, c.worig, c.wcode)
+	st.Cost.Sort += time.Since(sortStart)
 	timer.Stop(stats.PhaseInit)
 
 	c.sky.reset(d, partition)
@@ -271,7 +257,6 @@ func (c *Context) run(v point.View, opt HybridOptions, partition bool) []int {
 		}
 		c.blockLo = lo
 		c.blockF = f
-		c.blockL1 = peerL1[min(lo, len(peerL1)):] // nil stays nil
 		if bcnt != nil {
 			c.blockC = bcnt[:block]
 		}
@@ -368,21 +353,23 @@ func partitionStarts(masks []point.Mask, levelAt, partAt []int32) {
 
 // countPeersNaive is the no-decomposition ablation of Phase II: every
 // unpruned preceding peer gets a full dominance test (through the flat
-// run kernel, which applies the same flag and L1 skips and code-word
-// pre-test) and contributes to the dominator count, capped at budget.
-func countPeersNaive(wf []float64, wl1 []float64, wcode []uint64, lo, me int, f []uint32, dim, budget int, dts *uint64) int {
+// run kernel, which applies the same flag skip and code-word pre-test)
+// and contributes to the dominator count, capped at budget.
+func countPeersNaive(wf []float64, wcode []uint64, lo, me int, f []uint32, dim, budget int, dts *uint64) int {
 	rows := wf[lo*dim:]
 	off := me * dim
 	q := rows[off : off+dim : off+dim]
-	return point.CountDominatorsInFlatRunCoded(rows, dim, 0, me, q, wl1[lo+me], wl1[lo:], f, wcode[lo:], wcode[lo+me], budget, dts)
+	return point.CountDominatorsInFlatRunCoded(rows, dim, 0, me, q, f, wcode[lo:], wcode[lo+me], budget, dts)
 }
 
 // countPeers implements Algorithm 4 (compareToPeers): count block point
 // me's dominators among the surviving peers that precede it, in three
 // loops, stopping once the count reaches budget (at k = 1, on the first
-// dominator). The block is in (level, mask, L1) order, and levelAt and
-// partAt are where me's level and me's partition start
-// (partitionStarts), so no loop searches for its own end.
+// dominator). The block is in (level, mask, L1, coordinates) order — a
+// linear extension of dominance (DESIGN.md §9), so every dominator of me
+// precedes it — and levelAt and partAt are where me's level and me's
+// partition start (partitionStarts), so no loop searches for its own
+// end.
 // Loop 1 covers the peers [0, levelAt) in strictly lower levels, where
 // the mask subset test filters region-wise incomparability. Loop 2,
 // [levelAt, partAt), holds peers of the same level but a different mask —
@@ -391,15 +378,13 @@ func countPeersNaive(wf []float64, wl1 []float64, wcode []uint64, lo, me int, f 
 // the flat run kernel with full dominance tests. Pruned peers are skipped
 // via their atomic flags: a pruned peer has ≥ k dominators, so it is not
 // a band point, and only band points contribute to a band member's exact
-// count (DESIGN.md §9). peerL1 is the block's slice of wl1 for loop 3's
-// equal-L1 skip, or nil to test every peer. Loops 1 and 3 ask the
-// code-word pre-test before every float test.
-func countPeers(wf, wl1, peerL1 []float64, wmask []point.Mask, wcode []uint64, lo, me, levelAt, partAt int, f []uint32, dim, budget int, dts *uint64) int {
+// count (DESIGN.md §9). No peer is skipped for its L1 norm. Loops 1 and
+// 3 ask the code-word pre-test before every float test.
+func countPeers(wf []float64, wmask []point.Mask, wcode []uint64, lo, me, levelAt, partAt int, f []uint32, dim, budget int, dts *uint64) int {
 	qOff := (lo + me) * dim
 	q := wf[qOff : qOff+dim : qOff+dim]
 	qc := wcode[lo+me]
 	myMask := wmask[lo+me]
-	myL1 := wl1[lo+me]
 	c := 0
 	// Loop 1: lower levels — cheap filter, then DT.
 	for i := 0; i < levelAt; i++ {
@@ -407,9 +392,6 @@ func countPeers(wf, wl1, peerL1 []float64, wmask []point.Mask, wcode []uint64, l
 			continue
 		}
 		if !wmask[lo+i].Subset(myMask) {
-			continue
-		}
-		if wl1[lo+i] == myL1 {
 			continue
 		}
 		if point.DominatesFlatCounted(wf, (lo+i)*dim, qOff, dim, wcode[lo+i], qc, dts) {
@@ -422,16 +404,9 @@ func countPeers(wf, wl1, peerL1 []float64, wmask []point.Mask, wcode []uint64, l
 	// Loop 2: same level, different mask — incomparable, skipped by
 	// starting loop 3 at partAt.
 	//
-	// Loop 3: same partition — a contiguous counting run. A partitioned
-	// run skips equal-L1 peers: ties cluster inside a partition
-	// (coincident points share a mask), and the block's L1 slice is
-	// already cache-resident. An unpartitioned run passes nil, because its
-	// one partition is the whole block: there the skip saves less than
-	// streaming the L1 slice costs, it would lower Q-Flow's test count on
-	// tie-heavy data, and a dominator whose computed L1 ties its victim's
-	// (rounding) would be skipped and the victim kept.
+	// Loop 3: same partition — a contiguous counting run.
 	if partAt < me {
-		c += point.CountDominatorsInFlatRunCoded(wf[lo*dim:], dim, partAt, me, q, myL1, peerL1, f, wcode[lo:], qc, budget-c, dts)
+		c += point.CountDominatorsInFlatRunCoded(wf[lo*dim:], dim, partAt, me, q, f, wcode[lo:], qc, budget-c, dts)
 	}
 	return c
 }

@@ -171,7 +171,7 @@ func (s *skylineStore) countDominators(q []float64, qc uint64, qMask point.Mask,
 		}
 		lo, hi := s.msStart[e], s.msStart[e+1]
 		if !level2 {
-			c += point.CountDominatorsInFlatRunCoded(data, d, lo, hi, q, 0, nil, nil, s.code, qc, budget-c, dts)
+			c += point.CountDominatorsInFlatRunCoded(data, d, lo, hi, q, nil, s.code, qc, budget-c, dts)
 			if c >= budget {
 				return c
 			}

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"slices"
 	"sync/atomic"
 
 	"skybench/internal/point"
@@ -11,11 +12,12 @@ import (
 // initialization bottleneck the paper's Figure 7 phase breakdown calls
 // out. Here the compound (level, mask) key is sorted with a parallel
 // stable LSD radix sort (per-thread histograms, static ranges, exclusive
-// scatter slots), and the L1 order inside each equal-key run is restored
+// scatter slots), and the order inside each equal-key run is restored
 // with per-run quicksort/insertion sorts fanned out over the team. An
 // unpartitioned (Q-Flow) run keys every row by the order-preserving bit
-// transform of its L1 norm instead and needs no per-run sort, since the
-// stable radix pass alone yields L1 order with ties in input order.
+// transform of its L1 norm instead, so its equal-key runs are the rows
+// whose norms tie. Both arms sort their runs with one comparator,
+// sortIdxByOrder's (L1, coordinates) order.
 
 // radixW is the digit width per LSD pass. 11 bits keeps the per-thread
 // histograms (threads × 2048 ints) small enough that the sequential
@@ -27,11 +29,6 @@ const radixBuckets = 1 << radixW
 // storeFlag marks a block point dominated. Atomic because Phase II
 // readers (the run kernels' skip loads) race with it by design.
 func storeFlag(f *uint32) { atomic.StoreUint32(f, 1) }
-
-// floatKey maps a float64 to a uint64 whose unsigned order matches the
-// float's total order — point.OrderBits, shared with the partition-mask
-// kernel so the two transforms can never diverge.
-func floatKey(f float64) uint64 { return point.OrderBits(f) }
 
 // radixSortIdx sorts the identity permutation of [0, n) stably by
 // c.keys[i] restricted to keyBits, using ceil(keyBits/radixW) parallel
@@ -114,15 +111,13 @@ func (c *Context) runScatter(tid, lo, hi int) {
 	}
 }
 
-// sortRunsByL1 restores ascending L1 order inside each run of equal
-// compound keys (the third key of the three-key sort), in parallel over
-// the runs. Correctness of Phase II depends on this order: within a
-// partition a dominator's computed L1 norm is never larger than its
-// victim's (the weak form, DESIGN.md §9, "Numeric precondition"), so
-// ascending L1 puts every dominator with a strictly smaller norm before
-// its victim. A dominator whose computed norm ties its victim's may sit
-// on either side; ordering ties on the coordinates is ROADMAP item 1.
-func (c *Context) sortRunsByL1(idx []int) {
+// sortRuns sorts each run of equal radix keys into sortIdxByOrder's
+// (L1, coordinates) order, in parallel over the runs. Correctness of
+// every scan that tests only preceding rows depends on this order: it is
+// a linear extension of dominance (DESIGN.md §9, "Numeric
+// precondition"), so within a partition every dominator of a row sorts
+// before it, whatever its computed norm.
+func (c *Context) sortRuns(idx []int) {
 	keys := c.keys
 	runs := c.runs[:0]
 	start := 0
@@ -146,7 +141,31 @@ func (c *Context) sortRunsByL1(idx []int) {
 
 func (c *Context) runSortRuns(_, lo, hi int) {
 	for i := lo; i < hi; i++ {
-		sortIdxByFloat(c.rsrc[c.runs[2*i]:c.runs[2*i+1]], c.wl1)
+		sortIdxByOrder(c.rsrc[c.runs[2*i]:c.runs[2*i+1]], c.wl1, c.work, c.d)
+	}
+}
+
+// sortIdxByOrder sorts idx into the working set's dominance order:
+// ascending computed L1 norm (l1), ties broken by comparing the row-major
+// rows (d columns) lexicographically. That is a linear extension of
+// dominance: a dominator's computed norm is no larger than its victim's
+// (rounded addition is monotone), and on a tie it is smaller at the
+// first coordinate where the two rows differ. The norms are sorted with
+// inline compares; only a run of tied norms calls out, to sort on the
+// coordinates.
+func sortIdxByOrder(idx []int, l1, rows []float64, d int) {
+	sortIdxByFloat(idx, l1)
+	for lo := 0; lo < len(idx); {
+		hi := lo + 1
+		for hi < len(idx) && l1[idx[hi]] == l1[idx[lo]] {
+			hi++
+		}
+		if hi-lo > 1 {
+			slices.SortFunc(idx[lo:hi], func(a, b int) int {
+				return slices.Compare(rows[a*d:(a+1)*d], rows[b*d:(b+1)*d])
+			})
+		}
+		lo = hi
 	}
 }
 

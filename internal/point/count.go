@@ -28,52 +28,49 @@ func CountDominatorsInFlatRun(rows []float64, d, lo, hi int, q []float64, budget
 	case 8:
 		return cntRun8(rows, lo, hi, q, budget, dts)
 	default:
-		return cntRunGeneric(rows, d, lo, hi, q, 0, nil, nil, nil, 0, budget, dts)
+		return cntRunGeneric(rows, d, lo, hi, q, nil, nil, 0, budget, dts)
 	}
 }
 
-// CountDominatorsInFlatRunCoded is CountDominatorsInFlatRun behind two
-// optional per-row filters and the code-word pre-test (code.go). When l1
-// is non-nil, rows with l1[j] == qL1 are skipped: the paper's footnote 2
-// assumes equal L1 norms preclude dominance, which holds for exact sums
-// but not for every computed one (DESIGN.md §9, "Numeric precondition";
-// ROADMAP item 1). When skip is non-nil,
-// rows with a nonzero skip[j] are passed over, read with atomic loads so
-// concurrent phase workers may set flags mid-scan. codes holds the rows'
-// code words and qc the probe's, both from one Quantizer, and a tested
-// row whose code word is larger than qc in some lane is rejected without
-// its float test. It is still counted as a dominance test, so the count
-// and *dts are those of the uncoded scan.
+// CountDominatorsInFlatRunCoded is CountDominatorsInFlatRun behind an
+// optional flag filter and the code-word pre-test (code.go). When skip is
+// non-nil, rows with a nonzero skip[j] are passed over, read with atomic
+// loads so concurrent phase workers may set flags mid-scan. codes holds
+// the rows' code words and qc the probe's, both from one Quantizer, and
+// a tested row whose code word is larger than qc in some lane is
+// rejected without its float test. It is still counted as a dominance
+// test, so the count and *dts are those of the uncoded scan. No row is
+// skipped for its L1 norm: computed norms can tie while one row
+// dominates the other (DESIGN.md §9, "Numeric precondition").
 //
-// The loop body follows from the arguments. With all three of l1, skip
-// and codes present — Phase II's partition run on a Hybrid run (loop 3)
-// and its no-split ablation — it is cntRunFiltered, which tests no nil
-// slice per row. Every other caller — Q-Flow's Phase II (no l1), Phase
-// I's partition scan with level 2 off (no l1, no skip: Q-Flow and the
-// NoLevel2 ablation) and the uncoded CountDominatorsInFlatRun at widths
-// with no unrolled body — gets cntRunGeneric. Both ask the same tests
-// in the same order.
-func CountDominatorsInFlatRunCoded(rows []float64, d, lo, hi int, q []float64, qL1 float64, l1 []float64, skip []uint32, codes []uint64, qc uint64, budget int, dts *uint64) int {
-	if l1 != nil && skip != nil && codes != nil {
-		return cntRunFiltered(rows, d, lo, hi, q, qL1, l1, skip, codes, qc, budget, dts)
+// The loop body follows from the arguments. With both skip and codes
+// present — Phase II's partition run (loop 3, Hybrid's and Q-Flow's) and
+// its no-split ablation — it is cntRunFiltered, which tests no nil slice
+// per row. Every other caller — Phase I's partition scan with level 2
+// off (no skip: Q-Flow and the NoLevel2 ablation) and the uncoded
+// CountDominatorsInFlatRun at widths with no unrolled body — gets
+// cntRunGeneric. Both ask the same tests in the same order.
+func CountDominatorsInFlatRunCoded(rows []float64, d, lo, hi int, q []float64, skip []uint32, codes []uint64, qc uint64, budget int, dts *uint64) int {
+	if skip != nil && codes != nil {
+		return cntRunFiltered(rows, d, lo, hi, q, skip, codes, qc, budget, dts)
 	}
-	return cntRunGeneric(rows, d, lo, hi, q, qL1, l1, skip, codes, qc, budget, dts)
+	return cntRunGeneric(rows, d, lo, hi, q, skip, codes, qc, budget, dts)
 }
 
-// cntRunFiltered is cntRunGeneric with every filter present: a row is
-// passed over when its flag is set or its L1 norm equals qL1, and a
-// tested row is rejected on its code word before its float test.
-func cntRunFiltered(rows []float64, d, lo, hi int, q []float64, qL1 float64, l1 []float64, skip []uint32, codes []uint64, qc uint64, budget int, dts *uint64) int {
+// cntRunFiltered is cntRunGeneric with both filters present: a row is
+// passed over when its flag is set, and a tested row is rejected on its
+// code word before its float test.
+func cntRunFiltered(rows []float64, d, lo, hi int, q []float64, skip []uint32, codes []uint64, qc uint64, budget int, dts *uint64) int {
 	h := codeGuards[d]
 	qg := qc | h
 	n := *dts
 	c := 0
-	// One length for the three columns lets the compiler drop the
-	// per-row bounds checks after the first.
-	l1, skip, codes = l1[:hi], skip[:hi], codes[:hi]
+	// One length for both columns lets the compiler drop the per-row
+	// bounds checks after the first.
+	skip, codes = skip[:hi], codes[:hi]
 	off := lo * d
 	for j := lo; j < hi; j, off = j+1, off+d {
-		if atomic.LoadUint32(&skip[j]) != 0 || l1[j] == qL1 {
+		if atomic.LoadUint32(&skip[j]) != 0 {
 			continue
 		}
 		n++
@@ -91,7 +88,7 @@ func cntRunFiltered(rows []float64, d, lo, hi int, q []float64, qL1 float64, l1 
 	return c
 }
 
-func cntRunGeneric(rows []float64, d, lo, hi int, q []float64, qL1 float64, l1 []float64, skip []uint32, codes []uint64, qc uint64, budget int, dts *uint64) int {
+func cntRunGeneric(rows []float64, d, lo, hi int, q []float64, skip []uint32, codes []uint64, qc uint64, budget int, dts *uint64) int {
 	h := codeGuards[d]
 	qg := qc | h
 	n := *dts
@@ -99,9 +96,6 @@ func cntRunGeneric(rows []float64, d, lo, hi int, q []float64, qL1 float64, l1 [
 	off := lo * d
 	for j := lo; j < hi; j, off = j+1, off+d {
 		if skip != nil && atomic.LoadUint32(&skip[j]) != 0 {
-			continue
-		}
-		if l1 != nil && l1[j] == qL1 {
 			continue
 		}
 		n++

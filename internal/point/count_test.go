@@ -8,14 +8,11 @@ import (
 
 // countOracle is the scalar reference for every counting kernel: the
 // number of rows in [lo, hi) that strictly dominate q, subject to the
-// same optional filters, capped at budget.
-func countOracle(rows []float64, d, lo, hi int, q []float64, qL1 float64, l1 []float64, skip []uint32, budget int) int {
+// same optional flag filter, capped at budget.
+func countOracle(rows []float64, d, lo, hi int, q []float64, skip []uint32, budget int) int {
 	c := 0
 	for j := lo; j < hi; j++ {
 		if skip != nil && skip[j] != 0 {
-			continue
-		}
-		if l1 != nil && l1[j] == qL1 {
 			continue
 		}
 		if Dominates(rows[j*d:(j+1)*d], q) {
@@ -30,29 +27,29 @@ func countOracle(rows []float64, d, lo, hi int, q []float64, qL1 float64, l1 []f
 
 // countRun is the run kernel the caller would reach: the uncoded entry
 // when there are no filters and no code words, the coded one otherwise.
-func countRun(rows []float64, d, lo, hi int, q []float64, qL1 float64, l1 []float64, skip []uint32, codes []uint64, qc uint64, budget int, dts *uint64) int {
-	if l1 == nil && skip == nil && codes == nil {
+func countRun(rows []float64, d, lo, hi int, q []float64, skip []uint32, codes []uint64, qc uint64, budget int, dts *uint64) int {
+	if skip == nil && codes == nil {
 		return CountDominatorsInFlatRun(rows, d, lo, hi, q, budget, dts)
 	}
-	return CountDominatorsInFlatRunCoded(rows, d, lo, hi, q, qL1, l1, skip, codes, qc, budget, dts)
+	return CountDominatorsInFlatRunCoded(rows, d, lo, hi, q, skip, codes, qc, budget, dts)
 }
 
 // cntBody is the signature of the coded run kernel's loop bodies.
-type cntBody func(rows []float64, d, lo, hi int, q []float64, qL1 float64, l1 []float64, skip []uint32, codes []uint64, qc uint64, budget int, dts *uint64) int
+type cntBody func(rows []float64, d, lo, hi int, q []float64, skip []uint32, codes []uint64, qc uint64, budget int, dts *uint64) int
 
 // splitScan is one scan of [lo, hi) by body, split at row mid ∈ [lo, hi]
 // with the flags in late set between the two calls, as a concurrent phase
 // worker sets a flag while the scan is at mid. It returns the count and
 // the dominance tests the scan booked.
-func splitScan(body cntBody, rows []float64, d, lo, mid, hi int, q []float64, qL1 float64, l1 []float64, skip, late []uint32, codes []uint64, qc uint64, budget int) (int, uint64) {
+func splitScan(body cntBody, rows []float64, d, lo, mid, hi int, q []float64, skip, late []uint32, codes []uint64, qc uint64, budget int) (int, uint64) {
 	flags := slices.Clone(skip)
 	var dts uint64
-	c := body(rows, d, lo, mid, q, qL1, l1, flags, codes, qc, budget, &dts)
+	c := body(rows, d, lo, mid, q, flags, codes, qc, budget, &dts)
 	for j := range late {
 		flags[j] |= late[j]
 	}
 	if c < budget {
-		c += body(rows, d, mid, hi, q, qL1, l1, flags, codes, qc, budget-c, &dts)
+		c += body(rows, d, mid, hi, q, flags, codes, qc, budget-c, &dts)
 	}
 	return c, dts
 }
@@ -60,9 +57,9 @@ func splitScan(body cntBody, rows []float64, d, lo, mid, hi int, q []float64, qL
 // budgetRow is the row on which a split scan by body reaches its budget —
 // the last row of the shortest window [lo, h) whose scan does — or -1
 // when the scan of [lo, hi) never does.
-func budgetRow(body cntBody, rows []float64, d, lo, mid, hi int, q []float64, qL1 float64, l1 []float64, skip, late []uint32, codes []uint64, qc uint64, budget int) int {
+func budgetRow(body cntBody, rows []float64, d, lo, mid, hi int, q []float64, skip, late []uint32, codes []uint64, qc uint64, budget int) int {
 	for h := lo + 1; h <= hi; h++ {
-		if c, _ := splitScan(body, rows, d, lo, min(mid, h), h, q, qL1, l1, skip, late, codes, qc, budget); c >= budget {
+		if c, _ := splitScan(body, rows, d, lo, min(mid, h), h, q, skip, late, codes, qc, budget); c >= budget {
 			return h - 1
 		}
 	}
@@ -70,15 +67,15 @@ func budgetRow(body cntBody, rows []float64, d, lo, mid, hi int, q []float64, qL
 }
 
 // checkFilteredBody holds cntRunFiltered, the body the coded kernel runs
-// when every filter is present, to cntRunGeneric on one split scan: the
+// when both filters are present, to cntRunGeneric on one split scan: the
 // count, the row the budget is reached on and the dominance tests must
 // all agree.
-func checkFilteredBody(t *testing.T, rows []float64, d, lo, mid, hi int, q []float64, qL1 float64, l1 []float64, skip, late []uint32, codes []uint64, qc uint64, budget int) {
+func checkFilteredBody(t *testing.T, rows []float64, d, lo, mid, hi int, q []float64, skip, late []uint32, codes []uint64, qc uint64, budget int) {
 	t.Helper()
-	gc, gd := splitScan(cntRunGeneric, rows, d, lo, mid, hi, q, qL1, l1, skip, late, codes, qc, budget)
-	fc, fd := splitScan(cntRunFiltered, rows, d, lo, mid, hi, q, qL1, l1, skip, late, codes, qc, budget)
-	gr := budgetRow(cntRunGeneric, rows, d, lo, mid, hi, q, qL1, l1, skip, late, codes, qc, budget)
-	fr := budgetRow(cntRunFiltered, rows, d, lo, mid, hi, q, qL1, l1, skip, late, codes, qc, budget)
+	gc, gd := splitScan(cntRunGeneric, rows, d, lo, mid, hi, q, skip, late, codes, qc, budget)
+	fc, fd := splitScan(cntRunFiltered, rows, d, lo, mid, hi, q, skip, late, codes, qc, budget)
+	gr := budgetRow(cntRunGeneric, rows, d, lo, mid, hi, q, skip, late, codes, qc, budget)
+	fr := budgetRow(cntRunFiltered, rows, d, lo, mid, hi, q, skip, late, codes, qc, budget)
 	if gc != fc || gd != fd || gr != fr {
 		t.Fatalf("d=%d [%d,%d|%d) budget=%d: filtered body (count %d, budget row %d, %d tests), generic (%d, %d, %d); q=%v rows=%v skip=%v late=%v",
 			d, lo, mid, hi, budget, fc, fr, fd, gc, gr, gd, q, rows, skip, late)
@@ -109,14 +106,6 @@ func TestCountDominatorsInFlatRun(t *testing.T) {
 			hi := lo + rng.Intn(n-lo+1)
 			budget := 1 + rng.Intn(5)
 
-			var l1 []float64
-			qL1 := L1(q)
-			if rng.Intn(2) == 0 {
-				l1 = make([]float64, n)
-				for j := 0; j < n; j++ {
-					l1[j] = L1(rows[j*d : (j+1)*d])
-				}
-			}
 			var skip []uint32
 			if rng.Intn(2) == 0 {
 				skip = make([]uint32, n)
@@ -132,8 +121,8 @@ func TestCountDominatorsInFlatRun(t *testing.T) {
 			}
 
 			var dts uint64
-			got := countRun(rows, d, lo, hi, q, qL1, l1, skip, codes, qc, budget, &dts)
-			want := countOracle(rows, d, lo, hi, q, qL1, l1, skip, budget)
+			got := countRun(rows, d, lo, hi, q, skip, codes, qc, budget, &dts)
+			want := countOracle(rows, d, lo, hi, q, skip, budget)
 			if got != want {
 				t.Fatalf("d=%d n=%d [%d,%d) budget=%d coded=%v: got %d want %d", d, n, lo, hi, budget, codes != nil, got, want)
 			}
@@ -148,22 +137,20 @@ func TestCountDominatorsInFlatRun(t *testing.T) {
 // reference scan — count and dominance-test advance — for every
 // d ∈ [2,16] (the unrolled widths and the generic body on both sides of
 // them), at budget 1, the skyline's "is the probe dominated", and at
-// budget 3, over [lo, hi) windows, with and without the equal-L1 and
-// skip-flag filters and the code-word pre-test, on probes that
-// sometimes coincide with a row. With all three present it also holds
-// the filter-complete body to the generic one, with flags set mid-scan.
+// budget 3, over [lo, hi) windows, with and without the skip-flag
+// filter and the code-word pre-test, on probes that sometimes coincide
+// with a row. With both present it also holds the filter-complete body
+// to the generic one, with flags set mid-scan.
 func TestCountDominatorsInFlatRunFilters(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	for d := 2; d <= 16; d++ {
 		for trial := 0; trial < 200; trial++ {
 			n := 1 + rng.Intn(20)
 			rows := make([]float64, n*d)
-			l1 := make([]float64, n)
 			skip := make([]uint32, n)
 			for j := 0; j < n; j++ {
 				for k := 0; k < d; k++ {
 					rows[j*d+k] = float64(rng.Intn(4)) / 4
-					l1[j] += rows[j*d+k]
 				}
 				if rng.Intn(3) == 0 {
 					skip[j] = 1
@@ -176,28 +163,23 @@ func TestCountDominatorsInFlatRunFilters(t *testing.T) {
 			if trial%5 == 0 { // sometimes copy a row so coincidence occurs
 				copy(q, rows[rng.Intn(n)*d:][:d])
 			}
-			qL1 := L1(q)
 			lo := rng.Intn(n)
 			hi := lo + rng.Intn(n-lo+1)
 			codes, qc := codeColumn(rows, d, q)
 
-			for variant := 0; variant < 8; variant++ {
-				var useL1 []float64
+			for variant := 0; variant < 4; variant++ {
 				var useSkip []uint32
 				var useCodes []uint64
 				if variant&1 != 0 {
-					useL1 = l1
-				}
-				if variant&2 != 0 {
 					useSkip = skip
 				}
-				if variant&4 != 0 {
+				if variant&2 != 0 {
 					useCodes = codes
 				}
 				for _, budget := range []int{1, 3} {
 					want, wantDTs := 0, uint64(0)
 					for j := lo; j < hi && want < budget; j++ {
-						if (useSkip != nil && useSkip[j] != 0) || (useL1 != nil && useL1[j] == qL1) {
+						if useSkip != nil && useSkip[j] != 0 {
 							continue
 						}
 						wantDTs++
@@ -206,21 +188,21 @@ func TestCountDominatorsInFlatRunFilters(t *testing.T) {
 						}
 					}
 					var dts uint64
-					got := countRun(rows, d, lo, hi, q, qL1, useL1, useSkip, useCodes, qc, budget, &dts)
+					got := countRun(rows, d, lo, hi, q, useSkip, useCodes, qc, budget, &dts)
 					if got != want || dts != wantDTs {
 						t.Fatalf("d=%d variant=%d budget=%d run=[%d,%d): got (%d,%d) want (%d,%d)",
 							d, variant, budget, lo, hi, got, dts, want, wantDTs)
 					}
 				}
 			}
-			// Every filter present, with more flags set mid-scan.
+			// Both filters present, with more flags set mid-scan.
 			late := make([]uint32, n)
 			for j := range late {
 				late[j] = uint32(rng.Intn(4) / 3)
 			}
 			mid := lo + rng.Intn(hi-lo+1)
 			for _, budget := range []int{1, 2, 3} {
-				checkFilteredBody(t, rows, d, lo, mid, hi, q, qL1, l1, skip, late, codes, qc, budget)
+				checkFilteredBody(t, rows, d, lo, mid, hi, q, skip, late, codes, qc, budget)
 			}
 		}
 	}
@@ -266,7 +248,7 @@ func TestCountDominatorsInFlatRunMasked(t *testing.T) {
 			// with an unbounded budget matches the brute-force total.
 			var dts2 uint64
 			unf := CountDominatorsInFlatRunMasked(rows, d, 0, n, q, pm, qm, nil, 0, n+1, &dts2)
-			brute := countOracle(rows, d, 0, n, q, 0, nil, nil, n+1)
+			brute := countOracle(rows, d, 0, n, q, nil, n+1)
 			if unf != brute {
 				t.Fatalf("d=%d mask filter dropped dominators: %d vs %d", d, unf, brute)
 			}

@@ -99,7 +99,8 @@ func TestDominancePartialOrderProperties(t *testing.T) {
 }
 
 // Property: p ≺ q implies L1(p) < L1(q) — the basis of the sort-based
-// cheap filter (footnote 2 of the paper).
+// cheap filter (footnote 2 of the paper), strict here because sums of
+// small integers are exact.
 func TestDominanceImpliesSmallerL1(t *testing.T) {
 	f := func(a, b [6]uint8) bool {
 		p, q := make([]float64, 6), make([]float64, 6)

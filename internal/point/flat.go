@@ -17,12 +17,6 @@ func DominatesFlat(vals []float64, pOff, qOff, d int) bool {
 	return dominatesRow(vals[pOff:pOff+d:pOff+d], vals[qOff:qOff+d:qOff+d])
 }
 
-// DominatesFlat2 is DominatesFlat across two different flat storages:
-// p[pOff:pOff+d] ≺ q[qOff:qOff+d].
-func DominatesFlat2(p []float64, pOff int, q []float64, qOff, d int) bool {
-	return dominatesRow(p[pOff:pOff+d:pOff+d], q[qOff:qOff+d:qOff+d])
-}
-
 // EqualsFlat2 reports coincidence of p[pOff:pOff+d] and q[qOff:qOff+d].
 func EqualsFlat2(p []float64, pOff int, q []float64, qOff, d int) bool {
 	return Equals(p[pOff:pOff+d:pOff+d], q[qOff:qOff+d:qOff+d])

@@ -50,8 +50,8 @@ func TestFlatKernelsMatchGeneric(t *testing.T) {
 			pv := flatten(rng, p, pi, 4)
 			qv := flatten(rng, q, qi, 4)
 
-			if got, want := DominatesFlat2(pv, pi*d, qv, qi*d, d), Dominates(p, q); got != want {
-				t.Fatalf("d=%d DominatesFlat2=%v want %v (p=%v q=%v)", d, got, want, p, q)
+			if got, want := dominatesRow(pv[pi*d:(pi+1)*d], qv[qi*d:(qi+1)*d]), Dominates(p, q); got != want {
+				t.Fatalf("d=%d dominatesRow=%v want %v (p=%v q=%v)", d, got, want, p, q)
 			}
 			if got, want := EqualsFlat2(pv, pi*d, qv, qi*d, d), Equals(p, q); got != want {
 				t.Fatalf("d=%d EqualsFlat2=%v want %v", d, got, want)

@@ -86,8 +86,8 @@ func FuzzDominatesFlat(f *testing.F) {
 		n := len(rows) / d
 		for j := 0; j < n; j++ {
 			r := rows[j*d : (j+1)*d]
-			if got, want := DominatesFlat2(rows, j*d, q, 0, d), dominatesOracle(r, q); got != want {
-				t.Fatalf("d=%d row %d: DominatesFlat2=%v oracle=%v (r=%v q=%v)", d, j, got, want, r, q)
+			if got, want := dominatesRow(r, q), dominatesOracle(r, q); got != want {
+				t.Fatalf("d=%d row %d: dominatesRow=%v oracle=%v (r=%v q=%v)", d, j, got, want, r, q)
 			}
 		}
 	})
@@ -167,7 +167,7 @@ func FuzzAppendDominatorsMasked(f *testing.F) {
 
 // FuzzCountDominatorsInFlatRun holds the uncoded run kernel to the
 // oracle at budgets 1–8, and the coded kernel's filter-complete body
-// (flags, equal-L1 skip and code words, Phase II's partition run) to its
+// (flags and code words, Phase II's partition run) to its
 // generic body: the same count, budget row and dominance tests, with
 // flags set before and during the scan.
 func FuzzCountDominatorsInFlatRun(f *testing.F) {
@@ -201,19 +201,16 @@ func FuzzCountDominatorsInFlatRun(f *testing.F) {
 		// The filter-complete body against the generic one. fuzzVal reads
 		// a byte's low nibble, so each row's first byte has bits to spare:
 		// bit 4 flags the row, bit 5 flags it mid-scan, at a row drawn
-		// from the budget byte's high bits. The norms are the rows' own,
-		// so equal-L1 ties are as frequent as the value grid makes them.
+		// from the budget byte's high bits.
 		rowBytes := data[2+d:]
-		l1 := make([]float64, n)
 		skip, late := make([]uint32, n), make([]uint32, n)
 		for j := 0; j < n; j++ {
-			l1[j] = L1(rows[j*d : (j+1)*d])
 			skip[j] = uint32(rowBytes[j*d] >> 4 & 1)
 			late[j] = uint32(rowBytes[j*d] >> 5 & 1)
 		}
 		codes, qc := codeColumn(rows, d, q)
 		mid := int(data[0]>>3) % (n + 1)
-		checkFilteredBody(t, rows, d, 0, mid, n, q, L1(q), l1, skip, late, codes, qc, budget)
+		checkFilteredBody(t, rows, d, 0, mid, n, q, skip, late, codes, qc, budget)
 	})
 }
 
@@ -327,7 +324,7 @@ func FuzzCodeWord(f *testing.F) {
 		if want != oracle {
 			t.Fatalf("d=%d n=%d budget=%d: uncoded run %d, oracle %d", d, n, budget, want, oracle)
 		}
-		if got := CountDominatorsInFlatRunCoded(rows, d, 0, n, q, 0, nil, nil, codes, qc, budget, &codedDTs); got != want || codedDTs != plainDTs {
+		if got := CountDominatorsInFlatRunCoded(rows, d, 0, n, q, nil, codes, qc, budget, &codedDTs); got != want || codedDTs != plainDTs {
 			t.Fatalf("d=%d n=%d budget=%d: coded run %d after %d tests, uncoded %d after %d (q=%v rows=%v)", d, n, budget, got, codedDTs, want, plainDTs, q, rows)
 		}
 

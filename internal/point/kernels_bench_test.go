@@ -17,10 +17,10 @@ import (
 //     call, without codes — unrolled (cntRun4/6/8) against
 //     cntRunGeneric, and CountDominatorsInFlatRunCoded, the Engine's
 //     call, which runs the generic body behind the pre-test;
-//   - run/filtered: CountDominatorsInFlatRunCoded with flags, norms and
-//     codes all present — Phase II's partition run, which takes the
+//   - run/filtered: CountDominatorsInFlatRunCoded with flags and codes
+//     present — Phase II's partition run, which takes the
 //     filter-complete body — against cntRunGeneric on the same
-//     arguments, with no flag set and no norm tied;
+//     arguments, with no flag set;
 //   - masked: CountDominatorsInFlatRunMasked at budget 1 with and
 //     without codes, with every mask passing the filter so the body,
 //     not the filter, is what is priced;
@@ -58,7 +58,7 @@ func BenchmarkKernels(b *testing.B) {
 			q := make([]float64, d)
 			surface(q)
 			var dts uint64
-			if cntRunGeneric(rows, d, 0, n, q, 0, nil, nil, nil, 0, 1, &dts) == 0 && dominatedBrute(rows, d, q) == 0 {
+			if cntRunGeneric(rows, d, 0, n, q, nil, nil, 0, 1, &dts) == 0 && dominatedBrute(rows, d, q) == 0 {
 				qs = append(qs, q...)
 			}
 		}
@@ -97,16 +97,16 @@ func BenchmarkKernels(b *testing.B) {
 				return CountDominatorsInFlatRun(rows, d, 0, n, q, 1, dts)
 			}},
 			{"run/generic", func(q []float64, dts *uint64) int {
-				return cntRunGeneric(rows, d, 0, n, q, 0, nil, nil, nil, 0, 1, dts)
+				return cntRunGeneric(rows, d, 0, n, q, nil, nil, 0, 1, dts)
 			}},
 			{"run/coded", func(q []float64, dts *uint64) int {
-				return CountDominatorsInFlatRunCoded(rows, d, 0, n, q, 0, nil, nil, codes, z.Code(q), 1, dts)
+				return CountDominatorsInFlatRunCoded(rows, d, 0, n, q, nil, codes, z.Code(q), 1, dts)
 			}},
 			{"run/filtered", func(q []float64, dts *uint64) int {
-				return CountDominatorsInFlatRunCoded(rows, d, 0, n, q, 1, l1, flags, codes, z.Code(q), 1, dts)
+				return CountDominatorsInFlatRunCoded(rows, d, 0, n, q, flags, codes, z.Code(q), 1, dts)
 			}},
 			{"run/filtered-generic", func(q []float64, dts *uint64) int {
-				return cntRunGeneric(rows, d, 0, n, q, 1, l1, flags, codes, z.Code(q), 1, dts)
+				return cntRunGeneric(rows, d, 0, n, q, flags, codes, z.Code(q), 1, dts)
 			}},
 			{"masked/generic", func(q []float64, dts *uint64) int {
 				return CountDominatorsInFlatRunMasked(rows, d, 0, n, q, pm, 0, nil, 0, 1, dts)

@@ -7,6 +7,17 @@ import (
 	"testing/quick"
 )
 
+// TestOrderBitsMonotone checks the order-preserving float transform on
+// representative values including negatives and zeros.
+func TestOrderBitsMonotone(t *testing.T) {
+	vals := []float64{-1e300, -5, -1, -0.25, 0, 0.25, 1, 5, 1e300}
+	for i := 1; i < len(vals); i++ {
+		if OrderBits(vals[i-1]) >= OrderBits(vals[i]) {
+			t.Fatalf("OrderBits not monotone between %g and %g", vals[i-1], vals[i])
+		}
+	}
+}
+
 func TestComputeMask(t *testing.T) {
 	v := []float64{5, 5}
 	cases := []struct {

@@ -78,6 +78,8 @@ func Finite(v float64) bool {
 
 // L1 returns the Manhattan norm Σᵢ p[i] of a point. The paper uses the L1
 // norm as its cheap filter: p ≺ q implies L1(p) < L1(q) (footnote 2).
+// That needs exact sums; a computed norm keeps only the weak form,
+// L1(p) ≤ L1(q) (DESIGN.md §9, "Numeric precondition").
 func L1(p []float64) float64 {
 	s := 0.0
 	for _, v := range p {

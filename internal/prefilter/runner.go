@@ -42,9 +42,13 @@ const DefaultBeta = 8
 // each through the view, scans the contiguous queue run with the probe's
 // coordinates hoisted into registers (point.CountDominatorsInFlatRun at
 // budget k) and stops at the first queue point whose L1 norm is ≥ the
-// probe's — by footnote 2 of the paper such a point can never dominate
-// the probe. Each thread compacts its range of the list in place;
-// joining the ranges yields the survivors.
+// probe's, the paper's footnote 2 cut-off. A point with a larger computed
+// norm never dominates the probe, but one with an equal norm can
+// (DESIGN.md §9, "Numeric precondition"). The filter only prunes, so a
+// dominator it misses leaves one more survivor for the exact phases; the
+// cut-off also keeps a queue point from testing itself. Each thread
+// compacts its range of the list in place; joining the ranges yields the
+// survivors.
 type Runner struct {
 	qdense []float64 // threads*beta*d queue rows, one max-heap by L1 per thread
 	qheapL []float64 // threads*beta L1 norms of the queue rows, in heap order
@@ -164,17 +168,16 @@ func (r *Runner) Filter(v point.View, beta, k int, team *par.Team, dts *stats.DT
 	// band point, by transitivity), so dropping the out-of-band queue
 	// points leaves the surviving set unchanged while shrinking every
 	// pass-2 scan. With t threads the union holds t·β points whose mutual
-	// redundancy grows with t. L1 order means dominators precede, so
-	// counting against the already-kept prefix is exact.
+	// redundancy grows with t. Counting against the already-kept prefix
+	// only prunes: a dominator whose computed norm ties its victim's may
+	// sort after it (DESIGN.md §9), and then the union keeps an extra
+	// point, which costs pass-2 tests and changes no survivor.
 	var unionDTs uint64
 	kept := 0
 	for i := 0; i < nq; i++ {
 		p := allq[i]
 		doms := 0
 		for j := 0; j < kept && doms < k; j++ {
-			if hl[allq[j]] == hl[p] {
-				continue
-			}
 			if point.DominatesFlatCounted(r.qdense, allq[j]*d, p*d, d, 0, 0, &unionDTs) {
 				doms++
 			}
@@ -318,8 +321,9 @@ func (r *Runner) runPass2(tid, lo, hi int) {
 	var localDTs uint64
 	for j := lo; j < hi; j++ {
 		i, myL1 := cand[j], cl1[j]
-		// Only queue points with strictly smaller L1 can dominate; ql1 is
-		// ascending, so binary-search the cutoff and scan the prefix.
+		// Scan the queue points with strictly smaller L1 (the cut-off in
+		// the Runner comment); ql1 is ascending, so binary-search the
+		// cutoff and scan the prefix.
 		a, b := 0, nq
 		for a < b {
 			mid := int(uint(a+b) >> 1)

@@ -29,8 +29,8 @@
 // absorption can break): it orders the candidates by computed L1 norm
 // with ties broken lexicographically, a linear extension of dominance
 // under rounding too, and skips no row for its norm. The recount above
-// MergeKernelMax is a full engine run and inherits whatever the engine
-// assumes.
+// MergeKernelMax is a full engine run, which orders its rows the same way
+// and skips none for its norm either.
 package shard
 
 import (

@@ -50,7 +50,7 @@ const NumPhases = int(numPhases)
 type Stats struct {
 	// DominanceTests counts full point-to-point dominance tests performed,
 	// mirroring the paper's definition of a DT in Section IV-A. The cheap
-	// filter checks in front of them — mask subset, equal L1, pruned flag
+	// filter checks in front of them — mask subset, L1 norm, pruned flag
 	// — are not counted, and the mask checks are no longer per row: Phase
 	// I answers them a word of packed masks at a time
 	// (point.PackedMasks), several rows per handful of ALU operations. A

@@ -39,8 +39,7 @@
 // order, a linear extension of dominance: each row is placed with one
 // probe of the band built so far and nothing is ever demoted. A rebuild
 // may take band membership from a pluggable hook (the public package
-// supplies an Engine-backed k-skyband query), probing a reported row
-// whose computed norm ties its predecessor's; either way it rebalances
+// supplies an Engine-backed k-skyband query); either way it rebalances
 // every bucket and leaves the band sorted, restoring short scan prefixes.
 package stream
 
@@ -86,10 +85,9 @@ type Options struct {
 	// invoked on escalation for live sets of at least rebuildMinEngine
 	// points; the results may alias storage the hook reuses, as the
 	// Index consumes them before returning. Its band rows are placed
-	// with its counts, unprobed, unless a row's computed norm ties its
-	// predecessor's in the pass's order; every other row is probed, so a
-	// nil index slice (a failed run), an omitted band row or a dominated
-	// row on a norm tie still leaves the exact band.
+	// with its counts, unprobed, so the hook must be exact; every other
+	// row is probed, so a nil index slice (a failed run) or an omitted
+	// band row still leaves the exact band.
 	Rebuild func(vals []float64, n int) ([]int, []int32)
 	// OnEnter and OnLeave, when non-nil, observe band membership
 	// changes: OnEnter(slot) fires when a live slot enters the band,
@@ -590,14 +588,8 @@ func (ix *Index) rebuild() {
 // source's count, unprobed. Any other row probes the band built so far
 // once: it is registered under the k dominators found, or appended with
 // the fewer it found. Every dominator of a row sorts before it, so each
-// count is exact and no placed row is ever revisited. A reported row
-// whose computed norm ties its predecessor's is probed all the same: a
-// dominator with an equal computed norm sorts just before its victim,
-// in the same tie run, and a source that skips equal-norm rows (the
-// Engine does) can miss it; a row whose norm differs from its
-// predecessor's has only strictly smaller-norm dominators, which no
-// such source skips. The source is asked only at rebuildMinEngine live
-// rows or more. The pass fires no membership events; the band ends
+// count is exact and no placed row is ever revisited. The source is
+// asked only at rebuildMinEngine live rows or more. The pass fires no membership events; the band ends
 // sorted, so later scans meet likely dominators first.
 func (ix *Index) place(source func(vals []float64, n int) ([]int, []int32)) {
 	d, k := ix.d, ix.k
@@ -631,8 +623,8 @@ func (ix *Index) place(source func(vals []float64, n int) ([]int, []int32)) {
 		}
 	}
 
-	for i, s := range ix.gatherIdx {
-		if ix.owner[s] != ownerSkyline || i > 0 && ix.l1[s] == ix.l1[ix.gatherIdx[i-1]] {
+	for _, s := range ix.gatherIdx {
+		if ix.owner[s] != ownerSkyline {
 			doms := ix.dominators(s)
 			if len(doms) == k {
 				ix.registerAll(s, doms)

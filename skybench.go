@@ -204,10 +204,11 @@ type Ablation struct {
 //
 // Hybrid reads its input once, inside the pre-filter: the preference
 // transform and the L1 norms are part of Prefilter, and Init is the sort
-// alone (plus the L1 sweep under Ablation.NoPrefilter). Q-Flow has no
-// pre-filter; its Init is transform + L1 + sort + gather.
+// alone (under Ablation.NoPrefilter the norms are taken in the gather,
+// part of Pivot). Q-Flow has no pre-filter; its Init is the gather
+// (transform + L1) and the sort.
 type PhaseTimings struct {
-	Init      time.Duration `json:"init_ns"`      // sorting (Q-Flow: L1 computation + sorting + gather)
+	Init      time.Duration `json:"init_ns"`      // sorting (Q-Flow: gather with transform + L1, then sorting)
 	Prefilter time.Duration `json:"prefilter_ns"` // preference transform + L1 + β-queue pre-filter, one sweep (Hybrid)
 	Pivot     time.Duration `json:"pivot_ns"`     // survivor gather + pivot selection + partitioning (Hybrid)
 	PhaseOne  time.Duration `json:"phase1_ns"`    // comparisons against the global skyline
@@ -227,8 +228,7 @@ type Stats struct {
 	InputSize int
 	// Threads is the effective worker count: for Hybrid and Q-Flow, the
 	// largest team the run held from the Engine's pool (it leases its
-	// share and rebalances toward it at every α-block boundary); for a
-	// sharded Collection query, the largest any shard held.
+	// share and rebalances toward it at every α-block boundary).
 	Threads int
 	// PrefilterPruned is the number of input points discarded by the
 	// β-queue prefilter before the main algorithm ran (Hybrid only).

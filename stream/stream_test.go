@@ -537,9 +537,9 @@ func TestForcedRebuildKeepsState(t *testing.T) {
 // to the brute-force band on rows whose computed norms tie with the
 // rows they dominate: 300 rows of d = 8 on the surface Σ = 7.2, each
 // with a twin one ulp larger in one coordinate whose computed norm is
-// the same. The Engine skips equal-norm rows, so it reports both rows
-// of a pair in its band; the placement pass must probe a reported row
-// that ties its predecessor's norm instead of trusting it.
+// the same. The placement pass places the Engine's band rows unprobed,
+// so this is the end-to-end guard that the Engine orders ties on the
+// coordinates and skips no row for an equal norm.
 func TestRebuildHookEqualNormTie(t *testing.T) {
 	const d, pairs = 8, 300
 	rng := rand.New(rand.NewSource(53))
