@@ -77,7 +77,7 @@ func TestAutoIsHybridUnsharded(t *testing.T) {
 		workerURLs = append(workerURLs, hs.URL)
 		specs = append(specs, cluster.WorkerSpec{Addr: hs.URL, Lo: r[0], Hi: r[1]})
 	}
-	co, err := cluster.New(cluster.Config{Collection: "c", D: d, Workers: specs, ProbeInterval: -1})
+	co, err := cluster.New(cluster.Config{Collection: "c", D: d, Workers: specs, ProbeInterval: -1, Engine: st.Engine()})
 	if err != nil {
 		t.Fatal(err)
 	}

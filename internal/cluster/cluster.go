@@ -1,12 +1,11 @@
-// Package cluster takes the shard layer cross-process: a Coordinator
+// Package cluster takes a collection cross-process: a Coordinator
 // implements the Store-facing query surface (skybench.RemoteBackend)
 // by placing contiguous row-range shards of a collection across N
 // worker skyserved processes, fanning each query out concurrently
 // through the typed wire client, and merging the per-worker bands with
-// the exact internal/shard semantics — skyline-of-union plus band
-// recount (DESIGN.md §10) — so cluster answers are set- and
-// count-identical to single-node runs, including cross-shard skyband
-// counts.
+// one engine run over their union (DESIGN.md §10) — so cluster answers
+// are set- and count-identical to single-node runs, including
+// cross-shard skyband counts.
 //
 // The merge is sound across the wire because each worker's band
 // over-approximates its shard's
@@ -34,7 +33,6 @@ import (
 
 	"skybench"
 	"skybench/internal/point"
-	"skybench/internal/shard"
 	"skybench/serve"
 	"skybench/serve/client"
 )
@@ -100,14 +98,11 @@ type Config struct {
 	// Retries bounds the wire client's transport retries per worker
 	// call (0 = 2, negative = disabled).
 	Retries int
-	// Backoff is the client's first retry backoff (0 = client default).
-	Backoff time.Duration
 	// ProbeInterval is the worker health-probe cadence (0 = 2s,
 	// negative = no probing; workers then stay reported healthy).
 	ProbeInterval time.Duration
-	// Engine, when set, merges unions past shard.Merge's kernel cutoff
-	// through a full engine recompute instead of the quadratic flat
-	// recount.
+	// Engine recounts every candidate union (required; a coordinator
+	// served by skyserved shares its Store's).
 	Engine *skybench.Engine
 	// HTTPClient, when set, is shared by every worker's wire client
 	// (tests inject httptest transports here). Default: one private
@@ -155,6 +150,9 @@ func New(cfg Config) (*Coordinator, error) {
 	if len(cfg.Workers) == 0 {
 		return nil, fmt.Errorf("%w: cluster config needs at least one worker", skybench.ErrBadQuery)
 	}
+	if cfg.Engine == nil {
+		return nil, fmt.Errorf("%w: cluster config needs an engine for the merge", skybench.ErrBadQuery)
+	}
 	lo := 0
 	for i, ws := range cfg.Workers {
 		if ws.Addr == "" {
@@ -178,7 +176,7 @@ func New(cfg Config) (*Coordinator, error) {
 			cli = client.New(ws.Addr)
 		}
 		if retries > 0 {
-			cli.SetRetryPolicy(client.RetryPolicy{MaxAttempts: retries + 1, Backoff: cfg.Backoff})
+			cli.SetRetryPolicy(client.RetryPolicy{MaxAttempts: retries + 1})
 		}
 		w := &worker{spec: ws, cli: cli}
 		w.healthy.Store(true)
@@ -395,32 +393,34 @@ func (co *Coordinator) Run(ctx context.Context, q skybench.Query) (*skybench.Que
 		partial = true
 	}
 
-	// Candidates: the union of per-worker bands, one part per answering
-	// worker, with the shipped coordinates (and stream IDs when every
+	// Candidates: the union of per-worker bands, each row at its global
+	// index, with the shipped coordinates (and stream IDs when every
 	// worker has them) kept by candidate position. The answers must
 	// agree on the epoch: merging bands computed over different
 	// membership epochs would silently mix two point sets, so skew is a
 	// hard error under every policy (epoch-consistent stream shipping is
 	// the documented non-goal this fences off).
 	d := co.cfg.D
-	var parts []shard.Part
-	var candVals [][]float64
+	var candRows []int
+	var candVals []float64 // d per candidate
 	var candIDs []uint64
 	var epoch, dts uint64
 	input := 0
-	hasIDs := true
+	hasIDs, answered := true, false
 	for i, out := range outs {
 		if out.resp == nil {
 			continue
 		}
-		if len(parts) == 0 {
-			epoch = out.resp.Epoch
+		if !answered {
+			epoch, answered = out.resp.Epoch, true
 		} else if out.resp.Epoch != epoch {
 			return nil, fmt.Errorf("%w: worker %s answered at epoch %d, others at %d",
 				skybench.ErrEpochSkew, co.workers[i].spec.Addr, out.resp.Epoch, epoch)
 		}
-		parts = append(parts, shard.Part{Off: co.workers[i].spec.Lo, Idx: out.resp.Indices})
-		candVals = append(candVals, out.resp.Values...)
+		for j, li := range out.resp.Indices {
+			candRows = append(candRows, co.workers[i].spec.Lo+li)
+			candVals = append(candVals, out.resp.Values[j]...)
+		}
 		candIDs = append(candIDs, out.resp.IDs...)
 		input += out.resp.Stats.InputSize
 		dts += out.resp.Stats.DominanceTests
@@ -430,46 +430,33 @@ func (co *Coordinator) Run(ctx context.Context, q skybench.Query) (*skybench.Que
 	}
 	co.epoch.Store(epoch)
 
-	// Stage the candidates under the query's preferences — the recount
-	// must compare in the same transformed space the workers computed
-	// in — then run the exact merge (DESIGN.md §10).
-	ops := make([]point.PrefOp, d) // zero value: PrefKeep
-	for i, p := range q.Prefs {
-		switch p {
-		case skybench.Max:
-			ops[i] = point.PrefNegate
-		case skybench.Ignore:
-			ops[i] = point.PrefDrop
-		}
-	}
-	de := point.EffectiveDims(ops)
-	buf := make([]float64, len(candVals)*de)
-	for p, vals := range candVals {
-		point.StagePrefs(buf[p*de:(p+1)*de], vals, 1, d, ops)
-	}
-	m, err := shard.Merge(ctx, parts, buf, de, q.SkybandK, co.recount(), &dts)
+	// One engine run over the union, under the query's preferences, is
+	// the exact merge (DESIGN.md §10).
+	pos, counts, mergeDTs, err := merge(ctx, co.cfg.Engine, candRows, candVals, d, q.SkybandK, q.Prefs)
 	if err != nil {
 		if cerr := ctx.Err(); cerr != nil {
 			err = wrapCtxErr(cerr)
 		}
 		return nil, err
 	}
-	rows := make([][]float64, len(m.Pos))
+	dts += mergeDTs
+	indices := make([]int, len(pos))
+	rows := make([][]float64, len(pos))
 	var ids []uint64
 	if hasIDs {
-		ids = make([]uint64, len(m.Pos))
+		ids = make([]uint64, len(pos))
 	}
-	for j, p := range m.Pos {
-		rows[j] = candVals[p]
+	for j, p := range pos {
+		indices[j], rows[j] = candRows[p], candVals[p*d:(p+1)*d:(p+1)*d]
 		if hasIDs {
 			ids[j] = candIDs[p]
 		}
 	}
 
-	res := skybench.Result{Indices: m.Rows, Counts: m.Counts}
+	res := skybench.Result{Indices: indices, Counts: counts}
 	res.Stats = skybench.Stats{
 		DominanceTests: dts,
-		SkylineSize:    len(m.Rows),
+		SkylineSize:    len(indices),
 		InputSize:      input,
 		Elapsed:        time.Since(start),
 	}
@@ -483,10 +470,9 @@ func (co *Coordinator) Run(ctx context.Context, q skybench.Query) (*skybench.Que
 			Epoch:          epoch,
 			Partial:        partial,
 			InputSize:      input,
-			Output:         len(m.Rows),
+			Output:         len(indices),
 			DominanceTests: dts,
 			Elapsed:        res.Stats.Elapsed,
-			MergePath:      m.Path,
 			Workers:        make([]skybench.WorkerTrace, len(co.workers)),
 		}
 		for i, w := range co.workers {
@@ -587,9 +573,10 @@ var errMalformed = errors.New("malformed worker response")
 
 // validateResp guards the merge against a worker whose answer cannot
 // be combined soundly: a row count that drifted from the placement, a
-// stale (cross-epoch) degraded answer, or a malformed response shape —
-// including a row listed twice, which the merge would keep twice (equal
-// rows do not dominate each other).
+// stale (cross-epoch) degraded answer, or a malformed response — a
+// NaN or ±Inf value, which no dataset holds and no dominance test
+// orders soundly, or a row listed twice, which the merge would keep
+// twice (equal rows do not dominate each other).
 func validateResp(w *worker, resp *serve.QueryResponse, d int) error {
 	want := w.spec.Hi - w.spec.Lo
 	if resp.Stats.InputSize != want {
@@ -613,6 +600,11 @@ func validateResp(w *worker, resp *serve.QueryResponse, d int) error {
 		if len(resp.Values[j]) != d {
 			return fmt.Errorf("%w: worker %s returned a %d-dimensional row, want %d", errMalformed, w.spec.Addr, len(resp.Values[j]), d)
 		}
+		for _, v := range resp.Values[j] {
+			if !point.Finite(v) {
+				return fmt.Errorf("%w: worker %s returned row %d with non-finite value %v", errMalformed, w.spec.Addr, li, v)
+			}
+		}
 	}
 	sorted := slices.Sorted(slices.Values(resp.Indices))
 	for j := 1; j < len(sorted); j++ {
@@ -621,22 +613,4 @@ func validateResp(w *worker, resp *serve.QueryResponse, d int) error {
 		}
 	}
 	return nil
-}
-
-// recount is the shard.Recount the merge spills to above the kernel
-// cutoff: one run of the configured Engine over the candidate union.
-// Without an Engine it is nil and the flat kernel merges every union.
-func (co *Coordinator) recount() shard.Recount {
-	eng := co.cfg.Engine
-	if eng == nil {
-		return nil
-	}
-	return func(ctx context.Context, vals []float64, n, d, k int) ([]int, []int32, uint64, error) {
-		ds, err := skybench.DatasetFromFlat(vals, n, d)
-		if err != nil {
-			return nil, nil, 0, err
-		}
-		res, err := eng.Run(ctx, ds, skybench.Query{SkybandK: k})
-		return res.Indices, res.Counts, res.Stats.DominanceTests, err
-	}
 }

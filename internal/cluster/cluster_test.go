@@ -17,10 +17,12 @@ import (
 
 	"skybench"
 	"skybench/internal/dataset"
-	"skybench/internal/shard"
 	"skybench/serve"
 	"skybench/stream"
 )
+
+// testEngine merges every test coordinator's candidate unions.
+var testEngine = skybench.NewEngine(2)
 
 // startWorker boots one worker skyserved over its own Store, attaches
 // the given dataset slice under name "c", and returns its base URL.
@@ -48,7 +50,7 @@ func startWorker(t *testing.T, flat []float64, n, d int) string {
 func startCluster(t *testing.T, flat []float64, n, d, nw int, policy Policy) *Coordinator {
 	t.Helper()
 	specs := make([]WorkerSpec, 0, nw)
-	for _, r := range shard.Split(n, nw) {
+	for _, r := range split(n, nw) {
 		addr := startWorker(t, flat[r.Lo*d:r.Hi*d], r.Hi-r.Lo, d)
 		specs = append(specs, WorkerSpec{Addr: addr, Lo: r.Lo, Hi: r.Hi})
 	}
@@ -58,6 +60,7 @@ func startCluster(t *testing.T, flat []float64, n, d, nw int, policy Policy) *Co
 		Workers:       specs,
 		Policy:        policy,
 		ProbeInterval: -1,
+		Engine:        testEngine,
 	})
 	if err != nil {
 		t.Fatalf("New: %v", err)
@@ -113,18 +116,6 @@ func (s byIndex) Swap(a, b int) {
 	if s.counts != nil {
 		s.counts[a], s.counts[b] = s.counts[b], s.counts[a]
 	}
-}
-
-// merge drives the coordinator's merge the way Run does — shard.Merge
-// with the coordinator's recount — over one part holding every
-// candidate, for TestEngineMergePath.
-func (co *Coordinator) merge(ctx context.Context, buf []float64, nc, de, k int, dts *uint64) ([]int, []int32, string, error) {
-	all := make([]int, nc)
-	for i := range all {
-		all[i] = i
-	}
-	m, err := shard.Merge(ctx, []shard.Part{{Idx: all}}, buf, de, k, co.recount(), dts)
-	return m.Pos, m.Counts, m.Path, err
 }
 
 func sameResult(t *testing.T, got, want *skybench.QueryResult, label string) {
@@ -360,7 +351,7 @@ func TestEpochSkewRejected(t *testing.T) {
 		specs = append(specs, WorkerSpec{Addr: hs.URL, Lo: lo, Hi: lo + len(shardRows)})
 		lo += len(shardRows)
 	}
-	co, err := New(Config{Collection: "c", D: d, Workers: specs, ProbeInterval: -1})
+	co, err := New(Config{Collection: "c", D: d, Workers: specs, ProbeInterval: -1, Engine: testEngine})
 	if err != nil {
 		t.Fatalf("New: %v", err)
 	}
@@ -379,7 +370,7 @@ func TestPolicies(t *testing.T) {
 	const n, d = 120, 3
 	m := dataset.Generate(dataset.Independent, n, d, 11)
 	flat := m.Flat()
-	ranges := shard.Split(n, 2)
+	ranges := split(n, 2)
 
 	build := func(t *testing.T, policy Policy, kill ...int) *Coordinator {
 		specs := make([]WorkerSpec, 0, 2)
@@ -399,8 +390,8 @@ func TestPolicies(t *testing.T) {
 		}
 		co, err := New(Config{
 			Collection: "c", D: d, Workers: specs,
-			Policy: policy, Retries: 1, Backoff: time.Millisecond,
-			ProbeInterval: -1,
+			Policy: policy, Retries: 1,
+			ProbeInterval: -1, Engine: testEngine,
 		})
 		if err != nil {
 			t.Fatalf("New: %v", err)
@@ -483,12 +474,12 @@ func TestWorkerPanicContained(t *testing.T) {
 	flat := dataset.Generate(dataset.Independent, n, d, 3).Flat()
 	for _, policy := range []Policy{FailFast, Partial} {
 		var specs []WorkerSpec
-		for _, r := range shard.Split(n, 2) {
-			specs = append(specs, WorkerSpec{Addr: startWorker(t, flat[r.Lo*d:r.Hi*d], r.Len(), d), Lo: r.Lo, Hi: r.Hi})
+		for _, r := range split(n, 2) {
+			specs = append(specs, WorkerSpec{Addr: startWorker(t, flat[r.Lo*d:r.Hi*d], r.Hi-r.Lo, d), Lo: r.Lo, Hi: r.Hi})
 		}
 		tr := &panicOn{host: strings.TrimPrefix(specs[1].Addr, "http://")}
 		co, err := New(Config{Collection: "c", D: d, Workers: specs, Policy: policy,
-			ProbeInterval: -1, HTTPClient: &http.Client{Transport: tr}})
+			ProbeInterval: -1, HTTPClient: &http.Client{Transport: tr}, Engine: testEngine})
 		if err != nil {
 			t.Fatalf("New: %v", err)
 		}
@@ -565,6 +556,7 @@ func TestDeadlineForwarding(t *testing.T) {
 		Workers:       []WorkerSpec{{Addr: proxy.URL, Lo: 0, Hi: n}},
 		Margin:        margin,
 		ProbeInterval: -1,
+		Engine:        testEngine,
 	})
 	if err != nil {
 		t.Fatalf("New: %v", err)
@@ -610,45 +602,6 @@ func TestDeadlineForwarding(t *testing.T) {
 		t.Fatalf("expired query still reached the worker (%d new hits)", hits-hitsBefore)
 	}
 	mu.Unlock()
-}
-
-// TestEngineMergePath checks the large-union merge falls back to a full
-// engine recompute above the kernel cutoff and agrees with the kernel.
-func TestEngineMergePath(t *testing.T) {
-	// All points on an anti-diagonal: pairwise incomparable, so the
-	// merged band is everything and both paths must agree exactly.
-	nc := shard.MergeKernelMax + 101
-	buf := make([]float64, 0, nc*2)
-	for i := 0; i < nc; i++ {
-		buf = append(buf, float64(i), float64(nc-i))
-	}
-	eng := skybench.NewEngine(2)
-	defer eng.Close()
-
-	co := &Coordinator{cfg: Config{Engine: eng, D: 2}}
-	var dts uint64
-	keep, _, path, err := co.merge(context.Background(), buf, nc, 2, 1, &dts)
-	if err != nil {
-		t.Fatalf("merge: %v", err)
-	}
-	if path != shard.MergePathEngine {
-		t.Fatalf("path = %q, want %q above the kernel cutoff", path, shard.MergePathEngine)
-	}
-	if len(keep) != nc {
-		t.Fatalf("engine merge kept %d of %d incomparable points", len(keep), nc)
-	}
-
-	noEng := &Coordinator{cfg: Config{D: 2}}
-	keep2, _, path2, err := noEng.merge(context.Background(), buf, nc, 2, 1, &dts)
-	if err != nil {
-		t.Fatalf("kernel merge: %v", err)
-	}
-	if path2 != shard.MergePathKernel {
-		t.Fatalf("path = %q, want %q without an engine", path2, shard.MergePathKernel)
-	}
-	if len(keep2) != len(keep) {
-		t.Fatalf("kernel kept %d, engine kept %d", len(keep2), len(keep))
-	}
 }
 
 // TestDistribute round-trips a CSV through Distribute and checks the
@@ -697,7 +650,7 @@ func TestDistribute(t *testing.T) {
 		t.Fatalf("re-distribute with Replace: %v", err)
 	}
 
-	co, err := New(Config{Collection: "c", D: d, Workers: specs, ProbeInterval: -1})
+	co, err := New(Config{Collection: "c", D: d, Workers: specs, ProbeInterval: -1, Engine: testEngine})
 	if err != nil {
 		t.Fatalf("New: %v", err)
 	}
@@ -717,8 +670,8 @@ func TestDistribute(t *testing.T) {
 	sameResult(t, got, want, "distribute")
 }
 
-// TestConfigValidation pins placement validation: gaps, overlaps, and
-// empty ranges are construction-time errors.
+// TestConfigValidation pins placement validation: gaps, overlaps,
+// empty ranges and a missing merge engine are construction-time errors.
 func TestConfigValidation(t *testing.T) {
 	bad := []Config{
 		{D: 2, Workers: []WorkerSpec{{Addr: "x", Lo: 0, Hi: 5}}},            // no name
@@ -731,13 +684,18 @@ func TestConfigValidation(t *testing.T) {
 		{Collection: "c", D: 2, Workers: []WorkerSpec{{Lo: 0, Hi: 5}}},                                       // no addr
 	}
 	for i, cfg := range bad {
-		cfg.ProbeInterval = -1
+		cfg.ProbeInterval, cfg.Engine = -1, testEngine
 		if _, err := New(cfg); !errors.Is(err, skybench.ErrBadQuery) {
 			t.Fatalf("config %d: err = %v, want ErrBadQuery", i, err)
 		}
 	}
-	co, err := New(Config{Collection: "c", D: 2, ProbeInterval: -1,
-		Workers: []WorkerSpec{{Addr: "x", Lo: 0, Hi: 5}, {Addr: "y", Lo: 5, Hi: 8}}})
+	valid := Config{Collection: "c", D: 2, ProbeInterval: -1,
+		Workers: []WorkerSpec{{Addr: "x", Lo: 0, Hi: 5}, {Addr: "y", Lo: 5, Hi: 8}}}
+	if _, err := New(valid); !errors.Is(err, skybench.ErrBadQuery) {
+		t.Fatalf("config without an engine: err = %v, want ErrBadQuery", err)
+	}
+	valid.Engine = testEngine
+	co, err := New(valid)
 	if err != nil {
 		t.Fatalf("valid config rejected: %v", err)
 	}
@@ -750,7 +708,7 @@ func TestConfigValidation(t *testing.T) {
 // TestUnforwardableQueries pins the wire boundary: progressive delivery
 // and ablation flags cannot cross it.
 func TestUnforwardableQueries(t *testing.T) {
-	co, err := New(Config{Collection: "c", D: 2, ProbeInterval: -1,
+	co, err := New(Config{Collection: "c", D: 2, ProbeInterval: -1, Engine: testEngine,
 		Workers: []WorkerSpec{{Addr: "http://127.0.0.1:1", Lo: 0, Hi: 5}}})
 	if err != nil {
 		t.Fatalf("New: %v", err)

@@ -10,7 +10,6 @@ import (
 	"skybench"
 	"skybench/internal/dataset"
 	"skybench/internal/point"
-	"skybench/internal/shard"
 	"skybench/serve"
 	"skybench/serve/client"
 )
@@ -32,7 +31,7 @@ type DistributeOptions struct {
 }
 
 // Distribute splits the CSV at path into one contiguous shard per
-// worker (shard.Split balance: sizes differ by at most one row), writes
+// worker (split's balance: sizes differ by at most one row), writes
 // each shard to the scratch directory, and attaches it on its worker
 // under opts.Collection. It returns the placement a Coordinator needs:
 // worker specs with the global [Lo, Hi) each worker owns, plus the
@@ -66,11 +65,10 @@ func Distribute(ctx context.Context, path string, opts DistributeOptions) ([]Wor
 		return nil, 0, 0, err
 	}
 
-	ranges := shard.Split(n, len(opts.Workers))
+	specs := split(n, len(opts.Workers))
 	flat := m.Flat()
-	specs := make([]WorkerSpec, len(opts.Workers))
-	for i, r := range ranges {
-		specs[i] = WorkerSpec{Addr: opts.Workers[i], Lo: r.Lo, Hi: r.Hi}
+	for i, r := range specs {
+		specs[i].Addr = opts.Workers[i]
 		sub := point.FromFlat(flat[r.Lo*d:r.Hi*d], r.Hi-r.Lo, d)
 		shardPath := filepath.Join(scratch, fmt.Sprintf("%s-shard%d.csv", opts.Collection, i))
 		if err := dataset.WriteFile(shardPath, sub); err != nil {
@@ -81,6 +79,29 @@ func Distribute(ctx context.Context, path string, opts DistributeOptions) ([]Wor
 		}
 	}
 	return specs, n, d, nil
+}
+
+// split partitions [0, n) into p contiguous, non-empty, balanced row
+// ranges, as worker specs without addresses. p is clamped to [1, n];
+// n = 0 yields no ranges. The first n mod p ranges are one row longer,
+// mirroring par.staticRange.
+func split(n, p int) []WorkerSpec {
+	if n <= 0 {
+		return nil
+	}
+	p = min(max(p, 1), n)
+	out := make([]WorkerSpec, p)
+	size, rem := n/p, n%p
+	lo := 0
+	for i := range out {
+		hi := lo + size
+		if i < rem {
+			hi++
+		}
+		out[i] = WorkerSpec{Lo: lo, Hi: hi}
+		lo = hi
+	}
+	return out
 }
 
 // attachShard attaches one shard CSV on one worker, dropping a

@@ -9,18 +9,19 @@ import (
 	"testing"
 
 	"skybench"
-	"skybench/internal/shard"
+	"skybench/internal/point"
+	"skybench/internal/verify"
 	"skybench/internal/wal"
 	"skybench/serve"
 )
 
 // FuzzWorkerResponse: whatever body a worker sends back, as a result
 // frame or as JSON, the coordinator's side of the hop — decode,
-// validateResp, shard.Merge — either refuses it with a typed error or
-// merges it into an answer whose global indices are in range, strictly
-// ascending and so unique. The fuzzed body is the answer of a worker
-// placed on rows [4, 12); a fixed, well-formed sibling answers for
-// [0, 4).
+// validateResp, merge — either refuses it with a typed error or merges
+// it into an answer whose global indices are in range and strictly
+// ascending, and which is the brute-force band of the candidate union,
+// set and counts. The fuzzed body is the answer of a worker placed on
+// rows [4, 12); a fixed, well-formed sibling answers for [0, 4).
 func FuzzWorkerResponse(f *testing.F) {
 	const d, lo, hi = 2, 4, 12
 	valid := serve.QueryResponse{
@@ -41,6 +42,9 @@ func FuzzWorkerResponse(f *testing.F) {
 	f.Add([]byte(`{"count":1,"stats":{"inputSize":8},"indices":[8],"values":[[0,0]]}`), false, uint8(1))
 	f.Add([]byte(`{"count":1,"stats":{"inputSize":8},"indices":[-1],"values":[[0,0]]}`), false, uint8(1))
 	f.Add([]byte(`{"count":2,"stats":{"inputSize":8},"indices":[1,2],"values":[[0,0]]}`), false, uint8(1))
+	nan := valid
+	nan.QueryRows = serve.QueryRows{Indices: []int{0}, Values: [][]float64{{math.NaN(), 0}}}
+	f.Add(frameBody(f, &nan), true, uint8(1))
 
 	sibling := &worker{spec: WorkerSpec{Addr: "sibling", Lo: 0, Hi: lo}}
 	fuzzed := &worker{spec: WorkerSpec{Addr: "fuzzed", Lo: lo, Hi: hi}}
@@ -70,27 +74,34 @@ func FuzzWorkerResponse(f *testing.F) {
 			return
 		}
 		vals := append([]float64(nil), siblingVals...)
-		for _, row := range resp.Values {
+		rows := []int{}
+		for _, li := range siblingIdx {
+			rows = append(rows, sibling.spec.Lo+li)
+		}
+		for j, row := range resp.Values {
 			vals = append(vals, row...)
+			rows = append(rows, fuzzed.spec.Lo+resp.Indices[j])
 		}
-		parts := []shard.Part{
-			{Off: sibling.spec.Lo, Idx: siblingIdx},
-			{Off: fuzzed.spec.Lo, Idx: resp.Indices},
-		}
-		m, err := shard.Merge(context.Background(), parts, vals, d, int(k%4), nil, nil)
+		pos, counts, _, err := merge(context.Background(), testEngine, rows, vals, d, int(k%4), nil)
 		if err != nil {
 			t.Fatalf("merge of a validated response: %v", err)
 		}
-		if len(m.Pos) != len(m.Rows) || (m.Counts != nil && len(m.Counts) != len(m.Rows)) {
-			t.Fatalf("merged arrays of %d positions, %d rows, %d counts", len(m.Pos), len(m.Rows), len(m.Counts))
+		if counts != nil && len(counts) != len(pos) {
+			t.Fatalf("merged %d positions with %d counts", len(pos), len(counts))
 		}
-		for j, row := range m.Rows {
-			if row < 0 || row >= hi {
+		for j, p := range pos {
+			if row := rows[p]; row < 0 || row >= hi {
 				t.Fatalf("merged row %d outside [0, %d)", row, hi)
+			} else if j > 0 && row <= rows[pos[j-1]] {
+				t.Fatalf("merged positions %v of rows %v not strictly ascending", pos, rows)
 			}
-			if j > 0 && row <= m.Rows[j-1] {
-				t.Fatalf("merged rows %v not strictly ascending", m.Rows)
-			}
+		}
+		want, wantCnt := verify.BruteForceSkyband(point.FromFlat(vals, len(rows), d), int(k%4))
+		if k%4 <= 1 {
+			wantCnt = nil
+		}
+		if !verify.SameBand(pos, counts, want, wantCnt) {
+			t.Fatalf("merged positions %v counts %v, brute force %v counts %v", pos, counts, want, wantCnt)
 		}
 	})
 }

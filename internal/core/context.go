@@ -72,7 +72,6 @@ type Context struct {
 	blockC  []int32 // per-block dominator counts (k ≥ 2 only; nil on a skyline run)
 	bcnt    []int32 // backing storage for blockC, α-sized
 	level2  bool
-	noMS    bool
 	noSplit bool
 	pv      []float64
 
@@ -269,12 +268,7 @@ func (c *Context) runPhase1(tid, blo, bhi int) {
 	for i := blo; i < bhi; i++ {
 		off := (lo + i) * d
 		q := wf[off : off+d : off+d]
-		var n int
-		if c.noMS {
-			n = c.sky.countDominatorsFlat(q, c.wcode[lo+i], c.wmask[lo+i], k, &local)
-		} else {
-			n = c.sky.countDominators(q, c.wcode[lo+i], c.wmask[lo+i], c.level2, k, &local)
-		}
+		n := c.sky.countDominators(q, c.wcode[lo+i], c.wmask[lo+i], c.level2, k, &local)
 		if cnt != nil {
 			cnt[i] = int32(n)
 		}

@@ -37,8 +37,9 @@ type HybridOptions struct {
 	Seed int64
 	// NoPrefilter disables the β-queue pre-filter (ablation).
 	NoPrefilter bool
-	// NoMS disables the M(S) structure: Phase I scans the skyline
-	// linearly with level-1 mask filtering only (ablation).
+	// NoMS disables the M(S) structure: Phase I scans the skyline in
+	// row order with level-1 mask filtering only — no level 2, no
+	// partition skipped on its minimum code (ablation).
 	NoMS bool
 	// NoLevel2 disables level-2 re-partitioning inside M(S) (ablation).
 	NoLevel2 bool
@@ -224,11 +225,14 @@ func (c *Context) run(v point.View, opt HybridOptions, partition bool) []int {
 	st.Cost.Sort += time.Since(sortStart)
 	timer.Stop(stats.PhaseInit)
 
-	c.sky.reset(d, partition)
+	// NoMS walks the directory with level 2 and the minimum-code skip
+	// off: every partition's rows share its level-1 mask and the
+	// directory is in row order, so that tests the rows a linear
+	// level-1-filtered scan tests, in its order, with its early exit.
+	c.sky.reset(d, partition && !opt.NoMS)
 	c.flags = grow(c.flags, alpha)
 	c.levelAt, c.partAt = grow(c.levelAt, alpha), grow(c.partAt, alpha)
-	c.level2 = partition && !opt.NoLevel2
-	c.noMS = opt.NoMS
+	c.level2 = partition && !opt.NoLevel2 && !opt.NoMS
 	c.noSplit = opt.NoPhase2Split
 	// A skyline run keeps no counts: blockC stays nil, and compress and
 	// update move none.

@@ -15,13 +15,13 @@ import (
 // parallel columns: partition e carries mask msMask[e], spans rows
 // [msStart[e], msStart[e+1]) — msStart ends with a sentinel |S| — and
 // has msCode[e], the lane-wise minimum of its members' code words
-// (point.CodeMin). All three mask columns are packed lane vectors,
-// because all three are read the same way: a probe walks one looking for
-// the masks that are subsets of its own (point.PackedMasks).
+// (point.CodeMin). Both mask columns, msMask and the per-row mask2,
+// are packed lane vectors, because both are read the same way: a probe
+// walks one looking for the masks that are subsets of its own
+// (point.PackedMasks).
 type skylineStore struct {
 	d       int
 	data    []float64         // len = n*d, row-major skyline points
-	mask1   point.PackedMasks // level-1 mask of every skyline point (read by the no-M(S) ablation)
 	mask2   point.PackedMasks // level-2 mask (Algorithm 2); pivots retain level-1
 	orig    []int             // original input indices
 	code    []uint64          // code word of every skyline point (point.Quantizer, fixed for the run)
@@ -29,7 +29,7 @@ type skylineStore struct {
 	msMask  point.PackedMasks // M(S): one level-1 mask per partition
 	msStart []int             // M(S): first row of each partition + trailing sentinel
 	msCode  []uint64          // M(S): lane-wise minimum code word of each partition
-	skip    bool              // countDominators skips partitions on msCode (partitioned runs)
+	skip    bool              // countDominators skips partitions on msCode (partitioned runs with M(S))
 }
 
 func newSkylineStore(d int) *skylineStore {
@@ -40,14 +40,14 @@ func newSkylineStore(d int) *skylineStore {
 
 // reset prepares the store for a fresh run of dimensionality d, keeping
 // the capacity accumulated by previous runs. skip is set on a
-// partitioned run. Q-Flow's one partition holds every skyline row, and
-// its minimum code passes nearly every probe, so Q-Flow asks none and
-// counts the tests the paper's Q-Flow makes.
+// partitioned run that keeps M(S) (not the NoMS ablation). Q-Flow's one
+// partition holds every skyline row, and its minimum code passes nearly
+// every probe, so Q-Flow asks none and counts the tests the paper's
+// Q-Flow makes.
 func (s *skylineStore) reset(d int, skip bool) {
 	s.d = d
 	s.skip = skip
 	s.data = s.data[:0]
-	s.mask1.Reset(d)
 	s.mask2.Reset(d)
 	s.orig = s.orig[:0]
 	s.code = s.code[:0]
@@ -101,7 +101,6 @@ func (s *skylineStore) update(work point.Matrix, wl1 []float64, worig []int, wma
 		if bcnt != nil {
 			s.counts = append(s.counts, bcnt[i])
 		}
-		s.mask1.Append(m1)
 		if curPivot >= 0 && m1 == curMask {
 			// Same partition as the current top: assign level-2 mask
 			// relative to the partition's pivot.
@@ -197,10 +196,4 @@ func (s *skylineStore) countDominators(q []float64, qc uint64, qMask point.Mask,
 		}
 	}
 	return c
-}
-
-// countDominatorsFlat is the no-M(S) ablation of Phase I: scan the
-// store linearly, filtering by level-1 masks only.
-func (s *skylineStore) countDominatorsFlat(q []float64, qc uint64, qMask point.Mask, budget int, dts *uint64) int {
-	return point.CountDominatorsInFlatRunMasked(s.data, s.d, 0, s.size(), q, &s.mask1, qMask, s.code, qc, budget, dts)
 }

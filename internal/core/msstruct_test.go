@@ -129,13 +129,13 @@ func TestStoreStructuralInvariants(t *testing.T) {
 		// Every point's level-1 mask matches its partition's mask.
 		for e := 0; e < np; e++ {
 			for j := s.msStart[e]; j < s.msStart[e+1]; j++ {
-				if s.mask1.At(j) != s.msMask.At(e) {
-					t.Fatalf("point %d mask1 %b ≠ partition %b", j, s.mask1.At(j), s.msMask.At(e))
+				if m1 := point.ComputeMask(s.row(j), pivot); m1 != s.msMask.At(e) {
+					t.Fatalf("point %d level-1 mask %b ≠ partition %b", j, m1, s.msMask.At(e))
 				}
 			}
 			// The partition pivot retains its level-1 mask in mask2.
 			lo := s.msStart[e]
-			if s.mask2.At(lo) != s.mask1.At(lo) {
+			if s.mask2.At(lo) != s.msMask.At(e) {
 				t.Fatalf("partition pivot %d level-2 mask altered", lo)
 			}
 			// Members' level-2 masks are relative to the pivot.
@@ -154,8 +154,9 @@ func TestStoreStructuralInvariants(t *testing.T) {
 }
 
 // countDominators at budget 1 must agree with a brute-force scan of the
-// stored skyline for arbitrary query points, with and without level-2,
-// and so must the no-M(S) scan.
+// stored skyline for arbitrary query points: with and without level 2,
+// and with level 2 and the minimum-code skip both off, the NoMS
+// ablation's scan.
 func TestDominatedHybridMatchesBruteScan(t *testing.T) {
 	rng := rand.New(rand.NewSource(8))
 	pivot := []float64{3, 3, 3, 3}
@@ -171,8 +172,10 @@ func TestDominatedHybridMatchesBruteScan(t *testing.T) {
 		if len(rows) == 0 {
 			continue
 		}
-		for _, level2 := range []bool{true, false} {
+		for _, cfg := range []struct{ level2, skip bool }{{true, true}, {false, true}, {false, false}} {
+			level2 := cfg.level2
 			s, z := buildStore(t, rows, pivot, 9, level2)
+			s.skip = cfg.skip
 			for probe := 0; probe < 200; probe++ {
 				q := []float64{
 					float64(rng.Intn(7)), float64(rng.Intn(7)),
@@ -189,11 +192,7 @@ func TestDominatedHybridMatchesBruteScan(t *testing.T) {
 				qc := z.Code(q)
 				got := s.countDominators(q, qc, point.ComputeMask(q, pivot), level2, 1, &dts) != 0
 				if got != want {
-					t.Fatalf("level2=%v: countDominators(%v, budget 1) dominated = %v, want %v", level2, q, got, want)
-				}
-				gotFlat := s.countDominatorsFlat(q, qc, point.ComputeMask(q, pivot), 1, &dts) != 0
-				if gotFlat != want {
-					t.Fatalf("countDominatorsFlat(%v, budget 1) dominated = %v, want %v", q, gotFlat, want)
+					t.Fatalf("%+v: countDominators(%v, budget 1) dominated = %v, want %v", cfg, q, got, want)
 				}
 			}
 		}
@@ -208,8 +207,8 @@ func TestStoreUpdateEmptyBlockIsNoop(t *testing.T) {
 	}
 }
 
-// The scalar references for Phase I: Algorithm 3 and its counting and
-// no-M(S) forms restated one row at a time — a subset branch per
+// The scalar references for Phase I: Algorithm 3 and its counting form
+// restated one row at a time — a subset branch per
 // directory entry and per row, the dominance test from the definition —
 // over the same store, and on a partitioned run the directory's code
 // skip, from the members' code words lane by lane.
@@ -326,8 +325,4 @@ func (s *skylineStore) refCountDominators(q []float64, qc uint64, qMask point.Ma
 		c += s.refScan(lo+1, hi, q, &s.mask2, m2, budget-c, dts)
 	}
 	return c
-}
-
-func (s *skylineStore) refCountDominatorsFlat(q []float64, qMask point.Mask, budget int, dts *uint64) int {
-	return s.refScan(0, s.size(), q, &s.mask1, qMask, budget, dts)
 }

@@ -18,7 +18,8 @@ import (
 )
 
 // The pinned grid: every Phase I code path (M(S) with and without level
-// 2, the flat NoMS scan, Q-Flow's unpartitioned scan, each on a skyline
+// 2, the NoMS scan with neither level 2 nor the code skip, Q-Flow's
+// unpartitioned scan, each on a skyline
 // store at budget 1 and a band store at budget 3) at every lane width of
 // the packed mask vectors (d ≤ 8, ≤ 16, > 16) and every unrolled kernel
 // width, on data that exercises few ties, many ties, and large skylines.
@@ -152,7 +153,7 @@ func TestHybridCountsPinned(t *testing.T) {
 						}
 						checked++
 						if seed == pinnedSeeds[0] && variant != "qflow" {
-							checkProbes(t, key, c, m, k, variant != "nolevel2")
+							checkProbes(t, key, c, m, k, variant != "nolevel2" && variant != "noms")
 						}
 					}
 				}
@@ -189,9 +190,10 @@ func writePinned(t *testing.T, rows map[string][3]uint64) {
 }
 
 // checkProbes probes the store the latest run on c left behind with
-// every input row, coded by the run's quantizer, through the M(S) path
-// and the flat path at the run's budget k, against the boolean scalar
-// reference for a skyline store and the counting one for a band store.
+// every input row, coded by the run's quantizer, at the run's budget k
+// and level 2 setting, and again with level 2 off, against the boolean
+// scalar reference for a skyline store and the counting one for a band
+// store.
 func checkProbes(t *testing.T, key string, c *Context, m point.Matrix, k int, level2 bool) {
 	t.Helper()
 	s := &c.sky
@@ -201,16 +203,16 @@ func checkProbes(t *testing.T, key string, c *Context, m point.Matrix, k int, le
 		qc := c.quant.Code(q)
 		var got, ref [2]int
 		var gotDTs, refDTs [2]uint64
-		got[0] = s.countDominators(q, qc, qm, level2, k, &gotDTs[0])
-		got[1] = s.countDominatorsFlat(q, qc, qm, k, &gotDTs[1])
-		if k == 1 {
-			ref[0] = b2i(s.refDominatedHybrid(q, qc, qm, level2, &refDTs[0]))
-		} else {
-			ref[0] = s.refCountDominators(q, qc, qm, level2, k, &refDTs[0])
+		for v, l2 := range []bool{level2, false} {
+			got[v] = s.countDominators(q, qc, qm, l2, k, &gotDTs[v])
+			if k == 1 {
+				ref[v] = b2i(s.refDominatedHybrid(q, qc, qm, l2, &refDTs[v]))
+			} else {
+				ref[v] = s.refCountDominators(q, qc, qm, l2, k, &refDTs[v])
+			}
 		}
-		ref[1] = s.refCountDominatorsFlat(q, qm, k, &refDTs[1])
 		if got != ref || gotDTs != refDTs {
-			t.Fatalf("%s probe %d: (M(S), flat) answers %v after %v tests, scalar reference %v after %v",
+			t.Fatalf("%s probe %d: (run's level 2, no level 2) answers %v after %v tests, scalar reference %v after %v",
 				key, i, got, gotDTs, ref, refDTs)
 		}
 	}

@@ -75,11 +75,6 @@ type QueryTrace struct {
 	Elapsed time.Duration `json:"elapsed_ns"`
 	// Phases is the per-phase wall-clock breakdown.
 	Phases PhaseTimings `json:"phases"`
-	// MergePath records how a cluster-backed Collection merged its
-	// per-worker bands: shard.MergePathKernel ("kernel", flat recount
-	// kernel) or shard.MergePathEngine ("engine", full engine recompute
-	// over the candidate union). Empty for local queries.
-	MergePath string `json:"merge_path,omitempty"`
 	// Shards is always empty.
 	//
 	// Deprecated: no local collection fans out any more; a cluster
@@ -238,7 +233,7 @@ func (t *QueryTrace) String() string {
 		fmt.Fprintf(&b, " par_eff=%.2f", eff)
 	}
 	if len(t.Workers) > 0 {
-		fmt.Fprintf(&b, "\nmerge=%s workers=%d", t.MergePath, len(t.Workers))
+		fmt.Fprintf(&b, "\nworkers=%d", len(t.Workers))
 		for _, w := range t.Workers {
 			fmt.Fprintf(&b, "\n  worker %d %s rows=[%d,%d): input=%d output=%d dts=%d wire=%v elapsed=%v",
 				w.Worker, w.Addr, w.Lo, w.Hi, w.InputSize, w.Output, w.DominanceTests,

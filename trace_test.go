@@ -128,8 +128,8 @@ func TestQueryTraceSharded(t *testing.T) {
 	if tr.Output != want || res.Len() != want {
 		t.Errorf("output %d (result %d), brute force %d", tr.Output, res.Len(), want)
 	}
-	if len(tr.Shards) != 0 || tr.MergePath != "" {
-		t.Errorf("trace has %d shard entries and merge path %q, want one run", len(tr.Shards), tr.MergePath)
+	if len(tr.Shards) != 0 || len(tr.Workers) != 0 {
+		t.Errorf("trace has %d shard and %d worker entries, want one run", len(tr.Shards), len(tr.Workers))
 	}
 	if tr.Threads != 4 || tr.DominanceTests != res.Stats.DominanceTests {
 		t.Errorf("trace reports %d threads and %d tests, want 4 and %d", tr.Threads, tr.DominanceTests, res.Stats.DominanceTests)
