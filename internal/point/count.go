@@ -16,9 +16,15 @@ import "sync/atomic"
 // the probe q (length d), stopping early once the count reaches budget
 // (which must be ≥ 1); the return value is min(true count, budget).
 // Every row in the window is tested, and *dts is advanced by the number
-// of dominance tests performed. It is the kernel of callers that hold no
-// code words and filter no rows (the pre-filter, the shard merge); the
-// Engine's phases call CountDominatorsInFlatRunCoded.
+// of dominance tests performed. It is the kernel of the one caller that
+// holds no code words and filters no rows, the pre-filter; the Engine's
+// phases call CountDominatorsInFlatRunCoded.
+//
+// Its unrolled bodies (d ∈ {4, 6, 8}) ask "row worse anywhere"
+// branch-free (b2u), the faster form when most tested rows are
+// incomparable with the probe. CountDominatorsInFlatRunShortCircuit
+// asks it as a short-circuit chain instead, the faster form when most
+// tested rows dominate the probe.
 func CountDominatorsInFlatRun(rows []float64, d, lo, hi int, q []float64, budget int, dts *uint64) int {
 	switch d {
 	case 4:
@@ -27,6 +33,27 @@ func CountDominatorsInFlatRun(rows []float64, d, lo, hi int, q []float64, budget
 		return cntRun6(rows, lo, hi, q, budget, dts)
 	case 8:
 		return cntRun8(rows, lo, hi, q, budget, dts)
+	default:
+		return cntRunGeneric(rows, d, lo, hi, q, nil, nil, 0, budget, dts)
+	}
+}
+
+// CountDominatorsInFlatRunShortCircuit is CountDominatorsInFlatRun with
+// the "row worse anywhere" half of the test as a short-circuit chain.
+// A row that dominates the probe is no worse in every dimension, so the
+// chain runs to its end and predicts well when most tested rows do; on
+// incomparable rows it exits at a data-dependent dimension and
+// mispredicts (b2u). Both bodies ask the same tests in the same order,
+// so the count and *dts are CountDominatorsInFlatRun's. The pre-filter's
+// pass 1 calls it while most of the probes it has tested were pruned.
+func CountDominatorsInFlatRunShortCircuit(rows []float64, d, lo, hi int, q []float64, budget int, dts *uint64) int {
+	switch d {
+	case 4:
+		return cntRunSC4(rows, lo, hi, q, budget, dts)
+	case 6:
+		return cntRunSC6(rows, lo, hi, q, budget, dts)
+	case 8:
+		return cntRunSC8(rows, lo, hi, q, budget, dts)
 	default:
 		return cntRunGeneric(rows, d, lo, hi, q, nil, nil, 0, budget, dts)
 	}
@@ -167,6 +194,74 @@ func cntRun8(rows []float64, lo, hi int, q []float64, budget int, dts *uint64) i
 		r := rows[off : off+8 : off+8]
 		if b2u(r[0] > q0)|b2u(r[1] > q1)|b2u(r[2] > q2)|b2u(r[3] > q3)|
 			b2u(r[4] > q4)|b2u(r[5] > q5)|b2u(r[6] > q6)|b2u(r[7] > q7) != 0 {
+			continue
+		}
+		if r[0] < q0 || r[1] < q1 || r[2] < q2 || r[3] < q3 ||
+			r[4] < q4 || r[5] < q5 || r[6] < q6 || r[7] < q7 {
+			c++
+			if c >= budget {
+				break
+			}
+		}
+	}
+	*dts = n
+	return c
+}
+
+func cntRunSC4(rows []float64, lo, hi int, q []float64, budget int, dts *uint64) int {
+	q0, q1, q2, q3 := q[0], q[1], q[2], q[3]
+	n := *dts
+	c := 0
+	off := lo * 4
+	for j := lo; j < hi; j, off = j+1, off+4 {
+		n++
+		r := rows[off : off+4 : off+4]
+		if r[0] > q0 || r[1] > q1 || r[2] > q2 || r[3] > q3 {
+			continue
+		}
+		if r[0] < q0 || r[1] < q1 || r[2] < q2 || r[3] < q3 {
+			c++
+			if c >= budget {
+				break
+			}
+		}
+	}
+	*dts = n
+	return c
+}
+
+func cntRunSC6(rows []float64, lo, hi int, q []float64, budget int, dts *uint64) int {
+	q0, q1, q2, q3, q4, q5 := q[0], q[1], q[2], q[3], q[4], q[5]
+	n := *dts
+	c := 0
+	off := lo * 6
+	for j := lo; j < hi; j, off = j+1, off+6 {
+		n++
+		r := rows[off : off+6 : off+6]
+		if r[0] > q0 || r[1] > q1 || r[2] > q2 || r[3] > q3 || r[4] > q4 || r[5] > q5 {
+			continue
+		}
+		if r[0] < q0 || r[1] < q1 || r[2] < q2 || r[3] < q3 || r[4] < q4 || r[5] < q5 {
+			c++
+			if c >= budget {
+				break
+			}
+		}
+	}
+	*dts = n
+	return c
+}
+
+func cntRunSC8(rows []float64, lo, hi int, q []float64, budget int, dts *uint64) int {
+	q0, q1, q2, q3, q4, q5, q6, q7 := q[0], q[1], q[2], q[3], q[4], q[5], q[6], q[7]
+	n := *dts
+	c := 0
+	off := lo * 8
+	for j := lo; j < hi; j, off = j+1, off+8 {
+		n++
+		r := rows[off : off+8 : off+8]
+		if r[0] > q0 || r[1] > q1 || r[2] > q2 || r[3] > q3 ||
+			r[4] > q4 || r[5] > q5 || r[6] > q6 || r[7] > q7 {
 			continue
 		}
 		if r[0] < q0 || r[1] < q1 || r[2] < q2 || r[3] < q3 ||

@@ -82,6 +82,23 @@ func checkFilteredBody(t *testing.T, rows []float64, d, lo, mid, hi int, q []flo
 	}
 }
 
+// checkUncodedBodies holds CountDominatorsInFlatRunShortCircuit to
+// CountDominatorsInFlatRun on one scan at every budget from 1 to
+// maxBudget: the same count and the same advance of a *dts that does not
+// start at zero.
+func checkUncodedBodies(t *testing.T, rows []float64, d, lo, hi int, q []float64, maxBudget int) {
+	t.Helper()
+	for budget := 1; budget <= maxBudget; budget++ {
+		bfDTs, scDTs := uint64(3), uint64(3)
+		bf := CountDominatorsInFlatRun(rows, d, lo, hi, q, budget, &bfDTs)
+		sc := CountDominatorsInFlatRunShortCircuit(rows, d, lo, hi, q, budget, &scDTs)
+		if bf != sc || bfDTs != scDTs {
+			t.Fatalf("d=%d [%d,%d) budget=%d: short-circuit body (count %d, %d tests), branch-free (%d, %d); q=%v rows=%v",
+				d, lo, hi, budget, sc, scDTs-3, bf, bfDTs-3, q, rows)
+		}
+	}
+}
+
 // randRun builds a small flat matrix on a coarse grid (frequent ties and
 // dominance) plus a probe drawn the same way.
 func randRun(rng *rand.Rand, n, d int) (rows []float64, q []float64) {
@@ -129,6 +146,7 @@ func TestCountDominatorsInFlatRun(t *testing.T) {
 			if want < budget && dts == 0 && want > 0 {
 				t.Fatalf("dominators found without dominance tests")
 			}
+			checkUncodedBodies(t, rows, d, lo, hi, q, 5)
 		}
 	}
 }

@@ -27,7 +27,10 @@ func EqualsFlat2(p []float64, pOff int, q []float64, qOff, d int) bool {
 // dimension and branch once on the result: on the incomparable rows that
 // make up most of every scan, a short-circuit chain exits at a
 // data-dependent dimension and mispredicts, which costs more than
-// finishing the d compares.
+// finishing the d compares. Branch-free is not always the faster form:
+// on rows that mostly dominate the probe, as in the pre-filter's pass 1
+// on correlated data, the chain runs to its end and predicts well, and
+// it beats the d flag-sets (CountDominatorsInFlatRunShortCircuit).
 func b2u(b bool) uint8 {
 	if b {
 		return 1

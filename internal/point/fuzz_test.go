@@ -166,10 +166,11 @@ func FuzzAppendDominatorsMasked(f *testing.F) {
 }
 
 // FuzzCountDominatorsInFlatRun holds the uncoded run kernel to the
-// oracle at budgets 1–8, and the coded kernel's filter-complete body
-// (flags and code words, Phase II's partition run) to its
-// generic body: the same count, budget row and dominance tests, with
-// flags set before and during the scan.
+// oracle at budgets 1–8 and its two bodies, branch-free and
+// short-circuit, to each other at every one of those budgets; and the
+// coded kernel's filter-complete body (flags and code words, Phase II's
+// partition run) to its generic body: the same count, budget row and
+// dominance tests, with flags set before and during the scan.
 func FuzzCountDominatorsInFlatRun(f *testing.F) {
 	f.Add([]byte{2, 4, 9, 9, 1, 1, 2, 2, 0, 3})
 	f.Add([]byte{6, 3, 3, 3, 3, 3, 3, 3, 0, 0, 0, 0, 0, 0, 1, 1, 1, 1, 1, 1})
@@ -197,6 +198,7 @@ func FuzzCountDominatorsInFlatRun(f *testing.F) {
 		if got := CountDominatorsInFlatRun(rows, d, 0, n, q, budget, &dts); got != want {
 			t.Fatalf("d=%d n=%d budget=%d: count=%d oracle=%d (q=%v rows=%v)", d, n, budget, got, want, q, rows)
 		}
+		checkUncodedBodies(t, rows, d, 0, n, q, 8)
 
 		// The filter-complete body against the generic one. fuzzVal reads
 		// a byte's low nibble, so each row's first byte has bits to spare:

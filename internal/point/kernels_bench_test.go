@@ -15,8 +15,14 @@ import (
 //     bodies) against the short-circuit reference Dominates;
 //   - run: CountDominatorsInFlatRun at budget 1 — the pre-filter's
 //     call, without codes — unrolled (cntRun4/6/8) against
-//     cntRunGeneric, and CountDominatorsInFlatRunCoded, the Engine's
-//     call, which runs the generic body behind the pre-test;
+//     cntRunGeneric and against the short-circuit unrolled body
+//     (CountDominatorsInFlatRunShortCircuit), and
+//     CountDominatorsInFlatRunCoded, the Engine's call, which runs the
+//     generic body behind the pre-test;
+//   - run-dominated: the two unrolled uncoded bodies and cntRunGeneric
+//     on probes every row dominates, at a budget no scan reaches — the
+//     rows pass 1 of the pre-filter mostly tests on correlated data,
+//     where the short-circuit body is meant to win;
 //   - run/filtered: CountDominatorsInFlatRunCoded with flags and codes
 //     present — Phase II's partition run, which takes the
 //     filter-complete body — against cntRunGeneric on the same
@@ -32,7 +38,9 @@ import (
 // Rows lie on the surface Σ = d/2, as an anticorrelated skyline does, and
 // every probe is drawn from the same surface and kept only if no row
 // dominates it and it dominates no row, so every scan runs to its end
-// and ns/row is the mean cost of one row tested. The code words come
+// and ns/row is the mean cost of one row tested. A run-dominated probe
+// is the rows' componentwise maximum plus a random offset in each
+// coordinate. The code words come
 // from a quantizer fitted to the rows, as a run fits its own to the
 // working set and the stream index its to the band.
 func BenchmarkKernels(b *testing.B) {
@@ -61,6 +69,16 @@ func BenchmarkKernels(b *testing.B) {
 			if cntRunGeneric(rows, d, 0, n, q, nil, nil, 0, 1, &dts) == 0 && dominatedBrute(rows, d, q) == 0 {
 				qs = append(qs, q...)
 			}
+		}
+		top := make([]float64, d)
+		for off := 0; off < n*d; off += d {
+			for i := range top {
+				top[i] = max(top[i], rows[off+i])
+			}
+		}
+		under := make([]float64, probes*d)
+		for i := range under {
+			under[i] = top[i%d] + rng.Float64()
 		}
 		pm := packMasks(d, make([]Mask, n)) // masks 0 against probe mask 0: subset and superset
 		l1 := make([]float64, n)            // norms 0 against probe norm 0: neither larger nor smaller
@@ -95,6 +113,9 @@ func BenchmarkKernels(b *testing.B) {
 			}},
 			{"run/unrolled", func(q []float64, dts *uint64) int {
 				return CountDominatorsInFlatRun(rows, d, 0, n, q, 1, dts)
+			}},
+			{"run/short-circuit", func(q []float64, dts *uint64) int {
+				return CountDominatorsInFlatRunShortCircuit(rows, d, 0, n, q, 1, dts)
 			}},
 			{"run/generic", func(q []float64, dts *uint64) int {
 				return cntRunGeneric(rows, d, 0, n, q, nil, nil, 0, 1, dts)
@@ -134,6 +155,32 @@ func BenchmarkKernels(b *testing.B) {
 					for p := 0; p < probes; p++ {
 						if k.scan(qs[p*d:(p+1)*d], &dts) != 0 {
 							b.Fatal("probe dominated or dominating")
+						}
+					}
+				}
+				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*probes*n), "ns/row")
+			})
+		}
+		for _, k := range []struct {
+			name string
+			scan func(q []float64, dts *uint64) int
+		}{
+			{"run-dominated/unrolled", func(q []float64, dts *uint64) int {
+				return CountDominatorsInFlatRun(rows, d, 0, n, q, n+1, dts)
+			}},
+			{"run-dominated/short-circuit", func(q []float64, dts *uint64) int {
+				return CountDominatorsInFlatRunShortCircuit(rows, d, 0, n, q, n+1, dts)
+			}},
+			{"run-dominated/generic", func(q []float64, dts *uint64) int {
+				return cntRunGeneric(rows, d, 0, n, q, nil, nil, 0, n+1, dts)
+			}},
+		} {
+			b.Run(fmt.Sprintf("d=%d/%s", d, k.name), func(b *testing.B) {
+				var dts uint64
+				for i := 0; i < b.N; i++ {
+					for p := 0; p < probes; p++ {
+						if k.scan(under[p*d:(p+1)*d], &dts) != n {
+							b.Fatal("probe not dominated by every row")
 						}
 					}
 				}

@@ -56,23 +56,15 @@ func Filter(m point.Matrix, l1 []float64, beta, threads int, dts *stats.DTCounte
 	pruned := make([]bool, n)
 	queues := make([][]int, threads)
 
-	// Pass 1: per-thread β-queues of smallest-L1 points; points that do
-	// not enter a queue are tested against that thread's queue.
+	// Pass 1: per-thread β-queues of smallest-L1 points; once a queue is
+	// full, every point is tested against it, and one it does not prune
+	// replaces the queue's largest point if its norm is smaller.
 	team.ForRanges(n, func(tid, lo, hi int) {
 		h := &maxHeap{l1: l1}
 		var localDTs uint64
 		for i := lo; i < hi; i++ {
 			if h.Len() < beta {
 				heap.Push(h, i)
-				continue
-			}
-			top := h.idx[0]
-			if l1[i] < l1[top] {
-				// i replaces the queue's largest point; the evicted point
-				// is still tested against the updated queue below via the
-				// second pass (it remains unpruned here).
-				h.idx[0] = i
-				heap.Fix(h, 0)
 				continue
 			}
 			p := m.Row(i)
@@ -82,6 +74,13 @@ func Filter(m point.Matrix, l1 []float64, beta, threads int, dts *stats.DTCounte
 					pruned[i] = true
 					break
 				}
+			}
+			if !pruned[i] && l1[i] < l1[h.idx[0]] {
+				// i replaces the queue's largest point; the evicted point
+				// is still tested against the updated queue below via the
+				// second pass (it remains unpruned here).
+				h.idx[0] = i
+				heap.Fix(h, 0)
 			}
 		}
 		queues[tid] = h.idx

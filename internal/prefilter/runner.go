@@ -29,12 +29,14 @@ const DefaultBeta = 8
 // Pass 1 is the one sweep of a Hybrid run that touches every input row,
 // so everything that needs the whole input happens inside it, once per
 // row: the row is loaded through the preference view (point.View — the
-// transform is never staged), its L1 norm is taken, and it enters the
-// thread's β-queue or is tested against it. Rows the queue prunes leave
-// no trace; every other row is appended, with its norm, to the thread's
-// segment of a candidate list. There is no per-row norm array and no
-// per-row pruned bitmap: after pass 1 nothing is n-sized but the list's
-// capacity, and only the candidates' share of that is ever written.
+// transform is never staged) and, once the thread's β-queue is full,
+// tested against it. Rows the queue prunes leave no trace, not even a
+// norm: only a surviving row (or one filling the queue) has its L1 norm
+// taken, replaces the queue's largest point if its norm is smaller, and
+// is appended, with its norm, to the thread's segment of a candidate
+// list. There is no per-row norm array and no per-row pruned bitmap:
+// after pass 1 nothing is n-sized but the list's capacity, and only the
+// candidates' share of that is ever written.
 //
 // The queues keep dense copies of their rows and norms, so the union is
 // gathered from the queues themselves into a dense row-major matrix
@@ -137,8 +139,8 @@ func (r *Runner) Filter(v point.View, beta, k int, team *par.Team, dts *stats.DT
 
 	r.v, r.beta, r.k, r.dts = v, beta, k, dts
 
-	// Pass 1: load, norm, per-thread β-queue; rows that do not enter the
-	// queue are tested against it.
+	// Pass 1: load, test against the thread's full β-queue, then norm
+	// and queue update for the rows it does not prune.
 	team.ForRangesCancel(threads, n, nil, r.pass1)
 	nc := r.join()
 
@@ -233,6 +235,17 @@ func (r *Runner) join() int {
 // queue test scans β·d contiguous, L1-cache-resident floats through the
 // flat run kernel instead of β scattered source rows. Heap swaps move the
 // dense rows along.
+//
+// Once the queue is full, a row is tested against it before its norm is
+// taken: one with ≥ k queue dominators is dropped there, and would have
+// added nothing to the queue as a filter (DESIGN.md §9, "Pre-filter
+// soundness"). A surviving row gets its norm, replaces the queue's
+// largest point if its norm is smaller, and becomes a candidate either
+// way. While more than half of
+// the rows the thread has tested were pruned, the test takes the
+// short-circuit kernel body, which is faster when most queue rows
+// dominate the probe; otherwise the branch-free one. Both ask the same
+// tests, so the choice moves no count.
 func (r *Runner) runPass1(tid, lo, hi int) {
 	v, beta, k := &r.v, r.beta, r.k
 	d := v.D()
@@ -241,9 +254,23 @@ func (r *Runner) runPass1(tid, lo, hi int) {
 	cand, cl1 := r.cand, r.cl1
 	var buf [point.MaxDims]float64
 	cnt, w := 0, lo
+	tested, pruned := 0, 0
 	var localDTs uint64
 	for i := lo; i < hi; i++ {
 		q := v.Load(i, buf[:])
+		if cnt == beta {
+			var doms int
+			if 2*pruned > tested {
+				doms = point.CountDominatorsInFlatRunShortCircuit(dense, d, 0, cnt, q, k, &localDTs)
+			} else {
+				doms = point.CountDominatorsInFlatRun(dense, d, 0, cnt, q, k, &localDTs)
+			}
+			tested++
+			if doms >= k {
+				pruned++
+				continue
+			}
+		}
 		qL1 := point.L1(q)
 		switch {
 		case cnt < beta:
@@ -266,10 +293,6 @@ func (r *Runner) runPass1(tid, lo, hi int) {
 			hl[0] = qL1
 			copy(dense[:d], q)
 			siftDown(hl, dense, d)
-		default:
-			if point.CountDominatorsInFlatRun(dense, d, 0, cnt, q, k, &localDTs) >= k {
-				continue
-			}
 		}
 		cand[w], cl1[w] = i, qL1
 		w++

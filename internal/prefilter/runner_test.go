@@ -8,6 +8,7 @@ import (
 	"skybench/internal/par"
 	"skybench/internal/point"
 	"skybench/internal/stats"
+	"skybench/internal/verify"
 )
 
 // subspaceOps keeps the even columns of a d-dimensional source and
@@ -101,37 +102,49 @@ func TestRunnerZeroAlloc(t *testing.T) {
 }
 
 // TestRunnerNeverPrunesSkyline re-checks the safety property on the
-// Runner: no skyline point is ever pruned.
+// Runner: no row of the k-skyband is ever pruned. The widths cover the
+// three unrolled kernel widths, each with both pass-1 bodies, and d = 5,
+// which has none; correlated data prunes most rows, so its pass 1 runs
+// the short-circuit body, and anticorrelated data few, so its pass 1
+// keeps the branch-free one.
 func TestRunnerNeverPrunesSkyline(t *testing.T) {
-	m := dataset.Generate(dataset.Anticorrelated, 800, 5, 31)
-	pool := par.NewPool(3)
-	defer pool.Close()
-	surv, _ := NewRunner().Filter(m.View(), 4, 1, pool.Lease(3), nil)
-	kept := make(map[int]bool, len(surv))
-	for _, i := range surv {
-		kept[i] = true
-	}
-	for i := 0; i < m.N(); i++ {
-		dominated := false
-		for j := 0; j < m.N() && !dominated; j++ {
-			if j != i && point.Dominates(m.Row(j), m.Row(i)) {
-				dominated = true
+	r := NewRunner()
+	for _, threads := range []int{1, 3} {
+		pool := par.NewPool(threads)
+		team := pool.Lease(threads)
+		for _, dist := range dataset.AllDistributions {
+			for _, d := range []int{4, 5, 6, 8} {
+				m := dataset.Generate(dist, 800, d, 31)
+				for _, k := range []int{1, 3} {
+					surv, _ := r.Filter(m.View(), 4, k, team, nil)
+					kept := make(map[int]bool, len(surv))
+					for _, i := range surv {
+						kept[i] = true
+					}
+					band, _ := verify.BruteForceSkyband(m, k)
+					for _, i := range band {
+						if !kept[i] {
+							t.Fatalf("%s d=%d k=%d T=%d: band row %d was pruned", dist, d, k, threads, i)
+						}
+					}
+				}
 			}
 		}
-		if !dominated && !kept[i] {
-			t.Fatalf("skyline point %d was pruned", i)
-		}
+		pool.Close()
 	}
 }
 
 // BenchmarkRunnerFilter times the one sweep a Hybrid run makes over its
-// whole input — transform, L1 norms and both pre-filter passes — on the
-// scan-bound shape (1 M correlated rows, almost all pruned). SetBytes is
-// the source size, so the figure reads as MB/s against what the host
-// streams from memory.
+// whole input — transform, L1 norms and both pre-filter passes. The
+// first two cases are the scan-bound shape (1 M correlated rows, almost
+// all pruned, so pass 1 takes the short-circuit kernel body); anti-d8 is
+// batch_anti's (32 768 anticorrelated rows, few pruned, so pass 1 keeps
+// the branch-free body). SetBytes is the source size, so the figure
+// reads as MB/s against what the host streams from memory.
 func BenchmarkRunnerFilter(b *testing.B) {
-	const n, d = 1_000_000, 8
-	m := dataset.Generate(dataset.Correlated, n, d, 1)
+	const d = 8
+	corr := dataset.Generate(dataset.Correlated, 1_000_000, d, 1)
+	anti := dataset.Generate(dataset.Anticorrelated, 32_768, d, 1)
 	half := make([]point.PrefOp, d)
 	for j := d / 2; j < d; j++ {
 		half[j] = point.PrefDrop
@@ -142,17 +155,20 @@ func BenchmarkRunnerFilter(b *testing.B) {
 	team := pool.Lease(threads)
 	for _, bc := range []struct {
 		name string
+		m    point.Matrix
 		ops  []point.PrefOp
 	}{
-		{"identity-d8", nil},
-		{"subspace-4of8", half},
+		{"identity-d8", corr, nil},
+		{"subspace-4of8", corr, half},
+		{"anti-d8", anti, nil},
 	} {
 		b.Run(bc.name, func(b *testing.B) {
+			n := bc.m.N()
 			var v point.View
-			v.Reset(m.Flat(), n, d, bc.ops)
+			v.Reset(bc.m.Flat(), n, d, bc.ops)
 			r := NewRunner()
 			r.Filter(v, 0, 1, team, nil) // warm scratch
-			b.SetBytes(n * d * 8)
+			b.SetBytes(int64(n * d * 8))
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				r.Filter(v, 0, 1, team, nil)
