@@ -23,8 +23,8 @@ import "sync/atomic"
 // Its unrolled bodies (d ∈ {4, 6, 8}) ask "row worse anywhere"
 // branch-free (b2u), the faster form when most tested rows are
 // incomparable with the probe. CountDominatorsInFlatRunShortCircuit
-// asks it as a short-circuit chain instead, the faster form when most
-// tested rows dominate the probe.
+// asks it as a short-circuit chain instead at d ∈ {4, 8}, the faster
+// form when most tested rows dominate the probe.
 func CountDominatorsInFlatRun(rows []float64, d, lo, hi int, q []float64, budget int, dts *uint64) int {
 	switch d {
 	case 4:
@@ -44,18 +44,18 @@ func CountDominatorsInFlatRun(rows []float64, d, lo, hi int, q []float64, budget
 // chain runs to its end and predicts well when most tested rows do; on
 // incomparable rows it exits at a data-dependent dimension and
 // mispredicts (b2u). Both bodies ask the same tests in the same order,
-// so the count and *dts are CountDominatorsInFlatRun's. The pre-filter's
-// pass 1 calls it while most of the probes it has tested were pruned.
+// so the count and *dts are CountDominatorsInFlatRun's. Only d = 4 and
+// d = 8, the pre-filter widths of the benchmarked batch workloads, have a
+// short-circuit body; every other width runs CountDominatorsInFlatRun's.
+// The pre-filter's pass 1 calls it.
 func CountDominatorsInFlatRunShortCircuit(rows []float64, d, lo, hi int, q []float64, budget int, dts *uint64) int {
 	switch d {
 	case 4:
 		return cntRunSC4(rows, lo, hi, q, budget, dts)
-	case 6:
-		return cntRunSC6(rows, lo, hi, q, budget, dts)
 	case 8:
 		return cntRunSC8(rows, lo, hi, q, budget, dts)
 	default:
-		return cntRunGeneric(rows, d, lo, hi, q, nil, nil, 0, budget, dts)
+		return CountDominatorsInFlatRun(rows, d, lo, hi, q, budget, dts)
 	}
 }
 
@@ -220,28 +220,6 @@ func cntRunSC4(rows []float64, lo, hi int, q []float64, budget int, dts *uint64)
 			continue
 		}
 		if r[0] < q0 || r[1] < q1 || r[2] < q2 || r[3] < q3 {
-			c++
-			if c >= budget {
-				break
-			}
-		}
-	}
-	*dts = n
-	return c
-}
-
-func cntRunSC6(rows []float64, lo, hi int, q []float64, budget int, dts *uint64) int {
-	q0, q1, q2, q3, q4, q5 := q[0], q[1], q[2], q[3], q[4], q[5]
-	n := *dts
-	c := 0
-	off := lo * 6
-	for j := lo; j < hi; j, off = j+1, off+6 {
-		n++
-		r := rows[off : off+6 : off+6]
-		if r[0] > q0 || r[1] > q1 || r[2] > q2 || r[3] > q3 || r[4] > q4 || r[5] > q5 {
-			continue
-		}
-		if r[0] < q0 || r[1] < q1 || r[2] < q2 || r[3] < q3 || r[4] < q4 || r[5] < q5 {
 			c++
 			if c >= budget {
 				break

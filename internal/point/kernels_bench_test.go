@@ -3,6 +3,7 @@ package point
 import (
 	"fmt"
 	"math/rand"
+	"strings"
 	"testing"
 )
 
@@ -16,7 +17,8 @@ import (
 //   - run: CountDominatorsInFlatRun at budget 1 — the pre-filter's
 //     call, without codes — unrolled (cntRun4/6/8) against
 //     cntRunGeneric and against the short-circuit unrolled body
-//     (CountDominatorsInFlatRunShortCircuit), and
+//     (CountDominatorsInFlatRunShortCircuit, d ∈ {4, 8} only: at d = 6
+//     it runs the branch-free body), and
 //     CountDominatorsInFlatRunCoded, the Engine's call, which runs the
 //     generic body behind the pre-test;
 //   - run-dominated: the two unrolled uncoded bodies and cntRunGeneric
@@ -149,6 +151,9 @@ func BenchmarkKernels(b *testing.B) {
 			}},
 		}
 		for _, k := range kernels {
+			if d == 6 && strings.HasSuffix(k.name, "/short-circuit") {
+				continue
+			}
 			b.Run(fmt.Sprintf("d=%d/%s", d, k.name), func(b *testing.B) {
 				var dts uint64
 				for i := 0; i < b.N; i++ {
@@ -175,6 +180,9 @@ func BenchmarkKernels(b *testing.B) {
 				return cntRunGeneric(rows, d, 0, n, q, nil, nil, 0, n+1, dts)
 			}},
 		} {
+			if d == 6 && strings.HasSuffix(k.name, "/short-circuit") {
+				continue
+			}
 			b.Run(fmt.Sprintf("d=%d/%s", d, k.name), func(b *testing.B) {
 				var dts uint64
 				for i := 0; i < b.N; i++ {

@@ -23,7 +23,7 @@ var tieVals = [8]float64{0.9, math.Nextafter(0.9, 1), math.Nextafter(0.9, 0), 0.
 // correlated, independent, anticorrelated, or rows drawn from tieVals),
 // T (bit 2: 1 or 2), k (bits 3–4: 1–4) and β (bits 5–6: 1, 4, 8 or 16);
 // the second d (1–8); the next two n (1–3 000, so queues fill and pass 1
-// runs both kernel bodies); the last the generator's seed. One Runner
+// tests rows against them); the last the generator's seed. One Runner
 // serves every input, so no state may leak between calls. The filter
 // must keep every row of the brute-force k-skyband, return its
 // survivors ascending, and return for each the L1 norm of its row, bit

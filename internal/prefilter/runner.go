@@ -241,11 +241,10 @@ func (r *Runner) join() int {
 // added nothing to the queue as a filter (DESIGN.md §9, "Pre-filter
 // soundness"). A surviving row gets its norm, replaces the queue's
 // largest point if its norm is smaller, and becomes a candidate either
-// way. While more than half of
-// the rows the thread has tested were pruned, the test takes the
-// short-circuit kernel body, which is faster when most queue rows
-// dominate the probe; otherwise the branch-free one. Both ask the same
-// tests, so the choice moves no count.
+// way. The test takes the short-circuit kernel body, which is faster
+// when most queue rows dominate the probe (correlated data, where most
+// rows are pruned). It is slower where most are incomparable, but there
+// the filter is a small share of the run (DESIGN.md §2).
 func (r *Runner) runPass1(tid, lo, hi int) {
 	v, beta, k := &r.v, r.beta, r.k
 	d := v.D()
@@ -254,22 +253,11 @@ func (r *Runner) runPass1(tid, lo, hi int) {
 	cand, cl1 := r.cand, r.cl1
 	var buf [point.MaxDims]float64
 	cnt, w := 0, lo
-	tested, pruned := 0, 0
 	var localDTs uint64
 	for i := lo; i < hi; i++ {
 		q := v.Load(i, buf[:])
-		if cnt == beta {
-			var doms int
-			if 2*pruned > tested {
-				doms = point.CountDominatorsInFlatRunShortCircuit(dense, d, 0, cnt, q, k, &localDTs)
-			} else {
-				doms = point.CountDominatorsInFlatRun(dense, d, 0, cnt, q, k, &localDTs)
-			}
-			tested++
-			if doms >= k {
-				pruned++
-				continue
-			}
+		if cnt == beta && point.CountDominatorsInFlatRunShortCircuit(dense, d, 0, cnt, q, k, &localDTs) >= k {
+			continue
 		}
 		qL1 := point.L1(q)
 		switch {

@@ -103,10 +103,9 @@ func TestRunnerZeroAlloc(t *testing.T) {
 
 // TestRunnerNeverPrunesSkyline re-checks the safety property on the
 // Runner: no row of the k-skyband is ever pruned. The widths cover the
-// three unrolled kernel widths, each with both pass-1 bodies, and d = 5,
-// which has none; correlated data prunes most rows, so its pass 1 runs
-// the short-circuit body, and anticorrelated data few, so its pass 1
-// keeps the branch-free one.
+// three unrolled kernel widths — pass 1 runs the short-circuit body at
+// d = 4 and 8 and the branch-free one at d = 6 — and d = 5, which has
+// none.
 func TestRunnerNeverPrunesSkyline(t *testing.T) {
 	r := NewRunner()
 	for _, threads := range []int{1, 3} {
@@ -137,9 +136,9 @@ func TestRunnerNeverPrunesSkyline(t *testing.T) {
 // BenchmarkRunnerFilter times the one sweep a Hybrid run makes over its
 // whole input — transform, L1 norms and both pre-filter passes. The
 // first two cases are the scan-bound shape (1 M correlated rows, almost
-// all pruned, so pass 1 takes the short-circuit kernel body); anti-d8 is
-// batch_anti's (32 768 anticorrelated rows, few pruned, so pass 1 keeps
-// the branch-free body). SetBytes is the source size, so the figure
+// all pruned, where pass 1's short-circuit kernel body pays); anti-d8 is
+// batch_anti's (32 768 anticorrelated rows, few pruned, where it costs).
+// SetBytes is the source size, so the figure
 // reads as MB/s against what the host streams from memory.
 func BenchmarkRunnerFilter(b *testing.B) {
 	const d = 8
