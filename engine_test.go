@@ -348,8 +348,10 @@ func TestEngineRunZeroAlloc(t *testing.T) {
 // — the run that sizes every scratch array — must allocate less than one
 // staged copy of the kept columns would take. What a Hybrid run may hold
 // that is sized to the input is the pre-filter's candidate list (a row
-// index and a norm per row, 16 bytes); a staged copy, a per-row norm
-// array or a per-row bitmap on top of it would break the bound.
+// index and a norm per row, 16 bytes); its row store holds the loaded
+// rows of the candidates alone, a few percent of the input here. A
+// staged copy, a per-row norm array or a per-row bitmap on top of them
+// would break the bound.
 func TestEngineColdPrefsRunAllocBound(t *testing.T) {
 	const n, d, kept = 200000, 8, 4
 	m := dataset.Generate(dataset.Correlated, n, d, 5)

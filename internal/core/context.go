@@ -61,8 +61,9 @@ type Context struct {
 	// pre-bound once in NewContext so dispatching them allocates nothing.
 	curV    point.View // the input, read through the query's preferences
 	curWork point.Matrix
-	curSurv []int     // rows to gather into curWork, in working-set order; nil gathers every row
-	curL1   []float64 // L1 norms parallel to curSurv; nil takes them in the gather
+	curSurv []int           // rows to gather into curWork, in working-set order; nil gathers every row
+	curL1   []float64       // L1 norms parallel to curSurv; nil takes them in the gather
+	curRows *prefilter.Rows // the rows of curSurv as the pre-filter loaded them; nil loads them through curV
 	d       int
 	k       int // dominator budget: 1 = skyline, ≥ 2 = k-skyband
 	blockLo int
@@ -159,12 +160,14 @@ func grow[T any](s []T, n int) []T {
 
 // ---- pre-bound parallel bodies -------------------------------------------
 
-// runGather loads the rows selected by curSurv (every row when it is
-// nil) through the view into curWork and fills the working-set metadata
-// — the one copy a run makes of an input row, and only of the rows the
-// pre-filter kept. A run without the pre-filter takes the L1 norms here,
-// from the gathered row. Masks start at 0, the one region of an
-// unpartitioned run; a partitioned run's mask sweep overwrites them.
+// runGather fills curWork with the working set and its metadata. Where
+// the pre-filter kept its candidates' rows, the rows of curSurv are
+// copied from its row store (curRows), which pass 1 filled when it
+// loaded them, so the source is read once per row the run keeps. Any
+// other run loads its rows through the view, and a run without the
+// pre-filter takes the L1 norms here, from the gathered row. Masks
+// start at 0, the one region of an unpartitioned run; a partitioned
+// run's mask sweep overwrites them.
 // Worker tid also takes the column minima and maxima of its rows, the
 // partials the run's quantizer is fitted to.
 func (c *Context) runGather(tid, lo, hi int) {
@@ -178,7 +181,11 @@ func (c *Context) runGather(tid, lo, hi int) {
 			j = c.curSurv[i]
 		}
 		row := dst[i*d : (i+1)*d]
-		v.CopyRow(row, j)
+		if c.curRows != nil {
+			copy(row, c.curRows.Row(i))
+		} else {
+			v.CopyRow(row, j)
+		}
 		// Branches, not min and max: they are almost never taken, and
 		// min and max would store to the partials on every value.
 		for k, x := range row {

@@ -10,6 +10,7 @@ import (
 	"skybench/internal/par"
 	"skybench/internal/pivot"
 	"skybench/internal/point"
+	"skybench/internal/prefilter"
 	"skybench/internal/stats"
 )
 
@@ -145,13 +146,16 @@ func (c *Context) run(v point.View, opt HybridOptions, partition bool) []int {
 
 	// Choose the rows to gather. Hybrid's come from the pre-filter
 	// (VI-A1), whose first pass is also where the preferences are applied
-	// and the L1 norms taken, parallel to surv. A run without it gathers
-	// every row (surv = nil) and takes the norms in the gather.
+	// and the L1 norms taken, parallel to surv, and which hands back the
+	// loaded rows too where it kept them. A run without it gathers every
+	// row (surv = nil) through the view and takes the norms in the
+	// gather.
 	var surv []int
 	var survL1 []float64
+	var survRows *prefilter.Rows
 	ns := n
 	if partition && !opt.NoPrefilter {
-		surv, survL1 = c.pf.Filter(v, opt.Beta, k, c.team, c.dts)
+		surv, survL1, survRows = c.pf.Filter(v, opt.Beta, k, c.team, c.dts)
 		ns = len(surv)
 		timer.Stop(stats.PhasePrefilt)
 	}
@@ -168,7 +172,7 @@ func (c *Context) run(v point.View, opt HybridOptions, partition bool) []int {
 	c.wcode = grow(c.wcode, ns)
 	wk := point.FromFlat(c.work, ns, d)
 	c.curWork = wk
-	c.curSurv, c.curL1 = surv, survL1
+	c.curSurv, c.curL1, c.curRows = surv, survL1, survRows
 	c.cmin, c.cmax = grow(c.cmin, c.tEff*d), grow(c.cmax, c.tEff*d)
 	for i := range c.cmin {
 		c.cmin[i], c.cmax[i] = math.Inf(1), math.Inf(-1)

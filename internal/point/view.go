@@ -67,6 +67,16 @@ func (v *View) D() int {
 	return len(v.cols)
 }
 
+// Flat returns the row-major source when v is the identity view, whose
+// Load hands out the source rows as they are, and nil for any other
+// view.
+func (v *View) Flat() []float64 {
+	if v.ident {
+		return v.src
+	}
+	return nil
+}
+
 // Load returns row i under the view's transform. An identity view
 // returns the source row itself (read-only to the caller); any other
 // view writes the kept columns, negated where maximised, into buf —

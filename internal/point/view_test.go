@@ -87,6 +87,9 @@ func FuzzViewLoad(f *testing.F) {
 		if v.N() != n || v.D() != de {
 			t.Fatalf("view is %d×%d, staged copy is %d×%d (ops=%v)", v.N(), v.D(), n, de, ops)
 		}
+		if flat := v.Flat(); IdentityOps(ops) != (flat != nil) {
+			t.Fatalf("ops=%v: Flat() nil is %v, want %v", ops, flat == nil, !IdentityOps(ops))
+		}
 		var buf [MaxDims]float64
 		row := make([]float64, de)
 		for i := 0; i < n; i++ {

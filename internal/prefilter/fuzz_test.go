@@ -3,6 +3,7 @@ package prefilter
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"skybench/internal/dataset"
@@ -27,7 +28,7 @@ var tieVals = [8]float64{0.9, math.Nextafter(0.9, 1), math.Nextafter(0.9, 0), 0.
 // serves every input, so no state may leak between calls. The filter
 // must keep every row of the brute-force k-skyband, return its
 // survivors ascending, and return for each the L1 norm of its row, bit
-// for bit.
+// for bit, and the row itself where it keeps rows.
 func FuzzRunnerFilter(f *testing.F) {
 	f.Add([]byte{0x00, 7, 0xb7, 0x0b, 1}) // correlated, d = 8, n = 3 000, k = 1, β = 1, T = 1
 	f.Add([]byte{0x45, 3, 0xcf, 0x07, 2}) // independent, d = 4, n = 2 000, T = 2, β = 8
@@ -64,7 +65,7 @@ func FuzzRunnerFilter(f *testing.F) {
 			}
 		}
 
-		surv, l1 := r.Filter(m.View(), beta, k, team, nil)
+		surv, l1, rows := r.Filter(m.View(), beta, k, team, nil)
 		if len(l1) != len(surv) {
 			t.Fatalf("%d survivors, %d norms", len(surv), len(l1))
 		}
@@ -74,6 +75,9 @@ func FuzzRunnerFilter(f *testing.F) {
 			}
 			if want := point.L1(m.Row(i)); math.Float64bits(l1[j]) != math.Float64bits(want) {
 				t.Fatalf("survivor %d: norm %v, want %v", i, l1[j], want)
+			}
+			if rows != nil && !slices.Equal(rows.Row(j), m.Row(i)) {
+				t.Fatalf("survivor %d: row %v, want %v", i, rows.Row(j), m.Row(i))
 			}
 		}
 		band, _ := verify.BruteForceSkyband(m, k)

@@ -1,7 +1,9 @@
 package prefilter
 
 import (
+	"fmt"
 	"math"
+	"slices"
 	"testing"
 
 	"skybench/internal/dataset"
@@ -42,40 +44,102 @@ func staged(m point.Matrix, ops []point.PrefOp) point.Matrix {
 // TestRunnerMatchesFilter checks that the reusable Runner, reading the
 // source through a view, selects exactly the same surviving set as the
 // reference Filter does on the staged copy — across distributions,
-// thread counts, transforms and repeated (reused) calls — and that the
-// norms it returns are point.L1 of the staged survivors bit for bit.
+// thread counts, widths, transforms and repeated (reused) calls — and
+// that the norms and rows it returns are point.L1 of the staged
+// survivors and the staged rows, bit for bit, where it keeps rows. The
+// table has cases on both sides of storeShare (correlated inputs keep
+// their rows, anticorrelated ones do not). The identity view at d = 8 is
+// the shape pass 1 takes point.Scan8 on, where the CPU has it, so the
+// table runs with the scan on and again with it off.
 func TestRunnerMatchesFilter(t *testing.T) {
-	r := NewRunner()
-	for _, threads := range []int{1, 3, 8} {
-		pool := par.NewPool(threads)
-		team := pool.Lease(threads)
-		for _, dist := range dataset.AllDistributions {
-			for _, n := range []int{1, 17, 1000, 5000} {
-				for _, ops := range [][]point.PrefOp{nil, subspaceOps(6)} {
-					m := dataset.Generate(dist, n, 6, 99)
-					sm := staged(m, ops)
-					want := Filter(sm, l1s(sm), 0, threads, nil)
-					var v point.View
-					v.Reset(m.Flat(), n, 6, ops)
-					got, gotL1 := r.Filter(v, 0, 1, team, nil)
-					if len(got) != len(want) || len(gotL1) != len(want) {
-						t.Fatalf("%s n=%d t=%d ops=%v: runner kept %d (%d norms), filter kept %d",
-							dist, n, threads, ops, len(got), len(gotL1), len(want))
-					}
-					for i := range got {
-						if got[i] != want[i] {
-							t.Fatalf("%s n=%d t=%d ops=%v: survivor %d is %d, want %d",
-								dist, n, threads, ops, i, got[i], want[i])
-						}
-						if l1 := point.L1(sm.Row(got[i])); math.Float64bits(gotL1[i]) != math.Float64bits(l1) {
-							t.Fatalf("%s n=%d t=%d ops=%v: survivor %d has L1 %v, want %v",
-								dist, n, threads, ops, i, gotL1[i], l1)
+	defer func(on bool) { useScan8 = on }(useScan8)
+	kept := map[bool]int{}
+	for _, scan := range []bool{true, false} {
+		if scan && !point.HasScan8() {
+			t.Log("no AVX-512 with OS-saved ZMM state: only the Go body runs")
+			continue
+		}
+		useScan8 = scan
+		r := NewRunner()
+		for _, threads := range []int{1, 3, 8} {
+			pool := par.NewPool(threads)
+			team := pool.Lease(threads)
+			for _, dist := range dataset.AllDistributions {
+				for _, d := range []int{6, 8} {
+					for _, n := range []int{1, 17, 1000, 5000} {
+						for _, ops := range [][]point.PrefOp{nil, subspaceOps(d)} {
+							m := dataset.Generate(dist, n, d, 99)
+							sm := staged(m, ops)
+							want := Filter(sm, l1s(sm), 0, threads, nil)
+							var v point.View
+							v.Reset(m.Flat(), n, d, ops)
+							got, gotL1, gotRows := r.Filter(v, 0, 1, team, nil)
+							at := fmt.Sprintf("%s d=%d n=%d t=%d ops=%v scan=%v", dist, d, n, threads, ops, scan)
+							if scan && ops == nil && d == 8 && n >= DefaultBeta && !r.scan8 {
+								t.Fatalf("%s: pass 1 did not take point.Scan8", at)
+							}
+							kept[gotRows != nil]++
+							if len(got) != len(want) || len(gotL1) != len(want) {
+								t.Fatalf("%s: runner kept %d (%d norms), filter kept %d", at, len(got), len(gotL1), len(want))
+							}
+							for i := range got {
+								if got[i] != want[i] {
+									t.Fatalf("%s: survivor %d is %d, want %d", at, i, got[i], want[i])
+								}
+								row := sm.Row(got[i])
+								if l1 := point.L1(row); math.Float64bits(gotL1[i]) != math.Float64bits(l1) {
+									t.Fatalf("%s: survivor %d has L1 %v, want %v", at, i, gotL1[i], l1)
+								}
+								if gotRows == nil {
+									continue
+								}
+								gotRow := gotRows.Row(i)
+								if len(gotRow) != len(row) {
+									t.Fatalf("%s: survivor %d has %d values, want %d", at, i, len(gotRow), len(row))
+								}
+								for c, x := range row {
+									if y := gotRow[c]; math.Float64bits(y) != math.Float64bits(x) {
+										t.Fatalf("%s: survivor %d has %v in column %d, the view %v", at, i, y, c, x)
+									}
+								}
+							}
 						}
 					}
 				}
 			}
+			pool.Close()
 		}
-		pool.Close()
+	}
+	if kept[true] == 0 || kept[false] == 0 {
+		t.Fatalf("%d calls kept their rows and %d did not: the table misses one side of storeShare", kept[true], kept[false])
+	}
+}
+
+// TestRunnerReuseAfterLargerRun reuses one Runner for a large run at
+// T = 3 and d = 4, which keeps its rows, then for a run over fewer rows
+// than threads at d = 8. The small run's fan-outs leave a thread idle
+// whose segment offset is still the large run's, past the end of the
+// small run's list, and joining skips that empty segment. The small run
+// keeps both of its rows (no queue fills), and any rows it returns are
+// its own.
+func TestRunnerReuseAfterLargerRun(t *testing.T) {
+	pool := par.NewPool(3)
+	defer pool.Close()
+	team := pool.Lease(3)
+	r := NewRunner()
+	big := dataset.Generate(dataset.Correlated, 60000, 4, 3)
+	if _, _, rows := r.Filter(big.View(), 0, 1, team, nil); rows == nil {
+		t.Fatal("the large correlated run kept no rows")
+	}
+	small := dataset.Generate(dataset.Independent, 2, 8, 4)
+	surv, _, rows := r.Filter(small.View(), 0, 1, team, nil)
+	if !slices.Equal(surv, []int{0, 1}) {
+		t.Fatalf("small run after a large one kept %v, want [0 1]", surv)
+	}
+	for i := range surv {
+		if rows != nil && !slices.Equal(rows.Row(i), small.Row(i)) {
+			t.Fatalf("small run after a large one returned row %v for row %d, want %v", rows.Row(i), i, small.Row(i))
+		}
 	}
 }
 
@@ -115,7 +179,7 @@ func TestRunnerNeverPrunesSkyline(t *testing.T) {
 			for _, d := range []int{4, 5, 6, 8} {
 				m := dataset.Generate(dist, 800, d, 31)
 				for _, k := range []int{1, 3} {
-					surv, _ := r.Filter(m.View(), 4, k, team, nil)
+					surv, _, _ := r.Filter(m.View(), 4, k, team, nil)
 					kept := make(map[int]bool, len(surv))
 					for _, i := range surv {
 						kept[i] = true

@@ -16,6 +16,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"runtime"
 	"slices"
 	"strings"
 	"sync"
@@ -629,6 +630,71 @@ func TestGracefulShutdown(t *testing.T) {
 	defer ix.Close()
 	if ix.Len() != 2 {
 		t.Fatalf("recovered %d points, want 2", ix.Len())
+	}
+}
+
+// TestShutdownLeavesNoGoroutines: the shutdown sequence skyserved runs
+// on SIGTERM — Drain, http.Server.Shutdown, Close — with an NDJSON delta
+// subscriber still connected must end every goroutine the server, its
+// Store, the subscription's handler and both ends of its connection
+// started, so the goroutine count returns to where it began.
+func TestShutdownLeavesNoGoroutines(t *testing.T) {
+	baseline := runtime.NumGoroutine()
+	st := skybench.NewStoreWithOptions(skybench.StoreOptions{Threads: 2})
+	srv := serve.New(st, serve.Options{})
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	hs := &http.Server{Handler: srv}
+	served := make(chan error, 1)
+	go func() { served <- hs.Serve(ln) }()
+
+	c := client.New("http://" + ln.Addr().String())
+	ctx := context.Background()
+	if _, err := c.Attach(ctx, "live", &serve.AttachRequest{Stream: &serve.StreamSpec{D: 2}}); err != nil {
+		t.Fatal(err)
+	}
+	sub, err := c.Subscribe(ctx, "live")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sub.Close()
+	if _, err := c.Insert(ctx, "live", [][]float64{{1, 9}}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := sub.Next(); err != nil {
+		t.Fatalf("subscriber saw no delta before shutdown: %v", err)
+	}
+	// Preferences the index does not maintain run the Store's engine,
+	// whose pool workers Close must end too.
+	if _, err := c.Query(ctx, "live", &serve.QueryRequest{Prefs: []string{"max", "min"}}); err != nil {
+		t.Fatal(err)
+	}
+
+	srv.Drain()
+	c.Close()
+	sctx, cancel := context.WithTimeout(ctx, 5*time.Second)
+	defer cancel()
+	if err := hs.Shutdown(sctx); err != nil {
+		t.Fatalf("drain incomplete: %v", err)
+	}
+	srv.Close()
+	if err := <-served; !errors.Is(err, http.ErrServerClosed) {
+		t.Fatalf("Serve returned %v, want http.ErrServerClosed", err)
+	}
+	if _, err := sub.Next(); err == nil {
+		t.Fatal("delta subscription outlived shutdown")
+	}
+
+	deadline := time.Now().Add(5 * time.Second)
+	for runtime.NumGoroutine() > baseline {
+		if time.Now().After(deadline) {
+			buf := make([]byte, 1<<16)
+			t.Fatalf("%d goroutines after shutdown, %d before:\n%s",
+				runtime.NumGoroutine(), baseline, buf[:runtime.Stack(buf, true)])
+		}
+		time.Sleep(10 * time.Millisecond)
 	}
 }
 
