@@ -20,43 +20,37 @@ import "sync/atomic"
 // holds no code words and filters no rows, the pre-filter; the Engine's
 // phases call CountDominatorsInFlatRunCoded.
 //
-// Its unrolled bodies (d ∈ {4, 6, 8}) ask "row worse anywhere"
+// Two widths have an unrolled body, the pre-filter widths of the
+// benchmarked batch workloads. At d = 4 it asks "row worse anywhere"
 // branch-free (b2u), the faster form when most tested rows are
-// incomparable with the probe. CountDominatorsInFlatRunShortCircuit
-// asks it as a short-circuit chain instead at d ∈ {4, 8}, the faster
-// form when most tested rows dominate the probe.
+// incomparable with the probe; at d = 8 it asks it as a short-circuit
+// chain, CountDominatorsInFlatRunShortCircuit's body, which measured
+// faster where the pre-filter is most of the run (DESIGN.md §2). Every
+// other width runs the generic body.
 func CountDominatorsInFlatRun(rows []float64, d, lo, hi int, q []float64, budget int, dts *uint64) int {
 	switch d {
 	case 4:
 		return cntRun4(rows, lo, hi, q, budget, dts)
-	case 6:
-		return cntRun6(rows, lo, hi, q, budget, dts)
 	case 8:
-		return cntRun8(rows, lo, hi, q, budget, dts)
+		return cntRunSC8(rows, lo, hi, q, budget, dts)
 	default:
 		return cntRunGeneric(rows, d, lo, hi, q, nil, nil, 0, budget, dts)
 	}
 }
 
 // CountDominatorsInFlatRunShortCircuit is CountDominatorsInFlatRun with
-// the "row worse anywhere" half of the test as a short-circuit chain.
-// A row that dominates the probe is no worse in every dimension, so the
-// chain runs to its end and predicts well when most tested rows do; on
-// incomparable rows it exits at a data-dependent dimension and
-// mispredicts (b2u). Both bodies ask the same tests in the same order,
-// so the count and *dts are CountDominatorsInFlatRun's. Only d = 4 and
-// d = 8, the pre-filter widths of the benchmarked batch workloads, have a
-// short-circuit body; every other width runs CountDominatorsInFlatRun's.
-// The pre-filter's pass 1 calls it.
+// the "row worse anywhere" half of the test as a short-circuit chain at
+// every unrolled width. A row that dominates the probe is no worse in
+// every dimension, so the chain runs to its end and predicts well when
+// most tested rows do; on incomparable rows it exits at a data-dependent
+// dimension and mispredicts (b2u). The bodies ask the same tests in the
+// same order, so the count and *dts are CountDominatorsInFlatRun's; only
+// d = 4 has a body of its own here. The pre-filter's pass 1 calls it.
 func CountDominatorsInFlatRunShortCircuit(rows []float64, d, lo, hi int, q []float64, budget int, dts *uint64) int {
-	switch d {
-	case 4:
+	if d == 4 {
 		return cntRunSC4(rows, lo, hi, q, budget, dts)
-	case 8:
-		return cntRunSC8(rows, lo, hi, q, budget, dts)
-	default:
-		return CountDominatorsInFlatRun(rows, d, lo, hi, q, budget, dts)
 	}
+	return CountDominatorsInFlatRun(rows, d, lo, hi, q, budget, dts)
 }
 
 // CountDominatorsInFlatRunCoded is CountDominatorsInFlatRun behind an
@@ -152,52 +146,6 @@ func cntRun4(rows []float64, lo, hi int, q []float64, budget int, dts *uint64) i
 			continue
 		}
 		if r[0] < q0 || r[1] < q1 || r[2] < q2 || r[3] < q3 {
-			c++
-			if c >= budget {
-				break
-			}
-		}
-	}
-	*dts = n
-	return c
-}
-
-func cntRun6(rows []float64, lo, hi int, q []float64, budget int, dts *uint64) int {
-	q0, q1, q2, q3, q4, q5 := q[0], q[1], q[2], q[3], q[4], q[5]
-	n := *dts
-	c := 0
-	off := lo * 6
-	for j := lo; j < hi; j, off = j+1, off+6 {
-		n++
-		r := rows[off : off+6 : off+6]
-		if b2u(r[0] > q0)|b2u(r[1] > q1)|b2u(r[2] > q2)|b2u(r[3] > q3)|b2u(r[4] > q4)|b2u(r[5] > q5) != 0 {
-			continue
-		}
-		if r[0] < q0 || r[1] < q1 || r[2] < q2 || r[3] < q3 || r[4] < q4 || r[5] < q5 {
-			c++
-			if c >= budget {
-				break
-			}
-		}
-	}
-	*dts = n
-	return c
-}
-
-func cntRun8(rows []float64, lo, hi int, q []float64, budget int, dts *uint64) int {
-	q0, q1, q2, q3, q4, q5, q6, q7 := q[0], q[1], q[2], q[3], q[4], q[5], q[6], q[7]
-	n := *dts
-	c := 0
-	off := lo * 8
-	for j := lo; j < hi; j, off = j+1, off+8 {
-		n++
-		r := rows[off : off+8 : off+8]
-		if b2u(r[0] > q0)|b2u(r[1] > q1)|b2u(r[2] > q2)|b2u(r[3] > q3)|
-			b2u(r[4] > q4)|b2u(r[5] > q5)|b2u(r[6] > q6)|b2u(r[7] > q7) != 0 {
-			continue
-		}
-		if r[0] < q0 || r[1] < q1 || r[2] < q2 || r[3] < q3 ||
-			r[4] < q4 || r[5] < q5 || r[6] < q6 || r[7] < q7 {
 			c++
 			if c >= budget {
 				break

@@ -82,19 +82,29 @@ func checkFilteredBody(t *testing.T, rows []float64, d, lo, mid, hi int, q []flo
 	}
 }
 
-// checkUncodedBodies holds CountDominatorsInFlatRunShortCircuit to
-// CountDominatorsInFlatRun on one scan at every budget from 1 to
-// maxBudget: the same count and the same advance of a *dts that does not
-// start at zero.
+// checkUncodedBodies holds both uncoded entry points,
+// CountDominatorsInFlatRun (the pre-filter's pass 2) and
+// CountDominatorsInFlatRunShortCircuit (its pass 1), to the generic body
+// on one scan at every budget from 1 to maxBudget: the same count and
+// the same advance of a *dts that does not start at zero. At d = 4 that
+// holds cntRun4 and cntRunSC4 to it, at d = 8 cntRunSC8.
 func checkUncodedBodies(t *testing.T, rows []float64, d, lo, hi int, q []float64, maxBudget int) {
 	t.Helper()
 	for budget := 1; budget <= maxBudget; budget++ {
-		bfDTs, scDTs := uint64(3), uint64(3)
-		bf := CountDominatorsInFlatRun(rows, d, lo, hi, q, budget, &bfDTs)
-		sc := CountDominatorsInFlatRunShortCircuit(rows, d, lo, hi, q, budget, &scDTs)
-		if bf != sc || bfDTs != scDTs {
-			t.Fatalf("d=%d [%d,%d) budget=%d: short-circuit body (count %d, %d tests), branch-free (%d, %d); q=%v rows=%v",
-				d, lo, hi, budget, sc, scDTs-3, bf, bfDTs-3, q, rows)
+		gDTs := uint64(3)
+		g := cntRunGeneric(rows, d, lo, hi, q, nil, nil, 0, budget, &gDTs)
+		for _, e := range []struct {
+			name string
+			run  func(rows []float64, d, lo, hi int, q []float64, budget int, dts *uint64) int
+		}{
+			{"CountDominatorsInFlatRun", CountDominatorsInFlatRun},
+			{"CountDominatorsInFlatRunShortCircuit", CountDominatorsInFlatRunShortCircuit},
+		} {
+			dts := uint64(3)
+			if c := e.run(rows, d, lo, hi, q, budget, &dts); c != g || dts != gDTs {
+				t.Fatalf("d=%d [%d,%d) budget=%d: %s (count %d, %d tests), generic body (%d, %d); q=%v rows=%v",
+					d, lo, hi, budget, e.name, c, dts-3, g, gDTs-3, q, rows)
+			}
 		}
 	}
 }

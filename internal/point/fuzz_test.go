@@ -166,8 +166,8 @@ func FuzzAppendDominatorsMasked(f *testing.F) {
 }
 
 // FuzzCountDominatorsInFlatRun holds the uncoded run kernel to the
-// oracle at budgets 1–8 and its two bodies, branch-free and
-// short-circuit, to each other at every one of those budgets; and the
+// oracle at budgets 1–8 and both its entry points, pass 2's and pass 1's,
+// to the generic body at every one of those budgets; and the
 // coded kernel's filter-complete body (flags and code words, Phase II's
 // partition run) to its generic body: the same count, budget row and
 // dominance tests, with flags set before and during the scan.

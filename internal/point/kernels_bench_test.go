@@ -9,22 +9,22 @@ import (
 
 // BenchmarkKernels is the standing price of every unrolled body the
 // package keeps, beside its generic form, and of the code-word pre-test
-// (code.go) in front of each generic body, at the widths that have an
-// unrolled body (d ∈ {4, 6, 8}):
+// (code.go) in front of each generic body, at d ∈ {4, 6, 8}:
 //
 //   - pairwise: dominatesRow (behind DominatesFlat and the generic run
 //     bodies) against the short-circuit reference Dominates;
-//   - run: CountDominatorsInFlatRun at budget 1 — the pre-filter's
-//     call, without codes — unrolled (cntRun4/6/8) against
-//     cntRunGeneric and against the short-circuit unrolled body
-//     (CountDominatorsInFlatRunShortCircuit, d ∈ {4, 8} only: at d = 6
-//     it runs the branch-free body), and
+//   - run: CountDominatorsInFlatRun at budget 1 — pre-filter pass 2's
+//     call, without codes — unrolled (cntRun4, branch-free, at d = 4;
+//     cntRunSC8, short-circuit, at d = 8) against cntRunGeneric, and at
+//     d = 4 against pass 1's short-circuit body (cntRunSC4, through
+//     CountDominatorsInFlatRunShortCircuit); d = 6 has no unrolled body,
+//     so only the generic rows run there. Beside them,
 //     CountDominatorsInFlatRunCoded, the Engine's call, which runs the
 //     generic body behind the pre-test;
-//   - run-dominated: the two unrolled uncoded bodies and cntRunGeneric
-//     on probes every row dominates, at a budget no scan reaches — the
-//     rows pass 1 of the pre-filter mostly tests on correlated data,
-//     where the short-circuit body is meant to win;
+//   - run-dominated: the same uncoded bodies and cntRunGeneric on probes
+//     every row dominates, at a budget no scan reaches — the rows pass 1
+//     of the pre-filter mostly tests on correlated data, where the
+//     short-circuit body is meant to win;
 //   - run/filtered: CountDominatorsInFlatRunCoded with flags and codes
 //     present — Phase II's partition run, which takes the
 //     filter-complete body — against cntRunGeneric on the same
@@ -151,7 +151,7 @@ func BenchmarkKernels(b *testing.B) {
 			}},
 		}
 		for _, k := range kernels {
-			if d == 6 && strings.HasSuffix(k.name, "/short-circuit") {
+			if !hasBody(d, k.name) {
 				continue
 			}
 			b.Run(fmt.Sprintf("d=%d/%s", d, k.name), func(b *testing.B) {
@@ -180,7 +180,7 @@ func BenchmarkKernels(b *testing.B) {
 				return cntRunGeneric(rows, d, 0, n, q, nil, nil, 0, n+1, dts)
 			}},
 		} {
-			if d == 6 && strings.HasSuffix(k.name, "/short-circuit") {
+			if !hasBody(d, k.name) {
 				continue
 			}
 			b.Run(fmt.Sprintf("d=%d/%s", d, k.name), func(b *testing.B) {
@@ -196,6 +196,20 @@ func BenchmarkKernels(b *testing.B) {
 			})
 		}
 	}
+}
+
+// hasBody reports whether the uncoded run row name prices a body of its
+// own at width d: "/unrolled" runs one at d = 4 and 8, "/short-circuit"
+// only at d = 4 (at d = 8 it is the "/unrolled" body). Every other row
+// runs at every width.
+func hasBody(d int, name string) bool {
+	switch {
+	case strings.HasSuffix(name, "/unrolled"):
+		return d == 4 || d == 8
+	case strings.HasSuffix(name, "/short-circuit"):
+		return d == 4
+	}
+	return true
 }
 
 // dominatedBrute counts the rows of the row-major matrix rows that q

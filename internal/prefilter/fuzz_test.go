@@ -22,7 +22,9 @@ var tieVals = [8]float64{0.9, math.Nextafter(0.9, 1), math.Nextafter(0.9, 0), 0.
 // FuzzRunnerFilter holds Runner.Filter to its contract on seeded inputs
 // built from five bytes. The first picks the distribution (bits 0–1:
 // correlated, independent, anticorrelated, or rows drawn from tieVals),
-// T (bit 2: 1 or 2), k (bits 3–4: 1–4) and β (bits 5–6: 1, 4, 8 or 16);
+// T (bit 2: 1 or 2, or 3 when bit 7 is set, whose uneven ranges leave
+// segments of unequal length and, on the smallest inputs, empty ones), k
+// (bits 3–4: 1–4) and β (bits 5–6: 1, 4, 8 or 16);
 // the second d (1–8); the next two n (1–3 000, so queues fill and pass 1
 // tests rows against them); the last the generator's seed. One Runner
 // serves every input, so no state may leak between calls. The filter
@@ -36,19 +38,25 @@ func FuzzRunnerFilter(f *testing.F) {
 	f.Add([]byte{0x6b, 7, 0xdb, 0x05, 4}) // tie palette, d = 8, n = 1 500, T = 1, k = 2, β = 16
 	f.Add([]byte{0x1f, 1, 0x57, 0x02, 5}) // tie palette, d = 2, n = 600, T = 2, k = 4, β = 1
 	f.Add([]byte{0x04, 0, 0x0f, 0x00, 6}) // correlated, d = 1, n = 16, T = 2
-	pools := []*par.Pool{par.NewPool(1), par.NewPool(2)}
+	f.Add([]byte{0x80, 7, 0xb7, 0x0b, 7}) // correlated, d = 8, n = 3 000, β = 1, T = 3
+	f.Add([]byte{0xc1, 3, 0x01, 0x00, 8}) // independent, d = 4, n = 2, β = 8, T = 3: an idle thread
+	f.Add([]byte{0xd3, 5, 0xe7, 0x03, 9}) // tie palette, d = 6, n = 1 000, k = 3, β = 8, T = 3
+	pools := []*par.Pool{par.NewPool(1), par.NewPool(2), par.NewPool(3)}
 	f.Cleanup(func() {
 		for _, p := range pools {
 			p.Close()
 		}
 	})
-	teams := []*par.Team{pools[0].Lease(1), pools[1].Lease(2)}
+	teams := []*par.Team{pools[0].Lease(1), pools[1].Lease(2), pools[2].Lease(3)}
 	r := NewRunner()
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) < 5 {
 			return
 		}
 		team := teams[data[0]>>2&1]
+		if data[0]&0x80 != 0 {
+			team = teams[2]
+		}
 		k := int(data[0]>>3&3) + 1
 		beta := [4]int{1, 4, 8, 16}[data[0]>>5&3]
 		d := int(data[1]%8) + 1

@@ -3,15 +3,13 @@
 //
 // Most datasets contain points dominated by a large share of the input;
 // the pre-filter removes them cheaply before the heavier initialization
-// work (pivot selection, sorting). Each thread maintains a priority queue
-// of the β points with smallest L1 norm it has seen; in a second pass the
-// points the queues could not prune are tested against the union of the
+// work (pivot selection, sorting). Each thread keeps a queue of the β
+// points with smallest L1 norm it has seen; in a second pass the points
+// its queue could not prune are tested against the union of the
 // per-thread queues.
 package prefilter
 
 import (
-	"slices"
-
 	"skybench/internal/par"
 	"skybench/internal/point"
 	"skybench/internal/stats"
@@ -22,60 +20,54 @@ import (
 const DefaultBeta = 8
 
 // Runner is a reusable, allocation-free implementation of the two-pass
-// pre-filter. All scratch (per-thread β-queues, the candidate list and
-// its row store, the gathered queue matrix) persists across calls, and
-// both passes run on a caller-supplied worker team leased from a
+// pre-filter. All scratch (per-thread β-queues and candidate segments,
+// the gathered queue union, the survivor list) persists across calls,
+// and both passes run on a caller-supplied worker team leased from a
 // persistent pool, so a steady-state Filter call performs no
 // allocations and no goroutine spawns.
 //
-// Pass 1 is the one sweep of a Hybrid run that touches every input row,
-// so everything that needs the whole input happens inside it, once per
-// row: the row is loaded through the preference view (point.View — the
-// transform is never staged) and, once the thread's β-queue is full,
-// tested against it. Rows the queue prunes leave no trace, not even a
-// norm: only a surviving row (or one filling the queue) has its L1 norm
-// taken, replaces the queue's largest point if its norm is smaller, and
-// is appended, with its norm and its loaded row, to the thread's segment
-// of a candidate list. There is no per-row norm array and no per-row
-// pruned bitmap: after pass 1 nothing is n-sized but the list's
-// capacity, and only the candidates' share of that is ever written.
-// Where the candidates are sparse, the row store (Rows), sized by the
-// candidates alone, is the last read of the source for the rows pass 1
-// keeps: pass 2 tests the stored rows, and the caller gathers its
-// working set from the Rows Filter returns. Where they are dense, pass 2
-// and the caller load them through the view again (storeShare).
+// Each thread owns its state until one final join. Pass 1 is the one
+// sweep of a Hybrid run that touches every input row, so everything that
+// needs the whole input happens inside it, once per row: the row is
+// loaded through the preference view (point.View — the transform is
+// never staged) and, once the thread's β-queue is full, tested against
+// it. Rows the queue prunes leave no trace, not even a norm: only a
+// surviving row (or one filling the queue) has its L1 norm taken,
+// replaces the queue's largest point if its norm is smaller, and is
+// appended to the thread's candidate segment (Rows) with its norm and,
+// while the thread's candidates are sparse (storeShare), its loaded row.
+// Segments are sized by the candidates: nothing in the filter is
+// proportional to n. Where the rows are kept, they are the last read of
+// the source for the rows pass 1 keeps: pass 2 tests the stored rows,
+// and the caller gathers its working set from the Rows Filter returns.
+// Where the candidates are dense, pass 2 and the caller load them
+// through the view again.
 //
-// The queues keep dense copies of their rows and norms, so the union is
-// gathered from the queues themselves into a dense row-major matrix
-// sorted by L1 norm. Pass 2 fans out over the candidates alone, scans
-// the contiguous queue run with each stored row's coordinates hoisted
-// into registers (point.CountDominatorsInFlatRun at budget k) and stops
-// at the first queue point whose L1 norm is ≥ the probe's, the paper's
-// footnote 2 cut-off. A point with a larger computed norm never
-// dominates the probe, but one with an equal norm can (DESIGN.md §9,
-// "Numeric precondition"). The filter only prunes, so a dominator it
-// misses leaves one more survivor for the exact phases; the cut-off also
-// keeps a queue point from testing itself. Each thread compacts its
-// range of the list and of the row store in place; joining the ranges
-// yields the survivors.
+// The union of the queues is gathered from the queues' dense copies into
+// a row-major matrix sorted by L1 norm. In pass 2 each thread tests its
+// own segment against it, scanning the contiguous union run with each
+// candidate's coordinates hoisted into registers
+// (point.CountDominatorsInFlatRun at budget k) and stopping at the first
+// union point whose L1 norm is ≥ the candidate's, the paper's footnote 2
+// cut-off. A point with a larger computed norm never dominates the
+// candidate, but one with an equal norm can (DESIGN.md §9, "Numeric
+// precondition"). The filter only prunes, so a dominator it misses
+// leaves one more survivor for the exact phases; the cut-off also keeps
+// a queue point from testing itself. Each thread compacts its segment in
+// place, and one join writes the survivors' indices and norms in row
+// order.
 type Runner struct {
-	qdense []float64 // threads*beta*d queue rows, one max-heap by L1 per thread
-	qheapL []float64 // threads*beta L1 norms of the queue rows, in heap order
+	qdense []float64 // threads*beta*d queue rows, β unordered slots per thread
+	qnorm  []float64 // threads*beta L1 norms of the queue rows, by slot
 	qcols  []float64 // threads*64: each queue column-major, when pass 1 takes point.Scan8
 	qcount []int
-	allq   []int     // heap slots of the queue union, sorted by L1
-	qrows  []float64 // gathered queue rows matching allq order
-	ql1    []float64 // queue L1 norms matching allq order
+	allq   []int     // queue slots of the union, sorted by L1
+	qrows  []float64 // gathered union rows matching allq order
+	ql1    []float64 // union L1 norms matching allq order
 
-	// Candidate rows and their L1 norms, ascending by row. Each pass
-	// leaves one run per thread — segN[tid] entries from segLo[tid] —
-	// which join closes up. rows holds the candidates' loaded rows, by
-	// position in the list.
-	cand  []int
-	cl1   []float64
-	rows  Rows
-	segLo []int
-	segN  []int
+	rows Rows      // the threads' candidate segments
+	surv []int     // survivors' row indices, ascending, written by join
+	sl1  []float64 // survivors' L1 norms
 
 	// Parallel-region parameters, set by Filter before each fan-out.
 	v     point.View
@@ -108,11 +100,11 @@ func NewRunner() *Runner {
 // (Rows.Row(i) is survivor i's; nil otherwise), all under the view's
 // transform. All three alias the Runner and are valid until the next
 // call. beta ≤ 0 selects DefaultBeta. Both passes run on the whole of
-// team, whose size is the filter's thread count (one β-queue per
-// thread). dts, when non-nil, accumulates dominance tests per thread.
-// The passes run without a cancellation flag on purpose: skipping one
-// would leave the queue and segment bookkeeping of a previous (possibly
-// larger) run to be consumed below.
+// team, whose size is the filter's thread count (one β-queue and one
+// candidate segment per thread). dts, when non-nil, accumulates
+// dominance tests per thread. The passes run without a cancellation flag
+// on purpose: skipping one would leave the queues and segments of a
+// previous (possibly larger) run to be consumed below.
 //
 // k is the dominator budget of the run (≤ 1 selects the skyline): for a
 // k-skyband computation the filter may only discard points that already
@@ -142,35 +134,33 @@ func (r *Runner) Filter(v point.View, beta, k int, team *par.Team, dts *stats.DT
 
 	d := v.D()
 	r.qdense = grow(r.qdense, threads*beta*d)
-	r.qheapL = grow(r.qheapL, threads*beta)
+	r.qnorm = grow(r.qnorm, threads*beta)
 	r.allq = grow(r.allq, threads*beta)
 	r.qcount = grow(r.qcount, threads)
-	r.segLo = grow(r.segLo, threads)
-	r.segN = grow(r.segN, threads)
-	r.cand = grow(r.cand, n)
-	r.cl1 = grow(r.cl1, n)
 	r.rows.reset(d, threads)
 	r.scan8 = useScan8 && d == 8 && beta == 8 && v.Flat() != nil
 	if r.scan8 {
 		r.qcols = grow(r.qcols, threads*64)
 	}
 	// A fan-out over fewer rows than threads leaves the idle threads'
-	// entries untouched, so they are cleared before each pass.
+	// queues untouched, so they are emptied first (reset empties the
+	// segments).
 	clear(r.qcount)
-	clear(r.segN)
 
 	r.v, r.beta, r.k, r.dts = v, beta, k, dts
 
 	// Pass 1: load, test against the thread's full β-queue, then norm
 	// and queue update for the rows it does not prune.
 	team.ForRangesCancel(threads, n, nil, r.pass1)
-	nc := r.join(true)
-	r.rows.stored = !slices.Contains(r.rows.over, true)
+	r.rows.stored = true
+	for _, s := range r.rows.segs[:threads] {
+		r.rows.stored = r.rows.stored && !s.over
+	}
 
 	// Gather the queue union, sort it by L1 ascending, materialize the
 	// rows contiguously. The union holds ≤ threads·β points, so an
 	// insertion sort is plenty.
-	hl := r.qheapL
+	hl := r.qnorm
 	allq := r.allq[:0]
 	for tid := 0; tid < threads; tid++ {
 		for s := 0; s < r.qcount[tid]; s++ {
@@ -223,14 +213,10 @@ func (r *Runner) Filter(v point.View, beta, k int, team *par.Team, dts *stats.DT
 		r.ql1[i] = hl[s]
 	}
 
-	// Pass 2: every candidate against the queue union.
-	clear(r.segN)
-	team.ForRangesCancel(threads, nc, nil, r.pass2)
-	ns := r.join(false)
-	if !r.rows.stored {
-		return r.cand[:ns], r.cl1[:ns], nil
-	}
-	return r.cand[:ns], r.cl1[:ns], &r.rows
+	// Pass 2: each thread's segment against the queue union, one range
+	// per thread.
+	team.ForRangesCancel(threads, threads, nil, r.pass2)
+	return r.join()
 }
 
 // grow returns s resized to n, reallocating only when capacity is short.
@@ -241,37 +227,34 @@ func grow[T any](s []T, n int) []T {
 	return s[:n]
 }
 
-// join closes the gaps between the per-thread runs the last pass left in
-// the candidate list and returns their total length. Static ranges make
-// thread order row order, so the joined list is ascending by row. After
-// pass 1 each thread's rows are already where Rows puts its run; after
-// pass 2 the rows move along with the list. An empty run is skipped: a
-// thread that a fan-out over fewer rows than threads left idle keeps
-// the segLo of an earlier pass.
-func (r *Runner) join(pass1 bool) int {
-	w := 0
-	for tid, n := range r.segN {
-		if pass1 {
-			r.rows.first[tid] = w
-		}
-		if n == 0 {
-			continue
-		}
-		if lo := r.segLo[tid]; lo != w {
-			copy(r.cand[w:w+n], r.cand[lo:lo+n])
-			copy(r.cl1[w:w+n], r.cl1[lo:lo+n])
-			if !pass1 && r.rows.stored {
-				for i := 0; i < n; i++ {
-					copy(r.rows.Row(w+i), r.rows.Row(lo+i))
-				}
-			}
-		}
-		w += n
+// join writes the survivors' indices and norms, segment after segment,
+// and each segment's first list position, which Rows.Row addresses the
+// rows by. Static ranges make thread order row order, so the list is
+// ascending by row.
+func (r *Runner) join() ([]int, []float64, *Rows) {
+	s := &r.rows
+	ns := 0
+	for t := range s.first {
+		s.first[t] = ns
+		ns += s.segs[t].n
 	}
-	return w
+	r.surv, r.sl1 = grow(r.surv, ns), grow(r.sl1, ns)
+	for t, w := range s.first {
+		sg := &s.segs[t]
+		for b := 0; b<<blockShift < sg.n; b++ {
+			m := min(sg.n-b<<blockShift, 1<<blockShift)
+			copy(r.surv[w:w+m], sg.blocks[b].idx[:m])
+			copy(r.sl1[w:w+m], sg.blocks[b].l1[:m])
+			w += m
+		}
+	}
+	if !s.stored {
+		return r.surv, r.sl1, nil
+	}
+	return r.surv, r.sl1, s
 }
 
-// blockShift sets the rows a Rows block holds, 1 << blockShift.
+// blockShift sets the candidates a segment block holds, 1 << blockShift.
 const blockShift = 10
 
 // storeShare bounds the row store: a thread stores the rows of at most
@@ -285,29 +268,48 @@ const blockShift = 10
 // input.
 const storeShare = 8
 
-// Rows is the pre-filter's candidate row store: each candidate's row as
-// pass 1 loaded it through the view, addressed by the candidate's
-// position in the list. Each thread keeps its own rows in fixed-size
-// blocks, which a new block extends without moving the rows already
-// stored, so the store grows with the candidates and never copies
-// them: a growing contiguous store would leave each of its outgrown
-// copies behind as garbage, several times the candidates' size.
+// Rows is the pre-filter's candidate store: one segment per thread,
+// holding the thread's candidates in list order — row index, L1 norm
+// and, while the call keeps rows, the row as pass 1 loaded it through
+// the view. Each segment keeps its candidates in fixed-size blocks,
+// which a new block extends without moving what is stored, so a segment
+// grows with its candidates and never copies them: a growing contiguous
+// store would leave each of its outgrown copies behind as garbage,
+// several times the candidates' size. Pass 2 compacts each segment in
+// place; after the join, Row addresses the survivors' rows by list
+// position.
 type Rows struct {
 	d      int
-	stored bool          // every thread kept its rows: none is over
-	over   []bool        // per thread: candidates past its storeShare
-	first  []int         // per thread: list position of its first row
-	blocks [][][]float64 // per thread: blocks of 1 << blockShift rows
+	stored bool      // every thread kept its rows: none is over
+	first  []int     // per thread: list position of its first survivor
+	segs   []segment // per thread; only the first len(first) are this call's
+}
+
+// segment is one thread's candidates.
+type segment struct {
+	n      int  // candidates, then survivors once pass 2 compacted them
+	over   bool // candidates past the thread's storeShare: rows not kept
+	blocks []*block
+}
+
+// block holds 1 << blockShift candidates of a segment: their row
+// indices, norms and, once the thread stores a row in it, rows of d
+// values.
+type block struct {
+	idx  [1 << blockShift]int
+	l1   [1 << blockShift]float64
+	rows []float64
 }
 
 // reset empties the store for rows of d values from threads threads.
 func (s *Rows) reset(d, threads int) {
 	s.d = d
-	s.over = grow(s.over, threads)
-	clear(s.over)
 	s.first = grow(s.first, threads)
-	for len(s.blocks) < threads {
-		s.blocks = append(s.blocks, nil)
+	for len(s.segs) < threads {
+		s.segs = append(s.segs, segment{})
+	}
+	for t := range s.first {
+		s.segs[t].n, s.segs[t].over = 0, false
 	}
 }
 
@@ -318,58 +320,67 @@ func (s *Rows) Row(i int) []float64 {
 	for s.first[t] > i {
 		t--
 	}
-	return s.slot(t, i-s.first[t])
+	return s.segs[t].row(i-s.first[t], s.d)
 }
 
-// slot returns the storage of thread t's k-th row.
-func (s *Rows) slot(t, k int) []float64 {
-	o := (k & (1<<blockShift - 1)) * s.d
-	return s.blocks[t][k>>blockShift][o : o+s.d : o+s.d]
-}
-
-// put stores row as thread t's k-th, adding a block when the thread's
-// are full (or were sized for narrower rows).
-func (s *Rows) put(t, k int, row []float64) {
-	bs := s.blocks[t]
-	b := k >> blockShift
-	if b == len(bs) {
-		bs = append(bs, nil)
-		s.blocks[t] = bs
+// put writes row index i and norm l1 as candidate k, adding a block
+// when the segment's are full.
+func (sg *segment) put(k, i int, l1 float64) {
+	if k>>blockShift == len(sg.blocks) {
+		sg.blocks = append(sg.blocks, new(block))
 	}
-	if len(bs[b]) < s.d<<blockShift {
-		bs[b] = make([]float64, s.d<<blockShift)
-	}
-	copy(s.slot(t, k), row)
+	b, o := sg.blocks[k>>blockShift], k&(1<<blockShift-1)
+	b.idx[o], b.l1[o] = i, l1
 }
 
-// runPass1 maintains the thread's β-queue as a max-heap of L1 norms with
-// a parallel dense row-major copy of the queued rows, so the per-point
-// queue test scans β·d contiguous, L1-cache-resident floats through the
-// flat run kernel instead of β scattered source rows. Heap swaps move the
-// dense rows along.
+// at returns candidate k's row index and norm.
+func (sg *segment) at(k int) (int, float64) {
+	b, o := sg.blocks[k>>blockShift], k&(1<<blockShift-1)
+	return b.idx[o], b.l1[o]
+}
+
+// store writes candidate k's row, giving its block row storage when it
+// has none (or had it for narrower rows).
+func (sg *segment) store(k, d int, row []float64) {
+	if b := sg.blocks[k>>blockShift]; len(b.rows) < d<<blockShift {
+		b.rows = make([]float64, d<<blockShift)
+	}
+	copy(sg.row(k, d), row)
+}
+
+// row returns the storage of candidate k's row, d values.
+func (sg *segment) row(k, d int) []float64 {
+	o := (k & (1<<blockShift - 1)) * d
+	return sg.blocks[k>>blockShift].rows[o : o+d : o+d]
+}
+
+// runPass1 keeps the thread's β-queue as β unordered slots with a dense
+// row-major copy of the queued rows, so the per-point queue test scans
+// β·d contiguous, L1-cache-resident floats through the flat run kernel
+// instead of β scattered source rows.
 //
 // Once the queue is full, a row is tested against it before its norm is
 // taken: one with ≥ k queue dominators is dropped there, and would have
 // added nothing to the queue as a filter (DESIGN.md §9, "Pre-filter
 // soundness"). A surviving row gets its norm, replaces the queue's
 // largest point if its norm is smaller, and becomes a candidate either
-// way, its loaded row stored beside it (Rows) up to the thread's
-// storeShare. The test takes the short-circuit kernel body, which is
-// faster when most queue rows dominate the probe (correlated data, where
-// most rows are pruned). It is slower where most are incomparable, but
-// there the filter is a small share of the run (DESIGN.md §2).
+// way, its loaded row stored beside it up to the thread's storeShare.
+// The test takes the short-circuit kernel body, which is faster when
+// most queue rows dominate the probe (correlated data, where most rows
+// are pruned). It is slower where most are incomparable, but there the
+// filter is a small share of the run (DESIGN.md §2).
 //
 // On the identity view at d = 8 and β = 8, where the CPU has AVX-512,
 // the full queue's test is point.Scan8 instead: it holds the queue in
 // registers and skips every row up to the next one the queue does not
 // prune, with the short-circuit body's decisions and test counts. The
-// queue then keeps a column-major copy for it, which the heap moves
-// update along with the dense rows.
+// queue then keeps a column-major copy for it, which every slot write
+// updates along with the dense row.
 func (r *Runner) runPass1(tid, lo, hi int) {
 	v, beta, k := &r.v, r.beta, r.k
 	d := v.D()
 	qu := queue{
-		hl:    r.qheapL[tid*beta : (tid+1)*beta],
+		l1:    r.qnorm[tid*beta : (tid+1)*beta],
 		dense: r.qdense[tid*beta*d : (tid+1)*beta*d],
 		d:     d,
 	}
@@ -378,131 +389,96 @@ func (r *Runner) runPass1(tid, lo, hi int) {
 		qu.cols = (*[64]float64)(r.qcols[tid*64 : (tid+1)*64])
 		src = v.Flat()
 	}
-	cand, cl1 := r.cand, r.cl1
+	sg := &r.rows.segs[tid]
 	keep := (hi - lo) / storeShare
 	var buf [point.MaxDims]float64
-	cnt, w := 0, lo
+	w := 0
 	var localDTs uint64
 	for i := lo; i < hi; i++ {
-		if cnt == beta && qu.cols != nil {
+		full := qu.n == beta
+		if full && qu.cols != nil {
 			if i += point.Scan8(qu.cols, src[i*8:hi*8], k, &localDTs); i == hi {
 				break
 			}
 		}
 		q := v.Load(i, buf[:])
-		if cnt == beta && qu.cols == nil && point.CountDominatorsInFlatRunShortCircuit(qu.dense, d, 0, cnt, q, k, &localDTs) >= k {
+		if full && qu.cols == nil && point.CountDominatorsInFlatRunShortCircuit(qu.dense, d, 0, beta, q, k, &localDTs) >= k {
 			continue
 		}
 		qL1 := point.L1(q)
-		switch {
-		case cnt < beta:
-			qu.put(cnt, qL1, q)
-			qu.siftUp(cnt)
-			cnt++
-		case qL1 < qu.hl[0]:
-			// i replaces the queue's largest point; the evicted point is
-			// already on the candidate list and is re-tested in pass 2.
-			qu.put(0, qL1, q)
-			qu.siftDown()
-		}
-		cand[w], cl1[w] = i, qL1
-		if w-lo < keep {
-			r.rows.put(tid, w-lo, q)
+		qu.offer(qL1, q)
+		sg.put(w, i, qL1)
+		if w < keep {
+			sg.store(w, d, q)
 		}
 		w++
 	}
-	r.rows.over[tid] = w-lo > keep
-	r.qcount[tid] = cnt
-	r.segLo[tid], r.segN[tid] = lo, w-lo
+	sg.n, sg.over = w, w > keep
+	r.qcount[tid] = qu.n
 	if r.dts != nil {
 		r.dts.Inc(tid, localDTs)
 	}
 }
 
-// queue is one thread's β-queue: a max-heap of L1 norms with the rows in
-// heap order, row-major in dense and, when pass 1 takes point.Scan8,
+// queue is one thread's β-queue: β unordered slots of rows and their
+// norms, row-major in dense and, when pass 1 takes point.Scan8,
 // column-major in cols too (cols[c*8+s] is coordinate c of slot s).
-// Every heap move updates both copies, so neither is rebuilt per row.
 type queue struct {
-	hl    []float64
+	l1    []float64
 	dense []float64
 	cols  *[64]float64
 	d     int
+	n     int // filled slots
+	top   int // the filled slot with the largest norm, the first of equals
 }
 
-// put writes row and its norm into slot s.
-func (qu *queue) put(s int, l1 float64, row []float64) {
-	qu.hl[s] = l1
+// offer puts a row the queue did not prune, with its norm l1, into a
+// free slot, or over the largest point if l1 is smaller; the evicted
+// point is already a candidate and is re-tested in pass 2. A write
+// updates both copies of its one slot and rescans the β norms for the
+// largest. Writes after the queue fills are rare, about β·ln(n/β) a
+// thread on rows in random order, so the rescan costs nothing a heap
+// would save.
+func (qu *queue) offer(l1 float64, row []float64) {
+	s := qu.n
+	switch {
+	case s < len(qu.l1):
+		qu.n++
+	case l1 < qu.l1[qu.top]:
+		s = qu.top
+	default:
+		return
+	}
+	qu.l1[s] = l1
 	copy(qu.dense[s*qu.d:(s+1)*qu.d], row)
 	if qu.cols != nil {
 		for c, x := range row {
 			qu.cols[c*8+s] = x
 		}
 	}
-}
-
-func (qu *queue) swap(a, b int) {
-	hl, dense, d := qu.hl, qu.dense, qu.d
-	hl[a], hl[b] = hl[b], hl[a]
-	for c := 0; c < d; c++ {
-		dense[a*d+c], dense[b*d+c] = dense[b*d+c], dense[a*d+c]
-	}
-	if cols := qu.cols; cols != nil {
-		for c := 0; c < 8; c++ {
-			cols[c*8+a], cols[c*8+b] = cols[c*8+b], cols[c*8+a]
+	qu.top = 0
+	for t, x := range qu.l1[:qu.n] {
+		if x > qu.l1[qu.top] {
+			qu.top = t
 		}
 	}
 }
 
-// siftUp restores the heap after slot c was filled.
-func (qu *queue) siftUp(c int) {
-	for c > 0 {
-		p := (c - 1) / 2
-		if qu.hl[p] >= qu.hl[c] {
-			return
-		}
-		qu.swap(p, c)
-		c = p
-	}
-}
-
-// siftDown restores the heap after its root was replaced.
-func (qu *queue) siftDown() {
-	hl := qu.hl
-	n := len(hl)
-	c := 0
-	for {
-		l, rt := 2*c+1, 2*c+2
-		big := c
-		if l < n && hl[l] > hl[big] {
-			big = l
-		}
-		if rt < n && hl[rt] > hl[big] {
-			big = rt
-		}
-		if big == c {
-			return
-		}
-		qu.swap(c, big)
-		c = big
-	}
-}
-
-// runPass2 tests the thread's range of the candidate list against the
-// queue union, compacting the survivors, and their stored rows if the
-// call kept them, to the front of the range.
-func (r *Runner) runPass2(tid, lo, hi int) {
+// runPass2 tests thread tid's segment against the queue union and
+// compacts the survivors, and their stored rows if the call kept them,
+// to the front of the segment. The region has one range per thread.
+func (r *Runner) runPass2(tid, _, _ int) {
 	k := r.k
 	d := r.v.D()
 	ql1, qrows := r.ql1, r.qrows
 	nq := len(ql1)
-	v, cand, cl1, rows := &r.v, r.cand, r.cl1, &r.rows
+	v, stored, sg := &r.v, r.rows.stored, &r.rows.segs[tid]
 	var buf [point.MaxDims]float64
-	w := lo
+	w := 0
 	var localDTs uint64
-	for j := lo; j < hi; j++ {
-		i, myL1 := cand[j], cl1[j]
-		// Scan the queue points with strictly smaller L1 (the cut-off in
+	for j := 0; j < sg.n; j++ {
+		i, myL1 := sg.at(j)
+		// Scan the union points with strictly smaller L1 (the cut-off in
 		// the Runner comment); ql1 is ascending, so binary-search the
 		// cutoff and scan the prefix.
 		a, b := 0, nq
@@ -515,21 +491,23 @@ func (r *Runner) runPass2(tid, lo, hi int) {
 			}
 		}
 		var q []float64
-		if rows.stored {
-			q = rows.Row(j)
+		if stored {
+			q = sg.row(j, d)
 		} else {
 			q = v.Load(i, buf[:])
 		}
 		if point.CountDominatorsInFlatRun(qrows, d, 0, a, q, k, &localDTs) >= k {
 			continue
 		}
-		cand[w], cl1[w] = i, myL1
-		if w != j && rows.stored {
-			copy(rows.Row(w), q)
+		if w != j {
+			sg.put(w, i, myL1)
+			if stored {
+				copy(sg.row(w, d), q)
+			}
 		}
 		w++
 	}
-	r.segLo[tid], r.segN[tid] = lo, w-lo
+	sg.n = w
 	if r.dts != nil {
 		r.dts.Inc(tid, localDTs)
 	}

@@ -3,6 +3,7 @@ package prefilter
 import (
 	"fmt"
 	"math"
+	"runtime"
 	"slices"
 	"testing"
 
@@ -117,11 +118,10 @@ func TestRunnerMatchesFilter(t *testing.T) {
 
 // TestRunnerReuseAfterLargerRun reuses one Runner for a large run at
 // T = 3 and d = 4, which keeps its rows, then for a run over fewer rows
-// than threads at d = 8. The small run's fan-outs leave a thread idle
-// whose segment offset is still the large run's, past the end of the
-// small run's list, and joining skips that empty segment. The small run
-// keeps both of its rows (no queue fills), and any rows it returns are
-// its own.
+// than threads at d = 8. The small run's pass 1 leaves a thread idle
+// whose segment and queue still hold the large run's candidates and
+// rows, so Filter must empty them first. The small run keeps both of
+// its rows (no queue fills), and any rows it returns are its own.
 func TestRunnerReuseAfterLargerRun(t *testing.T) {
 	pool := par.NewPool(3)
 	defer pool.Close()
@@ -140,6 +140,39 @@ func TestRunnerReuseAfterLargerRun(t *testing.T) {
 		if rows != nil && !slices.Equal(rows.Row(i), small.Row(i)) {
 			t.Fatalf("small run after a large one returned row %v for row %d, want %v", rows.Row(i), i, small.Row(i))
 		}
+	}
+}
+
+// TestRunnerScratchSizedByCandidates holds the filter's scratch to the
+// candidates, not the input: the first Filter of a fresh Runner over
+// 200 000 × 8 correlated rows at T = 2 allocates, beyond its row store,
+// under 4 bytes per input row (a row index and a norm for every row
+// would be 16). Pass 1 keeps 7–11 % of these rows as candidates, so the
+// row store, a loaded row of 64 bytes for each within storeShare, is
+// itself 4.5–7 bytes a row here; it is sized by the candidates too, and
+// is left out of the bound.
+func TestRunnerScratchSizedByCandidates(t *testing.T) {
+	const n = 200_000
+	m := dataset.Generate(dataset.Correlated, n, 8, 7)
+	pool := par.NewPool(2)
+	defer pool.Close()
+	team := pool.Lease(2)
+	r := NewRunner()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, _, rows := r.Filter(m.View(), 0, 1, team, nil)
+	runtime.ReadMemStats(&after)
+	if rows == nil {
+		t.Fatal("the correlated run kept no rows")
+	}
+	var store uint64
+	for _, s := range r.rows.segs {
+		for _, b := range s.blocks {
+			store += uint64(cap(b.rows)) * 8
+		}
+	}
+	if per := float64(after.TotalAlloc-before.TotalAlloc-store) / n; per >= 4 {
+		t.Errorf("first Filter allocated %.2f bytes a row beside its %d-byte row store, want < 4", per, store)
 	}
 }
 
@@ -166,10 +199,10 @@ func TestRunnerZeroAlloc(t *testing.T) {
 }
 
 // TestRunnerNeverPrunesSkyline re-checks the safety property on the
-// Runner: no row of the k-skyband is ever pruned. The widths cover the
-// three unrolled kernel widths — pass 1 runs the short-circuit body at
-// d = 4 and 8 and the branch-free one at d = 6 — and d = 5, which has
-// none.
+// Runner: no row of the k-skyband is ever pruned. The widths cover every
+// kernel body the passes take — at d = 4 pass 1 runs the short-circuit
+// body and pass 2 the branch-free one, at d = 8 both run the
+// short-circuit body — and d = 5 and 6, which run the generic body.
 func TestRunnerNeverPrunesSkyline(t *testing.T) {
 	r := NewRunner()
 	for _, threads := range []int{1, 3} {

@@ -160,10 +160,10 @@ func TestPaperTable1RealData(t *testing.T) {
 // real-data stand-ins (at a twentieth of their cardinality: PSkyline's
 // count grows with n·|SKY|).
 //
-// Deviation, pinned: at d = 4 on correlated and independent data Q-Flow
-// does fewer tests than Hybrid. The skyline is a few dozen points there,
-// M(S) has next to nothing to skip, and the β-queue pre-filter's own
-// tests are most of Hybrid's count (TestPaperAblationMap).
+// Deviation, pinned: at d = 4 on correlated data Q-Flow does fewer tests
+// than Hybrid. The skyline is a few dozen points there, M(S) has next to
+// nothing to skip, and the β-queue pre-filter's own tests are most of
+// Hybrid's count (TestPaperAblationMap).
 func TestPaperFig5Fig6Table2WorkOrder(t *testing.T) {
 	p := newPaperBench(t, "DTs", "n", "d", "hybrid", "qflow", "pskyline")
 	type workload struct {
@@ -174,7 +174,7 @@ func TestPaperFig5Fig6Table2WorkOrder(t *testing.T) {
 	var loads []workload
 	for _, dist := range dataset.AllDistributions {
 		for _, d := range paperDims {
-			loads = append(loads, workload{dist.String(), benchData(dist, paperN, d), d == 4 && dist != dataset.Anticorrelated})
+			loads = append(loads, workload{dist.String(), benchData(dist, paperN, d), d == 4 && dist == dataset.Correlated})
 		}
 		loads = append(loads, workload{dist.String(), benchData(dist, 2000, benchD), false})
 	}
