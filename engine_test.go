@@ -346,12 +346,13 @@ func TestEngineRunZeroAlloc(t *testing.T) {
 // TestEngineColdPrefsRunAllocBound guards the memory side of reading
 // preferences through a view: the first subspace query on a fresh Engine
 // — the run that sizes every scratch array — must allocate less than one
-// staged copy of the kept columns would take. What a Hybrid run may hold
-// that is sized to the input is the pre-filter's candidate list (a row
-// index and a norm per row, 16 bytes); its row store holds the loaded
-// rows of the candidates alone, a few percent of the input here. A
-// staged copy, a per-row norm array or a per-row bitmap on top of them
-// would break the bound.
+// staged copy of the kept columns would take. Nothing the pre-filter
+// holds is sized to the input: each thread's candidate segment (a row
+// index and a norm per candidate, 16 bytes, and the candidate's loaded
+// row while the thread keeps rows), the survivor list and the phases'
+// working set are sized by the candidates, a few percent of the input
+// here. A staged copy, a per-row norm array or a per-row bitmap would
+// break the bound.
 func TestEngineColdPrefsRunAllocBound(t *testing.T) {
 	const n, d, kept = 200000, 8, 4
 	m := dataset.Generate(dataset.Correlated, n, d, 5)

@@ -124,6 +124,12 @@ func (s *skylineStore) update(work point.Matrix, wl1 []float64, worig []int, wma
 	s.msStart = append(s.msStart, len(s.orig)) // push the sentinel
 }
 
+// useMaskedScan8 lets countDominators scan level-2 partitions with
+// point.CountDominatorsInFlatRunMasked8, the vector body, at d ≤ 8.
+// Tests clear it to run the Go body, which every other width and CPU
+// takes and which stays the reference.
+var useMaskedScan8 = point.HasAVX512BW()
+
 // countDominators implements Algorithm 3 (compareToSky) at a dominator
 // budget: it counts the stored points that dominate q, in
 // partition-directory order, stopping as soon as the count reaches
@@ -163,6 +169,7 @@ func (s *skylineStore) countDominators(q []float64, qc uint64, qMask point.Mask,
 	d := s.d
 	data := s.data
 	np := s.msMask.Len()
+	vec := useMaskedScan8 && d <= 8
 	c := 0
 	for e := s.msMask.NextSubset(0, np, qMask); e < np; e = s.msMask.NextSubset(e+1, np, qMask) {
 		if s.skip && !point.CodeLE(s.msCode[e], qc, d) {
@@ -190,7 +197,11 @@ func (s *skylineStore) countDominators(q []float64, qc uint64, qMask point.Mask,
 			}
 		}
 		// Scan the rest of the partition behind the level-2 filter.
-		c += point.CountDominatorsInFlatRunMasked(data, d, lo+1, hi, q, &s.mask2, m2, s.code, qc, budget-c, dts)
+		if vec {
+			c += point.CountDominatorsInFlatRunMasked8(data, d, lo+1, hi, q, &s.mask2, m2, s.code, qc, budget-c, dts)
+		} else {
+			c += point.CountDominatorsInFlatRunMasked(data, d, lo+1, hi, q, &s.mask2, m2, s.code, qc, budget-c, dts)
+		}
 		if c >= budget {
 			return c
 		}

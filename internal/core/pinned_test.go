@@ -126,9 +126,33 @@ func loadPinned(t *testing.T) map[string][3]uint64 {
 // (testdata/hybrid_counts_parent.json, recorded with this file's
 // pinnedRun; -update re-records it). A Q-Flow run
 // leaves no pivot to mask the probes with, so the "qflow" rows skip the
-// probe check.
+// probe check. At d ≤ 8 Phase I's level-2 scans take the vector body
+// where the CPU has it (useMaskedScan8), so the grid runs with it on and
+// again forced off, and both runs must match the one table.
 func TestHybridCountsPinned(t *testing.T) {
 	want := loadPinned(t)
+	defer func(on bool) { useMaskedScan8 = on }(useMaskedScan8)
+	for _, vec := range []bool{true, false} {
+		if vec && !point.HasAVX512BW() {
+			t.Log("no AVX512F+BW and POPCNT with OS-saved ZMM state: only the Go body runs")
+			continue
+		}
+		useMaskedScan8 = vec
+		got, checked := pinnedGrid(t, want, vec)
+		if *update {
+			writePinned(t, got)
+			return
+		}
+		if checked != len(want) {
+			t.Errorf("vector body %v: checked %d configurations, table holds %d", vec, checked, len(want))
+		}
+	}
+}
+
+// pinnedGrid runs the whole grid, checks every row against want and the
+// probes of each first seed, and returns the rows it ran and how many it
+// checked.
+func pinnedGrid(t *testing.T, want map[string][3]uint64, vec bool) (map[string][3]uint64, int) {
 	got := make(map[string][3]uint64, len(want))
 	c := NewContext()
 	tm := lease(t, 1)
@@ -149,7 +173,7 @@ func TestHybridCountsPinned(t *testing.T) {
 							t.Fatalf("%s: no pinned entry", key)
 						}
 						if got[key] != w {
-							t.Errorf("%s: (DTs, Phase I survivors, order hash) = %v, parent recorded %v", key, got[key], w)
+							t.Errorf("%s, vector body %v: (DTs, Phase I survivors, order hash) = %v, parent recorded %v", key, vec, got[key], w)
 						}
 						checked++
 						if seed == pinnedSeeds[0] && variant != "qflow" {
@@ -160,13 +184,7 @@ func TestHybridCountsPinned(t *testing.T) {
 			}
 		}
 	}
-	if *update {
-		writePinned(t, got)
-		return
-	}
-	if checked != len(want) {
-		t.Errorf("checked %d configurations, table holds %d", checked, len(want))
-	}
+	return got, checked
 }
 
 // writePinned writes the table one row a line, keys sorted.

@@ -1,0 +1,68 @@
+package point
+
+// hasAVX512BW records whether the CPU can run this package's AVX-512
+// bodies, Scan8 and the masked scan's word skip (maskedSkip8). It is
+// read once, at start-up, from CPUID and XGETBV, and asks for every
+// extension either body uses: AVX512F (CPUID leaf 7 EBX bit 16),
+// AVX512BW for the byte-lane mask move VPMOVB2M (leaf 7 EBX bit 30) and
+// POPCNT (leaf 1 ECX bit 23); and the OS must save the XMM, YMM, opmask
+// and ZMM register state across context switches (XCR0 bits 1, 2, 5, 6
+// and 7). XGETBV may only be asked when CPUID reports OSXSAVE (leaf 1
+// ECX bit 27).
+var hasAVX512BW = func() bool {
+	maxID, _, _, _ := cpuid(0, 0)
+	if maxID < 7 {
+		return false
+	}
+	const popcnt, osxsave = 1 << 23, 1 << 27
+	if _, _, ecx1, _ := cpuid(1, 0); ecx1&(popcnt|osxsave) != popcnt|osxsave {
+		return false
+	}
+	if xcr0, _ := xgetbv(); xcr0&0xe6 != 0xe6 {
+		return false
+	}
+	const avx512f, avx512bw = 1 << 16, 1 << 30
+	_, ebx7, _, _ := cpuid(7, 0)
+	return ebx7&(avx512f|avx512bw) == avx512f|avx512bw
+}()
+
+// HasAVX512BW reports whether the CPU has AVX512F, AVX512BW and POPCNT
+// and the OS saves the opmask and ZMM state: whether Scan8 and
+// CountDominatorsInFlatRunMasked8 may be called.
+func HasAVX512BW() bool { return hasAVX512BW }
+
+// Scan8 is the pre-filter's pass-1 queue test run over a stretch of
+// rows at once, with the whole β = 8 queue held in registers. cols is
+// the queue column-major — cols[c*8+s] is coordinate c of queue slot s —
+// and rows holds 8-column rows, row-major. Scan8 tests each row in turn
+// against the 8 queue slots and returns the index of the first row with
+// fewer than budget (≥ 1) dominators among them, or len(rows)/8 when
+// every row has budget or more.
+//
+// The result and *dts are those of CountDominatorsInFlatRunShortCircuit
+// on the row-major queue, called row by row in slot order: a row it passes
+// over advances *dts by the position of its budget-th dominating slot
+// plus one, and the row it returns at by 8. Each coordinate is one
+// compare of a queue column against the row's broadcast value, so the
+// test takes no branch per slot. Call it only when HasAVX512BW reports
+// true.
+//
+//go:noescape
+func Scan8(cols *[64]float64, rows []float64, budget int, dts *uint64) int
+
+// maskedSkip8 is the vector step of CountDominatorsInFlatRunMasked8 on
+// an 8-bit-lane mask column: it walks words wi … last of words and
+// returns the first whose rows hold one that passes both the subset
+// filter against probe (the probe mask in every lane) and the code
+// pre-test against qg = qc | h, or last + 1 when none does. Word wi is
+// clipped to head and word last to tail (laneSpan). For every word it
+// passes over it adds the rows that pass the subset filter to *n: each
+// is a dominance test its code word rejects. codes holds the column's
+// code words, row j at codes[j].
+//
+//go:noescape
+func maskedSkip8(words, codes *uint64, wi, last int, head, tail, probe, qg, h uint64, n *uint64) int
+
+func cpuid(eaxArg, ecxArg uint32) (eax, ebx, ecx, edx uint32)
+
+func xgetbv() (eax, edx uint32)

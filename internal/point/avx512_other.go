@@ -1,0 +1,20 @@
+//go:build !amd64
+
+package point
+
+// HasAVX512BW reports whether the CPU can run this package's AVX-512
+// bodies: they are amd64 assembly only.
+func HasAVX512BW() bool { return false }
+
+// Scan8 has an AVX-512 body on amd64 only (avx512_amd64.go documents
+// it); callers take their pure-Go path where HasAVX512BW reports false.
+func Scan8(cols *[64]float64, rows []float64, budget int, dts *uint64) int {
+	panic("point: Scan8 needs AVX-512; check HasAVX512BW first")
+}
+
+// maskedSkip8 has an AVX-512 body on amd64 only; its one caller,
+// CountDominatorsInFlatRunMasked8, is called only where HasAVX512BW
+// reports true.
+func maskedSkip8(words, codes *uint64, wi, last int, head, tail, probe, qg, h uint64, n *uint64) int {
+	panic("point: maskedSkip8 needs AVX-512; check HasAVX512BW first")
+}

@@ -236,6 +236,9 @@ func TestCountDominatorsInFlatRunFilters(t *testing.T) {
 	}
 }
 
+// TestCountDominatorsInFlatRunMasked holds the masked kernel to the
+// definition, with codes through every body this CPU runs and without
+// through the Go body.
 func TestCountDominatorsInFlatRunMasked(t *testing.T) {
 	rng := rand.New(rand.NewSource(17))
 	for _, d := range []int{2, 3, 4, 6, 8} {
@@ -255,9 +258,6 @@ func TestCountDominatorsInFlatRunMasked(t *testing.T) {
 			budget := 1 + rng.Intn(4)
 			codes, qc := codeColumn(rows, d, q)
 
-			var dts uint64
-			got := CountDominatorsInFlatRunMasked(rows, d, 0, n, q, pm, qm, codes, qc, budget, &dts)
-
 			// Oracle: mask filter, then dominance, capped.
 			want := 0
 			for j := 0; j < n && want < budget; j++ {
@@ -268,8 +268,11 @@ func TestCountDominatorsInFlatRunMasked(t *testing.T) {
 					want++
 				}
 			}
-			if got != want {
-				t.Fatalf("d=%d n=%d budget=%d: got %d want %d", d, n, budget, got, want)
+			for _, body := range maskedBodies(d) {
+				var dts uint64
+				if got := body.run(rows, d, 0, n, q, pm, qm, codes, qc, budget, &dts); got != want {
+					t.Fatalf("%s body, d=%d n=%d budget=%d: got %d want %d", body.name, d, n, budget, got, want)
+				}
 			}
 
 			// The mask filter must never drop a dominator: unfiltered count

@@ -29,8 +29,8 @@ var scanVals = [16]float64{
 // slots dominate or duplicate one another, and rows are duplicates of
 // the queue, dominated by one slot or by several, or incomparable.
 func FuzzPass1Scan(f *testing.F) {
-	if !HasScan8() {
-		f.Skip("no AVX-512 with OS-saved ZMM state on this CPU: Scan8 cannot run")
+	if !HasAVX512BW() {
+		f.Skip("no AVX512F+BW and POPCNT with OS-saved ZMM state on this CPU: Scan8 cannot run")
 	}
 	grid := make([]byte, 1+64+8*6)
 	for i := range grid {

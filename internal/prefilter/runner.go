@@ -83,7 +83,7 @@ type Runner struct {
 // useScan8 lets pass 1 take point.Scan8 on the shapes it fits (identity
 // view, d = 8, β = 8). Tests clear it to run the Go body, which every
 // other shape takes and which stays the reference.
-var useScan8 = point.HasScan8()
+var useScan8 = point.HasAVX512BW()
 
 // NewRunner creates a Runner with its parallel bodies pre-bound (so
 // dispatching them allocates nothing).

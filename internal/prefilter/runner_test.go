@@ -56,8 +56,8 @@ func TestRunnerMatchesFilter(t *testing.T) {
 	defer func(on bool) { useScan8 = on }(useScan8)
 	kept := map[bool]int{}
 	for _, scan := range []bool{true, false} {
-		if scan && !point.HasScan8() {
-			t.Log("no AVX-512 with OS-saved ZMM state: only the Go body runs")
+		if scan && !point.HasAVX512BW() {
+			t.Log("no AVX512F+BW and POPCNT with OS-saved ZMM state: only the Go body runs")
 			continue
 		}
 		useScan8 = scan
