@@ -1,7 +1,8 @@
 package point
 
 // hasAVX512BW records whether the CPU can run this package's AVX-512
-// bodies, Scan8 and the masked scan's word skip (maskedSkip8). It is
+// bodies: Scan8 and the word steps of the masked scan (maskedSkip8) and
+// of the stream's band scans (bandSkip8). It is
 // read once, at start-up, from CPUID and XGETBV, and asks for every
 // extension either body uses: AVX512F (CPUID leaf 7 EBX bit 16),
 // AVX512BW for the byte-lane mask move VPMOVB2M (leaf 7 EBX bit 30) and
@@ -27,8 +28,9 @@ var hasAVX512BW = func() bool {
 }()
 
 // HasAVX512BW reports whether the CPU has AVX512F, AVX512BW and POPCNT
-// and the OS saves the opmask and ZMM state: whether Scan8 and
-// CountDominatorsInFlatRunMasked8 may be called.
+// and the OS saves the opmask and ZMM state: whether Scan8,
+// CountDominatorsInFlatRunMasked8, AppendDominatorsMasked8 and
+// AppendDominatedMasked8 may be called.
 func HasAVX512BW() bool { return hasAVX512BW }
 
 // Scan8 is the pre-filter's pass-1 queue test run over a stretch of
@@ -62,6 +64,31 @@ func Scan8(cols *[64]float64, rows []float64, budget int, dts *uint64) int
 //
 //go:noescape
 func maskedSkip8(words, codes *uint64, wi, last int, head, tail, probe, qg, h uint64, n *uint64) int
+
+// bandSkip8 is the vector step of AppendDominatorsMasked8 and
+// AppendDominatedMasked8 on an 8-bit-lane mask column: it walks words
+// wi … last of words and returns the first whose rows hold one that
+// passes the mask filter, the norm filter and the code pre-test, or
+// last + 1 when none does. Word wi is clipped to head and word last to
+// tail (laneSpan). For every word it passes over it adds the rows that
+// pass the first two filters to *n: each is a dominance test its code
+// word rejects. codes and l1 hold the column's code words and norms,
+// row j's at index j.
+//
+// One body serves both directions; the operands pick the tests. A
+// row's mask m passes when (m ^ flip) & keep is zero, its norm when
+// !(l1 ^ neg > qL1 ^ neg) as float64 bits, and its code word r when
+// (qg − (r ^ cflip)) & h == h. The dominators' scan passes flip 0,
+// keep ^qm's low 8 bits, neg 0, qg qc | h and cflip 0: m ⊆ qm,
+// !(l1 > qL1) and codeLE(r, qc | h, h). The dominated scan passes flip
+// 0xff, keep qm, neg the sign bit, qg ^qc and cflip ^h: m ⊇ qm,
+// !(-l1 > -qL1), which is !(l1 < qL1), and, per code lane of W bits,
+// (2^W − 1 − q) − (2^(W−1) − 1 − r) = 2^(W−1) + r − q: the lane
+// codeLE(qc, r | h, h) computes, for code words whose guard bits are
+// clear.
+//
+//go:noescape
+func bandSkip8(words, codes *uint64, l1 *float64, wi, last int, head, tail, flip, keep, neg, qg, cflip, h uint64, qL1 float64, n *uint64) int
 
 func cpuid(eaxArg, ecxArg uint32) (eax, ebx, ecx, edx uint32)
 

@@ -165,3 +165,78 @@ done:
 	MOVQ BX, ret+80(FP)
 	VZEROUPPER
 	RET
+
+// func bandSkip8(words, codes *uint64, l1 *float64, wi, last int, head, tail, flip, keep, neg, qg, cflip, h uint64, qL1 float64, n *uint64) int
+//
+// Per word: VPMOVZXBQ widens its 8 mask bytes to the 8 qword lanes of
+// Z8, and K1 = the lanes of the clip K6 whose (m ^ flip) & keep is zero
+// (VPTESTNMQ); K2 = the lanes of K1 whose norm passes (NGT_UQ on the
+// norms and qL1, each XORed with neg: !(l1 > qL1), or with the sign bit
+// !(-l1 > -qL1) = !(l1 < qL1); unordered counts as true, so a NaN norm
+// passes, as in the Go body); K3 = the lanes of K2 whose code word r
+// passes (qg − (r ^ cflip)) & h == h. A word with K3 empty adds the
+// popcount of K2 to the count. The clips are K masks: K6 holds head's
+// lanes for word wi and every lane after it, ANDed with tail's (K5) at
+// word last. KMOVW moves K2 to a general register: KMOVB is AVX512DQ,
+// outside the gate. As in maskedSkip8, only VEX and EVEX vector forms
+// run before VZEROUPPER.
+TEXT ·bandSkip8(SB), NOSPLIT, $0-128
+	MOVQ words+0(FP), SI
+	MOVQ codes+8(FP), DI
+	MOVQ l1+16(FP), R10
+	MOVQ wi+24(FP), BX
+	MOVQ last+32(FP), CX
+	MOVQ n+112(FP), AX
+	MOVQ (AX), R12        // R12 = running test count
+	VMOVQ head+40(FP), X2
+	VPMOVB2M Z2, K6       // K6 = clip of the next word: head, then all lanes
+	VMOVQ tail+48(FP), X2
+	VPMOVB2M Z2, K5
+	VPBROADCASTQ flip+56(FP), Z9
+	VPBROADCASTQ keep+64(FP), Z10
+	VPBROADCASTQ neg+72(FP), Z6
+	VPBROADCASTQ qg+80(FP), Z0
+	VPBROADCASTQ cflip+88(FP), Z7
+	VPBROADCASTQ h+96(FP), Z1
+	VPBROADCASTQ qL1+104(FP), Z5
+	VPXORQ Z6, Z5, Z5
+	MOVQ BX, AX
+	SHLQ $6, AX
+	ADDQ AX, DI           // DI = &codes[wi*8]
+	ADDQ AX, R10          // R10 = &l1[wi*8]
+
+word:
+	CMPQ BX, CX
+	JGT  done
+	JLT  body
+	KANDW K5, K6, K6
+
+body:
+	VPMOVZXBQ (SI)(BX*8), Z8
+	VPXORQ Z9, Z8, Z8
+	VPTESTNMQ Z10, Z8, K6, K1
+	KXNORW K6, K6, K6
+	VMOVUPD.Z (R10), K1, Z4
+	VPXORQ Z6, Z4, Z4
+	VCMPPD $0x1a, Z5, Z4, K1, K2
+	VMOVDQU64.Z (DI), K2, Z3
+	VPXORQ Z7, Z3, Z3
+	VPSUBQ Z3, Z0, Z3
+	VPANDQ Z1, Z3, Z3
+	VPCMPEQQ Z1, Z3, K2, K3
+	KORTESTW K3, K3
+	JNZ  done
+	KMOVW K2, AX
+	POPCNTL AX, AX
+	ADDQ AX, R12
+	INCQ BX
+	ADDQ $64, DI
+	ADDQ $64, R10
+	JMP  word
+
+done:
+	MOVQ n+112(FP), AX
+	MOVQ R12, (AX)
+	MOVQ BX, ret+120(FP)
+	VZEROUPPER
+	RET

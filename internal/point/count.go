@@ -257,11 +257,7 @@ func cntRunMasked(rows []float64, d, lo, hi int, q []float64, pm *PackedMasks, q
 scan:
 	for wi := sp.first; wi <= sp.last; wi++ {
 		if vec {
-			head := ^uint64(0)
-			if wi == sp.first {
-				head = sp.head
-			}
-			if wi = maskedSkip8(&pm.w[0], &codes[0], wi, sp.last, head, sp.tail, probe, qg, h, &n); wi > sp.last {
+			if wi = maskedSkip8(&pm.w[0], &codes[0], wi, sp.last, sp.headAt(wi), sp.tail, probe, qg, h, &n); wi > sp.last {
 				break
 			}
 		}

@@ -4,12 +4,15 @@ package point
 // matrix storage directly instead of materializing per-row slice headers,
 // all on one pairwise test, dominatesRow. The loop-level "run" kernels
 // that test one probe against a contiguous run of rows are the counting
-// family in count.go plus the stream index's two masked scans here, one
-// generic body each behind the code-word pre-test (code.go). The
-// paper's C++ implementation gets its constant factors from AVX kernels
-// over contiguous blocks (Section IV); these kernels are the Go analogue
-// and are what the hot paths of Hybrid, Q-Flow and the stream index
-// call.
+// family in count.go plus the stream index's two masked scans here,
+// behind the code-word pre-test (code.go). The paper's C++
+// implementation gets its constant factors from AVX kernels over
+// contiguous blocks (Section IV); these kernels are the Go analogue and
+// are what the hot paths of Hybrid, Q-Flow and the stream index call.
+// Each masked scan has a Go body, run at every width and on every CPU,
+// and at d ≤ 8 an AVX-512 body that passes over a word of 8 rows a step
+// (avx512_amd64.s) and hands every other word to the Go body, its
+// reference.
 
 // DominatesFlat reports strict dominance between two rows of the same flat
 // row-major storage: vals[pOff:pOff+d] ≺ vals[qOff:qOff+d].
@@ -77,7 +80,42 @@ func dominatesRow(r, q []float64) bool {
 // dominance tests actually performed. codes and qc are the code-word
 // pre-test of CountDominatorsInFlatRunCoded, asked of a row after it is
 // counted as a test; nil codes asks none.
+//
+// This is the Go body, run at every width and on every CPU; at d ≤ 8
+// with codes, where the CPU has AVX-512, the stream index calls
+// AppendDominatorsMasked8 instead, and this body is its reference.
 func AppendDominatorsMasked(dst []int32, rows []float64, d, lo, hi int, q []float64, qL1 float64, l1 []float64, pm *PackedMasks, qm Mask, codes []uint64, qc uint64, budget int, dts *uint64) []int32 {
+	return appendDominators(dst, rows, d, lo, hi, q, qL1, l1, pm, qm, codes, qc, budget, dts, false)
+}
+
+// AppendDominatorsMasked8 is AppendDominatorsMasked with one AVX-512
+// step per mask word (bandSkip8): at d ≤ 8 a word holds 8 rows in 8-bit
+// lanes, and their 8 norms and 8 code words are one 64-byte load each,
+// so the subset filter, the span clip, the norm filter and the code
+// pre-test of all 8 rows are one vector step. A word where no row
+// passes all four only adds its rows that pass the first three to *dts
+// — each is a test its code rejects, as in the Go body — and the Go
+// body takes every other word, testing its rows in ascending order, so
+// the positions, the row where the budget is reached and *dts are
+// AppendDominatorsMasked's.
+//
+// Call it only when HasAVX512BW reports true, with d ≤ 8, pm's lanes
+// 8 bits wide (Reset for d ≤ 8), and codes holding row j's code word at
+// codes[j] for every j < hi, from the Quantizer that coded qc.
+func AppendDominatorsMasked8(dst []int32, rows []float64, d, lo, hi int, q []float64, qL1 float64, l1 []float64, pm *PackedMasks, qm Mask, codes []uint64, qc uint64, budget int, dts *uint64) []int32 {
+	if lo >= hi {
+		return dst
+	}
+	// The assembly reads the words of rows [lo, hi) and the norms and
+	// codes of [0, hi) without bounds checks.
+	_, _, _ = pm.w[(hi-1)>>pm.idx], l1[hi-1], codes[hi-1]
+	return appendDominators(dst, rows, d, lo, hi, q, qL1, l1, pm, qm, codes, qc, budget, dts, true)
+}
+
+// appendDominators is both bodies of the dominators' scan; with vec
+// set, the assembly passes over every word up to the next that holds a
+// row passing every filter and the code pre-test.
+func appendDominators(dst []int32, rows []float64, d, lo, hi int, q []float64, qL1 float64, l1 []float64, pm *PackedMasks, qm Mask, codes []uint64, qc uint64, budget int, dts *uint64, vec bool) []int32 {
 	h := codeGuardsFor(codes, d)
 	qg := qc | h
 	n := *dts
@@ -85,6 +123,11 @@ func AppendDominatorsMasked(dst []int32, rows []float64, d, lo, hi int, q []floa
 	probe, sp := pm.probe(qm), pm.span(lo, hi)
 scan:
 	for wi := sp.first; wi <= sp.last; wi++ {
+		if vec {
+			if wi = bandSkip8(&pm.w[0], &codes[0], &l1[0], wi, sp.last, sp.headAt(wi), sp.tail, 0, uint64(^qm&0xff), 0, qg, 0, h, qL1, &n); wi > sp.last {
+				break
+			}
+		}
 		for z := sp.clip(wi, pm.subsets(wi, probe)); z != 0; z &= z - 1 {
 			j := pm.row(wi, z)
 			if l1[j] > qL1 {
@@ -112,12 +155,36 @@ scan:
 // changes. Its filters are AppendDominatorsMasked's with the roles
 // swapped — masks[j] ⊇ qm (PackedMasks.supersets), l1[j] ≥ qL1 and the
 // probe's code word no larger than the row's in any lane — and equally
-// exact.
+// exact. It is the Go body, the reference of AppendDominatedMasked8.
 func AppendDominatedMasked(dst []int32, rows []float64, d, lo, hi int, q []float64, qL1 float64, l1 []float64, pm *PackedMasks, qm Mask, codes []uint64, qc uint64, dts *uint64) []int32 {
+	return appendDominated(dst, rows, d, lo, hi, q, qL1, l1, pm, qm, codes, qc, dts, false)
+}
+
+// AppendDominatedMasked8 is AppendDominatedMasked with
+// AppendDominatorsMasked8's vector step, run in the other direction:
+// superset filter, norm filter and pre-test with the roles swapped. The
+// positions and *dts are AppendDominatedMasked's. Call it under
+// AppendDominatorsMasked8's conditions.
+func AppendDominatedMasked8(dst []int32, rows []float64, d, lo, hi int, q []float64, qL1 float64, l1 []float64, pm *PackedMasks, qm Mask, codes []uint64, qc uint64, dts *uint64) []int32 {
+	if lo >= hi {
+		return dst
+	}
+	_, _, _ = pm.w[(hi-1)>>pm.idx], l1[hi-1], codes[hi-1]
+	return appendDominated(dst, rows, d, lo, hi, q, qL1, l1, pm, qm, codes, qc, dts, true)
+}
+
+// appendDominated is both bodies of the dominated scan, as
+// appendDominators is of the dominators' scan.
+func appendDominated(dst []int32, rows []float64, d, lo, hi int, q []float64, qL1 float64, l1 []float64, pm *PackedMasks, qm Mask, codes []uint64, qc uint64, dts *uint64, vec bool) []int32 {
 	h := codeGuardsFor(codes, d)
 	n := *dts
 	probe, sp := pm.probe(qm), pm.span(lo, hi)
 	for wi := sp.first; wi <= sp.last; wi++ {
+		if vec {
+			if wi = bandSkip8(&pm.w[0], &codes[0], &l1[0], wi, sp.last, sp.headAt(wi), sp.tail, 0xff, uint64(qm), 1<<63, ^qc, ^h, h, qL1, &n); wi > sp.last {
+				break
+			}
+		}
 		for z := sp.clip(wi, pm.supersets(wi, probe)); z != 0; z &= z - 1 {
 			j := pm.row(wi, z)
 			if l1[j] < qL1 {

@@ -97,6 +97,15 @@ func (p *PackedMasks) span(lo, hi int) laneSpan {
 	}
 }
 
+// headAt is the clip a vector word step starting at word wi applies
+// to it: the span's head at its first word, every lane at a later one.
+func (s laneSpan) headAt(wi int) uint64 {
+	if wi == s.first {
+		return s.head
+	}
+	return ^uint64(0)
+}
+
 // clip drops word wi's candidates outside the span.
 func (s laneSpan) clip(wi int, z uint64) uint64 {
 	if wi == s.first {

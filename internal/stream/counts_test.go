@@ -10,6 +10,7 @@ import (
 	"testing"
 
 	"skybench/internal/dataset"
+	"skybench/internal/point"
 )
 
 // -update rewrites the pinned table from the code as it stands:
@@ -105,11 +106,55 @@ func countsTrace(dist string, d, k int, seed int64) countsRow {
 // TestIndexCountsPinned pins, per configuration of the grid, the work a
 // seeded trace costs the index and what it leaves behind. A change that
 // should not alter behaviour leaves every column byte-identical; one
-// that should only save work moves the dts column alone.
+// that should only save work moves the dts column alone. At d ≤ 8 the
+// band probes take the vector bodies where the CPU has them
+// (useBandScan8), so the grid runs with them on and again forced off,
+// and both runs must match the one table.
 func TestIndexCountsPinned(t *testing.T) {
 	if testing.Short() {
 		t.Skip("pinned stream counts skipped under -short")
 	}
+	defer func(on bool) { useBandScan8 = on }(useBandScan8)
+	for _, vec := range []bool{true, false} {
+		if vec && !point.HasAVX512BW() {
+			t.Log("no AVX512F+BW and POPCNT with OS-saved ZMM state: only the Go bodies run")
+			continue
+		}
+		useBandScan8 = vec
+		got := countsGrid(t)
+		if *update {
+			raw, err := json.MarshalIndent(got, "", "  ")
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := os.WriteFile(countsFile, append(raw, '\n'), 0o644); err != nil {
+				t.Fatal(err)
+			}
+			return
+		}
+		raw, err := os.ReadFile(countsFile)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var want map[string]countsRow
+		if err := json.Unmarshal(raw, &want); err != nil {
+			t.Fatal(err)
+		}
+		if len(want) != len(got) {
+			t.Errorf("vector bodies %v: table holds %d configurations, grid has %d", vec, len(want), len(got))
+		}
+		for key, g := range got {
+			if w, ok := want[key]; !ok {
+				t.Errorf("%s: no pinned entry", key)
+			} else if g != w {
+				t.Errorf("%s, vector bodies %v: got %+v, pinned %+v", key, vec, g, w)
+			}
+		}
+	}
+}
+
+// countsGrid runs every trace of the grid and returns its rows by key.
+func countsGrid(t *testing.T) map[string]countsRow {
 	got := make(map[string]countsRow)
 	for _, dist := range countsDists {
 		for _, d := range countsDims {
@@ -124,32 +169,5 @@ func TestIndexCountsPinned(t *testing.T) {
 			}
 		}
 	}
-	if *update {
-		raw, err := json.MarshalIndent(got, "", "  ")
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := os.WriteFile(countsFile, append(raw, '\n'), 0o644); err != nil {
-			t.Fatal(err)
-		}
-		return
-	}
-	raw, err := os.ReadFile(countsFile)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var want map[string]countsRow
-	if err := json.Unmarshal(raw, &want); err != nil {
-		t.Fatal(err)
-	}
-	if len(want) != len(got) {
-		t.Errorf("table holds %d configurations, grid has %d", len(want), len(got))
-	}
-	for key, g := range got {
-		if w, ok := want[key]; !ok {
-			t.Errorf("%s: no pinned entry", key)
-		} else if g != w {
-			t.Errorf("%s: got %+v, pinned %+v", key, g, w)
-		}
-	}
+	return got
 }
