@@ -1,8 +1,8 @@
 package point
 
 // hasAVX512BW records whether the CPU can run this package's AVX-512
-// bodies: Scan8 and the word steps of the masked scan (maskedSkip8) and
-// of the stream's band scans (bandSkip8). It is
+// bodies: Scan8 and the word steps of the masked scan and directory
+// walk (maskedSkip8) and of the stream's band scans (bandSkip8). It is
 // read once, at start-up, from CPUID and XGETBV, and asks for every
 // extension either body uses: AVX512F (CPUID leaf 7 EBX bit 16),
 // AVX512BW for the byte-lane mask move VPMOVB2M (leaf 7 EBX bit 30) and
@@ -29,8 +29,8 @@ var hasAVX512BW = func() bool {
 
 // HasAVX512BW reports whether the CPU has AVX512F, AVX512BW and POPCNT
 // and the OS saves the opmask and ZMM state: whether Scan8,
-// CountDominatorsInFlatRunMasked8, AppendDominatorsMasked8 and
-// AppendDominatedMasked8 may be called.
+// CountDominatorsInFlatRunMasked8, PackedMasks.NextSubsetCoded8,
+// AppendDominatorsMasked8 and AppendDominatedMasked8 may be called.
 func HasAVX512BW() bool { return hasAVX512BW }
 
 // Scan8 is the pre-filter's pass-1 queue test run over a stretch of
@@ -52,15 +52,21 @@ func HasAVX512BW() bool { return hasAVX512BW }
 //go:noescape
 func Scan8(cols *[64]float64, rows []float64, budget int, dts *uint64) int
 
-// maskedSkip8 is the vector step of CountDominatorsInFlatRunMasked8 on
-// an 8-bit-lane mask column: it walks words wi … last of words and
-// returns the first whose rows hold one that passes both the subset
-// filter against probe (the probe mask in every lane) and the code
-// pre-test against qg = qc | h, or last + 1 when none does. Word wi is
-// clipped to head and word last to tail (laneSpan). For every word it
-// passes over it adds the rows that pass the subset filter to *n: each
-// is a dominance test its code word rejects. codes holds the column's
-// code words, row j at codes[j].
+// maskedSkip8 is the vector step of CountDominatorsInFlatRunMasked8
+// and of PackedMasks.NextSubsetCoded8 on an 8-bit-lane mask column: it
+// walks words wi … last of words and returns the first whose rows hold
+// one that passes both the subset filter against probe (the probe mask
+// in every lane) and the code pre-test against qg = qc | h, or last + 1
+// when none does. Word wi is clipped to head and word last to tail
+// (laneSpan). For every word it passes over it adds the rows that pass
+// the subset filter to *n: each is a dominance test its code word
+// rejects. codes holds the column's code words, row j at codes[j].
+//
+// It is bandSkip8's step without the norm filter: the mask test runs
+// in the vector unit, on the word's mask bytes widened to qword lanes
+// and tested against the probe's missing bits under a clip K mask, so
+// no word pays a filter in general registers or a branch on whether it
+// holds a candidate.
 //
 //go:noescape
 func maskedSkip8(words, codes *uint64, wi, last int, head, tail, probe, qg, h uint64, n *uint64) int

@@ -98,27 +98,33 @@ done:
 
 // func maskedSkip8(words, codes *uint64, wi, last int, head, tail, probe, qg, h uint64, n *uint64) int
 //
-// Per word: DX = PackedMasks.subsets' top bits, clipped; K1 = those
-// bits as a lane mask (VPMOVB2M: bit i is the top bit of byte i); Z3 =
-// the 8 rows' code words under K1; K2 = the lanes of K1 whose code
-// passes the pre-test ((qg − r) & h == h). A word with K2 empty adds
-// the popcount of DX, its subset-filter rows, to the count. Between the
-// first ZMM write and VZEROUPPER every vector instruction is VEX or
-// EVEX: one legacy-SSE instruction there (MOVQ r, X) pays the SSE/AVX
-// transition on every word.
+// bandSkip8's word step without the norm filter. Per word: VPMOVZXBQ
+// widens its 8 mask bytes to the 8 qword lanes of Z8, and K1 = the
+// lanes of the clip K6 whose m & ^qm is zero (VPTESTNMQ against Z10,
+// the probe's missing bits, ^probe & 0xff in every lane); K2 = the
+// lanes of K1 whose code word r passes the pre-test (qg − r) & h == h.
+// A word with K2 empty adds the popcount of K1, its subset-filter rows,
+// to the count. The clips are K masks: K6 holds head's lanes for word
+// wi and every lane after it, ANDed with tail's (K5) at word last.
+// KMOVW moves K1 to a general register: KMOVB is AVX512DQ, outside the
+// gate. Between the first ZMM write and VZEROUPPER every vector
+// instruction is VEX or EVEX: one legacy-SSE instruction there (MOVQ
+// r, X) pays the SSE/AVX transition on every word.
 TEXT ·maskedSkip8(SB), NOSPLIT, $0-88
 	MOVQ words+0(FP), SI
 	MOVQ codes+8(FP), DI
 	MOVQ wi+16(FP), BX
 	MOVQ last+24(FP), CX
-	MOVQ head+32(FP), R8  // R8 = clip of the next word: head, then all lanes
-	MOVQ tail+40(FP), R9
-	MOVQ probe+48(FP), R10
-	NOTQ R10              // R10 = the bits the probe lacks, every lane
 	MOVQ n+72(FP), R11
 	MOVQ (R11), R12       // R12 = running test count
-	MOVQ $0x7f7f7f7f7f7f7f7f, R13 // every bit of every lane but its top one
-	MOVQ $-1, R14
+	VMOVQ head+32(FP), X2
+	VPMOVB2M Z2, K6       // K6 = clip of the next word: head, then all lanes
+	VMOVQ tail+40(FP), X2
+	VPMOVB2M Z2, K5
+	MOVQ probe+48(FP), AX
+	NOTQ AX
+	ANDQ $0xff, AX        // AX = the bits the probe lacks
+	VPBROADCASTQ AX, Z10
 	VPBROADCASTQ qg+56(FP), Z0
 	VPBROADCASTQ h+64(FP), Z1
 	MOVQ BX, AX
@@ -128,34 +134,22 @@ TEXT ·maskedSkip8(SB), NOSPLIT, $0-88
 word:
 	CMPQ BX, CX
 	JGT  done
-	MOVQ (SI)(BX*8), AX
-	ANDQ R10, AX          // x: per lane, the row's bits the probe lacks
-	MOVQ AX, DX
-	ANDQ R13, DX
-	ADDQ R13, DX
-	ORQ  AX, DX
-	ORQ  R13, DX
-	NOTQ DX               // top bit of every lane whose x is zero
-	ANDQ R8, DX
-	MOVQ R14, R8
-	MOVQ R14, AX
-	CMPQ BX, CX
-	CMOVQEQ R9, AX
-	ANDQ AX, DX
-	TESTQ DX, DX
-	JZ   next
-	VMOVQ DX, X2
-	VPMOVB2M Z2, K1
+	JLT  body
+	KANDW K5, K6, K6
+
+body:
+	VPMOVZXBQ (SI)(BX*8), Z8
+	VPTESTNMQ Z10, Z8, K6, K1
+	KXNORW K6, K6, K6
 	VMOVDQU64.Z (DI), K1, Z3
 	VPSUBQ Z3, Z0, Z3
 	VPANDQ Z1, Z3, Z3
 	VPCMPEQQ Z1, Z3, K1, K2
 	KORTESTW K2, K2
 	JNZ  done
-	POPCNTQ DX, DX
-	ADDQ DX, R12
-
-next:
+	KMOVW K1, AX
+	POPCNTL AX, AX
+	ADDQ AX, R12
 	INCQ BX
 	ADDQ $64, DI
 	JMP  word

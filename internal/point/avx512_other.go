@@ -12,9 +12,9 @@ func Scan8(cols *[64]float64, rows []float64, budget int, dts *uint64) int {
 	panic("point: Scan8 needs AVX-512; check HasAVX512BW first")
 }
 
-// maskedSkip8 has an AVX-512 body on amd64 only; its one caller,
-// CountDominatorsInFlatRunMasked8, is called only where HasAVX512BW
-// reports true.
+// maskedSkip8 has an AVX-512 body on amd64 only; its callers,
+// CountDominatorsInFlatRunMasked8 and PackedMasks.NextSubsetCoded8, are
+// called only where HasAVX512BW reports true.
 func maskedSkip8(words, codes *uint64, wi, last int, head, tail, probe, qg, h uint64, n *uint64) int {
 	panic("point: maskedSkip8 needs AVX-512; check HasAVX512BW first")
 }

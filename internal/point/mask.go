@@ -16,19 +16,19 @@ type Mask uint32
 // partitioning. The paper evaluates up to d = 16.
 const MaxDims = 31
 
-// ComputeMask assigns p to a partition relative to pivot v:
-// bit i = (p[i] < v[i] ? 0 : 1). The bit is derived branchlessly —
-// partition bits are close to uniform on real data, so a per-dimension
-// compare-and-branch mispredicts half the time. Each operand is
-// normalized with +0.0 (sending -0 to +0), mapped through the
-// order-preserving bit transform, and compared via the borrow flag of an
-// unsigned subtract, which matches x ≥ v exactly for every non-NaN input
-// including ±Inf.
+// ComputeMask assigns p to a partition relative to pivot v: bit i is
+// set iff p[i] ≥ v[i]. Each bit is one float compare turned into a flag
+// (UCOMISD + SETCC), with no branch: partition bits are close to uniform
+// on real data, so a per-dimension compare-and-branch mispredicts half
+// the time. IEEE comparison already treats −0 and +0 as equal and orders
+// ±Inf. The inputs must be finite, as every caller's are (datasets and
+// stream rows are checked on the way in): a NaN on either side gives
+// bit 0.
 func ComputeMask(p, v []float64) Mask {
+	v = v[:len(p)]
 	var m uint32
 	for i, x := range p {
-		_, borrow := bits.Sub64(OrderBits(x+0.0), OrderBits(v[i]+0.0), 0)
-		m |= uint32(1-borrow) << uint(i)
+		m |= uint32(b2u(x >= v[i])) << (uint(i) & 31)
 	}
 	return Mask(m)
 }
@@ -36,8 +36,8 @@ func ComputeMask(p, v []float64) Mask {
 // OrderBits maps a float64 to a uint64 whose unsigned order matches the
 // float total order (negatives reversed, sign flipped), without branches.
 // It is the standard radix-sortable transform; Q-Flow's L1 sort keys use
-// it too. Callers that must treat -0 and +0 as equal (as ComputeMask
-// does) should normalize with +0.0 first.
+// it too. Callers that must treat -0 and +0 as equal should normalize
+// with +0.0 first.
 func OrderBits(f float64) uint64 {
 	b := math.Float64bits(f)
 	sign := uint64(int64(b) >> 63) // all ones iff f is negative

@@ -121,11 +121,14 @@ func TestEqualLevelDistinctMasksIncomparable(t *testing.T) {
 	}
 }
 
-// TestComputeMaskBranchless pins the branchless sign-trick implementation
-// to the reference predicate (bit i ⇔ p[i] ≥ v[i]), including the signed
-// zeros that the +0.0 normalization exists for and exact ties.
+// TestComputeMaskBranchless pins the flag-set implementation to the
+// reference predicate (bit i ⇔ p[i] ≥ v[i]): on every pair of a palette
+// of finite and infinite values — signed zeros, which IEEE compares
+// equal, the smallest subnormals, ±MaxFloat64 and exact ties — and on
+// random finite rows at every width from 1 to MaxDims, bit by bit.
 func TestComputeMaskBranchless(t *testing.T) {
-	vals := []float64{math.Inf(-1), -1e300, -2, -1, math.Copysign(0, -1), 0, 1e-300, 1, 2, 1e300, math.Inf(1)}
+	vals := []float64{math.Inf(-1), -math.MaxFloat64, -1e300, -2, -1, -5e-324, math.Copysign(0, -1), 0,
+		5e-324, 1e-300, 1, 2, 1e300, math.MaxFloat64, math.Inf(1)}
 	for _, x := range vals {
 		for _, v := range vals {
 			got := ComputeMask([]float64{x}, []float64{v})
@@ -135,6 +138,34 @@ func TestComputeMaskBranchless(t *testing.T) {
 			}
 			if got != want {
 				t.Errorf("ComputeMask(%g vs %g) = %b, want %b", x, v, got, want)
+			}
+		}
+	}
+	rng := rand.New(rand.NewSource(53))
+	val := func() float64 {
+		if rng.Intn(4) == 0 {
+			return vals[1+rng.Intn(len(vals)-2)] // a finite palette value
+		}
+		return rng.NormFloat64()
+	}
+	for d := 1; d <= MaxDims; d++ {
+		p, v := make([]float64, d), make([]float64, d)
+		for trial := 0; trial < 200; trial++ {
+			for i := range p {
+				p[i], v[i] = val(), val()
+				if rng.Intn(8) == 0 {
+					p[i] = v[i] // a tie
+				}
+			}
+			got := ComputeMask(p, v)
+			for i := range p {
+				if bit := got>>i&1 == 1; bit != (p[i] >= v[i]) {
+					t.Fatalf("d=%d bit %d: ComputeMask(%v vs %v) = %b, want bit %d ⇔ %g ≥ %g",
+						d, i, p, v, got, i, p[i], v[i])
+				}
+			}
+			if got&^FullMask(d) != 0 {
+				t.Fatalf("d=%d: ComputeMask = %b sets bits past d", d, got)
 			}
 		}
 	}

@@ -129,3 +129,93 @@ func FuzzMaskedScan(f *testing.F) {
 		}
 	})
 }
+
+// FuzzDirectoryWalk holds PackedMasks.NextSubsetCoded8, Phase I's
+// vector walk of the M(S) directory, to the Go walk it stands in for:
+// NextSubset, then the pre-test entry by entry. Both walk [lo, hi) from
+// lo and on from every entry found, and must find the same entries.
+// The first byte picks d (2–8), the next two the span [lo, hi) and the
+// fourth the probe mask; each following pair of bytes is an entry, a
+// mask byte and a code byte. Every lane of the probe's code word is
+// the middle code; lane c of an entry's is one above it where bit c of
+// the code byte is set (the pre-test rejects the entry), else equal to
+// it or, where bit c of the mask byte is set, one below. Most random
+// code bytes set some bit of the d, so most entries are rejected, as
+// minimum codes reject most partitions. The seeds pass one entry in the
+// middle of a span and reject the rest; their spans start and end
+// mid-word, fit inside one word, align with words and cover several.
+func FuzzDirectoryWalk(f *testing.F) {
+	if !HasAVX512BW() {
+		f.Skip("no AVX512F+BW and POPCNT with OS-saved ZMM state on this CPU: the vector walk cannot run")
+	}
+	for _, s := range []struct{ d, lo, length, entries int }{
+		{8, 3, 18, 24},  // starts and ends mid-word
+		{7, 2, 4, 12},   // inside one word
+		{6, 8, 16, 32},  // word-aligned
+		{5, 1, 45, 48},  // six words
+		{2, 0, 30, 40},  // 32-bit code lanes
+		{4, 5, 60, 70},  // 16-bit code lanes
+		{3, 9, 0, 10},   // empty
+		{8, 15, 17, 40}, // from a word's last lane to the next's first
+	} {
+		data := []byte{byte(s.d - 2), byte(s.lo), byte(s.length), 0xff}
+		for i := 0; i < s.entries; i++ {
+			code := byte(1) << (i % s.d)
+			if i == s.lo+s.length/2 {
+				code = 0
+			}
+			data = append(data, byte(i*37), code)
+		}
+		f.Add(data)
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if len(data) < 4 {
+			return
+		}
+		d := int(data[0])%7 + 2
+		qm := Mask(data[3]) & FullMask(d)
+		body := data[4:]
+		n := min(len(body)/2, 96)
+		lo := int(data[1]) % (n + 1)
+		hi := lo + int(data[2])%(n-lo+1)
+
+		w := codeWidth(d)
+		mid := uint64(1) << (min(w-1, 31) - 1)
+		var qc uint64
+		for c := 0; c < d; c++ {
+			qc |= mid << (uint(c) * w)
+		}
+		masks := make([]Mask, n)
+		codes := make([]uint64, n)
+		for i := range masks {
+			m, code := body[2*i], body[2*i+1]
+			masks[i] = Mask(m) & FullMask(d)
+			for c := 0; c < d; c++ {
+				v := mid - uint64(m>>c&1)
+				if code>>c&1 != 0 {
+					v = mid + 1
+				}
+				codes[i] |= v << (uint(c) * w)
+			}
+		}
+		pm := packMasks(d, masks)
+
+		next := func(e int) int {
+			for e = pm.NextSubset(e, hi, qm); e < hi; e = pm.NextSubset(e+1, hi, qm) {
+				if CodeLE(codes[e], qc, d) {
+					break
+				}
+			}
+			return e
+		}
+		for want, got := next(lo), pm.NextSubsetCoded8(lo, hi, qm, codes[:hi], qc, d); ; {
+			if got != want {
+				t.Fatalf("d=%d [%d,%d) qm=%b: vector walk found %d, Go walk %d", d, lo, hi, qm, got, want)
+			}
+			if want >= hi {
+				break
+			}
+			want, got = next(want+1), pm.NextSubsetCoded8(want+1, hi, qm, codes[:hi], qc, d)
+		}
+	})
+}

@@ -159,3 +159,36 @@ func (p *PackedMasks) NextSubset(lo, hi int, qm Mask) int {
 	}
 	return hi
 }
+
+// NextSubsetCoded8 returns the first row j ∈ [lo, hi) whose mask is a
+// subset of qm and whose code word passes the pre-test against qc
+// (CodeLE(codes[j], qc, d)), or hi when there is none: NextSubset and
+// the pre-test in one vector step per mask word (maskedSkip8), which
+// passes over every word with no such row. Its test count is
+// discarded: Phase I books no test for a directory entry.
+//
+// Call it only when HasAVX512BW reports true, with d ≤ 8, p's lanes 8
+// bits wide (Reset for d ≤ 8) and codes holding row j's code word at
+// codes[j] for every j < hi.
+func (p *PackedMasks) NextSubsetCoded8(lo, hi int, qm Mask, codes []uint64, qc uint64, d int) int {
+	if lo >= hi {
+		return hi
+	}
+	// The assembly reads the words of rows [lo, hi) and codes [0, hi)
+	// without bounds checks.
+	_, _ = p.w[(hi-1)>>p.idx], codes[hi-1]
+	h := codeGuards[d]
+	qg := qc | h
+	probe, sp := p.probe(qm), p.span(lo, hi)
+	var n uint64
+	for wi := sp.first; ; wi++ {
+		if wi = maskedSkip8(&p.w[0], &codes[0], wi, sp.last, sp.headAt(wi), sp.tail, probe, qg, h, &n); wi > sp.last {
+			return hi
+		}
+		for z := sp.clip(wi, p.subsets(wi, probe)); z != 0; z &= z - 1 {
+			if j := p.row(wi, z); codeLE(codes[j], qg, h) {
+				return j
+			}
+		}
+	}
+}
