@@ -2,26 +2,32 @@ package point
 
 import (
 	"math"
+	"slices"
 	"testing"
 )
 
 // scanVals is FuzzPass1Scan's value palette: grid values, both signed
 // zeros, 0.9 and its one-ulp neighbours, a magnitude that absorbs the
-// others, an infinity and a NaN — values whose compares tie, or differ
-// in one bit.
+// others, both infinities and a NaN — values whose compares tie, or
+// differ in one bit.
 var scanVals = [16]float64{
 	0, math.Copysign(0, -1), 0.25, 0.5,
 	0.75, 1, 2, 0.9,
 	math.Nextafter(0.9, 1), math.Nextafter(0.9, 0), 1e300, -1,
-	math.Inf(1), math.NaN(), 0.125, 3,
+	math.Inf(1), math.NaN(), 0.125, math.Inf(-1),
 }
 
 // FuzzPass1Scan holds Scan8 to the Go body it replaces in the
-// pre-filter's pass 1: cntRunSC8 on the row-major queue, run row by row
-// from the first row until one has fewer than budget dominators. Both
-// must stop at the same row and count the same tests. The first byte
-// picks the budget (1–8) and the starting test count; the next 64 the
-// queue, eight bytes a slot; each following group of eight bytes a row.
+// pre-filter's pass 1, on the identity view of 8-column rows and on the
+// views that drop columns of them: the short-circuit body on the
+// view-space queue, run row by row on the view-space rows from the first
+// row until one has fewer than budget dominators. Scan8 gets the queue
+// column-major by source column with NaN in every dropped column, and
+// the source rows as they are. Both must stop at the same row and count
+// the same tests. The first byte picks the budget (1–8) and the starting
+// test count; the second the kept columns (bit c keeps column c; 0 keeps
+// all 8); the next 64 the queue, eight bytes a slot; each following
+// group of eight bytes a row, palette values in the dropped columns too.
 // A byte's low four bits pick a palette value and bit 5 moves it one ulp
 // up. A group whose first byte has bit 4 set is derived instead: a queue
 // slot from the slot before it, each later coordinate one ulp down where
@@ -32,26 +38,37 @@ func FuzzPass1Scan(f *testing.F) {
 	if !HasAVX512BW() {
 		f.Skip("no AVX512F+BW and POPCNT with OS-saved ZMM state on this CPU: Scan8 cannot run")
 	}
-	grid := make([]byte, 1+64+8*6)
+	grid := make([]byte, 2+64+8*6)
 	for i := range grid {
 		grid[i] = byte(i * 7)
 	}
+	grid[1] = 0xff
 	f.Add(grid)
-	chain := make([]byte, 1+64+8*4)
-	chain[0] = 3 // budget 4
+	chain := make([]byte, 2+64+8*4)
+	chain[0], chain[1] = 3, 0xff // budget 4, all 8 kept
 	for s := 1; s < 8; s++ {
-		chain[1+s*8], chain[1+s*8+s%7+1] = 0x10, 0x20
+		chain[2+s*8], chain[2+s*8+s%7+1] = 0x10, 0x20
 	}
-	chain[65], chain[73], chain[81], chain[89] = 0x10, 0xf0, 0x70, 0x30
-	chain[75] = 0x20
+	chain[66], chain[74], chain[82], chain[90] = 0x10, 0xf0, 0x70, 0x30
+	chain[76] = 0x20
 	f.Add(chain)
-	f.Add(make([]byte, 1+64)) // no rows
+	f.Add(append([]byte{0, 0xff}, make([]byte, 64)...)) // no rows
+	half := slices.Clone(grid)
+	half[1] = 0b01101001 // 4 of 8 kept
+	f.Add(half)
+	one := slices.Clone(chain)
+	one[1] = 0b00100000 // column 5 kept alone
+	f.Add(one)
 	f.Fuzz(func(t *testing.T, data []byte) {
-		if len(data) < 1+64 {
+		if len(data) < 2+64 {
 			return
 		}
 		budget := int(data[0]%8) + 1
 		start := uint64(data[0] >> 3)
+		keep := data[1]
+		if keep == 0 {
+			keep = 0xff
+		}
 		// fill writes an 8-byte group into dst: palette values, or base
 		// moved one ulp toward dir where a later byte has bit 5 set.
 		fill := func(dst []float64, g []byte, base []float64, dir float64) {
@@ -73,20 +90,36 @@ func FuzzPass1Scan(f *testing.F) {
 		}
 		var dense [64]float64
 		for s := 0; s < 8; s++ {
-			g := data[1+s*8 : 1+(s+1)*8]
+			g := data[2+s*8 : 2+(s+1)*8]
 			var base []float64
 			if s > 0 && g[0]&0x10 != 0 {
 				base = dense[(s-1)*8 : s*8]
 			}
 			fill(dense[s*8:(s+1)*8], g, base, math.Inf(-1))
 		}
+		// view keeps the kept columns of an 8-column row, in order.
+		view := func(row []float64) []float64 {
+			var out []float64
+			for c, x := range row {
+				if keep>>c&1 != 0 {
+					out = append(out, x)
+				}
+			}
+			return out
+		}
 		var cols [64]float64
+		var vdense []float64
 		for s := 0; s < 8; s++ {
 			for c := 0; c < 8; c++ {
-				cols[c*8+s] = dense[s*8+c]
+				cols[c*8+s] = math.NaN()
+				if keep>>c&1 != 0 {
+					cols[c*8+s] = dense[s*8+c]
+				}
 			}
+			vdense = append(vdense, view(dense[s*8:(s+1)*8])...)
 		}
-		data = data[1+64:]
+		dv := len(vdense) / 8
+		data = data[2+64:]
 		n := min(len(data)/8, 64)
 		rows := make([]float64, n*8)
 		for i := 0; i < n; i++ {
@@ -101,15 +134,15 @@ func FuzzPass1Scan(f *testing.F) {
 
 		wantDTs, want := start, n
 		for i := 0; i < n; i++ {
-			if cntRunSC8(dense[:], 0, 8, rows[i*8:(i+1)*8], budget, &wantDTs) < budget {
+			if CountDominatorsInFlatRunShortCircuit(vdense, dv, 0, 8, view(rows[i*8:(i+1)*8]), budget, &wantDTs) < budget {
 				want = i
 				break
 			}
 		}
 		gotDTs := start
 		if got := Scan8(&cols, rows, budget, &gotDTs); got != want || gotDTs != wantDTs {
-			t.Fatalf("budget=%d n=%d: Scan8 stopped at row %d after %d tests, the Go body at %d after %d",
-				budget, n, got, gotDTs-start, want, wantDTs-start)
+			t.Fatalf("budget=%d keep=%08b n=%d: Scan8 stopped at row %d after %d tests, the Go body at %d after %d",
+				budget, keep, n, got, gotDTs-start, want, wantDTs-start)
 		}
 	})
 }

@@ -67,14 +67,28 @@ func (v *View) D() int {
 	return len(v.cols)
 }
 
-// Flat returns the row-major source when v is the identity view, whose
-// Load hands out the source rows as they are, and nil for any other
-// view.
-func (v *View) Flat() []float64 {
-	if v.ident {
-		return v.src
+// cols8 lists the columns of an 8-column source in order: the kept
+// columns of its identity view.
+var cols8 = []int{0, 1, 2, 3, 4, 5, 6, 7}
+
+// Source8 returns the row-major source and the kept source columns, in
+// order, when the source has 8 columns and v negates none of them (the
+// identity view, or one that only drops columns), and nil, nil for any
+// other view. Column k of a loaded row is then source column cols[k]
+// as it is. Both are read-only to the caller.
+func (v *View) Source8() (src []float64, cols []int) {
+	if v.stride != 8 {
+		return nil, nil
 	}
-	return nil
+	if v.ident {
+		return v.src, cols8
+	}
+	for _, f := range v.flip {
+		if f != 0 {
+			return nil, nil
+		}
+	}
+	return v.src, v.cols
 }
 
 // Load returns row i under the view's transform. An identity view

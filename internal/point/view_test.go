@@ -2,6 +2,7 @@ package point
 
 import (
 	"math"
+	"slices"
 	"testing"
 )
 
@@ -49,11 +50,15 @@ func TestViewReset(t *testing.T) {
 // FuzzViewLoad decodes (d, ops, rows) from the byte string and checks
 // the view against the staged copy it replaces on the hot paths: every
 // Load — and every CopyRow — is bit for bit the matching row of
-// StagePrefs, and an identity view hands out the source rows themselves.
+// StagePrefs, an identity view hands out the source rows themselves,
+// and Source8 hands out the source, whose kept columns hold what Load
+// returns, exactly for 8-column views that negate no column.
 func FuzzViewLoad(f *testing.F) {
 	f.Add([]byte{3, 0, 1, 2, 0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15})
 	f.Add([]byte{1, 0, 0, 5, 9})
 	f.Add([]byte{7, 2, 2, 2, 2, 2, 2, 2, 2, 1, 1})
+	f.Add([]byte{7, 0, 2, 0, 0, 2, 2, 0, 2, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16}) // drop-only, d = 8
+	f.Add([]byte{7, 0, 2, 0, 1, 2, 2, 0, 2, 1, 2, 3, 4, 5, 6, 7, 8})                                // one negated, d = 8
 	f.Add([]byte{15, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 8, 8, 8, 8, 8, 8, 8, 8, 8, 8, 8, 8, 8, 8, 8, 8})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) < 1 {
@@ -87,8 +92,12 @@ func FuzzViewLoad(f *testing.F) {
 		if v.N() != n || v.D() != de {
 			t.Fatalf("view is %d×%d, staged copy is %d×%d (ops=%v)", v.N(), v.D(), n, de, ops)
 		}
-		if flat := v.Flat(); IdentityOps(ops) != (flat != nil) {
-			t.Fatalf("ops=%v: Flat() nil is %v, want %v", ops, flat == nil, !IdentityOps(ops))
+		// Source8 hands out the source exactly for the views of 8 columns
+		// that negate none, with Load's column k at source column
+		// cols8[k].
+		src8, cols8 := v.Source8()
+		if want := d == 8 && !slices.Contains(ops, PrefNegate); (src8 != nil) != want || want && len(cols8) != de {
+			t.Fatalf("ops=%v: Source8 returned the source %v and %d columns, want %v and %d", ops, src8 != nil, len(cols8), want, de)
 		}
 		var buf [MaxDims]float64
 		row := make([]float64, de)
@@ -102,6 +111,11 @@ func FuzzViewLoad(f *testing.F) {
 				w := math.Float64bits(want[i*de+k])
 				if math.Float64bits(got[k]) != w || math.Float64bits(row[k]) != w {
 					t.Fatalf("row %d col %d: Load=%v CopyRow=%v staged=%v (ops=%v)", i, k, got[k], row[k], want[i*de+k], ops)
+				}
+			}
+			for k, c := range cols8 {
+				if math.Float64bits(src8[i*8+c]) != math.Float64bits(got[k]) {
+					t.Fatalf("row %d col %d: source column %d holds %v, Load %v (ops=%v)", i, k, c, src8[i*8+c], got[k], ops)
 				}
 			}
 			if IdentityOps(ops) && &got[0] != &src[i*d] {

@@ -19,18 +19,46 @@ import (
 // in at most eight dimensions also make duplicate rows common.
 var tieVals = [8]float64{0.9, math.Nextafter(0.9, 1), math.Nextafter(0.9, 0), 0.5, 1e300, 0, 1, 2}
 
+// fuzzOps reads a preference vector for d columns from one byte: bit c
+// drops column c, and a kept column c < 4 is negated when bit c + 4 is
+// set (at d = 8 that bit also drops column c + 4). When every column is
+// dropped, the last is kept. At d ≤ 4 every vector is one byte's; at
+// d = 8 every drop-only vector is.
+func fuzzOps(b byte, d int) []point.PrefOp {
+	ops := make([]point.PrefOp, d)
+	kept := false
+	for c := range ops {
+		switch {
+		case b>>c&1 != 0:
+			ops[c] = point.PrefDrop
+		case c < 4 && b>>(c+4)&1 != 0:
+			ops[c] = point.PrefNegate
+		}
+		kept = kept || ops[c] != point.PrefDrop
+	}
+	if !kept {
+		ops[d-1] = point.PrefKeep
+	}
+	return ops
+}
+
 // FuzzRunnerFilter holds Runner.Filter to its contract on seeded inputs
-// built from five bytes. The first picks the distribution (bits 0–1:
-// correlated, independent, anticorrelated, or rows drawn from tieVals),
+// built from five bytes and an optional sixth. The first picks the
+// distribution (bits 0–1: correlated, independent, anticorrelated, or
+// rows drawn from tieVals),
 // T (bit 2: 1 or 2, or 3 when bit 7 is set, whose uneven ranges leave
 // segments of unequal length and, on the smallest inputs, empty ones), k
 // (bits 3–4: 1–4) and β (bits 5–6: 1, 4, 8 or 16);
 // the second d (1–8); the next two n (1–3 000, so queues fill and pass 1
-// tests rows against them); the last the generator's seed. One Runner
-// serves every input, so no state may leak between calls. The filter
-// must keep every row of the brute-force k-skyband, return its
-// survivors ascending, and return for each the L1 norm of its row, bit
-// for bit, and the row itself where it keeps rows.
+// tests rows against them); the fifth the generator's seed; the sixth,
+// when present, the preference view the filter reads the rows through
+// (fuzzOps; without it, the identity). A drop-only view of d = 8 at
+// β = 8 is the shape pass 1 takes point.Scan8 on, where the CPU has
+// it. One Runner serves every input, so no state may leak between
+// calls. The filter must keep every row of the brute-force k-skyband
+// of the staged copy, return its survivors ascending, and return for
+// each the L1 norm of its staged row, bit for bit, and the staged row
+// itself where it keeps rows.
 func FuzzRunnerFilter(f *testing.F) {
 	f.Add([]byte{0x00, 7, 0xb7, 0x0b, 1}) // correlated, d = 8, n = 3 000, k = 1, β = 1, T = 1
 	f.Add([]byte{0x45, 3, 0xcf, 0x07, 2}) // independent, d = 4, n = 2 000, T = 2, β = 8
@@ -41,6 +69,14 @@ func FuzzRunnerFilter(f *testing.F) {
 	f.Add([]byte{0x80, 7, 0xb7, 0x0b, 7}) // correlated, d = 8, n = 3 000, β = 1, T = 3
 	f.Add([]byte{0xc1, 3, 0x01, 0x00, 8}) // independent, d = 4, n = 2, β = 8, T = 3: an idle thread
 	f.Add([]byte{0xd3, 5, 0xe7, 0x03, 9}) // tie palette, d = 6, n = 1 000, k = 3, β = 8, T = 3
+	// Views. Drop-only at d = 8 and β = 8: pass 1's vector path.
+	f.Add([]byte{0x44, 7, 0xb7, 0x0b, 10, 0x0f}) // correlated, d = 8, n = 3 000, T = 2, β = 8: columns 4–7 kept
+	f.Add([]byte{0xc9, 7, 0xcf, 0x07, 11, 0xdf}) // independent, d = 8, n = 2 000, T = 3, k = 2, β = 8: column 5 alone
+	f.Add([]byte{0xc7, 7, 0xe7, 0x03, 12, 0x05}) // tie palette, d = 8, n = 1 000, T = 3, β = 8: columns 0 and 2 dropped
+	// A negated column: the Go path.
+	f.Add([]byte{0x52, 7, 0xe7, 0x03, 13, 0x10}) // anticorrelated, d = 8, n = 1 000, k = 3, β = 8: column 0 negated, 4 dropped
+	f.Add([]byte{0x47, 5, 0xdb, 0x05, 14, 0x21}) // tie palette, d = 6, n = 1 500, T = 2, β = 8: column 0 dropped, 1 negated
+	f.Add([]byte{0x26, 3, 0xf3, 0x01, 15, 0x87}) // anticorrelated, d = 4, n = 500, T = 2, β = 4: column 3 alone, negated
 	pools := []*par.Pool{par.NewPool(1), par.NewPool(2), par.NewPool(3)}
 	f.Cleanup(func() {
 		for _, p := range pools {
@@ -62,6 +98,10 @@ func FuzzRunnerFilter(f *testing.F) {
 		d := int(data[1]%8) + 1
 		n := (int(data[2])|int(data[3])<<8)%3000 + 1
 		seed := int64(data[4])
+		var ops []point.PrefOp
+		if len(data) > 5 {
+			ops = fuzzOps(data[5], d)
+		}
 		var m point.Matrix
 		if dist := data[0] & 3; dist < 3 {
 			m = dataset.Generate(dataset.AllDistributions[dist], n, d, seed)
@@ -73,7 +113,10 @@ func FuzzRunnerFilter(f *testing.F) {
 			}
 		}
 
-		surv, l1, rows := r.Filter(m.View(), beta, k, team, nil)
+		sm := staged(m, ops)
+		var v point.View
+		v.Reset(m.Flat(), n, d, ops)
+		surv, l1, rows := r.Filter(v, beta, k, team, nil)
 		if len(l1) != len(surv) {
 			t.Fatalf("%d survivors, %d norms", len(surv), len(l1))
 		}
@@ -81,22 +124,25 @@ func FuzzRunnerFilter(f *testing.F) {
 			if j > 0 && i <= surv[j-1] {
 				t.Fatalf("survivors not ascending: %d after %d", i, surv[j-1])
 			}
-			if want := point.L1(m.Row(i)); math.Float64bits(l1[j]) != math.Float64bits(want) {
+			if want := point.L1(sm.Row(i)); math.Float64bits(l1[j]) != math.Float64bits(want) {
 				t.Fatalf("survivor %d: norm %v, want %v", i, l1[j], want)
 			}
-			if rows != nil && !slices.Equal(rows.Row(j), m.Row(i)) {
-				t.Fatalf("survivor %d: row %v, want %v", i, rows.Row(j), m.Row(i))
+			if rows != nil && !slices.EqualFunc(rows.Row(j), sm.Row(i), sameBits) {
+				t.Fatalf("survivor %d: row %v, want %v", i, rows.Row(j), sm.Row(i))
 			}
 		}
-		band, _ := verify.BruteForceSkyband(m, k)
+		band, _ := verify.BruteForceSkyband(sm, k)
 		j := 0
 		for _, i := range band {
 			for j < len(surv) && surv[j] < i {
 				j++
 			}
 			if j == len(surv) || surv[j] != i {
-				t.Fatalf("d=%d n=%d k=%d β=%d T=%d: band row %d was pruned", d, n, k, beta, team.Threads(), i)
+				t.Fatalf("d=%d ops=%v n=%d k=%d β=%d T=%d: band row %d was pruned", d, ops, n, k, beta, team.Threads(), i)
 			}
 		}
 	})
 }
+
+// sameBits reports whether x and y are the same float64, bit for bit.
+func sameBits(x, y float64) bool { return math.Float64bits(x) == math.Float64bits(y) }

@@ -10,6 +10,8 @@
 package prefilter
 
 import (
+	"math"
+
 	"skybench/internal/par"
 	"skybench/internal/point"
 	"skybench/internal/stats"
@@ -59,7 +61,7 @@ const DefaultBeta = 8
 type Runner struct {
 	qdense []float64 // threads*beta*d queue rows, β unordered slots per thread
 	qnorm  []float64 // threads*beta L1 norms of the queue rows, by slot
-	qcols  []float64 // threads*64: each queue column-major, when pass 1 takes point.Scan8
+	qcols  []float64 // threads*64: each queue column-major by source column, when pass 1 takes point.Scan8
 	qcount []int
 	allq   []int     // queue slots of the union, sorted by L1
 	qrows  []float64 // gathered union rows matching allq order
@@ -80,9 +82,10 @@ type Runner struct {
 	pass2 func(tid, lo, hi int)
 }
 
-// useScan8 lets pass 1 take point.Scan8 on the shapes it fits (identity
-// view, d = 8, β = 8). Tests clear it to run the Go body, which every
-// other shape takes and which stays the reference.
+// useScan8 lets pass 1 take point.Scan8 on the shapes it fits (a view
+// of an 8-column source that negates no column, β = 8). Tests clear it
+// to run the Go body, which every other shape takes and which stays the
+// reference.
 var useScan8 = point.HasAVX512BW()
 
 // NewRunner creates a Runner with its parallel bodies pre-bound (so
@@ -138,7 +141,8 @@ func (r *Runner) Filter(v point.View, beta, k int, team *par.Team, dts *stats.DT
 	r.allq = grow(r.allq, threads*beta)
 	r.qcount = grow(r.qcount, threads)
 	r.rows.reset(d, threads)
-	r.scan8 = useScan8 && d == 8 && beta == 8 && v.Flat() != nil
+	src8, _ := v.Source8()
+	r.scan8 = useScan8 && beta == 8 && src8 != nil
 	if r.scan8 {
 		r.qcols = grow(r.qcols, threads*64)
 	}
@@ -370,12 +374,18 @@ func (sg *segment) row(k, d int) []float64 {
 // are pruned). It is slower where most are incomparable, but there the
 // filter is a small share of the run (DESIGN.md §2).
 //
-// On the identity view at d = 8 and β = 8, where the CPU has AVX-512,
-// the full queue's test is point.Scan8 instead: it holds the queue in
-// registers and skips every row up to the next one the queue does not
-// prune, with the short-circuit body's decisions and test counts. The
-// queue then keeps a column-major copy for it, which every slot write
-// updates along with the dense row.
+// On a view of an 8-column source that negates no column (point.View's
+// Source8: the identity, or one that only drops columns) and β = 8,
+// where the CPU has AVX-512, the full queue's test is point.Scan8
+// instead: it holds the queue in registers and skips every row up to the
+// next one the queue does not prune, with the short-circuit body's
+// decisions and test counts. It reads the source rows as they are, so
+// only the rows it stops on are loaded through the view. The queue then
+// keeps a column-major copy by source column, which every slot write
+// updates along with the dense row, and whose dropped columns hold NaN:
+// Scan8's two compares are both true on an unordered pair, so a NaN
+// column is neither worse nor better, and dominance over the 8 columns
+// is dominance over the kept ones, whatever a row holds in the others.
 func (r *Runner) runPass1(tid, lo, hi int) {
 	v, beta, k := &r.v, r.beta, r.k
 	d := v.D()
@@ -387,7 +397,11 @@ func (r *Runner) runPass1(tid, lo, hi int) {
 	var src []float64
 	if r.scan8 {
 		qu.cols = (*[64]float64)(r.qcols[tid*64 : (tid+1)*64])
-		src = v.Flat()
+		src, qu.srcCol = v.Source8()
+		// The slot writes fill the kept columns before the queue is full.
+		for c := range qu.cols {
+			qu.cols[c] = math.NaN()
+		}
 	}
 	sg := &r.rows.segs[tid]
 	keep := (hi - lo) / storeShare
@@ -422,14 +436,16 @@ func (r *Runner) runPass1(tid, lo, hi int) {
 
 // queue is one thread's β-queue: β unordered slots of rows and their
 // norms, row-major in dense and, when pass 1 takes point.Scan8,
-// column-major in cols too (cols[c*8+s] is coordinate c of slot s).
+// column-major by source column in cols too (cols[srcCol[k]*8+s] is
+// view coordinate k of slot s; a dropped column's entries are NaN).
 type queue struct {
-	l1    []float64
-	dense []float64
-	cols  *[64]float64
-	d     int
-	n     int // filled slots
-	top   int // the filled slot with the largest norm, the first of equals
+	l1     []float64
+	dense  []float64
+	cols   *[64]float64
+	srcCol []int // source column of each view column, when cols is set
+	d      int
+	n      int // filled slots
+	top    int // the filled slot with the largest norm, the first of equals
 }
 
 // offer puts a row the queue did not prune, with its norm l1, into a
@@ -452,8 +468,8 @@ func (qu *queue) offer(l1 float64, row []float64) {
 	qu.l1[s] = l1
 	copy(qu.dense[s*qu.d:(s+1)*qu.d], row)
 	if qu.cols != nil {
-		for c, x := range row {
-			qu.cols[c*8+s] = x
+		for k, x := range row {
+			qu.cols[qu.srcCol[k]*8+s] = x
 		}
 	}
 	qu.top = 0

@@ -42,6 +42,19 @@ func staged(m point.Matrix, ops []point.PrefOp) point.Matrix {
 	return point.FromFlat(dst, m.N(), de)
 }
 
+// dropOps drops every column j with j mod 3 = 1 of a d-dimensional
+// source and keeps the rest as they are: at d = 8 a drop-only view of
+// five columns, the shape pass 1 takes point.Scan8 on.
+func dropOps(d int) []point.PrefOp {
+	ops := make([]point.PrefOp, d)
+	for j := range ops {
+		if j%3 == 1 {
+			ops[j] = point.PrefDrop
+		}
+	}
+	return ops
+}
+
 // TestRunnerMatchesFilter checks that the reusable Runner, reading the
 // source through a view, selects exactly the same surviving set as the
 // reference Filter does on the staged copy — across distributions,
@@ -49,70 +62,105 @@ func staged(m point.Matrix, ops []point.PrefOp) point.Matrix {
 // that the norms and rows it returns are point.L1 of the staged
 // survivors and the staged rows, bit for bit, where it keeps rows. The
 // table has cases on both sides of storeShare (correlated inputs keep
-// their rows, anticorrelated ones do not). The identity view at d = 8 is
-// the shape pass 1 takes point.Scan8 on, where the CPU has it, so the
-// table runs with the scan on and again with it off.
+// their rows, anticorrelated ones do not). The identity view and the
+// drop-only view at d = 8 are the shapes pass 1 takes point.Scan8 on,
+// where the CPU has it, so every case runs with the scan on and again
+// with it off, and both must book the same dominance tests. The last
+// calls run one Runner over a drop-only view, the identity and another
+// drop-only column set in turn, so a queue column left over from the
+// call before (a stale NaN or a stale value) changes the survivors.
 func TestRunnerMatchesFilter(t *testing.T) {
 	defer func(on bool) { useScan8 = on }(useScan8)
+	scans := []bool{false}
+	if point.HasAVX512BW() {
+		scans = append(scans, true)
+	} else {
+		t.Log("no AVX512F+BW and POPCNT with OS-saved ZMM state: only the Go body runs")
+	}
 	kept := map[bool]int{}
-	for _, scan := range []bool{true, false} {
-		if scan && !point.HasAVX512BW() {
-			t.Log("no AVX512F+BW and POPCNT with OS-saved ZMM state: only the Go body runs")
-			continue
-		}
-		useScan8 = scan
-		r := NewRunner()
-		for _, threads := range []int{1, 3, 8} {
-			pool := par.NewPool(threads)
-			team := pool.Lease(threads)
-			for _, dist := range dataset.AllDistributions {
-				for _, d := range []int{6, 8} {
-					for _, n := range []int{1, 17, 1000, 5000} {
-						for _, ops := range [][]point.PrefOp{nil, subspaceOps(d)} {
-							m := dataset.Generate(dist, n, d, 99)
-							sm := staged(m, ops)
-							want := Filter(sm, l1s(sm), 0, threads, nil)
-							var v point.View
-							v.Reset(m.Flat(), n, d, ops)
-							got, gotL1, gotRows := r.Filter(v, 0, 1, team, nil)
-							at := fmt.Sprintf("%s d=%d n=%d t=%d ops=%v scan=%v", dist, d, n, threads, ops, scan)
-							if scan && ops == nil && d == 8 && n >= DefaultBeta && !r.scan8 {
-								t.Fatalf("%s: pass 1 did not take point.Scan8", at)
-							}
-							kept[gotRows != nil]++
-							if len(got) != len(want) || len(gotL1) != len(want) {
-								t.Fatalf("%s: runner kept %d (%d norms), filter kept %d", at, len(got), len(gotL1), len(want))
-							}
-							for i := range got {
-								if got[i] != want[i] {
-									t.Fatalf("%s: survivor %d is %d, want %d", at, i, got[i], want[i])
-								}
-								row := sm.Row(got[i])
-								if l1 := point.L1(row); math.Float64bits(gotL1[i]) != math.Float64bits(l1) {
-									t.Fatalf("%s: survivor %d has L1 %v, want %v", at, i, gotL1[i], l1)
-								}
-								if gotRows == nil {
-									continue
-								}
-								gotRow := gotRows.Row(i)
-								if len(gotRow) != len(row) {
-									t.Fatalf("%s: survivor %d has %d values, want %d", at, i, len(gotRow), len(row))
-								}
-								for c, x := range row {
-									if y := gotRow[c]; math.Float64bits(y) != math.Float64bits(x) {
-										t.Fatalf("%s: survivor %d has %v in column %d, the view %v", at, i, y, c, x)
-									}
-								}
-							}
-						}
+	r := NewRunner()
+	// check runs r over m through ops with each body and holds it to the
+	// reference.
+	check := func(m point.Matrix, ops []point.PrefOp, team *par.Team, at string) {
+		t.Helper()
+		n, d, threads := m.N(), m.D(), team.Threads()
+		sm := staged(m, ops)
+		want := Filter(sm, l1s(sm), 0, threads, nil)
+		var v point.View
+		v.Reset(m.Flat(), n, d, ops)
+		src8, _ := v.Source8()
+		dts := stats.NewDTCounters(threads)
+		booked := map[bool]uint64{}
+		for _, scan := range scans {
+			useScan8 = scan
+			at := fmt.Sprintf("%s scan=%v", at, scan)
+			dts.Reset()
+			got, gotL1, gotRows := r.Filter(v, 0, 1, team, dts)
+			if scan && src8 != nil && n >= DefaultBeta && !r.scan8 {
+				t.Fatalf("%s: pass 1 did not take point.Scan8", at)
+			}
+			booked[scan] = dts.Sum()
+			kept[gotRows != nil]++
+			if len(got) != len(want) || len(gotL1) != len(want) {
+				t.Fatalf("%s: runner kept %d (%d norms), filter kept %d", at, len(got), len(gotL1), len(want))
+			}
+			for i := range got {
+				if got[i] != want[i] {
+					t.Fatalf("%s: survivor %d is %d, want %d", at, i, got[i], want[i])
+				}
+				row := sm.Row(got[i])
+				if l1 := point.L1(row); math.Float64bits(gotL1[i]) != math.Float64bits(l1) {
+					t.Fatalf("%s: survivor %d has L1 %v, want %v", at, i, gotL1[i], l1)
+				}
+				if gotRows == nil {
+					continue
+				}
+				gotRow := gotRows.Row(i)
+				if len(gotRow) != len(row) {
+					t.Fatalf("%s: survivor %d has %d values, want %d", at, i, len(gotRow), len(row))
+				}
+				for c, x := range row {
+					if y := gotRow[c]; math.Float64bits(y) != math.Float64bits(x) {
+						t.Fatalf("%s: survivor %d has %v in column %d, the view %v", at, i, y, c, x)
 					}
 				}
 			}
-			pool.Close()
 		}
+		if len(scans) == 2 && booked[false] != booked[true] {
+			t.Fatalf("%s: %d dominance tests on the Go body, %d on point.Scan8", at, booked[false], booked[true])
+		}
+	}
+	for _, threads := range []int{1, 3, 8} {
+		pool := par.NewPool(threads)
+		team := pool.Lease(threads)
+		for _, dist := range dataset.AllDistributions {
+			for _, d := range []int{6, 8} {
+				for _, n := range []int{1, 17, 1000, 5000} {
+					for _, ops := range [][]point.PrefOp{nil, subspaceOps(d), dropOps(d)} {
+						m := dataset.Generate(dist, n, d, 99)
+						check(m, ops, team, fmt.Sprintf("%s d=%d n=%d t=%d ops=%v", dist, d, n, threads, ops))
+					}
+				}
+			}
+		}
+		pool.Close()
 	}
 	if kept[true] == 0 || kept[false] == 0 {
 		t.Fatalf("%d calls kept their rows and %d did not: the table misses one side of storeShare", kept[true], kept[false])
+	}
+
+	pool := par.NewPool(3)
+	defer pool.Close()
+	team := pool.Lease(3)
+	low3 := make([]point.PrefOp, 8)
+	for j := 3; j < 8; j++ {
+		low3[j] = point.PrefDrop
+	}
+	for _, dist := range dataset.AllDistributions {
+		m := dataset.Generate(dist, 5000, 8, 98)
+		for _, ops := range [][]point.PrefOp{dropOps(8), nil, low3} {
+			check(m, ops, team, fmt.Sprintf("reuse %s ops=%v", dist, ops))
+		}
 	}
 }
 
@@ -233,10 +281,14 @@ func TestRunnerNeverPrunesSkyline(t *testing.T) {
 // BenchmarkRunnerFilter times the one sweep a Hybrid run makes over its
 // whole input — transform, L1 norms and both pre-filter passes. The
 // first two cases are the scan-bound shape (1 M correlated rows, almost
-// all pruned, where pass 1's short-circuit kernel body pays); anti-d8 is
-// batch_anti's (32 768 anticorrelated rows, few pruned, where it costs).
-// SetBytes is the source size, so the figure
-// reads as MB/s against what the host streams from memory.
+// all pruned, where pass 1's short-circuit kernel body pays): batch_corr's
+// primary and secondary, the identity view and a drop-only view of four
+// columns. Both are shapes pass 1 takes point.Scan8 on, so each has a
+// "go" row (useScan8 off) and an "avx512" row (on, on a CPU with
+// AVX512F+BW only). anti-d8 is batch_anti's (32 768 anticorrelated rows,
+// few pruned, where the short-circuit body costs), at the default
+// body. SetBytes is the source size, so the figure reads as MB/s
+// against what the host streams from memory.
 func BenchmarkRunnerFilter(b *testing.B) {
 	const d = 8
 	corr := dataset.Generate(dataset.Correlated, 1_000_000, d, 1)
@@ -250,15 +302,16 @@ func BenchmarkRunnerFilter(b *testing.B) {
 	defer pool.Close()
 	team := pool.Lease(threads)
 	for _, bc := range []struct {
-		name string
-		m    point.Matrix
-		ops  []point.PrefOp
+		name   string
+		m      point.Matrix
+		ops    []point.PrefOp
+		bodies bool
 	}{
-		{"identity-d8", corr, nil},
-		{"subspace-4of8", corr, half},
-		{"anti-d8", anti, nil},
+		{"identity-d8", corr, nil, true},
+		{"subspace-4of8", corr, half, true},
+		{"anti-d8", anti, nil, false},
 	} {
-		b.Run(bc.name, func(b *testing.B) {
+		run := func(b *testing.B) {
 			n := bc.m.N()
 			var v point.View
 			v.Reset(bc.m.Flat(), n, d, bc.ops)
@@ -269,6 +322,24 @@ func BenchmarkRunnerFilter(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				r.Filter(v, 0, 1, team, nil)
 			}
-		})
+		}
+		if !bc.bodies {
+			b.Run(bc.name, run)
+			continue
+		}
+		for _, vec := range []bool{false, true} {
+			name := bc.name + "/go"
+			if vec {
+				name = bc.name + "/avx512"
+			}
+			b.Run(name, func(b *testing.B) {
+				if vec && !point.HasAVX512BW() {
+					b.Skip("no AVX512F+BW and POPCNT with OS-saved ZMM state on this CPU")
+				}
+				defer func(on bool) { useScan8 = on }(useScan8)
+				useScan8 = vec
+				run(b)
+			})
+		}
 	}
 }

@@ -219,8 +219,10 @@ type PhaseTimings struct {
 
 // Stats reports measurements of one query run.
 type Stats struct {
-	// DominanceTests is the number of full point-vs-point dominance
-	// tests performed — the machine-independent cost metric.
+	// DominanceTests counts the point-vs-point dominance tests the
+	// paper's arm would make. At d ≤ 8 the code-word pre-test rejects
+	// most of them before the float compare, so it is a machine-
+	// independent count of work, not a price of the run.
 	DominanceTests uint64
 	// SkylineSize is the number of skyline points found.
 	SkylineSize int
