@@ -16,9 +16,9 @@ import (
 // quantizer, as the Engine masks and codes its working set; some have
 // a dominator in the store and stop on it, the rest walk every
 // directory entry that passes the subset filter and the minimum-code
-// pre-test. ns/op is per probe. "go" runs the Go bodies
-// (useMaskedScan8 off), "avx512" the vector directory walk and
-// level-2 scan (on a CPU with AVX512F+BW only); dt/probe, the
+// pre-test. ns/op is per probe. "go" runs the Go bodies (the vector
+// bodies off, point.SetVectorBodies), "avx512" the vector directory
+// walk and level-2 scan (on a CPU with AVX512F+BW only); dt/probe, the
 // dominance tests booked per probe, is the same on both.
 func BenchmarkCountDominators(b *testing.B) {
 	const n, d, probes = 32768, 8, 1024
@@ -33,7 +33,7 @@ func BenchmarkCountDominators(b *testing.B) {
 		codes[i] = c.quant.Code(pm.Row(i))
 	}
 	b.Logf("store: %d skyline rows in %d partitions", s.size(), s.msMask.Len())
-	defer func(on bool) { useMaskedScan8 = on }(useMaskedScan8)
+	defer point.SetVectorBodies(point.VectorBodies())
 	for _, vec := range []bool{false, true} {
 		name := "go"
 		if vec {
@@ -43,7 +43,7 @@ func BenchmarkCountDominators(b *testing.B) {
 			if vec && !point.HasAVX512BW() {
 				b.Skip("no AVX512F+BW and POPCNT with OS-saved ZMM state on this CPU")
 			}
-			useMaskedScan8 = vec
+			point.SetVectorBodies(vec)
 			var dts uint64
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {

@@ -26,6 +26,21 @@ func runArm(c *Context, opt HybridOptions, m point.Matrix) armRun {
 	return armRun{slices.Clone(idx), slices.Clone(c.Counts()), st.DominanceTests}
 }
 
+// runArms runs the shipped arm and the paper's (HybridOptions.NoCodes)
+// on m.
+func runArms(c *Context, opt HybridOptions, m point.Matrix) (shipped, paper armRun) {
+	shipped = runArm(c, opt, m)
+	opt.NoCodes = true
+	return shipped, runArm(c, opt, m)
+}
+
+// same reports whether two runs returned the same indices in the same
+// order and the same counts and, with tests set, made the same
+// dominance tests.
+func (a armRun) same(b armRun, tests bool) bool {
+	return slices.Equal(a.idx, b.idx) && slices.Equal(a.counts, b.counts) && (!tests || a.dts == b.dts)
+}
+
 // armVals are FuzzHybridArms' two value palettes, eight values each.
 // The first is small integers, whose L1 norms are exact sums. The second
 // makes computed norms tie while one row dominates the other: 0.9 and its
@@ -64,8 +79,12 @@ func armProbeSeed() []byte {
 // and T ∈ {1, 2}, both arms return the oracle's band, the same indices
 // in the same order and the same counts, and Q-Flow returns the oracle's
 // band; at T = 1, where the count is repeatable, the shipped arm makes
-// no more tests than the paper's.
+// no more tests than the paper's. Where the CPU has the AVX-512 bodies,
+// each arm runs again with them on (point.SetVectorBodies; every other
+// run has them off) and must return the same indices, order and counts
+// and, at T = 1, make the same tests.
 func FuzzHybridArms(f *testing.F) {
+	defer point.SetVectorBodies(point.VectorBodies())
 	f.Add([]byte{2, 3, 0, 7, 1, 6, 2, 5, 3, 4, 4, 3, 5, 2, 6, 1, 7, 0, 3, 3, 2, 2})
 	f.Add([]byte{3, 1, 0, 7, 7, 7, 0, 7, 7, 7, 0, 1, 1, 1, 1, 1, 1, 4, 4, 4, 2, 5, 3, 6, 1, 4})
 	f.Add([]byte{7, 4, 1, 2, 3, 4, 5, 6, 7, 8, 7, 6, 5, 4, 3, 2, 0, 0, 0, 0, 7, 7, 7, 7, 3, 1, 4, 1, 5, 9, 2, 6})
@@ -99,10 +118,9 @@ func FuzzHybridArms(f *testing.F) {
 			}
 			for _, threads := range []int{1, 2} {
 				opt := HybridOptions{Team: teams[threads], Alpha: alpha, SkybandK: k}
-				shipped := runArm(c, opt, m)
-				opt.NoCodes = true
-				paper := runArm(c, opt, m)
-				if !slices.Equal(shipped.idx, paper.idx) || !slices.Equal(shipped.counts, paper.counts) {
+				point.SetVectorBodies(false)
+				shipped, paper := runArms(c, opt, m)
+				if !shipped.same(paper, false) {
 					t.Fatalf("d=%d n=%d α=%d k=%d T=%d: shipped arm %v %v, paper's arm %v %v",
 						d, n, alpha, k, threads, shipped.idx, shipped.counts, paper.idx, paper.counts)
 				}
@@ -113,6 +131,14 @@ func FuzzHybridArms(f *testing.F) {
 				if threads == 1 && shipped.dts > paper.dts {
 					t.Fatalf("d=%d n=%d α=%d k=%d: the shipped arm makes %d tests, the paper's %d",
 						d, n, alpha, k, shipped.dts, paper.dts)
+				}
+				if point.SetVectorBodies(true); point.VectorBodies() {
+					vShipped, vPaper := runArms(c, opt, m)
+					if !vShipped.same(shipped, threads == 1) || !vPaper.same(paper, threads == 1) {
+						t.Fatalf("d=%d n=%d α=%d k=%d T=%d: vector bodies on: shipped %v %v after %d tests, paper's %v %v after %d; off: shipped %v %v after %d, paper's %v %v after %d",
+							d, n, alpha, k, threads, vShipped.idx, vShipped.counts, vShipped.dts, vPaper.idx, vPaper.counts, vPaper.dts,
+							shipped.idx, shipped.counts, shipped.dts, paper.idx, paper.counts, paper.dts)
+					}
 				}
 				idx := c.QFlow(m.View(), QFlowOptions{Team: teams[threads], Alpha: alpha, SkybandK: k})
 				if !exact(idx, c.Counts()) {

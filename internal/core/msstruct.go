@@ -124,32 +124,16 @@ func (s *skylineStore) update(work point.Matrix, wl1 []float64, worig []int, wma
 	s.msStart = append(s.msStart, len(s.orig)) // push the sentinel
 }
 
-// useMaskedScan8 lets countDominators scan level-2 partitions with
-// point.CountDominatorsInFlatRunMasked8, the vector body, at d ≤ 8, and
-// walk the directory of a partitioned run with
-// point.PackedMasks.NextSubsetCoded8. Tests clear it to run the Go
-// bodies, which every other width and CPU takes and which stay the
-// reference.
-var useMaskedScan8 = point.HasAVX512BW()
-
 // nextEntry returns the first directory entry at or after e whose mask
 // is a subset of qMask and, on a partitioned run, whose minimum code
 // word passes the pre-test against qc, or the directory's length when
-// there is none. With vec set, a partitioned run asks both in one
-// vector step per 8 entries; otherwise the filter runs a word at a time
-// (NextSubset) and the pre-test entry by entry. Both return the same
-// entries in the same order.
-func (s *skylineStore) nextEntry(e int, qMask point.Mask, qc uint64, vec bool) int {
-	np := s.msMask.Len()
-	if vec && s.skip {
-		return s.msMask.NextSubsetCoded8(e, np, qMask, s.msCode, qc, s.d)
+// there is none (point.PackedMasks.NextSubsetCoded).
+func (s *skylineStore) nextEntry(e int, qMask point.Mask, qc uint64) int {
+	codes := s.msCode
+	if !s.skip {
+		codes = nil
 	}
-	for e = s.msMask.NextSubset(e, np, qMask); e < np; e = s.msMask.NextSubset(e+1, np, qMask) {
-		if !s.skip || point.CodeLE(s.msCode[e], qc, s.d) {
-			break
-		}
-	}
-	return e
+	return s.msMask.NextSubsetCoded(e, s.msMask.Len(), qMask, codes, qc, s.d)
 }
 
 // countDominators implements Algorithm 3 (compareToSky) at a dominator
@@ -166,10 +150,10 @@ func (s *skylineStore) nextEntry(e int, qMask point.Mask, qc uint64, vec bool) i
 // partitioned run, a partition whose minimum code word fails the
 // pre-test against qc is skipped whole: each member's code is at least
 // that minimum in every lane, so each member fails the pre-test too, and
-// the pre-test never rejects a dominator (DESIGN.md §2); at d ≤ 8 with
-// the vector bodies on, the directory's filter and that pre-test are
-// one vector step per 8 entries (nextEntry). All point accesses index
-// the store's flat row-major data directly.
+// the pre-test never rejects a dominator (DESIGN.md §2); the
+// directory's filter and that pre-test are one walk (nextEntry), a
+// vector step per 8 entries at d ≤ 8 where the CPU has one. All point
+// accesses index the store's flat row-major data directly.
 //
 // dts accumulates the dominance tests performed: every row a scan
 // tests, and each level-2 pivot's mask computation, which inspects all
@@ -193,9 +177,8 @@ func (s *skylineStore) countDominators(q []float64, qc uint64, qMask point.Mask,
 	d := s.d
 	data := s.data
 	np := s.msMask.Len()
-	vec := useMaskedScan8 && d <= 8
 	c := 0
-	for e := s.nextEntry(0, qMask, qc, vec); e < np; e = s.nextEntry(e+1, qMask, qc, vec) {
+	for e := s.nextEntry(0, qMask, qc); e < np; e = s.nextEntry(e+1, qMask, qc) {
 		lo, hi := s.msStart[e], s.msStart[e+1]
 		if !level2 {
 			c += point.CountDominatorsInFlatRunCoded(data, d, lo, hi, q, nil, s.code, qc, budget-c, dts)
@@ -218,11 +201,7 @@ func (s *skylineStore) countDominators(q []float64, qc uint64, qMask point.Mask,
 			}
 		}
 		// Scan the rest of the partition behind the level-2 filter.
-		if vec {
-			c += point.CountDominatorsInFlatRunMasked8(data, d, lo+1, hi, q, &s.mask2, m2, s.code, qc, budget-c, dts)
-		} else {
-			c += point.CountDominatorsInFlatRunMasked(data, d, lo+1, hi, q, &s.mask2, m2, s.code, qc, budget-c, dts)
-		}
+		c += point.CountDominatorsInFlatRunMasked(data, d, lo+1, hi, q, &s.mask2, m2, s.code, qc, budget-c, dts)
 		if c >= budget {
 			return c
 		}

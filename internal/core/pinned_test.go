@@ -126,18 +126,19 @@ func loadPinned(t *testing.T) map[string][3]uint64 {
 // (testdata/hybrid_counts_parent.json, recorded with this file's
 // pinnedRun; -update re-records it). A Q-Flow run
 // leaves no pivot to mask the probes with, so the "qflow" rows skip the
-// probe check. At d ≤ 8 Phase I's level-2 scans take the vector body
-// where the CPU has it (useMaskedScan8), so the grid runs with it on and
-// again forced off, and both runs must match the one table.
+// probe check. At d ≤ 8 Phase I's directory walk and level-2 scans take
+// the vector bodies where the CPU has them (point.VectorBodies), so the
+// grid runs with them on and again forced off, and both runs must match
+// the one table.
 func TestHybridCountsPinned(t *testing.T) {
 	want := loadPinned(t)
-	defer func(on bool) { useMaskedScan8 = on }(useMaskedScan8)
+	defer point.SetVectorBodies(point.VectorBodies())
 	for _, vec := range []bool{true, false} {
 		if vec && !point.HasAVX512BW() {
 			t.Log("no AVX512F+BW and POPCNT with OS-saved ZMM state: only the Go body runs")
 			continue
 		}
-		useMaskedScan8 = vec
+		point.SetVectorBodies(vec)
 		got, checked := pinnedGrid(t, want, vec)
 		if *update {
 			writePinned(t, got)

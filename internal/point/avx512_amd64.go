@@ -2,7 +2,7 @@ package point
 
 // hasAVX512BW records whether the CPU can run this package's AVX-512
 // bodies: Scan8 and the word steps of the masked scan and directory
-// walk (maskedSkip8) and of the stream's band scans (bandSkip8). It is
+// walk (maskedSkip8) and of the band scans (bandSkip8). It is
 // read once, at start-up, from CPUID and XGETBV, and asks for every
 // extension either body uses: AVX512F (CPUID leaf 7 EBX bit 16),
 // AVX512BW for the byte-lane mask move VPMOVB2M (leaf 7 EBX bit 30) and
@@ -27,12 +27,6 @@ var hasAVX512BW = func() bool {
 	return ebx7&(avx512f|avx512bw) == avx512f|avx512bw
 }()
 
-// HasAVX512BW reports whether the CPU has AVX512F, AVX512BW and POPCNT
-// and the OS saves the opmask and ZMM state: whether Scan8,
-// CountDominatorsInFlatRunMasked8, PackedMasks.NextSubsetCoded8,
-// AppendDominatorsMasked8 and AppendDominatedMasked8 may be called.
-func HasAVX512BW() bool { return hasAVX512BW }
-
 // Scan8 is the pre-filter's pass-1 queue test run over a stretch of
 // rows at once, with the whole β = 8 queue held in registers. cols is
 // the queue column-major — cols[c*8+s] is coordinate c of queue slot s —
@@ -41,19 +35,19 @@ func HasAVX512BW() bool { return hasAVX512BW }
 // fewer than budget (≥ 1) dominators among them, or len(rows)/8 when
 // every row has budget or more.
 //
-// The result and *dts are those of CountDominatorsInFlatRunShortCircuit
-// on the row-major queue, called row by row in slot order: a row it passes
+// The result and *dts are those of CountDominatorsInFlatRun on the
+// row-major queue, called row by row in slot order: a row it passes
 // over advances *dts by the position of its budget-th dominating slot
 // plus one, and the row it returns at by 8. Each coordinate is one
 // compare of a queue column against the row's broadcast value, so the
-// test takes no branch per slot. Call it only when HasAVX512BW reports
+// test takes no branch per slot. Call it only when VectorBodies reports
 // true.
 //
 //go:noescape
 func Scan8(cols *[64]float64, rows []float64, budget int, dts *uint64) int
 
-// maskedSkip8 is the vector step of CountDominatorsInFlatRunMasked8
-// and of PackedMasks.NextSubsetCoded8 on an 8-bit-lane mask column: it
+// maskedSkip8 is the vector step of CountDominatorsInFlatRunMasked
+// and of PackedMasks.NextSubsetCoded on an 8-bit-lane mask column: it
 // walks words wi … last of words and returns the first whose rows hold
 // one that passes both the subset filter against probe (the probe mask
 // in every lane) and the code pre-test against qg = qc | h, or last + 1
@@ -71,8 +65,8 @@ func Scan8(cols *[64]float64, rows []float64, budget int, dts *uint64) int
 //go:noescape
 func maskedSkip8(words, codes *uint64, wi, last int, head, tail, probe, qg, h uint64, n *uint64) int
 
-// bandSkip8 is the vector step of AppendDominatorsMasked8 and
-// AppendDominatedMasked8 on an 8-bit-lane mask column: it walks words
+// bandSkip8 is the vector step of AppendDominatorsMasked and
+// AppendDominatedMasked on an 8-bit-lane mask column: it walks words
 // wi … last of words and returns the first whose rows hold one that
 // passes the mask filter, the norm filter and the code pre-test, or
 // last + 1 when none does. Word wi is clipped to head and word last to

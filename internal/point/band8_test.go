@@ -8,33 +8,13 @@ import (
 	"testing"
 )
 
-// bandBody is a body of the stream's two band scans: the Go bodies,
-// AppendDominatorsMasked and AppendDominatedMasked, or the vector ones,
-// AppendDominatorsMasked8 and AppendDominatedMasked8.
-type bandBody struct {
-	name       string
-	dominators func(dst []int32, rows []float64, d, lo, hi int, q []float64, qL1 float64, l1 []float64, pm *PackedMasks, qm Mask, codes []uint64, qc uint64, budget int, dts *uint64) []int32
-	dominated  func(dst []int32, rows []float64, d, lo, hi int, q []float64, qL1 float64, l1 []float64, pm *PackedMasks, qm Mask, codes []uint64, qc uint64, dts *uint64) []int32
-}
-
-// bandBodies returns the bodies that may run a coded band scan at width
-// d: the Go bodies always, and the vector bodies too at d ≤ 8 where the
-// CPU has them.
-func bandBodies(d int) []bandBody {
-	bodies := []bandBody{{"go", AppendDominatorsMasked, AppendDominatedMasked}}
-	if HasAVX512BW() && d <= 8 {
-		bodies = append(bodies, bandBody{"avx512", AppendDominatorsMasked8, AppendDominatedMasked8})
-	}
-	return bodies
-}
-
-// FuzzBandScan holds AppendDominatorsMasked8 and AppendDominatedMasked8
-// to the Go bodies they stand in for: the same positions after the same
-// advance of *dts, the dominators at every budget from 1 to 8. The
-// first byte picks d (1–8), the next two the span [lo, hi), the fourth
-// the probe mask, the fifth the starting test count and the sixth the
-// probe's norm; each following triple of bytes is a row: a mask byte, a
-// kind byte and a norm byte.
+// FuzzBandScan holds AppendDominatorsMasked and AppendDominatedMasked
+// with the vector bodies on to the same kernels with them off, their Go
+// bodies: the same positions after the same advance of *dts, the
+// dominators at every budget from 1 to 8. The first byte picks d (1–8),
+// the next two the span [lo, hi), the fourth the probe mask, the fifth
+// the starting test count and the sixth the probe's norm; each following
+// triple of bytes is a row: a mask byte, a kind byte and a norm byte.
 //
 // A kind's low two bits pick it; bits 2–7 select coordinate c where bit
 // 2 + c mod 6 is set. Kind 0 moves the selected coordinates a quarter
@@ -58,6 +38,7 @@ func FuzzBandScan(f *testing.F) {
 	if !HasAVX512BW() {
 		f.Skip("no AVX512F+BW and POPCNT with OS-saved ZMM state on this CPU: the vector bodies cannot run")
 	}
+	defer SetVectorBodies(SetVectorBodies(true))
 	for _, s := range []struct{ d, lo, length, rows int }{
 		{8, 3, 18, 24},  // starts and ends mid-word
 		{7, 2, 4, 12},   // inside one word
@@ -156,16 +137,20 @@ func FuzzBandScan(f *testing.F) {
 
 		for budget := 1; budget <= 8; budget++ {
 			wantDTs, gotDTs := start, start
+			vector = false
 			want := AppendDominatorsMasked([]int32{-7}, rows, d, lo, hi, q, qL1, l1, pm, qm, codes, qc, budget, &wantDTs)
-			got := AppendDominatorsMasked8([]int32{-7}, rows, d, lo, hi, q, qL1, l1[:hi], pm, qm, codes[:hi], qc, budget, &gotDTs)
+			vector = true
+			got := AppendDominatorsMasked([]int32{-7}, rows, d, lo, hi, q, qL1, l1[:hi], pm, qm, codes[:hi], qc, budget, &gotDTs)
 			if !slices.Equal(got, want) || gotDTs != wantDTs {
 				t.Fatalf("d=%d [%d,%d) qm=%b qL1=%v budget=%d: vector dominators %v after %d tests, Go body %v after %d",
 					d, lo, hi, qm, qL1, budget, got[1:], gotDTs-start, want[1:], wantDTs-start)
 			}
 		}
 		wantDTs, gotDTs := start, start
+		vector = false
 		want := AppendDominatedMasked([]int32{-7}, rows, d, lo, hi, q, qL1, l1, pm, qm, codes, qc, &wantDTs)
-		got := AppendDominatedMasked8([]int32{-7}, rows, d, lo, hi, q, qL1, l1[:hi], pm, qm, codes[:hi], qc, &gotDTs)
+		vector = true
+		got := AppendDominatedMasked([]int32{-7}, rows, d, lo, hi, q, qL1, l1[:hi], pm, qm, codes[:hi], qc, &gotDTs)
 		if !slices.Equal(got, want) || gotDTs != wantDTs {
 			t.Fatalf("d=%d [%d,%d) qm=%b qL1=%v: vector dominated %v after %d tests, Go body %v after %d",
 				d, lo, hi, qm, qL1, got[1:], gotDTs-start, want[1:], wantDTs-start)
@@ -181,8 +166,8 @@ func FuzzBandScan(f *testing.F) {
 // column ranges, as the index's repivot sets them. Each probe is a band
 // row, which no band row dominates and which dominates none, so every
 // scan visits the whole band and ns/row is the mean cost of passing
-// one row, filtered or tested. "go" and "avx512" are the two bodies of
-// each scan (bandBodies; the vector ones on a CPU with AVX512F+BW only).
+// one row, filtered or tested. "go" and "avx512" are each scan with the
+// vector bodies off and on (forEachBody; on a CPU with AVX512F+BW only).
 func BenchmarkBandScan(b *testing.B) {
 	const src, d, probes = 50000, 8, 64
 	rng := rand.New(rand.NewSource(31))
@@ -225,19 +210,19 @@ func BenchmarkBandScan(b *testing.B) {
 	for p := range picks {
 		picks[p] = rng.Intn(n)
 	}
-	for _, body := range bandBodies(d) {
+	forEachBody(func(body string) {
 		for _, scan := range []struct {
 			name string
 			run  func(q []float64, qL1 float64, qm Mask, qc uint64, dts *uint64) int
 		}{
 			{"first", func(q []float64, qL1 float64, qm Mask, qc uint64, dts *uint64) int {
-				return len(body.dominators(nil, rows, d, 0, n, q, qL1, l1, pm, qm, codes, qc, 1, dts))
+				return len(AppendDominatorsMasked(nil, rows, d, 0, n, q, qL1, l1, pm, qm, codes, qc, 1, dts))
 			}},
 			{"dominated", func(q []float64, qL1 float64, qm Mask, qc uint64, dts *uint64) int {
-				return len(body.dominated(nil, rows, d, 0, n, q, qL1, l1, pm, qm, codes, qc, dts))
+				return len(AppendDominatedMasked(nil, rows, d, 0, n, q, qL1, l1, pm, qm, codes, qc, dts))
 			}},
 		} {
-			b.Run(scan.name+"/"+body.name, func(b *testing.B) {
+			b.Run(scan.name+"/"+body, func(b *testing.B) {
 				var dts uint64
 				for i := 0; i < b.N; i++ {
 					for _, j := range picks {
@@ -250,5 +235,5 @@ func BenchmarkBandScan(b *testing.B) {
 				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*probes*n), "ns/row")
 			})
 		}
-	}
+	})
 }

@@ -21,36 +21,22 @@ import "sync/atomic"
 // phases call CountDominatorsInFlatRunCoded.
 //
 // Two widths have an unrolled body, the pre-filter widths of the
-// benchmarked batch workloads. At d = 4 it asks "row worse anywhere"
-// branch-free (b2u), the faster form when most tested rows are
-// incomparable with the probe; at d = 8 it asks it as a short-circuit
-// chain, CountDominatorsInFlatRunShortCircuit's body, which measured
-// faster where the pre-filter is most of the run (DESIGN.md §2). Every
-// other width runs the generic body.
+// benchmarked batch workloads, both asking "row worse anywhere" as a
+// short-circuit chain: a row that dominates the probe is no worse in
+// every dimension, so the chain runs to its end and predicts well where
+// most tested rows do, as in the pre-filter's pass 1 on correlated
+// data, which is where the pre-filter is most of the run (DESIGN.md
+// §2). Every other width runs the generic body, which asks the same
+// tests in the same order.
 func CountDominatorsInFlatRun(rows []float64, d, lo, hi int, q []float64, budget int, dts *uint64) int {
 	switch d {
 	case 4:
-		return cntRun4(rows, lo, hi, q, budget, dts)
+		return cntRunSC4(rows, lo, hi, q, budget, dts)
 	case 8:
 		return cntRunSC8(rows, lo, hi, q, budget, dts)
 	default:
 		return cntRunGeneric(rows, d, lo, hi, q, nil, nil, 0, budget, dts)
 	}
-}
-
-// CountDominatorsInFlatRunShortCircuit is CountDominatorsInFlatRun with
-// the "row worse anywhere" half of the test as a short-circuit chain at
-// every unrolled width. A row that dominates the probe is no worse in
-// every dimension, so the chain runs to its end and predicts well when
-// most tested rows do; on incomparable rows it exits at a data-dependent
-// dimension and mispredicts (b2u). The bodies ask the same tests in the
-// same order, so the count and *dts are CountDominatorsInFlatRun's; only
-// d = 4 has a body of its own here. The pre-filter's pass 1 calls it.
-func CountDominatorsInFlatRunShortCircuit(rows []float64, d, lo, hi int, q []float64, budget int, dts *uint64) int {
-	if d == 4 {
-		return cntRunSC4(rows, lo, hi, q, budget, dts)
-	}
-	return CountDominatorsInFlatRun(rows, d, lo, hi, q, budget, dts)
 }
 
 // CountDominatorsInFlatRunCoded is CountDominatorsInFlatRun behind an
@@ -134,28 +120,6 @@ func cntRunGeneric(rows []float64, d, lo, hi int, q []float64, skip []uint32, co
 	return c
 }
 
-func cntRun4(rows []float64, lo, hi int, q []float64, budget int, dts *uint64) int {
-	q0, q1, q2, q3 := q[0], q[1], q[2], q[3]
-	n := *dts
-	c := 0
-	off := lo * 4
-	for j := lo; j < hi; j, off = j+1, off+4 {
-		n++
-		r := rows[off : off+4 : off+4]
-		if b2u(r[0] > q0)|b2u(r[1] > q1)|b2u(r[2] > q2)|b2u(r[3] > q3) != 0 {
-			continue
-		}
-		if r[0] < q0 || r[1] < q1 || r[2] < q2 || r[3] < q3 {
-			c++
-			if c >= budget {
-				break
-			}
-		}
-	}
-	*dts = n
-	return c
-}
-
 func cntRunSC4(rows []float64, lo, hi int, q []float64, budget int, dts *uint64) int {
 	q0, q1, q2, q3 := q[0], q[1], q[2], q[3]
 	n := *dts
@@ -213,42 +177,25 @@ func cntRunSC8(rows []float64, lo, hi int, q []float64, budget int, dts *uint64)
 // codes and qc are CountDominatorsInFlatRun's code-word pre-test, asked
 // of a row that passed the mask filter and was counted as a test.
 //
-// This is the Go body, run at every width and on every CPU; at d ≤ 8
-// with codes, where the CPU has AVX-512, the Engine calls
-// CountDominatorsInFlatRunMasked8 instead, and this body is its
-// reference.
-func CountDominatorsInFlatRunMasked(rows []float64, d, lo, hi int, q []float64, pm *PackedMasks, qm Mask, codes []uint64, qc uint64, budget int, dts *uint64) int {
-	return cntRunMasked(rows, d, lo, hi, q, pm, qm, codes, qc, budget, dts, false)
-}
-
-// CountDominatorsInFlatRunMasked8 is CountDominatorsInFlatRunMasked
-// with one AVX-512 step per mask word (maskedSkip8): at d ≤ 8 a word
-// holds 8 rows in 8-bit lanes and their 8 code words are one 64-byte
-// load, so the subset filter, the span clip and the code pre-test of
-// all 8 rows are one vector step. A word where no row passes both
-// only adds its subset-filter rows to *dts — each is a test its code
-// rejects, as in the Go body — and the Go body takes every other word,
-// testing its rows in ascending order. Nearly every word is of the
+// At d ≤ 8 (pm's lanes 8 bits wide) with codes, where the vector
+// bodies are on (VectorBodies), each mask word takes one AVX-512 step
+// first (maskedSkip8): a word holds 8 rows in 8-bit lanes and their 8
+// code words are one 64-byte load, so the subset filter, the span clip
+// and the code pre-test of all 8 rows are one vector step. A word where
+// no row passes both only adds its subset-filter rows to *dts — each is
+// a test its code rejects — and every other word is tested row by row
+// in ascending order, as without the step. Nearly every word is of the
 // first kind (on batch_anti's skyline 0.16 % of the rows that pass the
-// subset filter pass the pre-test), and the count, the row where the
-// budget is reached and *dts are CountDominatorsInFlatRunMasked's.
-//
-// Call it only when HasAVX512BW reports true, with d ≤ 8 and codes
-// holding row j's code word at codes[j] for every j < hi.
-func CountDominatorsInFlatRunMasked8(rows []float64, d, lo, hi int, q []float64, pm *PackedMasks, qm Mask, codes []uint64, qc uint64, budget int, dts *uint64) int {
-	if lo >= hi {
-		return 0
+// subset filter pass the pre-test). Either way the count, the row where
+// the budget is reached and *dts are the same. codes must then hold row
+// j's code word at codes[j] for every j < hi.
+func CountDominatorsInFlatRunMasked(rows []float64, d, lo, hi int, q []float64, pm *PackedMasks, qm Mask, codes []uint64, qc uint64, budget int, dts *uint64) int {
+	vec := vector && pm.lane == 3 && codes != nil && lo < hi
+	if vec {
+		// The assembly reads the words of rows [lo, hi) and codes [0, hi)
+		// without bounds checks.
+		_, _ = pm.w[(hi-1)>>pm.idx], codes[hi-1]
 	}
-	// The assembly reads the words of rows [lo, hi) and codes [0, hi)
-	// without bounds checks.
-	_, _ = pm.w[(hi-1)>>pm.idx], codes[hi-1]
-	return cntRunMasked(rows, d, lo, hi, q, pm, qm, codes, qc, budget, dts, true)
-}
-
-// cntRunMasked is both bodies of the masked kernel; with vec set, the
-// assembly passes over every word up to the next that holds a row
-// passing both the subset filter and the code pre-test.
-func cntRunMasked(rows []float64, d, lo, hi int, q []float64, pm *PackedMasks, qm Mask, codes []uint64, qc uint64, budget int, dts *uint64, vec bool) int {
 	h := codeGuards[d]
 	qg := qc | h
 	n := *dts

@@ -82,29 +82,19 @@ func checkFilteredBody(t *testing.T, rows []float64, d, lo, mid, hi int, q []flo
 	}
 }
 
-// checkUncodedBodies holds both uncoded entry points,
-// CountDominatorsInFlatRun (the pre-filter's pass 2) and
-// CountDominatorsInFlatRunShortCircuit (its pass 1), to the generic body
-// on one scan at every budget from 1 to maxBudget: the same count and
-// the same advance of a *dts that does not start at zero. At d = 4 that
-// holds cntRun4 and cntRunSC4 to it, at d = 8 cntRunSC8.
+// checkUncodedBodies holds CountDominatorsInFlatRun, the pre-filter's
+// kernel, to the generic body on one scan at every budget from 1 to
+// maxBudget: the same count and the same advance of a *dts that does
+// not start at zero. At d = 4 that holds cntRunSC4 to it, at d = 8
+// cntRunSC8.
 func checkUncodedBodies(t *testing.T, rows []float64, d, lo, hi int, q []float64, maxBudget int) {
 	t.Helper()
 	for budget := 1; budget <= maxBudget; budget++ {
-		gDTs := uint64(3)
+		gDTs, dts := uint64(3), uint64(3)
 		g := cntRunGeneric(rows, d, lo, hi, q, nil, nil, 0, budget, &gDTs)
-		for _, e := range []struct {
-			name string
-			run  func(rows []float64, d, lo, hi int, q []float64, budget int, dts *uint64) int
-		}{
-			{"CountDominatorsInFlatRun", CountDominatorsInFlatRun},
-			{"CountDominatorsInFlatRunShortCircuit", CountDominatorsInFlatRunShortCircuit},
-		} {
-			dts := uint64(3)
-			if c := e.run(rows, d, lo, hi, q, budget, &dts); c != g || dts != gDTs {
-				t.Fatalf("d=%d [%d,%d) budget=%d: %s (count %d, %d tests), generic body (%d, %d); q=%v rows=%v",
-					d, lo, hi, budget, e.name, c, dts-3, g, gDTs-3, q, rows)
-			}
+		if c := CountDominatorsInFlatRun(rows, d, lo, hi, q, budget, &dts); c != g || dts != gDTs {
+			t.Fatalf("d=%d [%d,%d) budget=%d: CountDominatorsInFlatRun (count %d, %d tests), generic body (%d, %d); q=%v rows=%v",
+				d, lo, hi, budget, c, dts-3, g, gDTs-3, q, rows)
 		}
 	}
 }
@@ -268,12 +258,12 @@ func TestCountDominatorsInFlatRunMasked(t *testing.T) {
 					want++
 				}
 			}
-			for _, body := range maskedBodies(d) {
+			forEachBody(func(body string) {
 				var dts uint64
-				if got := body.run(rows, d, 0, n, q, pm, qm, codes, qc, budget, &dts); got != want {
-					t.Fatalf("%s body, d=%d n=%d budget=%d: got %d want %d", body.name, d, n, budget, got, want)
+				if got := CountDominatorsInFlatRunMasked(rows, d, 0, n, q, pm, qm, codes, qc, budget, &dts); got != want {
+					t.Fatalf("%s body, d=%d n=%d budget=%d: got %d want %d", body, d, n, budget, got, want)
 				}
-			}
+			})
 
 			// The mask filter must never drop a dominator: unfiltered count
 			// with an unbounded budget matches the brute-force total.

@@ -9,10 +9,10 @@ package point
 // implementation gets its constant factors from AVX kernels over
 // contiguous blocks (Section IV); these kernels are the Go analogue and
 // are what the hot paths of Hybrid, Q-Flow and the stream index call.
-// Each masked scan has a Go body, run at every width and on every CPU,
-// and at d ≤ 8 an AVX-512 body that passes over a word of 8 rows a step
-// (avx512_amd64.s) and hands every other word to the Go body, its
-// reference.
+// Each masked scan is one entry point with a Go body, run at every width
+// and on every CPU; at d ≤ 8 with codes, where the vector bodies are on
+// (VectorBodies), an AVX-512 step passes over a word of 8 rows at a time
+// (avx512_amd64.s) and hands every other word to the Go body.
 
 // DominatesFlat reports strict dominance between two rows of the same flat
 // row-major storage: vals[pOff:pOff+d] ≺ vals[qOff:qOff+d].
@@ -33,7 +33,7 @@ func EqualsFlat2(p []float64, pOff int, q []float64, qOff, d int) bool {
 // finishing the d compares. Branch-free is not always the faster form:
 // on rows that mostly dominate the probe, as in the pre-filter's pass 1
 // on correlated data, the chain runs to its end and predicts well, and
-// it beats the d flag-sets (CountDominatorsInFlatRunShortCircuit).
+// it beats the d flag-sets (cntRunSC4, cntRunSC8).
 func b2u(b bool) uint8 {
 	if b {
 		return 1
@@ -81,41 +81,24 @@ func dominatesRow(r, q []float64) bool {
 // pre-test of CountDominatorsInFlatRunCoded, asked of a row after it is
 // counted as a test; nil codes asks none.
 //
-// This is the Go body, run at every width and on every CPU; at d ≤ 8
-// with codes, where the CPU has AVX-512, the stream index calls
-// AppendDominatorsMasked8 instead, and this body is its reference.
+// At d ≤ 8 (pm's lanes 8 bits wide) with codes, where the vector
+// bodies are on (VectorBodies), each mask word takes one AVX-512 step
+// first (bandSkip8): a word holds 8 rows in 8-bit lanes, and their 8
+// norms and 8 code words are one 64-byte load each, so the subset
+// filter, the span clip, the norm filter and the code pre-test of all 8
+// rows are one vector step. A word where no row passes all four only
+// adds its rows that pass the first three to *dts — each is a test its
+// code rejects — and every other word is tested row by row in ascending
+// order, so the positions, the row where the budget is reached and *dts
+// do not change. l1 and codes must then hold row j's norm and code word
+// at index j for every j < hi.
 func AppendDominatorsMasked(dst []int32, rows []float64, d, lo, hi int, q []float64, qL1 float64, l1 []float64, pm *PackedMasks, qm Mask, codes []uint64, qc uint64, budget int, dts *uint64) []int32 {
-	return appendDominators(dst, rows, d, lo, hi, q, qL1, l1, pm, qm, codes, qc, budget, dts, false)
-}
-
-// AppendDominatorsMasked8 is AppendDominatorsMasked with one AVX-512
-// step per mask word (bandSkip8): at d ≤ 8 a word holds 8 rows in 8-bit
-// lanes, and their 8 norms and 8 code words are one 64-byte load each,
-// so the subset filter, the span clip, the norm filter and the code
-// pre-test of all 8 rows are one vector step. A word where no row
-// passes all four only adds its rows that pass the first three to *dts
-// — each is a test its code rejects, as in the Go body — and the Go
-// body takes every other word, testing its rows in ascending order, so
-// the positions, the row where the budget is reached and *dts are
-// AppendDominatorsMasked's.
-//
-// Call it only when HasAVX512BW reports true, with d ≤ 8, pm's lanes
-// 8 bits wide (Reset for d ≤ 8), and codes holding row j's code word at
-// codes[j] for every j < hi, from the Quantizer that coded qc.
-func AppendDominatorsMasked8(dst []int32, rows []float64, d, lo, hi int, q []float64, qL1 float64, l1 []float64, pm *PackedMasks, qm Mask, codes []uint64, qc uint64, budget int, dts *uint64) []int32 {
-	if lo >= hi {
-		return dst
+	vec := vector && pm.lane == 3 && codes != nil && lo < hi
+	if vec {
+		// The assembly reads the words of rows [lo, hi) and the norms and
+		// codes of [0, hi) without bounds checks.
+		_, _, _ = pm.w[(hi-1)>>pm.idx], l1[hi-1], codes[hi-1]
 	}
-	// The assembly reads the words of rows [lo, hi) and the norms and
-	// codes of [0, hi) without bounds checks.
-	_, _, _ = pm.w[(hi-1)>>pm.idx], l1[hi-1], codes[hi-1]
-	return appendDominators(dst, rows, d, lo, hi, q, qL1, l1, pm, qm, codes, qc, budget, dts, true)
-}
-
-// appendDominators is both bodies of the dominators' scan; with vec
-// set, the assembly passes over every word up to the next that holds a
-// row passing every filter and the code pre-test.
-func appendDominators(dst []int32, rows []float64, d, lo, hi int, q []float64, qL1 float64, l1 []float64, pm *PackedMasks, qm Mask, codes []uint64, qc uint64, budget int, dts *uint64, vec bool) []int32 {
 	h := codeGuardsFor(codes, d)
 	qg := qc | h
 	n := *dts
@@ -155,27 +138,14 @@ scan:
 // changes. Its filters are AppendDominatorsMasked's with the roles
 // swapped — masks[j] ⊇ qm (PackedMasks.supersets), l1[j] ≥ qL1 and the
 // probe's code word no larger than the row's in any lane — and equally
-// exact. It is the Go body, the reference of AppendDominatedMasked8.
+// exact. It takes AppendDominatorsMasked's vector step under the same
+// conditions, run in the other direction, with the same positions and
+// *dts either way.
 func AppendDominatedMasked(dst []int32, rows []float64, d, lo, hi int, q []float64, qL1 float64, l1 []float64, pm *PackedMasks, qm Mask, codes []uint64, qc uint64, dts *uint64) []int32 {
-	return appendDominated(dst, rows, d, lo, hi, q, qL1, l1, pm, qm, codes, qc, dts, false)
-}
-
-// AppendDominatedMasked8 is AppendDominatedMasked with
-// AppendDominatorsMasked8's vector step, run in the other direction:
-// superset filter, norm filter and pre-test with the roles swapped. The
-// positions and *dts are AppendDominatedMasked's. Call it under
-// AppendDominatorsMasked8's conditions.
-func AppendDominatedMasked8(dst []int32, rows []float64, d, lo, hi int, q []float64, qL1 float64, l1 []float64, pm *PackedMasks, qm Mask, codes []uint64, qc uint64, dts *uint64) []int32 {
-	if lo >= hi {
-		return dst
+	vec := vector && pm.lane == 3 && codes != nil && lo < hi
+	if vec {
+		_, _, _ = pm.w[(hi-1)>>pm.idx], l1[hi-1], codes[hi-1]
 	}
-	_, _, _ = pm.w[(hi-1)>>pm.idx], l1[hi-1], codes[hi-1]
-	return appendDominated(dst, rows, d, lo, hi, q, qL1, l1, pm, qm, codes, qc, dts, true)
-}
-
-// appendDominated is both bodies of the dominated scan, as
-// appendDominators is of the dominators' scan.
-func appendDominated(dst []int32, rows []float64, d, lo, hi int, q []float64, qL1 float64, l1 []float64, pm *PackedMasks, qm Mask, codes []uint64, qc uint64, dts *uint64, vec bool) []int32 {
 	h := codeGuardsFor(codes, d)
 	n := *dts
 	probe, sp := pm.probe(qm), pm.span(lo, hi)

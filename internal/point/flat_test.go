@@ -121,8 +121,8 @@ func prefixCodes(rows []float64, d, m int, q []float64) ([]uint64, uint64) {
 // arbitrary pivot or none, with no more dominance tests; with no filter
 // to pass over a row, exactly as many. Behind code words fitted to a
 // prefix of the rows it returns the same positions after the same
-// tests, in the Go body and, at d ≤ 8 where the CPU has it, the vector
-// body (bandBodies). Entries already in dst stay and do not count
+// tests, with the vector bodies off and, where the CPU has them, on
+// (forEachBody). Entries already in dst stay and do not count
 // against the budget.
 func TestAppendDominatorsMasked(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
@@ -152,12 +152,12 @@ func TestAppendDominatorsMasked(t *testing.T) {
 						d, lo, hi, budget, pivot, got[1:], dts, want, tested, q, rows)
 				}
 				codes, qc := prefixCodes(rows, d, rng.Intn(n+1), q)
-				for _, body := range bandBodies(d) {
+				forEachBody(func(body string) {
 					var codedDTs uint64
-					if coded := body.dominators([]int32{-1}, rows, d, lo, hi, q, qL1, l1, pm, qm, codes, qc, budget, &codedDTs); !slices.Equal(coded, got) || codedDTs != dts {
-						t.Fatalf("d=%d [%d,%d) budget=%d pivot=%v: coded, %s body, %v after %d tests, uncoded %v after %d", d, lo, hi, budget, pivot, body.name, coded[1:], codedDTs, got[1:], dts)
+					if coded := AppendDominatorsMasked([]int32{-1}, rows, d, lo, hi, q, qL1, l1, pm, qm, codes, qc, budget, &codedDTs); !slices.Equal(coded, got) || codedDTs != dts {
+						t.Fatalf("d=%d [%d,%d) budget=%d pivot=%v: coded, %s body, %v after %d tests, uncoded %v after %d", d, lo, hi, budget, pivot, body, coded[1:], codedDTs, got[1:], dts)
 					}
-				}
+				})
 				if pivot == nil {
 					// No mask filter, and every norm passes: the kernel is the
 					// plain scan, test for test.
@@ -246,7 +246,7 @@ func TestFirstDominatorInFlatRun(t *testing.T) {
 
 // TestAppendDominatedMasked holds the stream's demotion kernel to the
 // unfiltered scan for every row the probe dominates, on the same grid,
-// coded as uncoded, the coded scan in every body bandBodies returns.
+// coded as uncoded, the coded scan in every body forEachBody runs.
 func TestAppendDominatedMasked(t *testing.T) {
 	rng := rand.New(rand.NewSource(13))
 	for _, d := range []int{1, 2, 3, 4, 6, 8, 9, 12} {
@@ -272,12 +272,12 @@ func TestAppendDominatedMasked(t *testing.T) {
 				t.Fatalf("d=%d [%d,%d) pivot=%v: got %v after %d tests, want %v (q=%v rows=%v)", d, lo, hi, pivot, got, dts, want, q, rows)
 			}
 			codes, qc := prefixCodes(rows, d, rng.Intn(n+1), q)
-			for _, body := range bandBodies(d) {
+			forEachBody(func(body string) {
 				var codedDTs uint64
-				if coded := body.dominated(nil, rows, d, lo, hi, q, qL1, l1, pm, qm, codes, qc, &codedDTs); !slices.Equal(coded, got) || codedDTs != dts {
-					t.Fatalf("d=%d [%d,%d) pivot=%v: coded, %s body, %v after %d tests, uncoded %v after %d", d, lo, hi, pivot, body.name, coded, codedDTs, got, dts)
+				if coded := AppendDominatedMasked(nil, rows, d, lo, hi, q, qL1, l1, pm, qm, codes, qc, &codedDTs); !slices.Equal(coded, got) || codedDTs != dts {
+					t.Fatalf("d=%d [%d,%d) pivot=%v: coded, %s body, %v after %d tests, uncoded %v after %d", d, lo, hi, pivot, body, coded, codedDTs, got, dts)
 				}
-			}
+			})
 		}
 	}
 }

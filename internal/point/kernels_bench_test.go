@@ -13,15 +13,13 @@ import (
 //
 //   - pairwise: dominatesRow (behind DominatesFlat and the generic run
 //     bodies) against the short-circuit reference Dominates;
-//   - run: CountDominatorsInFlatRun at budget 1 — pre-filter pass 2's
-//     call, without codes — unrolled (cntRun4, branch-free, at d = 4;
-//     cntRunSC8, short-circuit, at d = 8) against cntRunGeneric, and at
-//     d = 4 against pass 1's short-circuit body (cntRunSC4, through
-//     CountDominatorsInFlatRunShortCircuit); d = 6 has no unrolled body,
-//     so only the generic rows run there. Beside them,
+//   - run: CountDominatorsInFlatRun at budget 1 — the pre-filter's
+//     call, without codes — unrolled (cntRunSC4 at d = 4, cntRunSC8 at
+//     d = 8, both short-circuit) against cntRunGeneric; d = 6 has no
+//     unrolled body, so only the generic rows run there. Beside them,
 //     CountDominatorsInFlatRunCoded, the Engine's call, which runs the
 //     generic body behind the pre-test;
-//   - run-dominated: the same uncoded bodies and cntRunGeneric on probes
+//   - run-dominated: the same uncoded body and cntRunGeneric on probes
 //     every row dominates, at a budget no scan reaches — the rows pass 1
 //     of the pre-filter mostly tests on correlated data, where the
 //     short-circuit body is meant to win;
@@ -116,9 +114,6 @@ func BenchmarkKernels(b *testing.B) {
 			{"run/unrolled", func(q []float64, dts *uint64) int {
 				return CountDominatorsInFlatRun(rows, d, 0, n, q, 1, dts)
 			}},
-			{"run/short-circuit", func(q []float64, dts *uint64) int {
-				return CountDominatorsInFlatRunShortCircuit(rows, d, 0, n, q, 1, dts)
-			}},
 			{"run/generic", func(q []float64, dts *uint64) int {
 				return cntRunGeneric(rows, d, 0, n, q, nil, nil, 0, 1, dts)
 			}},
@@ -173,9 +168,6 @@ func BenchmarkKernels(b *testing.B) {
 			{"run-dominated/unrolled", func(q []float64, dts *uint64) int {
 				return CountDominatorsInFlatRun(rows, d, 0, n, q, n+1, dts)
 			}},
-			{"run-dominated/short-circuit", func(q []float64, dts *uint64) int {
-				return CountDominatorsInFlatRunShortCircuit(rows, d, 0, n, q, n+1, dts)
-			}},
 			{"run-dominated/generic", func(q []float64, dts *uint64) int {
 				return cntRunGeneric(rows, d, 0, n, q, nil, nil, 0, n+1, dts)
 			}},
@@ -199,17 +191,10 @@ func BenchmarkKernels(b *testing.B) {
 }
 
 // hasBody reports whether the uncoded run row name prices a body of its
-// own at width d: "/unrolled" runs one at d = 4 and 8, "/short-circuit"
-// only at d = 4 (at d = 8 it is the "/unrolled" body). Every other row
-// runs at every width.
+// own at width d: "/unrolled" runs one at d = 4 and 8 only. Every other
+// row runs at every width.
 func hasBody(d int, name string) bool {
-	switch {
-	case strings.HasSuffix(name, "/unrolled"):
-		return d == 4 || d == 8
-	case strings.HasSuffix(name, "/short-circuit"):
-		return d == 4
-	}
-	return true
+	return !strings.HasSuffix(name, "/unrolled") || d == 4 || d == 8
 }
 
 // dominatedBrute counts the rows of the row-major matrix rows that q

@@ -5,45 +5,26 @@ import (
 	"testing"
 )
 
-// maskedBody is a body of the masked counting kernel: the Go body,
-// CountDominatorsInFlatRunMasked, and the vector one,
-// CountDominatorsInFlatRunMasked8.
-type maskedBody struct {
-	name string
-	run  func(rows []float64, d, lo, hi int, q []float64, pm *PackedMasks, qm Mask, codes []uint64, qc uint64, budget int, dts *uint64) int
-}
-
-// maskedBodies returns the bodies that may run a coded scan at width
-// d: the Go body always, and the vector body too at d ≤ 8 where the CPU
-// has it. Tests that hold the kernel to a reference run it once per
-// body, so both meet every guard.
-func maskedBodies(d int) []maskedBody {
-	bodies := []maskedBody{{"go", CountDominatorsInFlatRunMasked}}
-	if HasAVX512BW() && d <= 8 {
-		bodies = append(bodies, maskedBody{"avx512", CountDominatorsInFlatRunMasked8})
-	}
-	return bodies
-}
-
-// FuzzMaskedScan holds CountDominatorsInFlatRunMasked8 to the Go body
-// it stands in for: the count and the advance of *dts at every budget
-// from 1 to one past the number of dominators. The first byte picks d
-// (2–8), the next two the span [lo, hi), the fourth the probe mask and
-// the fifth the starting test count; each following pair of bytes is a
-// row, a mask byte and a kind byte. A kind's low two bits pick it;
-// bits 2–7 move coordinate c where bit 2 + c mod 6 is set. Kind 3
-// moves coordinates a quarter below the probe's: a dominator, unless
-// no bit moves one. Kinds 0 and 1 do the same and then put coordinate
-// (kind >> 2) mod d half a unit above the probe's, so the code pre-test
-// rejects the row. Kind 2 moves coordinates one ulp below the probe's
-// and, with bit 7 set, coordinate (kind >> 2) mod d one ulp above it: a
-// row whose code passes while its float test fails. The seeds' spans
-// start and end mid-word, fit inside one word, align with words and
-// cover three or more.
+// FuzzMaskedScan holds CountDominatorsInFlatRunMasked with the vector
+// bodies on to the same kernel with them off, its Go body: the count and
+// the advance of *dts at every budget from 1 to one past the number of
+// dominators. The first byte picks d (2–8), the next two the span
+// [lo, hi), the fourth the probe mask and the fifth the starting test count;
+// each following pair of bytes is a row, a mask byte and a kind byte. A
+// kind's low two bits pick it; bits 2–7 move coordinate c where bit 2 +
+// c mod 6 is set. Kind 3 moves coordinates a quarter below the probe's:
+// a dominator, unless no bit moves one. Kinds 0 and 1 do the same and
+// then put coordinate (kind >> 2) mod d half a unit above the probe's,
+// so the code pre-test rejects the row. Kind 2 moves coordinates one ulp
+// below the probe's and, with bit 7 set, coordinate (kind >> 2) mod d
+// one ulp above it: a row whose code passes while its float test fails.
+// The seeds' spans start and end mid-word, fit inside one word, align
+// with words and cover three or more.
 func FuzzMaskedScan(f *testing.F) {
 	if !HasAVX512BW() {
 		f.Skip("no AVX512F+BW and POPCNT with OS-saved ZMM state on this CPU: the vector body cannot run")
 	}
+	defer SetVectorBodies(SetVectorBodies(true))
 	// A seed's rows pass the subset filter, and all but one, a dominator
 	// in the middle of the span, fail the pre-test: the vector body
 	// passes over every other word, the first and last clipped.
@@ -117,11 +98,14 @@ func FuzzMaskedScan(f *testing.F) {
 		pm := packMasks(d, masks)
 
 		var all uint64
+		vector = false
 		total := CountDominatorsInFlatRunMasked(rows, d, lo, hi, q, pm, qm, codes, qc, n+1, &all)
 		for budget := 1; budget <= total+1; budget++ {
 			wantDTs, gotDTs := start, start
+			vector = false
 			want := CountDominatorsInFlatRunMasked(rows, d, lo, hi, q, pm, qm, codes, qc, budget, &wantDTs)
-			got := CountDominatorsInFlatRunMasked8(rows, d, lo, hi, q, pm, qm, codes[:hi], qc, budget, &gotDTs)
+			vector = true
+			got := CountDominatorsInFlatRunMasked(rows, d, lo, hi, q, pm, qm, codes[:hi], qc, budget, &gotDTs)
 			if got != want || gotDTs != wantDTs {
 				t.Fatalf("d=%d [%d,%d) qm=%b budget=%d: vector body (%d, %d tests), Go body (%d, %d tests)",
 					d, lo, hi, qm, budget, got, gotDTs-start, want, wantDTs-start)
@@ -130,8 +114,8 @@ func FuzzMaskedScan(f *testing.F) {
 	})
 }
 
-// FuzzDirectoryWalk holds PackedMasks.NextSubsetCoded8, Phase I's
-// vector walk of the M(S) directory, to the Go walk it stands in for:
+// FuzzDirectoryWalk holds PackedMasks.NextSubsetCoded, Phase I's walk
+// of the M(S) directory, with the vector bodies on to the Go walk:
 // NextSubset, then the pre-test entry by entry. Both walk [lo, hi) from
 // lo and on from every entry found, and must find the same entries.
 // The first byte picks d (2–8), the next two the span [lo, hi) and the
@@ -148,6 +132,7 @@ func FuzzDirectoryWalk(f *testing.F) {
 	if !HasAVX512BW() {
 		f.Skip("no AVX512F+BW and POPCNT with OS-saved ZMM state on this CPU: the vector walk cannot run")
 	}
+	defer SetVectorBodies(SetVectorBodies(true))
 	for _, s := range []struct{ d, lo, length, entries int }{
 		{8, 3, 18, 24},  // starts and ends mid-word
 		{7, 2, 4, 12},   // inside one word
@@ -208,14 +193,14 @@ func FuzzDirectoryWalk(f *testing.F) {
 			}
 			return e
 		}
-		for want, got := next(lo), pm.NextSubsetCoded8(lo, hi, qm, codes[:hi], qc, d); ; {
+		for want, got := next(lo), pm.NextSubsetCoded(lo, hi, qm, codes[:hi], qc, d); ; {
 			if got != want {
 				t.Fatalf("d=%d [%d,%d) qm=%b: vector walk found %d, Go walk %d", d, lo, hi, qm, got, want)
 			}
 			if want >= hi {
 				break
 			}
-			want, got = next(want+1), pm.NextSubsetCoded8(want+1, hi, qm, codes[:hi], qc, d)
+			want, got = next(want+1), pm.NextSubsetCoded(want+1, hi, qm, codes[:hi], qc, d)
 		}
 	})
 }

@@ -160,19 +160,26 @@ func (p *PackedMasks) NextSubset(lo, hi int, qm Mask) int {
 	return hi
 }
 
-// NextSubsetCoded8 returns the first row j ∈ [lo, hi) whose mask is a
+// NextSubsetCoded returns the first row j ∈ [lo, hi) whose mask is a
 // subset of qm and whose code word passes the pre-test against qc
-// (CodeLE(codes[j], qc, d)), or hi when there is none: NextSubset and
-// the pre-test in one vector step per mask word (maskedSkip8), which
-// passes over every word with no such row. Its test count is
-// discarded: Phase I books no test for a directory entry.
+// (CodeLE(codes[j], qc, d)), or hi when there is none; nil codes asks
+// no pre-test. It is Phase I's walk of the M(S) directory, whose test
+// count is discarded: Phase I books no test for a directory entry.
 //
-// Call it only when HasAVX512BW reports true, with d ≤ 8, p's lanes 8
-// bits wide (Reset for d ≤ 8) and codes holding row j's code word at
-// codes[j] for every j < hi.
-func (p *PackedMasks) NextSubsetCoded8(lo, hi int, qm Mask, codes []uint64, qc uint64, d int) int {
-	if lo >= hi {
-		return hi
+// The Go body is NextSubset, then the pre-test entry by entry. At
+// d ≤ 8 (p's lanes 8 bits wide) with codes, where the vector bodies are
+// on (VectorBodies), the filter and the pre-test are one AVX-512 step
+// per mask word (maskedSkip8), which passes over every word with no such
+// row; codes must then hold row j's code word at codes[j] for every
+// j < hi. Both return the same row.
+func (p *PackedMasks) NextSubsetCoded(lo, hi int, qm Mask, codes []uint64, qc uint64, d int) int {
+	if !vector || p.lane != 3 || codes == nil || lo >= hi {
+		for lo = p.NextSubset(lo, hi, qm); lo < hi; lo = p.NextSubset(lo+1, hi, qm) {
+			if codes == nil || CodeLE(codes[lo], qc, d) {
+				break
+			}
+		}
+		return lo
 	}
 	// The assembly reads the words of rows [lo, hi) and codes [0, hi)
 	// without bounds checks.

@@ -224,7 +224,7 @@ func TestSupersetFilterExact(t *testing.T) {
 // coordinates, then four bytes per row mask — bit 31, which no mask
 // uses, forces the mask under the probe's so candidates stay frequent
 // at high d. The coded kernel runs through every body this CPU runs
-// (maskedBodies).
+// (forEachBody).
 func FuzzSubsetFilterPacked(f *testing.F) {
 	f.Add([]byte{8, 0, 9, 0x5a, 0, 0, 0, 1, 0x12, 0, 0, 0x80, 0xff, 0, 0, 0, 0x5a, 0, 0, 0, 0, 0, 0, 0x80})
 	f.Add([]byte{3, 1, 0, 7, 0, 0, 0, 2})                                  // empty run
@@ -301,13 +301,13 @@ func FuzzSubsetFilterPacked(f *testing.F) {
 				t.Fatalf("d=%d [%d,%d) qm=%b budget=%d: got (%d, %d dts) want (%d, %d dts)",
 					d, lo, hi, qm, budget, gotC, gotDTs-5, wantC, wantDTs-5)
 			}
-			for _, body := range maskedBodies(d) {
+			forEachBody(func(body string) {
 				codedDTs := uint64(5)
-				if c := body.run(rows, d, lo, hi, q, pm, qm, codes, qc, budget, &codedDTs); c != wantC || codedDTs != wantDTs {
+				if c := CountDominatorsInFlatRunMasked(rows, d, lo, hi, q, pm, qm, codes, qc, budget, &codedDTs); c != wantC || codedDTs != wantDTs {
 					t.Fatalf("d=%d [%d,%d) qm=%b budget=%d coded, %s body: got (%d, %d dts) want (%d, %d dts)",
-						d, lo, hi, qm, budget, body.name, c, codedDTs-5, wantC, wantDTs-5)
+						d, lo, hi, qm, budget, body, c, codedDTs-5, wantC, wantDTs-5)
 				}
-			}
+			})
 		}
 	})
 }
@@ -321,9 +321,9 @@ func FuzzSubsetFilterPacked(f *testing.F) {
 // batch_anti. Every scan therefore runs to the end, and ns/row is the
 // mean cost of passing one row, tested or not. "scalar" is the per-row
 // mask branch the packed filter replaced, without codes; "go" and
-// "avx512" are the two bodies of the coded kernel the Engine runs,
-// CountDominatorsInFlatRunMasked and CountDominatorsInFlatRunMasked8
-// (on a CPU with AVX512F+BW only).
+// "avx512" are the coded kernel the Engine runs,
+// CountDominatorsInFlatRunMasked, with the vector bodies off and on (on
+// a CPU with AVX512F+BW only).
 func BenchmarkMaskedScan(b *testing.B) {
 	const n, d, probes = 4096, 8, 64
 	rng := rand.New(rand.NewSource(29))
@@ -387,18 +387,18 @@ func BenchmarkMaskedScan(b *testing.B) {
 	for p := range qcs {
 		qcs[p] = z.Code(qs[p*d : (p+1)*d])
 	}
-	for _, body := range maskedBodies(d) {
-		b.Run(body.name, func(b *testing.B) {
+	forEachBody(func(body string) {
+		b.Run(body, func(b *testing.B) {
 			var dts uint64
 			for i := 0; i < b.N; i++ {
 				for p := 0; p < probes; p++ {
 					q := qs[p*d : (p+1)*d]
-					if body.run(rows, d, 0, n, q, pm, qm, codes, qcs[p], 1, &dts) != 0 {
+					if CountDominatorsInFlatRunMasked(rows, d, 0, n, q, pm, qm, codes, qcs[p], 1, &dts) != 0 {
 						b.Fatal("probe dominated")
 					}
 				}
 			}
 			report(b)
 		})
-	}
+	})
 }

@@ -19,7 +19,7 @@ var scanVals = [16]float64{
 
 // FuzzPass1Scan holds Scan8 to the Go body it replaces in the
 // pre-filter's pass 1, on the identity view of 8-column rows and on the
-// views that drop columns of them: the short-circuit body on the
+// views that drop columns of them: CountDominatorsInFlatRun on the
 // view-space queue, run row by row on the view-space rows from the first
 // row until one has fewer than budget dominators. Scan8 gets the queue
 // column-major by source column with NaN in every dropped column, and
@@ -134,7 +134,7 @@ func FuzzPass1Scan(f *testing.F) {
 
 		wantDTs, want := start, n
 		for i := 0; i < n; i++ {
-			if CountDominatorsInFlatRunShortCircuit(vdense, dv, 0, 8, view(rows[i*8:(i+1)*8]), budget, &wantDTs) < budget {
+			if CountDominatorsInFlatRun(vdense, dv, 0, 8, view(rows[i*8:(i+1)*8]), budget, &wantDTs) < budget {
 				want = i
 				break
 			}

@@ -82,12 +82,6 @@ type Runner struct {
 	pass2 func(tid, lo, hi int)
 }
 
-// useScan8 lets pass 1 take point.Scan8 on the shapes it fits (a view
-// of an 8-column source that negates no column, β = 8). Tests clear it
-// to run the Go body, which every other shape takes and which stays the
-// reference.
-var useScan8 = point.HasAVX512BW()
-
 // NewRunner creates a Runner with its parallel bodies pre-bound (so
 // dispatching them allocates nothing).
 func NewRunner() *Runner {
@@ -142,7 +136,7 @@ func (r *Runner) Filter(v point.View, beta, k int, team *par.Team, dts *stats.DT
 	r.qcount = grow(r.qcount, threads)
 	r.rows.reset(d, threads)
 	src8, _ := v.Source8()
-	r.scan8 = useScan8 && beta == 8 && src8 != nil
+	r.scan8 = point.VectorBodies() && beta == 8 && src8 != nil
 	if r.scan8 {
 		r.qcols = grow(r.qcols, threads*64)
 	}
@@ -369,23 +363,25 @@ func (sg *segment) row(k, d int) []float64 {
 // soundness"). A surviving row gets its norm, replaces the queue's
 // largest point if its norm is smaller, and becomes a candidate either
 // way, its loaded row stored beside it up to the thread's storeShare.
-// The test takes the short-circuit kernel body, which is faster when
-// most queue rows dominate the probe (correlated data, where most rows
-// are pruned). It is slower where most are incomparable, but there the
-// filter is a small share of the run (DESIGN.md §2).
+// The test is point.CountDominatorsInFlatRun, whose d = 4 and d = 8
+// bodies short-circuit: faster when most queue rows dominate the probe
+// (correlated data, where most rows are pruned), slower where most are
+// incomparable, but there the filter is a small share of the run
+// (DESIGN.md §2).
 //
 // On a view of an 8-column source that negates no column (point.View's
 // Source8: the identity, or one that only drops columns) and β = 8,
-// where the CPU has AVX-512, the full queue's test is point.Scan8
-// instead: it holds the queue in registers and skips every row up to the
-// next one the queue does not prune, with the short-circuit body's
-// decisions and test counts. It reads the source rows as they are, so
-// only the rows it stops on are loaded through the view. The queue then
-// keeps a column-major copy by source column, which every slot write
-// updates along with the dense row, and whose dropped columns hold NaN:
-// Scan8's two compares are both true on an unordered pair, so a NaN
-// column is neither worse nor better, and dominance over the 8 columns
-// is dominance over the kept ones, whatever a row holds in the others.
+// where the vector bodies are on (point.VectorBodies), the full queue's
+// test is point.Scan8 instead: it holds the queue in registers and skips
+// every row up to the next one the queue does not prune, with the Go
+// body's decisions and test counts. It reads the source rows as they
+// are, so only the rows it stops on are loaded through the view. The
+// queue then keeps a column-major copy by source column, which every
+// slot write updates along with the dense row, and whose dropped columns
+// hold NaN: Scan8's two compares are both true on an unordered pair, so
+// a NaN column is neither worse nor better, and dominance over the 8
+// columns is dominance over the kept ones, whatever a row holds in the
+// others.
 func (r *Runner) runPass1(tid, lo, hi int) {
 	v, beta, k := &r.v, r.beta, r.k
 	d := v.D()
@@ -416,7 +412,7 @@ func (r *Runner) runPass1(tid, lo, hi int) {
 			}
 		}
 		q := v.Load(i, buf[:])
-		if full && qu.cols == nil && point.CountDominatorsInFlatRunShortCircuit(qu.dense, d, 0, beta, q, k, &localDTs) >= k {
+		if full && qu.cols == nil && point.CountDominatorsInFlatRun(qu.dense, d, 0, beta, q, k, &localDTs) >= k {
 			continue
 		}
 		qL1 := point.L1(q)

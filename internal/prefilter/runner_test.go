@@ -70,7 +70,7 @@ func dropOps(d int) []point.PrefOp {
 // drop-only column set in turn, so a queue column left over from the
 // call before (a stale NaN or a stale value) changes the survivors.
 func TestRunnerMatchesFilter(t *testing.T) {
-	defer func(on bool) { useScan8 = on }(useScan8)
+	defer point.SetVectorBodies(point.VectorBodies())
 	scans := []bool{false}
 	if point.HasAVX512BW() {
 		scans = append(scans, true)
@@ -92,7 +92,7 @@ func TestRunnerMatchesFilter(t *testing.T) {
 		dts := stats.NewDTCounters(threads)
 		booked := map[bool]uint64{}
 		for _, scan := range scans {
-			useScan8 = scan
+			point.SetVectorBodies(scan)
 			at := fmt.Sprintf("%s scan=%v", at, scan)
 			dts.Reset()
 			got, gotL1, gotRows := r.Filter(v, 0, 1, team, dts)
@@ -284,8 +284,8 @@ func TestRunnerNeverPrunesSkyline(t *testing.T) {
 // all pruned, where pass 1's short-circuit kernel body pays): batch_corr's
 // primary and secondary, the identity view and a drop-only view of four
 // columns. Both are shapes pass 1 takes point.Scan8 on, so each has a
-// "go" row (useScan8 off) and an "avx512" row (on, on a CPU with
-// AVX512F+BW only). anti-d8 is batch_anti's (32 768 anticorrelated rows,
+// "go" row (the vector bodies off, point.SetVectorBodies) and an "avx512"
+// row (on, on a CPU with AVX512F+BW only). anti-d8 is batch_anti's (32 768 anticorrelated rows,
 // few pruned, where the short-circuit body costs), at the default
 // body. SetBytes is the source size, so the figure reads as MB/s
 // against what the host streams from memory.
@@ -336,8 +336,8 @@ func BenchmarkRunnerFilter(b *testing.B) {
 				if vec && !point.HasAVX512BW() {
 					b.Skip("no AVX512F+BW and POPCNT with OS-saved ZMM state on this CPU")
 				}
-				defer func(on bool) { useScan8 = on }(useScan8)
-				useScan8 = vec
+				defer point.SetVectorBodies(point.VectorBodies())
+				point.SetVectorBodies(vec)
 				run(b)
 			})
 		}

@@ -108,19 +108,19 @@ func countsTrace(dist string, d, k int, seed int64) countsRow {
 // should not alter behaviour leaves every column byte-identical; one
 // that should only save work moves the dts column alone. At d ≤ 8 the
 // band probes take the vector bodies where the CPU has them
-// (useBandScan8), so the grid runs with them on and again forced off,
+// (point.VectorBodies), so the grid runs with them on and again forced off,
 // and both runs must match the one table.
 func TestIndexCountsPinned(t *testing.T) {
 	if testing.Short() {
 		t.Skip("pinned stream counts skipped under -short")
 	}
-	defer func(on bool) { useBandScan8 = on }(useBandScan8)
+	defer point.SetVectorBodies(point.VectorBodies())
 	for _, vec := range []bool{true, false} {
 		if vec && !point.HasAVX512BW() {
 			t.Log("no AVX512F+BW and POPCNT with OS-saved ZMM state: only the Go bodies run")
 			continue
 		}
-		useBandScan8 = vec
+		point.SetVectorBodies(vec)
 		got := countsGrid(t)
 		if *update {
 			raw, err := json.MarshalIndent(got, "", "  ")

@@ -17,24 +17,24 @@
 // registered ones, so membership cannot have changed.
 //
 // An insert probes the dense band matrix with the masked kernels of
-// internal/point, which pass over every row whose partition mask
-// against the band's median pivot (Section VI-A2 of the paper) or whose
-// L1 norm rules dominance out, and reject most of the rows they test on
-// one code word per row (point.Quantizer, refitted to the band whenever
-// the pivot is re-chosen) before any float compare. At d ≤ 8, once the
-// band has a pivot and where the CPU has AVX-512 (useBandScan8), both
-// scans ask all three filters of a word of 8 band rows in one vector
-// step and test rows only in the words where one passes them all. A
-// probe with k dominators is registered under the first k the scan
-// finds; otherwise it enters the band with its exact count and
-// increments the count of every band member it dominates, demoting
-// those that reach k (their buckets transfer to the new point, which
+// internal/point, which pass over every row whose partition mask against
+// the band's median pivot (Section VI-A2 of the paper) or whose L1 norm
+// rules dominance out, and reject most of the rows they test on one code
+// word per row (point.Quantizer, refitted to the band whenever the pivot
+// is re-chosen) before any float compare. At d ≤ 8, once the band has a
+// pivot and so code words, both scans ask all three filters of a word of
+// 8 band rows in one vector step where the CPU has one
+// (point.VectorBodies), and test rows only in the words where one passes
+// them all. A probe with k dominators is registered under the first k
+// the scan finds; otherwise it enters the band with its exact count and
+// increments the count of every band member it dominates, demoting those
+// that reach k (their buckets transfer to the new point, which
 // transitively dominates everything they did). Deleting a registered
 // point is O(k); deleting a band member decrements the count of every
 // band member it dominated, then re-resolves only its own bucket: each
-// orphan either finds a replacement dominator not already registered,
-// or — having exactly k−1 band dominators left — is promoted into the
-// band with that exact count.
+// orphan either finds a replacement dominator not already registered, or
+// — having exactly k−1 band dominators left — is promoted into the band
+// with that exact count.
 //
 // Re-resolution work is accrued in a dirty counter; when it exceeds half
 // the live set, the index escalates to a rebuild. A rebuild, like a bulk
@@ -795,22 +795,11 @@ func (ix *Index) findUnregisteredDominator(slot int32) int32 {
 	return -1
 }
 
-// useBandScan8 lets the band probes run point.AppendDominatorsMasked8
-// and point.AppendDominatedMasked8, the vector bodies, at d ≤ 8 once
-// the band has a pivot and so code words. Tests clear it to run the Go
-// bodies, which every other width and CPU takes and which stay the
-// reference.
-var useBandScan8 = point.HasAVX512BW()
-
 // dominators returns the band positions of the first k rows that
 // dominate slot's row, in ascending order, in the reused doms scratch.
 func (ix *Index) dominators(slot int32) []int32 {
 	q := ix.Row(slot)
-	appendDominators := point.AppendDominatorsMasked
-	if ix.bandScan8() {
-		appendDominators = point.AppendDominatorsMasked8
-	}
-	ix.doms = appendDominators(ix.doms[:0], ix.skyVals, ix.d, 0, len(ix.skySlots), q, ix.l1[slot], ix.skyL1, &ix.skyMask, ix.maskOf(q), ix.codes(), ix.codeOf(q), ix.k, &ix.stats.DominanceTests)
+	ix.doms = point.AppendDominatorsMasked(ix.doms[:0], ix.skyVals, ix.d, 0, len(ix.skySlots), q, ix.l1[slot], ix.skyL1, &ix.skyMask, ix.maskOf(q), ix.codes(), ix.codeOf(q), ix.k, &ix.stats.DominanceTests)
 	return ix.doms
 }
 
@@ -818,19 +807,8 @@ func (ix *Index) dominators(slot int32) []int32 {
 // dominates, in ascending order, in the reused demoted scratch.
 func (ix *Index) dominated(slot int32) []int32 {
 	q := ix.Row(slot)
-	appendDominated := point.AppendDominatedMasked
-	if ix.bandScan8() {
-		appendDominated = point.AppendDominatedMasked8
-	}
-	ix.demoted = appendDominated(ix.demoted[:0], ix.skyVals, ix.d, 0, len(ix.skySlots), q, ix.l1[slot], ix.skyL1, &ix.skyMask, ix.maskOf(q), ix.codes(), ix.codeOf(q), &ix.stats.DominanceTests)
+	ix.demoted = point.AppendDominatedMasked(ix.demoted[:0], ix.skyVals, ix.d, 0, len(ix.skySlots), q, ix.l1[slot], ix.skyL1, &ix.skyMask, ix.maskOf(q), ix.codes(), ix.codeOf(q), &ix.stats.DominanceTests)
 	return ix.demoted
-}
-
-// bandScan8 reports whether the probes take the vector bodies: the CPU
-// has them, d ≤ 8, and the band has a pivot, so every band row has a
-// code word.
-func (ix *Index) bandScan8() bool {
-	return useBandScan8 && ix.d <= 8 && ix.pivot != nil
 }
 
 // maskOf returns q's partition mask against the band's pivot, 0 when

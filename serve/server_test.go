@@ -557,6 +557,75 @@ func TestSlowSubscriberDisconnect(t *testing.T) {
 	_ = srv
 }
 
+// TestSubscriberCloses: a subscriber that receives one delta and then
+// closes its subscription, while the server keeps running, must leave
+// nothing behind. Within a deadline the collection's subscriber gauge
+// is back to 0 and the goroutine count back to where it was before the
+// subscription; a later insert still succeeds, and its delta reaches a
+// second subscriber.
+func TestSubscriberCloses(t *testing.T) {
+	_, c := newTestServer(t, skybench.StoreOptions{Threads: 2}, serve.Options{})
+	ctx := context.Background()
+	if _, err := c.Attach(ctx, "live", &serve.AttachRequest{Stream: &serve.StreamSpec{D: 2}}); err != nil {
+		t.Fatal(err)
+	}
+	// The subscriber dials its own connection, so closing it leaves c's
+	// idle keep-alive connection, counted in the baseline, in place.
+	subc := client.New(srvURL(c))
+	baseline := runtime.NumGoroutine()
+	sub, err := subc.Subscribe(ctx, "live")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := c.Insert(ctx, "live", [][]float64{{1, 9}}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := sub.Next(); err != nil {
+		t.Fatalf("subscriber saw no delta: %v", err)
+	}
+	sub.Close()
+	subc.Close()
+
+	deadline := time.Now().Add(5 * time.Second)
+	for {
+		text, err := c.Metrics(ctx)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if strings.Contains(text, `skyserved_delta_subscribers{collection="live"} 0`+"\n") {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("subscriber gauge not back to 0 after the client closed:\n%s", text)
+		}
+		time.Sleep(10 * time.Millisecond)
+	}
+	for runtime.NumGoroutine() > baseline {
+		if time.Now().After(deadline) {
+			buf := make([]byte, 1<<16)
+			t.Fatalf("%d goroutines after the subscriber closed, %d before it subscribed:\n%s",
+				runtime.NumGoroutine(), baseline, buf[:runtime.Stack(buf, true)])
+		}
+		time.Sleep(10 * time.Millisecond)
+	}
+
+	second, err := c.Subscribe(ctx, "live")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer second.Close()
+	if _, err := c.Insert(ctx, "live", [][]float64{{9, 1}}); err != nil {
+		t.Fatalf("insert after the subscriber closed: %v", err)
+	}
+	ev, err := second.Next()
+	if err != nil {
+		t.Fatalf("second subscriber saw no delta: %v", err)
+	}
+	if len(ev.Entered) != 1 || ev.Entered[0].Values[0] != 9 || ev.Entered[0].Values[1] != 1 {
+		t.Fatalf("second subscriber's event = %+v, want (9,1) entered", ev)
+	}
+}
+
 // TestGracefulShutdown: Drain + http.Server.Shutdown + Close must end
 // delta subscriptions, finish in-flight work, and leave the durable
 // directory recoverable.
