@@ -7,6 +7,7 @@ import (
 	"hash/fnv"
 	"maps"
 	"os"
+	"os/exec"
 	"slices"
 	"strings"
 	"testing"
@@ -147,6 +148,56 @@ func TestHybridCountsPinned(t *testing.T) {
 		if checked != len(want) {
 			t.Errorf("vector body %v: checked %d configurations, table holds %d", vec, checked, len(want))
 		}
+	}
+}
+
+// godebugChild marks a run of this test binary started by
+// TestHybridCountsPinnedGodebug.
+const godebugChild = "SKYBENCH_GODEBUG_CHILD"
+
+// TestHybridCountsPinnedGodebug re-runs this test binary under each
+// GODEBUG option with which the Go runtime turns AVX-512 off —
+// cpu.avx512f=off, cpu.avx512bw=off and cpu.all=off — where the package
+// must keep the vector bodies off (TestVectorBodiesOffUnderGodebug, in
+// the child), and under the first also TestHybridCountsPinned, whose
+// table must hold unchanged on the path such a run takes.
+func TestHybridCountsPinnedGodebug(t *testing.T) {
+	if os.Getenv(godebugChild) != "" {
+		t.Skip("a child run")
+	}
+	if testing.Short() {
+		t.Skip("re-runs the pinned grid; CI runs it under GODEBUG=cpu.avx512f=off itself")
+	}
+	for i, opt := range []string{"cpu.avx512f=off", "cpu.avx512bw=off", "cpu.all=off"} {
+		tests := []string{"TestVectorBodiesOffUnderGodebug"}
+		if i == 0 {
+			tests = append(tests, "TestHybridCountsPinned")
+		}
+		cmd := exec.Command(os.Args[0], "-test.run=^("+strings.Join(tests, "|")+")$", "-test.count=1", "-test.v")
+		cmd.Env = append(os.Environ(), "GODEBUG="+opt, godebugChild+"=1")
+		out, err := cmd.CombinedOutput()
+		if err != nil {
+			t.Fatalf("GODEBUG=%s: %v\n%s", opt, err, out)
+		}
+		for _, name := range tests {
+			if !strings.Contains(string(out), "--- PASS: "+name+" ") {
+				t.Fatalf("GODEBUG=%s: %s did not pass:\n%s", opt, name, out)
+			}
+		}
+	}
+}
+
+// TestVectorBodiesOffUnderGodebug runs in TestHybridCountsPinnedGodebug's
+// children only: point reports no AVX-512, its vector bodies are off,
+// and the test-only switch cannot turn them on.
+func TestVectorBodiesOffUnderGodebug(t *testing.T) {
+	if os.Getenv(godebugChild) == "" {
+		t.Skip("runs as a child of TestHybridCountsPinnedGodebug")
+	}
+	defer point.SetVectorBodies(point.SetVectorBodies(true))
+	if point.HasAVX512BW() || point.VectorBodies() {
+		t.Fatalf("GODEBUG=%s: HasAVX512BW %v, VectorBodies %v after asking for them; want both false",
+			os.Getenv("GODEBUG"), point.HasAVX512BW(), point.VectorBodies())
 	}
 }
 

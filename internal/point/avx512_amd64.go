@@ -1,16 +1,22 @@
 package point
 
-// hasAVX512BW records whether the CPU can run this package's AVX-512
-// bodies: Scan8 and the word steps of the masked scan and directory
-// walk (maskedSkip8) and of the band scans (bandSkip8). It is
-// read once, at start-up, from CPUID and XGETBV, and asks for every
-// extension either body uses: AVX512F (CPUID leaf 7 EBX bit 16),
-// AVX512BW for the byte-lane mask move VPMOVB2M (leaf 7 EBX bit 30) and
-// POPCNT (leaf 1 ECX bit 23); and the OS must save the XMM, YMM, opmask
-// and ZMM register state across context switches (XCR0 bits 1, 2, 5, 6
-// and 7). XGETBV may only be asked when CPUID reports OSXSAVE (leaf 1
-// ECX bit 27).
-var hasAVX512BW = func() bool {
+import "os"
+
+// hasAVX512BW records whether this package's AVX-512 bodies may run:
+// Scan8, UnionScan8 and the word steps of the masked scan and directory
+// walk (maskedSkip8) and of the band scans (bandSkip8). It is read once,
+// at start-up. The CPU must have every extension the bodies use, read
+// from CPUID and XGETBV: AVX512F (CPUID leaf 7 EBX bit 16), AVX512BW for
+// the byte-lane mask move VPMOVB2M (leaf 7 EBX bit 30) and POPCNT (leaf
+// 1 ECX bit 23); and the OS must save the XMM, YMM, opmask and ZMM
+// register state across context switches (XCR0 bits 1, 2, 5, 6 and 7).
+// XGETBV may only be asked when CPUID reports OSXSAVE (leaf 1 ECX bit
+// 27). And GODEBUG must not turn AVX512F or AVX512BW off (avx512Off):
+// the options the Go runtime takes for its own AVX-512 code choose the
+// Go bodies here too.
+var hasAVX512BW = cpuHasAVX512BW() && !avx512Off(os.Getenv("GODEBUG"))
+
+func cpuHasAVX512BW() bool {
 	maxID, _, _, _ := cpuid(0, 0)
 	if maxID < 7 {
 		return false
@@ -25,7 +31,7 @@ var hasAVX512BW = func() bool {
 	const avx512f, avx512bw = 1 << 16, 1 << 30
 	_, ebx7, _, _ := cpuid(7, 0)
 	return ebx7&(avx512f|avx512bw) == avx512f|avx512bw
-}()
+}
 
 // Scan8 is the pre-filter's pass-1 queue test run over a stretch of
 // rows at once, with the whole β = 8 queue held in registers. cols is
@@ -45,6 +51,28 @@ var hasAVX512BW = func() bool {
 //
 //go:noescape
 func Scan8(cols *[64]float64, rows []float64, budget int, dts *uint64) int
+
+// UnionScan8 is the pre-filter's pass-2 test run over a stretch of
+// stored candidates at once: the queue union, laid out by LayoutUnion8
+// in u, against rows (8-column rows, row-major) with their norms l1
+// (row i's at l1[i]). It tests each row in turn and returns the index
+// of the first with fewer than budget (≥ 1) dominators among the union
+// points whose norm is below its own, or the number of rows when every
+// row has budget or more; it scans min(len(rows)/8, len(l1)) rows.
+//
+// The result and *dts are those of pass 2's Go body called row by row:
+// CountDominatorsInFlatRun(urows, 8, 0, a, row, budget, dts) on the
+// union's row-major rows, where a is the number of union points with
+// norm < the row's, the footnote-2 cut-off. So a row it passes over
+// advances *dts by the position of its budget-th dominator plus one, and
+// the row it returns at by a. A union slot takes part where its norm is
+// below the row's (the cut-off is a lane mask, not a prefix length):
+// this is the prefix only when the union's norms ascend, so the caller
+// takes it only on a union without a NaN norm. Call it only when
+// VectorBodies reports true.
+//
+//go:noescape
+func UnionScan8(u []float64, rows []float64, l1 []float64, budget int, dts *uint64) int
 
 // maskedSkip8 is the vector step of CountDominatorsInFlatRunMasked
 // and of PackedMasks.NextSubsetCoded on an 8-bit-lane mask column: it

@@ -2,6 +2,7 @@ package point
 
 import (
 	"math"
+	"math/rand"
 	"slices"
 	"testing"
 )
@@ -145,4 +146,41 @@ func FuzzPass1Scan(f *testing.F) {
 				budget, keep, n, got, gotDTs-start, want, wantDTs-start)
 		}
 	})
+}
+
+// BenchmarkScan8 is pass 1's kernel rung: Scan8 over rows a zero queue
+// prunes end to end (every row positive, so each of the 8 slots
+// dominates it), at budget 1, so every row is tested and ns/row is the
+// scan's cost of one row. "cached" is 4 096 rows (256 KiB, resident in
+// L2 across iterations), the short stretches of drop-only views and
+// small inputs; "streamed" is 1 M rows (64 MiB), batch_corr's shape,
+// which the scan reads from memory. SetBytes is the rows' size, so the
+// figure reads as MB/s against the floor BenchmarkRunnerFilter's "read"
+// row measures.
+func BenchmarkScan8(b *testing.B) {
+	if !HasAVX512BW() {
+		b.Skip("no AVX512F+BW and POPCNT with OS-saved ZMM state on this CPU: Scan8 cannot run")
+	}
+	for _, bc := range []struct {
+		name string
+		n    int
+	}{{"cached", 4096}, {"streamed", 1 << 20}} {
+		b.Run(bc.name, func(b *testing.B) {
+			rng := rand.New(rand.NewSource(int64(bc.n)))
+			rows := make([]float64, bc.n*8)
+			for i := range rows {
+				rows[i] = 1 + rng.Float64()
+			}
+			var cols [64]float64
+			var dts uint64
+			b.SetBytes(int64(len(rows) * 8))
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if Scan8(&cols, rows, 1, &dts) != bc.n {
+					b.Fatal("a row survived the zero queue")
+				}
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*bc.n), "ns/row")
+		})
+	}
 }

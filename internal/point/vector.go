@@ -1,5 +1,7 @@
 package point
 
+import "strings"
+
 // vector is the one switch between the Go bodies of this package's
 // kernels and their AVX-512 ones. Each entry point with a vector body —
 // CountDominatorsInFlatRunMasked, PackedMasks.NextSubsetCoded,
@@ -28,4 +30,29 @@ func VectorBodies() bool { return vector }
 func SetVectorBodies(on bool) (was bool) {
 	was, vector = vector, on && hasAVX512BW
 	return was
+}
+
+// avx512Off reports whether a GODEBUG value turns AVX512F or AVX512BW
+// off for the Go runtime: cpu.avx512f=off, cpu.avx512bw=off or
+// cpu.all=off, read in order as the runtime reads them, so a later
+// cpu.avx512f=on (or cpu.all=on) takes back an earlier off. Other
+// fields are not this package's to read.
+func avx512Off(godebug string) bool {
+	f, bw := true, true
+	for _, field := range strings.Split(godebug, ",") {
+		key, value, ok := strings.Cut(field, "=")
+		if !ok || (value != "on" && value != "off") {
+			continue
+		}
+		on := value == "on"
+		switch key {
+		case "cpu.all":
+			f, bw = on, on
+		case "cpu.avx512f":
+			f = on
+		case "cpu.avx512bw":
+			bw = on
+		}
+	}
+	return !f || !bw
 }

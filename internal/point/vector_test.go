@@ -93,6 +93,16 @@ func TestVectorDispatch(t *testing.T) {
 	}
 }
 
+// TestHasAVX512BW records which bodies the kernels take in this run —
+// CI prints its log line, so a run's path is on record — and checks that
+// the switch starts where the CPU and GODEBUG put it.
+func TestHasAVX512BW(t *testing.T) {
+	t.Logf("HasAVX512BW() = %v", HasAVX512BW())
+	if VectorBodies() != HasAVX512BW() {
+		t.Fatalf("VectorBodies() = %v at start, HasAVX512BW() = %v", VectorBodies(), HasAVX512BW())
+	}
+}
+
 // TestVectorBodiesNeedCPU checks that asking for the vector bodies
 // where the CPU cannot run them leaves them off.
 func TestVectorBodiesNeedCPU(t *testing.T) {
@@ -101,5 +111,31 @@ func TestVectorBodiesNeedCPU(t *testing.T) {
 	hasAVX512BW = false
 	if SetVectorBodies(true); VectorBodies() {
 		t.Fatal("SetVectorBodies(true) turned the vector bodies on without AVX-512")
+	}
+}
+
+// TestAVX512Off reads GODEBUG values as the Go runtime reads its cpu
+// options: field by field, a later setting over an earlier one, and
+// only "on" and "off" as values.
+func TestAVX512Off(t *testing.T) {
+	for _, c := range []struct {
+		godebug string
+		off     bool
+	}{
+		{"", false},
+		{"cpu.avx512f=off", true},
+		{"cpu.avx512bw=off", true},
+		{"cpu.all=off", true},
+		{"gctrace=1,cpu.avx512f=off,madvdontneed=1", true},
+		{"cpu.avx512f=off,cpu.avx512f=on", false},
+		{"cpu.all=off,cpu.all=on", false},
+		{"cpu.all=off,cpu.avx512f=on", true},
+		{"cpu.avx512vl=off,cpu.avx2=off", false},
+		{"cpu.avx512f=0,cpu.avx512bw", false},
+		{"avx512f=off", false},
+	} {
+		if got := avx512Off(c.godebug); got != c.off {
+			t.Errorf("avx512Off(%q) = %v, want %v", c.godebug, got, c.off)
+		}
 	}
 }

@@ -55,9 +55,10 @@ const DefaultBeta = 8
 // candidate, but one with an equal norm can (DESIGN.md §9, "Numeric
 // precondition"). The filter only prunes, so a dominator it misses
 // leaves one more survivor for the exact phases; the cut-off also keeps
-// a queue point from testing itself. Each thread compacts its segment in
-// place, and one join writes the survivors' indices and norms in row
-// order.
+// a queue point from testing itself. Stored rows at width 8 take
+// point.UnionScan8 instead, with the same tests (runPass2). Each thread
+// compacts its segment in place, and one join writes the survivors'
+// indices and norms in row order.
 type Runner struct {
 	qdense []float64 // threads*beta*d queue rows, β unordered slots per thread
 	qnorm  []float64 // threads*beta L1 norms of the queue rows, by slot
@@ -66,6 +67,7 @@ type Runner struct {
 	allq   []int     // queue slots of the union, sorted by L1
 	qrows  []float64 // gathered union rows matching allq order
 	ql1    []float64 // union L1 norms matching allq order
+	qu8    []float64 // the union laid out for point.UnionScan8, when pass 2 takes it
 
 	rows Rows      // the threads' candidate segments
 	surv []int     // survivors' row indices, ascending, written by join
@@ -76,6 +78,7 @@ type Runner struct {
 	beta  int
 	k     int  // dominator budget: prune only points with ≥ k dominators
 	scan8 bool // pass 1 tests full queues with point.Scan8
+	scanU bool // pass 2 tests stored candidates with point.UnionScan8
 	dts   *stats.DTCounters
 
 	pass1 func(tid, lo, hi int)
@@ -206,9 +209,14 @@ func (r *Runner) Filter(v point.View, beta, k int, team *par.Team, dts *stats.DT
 		dts.Inc(0, unionDTs)
 	}
 	r.qrows, r.ql1 = grow(r.qrows, nq*d), grow(r.ql1, nq)
+	r.scanU = point.VectorBodies() && d == 8 && r.rows.stored
 	for i, s := range allq {
 		copy(r.qrows[i*d:(i+1)*d], r.qdense[s*d:(s+1)*d])
 		r.ql1[i] = hl[s]
+		r.scanU = r.scanU && !math.IsNaN(hl[s])
+	}
+	if r.scanU {
+		r.qu8 = point.LayoutUnion8(r.qu8, r.qrows, r.ql1)
 	}
 
 	// Pass 2: each thread's segment against the queue union, one range
@@ -346,6 +354,19 @@ func (sg *segment) store(k, d int, row []float64) {
 	copy(sg.row(k, d), row)
 }
 
+// move copies candidate j, and its stored row where the call keeps
+// rows, to list position w ≤ j, the compaction of pass 2.
+func (sg *segment) move(w, j, d int, stored bool) {
+	if w == j {
+		return
+	}
+	i, l1 := sg.at(j)
+	sg.put(w, i, l1)
+	if stored {
+		copy(sg.row(w, d), sg.row(j, d))
+	}
+}
+
 // row returns the storage of candidate k's row, d values.
 func (sg *segment) row(k, d int) []float64 {
 	o := (k & (1<<blockShift - 1)) * d
@@ -479,6 +500,15 @@ func (qu *queue) offer(l1 float64, row []float64) {
 // runPass2 tests thread tid's segment against the queue union and
 // compacts the survivors, and their stored rows if the call kept them,
 // to the front of the segment. The region has one range per thread.
+//
+// Where the call kept rows at view width 8 and the union holds no NaN
+// norm, with the vector bodies on (point.VectorBodies), each segment
+// block's stored rows and norms go to point.UnionScan8 instead, which
+// skips every candidate up to the next survivor with this loop's
+// decisions and test counts: the union is laid out once per call in
+// chunks of 8 slots (point.LayoutUnion8), and each candidate tests only
+// the slots whose norm is below its own, the same cut-off as the binary
+// search, which it is where the norms ascend, as they do without a NaN.
 func (r *Runner) runPass2(tid, _, _ int) {
 	k := r.k
 	d := r.v.D()
@@ -488,36 +518,44 @@ func (r *Runner) runPass2(tid, _, _ int) {
 	var buf [point.MaxDims]float64
 	w := 0
 	var localDTs uint64
-	for j := 0; j < sg.n; j++ {
-		i, myL1 := sg.at(j)
-		// Scan the union points with strictly smaller L1 (the cut-off in
-		// the Runner comment); ql1 is ascending, so binary-search the
-		// cutoff and scan the prefix.
-		a, b := 0, nq
-		for a < b {
-			mid := int(uint(a+b) >> 1)
-			if ql1[mid] < myL1 {
-				a = mid + 1
-			} else {
-				b = mid
+	if r.scanU {
+		for b := 0; b<<blockShift < sg.n; b++ {
+			blk, m := sg.blocks[b], min(sg.n-b<<blockShift, 1<<blockShift)
+			for o := 0; o < m; o++ {
+				if o += point.UnionScan8(r.qu8, blk.rows[o*8:m*8], blk.l1[o:m], k, &localDTs); o == m {
+					break
+				}
+				sg.move(w, b<<blockShift+o, d, true)
+				w++
 			}
 		}
-		var q []float64
-		if stored {
-			q = sg.row(j, d)
-		} else {
-			q = v.Load(i, buf[:])
-		}
-		if point.CountDominatorsInFlatRun(qrows, d, 0, a, q, k, &localDTs) >= k {
-			continue
-		}
-		if w != j {
-			sg.put(w, i, myL1)
+	} else {
+		for j := 0; j < sg.n; j++ {
+			i, myL1 := sg.at(j)
+			// Scan the union points with strictly smaller L1 (the cut-off in
+			// the Runner comment); ql1 is ascending, so binary-search the
+			// cutoff and scan the prefix.
+			a, b := 0, nq
+			for a < b {
+				mid := int(uint(a+b) >> 1)
+				if ql1[mid] < myL1 {
+					a = mid + 1
+				} else {
+					b = mid
+				}
+			}
+			var q []float64
 			if stored {
-				copy(sg.row(w, d), q)
+				q = sg.row(j, d)
+			} else {
+				q = v.Load(i, buf[:])
 			}
+			if point.CountDominatorsInFlatRun(qrows, d, 0, a, q, k, &localDTs) >= k {
+				continue
+			}
+			sg.move(w, j, d, stored)
+			w++
 		}
-		w++
 	}
 	sg.n = w
 	if r.dts != nil {

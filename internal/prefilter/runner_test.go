@@ -3,6 +3,7 @@ package prefilter
 import (
 	"fmt"
 	"math"
+	"math/rand"
 	"runtime"
 	"slices"
 	"testing"
@@ -55,6 +56,22 @@ func dropOps(d int) []point.PrefOp {
 	return ops
 }
 
+// tight returns n rows of d columns correlated closely enough that pass
+// 1 keeps few candidates, as on batch_corr's input, so a call keeps
+// their rows: each row is a shared level plus a small per-column offset,
+// both on a grid of 1/64, so rows tie in coordinates and in norms.
+func tight(n, d int, seed int64) point.Matrix {
+	rng := rand.New(rand.NewSource(seed))
+	flat := make([]float64, n*d)
+	for i := 0; i < n; i++ {
+		level := float64(rng.Intn(256)) / 64
+		for c := 0; c < d; c++ {
+			flat[i*d+c] = level + float64(rng.Intn(8))/64
+		}
+	}
+	return point.FromFlat(flat, n, d)
+}
+
 // TestRunnerMatchesFilter checks that the reusable Runner, reading the
 // source through a view, selects exactly the same surviving set as the
 // reference Filter does on the staged copy — across distributions,
@@ -64,8 +81,11 @@ func dropOps(d int) []point.PrefOp {
 // table has cases on both sides of storeShare (correlated inputs keep
 // their rows, anticorrelated ones do not). The identity view and the
 // drop-only view at d = 8 are the shapes pass 1 takes point.Scan8 on,
-// where the CPU has it, so every case runs with the scan on and again
-// with it off, and both must book the same dominance tests. The last
+// and a call that keeps its rows at view width 8 is the one pass 2 takes
+// point.UnionScan8 on, where the CPU has them, so every case runs with
+// the vector bodies on and again off, and both must book the same
+// dominance tests. T runs 1–4 and 8, so unions of one chunk of 8 points
+// and of several meet the pass-2 scan. The last
 // calls run one Runner over a drop-only view, the identity and another
 // drop-only column set in turn, so a queue column left over from the
 // call before (a stale NaN or a stale value) changes the survivors.
@@ -77,7 +97,7 @@ func TestRunnerMatchesFilter(t *testing.T) {
 	} else {
 		t.Log("no AVX512F+BW and POPCNT with OS-saved ZMM state: only the Go body runs")
 	}
-	kept := map[bool]int{}
+	kept, unionScans := map[bool]int{}, map[bool]int{}
 	r := NewRunner()
 	// check runs r over m through ops with each body and holds it to the
 	// reference.
@@ -98,6 +118,12 @@ func TestRunnerMatchesFilter(t *testing.T) {
 			got, gotL1, gotRows := r.Filter(v, 0, 1, team, dts)
 			if scan && src8 != nil && n >= DefaultBeta && !r.scan8 {
 				t.Fatalf("%s: pass 1 did not take point.Scan8", at)
+			}
+			if stored8 := v.D() == 8 && gotRows != nil && !slices.ContainsFunc(r.ql1, math.IsNaN); scan && stored8 != r.scanU {
+				t.Fatalf("%s: pass 2 took point.UnionScan8 %v on a call that kept rows at d = 8 with no NaN union norm %v", at, r.scanU, stored8)
+			}
+			if r.scanU {
+				unionScans[len(r.ql1) > DefaultBeta]++
 			}
 			booked[scan] = dts.Sum()
 			kept[gotRows != nil]++
@@ -130,7 +156,7 @@ func TestRunnerMatchesFilter(t *testing.T) {
 			t.Fatalf("%s: %d dominance tests on the Go body, %d on point.Scan8", at, booked[false], booked[true])
 		}
 	}
-	for _, threads := range []int{1, 3, 8} {
+	for _, threads := range []int{1, 2, 3, 4, 8} {
 		pool := par.NewPool(threads)
 		team := pool.Lease(threads)
 		for _, dist := range dataset.AllDistributions {
@@ -143,10 +169,17 @@ func TestRunnerMatchesFilter(t *testing.T) {
 				}
 			}
 		}
+		for _, n := range []int{1000, 5000} {
+			m := tight(n, 8, int64(threads))
+			check(m, nil, team, fmt.Sprintf("tight d=8 n=%d t=%d", n, threads))
+		}
 		pool.Close()
 	}
 	if kept[true] == 0 || kept[false] == 0 {
 		t.Fatalf("%d calls kept their rows and %d did not: the table misses one side of storeShare", kept[true], kept[false])
+	}
+	if point.HasAVX512BW() && (unionScans[false] == 0 || unionScans[true] == 0) {
+		t.Fatalf("pass 2 took point.UnionScan8 on %d unions of at most %d points and %d larger: the table misses one", unionScans[false], DefaultBeta, unionScans[true])
 	}
 
 	pool := par.NewPool(3)
@@ -161,6 +194,46 @@ func TestRunnerMatchesFilter(t *testing.T) {
 		for _, ops := range [][]point.PrefOp{dropOps(8), nil, low3} {
 			check(m, ops, team, fmt.Sprintf("reuse %s ops=%v", dist, ops))
 		}
+	}
+}
+
+// TestRunnerNaNUnionNorm gives pass 2 a union with a NaN norm on rows it
+// keeps at width 8: the eighth row of the first thread's range is NaN in
+// one column and 0, the data's least value, in the rest, so its norm is
+// NaN and it fills the queue's last free slot. No norm is below a NaN,
+// so it never becomes the slot a smaller norm replaces (which would stop
+// the queue from taking any), and no row is below it in any column, so
+// none dominates it and it stays in the union. Its norms then need not ascend, so
+// pass 2 must keep the Go body with the vector bodies on, and the call
+// must keep the same survivors and book the same tests as with them off.
+func TestRunnerNaNUnionNorm(t *testing.T) {
+	if !point.HasAVX512BW() {
+		t.Skip("no AVX512F+BW and POPCNT with OS-saved ZMM state: only the Go body runs")
+	}
+	defer point.SetVectorBodies(point.VectorBodies())
+	pool := par.NewPool(2)
+	defer pool.Close()
+	team := pool.Lease(2)
+	m := tight(5000, 8, 5)
+	clear(m.Row(7))
+	m.Row(7)[3] = math.NaN()
+	dts := stats.NewDTCounters(2)
+	r := NewRunner()
+	got := map[bool]string{}
+	for _, vec := range []bool{false, true} {
+		point.SetVectorBodies(vec)
+		dts.Reset()
+		surv, _, rows := r.Filter(m.View(), 0, 1, team, dts)
+		if rows == nil || !slices.ContainsFunc(r.ql1, math.IsNaN) {
+			t.Fatalf("vector bodies %v: kept rows %v, union norms %v: not the shape under test", vec, rows != nil, r.ql1)
+		}
+		if r.scanU {
+			t.Fatal("pass 2 took point.UnionScan8 on a union with a NaN norm")
+		}
+		got[vec] = fmt.Sprint(surv, dts.Sum())
+	}
+	if got[true] != got[false] {
+		t.Fatalf("vector bodies on: %s; off: %s", got[true], got[false])
 	}
 }
 
@@ -283,12 +356,24 @@ func TestRunnerNeverPrunesSkyline(t *testing.T) {
 // first two cases are the scan-bound shape (1 M correlated rows, almost
 // all pruned, where pass 1's short-circuit kernel body pays): batch_corr's
 // primary and secondary, the identity view and a drop-only view of four
-// columns. Both are shapes pass 1 takes point.Scan8 on, so each has a
-// "go" row (the vector bodies off, point.SetVectorBodies) and an "avx512"
-// row (on, on a CPU with AVX512F+BW only). anti-d8 is batch_anti's (32 768 anticorrelated rows,
-// few pruned, where the short-circuit body costs), at the default
-// body. SetBytes is the source size, so the figure reads as MB/s
-// against what the host streams from memory.
+// columns. Both are shapes pass 1 takes point.Scan8 on, and the first
+// keeps its rows at width 8, the shape pass 2 takes point.UnionScan8 on,
+// so each has a "go" row (the vector bodies off, point.SetVectorBodies)
+// and an "avx512" row (on, on a CPU with AVX512F+BW only). anti-d8 is
+// batch_anti's (32 768 anticorrelated rows, few pruned, where the
+// short-circuit body costs), at the default body. SetBytes is the
+// source size, so the figure reads as MB/s against what the host
+// streams from memory.
+//
+// Two rows price the passes' floors on the identity case's rows. "read"
+// touches every cache line of the 64 MB source once, split over the
+// team as pass 1 splits it, and does nothing else: the host's streaming
+// floor, which pass 1 cannot beat. "pass2-d8" runs pass 2 alone, again
+// and again, on the segments a Filter leaves: every candidate is then a
+// survivor, pass 2's costlier and commoner case (each tests every union
+// point below its norm), and ns/cand is the cost of one, with the
+// vector bodies off ("go": the binary search and
+// point.CountDominatorsInFlatRun) and on ("avx512": point.UnionScan8).
 func BenchmarkRunnerFilter(b *testing.B) {
 	const d = 8
 	corr := dataset.Generate(dataset.Correlated, 1_000_000, d, 1)
@@ -301,6 +386,24 @@ func BenchmarkRunnerFilter(b *testing.B) {
 	pool := par.NewPool(threads)
 	defer pool.Close()
 	team := pool.Lease(threads)
+	// bodies runs run as name/go and name/avx512, with the vector bodies
+	// off and on.
+	bodies := func(name string, run func(b *testing.B)) {
+		for _, vec := range []bool{false, true} {
+			body := "go"
+			if vec {
+				body = "avx512"
+			}
+			b.Run(name+"/"+body, func(b *testing.B) {
+				if vec && !point.HasAVX512BW() {
+					b.Skip("no AVX512F+BW and POPCNT with OS-saved ZMM state on this CPU")
+				}
+				defer point.SetVectorBodies(point.VectorBodies())
+				point.SetVectorBodies(vec)
+				run(b)
+			})
+		}
+	}
 	for _, bc := range []struct {
 		name   string
 		m      point.Matrix
@@ -323,23 +426,41 @@ func BenchmarkRunnerFilter(b *testing.B) {
 				r.Filter(v, 0, 1, team, nil)
 			}
 		}
-		if !bc.bodies {
+		if bc.bodies {
+			bodies(bc.name, run)
+		} else {
 			b.Run(bc.name, run)
-			continue
-		}
-		for _, vec := range []bool{false, true} {
-			name := bc.name + "/go"
-			if vec {
-				name = bc.name + "/avx512"
-			}
-			b.Run(name, func(b *testing.B) {
-				if vec && !point.HasAVX512BW() {
-					b.Skip("no AVX512F+BW and POPCNT with OS-saved ZMM state on this CPU")
-				}
-				defer point.SetVectorBodies(point.VectorBodies())
-				point.SetVectorBodies(vec)
-				run(b)
-			})
 		}
 	}
+	b.Run("read", func(b *testing.B) {
+		flat := corr.Flat()
+		sums := make([]float64, threads*8) // a cache line a thread
+		touch := func(tid, lo, hi int) {
+			s := 0.0
+			for i := lo; i < hi; i++ {
+				s += flat[i*d] // each 64-byte row starts in a line of its own
+			}
+			sums[tid*8] += s
+		}
+		b.SetBytes(int64(len(flat) * 8))
+		for i := 0; i < b.N; i++ {
+			team.ForRangesCancel(threads, corr.N(), nil, touch)
+		}
+	})
+	bodies("pass2-d8", func(b *testing.B) {
+		r := NewRunner()
+		r.Filter(corr.View(), 0, 1, team, nil)
+		if r.scanU != point.VectorBodies() {
+			b.Fatalf("pass 2 took point.UnionScan8 %v with the vector bodies %v", r.scanU, point.VectorBodies())
+		}
+		cands := 0
+		for _, sg := range r.rows.segs[:threads] {
+			cands += sg.n
+		}
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			team.ForRangesCancel(threads, threads, nil, r.pass2)
+		}
+		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*cands), "ns/cand")
+	})
 }
