@@ -114,9 +114,3 @@ func validateFlat(vals []float64, n, d int) error {
 func (ds *Dataset) row(i int) []float64 {
 	return ds.vals[i*ds.d : (i+1)*ds.d : (i+1)*ds.d]
 }
-
-// matrix returns the dataset as the internal matrix type (aliasing, not
-// copying).
-func (ds *Dataset) matrix() point.Matrix {
-	return point.FromFlat(ds.vals, ds.n, ds.d)
-}

@@ -54,26 +54,15 @@ type computer struct {
 	dts      *stats.DTCounters
 }
 
-// Skyline computes SKY(m) with sequential BSkyTree and returns original
-// row indices.
-func Skyline(m point.Matrix) []int {
-	idx, _ := SkylineDT(m, nil)
-	return idx
-}
-
-// SkylineDT is Skyline with optional dominance-test counting.
+// SkylineDT computes SKY(m) with sequential BSkyTree and returns
+// original row indices and, with dts non-nil, the dominance tests it
+// counted.
 func SkylineDT(m point.Matrix, dts *stats.DTCounters) ([]int, uint64) {
 	return run(m, 1, dts)
 }
 
-// ParallelSkyline computes SKY(m) with PBSkyTree on the given thread
-// count (Appendix A).
-func ParallelSkyline(m point.Matrix, threads int) []int {
-	idx, _ := ParallelSkylineDT(m, threads, nil)
-	return idx
-}
-
-// ParallelSkylineDT is ParallelSkyline with optional DT counting.
+// ParallelSkylineDT computes SKY(m) with PBSkyTree on the given thread
+// count (Appendix A), with optional DT counting as SkylineDT.
 func ParallelSkylineDT(m point.Matrix, threads int, dts *stats.DTCounters) ([]int, uint64) {
 	if threads <= 0 {
 		threads = par.DefaultThreads()

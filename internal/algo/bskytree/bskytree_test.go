@@ -14,7 +14,7 @@ func TestSequentialMatchesOracle(t *testing.T) {
 		for _, n := range []int{1, 2, 63, 64, 65, 500} {
 			for _, d := range []int{1, 2, 4, 8} {
 				m := dataset.Generate(dist, n, d, int64(n*31+d))
-				if !verify.SameSkyline(Skyline(m), verify.BruteForce(m)) {
+				if !verify.SameSkyline(indices(SkylineDT(m, nil)), verify.BruteForce(m)) {
 					t.Fatalf("%v n=%d d=%d: wrong skyline", dist, n, d)
 				}
 			}
@@ -26,7 +26,7 @@ func TestParallelMatchesOracle(t *testing.T) {
 	for _, dist := range dataset.AllDistributions {
 		for _, threads := range []int{1, 2, 4} {
 			m := dataset.Generate(dist, 700, 5, 77)
-			if !verify.SameSkyline(ParallelSkyline(m, threads), verify.BruteForce(m)) {
+			if !verify.SameSkyline(indices(ParallelSkylineDT(m, threads, nil)), verify.BruteForce(m)) {
 				t.Fatalf("%v t=%d: wrong skyline", dist, threads)
 			}
 		}
@@ -36,8 +36,8 @@ func TestParallelMatchesOracle(t *testing.T) {
 func TestParallelMatchesSequential(t *testing.T) {
 	for seed := int64(0); seed < 5; seed++ {
 		m := dataset.Generate(dataset.Anticorrelated, 900, 6, seed)
-		seq := Skyline(m)
-		parl := ParallelSkyline(m, 3)
+		seq := indices(SkylineDT(m, nil))
+		parl := indices(ParallelSkylineDT(m, 3, nil))
 		if !verify.SameSkyline(seq, parl) {
 			t.Fatalf("seed %d: parallel and sequential disagree", seed)
 		}
@@ -45,10 +45,10 @@ func TestParallelMatchesSequential(t *testing.T) {
 }
 
 func TestEmptyAndSingle(t *testing.T) {
-	if got := Skyline(point.Matrix{}); got != nil {
+	if got := indices(SkylineDT(point.Matrix{}, nil)); got != nil {
 		t.Fatalf("empty: %v", got)
 	}
-	if got := Skyline(point.FromRows([][]float64{{1, 2}})); len(got) != 1 {
+	if got := indices(SkylineDT(point.FromRows([][]float64{{1, 2}}), nil)); len(got) != 1 {
 		t.Fatalf("single: %v", got)
 	}
 }
@@ -61,7 +61,7 @@ func TestDuplicatePivots(t *testing.T) {
 		rows = append(rows, []float64{1, 1})
 	}
 	m := point.FromRows(rows)
-	got := Skyline(m)
+	got := indices(SkylineDT(m, nil))
 	if len(got) != 11 { // ten coincident minima + {5,5}? {5,5} dominated by {1,1}
 		// {5,5} and {9,9} are dominated; only 10 minima survive.
 		if len(got) != 10 {
@@ -76,10 +76,10 @@ func TestDuplicatePivots(t *testing.T) {
 func TestQuantizedHeavyDuplicates(t *testing.T) {
 	m := dataset.Generate(dataset.Independent, 800, 5, 21)
 	dataset.Quantize(m, 4)
-	if !verify.SameSkyline(Skyline(m), verify.BruteForce(m)) {
+	if !verify.SameSkyline(indices(SkylineDT(m, nil)), verify.BruteForce(m)) {
 		t.Fatal("wrong skyline on heavily quantized data")
 	}
-	if !verify.SameSkyline(ParallelSkyline(m, 4), verify.BruteForce(m)) {
+	if !verify.SameSkyline(indices(ParallelSkylineDT(m, 4, nil)), verify.BruteForce(m)) {
 		t.Fatal("parallel wrong on heavily quantized data")
 	}
 }
@@ -103,3 +103,7 @@ func TestRegionSkippingReducesDTs(t *testing.T) {
 		t.Errorf("BSkyTree did %d DTs; expected ≪ n²=%d from region skipping", dts, n*n)
 	}
 }
+
+// indices keeps the row indices of a SkylineDT or ParallelSkylineDT
+// answer.
+func indices(idx []int, _ uint64) []int { return idx }

@@ -19,13 +19,8 @@ import (
 	"skybench/internal/stats"
 )
 
-// Skyline computes SKY(m) using threads worker threads and returns
-// original row indices.
-func Skyline(m point.Matrix, threads int) []int {
-	return SkylineStats(m, threads, nil)
-}
-
-// SkylineStats is Skyline with phase timings and DT counts recorded into
+// SkylineStats computes SKY(m) using threads worker threads and returns
+// original row indices, with phase timings and DT counts recorded into
 // st when non-nil. Phase I holds the local (map) skylines, Phase II the
 // merge.
 func SkylineStats(m point.Matrix, threads int, st *stats.Stats) []int {

@@ -14,7 +14,7 @@ func TestMatchesOracle(t *testing.T) {
 		for _, threads := range []int{1, 2, 3, 8} {
 			for _, n := range []int{1, 2, 10, 500} {
 				m := dataset.Generate(dist, n, 5, int64(n+threads))
-				if !verify.SameSkyline(Skyline(m, threads), verify.BruteForce(m)) {
+				if !verify.SameSkyline(SkylineStats(m, threads, nil), verify.BruteForce(m)) {
 					t.Fatalf("%v t=%d n=%d: wrong skyline", dist, threads, n)
 				}
 			}
@@ -23,14 +23,14 @@ func TestMatchesOracle(t *testing.T) {
 }
 
 func TestEmpty(t *testing.T) {
-	if got := Skyline(point.Matrix{}, 4); got != nil {
+	if got := SkylineStats(point.Matrix{}, 4, nil); got != nil {
 		t.Fatalf("empty: %v", got)
 	}
 }
 
 func TestMoreThreadsThanPoints(t *testing.T) {
 	m := point.FromRows([][]float64{{1, 2}, {2, 1}})
-	if got := Skyline(m, 16); len(got) != 2 {
+	if got := SkylineStats(m, 16, nil); len(got) != 2 {
 		t.Fatalf("got %v", got)
 	}
 }
@@ -45,7 +45,7 @@ func TestDuplicatesAcrossBlocks(t *testing.T) {
 	rows[3] = []float64{0, 0}
 	rows[97] = []float64{0, 0}
 	m := point.FromRows(rows)
-	got := Skyline(m, 4)
+	got := SkylineStats(m, 4, nil)
 	if !verify.SameSkyline(got, verify.BruteForce(m)) {
 		t.Fatalf("duplicates across blocks: %v", got)
 	}
@@ -68,9 +68,9 @@ func TestStatsRecorded(t *testing.T) {
 
 func TestThreadCountInvariance(t *testing.T) {
 	m := dataset.Generate(dataset.Anticorrelated, 800, 6, 4)
-	want := Skyline(m, 1)
+	want := SkylineStats(m, 1, nil)
 	for _, threads := range []int{2, 5, 7} {
-		if !verify.SameSkyline(Skyline(m, threads), want) {
+		if !verify.SameSkyline(SkylineStats(m, threads, nil), want) {
 			t.Fatalf("t=%d disagrees with t=1", threads)
 		}
 	}

@@ -1,56 +1,84 @@
 package core
 
 import (
+	"fmt"
 	"testing"
 
 	"skybench/internal/dataset"
 	"skybench/internal/point"
 )
 
-// BenchmarkCountDominators prices one Phase I probe on the shape Phase
-// I really walks: countDominators (Algorithm 3 over M(S)) at budget 1
-// against the store a Hybrid run leaves behind on a 32 768-row d = 8
-// anticorrelated input — its skyline, partitioned at both levels with
-// minimum codes. The probes are 1 024 fresh rows of the same
-// distribution, masked against the run's pivot and coded with its
-// quantizer, as the Engine masks and codes its working set; some have
-// a dominator in the store and stop on it, the rest walk every
-// directory entry that passes the subset filter and the minimum-code
-// pre-test. ns/op is per probe. "go" runs the Go bodies (the vector
-// bodies off, point.SetVectorBodies), "avx512" the vector directory
-// walk and level-2 scan (on a CPU with AVX512F+BW only); dt/probe, the
-// dominance tests booked per probe, is the same on both.
+// BenchmarkCountDominators prices one Phase I probe on the shapes Phase
+// I really walks: countDominators (Algorithm 3) at budget 1 against the
+// store a run leaves behind. ns/op is per probe.
+//   - hybrid-d8: a Hybrid run's skyline of 32 768 d = 8 anticorrelated
+//     rows, partitioned at both levels with minimum codes. The probes
+//     are 1 024 fresh rows of the same distribution, masked against the
+//     run's pivot and coded with its quantizer, as the Engine masks and
+//     codes its working set; some have a dominator in the store and stop
+//     on it, the rest walk every directory entry that passes the subset
+//     filter and the minimum-code pre-test.
+//   - qflow-d4 and qflow-d8: a Q-Flow run's skyline of 200 000 d = 4 and
+//     50 000 d = 8 independent rows, one partition with every mask 0, no
+//     level 2 and no code skip, so each probe is one masked scan over
+//     the whole store whose every row passes the subset filter. The
+//     probes are 1 024 fresh rows of the same distribution, coded with
+//     the run's quantizer.
+//
+// "go" runs the Go bodies (the vector bodies off, point.SetVectorBodies),
+// "avx512" the vector directory walk and masked scan (on a CPU with
+// AVX512F+BW only); dt/probe, the dominance tests booked per probe, is
+// the same on both.
 func BenchmarkCountDominators(b *testing.B) {
-	const n, d, probes = 32768, 8, 1024
-	c := NewContext()
-	c.Hybrid(dataset.Generate(dataset.Anticorrelated, n, d, 53).View(), HybridOptions{Team: lease(b, 1)})
-	s := &c.sky
-	pm := dataset.Generate(dataset.Anticorrelated, probes, d, 54)
-	masks := make([]point.Mask, probes)
-	codes := make([]uint64, probes)
-	for i := range masks {
-		masks[i] = point.ComputeMask(pm.Row(i), c.pv)
-		codes[i] = c.quant.Code(pm.Row(i))
+	const probes = 1024
+	shapes := []struct {
+		name      string
+		dist      dataset.Distribution
+		n, d      int
+		partition bool
+	}{
+		{"hybrid-d8", dataset.Anticorrelated, 32768, 8, true},
+		{"qflow-d4", dataset.Independent, 200000, 4, false},
+		{"qflow-d8", dataset.Independent, 50000, 8, false},
 	}
-	b.Logf("store: %d skyline rows in %d partitions", s.size(), s.msMask.Len())
 	defer point.SetVectorBodies(point.VectorBodies())
-	for _, vec := range []bool{false, true} {
-		name := "go"
-		if vec {
-			name = "avx512"
+	for _, sh := range shapes {
+		c := NewContext()
+		in := dataset.Generate(sh.dist, sh.n, sh.d, 53).View()
+		if sh.partition {
+			c.Hybrid(in, HybridOptions{Team: lease(b, 1)})
+		} else {
+			c.QFlow(in, QFlowOptions{Team: lease(b, 1)})
 		}
-		b.Run(name, func(b *testing.B) {
-			if vec && !point.HasAVX512BW() {
-				b.Skip("no AVX512F+BW and POPCNT with OS-saved ZMM state on this CPU")
+		s := &c.sky
+		pm := dataset.Generate(sh.dist, probes, sh.d, 54)
+		masks := make([]point.Mask, probes)
+		codes := make([]uint64, probes)
+		for i := range masks {
+			if sh.partition {
+				masks[i] = point.ComputeMask(pm.Row(i), c.pv)
 			}
-			point.SetVectorBodies(vec)
-			var dts uint64
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				p := i % probes
-				s.countDominators(pm.Row(p), codes[p], masks[p], true, 1, &dts)
+			codes[i] = c.quant.Code(pm.Row(i))
+		}
+		b.Logf("%s store: %d skyline rows in %d partitions", sh.name, s.size(), s.msMask.Len())
+		for _, vec := range []bool{false, true} {
+			body := "go"
+			if vec {
+				body = "avx512"
 			}
-			b.ReportMetric(float64(dts)/float64(b.N), "dt/probe")
-		})
+			b.Run(fmt.Sprintf("%s/%s", sh.name, body), func(b *testing.B) {
+				if vec && !point.HasAVX512BW() {
+					b.Skip("no AVX512F+BW and POPCNT with OS-saved ZMM state on this CPU")
+				}
+				point.SetVectorBodies(vec)
+				var dts uint64
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					p := i % probes
+					s.countDominators(pm.Row(p), codes[p], masks[p], 1, &dts)
+				}
+				b.ReportMetric(float64(dts)/float64(b.N), "dt/probe")
+			})
+		}
 	}
 }

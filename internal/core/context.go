@@ -61,9 +61,7 @@ type Context struct {
 	// pre-bound once in NewContext so dispatching them allocates nothing.
 	curV    point.View // the input, read through the query's preferences
 	curWork point.Matrix
-	curSurv []int           // rows to gather into curWork, in working-set order; nil gathers every row
-	curL1   []float64       // L1 norms parallel to curSurv; nil takes them in the gather
-	curRows *prefilter.Rows // the rows of curSurv as the pre-filter loaded them; nil loads them through curV
+	curRows *prefilter.Rows // the pre-filter's survivors, gathered into curWork in list order; nil gathers every row
 	d       int
 	k       int // dominator budget: 1 = skyline, ≥ 2 = k-skyband
 	blockLo int
@@ -72,7 +70,6 @@ type Context struct {
 	partAt  []int32 // per Phase I survivor: block row where its (level, mask) partition starts
 	blockC  []int32 // per-block dominator counts (k ≥ 2 only; nil on a skyline run)
 	bcnt    []int32 // backing storage for blockC, α-sized
-	level2  bool
 	noSplit bool
 	pv      []float64
 
@@ -160,12 +157,13 @@ func grow[T any](s []T, n int) []T {
 
 // ---- pre-bound parallel bodies -------------------------------------------
 
-// runGather fills curWork with the working set and its metadata. Where
-// the pre-filter kept its candidates' rows, the rows of curSurv are
-// copied from its row store (curRows), which pass 1 filled when it
-// loaded them, so the source is read once per row the run keeps. Any
-// other run loads its rows through the view, and a run without the
-// pre-filter takes the L1 norms here, from the gathered row. Masks
+// runGather fills curWork with the working set and its metadata. A run
+// with the pre-filter gathers its survivors (curRows), taking each one's
+// row index and norm from the filter's segments and, where the filter
+// kept its candidates' rows, its row from the row store, which pass 1
+// filled when it loaded them, so the source is read once per row the
+// run keeps. Any other row is loaded through the view, and a run
+// without the pre-filter takes the L1 norms here, from the gathered row. Masks
 // start at 0, the one region of an unpartitioned run; a partitioned
 // run's mask sweep overwrites them.
 // Worker tid also takes the column minima and maxima of its rows, the
@@ -177,12 +175,13 @@ func (c *Context) runGather(tid, lo, hi int) {
 	mn, mx := c.cmin[tid*d:(tid+1)*d], c.cmax[tid*d:(tid+1)*d]
 	for i := lo; i < hi; i++ {
 		j := i
-		if c.curSurv != nil {
-			j = c.curSurv[i]
-		}
 		row := dst[i*d : (i+1)*d]
+		var src []float64
 		if c.curRows != nil {
-			copy(row, c.curRows.Row(i))
+			j, c.wl1[i], src = c.curRows.At(i)
+		}
+		if src != nil {
+			copy(row, src)
 		} else {
 			v.CopyRow(row, j)
 		}
@@ -196,9 +195,7 @@ func (c *Context) runGather(tid, lo, hi int) {
 				mx[k] = x
 			}
 		}
-		if c.curL1 != nil {
-			c.wl1[i] = c.curL1[i]
-		} else {
+		if c.curRows == nil {
 			c.wl1[i] = point.L1(row)
 		}
 		c.worig[i] = j
@@ -275,7 +272,7 @@ func (c *Context) runPhase1(tid, blo, bhi int) {
 	for i := blo; i < bhi; i++ {
 		off := (lo + i) * d
 		q := wf[off : off+d : off+d]
-		n := c.sky.countDominators(q, c.wcode[lo+i], c.wmask[lo+i], c.level2, k, &local)
+		n := c.sky.countDominators(q, c.wcode[lo+i], c.wmask[lo+i], k, &local)
 		if cnt != nil {
 			cnt[i] = int32(n)
 		}

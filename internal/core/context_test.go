@@ -46,7 +46,7 @@ func TestContextHybridMatchesFresh(t *testing.T) {
 			for _, d := range []int{2, 5, 8, 12} {
 				m := dataset.Generate(dist, n, d, int64(n+d))
 				got := c.Hybrid(m.View(), HybridOptions{Team: tm})
-				want := Hybrid(m, HybridOptions{Team: tm})
+				want := NewContext().Hybrid(m.View(), HybridOptions{Team: tm})
 				if !verify.SameSkyline(got, want) {
 					t.Fatalf("%s n=%d d=%d: context result diverges from fresh run", dist, n, d)
 				}
@@ -87,7 +87,7 @@ func TestContextQFlowMatchesFresh(t *testing.T) {
 func TestContextThreadResize(t *testing.T) {
 	c := NewContext()
 	m := dataset.Generate(dataset.Anticorrelated, 2000, 7, 3)
-	want := Hybrid(m, HybridOptions{Team: lease(t, 1)})
+	want := NewContext().Hybrid(m.View(), HybridOptions{Team: lease(t, 1)})
 	for _, threads := range []int{1, 4, 2, 8, 3} {
 		got := c.Hybrid(m.View(), HybridOptions{Team: lease(t, threads)})
 		if !verify.SameSkyline(got, want) {

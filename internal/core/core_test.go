@@ -17,7 +17,7 @@ func TestQFlowMatchesOracle(t *testing.T) {
 		for _, threads := range []int{1, 2, 4} {
 			for _, n := range []int{1, 2, 100, 700} {
 				m := dataset.Generate(dist, n, 5, int64(n+threads))
-				got := QFlow(m, QFlowOptions{Team: teams[threads], Alpha: 64})
+				got := NewContext().QFlow(m.View(), QFlowOptions{Team: teams[threads], Alpha: 64})
 				if !verify.SameSkyline(got, verify.BruteForce(m)) {
 					t.Fatalf("QFlow %v t=%d n=%d: wrong skyline", dist, threads, n)
 				}
@@ -32,7 +32,7 @@ func TestHybridMatchesOracle(t *testing.T) {
 		for _, threads := range []int{1, 2, 4} {
 			for _, n := range []int{1, 2, 100, 700} {
 				m := dataset.Generate(dist, n, 5, int64(2*n+threads))
-				got := Hybrid(m, HybridOptions{Team: teams[threads], Alpha: 64})
+				got := NewContext().Hybrid(m.View(), HybridOptions{Team: teams[threads], Alpha: 64})
 				if !verify.SameSkyline(got, verify.BruteForce(m)) {
 					t.Fatalf("Hybrid %v t=%d n=%d: wrong skyline", dist, threads, n)
 				}
@@ -45,7 +45,7 @@ func TestHybridAlphaSweep(t *testing.T) {
 	m := dataset.Generate(dataset.Anticorrelated, 1500, 6, 3)
 	want := verify.BruteForce(m)
 	for _, alpha := range []int{1, 2, 7, 64, 1024, 4096} {
-		got := Hybrid(m, HybridOptions{Team: lease(t, 2), Alpha: alpha})
+		got := NewContext().Hybrid(m.View(), HybridOptions{Team: lease(t, 2), Alpha: alpha})
 		if !verify.SameSkyline(got, want) {
 			t.Fatalf("alpha=%d: wrong skyline", alpha)
 		}
@@ -56,7 +56,7 @@ func TestQFlowAlphaSweep(t *testing.T) {
 	m := dataset.Generate(dataset.Independent, 1500, 6, 4)
 	want := verify.BruteForce(m)
 	for _, alpha := range []int{1, 3, 128, 1 << 13} {
-		got := QFlow(m, QFlowOptions{Team: lease(t, 3), Alpha: alpha})
+		got := NewContext().QFlow(m.View(), QFlowOptions{Team: lease(t, 3), Alpha: alpha})
 		if !verify.SameSkyline(got, want) {
 			t.Fatalf("alpha=%d: wrong skyline", alpha)
 		}
@@ -67,7 +67,7 @@ func TestHybridAllPivotStrategies(t *testing.T) {
 	m := dataset.Generate(dataset.Independent, 1000, 5, 8)
 	want := verify.BruteForce(m)
 	for _, s := range pivot.AllStrategies {
-		got := Hybrid(m, HybridOptions{Team: lease(t, 2), Pivot: s, Seed: 42})
+		got := NewContext().Hybrid(m.View(), HybridOptions{Team: lease(t, 2), Pivot: s, Seed: 42})
 		if !verify.SameSkyline(got, want) {
 			t.Fatalf("pivot=%v: wrong skyline", s)
 		}
@@ -88,17 +88,17 @@ func TestHybridAblations(t *testing.T) {
 	for i, opt := range cases {
 		opt.Team = tm
 		opt.Alpha = 128
-		if !verify.SameSkyline(Hybrid(m, opt), want) {
+		if !verify.SameSkyline(NewContext().Hybrid(m.View(), opt), want) {
 			t.Fatalf("ablation case %d (%+v): wrong skyline", i, opt)
 		}
 	}
 }
 
 func TestEmptyInputs(t *testing.T) {
-	if got := QFlow(point.Matrix{}, QFlowOptions{}); got != nil {
+	if got := NewContext().QFlow(point.Matrix{}.View(), QFlowOptions{}); got != nil {
 		t.Errorf("QFlow empty: %v", got)
 	}
-	if got := Hybrid(point.Matrix{}, HybridOptions{}); got != nil {
+	if got := NewContext().Hybrid(point.Matrix{}.View(), HybridOptions{}); got != nil {
 		t.Errorf("Hybrid empty: %v", got)
 	}
 }
@@ -108,10 +108,10 @@ func TestDuplicateHeavyInputs(t *testing.T) {
 	dataset.Quantize(m, 4)
 	want := verify.BruteForce(m)
 	tm := lease(t, 2)
-	if !verify.SameSkyline(QFlow(m, QFlowOptions{Team: tm, Alpha: 64}), want) {
+	if !verify.SameSkyline(NewContext().QFlow(m.View(), QFlowOptions{Team: tm, Alpha: 64}), want) {
 		t.Fatal("QFlow wrong on quantized data")
 	}
-	if !verify.SameSkyline(Hybrid(m, HybridOptions{Team: tm, Alpha: 64}), want) {
+	if !verify.SameSkyline(NewContext().Hybrid(m.View(), HybridOptions{Team: tm, Alpha: 64}), want) {
 		t.Fatal("Hybrid wrong on quantized data")
 	}
 }
@@ -123,10 +123,10 @@ func TestAllCoincidentPoints(t *testing.T) {
 	}
 	m := point.FromRows(rows)
 	tm := lease(t, 2)
-	if got := Hybrid(m, HybridOptions{Team: tm, Alpha: 8}); len(got) != 50 {
+	if got := NewContext().Hybrid(m.View(), HybridOptions{Team: tm, Alpha: 8}); len(got) != 50 {
 		t.Fatalf("coincident input: kept %d of 50", len(got))
 	}
-	if got := QFlow(m, QFlowOptions{Team: tm, Alpha: 8}); len(got) != 50 {
+	if got := NewContext().QFlow(m.View(), QFlowOptions{Team: tm, Alpha: 8}); len(got) != 50 {
 		t.Fatalf("QFlow coincident input: kept %d of 50", len(got))
 	}
 }
@@ -135,8 +135,8 @@ func TestStatsPopulated(t *testing.T) {
 	m := dataset.Generate(dataset.Independent, 2000, 6, 7)
 	var qs, hs stats.Stats
 	tm := lease(t, 2)
-	QFlow(m, QFlowOptions{Team: tm, Stats: &qs})
-	Hybrid(m, HybridOptions{Team: tm, Stats: &hs})
+	NewContext().QFlow(m.View(), QFlowOptions{Team: tm, Stats: &qs})
+	NewContext().Hybrid(m.View(), HybridOptions{Team: tm, Stats: &hs})
 	if qs.DominanceTests == 0 || hs.DominanceTests == 0 {
 		t.Error("DTs not recorded")
 	}
@@ -157,8 +157,8 @@ func TestHybridDoesFewerDTsThanQFlow(t *testing.T) {
 	m := dataset.Generate(dataset.Anticorrelated, 4000, 8, 11)
 	var qs, hs stats.Stats
 	tm := lease(t, 1)
-	QFlow(m, QFlowOptions{Team: tm, Stats: &qs})
-	Hybrid(m, HybridOptions{Team: tm, Stats: &hs})
+	NewContext().QFlow(m.View(), QFlowOptions{Team: tm, Stats: &qs})
+	NewContext().Hybrid(m.View(), HybridOptions{Team: tm, Stats: &hs})
 	if hs.DominanceTests >= qs.DominanceTests {
 		t.Errorf("Hybrid DTs (%d) not below Q-Flow DTs (%d)", hs.DominanceTests, qs.DominanceTests)
 	}
@@ -173,7 +173,7 @@ func TestAblationsIncreaseDTs(t *testing.T) {
 		var st stats.Stats
 		opt.Team = tm
 		opt.Stats = &st
-		Hybrid(m, opt)
+		NewContext().Hybrid(m.View(), opt)
 		return st.DominanceTests
 	}
 	full := run(HybridOptions{})
@@ -190,7 +190,7 @@ func TestAblationsIncreaseDTs(t *testing.T) {
 func TestProgressiveReporting(t *testing.T) {
 	m := dataset.Generate(dataset.Independent, 2000, 5, 9)
 	var batches [][]int
-	got := Hybrid(m, HybridOptions{
+	got := NewContext().Hybrid(m.View(), HybridOptions{
 		Team:  lease(t, 2),
 		Alpha: 128,
 		Progressive: func(confirmed []int) {
@@ -212,7 +212,7 @@ func TestProgressiveReporting(t *testing.T) {
 
 func TestQFlowProgressiveOrderIsL1Sorted(t *testing.T) {
 	m := dataset.Generate(dataset.Anticorrelated, 1000, 4, 14)
-	got := QFlow(m, QFlowOptions{Team: lease(t, 2), Alpha: 64})
+	got := NewContext().QFlow(m.View(), QFlowOptions{Team: lease(t, 2), Alpha: 64})
 	last := -1.0
 	for _, i := range got {
 		l1 := point.L1(m.Row(i))
@@ -225,9 +225,9 @@ func TestQFlowProgressiveOrderIsL1Sorted(t *testing.T) {
 
 func TestHybridThreadInvariance(t *testing.T) {
 	m := dataset.Generate(dataset.Anticorrelated, 2500, 7, 15)
-	want := Hybrid(m, HybridOptions{Team: lease(t, 1)})
+	want := NewContext().Hybrid(m.View(), HybridOptions{Team: lease(t, 1)})
 	for _, threads := range []int{2, 3, 8} {
-		got := Hybrid(m, HybridOptions{Team: lease(t, threads)})
+		got := NewContext().Hybrid(m.View(), HybridOptions{Team: lease(t, threads)})
 		if !verify.SameSkyline(got, want) {
 			t.Fatalf("t=%d disagrees with t=1", threads)
 		}
@@ -240,8 +240,8 @@ func TestHybridTooManyDimsPanics(t *testing.T) {
 	want := fmt.Sprintf("core: Hybrid and Q-Flow support at most %d dimensions, got %d", point.MaxDims, point.MaxDims+1)
 	m := point.NewMatrix(4, point.MaxDims+1)
 	for name, run := range map[string]func(){
-		"hybrid": func() { Hybrid(m, HybridOptions{}) },
-		"qflow":  func() { QFlow(m, QFlowOptions{}) },
+		"hybrid": func() { NewContext().Hybrid(m.View(), HybridOptions{}) },
+		"qflow":  func() { NewContext().QFlow(m.View(), QFlowOptions{}) },
 	} {
 		func() {
 			defer func() {

@@ -10,7 +10,6 @@ import (
 	"skybench/internal/par"
 	"skybench/internal/pivot"
 	"skybench/internal/point"
-	"skybench/internal/prefilter"
 	"skybench/internal/stats"
 )
 
@@ -68,15 +67,6 @@ type HybridOptions struct {
 	// true the run abandons its remaining work and returns an
 	// unspecified partial result, which the caller must discard.
 	Cancel *atomic.Bool
-}
-
-// Hybrid computes SKY(m) with the paper's full Hybrid algorithm and
-// returns original row indices in confirmation order. It is a convenience
-// wrapper that runs a throwaway Context; services answering repeated
-// queries should hold a Context and call its Hybrid method, which reuses
-// all scratch state.
-func Hybrid(m point.Matrix, opt HybridOptions) []int {
-	return NewContext().Hybrid(m.View(), opt)
 }
 
 // Hybrid computes the skyline of the rows of v — the input as the
@@ -146,17 +136,15 @@ func (c *Context) run(v point.View, opt HybridOptions, partition bool) []int {
 
 	// Choose the rows to gather. Hybrid's come from the pre-filter
 	// (VI-A1), whose first pass is also where the preferences are applied
-	// and the L1 norms taken, parallel to surv, and which hands back the
-	// loaded rows too where it kept them. A run without it gathers every
-	// row (surv = nil) through the view and takes the norms in the
-	// gather.
-	var surv []int
-	var survL1 []float64
-	var survRows *prefilter.Rows
+	// and the L1 norms taken, and which hands back its survivors' row
+	// indices and norms, and the loaded rows too where it kept them. A
+	// run without it gathers every row (curRows = nil) through the view
+	// and takes the norms in the gather.
+	c.curRows = nil
 	ns := n
 	if partition && !opt.NoPrefilter {
-		surv, survL1, survRows = c.pf.Filter(v, opt.Beta, k, c.team, c.dts)
-		ns = len(surv)
+		c.curRows = c.pf.Filter(v, opt.Beta, k, c.team, c.dts)
+		ns = c.curRows.Len()
 		timer.Stop(stats.PhasePrefilt)
 	}
 	st.Cost.PrefilterPruned = n - ns
@@ -172,7 +160,6 @@ func (c *Context) run(v point.View, opt HybridOptions, partition bool) []int {
 	c.wcode = grow(c.wcode, ns)
 	wk := point.FromFlat(c.work, ns, d)
 	c.curWork = wk
-	c.curSurv, c.curL1, c.curRows = surv, survL1, survRows
 	c.cmin, c.cmax = grow(c.cmin, c.tEff*d), grow(c.cmax, c.tEff*d)
 	for i := range c.cmin {
 		c.cmin[i], c.cmax[i] = math.Inf(1), math.Inf(-1)
@@ -233,10 +220,9 @@ func (c *Context) run(v point.View, opt HybridOptions, partition bool) []int {
 	// off: every partition's rows share its level-1 mask and the
 	// directory is in row order, so that tests the rows a linear
 	// level-1-filtered scan tests, in its order, with its early exit.
-	c.sky.reset(d, partition && !opt.NoMS)
+	c.sky.reset(d, partition && !opt.NoMS, partition && !opt.NoLevel2 && !opt.NoMS)
 	c.flags = grow(c.flags, alpha)
 	c.levelAt, c.partAt = grow(c.levelAt, alpha), grow(c.partAt, alpha)
-	c.level2 = partition && !opt.NoLevel2 && !opt.NoMS
 	c.noSplit = opt.NoPhase2Split
 	// A skyline run keeps no counts: blockC stays nil, and compress and
 	// update move none.
@@ -292,7 +278,7 @@ func (c *Context) run(v point.View, opt HybridOptions, partition bool) []int {
 
 		// Update S and M(S) (Algorithm 2) — sequential O(α) work.
 		firstNew := c.sky.size()
-		c.sky.update(wk, c.wl1, c.worig, c.wmask, c.wcode, bcnt, lo, final, c.level2)
+		c.sky.update(wk, c.wl1, c.worig, c.wmask, c.wcode, bcnt, lo, final)
 		if opt.Progressive != nil && final > 0 {
 			// The callback is caller code of unknown length: the team's
 			// workers serve other runs meanwhile, and the next block's

@@ -30,12 +30,7 @@ type skylineStore struct {
 	msStart []int             // M(S): first row of each partition + trailing sentinel
 	msCode  []uint64          // M(S): lane-wise minimum code word of each partition
 	skip    bool              // countDominators skips partitions on msCode (partitioned runs with M(S))
-}
-
-func newSkylineStore(d int) *skylineStore {
-	s := &skylineStore{}
-	s.reset(d, true)
-	return s
+	level2  bool              // update re-partitions at level 2; countDominators probes the level-2 pivots
 }
 
 // reset prepares the store for a fresh run of dimensionality d, keeping
@@ -43,10 +38,12 @@ func newSkylineStore(d int) *skylineStore {
 // partitioned run that keeps M(S) (not the NoMS ablation). Q-Flow's one
 // partition holds every skyline row, and its minimum code passes nearly
 // every probe, so Q-Flow asks none and counts the tests the paper's
-// Q-Flow makes.
-func (s *skylineStore) reset(d int, skip bool) {
+// Q-Flow makes. level2 is set on a partitioned run with M(S) and level 2
+// (neither the NoMS nor the NoLevel2 ablation).
+func (s *skylineStore) reset(d int, skip, level2 bool) {
 	s.d = d
 	s.skip = skip
+	s.level2 = level2
 	s.data = s.data[:0]
 	s.mask2.Reset(d)
 	s.orig = s.orig[:0]
@@ -73,15 +70,16 @@ func (s *skylineStore) row(j int) []float64 {
 // level-1 mask. A new partition's minimum code starts at its pivot's
 // code word, and every later member folds its own in.
 //
-// When level2 is false (ablation), points keep their level-1 masks and no
-// re-partitioning happens, but the partition directory is still extended.
+// Without level 2 (Q-Flow and the NoMS and NoLevel2 ablations), points
+// keep their level-1 masks and no re-partitioning happens, but the
+// partition directory is still extended.
 //
 // bcnt, when non-nil, holds the block-relative dominator counts of the
 // appended points (k-skyband runs); they are recorded alongside so the
 // caller can surface per-point counts. Skyline runs pass nil and the
 // counts column stays empty. wcode is the working set's code words,
 // appended to the store's alongside the rows.
-func (s *skylineStore) update(work point.Matrix, wl1 []float64, worig []int, wmask []point.Mask, wcode []uint64, bcnt []int32, lo, count int, level2 bool) {
+func (s *skylineStore) update(work point.Matrix, wl1 []float64, worig []int, wmask []point.Mask, wcode []uint64, bcnt []int32, lo, count int) {
 	if count == 0 {
 		return
 	}
@@ -105,7 +103,7 @@ func (s *skylineStore) update(work point.Matrix, wl1 []float64, worig []int, wma
 			// Same partition as the current top: assign level-2 mask
 			// relative to the partition's pivot.
 			m2 := m1
-			if level2 {
+			if s.level2 {
 				m2 = point.ComputeMask(work.Row(lo+i), s.row(curPivot))
 			}
 			s.mask2.Append(m2)
@@ -141,8 +139,8 @@ func (s *skylineStore) nextEntry(e int, qMask point.Mask, qc uint64) int {
 // partition-directory order, stopping as soon as the count reaches
 // budget (a probe with ≥ budget dominators is discarded, so the excess is
 // never needed; the skyline path runs at budget 1). qMask is q's level-1
-// mask and qc its code word, which every run kernel asks before a float
-// test (point.CountDominatorsInFlatRunCoded). The subset filter runs
+// mask and qc its code word, which the scan asks before a float test
+// (point.CountDominatorsInFlatRunMasked). The subset filter runs
 // twice, both times a word of packed masks at a time: over the
 // directory, where a partition whose mask is not a subset of qMask is
 // incomparable with q as a whole and costs nothing, and over the level-2
@@ -154,6 +152,11 @@ func (s *skylineStore) nextEntry(e int, qMask point.Mask, qc uint64) int {
 // directory's filter and that pre-test are one walk (nextEntry), a
 // vector step per 8 entries at d ≤ 8 where the CPU has one. All point
 // accesses index the store's flat row-major data directly.
+//
+// A store without level 2 runs the same scan over each partition's whole
+// run against qMask: every member's mask2 is the partition's level-1
+// mask, which passed the directory's subset filter, so each row is
+// tested, in row order.
 //
 // dts accumulates the dominance tests performed: every row a scan
 // tests, and each level-2 pivot's mask computation, which inspects all
@@ -172,7 +175,7 @@ func (s *skylineStore) nextEntry(e int, qMask point.Mask, qc uint64) int {
 // before, and no later one passes the subset filter. On a skyline store
 // this is Algorithm 3's early "undominated" return, reached after the
 // same tests on the NoCodes arm.
-func (s *skylineStore) countDominators(q []float64, qc uint64, qMask point.Mask, level2 bool, budget int, dts *uint64) int {
+func (s *skylineStore) countDominators(q []float64, qc uint64, qMask point.Mask, budget int, dts *uint64) int {
 	full := point.FullMask(s.d)
 	d := s.d
 	data := s.data
@@ -180,28 +183,26 @@ func (s *skylineStore) countDominators(q []float64, qc uint64, qMask point.Mask,
 	c := 0
 	for e := s.nextEntry(0, qMask, qc); e < np; e = s.nextEntry(e+1, qMask, qc) {
 		lo, hi := s.msStart[e], s.msStart[e+1]
-		if !level2 {
-			c += point.CountDominatorsInFlatRunCoded(data, d, lo, hi, q, nil, s.code, qc, budget-c, dts)
-			if c >= budget {
-				return c
+		m2 := qMask
+		if s.level2 {
+			// Compare q to the partition's level-2 pivot, producing q's
+			// level-2 mask m′ (one full-width comparison).
+			*dts++
+			m2 = point.ComputeMask(q, data[lo*d:(lo+1)*d:(lo+1)*d])
+			if m2 == full {
+				if point.EqualsFlat2(data, lo*d, q, 0, d) {
+					continue // coincides with the pivot: the segment contributes 0
+				}
+				c++ // the pivot dominates q
+				if c >= budget {
+					return c
+				}
 			}
-			continue
+			lo++
 		}
-		// Compare q to the partition's level-2 pivot, producing q's
-		// level-2 mask m′ (one full-width comparison).
-		*dts++
-		m2 := point.ComputeMask(q, data[lo*d:(lo+1)*d:(lo+1)*d])
-		if m2 == full {
-			if point.EqualsFlat2(data, lo*d, q, 0, d) {
-				continue // coincides with the pivot: the segment contributes 0
-			}
-			c++ // the pivot dominates q
-			if c >= budget {
-				return c
-			}
-		}
-		// Scan the rest of the partition behind the level-2 filter.
-		c += point.CountDominatorsInFlatRunMasked(data, d, lo+1, hi, q, &s.mask2, m2, s.code, qc, budget-c, dts)
+		// Scan the rest of the partition, or all of it without level 2,
+		// behind the mask filter.
+		c += point.CountDominatorsInFlatRunMasked(data, d, lo, hi, q, &s.mask2, m2, s.code, qc, budget-c, dts)
 		if c >= budget {
 			return c
 		}

@@ -60,13 +60,14 @@ func buildStore(t *testing.T, rows [][]float64, pivot []float64, blockSize int, 
 		sorig[i] = j
 		scode[i] = z.Code(m.Row(j))
 	}
-	s := newSkylineStore(d)
+	s := &skylineStore{}
+	s.reset(d, true, level2)
 	for lo := 0; lo < n; lo += blockSize {
 		hi := lo + blockSize
 		if hi > n {
 			hi = n
 		}
-		s.update(sorted, sl1, sorig, smask, scode, nil, lo, hi-lo, level2)
+		s.update(sorted, sl1, sorig, smask, scode, nil, lo, hi-lo)
 	}
 	return s, z
 }
@@ -190,7 +191,7 @@ func TestDominatedHybridMatchesBruteScan(t *testing.T) {
 				}
 				var dts uint64
 				qc := z.Code(q)
-				got := s.countDominators(q, qc, point.ComputeMask(q, pivot), level2, 1, &dts) != 0
+				got := s.countDominators(q, qc, point.ComputeMask(q, pivot), 1, &dts) != 0
 				if got != want {
 					t.Fatalf("%+v: countDominators(%v, budget 1) dominated = %v, want %v", cfg, q, got, want)
 				}
@@ -200,8 +201,9 @@ func TestDominatedHybridMatchesBruteScan(t *testing.T) {
 }
 
 func TestStoreUpdateEmptyBlockIsNoop(t *testing.T) {
-	s := newSkylineStore(2)
-	s.update(point.NewMatrix(0, 2), nil, nil, nil, nil, nil, 0, 0, true)
+	s := &skylineStore{}
+	s.reset(2, true, true)
+	s.update(point.NewMatrix(0, 2), nil, nil, nil, nil, nil, 0, 0)
 	if s.size() != 0 || s.msMask.Len() != 0 || len(s.msStart) != 0 {
 		t.Fatal("empty update must not create entries")
 	}

@@ -125,9 +125,9 @@ func loadPinned(t *testing.T) map[string][3]uint64 {
 // built; and that a single-threaded run's dominance tests, Phase I
 // survivors and result order are the ones the table pins
 // (testdata/hybrid_counts_parent.json, recorded with this file's
-// pinnedRun; -update re-records it). A Q-Flow run
-// leaves no pivot to mask the probes with, so the "qflow" rows skip the
-// probe check. At d ≤ 8 Phase I's directory walk and level-2 scans take
+// pinnedRun; -update re-records it). A Q-Flow run leaves no pivot, so
+// the "qflow" rows probe with mask 0, the mask of every row of its one
+// partition. At d ≤ 8 Phase I's directory walk and masked scans take
 // the vector bodies where the CPU has them (point.VectorBodies), so the
 // grid runs with them on and again forced off, and both runs must match
 // the one table.
@@ -228,8 +228,8 @@ func pinnedGrid(t *testing.T, want map[string][3]uint64, vec bool) (map[string][
 							t.Errorf("%s, vector body %v: (DTs, Phase I survivors, order hash) = %v, parent recorded %v", key, vec, got[key], w)
 						}
 						checked++
-						if seed == pinnedSeeds[0] && variant != "qflow" {
-							checkProbes(t, key, c, m, k, variant != "nolevel2" && variant != "noms")
+						if seed == pinnedSeeds[0] {
+							checkProbes(t, key, c, m, k, variant != "qflow")
 						}
 					}
 				}
@@ -260,29 +260,32 @@ func writePinned(t *testing.T, rows map[string][3]uint64) {
 }
 
 // checkProbes probes the store the latest run on c left behind with
-// every input row, coded by the run's quantizer, at the run's budget k
-// and level 2 setting, and again with level 2 off, against the boolean
+// every input row, masked against the run's pivot where it had one
+// (partitioned) and coded by the run's quantizer, at the run's budget k
+// and on the store's own arm (level 2 or not), against the boolean
 // scalar reference for a skyline store and the counting one for a band
-// store.
-func checkProbes(t *testing.T, key string, c *Context, m point.Matrix, k int, level2 bool) {
+// store. The no-level-2 arm is checked on the stores the "noms",
+// "nolevel2" and "qflow" rows build for it.
+func checkProbes(t *testing.T, key string, c *Context, m point.Matrix, k int, partitioned bool) {
 	t.Helper()
 	s := &c.sky
 	for i := 0; i < m.N(); i++ {
 		q := m.Row(i)
-		qm := point.ComputeMask(q, c.pv)
+		var qm point.Mask
+		if partitioned {
+			qm = point.ComputeMask(q, c.pv)
+		}
 		qc := c.quant.Code(q)
-		var got, ref [2]int
-		var gotDTs, refDTs [2]uint64
-		for v, l2 := range []bool{level2, false} {
-			got[v] = s.countDominators(q, qc, qm, l2, k, &gotDTs[v])
-			if k == 1 {
-				ref[v] = b2i(s.refDominatedHybrid(q, qc, qm, l2, &refDTs[v]))
-			} else {
-				ref[v] = s.refCountDominators(q, qc, qm, l2, k, &refDTs[v])
-			}
+		var gotDTs, refDTs uint64
+		got := s.countDominators(q, qc, qm, k, &gotDTs)
+		var ref int
+		if k == 1 {
+			ref = b2i(s.refDominatedHybrid(q, qc, qm, s.level2, &refDTs))
+		} else {
+			ref = s.refCountDominators(q, qc, qm, s.level2, k, &refDTs)
 		}
 		if got != ref || gotDTs != refDTs {
-			t.Fatalf("%s probe %d: (run's level 2, no level 2) answers %v after %v tests, scalar reference %v after %v",
+			t.Fatalf("%s probe %d: answers %d after %d tests, scalar reference %d after %d",
 				key, i, got, gotDTs, ref, refDTs)
 		}
 	}

@@ -38,7 +38,7 @@ func TestHybridPropertyOracle(t *testing.T) {
 		m := randomGridMatrix(rng)
 		alpha := 1 + int(alphaRaw)%97
 		threads := 1 + int(threadsRaw)%5
-		got := Hybrid(m, HybridOptions{Team: teams[threads], Alpha: alpha})
+		got := NewContext().Hybrid(m.View(), HybridOptions{Team: teams[threads], Alpha: alpha})
 		return verify.IsSkyline(m, got)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 120}); err != nil {
@@ -54,7 +54,7 @@ func TestQFlowPropertyOracle(t *testing.T) {
 		m := randomGridMatrix(rng)
 		alpha := 1 + int(alphaRaw)%97
 		threads := 1 + int(threadsRaw)%5
-		got := QFlow(m, QFlowOptions{Team: teams[threads], Alpha: alpha})
+		got := NewContext().QFlow(m.View(), QFlowOptions{Team: teams[threads], Alpha: alpha})
 		return verify.IsSkyline(m, got)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 120}); err != nil {
@@ -101,7 +101,7 @@ func TestHybridDTUpperBoundProperty(t *testing.T) {
 		rng := rand.New(rand.NewSource(seed))
 		m := randomGridMatrix(rng)
 		var st stats.Stats
-		Hybrid(m, HybridOptions{Team: tm, Alpha: 16, Stats: &st})
+		NewContext().Hybrid(m.View(), HybridOptions{Team: tm, Alpha: 16, Stats: &st})
 		n := uint64(m.N())
 		if n <= 1 {
 			return st.DominanceTests == 0

@@ -45,14 +45,6 @@ type QFlowOptions struct {
 	SkybandK int
 }
 
-// QFlow computes SKY(m) with the Q-Flow algorithm (Algorithm 1) and
-// returns original row indices in confirmation (L1) order. It runs a
-// throwaway Context; services answering repeated queries should hold a
-// Context and call its QFlow method, which reuses all scratch state.
-func QFlow(m point.Matrix, opt QFlowOptions) []int {
-	return NewContext().QFlow(m.View(), opt)
-}
-
 // QFlow computes the skyline of the rows of v — the input as the query's
 // preferences see it — with the Q-Flow algorithm (Algorithm 1) and
 // returns original row indices in confirmation (L1) order. The result

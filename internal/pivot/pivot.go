@@ -56,23 +56,6 @@ func (s Strategy) String() string {
 	return fmt.Sprintf("strategy(%d)", int(s))
 }
 
-// Parse converts a CLI flag value into a Strategy.
-func Parse(s string) (Strategy, error) {
-	switch s {
-	case "median":
-		return Median, nil
-	case "balanced":
-		return Balanced, nil
-	case "manhattan":
-		return Manhattan, nil
-	case "volume":
-		return Volume, nil
-	case "random":
-		return Random, nil
-	}
-	return 0, fmt.Errorf("pivot: unknown strategy %q", s)
-}
-
 // AllStrategies lists the strategies in the order of Figure 9.
 var AllStrategies = []Strategy{Balanced, Volume, Manhattan, Random, Median}
 
@@ -80,16 +63,11 @@ var AllStrategies = []Strategy{Balanced, Volume, Manhattan, Random, Median}
 // so pivot selection stays O(n) even at paper-scale inputs.
 const medianSampleCap = 50000
 
-// Select computes the pivot for matrix m using strategy s. l1 must hold
-// per-row L1 norms (it is required by Manhattan and used as a tiebreak
-// elsewhere); seed drives the Random strategy deterministically. The
-// returned slice is freshly allocated and never aliases m.
-func Select(s Strategy, m point.Matrix, l1 []float64, seed int64) []float64 {
-	return SelectInto(make([]float64, m.D()), nil, s, m, l1, seed)
-}
-
-// SelectInto is Select writing the pivot into dst (length m.D()) so
-// reusable contexts avoid the per-run allocation. col is optional scratch
+// SelectInto computes the pivot for matrix m using strategy s and writes
+// it into dst (length m.D()), which it returns, so reusable contexts
+// avoid a per-run allocation. l1 must hold per-row L1 norms (it is
+// required by Manhattan and used as a tiebreak elsewhere); seed drives
+// the Random strategy deterministically. col is optional scratch
 // for the Median strategy (see MedianColumns); passing a slice with
 // capacity ≥ MedianScratchLen(m.N()) makes Median allocation-free. The
 // Random strategy seeds a fresh generator and is therefore not

@@ -16,15 +16,14 @@ func l1s(m point.Matrix) []float64 {
 	return out
 }
 
-func TestParseAndString(t *testing.T) {
+// TestStrategyString checks the flag names skybench.ParsePivot reads
+// back (TestParsePivotRoundTrip) and the out-of-range form.
+func TestStrategyString(t *testing.T) {
+	want := map[Strategy]string{Balanced: "balanced", Volume: "volume", Manhattan: "manhattan", Random: "random", Median: "median"}
 	for _, s := range AllStrategies {
-		got, err := Parse(s.String())
-		if err != nil || got != s {
-			t.Errorf("Parse(%q) = %v, %v", s.String(), got, err)
+		if s.String() != want[s] {
+			t.Errorf("%d.String() = %q, want %q", int(s), s.String(), want[s])
 		}
-	}
-	if _, err := Parse("bogus"); err == nil {
-		t.Error("expected error")
 	}
 	if Strategy(42).String() != "strategy(42)" {
 		t.Error("out-of-range String")
@@ -35,7 +34,7 @@ func TestSelectShapes(t *testing.T) {
 	m := dataset.Generate(dataset.Independent, 400, 5, 1)
 	norms := l1s(m)
 	for _, s := range AllStrategies {
-		v := Select(s, m, norms, 7)
+		v := SelectInto(make([]float64, m.D()), nil, s, m, norms, 7)
 		if len(v) != 5 {
 			t.Fatalf("%v: pivot has %d dims", s, len(v))
 		}
@@ -53,7 +52,7 @@ func TestSelectEmptyPanics(t *testing.T) {
 			t.Fatal("expected panic")
 		}
 	}()
-	Select(Median, point.Matrix{}, nil, 0)
+	SelectInto(nil, nil, Median, point.Matrix{}, nil, 0)
 }
 
 // Manhattan, Volume, Random, and Balanced pivots must be actual skyline
@@ -72,7 +71,7 @@ func TestPointPivotsAreSkylinePoints(t *testing.T) {
 		return false
 	}
 	for _, s := range []Strategy{Manhattan, Volume, Random, Balanced} {
-		v := Select(s, m, norms, 3)
+		v := SelectInto(make([]float64, m.D()), nil, s, m, norms, 3)
 		if !inSky(v) {
 			t.Errorf("%v pivot %v is not a skyline point", s, v)
 		}
@@ -83,7 +82,7 @@ func TestPointPivotsAreSkylinePoints(t *testing.T) {
 // halves on every dimension.
 func TestMedianBalance(t *testing.T) {
 	m := dataset.Generate(dataset.Independent, 2000, 4, 21)
-	v := Select(Median, m, l1s(m), 0)
+	v := SelectInto(make([]float64, m.D()), nil, Median, m, l1s(m), 0)
 	for j := 0; j < 4; j++ {
 		below := 0
 		for i := 0; i < m.N(); i++ {
@@ -101,7 +100,7 @@ func TestMedianBalance(t *testing.T) {
 func TestManhattanIsMinL1(t *testing.T) {
 	m := dataset.Generate(dataset.Independent, 500, 3, 2)
 	norms := l1s(m)
-	v := Select(Manhattan, m, norms, 0)
+	v := SelectInto(make([]float64, m.D()), nil, Manhattan, m, norms, 0)
 	got := point.L1(v)
 	for _, n := range norms {
 		if n < got {
@@ -113,8 +112,8 @@ func TestManhattanIsMinL1(t *testing.T) {
 func TestRandomDeterministicPerSeed(t *testing.T) {
 	m := dataset.Generate(dataset.Independent, 500, 3, 2)
 	norms := l1s(m)
-	a := Select(Random, m, norms, 5)
-	b := Select(Random, m, norms, 5)
+	a := SelectInto(make([]float64, m.D()), nil, Random, m, norms, 5)
+	b := SelectInto(make([]float64, m.D()), nil, Random, m, norms, 5)
 	if !point.Equals(a, b) {
 		t.Error("Random pivot not deterministic for fixed seed")
 	}
@@ -125,7 +124,7 @@ func TestBalancedHandlesConstantDimension(t *testing.T) {
 	m := point.FromRows([][]float64{
 		{0.5, 1, 0.2}, {0.5, 2, 0.9}, {0.5, 3, 0.1}, {0.5, 0.5, 0.5},
 	})
-	v := Select(Balanced, m, l1s(m), 0)
+	v := SelectInto(make([]float64, m.D()), nil, Balanced, m, l1s(m), 0)
 	if len(v) != 3 {
 		t.Fatal("bad pivot")
 	}
@@ -136,7 +135,7 @@ func TestSelectOnDuplicateHeavyData(t *testing.T) {
 	dataset.Quantize(m, 4) // heavy duplication
 	norms := l1s(m)
 	for _, s := range AllStrategies {
-		v := Select(s, m, norms, 1)
+		v := SelectInto(make([]float64, m.D()), nil, s, m, norms, 1)
 		if len(v) != 4 {
 			t.Fatalf("%v: bad pivot on duplicate data", s)
 		}

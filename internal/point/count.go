@@ -18,7 +18,8 @@ import "sync/atomic"
 // Every row in the window is tested, and *dts is advanced by the number
 // of dominance tests performed. It is the kernel of the one caller that
 // holds no code words and filters no rows, the pre-filter; the Engine's
-// phases call CountDominatorsInFlatRunCoded.
+// Phase I calls CountDominatorsInFlatRunMasked and its Phase II
+// CountDominatorsInFlatRunCoded.
 //
 // Two widths have an unrolled body, the pre-filter widths of the
 // benchmarked batch workloads, both asking "row worse anywhere" as a
@@ -35,39 +36,22 @@ func CountDominatorsInFlatRun(rows []float64, d, lo, hi int, q []float64, budget
 	case 8:
 		return cntRunSC8(rows, lo, hi, q, budget, dts)
 	default:
-		return cntRunGeneric(rows, d, lo, hi, q, nil, nil, 0, budget, dts)
+		return cntRunGeneric(rows, d, lo, hi, q, budget, dts)
 	}
 }
 
-// CountDominatorsInFlatRunCoded is CountDominatorsInFlatRun behind an
-// optional flag filter and the code-word pre-test (code.go). When skip is
-// non-nil, rows with a nonzero skip[j] are passed over, read with atomic
-// loads so concurrent phase workers may set flags mid-scan. codes holds
-// the rows' code words and qc the probe's, both from one Quantizer, and
-// a tested row whose code word is larger than qc in some lane is
-// rejected without its float test. It is still counted as a dominance
-// test, so the count and *dts are those of the uncoded scan. No row is
-// skipped for its L1 norm: computed norms can tie while one row
-// dominates the other (DESIGN.md §9, "Numeric precondition").
-//
-// The loop body follows from the arguments. With both skip and codes
-// present — Phase II's partition run (loop 3, Hybrid's and Q-Flow's) and
-// its no-split ablation — it is cntRunFiltered, which tests no nil slice
-// per row. Every other caller — Phase I's partition scan with level 2
-// off (no skip: Q-Flow and the NoLevel2 ablation) and the uncoded
-// CountDominatorsInFlatRun at widths with no unrolled body — gets
-// cntRunGeneric. Both ask the same tests in the same order.
+// CountDominatorsInFlatRunCoded is CountDominatorsInFlatRun behind a
+// flag filter and the code-word pre-test (code.go): it is Phase II's
+// flagged partition run (loop 3, Hybrid's and Q-Flow's) and its no-split
+// ablation. Rows with a nonzero skip[j] are passed over, read with
+// atomic loads so concurrent phase workers may set flags mid-scan.
+// codes holds the rows' code words and qc the probe's, both from one
+// Quantizer, and a tested row whose code word is larger than qc in some
+// lane is rejected without its float test. It is still counted as a
+// dominance test, so the count and *dts are those of the uncoded scan.
+// No row is skipped for its L1 norm: computed norms can tie while one
+// row dominates the other (DESIGN.md §9, "Numeric precondition").
 func CountDominatorsInFlatRunCoded(rows []float64, d, lo, hi int, q []float64, skip []uint32, codes []uint64, qc uint64, budget int, dts *uint64) int {
-	if skip != nil && codes != nil {
-		return cntRunFiltered(rows, d, lo, hi, q, skip, codes, qc, budget, dts)
-	}
-	return cntRunGeneric(rows, d, lo, hi, q, skip, codes, qc, budget, dts)
-}
-
-// cntRunFiltered is cntRunGeneric with both filters present: a row is
-// passed over when its flag is set, and a tested row is rejected on its
-// code word before its float test.
-func cntRunFiltered(rows []float64, d, lo, hi int, q []float64, skip []uint32, codes []uint64, qc uint64, budget int, dts *uint64) int {
 	h := codeGuards[d]
 	qg := qc | h
 	n := *dts
@@ -95,20 +79,14 @@ func cntRunFiltered(rows []float64, d, lo, hi int, q []float64, skip []uint32, c
 	return c
 }
 
-func cntRunGeneric(rows []float64, d, lo, hi int, q []float64, skip []uint32, codes []uint64, qc uint64, budget int, dts *uint64) int {
-	h := codeGuards[d]
-	qg := qc | h
+// cntRunGeneric is CountDominatorsInFlatRun at a width with no unrolled
+// body.
+func cntRunGeneric(rows []float64, d, lo, hi int, q []float64, budget int, dts *uint64) int {
 	n := *dts
 	c := 0
 	off := lo * d
 	for j := lo; j < hi; j, off = j+1, off+d {
-		if skip != nil && atomic.LoadUint32(&skip[j]) != 0 {
-			continue
-		}
 		n++
-		if codes != nil && !codeLE(codes[j], qg, h) {
-			continue
-		}
 		if dominatesRow(rows[off:off+d:off+d], q) {
 			c++
 			if c >= budget {
@@ -172,8 +150,11 @@ func cntRunSC8(rows []float64, lo, hi int, q []float64, budget int, dts *uint64)
 // of masks at a time (PackedMasks.subsets) with the candidate rows taken
 // in ascending order, so the count, the row the budget is reached on and
 // *dts are those of a row-by-row scan. It is the kernel behind every
-// M(S) partition scan and the no-M(S) ablation, skyline (budget 1) and
-// k-skyband alike; most rows fail the filter, and those cost no branch.
+// Phase I scan, skyline (budget 1) and k-skyband alike: each M(S)
+// partition's level-2 scan, and on a run without level 2 (Q-Flow, the
+// NoMS and NoLevel2 ablations) each partition's whole run, whose masks
+// are the partition's level-1 mask and all pass. Where a partition has
+// level 2, most rows fail the filter, and those cost no branch.
 // codes and qc are CountDominatorsInFlatRun's code-word pre-test, asked
 // of a row that passed the mask filter and was counted as a test.
 //

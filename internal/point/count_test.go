@@ -26,16 +26,42 @@ func countOracle(rows []float64, d, lo, hi int, q []float64, skip []uint32, budg
 }
 
 // countRun is the run kernel the caller would reach: the uncoded entry
-// when there are no filters and no code words, the coded one otherwise.
+// when there are no filters and no code words, the coded one otherwise,
+// with a flag column of zeros or code words of zero (which pass the
+// pre-test against any probe) standing in for the one it lacks.
 func countRun(rows []float64, d, lo, hi int, q []float64, skip []uint32, codes []uint64, qc uint64, budget int, dts *uint64) int {
 	if skip == nil && codes == nil {
 		return CountDominatorsInFlatRun(rows, d, lo, hi, q, budget, dts)
 	}
+	if skip == nil {
+		skip = make([]uint32, hi)
+	}
+	if codes == nil {
+		codes = make([]uint64, hi)
+	}
 	return CountDominatorsInFlatRunCoded(rows, d, lo, hi, q, skip, codes, qc, budget, dts)
 }
 
-// cntBody is the signature of the coded run kernel's loop bodies.
+// cntBody is the signature of the coded run kernel.
 type cntBody func(rows []float64, d, lo, hi int, q []float64, skip []uint32, codes []uint64, qc uint64, budget int, dts *uint64) int
+
+// refCoded is the coded run kernel restated one row at a time from the
+// definition: a flagged row is passed over, every other row is a test,
+// and the code-word pre-test, which never rejects a dominator, moves
+// neither the count nor the tests.
+func refCoded(rows []float64, d, lo, hi int, q []float64, skip []uint32, _ []uint64, _ uint64, budget int, dts *uint64) int {
+	c := 0
+	for j := lo; j < hi && c < budget; j++ {
+		if skip[j] != 0 {
+			continue
+		}
+		*dts++
+		if dominatesRow(rows[j*d:(j+1)*d], q) {
+			c++
+		}
+	}
+	return c
+}
 
 // splitScan is one scan of [lo, hi) by body, split at row mid ∈ [lo, hi]
 // with the flags in late set between the two calls, as a concurrent phase
@@ -66,19 +92,18 @@ func budgetRow(body cntBody, rows []float64, d, lo, mid, hi int, q []float64, sk
 	return -1
 }
 
-// checkFilteredBody holds cntRunFiltered, the body the coded kernel runs
-// when both filters are present, to cntRunGeneric on one split scan: the
-// count, the row the budget is reached on and the dominance tests must
-// all agree.
-func checkFilteredBody(t *testing.T, rows []float64, d, lo, mid, hi int, q []float64, skip, late []uint32, codes []uint64, qc uint64, budget int) {
+// checkCodedSplit holds CountDominatorsInFlatRunCoded, Phase II's
+// flagged run, to refCoded on one split scan: the count, the row the
+// budget is reached on and the dominance tests must all agree.
+func checkCodedSplit(t *testing.T, rows []float64, d, lo, mid, hi int, q []float64, skip, late []uint32, codes []uint64, qc uint64, budget int) {
 	t.Helper()
-	gc, gd := splitScan(cntRunGeneric, rows, d, lo, mid, hi, q, skip, late, codes, qc, budget)
-	fc, fd := splitScan(cntRunFiltered, rows, d, lo, mid, hi, q, skip, late, codes, qc, budget)
-	gr := budgetRow(cntRunGeneric, rows, d, lo, mid, hi, q, skip, late, codes, qc, budget)
-	fr := budgetRow(cntRunFiltered, rows, d, lo, mid, hi, q, skip, late, codes, qc, budget)
-	if gc != fc || gd != fd || gr != fr {
-		t.Fatalf("d=%d [%d,%d|%d) budget=%d: filtered body (count %d, budget row %d, %d tests), generic (%d, %d, %d); q=%v rows=%v skip=%v late=%v",
-			d, lo, mid, hi, budget, fc, fr, fd, gc, gr, gd, q, rows, skip, late)
+	rc, rd := splitScan(refCoded, rows, d, lo, mid, hi, q, skip, late, codes, qc, budget)
+	fc, fd := splitScan(CountDominatorsInFlatRunCoded, rows, d, lo, mid, hi, q, skip, late, codes, qc, budget)
+	rr := budgetRow(refCoded, rows, d, lo, mid, hi, q, skip, late, codes, qc, budget)
+	fr := budgetRow(CountDominatorsInFlatRunCoded, rows, d, lo, mid, hi, q, skip, late, codes, qc, budget)
+	if rc != fc || rd != fd || rr != fr {
+		t.Fatalf("d=%d [%d,%d|%d) budget=%d: coded run (count %d, budget row %d, %d tests), reference (%d, %d, %d); q=%v rows=%v skip=%v late=%v",
+			d, lo, mid, hi, budget, fc, fr, fd, rc, rr, rd, q, rows, skip, late)
 	}
 }
 
@@ -91,7 +116,7 @@ func checkUncodedBodies(t *testing.T, rows []float64, d, lo, hi int, q []float64
 	t.Helper()
 	for budget := 1; budget <= maxBudget; budget++ {
 		gDTs, dts := uint64(3), uint64(3)
-		g := cntRunGeneric(rows, d, lo, hi, q, nil, nil, 0, budget, &gDTs)
+		g := cntRunGeneric(rows, d, lo, hi, q, budget, &gDTs)
 		if c := CountDominatorsInFlatRun(rows, d, lo, hi, q, budget, &dts); c != g || dts != gDTs {
 			t.Fatalf("d=%d [%d,%d) budget=%d: CountDominatorsInFlatRun (count %d, %d tests), generic body (%d, %d); q=%v rows=%v",
 				d, lo, hi, budget, c, dts-3, g, gDTs-3, q, rows)
@@ -157,8 +182,8 @@ func TestCountDominatorsInFlatRun(t *testing.T) {
 // them), at budget 1, the skyline's "is the probe dominated", and at
 // budget 3, over [lo, hi) windows, with and without the skip-flag
 // filter and the code-word pre-test, on probes that sometimes coincide
-// with a row. With both present it also holds the filter-complete body
-// to the generic one, with flags set mid-scan.
+// with a row. With both present it also holds the coded run to the
+// row-by-row reference, with flags set mid-scan.
 func TestCountDominatorsInFlatRunFilters(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	for d := 2; d <= 16; d++ {
@@ -220,7 +245,7 @@ func TestCountDominatorsInFlatRunFilters(t *testing.T) {
 			}
 			mid := lo + rng.Intn(hi-lo+1)
 			for _, budget := range []int{1, 2, 3} {
-				checkFilteredBody(t, rows, d, lo, mid, hi, q, skip, late, codes, qc, budget)
+				checkCodedSplit(t, rows, d, lo, mid, hi, q, skip, late, codes, qc, budget)
 			}
 		}
 	}

@@ -200,7 +200,7 @@ func FuzzCountDominatorsInFlatRun(f *testing.F) {
 		}
 		checkUncodedBodies(t, rows, d, 0, n, q, 8)
 
-		// The filter-complete body against the generic one. fuzzVal reads
+		// The coded run against the row-by-row reference. fuzzVal reads
 		// a byte's low nibble, so each row's first byte has bits to spare:
 		// bit 4 flags the row, bit 5 flags it mid-scan, at a row drawn
 		// from the budget byte's high bits.
@@ -212,7 +212,7 @@ func FuzzCountDominatorsInFlatRun(f *testing.F) {
 		}
 		codes, qc := codeColumn(rows, d, q)
 		mid := int(data[0]>>3) % (n + 1)
-		checkFilteredBody(t, rows, d, 0, mid, n, q, skip, late, codes, qc, budget)
+		checkCodedSplit(t, rows, d, 0, mid, n, q, skip, late, codes, qc, budget)
 	})
 }
 
@@ -326,7 +326,7 @@ func FuzzCodeWord(f *testing.F) {
 		if want != oracle {
 			t.Fatalf("d=%d n=%d budget=%d: uncoded run %d, oracle %d", d, n, budget, want, oracle)
 		}
-		if got := CountDominatorsInFlatRunCoded(rows, d, 0, n, q, nil, codes, qc, budget, &codedDTs); got != want || codedDTs != plainDTs {
+		if got := CountDominatorsInFlatRunCoded(rows, d, 0, n, q, make([]uint32, n), codes, qc, budget, &codedDTs); got != want || codedDTs != plainDTs {
 			t.Fatalf("d=%d n=%d budget=%d: coded run %d after %d tests, uncoded %d after %d (q=%v rows=%v)", d, n, budget, got, codedDTs, want, plainDTs, q, rows)
 		}
 

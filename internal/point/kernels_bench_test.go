@@ -16,17 +16,13 @@ import (
 //   - run: CountDominatorsInFlatRun at budget 1 — the pre-filter's
 //     call, without codes — unrolled (cntRunSC4 at d = 4, cntRunSC8 at
 //     d = 8, both short-circuit) against cntRunGeneric; d = 6 has no
-//     unrolled body, so only the generic rows run there. Beside them,
-//     CountDominatorsInFlatRunCoded, the Engine's call, which runs the
-//     generic body behind the pre-test;
+//     unrolled body, so only the generic rows run there;
 //   - run-dominated: the same uncoded body and cntRunGeneric on probes
 //     every row dominates, at a budget no scan reaches — the rows pass 1
 //     of the pre-filter mostly tests on correlated data, where the
 //     short-circuit body is meant to win;
-//   - run/filtered: CountDominatorsInFlatRunCoded with flags and codes
-//     present — Phase II's partition run, which takes the
-//     filter-complete body — against cntRunGeneric on the same
-//     arguments, with no flag set;
+//   - run/filtered: CountDominatorsInFlatRunCoded, flags and codes —
+//     Phase II's partition run — with no flag set;
 //   - masked: CountDominatorsInFlatRunMasked at budget 1 with and
 //     without codes, with every mask passing the filter so the body,
 //     not the filter, is what is priced;
@@ -66,7 +62,7 @@ func BenchmarkKernels(b *testing.B) {
 			q := make([]float64, d)
 			surface(q)
 			var dts uint64
-			if cntRunGeneric(rows, d, 0, n, q, nil, nil, 0, 1, &dts) == 0 && dominatedBrute(rows, d, q) == 0 {
+			if cntRunGeneric(rows, d, 0, n, q, 1, &dts) == 0 && dominatedBrute(rows, d, q) == 0 {
 				qs = append(qs, q...)
 			}
 		}
@@ -115,16 +111,10 @@ func BenchmarkKernels(b *testing.B) {
 				return CountDominatorsInFlatRun(rows, d, 0, n, q, 1, dts)
 			}},
 			{"run/generic", func(q []float64, dts *uint64) int {
-				return cntRunGeneric(rows, d, 0, n, q, nil, nil, 0, 1, dts)
-			}},
-			{"run/coded", func(q []float64, dts *uint64) int {
-				return CountDominatorsInFlatRunCoded(rows, d, 0, n, q, nil, codes, z.Code(q), 1, dts)
+				return cntRunGeneric(rows, d, 0, n, q, 1, dts)
 			}},
 			{"run/filtered", func(q []float64, dts *uint64) int {
 				return CountDominatorsInFlatRunCoded(rows, d, 0, n, q, flags, codes, z.Code(q), 1, dts)
-			}},
-			{"run/filtered-generic", func(q []float64, dts *uint64) int {
-				return cntRunGeneric(rows, d, 0, n, q, flags, codes, z.Code(q), 1, dts)
 			}},
 			{"masked/generic", func(q []float64, dts *uint64) int {
 				return CountDominatorsInFlatRunMasked(rows, d, 0, n, q, pm, 0, nil, 0, 1, dts)
@@ -169,7 +159,7 @@ func BenchmarkKernels(b *testing.B) {
 				return CountDominatorsInFlatRun(rows, d, 0, n, q, n+1, dts)
 			}},
 			{"run-dominated/generic", func(q []float64, dts *uint64) int {
-				return cntRunGeneric(rows, d, 0, n, q, nil, nil, 0, n+1, dts)
+				return cntRunGeneric(rows, d, 0, n, q, n+1, dts)
 			}},
 		} {
 			if !hasBody(d, k.name) {

@@ -87,13 +87,3 @@ func L1(p []float64) float64 {
 	}
 	return s
 }
-
-// Volume returns Πᵢ p[i], the hyper-volume pivot criterion ([2] in the
-// paper's pivot study).
-func Volume(p []float64) float64 {
-	v := 1.0
-	for _, x := range p {
-		v *= x
-	}
-	return v
-}

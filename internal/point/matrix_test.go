@@ -70,7 +70,4 @@ func TestNorms(t *testing.T) {
 	if got := L1(p); got != 6 {
 		t.Errorf("L1 = %v, want 6", got)
 	}
-	if got := Volume(p); got != 6 {
-		t.Errorf("Volume = %v, want 6", got)
-	}
 }

@@ -116,7 +116,7 @@ func FuzzRunnerFilter(f *testing.F) {
 		sm := staged(m, ops)
 		var v point.View
 		v.Reset(m.Flat(), n, d, ops)
-		surv, l1, rows := r.Filter(v, beta, k, team, nil)
+		surv, l1, rows := survivors(r.Filter(v, beta, k, team, nil))
 		if len(l1) != len(surv) {
 			t.Fatalf("%d survivors, %d norms", len(surv), len(l1))
 		}
@@ -127,8 +127,8 @@ func FuzzRunnerFilter(f *testing.F) {
 			if want := point.L1(sm.Row(i)); math.Float64bits(l1[j]) != math.Float64bits(want) {
 				t.Fatalf("survivor %d: norm %v, want %v", i, l1[j], want)
 			}
-			if rows != nil && !slices.EqualFunc(rows.Row(j), sm.Row(i), sameBits) {
-				t.Fatalf("survivor %d: row %v, want %v", i, rows.Row(j), sm.Row(i))
+			if rows != nil && !slices.EqualFunc(rows[j], sm.Row(i), sameBits) {
+				t.Fatalf("survivor %d: row %v, want %v", i, rows[j], sm.Row(i))
 			}
 		}
 		band, _ := verify.BruteForceSkyband(sm, k)

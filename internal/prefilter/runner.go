@@ -23,7 +23,7 @@ const DefaultBeta = 8
 
 // Runner is a reusable, allocation-free implementation of the two-pass
 // pre-filter. All scratch (per-thread β-queues and candidate segments,
-// the gathered queue union, the survivor list) persists across calls,
+// the gathered queue union) persists across calls,
 // and both passes run on a caller-supplied worker team leased from a
 // persistent pool, so a steady-state Filter call performs no
 // allocations and no goroutine spawns.
@@ -39,9 +39,11 @@ const DefaultBeta = 8
 // appended to the thread's candidate segment (Rows) with its norm and,
 // while the thread's candidates are sparse (storeShare), its loaded row.
 // Segments are sized by the candidates: nothing in the filter is
-// proportional to n. Where the rows are kept, they are the last read of
-// the source for the rows pass 1 keeps: pass 2 tests the stored rows,
-// and the caller gathers its working set from the Rows Filter returns.
+// proportional to n. Filter hands the segments themselves to the
+// caller (Rows), which gathers its working set from them: each list
+// position's row index, norm and, where the rows are kept, row. Where
+// they are kept, they are the last read of the source for the rows pass
+// 1 keeps: pass 2 tests the stored rows, and the caller copies them.
 // Where the candidates are dense, pass 2 and the caller load them
 // through the view again.
 //
@@ -57,8 +59,8 @@ const DefaultBeta = 8
 // leaves one more survivor for the exact phases; the cut-off also keeps
 // a queue point from testing itself. Stored rows at width 8 take
 // point.UnionScan8 instead, with the same tests (runPass2). Each thread
-// compacts its segment in place, and one join writes the survivors'
-// indices and norms in row order.
+// compacts its segment in place, and one join numbers the segments'
+// survivors in row order.
 type Runner struct {
 	qdense []float64 // threads*beta*d queue rows, β unordered slots per thread
 	qnorm  []float64 // threads*beta L1 norms of the queue rows, by slot
@@ -69,9 +71,7 @@ type Runner struct {
 	ql1    []float64 // union L1 norms matching allq order
 	qu8    []float64 // the union laid out for point.UnionScan8, when pass 2 takes it
 
-	rows Rows      // the threads' candidate segments
-	surv []int     // survivors' row indices, ascending, written by join
-	sl1  []float64 // survivors' L1 norms
+	rows Rows // the threads' candidate segments
 
 	// Parallel-region parameters, set by Filter before each fan-out.
 	v     point.View
@@ -94,13 +94,13 @@ func NewRunner() *Runner {
 	return r
 }
 
-// Filter removes easily-dominated rows of v and returns the surviving row
-// indices in their original order together with the survivors' L1 norms
-// and, where pass 1 kept the candidates' rows (storeShare), their rows
-// (Rows.Row(i) is survivor i's; nil otherwise), all under the view's
-// transform. All three alias the Runner and are valid until the next
-// call. beta ≤ 0 selects DefaultBeta. Both passes run on the whole of
-// team, whose size is the filter's thread count (one β-queue and one
+// Filter removes easily-dominated rows of v and returns the survivors,
+// in their original row order: Rows.At(i) is survivor i's row index, L1
+// norm and, where pass 1 kept the candidates' rows (storeShare), its row,
+// all under the view's transform. The Rows alias the Runner and are
+// valid until the next call; Filter returns nil on an empty view.
+// beta ≤ 0 selects DefaultBeta. Both passes run on the whole of team,
+// whose size is the filter's thread count (one β-queue and one
 // candidate segment per thread). dts, when non-nil, accumulates
 // dominance tests per thread. The passes run without a cancellation flag
 // on purpose: skipping one would leave the queues and segments of a
@@ -115,10 +115,10 @@ func NewRunner() *Runner {
 // algorithm's working set, which recounts every survivor's dominators
 // exactly — carrying partial counts out of the filter would double-count
 // them.
-func (r *Runner) Filter(v point.View, beta, k int, team *par.Team, dts *stats.DTCounters) ([]int, []float64, *Rows) {
+func (r *Runner) Filter(v point.View, beta, k int, team *par.Team, dts *stats.DTCounters) *Rows {
 	n := v.N()
 	if n == 0 {
-		return nil, nil, nil
+		return nil
 	}
 	if beta <= 0 {
 		beta = DefaultBeta
@@ -222,7 +222,8 @@ func (r *Runner) Filter(v point.View, beta, k int, team *par.Team, dts *stats.DT
 	// Pass 2: each thread's segment against the queue union, one range
 	// per thread.
 	team.ForRangesCancel(threads, threads, nil, r.pass2)
-	return r.join()
+	r.rows.join()
+	return &r.rows
 }
 
 // grow returns s resized to n, reallocating only when capacity is short.
@@ -231,33 +232,6 @@ func grow[T any](s []T, n int) []T {
 		return make([]T, n)
 	}
 	return s[:n]
-}
-
-// join writes the survivors' indices and norms, segment after segment,
-// and each segment's first list position, which Rows.Row addresses the
-// rows by. Static ranges make thread order row order, so the list is
-// ascending by row.
-func (r *Runner) join() ([]int, []float64, *Rows) {
-	s := &r.rows
-	ns := 0
-	for t := range s.first {
-		s.first[t] = ns
-		ns += s.segs[t].n
-	}
-	r.surv, r.sl1 = grow(r.surv, ns), grow(r.sl1, ns)
-	for t, w := range s.first {
-		sg := &s.segs[t]
-		for b := 0; b<<blockShift < sg.n; b++ {
-			m := min(sg.n-b<<blockShift, 1<<blockShift)
-			copy(r.surv[w:w+m], sg.blocks[b].idx[:m])
-			copy(r.sl1[w:w+m], sg.blocks[b].l1[:m])
-			w += m
-		}
-	}
-	if !s.stored {
-		return r.surv, r.sl1, nil
-	}
-	return r.surv, r.sl1, s
 }
 
 // blockShift sets the candidates a segment block holds, 1 << blockShift.
@@ -282,10 +256,11 @@ const storeShare = 8
 // grows with its candidates and never copies them: a growing contiguous
 // store would leave each of its outgrown copies behind as garbage,
 // several times the candidates' size. Pass 2 compacts each segment in
-// place; after the join, Row addresses the survivors' rows by list
-// position.
+// place; after the join, Len and At address the survivors by list
+// position, so the segments are the one survivor list.
 type Rows struct {
 	d      int
+	n      int       // survivors, after the join
 	stored bool      // every thread kept its rows: none is over
 	first  []int     // per thread: list position of its first survivor
 	segs   []segment // per thread; only the first len(first) are this call's
@@ -319,14 +294,34 @@ func (s *Rows) reset(d, threads int) {
 	}
 }
 
-// Row returns the row at list position i, d values that alias the
-// store.
-func (s *Rows) Row(i int) []float64 {
+// join numbers the survivors after pass 2: each segment's first list
+// position, segment after segment. Static ranges make thread order row
+// order, so the list is ascending by row.
+func (s *Rows) join() {
+	s.n = 0
+	for t := range s.first {
+		s.first[t] = s.n
+		s.n += s.segs[t].n
+	}
+}
+
+// Len returns the number of survivors.
+func (s *Rows) Len() int { return s.n }
+
+// At returns the survivor at list position i: its row index, its L1
+// norm and, where the call kept rows, its row, d values that alias the
+// store (nil otherwise).
+func (s *Rows) At(i int) (idx int, l1 float64, row []float64) {
 	t := len(s.first) - 1
 	for s.first[t] > i {
 		t--
 	}
-	return s.segs[t].row(i-s.first[t], s.d)
+	sg, k := &s.segs[t], i-s.first[t]
+	idx, l1 = sg.at(k)
+	if s.stored {
+		row = sg.row(k, s.d)
+	}
+	return idx, l1, row
 }
 
 // put writes row index i and norm l1 as candidate k, adding a block

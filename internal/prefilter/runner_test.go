@@ -72,6 +72,26 @@ func tight(n, d int, seed int64) point.Matrix {
 	return point.FromFlat(flat, n, d)
 }
 
+// survivors flattens the Rows a Filter call returns into the survivors'
+// row indices and norms and, where the call kept rows, their rows
+// (nil where it kept none).
+func survivors(rs *Rows) (idx []int, l1 []float64, rows [][]float64) {
+	if rs == nil {
+		return nil, nil, nil
+	}
+	if rs.stored {
+		rows = make([][]float64, 0, rs.Len())
+	}
+	for i := 0; i < rs.Len(); i++ {
+		j, x, row := rs.At(i)
+		idx, l1 = append(idx, j), append(l1, x)
+		if rs.stored {
+			rows = append(rows, row)
+		}
+	}
+	return idx, l1, rows
+}
+
 // TestRunnerMatchesFilter checks that the reusable Runner, reading the
 // source through a view, selects exactly the same surviving set as the
 // reference Filter does on the staged copy — across distributions,
@@ -115,7 +135,7 @@ func TestRunnerMatchesFilter(t *testing.T) {
 			point.SetVectorBodies(scan)
 			at := fmt.Sprintf("%s scan=%v", at, scan)
 			dts.Reset()
-			got, gotL1, gotRows := r.Filter(v, 0, 1, team, dts)
+			got, gotL1, gotRows := survivors(r.Filter(v, 0, 1, team, dts))
 			if scan && src8 != nil && n >= DefaultBeta && !r.scan8 {
 				t.Fatalf("%s: pass 1 did not take point.Scan8", at)
 			}
@@ -141,7 +161,7 @@ func TestRunnerMatchesFilter(t *testing.T) {
 				if gotRows == nil {
 					continue
 				}
-				gotRow := gotRows.Row(i)
+				gotRow := gotRows[i]
 				if len(gotRow) != len(row) {
 					t.Fatalf("%s: survivor %d has %d values, want %d", at, i, len(gotRow), len(row))
 				}
@@ -223,7 +243,7 @@ func TestRunnerNaNUnionNorm(t *testing.T) {
 	for _, vec := range []bool{false, true} {
 		point.SetVectorBodies(vec)
 		dts.Reset()
-		surv, _, rows := r.Filter(m.View(), 0, 1, team, dts)
+		surv, _, rows := survivors(r.Filter(m.View(), 0, 1, team, dts))
 		if rows == nil || !slices.ContainsFunc(r.ql1, math.IsNaN) {
 			t.Fatalf("vector bodies %v: kept rows %v, union norms %v: not the shape under test", vec, rows != nil, r.ql1)
 		}
@@ -249,17 +269,17 @@ func TestRunnerReuseAfterLargerRun(t *testing.T) {
 	team := pool.Lease(3)
 	r := NewRunner()
 	big := dataset.Generate(dataset.Correlated, 60000, 4, 3)
-	if _, _, rows := r.Filter(big.View(), 0, 1, team, nil); rows == nil {
+	if _, _, rows := survivors(r.Filter(big.View(), 0, 1, team, nil)); rows == nil {
 		t.Fatal("the large correlated run kept no rows")
 	}
 	small := dataset.Generate(dataset.Independent, 2, 8, 4)
-	surv, _, rows := r.Filter(small.View(), 0, 1, team, nil)
+	surv, _, rows := survivors(r.Filter(small.View(), 0, 1, team, nil))
 	if !slices.Equal(surv, []int{0, 1}) {
 		t.Fatalf("small run after a large one kept %v, want [0 1]", surv)
 	}
 	for i := range surv {
-		if rows != nil && !slices.Equal(rows.Row(i), small.Row(i)) {
-			t.Fatalf("small run after a large one returned row %v for row %d, want %v", rows.Row(i), i, small.Row(i))
+		if rows != nil && !slices.Equal(rows[i], small.Row(i)) {
+			t.Fatalf("small run after a large one returned row %v for row %d, want %v", rows[i], i, small.Row(i))
 		}
 	}
 }
@@ -281,9 +301,9 @@ func TestRunnerScratchSizedByCandidates(t *testing.T) {
 	r := NewRunner()
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
-	_, _, rows := r.Filter(m.View(), 0, 1, team, nil)
+	rs := r.Filter(m.View(), 0, 1, team, nil)
 	runtime.ReadMemStats(&after)
-	if rows == nil {
+	if !rs.stored {
 		t.Fatal("the correlated run kept no rows")
 	}
 	var store uint64
@@ -333,7 +353,7 @@ func TestRunnerNeverPrunesSkyline(t *testing.T) {
 			for _, d := range []int{4, 5, 6, 8} {
 				m := dataset.Generate(dist, 800, d, 31)
 				for _, k := range []int{1, 3} {
-					surv, _, _ := r.Filter(m.View(), 4, k, team, nil)
+					surv, _, _ := survivors(r.Filter(m.View(), 4, k, team, nil))
 					kept := make(map[int]bool, len(surv))
 					for _, i := range surv {
 						kept[i] = true

@@ -6,14 +6,7 @@
 // after each parallel region, so the hot loop never touches shared memory.
 package stats
 
-import (
-	"fmt"
-	"sort"
-	"strings"
-	"time"
-
-	"skybench/internal/trace"
-)
+import "time"
 
 // Phase identifies one component of an algorithm's execution, matching the
 // decompositions in Figures 7 and 8 of the paper.
@@ -29,19 +22,6 @@ const (
 	PhaseOther                 // everything else (structure updates, ...)
 	numPhases
 )
-
-// phaseNames are the labels used by the experiment harness tables.
-var phaseNames = [numPhases]string{
-	"init", "prefilter", "pivot", "phase1", "phase2", "compress", "other",
-}
-
-// String returns the harness label for the phase.
-func (p Phase) String() string {
-	if p < 0 || p >= numPhases {
-		return fmt.Sprintf("phase(%d)", int(p))
-	}
-	return phaseNames[p]
-}
 
 // NumPhases is the number of distinct phases tracked.
 const NumPhases = int(numPhases)
@@ -68,59 +48,42 @@ type Stats struct {
 	Threads int
 	// Cost holds the extended work counters behind query tracing
 	// (prefilter prune hits, per-phase survivors, sort time).
-	Cost trace.Cost
+	Cost Cost
 }
 
-// Total returns the summed wall-clock time across phases.
-func (s *Stats) Total() time.Duration {
-	var t time.Duration
-	for _, d := range s.Phases {
-		t += d
-	}
-	return t
-}
-
-// Add accumulates other into s (used when averaging repeated runs).
-func (s *Stats) Add(other *Stats) {
-	s.DominanceTests += other.DominanceTests
-	for i := range s.Phases {
-		s.Phases[i] += other.Phases[i]
-	}
-	s.Cost.Add(other.Cost)
-}
-
-// Scale divides all additive metrics by k (completing an average).
-func (s *Stats) Scale(k int) {
-	if k <= 1 {
-		return
-	}
-	s.DominanceTests /= uint64(k)
-	for i := range s.Phases {
-		s.Phases[i] /= time.Duration(k)
-	}
-	s.Cost.Scale(k)
-}
-
-// String renders a compact one-line summary.
-func (s *Stats) String() string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "n=%d |SKY|=%d t=%d DTs=%d total=%v",
-		s.InputSize, s.SkylineSize, s.Threads, s.DominanceTests, s.Total().Round(time.Microsecond))
-	type pv struct {
-		p Phase
-		d time.Duration
-	}
-	var parts []pv
-	for p := Phase(0); p < numPhases; p++ {
-		if s.Phases[p] > 0 {
-			parts = append(parts, pv{p, s.Phases[p]})
-		}
-	}
-	sort.Slice(parts, func(i, j int) bool { return parts[i].d > parts[j].d })
-	for _, x := range parts {
-		fmt.Fprintf(&b, " %s=%v", x.p, x.d.Round(time.Microsecond))
-	}
-	return b.String()
+// Cost holds the engine-level work counters behind query tracing: the
+// measurements beyond the paper's per-phase timings and dominance-test
+// counts that an EXPLAIN ANALYZE-style trace needs — prefilter
+// effectiveness, points surviving each phase, time spent in the
+// three-key sort, and how busy the dominance-test phases kept the worker
+// team. They are plain stores the core algorithms make into scratch that
+// already exists, a handful of register writes per run and no
+// allocation: the public trace object is only built when a query asks
+// for it.
+type Cost struct {
+	// PrefilterPruned is the number of input points discarded by the
+	// β-queue prefilter before the main algorithm ran (zero for Q-Flow
+	// and for prefilter-disabled ablations).
+	PrefilterPruned int
+	// Phase1Survivors is the total number of block points that survived
+	// Phase I (the comparison against the global skyline) across all
+	// α-blocks — the workload Phase II actually sees.
+	Phase1Survivors int
+	// Phase2Survivors is the total number of points that survived
+	// Phase II (the peer comparison) across all α-blocks; for a run
+	// that completes this equals the output size.
+	Phase2Survivors int
+	// Sort is the wall-clock time of the sort step (Hybrid's three-key
+	// radix + per-run L1 sorts, Q-Flow's L1 radix sort), a subset of
+	// the init phase that the paper's phase decomposition folds away.
+	Sort time.Duration
+	// Busy is the time the worker team spent inside the dominance-test
+	// phases (Phase I and II of Hybrid and Q-Flow), summed over workers
+	// and α-blocks: each worker of each claimed-chunk region contributes
+	// the time between entering and leaving it. Against threads × the
+	// phases' wall time it is their parallel efficiency; what is missing
+	// is workers waiting at a region's barrier or not woken at all.
+	Busy time.Duration
 }
 
 // Timer measures phases sequentially: call Start at a phase boundary, then
@@ -130,11 +93,8 @@ type Timer struct {
 	last time.Time
 }
 
-// NewTimer begins timing against s.
-func NewTimer(s *Stats) *Timer { return &Timer{s: s, last: time.Now()} }
-
-// StartTimer is NewTimer returning a value, so hot paths that reuse a
-// Context can time phases without a per-run allocation.
+// StartTimer begins timing against s. It returns a value, so hot paths
+// that reuse a Context time phases without a per-run allocation.
 func StartTimer(s *Stats) Timer { return Timer{s: s, last: time.Now()} }
 
 // Stop attributes the time since the previous boundary to phase and

@@ -1,69 +1,19 @@
 package stats
 
 import (
-	"strings"
 	"testing"
 	"time"
 )
 
-func TestPhaseString(t *testing.T) {
-	if PhaseOne.String() != "phase1" {
-		t.Errorf("PhaseOne = %q", PhaseOne.String())
-	}
-	if Phase(99).String() != "phase(99)" {
-		t.Errorf("out of range = %q", Phase(99).String())
-	}
-}
-
-func TestStatsTotalAndAdd(t *testing.T) {
-	var a, b Stats
-	a.Phases[PhaseOne] = time.Second
-	a.DominanceTests = 10
-	b.Phases[PhaseTwo] = 2 * time.Second
-	b.DominanceTests = 5
-	a.Add(&b)
-	if a.Total() != 3*time.Second {
-		t.Errorf("Total = %v", a.Total())
-	}
-	if a.DominanceTests != 15 {
-		t.Errorf("DTs = %d", a.DominanceTests)
-	}
-}
-
-func TestStatsScale(t *testing.T) {
-	var s Stats
-	s.DominanceTests = 100
-	s.Phases[PhaseOne] = 10 * time.Second
-	s.Scale(4)
-	if s.DominanceTests != 25 || s.Phases[PhaseOne] != 2500*time.Millisecond {
-		t.Errorf("after scale: %v", s.String())
-	}
-	s.Scale(0) // no-op
-	if s.DominanceTests != 25 {
-		t.Error("Scale(0) should be a no-op")
-	}
-}
-
-func TestStatsString(t *testing.T) {
-	var s Stats
-	s.InputSize = 100
-	s.SkylineSize = 7
-	s.Phases[PhaseOne] = time.Millisecond
-	out := s.String()
-	if !strings.Contains(out, "|SKY|=7") || !strings.Contains(out, "phase1") {
-		t.Errorf("String() = %q", out)
-	}
-}
-
 func TestTimerAttributesPhases(t *testing.T) {
 	var s Stats
-	tm := NewTimer(&s)
+	tm := StartTimer(&s)
 	time.Sleep(2 * time.Millisecond)
 	tm.Stop(PhaseInit)
 	time.Sleep(1 * time.Millisecond)
 	tm.Stop(PhaseOne)
 	if s.Phases[PhaseInit] <= 0 || s.Phases[PhaseOne] <= 0 {
-		t.Fatalf("phases not recorded: %v", s.String())
+		t.Fatalf("phases not recorded: %v", s.Phases)
 	}
 }
 

@@ -469,20 +469,17 @@ func (ix *Index) Delete(slot int32) bool {
 }
 
 // resolveOrphan re-places bucket member m after its registered owner
-// gone was deleted. For k = 1 this is a full reclassification (the old
-// exclusive-bucket rule). For k > 1 the registration invariant makes it
-// local: m lost one of its k registered band dominators, so it stays
-// out of band iff some unregistered band dominator can take the slot;
-// if none exists, m has exactly k−1 band dominators and is promoted
-// with that exact count.
+// gone was deleted. The registration invariant makes it local: m lost
+// one of its k registered band dominators, so it stays out of band iff
+// some unregistered band dominator can take the slot; if none exists, m
+// has exactly k−1 band dominators and is promoted with that exact count.
+// At k = 1 the promotion needs no scan for the band members m dominates
+// (classify's): there are none. A member from before the delete shared
+// the skyline, an antichain, with gone, which dominates m and so every
+// row m dominates; an orphan promoted earlier in the delete precedes m
+// in key order, a linear extension of dominance.
 func (ix *Index) resolveOrphan(m, gone int32) {
 	k := ix.k
-	if k == 1 {
-		if ix.classify(m) {
-			ix.stats.Resurrections++
-		}
-		return
-	}
 	base := int(m) * k
 	j := -1
 	for i := 0; i < k; i++ {

@@ -117,10 +117,6 @@ func (b remoteBacking) freeze(context.Context) (*colSnapshot, error) {
 	return &colSnapshot{epoch: b.rb.Epoch()}, nil
 }
 
-func (b remoteBacking) rows(_ context.Context, snap *colSnapshot) (*colSnapshot, error) {
-	return snap, nil
-}
-
 func (b remoteBacking) maintains(Query) bool { return false }
 
 func (b remoteBacking) answer(ctx context.Context, _ *colSnapshot, q Query) (*QueryResult, error) {

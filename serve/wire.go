@@ -349,18 +349,6 @@ func prefsFromWire(prefs []string) ([]skybench.Pref, error) {
 	return out, nil
 }
 
-// prefsToWire renders skybench preferences as their wire spelling.
-func prefsToWire(prefs []skybench.Pref) []string {
-	if len(prefs) == 0 {
-		return nil
-	}
-	out := make([]string, len(prefs))
-	for i, p := range prefs {
-		out[i] = p.String()
-	}
-	return out
-}
-
 // toQuery converts a wire query into a skybench.Query.
 func toQuery(req *QueryRequest) (skybench.Query, error) {
 	var q skybench.Query
