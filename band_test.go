@@ -118,7 +118,7 @@ func TestBandAnswerExactTrace(t *testing.T) {
 			t.Run(fmt.Sprintf("%s/k=%d", name, k), func(t *testing.T) {
 				eng := skybench.NewEngine(2)
 				defer eng.Close()
-				ix, err := stream.New(d, stream.Config{Prefs: prefs, SkybandK: k, Engine: eng})
+				ix, err := stream.New(d, stream.Config{Prefs: prefs, SkybandK: k})
 				if err != nil {
 					t.Fatal(err)
 				}

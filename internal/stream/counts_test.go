@@ -54,8 +54,7 @@ type countsRow struct {
 }
 
 // countsTrace drives one seeded insert/delete trace through an Index
-// with no rebuild hook, so every rebuild probes every row, and returns
-// its row.
+// and returns its row.
 func countsTrace(dist string, d, k int, seed int64) countsRow {
 	gen := dataset.Independent
 	if dist == "anticorrelated" {

@@ -40,10 +40,9 @@
 // the live set, the index escalates to a rebuild. A rebuild, like a bulk
 // Load, is one placement pass over the live set in (L1, coordinates)
 // order, a linear extension of dominance: each row is placed with one
-// probe of the band built so far and nothing is ever demoted. A rebuild
-// may take band membership from a pluggable hook (the public package
-// supplies an Engine-backed k-skyband query); either way it rebalances
-// every bucket and leaves the band sorted, restoring short scan prefixes.
+// probe of the band built so far and nothing is ever demoted. It
+// rebalances every bucket and leaves the band sorted, restoring short
+// scan prefixes.
 package stream
 
 import (
@@ -64,12 +63,6 @@ const (
 	ownerUnplaced int32 = -4
 )
 
-// rebuildMinEngine is the live size below which a rebuild places every
-// row by its own probe instead of asking the external hook: firing up a
-// full parallel engine for a few hundred points costs more than the
-// sequential scan it replaces.
-const rebuildMinEngine = 256
-
 // Options configures an Index.
 type Options struct {
 	// K is the band parameter: the index maintains the set of points
@@ -81,17 +74,6 @@ type Options struct {
 	// fraction of the live point count. Zero selects the default (0.5);
 	// math.Inf(1) disables escalation entirely.
 	RebuildFraction float64
-	// Rebuild, when non-nil, computes the K-skyband of the n staged
-	// d-dimensional row-major points in vals, returning row indices into
-	// vals plus each member's exact dominator count (counts may be nil
-	// when K = 1, where every skyline point has zero dominators). It is
-	// invoked on escalation for live sets of at least rebuildMinEngine
-	// points; the results may alias storage the hook reuses, as the
-	// Index consumes them before returning. Its band rows are placed
-	// with its counts, unprobed, so the hook must be exact; every other
-	// row is probed, so a nil index slice (a failed run) or an omitted
-	// band row still leaves the exact band.
-	Rebuild func(vals []float64, n int) ([]int, []int32)
 	// OnEnter and OnLeave, when non-nil, observe band membership
 	// changes: OnEnter(slot) fires when a live slot enters the band,
 	// OnLeave(slot) when it leaves (by demotion or deletion; for a
@@ -170,14 +152,12 @@ type Index struct {
 	// Reusable scratch: dominated band positions (the demotees, during
 	// an insert) and demoted slots, detached bucket members during a
 	// delete, collected dominator positions during classification, the
-	// sorted slots and dense values of the placement pass, and the
-	// pre-rebuild membership.
+	// sorted slots of the placement pass, and the pre-rebuild membership.
 	demoted   []int32
 	demotedS  []int32
 	detached  []int32
 	doms      []int32
 	gatherIdx []int32
-	gatherVal []float64
 	wasSky    []bool
 }
 
@@ -547,16 +527,15 @@ func (ix *Index) maybeRebuild(pending int) {
 // Rebuild forces a full recompute and rebucketing, as escalation does.
 func (ix *Index) Rebuild() { ix.rebuild() }
 
-// Load places every live slot from scratch in one placement pass with
-// no membership source, firing no membership events and counting no
-// rebuild: the bulk entry for rows allocated unplaced into an index that
-// nothing observes yet, such as a checkpoint being recovered.
-func (ix *Index) Load() { ix.place(nil) }
+// Load places every live slot from scratch in one placement pass,
+// firing no membership events and counting no rebuild: the bulk entry
+// for rows allocated unplaced into an index that nothing observes yet,
+// such as a checkpoint being recovered.
+func (ix *Index) Load() { ix.place() }
 
-// rebuild re-places the live set through the placement pass, with the
-// external hook as membership source, then emits the net membership
-// change against the pre-rebuild state: none for a clean rebuild, the
-// resurrected orphans for an escalated delete.
+// rebuild re-places the live set through the placement pass, then emits
+// the net membership change against the pre-rebuild state: none for a
+// clean rebuild, the resurrected orphans for an escalated delete.
 func (ix *Index) rebuild() {
 	ix.stats.Rebuilds++
 	ix.dirty = 0
@@ -564,7 +543,7 @@ func (ix *Index) rebuild() {
 	for _, o := range ix.owner {
 		ix.wasSky = append(ix.wasSky, o == ownerSkyline)
 	}
-	ix.place(ix.opt.Rebuild)
+	ix.place()
 
 	// Net entries are resurrections that took the escalated path instead
 	// of per-point re-resolution; count them the same so the stat is
@@ -584,15 +563,14 @@ func (ix *Index) rebuild() {
 
 // place is the one placement pass. It sorts every live slot by byKey, a
 // linear extension of dominance, and files each into a band rebuilt
-// from empty. A row the membership source reports is appended with the
-// source's count, unprobed. Any other row probes the band built so far
-// once: it is registered under the k dominators found, or appended with
-// the fewer it found. Every dominator of a row sorts before it, so each
-// count is exact and no placed row is ever revisited. The source is
-// asked only at rebuildMinEngine live rows or more. The pass fires no membership events; the band ends
-// sorted, so later scans meet likely dominators first.
-func (ix *Index) place(source func(vals []float64, n int) ([]int, []int32)) {
-	d, k := ix.d, ix.k
+// from empty. Each row probes the band built so far once: it is
+// registered under the k dominators found, or appended with the fewer it
+// found. Every dominator of a row sorts before it, so each count is
+// exact and no placed row is ever revisited. The pass fires no
+// membership events; the band ends sorted, so later scans meet likely
+// dominators first.
+func (ix *Index) place() {
+	k := ix.k
 	ix.gatherIdx = ix.AppendLiveSlots(ix.gatherIdx[:0])
 	slices.SortFunc(ix.gatherIdx, ix.byKey)
 	ix.skySlots = ix.skySlots[:0]
@@ -605,33 +583,13 @@ func (ix *Index) place(source func(vals []float64, n int) ([]int, []int32)) {
 		ix.buckets[s] = ix.buckets[s][:0]
 		ix.owner[s] = ownerUnplaced
 	}
-
-	// Source members are marked in owner ahead of their append.
-	if n := len(ix.gatherIdx); source != nil && n >= rebuildMinEngine {
-		ix.gatherVal = slices.Grow(ix.gatherVal[:0], n*d)
-		for _, s := range ix.gatherIdx {
-			ix.gatherVal = append(ix.gatherVal, ix.Row(s)...)
-		}
-		sky, cnt := source(ix.gatherVal, n)
-		for pos, i := range sky {
-			s := ix.gatherIdx[i]
-			ix.owner[s] = ownerSkyline
-			ix.cnt[s] = 0
-			if cnt != nil {
-				ix.cnt[s] = cnt[pos]
-			}
-		}
-	}
-
 	for _, s := range ix.gatherIdx {
-		if ix.owner[s] != ownerSkyline {
-			doms := ix.dominators(s)
-			if len(doms) == k {
-				ix.registerAll(s, doms)
-				continue
-			}
-			ix.cnt[s] = int32(len(doms))
+		doms := ix.dominators(s)
+		if len(doms) == k {
+			ix.registerAll(s, doms)
+			continue
 		}
+		ix.cnt[s] = int32(len(doms))
 		ix.appendSkyline(s)
 	}
 }

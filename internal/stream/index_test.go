@@ -155,53 +155,6 @@ func TestIndexNoRebuilds(t *testing.T) {
 	runRandomOps(t, dataset.Anticorrelated, 4, 400, 0.45, 0, Options{RebuildFraction: math.Inf(1)}, 12)
 }
 
-// TestIndexRebuildHook drives the escalation path through an external
-// hook (a brute-force stand-in for the Engine) and checks both that it
-// is consulted and that membership is preserved across rebuilds — also
-// when the hook leaves a band row out or fails outright, whose rows the
-// placement pass then probes itself.
-func TestIndexRebuildHook(t *testing.T) {
-	const d = 4
-	skyline := func(vals []float64, n int) []int {
-		var sky []int
-		for i := 0; i < n; i++ {
-			dominated := false
-			for j := 0; j < n && !dominated; j++ {
-				dominated = j != i && point.DominatesFlat(vals, j*d, i*d, d)
-			}
-			if !dominated {
-				sky = append(sky, i)
-			}
-		}
-		return sky
-	}
-	for name, hook := range map[string]func(vals []float64, n int) []int{
-		"exact": skyline,
-		"omits-one": func(vals []float64, n int) []int {
-			sky := skyline(vals, n)
-			return slices.Delete(sky, len(sky)/2, len(sky)/2+1)
-		},
-		"nil": func([]float64, int) []int { return nil },
-	} {
-		t.Run(name, func(t *testing.T) {
-			calls := 0
-			opt := Options{
-				RebuildFraction: 0.05,
-				Rebuild: func(vals []float64, n int) ([]int, []int32) {
-					calls++
-					return hook(vals, n), nil
-				},
-			}
-			// Enough points that rebuilds exceed rebuildMinEngine and
-			// actually reach the hook.
-			runRandomOps(t, dataset.Independent, d, 900, 0.25, 0, opt, 13)
-			if calls == 0 {
-				t.Fatalf("rebuild hook never invoked")
-			}
-		})
-	}
-}
-
 // TestIndexRebuildPreservesMembership checks the invariant rebuilds rely
 // on: recomputing the live set's skyline yields the maintained set, so a
 // forced rebuild must not fire events or change membership.
@@ -257,40 +210,6 @@ func TestIndexSkybandFrequentRebuilds(t *testing.T) {
 
 func TestIndexSkybandNoRebuilds(t *testing.T) {
 	runRandomOps(t, dataset.Anticorrelated, 4, 350, 0.45, 0, Options{K: 2, RebuildFraction: math.Inf(1)}, 41)
-}
-
-// TestIndexSkybandRebuildHook drives escalation through an external
-// k-skyband hook that returns counts, as the public Engine-backed hook
-// does.
-func TestIndexSkybandRebuildHook(t *testing.T) {
-	const d, k = 4, 3
-	calls := 0
-	opt := Options{
-		K:               k,
-		RebuildFraction: 0.05,
-		Rebuild: func(vals []float64, n int) ([]int, []int32) {
-			calls++
-			var band []int
-			var counts []int32
-			for i := 0; i < n; i++ {
-				doms := 0
-				for j := 0; j < n && doms < k; j++ {
-					if j != i && point.DominatesFlat(vals, j*d, i*d, d) {
-						doms++
-					}
-				}
-				if doms < k {
-					band = append(band, i)
-					counts = append(counts, int32(doms))
-				}
-			}
-			return band, counts
-		},
-	}
-	runRandomOps(t, dataset.Independent, d, 900, 0.25, 0, opt, 43)
-	if calls == 0 {
-		t.Fatalf("rebuild hook never invoked")
-	}
 }
 
 // TestIndexKGENn checks k ≥ n: with more budget than points, everything

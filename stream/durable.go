@@ -704,7 +704,7 @@ func Recover(dir string, cfg Config) (*SkylineIndex, error) {
 			return fail(fmt.Errorf("%w: checkpoint shape (d=%d, k=%d) disagrees with meta (d=%d, k=%d)", skybench.ErrCorruptWAL, ck.d, ck.k, meta.D, meta.K))
 		}
 		// Every row is allocated unplaced, then one pass places them all:
-		// no Engine run, no membership events, no rebuild.
+		// no membership events, no rebuild.
 		for i, id := range ck.ids {
 			x.allocSlot(ID(id), ck.vals[i*ck.d:(i+1)*ck.d])
 		}

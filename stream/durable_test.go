@@ -687,57 +687,11 @@ func TestWindowFailedEvictionKeepsRing(t *testing.T) {
 	}
 }
 
-// TestRebuildRetries: escalation makes one attempt and retries nothing.
-// A transient fault (only the first hook call fails) and a persistent one
-// alike hit the site once, and the placement pass probes every row
-// itself, leaving the exact band.
-func TestRebuildRetries(t *testing.T) {
-	eng := skybench.NewEngine(2)
-	defer eng.Close()
-	for _, tc := range []struct {
-		name  string
-		count int
-	}{
-		{"transient", 1}, // a second attempt would succeed; none is made
-		{"persistent", 100},
-	} {
-		t.Run(tc.name, func(t *testing.T) {
-			x, err := New(2, Config{})
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer x.Close()
-			// The escalation hook only engages above the core's minimum
-			// live size (256); stay comfortably over it.
-			w := newDurWorkload(5, 2, 0.1)
-			for i := 0; i < 400; i++ {
-				if err := w.apply(t, x); err != nil {
-					t.Fatal(err)
-				}
-			}
-			in := faults.New(3)
-			in.Arm(faults.Plan{Site: "stream.rebuild", Count: tc.count})
-			x.rebuildFaults = in
-			before := x.Stats().Rebuilds
-			x.rebuild()
-			if got := in.Hits("stream.rebuild"); got != 1 {
-				t.Fatalf("rebuild fault site hit %d times, want 1: one attempt, no retry", got)
-			}
-			if got := x.Stats().Rebuilds; got != before+1 {
-				t.Fatalf("Rebuilds %d after one forced rebuild, want %d", got, before+1)
-			}
-			ids, rows := w.state()
-			oracleCheck(t, eng, x, nil, ids, rows)
-		})
-	}
-}
-
 // TestRecoverTies: a checkpoint full of ties — exact duplicates, and
 // rows one ulp apart whose computed norms can tie, among them a row of
 // 0.9s and its neighbour, which do — recovers through the load pass to
-// the brute-force band and counts. The live set is above the size at
-// which a rebuild would ask the Engine; the load asks nothing, and books
-// no rebuild and no resurrection.
+// the brute-force band and counts, and books no rebuild and no
+// resurrection.
 func TestRecoverTies(t *testing.T) {
 	grid := [...]float64{0, 0.1, 0.2, 0.3, 0.5, 0.7, 0.9, 1}
 	const d, n = 8, 400

@@ -9,8 +9,9 @@
 // kernels the one-shot hot paths use; deleting a skyline point
 // re-resolves only the points it exclusively dominated (its "bucket"),
 // and when mutation churn degrades the structure the index escalates to
-// one full Hybrid recompute through a skybench.Engine — amortized over
-// the updates that made it necessary.
+// one rebuild — a pass over the live set in L1 order that probes each
+// point once against the band built so far — amortized over the updates
+// that made it necessary.
 //
 // Quick start:
 //
@@ -35,14 +36,12 @@
 package stream
 
 import (
-	"context"
 	"fmt"
 	"slices"
 	"sync"
 	"sync/atomic"
 
 	"skybench"
-	"skybench/internal/faults"
 	"skybench/internal/point"
 	istream "skybench/internal/stream"
 )
@@ -77,11 +76,10 @@ type Config struct {
 	// O(SkybandK), so very large values are better served by whole-set
 	// queries. Negative values are invalid.
 	SkybandK int
-	// Engine, when non-nil, serves escalated recomputes (sharing its
-	// context free-list and worker pool with any other load it carries;
-	// a recompute leases its share of the pool like any other run).
-	// When nil the index lazily creates a private Engine on first
-	// escalation and closes it on Close.
+	// Engine is not read: the index rebuilds its band itself and never
+	// runs an Engine.
+	//
+	// Deprecated: ignored.
 	Engine *skybench.Engine
 	// Durable, when non-nil, makes the index crash-safe: every mutation
 	// is written ahead to a segmented WAL in Durable.Dir, periodically
@@ -112,8 +110,6 @@ type SkylineIndex struct {
 	loc     map[ID]int32
 	next    ID
 	stage   []float64
-	eng     *skybench.Engine
-	ownEng  bool
 	closed  bool
 	entered []Point
 	left    []Point
@@ -123,8 +119,7 @@ type SkylineIndex struct {
 	subs   []deltaSub // OnDelta registrations, in registration order
 	subSeq uint64
 
-	dur           *durableState    // nil for in-memory indexes
-	rebuildFaults *faults.Injector // test hook: "stream.rebuild" site
+	dur *durableState // nil for in-memory indexes
 }
 
 // deltaSub is one cancelable OnDelta registration.
@@ -155,7 +150,6 @@ func New(d int, cfg Config) (*SkylineIndex, error) {
 		identity: true,
 		loc:      make(map[ID]int32),
 		next:     1,
-		eng:      cfg.Engine,
 	}
 	if len(cfg.Prefs) != 0 {
 		if len(cfg.Prefs) != d {
@@ -175,8 +169,7 @@ func New(d int, cfg Config) (*SkylineIndex, error) {
 		}
 	}
 	x.core = istream.New(x.de, istream.Options{
-		K:       k,
-		Rebuild: x.engineRebuild,
+		K: k,
 		OnEnter: func(slot int32) {
 			x.entered = append(x.entered, Point{ID: x.ids[slot], Values: x.origRow(slot)})
 		},
@@ -211,39 +204,6 @@ func prefOps(prefs []skybench.Pref) ([]point.PrefOp, error) {
 		}
 	}
 	return ops, nil
-}
-
-// engineRebuild is the escalation hook handed to the core: a full
-// skyline (or k-skyband) recompute over the staged live set, served by
-// the Engine's context free-list so repeated escalations reuse warm
-// scratch. It makes one attempt: an engine panic would repeat on the
-// same rows and a closed engine or invalid input stays so, so on any
-// error it returns nil and the core's placement pass probes every row
-// itself.
-func (x *SkylineIndex) engineRebuild(vals []float64, n int) ([]int, []int32) {
-	if x.eng == nil {
-		x.eng = skybench.NewEngine(0)
-		x.ownEng = true
-	}
-	if faults.Check(x.rebuildFaults, "stream.rebuild") != nil {
-		return nil, nil
-	}
-	ds, err := skybench.DatasetFromFlat(vals, n, x.de)
-	if err != nil {
-		return nil, nil
-	}
-	q := skybench.Query{ReuseIndices: true}
-	if x.k > 1 {
-		q.SkybandK = x.k
-	}
-	// ReuseIndices is safe here: the core consumes the indices (and
-	// counts) before this Engine serves its next query, and the index
-	// lock serializes escalations.
-	res, err := x.eng.Run(context.Background(), ds, q)
-	if err != nil {
-		return nil, nil
-	}
-	return res.Indices, res.Counts
 }
 
 // D returns the dimensionality of the indexed points.
@@ -507,12 +467,11 @@ func (x *SkylineIndex) Stats() Stats {
 	}
 }
 
-// Close releases the index's private Engine (when it created one). A
-// durable index writes a final checkpoint (best-effort — a failure is
-// recorded, and recovery replays the WAL tail instead) and closes its
-// WAL, so a clean restart recovers without replay. The index must not
-// be mutated afterwards; existing Snapshots, and Snapshot itself,
-// remain usable.
+// Close ends the index. A durable index writes a final checkpoint
+// (best-effort — a failure is recorded, and recovery replays the WAL
+// tail instead) and closes its WAL, so a clean restart recovers without
+// replay. The index must not be mutated afterwards; existing
+// Snapshots, and Snapshot itself, remain usable.
 func (x *SkylineIndex) Close() {
 	x.mu.Lock()
 	defer x.mu.Unlock()
@@ -528,10 +487,6 @@ func (x *SkylineIndex) Close() {
 		}
 		x.dur.log.Close()
 	}
-	if x.ownEng && x.eng != nil {
-		x.eng.Close()
-	}
-	x.eng = nil
 }
 
 // LiveEpoch returns the membership epoch of the live point set: it

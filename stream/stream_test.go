@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"runtime"
 	"slices"
 	"sync"
 	"testing"
@@ -117,7 +118,7 @@ func runEngineOracleOps(t *testing.T, eng *skybench.Engine, d, k int, prefs []sk
 	m := dataset.Generate(dist, nOps, d, int64(d)*17+int64(k)*101+int64(dist))
 	rng := rand.New(rand.NewSource(int64(d) + int64(k)*7 + 31))
 
-	ix, err := New(d, Config{Prefs: prefs, SkybandK: k, Engine: eng})
+	ix, err := New(d, Config{Prefs: prefs, SkybandK: k})
 	if err != nil {
 		t.Fatalf("New: %v", err)
 	}
@@ -291,7 +292,7 @@ func TestWindowSlides(t *testing.T) {
 	defer eng.Close()
 
 	const w, d, total = 64, 3, 400
-	win, err := NewWindow(w, d, Config{Engine: eng})
+	win, err := NewWindow(w, d, Config{})
 	if err != nil {
 		t.Fatalf("NewWindow: %v", err)
 	}
@@ -339,13 +340,11 @@ func TestWindowSlides(t *testing.T) {
 
 // TestSnapshotConcurrentReaders runs one writer against many snapshot
 // readers; under -race this is the data-race probe for the epoch/COW
-// publication path — with the default configuration, with an Engine
+// publication path — with the default configuration, with an
 // escalation forced while readers hold snapshots (for the skyline and
 // for a 3-skyband), and through a sliding Window whose every Push past
 // capacity is an eviction plus an insert.
 func TestSnapshotConcurrentReaders(t *testing.T) {
-	eng := skybench.NewEngine(0)
-	defer eng.Close()
 	for _, tc := range []struct {
 		name     string
 		cfg      Config
@@ -353,9 +352,9 @@ func TestSnapshotConcurrentReaders(t *testing.T) {
 		escalate bool
 	}{
 		{name: "default"},
-		{name: "escalating", cfg: Config{Engine: eng}, escalate: true},
-		{name: "escalating-k3", cfg: Config{Engine: eng, SkybandK: 3}, escalate: true},
-		{name: "window-500", cfg: Config{Engine: eng}, window: 500},
+		{name: "escalating", escalate: true},
+		{name: "escalating-k3", cfg: Config{SkybandK: 3}, escalate: true},
+		{name: "window-500", window: 500},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			var ix *SkylineIndex
@@ -506,8 +505,9 @@ func TestValidationAndLifecycle(t *testing.T) {
 	}
 }
 
-// TestForcedRebuildKeepsState covers the public Rebuild entry and the
-// lazily created private Engine.
+// TestForcedRebuildKeepsState covers the forced rebuild: it keeps the
+// band's membership, is counted, and starts no goroutine — the index
+// rebuilds on the mutating goroutine, with no worker pool of its own.
 func TestForcedRebuildKeepsState(t *testing.T) {
 	ix, err := New(6, Config{})
 	if err != nil {
@@ -522,7 +522,13 @@ func TestForcedRebuildKeepsState(t *testing.T) {
 	}
 	before := slices.Clone(ix.Snapshot().IDs())
 	slices.Sort(before)
+	goroutines := runtime.NumGoroutine()
 	ix.rebuild()
+	// At GOMAXPROCS 1 a worker pool would have no workers to start, so
+	// the count could not show one.
+	if got := runtime.NumGoroutine(); runtime.GOMAXPROCS(0) > 1 && got > goroutines {
+		t.Fatalf("rebuild grew the goroutine count from %d to %d", goroutines, got)
+	}
 	after := slices.Clone(ix.Snapshot().IDs())
 	slices.Sort(after)
 	if !slices.Equal(before, after) {
@@ -533,14 +539,13 @@ func TestForcedRebuildKeepsState(t *testing.T) {
 	}
 }
 
-// TestRebuildHookEqualNormTie holds a rebuild through the Engine hook
-// to the brute-force band on rows whose computed norms tie with the
-// rows they dominate: 300 rows of d = 8 on the surface Σ = 7.2, each
-// with a twin one ulp larger in one coordinate whose computed norm is
-// the same. The placement pass places the Engine's band rows unprobed,
-// so this is the end-to-end guard that the Engine orders ties on the
-// coordinates and skips no row for an equal norm.
-func TestRebuildHookEqualNormTie(t *testing.T) {
+// TestRebuildEqualNormTie holds a rebuild to the brute-force band on
+// rows whose computed norms tie with the rows they dominate: 300 rows of
+// d = 8 on the surface Σ = 7.2, each with a twin one ulp larger in one
+// coordinate whose computed norm is the same. It guards the placement
+// pass end to end: its sort must order such ties on the coordinates,
+// and its one probe per row must skip no band row for an equal norm.
+func TestRebuildEqualNormTie(t *testing.T) {
 	const d, pairs = 8, 300
 	rng := rand.New(rand.NewSource(53))
 	var rows [][]float64
@@ -631,5 +636,34 @@ func BenchmarkInsertSteadyState(b *testing.B) {
 		}
 		ids[j] = id
 		row[0], row[d-1] = row[d-1], row[0]
+	}
+}
+
+// BenchmarkRebuild times one forced rebuild of a 50 000-row, d = 8
+// index, the pass escalation runs, per distribution and band depth.
+// Anticorrelated data, whose band is a large share of the live set, is
+// the rebuild's hard case.
+func BenchmarkRebuild(b *testing.B) {
+	const n, d = 50000, 8
+	for _, dist := range dataset.AllDistributions {
+		m := dataset.Generate(dist, n, d, 7)
+		for _, k := range []int{1, 3} {
+			b.Run(fmt.Sprintf("%v/k=%d", dist, k), func(b *testing.B) {
+				x, err := New(d, Config{SkybandK: k})
+				if err != nil {
+					b.Fatalf("New: %v", err)
+				}
+				defer x.Close()
+				for i := 0; i < m.N(); i++ {
+					if _, err := x.Insert(m.Row(i)); err != nil {
+						b.Fatalf("insert: %v", err)
+					}
+				}
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					x.rebuild()
+				}
+			})
+		}
 	}
 }
