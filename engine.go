@@ -8,6 +8,8 @@ import (
 	"sync/atomic"
 	"time"
 
+	"skybench/internal/algo/bskytree"
+	"skybench/internal/algo/pskyline"
 	"skybench/internal/core"
 	"skybench/internal/faults"
 	"skybench/internal/par"
@@ -29,13 +31,14 @@ var engineFaults *faults.Injector
 // queries reuse warm scratch instead of allocating, and the machine runs
 // one pool of threads rather than one per caller.
 //
-// Every Hybrid or Q-Flow run leases its own team from that pool: a share
-// of max(1, T / runs in flight) threads of the Engine's T, capped by
-// Query.Threads and by the workers other runs do not hold. A run alone
-// gets the whole pool; concurrent runs — other callers' queries —
-// compute side by side on disjoint workers, and
-// at every α-block boundary each run moves its team toward its share as
-// it stands then, so a run that started small grows once others finish.
+// Every run leases its own team from that pool: a share of max(1, T /
+// runs in flight) threads of the Engine's T, capped by Query.Threads and
+// by the workers other runs do not hold (BSkyTree, a sequential
+// algorithm, leases one). A run alone gets the whole pool; concurrent
+// runs — other callers' queries — compute side by side on disjoint
+// workers, and at every α-block boundary a Hybrid or Q-Flow run moves
+// its team toward its share as it stands then, so a run that started
+// small grows once others finish.
 //
 // Run honors context cancellation and deadlines: the Hybrid and Q-Flow
 // hot paths poll a cancellation flag at every α-block boundary and
@@ -117,17 +120,6 @@ func (e *Engine) acquire() (*engineCtx, error) {
 	return &engineCtx{core: core.NewContext(), pool: e.pool}, nil
 }
 
-// checkOpen reports an error once the Engine has been closed (the
-// pool-less baseline path does not go through acquire).
-func (e *Engine) checkOpen() error {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	if e.closed {
-		return fmt.Errorf("%w: Engine", ErrClosed)
-	}
-	return nil
-}
-
 // release returns a context to the free-list for the next query.
 func (e *Engine) release(ec *engineCtx) {
 	e.mu.Lock()
@@ -179,47 +171,39 @@ func (e *Engine) exec(ctx context.Context, ds *Dataset, q Query) (Result, error)
 	if q.Algorithm == Auto {
 		return Result{}, fmt.Errorf("%w: Algorithm %s is a Store collection's spelling of %s; name the algorithm for Engine.Run", ErrBadQuery, Auto, Hybrid)
 	}
-	// Only the Hybrid/Q-Flow hot paths use the pool-backed contexts;
-	// baselines spawn their own short-lived goroutines and allocate per
-	// run anyway, so they skip the pool and scratch entirely.
-	hot := q.Algorithm == Hybrid || q.Algorithm == QFlow
 	if q.SkybandK < 0 {
 		return Result{}, fmt.Errorf("%w: negative SkybandK %d", ErrBadQuery, q.SkybandK)
 	}
-	if q.SkybandK > 1 && !hot {
+	if q.SkybandK > 1 && q.Algorithm != Hybrid && q.Algorithm != QFlow {
 		return Result{}, fmt.Errorf("%w: algorithm %s does not support k-skyband queries (SkybandK=%d); use %s or %s", ErrBadQuery, q.Algorithm, q.SkybandK, Hybrid, QFlow)
 	}
 	threads := q.Threads
 	if threads <= 0 || threads > e.threads {
 		threads = e.threads
 	}
-	var ec *engineCtx
-	if hot {
-		var err error
-		if ec, err = e.acquire(); err != nil {
-			return Result{}, err
-		}
-		// The run's share of the pool: alone it gets all of it, beside
-		// other runs an equal split (the lease grants fewer when the
-		// others hold more).
-		ec.team = ec.pool.Lease(threads)
-		defer func() {
-			ec.team.Release()
-			ec.team = nil
-			// A context whose query panicked is discarded, not recycled:
-			// the panic may have left its scratch state (bucket arrays,
-			// partial heaps) torn, and a poisoned context handed to the
-			// next query would turn one contained failure into silent
-			// corruption.
-			if !ec.poisoned {
-				e.release(ec)
-			}
-		}()
-	} else if err := e.checkOpen(); err != nil {
+	if q.Algorithm == BSkyTree {
+		threads = 1 // sequential by definition
+	}
+	ec, err := e.acquire()
+	if err != nil {
 		return Result{}, err
 	}
-
-	return e.execGuarded(ctx, ec, hot, ds, q, threads)
+	// The run's share of the pool: alone it gets all of it, beside other
+	// runs an equal split (the lease grants fewer when the others hold
+	// more).
+	ec.team = ec.pool.Lease(threads)
+	defer func() {
+		ec.team.Release()
+		ec.team = nil
+		// A context whose query panicked is discarded, not recycled: the
+		// panic may have left its scratch state (bucket arrays, partial
+		// heaps) torn, and a poisoned context handed to the next query
+		// would turn one contained failure into silent corruption.
+		if !ec.poisoned {
+			e.release(ec)
+		}
+	}()
+	return e.execGuarded(ctx, ec, ds, q)
 }
 
 // execGuarded is the compute section of exec, with panic containment: a
@@ -228,12 +212,10 @@ func (e *Engine) exec(ctx context.Context, ds *Dataset, q Query) (Result, error)
 // converted into an error wrapping ErrQueryPanic, carrying the panic
 // value and the panicking goroutine's stack. Only the offending query
 // fails; the Engine and its pool stay serviceable.
-func (e *Engine) execGuarded(ctx context.Context, ec *engineCtx, hot bool, ds *Dataset, q Query, threads int) (res Result, err error) {
+func (e *Engine) execGuarded(ctx context.Context, ec *engineCtx, ds *Dataset, q Query) (res Result, err error) {
 	defer func() {
 		if r := recover(); r != nil {
-			if ec != nil {
-				ec.poisoned = true
-			}
+			ec.poisoned = true
 			res, err = Result{}, panicErr(r, debug.Stack())
 		}
 	}()
@@ -244,17 +226,14 @@ func (e *Engine) execGuarded(ctx context.Context, ec *engineCtx, hot bool, ds *D
 	// the Dataset's own rows). Baselines allocate per run regardless and
 	// double as oracles for the hot paths, so they keep an explicitly
 	// staged copy that shares no code with the view.
-	var scratch []point.PrefOp
-	if hot {
-		scratch = ec.ops[:0]
-	}
-	ops, err := q.opsInto(scratch)
+	ops, err := q.opsInto(ec.ops[:0])
 	if err != nil {
 		return Result{}, err
 	}
-	if hot && ops != nil {
+	if ops != nil {
 		ec.ops = ops // retain grown scratch capacity
 	}
+	hot := q.Algorithm == Hybrid || q.Algorithm == QFlow
 	staged := !point.IdentityOps(ops)
 	if staged && point.EffectiveDims(ops) == 0 {
 		return Result{}, fmt.Errorf("%w: query ignores every dimension", ErrBadQuery)
@@ -298,45 +277,16 @@ func (e *Engine) execGuarded(ctx context.Context, ec *engineCtx, hot bool, ds *D
 	if err := faults.Check(engineFaults, "engine.run"); err != nil {
 		return Result{}, err
 	}
-	if hot {
-		res, err = runOnContext(ec, q, cancel)
-	} else {
-		res, err = runBaseline(m, q, threads)
-	}
-
-	if cerr := ctx.Err(); cerr != nil {
-		// The run may have been abandoned mid-flight; its partial result
-		// must not escape.
-		return Result{}, canceledErr(cerr)
-	}
-	if err != nil {
-		return Result{}, err
-	}
-	// Detach the context-path result unless the caller opted into the
-	// zero-copy alias; baseline indices are freshly allocated already.
-	if !q.ReuseIndices && (q.Algorithm == Hybrid || q.Algorithm == QFlow) {
-		res.Indices = append([]int(nil), res.Indices...)
-		if res.Counts != nil {
-			res.Counts = append([]int32(nil), res.Counts...)
-		}
-	}
-	// Materialize the trace last, from the always-on counters, so only
-	// traced queries pay the allocation (the zero-alloc guards run with
-	// Trace unset).
-	if q.Trace {
-		res.Trace = traceFromResult(q.Algorithm, q.SkybandK, &res)
-	}
-	return res, nil
-}
-
-// runOnContext executes a hot-path query over ec.view on an acquired
-// context and its leased team, with cancellation plumbed through.
-func runOnContext(ec *engineCtx, q Query, cancel *atomic.Bool) (Result, error) {
+	// Hybrid and Q-Flow run over ec.view with cancellation plumbed
+	// through; the baselines run over m and check cancellation only on
+	// entry (they are the paper's comparison points, not the serving
+	// path). Every algorithm runs on the leased team.
+	ec.st = stats.Stats{}
+	start := time.Now()
+	var idx []int
 	switch q.Algorithm {
 	case Hybrid:
-		ec.st = stats.Stats{}
-		start := time.Now()
-		idx := ec.core.Hybrid(ec.view, core.HybridOptions{
+		idx = ec.core.Hybrid(ec.view, core.HybridOptions{
 			Team:          ec.team,
 			Alpha:         q.Alpha,
 			Pivot:         q.Pivot.internal(),
@@ -352,13 +302,8 @@ func runOnContext(ec *engineCtx, q Query, cancel *atomic.Bool) (Result, error) {
 			Progressive:   q.Progressive,
 			Cancel:        cancel,
 		})
-		res := assembleResult(idx, &ec.st, ec.view.N(), time.Since(start))
-		res.Counts = ec.core.Counts()
-		return res, nil
 	case QFlow:
-		ec.st = stats.Stats{}
-		start := time.Now()
-		idx := ec.core.QFlow(ec.view, core.QFlowOptions{
+		idx = ec.core.QFlow(ec.view, core.QFlowOptions{
 			Team:        ec.team,
 			Alpha:       q.Alpha,
 			SkybandK:    q.SkybandK,
@@ -366,12 +311,39 @@ func runOnContext(ec *engineCtx, q Query, cancel *atomic.Bool) (Result, error) {
 			Progressive: q.Progressive,
 			Cancel:      cancel,
 		})
-		res := assembleResult(idx, &ec.st, ec.view.N(), time.Since(start))
-		res.Counts = ec.core.Counts()
-		return res, nil
+	case PSkyline:
+		idx = pskyline.SkylineStats(m, ec.team, &ec.st)
+	case BSkyTree, PBSkyTree:
+		idx, ec.st.DominanceTests = bskytree.SkylineDT(m, ec.team, nil)
+		ec.st.Threads = ec.team.Threads()
 	default:
-		panic(fmt.Sprintf("skybench: runOnContext called for non-hot-path algorithm %d", int(q.Algorithm)))
+		return Result{}, fmt.Errorf("%w: %d", ErrUnknownAlgorithm, int(q.Algorithm))
 	}
+	res = assembleResult(idx, &ec.st, ds.n, time.Since(start))
+	if hot {
+		res.Counts = ec.core.Counts()
+	}
+
+	if cerr := ctx.Err(); cerr != nil {
+		// The run may have been abandoned mid-flight; its partial result
+		// must not escape.
+		return Result{}, canceledErr(cerr)
+	}
+	// Detach the hot-path result unless the caller opted into the
+	// zero-copy alias; baseline indices are freshly allocated already.
+	if !q.ReuseIndices && hot {
+		res.Indices = append([]int(nil), res.Indices...)
+		if res.Counts != nil {
+			res.Counts = append([]int32(nil), res.Counts...)
+		}
+	}
+	// Materialize the trace last, from the always-on counters, so only
+	// traced queries pay the allocation (the zero-alloc guards run with
+	// Trace unset).
+	if q.Trace {
+		res.Trace = traceFromResult(q.Algorithm, q.SkybandK, &res)
+	}
+	return res, nil
 }
 
 // opsInto translates the query's preferences into transform ops, appending

@@ -161,8 +161,10 @@ func TestEngineConcurrent(t *testing.T) {
 // TestEngineSplitsPool holds run A open in its Progressive callback while
 // run B starts on the same Engine of four threads: A, alone when it
 // started, leased all four; B, one of two runs in flight, leases half.
-// Both answer what a solo run answers, and a later solo run has the whole
-// pool again.
+// B runs as every algorithm in turn: each leases its team from the
+// Engine's pool, so PSkyline and PBSkyTree get the same half and
+// BSkyTree, sequential, one thread. Every run answers what a solo run
+// answers, and a later solo run has the whole pool again.
 func TestEngineSplitsPool(t *testing.T) {
 	data := contextTestData(t, 20000, 5)
 	ds, err := skybench.NewDataset(data)
@@ -180,13 +182,27 @@ func TestEngineSplitsPool(t *testing.T) {
 		t.Fatalf("solo run leased %d threads, want 4", solo.Stats.Threads)
 	}
 
-	var b skybench.Result
+	runsB := []struct {
+		alg     skybench.Algorithm
+		threads int
+	}{
+		{skybench.Hybrid, 2},
+		{skybench.PSkyline, 2},
+		{skybench.PBSkyTree, 2},
+		{skybench.BSkyTree, 1},
+	}
+	b := make([]skybench.Result, len(runsB))
 	var bErr error
 	started := false
 	a, err := eng.Run(ctx, ds, skybench.Query{Progressive: func([]int) {
-		if !started {
-			started = true
-			b, bErr = eng.Run(ctx, ds, skybench.Query{})
+		if started {
+			return
+		}
+		started = true
+		for i, rb := range runsB {
+			if b[i], bErr = eng.Run(ctx, ds, skybench.Query{Algorithm: rb.alg}); bErr != nil {
+				return
+			}
 		}
 	}})
 	if err != nil || bErr != nil {
@@ -195,12 +211,18 @@ func TestEngineSplitsPool(t *testing.T) {
 	if !started {
 		t.Fatal("run A never called Progressive")
 	}
-	if a.Stats.Threads != 4 || b.Stats.Threads != 2 {
-		t.Errorf("run A leased %d threads and run B %d, want 4 and 2", a.Stats.Threads, b.Stats.Threads)
+	if a.Stats.Threads != 4 {
+		t.Errorf("run A leased %d threads, want 4", a.Stats.Threads)
 	}
-	for name, r := range map[string]skybench.Result{"A": a, "B": b} {
-		if !sameIndexSet(r.Indices, solo.Indices) {
-			t.Errorf("run %s selects %d points, the solo run %d", name, len(r.Indices), len(solo.Indices))
+	if !sameIndexSet(a.Indices, solo.Indices) {
+		t.Errorf("run A selects %d points, the solo run %d", len(a.Indices), len(solo.Indices))
+	}
+	for i, rb := range runsB {
+		if b[i].Stats.Threads != rb.threads {
+			t.Errorf("run B as %s leased %d threads, want %d", rb.alg, b[i].Stats.Threads, rb.threads)
+		}
+		if !sameIndexSet(b[i].Indices, solo.Indices) {
+			t.Errorf("run B as %s selects %d points, the solo run %d", rb.alg, len(b[i].Indices), len(solo.Indices))
 		}
 	}
 

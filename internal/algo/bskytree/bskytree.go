@@ -47,34 +47,23 @@ type computer struct {
 	m        point.Matrix
 	d        int
 	full     point.Mask
-	threads  int       // 1 = sequential BSkyTree
-	team     *par.Team // the run's worker team (threads > 1 only)
+	threads  int       // the team's size; 1 = sequential BSkyTree
+	team     *par.Team // the run's worker team
 	floor    int
 	batchCap int
 	dts      *stats.DTCounters
 }
 
-// SkylineDT computes SKY(m) with sequential BSkyTree and returns
-// original row indices and, with dts non-nil, the dominance tests it
-// counted.
-func SkylineDT(m point.Matrix, dts *stats.DTCounters) ([]int, uint64) {
-	return run(m, 1, dts)
-}
-
-// ParallelSkylineDT computes SKY(m) with PBSkyTree on the given thread
-// count (Appendix A), with optional DT counting as SkylineDT.
-func ParallelSkylineDT(m point.Matrix, threads int, dts *stats.DTCounters) ([]int, uint64) {
-	if threads <= 0 {
-		threads = par.DefaultThreads()
-	}
-	return run(m, threads, dts)
-}
-
-func run(m point.Matrix, threads int, dts *stats.DTCounters) ([]int, uint64) {
+// SkylineDT computes SKY(m) on team and returns original row indices
+// and the dominance tests it counted (into dts too, when non-nil). A
+// team of one runs sequential BSkyTree; a larger one runs PBSkyTree
+// (Appendix A), which at one thread is BSkyTree test for test.
+func SkylineDT(m point.Matrix, team *par.Team, dts *stats.DTCounters) ([]int, uint64) {
 	n := m.N()
 	if n == 0 {
 		return nil, 0
 	}
+	threads := team.Threads()
 	if dts == nil {
 		dts = stats.NewDTCounters(threads)
 	}
@@ -83,14 +72,10 @@ func run(m point.Matrix, threads int, dts *stats.DTCounters) ([]int, uint64) {
 		d:        m.D(),
 		full:     point.FullMask(m.D()),
 		threads:  threads,
+		team:     team,
 		floor:    RecursionFloor,
 		batchCap: BatchFactor * threads,
-	}
-	c.dts = dts
-	if threads > 1 {
-		pool := par.NewPool(threads)
-		defer pool.Close()
-		c.team = pool.Lease(threads)
+		dts:      dts,
 	}
 	pts := make([]int, n)
 	for i := range pts {

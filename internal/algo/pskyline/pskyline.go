@@ -19,22 +19,17 @@ import (
 	"skybench/internal/stats"
 )
 
-// SkylineStats computes SKY(m) using threads worker threads and returns
-// original row indices, with phase timings and DT counts recorded into
-// st when non-nil. Phase I holds the local (map) skylines, Phase II the
-// merge.
-func SkylineStats(m point.Matrix, threads int, st *stats.Stats) []int {
+// SkylineStats computes SKY(m) on team, one linear block per team
+// thread, and returns original row indices, with phase timings and DT
+// counts recorded into st when non-nil. Phase I holds the local (map)
+// skylines, Phase II the merge.
+func SkylineStats(m point.Matrix, team *par.Team, st *stats.Stats) []int {
 	n := m.N()
 	if n == 0 {
 		return nil
 	}
-	if threads <= 0 {
-		threads = par.DefaultThreads()
-	}
+	threads := team.Threads()
 	dts := stats.NewDTCounters(threads)
-	pool := par.NewPool(threads)
-	defer pool.Close()
-	team := pool.Lease(threads)
 	start := time.Now()
 
 	// Map: local skyline per linear block, one per thread.

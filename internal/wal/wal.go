@@ -47,7 +47,7 @@ import (
 	"io"
 	"os"
 	"path/filepath"
-	"sort"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
@@ -264,7 +264,7 @@ func listSegments(dir string) ([]uint64, error) {
 			segs = append(segs, first)
 		}
 	}
-	sort.Slice(segs, func(a, b int) bool { return segs[a] < segs[b] })
+	slices.Sort(segs)
 	return segs, nil
 }
 

@@ -48,10 +48,7 @@ import (
 	"sort"
 	"time"
 
-	"skybench/internal/algo/bskytree"
-	"skybench/internal/algo/pskyline"
 	"skybench/internal/pivot"
-	"skybench/internal/point"
 	"skybench/internal/stats"
 )
 
@@ -68,7 +65,7 @@ const (
 	// PSkyline is the divide-and-conquer multicore baseline (Im & Park).
 	PSkyline
 	// BSkyTree is the state-of-the-art sequential algorithm (Lee &
-	// Hwang); Threads is ignored.
+	// Hwang); it runs on one thread whatever Threads asks for.
 	BSkyTree
 	// PBSkyTree is the paper's parallelization of BSkyTree (Appendix A).
 	PBSkyTree
@@ -228,9 +225,10 @@ type Stats struct {
 	SkylineSize int
 	// InputSize is the number of input points.
 	InputSize int
-	// Threads is the effective worker count: for Hybrid and Q-Flow, the
-	// largest team the run held from the Engine's pool (it leases its
-	// share and rebalances toward it at every α-block boundary).
+	// Threads is the effective worker count: the largest team the run
+	// held from the Engine's pool. Every run leases its share (BSkyTree
+	// one thread); Hybrid and Q-Flow also rebalance toward it at every
+	// α-block boundary.
 	Threads int
 	// PrefilterPruned is the number of input points discarded by the
 	// β-queue prefilter before the main algorithm ran (Hybrid only).
@@ -326,30 +324,6 @@ func (r Result) TopK(w int) []int {
 		out[i] = r.Indices[p]
 	}
 	return out
-}
-
-// runBaseline executes the non-hot-path algorithms, which allocate per
-// run and ignore mid-flight cancellation (they are the paper's
-// comparison points, not the serving path).
-func runBaseline(m point.Matrix, q Query, threads int) (Result, error) {
-	var st stats.Stats
-	start := time.Now()
-	var idx []int
-	switch q.Algorithm {
-	case PSkyline:
-		idx = pskyline.SkylineStats(m, threads, &st)
-	case BSkyTree:
-		var dts uint64
-		idx, dts = bskytree.SkylineDT(m, nil)
-		st.DominanceTests = dts
-	case PBSkyTree:
-		var dts uint64
-		idx, dts = bskytree.ParallelSkylineDT(m, threads, nil)
-		st.DominanceTests = dts
-	default:
-		return Result{}, fmt.Errorf("%w: %d", ErrUnknownAlgorithm, int(q.Algorithm))
-	}
-	return assembleResult(idx, &st, m.N(), time.Since(start)), nil
 }
 
 // assembleResult converts internal stats into the public Result shape.

@@ -37,7 +37,7 @@ import (
 	"math"
 	"os"
 	"path/filepath"
-	"sort"
+	"slices"
 	"strconv"
 	"strings"
 	"time"
@@ -416,7 +416,7 @@ func listCkpts(dir string) ([]uint64, error) {
 			out = append(out, lsn)
 		}
 	}
-	sort.Slice(out, func(a, b int) bool { return out[a] < out[b] })
+	slices.Sort(out)
 	return out, nil
 }
 
@@ -633,7 +633,7 @@ func Recover(dir string, cfg Config) (*SkylineIndex, error) {
 	}
 
 	// Reconcile cfg with the directory's recorded identity.
-	if k := canonK(cfg.SkybandK); cfg.SkybandK != 0 && k != meta.K {
+	if k := max(cfg.SkybandK, 1); cfg.SkybandK != 0 && k != meta.K {
 		return nil, fmt.Errorf("%w: SkybandK %d, but %q was created with %d", skybench.ErrBadQuery, k, dir, meta.K)
 	}
 	if len(cfg.Prefs) != 0 {
@@ -648,7 +648,7 @@ func Recover(dir string, cfg Config) (*SkylineIndex, error) {
 		recorded := meta.Prefs
 		if allMin && recorded == nil {
 			// All-Min and empty are the same preference vector.
-		} else if !intsEqual(given, recorded) {
+		} else if !slices.Equal(given, recorded) {
 			return nil, fmt.Errorf("%w: preferences %v, but %q was created with %v", skybench.ErrBadQuery, given, dir, recorded)
 		}
 	} else if len(meta.Prefs) != 0 {
@@ -726,25 +726,6 @@ func Recover(dir string, cfg Config) (*SkylineIndex, error) {
 
 	x.dur = &durableState{dir: dir, log: log, every: dcfg.cadence()}
 	return x, nil
-}
-
-func canonK(k int) int {
-	if k < 1 {
-		return 1
-	}
-	return k
-}
-
-func intsEqual(a, b []int) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
 }
 
 // applyRecord replays one WAL record during recovery (index lock not
