@@ -36,11 +36,19 @@ type Context struct {
 	st     stats.Stats // sink when the caller passes no Stats
 
 	// Working-set scratch, sized to the current input.
-	work  []float64 // gathered working matrix (row-major)
+	work  []float64 // gathered working matrix (row-major), in gather order
 	wl1   []float64 // working-set L1 norms
 	worig []int     // working-set original indices
 	wmask []point.Mask
 	wcode []uint64 // working-set code words (quant)
+	// The current α-block's rows and metadata, gathered from the working
+	// set in sort order (runBlockGather): α-sized, the only copy of a
+	// row the block's phases, compress and update touch.
+	brows []float64
+	bl1   []float64
+	borig []int
+	bmask []point.Mask
+	bcode []uint64
 	keys  []uint64 // radix sort keys: compound (level, mask), or L1 bits on an unpartitioned run
 	idx   []int    // sort permutation
 	idxT  []int    // radix ping-pong buffer
@@ -64,8 +72,8 @@ type Context struct {
 	curRows *prefilter.Rows // the pre-filter's survivors, gathered into curWork in list order; nil gathers every row
 	d       int
 	k       int // dominator budget: 1 = skyline, ≥ 2 = k-skyband
-	blockLo int
-	blockF  []uint32
+	blockIdx []int // the current block's slice of the sort permutation
+	blockF   []uint32
 	levelAt []int32 // per Phase I survivor: block row where its level starts (partitionStarts)
 	partAt  []int32 // per Phase I survivor: block row where its (level, mask) partition starts
 	blockC  []int32 // per-block dominator counts (k ≥ 2 only; nil on a skyline run)
@@ -80,6 +88,7 @@ type Context struct {
 	rt         int
 
 	gatherBody func(tid, lo, hi int)
+	blockBody  func(tid, lo, hi int)
 	codeBody   func(tid, lo, hi int)
 	medianBody func(tid, lo, hi int)
 	maskBody   func(tid, lo, hi int)
@@ -94,6 +103,7 @@ type Context struct {
 func NewContext() *Context {
 	c := &Context{pf: prefilter.NewRunner()}
 	c.gatherBody = c.runGather
+	c.blockBody = c.runBlockGather
 	c.codeBody = c.runCode
 	c.medianBody = c.runMedian
 	c.maskBody = c.runMask
@@ -203,6 +213,19 @@ func (c *Context) runGather(tid, lo, hi int) {
 	}
 }
 
+// runBlockGather copies the block's rows blockIdx[lo:hi] — the sort
+// permutation's slice for the block — with their norms, indices, masks
+// and code words from the working set, which stays in gather order, to
+// block positions lo..hi−1 of the block buffers.
+func (c *Context) runBlockGather(_, lo, hi int) {
+	d := c.d
+	for i := lo; i < hi; i++ {
+		j := c.blockIdx[i]
+		copy(c.brows[i*d:(i+1)*d], c.work[j*d:(j+1)*d])
+		c.bl1[i], c.borig[i], c.bmask[i], c.bcode[i] = c.wl1[j], c.worig[j], c.wmask[j], c.wcode[j]
+	}
+}
+
 // runCode fills an unpartitioned run's code words from the run's
 // quantizer and its sort keys, the order-preserving bits of each L1
 // norm; a partitioned run's mask sweep does both instead.
@@ -264,15 +287,14 @@ func (c *Context) Counts() []int32 { return c.lastCounts }
 // (blockC non-nil).
 func (c *Context) runPhase1(tid, blo, bhi int) {
 	var local uint64
-	wf := c.curWork.Flat()
+	wf := c.brows
 	d, k := c.d, c.k
-	lo := c.blockLo
 	f := c.blockF
 	cnt := c.blockC
 	for i := blo; i < bhi; i++ {
-		off := (lo + i) * d
+		off := i * d
 		q := wf[off : off+d : off+d]
-		n := c.sky.countDominators(q, c.wcode[lo+i], c.wmask[lo+i], k, &local)
+		n := c.sky.countDominators(q, c.bcode[i], c.bmask[i], k, &local)
 		if cnt != nil {
 			cnt[i] = int32(n)
 		}
@@ -294,9 +316,8 @@ func (c *Context) runPhase1(tid, blo, bhi int) {
 // point p's dominators already doom).
 func (c *Context) runPhase2(tid, blo, bhi int) {
 	var local uint64
-	wf := c.curWork.Flat()
+	wf := c.brows
 	d, k := c.d, c.k
-	lo := c.blockLo
 	f := c.blockF
 	cnt := c.blockC
 	for i := blo; i < bhi; i++ {
@@ -306,9 +327,9 @@ func (c *Context) runPhase2(tid, blo, bhi int) {
 		}
 		var n int
 		if c.noSplit {
-			n = countPeersNaive(wf, c.wcode, lo, i, f, d, budget, &local)
+			n = countPeersNaive(wf, c.bcode, i, f, d, budget, &local)
 		} else {
-			n = countPeers(wf, c.wmask, c.wcode, lo, i, int(c.levelAt[i]), int(c.partAt[i]), f, d, budget, &local)
+			n = countPeers(wf, c.bmask, c.bcode, i, int(c.levelAt[i]), int(c.partAt[i]), f, d, budget, &local)
 		}
 		if n >= budget {
 			if cnt != nil {

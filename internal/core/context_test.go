@@ -209,52 +209,50 @@ func TestRadixSortIdx(t *testing.T) {
 	}
 }
 
-// TestApplyPerm checks the in-place cycle-following permutation apply
-// against a reference gather on random permutations.
-func TestApplyPerm(t *testing.T) {
+// TestBlockGather checks the α-block gather against a reference gather:
+// each block of a random permutation, copied in two ranges as two
+// workers would, must hold the working set's rows and metadata in the
+// permutation's order, and the working set must be left as it was.
+func TestBlockGather(t *testing.T) {
 	rng := rand.New(rand.NewSource(17))
 	for trial := 0; trial < 200; trial++ {
 		n := 1 + rng.Intn(50)
 		d := 1 + rng.Intn(8)
-		flat := make([]float64, n*d)
-		wl1 := make([]float64, n)
-		worig := make([]int, n)
-		wmask := make([]point.Mask, n)
-		wcode := make([]uint64, n)
+		alpha := 1 + rng.Intn(n)
+		c := &Context{d: d}
+		c.work = make([]float64, n*d)
+		c.wl1, c.worig = make([]float64, n), make([]int, n)
+		c.wmask, c.wcode = make([]point.Mask, n), make([]uint64, n)
 		for i := 0; i < n; i++ {
 			for k := 0; k < d; k++ {
-				flat[i*d+k] = rng.Float64()
+				c.work[i*d+k] = rng.Float64()
 			}
-			wl1[i] = rng.Float64()
-			worig[i] = rng.Int()
-			wmask[i] = point.Mask(rng.Intn(256))
-			wcode[i] = rng.Uint64()
+			c.wl1[i] = rng.Float64()
+			c.worig[i] = rng.Int()
+			c.wmask[i] = point.Mask(rng.Intn(256))
+			c.wcode[i] = rng.Uint64()
 		}
+		work := slices.Clone(c.work)
+		c.brows, c.bl1, c.borig = make([]float64, alpha*d), make([]float64, alpha), make([]int, alpha)
+		c.bmask, c.bcode = make([]point.Mask, alpha), make([]uint64, alpha)
 		perm := rng.Perm(n)
-
-		wantFlat := make([]float64, n*d)
-		wantL1 := make([]float64, n)
-		wantOrig := make([]int, n)
-		wantMask := make([]point.Mask, n)
-		wantCode := make([]uint64, n)
-		for i, j := range perm {
-			copy(wantFlat[i*d:(i+1)*d], flat[j*d:(j+1)*d])
-			wantL1[i] = wl1[j]
-			wantOrig[i] = worig[j]
-			wantMask[i] = wmask[j]
-			wantCode[i] = wcode[j]
-		}
-
-		applyPerm(perm, flat, d, wl1, wmask, worig, wcode)
-		for i := 0; i < n*d; i++ {
-			if flat[i] != wantFlat[i] {
-				t.Fatalf("trial %d: row data mismatch at %d", trial, i)
+		for lo := 0; lo < n; lo += alpha {
+			hi := min(lo+alpha, n)
+			c.blockIdx = perm[lo:hi]
+			mid := rng.Intn(hi - lo + 1)
+			c.runBlockGather(1, mid, hi-lo)
+			c.runBlockGather(0, 0, mid)
+			for i, j := range perm[lo:hi] {
+				if !slices.Equal(c.brows[i*d:(i+1)*d], work[j*d:(j+1)*d]) {
+					t.Fatalf("trial %d: block %d row %d is %v, want row %d %v", trial, lo, i, c.brows[i*d:(i+1)*d], j, work[j*d:(j+1)*d])
+				}
+				if c.bl1[i] != c.wl1[j] || c.borig[i] != c.worig[j] || c.bmask[i] != c.wmask[j] || c.bcode[i] != c.wcode[j] {
+					t.Fatalf("trial %d: block %d row %d metadata is not row %d's", trial, lo, i, j)
+				}
 			}
 		}
-		for i := 0; i < n; i++ {
-			if wl1[i] != wantL1[i] || worig[i] != wantOrig[i] || wmask[i] != wantMask[i] || wcode[i] != wantCode[i] {
-				t.Fatalf("trial %d: metadata mismatch at %d", trial, i)
-			}
+		if !slices.Equal(c.work, work) {
+			t.Fatalf("trial %d: the gather changed the working set", trial)
 		}
 	}
 }

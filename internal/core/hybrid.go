@@ -203,16 +203,16 @@ func (c *Context) run(v point.View, opt HybridOptions, partition bool) []int {
 	}
 	// The sort (VI-A3 on a partitioned run): parallel radix on the key —
 	// compound (level, mask), or the L1 bits — then each run of equal
-	// keys in (L1, coordinates) order, then one in-place permutation
-	// apply over the working set. The sort's share of the init phase is
-	// measured separately for the trace/cost model.
+	// keys in (L1, coordinates) order. The working set stays in gather
+	// order: each α-block gathers its rows in sort order into the block
+	// buffers below. The sort's share of the init phase, the block
+	// gathers included, is measured separately for the trace/cost model.
 	sortStart := time.Now()
 	idx := c.radixSortIdx(ns, keyBits)
 	if c.canceled() {
 		return nil
 	}
 	c.sortRuns(idx)
-	applyPerm(idx, c.work, d, c.wl1, c.wmask, c.worig, c.wcode)
 	st.Cost.Sort += time.Since(sortStart)
 	timer.Stop(stats.PhaseInit)
 
@@ -222,6 +222,8 @@ func (c *Context) run(v point.View, opt HybridOptions, partition bool) []int {
 	// level-1-filtered scan tests, in its order, with its early exit.
 	c.sky.reset(d, partition && !opt.NoMS, partition && !opt.NoLevel2 && !opt.NoMS)
 	c.flags = grow(c.flags, alpha)
+	c.brows, c.bl1, c.borig = grow(c.brows, alpha*d), grow(c.bl1, alpha), grow(c.borig, alpha)
+	c.bmask, c.bcode = grow(c.bmask, alpha), grow(c.bcode, alpha)
 	c.levelAt, c.partAt = grow(c.levelAt, alpha), grow(c.partAt, alpha)
 	c.noSplit = opt.NoPhase2Split
 	// A skyline run keeps no counts: blockC stays nil, and compress and
@@ -240,16 +242,21 @@ func (c *Context) run(v point.View, opt HybridOptions, partition bool) []int {
 			return nil
 		}
 		c.rebalance(st)
-		hi := lo + alpha
-		if hi > ns {
-			hi = ns
-		}
+		hi := min(lo+alpha, ns)
 		block := hi - lo
-		f := c.flags[:block]
-		for i := range f {
-			f[i] = 0
+		// Gather the block's rows in sort order (runBlockGather), booked
+		// to the init phase and the sort.
+		gatherStart := time.Now()
+		c.blockIdx = idx[lo:hi]
+		c.forRanges(block, c.blockBody)
+		if c.canceled() {
+			return nil
 		}
-		c.blockLo = lo
+		st.Cost.Sort += time.Since(gatherStart)
+		timer.Stop(stats.PhaseInit)
+		bk := point.FromFlat(c.brows[:block*d], block, d)
+		f := c.flags[:block]
+		clear(f)
 		c.blockF = f
 		if bcnt != nil {
 			c.blockC = bcnt[:block]
@@ -260,9 +267,9 @@ func (c *Context) run(v point.View, opt HybridOptions, partition bool) []int {
 		c.forChunks(st, block, c.p1Body)
 		timer.Stop(stats.PhaseOne)
 
-		surv1 := compress(wk, c.wl1, c.worig, c.wmask, c.wcode, bcnt, lo, block, f)
+		surv1 := compress(bk, c.bl1, c.borig, c.bmask, c.bcode, bcnt, 0, block, f)
 		st.Cost.Phase1Survivors += surv1
-		partitionStarts(c.wmask[lo:lo+surv1], c.levelAt, c.partAt)
+		partitionStarts(c.bmask[:surv1], c.levelAt, c.partAt)
 		timer.Stop(stats.PhaseCompress)
 
 		// Phase II (parallel, Algorithm 4): three-loop peer comparison.
@@ -272,13 +279,13 @@ func (c *Context) run(v point.View, opt HybridOptions, partition bool) []int {
 		c.forChunks(st, surv1, c.p2Body)
 		timer.Stop(stats.PhaseTwo)
 
-		final := compress(wk, c.wl1, c.worig, c.wmask, c.wcode, bcnt, lo, surv1, f)
+		final := compress(bk, c.bl1, c.borig, c.bmask, c.bcode, bcnt, 0, surv1, f)
 		st.Cost.Phase2Survivors += final
 		timer.Stop(stats.PhaseCompress)
 
 		// Update S and M(S) (Algorithm 2) — sequential O(α) work.
 		firstNew := c.sky.size()
-		c.sky.update(wk, c.wl1, c.worig, c.wmask, c.wcode, bcnt, lo, final)
+		c.sky.update(bk, c.bl1, c.borig, c.bmask, c.bcode, bcnt, 0, final)
 		if opt.Progressive != nil && final > 0 {
 			// The callback is caller code of unknown length: the team's
 			// workers serve other runs meanwhile, and the next block's
@@ -349,11 +356,10 @@ func partitionStarts(masks []point.Mask, levelAt, partAt []int32) {
 // unpruned preceding peer gets a full dominance test (through the flat
 // run kernel, which applies the same flag skip and code-word pre-test)
 // and contributes to the dominator count, capped at budget.
-func countPeersNaive(wf []float64, wcode []uint64, lo, me int, f []uint32, dim, budget int, dts *uint64) int {
-	rows := wf[lo*dim:]
+func countPeersNaive(wf []float64, wcode []uint64, me int, f []uint32, dim, budget int, dts *uint64) int {
 	off := me * dim
-	q := rows[off : off+dim : off+dim]
-	return point.CountDominatorsInFlatRunCoded(rows, dim, 0, me, q, f, wcode[lo:], wcode[lo+me], budget, dts)
+	q := wf[off : off+dim : off+dim]
+	return point.CountDominatorsInFlatRunCoded(wf, dim, 0, me, q, f, wcode, wcode[me], budget, dts)
 }
 
 // countPeers implements Algorithm 4 (compareToPeers): count block point
@@ -374,21 +380,21 @@ func countPeersNaive(wf []float64, wcode []uint64, lo, me int, f []uint32, dim, 
 // a band point, and only band points contribute to a band member's exact
 // count (DESIGN.md §9). No peer is skipped for its L1 norm. Loops 1 and
 // 3 ask the code-word pre-test before every float test.
-func countPeers(wf []float64, wmask []point.Mask, wcode []uint64, lo, me, levelAt, partAt int, f []uint32, dim, budget int, dts *uint64) int {
-	qOff := (lo + me) * dim
+func countPeers(wf []float64, wmask []point.Mask, wcode []uint64, me, levelAt, partAt int, f []uint32, dim, budget int, dts *uint64) int {
+	qOff := me * dim
 	q := wf[qOff : qOff+dim : qOff+dim]
-	qc := wcode[lo+me]
-	myMask := wmask[lo+me]
+	qc := wcode[me]
+	myMask := wmask[me]
 	c := 0
 	// Loop 1: lower levels — cheap filter, then DT.
 	for i := 0; i < levelAt; i++ {
 		if atomic.LoadUint32(&f[i]) != 0 {
 			continue
 		}
-		if !wmask[lo+i].Subset(myMask) {
+		if !wmask[i].Subset(myMask) {
 			continue
 		}
-		if point.DominatesFlatCounted(wf, (lo+i)*dim, qOff, dim, wcode[lo+i], qc, dts) {
+		if point.DominatesFlatCounted(wf, i*dim, qOff, dim, wcode[i], qc, dts) {
 			c++
 			if c >= budget {
 				return c
@@ -400,7 +406,7 @@ func countPeers(wf []float64, wmask []point.Mask, wcode []uint64, lo, me, levelA
 	//
 	// Loop 3: same partition — a contiguous counting run.
 	if partAt < me {
-		c += point.CountDominatorsInFlatRunCoded(wf[lo*dim:], dim, partAt, me, q, f, wcode[lo:], qc, budget-c, dts)
+		c += point.CountDominatorsInFlatRunCoded(wf, dim, partAt, me, q, f, wcode, qc, budget-c, dts)
 	}
 	return c
 }

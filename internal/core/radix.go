@@ -3,8 +3,6 @@ package core
 import (
 	"slices"
 	"sync/atomic"
-
-	"skybench/internal/point"
 )
 
 // Parallel three-key sort (Section VI-A3). The seed implementation used a
@@ -231,46 +229,6 @@ func sortIdxByFloat(idx []int, key []float64) {
 				j--
 			}
 			idx[j+1] = v
-		}
-	}
-}
-
-// applyPerm rearranges the working set in place so that row i becomes the
-// old row perm[i], moving the matrix rows and the parallel metadata
-// arrays (L1, mask, original index, code word) together by following
-// permutation cycles. perm is consumed (entries are overwritten with
-// negative visit markers). This replaces the seed implementation's second
-// Gather — no allocation and no second matrix buffer.
-func applyPerm(perm []int, flat []float64, d int, wl1 []float64, wmask []point.Mask, worig []int, wcode []uint64) {
-	var tmp [point.MaxDims + 1]float64
-	for s := range perm {
-		k := perm[s]
-		if k < 0 || k == s {
-			continue
-		}
-		copy(tmp[:d], flat[s*d:(s+1)*d])
-		tl1 := wl1[s]
-		to := worig[s]
-		tm := wmask[s]
-		tc := wcode[s]
-		j := s
-		for {
-			k = perm[j]
-			perm[j] = ^k
-			if k == s {
-				copy(flat[j*d:(j+1)*d], tmp[:d])
-				wl1[j] = tl1
-				worig[j] = to
-				wmask[j] = tm
-				wcode[j] = tc
-				break
-			}
-			copy(flat[j*d:(j+1)*d], flat[k*d:(k+1)*d])
-			wl1[j] = wl1[k]
-			worig[j] = worig[k]
-			wmask[j] = wmask[k]
-			wcode[j] = wcode[k]
-			j = k
 		}
 	}
 }
