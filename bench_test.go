@@ -17,7 +17,9 @@ import (
 	"skybench"
 
 	"skybench/internal/dataset"
+	"skybench/internal/par"
 	"skybench/internal/point"
+	"skybench/internal/prefilter"
 )
 
 // Benchmark scales: small enough that the full suite completes on a
@@ -121,4 +123,95 @@ func BenchmarkFig12HybridScalingD(b *testing.B) {
 // BenchmarkFig13HybridScalingN is Figure 13: Hybrid vs PBSkyTree over n.
 func BenchmarkFig13HybridScalingN(b *testing.B) {
 	threadScalingBench(b, skybench.Hybrid, skybench.PBSkyTree, false)
+}
+
+// BenchmarkPrefilterPays prices the β-queue pre-filter against running
+// without it (Ablation.NoPrefilter) on the shapes where it prunes least
+// and most: anticorrelated 32 768 and 65 536 × 8 (batch_anti's shape),
+// independent 50 000 × 6 in the full space and on 3 of its 6 columns
+// (serve_mix's data) and correlated 1 000 000 × 8 (batch_corr's), each
+// at k = 1 and k = 4, on an Engine of GOMAXPROCS threads. Beside the
+// time a default cell reports the rows each pass pruned (pass1-pruned,
+// pass2-pruned, from one Filter on a team of the same size, which makes
+// the run's decisions) and the rows the run pruned in all (pruned). The
+// pre-filter's stop rule is priced here: where its pass 1 prunes
+// little, a thread stops filtering and the default cell should read
+// near the NoPrefilter one.
+func BenchmarkPrefilterPays(b *testing.B) {
+	threads := runtime.GOMAXPROCS(0)
+	cols3 := []skybench.Pref{skybench.Min, skybench.Ignore, skybench.Min, skybench.Ignore, skybench.Min, skybench.Ignore}
+	pool := par.NewPool(threads)
+	defer pool.Close()
+	team := pool.Lease(threads)
+	r := prefilter.NewRunner()
+	for _, sh := range []struct {
+		name  string
+		dist  dataset.Distribution
+		n, d  int
+		prefs []skybench.Pref
+	}{
+		{"anti-32768x8", dataset.Anticorrelated, 32768, 8, nil},
+		{"anti-65536x8", dataset.Anticorrelated, 65536, 8, nil},
+		{"indep-50000x6", dataset.Independent, 50000, 6, nil},
+		{"indep-50000x6-3cols", dataset.Independent, 50000, 6, cols3},
+		{"corr-1Mx8", dataset.Correlated, 1_000_000, 8, nil},
+	} {
+		m := benchData(sh.dist, sh.n, sh.d)
+		ds, err := skybench.DatasetFromFlat(m.Flat(), m.N(), m.D())
+		if err != nil {
+			b.Fatal(err)
+		}
+		var v point.View
+		v.Reset(m.Flat(), m.N(), m.D(), prefOps(sh.prefs))
+		for _, k := range []int{1, 4} {
+			rs := r.Filter(v, 0, k, true, team, nil)
+			pass1, pass2 := m.N()-rs.Candidates(), rs.Candidates()-rs.Len()
+			for _, off := range []bool{false, true} {
+				arm := "default"
+				if off {
+					arm = "noprefilter"
+				}
+				b.Run(fmt.Sprintf("%s/k=%d/%s", sh.name, k, arm), func(b *testing.B) {
+					eng := skybench.NewEngine(threads)
+					defer eng.Close()
+					q := skybench.Query{Prefs: sh.prefs, SkybandK: k, ReuseIndices: true, Ablation: skybench.Ablation{NoPrefilter: off}}
+					ctx := context.Background()
+					last, err := eng.Run(ctx, ds, q)
+					if err != nil {
+						b.Fatal(err)
+					}
+					b.ResetTimer()
+					for i := 0; i < b.N; i++ {
+						if last, err = eng.Run(ctx, ds, q); err != nil {
+							b.Fatal(err)
+						}
+					}
+					b.StopTimer()
+					b.ReportMetric(float64(last.Stats.PrefilterPruned), "pruned")
+					if !off {
+						b.ReportMetric(float64(pass1), "pass1-pruned")
+						b.ReportMetric(float64(pass2), "pass2-pruned")
+					}
+				})
+			}
+		}
+	}
+}
+
+// prefOps is the point.View form of a preference vector (nil for none):
+// what the Engine reads its rows through.
+func prefOps(prefs []skybench.Pref) []point.PrefOp {
+	if prefs == nil {
+		return nil
+	}
+	ops := make([]point.PrefOp, len(prefs))
+	for j, p := range prefs {
+		switch p {
+		case skybench.Max:
+			ops[j] = point.PrefNegate
+		case skybench.Ignore:
+			ops[j] = point.PrefDrop
+		}
+	}
+	return ops
 }

@@ -67,19 +67,19 @@ type Context struct {
 
 	// Parallel-region parameters, set before each fan-out. Bodies are
 	// pre-bound once in NewContext so dispatching them allocates nothing.
-	curV    point.View // the input, read through the query's preferences
-	curWork point.Matrix
-	curRows *prefilter.Rows // the pre-filter's survivors, gathered into curWork in list order; nil gathers every row
-	d       int
-	k       int // dominator budget: 1 = skyline, ≥ 2 = k-skyband
+	curV     point.View // the input, read through the query's preferences
+	curWork  point.Matrix
+	curRows  *prefilter.Rows // the pre-filter's survivors, gathered into curWork in list order; nil gathers every row
+	d        int
+	k        int   // dominator budget: 1 = skyline, ≥ 2 = k-skyband
 	blockIdx []int // the current block's slice of the sort permutation
 	blockF   []uint32
-	levelAt []int32 // per Phase I survivor: block row where its level starts (partitionStarts)
-	partAt  []int32 // per Phase I survivor: block row where its (level, mask) partition starts
-	blockC  []int32 // per-block dominator counts (k ≥ 2 only; nil on a skyline run)
-	bcnt    []int32 // backing storage for blockC, α-sized
-	noSplit bool
-	pv      []float64
+	levelAt  []int32 // per Phase I survivor: block row where its level starts (partitionStarts)
+	partAt   []int32 // per Phase I survivor: block row where its (level, mask) partition starts
+	blockC   []int32 // per-block dominator counts (k ≥ 2 only; nil on a skyline run)
+	bcnt     []int32 // backing storage for blockC, α-sized
+	noSplit  bool
+	pv       []float64
 
 	lastCounts []int32 // Counts() result of the latest run (nil for skyline)
 

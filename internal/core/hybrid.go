@@ -143,7 +143,7 @@ func (c *Context) run(v point.View, opt HybridOptions, partition bool) []int {
 	c.curRows = nil
 	ns := n
 	if partition && !opt.NoPrefilter {
-		c.curRows = c.pf.Filter(v, opt.Beta, k, c.team, c.dts)
+		c.curRows = c.pf.Filter(v, opt.Beta, k, !opt.NoCodes, c.team, c.dts)
 		ns = c.curRows.Len()
 		timer.Stop(stats.PhasePrefilt)
 	}

@@ -54,8 +54,8 @@ func fuzzOps(b byte, d int) []point.PrefOp {
 // when present, the preference view the filter reads the rows through
 // (fuzzOps; without it, the identity). A drop-only view of d = 8 at
 // β = 8 is the shape pass 1 takes point.Scan8 on, where the CPU has
-// it. One Runner serves every input, so no state may leak between
-// calls. The filter must keep every row of the brute-force k-skyband
+// it. Each input runs with and without the stop rule. One Runner
+// serves every input, so no state may leak between calls. The filter must keep every row of the brute-force k-skyband
 // of the staged copy, return its survivors ascending, and return for
 // each the L1 norm of its staged row, bit for bit, and the staged row
 // itself where it keeps rows.
@@ -116,29 +116,31 @@ func FuzzRunnerFilter(f *testing.F) {
 		sm := staged(m, ops)
 		var v point.View
 		v.Reset(m.Flat(), n, d, ops)
-		surv, l1, rows := survivors(r.Filter(v, beta, k, team, nil))
-		if len(l1) != len(surv) {
-			t.Fatalf("%d survivors, %d norms", len(surv), len(l1))
-		}
-		for j, i := range surv {
-			if j > 0 && i <= surv[j-1] {
-				t.Fatalf("survivors not ascending: %d after %d", i, surv[j-1])
+		for _, stop := range []bool{false, true} {
+			surv, l1, rows := survivors(r.Filter(v, beta, k, stop, team, nil))
+			if len(l1) != len(surv) {
+				t.Fatalf("%d survivors, %d norms", len(surv), len(l1))
 			}
-			if want := point.L1(sm.Row(i)); math.Float64bits(l1[j]) != math.Float64bits(want) {
-				t.Fatalf("survivor %d: norm %v, want %v", i, l1[j], want)
+			for j, i := range surv {
+				if j > 0 && i <= surv[j-1] {
+					t.Fatalf("survivors not ascending: %d after %d", i, surv[j-1])
+				}
+				if want := point.L1(sm.Row(i)); math.Float64bits(l1[j]) != math.Float64bits(want) {
+					t.Fatalf("survivor %d: norm %v, want %v", i, l1[j], want)
+				}
+				if rows != nil && !slices.EqualFunc(rows[j], sm.Row(i), sameBits) {
+					t.Fatalf("survivor %d: row %v, want %v", i, rows[j], sm.Row(i))
+				}
 			}
-			if rows != nil && !slices.EqualFunc(rows[j], sm.Row(i), sameBits) {
-				t.Fatalf("survivor %d: row %v, want %v", i, rows[j], sm.Row(i))
-			}
-		}
-		band, _ := verify.BruteForceSkyband(sm, k)
-		j := 0
-		for _, i := range band {
-			for j < len(surv) && surv[j] < i {
-				j++
-			}
-			if j == len(surv) || surv[j] != i {
-				t.Fatalf("d=%d ops=%v n=%d k=%d β=%d T=%d: band row %d was pruned", d, ops, n, k, beta, team.Threads(), i)
+			band, _ := verify.BruteForceSkyband(sm, k)
+			j := 0
+			for _, i := range band {
+				for j < len(surv) && surv[j] < i {
+					j++
+				}
+				if j == len(surv) || surv[j] != i {
+					t.Fatalf("d=%d ops=%v n=%d k=%d β=%d T=%d stop=%v: band row %d was pruned", d, ops, n, k, beta, team.Threads(), stop, i)
+				}
 			}
 		}
 	})

@@ -2,6 +2,7 @@ package prefilter
 
 import (
 	"container/heap"
+	"math"
 	"testing"
 
 	"skybench/internal/dataset"
@@ -35,9 +36,13 @@ func (h *maxHeap) Pop() interface{} {
 // L1 array, a per-row pruned bitmap, container/heap queues, every queue
 // point tested in pass 2. It removes easily-dominated points and returns
 // the surviving indices in their original order. l1 must hold the L1 norm
-// of every row. beta ≤ 0 selects DefaultBeta. dts, when non-nil,
-// accumulates dominance tests per thread.
-func Filter(m point.Matrix, l1 []float64, beta, threads int, dts *stats.DTCounters) []int {
+// of every row; a row whose norm is NaN is never queued. beta ≤ 0
+// selects DefaultBeta. With stop, a thread whose queue prunes fewer than
+// 1/stopShare of the stopStretch rows after it fills keeps the rest of
+// its range unpruned, and none of its range is tested in pass 2 (the
+// Runner's stop rule). dts, when non-nil, accumulates dominance tests
+// per thread.
+func Filter(m point.Matrix, l1 []float64, beta, threads int, stop bool, dts *stats.DTCounters) []int {
 	n := m.N()
 	if n == 0 {
 		return nil
@@ -54,6 +59,7 @@ func Filter(m point.Matrix, l1 []float64, beta, threads int, dts *stats.DTCounte
 	team := pool.Lease(threads)
 
 	pruned := make([]bool, n)
+	stopped := make([]bool, n) // rows of a thread that stopped: no pass 2
 	queues := make([][]int, threads)
 
 	// Pass 1: per-thread β-queues of smallest-L1 points; once a queue is
@@ -62,9 +68,29 @@ func Filter(m point.Matrix, l1 []float64, beta, threads int, dts *stats.DTCounte
 	team.ForRanges(n, func(tid, lo, hi int) {
 		h := &maxHeap{l1: l1}
 		var localDTs uint64
+		decide := hi // the row the stop rule is decided at
 		for i := lo; i < hi; i++ {
+			if i == decide {
+				kept := 0
+				for j := i - stopStretch; j < i; j++ {
+					if !pruned[j] {
+						kept++
+					}
+				}
+				if (stopStretch-kept)*stopShare < stopStretch {
+					for j := lo; j < hi; j++ {
+						stopped[j] = true
+					}
+					break
+				}
+			}
 			if h.Len() < beta {
-				heap.Push(h, i)
+				if !math.IsNaN(l1[i]) {
+					heap.Push(h, i)
+					if h.Len() == beta && stop {
+						decide = i + 1 + stopStretch
+					}
+				}
 				continue
 			}
 			p := m.Row(i)
@@ -93,7 +119,7 @@ func Filter(m point.Matrix, l1 []float64, beta, threads int, dts *stats.DTCounte
 	team.ForRanges(n, func(tid, lo, hi int) {
 		var localDTs uint64
 		for i := lo; i < hi; i++ {
-			if pruned[i] {
+			if pruned[i] || stopped[i] {
 				continue
 			}
 			p := m.Row(i)
@@ -139,7 +165,7 @@ func TestFilterPreservesSkyline(t *testing.T) {
 	for _, dist := range dataset.AllDistributions {
 		for _, threads := range []int{1, 2, 4} {
 			m := dataset.Generate(dist, 800, 5, 3)
-			surv := Filter(m, l1s(m), 0, threads, nil)
+			surv := Filter(m, l1s(m), 0, threads, false, nil)
 			kept := make(map[int]bool, len(surv))
 			for _, i := range surv {
 				kept[i] = true
@@ -157,7 +183,7 @@ func TestFilterPreservesSkyline(t *testing.T) {
 // the input — that is its entire purpose.
 func TestFilterPrunesCorrelatedData(t *testing.T) {
 	m := dataset.Generate(dataset.Correlated, 2000, 4, 9)
-	surv := Filter(m, l1s(m), 0, 2, nil)
+	surv := Filter(m, l1s(m), 0, 2, false, nil)
 	if len(surv) > m.N()/2 {
 		t.Errorf("filter kept %d of %d correlated points; expected heavy pruning", len(surv), m.N())
 	}
@@ -165,7 +191,7 @@ func TestFilterPrunesCorrelatedData(t *testing.T) {
 
 func TestFilterKeepsOrder(t *testing.T) {
 	m := dataset.Generate(dataset.Independent, 500, 4, 5)
-	surv := Filter(m, l1s(m), 0, 3, nil)
+	surv := Filter(m, l1s(m), 0, 3, false, nil)
 	for i := 1; i < len(surv); i++ {
 		if surv[i] <= surv[i-1] {
 			t.Fatal("survivor indices not in ascending input order")
@@ -174,11 +200,11 @@ func TestFilterKeepsOrder(t *testing.T) {
 }
 
 func TestFilterEmptyAndTiny(t *testing.T) {
-	if got := Filter(point.Matrix{}, nil, 0, 2, nil); got != nil {
+	if got := Filter(point.Matrix{}, nil, 0, 2, false, nil); got != nil {
 		t.Errorf("empty input: %v", got)
 	}
 	m := point.FromRows([][]float64{{1, 1}})
-	if got := Filter(m, l1s(m), 0, 2, nil); len(got) != 1 {
+	if got := Filter(m, l1s(m), 0, 2, false, nil); len(got) != 1 {
 		t.Errorf("single point: %v", got)
 	}
 }
@@ -188,7 +214,7 @@ func TestFilterDuplicatesSurvive(t *testing.T) {
 		{0, 0}, {0, 0}, {0, 0}, // coincident minimal points
 		{5, 5}, // dominated
 	})
-	surv := Filter(m, l1s(m), 2, 1, nil)
+	surv := Filter(m, l1s(m), 2, 1, false, nil)
 	kept := map[int]bool{}
 	for _, i := range surv {
 		kept[i] = true
@@ -204,7 +230,7 @@ func TestFilterDuplicatesSurvive(t *testing.T) {
 func TestFilterCountsDTs(t *testing.T) {
 	m := dataset.Generate(dataset.Independent, 300, 4, 5)
 	dts := stats.NewDTCounters(2)
-	Filter(m, l1s(m), 0, 2, dts)
+	Filter(m, l1s(m), 0, 2, false, dts)
 	if dts.Sum() == 0 {
 		t.Error("expected nonzero dominance tests")
 	}
@@ -214,7 +240,7 @@ func TestFilterBetaVariants(t *testing.T) {
 	m := dataset.Generate(dataset.Correlated, 1000, 6, 11)
 	norms := l1s(m)
 	for _, beta := range []int{1, 4, 8, 32} {
-		surv := Filter(m, norms, beta, 2, nil)
+		surv := Filter(m, norms, beta, 2, false, nil)
 		kept := make(map[int]bool, len(surv))
 		for _, i := range surv {
 			kept[i] = true

@@ -77,6 +77,7 @@ type Runner struct {
 	v     point.View
 	beta  int
 	k     int  // dominator budget: prune only points with ≥ k dominators
+	stop  bool // a thread whose queue prunes too little stops filtering
 	scan8 bool // pass 1 tests full queues with point.Scan8
 	scanU bool // pass 2 tests stored candidates with point.UnionScan8
 	dts   *stats.DTCounters
@@ -106,6 +107,10 @@ func NewRunner() *Runner {
 // on purpose: skipping one would leave the queues and segments of a
 // previous (possibly larger) run to be consumed below.
 //
+// stop lets each thread give the filter up on its range where its queue
+// prunes too little (stopStretch, stopShare): the shipped Hybrid passes
+// true, the paper's (NoCodes) false, which filters every row.
+//
 // k is the dominator budget of the run (≤ 1 selects the skyline): for a
 // k-skyband computation the filter may only discard points that already
 // have ≥ k dominators among the queue points, so both passes count
@@ -115,7 +120,7 @@ func NewRunner() *Runner {
 // algorithm's working set, which recounts every survivor's dominators
 // exactly — carrying partial counts out of the filter would double-count
 // them.
-func (r *Runner) Filter(v point.View, beta, k int, team *par.Team, dts *stats.DTCounters) *Rows {
+func (r *Runner) Filter(v point.View, beta, k int, stop bool, team *par.Team, dts *stats.DTCounters) *Rows {
 	n := v.N()
 	if n == 0 {
 		return nil
@@ -148,14 +153,15 @@ func (r *Runner) Filter(v point.View, beta, k int, team *par.Team, dts *stats.DT
 	// segments).
 	clear(r.qcount)
 
-	r.v, r.beta, r.k, r.dts = v, beta, k, dts
+	r.v, r.beta, r.k, r.stop, r.dts = v, beta, k, stop, dts
 
 	// Pass 1: load, test against the thread's full β-queue, then norm
 	// and queue update for the rows it does not prune.
 	team.ForRangesCancel(threads, n, nil, r.pass1)
-	r.rows.stored = true
+	r.rows.stored, r.rows.cands = true, 0
 	for _, s := range r.rows.segs[:threads] {
 		r.rows.stored = r.rows.stored && !s.over
+		r.rows.cands += s.n
 	}
 
 	// Gather the queue union, sort it by L1 ascending, materialize the
@@ -213,7 +219,6 @@ func (r *Runner) Filter(v point.View, beta, k int, team *par.Team, dts *stats.DT
 	for i, s := range allq {
 		copy(r.qrows[i*d:(i+1)*d], r.qdense[s*d:(s+1)*d])
 		r.ql1[i] = hl[s]
-		r.scanU = r.scanU && !math.IsNaN(hl[s])
 	}
 	if r.scanU {
 		r.qu8 = point.LayoutUnion8(r.qu8, r.qrows, r.ql1)
@@ -248,6 +253,23 @@ const blockShift = 10
 // input.
 const storeShare = 8
 
+// The stop rule. Once its queue is full, a pass-1 thread counts the rows
+// its queue prunes among the next stopStretch; if they are fewer than
+// 1/stopShare of them, the filter does not pay on that thread's rows
+// (anticorrelated data, where the queue's points are incomparable with
+// nearly every row), and the rest of its range takes only the view's
+// transform and the norm, as candidates, and its segment skips pass 2.
+// Pruning less is sound: the exact phases test every candidate
+// (DESIGN.md §9). On the shapes BenchmarkPrefilterPays prices, at T = 2,
+// the queue prunes at most 2.6 % of the stretch on anticorrelated rows
+// (none at k = 4) and at least 13 % on independent and correlated ones
+// (independent 50 000 × 6 at k = 4 is the least), so the threshold,
+// 6.25 %, sits between the two by a factor of 2 on each side.
+const (
+	stopStretch = 2048
+	stopShare   = 16
+)
+
 // Rows is the pre-filter's candidate store: one segment per thread,
 // holding the thread's candidates in list order — row index, L1 norm
 // and, while the call keeps rows, the row as pass 1 loaded it through
@@ -260,6 +282,7 @@ const storeShare = 8
 // position, so the segments are the one survivor list.
 type Rows struct {
 	d      int
+	cands  int       // candidates pass 1 kept
 	n      int       // survivors, after the join
 	stored bool      // every thread kept its rows: none is over
 	first  []int     // per thread: list position of its first survivor
@@ -270,6 +293,7 @@ type Rows struct {
 type segment struct {
 	n      int  // candidates, then survivors once pass 2 compacted them
 	over   bool // candidates past the thread's storeShare: rows not kept
+	skip   bool // the thread stopped filtering (stopStretch): pass 2 skips it
 	blocks []*block
 }
 
@@ -290,7 +314,7 @@ func (s *Rows) reset(d, threads int) {
 		s.segs = append(s.segs, segment{})
 	}
 	for t := range s.first {
-		s.segs[t].n, s.segs[t].over = 0, false
+		s.segs[t].n, s.segs[t].over, s.segs[t].skip = 0, false, false
 	}
 }
 
@@ -307,6 +331,10 @@ func (s *Rows) join() {
 
 // Len returns the number of survivors.
 func (s *Rows) Len() int { return s.n }
+
+// Candidates returns the number of rows pass 1 kept: the survivors and
+// the rows pass 2 pruned.
+func (s *Rows) Candidates() int { return s.cands }
 
 // At returns the survivor at list position i: its row index, its L1
 // norm and, where the call kept rows, its row, d values that alias the
@@ -420,11 +448,32 @@ func (r *Runner) runPass1(tid, lo, hi int) {
 	var buf [point.MaxDims]float64
 	w := 0
 	var localDTs uint64
+	// decide is the row the stop rule is decided at, stopStretch rows
+	// after the queue fills (hi: not yet, or never), and kept0 the
+	// candidates before them.
+	decide, kept0 := hi, 0
 	for i := lo; i < hi; i++ {
+		if i == decide {
+			if pruned := stopStretch - (w - kept0); pruned*stopShare < stopStretch {
+				for ; i < hi; i++ {
+					q := v.Load(i, buf[:])
+					sg.put(w, i, point.L1(q))
+					if w < keep {
+						sg.store(w, d, q)
+					}
+					w++
+				}
+				sg.skip = true
+				break
+			}
+			decide = hi
+		}
 		full := qu.n == beta
 		if full && qu.cols != nil {
-			if i += point.Scan8(qu.cols, src[i*8:hi*8], k, &localDTs); i == hi {
-				break
+			// Scan8 stops at decide, so the rule is decided on its row.
+			if i += point.Scan8(qu.cols, src[i*8:decide*8], k, &localDTs); i == decide {
+				i--
+				continue
 			}
 		}
 		q := v.Load(i, buf[:])
@@ -438,6 +487,9 @@ func (r *Runner) runPass1(tid, lo, hi int) {
 			sg.store(w, d, q)
 		}
 		w++
+		if !full && qu.n == beta && r.stop {
+			decide, kept0 = min(i+1+stopStretch, hi), w
+		}
 	}
 	sg.n, sg.over = w, w > keep
 	r.qcount[tid] = qu.n
@@ -462,7 +514,10 @@ type queue struct {
 
 // offer puts a row the queue did not prune, with its norm l1, into a
 // free slot, or over the largest point if l1 is smaller; the evicted
-// point is already a candidate and is re-tested in pass 2. A write
+// point is already a candidate and is re-tested in pass 2. A NaN norm
+// is never queued: it compares with no other, so a NaN-norm row in the
+// queue would never be replaced, and in the union it would break the
+// ascending norms pass 2 searches. The row stays a candidate. A write
 // updates both copies of its one slot and rescans the β norms for the
 // largest. Writes after the queue fills are rare, about β·ln(n/β) a
 // thread on rows in random order, so the rescan costs nothing a heap
@@ -470,6 +525,8 @@ type queue struct {
 func (qu *queue) offer(l1 float64, row []float64) {
 	s := qu.n
 	switch {
+	case math.IsNaN(l1):
+		return
 	case s < len(qu.l1):
 		qu.n++
 	case l1 < qu.l1[qu.top]:
@@ -494,17 +551,21 @@ func (qu *queue) offer(l1 float64, row []float64) {
 
 // runPass2 tests thread tid's segment against the queue union and
 // compacts the survivors, and their stored rows if the call kept them,
-// to the front of the segment. The region has one range per thread.
+// to the front of the segment. The region has one range per thread; a
+// thread that stopped filtering in pass 1 keeps its segment as it is.
 //
-// Where the call kept rows at view width 8 and the union holds no NaN
-// norm, with the vector bodies on (point.VectorBodies), each segment
-// block's stored rows and norms go to point.UnionScan8 instead, which
-// skips every candidate up to the next survivor with this loop's
-// decisions and test counts: the union is laid out once per call in
-// chunks of 8 slots (point.LayoutUnion8), and each candidate tests only
-// the slots whose norm is below its own, the same cut-off as the binary
-// search, which it is where the norms ascend, as they do without a NaN.
+// Where the call kept rows at view width 8, with the vector bodies on
+// (point.VectorBodies), each segment block's stored rows and norms go to
+// point.UnionScan8 instead, which skips every candidate up to the next
+// survivor with this loop's decisions and test counts: the union is laid
+// out once per call in chunks of 8 slots (point.LayoutUnion8), and each
+// candidate tests only the slots whose norm is below its own, the same
+// cut-off as the binary search, since the union's norms ascend (no NaN
+// norm is queued).
 func (r *Runner) runPass2(tid, _, _ int) {
+	if r.rows.segs[tid].skip {
+		return
+	}
 	k := r.k
 	d := r.v.D()
 	ql1, qrows := r.ql1, r.qrows

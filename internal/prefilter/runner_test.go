@@ -117,63 +117,71 @@ func TestRunnerMatchesFilter(t *testing.T) {
 	} else {
 		t.Log("no AVX512F+BW and POPCNT with OS-saved ZMM state: only the Go body runs")
 	}
-	kept, unionScans := map[bool]int{}, map[bool]int{}
+	kept, unionScans, stopped := map[bool]int{}, map[bool]int{}, map[bool]int{}
 	r := NewRunner()
-	// check runs r over m through ops with each body and holds it to the
-	// reference.
-	check := func(m point.Matrix, ops []point.PrefOp, team *par.Team, at string) {
+	// check runs r over m through ops with each body, with and without
+	// the stop rule, and holds it to the reference.
+	check := func(m point.Matrix, ops []point.PrefOp, team *par.Team, at0 string) {
 		t.Helper()
-		n, d, threads := m.N(), m.D(), team.Threads()
-		sm := staged(m, ops)
-		want := Filter(sm, l1s(sm), 0, threads, nil)
-		var v point.View
-		v.Reset(m.Flat(), n, d, ops)
-		src8, _ := v.Source8()
-		dts := stats.NewDTCounters(threads)
-		booked := map[bool]uint64{}
-		for _, scan := range scans {
-			point.SetVectorBodies(scan)
-			at := fmt.Sprintf("%s scan=%v", at, scan)
-			dts.Reset()
-			got, gotL1, gotRows := survivors(r.Filter(v, 0, 1, team, dts))
-			if scan && src8 != nil && n >= DefaultBeta && !r.scan8 {
-				t.Fatalf("%s: pass 1 did not take point.Scan8", at)
-			}
-			if stored8 := v.D() == 8 && gotRows != nil && !slices.ContainsFunc(r.ql1, math.IsNaN); scan && stored8 != r.scanU {
-				t.Fatalf("%s: pass 2 took point.UnionScan8 %v on a call that kept rows at d = 8 with no NaN union norm %v", at, r.scanU, stored8)
-			}
-			if r.scanU {
-				unionScans[len(r.ql1) > DefaultBeta]++
-			}
-			booked[scan] = dts.Sum()
-			kept[gotRows != nil]++
-			if len(got) != len(want) || len(gotL1) != len(want) {
-				t.Fatalf("%s: runner kept %d (%d norms), filter kept %d", at, len(got), len(gotL1), len(want))
-			}
-			for i := range got {
-				if got[i] != want[i] {
-					t.Fatalf("%s: survivor %d is %d, want %d", at, i, got[i], want[i])
+		for _, stop := range []bool{false, true} {
+			at := fmt.Sprintf("%s stop=%v", at0, stop)
+			n, d, threads := m.N(), m.D(), team.Threads()
+			sm := staged(m, ops)
+			want := Filter(sm, l1s(sm), 0, threads, stop, nil)
+			var v point.View
+			v.Reset(m.Flat(), n, d, ops)
+			src8, _ := v.Source8()
+			dts := stats.NewDTCounters(threads)
+			booked := map[bool]uint64{}
+			for _, scan := range scans {
+				point.SetVectorBodies(scan)
+				at := fmt.Sprintf("%s scan=%v", at, scan)
+				dts.Reset()
+				got, gotL1, gotRows := survivors(r.Filter(v, 0, 1, stop, team, dts))
+				if scan && src8 != nil && n >= DefaultBeta && !r.scan8 {
+					t.Fatalf("%s: pass 1 did not take point.Scan8", at)
 				}
-				row := sm.Row(got[i])
-				if l1 := point.L1(row); math.Float64bits(gotL1[i]) != math.Float64bits(l1) {
-					t.Fatalf("%s: survivor %d has L1 %v, want %v", at, i, gotL1[i], l1)
+				if stored8 := v.D() == 8 && gotRows != nil; scan && stored8 != r.scanU {
+					t.Fatalf("%s: pass 2 took point.UnionScan8 %v on a call that kept rows at d = 8 %v", at, r.scanU, stored8)
 				}
-				if gotRows == nil {
-					continue
+				if r.scanU {
+					unionScans[len(r.ql1) > DefaultBeta]++
 				}
-				gotRow := gotRows[i]
-				if len(gotRow) != len(row) {
-					t.Fatalf("%s: survivor %d has %d values, want %d", at, i, len(gotRow), len(row))
+				for _, sg := range r.rows.segs[:threads] {
+					if sg.skip {
+						stopped[stop]++
+					}
 				}
-				for c, x := range row {
-					if y := gotRow[c]; math.Float64bits(y) != math.Float64bits(x) {
-						t.Fatalf("%s: survivor %d has %v in column %d, the view %v", at, i, y, c, x)
+				booked[scan] = dts.Sum()
+				kept[gotRows != nil]++
+				if len(got) != len(want) || len(gotL1) != len(want) {
+					t.Fatalf("%s: runner kept %d (%d norms), filter kept %d", at, len(got), len(gotL1), len(want))
+				}
+				for i := range got {
+					if got[i] != want[i] {
+						t.Fatalf("%s: survivor %d is %d, want %d", at, i, got[i], want[i])
+					}
+					row := sm.Row(got[i])
+					if l1 := point.L1(row); math.Float64bits(gotL1[i]) != math.Float64bits(l1) {
+						t.Fatalf("%s: survivor %d has L1 %v, want %v", at, i, gotL1[i], l1)
+					}
+					if gotRows == nil {
+						continue
+					}
+					gotRow := gotRows[i]
+					if len(gotRow) != len(row) {
+						t.Fatalf("%s: survivor %d has %d values, want %d", at, i, len(gotRow), len(row))
+					}
+					for c, x := range row {
+						if y := gotRow[c]; math.Float64bits(y) != math.Float64bits(x) {
+							t.Fatalf("%s: survivor %d has %v in column %d, the view %v", at, i, y, c, x)
+						}
 					}
 				}
 			}
-		}
-		if len(scans) == 2 && booked[false] != booked[true] {
-			t.Fatalf("%s: %d dominance tests on the Go body, %d on point.Scan8", at, booked[false], booked[true])
+			if len(scans) == 2 && booked[false] != booked[true] {
+				t.Fatalf("%s: %d dominance tests on the Go body, %d on point.Scan8", at, booked[false], booked[true])
+			}
 		}
 	}
 	for _, threads := range []int{1, 2, 3, 4, 8} {
@@ -198,6 +206,9 @@ func TestRunnerMatchesFilter(t *testing.T) {
 	if kept[true] == 0 || kept[false] == 0 {
 		t.Fatalf("%d calls kept their rows and %d did not: the table misses one side of storeShare", kept[true], kept[false])
 	}
+	if stopped[false] != 0 || stopped[true] == 0 {
+		t.Fatalf("%d threads stopped filtering without the stop rule and %d with it: want none and some", stopped[false], stopped[true])
+	}
 	if point.HasAVX512BW() && (unionScans[false] == 0 || unionScans[true] == 0) {
 		t.Fatalf("pass 2 took point.UnionScan8 on %d unions of at most %d points and %d larger: the table misses one", unionScans[false], DefaultBeta, unionScans[true])
 	}
@@ -217,43 +228,105 @@ func TestRunnerMatchesFilter(t *testing.T) {
 	}
 }
 
-// TestRunnerNaNUnionNorm gives pass 2 a union with a NaN norm on rows it
-// keeps at width 8: the eighth row of the first thread's range is NaN in
-// one column and 0, the data's least value, in the rest, so its norm is
-// NaN and it fills the queue's last free slot. No norm is below a NaN,
-// so it never becomes the slot a smaller norm replaces (which would stop
-// the queue from taking any), and no row is below it in any column, so
-// none dominates it and it stays in the union. Its norms then need not ascend, so
-// pass 2 must keep the Go body with the vector bodies on, and the call
-// must keep the same survivors and book the same tests as with them off.
+// TestRunnerNaNUnionNorm gives the filter a row whose norm is NaN on
+// rows it keeps at width 8: the eighth row of the first thread's range
+// is NaN in one column and 0, the data's least value, in the rest, so it
+// would fill the queue's last free slot. No norm compares with a NaN, so
+// once queued it would never be replaced (the queue would prune with its
+// first rows only) and the union's norms would not ascend. The queue
+// never takes it: the row must survive as a candidate, the union must
+// hold no NaN norm, and the Runner must keep the reference Filter's
+// survivors, with the vector bodies on and off (where the CPU has them,
+// pass 2 then takes point.UnionScan8) and both must book the same tests.
 func TestRunnerNaNUnionNorm(t *testing.T) {
-	if !point.HasAVX512BW() {
-		t.Skip("no AVX512F+BW and POPCNT with OS-saved ZMM state: only the Go body runs")
-	}
 	defer point.SetVectorBodies(point.VectorBodies())
+	vecs := []bool{false}
+	if point.HasAVX512BW() {
+		vecs = append(vecs, true)
+	}
 	pool := par.NewPool(2)
 	defer pool.Close()
 	team := pool.Lease(2)
 	m := tight(5000, 8, 5)
 	clear(m.Row(7))
 	m.Row(7)[3] = math.NaN()
+	want := Filter(m, l1s(m), 0, 2, true, nil)
 	dts := stats.NewDTCounters(2)
 	r := NewRunner()
-	got := map[bool]string{}
-	for _, vec := range []bool{false, true} {
+	booked := map[bool]uint64{}
+	for _, vec := range vecs {
 		point.SetVectorBodies(vec)
 		dts.Reset()
-		surv, _, rows := survivors(r.Filter(m.View(), 0, 1, team, dts))
-		if rows == nil || !slices.ContainsFunc(r.ql1, math.IsNaN) {
-			t.Fatalf("vector bodies %v: kept rows %v, union norms %v: not the shape under test", vec, rows != nil, r.ql1)
+		surv, _, rows := survivors(r.Filter(m.View(), 0, 1, true, team, dts))
+		if rows == nil {
+			t.Fatalf("vector bodies %v: the call kept no rows: not the shape under test", vec)
 		}
-		if r.scanU {
-			t.Fatal("pass 2 took point.UnionScan8 on a union with a NaN norm")
+		if slices.ContainsFunc(r.ql1, math.IsNaN) {
+			t.Fatalf("vector bodies %v: the union holds a NaN norm: %v", vec, r.ql1)
 		}
-		got[vec] = fmt.Sprint(surv, dts.Sum())
+		if vec && !r.scanU {
+			t.Fatal("pass 2 did not take point.UnionScan8")
+		}
+		if !slices.Contains(surv, 7) {
+			t.Fatalf("vector bodies %v: the NaN-norm row was pruned", vec)
+		}
+		if !slices.Equal(surv, want) {
+			t.Fatalf("vector bodies %v: the Runner kept %d rows, the reference %d", vec, len(surv), len(want))
+		}
+		booked[vec] = dts.Sum()
 	}
-	if got[true] != got[false] {
-		t.Fatalf("vector bodies on: %s; off: %s", got[true], got[false])
+	if len(vecs) == 2 && booked[false] != booked[true] {
+		t.Fatalf("%d dominance tests on the Go bodies, %d on the vector bodies", booked[false], booked[true])
+	}
+}
+
+// TestRunnerStopRule holds the stop rule to the shapes it was chosen on,
+// at T = 2 with the vector bodies on and off: every thread stops
+// filtering on anticorrelated rows, at k = 1 and 4, and none does on
+// independent or correlated ones (batch_corr's and serve_mix's data,
+// independent at k = 4 the nearest to the threshold). Without the rule
+// no thread stops on any of them.
+func TestRunnerStopRule(t *testing.T) {
+	defer point.SetVectorBodies(point.VectorBodies())
+	vecs := []bool{false}
+	if point.HasAVX512BW() {
+		vecs = append(vecs, true)
+	}
+	pool := par.NewPool(2)
+	defer pool.Close()
+	team := pool.Lease(2)
+	r := NewRunner()
+	for _, c := range []struct {
+		name string
+		dist dataset.Distribution
+		n, d int
+		ops  []point.PrefOp
+		ks   []int
+		stop bool
+	}{
+		{"anti-32768x8", dataset.Anticorrelated, 32768, 8, nil, []int{1, 4}, true},
+		{"anti-65536x8", dataset.Anticorrelated, 65536, 8, nil, []int{1, 4}, true},
+		{"indep-50000x6", dataset.Independent, 50000, 6, nil, []int{1, 4}, false},
+		{"indep-50000x6-3cols", dataset.Independent, 50000, 6, []point.PrefOp{0, point.PrefDrop, 0, point.PrefDrop, 0, point.PrefDrop}, []int{1, 4}, false},
+		{"corr-1Mx8", dataset.Correlated, 1_000_000, 8, nil, []int{1, 4}, false},
+		{"corr-1Mx8-4cols", dataset.Correlated, 1_000_000, 8, dropOps(8), []int{1}, false},
+	} {
+		m := dataset.Generate(c.dist, c.n, c.d, 1)
+		var v point.View
+		v.Reset(m.Flat(), c.n, c.d, c.ops)
+		for _, vec := range vecs {
+			point.SetVectorBodies(vec)
+			for _, k := range c.ks {
+				for _, stop := range []bool{false, true} {
+					r.Filter(v, 0, k, stop, team, nil)
+					for tid, sg := range r.rows.segs[:2] {
+						if want := stop && c.stop; sg.skip != want {
+							t.Errorf("%s k=%d vector bodies %v stop rule %v: thread %d stopped %v, want %v", c.name, k, vec, stop, tid, sg.skip, want)
+						}
+					}
+				}
+			}
+		}
 	}
 }
 
@@ -269,11 +342,11 @@ func TestRunnerReuseAfterLargerRun(t *testing.T) {
 	team := pool.Lease(3)
 	r := NewRunner()
 	big := dataset.Generate(dataset.Correlated, 60000, 4, 3)
-	if _, _, rows := survivors(r.Filter(big.View(), 0, 1, team, nil)); rows == nil {
+	if _, _, rows := survivors(r.Filter(big.View(), 0, 1, true, team, nil)); rows == nil {
 		t.Fatal("the large correlated run kept no rows")
 	}
 	small := dataset.Generate(dataset.Independent, 2, 8, 4)
-	surv, _, rows := survivors(r.Filter(small.View(), 0, 1, team, nil))
+	surv, _, rows := survivors(r.Filter(small.View(), 0, 1, true, team, nil))
 	if !slices.Equal(surv, []int{0, 1}) {
 		t.Fatalf("small run after a large one kept %v, want [0 1]", surv)
 	}
@@ -301,7 +374,7 @@ func TestRunnerScratchSizedByCandidates(t *testing.T) {
 	r := NewRunner()
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
-	rs := r.Filter(m.View(), 0, 1, team, nil)
+	rs := r.Filter(m.View(), 0, 1, true, team, nil)
 	runtime.ReadMemStats(&after)
 	if !rs.stored {
 		t.Fatal("the correlated run kept no rows")
@@ -329,9 +402,9 @@ func TestRunnerZeroAlloc(t *testing.T) {
 	for _, ops := range [][]point.PrefOp{nil, subspaceOps(8)} {
 		var v point.View
 		v.Reset(m.Flat(), m.N(), m.D(), ops)
-		r.Filter(v, 0, 1, team, dts) // warm scratch
+		r.Filter(v, 0, 1, true, team, dts) // warm scratch
 		allocs := testing.AllocsPerRun(20, func() {
-			r.Filter(v, 0, 1, team, dts)
+			r.Filter(v, 0, 1, true, team, dts)
 		})
 		if allocs != 0 {
 			t.Errorf("ops=%v: Runner.Filter allocates %.1f per call, want 0", ops, allocs)
@@ -353,7 +426,7 @@ func TestRunnerNeverPrunesSkyline(t *testing.T) {
 			for _, d := range []int{4, 5, 6, 8} {
 				m := dataset.Generate(dist, 800, d, 31)
 				for _, k := range []int{1, 3} {
-					surv, _, _ := survivors(r.Filter(m.View(), 4, k, team, nil))
+					surv, _, _ := survivors(r.Filter(m.View(), 4, k, true, team, nil))
 					kept := make(map[int]bool, len(surv))
 					for _, i := range surv {
 						kept[i] = true
@@ -381,7 +454,9 @@ func TestRunnerNeverPrunesSkyline(t *testing.T) {
 // so each has a "go" row (the vector bodies off, point.SetVectorBodies)
 // and an "avx512" row (on, on a CPU with AVX512F+BW only). anti-d8 is
 // batch_anti's (32 768 anticorrelated rows, few pruned, where the
-// short-circuit body costs), at the default body. SetBytes is the
+// short-circuit body costs), at the default body and without the stop
+// rule, which would give the filter up there (BenchmarkPrefilterPays
+// prices it). SetBytes is the
 // source size, so the figure reads as MB/s against what the host
 // streams from memory.
 //
@@ -429,21 +504,22 @@ func BenchmarkRunnerFilter(b *testing.B) {
 		m      point.Matrix
 		ops    []point.PrefOp
 		bodies bool
+		stop   bool
 	}{
-		{"identity-d8", corr, nil, true},
-		{"subspace-4of8", corr, half, true},
-		{"anti-d8", anti, nil, false},
+		{"identity-d8", corr, nil, true, true},
+		{"subspace-4of8", corr, half, true, true},
+		{"anti-d8", anti, nil, false, false},
 	} {
 		run := func(b *testing.B) {
 			n := bc.m.N()
 			var v point.View
 			v.Reset(bc.m.Flat(), n, d, bc.ops)
 			r := NewRunner()
-			r.Filter(v, 0, 1, team, nil) // warm scratch
+			r.Filter(v, 0, 1, bc.stop, team, nil) // warm scratch
 			b.SetBytes(int64(n * d * 8))
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				r.Filter(v, 0, 1, team, nil)
+				r.Filter(v, 0, 1, bc.stop, team, nil)
 			}
 		}
 		if bc.bodies {
@@ -469,7 +545,7 @@ func BenchmarkRunnerFilter(b *testing.B) {
 	})
 	bodies("pass2-d8", func(b *testing.B) {
 		r := NewRunner()
-		r.Filter(corr.View(), 0, 1, team, nil)
+		r.Filter(corr.View(), 0, 1, true, team, nil)
 		if r.scanU != point.VectorBodies() {
 			b.Fatalf("pass 2 took point.UnionScan8 %v with the vector bodies %v", r.scanU, point.VectorBodies())
 		}
