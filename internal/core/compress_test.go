@@ -13,13 +13,12 @@ func TestCompressBasics(t *testing.T) {
 	work := point.FromRows([][]float64{
 		{0, 0}, {1, 1}, {2, 2}, {3, 3}, {4, 4},
 	})
-	wl1 := []float64{0, 2, 4, 6, 8}
 	worig := []int{10, 11, 12, 13, 14}
 	wmask := []point.Mask{0, 1, 2, 3, 0}
 	wcode := []uint64{20, 21, 22, 23, 24}
 	flags := []uint32{0, 1, 0, 1, 0} // drop rows 1 and 3
 
-	n := compress(work, wl1, worig, wmask, wcode, nil, 0, 5, flags)
+	n := compress(work, worig, wmask, wcode, nil, 0, 5, flags)
 	if n != 3 {
 		t.Fatalf("survivors = %d, want 3", n)
 	}
@@ -40,14 +39,13 @@ func TestCompressBasics(t *testing.T) {
 
 func TestCompressAllSurviveAndAllPruned(t *testing.T) {
 	work := point.FromRows([][]float64{{1}, {2}, {3}})
-	wl1 := []float64{1, 2, 3}
 	worig := []int{0, 1, 2}
 	none := []uint32{0, 0, 0}
-	if n := compress(work, wl1, worig, make([]point.Mask, 3), make([]uint64, 3), nil, 0, 3, none); n != 3 {
+	if n := compress(work, worig, make([]point.Mask, 3), make([]uint64, 3), nil, 0, 3, none); n != 3 {
 		t.Fatalf("all-survive: %d", n)
 	}
 	all := []uint32{1, 1, 1}
-	if n := compress(work, wl1, worig, make([]point.Mask, 3), make([]uint64, 3), nil, 0, 3, all); n != 0 {
+	if n := compress(work, worig, make([]point.Mask, 3), make([]uint64, 3), nil, 0, 3, all); n != 0 {
 		t.Fatalf("all-pruned: %d", n)
 	}
 }
@@ -55,10 +53,9 @@ func TestCompressAllSurviveAndAllPruned(t *testing.T) {
 func TestCompressWithOffset(t *testing.T) {
 	// The block starts mid-array; earlier rows must be untouched.
 	work := point.FromRows([][]float64{{9}, {8}, {1}, {2}, {3}})
-	wl1 := []float64{9, 8, 1, 2, 3}
 	worig := []int{0, 1, 2, 3, 4}
 	flags := []uint32{1, 0, 0} // block rows 2..4; drop block-local 0
-	n := compress(work, wl1, worig, make([]point.Mask, 5), make([]uint64, 5), nil, 2, 3, flags)
+	n := compress(work, worig, make([]point.Mask, 5), make([]uint64, 5), nil, 2, 3, flags)
 	if n != 2 {
 		t.Fatalf("survivors = %d", n)
 	}
@@ -77,18 +74,16 @@ func TestCompressPreservesOrder(t *testing.T) {
 	for trial := 0; trial < 200; trial++ {
 		n := 1 + rng.Intn(40)
 		work := point.NewMatrix(n, 1)
-		wl1 := make([]float64, n)
 		worig := make([]int, n)
 		flags := make([]uint32, n)
 		for i := 0; i < n; i++ {
 			work.Row(i)[0] = float64(i)
-			wl1[i] = float64(i)
 			worig[i] = i
 			if rng.Intn(2) == 0 {
 				flags[i] = 1
 			}
 		}
-		surv := compress(work, wl1, worig, make([]point.Mask, n), make([]uint64, n), nil, 0, n, flags)
+		surv := compress(work, worig, make([]point.Mask, n), make([]uint64, n), nil, 0, n, flags)
 		for i := 1; i < surv; i++ {
 			if worig[i] <= worig[i-1] {
 				t.Fatalf("order violated at %d: %v", i, worig[:surv])
@@ -154,7 +149,7 @@ func TestPartitionStarts(t *testing.T) {
 	masks := []point.Mask{0, 0b0001, 0b0011, 0b0011, 0b0011, 0b0101, 0b0111}
 	flags := []uint32{0, 0, 1, 1, 0, 0, 0}
 	n := len(masks)
-	surv := compress(point.NewMatrix(n, 1), make([]float64, n), make([]int, n), masks, make([]uint64, n), nil, 0, n, flags)
+	surv := compress(point.NewMatrix(n, 1), make([]int, n), masks, make([]uint64, n), nil, 0, n, flags)
 	if want := []point.Mask{0, 0b0001, 0b0011, 0b0101, 0b0111}; !slices.Equal(masks[:surv], want) {
 		t.Fatalf("compressed masks %b, want %b", masks[:surv], want)
 	}
@@ -173,7 +168,7 @@ func TestPartitionStarts(t *testing.T) {
 			flags[i] = uint32(rng.Intn(3) / 2)
 		}
 		sortedMasks(dim, masks)
-		surv := compress(point.NewMatrix(n, 1), make([]float64, n), make([]int, n), masks, make([]uint64, n), nil, 0, n, flags)
+		surv := compress(point.NewMatrix(n, 1), make([]int, n), masks, make([]uint64, n), nil, 0, n, flags)
 		checkStarts(t, "random", masks[:surv])
 	}
 }

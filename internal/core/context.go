@@ -43,9 +43,9 @@ type Context struct {
 	wcode []uint64 // working-set code words (quant)
 	// The current α-block's rows and metadata, gathered from the working
 	// set in sort order (runBlockGather): α-sized, the only copy of a
-	// row the block's phases, compress and update touch.
+	// row the block's phases, compress and update touch. Nothing after
+	// the sort reads a norm.
 	brows []float64
-	bl1   []float64
 	borig []int
 	bmask []point.Mask
 	bcode []uint64
@@ -214,15 +214,15 @@ func (c *Context) runGather(tid, lo, hi int) {
 }
 
 // runBlockGather copies the block's rows blockIdx[lo:hi] — the sort
-// permutation's slice for the block — with their norms, indices, masks
-// and code words from the working set, which stays in gather order, to
-// block positions lo..hi−1 of the block buffers.
+// permutation's slice for the block — with their indices, masks and code
+// words from the working set, which stays in gather order, to block
+// positions lo..hi−1 of the block buffers.
 func (c *Context) runBlockGather(_, lo, hi int) {
 	d := c.d
 	for i := lo; i < hi; i++ {
 		j := c.blockIdx[i]
 		copy(c.brows[i*d:(i+1)*d], c.work[j*d:(j+1)*d])
-		c.bl1[i], c.borig[i], c.bmask[i], c.bcode[i] = c.wl1[j], c.worig[j], c.wmask[j], c.wcode[j]
+		c.borig[i], c.bmask[i], c.bcode[i] = c.worig[j], c.wmask[j], c.wcode[j]
 	}
 }
 

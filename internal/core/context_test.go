@@ -221,19 +221,18 @@ func TestBlockGather(t *testing.T) {
 		alpha := 1 + rng.Intn(n)
 		c := &Context{d: d}
 		c.work = make([]float64, n*d)
-		c.wl1, c.worig = make([]float64, n), make([]int, n)
+		c.worig = make([]int, n)
 		c.wmask, c.wcode = make([]point.Mask, n), make([]uint64, n)
 		for i := 0; i < n; i++ {
 			for k := 0; k < d; k++ {
 				c.work[i*d+k] = rng.Float64()
 			}
-			c.wl1[i] = rng.Float64()
 			c.worig[i] = rng.Int()
 			c.wmask[i] = point.Mask(rng.Intn(256))
 			c.wcode[i] = rng.Uint64()
 		}
 		work := slices.Clone(c.work)
-		c.brows, c.bl1, c.borig = make([]float64, alpha*d), make([]float64, alpha), make([]int, alpha)
+		c.brows, c.borig = make([]float64, alpha*d), make([]int, alpha)
 		c.bmask, c.bcode = make([]point.Mask, alpha), make([]uint64, alpha)
 		perm := rng.Perm(n)
 		for lo := 0; lo < n; lo += alpha {
@@ -246,7 +245,7 @@ func TestBlockGather(t *testing.T) {
 				if !slices.Equal(c.brows[i*d:(i+1)*d], work[j*d:(j+1)*d]) {
 					t.Fatalf("trial %d: block %d row %d is %v, want row %d %v", trial, lo, i, c.brows[i*d:(i+1)*d], j, work[j*d:(j+1)*d])
 				}
-				if c.bl1[i] != c.wl1[j] || c.borig[i] != c.worig[j] || c.bmask[i] != c.wmask[j] || c.bcode[i] != c.wcode[j] {
+				if c.borig[i] != c.worig[j] || c.bmask[i] != c.wmask[j] || c.bcode[i] != c.wcode[j] {
 					t.Fatalf("trial %d: block %d row %d metadata is not row %d's", trial, lo, i, j)
 				}
 			}

@@ -222,7 +222,7 @@ func (c *Context) run(v point.View, opt HybridOptions, partition bool) []int {
 	// level-1-filtered scan tests, in its order, with its early exit.
 	c.sky.reset(d, partition && !opt.NoMS, partition && !opt.NoLevel2 && !opt.NoMS)
 	c.flags = grow(c.flags, alpha)
-	c.brows, c.bl1, c.borig = grow(c.brows, alpha*d), grow(c.bl1, alpha), grow(c.borig, alpha)
+	c.brows, c.borig = grow(c.brows, alpha*d), grow(c.borig, alpha)
 	c.bmask, c.bcode = grow(c.bmask, alpha), grow(c.bcode, alpha)
 	c.levelAt, c.partAt = grow(c.levelAt, alpha), grow(c.partAt, alpha)
 	c.noSplit = opt.NoPhase2Split
@@ -242,18 +242,17 @@ func (c *Context) run(v point.View, opt HybridOptions, partition bool) []int {
 			return nil
 		}
 		c.rebalance(st)
+		timer.Stop(stats.PhaseOther)
 		hi := min(lo+alpha, ns)
 		block := hi - lo
 		// Gather the block's rows in sort order (runBlockGather), booked
 		// to the init phase and the sort.
-		gatherStart := time.Now()
 		c.blockIdx = idx[lo:hi]
 		c.forRanges(block, c.blockBody)
 		if c.canceled() {
 			return nil
 		}
-		st.Cost.Sort += time.Since(gatherStart)
-		timer.Stop(stats.PhaseInit)
+		st.Cost.Sort += timer.Stop(stats.PhaseInit)
 		bk := point.FromFlat(c.brows[:block*d], block, d)
 		f := c.flags[:block]
 		clear(f)
@@ -267,7 +266,7 @@ func (c *Context) run(v point.View, opt HybridOptions, partition bool) []int {
 		c.forChunks(st, block, c.p1Body)
 		timer.Stop(stats.PhaseOne)
 
-		surv1 := compress(bk, c.bl1, c.borig, c.bmask, c.bcode, bcnt, 0, block, f)
+		surv1 := compress(bk, c.borig, c.bmask, c.bcode, bcnt, 0, block, f)
 		st.Cost.Phase1Survivors += surv1
 		partitionStarts(c.bmask[:surv1], c.levelAt, c.partAt)
 		timer.Stop(stats.PhaseCompress)
@@ -279,13 +278,13 @@ func (c *Context) run(v point.View, opt HybridOptions, partition bool) []int {
 		c.forChunks(st, surv1, c.p2Body)
 		timer.Stop(stats.PhaseTwo)
 
-		final := compress(bk, c.bl1, c.borig, c.bmask, c.bcode, bcnt, 0, surv1, f)
+		final := compress(bk, c.borig, c.bmask, c.bcode, bcnt, 0, surv1, f)
 		st.Cost.Phase2Survivors += final
 		timer.Stop(stats.PhaseCompress)
 
 		// Update S and M(S) (Algorithm 2) — sequential O(α) work.
 		firstNew := c.sky.size()
-		c.sky.update(bk, c.bl1, c.borig, c.bmask, c.bcode, bcnt, 0, final)
+		c.sky.update(bk, c.borig, c.bmask, c.bcode, bcnt, 0, final)
 		if opt.Progressive != nil && final > 0 {
 			// The callback is caller code of unknown length: the team's
 			// workers serve other runs meanwhile, and the next block's
@@ -306,12 +305,12 @@ func (c *Context) run(v point.View, opt HybridOptions, partition bool) []int {
 
 // compress shifts the unflagged rows of the block starting at row lo with
 // the given length to the front of the block, moving the parallel
-// metadata arrays (l1, orig, mask, code and — when non-nil — the
+// metadata arrays (orig, mask, code and — when non-nil — the
 // block-relative dominator counts) along with the point data. It returns
 // the number of survivors. This is the synchronization-point compression
 // of Section V-D: it removes branches and restores the contiguous layout
 // Phase II and the skyline append depend on.
-func compress(work point.Matrix, wl1 []float64, worig []int, wmask []point.Mask, wcode []uint64, bcnt []int32, lo, length int, flags []uint32) int {
+func compress(work point.Matrix, worig []int, wmask []point.Mask, wcode []uint64, bcnt []int32, lo, length int, flags []uint32) int {
 	w := 0
 	for i := 0; i < length; i++ {
 		if flags[i] != 0 {
@@ -319,7 +318,6 @@ func compress(work point.Matrix, wl1 []float64, worig []int, wmask []point.Mask,
 		}
 		if w != i {
 			copy(work.Row(lo+w), work.Row(lo+i))
-			wl1[lo+w] = wl1[lo+i]
 			worig[lo+w] = worig[lo+i]
 			wmask[lo+w] = wmask[lo+i]
 			wcode[lo+w] = wcode[lo+i]

@@ -79,7 +79,7 @@ func (s *skylineStore) row(j int) []float64 {
 // caller can surface per-point counts. Skyline runs pass nil and the
 // counts column stays empty. wcode is the working set's code words,
 // appended to the store's alongside the rows.
-func (s *skylineStore) update(work point.Matrix, wl1 []float64, worig []int, wmask []point.Mask, wcode []uint64, bcnt []int32, lo, count int) {
+func (s *skylineStore) update(work point.Matrix, worig []int, wmask []point.Mask, wcode []uint64, bcnt []int32, lo, count int) {
 	if count == 0 {
 		return
 	}

@@ -49,13 +49,11 @@ func buildStore(t *testing.T, rows [][]float64, pivot []float64, blockSize int, 
 		}
 	}
 	sorted := point.NewMatrix(n, d)
-	sl1 := make([]float64, n)
 	smask := make([]point.Mask, n)
 	sorig := make([]int, n)
 	scode := make([]uint64, n)
 	for i, j := range idx {
 		copy(sorted.Row(i), m.Row(j))
-		sl1[i] = l1[j]
 		smask[i] = masks[j]
 		sorig[i] = j
 		scode[i] = z.Code(m.Row(j))
@@ -67,7 +65,7 @@ func buildStore(t *testing.T, rows [][]float64, pivot []float64, blockSize int, 
 		if hi > n {
 			hi = n
 		}
-		s.update(sorted, sl1, sorig, smask, scode, nil, lo, hi-lo)
+		s.update(sorted, sorig, smask, scode, nil, lo, hi-lo)
 	}
 	return s, z
 }
@@ -203,7 +201,7 @@ func TestDominatedHybridMatchesBruteScan(t *testing.T) {
 func TestStoreUpdateEmptyBlockIsNoop(t *testing.T) {
 	s := &skylineStore{}
 	s.reset(2, true, true)
-	s.update(point.NewMatrix(0, 2), nil, nil, nil, nil, nil, 0, 0)
+	s.update(point.NewMatrix(0, 2), nil, nil, nil, nil, 0, 0)
 	if s.size() != 0 || s.msMask.Len() != 0 || len(s.msStart) != 0 {
 		t.Fatal("empty update must not create entries")
 	}

@@ -38,8 +38,8 @@ func (h *maxHeap) Pop() interface{} {
 // the surviving indices in their original order. l1 must hold the L1 norm
 // of every row; a row whose norm is NaN is never queued. beta ≤ 0
 // selects DefaultBeta. With stop, a thread whose queue prunes fewer than
-// 1/stopShare of the stopStretch rows after it fills keeps the rest of
-// its range unpruned, and none of its range is tested in pass 2 (the
+// 1/stopShare of the stopStretch rows after its first β keeps the rest
+// of its range unpruned, and none of its range is tested in pass 2 (the
 // Runner's stop rule). dts, when non-nil, accumulates dominance tests
 // per thread.
 func Filter(m point.Matrix, l1 []float64, beta, threads int, stop bool, dts *stats.DTCounters) []int {
@@ -69,6 +69,9 @@ func Filter(m point.Matrix, l1 []float64, beta, threads int, stop bool, dts *sta
 		h := &maxHeap{l1: l1}
 		var localDTs uint64
 		decide := hi // the row the stop rule is decided at
+		if stop && lo+beta+stopStretch < hi {
+			decide = lo + beta + stopStretch
+		}
 		for i := lo; i < hi; i++ {
 			if i == decide {
 				kept := 0
@@ -87,9 +90,6 @@ func Filter(m point.Matrix, l1 []float64, beta, threads int, stop bool, dts *sta
 			if h.Len() < beta {
 				if !math.IsNaN(l1[i]) {
 					heap.Push(h, i)
-					if h.Len() == beta && stop {
-						decide = i + 1 + stopStretch
-					}
 				}
 				continue
 			}

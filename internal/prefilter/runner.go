@@ -253,8 +253,8 @@ const blockShift = 10
 // input.
 const storeShare = 8
 
-// The stop rule. Once its queue is full, a pass-1 thread counts the rows
-// its queue prunes among the next stopStretch; if they are fewer than
+// The stop rule. A pass-1 thread counts the rows its queue prunes among
+// the stopStretch after its first β; if they are fewer than
 // 1/stopShare of them, the filter does not pay on that thread's rows
 // (anticorrelated data, where the queue's points are incomparable with
 // nearly every row), and the rest of its range takes only the view's
@@ -427,7 +427,7 @@ func (sg *segment) row(k, d int) []float64 {
 // columns is dominance over the kept ones, whatever a row holds in the
 // others.
 func (r *Runner) runPass1(tid, lo, hi int) {
-	v, beta, k := &r.v, r.beta, r.k
+	v, beta := &r.v, r.beta
 	d := v.D()
 	qu := queue{
 		l1:    r.qnorm[tid*beta : (tid+1)*beta],
@@ -445,39 +445,45 @@ func (r *Runner) runPass1(tid, lo, hi int) {
 	}
 	sg := &r.rows.segs[tid]
 	keep := (hi - lo) / storeShare
-	var buf [point.MaxDims]float64
-	w := 0
 	var localDTs uint64
-	// decide is the row the stop rule is decided at, stopStretch rows
-	// after the queue fills (hi: not yet, or never), and kept0 the
-	// candidates before them.
-	decide, kept0 := hi, 0
-	for i := lo; i < hi; i++ {
-		if i == decide {
-			if pruned := stopStretch - (w - kept0); pruned*stopShare < stopStretch {
-				for ; i < hi; i++ {
-					q := v.Load(i, buf[:])
-					sg.put(w, i, point.L1(q))
-					if w < keep {
-						sg.store(w, d, q)
-					}
-					w++
-				}
-				sg.skip = true
-				break
-			}
-			decide = hi
+	// The stop rule is decided on the stopStretch rows after the first
+	// β, which fill the queue and are candidates all.
+	end := hi
+	if r.stop && lo+beta+stopStretch < hi {
+		end = lo + beta + stopStretch
+	}
+	w := r.filterRows(&qu, sg, src, lo, end, 0, keep, &localDTs)
+	if end < hi {
+		if pruned := stopStretch - (w - beta); pruned*stopShare < stopStretch {
+			w = r.takeRows(sg, end, hi, w, keep)
+			sg.skip = true
+		} else {
+			w = r.filterRows(&qu, sg, src, end, hi, w, keep, &localDTs)
 		}
+	}
+	sg.n, sg.over = w, w > keep
+	r.qcount[tid] = qu.n
+	if r.dts != nil {
+		r.dts.Inc(tid, localDTs)
+	}
+}
+
+// filterRows runs pass 1 over rows i..hi−1 of a thread's range: each
+// row is tested against the full queue qu and, unless pruned, offered to
+// it and appended to sg as candidate w onward, its row stored while w <
+// keep. It returns the candidates sg then holds.
+func (r *Runner) filterRows(qu *queue, sg *segment, src []float64, i, hi, w, keep int, dts *uint64) int {
+	v, beta, k, d := &r.v, len(qu.l1), r.k, qu.d
+	var buf [point.MaxDims]float64
+	for ; i < hi; i++ {
 		full := qu.n == beta
 		if full && qu.cols != nil {
-			// Scan8 stops at decide, so the rule is decided on its row.
-			if i += point.Scan8(qu.cols, src[i*8:decide*8], k, &localDTs); i == decide {
-				i--
-				continue
+			if i += point.Scan8(qu.cols, src[i*8:hi*8], k, dts); i == hi {
+				break
 			}
 		}
 		q := v.Load(i, buf[:])
-		if full && qu.cols == nil && point.CountDominatorsInFlatRun(qu.dense, d, 0, beta, q, k, &localDTs) >= k {
+		if full && qu.cols == nil && point.CountDominatorsInFlatRun(qu.dense, d, 0, beta, q, k, dts) >= k {
 			continue
 		}
 		qL1 := point.L1(q)
@@ -487,15 +493,26 @@ func (r *Runner) runPass1(tid, lo, hi int) {
 			sg.store(w, d, q)
 		}
 		w++
-		if !full && qu.n == beta && r.stop {
-			decide, kept0 = min(i+1+stopStretch, hi), w
+	}
+	return w
+}
+
+// takeRows appends rows i..hi−1 to sg untested, as candidates w onward,
+// with their norms and, while w < keep, their rows: the rest of a range
+// whose thread stopped filtering. It returns the candidates sg then
+// holds.
+func (r *Runner) takeRows(sg *segment, i, hi, w, keep int) int {
+	d := r.v.D()
+	var buf [point.MaxDims]float64
+	for ; i < hi; i++ {
+		q := r.v.Load(i, buf[:])
+		sg.put(w, i, point.L1(q))
+		if w < keep {
+			sg.store(w, d, q)
 		}
+		w++
 	}
-	sg.n, sg.over = w, w > keep
-	r.qcount[tid] = qu.n
-	if r.dts != nil {
-		r.dts.Inc(tid, localDTs)
-	}
+	return w
 }
 
 // queue is one thread's β-queue: β unordered slots of rows and their

@@ -74,8 +74,9 @@ type Cost struct {
 	// that completes this equals the output size.
 	Phase2Survivors int
 	// Sort is the wall-clock time of the sort step (Hybrid's three-key
-	// radix + per-run L1 sorts, Q-Flow's L1 radix sort), a subset of
-	// the init phase that the paper's phase decomposition folds away.
+	// radix + per-run L1 sorts, Q-Flow's L1 radix sort, and the gathers
+	// that put each α-block's rows in that order), a subset of the init
+	// phase that the paper's phase decomposition folds away.
 	Sort time.Duration
 	// Busy is the time the worker team spent inside the dominance-test
 	// phases (Phase I and II of Hybrid and Q-Flow), summed over workers
@@ -97,12 +98,14 @@ type Timer struct {
 // that reuse a Context time phases without a per-run allocation.
 func StartTimer(s *Stats) Timer { return Timer{s: s, last: time.Now()} }
 
-// Stop attributes the time since the previous boundary to phase and
-// re-arms the timer.
-func (t *Timer) Stop(p Phase) {
+// Stop attributes the time since the previous boundary to phase,
+// re-arms the timer and returns the time it attributed.
+func (t *Timer) Stop(p Phase) time.Duration {
 	now := time.Now()
-	t.s.Phases[p] += now.Sub(t.last)
+	d := now.Sub(t.last)
+	t.s.Phases[p] += d
 	t.last = now
+	return d
 }
 
 // DTCounters are per-thread dominance-test counters padded to cache-line

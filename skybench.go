@@ -201,8 +201,9 @@ type Ablation struct {
 //
 // Hybrid reads its input once, inside the pre-filter: the preference
 // transform and the L1 norms are part of Prefilter, and Init is the sort
-// alone (under Ablation.NoPrefilter the norms are taken in the gather,
-// part of Pivot). Q-Flow has no pre-filter; its Init is the gather
+// alone, the gathers that put each α-block's rows in sort order
+// included (under Ablation.NoPrefilter the norms are taken in the
+// gather, part of Pivot). Q-Flow has no pre-filter; its Init is the gather
 // (transform + L1) and the sort.
 type PhaseTimings struct {
 	Init      time.Duration `json:"init_ns"`      // sorting (Q-Flow: gather with transform + L1, then sorting)
