@@ -11,31 +11,46 @@ import (
 	"skybench/internal/point"
 )
 
-// sortedMiddle is the reference MedianColumns is held to: the middle
-// element, rank len/2, of a sorted copy of column j of m as
-// MedianColumns samples it.
-func sortedMiddle(m point.Matrix, j int) float64 {
+// sample returns column j of m as MedianColumns samples it.
+func sample(m point.Matrix, j int) []float64 {
 	var col []float64
 	for i := 0; i < m.N(); i += medianStep(m.N()) {
 		col = append(col, m.Row(i)[j])
 	}
-	slices.Sort(col)
-	return col[len(col)/2]
+	return col
+}
+
+// sortedMiddle is the reference MedianColumns is held to: the middle
+// element, rank len/2, of a sorted copy of col.
+func sortedMiddle(col []float64) float64 {
+	s := slices.Clone(col)
+	slices.Sort(s)
+	return s[len(s)/2]
 }
 
 // checkMedians runs MedianColumns over every column of m, with and
-// without scratch, and holds each result to sortedMiddle. A zero of
-// either sign matches a zero of either sign: no mask compare tells
-// them apart.
+// without scratch, and the histogram select (medianOf) over every
+// column whatever its length, and holds each result to sortedMiddle. A
+// zero of either sign matches a zero of either sign: no mask compare
+// tells them apart.
 func checkMedians(t *testing.T, m point.Matrix, at string) {
 	t.Helper()
 	for _, col := range [][]float64{nil, make([]float64, 0, MedianScratchLen(m.N()))} {
 		v := make([]float64, m.D())
 		MedianColumns(m, v, col, 0, m.D())
 		for j, got := range v {
-			if want := sortedMiddle(m, j); got != want {
+			if want := sortedMiddle(sample(m, j)); got != want {
 				t.Fatalf("%s: column %d median %v, want %v", at, j, got, want)
 			}
+		}
+	}
+	var hist [medianBuckets]int32
+	for j := 0; j < m.D(); j++ {
+		col := sample(m, j)
+		want := sortedMiddle(col)
+		mn, mx := slices.Min(col), slices.Max(col)
+		if got := medianOf(col, mn, mx, &hist); got != want {
+			t.Fatalf("%s: column %d histogram median %v, want %v", at, j, got, want)
 		}
 	}
 }
@@ -49,8 +64,8 @@ func column(n int, f func(i int) float64) point.Matrix {
 	return point.FromFlat(vals, n, 1)
 }
 
-// TestMedianColumnsExact holds the histogram select to the sorted copy's
-// middle element on the columns it could get wrong: ties that fill one
+// TestMedianColumnsExact holds MedianColumns and the histogram select to
+// the sorted copy's middle element on the columns they could get wrong: ties that fill one
 // bucket, a constant column (a zero range, the quickselect fallback),
 // two values, zeros of both signs, one-ulp neighbours, values that
 // straddle a bucket edge, a column of more than medianSampleCap rows
@@ -68,6 +83,7 @@ func TestMedianColumnsExact(t *testing.T) {
 		{"two-values", column(1000, func(i int) float64 { return float64(i % 2) })},
 		{"two-values-odd", column(999, func(i int) float64 { return 3 + float64(i%2) })},
 		{"tie-heavy", column(5000, func(int) float64 { return float64(rng.Intn(5)) / 4 })},
+		{"tie-heavy-long", column(medianHistMin+1, func(int) float64 { return float64(rng.Intn(9)) / 8 })},
 		{"one-outlier", column(4000, func(i int) float64 {
 			if i == 17 {
 				return 1e9
@@ -172,24 +188,28 @@ func FuzzMedianColumns(f *testing.F) {
 	})
 }
 
-// BenchmarkMedianColumns prices one column's median on a 30 000-value
-// sample of uniform values, the histogram select against quickselect
-// over the whole column.
+// BenchmarkMedianColumns prices one column's median on columns of
+// uniform values around medianHistMin and at 30 000 values, the
+// histogram select (medianOf, on a copy of the column) against
+// quickselect over the whole column.
 func BenchmarkMedianColumns(b *testing.B) {
-	const n = 30000
-	rng := rand.New(rand.NewSource(1))
-	m := column(n, func(int) float64 { return rng.Float64() })
-	v := make([]float64, 1)
-	col := make([]float64, 0, MedianScratchLen(n))
-	b.Run("histogram", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			MedianColumns(m, v, col, 0, 1)
-		}
-	})
-	b.Run("quickselect", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			col = append(col[:0], m.Flat()...)
-			quickselect(col, n/2)
-		}
-	})
+	for _, n := range []int{2048, medianHistMin, 8192, 30000} {
+		rng := rand.New(rand.NewSource(1))
+		m := column(n, func(int) float64 { return rng.Float64() })
+		mn, mx := slices.Min(m.Flat()), slices.Max(m.Flat())
+		col := make([]float64, 0, n)
+		var hist [medianBuckets]int32
+		b.Run(fmt.Sprintf("n=%d/histogram", n), func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				col = append(col[:0], m.Flat()...)
+				medianOf(col, mn, mx, &hist)
+			}
+		})
+		b.Run(fmt.Sprintf("n=%d/quickselect", n), func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				col = append(col[:0], m.Flat()...)
+				quickselect(col, n/2)
+			}
+		})
+	}
 }

@@ -142,20 +142,15 @@ func MedianScratchLen(n int) int { return n/medianStep(n) + 1 }
 // and a scratch column of its own: the columns are independent, and the
 // pivot is the same whoever computes which. col is optional scratch
 // (allocated here when its capacity is below MedianScratchLen(m.N())).
-// The values must be finite: a column holding ±Inf is still answered
-// exactly (by the quickselect fallback), a NaN makes the median
-// unspecified.
+// No value may be NaN, which makes the median unspecified; ±Inf is
+// answered exactly.
 //
 // Pivot selection is on the critical path of every Hybrid run, so no
 // column is sorted. Each is copied into col, keeping its minimum and
-// maximum on the way, and counted into medianBuckets buckets by the
-// monotone map (x − min)·((medianBuckets−1)/(max − min)): a value in a
-// lower bucket is smaller than every value in a higher one, so the
-// middle element is the element of its rank within the bucket that
-// holds rank n/2, and an O(bucket) quickselect over that bucket alone
-// finds it. Only where the scale is not finite and positive (a constant
-// column, or a range that overflows) does the quickselect run over the
-// whole column. Either way the median is the middle element of the
+// maximum on the way. A column of at least medianHistMin values is then
+// counted into medianBuckets buckets (medianOf); a shorter one, or one
+// whose scale is not finite and positive, takes an O(n) quickselect over
+// the whole column. Either way the median is the middle element of the
 // sorted copy, up to the sign of a zero, which no mask compare tells
 // apart.
 func MedianColumns(m point.Matrix, v, col []float64, lo, hi int) {
@@ -173,7 +168,8 @@ func MedianColumns(m point.Matrix, v, col []float64, lo, hi int) {
 		for i := j; i < n*d; i += step * d {
 			x := flat[i]
 			col = append(col, x)
-			// Branches, not min and max, which order zeros and NaN.
+			// Branches, not min and max, whose handling of NaN and
+			// signed zeros costs more here.
 			if x < mn {
 				mn = x
 			}
@@ -181,19 +177,36 @@ func MedianColumns(m point.Matrix, v, col []float64, lo, hi int) {
 				mx = x
 			}
 		}
-		v[j] = medianOf(col, mn, mx, &hist)
+		if len(col) < medianHistMin {
+			v[j] = quickselect(col, len(col)/2)
+		} else {
+			v[j] = medianOf(col, mn, mx, &hist)
+		}
 	}
 }
 
 // medianBuckets is the number of buckets MedianColumns counts a column
 // into: 8 KB of counts, and on a 50 000-value sample about 25 values a
-// bucket.
-const medianBuckets = 2048
+// bucket. The counts pay from about medianHistMin values on
+// (BenchmarkMedianColumns, one thread): a 2 048-value column takes 6.5
+// µs through them and 4.9 µs by quickselect, a 4 096-value one 9.6–11.4
+// against 9.0–10.0 µs, an 8 192-value one 22–28 against 59–60 µs and a
+// 30 000-value one 92–107 against 459–475 µs.
+const (
+	medianBuckets = 2048
+	medianHistMin = 2 * medianBuckets
+)
 
 // medianOf returns the middle element, rank len(col)/2, of col, whose
 // least and greatest values are mn and mx, partially reordering col in
-// place: the histogram select of MedianColumns, with hist as its
-// counts.
+// place. It counts col into medianBuckets buckets by the monotone map
+// (x − mn)·((medianBuckets−1)/(mx − mn)): a value in a lower bucket is
+// smaller than every value in a higher one, so the middle element is
+// the element of its rank within the bucket that holds rank len(col)/2,
+// and a quickselect over that bucket alone finds it. Where the scale is
+// not finite and positive (a constant column, ±Inf, a range that
+// overflows) the quickselect runs over the whole column. hist is the
+// counts' storage.
 func medianOf(col []float64, mn, mx float64, hist *[medianBuckets]int32) float64 {
 	k := len(col) / 2
 	scale := (medianBuckets - 1) / (mx - mn)
