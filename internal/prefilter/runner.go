@@ -426,6 +426,10 @@ func (sg *segment) row(k, d int) []float64 {
 // a NaN column is neither worse nor better, and dominance over the 8
 // columns is dominance over the kept ones, whatever a row holds in the
 // others.
+//
+// With the stop rule on, the range runs in two parts: filterRows up to
+// the stretch's end, then either filterRows again or, where the stretch
+// was pruned too little, takeRows.
 func (r *Runner) runPass1(tid, lo, hi int) {
 	v, beta := &r.v, r.beta
 	d := v.D()
@@ -447,7 +451,7 @@ func (r *Runner) runPass1(tid, lo, hi int) {
 	keep := (hi - lo) / storeShare
 	var localDTs uint64
 	// The stop rule is decided on the stopStretch rows after the first
-	// β, which fill the queue and are candidates all.
+	// β rows, which fill the queue and are all candidates.
 	end := hi
 	if r.stop && lo+beta+stopStretch < hi {
 		end = lo + beta + stopStretch
