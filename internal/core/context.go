@@ -168,14 +168,15 @@ func grow[T any](s []T, n int) []T {
 // ---- pre-bound parallel bodies -------------------------------------------
 
 // runGather fills curWork with the working set and its metadata. A run
-// with the pre-filter gathers its survivors (curRows), taking each one's
-// row index and norm from the filter's segments and, where the filter
-// kept its candidates' rows, its row from the row store, which pass 1
-// filled when it loaded them, so the source is read once per row the
-// run keeps. Any other row is loaded through the view, and a run
-// without the pre-filter takes the L1 norms here, from the gathered row. Masks
-// start at 0, the one region of an unpartitioned run; a partitioned
-// run's mask sweep overwrites them.
+// with the pre-filter gathers its survivors (curRows) in list order,
+// taking each one's row index from the filter's segments and, where the
+// thread that filed it kept its row, the row and its norm from the row
+// store, which pass 1 filled when it loaded them, so the source is read
+// once per row the filter stored. Every other row (a run without the
+// pre-filter, a stopped thread's range, a candidate whose thread kept no
+// rows) is loaded through the view and normed here. Masks start at 0,
+// the one region of an unpartitioned run; a partitioned run's mask sweep
+// overwrites them.
 // Worker tid also takes the column minima and maxima of its rows, the
 // partials the run's quantizer is fitted to.
 func (c *Context) runGather(tid, lo, hi int) {
@@ -194,6 +195,7 @@ func (c *Context) runGather(tid, lo, hi int) {
 			copy(row, src)
 		} else {
 			v.CopyRow(row, j)
+			c.wl1[i] = point.L1(row)
 		}
 		// Branches, not min and max: they are almost never taken, and
 		// min and max would store to the partials on every value.
@@ -204,9 +206,6 @@ func (c *Context) runGather(tid, lo, hi int) {
 			if x > mx[k] {
 				mx[k] = x
 			}
-		}
-		if c.curRows == nil {
-			c.wl1[i] = point.L1(row)
 		}
 		c.worig[i] = j
 		c.wmask[i] = 0

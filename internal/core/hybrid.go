@@ -137,9 +137,9 @@ func (c *Context) run(v point.View, opt HybridOptions, partition bool) []int {
 	// Choose the rows to gather. Hybrid's come from the pre-filter
 	// (VI-A1), whose first pass is also where the preferences are applied
 	// and the L1 norms taken, and which hands back its survivors' row
-	// indices and norms, and the loaded rows too where it kept them. A
-	// run without it gathers every row (curRows = nil) through the view
-	// and takes the norms in the gather.
+	// indices, and their loaded rows and norms where it kept them. Every
+	// other row, and every row of a run without it (curRows = nil), is
+	// loaded through the view and normed in the gather.
 	c.curRows = nil
 	ns := n
 	if partition && !opt.NoPrefilter {

@@ -36,16 +36,19 @@ const DefaultBeta = 8
 // it. Rows the queue prunes leave no trace, not even a norm: only a
 // surviving row (or one filling the queue) has its L1 norm taken,
 // replaces the queue's largest point if its norm is smaller, and is
-// appended to the thread's candidate segment (Rows) with its norm and,
+// filed in the thread's candidate segment (Rows) with its norm and,
 // while the thread's candidates are sparse (storeShare), its loaded row.
-// Segments are sized by the candidates: nothing in the filter is
-// proportional to n. Filter hands the segments themselves to the
-// caller (Rows), which gathers its working set from them: each list
-// position's row index, norm and, where the rows are kept, row. Where
-// they are kept, they are the last read of the source for the rows pass
-// 1 keeps: pass 2 tests the stored rows, and the caller copies them.
-// Where the candidates are dense, pass 2 and the caller load them
-// through the view again.
+// A thread that stops filtering (stopStretch) files no more rows: its
+// segment records the untested rest of its range as one row range after
+// its filed candidates. Segments are sized by the filed candidates:
+// nothing in the filter is proportional to n. Filter hands the segments
+// themselves to the caller (Rows), which gathers its working set from
+// them in list order: each position's row index and, where the thread
+// that filed it kept its row, the row and its norm, the last read of
+// the source for that row: pass 2 tests the stored rows, and the caller
+// copies them. Every other position, an unstored candidate or a range
+// row, the caller loads through the view and norms, as it does every
+// row of a run without the filter.
 //
 // The union of the queues is gathered from the queues' dense copies into
 // a row-major matrix sorted by L1 norm. In pass 2 each thread tests its
@@ -57,10 +60,11 @@ const DefaultBeta = 8
 // candidate, but one with an equal norm can (DESIGN.md §9, "Numeric
 // precondition"). The filter only prunes, so a dominator it misses
 // leaves one more survivor for the exact phases; the cut-off also keeps
-// a queue point from testing itself. Stored rows at width 8 take
-// point.UnionScan8 instead, with the same tests (runPass2). Each thread
-// compacts its segment in place, and one join numbers the segments'
-// survivors in row order.
+// a queue point from testing itself. A segment that kept its rows at
+// width 8 takes point.UnionScan8 instead, with the same tests
+// (runPass2); a segment with a range skips pass 2. Each thread compacts
+// its segment in place, and one join numbers the segments' survivors in
+// row order.
 type Runner struct {
 	qdense []float64 // threads*beta*d queue rows, β unordered slots per thread
 	qnorm  []float64 // threads*beta L1 norms of the queue rows, by slot
@@ -79,7 +83,7 @@ type Runner struct {
 	k     int  // dominator budget: prune only points with ≥ k dominators
 	stop  bool // a thread whose queue prunes too little stops filtering
 	scan8 bool // pass 1 tests full queues with point.Scan8
-	scanU bool // pass 2 tests stored candidates with point.UnionScan8
+	scanU bool // pass 2 tests the candidates of a segment that kept its rows with point.UnionScan8
 	dts   *stats.DTCounters
 
 	pass1 func(tid, lo, hi int)
@@ -96,9 +100,9 @@ func NewRunner() *Runner {
 }
 
 // Filter removes easily-dominated rows of v and returns the survivors,
-// in their original row order: Rows.At(i) is survivor i's row index, L1
-// norm and, where pass 1 kept the candidates' rows (storeShare), its row,
-// all under the view's transform. The Rows alias the Runner and are
+// in their original row order: Rows.At(i) is survivor i's row index and,
+// where pass 1 kept its row (storeShare), its row and L1 norm, both
+// under the view's transform. The Rows alias the Runner and are
 // valid until the next call; Filter returns nil on an empty view.
 // beta ≤ 0 selects DefaultBeta. Both passes run on the whole of team,
 // whose size is the filter's thread count (one β-queue and one
@@ -108,8 +112,9 @@ func NewRunner() *Runner {
 // previous (possibly larger) run to be consumed below.
 //
 // stop lets each thread give the filter up on its range where its queue
-// prunes too little (stopStretch, stopShare): the shipped Hybrid passes
-// true, the paper's (NoCodes) false, which filters every row.
+// prunes too little (stopStretch, stopShare), handing the rest of its
+// range over untested as a row range: the shipped Hybrid passes true,
+// the paper's (NoCodes) false, which filters every row.
 //
 // k is the dominator budget of the run (≤ 1 selects the skyline): for a
 // k-skyband computation the filter may only discard points that already
@@ -158,10 +163,9 @@ func (r *Runner) Filter(v point.View, beta, k int, stop bool, team *par.Team, dt
 	// Pass 1: load, test against the thread's full β-queue, then norm
 	// and queue update for the rows it does not prune.
 	team.ForRangesCancel(threads, n, nil, r.pass1)
-	r.rows.stored, r.rows.cands = true, 0
+	r.rows.cands = 0
 	for _, s := range r.rows.segs[:threads] {
-		r.rows.stored = r.rows.stored && !s.over
-		r.rows.cands += s.n
+		r.rows.cands += s.n + s.hi - s.lo
 	}
 
 	// Gather the queue union, sort it by L1 ascending, materialize the
@@ -215,7 +219,7 @@ func (r *Runner) Filter(v point.View, beta, k int, stop bool, team *par.Team, dt
 		dts.Inc(0, unionDTs)
 	}
 	r.qrows, r.ql1 = grow(r.qrows, nq*d), grow(r.ql1, nq)
-	r.scanU = point.VectorBodies() && d == 8 && r.rows.stored
+	r.scanU = point.VectorBodies() && d == 8
 	for i, s := range allq {
 		copy(r.qrows[i*d:(i+1)*d], r.qdense[s*d:(s+1)*d])
 		r.ql1[i] = hl[s]
@@ -244,8 +248,8 @@ const blockShift = 10
 
 // storeShare bounds the row store: a thread stores the rows of at most
 // 1/storeShare of the rows it scans, and once its candidates pass that
-// share, the call keeps no rows and loads the candidates through the
-// view in pass 2 and in the caller's gather. Sparse candidates (on
+// share, its segment keeps no rows (over), and pass 2 and the caller's
+// gather load its candidates through the view. Sparse candidates (on
 // correlated data, a few percent of the rows) are scattered over the
 // source, and each re-load is a cache miss that the store saves. Dense
 // ones (on anticorrelated data, nearly every row) are re-read almost in
@@ -257,9 +261,9 @@ const storeShare = 8
 // the stopStretch after its first β; if they are fewer than
 // 1/stopShare of them, the filter does not pay on that thread's rows
 // (anticorrelated data, where the queue's points are incomparable with
-// nearly every row), and the rest of its range takes only the view's
-// transform and the norm, as candidates, and its segment skips pass 2.
-// Pruning less is sound: the exact phases test every candidate
+// nearly every row), and the thread stops: its segment records the rest
+// of its range as a row range, which pass 1 does not read, and skips
+// pass 2. Pruning less is sound: the exact phases test every candidate
 // (DESIGN.md §9). On the shapes BenchmarkPrefilterPays prices, at T = 2,
 // the queue prunes at most 2.6 % of the stretch on anticorrelated rows
 // (none at k = 4) and at least 13 % on independent and correlated ones
@@ -271,9 +275,11 @@ const (
 )
 
 // Rows is the pre-filter's candidate store: one segment per thread,
-// holding the thread's candidates in list order — row index, L1 norm
-// and, while the call keeps rows, the row as pass 1 loaded it through
-// the view. Each segment keeps its candidates in fixed-size blocks,
+// holding the thread's filed candidates in list order — row index, L1
+// norm and, while the thread keeps rows, the row as pass 1 loaded it
+// through the view — and then, if the thread stopped filtering, the
+// rows of its untested rest, which have neither. Each segment keeps its
+// filed candidates in fixed-size blocks,
 // which a new block extends without moving what is stored, so a segment
 // grows with its candidates and never copies them: a growing contiguous
 // store would leave each of its outgrown copies behind as garbage,
@@ -281,19 +287,19 @@ const (
 // place; after the join, Len and At address the survivors by list
 // position, so the segments are the one survivor list.
 type Rows struct {
-	d      int
-	cands  int       // candidates pass 1 kept
-	n      int       // survivors, after the join
-	stored bool      // every thread kept its rows: none is over
-	first  []int     // per thread: list position of its first survivor
-	segs   []segment // per thread; only the first len(first) are this call's
+	d     int
+	cands int       // candidates pass 1 kept, range rows included
+	n     int       // survivors, after the join
+	first []int     // per thread: list position of its first survivor
+	segs  []segment // per thread; only the first len(first) are this call's
 }
 
-// segment is one thread's candidates.
+// segment is one thread's candidates: n filed ones, then the range
+// lo..hi−1 (empty unless the thread stopped filtering).
 type segment struct {
-	n      int  // candidates, then survivors once pass 2 compacted them
-	over   bool // candidates past the thread's storeShare: rows not kept
-	skip   bool // the thread stopped filtering (stopStretch): pass 2 skips it
+	n      int  // filed candidates, then survivors once pass 2 compacted them
+	over   bool // filed candidates past the thread's storeShare: rows not kept
+	lo, hi int  // the untested rest of a thread that stopped filtering
 	blocks []*block
 }
 
@@ -314,7 +320,7 @@ func (s *Rows) reset(d, threads int) {
 		s.segs = append(s.segs, segment{})
 	}
 	for t := range s.first {
-		s.segs[t].n, s.segs[t].over, s.segs[t].skip = 0, false, false
+		s.segs[t].n, s.segs[t].over, s.segs[t].lo, s.segs[t].hi = 0, false, 0, 0
 	}
 }
 
@@ -325,31 +331,36 @@ func (s *Rows) join() {
 	s.n = 0
 	for t := range s.first {
 		s.first[t] = s.n
-		s.n += s.segs[t].n
+		s.n += s.segs[t].n + s.segs[t].hi - s.segs[t].lo
 	}
 }
 
 // Len returns the number of survivors.
 func (s *Rows) Len() int { return s.n }
 
-// Candidates returns the number of rows pass 1 kept: the survivors and
-// the rows pass 2 pruned.
+// Candidates returns the number of rows pass 1 kept, a stopped thread's
+// range included: the survivors and the rows pass 2 pruned.
 func (s *Rows) Candidates() int { return s.cands }
 
-// At returns the survivor at list position i: its row index, its L1
-// norm and, where the call kept rows, its row, d values that alias the
-// store (nil otherwise).
+// At returns the survivor at list position i: its row index and, where
+// the thread that filed it kept its row, that row, d values that alias
+// the store, and its L1 norm. A range row, or a candidate whose thread
+// kept no rows, comes with neither (nil and 0): the caller loads it
+// through the view.
 func (s *Rows) At(i int) (idx int, l1 float64, row []float64) {
 	t := len(s.first) - 1
 	for s.first[t] > i {
 		t--
 	}
 	sg, k := &s.segs[t], i-s.first[t]
-	idx, l1 = sg.at(k)
-	if s.stored {
-		row = sg.row(k, s.d)
+	if k >= sg.n {
+		return sg.lo + k - sg.n, 0, nil
 	}
-	return idx, l1, row
+	idx, l1 = sg.at(k)
+	if sg.over {
+		return idx, 0, nil
+	}
+	return idx, l1, sg.row(k, s.d)
 }
 
 // put writes row index i and norm l1 as candidate k, adding a block
@@ -377,15 +388,15 @@ func (sg *segment) store(k, d int, row []float64) {
 	copy(sg.row(k, d), row)
 }
 
-// move copies candidate j, and its stored row where the call keeps
+// move copies candidate j, and its stored row where the segment keeps
 // rows, to list position w ≤ j, the compaction of pass 2.
-func (sg *segment) move(w, j, d int, stored bool) {
+func (sg *segment) move(w, j, d int) {
 	if w == j {
 		return
 	}
 	i, l1 := sg.at(j)
 	sg.put(w, i, l1)
-	if stored {
+	if !sg.over {
 		copy(sg.row(w, d), sg.row(j, d))
 	}
 }
@@ -429,7 +440,7 @@ func (sg *segment) row(k, d int) []float64 {
 //
 // With the stop rule on, the range runs in two parts: filterRows up to
 // the stretch's end, then either filterRows again or, where the stretch
-// was pruned too little, takeRows.
+// was pruned too little, nothing: the rest is the segment's range.
 func (r *Runner) runPass1(tid, lo, hi int) {
 	v, beta := &r.v, r.beta
 	d := v.D()
@@ -459,8 +470,7 @@ func (r *Runner) runPass1(tid, lo, hi int) {
 	w := r.filterRows(&qu, sg, src, lo, end, 0, keep, &localDTs)
 	if end < hi {
 		if pruned := stopStretch - (w - beta); pruned*stopShare < stopStretch {
-			w = r.takeRows(sg, end, hi, w, keep)
-			sg.skip = true
+			sg.lo, sg.hi = end, hi
 		} else {
 			w = r.filterRows(&qu, sg, src, end, hi, w, keep, &localDTs)
 		}
@@ -493,24 +503,6 @@ func (r *Runner) filterRows(qu *queue, sg *segment, src []float64, i, hi, w, kee
 		qL1 := point.L1(q)
 		qu.offer(qL1, q)
 		sg.put(w, i, qL1)
-		if w < keep {
-			sg.store(w, d, q)
-		}
-		w++
-	}
-	return w
-}
-
-// takeRows appends rows i..hi−1 to sg untested, as candidates w onward,
-// with their norms and, while w < keep, their rows: the rest of a range
-// whose thread stopped filtering. It returns the candidates sg then
-// holds.
-func (r *Runner) takeRows(sg *segment, i, hi, w, keep int) int {
-	d := r.v.D()
-	var buf [point.MaxDims]float64
-	for ; i < hi; i++ {
-		q := r.v.Load(i, buf[:])
-		sg.put(w, i, point.L1(q))
 		if w < keep {
 			sg.store(w, d, q)
 		}
@@ -571,11 +563,12 @@ func (qu *queue) offer(l1 float64, row []float64) {
 }
 
 // runPass2 tests thread tid's segment against the queue union and
-// compacts the survivors, and their stored rows if the call kept them,
-// to the front of the segment. The region has one range per thread; a
-// thread that stopped filtering in pass 1 keeps its segment as it is.
+// compacts the survivors, and their stored rows if the segment kept
+// them, to the front of the segment. The region has one range per
+// thread; a segment with a range (its thread stopped filtering in pass
+// 1) stays as it is.
 //
-// Where the call kept rows at view width 8, with the vector bodies on
+// Where the segment kept its rows at view width 8, with the vector bodies on
 // (point.VectorBodies), each segment block's stored rows and norms go to
 // point.UnionScan8 instead, which skips every candidate up to the next
 // survivor with this loop's decisions and test counts: the union is laid
@@ -584,25 +577,26 @@ func (qu *queue) offer(l1 float64, row []float64) {
 // cut-off as the binary search, since the union's norms ascend (no NaN
 // norm is queued).
 func (r *Runner) runPass2(tid, _, _ int) {
-	if r.rows.segs[tid].skip {
+	sg := &r.rows.segs[tid]
+	if sg.hi > sg.lo {
 		return
 	}
 	k := r.k
 	d := r.v.D()
 	ql1, qrows := r.ql1, r.qrows
 	nq := len(ql1)
-	v, stored, sg := &r.v, r.rows.stored, &r.rows.segs[tid]
+	v := &r.v
 	var buf [point.MaxDims]float64
 	w := 0
 	var localDTs uint64
-	if r.scanU {
+	if r.scanU && !sg.over {
 		for b := 0; b<<blockShift < sg.n; b++ {
 			blk, m := sg.blocks[b], min(sg.n-b<<blockShift, 1<<blockShift)
 			for o := 0; o < m; o++ {
 				if o += point.UnionScan8(r.qu8, blk.rows[o*8:m*8], blk.l1[o:m], k, &localDTs); o == m {
 					break
 				}
-				sg.move(w, b<<blockShift+o, d, true)
+				sg.move(w, b<<blockShift+o, d)
 				w++
 			}
 		}
@@ -622,15 +616,15 @@ func (r *Runner) runPass2(tid, _, _ int) {
 				}
 			}
 			var q []float64
-			if stored {
-				q = sg.row(j, d)
-			} else {
+			if sg.over {
 				q = v.Load(i, buf[:])
+			} else {
+				q = sg.row(j, d)
 			}
 			if point.CountDominatorsInFlatRun(qrows, d, 0, a, q, k, &localDTs) >= k {
 				continue
 			}
-			sg.move(w, j, d, stored)
+			sg.move(w, j, d)
 			w++
 		}
 	}

@@ -57,7 +57,7 @@ func dropOps(d int) []point.PrefOp {
 }
 
 // tight returns n rows of d columns correlated closely enough that pass
-// 1 keeps few candidates, as on batch_corr's input, so a call keeps
+// 1 keeps few candidates, as on batch_corr's input, so its threads keep
 // their rows: each row is a shared level plus a small per-column offset,
 // both on a grid of 1/64, so rows tie in coordinates and in norms.
 func tight(n, d int, seed int64) point.Matrix {
@@ -72,37 +72,55 @@ func tight(n, d int, seed int64) point.Matrix {
 	return point.FromFlat(flat, n, d)
 }
 
-// survivors flattens the Rows a Filter call returns into the survivors'
-// row indices and norms and, where the call kept rows, their rows
-// (nil where it kept none).
+// survivors flattens the Rows a Filter call returns into what At
+// returns for each survivor: its row index, its norm and its row (nil
+// where At returns none).
 func survivors(rs *Rows) (idx []int, l1 []float64, rows [][]float64) {
 	if rs == nil {
 		return nil, nil, nil
 	}
-	if rs.stored {
-		rows = make([][]float64, 0, rs.Len())
-	}
 	for i := 0; i < rs.Len(); i++ {
 		j, x, row := rs.At(i)
-		idx, l1 = append(idx, j), append(l1, x)
-		if rs.stored {
-			rows = append(rows, row)
-		}
+		idx, l1, rows = append(idx, j), append(l1, x), append(rows, row)
 	}
 	return idx, l1, rows
+}
+
+// checkAt holds what At returned for each survivor (survivors) to its
+// contract against sm, the staged copy of the filtered view: where it
+// returns a row, that row is the view row and the norm is point.L1 of
+// it, bit for bit; where it returns none, the norm is 0.
+func checkAt(t *testing.T, at string, sm point.Matrix, idx []int, l1 []float64, rows [][]float64) {
+	t.Helper()
+	for i, j := range idx {
+		if rows[i] == nil {
+			if math.Float64bits(l1[i]) != 0 {
+				t.Fatalf("%s: survivor %d (row %d) has no row but the norm %v", at, i, j, l1[i])
+			}
+			continue
+		}
+		row := sm.Row(j)
+		if !slices.EqualFunc(rows[i], row, sameBits) {
+			t.Fatalf("%s: survivor %d (row %d) is %v, the view row %v", at, i, j, rows[i], row)
+		}
+		if want := point.L1(row); !sameBits(l1[i], want) {
+			t.Fatalf("%s: survivor %d (row %d) has L1 %v, want %v", at, i, j, l1[i], want)
+		}
+	}
 }
 
 // TestRunnerMatchesFilter checks that the reusable Runner, reading the
 // source through a view, selects exactly the same surviving set as the
 // reference Filter does on the staged copy — across distributions,
 // thread counts, widths, transforms and repeated (reused) calls — and
-// that the norms and rows it returns are point.L1 of the staged
-// survivors and the staged rows, bit for bit, where it keeps rows. The
-// table has cases on both sides of storeShare (correlated inputs keep
+// that At keeps its contract (checkAt): a survivor comes with its row
+// and norm exactly where the segment that filed it kept its rows, and
+// those are the staged row and point.L1 of it, bit for bit. The table
+// has segments on both sides of storeShare (correlated inputs keep
 // their rows, anticorrelated ones do not). The identity view and the
 // drop-only view at d = 8 are the shapes pass 1 takes point.Scan8 on,
-// and a call that keeps its rows at view width 8 is the one pass 2 takes
-// point.UnionScan8 on, where the CPU has them, so every case runs with
+// and a segment that keeps its rows at view width 8 is the one pass 2
+// takes point.UnionScan8 on, where the CPU has them, so every case runs with
 // the vector bodies on and again off, and both must book the same
 // dominance tests. T runs 1–4 and 8, so unions of one chunk of 8 points
 // and of several meet the pass-2 scan. The last
@@ -137,47 +155,52 @@ func TestRunnerMatchesFilter(t *testing.T) {
 				point.SetVectorBodies(scan)
 				at := fmt.Sprintf("%s scan=%v", at, scan)
 				dts.Reset()
-				got, gotL1, gotRows := survivors(r.Filter(v, 0, 1, stop, team, dts))
+				rs := r.Filter(v, 0, 1, stop, team, dts)
+				got, gotL1, gotRows := survivors(rs)
 				if scan && src8 != nil && n >= DefaultBeta && !r.scan8 {
 					t.Fatalf("%s: pass 1 did not take point.Scan8", at)
 				}
-				if stored8 := v.D() == 8 && gotRows != nil; scan && stored8 != r.scanU {
-					t.Fatalf("%s: pass 2 took point.UnionScan8 %v on a call that kept rows at d = 8 %v", at, r.scanU, stored8)
+				union8 := false
+				for tid, sg := range r.rows.segs[:threads] {
+					if sg.hi > sg.lo {
+						stopped[stop]++
+						continue
+					}
+					if sg.n > 0 {
+						kept[!sg.over]++
+					}
+					// Pass 2 tests this segment with point.UnionScan8 exactly
+					// where it kept its rows at width 8.
+					if stored8, took := v.D() == 8 && !sg.over, r.scanU && !sg.over; scan && stored8 != took {
+						t.Fatalf("%s: pass 2 took point.UnionScan8 %v on thread %d's segment, which kept rows at d = 8 %v", at, took, tid, stored8)
+					}
+					union8 = union8 || r.scanU && !sg.over && sg.n > 0
 				}
-				if r.scanU {
+				if union8 {
 					unionScans[len(r.ql1) > DefaultBeta]++
 				}
-				for _, sg := range r.rows.segs[:threads] {
-					if sg.skip {
-						stopped[stop]++
+				// A survivor comes with its row where the segment that
+				// filed it kept its rows, and never from a range.
+				for i := range got {
+					tid := len(rs.first) - 1
+					for rs.first[tid] > i {
+						tid--
+					}
+					sg := &r.rows.segs[tid]
+					if want := i-rs.first[tid] < sg.n && !sg.over; (gotRows[i] != nil) != want {
+						t.Fatalf("%s: survivor %d of thread %d came with a row %v, want %v", at, i, tid, gotRows[i] != nil, want)
 					}
 				}
 				booked[scan] = dts.Sum()
-				kept[gotRows != nil]++
-				if len(got) != len(want) || len(gotL1) != len(want) {
-					t.Fatalf("%s: runner kept %d (%d norms), filter kept %d", at, len(got), len(gotL1), len(want))
+				if len(got) != len(want) {
+					t.Fatalf("%s: runner kept %d, filter kept %d", at, len(got), len(want))
 				}
 				for i := range got {
 					if got[i] != want[i] {
 						t.Fatalf("%s: survivor %d is %d, want %d", at, i, got[i], want[i])
 					}
-					row := sm.Row(got[i])
-					if l1 := point.L1(row); math.Float64bits(gotL1[i]) != math.Float64bits(l1) {
-						t.Fatalf("%s: survivor %d has L1 %v, want %v", at, i, gotL1[i], l1)
-					}
-					if gotRows == nil {
-						continue
-					}
-					gotRow := gotRows[i]
-					if len(gotRow) != len(row) {
-						t.Fatalf("%s: survivor %d has %d values, want %d", at, i, len(gotRow), len(row))
-					}
-					for c, x := range row {
-						if y := gotRow[c]; math.Float64bits(y) != math.Float64bits(x) {
-							t.Fatalf("%s: survivor %d has %v in column %d, the view %v", at, i, y, c, x)
-						}
-					}
 				}
+				checkAt(t, at, sm, got, gotL1, gotRows)
 			}
 			if len(scans) == 2 && booked[false] != booked[true] {
 				t.Fatalf("%s: %d dominance tests on the Go body, %d on point.Scan8", at, booked[false], booked[true])
@@ -204,7 +227,7 @@ func TestRunnerMatchesFilter(t *testing.T) {
 		pool.Close()
 	}
 	if kept[true] == 0 || kept[false] == 0 {
-		t.Fatalf("%d calls kept their rows and %d did not: the table misses one side of storeShare", kept[true], kept[false])
+		t.Fatalf("%d segments kept their rows and %d did not: the table misses one side of storeShare", kept[true], kept[false])
 	}
 	if stopped[false] != 0 || stopped[true] == 0 {
 		t.Fatalf("%d threads stopped filtering without the stop rule and %d with it: want none and some", stopped[false], stopped[true])
@@ -258,8 +281,8 @@ func TestRunnerNaNUnionNorm(t *testing.T) {
 		point.SetVectorBodies(vec)
 		dts.Reset()
 		surv, _, rows := survivors(r.Filter(m.View(), 0, 1, true, team, dts))
-		if rows == nil {
-			t.Fatalf("vector bodies %v: the call kept no rows: not the shape under test", vec)
+		if !slices.ContainsFunc(rows, func(row []float64) bool { return row != nil }) {
+			t.Fatalf("vector bodies %v: no thread kept its rows: not the shape under test", vec)
 		}
 		if slices.ContainsFunc(r.ql1, math.IsNaN) {
 			t.Fatalf("vector bodies %v: the union holds a NaN norm: %v", vec, r.ql1)
@@ -285,7 +308,10 @@ func TestRunnerNaNUnionNorm(t *testing.T) {
 // filtering on anticorrelated rows, at k = 1 and 4, and none does on
 // independent or correlated ones (batch_corr's and serve_mix's data,
 // independent at k = 4 the nearest to the threshold). Without the rule
-// no thread stops on any of them.
+// no thread stops on any of them. A thread that stops files at most the
+// β + stopStretch rows it filtered and hands the rest of its range over
+// as a row range: At returns those rows after its filed ones, in row
+// order, with no row and no norm.
 func TestRunnerStopRule(t *testing.T) {
 	defer point.SetVectorBodies(point.VectorBodies())
 	vecs := []bool{false}
@@ -318,10 +344,29 @@ func TestRunnerStopRule(t *testing.T) {
 			point.SetVectorBodies(vec)
 			for _, k := range c.ks {
 				for _, stop := range []bool{false, true} {
-					r.Filter(v, 0, k, stop, team, nil)
+					rs := r.Filter(v, 0, k, stop, team, nil)
 					for tid, sg := range r.rows.segs[:2] {
-						if want := stop && c.stop; sg.skip != want {
-							t.Errorf("%s k=%d vector bodies %v stop rule %v: thread %d stopped %v, want %v", c.name, k, vec, stop, tid, sg.skip, want)
+						at := fmt.Sprintf("%s k=%d vector bodies %v stop rule %v: thread %d", c.name, k, vec, stop, tid)
+						stopped := sg.hi > sg.lo
+						if want := stop && c.stop; stopped != want {
+							t.Errorf("%s stopped %v, want %v", at, stopped, want)
+						}
+						if !stopped {
+							continue
+						}
+						if sg.n > DefaultBeta+stopStretch {
+							t.Errorf("%s stopped and filed %d candidates, want at most β + stopStretch = %d", at, sg.n, DefaultBeta+stopStretch)
+						}
+						first := rs.first[tid]
+						if last, _, _ := rs.At(first + sg.n - 1); last >= sg.lo {
+							t.Errorf("%s filed row %d, inside its range from %d", at, last, sg.lo)
+						}
+						for j := sg.lo; j < sg.hi; j++ {
+							i := first + sg.n + j - sg.lo
+							if idx, l1, row := rs.At(i); idx != j || row != nil || l1 != 0 {
+								t.Errorf("%s: list position %d is row %d with row %v and norm %v, want row %d with neither", at, i, idx, row, l1, j)
+								break
+							}
 						}
 					}
 				}
@@ -342,19 +387,15 @@ func TestRunnerReuseAfterLargerRun(t *testing.T) {
 	team := pool.Lease(3)
 	r := NewRunner()
 	big := dataset.Generate(dataset.Correlated, 60000, 4, 3)
-	if _, _, rows := survivors(r.Filter(big.View(), 0, 1, true, team, nil)); rows == nil {
+	if _, _, rows := survivors(r.Filter(big.View(), 0, 1, true, team, nil)); !slices.ContainsFunc(rows, func(row []float64) bool { return row != nil }) {
 		t.Fatal("the large correlated run kept no rows")
 	}
 	small := dataset.Generate(dataset.Independent, 2, 8, 4)
-	surv, _, rows := survivors(r.Filter(small.View(), 0, 1, true, team, nil))
+	surv, l1, rows := survivors(r.Filter(small.View(), 0, 1, true, team, nil))
 	if !slices.Equal(surv, []int{0, 1}) {
 		t.Fatalf("small run after a large one kept %v, want [0 1]", surv)
 	}
-	for i := range surv {
-		if rows != nil && !slices.Equal(rows[i], small.Row(i)) {
-			t.Fatalf("small run after a large one returned row %v for row %d, want %v", rows[i], i, small.Row(i))
-		}
-	}
+	checkAt(t, "small run after a large one", small, surv, l1, rows)
 }
 
 // TestRunnerScratchSizedByCandidates holds the filter's scratch to the
@@ -374,10 +415,12 @@ func TestRunnerScratchSizedByCandidates(t *testing.T) {
 	r := NewRunner()
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
-	rs := r.Filter(m.View(), 0, 1, true, team, nil)
+	r.Filter(m.View(), 0, 1, true, team, nil)
 	runtime.ReadMemStats(&after)
-	if !rs.stored {
-		t.Fatal("the correlated run kept no rows")
+	for tid, sg := range r.rows.segs[:2] {
+		if sg.over {
+			t.Fatalf("thread %d kept no rows on the correlated run", tid)
+		}
 	}
 	var store uint64
 	for _, s := range r.rows.segs {

@@ -10,6 +10,8 @@ import (
 	"os"
 	"os/exec"
 	"path/filepath"
+	"runtime"
+	"runtime/debug"
 	"slices"
 	"strings"
 	"syscall"
@@ -872,5 +874,69 @@ func TestCrashChild(t *testing.T) {
 		if err := w.apply(t, x); err != nil {
 			t.Fatal(err)
 		}
+	}
+}
+
+// TestReopenLeavesNoDescriptors checks that closing a durable index
+// releases its files and WAL mappings: the index is opened (New, then
+// Recover on the same directory), takes inserts past two checkpoints
+// and several segment rotations, and is closed, 20 times, after which
+// the process holds no more file descriptors (/proc/self/fd) and maps
+// no more WAL segments (/proc/self/maps) than before the loop. A first
+// cycle before the counts lets the runtime open what it keeps open, and
+// the collector is off during the loop, so a dropped *os.File's
+// finalizer cannot close what Close left open. It reads /proc, so it
+// runs on Linux only.
+func TestReopenLeavesNoDescriptors(t *testing.T) {
+	if runtime.GOOS != "linux" {
+		t.Skip("reads /proc/self")
+	}
+	dir := t.TempDir()
+	cfg := Config{Durable: &Durability{Dir: dir, segmentBytes: 1 << 10, CheckpointEvery: 16}}
+	rng := rand.New(rand.NewSource(3))
+	cycle := func(i int) {
+		t.Helper()
+		open := func() (*SkylineIndex, error) { return Recover(dir, cfg) }
+		if i == 0 {
+			open = func() (*SkylineIndex, error) { return New(3, cfg) }
+		}
+		x, err := open()
+		if err != nil {
+			t.Fatalf("cycle %d: %v", i, err)
+		}
+		for j := 0; j < 40; j++ {
+			if _, err := x.Insert([]float64{rng.Float64(), rng.Float64(), rng.Float64()}); err != nil {
+				t.Fatalf("cycle %d: insert %d: %v", i, j, err)
+			}
+		}
+		x.Close()
+	}
+	// held counts the process's open descriptors and its mappings of
+	// WAL segment files.
+	held := func() (fds, segs int) {
+		t.Helper()
+		ents, err := os.ReadDir("/proc/self/fd")
+		if err != nil {
+			t.Fatal(err)
+		}
+		maps, err := os.ReadFile("/proc/self/maps")
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, line := range strings.Split(string(maps), "\n") {
+			if strings.Contains(line, "/wal-") && strings.Contains(line, ".seg") { // " (deleted)" may follow
+				segs++
+			}
+		}
+		return len(ents), segs
+	}
+	cycle(0)
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	fds0, segs0 := held()
+	for i := 1; i <= 20; i++ {
+		cycle(i)
+	}
+	if fds, segs := held(); fds > fds0 || segs > segs0 {
+		t.Fatalf("after 20 open-insert-close cycles the process holds %d descriptors and %d WAL segment mappings, %d and %d before", fds, segs, fds0, segs0)
 	}
 }
