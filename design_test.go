@@ -42,11 +42,10 @@ var designNotGo = map[string]bool{
 //     assembly outside its comments (an instruction);
 //   - `pkg.Name` declared at the package level of a package of that
 //     name, or a TEXT symbol of its assembly;
-//   - `x.Name`, a selector the code writes (`sort.Slice`, `ctx.Err`),
-//     each further part a method or field some code selects;
-//   - `Type.Name`, a method or field of a type of that name, each
-//     further part a method or field of some type (`pkg.Type.Name` the
-//     same).
+//   - `Type.Name`, a method or field of a type of that name, or
+//     `x.Name`, a selector the code writes (`sort.Slice`, `ctx.Err`),
+//     each further part a method or field some code declares or
+//     selects (`pkg.Type.Name` the same).
 //
 // designNotGo lists the few words that are none of these. Fenced code
 // blocks are examples and are not read.
@@ -84,8 +83,7 @@ type treeIndex struct {
 	files   map[string]bool // file base names
 	pkgs    map[string]bool // package names
 	decls   map[string]bool // "pkg.Name": package-level declarations and assembly TEXT symbols
-	sels    map[string]bool // "x.Name" for every selector on an identifier x
-	members map[string]bool // "Type.Name" for every method and field; ".Name" for any member or selector
+	members map[string]bool // "Type.Name" for every method and field, "x.Name" for every selector on an identifier x; ".Name" for any of them
 }
 
 // has reports whether name, one backquoted span without its "()",
@@ -95,21 +93,14 @@ func (tr *treeIndex) has(name string) bool {
 		return true
 	}
 	parts := strings.Split(name, ".")
-	switch {
-	case len(parts) == 1:
+	if len(parts) == 1 {
 		return tr.idents[name]
-	case tr.pkgs[parts[0]] && tr.decls[parts[0]+"."+parts[1]]:
+	}
+	if tr.pkgs[parts[0]] && tr.decls[parts[0]+"."+parts[1]] {
 		if len(parts) == 2 {
 			return true
 		}
 		parts = parts[1:]
-	case tr.sels[parts[0]+"."+parts[1]]:
-		for _, p := range parts[2:] {
-			if !tr.members["."+p] {
-				return false
-			}
-		}
-		return true
 	}
 	if !tr.members[parts[0]+"."+parts[1]] {
 		return false
@@ -126,7 +117,7 @@ func (tr *treeIndex) has(name string) bool {
 // module included) and reads every .s file, skipping testdata and
 // hidden directories.
 func indexTree(t *testing.T) *treeIndex {
-	tr := &treeIndex{map[string]bool{}, map[string]bool{}, map[string]bool{}, map[string]bool{}, map[string]bool{}, map[string]bool{}, map[string]bool{}}
+	tr := &treeIndex{map[string]bool{}, map[string]bool{}, map[string]bool{}, map[string]bool{}, map[string]bool{}, map[string]bool{}}
 	fset := token.NewFileSet()
 	dirPkg := map[string]string{}
 	var asm []string
@@ -193,7 +184,7 @@ func (tr *treeIndex) add(f *ast.File) {
 			}
 		case *ast.SelectorExpr:
 			if x, ok := n.X.(*ast.Ident); ok {
-				tr.sels[x.Name+"."+n.Sel.Name] = true
+				tr.members[x.Name+"."+n.Sel.Name] = true
 			}
 			tr.members["."+n.Sel.Name] = true
 		}
