@@ -156,22 +156,34 @@ func BenchmarkPrefilterPays(b *testing.B) {
 		{"indep-50000x6-3cols", dataset.Independent, 50000, 6, cols3},
 		{"corr-1Mx8", dataset.Correlated, 1_000_000, 8, nil},
 	} {
-		m := benchData(sh.dist, sh.n, sh.d)
-		ds, err := skybench.DatasetFromFlat(m.Flat(), m.N(), m.D())
-		if err != nil {
-			b.Fatal(err)
-		}
+		// The shape's data is built by the first of its cells that runs,
+		// so a -bench pattern that names other shapes never builds it.
+		var ds *skybench.Dataset
 		var v point.View
-		v.Reset(m.Flat(), m.N(), m.D(), prefOps(sh.prefs))
+		data := func(b *testing.B) {
+			if ds != nil {
+				return
+			}
+			m := benchData(sh.dist, sh.n, sh.d)
+			var err error
+			if ds, err = skybench.DatasetFromFlat(m.Flat(), m.N(), m.D()); err != nil {
+				b.Fatal(err)
+			}
+			v.Reset(m.Flat(), m.N(), m.D(), prefOps(sh.prefs))
+		}
 		for _, k := range []int{1, 4} {
-			rs := r.Filter(v, 0, k, true, team, nil)
-			pass1, pass2 := m.N()-rs.Candidates(), rs.Candidates()-rs.Len()
 			for _, off := range []bool{false, true} {
 				arm := "default"
 				if off {
 					arm = "noprefilter"
 				}
 				b.Run(fmt.Sprintf("%s/k=%d/%s", sh.name, k, arm), func(b *testing.B) {
+					data(b)
+					var pass1, pass2 int
+					if !off {
+						rs := r.Filter(v, 0, k, true, team, nil)
+						pass1, pass2 = v.N()-rs.Candidates(), rs.Candidates()-rs.Len()
+					}
 					eng := skybench.NewEngine(threads)
 					defer eng.Close()
 					q := skybench.Query{Prefs: sh.prefs, SkybandK: k, ReuseIndices: true, Ablation: skybench.Ablation{NoPrefilter: off}}

@@ -34,23 +34,27 @@ func cpuHasAVX512BW() bool {
 }
 
 // Scan8 is the pre-filter's pass-1 queue test run over a stretch of
-// rows at once, with the whole β = 8 queue held in registers. cols is
-// the queue column-major — cols[c*8+s] is coordinate c of queue slot s —
-// and rows holds 8-column rows, row-major. Scan8 tests each row in turn
-// against the 8 queue slots and returns the index of the first row with
-// fewer than budget (≥ 1) dominators among them, or len(rows)/8 when
-// every row has budget or more.
+// rows at once, with the β = 8 queue's columns held in registers. q holds
+// the queue twice: column-major in q[0:64] — q[c*8+s] is coordinate c of
+// queue slot s — and row-major in q[64:128] — q[64+s*8+c] is the same
+// value. rows holds 8-column rows, row-major. Scan8 tests each row in
+// turn against the 8 queue slots and returns the index of the first row
+// with fewer than budget (≥ 1) dominators among them, or len(rows)/8
+// when every row has budget or more.
 //
 // The result and *dts are those of CountDominatorsInFlatRun on the
 // row-major queue, called row by row in slot order: a row it passes
 // over advances *dts by the position of its budget-th dominating slot
-// plus one, and the row it returns at by 8. Each coordinate is one
-// compare of a queue column against the row's broadcast value, so the
-// test takes no branch per slot. Call it only when VectorBodies reports
-// true.
+// plus one, and the row it returns at by 8. One compare chain over the
+// column-major copy, a compare of a queue column against the row's
+// broadcast value per coordinate, finds the slots no worse than the row
+// anywhere; only those can dominate it, and each is then asked whether
+// it is better somewhere with one compare of the row against its
+// row-major copy, in slot order, until the budget-th dominator. Call it
+// only when VectorBodies reports true.
 //
 //go:noescape
-func Scan8(cols *[64]float64, rows []float64, budget int, dts *uint64) int
+func Scan8(q *[128]float64, rows []float64, budget int, dts *uint64) int
 
 // UnionScan8 is the pre-filter's pass-2 test run over a stretch of
 // stored candidates at once: the queue union, laid out by LayoutUnion8

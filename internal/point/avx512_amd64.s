@@ -19,13 +19,19 @@ TEXT ·xgetbv(SB), NOSPLIT, $0-8
 	MOVL DX, edx+4(FP)
 	RET
 
-// func Scan8(cols *[64]float64, rows []float64, budget int, dts *uint64) int
+// func Scan8(q *[128]float64, rows []float64, budget int, dts *uint64) int
 //
-// Z0–Z7 hold the queue's eight columns; lane s of Zc is coordinate c of
-// slot s. For each row, K1 collects the slots no worse than the row in
-// any coordinate (NGT_UQ: not q > p, as the Go body asks it, so NaN
-// counts as not worse), and K2 those of K1 also no better in any
-// (NLT_UQ). K1 ^ K2 is then the row's dominating slots.
+// Z0–Z7 hold the queue's eight columns (q[0:64]); lane s of Zc is
+// coordinate c of slot s. For each row, K1 collects the slots no worse
+// than the row in any coordinate (NGT_UQ: not q > p, as the Go body asks
+// it, so NaN counts as not worse). Only those can dominate it, and one
+// does unless it is also no better in any coordinate: the walk takes
+// them in ascending slot order and asks each "better somewhere" with
+// one compare of the loaded row Z8 against the slot's row-major copy
+// (q[64:128], 64 bytes a slot): GT_OQ of the row's coordinates against
+// the slot's, false on an unordered pair, so a NaN is neither better nor
+// worse, as in the Go body. A row with no such slot costs 8 compares, a
+// pruned row 8 plus one per slot the walk reaches.
 //
 // Each row first prefetches the line 2 KiB ahead (PREFETCHT0): the scan
 // reads each row once, in order, and on rows streamed from memory the
@@ -34,12 +40,11 @@ TEXT ·xgetbv(SB), NOSPLIT, $0-8
 // cached ones, 1.5–3 KiB did not, and no distance slowed cached rows.
 // A prefetch past the end of rows is harmless: it does not fault.
 TEXT ·Scan8(SB), NOSPLIT, $0-56
-	MOVQ cols+0(FP), DI
+	MOVQ q+0(FP), DI
 	MOVQ rows_base+8(FP), SI
 	MOVQ rows_len+16(FP), CX
 	SHRQ $3, CX           // CX = rows to scan
 	MOVQ budget+32(FP), R8
-	DECQ R8               // R8 = dominators to drop before the budget-th
 	MOVQ dts+40(FP), R9
 	MOVQ (R9), R10        // R10 = running test count
 	VMOVUPD 0(DI), Z0
@@ -64,36 +69,29 @@ row:
 	VCMPPD.BCST $0x1a, 40(SI), Z5, K1, K1
 	VCMPPD.BCST $0x1a, 48(SI), Z6, K1, K1
 	VCMPPD.BCST $0x1a, 56(SI), Z7, K1, K1
-	VCMPPD.BCST $0x15, 0(SI), Z0, K1, K2
-	VCMPPD.BCST $0x15, 8(SI), Z1, K2, K2
-	VCMPPD.BCST $0x15, 16(SI), Z2, K2, K2
-	VCMPPD.BCST $0x15, 24(SI), Z3, K2, K2
-	VCMPPD.BCST $0x15, 32(SI), Z4, K2, K2
-	VCMPPD.BCST $0x15, 40(SI), Z5, K2, K2
-	VCMPPD.BCST $0x15, 48(SI), Z6, K2, K2
-	VCMPPD.BCST $0x15, 56(SI), Z7, K2, K2
-	KXORW K1, K2, K3
-	KMOVW K3, AX          // AX = dominating slots, bit s for slot s
-	MOVQ R8, DX
-
-drop:
-	// Clear the lowest budget−1 dominators; the lowest one left, if
-	// any, is the slot the short-circuit scan stops on.
+	KMOVW K1, AX          // AX = the slots no worse anywhere, bit s for slot s
 	TESTL AX, AX
 	JZ    survivor
-	TESTQ DX, DX
-	JZ    pruned
-	LEAL  -1(AX), R11
-	ANDL  R11, AX
-	DECQ  DX
-	JMP   drop
+	VMOVUPD 0(SI), Z8
+	MOVQ R8, DX           // DX = dominators still to find
 
-pruned:
-	BSFL AX, AX
-	LEAQ 1(R10)(AX*1), R10
-	ADDQ $64, SI
-	INCQ BX
-	JMP  row
+walk:
+	// R11 = the lowest slot left; it dominates if the row is worse than
+	// it somewhere. The budget-th dominator is the slot the
+	// short-circuit scan stops on.
+	BSFL AX, R11
+	MOVQ R11, R12
+	SHLQ $6, R12
+	VCMPPD $0x1e, 512(DI)(R12*1), Z8, K2
+	KORTESTW K2, K2
+	JZ   next
+	DECQ DX
+	JZ   pruned
+
+next:
+	LEAL -1(AX), R12
+	ANDL R12, AX
+	JNZ  walk
 
 survivor:
 	ADDQ $8, R10
@@ -103,6 +101,12 @@ done:
 	MOVQ BX, ret+48(FP)
 	VZEROUPPER
 	RET
+
+pruned:
+	LEAQ 1(R10)(R11*1), R10
+	ADDQ $64, SI
+	INCQ BX
+	JMP  row
 
 // func UnionScan8(u []float64, rows []float64, l1 []float64, budget int, dts *uint64) int
 //
@@ -114,13 +118,13 @@ done:
 // unordered pair, so a NaN row norm allows no slot and a pad slot's +∞
 // never passes). K2 = the slots of K1 no worse than the row in any
 // coordinate (NLT_UQ: not row < slot), K3 those of K2 also no better in
-// any (NGT_UQ), and K2 ^ K3 the row's dominating slots; these are
-// Scan8's compares with the operands swapped. The norms ascend, so a
-// chunk with K1 empty ends the union for the row: it survives, and
-// every slot of K1 so far (R13) was a test. A chunk whose dominators
-// reach the budget DX still to find prunes the row: its tests are R13,
-// the slots of the full chunks before it, plus the position of the
-// budget-th dominator plus one.
+// any (NGT_UQ), and K2 ^ K3 the row's dominating slots; an unordered
+// pair is neither worse nor better, as in the Go body. The norms
+// ascend, so a chunk with K1 empty ends the union for the row: it
+// survives, and every slot of K1 so far (R13) was a test. A chunk
+// whose dominators reach the budget DX still to find prunes the row:
+// its tests are R13, the slots of the full chunks before it, plus the
+// position of the budget-th dominator plus one.
 TEXT ·UnionScan8(SB), NOSPLIT, $0-96
 	MOVQ u_base+0(FP), DI
 	MOVQ u_len+8(FP), AX

@@ -8,7 +8,7 @@ var hasAVX512BW = false
 
 // Scan8 has an AVX-512 body on amd64 only (avx512_amd64.go documents
 // it); the pre-filter calls it only where VectorBodies reports true.
-func Scan8(cols *[64]float64, rows []float64, budget int, dts *uint64) int {
+func Scan8(q *[128]float64, rows []float64, budget int, dts *uint64) int {
 	panic("point: Scan8 needs AVX-512; check VectorBodies first")
 }
 

@@ -68,7 +68,7 @@ const DefaultBeta = 8
 type Runner struct {
 	qdense []float64 // threads*beta*d queue rows, β unordered slots per thread
 	qnorm  []float64 // threads*beta L1 norms of the queue rows, by slot
-	qcols  []float64 // threads*64: each queue column-major by source column, when pass 1 takes point.Scan8
+	qcols  []float64 // threads*128: each queue column-major, then row-major, by source column, when pass 1 takes point.Scan8
 	qcount []int
 	allq   []int     // queue slots of the union, sorted by L1
 	qrows  []float64 // gathered union rows matching allq order
@@ -151,7 +151,7 @@ func (r *Runner) Filter(v point.View, beta, k int, stop bool, team *par.Team, dt
 	src8, _ := v.Source8()
 	r.scan8 = point.VectorBodies() && beta == 8 && src8 != nil
 	if r.scan8 {
-		r.qcols = grow(r.qcols, threads*64)
+		r.qcols = grow(r.qcols, threads*128)
 	}
 	// A fan-out over fewer rows than threads leaves the idle threads'
 	// queues untouched, so they are emptied first (reset empties the
@@ -427,16 +427,18 @@ func (sg *segment) row(k, d int) []float64 {
 // On a view of an 8-column source that negates no column (point.View's
 // Source8: the identity, or one that only drops columns) and β = 8,
 // where the vector bodies are on (point.VectorBodies), the full queue's
-// test is point.Scan8 instead: it holds the queue in registers and skips
-// every row up to the next one the queue does not prune, with the Go
-// body's decisions and test counts. It reads the source rows as they
-// are, so only the rows it stops on are loaded through the view. The
-// queue then keeps a column-major copy by source column, which every
-// slot write updates along with the dense row, and whose dropped columns
-// hold NaN: Scan8's two compares are both true on an unordered pair, so
-// a NaN column is neither worse nor better, and dominance over the 8
-// columns is dominance over the kept ones, whatever a row holds in the
-// others.
+// test is point.Scan8 instead: it holds the queue's columns in
+// registers, asks "better somewhere" only of the slots no worse than a
+// row anywhere, and skips every row up to the next one the queue does
+// not prune, with the Go body's decisions and test counts. It reads
+// the source rows as they are, so only the rows it stops on are loaded
+// through the view. The queue then keeps a column-major and a row-major copy by source column
+// (queue.vec), which every slot write updates along with the dense row,
+// and whose dropped columns hold NaN. Scan8's first compare, "no worse",
+// is true on an unordered pair and its second, "better", asked only of
+// the slots no worse anywhere, is false on one, so a NaN column is
+// neither worse nor better, and dominance over the 8 columns is
+// dominance over the kept ones, whatever a row holds in the others.
 //
 // With the stop rule on, the range runs in two parts: filterRows up to
 // the stretch's end, then either filterRows again or, where the stretch
@@ -451,11 +453,11 @@ func (r *Runner) runPass1(tid, lo, hi int) {
 	}
 	var src []float64
 	if r.scan8 {
-		qu.cols = (*[64]float64)(r.qcols[tid*64 : (tid+1)*64])
+		qu.vec = (*[128]float64)(r.qcols[tid*128 : (tid+1)*128])
 		src, qu.srcCol = v.Source8()
 		// The slot writes fill the kept columns before the queue is full.
-		for c := range qu.cols {
-			qu.cols[c] = math.NaN()
+		for c := range qu.vec {
+			qu.vec[c] = math.NaN()
 		}
 	}
 	sg := &r.rows.segs[tid]
@@ -491,13 +493,13 @@ func (r *Runner) filterRows(qu *queue, sg *segment, src []float64, i, hi, w, kee
 	var buf [point.MaxDims]float64
 	for ; i < hi; i++ {
 		full := qu.n == beta
-		if full && qu.cols != nil {
-			if i += point.Scan8(qu.cols, src[i*8:hi*8], k, dts); i == hi {
+		if full && qu.vec != nil {
+			if i += point.Scan8(qu.vec, src[i*8:hi*8], k, dts); i == hi {
 				break
 			}
 		}
 		q := v.Load(i, buf[:])
-		if full && qu.cols == nil && point.CountDominatorsInFlatRun(qu.dense, d, 0, beta, q, k, dts) >= k {
+		if full && qu.vec == nil && point.CountDominatorsInFlatRun(qu.dense, d, 0, beta, q, k, dts) >= k {
 			continue
 		}
 		qL1 := point.L1(q)
@@ -512,14 +514,16 @@ func (r *Runner) filterRows(qu *queue, sg *segment, src []float64, i, hi, w, kee
 }
 
 // queue is one thread's β-queue: β unordered slots of rows and their
-// norms, row-major in dense and, when pass 1 takes point.Scan8,
-// column-major by source column in cols too (cols[srcCol[k]*8+s] is
-// view coordinate k of slot s; a dropped column's entries are NaN).
+// norms, row-major in dense and, when pass 1 takes point.Scan8, twice
+// more in vec, by source column: column-major in its first 64 values
+// and row-major in its last 64 (view coordinate k of slot s is
+// vec[srcCol[k]*8+s] and vec[64+s*8+srcCol[k]]; a dropped column's
+// entries are NaN in both).
 type queue struct {
 	l1     []float64
 	dense  []float64
-	cols   *[64]float64
-	srcCol []int // source column of each view column, when cols is set
+	vec    *[128]float64
+	srcCol []int // source column of each view column, when vec is set
 	d      int
 	n      int // filled slots
 	top    int // the filled slot with the largest norm, the first of equals
@@ -531,7 +535,7 @@ type queue struct {
 // is never queued: it compares with no other, so a NaN-norm row in the
 // queue would never be replaced, and in the union it would break the
 // ascending norms pass 2 searches. The row stays a candidate. A write
-// updates both copies of its one slot and rescans the β norms for the
+// updates every copy of its one slot and rescans the β norms for the
 // largest. Writes after the queue fills are rare, about β·ln(n/β) a
 // thread on rows in random order, so the rescan costs nothing a heap
 // would save.
@@ -549,9 +553,10 @@ func (qu *queue) offer(l1 float64, row []float64) {
 	}
 	qu.l1[s] = l1
 	copy(qu.dense[s*qu.d:(s+1)*qu.d], row)
-	if qu.cols != nil {
+	if qu.vec != nil {
 		for k, x := range row {
-			qu.cols[qu.srcCol[k]*8+s] = x
+			c := qu.srcCol[k]
+			qu.vec[c*8+s], qu.vec[64+s*8+c] = x, x
 		}
 	}
 	qu.top = 0

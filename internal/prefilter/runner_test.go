@@ -251,6 +251,68 @@ func TestRunnerMatchesFilter(t *testing.T) {
 	}
 }
 
+// TestQueueLayoutsAgree holds pass 1's three copies of each thread's
+// β-queue to one another where it takes point.Scan8: the dense view-space
+// rows, and the column-major and row-major copies by source column that
+// queue.offer writes along with them. After each Filter on the identity
+// and on drop-only views of 8-column sources, at T = 1, 2 and 3 and β =
+// 8, view column k of a filled slot s is cols[srcCol[k]*8+s] and
+// rows[s*8+srcCol[k]], bit for bit, and every dropped column, and every
+// column of an empty slot, is NaN in both.
+func TestQueueLayoutsAgree(t *testing.T) {
+	if !point.HasAVX512BW() {
+		t.Skip("no AVX512F+BW and POPCNT with OS-saved ZMM state on this CPU: pass 1 keeps no vector copies")
+	}
+	defer point.SetVectorBodies(point.VectorBodies())
+	point.SetVectorBodies(true)
+	low3 := make([]point.PrefOp, 8)
+	for j := 3; j < 8; j++ {
+		low3[j] = point.PrefDrop
+	}
+	r := NewRunner()
+	for _, threads := range []int{1, 2, 3} {
+		pool := par.NewPool(threads)
+		team := pool.Lease(threads)
+		for _, dist := range dataset.AllDistributions {
+			m := dataset.Generate(dist, 5000, 8, 61)
+			for _, ops := range [][]point.PrefOp{nil, dropOps(8), low3} {
+				at := fmt.Sprintf("%s T=%d ops=%v", dist, threads, ops)
+				var v point.View
+				v.Reset(m.Flat(), m.N(), m.D(), ops)
+				r.Filter(v, DefaultBeta, 1, true, team, nil)
+				if !r.scan8 {
+					t.Fatalf("%s: pass 1 did not take point.Scan8", at)
+				}
+				_, srcCol := v.Source8()
+				d := v.D()
+				for tid := 0; tid < threads; tid++ {
+					cols := r.qcols[tid*128 : tid*128+64]
+					rows := r.qcols[tid*128+64 : tid*128+128]
+					dense := r.qdense[tid*DefaultBeta*d : (tid+1)*DefaultBeta*d]
+					for s := 0; s < DefaultBeta; s++ {
+						want := [8]float64{}
+						for c := range want {
+							want[c] = math.NaN()
+						}
+						if s < r.qcount[tid] {
+							for k, c := range srcCol {
+								want[c] = dense[s*d+k]
+							}
+						}
+						for c, x := range want {
+							if !sameBits(cols[c*8+s], x) || !sameBits(rows[s*8+c], x) {
+								t.Fatalf("%s: thread %d slot %d column %d is %v column-major and %v row-major, want %v",
+									at, tid, s, c, cols[c*8+s], rows[s*8+c], x)
+							}
+						}
+					}
+				}
+			}
+		}
+		pool.Close()
+	}
+}
+
 // TestRunnerNaNUnionNorm gives the filter a row whose norm is NaN on
 // rows it keeps at width 8: the eighth row of the first thread's range
 // is NaN in one column and 0, the data's least value, in the rest, so it
