@@ -43,8 +43,10 @@ var engineFaults *faults.Injector
 // Run honors context cancellation and deadlines: the Hybrid and Q-Flow
 // hot paths poll a cancellation flag at every α-block boundary and
 // periodically inside their parallel phases, so a canceled query
-// returns ctx.Err() promptly instead of finishing the computation.
-// Baseline algorithms check cancellation only on entry.
+// returns ctx.Err() promptly instead of finishing the computation. The
+// baselines poll the same flag: PSkyline before every row of a block
+// scan or a merge and every merge round, BSkyTree and PBSkyTree before
+// every pivot partition, batch and point of a filter pass.
 //
 // The zero-allocation steady state of the hot paths is preserved: a
 // warm Engine serving repeated Hybrid or Q-Flow queries with
@@ -277,10 +279,8 @@ func (e *Engine) execGuarded(ctx context.Context, ec *engineCtx, ds *Dataset, q 
 	if err := faults.Check(engineFaults, "engine.run"); err != nil {
 		return Result{}, err
 	}
-	// Hybrid and Q-Flow run over ec.view with cancellation plumbed
-	// through; the baselines run over m and check cancellation only on
-	// entry (they are the paper's comparison points, not the serving
-	// path). Every algorithm runs on the leased team.
+	// Hybrid and Q-Flow run over ec.view, the baselines over m; every
+	// algorithm polls the cancellation flag and runs on the leased team.
 	ec.st = stats.Stats{}
 	start := time.Now()
 	var idx []int
@@ -312,9 +312,9 @@ func (e *Engine) execGuarded(ctx context.Context, ec *engineCtx, ds *Dataset, q 
 			Cancel:      cancel,
 		})
 	case PSkyline:
-		idx = pskyline.SkylineStats(m, ec.team, &ec.st)
+		idx = pskyline.SkylineStats(m, ec.team, &ec.st, cancel)
 	case BSkyTree, PBSkyTree:
-		idx, ec.st.DominanceTests = bskytree.SkylineDT(m, ec.team, nil)
+		idx, ec.st.DominanceTests = bskytree.SkylineDT(m, ec.team, nil, cancel)
 		ec.st.Threads = ec.team.Threads()
 	default:
 		return Result{}, fmt.Errorf("%w: %d", ErrUnknownAlgorithm, int(q.Algorithm))

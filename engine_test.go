@@ -299,6 +299,70 @@ func TestEngineCancelMidFlight(t *testing.T) {
 	}
 }
 
+// TestEveryAlgorithmHonoursDeadline runs every algorithm under a
+// deadline that falls mid-run and bounds how long each keeps going past
+// it. The bound is Hybrid's own cancellation latency on the same input:
+// Hybrid polls once per α-block, so it is four times the longest α-block
+// of an uncanceled Hybrid run (the gaps between its Progressive
+// callbacks), and the deadline is half that run. The baselines are
+// several times slower than Hybrid on these rows, so each is cut short;
+// a run that finishes before its deadline must simply be right on time.
+// A run after them gets the Engine's whole team again.
+func TestEveryAlgorithmHonoursDeadline(t *testing.T) {
+	if testing.Short() {
+		t.Skip("runs every algorithm on 60 000 anticorrelated rows")
+	}
+	ds, err := skybench.NewDataset(genRows(dataset.Anticorrelated, 60000, 8, 17))
+	if err != nil {
+		t.Fatal(err)
+	}
+	eng := skybench.NewEngine(2)
+	defer eng.Close()
+
+	var longest time.Duration
+	last := time.Now()
+	start := last
+	_, err = eng.Run(context.Background(), ds, skybench.Query{Progressive: func([]int) {
+		now := time.Now()
+		longest = max(longest, now.Sub(last))
+		last = now
+	}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	full := time.Since(start)
+	longest = max(longest, time.Since(last))
+	bound, deadline := 4*longest, full/2
+	t.Logf("Hybrid: %v uncanceled, longest α-block %v; deadline %v, bound past it %v", full, longest, deadline, bound)
+
+	for _, algo := range []skybench.Algorithm{skybench.Hybrid, skybench.QFlow, skybench.PSkyline, skybench.BSkyTree, skybench.PBSkyTree} {
+		ctx, cancel := context.WithTimeout(context.Background(), deadline)
+		begin := time.Now()
+		_, err := eng.Run(ctx, ds, skybench.Query{Algorithm: algo})
+		elapsed := time.Since(begin)
+		cancel()
+		switch {
+		case err == nil && elapsed > deadline+bound:
+			t.Errorf("%v: finished after %v without an error, deadline %v", algo, elapsed, deadline)
+		case err != nil && !errors.Is(err, context.DeadlineExceeded):
+			t.Errorf("%v: err = %v, want context.DeadlineExceeded", algo, err)
+		case err != nil && elapsed > deadline+bound:
+			t.Errorf("%v: returned %v after its %v deadline, bound %v", algo, elapsed-deadline, deadline, bound)
+		default:
+			t.Logf("%v: returned after %v (err %v)", algo, elapsed, err)
+		}
+	}
+	// The canceled runs gave their workers back: the next run gets the
+	// whole team.
+	res, err := eng.Run(context.Background(), ds, skybench.Query{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Stats.Threads != 2 {
+		t.Errorf("run after the canceled ones leased %d threads, want 2", res.Stats.Threads)
+	}
+}
+
 // TestEngineRunZeroAlloc guards the steady-state serving path: a warm
 // Engine answering repeated queries with ReuseIndices set must not
 // allocate, with and without a preference transform. Cost counters

@@ -18,6 +18,7 @@ package bskytree
 
 import (
 	"sort"
+	"sync/atomic"
 
 	"skybench/internal/par"
 	"skybench/internal/point"
@@ -52,13 +53,21 @@ type computer struct {
 	floor    int
 	batchCap int
 	dts      *stats.DTCounters
+	cancel   *atomic.Bool // nil, or set once the run's answer is no longer wanted
 }
+
+// canceled reports that the run should stop: its flag is set.
+func (c *computer) canceled() bool { return c.cancel != nil && c.cancel.Load() }
 
 // SkylineDT computes SKY(m) on team and returns original row indices
 // and the dominance tests it counted (into dts too, when non-nil). A
 // team of one runs sequential BSkyTree; a larger one runs PBSkyTree
 // (Appendix A), which at one thread is BSkyTree test for test.
-func SkylineDT(m point.Matrix, team *par.Team, dts *stats.DTCounters) ([]int, uint64) {
+//
+// cancel, when non-nil, is polled before every pivot partition, every
+// PBSkyTree batch and every point of a filter pass: once it is set the
+// run stops and returns no indices, with the tests made so far.
+func SkylineDT(m point.Matrix, team *par.Team, dts *stats.DTCounters, cancel *atomic.Bool) ([]int, uint64) {
 	n := m.N()
 	if n == 0 {
 		return nil, 0
@@ -76,12 +85,16 @@ func SkylineDT(m point.Matrix, team *par.Team, dts *stats.DTCounters) ([]int, ui
 		floor:    RecursionFloor,
 		batchCap: BatchFactor * threads,
 		dts:      dts,
+		cancel:   cancel,
 	}
 	pts := make([]int, n)
 	for i := range pts {
 		pts[i] = i
 	}
 	root := c.build(pts)
+	if c.canceled() {
+		return nil, dts.Sum()
+	}
 	var out []int
 	collect(root, &out)
 	return out, dts.Sum()
@@ -103,7 +116,7 @@ func collect(nd *node, out *[]int) {
 // caller guarantees that no point outside pts dominates a point in pts.
 func (c *computer) build(pts []int) *node {
 	switch {
-	case len(pts) == 0:
+	case len(pts) == 0 || c.canceled():
 		return nil
 	case len(pts) == 1:
 		return &node{pivot: pts[0]}
@@ -124,7 +137,7 @@ func (c *computer) build(pts []int) *node {
 		masks[k] = point.ComputeMask(c.m.Row(pts[k]), pv)
 	}
 	if c.threads > 1 && len(pts) >= 4096 {
-		c.team.ForRanges(len(pts), func(_, lo, hi int) {
+		c.team.ForRangesCancel(0, len(pts), c.cancel, func(_, lo, hi int) {
 			for k := lo; k < hi; k++ {
 				computeOne(k)
 			}
@@ -165,6 +178,9 @@ func (c *computer) build(pts []int) *node {
 		c.processGroupsBatched(nd, order, groups)
 	} else {
 		for _, msk := range order {
+			if c.canceled() {
+				return nd
+			}
 			surv := c.filterSequential(nd, groups[msk])
 			c.attach(nd, msk, surv)
 		}
@@ -187,7 +203,7 @@ func (c *computer) attach(nd *node, msk point.Mask, surv []int) {
 // then the whole batch is filtered against the current tree in parallel,
 // and each group's survivors are recursed on in order.
 func (c *computer) processGroupsBatched(nd *node, order []point.Mask, groups map[point.Mask][]int) {
-	for gi := 0; gi < len(order); {
+	for gi := 0; gi < len(order) && !c.canceled(); {
 		batchEnd := gi
 		batchPoints := 0
 		for batchEnd < len(order) && (batchPoints == 0 || batchPoints+len(groups[order[batchEnd]]) <= c.batchCap) {
@@ -211,9 +227,12 @@ func (c *computer) processGroupsBatched(nd *node, order []point.Mask, groups map
 			}
 		}
 		keep := make([]bool, len(jobs))
-		c.team.ForRanges(len(jobs), func(tid, lo, hi int) {
+		c.team.ForRangesCancel(0, len(jobs), c.cancel, func(tid, lo, hi int) {
 			var local uint64
 			for k := lo; k < hi; k++ {
+				if c.canceled() {
+					break
+				}
 				keep[k] = !c.dominatedByTree(nd, jobs[k].pt, &local)
 			}
 			c.dts.Inc(tid, local)
@@ -260,6 +279,9 @@ func (c *computer) filterSequential(nd *node, group []int) []int {
 	surv := group[:0]
 	var local uint64
 	for _, p := range group {
+		if c.canceled() {
+			break
+		}
 		if !c.dominatedByTree(nd, p, &local) {
 			surv = append(surv, p)
 		}

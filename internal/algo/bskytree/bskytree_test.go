@@ -16,7 +16,7 @@ func TestSequentialMatchesOracle(t *testing.T) {
 		for _, n := range []int{1, 2, 63, 64, 65, 500} {
 			for _, d := range []int{1, 2, 4, 8} {
 				m := dataset.Generate(dist, n, d, int64(n*31+d))
-				if !verify.SameSkyline(indices(SkylineDT(m, seq, nil)), verify.BruteForce(m)) {
+				if !verify.SameSkyline(indices(SkylineDT(m, seq, nil, nil)), verify.BruteForce(m)) {
 					t.Fatalf("%v n=%d d=%d: wrong skyline", dist, n, d)
 				}
 			}
@@ -28,7 +28,7 @@ func TestParallelMatchesOracle(t *testing.T) {
 	for _, dist := range dataset.AllDistributions {
 		for _, threads := range []int{1, 2, 4} {
 			m := dataset.Generate(dist, 700, 5, 77)
-			if !verify.SameSkyline(indices(SkylineDT(m, lease(t, threads), nil)), verify.BruteForce(m)) {
+			if !verify.SameSkyline(indices(SkylineDT(m, lease(t, threads), nil, nil)), verify.BruteForce(m)) {
 				t.Fatalf("%v t=%d: wrong skyline", dist, threads)
 			}
 		}
@@ -38,8 +38,8 @@ func TestParallelMatchesOracle(t *testing.T) {
 func TestParallelMatchesSequential(t *testing.T) {
 	for seed := int64(0); seed < 5; seed++ {
 		m := dataset.Generate(dataset.Anticorrelated, 900, 6, seed)
-		seq := indices(SkylineDT(m, lease(t, 1), nil))
-		parl := indices(SkylineDT(m, lease(t, 3), nil))
+		seq := indices(SkylineDT(m, lease(t, 1), nil, nil))
+		parl := indices(SkylineDT(m, lease(t, 3), nil, nil))
 		if !verify.SameSkyline(seq, parl) {
 			t.Fatalf("seed %d: parallel and sequential disagree", seed)
 		}
@@ -47,10 +47,10 @@ func TestParallelMatchesSequential(t *testing.T) {
 }
 
 func TestEmptyAndSingle(t *testing.T) {
-	if got := indices(SkylineDT(point.Matrix{}, lease(t, 1), nil)); got != nil {
+	if got := indices(SkylineDT(point.Matrix{}, lease(t, 1), nil, nil)); got != nil {
 		t.Fatalf("empty: %v", got)
 	}
-	if got := indices(SkylineDT(point.FromRows([][]float64{{1, 2}}), lease(t, 1), nil)); len(got) != 1 {
+	if got := indices(SkylineDT(point.FromRows([][]float64{{1, 2}}), lease(t, 1), nil, nil)); len(got) != 1 {
 		t.Fatalf("single: %v", got)
 	}
 }
@@ -63,7 +63,7 @@ func TestDuplicatePivots(t *testing.T) {
 		rows = append(rows, []float64{1, 1})
 	}
 	m := point.FromRows(rows)
-	got := indices(SkylineDT(m, lease(t, 1), nil))
+	got := indices(SkylineDT(m, lease(t, 1), nil, nil))
 	if len(got) != 11 { // ten coincident minima + {5,5}? {5,5} dominated by {1,1}
 		// {5,5} and {9,9} are dominated; only 10 minima survive.
 		if len(got) != 10 {
@@ -78,10 +78,10 @@ func TestDuplicatePivots(t *testing.T) {
 func TestQuantizedHeavyDuplicates(t *testing.T) {
 	m := dataset.Generate(dataset.Independent, 800, 5, 21)
 	dataset.Quantize(m, 4)
-	if !verify.SameSkyline(indices(SkylineDT(m, lease(t, 1), nil)), verify.BruteForce(m)) {
+	if !verify.SameSkyline(indices(SkylineDT(m, lease(t, 1), nil, nil)), verify.BruteForce(m)) {
 		t.Fatal("wrong skyline on heavily quantized data")
 	}
-	if !verify.SameSkyline(indices(SkylineDT(m, lease(t, 4), nil)), verify.BruteForce(m)) {
+	if !verify.SameSkyline(indices(SkylineDT(m, lease(t, 4), nil, nil)), verify.BruteForce(m)) {
 		t.Fatal("parallel wrong on heavily quantized data")
 	}
 }
@@ -89,7 +89,7 @@ func TestQuantizedHeavyDuplicates(t *testing.T) {
 func TestDTCounting(t *testing.T) {
 	m := dataset.Generate(dataset.Independent, 400, 4, 2)
 	c := stats.NewDTCounters(2)
-	_, dts := SkylineDT(m, lease(t, 2), c)
+	_, dts := SkylineDT(m, lease(t, 2), c, nil)
 	if dts == 0 || c.Sum() != dts {
 		t.Errorf("DT accounting: returned %d, counter %d", dts, c.Sum())
 	}
@@ -99,7 +99,7 @@ func TestDTCounting(t *testing.T) {
 // anticorrelated data where region-wise incomparability abounds.
 func TestRegionSkippingReducesDTs(t *testing.T) {
 	m := dataset.Generate(dataset.Anticorrelated, 2000, 8, 5)
-	_, dts := SkylineDT(m, lease(t, 1), nil)
+	_, dts := SkylineDT(m, lease(t, 1), nil, nil)
 	n := uint64(m.N())
 	if dts > n*n/4 {
 		t.Errorf("BSkyTree did %d DTs; expected ≪ n²=%d from region skipping", dts, n*n)

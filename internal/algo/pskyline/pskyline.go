@@ -12,6 +12,7 @@
 package pskyline
 
 import (
+	"sync/atomic"
 	"time"
 
 	"skybench/internal/par"
@@ -23,7 +24,12 @@ import (
 // thread, and returns original row indices, with phase timings and DT
 // counts recorded into st when non-nil. Phase I holds the local (map)
 // skylines, Phase II the merge.
-func SkylineStats(m point.Matrix, team *par.Team, st *stats.Stats) []int {
+//
+// cancel, when non-nil, is polled before every row of a block's scan,
+// every merge round and every point of a merge, each of which tests the
+// row against a whole window or skyline: once it is set the run stops
+// and returns nil, an answer the caller must not use.
+func SkylineStats(m point.Matrix, team *par.Team, st *stats.Stats, cancel *atomic.Bool) []int {
 	n := m.N()
 	if n == 0 {
 		return nil
@@ -34,9 +40,9 @@ func SkylineStats(m point.Matrix, team *par.Team, st *stats.Stats) []int {
 
 	// Map: local skyline per linear block, one per thread.
 	locals := make([][]int, threads)
-	team.ForRanges(n, func(tid, lo, hi int) {
+	team.ForRangesCancel(0, n, cancel, func(tid, lo, hi int) {
 		var local uint64
-		locals[tid] = sskyline(m, lo, hi, &local)
+		locals[tid] = sskyline(m, lo, hi, &local, cancel)
 		dts.Inc(tid, local)
 	})
 	mapDone := time.Now()
@@ -46,9 +52,15 @@ func SkylineStats(m point.Matrix, team *par.Team, st *stats.Stats) []int {
 	// the other side; both directions are checked in parallel.
 	global := locals[0]
 	for k := 1; k < threads; k++ {
-		if len(locals[k]) > 0 {
-			global = pmerge(m, global, locals[k], team, dts)
+		if canceled(cancel) {
+			return nil
 		}
+		if len(locals[k]) > 0 {
+			global = pmerge(m, global, locals[k], team, dts, cancel)
+		}
+	}
+	if canceled(cancel) {
+		return nil
 	}
 	end := time.Now()
 
@@ -63,11 +75,17 @@ func SkylineStats(m point.Matrix, team *par.Team, st *stats.Stats) []int {
 	return global
 }
 
+// canceled reports that the run should stop: its flag is set.
+func canceled(cancel *atomic.Bool) bool { return cancel != nil && cancel.Load() }
+
 // sskyline computes the skyline of rows [lo, hi) with an in-place
 // BNL-style scan (Im & Park's sequential building block).
-func sskyline(m point.Matrix, lo, hi int, dts *uint64) []int {
+func sskyline(m point.Matrix, lo, hi int, dts *uint64, cancel *atomic.Bool) []int {
 	window := make([]int, 0, 64)
 	for i := lo; i < hi; i++ {
+		if canceled(cancel) {
+			return nil
+		}
 		p := m.Row(i)
 		dominated := false
 		w := 0
@@ -98,13 +116,16 @@ func sskyline(m point.Matrix, lo, hi int, dts *uint64) []int {
 // each internally dominance-free, testing against the full opposite side
 // is equivalent to testing against its survivors, so both directions run
 // in parallel without ordering.
-func pmerge(m point.Matrix, a, b []int, team *par.Team, dts *stats.DTCounters) []int {
+func pmerge(m point.Matrix, a, b []int, team *par.Team, dts *stats.DTCounters, cancel *atomic.Bool) []int {
 	keepA := make([]bool, len(a))
 	keepB := make([]bool, len(b))
 	total := len(a) + len(b)
-	team.ForRanges(total, func(tid, lo, hi int) {
+	team.ForRangesCancel(0, total, cancel, func(tid, lo, hi int) {
 		var local uint64
 		for k := lo; k < hi; k++ {
+			if canceled(cancel) {
+				break
+			}
 			if k < len(a) {
 				p := m.Row(a[k])
 				keepA[k] = true

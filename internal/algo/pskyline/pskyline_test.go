@@ -16,7 +16,7 @@ func TestMatchesOracle(t *testing.T) {
 			team := lease(t, threads)
 			for _, n := range []int{1, 2, 10, 500} {
 				m := dataset.Generate(dist, n, 5, int64(n+threads))
-				if !verify.SameSkyline(SkylineStats(m, team, nil), verify.BruteForce(m)) {
+				if !verify.SameSkyline(SkylineStats(m, team, nil, nil), verify.BruteForce(m)) {
 					t.Fatalf("%v t=%d n=%d: wrong skyline", dist, threads, n)
 				}
 			}
@@ -25,14 +25,14 @@ func TestMatchesOracle(t *testing.T) {
 }
 
 func TestEmpty(t *testing.T) {
-	if got := SkylineStats(point.Matrix{}, lease(t, 4), nil); got != nil {
+	if got := SkylineStats(point.Matrix{}, lease(t, 4), nil, nil); got != nil {
 		t.Fatalf("empty: %v", got)
 	}
 }
 
 func TestMoreThreadsThanPoints(t *testing.T) {
 	m := point.FromRows([][]float64{{1, 2}, {2, 1}})
-	if got := SkylineStats(m, lease(t, 16), nil); len(got) != 2 {
+	if got := SkylineStats(m, lease(t, 16), nil, nil); len(got) != 2 {
 		t.Fatalf("got %v", got)
 	}
 }
@@ -47,7 +47,7 @@ func TestDuplicatesAcrossBlocks(t *testing.T) {
 	rows[3] = []float64{0, 0}
 	rows[97] = []float64{0, 0}
 	m := point.FromRows(rows)
-	got := SkylineStats(m, lease(t, 4), nil)
+	got := SkylineStats(m, lease(t, 4), nil, nil)
 	if !verify.SameSkyline(got, verify.BruteForce(m)) {
 		t.Fatalf("duplicates across blocks: %v", got)
 	}
@@ -56,7 +56,7 @@ func TestDuplicatesAcrossBlocks(t *testing.T) {
 func TestStatsRecorded(t *testing.T) {
 	m := dataset.Generate(dataset.Independent, 1000, 6, 9)
 	var st stats.Stats
-	got := SkylineStats(m, lease(t, 4), &st)
+	got := SkylineStats(m, lease(t, 4), &st, nil)
 	if st.SkylineSize != len(got) || st.InputSize != 1000 || st.Threads != 4 {
 		t.Errorf("sizes: %+v", st)
 	}
@@ -70,9 +70,9 @@ func TestStatsRecorded(t *testing.T) {
 
 func TestThreadCountInvariance(t *testing.T) {
 	m := dataset.Generate(dataset.Anticorrelated, 800, 6, 4)
-	want := SkylineStats(m, lease(t, 1), nil)
+	want := SkylineStats(m, lease(t, 1), nil, nil)
 	for _, threads := range []int{2, 5, 7} {
-		if !verify.SameSkyline(SkylineStats(m, lease(t, threads), nil), want) {
+		if !verify.SameSkyline(SkylineStats(m, lease(t, threads), nil, nil), want) {
 			t.Fatalf("t=%d disagrees with t=1", threads)
 		}
 	}

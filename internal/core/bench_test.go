@@ -9,8 +9,9 @@ import (
 )
 
 // BenchmarkCountDominators prices one Phase I probe on the shapes Phase
-// I really walks: countDominators (Algorithm 3) at budget 1 against the
-// store a run leaves behind. ns/op is per probe.
+// I really walks: countDominators (Algorithm 3) against the store a run
+// leaves behind, at budget 1 unless the row says otherwise. ns/op is per
+// probe.
 //   - hybrid-d8: a Hybrid run's skyline of 32 768 d = 8 anticorrelated
 //     rows, partitioned at both levels with minimum codes. The probes
 //     are 1 024 fresh rows of the same distribution, masked against the
@@ -18,6 +19,10 @@ import (
 //     codes its working set; some have a dominator in the store and stop
 //     on it, the rest walk every directory entry that passes the subset
 //     filter and the minimum-code pre-test.
+//   - hybrid-d8-k4: the same store and probes at budget 4, the shape of
+//     a 4-skyband run's probe (its store is a band, not this skyline).
+//   - hybrid-d4: a Hybrid run's skyline of 50 000 d = 4 independent
+//     rows, a directory of a few entries, probed the same way.
 //   - qflow-d4 and qflow-d8: a Q-Flow run's skyline of 200 000 d = 4 and
 //     50 000 d = 8 independent rows, one partition with every mask 0, no
 //     level 2 and no code skip, so each probe is one masked scan over
@@ -25,10 +30,12 @@ import (
 //     probes are 1 024 fresh rows of the same distribution, coded with
 //     the run's quantizer.
 //
-// "go" runs the Go bodies (the vector bodies off, point.SetVectorBodies),
-// "avx512" the vector directory walk and masked scan (on a CPU with
-// AVX512F+BW only); dt/probe, the dominance tests booked per probe, is
-// the same on both.
+// "go" runs the Go probe (the vector bodies off, point.SetVectorBodies),
+// "avx512" point.ProbeDirectory8 (on a CPU with AVX512F+BW only);
+// dt/probe, the dominance tests booked per probe, is the same on both,
+// and parts/probe is the directory entries a probe visits: those that
+// pass the subset filter and the minimum-code skip before the probe
+// reaches its budget.
 func BenchmarkCountDominators(b *testing.B) {
 	const probes = 1024
 	shapes := []struct {
@@ -36,10 +43,13 @@ func BenchmarkCountDominators(b *testing.B) {
 		dist      dataset.Distribution
 		n, d      int
 		partition bool
+		budget    int
 	}{
-		{"hybrid-d8", dataset.Anticorrelated, 32768, 8, true},
-		{"qflow-d4", dataset.Independent, 200000, 4, false},
-		{"qflow-d8", dataset.Independent, 50000, 8, false},
+		{"hybrid-d8", dataset.Anticorrelated, 32768, 8, true, 1},
+		{"hybrid-d8-k4", dataset.Anticorrelated, 32768, 8, true, 4},
+		{"hybrid-d4", dataset.Independent, 50000, 4, true, 1},
+		{"qflow-d4", dataset.Independent, 200000, 4, false, 1},
+		{"qflow-d8", dataset.Independent, 50000, 8, false, 1},
 	}
 	defer point.SetVectorBodies(point.VectorBodies())
 	for _, sh := range shapes {
@@ -54,11 +64,13 @@ func BenchmarkCountDominators(b *testing.B) {
 		pm := dataset.Generate(sh.dist, probes, sh.d, 54)
 		masks := make([]point.Mask, probes)
 		codes := make([]uint64, probes)
+		parts := 0
 		for i := range masks {
 			if sh.partition {
 				masks[i] = point.ComputeMask(pm.Row(i), c.pv)
 			}
 			codes[i] = c.quant.Code(pm.Row(i))
+			parts += s.visitedEntries(pm.Row(i), codes[i], masks[i], sh.budget)
 		}
 		b.Logf("%s store: %d skyline rows in %d partitions", sh.name, s.size(), s.msMask.Len())
 		for _, vec := range []bool{false, true} {
@@ -75,10 +87,38 @@ func BenchmarkCountDominators(b *testing.B) {
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
 					p := i % probes
-					s.countDominators(pm.Row(p), codes[p], masks[p], 1, &dts)
+					s.countDominators(pm.Row(p), codes[p], masks[p], sh.budget, &dts)
 				}
 				b.ReportMetric(float64(dts)/float64(b.N), "dt/probe")
+				b.ReportMetric(float64(parts)/probes, "parts/probe")
 			})
 		}
 	}
+}
+
+// visitedEntries is the number of directory entries the Go probe
+// (countDominators with the vector bodies off) visits for q at budget:
+// its walk, stopped where the probe reaches the budget.
+func (s *skylineStore) visitedEntries(q []float64, qc uint64, qMask point.Mask, budget int) int {
+	visited, c := 0, 0
+	var dts uint64
+	for e := s.nextEntry(0, qMask, qc); e < s.msMask.Len() && c < budget; e = s.nextEntry(e+1, qMask, qc) {
+		visited++
+		lo, hi := s.msStart[e], s.msStart[e+1]
+		m2 := qMask
+		if s.level2 {
+			pivot := s.row(lo)
+			if m2 = point.ComputeMask(q, pivot); m2 == point.FullMask(s.d) {
+				if point.Equals(pivot, q) {
+					continue
+				}
+				if c++; c >= budget {
+					break
+				}
+			}
+			lo++
+		}
+		c += point.CountDominatorsInFlatRunMasked(s.data, s.d, lo, hi, q, &s.mask2, m2, s.code, qc, budget-c, &dts)
+	}
+	return visited
 }

@@ -85,6 +85,7 @@ type Context struct {
 
 	rsrc, rdst []int
 	rshift     uint
+	rbits      uint // the radix digit width of the sort in progress
 	rt         int
 
 	gatherBody func(tid, lo, hi int)

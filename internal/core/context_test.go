@@ -2,6 +2,7 @@ package core
 
 import (
 	"cmp"
+	"math/bits"
 	"math/rand"
 	"slices"
 	"testing"
@@ -175,8 +176,14 @@ func TestRadixSortIdx(t *testing.T) {
 	c := NewContext()
 	c.ensure(lease(t, 4))
 	rng := rand.New(rand.NewSource(13))
+	// keyBits 11 and 12 and the compound keys d + bits.Len(d) up to
+	// point.MaxDims straddle the one-pass width radixOne.
+	widths := []int{4, 11, 12, 13, 21, 64}
+	for d := 1; d <= point.MaxDims; d++ {
+		widths = append(widths, d+bits.Len(uint(d)))
+	}
 	for _, n := range []int{1, 2, 17, 1000, 10000} {
-		for _, keyBits := range []int{4, 13, 21, 64} {
+		for _, keyBits := range widths {
 			c.keys = grow(c.keys, n)
 			limit := uint64(1)<<uint(keyBits%64) - 1
 			if keyBits == 64 {

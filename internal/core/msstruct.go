@@ -149,9 +149,8 @@ func (s *skylineStore) nextEntry(e int, qMask point.Mask, qc uint64) int {
 // pre-test against qc is skipped whole: each member's code is at least
 // that minimum in every lane, so each member fails the pre-test too, and
 // the pre-test never rejects a dominator (DESIGN.md §2); the
-// directory's filter and that pre-test are one walk (nextEntry), a
-// vector step per 8 entries at d ≤ 8 where the CPU has one. All point
-// accesses index the store's flat row-major data directly.
+// directory's filter and that pre-test are one walk (nextEntry). All
+// point accesses index the store's flat row-major data directly.
 //
 // A store without level 2 runs the same scan over each partition's whole
 // run against qMask: every member's mask2 is the partition's level-1
@@ -175,7 +174,22 @@ func (s *skylineStore) nextEntry(e int, qMask point.Mask, qc uint64) int {
 // before, and no later one passes the subset filter. On a skyline store
 // this is Algorithm 3's early "undominated" return, reached after the
 // same tests on the NoCodes arm.
+//
+// At d ≤ 8 with the vector bodies on (point.VectorBodies), the whole
+// probe is one AVX-512 call, point.ProbeDirectory8: the directory walk,
+// each pivot's mask, the full-mask and coincident-pivot rules and each
+// partition's scan, with q, the budget and the count in registers
+// between partitions. It books a test exactly where the Go body below
+// does, so the count and *dts are the same; the Go body is the
+// reference and the path everywhere else (DESIGN.md §2).
 func (s *skylineStore) countDominators(q []float64, qc uint64, qMask point.Mask, budget int, dts *uint64) int {
+	if s.d <= 8 && point.VectorBodies() {
+		var dirCodes []uint64
+		if s.skip {
+			dirCodes = s.msCode
+		}
+		return point.ProbeDirectory8(s.data, s.d, &s.msMask, s.msStart, dirCodes, &s.mask2, s.code, s.level2, q, qMask, qc, budget, dts)
+	}
 	full := point.FullMask(s.d)
 	d := s.d
 	data := s.data

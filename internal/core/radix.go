@@ -17,21 +17,27 @@ import (
 // whose norms tie. Both arms sort their runs with one comparator,
 // sortIdxByOrder's (L1, coordinates) order.
 
-// radixW is the digit width per LSD pass. 11 bits keeps the per-thread
-// histograms (threads × 2048 ints) small enough that the sequential
-// prefix sum stays negligible next to the scatter passes.
-const radixW = 11
-
-const radixBuckets = 1 << radixW
+// radixW is the digit width per LSD pass of a key wider than radixOne
+// bits. 11 bits keeps the per-thread histograms (threads × 2048 ints)
+// small enough that the sequential prefix sum stays negligible next to
+// the scatter passes. A key of at most radixOne bits — the compound
+// (level, mask) key up to d = 8, d + bits.Len(d) = 12 bits there — is
+// sorted in one pass of a keyBits-wide digit (at most 4 096 buckets a
+// thread): an 11-bit digit would leave a second full histogram and
+// scatter pass for one bit at d = 8.
+const (
+	radixW   = 11
+	radixOne = 12
+)
 
 // storeFlag marks a block point dominated. Atomic because Phase II
 // readers (the run kernels' skip loads) race with it by design.
 func storeFlag(f *uint32) { atomic.StoreUint32(f, 1) }
 
 // radixSortIdx sorts the identity permutation of [0, n) stably by
-// c.keys[i] restricted to keyBits, using ceil(keyBits/radixW) parallel
-// scatter passes. It returns the sorted permutation, which aliases either
-// c.idx or c.idxT.
+// c.keys[i] restricted to keyBits, using one parallel scatter pass when
+// keyBits ≤ radixOne and ceil(keyBits/radixW) otherwise. It returns the
+// sorted permutation, which aliases either c.idx or c.idxT.
 //
 // Cancellation safety: a canceled fan-out leaves its output buffer with
 // stale values from a previous run, which downstream code indexes with —
@@ -51,11 +57,17 @@ func (c *Context) radixSortIdx(n, keyBits int) []int {
 		t = n
 	}
 	c.rt = t
-	c.hist = grow(c.hist, t*radixBuckets)
-	passes := (keyBits + radixW - 1) / radixW
+	w := radixW
+	if keyBits <= radixOne {
+		w = max(keyBits, 1)
+	}
+	buckets := 1 << w
+	c.rbits = uint(w)
+	c.hist = grow(c.hist, t*buckets)
+	passes := (keyBits + w - 1) / w
 	for p := 0; p < passes; p++ {
 		c.rsrc, c.rdst = src, dst
-		c.rshift = uint(p * radixW)
+		c.rshift = uint(p * w)
 		c.forRanges(n, c.histBody)
 		// A canceled histogram fan-out leaves stale counts whose prefix
 		// sums would scatter out of range; src still holds a valid
@@ -67,10 +79,10 @@ func (c *Context) radixSortIdx(n, keyBits int) []int {
 		// thread scatters its static range into exclusive slots.
 		sum := 0
 		hist := c.hist
-		for b := 0; b < radixBuckets; b++ {
-			for w := 0; w < t; w++ {
-				v := hist[w*radixBuckets+b]
-				hist[w*radixBuckets+b] = sum
+		for b := 0; b < buckets; b++ {
+			for tid := 0; tid < t; tid++ {
+				v := hist[tid*buckets+b]
+				hist[tid*buckets+b] = sum
 				sum += v
 			}
 		}
@@ -86,24 +98,24 @@ func (c *Context) radixSortIdx(n, keyBits int) []int {
 }
 
 func (c *Context) runHist(tid, lo, hi int) {
-	hist := c.hist[tid*radixBuckets : (tid+1)*radixBuckets]
-	for i := range hist {
-		hist[i] = 0
-	}
+	buckets := 1 << c.rbits
+	hist := c.hist[tid*buckets : (tid+1)*buckets]
+	clear(hist)
 	keys, src := c.keys, c.rsrc
-	shift := c.rshift
+	shift, digit := c.rshift, uint64(buckets-1)
 	for i := lo; i < hi; i++ {
-		hist[(keys[src[i]]>>shift)&(radixBuckets-1)]++
+		hist[(keys[src[i]]>>shift)&digit]++
 	}
 }
 
 func (c *Context) runScatter(tid, lo, hi int) {
-	hist := c.hist[tid*radixBuckets : (tid+1)*radixBuckets]
+	buckets := 1 << c.rbits
+	hist := c.hist[tid*buckets : (tid+1)*buckets]
 	keys, src, dst := c.keys, c.rsrc, c.rdst
-	shift := c.rshift
+	shift, digit := c.rshift, uint64(buckets-1)
 	for i := lo; i < hi; i++ {
 		v := src[i]
-		b := (keys[v] >> shift) & (radixBuckets - 1)
+		b := (keys[v] >> shift) & digit
 		dst[hist[b]] = v
 		hist[b]++
 	}

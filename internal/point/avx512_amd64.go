@@ -3,13 +3,15 @@ package point
 import "os"
 
 // hasAVX512BW records whether this package's AVX-512 bodies may run:
-// Scan8, UnionScan8 and the word steps of the masked scan and directory
-// walk (maskedSkip8) and of the band scans (bandSkip8). It is read once,
-// at start-up. The CPU must have every extension the bodies use, read
-// from CPUID and XGETBV: AVX512F (CPUID leaf 7 EBX bit 16), AVX512BW for
-// the byte-lane mask move VPMOVB2M (leaf 7 EBX bit 30) and POPCNT (leaf
-// 1 ECX bit 23); and the OS must save the XMM, YMM, opmask and ZMM
-// register state across context switches (XCR0 bits 1, 2, 5, 6 and 7).
+// Scan8, UnionScan8, Phase I's probe (probeDir8) and the word step of
+// the band scans (bandSkip8). It is read once, at start-up. The CPU
+// must have every extension the bodies use, read from CPUID and XGETBV:
+// AVX512F (CPUID leaf 7 EBX bit 16), AVX512BW for the byte-lane
+// instructions — VPMOVB2M, VPTESTNMB, the masked byte load and the
+// 64-bit K-mask moves, shifts and unpacks (leaf 7 EBX bit 30) — and
+// POPCNT (leaf 1 ECX bit 23); and the OS must save the XMM, YMM, opmask
+// and ZMM register state across context switches (XCR0 bits 1, 2, 5, 6
+// and 7).
 // XGETBV may only be asked when CPUID reports OSXSAVE (leaf 1 ECX bit
 // 27). And GODEBUG must not turn AVX512F or AVX512BW off (avx512Off):
 // the options the Go runtime takes for its own AVX-512 code choose the
@@ -78,24 +80,12 @@ func Scan8(q *[128]float64, rows []float64, budget int, dts *uint64) int
 //go:noescape
 func UnionScan8(u []float64, rows []float64, l1 []float64, budget int, dts *uint64) int
 
-// maskedSkip8 is the vector step of CountDominatorsInFlatRunMasked
-// and of PackedMasks.NextSubsetCoded on an 8-bit-lane mask column: it
-// walks words wi … last of words and returns the first whose rows hold
-// one that passes both the subset filter against probe (the probe mask
-// in every lane) and the code pre-test against qg = qc | h, or last + 1
-// when none does. Word wi is clipped to head and word last to tail
-// (laneSpan). For every word it passes over it adds the rows that pass
-// the subset filter to *n: each is a dominance test its code word
-// rejects. codes holds the column's code words, row j at codes[j].
-//
-// It is bandSkip8's step without the norm filter: the mask test runs
-// in the vector unit, on the word's mask bytes widened to qword lanes
-// and tested against the probe's missing bits under a clip K mask, so
-// no word pays a filter in general registers or a branch on whether it
-// holds a candidate.
+// probeDir8 is ProbeDirectory8's body: flags bit 0 asks level 2 and
+// bit 1 the directory's minimum-code skip, qg is qc | h and h the code
+// guards; dcodes is read only with bit 1.
 //
 //go:noescape
-func maskedSkip8(words, codes *uint64, wi, last int, head, tail, probe, qg, h uint64, n *uint64) int
+func probeDir8(rows *float64, d int, dir, dcodes *uint64, starts *int, np int, masks, codes *uint64, q *float64, flags, qm, qg, h uint64, budget int, dts *uint64) int
 
 // bandSkip8 is the vector step of AppendDominatorsMasked and
 // AppendDominatedMasked on an 8-bit-lane mask column: it walks words

@@ -150,33 +150,16 @@ func cntRunSC8(rows []float64, lo, hi int, q []float64, budget int, dts *uint64)
 // of masks at a time (PackedMasks.subsets) with the candidate rows taken
 // in ascending order, so the count, the row the budget is reached on and
 // *dts are those of a row-by-row scan. It is the kernel behind every
-// Phase I scan, skyline (budget 1) and k-skyband alike: each M(S)
-// partition's level-2 scan, and on a run without level 2 (Q-Flow, the
-// NoMS and NoLevel2 ablations) each partition's whole run, whose masks
-// are the partition's level-1 mask and all pass. Where a partition has
-// level 2, most rows fail the filter, and those cost no branch.
-// codes and qc are CountDominatorsInFlatRun's code-word pre-test, asked
-// of a row that passed the mask filter and was counted as a test.
-//
-// At d ≤ 8 (pm's lanes 8 bits wide) with codes, where the vector
-// bodies are on (VectorBodies), each mask word takes one AVX-512 step
-// first (maskedSkip8): a word holds 8 rows in 8-bit lanes and their 8
-// code words are one 64-byte load, so the subset filter, the span clip
-// and the code pre-test of all 8 rows are one vector step. A word where
-// no row passes both only adds its subset-filter rows to *dts — each is
-// a test its code rejects — and every other word is tested row by row
-// in ascending order, as without the step. Nearly every word is of the
-// first kind (on batch_anti's skyline 0.16 % of the rows that pass the
-// subset filter pass the pre-test). Either way the count, the row where
-// the budget is reached and *dts are the same. codes must then hold row
-// j's code word at codes[j] for every j < hi.
+// Phase I scan of the Go probe, skyline (budget 1) and k-skyband alike:
+// each M(S) partition's level-2 scan, and on a run without level 2
+// (Q-Flow, the NoMS and NoLevel2 ablations) each partition's whole run,
+// whose masks are the partition's level-1 mask and all pass. Where a
+// partition has level 2, most rows fail the filter, and those cost no
+// branch. codes and qc are CountDominatorsInFlatRun's code-word
+// pre-test, asked of a row that passed the mask filter and was counted
+// as a test. At d ≤ 8 with the vector bodies on, Phase I asks
+// ProbeDirectory8 instead, which makes the same decisions and counts.
 func CountDominatorsInFlatRunMasked(rows []float64, d, lo, hi int, q []float64, pm *PackedMasks, qm Mask, codes []uint64, qc uint64, budget int, dts *uint64) int {
-	vec := vector && pm.lane == 3 && codes != nil && lo < hi
-	if vec {
-		// The assembly reads the words of rows [lo, hi) and codes [0, hi)
-		// without bounds checks.
-		_, _ = pm.w[(hi-1)>>pm.idx], codes[hi-1]
-	}
 	h := codeGuards[d]
 	qg := qc | h
 	n := *dts
@@ -184,11 +167,6 @@ func CountDominatorsInFlatRunMasked(rows []float64, d, lo, hi int, q []float64, 
 	probe, sp := pm.probe(qm), pm.span(lo, hi)
 scan:
 	for wi := sp.first; wi <= sp.last; wi++ {
-		if vec {
-			if wi = maskedSkip8(&pm.w[0], &codes[0], wi, sp.last, sp.headAt(wi), sp.tail, probe, qg, h, &n); wi > sp.last {
-				break
-			}
-		}
 		for z := sp.clip(wi, pm.subsets(wi, probe)); z != 0; z &= z - 1 {
 			j := pm.row(wi, z)
 			n++
@@ -206,4 +184,53 @@ scan:
 	}
 	*dts = n
 	return c
+}
+
+// ProbeDirectory8 is Phase I's probe (Algorithm 3, compareToSky, through
+// the two-level M(S) of Section VI-A2) at d ≤ 8 as one AVX-512 call: it
+// counts the rows that dominate q, up to budget (≥ 1), in a store of
+// partitions. Partition e of the directory dir spans rows [starts[e],
+// starts[e+1]) of the row-major rows (d columns); masks holds every
+// row's mask and codes its code word. The call walks the directory,
+// and for each entry whose mask is a subset of qm and, where dirCodes
+// is not nil, whose minimum code word dirCodes[e] passes the pre-test
+// against qc, scans the partition: with level2 its first row is the
+// level-2 pivot, and q's mask against it (bit i set iff q[i] ≥ pivot[i])
+// filters the rest; without it every row is filtered against qm. A full
+// level-2 mask adds the pivot as a dominator, or, when q equals the
+// pivot, ends the entry with nothing added.
+//
+// The count and *dts are those of internal/core's Go probe, which walks
+// with PackedMasks.NextSubsetCoded, masks with ComputeMask and scans with
+// CountDominatorsInFlatRunMasked: one test for each level-2 pivot, one
+// for each row that passes the subset filter up to the budget-th
+// dominator, code-rejected rows included, and none for a directory
+// entry. q, the walk's position, the code guards and the budget stay in
+// registers between partitions, so a probe pays one call set-up, not one
+// a partition and scan. Call it only when VectorBodies reports true.
+func ProbeDirectory8(rows []float64, d int, dir *PackedMasks, starts []int, dirCodes []uint64, masks *PackedMasks, codes []uint64, level2 bool, q []float64, qm Mask, qc uint64, budget int, dts *uint64) int {
+	np := dir.Len()
+	if np == 0 {
+		return 0
+	}
+	if d < 1 || d > 8 || dir.lane != 3 || masks.lane != 3 {
+		panic("point: ProbeDirectory8 needs 1 ≤ d ≤ 8 and masks of 8-bit lanes")
+	}
+	// The assembly reads without bounds checks: the directory's np
+	// entries and starts[np], rows, masks and codes below starts[np], and
+	// q's d coordinates.
+	end := starts[np]
+	_, _, _, _ = rows[end*d-1], masks.w[(end-1)>>masks.idx], codes[end-1], q[d-1]
+	var flags uint64
+	if level2 {
+		flags |= 1
+	}
+	dc := &codes[0] // never read without the skip
+	if dirCodes != nil {
+		_ = dirCodes[np-1]
+		flags |= 2
+		dc = &dirCodes[0]
+	}
+	h := codeGuards[d]
+	return probeDir8(&rows[0], d, &dir.w[0], dc, &starts[0], np, &masks.w[0], &codes[0], &q[0], flags, uint64(qm), qc|h, h, budget, dts)
 }

@@ -5,29 +5,26 @@ import (
 	"testing"
 )
 
-// FuzzMaskedScan holds CountDominatorsInFlatRunMasked with the vector
-// bodies on to the same kernel with them off, its Go body: the count and
-// the advance of *dts at every budget from 1 to one past the number of
-// dominators. The first byte picks d (2–8), the next two the span
-// [lo, hi), the fourth the probe mask and the fifth the starting test count;
-// each following pair of bytes is a row, a mask byte and a kind byte. A
-// kind's low two bits pick it; bits 2–7 move coordinate c where bit 2 +
-// c mod 6 is set. Kind 3 moves coordinates a quarter below the probe's:
-// a dominator, unless no bit moves one. Kinds 0 and 1 do the same and
-// then put coordinate (kind >> 2) mod d half a unit above the probe's,
-// so the code pre-test rejects the row. Kind 2 moves coordinates one ulp
-// below the probe's and, with bit 7 set, coordinate (kind >> 2) mod d
-// one ulp above it: a row whose code passes while its float test fails.
-// The seeds' spans start and end mid-word, fit inside one word, align
-// with words and cover three or more.
+// FuzzMaskedScan holds CountDominatorsInFlatRunMasked, the Go probe's
+// partition scan, to a row-by-row scan of the same span: a row whose
+// mask is a subset of the probe's is a test, and a dominator only when
+// its code word passes and its float test holds. The count and the
+// advance of *dts must agree at every budget from 1 to one past the
+// number of dominators. The first byte picks d (2–8), the next two the
+// span [lo, hi), the fourth the probe mask and the fifth the starting
+// test count; each following pair of bytes is a row, a mask byte and a
+// kind byte. A kind's low two bits pick it; bits 2–7 move coordinate c
+// where bit 2 + c mod 6 is set. Kind 3 moves coordinates a quarter
+// below the probe's: a dominator, unless no bit moves one. Kinds 0 and
+// 1 do the same and then put coordinate (kind >> 2) mod d half a unit
+// above the probe's, so the code pre-test rejects the row. Kind 2 moves
+// coordinates one ulp below the probe's and, with bit 7 set, coordinate
+// (kind >> 2) mod d one ulp above it: a row whose code passes while its
+// float test fails. The seeds' spans start and end mid-word, fit inside
+// one word, align with words and cover three or more.
 func FuzzMaskedScan(f *testing.F) {
-	if !HasAVX512BW() {
-		f.Skip("no AVX512F+BW and POPCNT with OS-saved ZMM state on this CPU: the vector body cannot run")
-	}
-	defer SetVectorBodies(SetVectorBodies(true))
 	// A seed's rows pass the subset filter, and all but one, a dominator
-	// in the middle of the span, fail the pre-test: the vector body
-	// passes over every other word, the first and last clipped.
+	// in the middle of the span, fail the pre-test.
 	row := func(dst []byte, i, mid int) []byte {
 		kind := byte(i*4) &^ 3
 		if i == mid {
@@ -97,42 +94,50 @@ func FuzzMaskedScan(f *testing.F) {
 		codes, qc := codeColumn(rows, d, q)
 		pm := packMasks(d, masks)
 
+		h := codeGuards[d]
+		scan := func(budget int, dts *uint64) int {
+			c := 0
+			for j := lo; j < hi && c < budget; j++ {
+				if !masks[j].Subset(qm) {
+					continue
+				}
+				*dts++
+				if codeLE(codes[j], qc|h, h) && dominatesRow(rows[j*d:(j+1)*d], q) {
+					c++
+				}
+			}
+			return c
+		}
 		var all uint64
-		vector = false
-		total := CountDominatorsInFlatRunMasked(rows, d, lo, hi, q, pm, qm, codes, qc, n+1, &all)
+		total := scan(n+1, &all)
 		for budget := 1; budget <= total+1; budget++ {
 			wantDTs, gotDTs := start, start
-			vector = false
-			want := CountDominatorsInFlatRunMasked(rows, d, lo, hi, q, pm, qm, codes, qc, budget, &wantDTs)
-			vector = true
+			want := scan(budget, &wantDTs)
 			got := CountDominatorsInFlatRunMasked(rows, d, lo, hi, q, pm, qm, codes[:hi], qc, budget, &gotDTs)
 			if got != want || gotDTs != wantDTs {
-				t.Fatalf("d=%d [%d,%d) qm=%b budget=%d: vector body (%d, %d tests), Go body (%d, %d tests)",
+				t.Fatalf("d=%d [%d,%d) qm=%b budget=%d: masked scan (%d, %d tests), row by row (%d, %d tests)",
 					d, lo, hi, qm, budget, got, gotDTs-start, want, wantDTs-start)
 			}
 		}
 	})
 }
 
-// FuzzDirectoryWalk holds PackedMasks.NextSubsetCoded, Phase I's walk
-// of the M(S) directory, with the vector bodies on to the Go walk:
-// NextSubset, then the pre-test entry by entry. Both walk [lo, hi) from
-// lo and on from every entry found, and must find the same entries.
-// The first byte picks d (2–8), the next two the span [lo, hi) and the
-// fourth the probe mask; each following pair of bytes is an entry, a
-// mask byte and a code byte. Every lane of the probe's code word is
-// the middle code; lane c of an entry's is one above it where bit c of
-// the code byte is set (the pre-test rejects the entry), else equal to
-// it or, where bit c of the mask byte is set, one below. Most random
-// code bytes set some bit of the d, so most entries are rejected, as
-// minimum codes reject most partitions. The seeds pass one entry in the
-// middle of a span and reject the rest; their spans start and end
-// mid-word, fit inside one word, align with words and cover several.
+// FuzzDirectoryWalk holds PackedMasks.NextSubsetCoded, the Go probe's
+// walk of the M(S) directory, to a walk entry by entry: the first entry
+// whose mask is a subset of the probe's and whose code word passes the
+// pre-test. Both walk [lo, hi) from lo and on from every entry found,
+// and must find the same entries. The first byte picks d (2–8), the
+// next two the span [lo, hi) and the fourth the probe mask; each
+// following pair of bytes is an entry, a mask byte and a code byte.
+// Every lane of the probe's code word is the middle code; lane c of an
+// entry's is one above it where bit c of the code byte is set (the
+// pre-test rejects the entry), else equal to it or, where bit c of the
+// mask byte is set, one below. Most random code bytes set some bit of
+// the d, so most entries are rejected, as minimum codes reject most
+// partitions. The seeds pass one entry in the middle of a span and
+// reject the rest; their spans start and end mid-word, fit inside one
+// word, align with words and cover several.
 func FuzzDirectoryWalk(f *testing.F) {
-	if !HasAVX512BW() {
-		f.Skip("no AVX512F+BW and POPCNT with OS-saved ZMM state on this CPU: the vector walk cannot run")
-	}
-	defer SetVectorBodies(SetVectorBodies(true))
 	for _, s := range []struct{ d, lo, length, entries int }{
 		{8, 3, 18, 24},  // starts and ends mid-word
 		{7, 2, 4, 12},   // inside one word
@@ -186,8 +191,8 @@ func FuzzDirectoryWalk(f *testing.F) {
 		pm := packMasks(d, masks)
 
 		next := func(e int) int {
-			for e = pm.NextSubset(e, hi, qm); e < hi; e = pm.NextSubset(e+1, hi, qm) {
-				if CodeLE(codes[e], qc, d) {
+			for ; e < hi; e++ {
+				if masks[e].Subset(qm) && CodeLE(codes[e], qc, d) {
 					break
 				}
 			}
@@ -195,7 +200,7 @@ func FuzzDirectoryWalk(f *testing.F) {
 		}
 		for want, got := next(lo), pm.NextSubsetCoded(lo, hi, qm, codes[:hi], qc, d); ; {
 			if got != want {
-				t.Fatalf("d=%d [%d,%d) qm=%b: vector walk found %d, Go walk %d", d, lo, hi, qm, got, want)
+				t.Fatalf("d=%d [%d,%d) qm=%b: NextSubsetCoded found %d, the entry-by-entry walk %d", d, lo, hi, qm, got, want)
 			}
 			if want >= hi {
 				break

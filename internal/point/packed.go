@@ -163,39 +163,13 @@ func (p *PackedMasks) NextSubset(lo, hi int, qm Mask) int {
 // NextSubsetCoded returns the first row j ∈ [lo, hi) whose mask is a
 // subset of qm and whose code word passes the pre-test against qc
 // (CodeLE(codes[j], qc, d)), or hi when there is none; nil codes asks
-// no pre-test. It is Phase I's walk of the M(S) directory, whose test
-// count is discarded: Phase I books no test for a directory entry.
-//
-// The Go body is NextSubset, then the pre-test entry by entry. At
-// d ≤ 8 (p's lanes 8 bits wide) with codes, where the vector bodies are
-// on (VectorBodies), the filter and the pre-test are one AVX-512 step
-// per mask word (maskedSkip8), which passes over every word with no such
-// row; codes must then hold row j's code word at codes[j] for every
-// j < hi. Both return the same row.
+// no pre-test. It is the Go probe's walk of the M(S) directory, whose
+// test count is discarded: Phase I books no test for a directory entry.
 func (p *PackedMasks) NextSubsetCoded(lo, hi int, qm Mask, codes []uint64, qc uint64, d int) int {
-	if !vector || p.lane != 3 || codes == nil || lo >= hi {
-		for lo = p.NextSubset(lo, hi, qm); lo < hi; lo = p.NextSubset(lo+1, hi, qm) {
-			if codes == nil || CodeLE(codes[lo], qc, d) {
-				break
-			}
-		}
-		return lo
-	}
-	// The assembly reads the words of rows [lo, hi) and codes [0, hi)
-	// without bounds checks.
-	_, _ = p.w[(hi-1)>>p.idx], codes[hi-1]
-	h := codeGuards[d]
-	qg := qc | h
-	probe, sp := p.probe(qm), p.span(lo, hi)
-	var n uint64
-	for wi := sp.first; ; wi++ {
-		if wi = maskedSkip8(&p.w[0], &codes[0], wi, sp.last, sp.headAt(wi), sp.tail, probe, qg, h, &n); wi > sp.last {
-			return hi
-		}
-		for z := sp.clip(wi, p.subsets(wi, probe)); z != 0; z &= z - 1 {
-			if j := p.row(wi, z); codeLE(codes[j], qg, h) {
-				return j
-			}
+	for lo = p.NextSubset(lo, hi, qm); lo < hi; lo = p.NextSubset(lo+1, hi, qm) {
+		if codes == nil || CodeLE(codes[lo], qc, d) {
+			break
 		}
 	}
+	return lo
 }

@@ -320,9 +320,10 @@ func FuzzSubsetFilterPacked(f *testing.F) {
 // 23 % of the time, the rate measured in Phase I on loadbench's
 // batch_anti. Every scan therefore runs to the end, and ns/row is the
 // mean cost of passing one row, tested or not. "scalar" is the per-row
-// mask branch the packed filter replaced, without codes; "go" and
-// "avx512" are the coded kernel the Engine runs,
-// CountDominatorsInFlatRunMasked, with the vector bodies off and on (on
+// mask branch the packed filter replaced, without codes; "go" is the Go
+// probe's coded scan, CountDominatorsInFlatRunMasked, and "avx512" the
+// same scan inside Phase I's one-call probe, ProbeDirectory8 on a
+// directory of one entry that spans the partition, without level 2 (on
 // a CPU with AVX512F+BW only).
 func BenchmarkMaskedScan(b *testing.B) {
 	const n, d, probes = 4096, 8, 64
@@ -387,13 +388,23 @@ func BenchmarkMaskedScan(b *testing.B) {
 	for p := range qcs {
 		qcs[p] = z.Code(qs[p*d : (p+1)*d])
 	}
+	var dir PackedMasks
+	dir.Reset(d)
+	dir.Append(0)
+	starts := []int{0, n}
 	forEachBody(func(body string) {
 		b.Run(body, func(b *testing.B) {
 			var dts uint64
 			for i := 0; i < b.N; i++ {
 				for p := 0; p < probes; p++ {
 					q := qs[p*d : (p+1)*d]
-					if CountDominatorsInFlatRunMasked(rows, d, 0, n, q, pm, qm, codes, qcs[p], 1, &dts) != 0 {
+					var c int
+					if body == "go" {
+						c = CountDominatorsInFlatRunMasked(rows, d, 0, n, q, pm, qm, codes, qcs[p], 1, &dts)
+					} else {
+						c = ProbeDirectory8(rows, d, &dir, starts, nil, pm, codes, false, q, qm, qcs[p], 1, &dts)
+					}
+					if c != 0 {
 						b.Fatal("probe dominated")
 					}
 				}

@@ -4,13 +4,13 @@ import "strings"
 
 // vector is the one switch between the Go bodies of this package's
 // kernels and their AVX-512 ones. Each entry point with a vector body —
-// CountDominatorsInFlatRunMasked, PackedMasks.NextSubsetCoded,
 // AppendDominatorsMasked and AppendDominatedMasked — reads it together
 // with its own shape test (8-bit mask lanes, codes present, a non-empty
-// span), and the pre-filter reads it before it lays out a queue for
-// Scan8. Both bodies make the same decisions and counts, so the switch
-// moves time, never a result. It starts on where the CPU has the bodies
-// and is only ever changed by tests (SetVectorBodies).
+// span); the pre-filter reads it before it lays out a queue for Scan8,
+// and Phase I's probe (internal/core) before it calls ProbeDirectory8
+// at d ≤ 8. Both bodies make the same decisions and counts, so the
+// switch moves time, never a result. It starts on where the CPU has the
+// bodies and is only ever changed by tests (SetVectorBodies).
 var vector = hasAVX512BW
 
 // HasAVX512BW reports whether the CPU has AVX512F, AVX512BW and POPCNT

@@ -18,11 +18,12 @@ func forEachBody(f func(body string)) {
 	}
 }
 
-// dispatchRun is everything the four entry points with a vector body
-// answer on one input: the masked count at every budget, the band's
-// dominators at every budget and its dominated rows, each with its
-// advance of *dts, and the directory walk's rows from lo and on from
-// every row it finds.
+// dispatchRun is everything the entry points answer on one input: the
+// masked count at every budget, the band's dominators at every budget
+// and its dominated rows, each with its advance of *dts, and the
+// directory walk's rows from lo and on from every row it finds. The
+// masked scan and the walk have no vector body: they are the Go probe's
+// parts (probeGo), and must not move when the switch does.
 func dispatchRun(rows []float64, d, lo, hi int, q []float64, qL1 float64, l1 []float64, pm *PackedMasks, qm Mask, codes []uint64, qc uint64) string {
 	out := ""
 	for budget := 1; budget <= 4; budget++ {
@@ -42,16 +43,83 @@ func dispatchRun(rows []float64, d, lo, hi int, q []float64, qL1 float64, l1 []f
 	}
 }
 
+// probeGo is internal/core's Go probe (skylineStore.countDominators)
+// over this package's parts: the directory walk, q's level-2 mask
+// against each partition's pivot and the masked scan of the rest. It is
+// ProbeDirectory8's reference.
+func probeGo(rows []float64, d int, dir *PackedMasks, starts []int, dirCodes []uint64, masks *PackedMasks, codes []uint64, level2 bool, q []float64, qm Mask, qc uint64, budget int, dts *uint64) int {
+	c, np := 0, dir.Len()
+	for e := dir.NextSubsetCoded(0, np, qm, dirCodes, qc, d); e < np; e = dir.NextSubsetCoded(e+1, np, qm, dirCodes, qc, d) {
+		lo, hi := starts[e], starts[e+1]
+		m2 := qm
+		if level2 {
+			*dts++
+			pivot := rows[lo*d : (lo+1)*d]
+			if m2 = ComputeMask(q, pivot); m2 == FullMask(d) {
+				if Equals(pivot, q) {
+					continue
+				}
+				if c++; c >= budget {
+					return c
+				}
+			}
+			lo++
+		}
+		if c += CountDominatorsInFlatRunMasked(rows, d, lo, hi, q, masks, m2, codes, qc, budget-c, dts); c >= budget {
+			return c
+		}
+	}
+	return c
+}
+
+// probeRun is the probe's answer on rows cut into partitions at cuts,
+// each partition's directory mask its first row's and its minimum code
+// the lane-wise minimum of its rows': with and without level 2 and the
+// minimum-code skip, at every budget, each with its advance of *dts.
+// ProbeDirectory8 answers where the vector bodies are on, probeGo
+// elsewhere, as internal/core dispatches.
+func probeRun(rows []float64, d int, cuts []int, q []float64, pm *PackedMasks, qm Mask, codes []uint64, qc uint64) string {
+	var dir PackedMasks
+	dir.Reset(d)
+	var dirCodes []uint64
+	for e := 0; e+1 < len(cuts); e++ {
+		dir.Append(pm.At(cuts[e]))
+		m := codes[cuts[e]]
+		for j := cuts[e] + 1; j < cuts[e+1]; j++ {
+			m = CodeMin(m, codes[j], d)
+		}
+		dirCodes = append(dirCodes, m)
+	}
+	out := ""
+	for _, level2 := range []bool{false, true} {
+		for _, dc := range [][]uint64{nil, dirCodes} {
+			for budget := 1; budget <= 4; budget++ {
+				dts := uint64(7)
+				var c int
+				if VectorBodies() {
+					c = ProbeDirectory8(rows, d, &dir, cuts, dc, pm, codes, level2, q, qm, qc, budget, &dts)
+				} else {
+					c = probeGo(rows, d, &dir, cuts, dc, pm, codes, level2, q, qm, qc, budget, &dts)
+				}
+				out += fmt.Sprintf("level2 %v skip %v budget %d: count %d, %d tests; ", level2, dc != nil, budget, c, dts)
+			}
+		}
+	}
+	return out
+}
+
 // TestVectorDispatch holds each entry point that may take a vector body
-// — CountDominatorsInFlatRunMasked, AppendDominatorsMasked,
-// AppendDominatedMasked and PackedMasks.NextSubsetCoded — to itself with
-// the vector bodies off: the same answers and the same test counts, on
-// every shape the switch must tell apart. Only the first shape takes
-// the vector step: d = 2–8 with codes. d ≤ 8 with nil codes (the stream
-// index before its first pivot) must stay on the Go body, whose
-// pre-test it skips — the vector step would read codes[0] — as must
-// d = 9–16, whose masks have 16-bit lanes, and an empty span at any
-// width.
+// — AppendDominatorsMasked, AppendDominatedMasked and Phase I's probe
+// (ProbeDirectory8 against probeGo) — to itself with the vector bodies
+// off, and the Go probe's parts, CountDominatorsInFlatRunMasked and
+// PackedMasks.NextSubsetCoded, with them: the same answers and the same
+// test counts, on every shape the switch must tell apart. Only the
+// first shape takes the vector steps: d = 2–8 with codes, where the
+// probe also runs, on the rows cut into random partitions. d ≤ 8 with
+// nil codes (the stream index before its first pivot) must stay on the
+// Go body, whose pre-test it skips — the vector step would read
+// codes[0] — as must d = 9–16, whose masks have 16-bit lanes, and an
+// empty span at any width.
 func TestVectorDispatch(t *testing.T) {
 	rng := rand.New(rand.NewSource(55))
 	for _, c := range []struct {
@@ -81,9 +149,19 @@ func TestVectorDispatch(t *testing.T) {
 				if c.emptySpan {
 					hi = lo
 				}
+				var cuts []int
+				if d <= 8 && !c.nilCodes && !c.emptySpan {
+					cuts = []int{0}
+					for cuts[len(cuts)-1] < n {
+						cuts = append(cuts, min(n, cuts[len(cuts)-1]+1+rng.Intn(12)))
+					}
+				}
 				got := map[string]string{}
 				forEachBody(func(body string) {
 					got[body] = dispatchRun(rows, d, lo, hi, q, qL1, l1, pm, qm, codes, qc)
+					if cuts != nil {
+						got[body] += "; probe " + probeRun(rows, d, cuts, q, pm, qm, codes, qc)
+					}
 				})
 				if on, ok := got["avx512"]; ok && on != got["go"] {
 					t.Fatalf("%s, d=%d [%d,%d): vector bodies on: %s; off: %s", c.name, d, lo, hi, on, got["go"])
