@@ -1,6 +1,7 @@
 package skybench_test
 
 import (
+	"fmt"
 	"go/ast"
 	"go/parser"
 	"go/token"
@@ -8,6 +9,7 @@ import (
 	"os"
 	"path/filepath"
 	"regexp"
+	"slices"
 	"strconv"
 	"strings"
 	"testing"
@@ -30,7 +32,7 @@ var designNotGo = map[string]bool{
 
 // TestDesignNamesExist holds DESIGN.md to the tree, as
 // TestExportedSurface holds the public surface: every backquoted span
-// of the shape of a Go identifier, optionally qualified (`point.Scan8`,
+// of the shape of a Go identifier, optionally qualified (`point.Queue`,
 // `Rows.At`, `stats.Cost.Busy`) and optionally called (`Close()`), must
 // name something the tree's .go or .s files hold, so a renamed or
 // deleted name fails here and not at the next rewrite of the document.
@@ -75,15 +77,46 @@ func TestDesignNamesExist(t *testing.T) {
 	}
 }
 
+// TestOneKernelSwitch holds the kernels' one switch to internal/point:
+// no non-test file outside it reads or flips the switch
+// (point.VectorBodies, point.SetVectorBodies), asks what the CPU runs
+// (point.HasAVX512BW) or names an assembly body (a TEXT symbol of the
+// package's .s files). Each kernel question then has one entry point in
+// internal/point, and no caller knows which body answers it. Tests may
+// flip the switch between runs.
+func TestOneKernelSwitch(t *testing.T) {
+	tree := indexTree(t)
+	banned := []string{"point.VectorBodies", "point.HasAVX512BW", "point.SetVectorBodies"}
+	for sym := range tree.text {
+		if strings.HasPrefix(sym, "point.") {
+			banned = append(banned, sym)
+		}
+	}
+	var found []string
+	for _, name := range banned {
+		for _, at := range tree.uses[name] {
+			if !strings.HasPrefix(at, "internal/point/") && !strings.Contains(at, "_test.go:") {
+				found = append(found, fmt.Sprintf("%s names %s", at, name))
+			}
+		}
+	}
+	slices.Sort(found)
+	for _, f := range found {
+		t.Errorf("%s outside internal/point", f)
+	}
+}
+
 // treeIndex is what the tree's files hold, as TestDesignNamesExist
 // resolves names against it.
 type treeIndex struct {
-	idents  map[string]bool // identifiers outside comments; assembly words outside comments
-	strs    map[string]bool // string literals, unquoted
-	files   map[string]bool // file base names
-	pkgs    map[string]bool // package names
-	decls   map[string]bool // "pkg.Name": package-level declarations and assembly TEXT symbols
-	members map[string]bool // "Type.Name" for every method and field, "x.Name" for every selector on an identifier x; ".Name" for any of them
+	idents  map[string]bool     // identifiers outside comments; assembly words outside comments
+	strs    map[string]bool     // string literals, unquoted
+	files   map[string]bool     // file base names
+	pkgs    map[string]bool     // package names
+	decls   map[string]bool     // "pkg.Name": package-level declarations and assembly TEXT symbols
+	text    map[string]bool     // "pkg.Name": assembly TEXT symbols
+	members map[string]bool     // "Type.Name" for every method and field, "x.Name" for every selector on an identifier x; ".Name" for any of them
+	uses    map[string][]string // "x.Name" for every selector on an identifier x: the file:line of each
 }
 
 // has reports whether name, one backquoted span without its "()",
@@ -117,7 +150,7 @@ func (tr *treeIndex) has(name string) bool {
 // module included) and reads every .s file, skipping testdata and
 // hidden directories.
 func indexTree(t *testing.T) *treeIndex {
-	tr := &treeIndex{map[string]bool{}, map[string]bool{}, map[string]bool{}, map[string]bool{}, map[string]bool{}, map[string]bool{}}
+	tr := &treeIndex{map[string]bool{}, map[string]bool{}, map[string]bool{}, map[string]bool{}, map[string]bool{}, map[string]bool{}, map[string]bool{}, map[string][]string{}}
 	fset := token.NewFileSet()
 	dirPkg := map[string]string{}
 	var asm []string
@@ -141,7 +174,7 @@ func indexTree(t *testing.T) *treeIndex {
 				return err
 			}
 			dirPkg[filepath.Dir(path)] = f.Name.Name
-			tr.add(f)
+			tr.add(fset, f)
 		}
 		return nil
 	})
@@ -161,7 +194,8 @@ func indexTree(t *testing.T) *treeIndex {
 				tr.idents[w] = true
 			}
 			if m := text.FindStringSubmatch(line); m != nil {
-				tr.decls[dirPkg[filepath.Dir(path)]+"."+m[1]] = true
+				sym := dirPkg[filepath.Dir(path)] + "." + m[1]
+				tr.decls[sym], tr.text[sym] = true, true
 			}
 		}
 	}
@@ -171,7 +205,7 @@ func indexTree(t *testing.T) *treeIndex {
 // add records f's identifiers, string literals and selectors, its
 // package-level declarations, and the methods and fields of its
 // package-level types.
-func (tr *treeIndex) add(f *ast.File) {
+func (tr *treeIndex) add(fset *token.FileSet, f *ast.File) {
 	pkg := f.Name.Name
 	tr.pkgs[pkg] = true
 	ast.Inspect(f, func(n ast.Node) bool {
@@ -184,7 +218,10 @@ func (tr *treeIndex) add(f *ast.File) {
 			}
 		case *ast.SelectorExpr:
 			if x, ok := n.X.(*ast.Ident); ok {
-				tr.members[x.Name+"."+n.Sel.Name] = true
+				sel := x.Name + "." + n.Sel.Name
+				tr.members[sel] = true
+				at := fset.Position(n.Pos())
+				tr.uses[sel] = append(tr.uses[sel], fmt.Sprintf("%s:%d", at.Filename, at.Line))
 			}
 			tr.members["."+n.Sel.Name] = true
 		}

@@ -5,13 +5,17 @@ import (
 	"errors"
 	"runtime"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"skybench"
 
+	"skybench/internal/algo/pskyline"
 	"skybench/internal/dataset"
+	"skybench/internal/par"
 	"skybench/internal/point"
+	"skybench/internal/stats"
 	"skybench/internal/verify"
 )
 
@@ -307,6 +311,7 @@ func TestEngineCancelMidFlight(t *testing.T) {
 // callbacks), and the deadline is half that run. The baselines are
 // several times slower than Hybrid on these rows, so each is cut short;
 // a run that finishes before its deadline must simply be right on time.
+// PSkyline's timeline past the deadline is logged (logPSkylineTimeline).
 // A run after them gets the Engine's whole team again.
 func TestEveryAlgorithmHonoursDeadline(t *testing.T) {
 	if testing.Short() {
@@ -352,6 +357,7 @@ func TestEveryAlgorithmHonoursDeadline(t *testing.T) {
 			t.Logf("%v: returned after %v (err %v)", algo, elapsed, err)
 		}
 	}
+	logPSkylineTimeline(t, deadline)
 	// The canceled runs gave their workers back: the next run gets the
 	// whole team.
 	res, err := eng.Run(context.Background(), ds, skybench.Query{})
@@ -361,6 +367,38 @@ func TestEveryAlgorithmHonoursDeadline(t *testing.T) {
 	if res.Stats.Threads != 2 {
 		t.Errorf("run after the canceled ones leased %d threads, want 2", res.Stats.Threads)
 	}
+}
+
+// logPSkylineTimeline logs where a PSkyline run under deadline spends
+// the time past it, on TestEveryAlgorithmHonoursDeadline's rows and a
+// team of two, with the Engine's bridge from the context to the run's
+// flag (a goroutine that sets it once the context is done): when the
+// flag is set, when the map phase's last block row returned (Phase I),
+// when the merge rounds ended (Phase II; one round at T = 2, none once
+// the flag is set before it) and when the run returned, each from the
+// start of the run.
+func logPSkylineTimeline(t *testing.T, deadline time.Duration) {
+	m := dataset.Generate(dataset.Anticorrelated, 60000, 8, 17)
+	pool := par.NewPool(2)
+	defer pool.Close()
+	var flag atomic.Bool
+	var st stats.Stats
+	ctx, cancel := context.WithTimeout(context.Background(), deadline)
+	defer cancel()
+	begin := time.Now()
+	flagged := make(chan time.Duration, 1)
+	go func() {
+		<-ctx.Done()
+		flag.Store(true)
+		flagged <- time.Since(begin)
+	}()
+	pskyline.SkylineStats(m, pool.Lease(2), &st, &flag)
+	returned := time.Since(begin)
+	cancel()
+	t.Logf("PSkyline timeline: deadline %v, flag set at %v", deadline, <-flagged)
+	t.Logf("PSkyline timeline: last block row at %v", st.Phases[stats.PhaseOne])
+	t.Logf("PSkyline timeline: merge rounds ended at %v", st.Phases[stats.PhaseOne]+st.Phases[stats.PhaseTwo])
+	t.Logf("PSkyline timeline: returned at %v", returned)
 }
 
 // TestEngineRunZeroAlloc guards the steady-state serving path: a warm

@@ -23,7 +23,8 @@ import (
 // SkylineStats computes SKY(m) on team, one linear block per team
 // thread, and returns original row indices, with phase timings and DT
 // counts recorded into st when non-nil. Phase I holds the local (map)
-// skylines, Phase II the merge.
+// skylines, Phase II the merge; a canceled run records the phases it
+// ran too.
 //
 // cancel, when non-nil, is polled before every row of a block's scan,
 // every merge round and every point of a merge, each of which tests the
@@ -51,16 +52,10 @@ func SkylineStats(m point.Matrix, team *par.Team, st *stats.Stats, cancel *atomi
 	// of two disjoint skylines keeps exactly the points not dominated by
 	// the other side; both directions are checked in parallel.
 	global := locals[0]
-	for k := 1; k < threads; k++ {
-		if canceled(cancel) {
-			return nil
-		}
+	for k := 1; k < threads && !canceled(cancel); k++ {
 		if len(locals[k]) > 0 {
 			global = pmerge(m, global, locals[k], team, dts, cancel)
 		}
-	}
-	if canceled(cancel) {
-		return nil
 	}
 	end := time.Now()
 
@@ -71,6 +66,9 @@ func SkylineStats(m point.Matrix, team *par.Team, st *stats.Stats, cancel *atomi
 		st.DominanceTests = dts.Sum()
 		st.Phases[stats.PhaseOne] += mapDone.Sub(start)
 		st.Phases[stats.PhaseTwo] += end.Sub(mapDone)
+	}
+	if canceled(cancel) {
+		return nil
 	}
 	return global
 }

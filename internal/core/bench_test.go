@@ -31,8 +31,9 @@ import (
 //     the run's quantizer.
 //
 // "go" runs the Go probe (the vector bodies off, point.SetVectorBodies),
-// "avx512" point.ProbeDirectory8 (on a CPU with AVX512F+BW only);
-// dt/probe, the dominance tests booked per probe, is the same on both,
+// "avx512" point.ProbeDirectory's vector body (on a CPU with AVX512F+BW
+// only); dt/probe, the dominance tests booked per probe, is the same on
+// both,
 // and parts/probe is the directory entries a probe visits: those that
 // pass the subset filter and the minimum-code skip before the probe
 // reaches its budget.
@@ -96,29 +97,31 @@ func BenchmarkCountDominators(b *testing.B) {
 	}
 }
 
-// visitedEntries is the number of directory entries the Go probe
-// (countDominators with the vector bodies off) visits for q at budget:
-// its walk, stopped where the probe reaches the budget.
+// visitedEntries is the number of directory entries the probe visits
+// for q at budget: those that pass the subset filter and, on a
+// partitioned run, the minimum-code pre-test, up to the one where the
+// count reaches the budget, counted by the scalar scan (refScan).
 func (s *skylineStore) visitedEntries(q []float64, qc uint64, qMask point.Mask, budget int) int {
 	visited, c := 0, 0
 	var dts uint64
-	for e := s.nextEntry(0, qMask, qc); e < s.msMask.Len() && c < budget; e = s.nextEntry(e+1, qMask, qc) {
+	for e := 0; e < s.msMask.Len() && c < budget; e++ {
+		if !s.msMask.At(e).Subset(qMask) || s.skip && !point.CodeLE(s.msCode[e], qc, s.d) {
+			continue
+		}
 		visited++
 		lo, hi := s.msStart[e], s.msStart[e+1]
-		m2 := qMask
-		if s.level2 {
-			pivot := s.row(lo)
-			if m2 = point.ComputeMask(q, pivot); m2 == point.FullMask(s.d) {
-				if point.Equals(pivot, q) {
-					continue
-				}
-				if c++; c >= budget {
-					break
-				}
-			}
-			lo++
+		if !s.level2 {
+			c += s.refScan(lo, hi, q, nil, 0, budget-c, &dts)
+			continue
 		}
-		c += point.CountDominatorsInFlatRunMasked(s.data, s.d, lo, hi, q, &s.mask2, m2, s.code, qc, budget-c, &dts)
+		m2 := point.ComputeMask(q, s.row(lo))
+		if m2 == point.FullMask(s.d) {
+			if point.Equals(s.row(lo), q) {
+				continue
+			}
+			c++
+		}
+		c += s.refScan(lo+1, hi, q, &s.mask2, m2, budget-c, &dts)
 	}
 	return visited
 }

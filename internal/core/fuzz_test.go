@@ -195,8 +195,8 @@ func probeStore(s *skylineStore, rows point.Matrix, pivot []float64, quant *poin
 
 // FuzzProbeStore holds Phase I's probe, skylineStore.countDominators,
 // to its scalar reference (refCountDominators) with the vector bodies
-// off, and with them on (point.ProbeDirectory8, where the CPU has it)
-// to the Go probe: the same count and the same tests booked, at every
+// off, and with them on (point.ProbeDirectory's vector body, where the
+// CPU has it) to the Go probe: the same count and the same tests booked, at every
 // budget from 1 to 4, with the pivot, every row of the store (each is a
 // level-2 pivot, a duplicate of one or equal to a stored row) and each
 // row one ulp above or below in one coordinate as the probe. The first

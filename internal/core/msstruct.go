@@ -122,40 +122,16 @@ func (s *skylineStore) update(work point.Matrix, worig []int, wmask []point.Mask
 	s.msStart = append(s.msStart, len(s.orig)) // push the sentinel
 }
 
-// nextEntry returns the first directory entry at or after e whose mask
-// is a subset of qMask and, on a partitioned run, whose minimum code
-// word passes the pre-test against qc, or the directory's length when
-// there is none (point.PackedMasks.NextSubsetCoded).
-func (s *skylineStore) nextEntry(e int, qMask point.Mask, qc uint64) int {
-	codes := s.msCode
-	if !s.skip {
-		codes = nil
-	}
-	return s.msMask.NextSubsetCoded(e, s.msMask.Len(), qMask, codes, qc, s.d)
-}
-
 // countDominators implements Algorithm 3 (compareToSky) at a dominator
 // budget: it counts the stored points that dominate q, in
 // partition-directory order, stopping as soon as the count reaches
 // budget (a probe with ≥ budget dominators is discarded, so the excess is
 // never needed; the skyline path runs at budget 1). qMask is q's level-1
-// mask and qc its code word, which the scan asks before a float test
-// (point.CountDominatorsInFlatRunMasked). The subset filter runs
-// twice, both times a word of packed masks at a time: over the
-// directory, where a partition whose mask is not a subset of qMask is
-// incomparable with q as a whole and costs nothing, and over the level-2
-// masks of each partition that is left. Between the two, on a
-// partitioned run, a partition whose minimum code word fails the
-// pre-test against qc is skipped whole: each member's code is at least
-// that minimum in every lane, so each member fails the pre-test too, and
-// the pre-test never rejects a dominator (DESIGN.md §2); the
-// directory's filter and that pre-test are one walk (nextEntry). All
-// point accesses index the store's flat row-major data directly.
-//
-// A store without level 2 runs the same scan over each partition's whole
-// run against qMask: every member's mask2 is the partition's level-1
-// mask, which passed the directory's subset filter, so each row is
-// tested, in row order.
+// mask and qc its code word. It is one call to point.ProbeDirectory over
+// the store's columns: the directory walk, each level-2 pivot and the
+// masked scan of each partition left. A partitioned run (skip) passes
+// msCode, so the walk skips a partition whose minimum code word fails
+// the pre-test against qc; a store with level 2 has its pivots probed.
 //
 // dts accumulates the dominance tests performed: every row a scan
 // tests, and each level-2 pivot's mask computation, which inspects all
@@ -163,63 +139,10 @@ func (s *skylineStore) nextEntry(e int, qMask point.Mask, qc uint64) int {
 // That is where the default arm makes fewer tests than the paper's
 // Hybrid (HybridOptions.NoCodes), whose codes are all 0 and whose
 // minima pass every probe.
-//
-// A full level-2 mask against a segment pivot contributes one dominator
-// — or, when q coincides with the pivot, none: the pivot has the
-// segment's smallest L1 norm, so no other member can dominate it or the
-// coincident probe. No later segment adds to the count either: q's
-// level-1 mask is then the segment's, and the directory is in
-// (level, mask) order, so every segment whose mask is a proper subset of
-// it — the only ones that could hold a dominator of a band pivot — came
-// before, and no later one passes the subset filter. On a skyline store
-// this is Algorithm 3's early "undominated" return, reached after the
-// same tests on the NoCodes arm.
-//
-// At d ≤ 8 with the vector bodies on (point.VectorBodies), the whole
-// probe is one AVX-512 call, point.ProbeDirectory8: the directory walk,
-// each pivot's mask, the full-mask and coincident-pivot rules and each
-// partition's scan, with q, the budget and the count in registers
-// between partitions. It books a test exactly where the Go body below
-// does, so the count and *dts are the same; the Go body is the
-// reference and the path everywhere else (DESIGN.md §2).
 func (s *skylineStore) countDominators(q []float64, qc uint64, qMask point.Mask, budget int, dts *uint64) int {
-	if s.d <= 8 && point.VectorBodies() {
-		var dirCodes []uint64
-		if s.skip {
-			dirCodes = s.msCode
-		}
-		return point.ProbeDirectory8(s.data, s.d, &s.msMask, s.msStart, dirCodes, &s.mask2, s.code, s.level2, q, qMask, qc, budget, dts)
+	var dirCodes []uint64
+	if s.skip {
+		dirCodes = s.msCode
 	}
-	full := point.FullMask(s.d)
-	d := s.d
-	data := s.data
-	np := s.msMask.Len()
-	c := 0
-	for e := s.nextEntry(0, qMask, qc); e < np; e = s.nextEntry(e+1, qMask, qc) {
-		lo, hi := s.msStart[e], s.msStart[e+1]
-		m2 := qMask
-		if s.level2 {
-			// Compare q to the partition's level-2 pivot, producing q's
-			// level-2 mask m′ (one full-width comparison).
-			*dts++
-			m2 = point.ComputeMask(q, data[lo*d:(lo+1)*d:(lo+1)*d])
-			if m2 == full {
-				if point.EqualsFlat2(data, lo*d, q, 0, d) {
-					continue // coincides with the pivot: the segment contributes 0
-				}
-				c++ // the pivot dominates q
-				if c >= budget {
-					return c
-				}
-			}
-			lo++
-		}
-		// Scan the rest of the partition, or all of it without level 2,
-		// behind the mask filter.
-		c += point.CountDominatorsInFlatRunMasked(data, d, lo, hi, q, &s.mask2, m2, s.code, qc, budget-c, dts)
-		if c >= budget {
-			return c
-		}
-	}
-	return c
+	return point.ProbeDirectory(s.data, s.d, &s.msMask, s.msStart, dirCodes, &s.mask2, s.code, s.level2, q, qMask, qc, budget, dts)
 }

@@ -3,7 +3,7 @@ package point
 import "os"
 
 // hasAVX512BW records whether this package's AVX-512 bodies may run:
-// Scan8, UnionScan8, Phase I's probe (probeDir8) and the word step of
+// scan8, unionScan8, Phase I's probe (probeDir8) and the word step of
 // the band scans (bandSkip8). It is read once, at start-up. The CPU
 // must have every extension the bodies use, read from CPUID and XGETBV:
 // AVX512F (CPUID leaf 7 EBX bit 16), AVX512BW for the byte-lane
@@ -35,14 +35,14 @@ func cpuHasAVX512BW() bool {
 	return ebx7&(avx512f|avx512bw) == avx512f|avx512bw
 }
 
-// Scan8 is the pre-filter's pass-1 queue test run over a stretch of
-// rows at once, with the β = 8 queue's columns held in registers. q holds
-// the queue twice: column-major in q[0:64] — q[c*8+s] is coordinate c of
-// queue slot s — and row-major in q[64:128] — q[64+s*8+c] is the same
-// value. rows holds 8-column rows, row-major. Scan8 tests each row in
-// turn against the 8 queue slots and returns the index of the first row
-// with fewer than budget (≥ 1) dominators among them, or len(rows)/8
-// when every row has budget or more.
+// scan8 is Queue.Scan's vector body: pass 1's queue test run over a
+// stretch of rows at once, with the β = 8 queue's columns held in
+// registers. q holds the queue twice: column-major in q[0:64] — q[c*8+s]
+// is coordinate c of queue slot s — and row-major in q[64:128] —
+// q[64+s*8+c] is the same value. rows holds 8-column rows, row-major.
+// scan8 tests each row in turn against the 8 queue slots and returns the
+// index of the first row with fewer than budget (≥ 1) dominators among
+// them, or len(rows)/8 when every row has budget or more.
 //
 // The result and *dts are those of CountDominatorsInFlatRun on the
 // row-major queue, called row by row in slot order: a row it passes
@@ -52,35 +52,33 @@ func cpuHasAVX512BW() bool {
 // broadcast value per coordinate, finds the slots no worse than the row
 // anywhere; only those can dominate it, and each is then asked whether
 // it is better somewhere with one compare of the row against its
-// row-major copy, in slot order, until the budget-th dominator. Call it
-// only when VectorBodies reports true.
+// row-major copy, in slot order, until the budget-th dominator.
 //
 //go:noescape
-func Scan8(q *[128]float64, rows []float64, budget int, dts *uint64) int
+func scan8(q *[128]float64, rows []float64, budget int, dts *uint64) int
 
-// UnionScan8 is the pre-filter's pass-2 test run over a stretch of
-// stored candidates at once: the queue union, laid out by LayoutUnion8
-// in u, against rows (8-column rows, row-major) with their norms l1
-// (row i's at l1[i]). It tests each row in turn and returns the index
-// of the first with fewer than budget (≥ 1) dominators among the union
-// points whose norm is below its own, or the number of rows when every
-// row has budget or more; it scans min(len(rows)/8, len(l1)) rows.
+// unionScan8 is Union.Scan's vector body: pass 2's test run over a
+// stretch of stored candidates at once, the union laid out by
+// layoutUnion8 in u, against rows (8-column rows, row-major) with their
+// norms l1 (row i's at l1[i]). It tests each row in turn and returns the
+// index of the first with fewer than budget (≥ 1) dominators among the
+// union points whose norm is below its own, or the number of rows when
+// every row has budget or more; it scans min(len(rows)/8, len(l1)) rows.
 //
-// The result and *dts are those of pass 2's Go body called row by row:
+// The result and *dts are those of Union.Count called row by row:
 // CountDominatorsInFlatRun(urows, 8, 0, a, row, budget, dts) on the
 // union's row-major rows, where a is the number of union points with
 // norm < the row's, the footnote-2 cut-off. So a row it passes over
 // advances *dts by the position of its budget-th dominator plus one, and
 // the row it returns at by a. A union slot takes part where its norm is
 // below the row's (the cut-off is a lane mask, not a prefix length):
-// this is the prefix only when the union's norms ascend, so the caller
-// takes it only on a union without a NaN norm. Call it only when
-// VectorBodies reports true.
+// this is the prefix only because the union's norms ascend, with no
+// NaN (Union.Reset).
 //
 //go:noescape
-func UnionScan8(u []float64, rows []float64, l1 []float64, budget int, dts *uint64) int
+func unionScan8(u []float64, rows []float64, l1 []float64, budget int, dts *uint64) int
 
-// probeDir8 is ProbeDirectory8's body: flags bit 0 asks level 2 and
+// probeDir8 is ProbeDirectory's vector body: flags bit 0 asks level 2 and
 // bit 1 the directory's minimum-code skip, qg is qc | h and h the code
 // guards; dcodes is read only with bit 1.
 //

@@ -19,7 +19,7 @@ TEXT ·xgetbv(SB), NOSPLIT, $0-8
 	MOVL DX, edx+4(FP)
 	RET
 
-// func Scan8(q *[128]float64, rows []float64, budget int, dts *uint64) int
+// func scan8(q *[128]float64, rows []float64, budget int, dts *uint64) int
 //
 // Z0–Z7 hold the queue's eight columns (q[0:64]); lane s of Zc is
 // coordinate c of slot s. For each row, K1 collects the slots no worse
@@ -39,7 +39,7 @@ TEXT ·xgetbv(SB), NOSPLIT, $0-8
 // chose the distance: 512 B and 1 KiB left streamed rows slower than
 // cached ones, 1.5–3 KiB did not, and no distance slowed cached rows.
 // A prefetch past the end of rows is harmless: it does not fault.
-TEXT ·Scan8(SB), NOSPLIT, $0-56
+TEXT ·scan8(SB), NOSPLIT, $0-56
 	MOVQ q+0(FP), DI
 	MOVQ rows_base+8(FP), SI
 	MOVQ rows_len+16(FP), CX
@@ -108,7 +108,7 @@ pruned:
 	INCQ BX
 	JMP  row
 
-// func UnionScan8(u []float64, rows []float64, l1 []float64, budget int, dts *uint64) int
+// func unionScan8(u []float64, rows []float64, l1 []float64, budget int, dts *uint64) int
 //
 // Per row: Z16–Z23 hold its eight coordinates and Z24 its norm, each
 // broadcast to every lane, and every chunk of u is read from memory
@@ -125,7 +125,7 @@ pruned:
 // whose dominators reach the budget DX still to find prunes the row:
 // its tests are R13, the slots of the full chunks before it, plus the
 // position of the budget-th dominator plus one.
-TEXT ·UnionScan8(SB), NOSPLIT, $0-96
+TEXT ·unionScan8(SB), NOSPLIT, $0-96
 	MOVQ u_base+0(FP), DI
 	MOVQ u_len+8(FP), AX
 	LEAQ -576(DI)(AX*8), R8 // R8 = the last whole chunk
@@ -257,7 +257,7 @@ done:
 
 // func probeDir8(rows *float64, d int, dir, dcodes *uint64, starts *int, np int, masks, codes *uint64, q *float64, flags, qm, qg, h uint64, budget int, dts *uint64) int
 //
-// ProbeDirectory8's body, one call a probe. Registers across the walk:
+// ProbeDirectory's vector body, one call a probe. Registers across the walk:
 // Z16 = q, K7 = its d coordinate lanes, Z12 = the bits the probe's mask
 // lacks (^qm in every byte), Z0 = qg and Z1 = h (every qword), R8 =
 // dominators found, R12 = the running test count, BX = the directory

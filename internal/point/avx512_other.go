@@ -6,23 +6,19 @@ package point
 // amd64 assembly only, so the vector bodies stay off (VectorBodies).
 var hasAVX512BW = false
 
-// Scan8 has an AVX-512 body on amd64 only (avx512_amd64.go documents
-// it); the pre-filter calls it only where VectorBodies reports true.
-func Scan8(q *[128]float64, rows []float64, budget int, dts *uint64) int {
-	panic("point: Scan8 needs AVX-512; check VectorBodies first")
+// scan8, unionScan8 and probeDir8 have AVX-512 bodies on amd64 only
+// (avx512_amd64.go documents them); their entry points take the Go
+// bodies here, as the vector bodies are off.
+func scan8(q *[128]float64, rows []float64, budget int, dts *uint64) int {
+	panic("point: scan8 needs AVX-512")
 }
 
-// UnionScan8 has an AVX-512 body on amd64 only (avx512_amd64.go
-// documents it); the pre-filter calls it only where VectorBodies reports
-// true.
-func UnionScan8(u []float64, rows []float64, l1 []float64, budget int, dts *uint64) int {
-	panic("point: UnionScan8 needs AVX-512; check VectorBodies first")
+func unionScan8(u []float64, rows []float64, l1 []float64, budget int, dts *uint64) int {
+	panic("point: unionScan8 needs AVX-512")
 }
 
-// probeDir8 has an AVX-512 body on amd64 only; ProbeDirectory8's
-// caller takes the Go probe here (VectorBodies).
 func probeDir8(rows *float64, d int, dir, dcodes *uint64, starts *int, np int, masks, codes *uint64, q *float64, flags, qm, qg, h uint64, budget int, dts *uint64) int {
-	panic("point: ProbeDirectory8 needs AVX-512; check VectorBodies first")
+	panic("point: probeDir8 needs AVX-512")
 }
 
 // bandSkip8 has an AVX-512 body on amd64 only; the entry points that

@@ -251,10 +251,10 @@ func TestCountDominatorsInFlatRunFilters(t *testing.T) {
 	}
 }
 
-// TestCountDominatorsInFlatRunMasked holds the masked kernel to the
-// definition, with codes through every body this CPU runs and without
-// through the Go body.
-func TestCountDominatorsInFlatRunMasked(t *testing.T) {
+// TestCountMasked holds the Go probe's partition scan to the
+// definition, with a run's code words and with code words of 0, which
+// pass every row.
+func TestCountMasked(t *testing.T) {
 	rng := rand.New(rand.NewSource(17))
 	for _, d := range []int{2, 3, 4, 6, 8} {
 		pivot := make([]float64, d)
@@ -283,17 +283,15 @@ func TestCountDominatorsInFlatRunMasked(t *testing.T) {
 					want++
 				}
 			}
-			forEachBody(func(body string) {
-				var dts uint64
-				if got := CountDominatorsInFlatRunMasked(rows, d, 0, n, q, pm, qm, codes, qc, budget, &dts); got != want {
-					t.Fatalf("%s body, d=%d n=%d budget=%d: got %d want %d", body, d, n, budget, got, want)
-				}
-			})
+			var dts uint64
+			if got := countMasked(rows, d, 0, n, q, pm, qm, codes, qc, budget, &dts); got != want {
+				t.Fatalf("d=%d n=%d budget=%d: got %d want %d", d, n, budget, got, want)
+			}
 
 			// The mask filter must never drop a dominator: unfiltered count
 			// with an unbounded budget matches the brute-force total.
 			var dts2 uint64
-			unf := CountDominatorsInFlatRunMasked(rows, d, 0, n, q, pm, qm, nil, 0, n+1, &dts2)
+			unf := countMasked(rows, d, 0, n, q, pm, qm, make([]uint64, n), 0, n+1, &dts2)
 			brute := countOracle(rows, d, 0, n, q, nil, n+1)
 			if unf != brute {
 				t.Fatalf("d=%d mask filter dropped dominators: %d vs %d", d, unf, brute)

@@ -20,11 +20,6 @@ func DominatesFlat(vals []float64, pOff, qOff, d int) bool {
 	return dominatesRow(vals[pOff:pOff+d:pOff+d], vals[qOff:qOff+d:qOff+d])
 }
 
-// EqualsFlat2 reports coincidence of p[pOff:pOff+d] and q[qOff:qOff+d].
-func EqualsFlat2(p []float64, pOff int, q []float64, qOff, d int) bool {
-	return Equals(p[pOff:pOff+d:pOff+d], q[qOff:qOff+d:qOff+d])
-}
-
 // b2u is the bool → {0, 1} idiom the compiler lowers to a flag-set
 // instruction. The run kernels OR one "row is worse here" bit per
 // dimension and branch once on the result: on the incomparable rows that

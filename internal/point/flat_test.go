@@ -53,9 +53,6 @@ func TestFlatKernelsMatchGeneric(t *testing.T) {
 			if got, want := dominatesRow(pv[pi*d:(pi+1)*d], qv[qi*d:(qi+1)*d]), Dominates(p, q); got != want {
 				t.Fatalf("d=%d dominatesRow=%v want %v (p=%v q=%v)", d, got, want, p, q)
 			}
-			if got, want := EqualsFlat2(pv, pi*d, qv, qi*d, d), Equals(p, q); got != want {
-				t.Fatalf("d=%d EqualsFlat2=%v want %v", d, got, want)
-			}
 
 			// Same-array variants.
 			both := make([]float64, 2*d)

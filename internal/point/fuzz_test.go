@@ -340,8 +340,8 @@ func FuzzCodeWord(f *testing.F) {
 		}
 		pm, qm := packMasks(d, masks), ComputeMask(q, pivot)
 		plainDTs, codedDTs = 0, 0
-		want = CountDominatorsInFlatRunMasked(rows, d, 0, n, q, pm, qm, nil, 0, budget, &plainDTs)
-		if got := CountDominatorsInFlatRunMasked(rows, d, 0, n, q, pm, qm, codes, qc, budget, &codedDTs); got != want || codedDTs != plainDTs {
+		want = countMasked(rows, d, 0, n, q, pm, qm, make([]uint64, n), 0, budget, &plainDTs)
+		if got := countMasked(rows, d, 0, n, q, pm, qm, codes, qc, budget, &codedDTs); got != want || codedDTs != plainDTs {
 			t.Fatalf("d=%d n=%d budget=%d: coded masked run %d after %d tests, uncoded %d after %d (q=%v pivot=%v rows=%v)", d, n, budget, got, codedDTs, want, plainDTs, q, pivot, rows)
 		}
 	})

@@ -23,8 +23,8 @@ import (
 //     short-circuit body is meant to win;
 //   - run/filtered: CountDominatorsInFlatRunCoded, flags and codes —
 //     Phase II's partition run — with no flag set;
-//   - masked: CountDominatorsInFlatRunMasked at budget 1 with and
-//     without codes, with every mask passing the filter so the body,
+//   - masked: countMasked, the Go probe's partition scan, at budget 1
+//     with codes and with codes of 0, which pass every row, with every mask passing the filter so the body,
 //     not the filter, is what is priced;
 //   - first: AppendDominatorsMasked at budget 1, the stream index's
 //     probe, and dominated: AppendDominatedMasked, its demotion scan,
@@ -79,6 +79,7 @@ func BenchmarkKernels(b *testing.B) {
 		pm := packMasks(d, make([]Mask, n)) // masks 0 against probe mask 0: subset and superset
 		l1 := make([]float64, n)            // norms 0 against probe norm 0: neither larger nor smaller
 		flags := make([]uint32, n)          // no row flagged
+		zeros := make([]uint64, n)          // code words that pass every probe
 		z := fitQuantizer(rows, d, nil)
 		codes := make([]uint64, n)
 		for j := range codes {
@@ -117,10 +118,10 @@ func BenchmarkKernels(b *testing.B) {
 				return CountDominatorsInFlatRunCoded(rows, d, 0, n, q, flags, codes, z.Code(q), 1, dts)
 			}},
 			{"masked/generic", func(q []float64, dts *uint64) int {
-				return CountDominatorsInFlatRunMasked(rows, d, 0, n, q, pm, 0, nil, 0, 1, dts)
+				return countMasked(rows, d, 0, n, q, pm, 0, zeros, 0, 1, dts)
 			}},
 			{"masked/coded", func(q []float64, dts *uint64) int {
-				return CountDominatorsInFlatRunMasked(rows, d, 0, n, q, pm, 0, codes, z.Code(q), 1, dts)
+				return countMasked(rows, d, 0, n, q, pm, 0, codes, z.Code(q), 1, dts)
 			}},
 			{"first/generic", func(q []float64, dts *uint64) int {
 				return len(AppendDominatorsMasked(nil, rows, d, 0, n, q, 0, l1, pm, 0, nil, 0, 1, dts))

@@ -5,7 +5,7 @@ import (
 	"testing"
 )
 
-// FuzzMaskedScan holds CountDominatorsInFlatRunMasked, the Go probe's
+// FuzzMaskedScan holds countMasked, the Go probe's
 // partition scan, to a row-by-row scan of the same span: a row whose
 // mask is a subset of the probe's is a test, and a dominator only when
 // its code word passes and its float test holds. The count and the
@@ -113,7 +113,7 @@ func FuzzMaskedScan(f *testing.F) {
 		for budget := 1; budget <= total+1; budget++ {
 			wantDTs, gotDTs := start, start
 			want := scan(budget, &wantDTs)
-			got := CountDominatorsInFlatRunMasked(rows, d, lo, hi, q, pm, qm, codes[:hi], qc, budget, &gotDTs)
+			got := countMasked(rows, d, lo, hi, q, pm, qm, codes[:hi], qc, budget, &gotDTs)
 			if got != want || gotDTs != wantDTs {
 				t.Fatalf("d=%d [%d,%d) qm=%b budget=%d: masked scan (%d, %d tests), row by row (%d, %d tests)",
 					d, lo, hi, qm, budget, got, gotDTs-start, want, wantDTs-start)
@@ -122,7 +122,7 @@ func FuzzMaskedScan(f *testing.F) {
 	})
 }
 
-// FuzzDirectoryWalk holds PackedMasks.NextSubsetCoded, the Go probe's
+// FuzzDirectoryWalk holds PackedMasks.nextSubsetCoded, the Go probe's
 // walk of the M(S) directory, to a walk entry by entry: the first entry
 // whose mask is a subset of the probe's and whose code word passes the
 // pre-test. Both walk [lo, hi) from lo and on from every entry found,
@@ -198,14 +198,14 @@ func FuzzDirectoryWalk(f *testing.F) {
 			}
 			return e
 		}
-		for want, got := next(lo), pm.NextSubsetCoded(lo, hi, qm, codes[:hi], qc, d); ; {
+		for want, got := next(lo), pm.nextSubsetCoded(lo, hi, qm, codes[:hi], qc, d); ; {
 			if got != want {
-				t.Fatalf("d=%d [%d,%d) qm=%b: NextSubsetCoded found %d, the entry-by-entry walk %d", d, lo, hi, qm, got, want)
+				t.Fatalf("d=%d [%d,%d) qm=%b: nextSubsetCoded found %d, the entry-by-entry walk %d", d, lo, hi, qm, got, want)
 			}
 			if want >= hi {
 				break
 			}
-			want, got = next(want+1), pm.NextSubsetCoded(want+1, hi, qm, codes[:hi], qc, d)
+			want, got = next(want+1), pm.nextSubsetCoded(want+1, hi, qm, codes[:hi], qc, d)
 		}
 	})
 }

@@ -147,9 +147,9 @@ func (p *PackedMasks) row(wi int, z uint64) int {
 	return wi<<(p.idx&63) + bits.TrailingZeros64(z)>>(p.lane&63)
 }
 
-// NextSubset returns the first row j ∈ [lo, hi) whose mask is a subset
+// nextSubset returns the first row j ∈ [lo, hi) whose mask is a subset
 // of qm, or hi when there is none.
-func (p *PackedMasks) NextSubset(lo, hi int, qm Mask) int {
+func (p *PackedMasks) nextSubset(lo, hi int, qm Mask) int {
 	probe := p.probe(qm)
 	sp := p.span(lo, hi)
 	for wi := sp.first; wi <= sp.last; wi++ {
@@ -160,13 +160,13 @@ func (p *PackedMasks) NextSubset(lo, hi int, qm Mask) int {
 	return hi
 }
 
-// NextSubsetCoded returns the first row j ∈ [lo, hi) whose mask is a
+// nextSubsetCoded returns the first row j ∈ [lo, hi) whose mask is a
 // subset of qm and whose code word passes the pre-test against qc
 // (CodeLE(codes[j], qc, d)), or hi when there is none; nil codes asks
-// no pre-test. It is the Go probe's walk of the M(S) directory, whose
-// test count is discarded: Phase I books no test for a directory entry.
-func (p *PackedMasks) NextSubsetCoded(lo, hi int, qm Mask, codes []uint64, qc uint64, d int) int {
-	for lo = p.NextSubset(lo, hi, qm); lo < hi; lo = p.NextSubset(lo+1, hi, qm) {
+// no pre-test. It is the Go probe's walk of the M(S) directory (probeGo),
+// which books no test for a directory entry.
+func (p *PackedMasks) nextSubsetCoded(lo, hi int, qm Mask, codes []uint64, qc uint64, d int) int {
+	for lo = p.nextSubset(lo, hi, qm); lo < hi; lo = p.nextSubset(lo+1, hi, qm) {
 		if codes == nil || CodeLE(codes[lo], qc, d) {
 			break
 		}

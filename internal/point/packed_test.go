@@ -218,13 +218,13 @@ func TestSupersetFilterExact(t *testing.T) {
 
 // FuzzSubsetFilterPacked cross-checks the word-at-a-time subset filter
 // against the scalar reference at every lane width: the candidate rows
-// and their order (through NextSubset), and the kernel's count and
+// and their order (through nextSubset), and the kernel's count and
 // dominance-test advance at every budget up to one past the number of
 // dominators. Input: d, lo, run length, probe mask, a PRNG seed for the
 // coordinates, then four bytes per row mask — bit 31, which no mask
 // uses, forces the mask under the probe's so candidates stay frequent
-// at high d. The coded kernel runs through every body this CPU runs
-// (forEachBody).
+// at high d. The kernel runs with code words of 0, which pass every
+// row, and with a run's, which reject none of its dominators.
 func FuzzSubsetFilterPacked(f *testing.F) {
 	f.Add([]byte{8, 0, 9, 0x5a, 0, 0, 0, 1, 0x12, 0, 0, 0x80, 0xff, 0, 0, 0, 0x5a, 0, 0, 0, 0, 0, 0, 0x80})
 	f.Add([]byte{3, 1, 0, 7, 0, 0, 0, 2})                                  // empty run
@@ -276,7 +276,7 @@ func FuzzSubsetFilterPacked(f *testing.F) {
 			}
 		}
 		var got []int
-		for j := pm.NextSubset(lo, hi, qm); j < hi; j = pm.NextSubset(j+1, hi, qm) {
+		for j := pm.nextSubset(lo, hi, qm); j < hi; j = pm.nextSubset(j+1, hi, qm) {
 			got = append(got, j)
 		}
 		if len(got) != len(want) {
@@ -296,18 +296,16 @@ func FuzzSubsetFilterPacked(f *testing.F) {
 		for budget := 1; budget <= total+1; budget++ {
 			wantDTs, gotDTs := uint64(5), uint64(5)
 			wantC := countMaskedScalar(rows, d, lo, hi, q, masks, qm, budget, &wantDTs)
-			gotC := CountDominatorsInFlatRunMasked(rows, d, lo, hi, q, pm, qm, nil, 0, budget, &gotDTs)
+			gotC := countMasked(rows, d, lo, hi, q, pm, qm, make([]uint64, n), 0, budget, &gotDTs)
 			if gotC != wantC || gotDTs != wantDTs {
 				t.Fatalf("d=%d [%d,%d) qm=%b budget=%d: got (%d, %d dts) want (%d, %d dts)",
 					d, lo, hi, qm, budget, gotC, gotDTs-5, wantC, wantDTs-5)
 			}
-			forEachBody(func(body string) {
-				codedDTs := uint64(5)
-				if c := CountDominatorsInFlatRunMasked(rows, d, lo, hi, q, pm, qm, codes, qc, budget, &codedDTs); c != wantC || codedDTs != wantDTs {
-					t.Fatalf("d=%d [%d,%d) qm=%b budget=%d coded, %s body: got (%d, %d dts) want (%d, %d dts)",
-						d, lo, hi, qm, budget, body, c, codedDTs-5, wantC, wantDTs-5)
-				}
-			})
+			codedDTs := uint64(5)
+			if c := countMasked(rows, d, lo, hi, q, pm, qm, codes, qc, budget, &codedDTs); c != wantC || codedDTs != wantDTs {
+				t.Fatalf("d=%d [%d,%d) qm=%b budget=%d coded: got (%d, %d dts) want (%d, %d dts)",
+					d, lo, hi, qm, budget, c, codedDTs-5, wantC, wantDTs-5)
+			}
 		}
 	})
 }
@@ -321,8 +319,8 @@ func FuzzSubsetFilterPacked(f *testing.F) {
 // batch_anti. Every scan therefore runs to the end, and ns/row is the
 // mean cost of passing one row, tested or not. "scalar" is the per-row
 // mask branch the packed filter replaced, without codes; "go" is the Go
-// probe's coded scan, CountDominatorsInFlatRunMasked, and "avx512" the
-// same scan inside Phase I's one-call probe, ProbeDirectory8 on a
+// probe's coded scan, countMasked, and "avx512" the
+// same scan inside Phase I's one-call probe, ProbeDirectory's vector body on a
 // directory of one entry that spans the partition, without level 2 (on
 // a CPU with AVX512F+BW only).
 func BenchmarkMaskedScan(b *testing.B) {
@@ -400,9 +398,9 @@ func BenchmarkMaskedScan(b *testing.B) {
 					q := qs[p*d : (p+1)*d]
 					var c int
 					if body == "go" {
-						c = CountDominatorsInFlatRunMasked(rows, d, 0, n, q, pm, qm, codes, qcs[p], 1, &dts)
+						c = countMasked(rows, d, 0, n, q, pm, qm, codes, qcs[p], 1, &dts)
 					} else {
-						c = ProbeDirectory8(rows, d, &dir, starts, nil, pm, codes, false, q, qm, qcs[p], 1, &dts)
+						c = ProbeDirectory(rows, d, &dir, starts, nil, pm, codes, false, q, qm, qcs[p], 1, &dts)
 					}
 					if c != 0 {
 						b.Fatal("probe dominated")

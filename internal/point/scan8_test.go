@@ -18,11 +18,11 @@ var scanVals = [16]float64{
 	math.Inf(1), math.NaN(), 0.125, math.Inf(-1),
 }
 
-// FuzzPass1Scan holds Scan8 to the Go body it replaces in the
+// FuzzPass1Scan holds scan8 to the Go body it replaces in the
 // pre-filter's pass 1, on the identity view of 8-column rows and on the
 // views that drop columns of them: CountDominatorsInFlatRun on the
 // view-space queue, run row by row on the view-space rows from the first
-// row until one has fewer than budget dominators. Scan8 gets the queue
+// row until one has fewer than budget dominators. scan8 gets the queue
 // column-major and row-major by source column with NaN in every dropped
 // column, and the source rows as they are. Both must stop at the same
 // row and count the same tests. The first byte picks the budget (1–8)
@@ -38,7 +38,7 @@ var scanVals = [16]float64{
 // the queue, dominated by one slot or by several, or incomparable.
 func FuzzPass1Scan(f *testing.F) {
 	if !HasAVX512BW() {
-		f.Skip("no AVX512F+BW and POPCNT with OS-saved ZMM state on this CPU: Scan8 cannot run")
+		f.Skip("no AVX512F+BW and POPCNT with OS-saved ZMM state on this CPU: scan8 cannot run")
 	}
 	grid := make([]byte, 2+64+8*6)
 	for i := range grid {
@@ -61,7 +61,7 @@ func FuzzPass1Scan(f *testing.F) {
 	one := slices.Clone(chain)
 	one[1] = 0b00100000 // column 5 kept alone
 	f.Add(one)
-	// Seeds for Scan8's walk over the slots no worse than a row: a
+	// Seeds for scan8's walk over the slots no worse than a row: a
 	// palette slot whose coordinates are all finite, and slots that
 	// cannot dominate because they are worse in column 0 (1e300).
 	slot := []byte{2, 3, 4, 5, 6, 7, 14, 0}
@@ -176,14 +176,14 @@ func FuzzPass1Scan(f *testing.F) {
 			}
 		}
 		gotDTs := start
-		if got := Scan8(&q, rows, budget, &gotDTs); got != want || gotDTs != wantDTs {
-			t.Fatalf("budget=%d keep=%08b n=%d: Scan8 stopped at row %d after %d tests, the Go body at %d after %d",
+		if got := scan8(&q, rows, budget, &gotDTs); got != want || gotDTs != wantDTs {
+			t.Fatalf("budget=%d keep=%08b n=%d: scan8 stopped at row %d after %d tests, the Go body at %d after %d",
 				budget, keep, n, got, gotDTs-start, want, wantDTs-start)
 		}
 	})
 }
 
-// BenchmarkScan8 is pass 1's kernel rung: Scan8 over rows its queue
+// BenchmarkScan8 is pass 1's kernel rung: scan8 over rows its queue
 // prunes end to end, at budget 1, so every row is tested and ns/row is
 // the scan's cost of one row. In "cached" and "streamed" the queue is
 // zero and every row positive, so slot 0 dominates each row; "cached"
@@ -196,7 +196,7 @@ func FuzzPass1Scan(f *testing.F) {
 // BenchmarkRunnerFilter's "read" row measures.
 func BenchmarkScan8(b *testing.B) {
 	if !HasAVX512BW() {
-		b.Skip("no AVX512F+BW and POPCNT with OS-saved ZMM state on this CPU: Scan8 cannot run")
+		b.Skip("no AVX512F+BW and POPCNT with OS-saved ZMM state on this CPU: scan8 cannot run")
 	}
 	for _, bc := range []struct {
 		name string
@@ -223,7 +223,7 @@ func BenchmarkScan8(b *testing.B) {
 			b.SetBytes(int64(len(rows) * 8))
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if Scan8(&q, rows, 1, &dts) != bc.n {
+				if scan8(&q, rows, 1, &dts) != bc.n {
 					b.Fatal("a row survived the queue")
 				}
 			}

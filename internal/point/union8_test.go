@@ -10,7 +10,7 @@ import (
 // the prefix of the ascending norms that a binary search finds, and
 // CountDominatorsInFlatRun tests the row against them. It returns the
 // index of the first row with fewer than budget dominators, or the
-// number of rows, and is the reference UnionScan8 is held to.
+// number of rows, and is the reference unionScan8 is held to.
 func pass2Go(urows, ul1, rows, l1 []float64, budget int, dts *uint64) int {
 	for i := range l1 {
 		a, b := 0, len(ul1)
@@ -33,7 +33,7 @@ func pass2Go(urows, ul1, rows, l1 []float64, budget int, dts *uint64) int {
 // draws: ties, one ulp, small and large steps and a jump to +∞.
 var normSteps = [8]float64{0, 0, -1, 0.125, 0.5, 1, 1e300, math.Inf(1)}
 
-// FuzzPass2Scan holds UnionScan8 to pass 2's Go body (pass2Go) on
+// FuzzPass2Scan holds unionScan8 to pass 2's Go body (pass2Go) on
 // FuzzPass1Scan's palette: unions of 1–32 points (one to four chunks,
 // the last padded) at budgets 1–8, with ascending, NaN-free norms, as
 // the pre-filter takes the scan only on such a union. Both must stop at
@@ -55,7 +55,7 @@ var normSteps = [8]float64{0, 0, -1, 0.125, 0.5, 1, 1e300, math.Inf(1)}
 // ulp above or below it, +∞, −∞, NaN, the row's L1, or a palette value.
 func FuzzPass2Scan(f *testing.F) {
 	if !HasAVX512BW() {
-		f.Skip("no AVX512F+BW and POPCNT with OS-saved ZMM state on this CPU: UnionScan8 cannot run")
+		f.Skip("no AVX512F+BW and POPCNT with OS-saved ZMM state on this CPU: unionScan8 cannot run")
 	}
 	seed := func(budget, size byte, rows int, gen func(i int) byte) []byte {
 		nq := int(size&31) + 1
@@ -187,16 +187,16 @@ func FuzzPass2Scan(f *testing.F) {
 
 		wantDTs := start
 		want := pass2Go(urows, ul1, rows, l1, budget, &wantDTs)
-		u := LayoutUnion8(nil, urows, ul1)
+		u := layoutUnion8(nil, urows, ul1)
 		gotDTs := start
-		if got := UnionScan8(u, rows, l1, budget, &gotDTs); got != want || gotDTs != wantDTs {
-			t.Fatalf("budget=%d union=%d n=%d: UnionScan8 stopped at row %d after %d tests, the Go body at %d after %d",
+		if got := unionScan8(u, rows, l1, budget, &gotDTs); got != want || gotDTs != wantDTs {
+			t.Fatalf("budget=%d union=%d n=%d: unionScan8 stopped at row %d after %d tests, the Go body at %d after %d",
 				budget, nq, n, got, gotDTs-start, want, wantDTs-start)
 		}
 	})
 }
 
-// TestLayoutUnion8 checks the layout UnionScan8 reads: point i at slot
+// TestLayoutUnion8 checks the layout unionScan8 reads: point i at slot
 // i%8 of chunk i/8, column-major, norms after the columns, the last
 // chunk padded with NaN coordinates and +∞ norms, and dst reused when
 // it is large enough.
@@ -209,7 +209,7 @@ func TestLayoutUnion8(t *testing.T) {
 		for i := range l1 {
 			l1[i] = -float64(i)
 		}
-		u := LayoutUnion8(make([]float64, 0, 4*unionChunk8), rows, l1)
+		u := layoutUnion8(make([]float64, 0, 4*unionChunk8), rows, l1)
 		if want := (n + 7) / 8 * unionChunk8; len(u) != want || cap(u) != 4*unionChunk8 {
 			t.Fatalf("n=%d: len %d cap %d, want len %d in the given storage", n, len(u), cap(u), want)
 		}

@@ -3,14 +3,16 @@ package point
 import "strings"
 
 // vector is the one switch between the Go bodies of this package's
-// kernels and their AVX-512 ones. Each entry point with a vector body —
-// AppendDominatorsMasked and AppendDominatedMasked — reads it together
-// with its own shape test (8-bit mask lanes, codes present, a non-empty
-// span); the pre-filter reads it before it lays out a queue for Scan8,
-// and Phase I's probe (internal/core) before it calls ProbeDirectory8
-// at d ≤ 8. Both bodies make the same decisions and counts, so the
-// switch moves time, never a result. It starts on where the CPU has the
-// bodies and is only ever changed by tests (SetVectorBodies).
+// kernels and their AVX-512 ones, and nothing outside this package reads
+// it. Each kernel question has one entry point, which reads it together
+// with its own shape test: Phase I's probe (ProbeDirectory, d ≤ 8), the
+// pre-filter's queue (Queue.Reset: β = 8 on View.Source8) and union
+// (Union.Reset: d = 8), and the stream index's band scans
+// (AppendDominatorsMasked and AppendDominatedMasked: 8-bit mask lanes,
+// codes present, a non-empty span). Both bodies make the same decisions
+// and counts, so the switch moves time, never a result. It starts on
+// where the CPU has the bodies and is only ever changed by tests
+// (SetVectorBodies).
 var vector = hasAVX512BW
 
 // HasAVX512BW reports whether the CPU has AVX512F, AVX512BW and POPCNT
@@ -19,7 +21,7 @@ var vector = hasAVX512BW
 func HasAVX512BW() bool { return hasAVX512BW }
 
 // VectorBodies reports whether the kernels take their AVX-512 bodies
-// where the shape fits, and so whether Scan8 may be called.
+// where the shape fits.
 func VectorBodies() bool { return vector }
 
 // SetVectorBodies turns the AVX-512 bodies on or off and returns the

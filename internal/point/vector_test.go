@@ -1,8 +1,10 @@
 package point
 
 import (
+	"cmp"
 	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 )
 
@@ -23,19 +25,24 @@ func forEachBody(f func(body string)) {
 // and its dominated rows, each with its advance of *dts, and the
 // directory walk's rows from lo and on from every row it finds. The
 // masked scan and the walk have no vector body: they are the Go probe's
-// parts (probeGo), and must not move when the switch does.
+// parts (probeGo), and must not move when the switch does. Without
+// codes the masked scan gets code words of 0, which pass every row.
 func dispatchRun(rows []float64, d, lo, hi int, q []float64, qL1 float64, l1 []float64, pm *PackedMasks, qm Mask, codes []uint64, qc uint64) string {
 	out := ""
+	mc := codes
+	if mc == nil {
+		mc = make([]uint64, len(l1))
+	}
 	for budget := 1; budget <= 4; budget++ {
 		dts := uint64(7)
-		c := CountDominatorsInFlatRunMasked(rows, d, lo, hi, q, pm, qm, codes, qc, budget, &dts)
+		c := countMasked(rows, d, lo, hi, q, pm, qm, mc, qc, budget, &dts)
 		doms := AppendDominatorsMasked([]int32{-1}, rows, d, lo, hi, q, qL1, l1, pm, qm, codes, qc, budget, &dts)
 		out += fmt.Sprintf("budget %d: count %d, dominators %v, %d tests; ", budget, c, doms, dts)
 	}
 	dts := uint64(7)
 	out += fmt.Sprintf("dominated %v", AppendDominatedMasked([]int32{-1}, rows, d, lo, hi, q, qL1, l1, pm, qm, codes, qc, &dts))
 	out += fmt.Sprintf(", %d tests; walk", dts)
-	for e := pm.NextSubsetCoded(lo, hi, qm, codes, qc, d); ; e = pm.NextSubsetCoded(e+1, hi, qm, codes, qc, d) {
+	for e := pm.nextSubsetCoded(lo, hi, qm, codes, qc, d); ; e = pm.nextSubsetCoded(e+1, hi, qm, codes, qc, d) {
 		out += fmt.Sprintf(" %d", e)
 		if e >= hi {
 			return out
@@ -43,41 +50,11 @@ func dispatchRun(rows []float64, d, lo, hi int, q []float64, qL1 float64, l1 []f
 	}
 }
 
-// probeGo is internal/core's Go probe (skylineStore.countDominators)
-// over this package's parts: the directory walk, q's level-2 mask
-// against each partition's pivot and the masked scan of the rest. It is
-// ProbeDirectory8's reference.
-func probeGo(rows []float64, d int, dir *PackedMasks, starts []int, dirCodes []uint64, masks *PackedMasks, codes []uint64, level2 bool, q []float64, qm Mask, qc uint64, budget int, dts *uint64) int {
-	c, np := 0, dir.Len()
-	for e := dir.NextSubsetCoded(0, np, qm, dirCodes, qc, d); e < np; e = dir.NextSubsetCoded(e+1, np, qm, dirCodes, qc, d) {
-		lo, hi := starts[e], starts[e+1]
-		m2 := qm
-		if level2 {
-			*dts++
-			pivot := rows[lo*d : (lo+1)*d]
-			if m2 = ComputeMask(q, pivot); m2 == FullMask(d) {
-				if Equals(pivot, q) {
-					continue
-				}
-				if c++; c >= budget {
-					return c
-				}
-			}
-			lo++
-		}
-		if c += CountDominatorsInFlatRunMasked(rows, d, lo, hi, q, masks, m2, codes, qc, budget-c, dts); c >= budget {
-			return c
-		}
-	}
-	return c
-}
-
-// probeRun is the probe's answer on rows cut into partitions at cuts,
-// each partition's directory mask its first row's and its minimum code
-// the lane-wise minimum of its rows': with and without level 2 and the
-// minimum-code skip, at every budget, each with its advance of *dts.
-// ProbeDirectory8 answers where the vector bodies are on, probeGo
-// elsewhere, as internal/core dispatches.
+// probeRun is ProbeDirectory's answer on rows cut into partitions at
+// cuts, each partition's directory mask its first row's and its minimum
+// code the lane-wise minimum of its rows': with and without level 2 and
+// the minimum-code skip, at every budget, each with its advance of
+// *dts.
 func probeRun(rows []float64, d int, cuts []int, q []float64, pm *PackedMasks, qm Mask, codes []uint64, qc uint64) string {
 	var dir PackedMasks
 	dir.Reset(d)
@@ -95,12 +72,7 @@ func probeRun(rows []float64, d int, cuts []int, q []float64, pm *PackedMasks, q
 		for _, dc := range [][]uint64{nil, dirCodes} {
 			for budget := 1; budget <= 4; budget++ {
 				dts := uint64(7)
-				var c int
-				if VectorBodies() {
-					c = ProbeDirectory8(rows, d, &dir, cuts, dc, pm, codes, level2, q, qm, qc, budget, &dts)
-				} else {
-					c = probeGo(rows, d, &dir, cuts, dc, pm, codes, level2, q, qm, qc, budget, &dts)
-				}
+				c := ProbeDirectory(rows, d, &dir, cuts, dc, pm, codes, level2, q, qm, qc, budget, &dts)
 				out += fmt.Sprintf("level2 %v skip %v budget %d: count %d, %d tests; ", level2, dc != nil, budget, c, dts)
 			}
 		}
@@ -108,18 +80,84 @@ func probeRun(rows []float64, d int, cuts []int, q []float64, pm *PackedMasks, q
 	return out
 }
 
+// queueRun runs pass 1's loop with a queue of beta slots over every row
+// of v at budget: each row Scan does not prune is offered to the queue.
+// It returns the rows Scan stopped on with the tests it booked, and
+// whether the queue ran scan8.
+func queueRun(v *View, beta, budget int) (string, bool) {
+	var qu Queue
+	qu.Reset(v, beta)
+	var buf [MaxDims]float64
+	dts := uint64(3)
+	var stops []int
+	for i := 0; ; i++ {
+		var row []float64
+		if i, row = qu.Scan(i, v.N(), budget, buf[:], &dts); i == v.N() {
+			break
+		}
+		stops = append(stops, i)
+		qu.Offer(L1(row), row)
+	}
+	return fmt.Sprintf("stops %v after %d tests", stops, dts), qu.src != nil
+}
+
+// unionRun builds a union over urows and ul1 (d columns) and runs pass
+// 2's two tests on the candidates rows with norms l1 at budget: Scan
+// from each row it stopped on to the next, and Count of every row. It
+// returns their answers with the tests each booked, and whether the
+// union ran unionScan8.
+func unionRun(urows, ul1, rows, l1 []float64, d, budget int) (string, bool) {
+	var u Union
+	u.Reset(urows, ul1, d)
+	dts := uint64(3)
+	var stops, counts []int
+	for i := 0; i < len(l1); i++ {
+		i += u.Scan(rows[i*d:], l1[i:], budget, &dts)
+		stops = append(stops, i)
+	}
+	scanDTs := dts
+	for i, x := range l1 {
+		counts = append(counts, u.Count(rows[i*d:(i+1)*d], x, budget, &dts))
+	}
+	return fmt.Sprintf("stops %v after %d tests, counts %v after %d", stops, scanDTs, counts, dts-scanDTs), u.vec
+}
+
+// nearRows returns n rows of d columns close to a shared level each, on
+// a grid of 1/16, so rows dominate, tie with and duplicate one another
+// and a queue prunes many of them.
+func nearRows(rng *rand.Rand, n, d int) []float64 {
+	rows := make([]float64, n*d)
+	for i := 0; i < n; i++ {
+		level := float64(rng.Intn(32)) / 16
+		for c := 0; c < d; c++ {
+			rows[i*d+c] = level + float64(rng.Intn(4))/16
+		}
+	}
+	return rows
+}
+
 // TestVectorDispatch holds each entry point that may take a vector body
-// — AppendDominatorsMasked, AppendDominatedMasked and Phase I's probe
-// (ProbeDirectory8 against probeGo) — to itself with the vector bodies
-// off, and the Go probe's parts, CountDominatorsInFlatRunMasked and
-// PackedMasks.NextSubsetCoded, with them: the same answers and the same
-// test counts, on every shape the switch must tell apart. Only the
-// first shape takes the vector steps: d = 2–8 with codes, where the
-// probe also runs, on the rows cut into random partitions. d ≤ 8 with
-// nil codes (the stream index before its first pivot) must stay on the
-// Go body, whose pre-test it skips — the vector step would read
-// codes[0] — as must d = 9–16, whose masks have 16-bit lanes, and an
-// empty span at any width.
+// — AppendDominatorsMasked, AppendDominatedMasked, Phase I's probe
+// (ProbeDirectory), pass 1's queue scan (Queue.Scan) and pass 2's union
+// scan and count (Union.Scan, Union.Count) — to itself with the vector
+// bodies off, and the Go probe's parts, countMasked and
+// PackedMasks.nextSubsetCoded, with them: the same answers and the same
+// test counts, on every shape the switch must tell apart.
+//
+// The first table's first shape takes the band scans' vector steps: d =
+// 2–8 with codes, where the probe also runs, on the rows cut into
+// random partitions. d ≤ 8 with nil codes (the stream index before its
+// first pivot) must stay on the Go body, whose pre-test it skips — the
+// vector step would read codes[0] — as must d = 9–16, whose masks have
+// 16-bit lanes and where the probe runs its Go body too, and an empty
+// span at any width.
+//
+// The second table names the body each of the pre-filter's and Phase
+// I's entry points takes: the probe its vector body at d = 8 and not at
+// d = 9 (probeVec); the queue scan8 at β = 8 on a view with an 8-column
+// source (View.Source8) and neither at β = 4 nor on a view that negates
+// a column; the union unionScan8 at d = 8 and not at d = 6. Each must
+// take it exactly where the switch is on and the shape fits.
 func TestVectorDispatch(t *testing.T) {
 	rng := rand.New(rand.NewSource(55))
 	for _, c := range []struct {
@@ -150,7 +188,7 @@ func TestVectorDispatch(t *testing.T) {
 					hi = lo
 				}
 				var cuts []int
-				if d <= 8 && !c.nilCodes && !c.emptySpan {
+				if !c.nilCodes && !c.emptySpan {
 					cuts = []int{0}
 					for cuts[len(cuts)-1] < n {
 						cuts = append(cuts, min(n, cuts[len(cuts)-1]+1+rng.Intn(12)))
@@ -169,6 +207,104 @@ func TestVectorDispatch(t *testing.T) {
 			}
 		}
 	}
+
+	negate0 := make([]PrefOp, 8)
+	negate0[0] = PrefNegate
+	src := nearRows(rng, 600, 8)
+	for _, c := range []struct {
+		name string
+		fits bool // the shape the vector body needs
+		run  func() (string, bool)
+	}{
+		{"probe d=8", true, func() (string, bool) { return probeShape(rng, 8), probeVec(8) }},
+		{"probe d=9", false, func() (string, bool) { return probeShape(rng, 9), probeVec(9) }},
+		{"queue β=8 Source8", true, func() (string, bool) { return queueShape(src, nil, 8) }},
+		{"queue β=4 Source8", false, func() (string, bool) { return queueShape(src, nil, 4) }},
+		{"queue β=8 negated column", false, func() (string, bool) { return queueShape(src, negate0, 8) }},
+		{"queue β=4 negated column", false, func() (string, bool) { return queueShape(src, negate0, 4) }},
+		{"union d=8", true, func() (string, bool) { return unionShape(rng, 8) }},
+		{"union d=6", false, func() (string, bool) { return unionShape(rng, 6) }},
+	} {
+		got := map[string]string{}
+		state := rng.Int63()
+		forEachBody(func(body string) {
+			rng.Seed(state) // the same input under both bodies
+			var took bool
+			got[body], took = c.run()
+			if want := body == "avx512" && c.fits; took != want {
+				t.Errorf("%s, %s bodies: took the vector body %v, want %v", c.name, body, took, want)
+			}
+		})
+		if on, ok := got["avx512"]; ok && on != got["go"] {
+			t.Errorf("%s: vector bodies on: %s; off: %s", c.name, on, got["go"])
+		}
+	}
+}
+
+// probeShape is probeRun on random rows of d columns with codes, masked
+// against a random pivot and cut into random partitions.
+func probeShape(rng *rand.Rand, d int) string {
+	out := ""
+	for trial := 0; trial < 50; trial++ {
+		n := 1 + rng.Intn(150)
+		rows, q := randRun(rng, n, d)
+		_, pivot := randRun(rng, 0, d)
+		pm, _, qm, _ := maskColumn(rows, d, n, q, pivot)
+		codes, qc := prefixCodes(rows, d, rng.Intn(n+1), q)
+		cuts := []int{0}
+		for cuts[len(cuts)-1] < n {
+			cuts = append(cuts, min(n, cuts[len(cuts)-1]+1+rng.Intn(70)))
+		}
+		out += probeRun(rows, d, cuts, q, pm, qm, codes, qc)
+	}
+	return out
+}
+
+// queueShape is queueRun over src, 8 columns, through ops at β = beta
+// and budgets 1–3.
+func queueShape(src []float64, ops []PrefOp, beta int) (string, bool) {
+	var v View
+	v.Reset(src, len(src)/8, 8, ops)
+	out, took := "", false
+	for budget := 1; budget <= 3; budget++ {
+		o, t := queueRun(&v, beta, budget)
+		out, took = out+o+"; ", t
+	}
+	return out, took
+}
+
+// unionShape is unionRun on unions of 1–24 rows of d columns, sorted by
+// norm, against 80 candidates at budgets 1–3, every candidate's norm
+// its own or one drawn from the union's.
+func unionShape(rng *rand.Rand, d int) (string, bool) {
+	out, took := "", false
+	for trial := 0; trial < 30; trial++ {
+		nu := 1 + rng.Intn(24)
+		urows := nearRows(rng, nu, d)
+		ul1 := make([]float64, nu)
+		idx := make([]int, nu)
+		for i := range idx {
+			idx[i], ul1[i] = i, L1(urows[i*d:(i+1)*d])
+		}
+		slices.SortStableFunc(idx, func(a, b int) int { return cmp.Compare(ul1[a], ul1[b]) })
+		sorted, sl1 := make([]float64, 0, nu*d), make([]float64, 0, nu)
+		for _, i := range idx {
+			sorted, sl1 = append(sorted, urows[i*d:(i+1)*d]...), append(sl1, ul1[i])
+		}
+		rows := nearRows(rng, 80, d)
+		l1 := make([]float64, 80)
+		for i := range l1 {
+			l1[i] = L1(rows[i*d : (i+1)*d])
+			if rng.Intn(4) == 0 {
+				l1[i] = sl1[rng.Intn(nu)]
+			}
+		}
+		for budget := 1; budget <= 3; budget++ {
+			o, t := unionRun(sorted, sl1, rows, l1, d, budget)
+			out, took = out+o+"; ", t
+		}
+	}
+	return out, took
 }
 
 // TestHasAVX512BW records which bodies the kernels take in this run —

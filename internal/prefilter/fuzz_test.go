@@ -53,8 +53,8 @@ func fuzzOps(b byte, d int) []point.PrefOp {
 // tests rows against them); the fifth the generator's seed; the sixth,
 // when present, the preference view the filter reads the rows through
 // (fuzzOps; without it, the identity). A drop-only view of d = 8 at
-// β = 8 is the shape pass 1 takes point.Scan8 on, where the CPU has
-// it. Each input runs with and without the stop rule. One Runner
+// β = 8 is the shape pass 1's queue takes its vector body on, where
+// the CPU has it. Each input runs with and without the stop rule. One Runner
 // serves every input, so no state may leak between calls. The filter
 // must keep every row of the brute-force k-skyband of the staged copy,
 // return its survivors ascending, and keep At's contract (checkAt):

@@ -10,8 +10,6 @@
 package prefilter
 
 import (
-	"math"
-
 	"skybench/internal/par"
 	"skybench/internal/point"
 	"skybench/internal/stats"
@@ -50,41 +48,28 @@ const DefaultBeta = 8
 // row, the caller loads through the view and norms, as it does every
 // row of a run without the filter.
 //
-// The union of the queues is gathered from the queues' dense copies into
-// a row-major matrix sorted by L1 norm. In pass 2 each thread tests its
-// own segment against it, scanning the contiguous union run with each
-// candidate's coordinates hoisted into registers
-// (point.CountDominatorsInFlatRun at budget k) and stopping at the first
-// union point whose L1 norm is ≥ the candidate's, the paper's footnote 2
-// cut-off. A point with a larger computed norm never dominates the
-// candidate, but one with an equal norm can (DESIGN.md §9, "Numeric
-// precondition"). The filter only prunes, so a dominator it misses
-// leaves one more survivor for the exact phases; the cut-off also keeps
-// a queue point from testing itself. A segment that kept its rows at
-// width 8 takes point.UnionScan8 instead, with the same tests
-// (runPass2); a segment with a range skips pass 2. Each thread compacts
-// its segment in place, and one join numbers the segments' survivors in
-// row order.
+// The queues' slots are gathered, sorted by L1 norm and pruned into the
+// union (point.Union), a row-major matrix in ascending norm order. In
+// pass 2 each thread tests its own segment against it: each candidate
+// against the union points whose norm is below its own, the paper's
+// footnote 2 cut-off (point.Union documents it). A segment with a range
+// skips pass 2. Each thread compacts its segment in place, and one join
+// numbers the segments' survivors in row order.
 type Runner struct {
-	qdense []float64 // threads*beta*d queue rows, β unordered slots per thread
-	qnorm  []float64 // threads*beta L1 norms of the queue rows, by slot
-	qcols  []float64 // threads*128: each queue column-major, then row-major, by source column, when pass 1 takes point.Scan8
-	qcount []int
-	allq   []int     // queue slots of the union, sorted by L1
-	qrows  []float64 // gathered union rows matching allq order
-	ql1    []float64 // union L1 norms matching allq order
-	qu8    []float64 // the union laid out for point.UnionScan8, when pass 2 takes it
+	queues []point.Queue // one β-queue per thread
+	slots  []slot        // the queues' filled slots, sorted by L1
+	qrows  []float64     // the union's rows, in ascending L1 order
+	ql1    []float64     // the union's norms
+	union  point.Union   // over qrows and ql1
 
 	rows Rows // the threads' candidate segments
 
 	// Parallel-region parameters, set by Filter before each fan-out.
-	v     point.View
-	beta  int
-	k     int  // dominator budget: prune only points with ≥ k dominators
-	stop  bool // a thread whose queue prunes too little stops filtering
-	scan8 bool // pass 1 tests full queues with point.Scan8
-	scanU bool // pass 2 tests the candidates of a segment that kept its rows with point.UnionScan8
-	dts   *stats.DTCounters
+	v    point.View
+	beta int
+	k    int  // dominator budget: prune only points with ≥ k dominators
+	stop bool // a thread whose queue prunes too little stops filtering
+	dts  *stats.DTCounters
 
 	pass1 func(tid, lo, hi int)
 	pass2 func(tid, lo, hi int)
@@ -143,22 +128,17 @@ func (r *Runner) Filter(v point.View, beta, k int, stop bool, team *par.Team, dt
 	threads := team.Threads()
 
 	d := v.D()
-	r.qdense = grow(r.qdense, threads*beta*d)
-	r.qnorm = grow(r.qnorm, threads*beta)
-	r.allq = grow(r.allq, threads*beta)
-	r.qcount = grow(r.qcount, threads)
-	r.rows.reset(d, threads)
-	src8, _ := v.Source8()
-	r.scan8 = point.VectorBodies() && beta == 8 && src8 != nil
-	if r.scan8 {
-		r.qcols = grow(r.qcols, threads*128)
-	}
-	// A fan-out over fewer rows than threads leaves the idle threads'
-	// queues untouched, so they are emptied first (reset empties the
-	// segments).
-	clear(r.qcount)
-
 	r.v, r.beta, r.k, r.stop, r.dts = v, beta, k, stop, dts
+	r.rows.reset(d, threads)
+	// A fan-out over fewer rows than threads leaves the idle threads'
+	// queues untouched, so every queue is emptied first (reset empties
+	// the segments).
+	if len(r.queues) < threads {
+		r.queues = make([]point.Queue, threads)
+	}
+	for t := range r.queues[:threads] {
+		r.queues[t].Reset(&r.v, beta)
+	}
 
 	// Pass 1: load, test against the thread's full β-queue, then norm
 	// and queue update for the rows it does not prune.
@@ -168,26 +148,26 @@ func (r *Runner) Filter(v point.View, beta, k int, stop bool, team *par.Team, dt
 		r.rows.cands += s.n + s.hi - s.lo
 	}
 
-	// Gather the queue union, sort it by L1 ascending, materialize the
-	// rows contiguously. The union holds ≤ threads·β points, so an
-	// insertion sort is plenty.
-	hl := r.qnorm
-	allq := r.allq[:0]
-	for tid := 0; tid < threads; tid++ {
-		for s := 0; s < r.qcount[tid]; s++ {
-			allq = append(allq, tid*beta+s)
+	// Gather the queue union and sort it by L1 ascending. The union
+	// holds ≤ threads·β points, so an insertion sort is plenty.
+	slots := r.slots[:0]
+	for t := range r.queues[:threads] {
+		qu := &r.queues[t]
+		for i := range qu.Len() {
+			l1, row := qu.Slot(i)
+			slots = append(slots, slot{l1, row})
 		}
 	}
-	nq := len(allq)
-	for i := 1; i < nq; i++ {
-		s := allq[i]
+	for i := 1; i < len(slots); i++ {
+		x := slots[i]
 		j := i - 1
-		for j >= 0 && hl[allq[j]] > hl[s] {
-			allq[j+1] = allq[j]
+		for j >= 0 && slots[j].l1 > x.l1 {
+			slots[j+1] = slots[j]
 			j--
 		}
-		allq[j+1] = s
+		slots[j+1] = x
 	}
+	r.slots = slots
 	// Prune the union to its own k-skyband (its skyline when k = 1): a
 	// probe with ≥ k dominators in the union always has ≥ k dominators in
 	// the union's k-skyband (every dominator of a band point is itself a
@@ -199,40 +179,29 @@ func (r *Runner) Filter(v point.View, beta, k int, stop bool, team *par.Team, dt
 	// sort after it (DESIGN.md §9), and then the union keeps an extra
 	// point, which costs pass-2 tests and changes no survivor.
 	var unionDTs uint64
-	kept := 0
-	for i := 0; i < nq; i++ {
-		p := allq[i]
-		doms := 0
-		for j := 0; j < kept && doms < k; j++ {
-			if point.DominatesFlatCounted(r.qdense, allq[j]*d, p*d, d, 0, 0, &unionDTs) {
-				doms++
-			}
-		}
-		if doms < k {
-			allq[kept] = p
-			kept++
+	r.qrows, r.ql1 = r.qrows[:0], r.ql1[:0]
+	for _, x := range slots {
+		if point.CountDominatorsInFlatRun(r.qrows, d, 0, len(r.ql1), x.row, k, &unionDTs) < k {
+			r.qrows, r.ql1 = append(r.qrows, x.row...), append(r.ql1, x.l1)
 		}
 	}
-	allq = allq[:kept]
-	nq = kept
 	if dts != nil {
 		dts.Inc(0, unionDTs)
 	}
-	r.qrows, r.ql1 = grow(r.qrows, nq*d), grow(r.ql1, nq)
-	r.scanU = point.VectorBodies() && d == 8
-	for i, s := range allq {
-		copy(r.qrows[i*d:(i+1)*d], r.qdense[s*d:(s+1)*d])
-		r.ql1[i] = hl[s]
-	}
-	if r.scanU {
-		r.qu8 = point.LayoutUnion8(r.qu8, r.qrows, r.ql1)
-	}
+	r.union.Reset(r.qrows, r.ql1, d)
 
 	// Pass 2: each thread's segment against the queue union, one range
 	// per thread.
 	team.ForRangesCancel(threads, threads, nil, r.pass2)
 	r.rows.join()
 	return &r.rows
+}
+
+// slot is one filled queue slot: its norm and its row, which aliases
+// the queue.
+type slot struct {
+	l1  float64
+	row []float64
 }
 
 // grow returns s resized to n, reallocating only when capacity is short.
@@ -407,163 +376,61 @@ func (sg *segment) row(k, d int) []float64 {
 	return sg.blocks[k>>blockShift].rows[o : o+d : o+d]
 }
 
-// runPass1 keeps the thread's β-queue as β unordered slots with a dense
-// row-major copy of the queued rows, so the per-point queue test scans
-// β·d contiguous, L1-cache-resident floats through the flat run kernel
-// instead of β scattered source rows.
-//
-// Once the queue is full, a row is tested against it before its norm is
-// taken: one with ≥ k queue dominators is dropped there, and would have
-// added nothing to the queue as a filter (DESIGN.md §9, "Pre-filter
-// soundness"). A surviving row gets its norm, replaces the queue's
-// largest point if its norm is smaller, and becomes a candidate either
-// way, its loaded row stored beside it up to the thread's storeShare.
-// The test is point.CountDominatorsInFlatRun, whose d = 4 and d = 8
-// bodies short-circuit: faster when most queue rows dominate the probe
-// (correlated data, where most rows are pruned), slower where most are
-// incomparable, but there the filter is a small share of the run
-// (DESIGN.md §2).
-//
-// On a view of an 8-column source that negates no column (point.View's
-// Source8: the identity, or one that only drops columns) and β = 8,
-// where the vector bodies are on (point.VectorBodies), the full queue's
-// test is point.Scan8 instead: it holds the queue's columns in
-// registers, asks "better somewhere" only of the slots no worse than a
-// row anywhere, and skips every row up to the next one the queue does
-// not prune, with the Go body's decisions and test counts. It reads
-// the source rows as they are, so only the rows it stops on are loaded
-// through the view. The queue then keeps a column-major and a row-major copy by source column
-// (queue.vec), which every slot write updates along with the dense row,
-// and whose dropped columns hold NaN. Scan8's first compare, "no worse",
-// is true on an unordered pair and its second, "better", asked only of
-// the slots no worse anywhere, is false on one, so a NaN column is
-// neither worse nor better, and dominance over the 8 columns is
-// dominance over the kept ones, whatever a row holds in the others.
+// runPass1 runs pass 1 over thread tid's range with the thread's
+// β-queue (point.Queue). Once the queue is full, a row is tested against
+// it before its norm is taken: one with ≥ k queue dominators is dropped
+// there, and would have added nothing to the queue as a filter
+// (DESIGN.md §9, "Pre-filter soundness"). A surviving row gets its norm,
+// is offered to the queue, and becomes a candidate either way, its
+// loaded row stored beside it up to the thread's storeShare.
 //
 // With the stop rule on, the range runs in two parts: filterRows up to
 // the stretch's end, then either filterRows again or, where the stretch
 // was pruned too little, nothing: the rest is the segment's range.
 func (r *Runner) runPass1(tid, lo, hi int) {
-	v, beta := &r.v, r.beta
-	d := v.D()
-	qu := queue{
-		l1:    r.qnorm[tid*beta : (tid+1)*beta],
-		dense: r.qdense[tid*beta*d : (tid+1)*beta*d],
-		d:     d,
-	}
-	var src []float64
-	if r.scan8 {
-		qu.vec = (*[128]float64)(r.qcols[tid*128 : (tid+1)*128])
-		src, qu.srcCol = v.Source8()
-		// The slot writes fill the kept columns before the queue is full.
-		for c := range qu.vec {
-			qu.vec[c] = math.NaN()
-		}
-	}
+	qu := &r.queues[tid]
 	sg := &r.rows.segs[tid]
 	keep := (hi - lo) / storeShare
 	var localDTs uint64
 	// The stop rule is decided on the stopStretch rows after the first
 	// β rows, which fill the queue and are all candidates.
 	end := hi
-	if r.stop && lo+beta+stopStretch < hi {
-		end = lo + beta + stopStretch
+	if r.stop && lo+r.beta+stopStretch < hi {
+		end = lo + r.beta + stopStretch
 	}
-	w := r.filterRows(&qu, sg, src, lo, end, 0, keep, &localDTs)
+	w := r.filterRows(qu, sg, lo, end, 0, keep, &localDTs)
 	if end < hi {
-		if pruned := stopStretch - (w - beta); pruned*stopShare < stopStretch {
+		if pruned := stopStretch - (w - r.beta); pruned*stopShare < stopStretch {
 			sg.lo, sg.hi = end, hi
 		} else {
-			w = r.filterRows(&qu, sg, src, end, hi, w, keep, &localDTs)
+			w = r.filterRows(qu, sg, end, hi, w, keep, &localDTs)
 		}
 	}
 	sg.n, sg.over = w, w > keep
-	r.qcount[tid] = qu.n
 	if r.dts != nil {
 		r.dts.Inc(tid, localDTs)
 	}
 }
 
 // filterRows runs pass 1 over rows i..hi−1 of a thread's range: each
-// row is tested against the full queue qu and, unless pruned, offered to
-// it and appended to sg as candidate w onward, its row stored while w <
-// keep. It returns the candidates sg then holds.
-func (r *Runner) filterRows(qu *queue, sg *segment, src []float64, i, hi, w, keep int, dts *uint64) int {
-	v, beta, k, d := &r.v, len(qu.l1), r.k, qu.d
+// row the queue qu does not prune is offered to it and appended to sg
+// as candidate w onward, its row stored while w < keep. It returns the
+// candidates sg then holds.
+func (r *Runner) filterRows(qu *point.Queue, sg *segment, i, hi, w, keep int, dts *uint64) int {
+	d := r.v.D()
 	var buf [point.MaxDims]float64
-	for ; i < hi; i++ {
-		full := qu.n == beta
-		if full && qu.vec != nil {
-			if i += point.Scan8(qu.vec, src[i*8:hi*8], k, dts); i == hi {
-				break
-			}
-		}
-		q := v.Load(i, buf[:])
-		if full && qu.vec == nil && point.CountDominatorsInFlatRun(qu.dense, d, 0, beta, q, k, dts) >= k {
-			continue
+	for ; ; i++ {
+		var q []float64
+		if i, q = qu.Scan(i, hi, r.k, buf[:], dts); i == hi {
+			return w
 		}
 		qL1 := point.L1(q)
-		qu.offer(qL1, q)
+		qu.Offer(qL1, q)
 		sg.put(w, i, qL1)
 		if w < keep {
 			sg.store(w, d, q)
 		}
 		w++
-	}
-	return w
-}
-
-// queue is one thread's β-queue: β unordered slots of rows and their
-// norms, row-major in dense and, when pass 1 takes point.Scan8, twice
-// more in vec, by source column: column-major in its first 64 values
-// and row-major in its last 64 (view coordinate k of slot s is
-// vec[srcCol[k]*8+s] and vec[64+s*8+srcCol[k]]; a dropped column's
-// entries are NaN in both).
-type queue struct {
-	l1     []float64
-	dense  []float64
-	vec    *[128]float64
-	srcCol []int // source column of each view column, when vec is set
-	d      int
-	n      int // filled slots
-	top    int // the filled slot with the largest norm, the first of equals
-}
-
-// offer puts a row the queue did not prune, with its norm l1, into a
-// free slot, or over the largest point if l1 is smaller; the evicted
-// point is already a candidate and is re-tested in pass 2. A NaN norm
-// is never queued: it compares with no other, so a NaN-norm row in the
-// queue would never be replaced, and in the union it would break the
-// ascending norms pass 2 searches. The row stays a candidate. A write
-// updates every copy of its one slot and rescans the β norms for the
-// largest. Writes after the queue fills are rare, about β·ln(n/β) a
-// thread on rows in random order, so the rescan costs nothing a heap
-// would save.
-func (qu *queue) offer(l1 float64, row []float64) {
-	s := qu.n
-	switch {
-	case math.IsNaN(l1):
-		return
-	case s < len(qu.l1):
-		qu.n++
-	case l1 < qu.l1[qu.top]:
-		s = qu.top
-	default:
-		return
-	}
-	qu.l1[s] = l1
-	copy(qu.dense[s*qu.d:(s+1)*qu.d], row)
-	if qu.vec != nil {
-		for k, x := range row {
-			c := qu.srcCol[k]
-			qu.vec[c*8+s], qu.vec[64+s*8+c] = x, x
-		}
-	}
-	qu.top = 0
-	for t, x := range qu.l1[:qu.n] {
-		if x > qu.l1[qu.top] {
-			qu.top = t
-		}
 	}
 }
 
@@ -571,65 +438,30 @@ func (qu *queue) offer(l1 float64, row []float64) {
 // compacts the survivors, and their stored rows if the segment kept
 // them, to the front of the segment. The region has one range per
 // thread; a segment with a range (its thread stopped filtering in pass
-// 1) stays as it is.
-//
-// Where the segment kept its rows at view width 8, with the vector bodies on
-// (point.VectorBodies), each segment block's stored rows and norms go to
-// point.UnionScan8 instead, which skips every candidate up to the next
-// survivor with this loop's decisions and test counts: the union is laid
-// out once per call in chunks of 8 slots (point.LayoutUnion8), and each
-// candidate tests only the slots whose norm is below its own, the same
-// cut-off as the binary search, since the union's norms ascend (no NaN
-// norm is queued).
+// 1) stays as it is. A segment that kept its rows hands each block's
+// stored rows and norms to point.Union.Scan, which skips every
+// candidate up to the next survivor; one that kept none (over) loads
+// each candidate through the view and counts it with point.Union.Count.
 func (r *Runner) runPass2(tid, _, _ int) {
 	sg := &r.rows.segs[tid]
 	if sg.hi > sg.lo {
 		return
 	}
-	k := r.k
-	d := r.v.D()
-	ql1, qrows := r.ql1, r.qrows
-	nq := len(ql1)
-	v := &r.v
+	k, d := r.k, r.v.D()
 	var buf [point.MaxDims]float64
 	w := 0
 	var localDTs uint64
-	if r.scanU && !sg.over {
-		for b := 0; b<<blockShift < sg.n; b++ {
-			blk, m := sg.blocks[b], min(sg.n-b<<blockShift, 1<<blockShift)
-			for o := 0; o < m; o++ {
-				if o += point.UnionScan8(r.qu8, blk.rows[o*8:m*8], blk.l1[o:m], k, &localDTs); o == m {
-					break
-				}
-				sg.move(w, b<<blockShift+o, d)
-				w++
-			}
-		}
-	} else {
-		for j := 0; j < sg.n; j++ {
-			i, myL1 := sg.at(j)
-			// Scan the union points with strictly smaller L1 (the cut-off in
-			// the Runner comment); ql1 is ascending, so binary-search the
-			// cutoff and scan the prefix.
-			a, b := 0, nq
-			for a < b {
-				mid := int(uint(a+b) >> 1)
-				if ql1[mid] < myL1 {
-					a = mid + 1
-				} else {
-					b = mid
-				}
-			}
-			var q []float64
+	for b := 0; b<<blockShift < sg.n; b++ {
+		blk, m := sg.blocks[b], min(sg.n-b<<blockShift, 1<<blockShift)
+		for o := 0; o < m; o++ {
 			if sg.over {
-				q = v.Load(i, buf[:])
-			} else {
-				q = sg.row(j, d)
+				if r.union.Count(r.v.Load(blk.idx[o], buf[:]), blk.l1[o], k, &localDTs) >= k {
+					continue
+				}
+			} else if o += r.union.Scan(blk.rows[o*d:m*d], blk.l1[o:m], k, &localDTs); o == m {
+				break
 			}
-			if point.CountDominatorsInFlatRun(qrows, d, 0, a, q, k, &localDTs) >= k {
-				continue
-			}
-			sg.move(w, j, d)
+			sg.move(w, b<<blockShift+o, d)
 			w++
 		}
 	}

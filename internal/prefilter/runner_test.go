@@ -45,7 +45,7 @@ func staged(m point.Matrix, ops []point.PrefOp) point.Matrix {
 
 // dropOps drops every column j with j mod 3 = 1 of a d-dimensional
 // source and keeps the rest as they are: at d = 8 a drop-only view of
-// five columns, the shape pass 1 takes point.Scan8 on.
+// five columns, a shape pass 1's queue takes its vector body on.
 func dropOps(d int) []point.PrefOp {
 	ops := make([]point.PrefOp, d)
 	for j := range ops {
@@ -118,12 +118,13 @@ func checkAt(t *testing.T, at string, sm point.Matrix, idx []int, l1 []float64, 
 // those are the staged row and point.L1 of it, bit for bit. The table
 // has segments on both sides of storeShare (correlated inputs keep
 // their rows, anticorrelated ones do not). The identity view and the
-// drop-only view at d = 8 are the shapes pass 1 takes point.Scan8 on,
-// and a segment that keeps its rows at view width 8 is the one pass 2
-// takes point.UnionScan8 on, where the CPU has them, so every case runs with
-// the vector bodies on and again off, and both must book the same
-// dominance tests. T runs 1–4 and 8, so unions of one chunk of 8 points
-// and of several meet the pass-2 scan. The last
+// drop-only view at d = 8 are the shapes pass 1's queue takes its
+// vector body on, and a segment that keeps its rows at view width 8
+// hands them to pass 2's union scan, which takes its own at d = 8
+// (point.TestVectorDispatch names both), where the CPU has them, so
+// every case runs with the vector bodies on and again off, and both
+// must book the same dominance tests. T runs 1–4 and 8, so unions of
+// one chunk of 8 points and of several meet the pass-2 scan. The last
 // calls run one Runner over a drop-only view, the identity and another
 // drop-only column set in turn, so a queue column left over from the
 // call before (a stale NaN or a stale value) changes the survivors.
@@ -148,7 +149,6 @@ func TestRunnerMatchesFilter(t *testing.T) {
 			want := Filter(sm, l1s(sm), 0, threads, stop, nil)
 			var v point.View
 			v.Reset(m.Flat(), n, d, ops)
-			src8, _ := v.Source8()
 			dts := stats.NewDTCounters(threads)
 			booked := map[bool]uint64{}
 			for _, scan := range scans {
@@ -157,11 +157,8 @@ func TestRunnerMatchesFilter(t *testing.T) {
 				dts.Reset()
 				rs := r.Filter(v, 0, 1, stop, team, dts)
 				got, gotL1, gotRows := survivors(rs)
-				if scan && src8 != nil && n >= DefaultBeta && !r.scan8 {
-					t.Fatalf("%s: pass 1 did not take point.Scan8", at)
-				}
 				union8 := false
-				for tid, sg := range r.rows.segs[:threads] {
+				for _, sg := range r.rows.segs[:threads] {
 					if sg.hi > sg.lo {
 						stopped[stop]++
 						continue
@@ -169,12 +166,8 @@ func TestRunnerMatchesFilter(t *testing.T) {
 					if sg.n > 0 {
 						kept[!sg.over]++
 					}
-					// Pass 2 tests this segment with point.UnionScan8 exactly
-					// where it kept its rows at width 8.
-					if stored8, took := v.D() == 8 && !sg.over, r.scanU && !sg.over; scan && stored8 != took {
-						t.Fatalf("%s: pass 2 took point.UnionScan8 %v on thread %d's segment, which kept rows at d = 8 %v", at, took, tid, stored8)
-					}
-					union8 = union8 || r.scanU && !sg.over && sg.n > 0
+					// Pass 2 scans this segment's stored rows at width 8.
+					union8 = union8 || v.D() == 8 && !sg.over && sg.n > 0
 				}
 				if union8 {
 					unionScans[len(r.ql1) > DefaultBeta]++
@@ -203,7 +196,7 @@ func TestRunnerMatchesFilter(t *testing.T) {
 				checkAt(t, at, sm, got, gotL1, gotRows)
 			}
 			if len(scans) == 2 && booked[false] != booked[true] {
-				t.Fatalf("%s: %d dominance tests on the Go body, %d on point.Scan8", at, booked[false], booked[true])
+				t.Fatalf("%s: %d dominance tests on the Go bodies, %d on the vector bodies", at, booked[false], booked[true])
 			}
 		}
 	}
@@ -232,8 +225,8 @@ func TestRunnerMatchesFilter(t *testing.T) {
 	if stopped[false] != 0 || stopped[true] == 0 {
 		t.Fatalf("%d threads stopped filtering without the stop rule and %d with it: want none and some", stopped[false], stopped[true])
 	}
-	if point.HasAVX512BW() && (unionScans[false] == 0 || unionScans[true] == 0) {
-		t.Fatalf("pass 2 took point.UnionScan8 on %d unions of at most %d points and %d larger: the table misses one", unionScans[false], DefaultBeta, unionScans[true])
+	if unionScans[false] == 0 || unionScans[true] == 0 {
+		t.Fatalf("pass 2 scanned stored rows at width 8 against %d unions of at most %d points and %d larger: the table misses one", unionScans[false], DefaultBeta, unionScans[true])
 	}
 
 	pool := par.NewPool(3)
@@ -251,68 +244,6 @@ func TestRunnerMatchesFilter(t *testing.T) {
 	}
 }
 
-// TestQueueLayoutsAgree holds pass 1's three copies of each thread's
-// β-queue to one another where it takes point.Scan8: the dense view-space
-// rows, and the column-major and row-major copies by source column that
-// queue.offer writes along with them. After each Filter on the identity
-// and on drop-only views of 8-column sources, at T = 1, 2 and 3 and β =
-// 8, view column k of a filled slot s is cols[srcCol[k]*8+s] and
-// rows[s*8+srcCol[k]], bit for bit, and every dropped column, and every
-// column of an empty slot, is NaN in both.
-func TestQueueLayoutsAgree(t *testing.T) {
-	if !point.HasAVX512BW() {
-		t.Skip("no AVX512F+BW and POPCNT with OS-saved ZMM state on this CPU: pass 1 keeps no vector copies")
-	}
-	defer point.SetVectorBodies(point.VectorBodies())
-	point.SetVectorBodies(true)
-	low3 := make([]point.PrefOp, 8)
-	for j := 3; j < 8; j++ {
-		low3[j] = point.PrefDrop
-	}
-	r := NewRunner()
-	for _, threads := range []int{1, 2, 3} {
-		pool := par.NewPool(threads)
-		team := pool.Lease(threads)
-		for _, dist := range dataset.AllDistributions {
-			m := dataset.Generate(dist, 5000, 8, 61)
-			for _, ops := range [][]point.PrefOp{nil, dropOps(8), low3} {
-				at := fmt.Sprintf("%s T=%d ops=%v", dist, threads, ops)
-				var v point.View
-				v.Reset(m.Flat(), m.N(), m.D(), ops)
-				r.Filter(v, DefaultBeta, 1, true, team, nil)
-				if !r.scan8 {
-					t.Fatalf("%s: pass 1 did not take point.Scan8", at)
-				}
-				_, srcCol := v.Source8()
-				d := v.D()
-				for tid := 0; tid < threads; tid++ {
-					cols := r.qcols[tid*128 : tid*128+64]
-					rows := r.qcols[tid*128+64 : tid*128+128]
-					dense := r.qdense[tid*DefaultBeta*d : (tid+1)*DefaultBeta*d]
-					for s := 0; s < DefaultBeta; s++ {
-						want := [8]float64{}
-						for c := range want {
-							want[c] = math.NaN()
-						}
-						if s < r.qcount[tid] {
-							for k, c := range srcCol {
-								want[c] = dense[s*d+k]
-							}
-						}
-						for c, x := range want {
-							if !sameBits(cols[c*8+s], x) || !sameBits(rows[s*8+c], x) {
-								t.Fatalf("%s: thread %d slot %d column %d is %v column-major and %v row-major, want %v",
-									at, tid, s, c, cols[c*8+s], rows[s*8+c], x)
-							}
-						}
-					}
-				}
-			}
-		}
-		pool.Close()
-	}
-}
-
 // TestRunnerNaNUnionNorm gives the filter a row whose norm is NaN on
 // rows it keeps at width 8: the eighth row of the first thread's range
 // is NaN in one column and 0, the data's least value, in the rest, so it
@@ -321,8 +252,9 @@ func TestQueueLayoutsAgree(t *testing.T) {
 // first rows only) and the union's norms would not ascend. The queue
 // never takes it: the row must survive as a candidate, the union must
 // hold no NaN norm, and the Runner must keep the reference Filter's
-// survivors, with the vector bodies on and off (where the CPU has them,
-// pass 2 then takes point.UnionScan8) and both must book the same tests.
+// survivors, with the vector bodies on and off (pass 2 scans the stored
+// rows of d = 8, which takes the union's vector body where the CPU has
+// it) and both must book the same tests.
 func TestRunnerNaNUnionNorm(t *testing.T) {
 	defer point.SetVectorBodies(point.VectorBodies())
 	vecs := []bool{false}
@@ -348,9 +280,6 @@ func TestRunnerNaNUnionNorm(t *testing.T) {
 		}
 		if slices.ContainsFunc(r.ql1, math.IsNaN) {
 			t.Fatalf("vector bodies %v: the union holds a NaN norm: %v", vec, r.ql1)
-		}
-		if vec && !r.scanU {
-			t.Fatal("pass 2 did not take point.UnionScan8")
 		}
 		if !slices.Contains(surv, 7) {
 			t.Fatalf("vector bodies %v: the NaN-norm row was pruned", vec)
@@ -554,9 +483,9 @@ func TestRunnerNeverPrunesSkyline(t *testing.T) {
 // first two cases are the scan-bound shape (1 M correlated rows, almost
 // all pruned, where pass 1's short-circuit kernel body pays): batch_corr's
 // primary and secondary, the identity view and a drop-only view of four
-// columns. Both are shapes pass 1 takes point.Scan8 on, and the first
-// keeps its rows at width 8, the shape pass 2 takes point.UnionScan8 on,
-// so each has a "go" row (the vector bodies off, point.SetVectorBodies)
+// columns. Both are shapes pass 1's queue takes its vector body on, and
+// the first keeps its rows at width 8, which pass 2's union scans with
+// its own, so each has a "go" row (the vector bodies off, point.SetVectorBodies)
 // and an "avx512" row (on, on a CPU with AVX512F+BW only). anti-d8 is
 // batch_anti's (32 768 anticorrelated rows, few pruned, where the
 // short-circuit body costs), at the default body and without the stop
@@ -573,7 +502,8 @@ func TestRunnerNeverPrunesSkyline(t *testing.T) {
 // survivor, pass 2's costlier and commoner case (each tests every union
 // point below its norm), and ns/cand is the cost of one, with the
 // vector bodies off ("go": the binary search and
-// point.CountDominatorsInFlatRun) and on ("avx512": point.UnionScan8).
+// point.CountDominatorsInFlatRun) and on ("avx512": the union's vector
+// body).
 func BenchmarkRunnerFilter(b *testing.B) {
 	const d = 8
 	corr := dataset.Generate(dataset.Correlated, 1_000_000, d, 1)
@@ -651,9 +581,6 @@ func BenchmarkRunnerFilter(b *testing.B) {
 	bodies("pass2-d8", func(b *testing.B) {
 		r := NewRunner()
 		r.Filter(corr.View(), 0, 1, true, team, nil)
-		if r.scanU != point.VectorBodies() {
-			b.Fatalf("pass 2 took point.UnionScan8 %v with the vector bodies %v", r.scanU, point.VectorBodies())
-		}
 		cands := 0
 		for _, sg := range r.rows.segs[:threads] {
 			cands += sg.n

@@ -23,8 +23,8 @@
 // word per row (point.Quantizer, refitted to the band whenever the pivot
 // is re-chosen) before any float compare. At d ≤ 8, once the band has a
 // pivot and so code words, both scans ask all three filters of a word of
-// 8 band rows in one vector step where the CPU has one
-// (point.VectorBodies), and test rows only in the words where one passes
+// 8 band rows in one vector step where the CPU has one (internal/point
+// picks the body), and test rows only in the words where one passes
 // them all. A probe with k dominators is registered under the first k
 // the scan finds; otherwise it enters the band with its exact count and
 // increments the count of every band member it dominates, demoting those

@@ -25,6 +25,7 @@ import (
 	"time"
 
 	"skybench"
+	"skybench/internal/dataset"
 	"skybench/serve"
 	"skybench/serve/client"
 	"skybench/serve/metrics"
@@ -354,6 +355,79 @@ func TestDeadlineOverWire(t *testing.T) {
 	if _, qerr := c.Query(cctx, "gated", nil); !errors.Is(qerr, skybench.ErrDeadlineExceeded) && !errors.Is(qerr, context.DeadlineExceeded) {
 		t.Fatalf("client-deadline query = %v, want a deadline error", qerr)
 	}
+}
+
+// TestPSkylineDeadlineOverWire sends a PSkyline query with a 20 ms wire
+// deadline (DeadlineHeader) to an anticorrelated collection that
+// PSkyline needs seconds for: it must come back as the typed deadline
+// error, and the run must have stopped by then, so skyserved_store_inflight
+// reads 0. The bound is TestEveryAlgorithmHonoursDeadline's: four times
+// the longest α-block of an uncanceled Hybrid run on the same rows,
+// measured on the Store's own Engine, past the deadline.
+func TestPSkylineDeadlineOverWire(t *testing.T) {
+	if testing.Short() {
+		t.Skip("runs Hybrid and PSkyline on 60 000 anticorrelated rows")
+	}
+	srv, c := newTestServer(t, skybench.StoreOptions{Threads: 2, MaxInflight: 2}, serve.Options{})
+	m := dataset.Generate(dataset.Anticorrelated, 60000, 8, 17)
+	ds, err := skybench.DatasetFromFlat(m.Flat(), m.N(), m.D())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := srv.Store().Attach("anti", ds, skybench.CollectionOptions{}); err != nil {
+		t.Fatal(err)
+	}
+	var longest time.Duration
+	last := time.Now()
+	if _, err := srv.Store().Engine().Run(context.Background(), ds, skybench.Query{Progressive: func([]int) {
+		now := time.Now()
+		longest = max(longest, now.Sub(last))
+		last = now
+	}}); err != nil {
+		t.Fatal(err)
+	}
+	longest = max(longest, time.Since(last))
+	const deadline = 20 * time.Millisecond
+	bound := 4 * longest
+
+	req, err := http.NewRequest(http.MethodPost, srvURL(c)+"/v1/collections/anti/query", strings.NewReader(`{"algorithm":"pskyline"}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	req.Header.Set(serve.DeadlineHeader, "20")
+	begin := time.Now()
+	resp, err := http.DefaultClient.Do(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var body serve.ErrorBody
+	derr := json.NewDecoder(resp.Body).Decode(&body)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusGatewayTimeout || derr != nil || body.Error.Code != "deadline_exceeded" {
+		t.Fatalf("PSkyline with a 20 ms wire deadline: status %d, error %+v (%v), want 504 deadline_exceeded", resp.StatusCode, body.Error, derr)
+	}
+	text, err := c.Metrics(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	past := time.Since(begin) - deadline
+	t.Logf("Hybrid's longest α-block %v, bound %v; inflight read after %v past the deadline", longest, bound, past)
+	if !strings.Contains(text, "skyserved_store_inflight 0\n") {
+		t.Fatalf("after the deadline error, the metrics read %q, want skyserved_store_inflight 0", inflightLine(text))
+	}
+	if past > bound {
+		t.Fatalf("the admission slot came back %v past the deadline, bound %v", past, bound)
+	}
+}
+
+// inflightLine returns the skyserved_store_inflight line of a scrape.
+func inflightLine(text string) string {
+	for _, line := range strings.Split(text, "\n") {
+		if strings.HasPrefix(line, "skyserved_store_inflight ") {
+			return line
+		}
+	}
+	return ""
 }
 
 // TestOverloadOverWire: with one admission slot and no queue, a second
